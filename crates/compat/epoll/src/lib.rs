@@ -1,7 +1,7 @@
 //! A minimal safe wrapper over the Linux `epoll` syscalls.
 //!
-//! The workspace has no access to crates.io, so — like the `rand`/`criterion`/
-//! `proptest` stand-ins next door — the readiness primitive underlying the
+//! The workspace has no access to crates.io, so — like the `rand` and `proptest`
+//! stand-ins next door — the readiness primitive underlying the
 //! `dlrv-net` reactor is vendored here.  The surface is the small subset the
 //! reactor needs: create an epoll instance, register/modify/deregister file
 //! descriptors with a caller-chosen `u64` token, and wait (level-triggered) with a

@@ -29,18 +29,14 @@
 //! only within one event's message burst); frame *loss* genuinely removes
 //! exploration and is pinned as an expected divergence by `tests/deploy_faults.rs`.
 
-use crate::experiment::{average_metrics, ExperimentConfig, ExperimentResult};
+use crate::experiment::{simulate_session, ExperimentConfig, ExperimentResult};
 use crate::results::{options_to_json, property_to_json};
 use crate::spec::CompiledProperty;
-use dlrv_distsim::{initial_global_state, run_simulation, NullMonitor, SimConfig};
-use dlrv_monitor::{timestamp_order, MonitorOptions, RunMetrics};
+use dlrv_monitor::{MonitorOptions, RunMetrics};
 use dlrv_net::{
     connect_with_retry, DaemonReport, DaemonStatus, DaemonTelemetry, Endpoint, FaultSpec,
     FaultStats, FramedConn, WireMsg,
 };
-use dlrv_trace::generate_workload;
-use dlrv_vclock::Event;
-use std::collections::BTreeSet;
 use std::collections::VecDeque;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -166,17 +162,8 @@ pub fn run_deploy(
         let metrics = run_seed(config, opts, params, &binary, seed, &mut fault_stats)?;
         per_seed.push(metrics);
     }
-    let mut detected = BTreeSet::new();
-    for metrics in &per_seed {
-        detected.extend(metrics.detected_final_verdicts.iter().copied());
-    }
     Ok(DeployOutcome {
-        result: ExperimentResult {
-            config: config.clone(),
-            avg: average_metrics(&per_seed),
-            per_seed,
-            detected_verdicts: detected,
-        },
+        result: ExperimentResult::from_seeds(config, per_seed),
         fault_stats,
     })
 }
@@ -326,18 +313,11 @@ fn run_seed(
     let n = config.n_processes;
     let compiled = CompiledProperty::compile(&config.property, n);
 
-    // The simulated distributed program: generate the workload and execute it with
-    // no-op monitors to obtain the vector-clocked event sequence (the deploy run
-    // monitors the *same* computation as the in-process runners).
-    let workload = generate_workload(&config.workload_config(seed));
-    let report = run_simulation(&workload, &compiled.registry, &SimConfig::default(), |_| {
-        NullMonitor::default()
-    });
-    let events: Vec<Event> = timestamp_order(&report.computation)
-        .into_iter()
-        .map(|(_, p, sn)| report.computation.events[p][(sn - 1) as usize].clone())
-        .collect();
-    let initial_state = initial_global_state(&workload, &compiled.registry).0;
+    // The simulated distributed program (the deploy run monitors the *same*
+    // computation as the in-process runners).
+    let session = simulate_session(&config.workload_config(seed), &compiled.registry);
+    let (events, report) = (session.events, session.report);
+    let initial_state = session.initial_state.0;
 
     // Spawn the fleet.  All daemons append their tagged stderr lines to one
     // shared vector, so the fleet log is interleaved in actual arrival order.

@@ -9,10 +9,13 @@
 
 use crate::spec::{CompiledProperty, PropertySpec};
 use dlrv_automaton::MonitorAutomaton;
-use dlrv_distsim::{initial_global_state, run_simulation, SimConfig};
-use dlrv_ltl::{AtomRegistry, Verdict};
-use dlrv_monitor::{DecentralizedMonitor, MonitorOptions, RunMetrics};
+use dlrv_distsim::{initial_global_state, run_simulation, NullMonitor, SimConfig, SimReport};
+use dlrv_ltl::{Assignment, AtomRegistry, Verdict};
+use dlrv_monitor::{
+    combined_verdict, timestamp_order, DecentralizedMonitor, MonitorOptions, RunMetrics,
+};
 use dlrv_trace::{generate_workload, ArrivalModel, CommTopology, WorkloadConfig};
+use dlrv_vclock::Event;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -193,6 +196,52 @@ pub struct ExperimentResult {
     pub detected_verdicts: BTreeSet<Verdict>,
 }
 
+impl ExperimentResult {
+    /// Folds per-seed metrics into a result: averaged metrics, verdicts unioned.
+    pub(crate) fn from_seeds(config: &ExperimentConfig, per_seed: Vec<RunMetrics>) -> Self {
+        let avg = average_metrics(&per_seed);
+        ExperimentResult {
+            config: config.clone(),
+            detected_verdicts: avg.detected_final_verdicts.clone(),
+            avg,
+            per_seed,
+        }
+    }
+}
+
+/// One session of the simulated distributed program, recorded with no monitors
+/// attached: what every substrate that monitors a *recorded* computation starts
+/// from (the streamed runner, the deploy orchestrator, and the equivalence tests
+/// that replay the same computation offline).
+pub struct SimulatedSession {
+    /// The computation's events in [`timestamp_order`], the canonical delivery order.
+    pub events: Vec<Event>,
+    /// The initial global state of the workload under the registry.
+    pub initial_state: Assignment,
+    /// The simulator's report: the computation itself, program message count and
+    /// end time.
+    pub report: SimReport<NullMonitor>,
+}
+
+/// Generates the workload of `workload` and executes it under the deterministic
+/// simulator with no-op monitors — the stand-in for a live distributed program
+/// emitting vector-clocked events.
+pub fn simulate_session(workload: &WorkloadConfig, registry: &AtomRegistry) -> SimulatedSession {
+    let workload = generate_workload(workload);
+    let report = run_simulation(&workload, registry, &SimConfig::default(), |_| {
+        NullMonitor::default()
+    });
+    let events = timestamp_order(&report.computation)
+        .into_iter()
+        .map(|(_, p, sn)| report.computation.events[p][(sn - 1) as usize].clone())
+        .collect();
+    SimulatedSession {
+        events,
+        initial_state: initial_global_state(&workload, registry),
+        report,
+    }
+}
+
 /// Runs `config` once per seed with the given optimization options and averages the
 /// metrics.
 ///
@@ -210,18 +259,7 @@ pub fn run_experiment_with_options(
         let workload = generate_workload(&config.workload_config(config.seeds[i]));
         run_single(&workload, registry, automaton, opts)
     });
-    let mut detected = BTreeSet::new();
-    for metrics in &per_seed {
-        detected.extend(metrics.detected_final_verdicts.iter().copied());
-    }
-
-    let avg = average_metrics(&per_seed);
-    ExperimentResult {
-        config: config.clone(),
-        avg,
-        per_seed,
-        detected_verdicts: detected,
-    }
+    ExperimentResult::from_seeds(config, per_seed)
 }
 
 /// Runs `config` with the default optimizations.
@@ -392,14 +430,7 @@ fn average_fleet_properties(runs: &[RunMetrics]) -> Vec<dlrv_monitor::FleetPrope
             out.peak_global_views = (out.peak_global_views as f64 / k).round() as usize;
             // The averaged verdict is the combined verdict of the union, matching
             // how detected sets fold everywhere else (False > True > Unknown).
-            out.verdict = dlrv_monitor::verdict_name(if detected.contains(&Verdict::False) {
-                Verdict::False
-            } else if detected.contains(&Verdict::True) {
-                Verdict::True
-            } else {
-                Verdict::Unknown
-            })
-            .to_string();
+            out.verdict = dlrv_monitor::verdict_name(combined_verdict(&detected)).to_string();
             out.detected_final_verdicts = detected;
             out
         })

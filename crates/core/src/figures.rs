@@ -1,40 +1,24 @@
-//! Shared helpers for the benchmark harness and the `experiments` binary.
+//! Data points of the thesis' evaluation chapter (Chapter 5), as the `experiments`
+//! binary prints them: Table 5.1's automaton sizes, the paper sweep of
+//! Figures 5.4–5.8 and the communication-frequency sweep of Fig. 5.9.
 //!
-//! Every table and figure of the thesis' evaluation chapter (Chapter 5) is regenerated
-//! by a function in this crate; the `experiments` binary prints them as text tables
-//! and the Criterion benches time the underlying runs.
+//! The runs go through the scenario registry wherever a scenario of that shape is
+//! registered, so the figures and `BENCH_results.json` measure the same
+//! configurations.
 
-#![forbid(unsafe_code)]
-
+use crate::experiment::{run_experiment, ExperimentConfig};
+use crate::properties::PaperProperty;
+use crate::scenario::{Scenario, ScenarioRegistry};
 use dlrv_automaton::MonitorAutomaton;
-use dlrv_core::{run_experiment, ExperimentConfig, PaperProperty, Scenario, ScenarioRegistry};
 use dlrv_monitor::RunMetrics;
-use std::sync::OnceLock;
 
 /// Process counts evaluated by the paper.
 pub const PROCESS_COUNTS: [usize; 4] = [2, 3, 4, 5];
 
-/// The standard registry, built once — `registry_scenario` is called inside criterion
-/// measurement loops, which must not time registry construction.
-fn standard_registry() -> &'static ScenarioRegistry {
-    static REGISTRY: OnceLock<ScenarioRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(ScenarioRegistry::standard)
-}
-
-/// Looks up a scenario in the standard registry, panicking with a helpful message on
-/// unknown names (benches and figures reference scenarios by their stable names).
-pub fn registry_scenario(name: &str) -> Scenario {
-    standard_registry()
-        .get(name)
-        .unwrap_or_else(|| panic!("scenario `{name}` is not in the standard registry"))
-        .clone()
-}
-
-/// Runs a registry scenario with its events-per-process overridden (benches and the
-/// figure experiments scale the workload to their time budget) and returns the
-/// averaged metrics.
-pub fn scenario_run(name: &str, events_per_process: usize) -> RunMetrics {
-    let mut scenario = registry_scenario(name);
+/// Runs a registry scenario with its events-per-process overridden (the figures
+/// scale the workload to their time budget) and returns the averaged metrics.
+fn scenario_run(scenario: &Scenario, events_per_process: usize) -> RunMetrics {
+    let mut scenario = scenario.clone();
     scenario.config.events_per_process = events_per_process;
     scenario.run().avg
 }
@@ -75,20 +59,21 @@ pub fn transition_counts(property: PaperProperty, n: usize) -> TransitionRow {
 /// Runs the paper-default experiment for one property / process count
 /// (Figures 5.4–5.8) with a configurable number of events per process.
 ///
-/// This is the registry scenario `paper-<property>-n<n>`; going through the registry
-/// keeps the figures, the benches and `BENCH_results.json` measuring the same
-/// configurations.  Process counts outside the registered 2–5 sweep still run — the
-/// function stays total — just as an unnamed paper-default configuration.
+/// This is the registry scenario `paper-<property>-n<n>`.  Process counts outside
+/// the registered 2–5 sweep still run — the function stays total — just as an
+/// unnamed paper-default configuration.
 pub fn paper_run(property: PaperProperty, n: usize, events_per_process: usize) -> RunMetrics {
     let name = format!("paper-{}-n{}", property.name(), n);
-    if standard_registry().get(&name).is_some() {
-        return scenario_run(&name, events_per_process);
+    match ScenarioRegistry::standard().get(&name) {
+        Some(scenario) => scenario_run(scenario, events_per_process),
+        None => {
+            run_experiment(&ExperimentConfig {
+                events_per_process,
+                ..ExperimentConfig::paper_default(property, n)
+            })
+            .avg
+        }
     }
-    run_experiment(&ExperimentConfig {
-        events_per_process,
-        ..ExperimentConfig::paper_default(property, n)
-    })
-    .avg
 }
 
 /// Runs one point of the communication-frequency sweep of Fig. 5.9 (4 processes,
@@ -101,9 +86,9 @@ pub fn comm_frequency_run(comm_mu: Option<f64>, events_per_process: usize) -> Ru
         Some(mu) => format!("commfreq-mu{}", mu as u64),
         None => "commfreq-nocomm".to_string(),
     };
-    match standard_registry().get(&name) {
+    match ScenarioRegistry::standard().get(&name) {
         Some(scenario) if scenario.config.comm_mu == comm_mu => {
-            scenario_run(&name, events_per_process)
+            scenario_run(scenario, events_per_process)
         }
         _ => {
             run_experiment(&ExperimentConfig {
@@ -136,30 +121,19 @@ mod tests {
         let three = transition_counts(PaperProperty::D, 3);
         assert!(three.total > two.total);
         assert_eq!(two.total, two.outgoing + two.self_loops);
-    }
-
-    #[test]
-    fn paper_run_produces_metrics() {
-        let m = paper_run(PaperProperty::B, 2, 5);
-        assert!(m.total_events > 0);
-        assert!(m.program_time > 0.0);
+        assert!(two.states >= 2);
     }
 
     #[test]
     fn scenario_run_matches_direct_execution() {
         // The registry indirection must not change what is measured, host-side
         // timing/RSS measurements aside.
-        let mut scenario = registry_scenario("paper-B-n2");
+        let mut scenario = ScenarioRegistry::standard().get("paper-B-n2").expect("registered").clone();
+        let via_helper = strip_host_measurements(paper_run(PaperProperty::B, 2, 5));
         scenario.config.events_per_process = 5;
-        let via_helper = strip_host_measurements(scenario_run("paper-B-n2", 5));
         let direct = strip_host_measurements(scenario.run().avg);
+        assert!(direct.total_events > 0);
         assert_eq!(via_helper, direct);
-    }
-
-    #[test]
-    #[should_panic(expected = "not in the standard registry")]
-    fn unknown_scenarios_panic_with_context() {
-        registry_scenario("paper-Z-n99");
     }
 
     #[test]
@@ -185,5 +159,10 @@ mod tests {
             .avg,
         );
         assert_eq!(requested, direct);
+        // A registered point runs too, and its monitors still exchange tokens
+        // without any program communication.
+        let nocomm = comm_frequency_run(None, 5);
+        assert!(nocomm.total_events > 0);
+        assert!(nocomm.monitor_messages > 0, "monitors must exchange tokens");
     }
 }

@@ -1,49 +1,19 @@
-//! The fleet runner: N properties monitored in one pass over a shared event
-//! stream, with the marginal cost of each added property measured against solo
-//! baselines.
+//! Property fleets: N properties monitored in one pass over a shared event
+//! stream.
 //!
-//! One fleet run works end-to-end over the same wire path as the throughput
-//! family, but instead of one property per session it monitors the whole fleet
-//! per session:
-//!
-//! 1. Every member property is compiled into one **shared atom registry**
-//!    ([`compile_fleet`] via [`PropertySpec::build_in`]), so all members
-//!    interpret the same event assignments; each member keeps its own
-//!    synthesized automaton.
-//! 2. Per seed, session workloads are generated and encoded into one framed
-//!    byte stream — exactly the throughput pipeline.
-//! 3. **Solo baselines**: the byte stream is pumped through a fresh runtime
-//!    once per member, each time monitoring only that member.  The summed wall
-//!    clock is the "N independent deployments" cost the fleet amortizes.
-//! 4. **The fleet run**: the same bytes are pumped once with a fleet
-//!    [`SessionSpec`] — each event is decoded once, its clock interned once,
-//!    and outbound tokens of all members share batched monitoring messages
-//!    (see `docs/FLEET.md`).
-//! 5. The fleet report is folded into [`RunMetrics`] with the fleet fields
-//!    filled in: `fleet_size`, the summed solo wall clock, the measured
-//!    marginal cost per added property, and a per-property metrics slice.
-//!
-//! Debug builds additionally assert, session by session, that every member's
-//! fleet verdicts and token counts equal its solo baseline — the
-//! `fleet_equivalence` integration test pins the same property across shard
-//! counts and every optimization combination.
+//! Every member property is compiled into one **shared atom registry**
+//! ([`compile_fleet`] via [`PropertySpec::build_in`]), so all members interpret
+//! the same event assignments; each member keeps its own synthesized automaton.
+//! The streamed runner ([`run_streamed`](crate::throughput::run_streamed)) then
+//! pumps one byte stream with a fleet session spec — each event is decoded once,
+//! its clock interned once, and outbound tokens of all members share batched
+//! monitoring messages (see `docs/FLEET.md`) — and measures one solo baseline per
+//! member over the same bytes for the marginal-cost metrics.
 
-use crate::experiment::{average_metrics, ExperimentConfig, ExperimentResult};
-use crate::scenario::StreamParams;
 use crate::spec::{PropertySpec, MAX_SPEC_ATOMS};
 use dlrv_automaton::MonitorAutomaton;
-use dlrv_distsim::{initial_global_state, run_simulation, NullMonitor, SimConfig};
 use dlrv_ltl::AtomRegistry;
-use dlrv_monitor::{
-    timestamp_order, verdict_name, FleetPropertyMetrics, MonitorOptions, RunMetrics,
-};
-use dlrv_stream::{
-    encode_stream, encode_stream_binary, interleave_sessions, FleetMemberSpec, ReaderSource,
-    SessionSpec, SessionStream, ShardedRuntime, StreamConfig, StreamReport,
-};
-use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The fleet of properties a fleet scenario monitors in one pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,247 +94,14 @@ pub fn compile_fleet(
     (registry, members)
 }
 
-/// Runs the fleet over `params.n_sessions` concurrent sessions, once per seed in
-/// `config.seeds`, and averages the metrics like every other runner.
-///
-/// `config.property` should be the fleet's lead member (it shapes the workload);
-/// the fleet itself comes from `fleet.properties`.
-pub fn run_fleet(
-    config: &ExperimentConfig,
-    params: &StreamParams,
-    fleet: &FleetParams,
-    opts: MonitorOptions,
-) -> ExperimentResult {
-    let (registry, members) = compile_fleet(fleet, config.n_processes);
-
-    let per_seed: Vec<RunMetrics> = config
-        .seeds
-        .iter()
-        .map(|&seed| run_once(config, params, fleet, opts, seed, &registry, &members))
-        .collect();
-
-    let mut detected = BTreeSet::new();
-    for metrics in &per_seed {
-        detected.extend(metrics.detected_final_verdicts.iter().copied());
-    }
-    ExperimentResult {
-        config: config.clone(),
-        avg: average_metrics(&per_seed),
-        per_seed,
-        detected_verdicts: detected,
-    }
-}
-
-/// Derives the workload seed of one session from the run seed (the throughput
-/// runner's mixing, duplicated so the two families stay independently tweakable).
-fn session_seed(run_seed: u64, session: u64) -> u64 {
-    run_seed.wrapping_mul(0x100_0003).wrapping_add(session).wrapping_add(1)
-}
-
-/// Pumps `bytes` through a fresh sharded runtime; `open_spec` builds the
-/// per-session spec.  Returns the shutdown report and the measured wall clock.
-fn pump_stream(
-    params: &StreamParams,
-    bytes: &[u8],
-    mut open_spec: impl FnMut(&dlrv_stream::OpenRequest) -> Arc<SessionSpec>,
-) -> (StreamReport, f64) {
-    let started = Instant::now();
-    let runtime = ShardedRuntime::start(StreamConfig {
-        n_shards: params.n_shards,
-        mailbox_capacity: params.mailbox_capacity,
-        batch_size: params.batch_size,
-        use_rings: params.use_rings,
-    });
-    let mut source = ReaderSource::new(bytes);
-    runtime
-        .pump(&mut source, &mut |open| Ok(open_spec(open)))
-        .expect("a freshly encoded stream must decode");
-    let report = runtime.shutdown();
-    (report, started.elapsed().as_secs_f64())
-}
-
-/// One fleet run: generate the shared workloads, measure each member's solo
-/// baseline over the same bytes, run the fleet once, fold in the fleet metrics.
-fn run_once(
-    config: &ExperimentConfig,
-    params: &StreamParams,
-    fleet: &FleetParams,
-    opts: MonitorOptions,
-    seed: u64,
-    registry: &Arc<AtomRegistry>,
-    members: &[CompiledFleetMember],
-) -> RunMetrics {
-    // Phase 1: workload generation against the shared registry — one event
-    // stream that every member (and every solo baseline) consumes verbatim.
-    let mut inputs = Vec::with_capacity(params.n_sessions);
-    let mut program_messages = 0usize;
-    let mut program_time = 0.0f64;
-    for s in 0..params.n_sessions {
-        let workload = generate_workload_for(config, session_seed(seed, s as u64));
-        let report = run_simulation(&workload, registry, &SimConfig::default(), |_| {
-            NullMonitor::default()
-        });
-        program_messages += report.program_messages;
-        program_time = program_time.max(report.program_end_time);
-        let events = timestamp_order(&report.computation)
-            .into_iter()
-            .map(|(_, p, sn)| report.computation.events[p][(sn - 1) as usize].clone())
-            .collect();
-        inputs.push(SessionStream {
-            session: s as u64,
-            property: fleet.joined_name(),
-            n_processes: config.n_processes,
-            initial_state: initial_global_state(&workload, registry).0,
-            events,
-        });
-    }
-
-    // Phase 2: one canonical wire stream shared by the fleet run and every solo
-    // baseline — the bytes, and therefore the decode work, are identical.
-    let records = interleave_sessions(&inputs);
-    let bytes = if params.binary_wire {
-        encode_stream_binary(&records)
-    } else {
-        encode_stream(&records)
-    };
-
-    // Phase 3: the fleet run first (it pays any first-run warmup, keeping the
-    // amortization claim conservative), then one solo baseline per member.
-    let (fleet_report, wall_clock_secs) = pump_stream(params, &bytes, |open| {
-        Arc::new(SessionSpec {
-            n_processes: open.n_processes,
-            automaton: members[0].automaton.clone(),
-            registry: registry.clone(),
-            initial_state: open.initial_state,
-            options: opts,
-            fleet: members
-                .iter()
-                .map(|m| FleetMemberSpec {
-                    property: m.name.clone(),
-                    automaton: m.automaton.clone(),
-                    registry: registry.clone(),
-                    initial_state: open.initial_state,
-                })
-                .collect(),
-        })
-    });
-
-    let mut solo_wall_clock = 0.0f64;
-    let mut solo_reports = Vec::with_capacity(members.len());
-    for member in members {
-        let (report, secs) = pump_stream(params, &bytes, |open| {
-            Arc::new(SessionSpec {
-                n_processes: open.n_processes,
-                automaton: member.automaton.clone(),
-                registry: registry.clone(),
-                initial_state: open.initial_state,
-                options: opts,
-                fleet: Vec::new(),
-            })
-        });
-        solo_wall_clock += secs;
-        solo_reports.push(report);
-    }
-
-    // Fleet soundness guard: member for member, session for session, the fleet
-    // must report exactly the solo verdicts and token counts.  The release-mode
-    // pin lives in `tests/fleet_equivalence.rs`.
-    #[cfg(debug_assertions)]
-    for (k, solo) in solo_reports.iter().enumerate() {
-        for (session, outcome) in &solo.sessions {
-            let fleet_outcome = &fleet_report.sessions[session].per_property[k];
-            debug_assert_eq!(
-                outcome.detected_verdicts, fleet_outcome.detected_verdicts,
-                "fleet member {k} diverged from its solo run in session {session}"
-            );
-            debug_assert_eq!(
-                outcome.monitor_tokens, fleet_outcome.monitor_tokens,
-                "fleet member {k} sent different tokens than its solo run in session {session}"
-            );
-        }
-    }
-
-    // Phase 4: fold the *fleet* report into RunMetrics (the solos only
-    // contribute their wall clock) and attach the per-property slice.
-    debug_assert_eq!(fleet_report.sessions.len(), params.n_sessions);
-    let n = members.len();
-    let solo_single = solo_wall_clock / n as f64;
-    let mut metrics = RunMetrics {
-        n_processes: config.n_processes,
-        total_events: fleet_report.total_events,
-        program_messages,
-        program_time,
-        wall_clock_secs,
-        events_per_sec: if wall_clock_secs > 0.0 {
-            fleet_report.total_events as f64 / wall_clock_secs
-        } else {
-            0.0
-        },
-        per_shard: fleet_report.per_shard.clone(),
-        peak_rss_bytes: dlrv_obs::peak_rss_bytes().unwrap_or(0),
-        fleet_size: n,
-        fleet_solo_wall_clock_secs: solo_wall_clock,
-        fleet_marginal_cost_secs: if n > 1 {
-            ((wall_clock_secs - solo_single) / (n - 1) as f64).max(0.0)
-        } else {
-            0.0
-        },
-        ..RunMetrics::default()
-    };
-    let mut per_property = vec![FleetPropertyMetrics::default(); n];
-    for (k, member) in members.iter().enumerate() {
-        per_property[k].property = member.name.clone();
-    }
-    for outcome in fleet_report.sessions.values() {
-        metrics.monitor_messages += outcome.monitor_messages;
-        metrics.monitor_tokens += outcome.monitor_tokens;
-        metrics.total_global_views += outcome.global_views;
-        metrics.peak_global_views += outcome.peak_global_views;
-        metrics
-            .detected_final_verdicts
-            .extend(outcome.detected_verdicts.iter().copied());
-        metrics
-            .possible_verdicts
-            .extend(outcome.possible_verdicts.iter().copied());
-        for (k, slice) in outcome.per_property.iter().enumerate() {
-            let agg = &mut per_property[k];
-            agg.monitor_tokens += slice.monitor_tokens;
-            agg.global_views += slice.global_views;
-            agg.peak_global_views += slice.peak_global_views;
-            agg.detected_final_verdicts
-                .extend(slice.detected_verdicts.iter().copied());
-            agg.possible_verdicts
-                .extend(slice.possible_verdicts.iter().copied());
-        }
-    }
-    for agg in &mut per_property {
-        agg.verdict = verdict_name(combined_of(&agg.detected_final_verdicts)).to_string();
-    }
-    metrics.fleet_per_property = per_property;
-    metrics
-}
-
-/// The combined verdict of a detected set (False dominates, then True).
-fn combined_of(detected: &BTreeSet<dlrv_ltl::Verdict>) -> dlrv_ltl::Verdict {
-    if detected.contains(&dlrv_ltl::Verdict::False) {
-        dlrv_ltl::Verdict::False
-    } else if detected.contains(&dlrv_ltl::Verdict::True) {
-        dlrv_ltl::Verdict::True
-    } else {
-        dlrv_ltl::Verdict::Unknown
-    }
-}
-
-/// Generates one session's workload from the experiment config (lead property's
-/// initial channels, the standard goal tail).
-fn generate_workload_for(config: &ExperimentConfig, seed: u64) -> dlrv_trace::Workload {
-    dlrv_trace::generate_workload(&config.workload_config(seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::ExperimentConfig;
     use crate::properties::PaperProperty;
+    use crate::scenario::StreamParams;
+    use crate::throughput::run_streamed;
+    use dlrv_monitor::MonitorOptions;
 
     fn small_fleet_config(lead: PaperProperty) -> ExperimentConfig {
         ExperimentConfig {
@@ -397,10 +134,10 @@ mod tests {
             batch_size: 8,
             ..StreamParams::sized(12, 2)
         };
-        let result = run_fleet(
+        let result = run_streamed(
             &small_fleet_config(PaperProperty::B),
             &params,
-            &fleet,
+            Some(&fleet),
             MonitorOptions::default(),
         );
         let m = &result.avg;

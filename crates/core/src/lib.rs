@@ -10,15 +10,16 @@
 //!   synthesized monitor) and threaded through every layer below.
 //! * [`PaperProperty`] — the six evaluation properties A–F of the thesis,
 //!   parameterized by process count; thin constructors of [`PropertySpec`]s.
-//! * [`ExperimentConfig`] / [`run_experiment`] — the experiment runner used by the
-//!   benchmark harness to regenerate every table and figure of Chapter 5.
+//! * [`ExperimentConfig`] / [`run_experiment`] — the experiment runner, and
+//!   [`figures`] — the data points of every table and figure of Chapter 5 that the
+//!   `experiments` binary prints.
 //! * [`Scenario`] / [`ScenarioRegistry`] — every experiment the repository knows how
 //!   to run, by stable name: the paper's sweeps plus extended workload shapes
 //!   (bursty arrivals, ring/pipeline/hotspot topologies, large-N runs) and the
 //!   online throughput family ([`StreamParams`], `--target throughput`).
-//! * [`throughput`] — the streaming benchmark runner: hundreds–thousands of
-//!   concurrent sessions encoded to wire bytes and pumped through the sharded
-//!   [`dlrv_stream`] runtime.
+//! * [`throughput`] — the one streamed runner ([`run_streamed`]): hundreds–thousands
+//!   of concurrent sessions encoded to wire bytes and pumped through the sharded
+//!   [`dlrv_stream`] runtime, one property or a whole [`fleet`] per session.
 //! * [`deploy`] — the real-socket deployment runner: one `monitord` OS process
 //!   per monitor over TCP/Unix sockets ([`DeployParams`], `--target deploy`),
 //!   with deterministic fault injection on every channel ([`dlrv_net`]).
@@ -39,6 +40,7 @@
 pub mod analysis;
 pub mod deploy;
 pub mod experiment;
+pub mod figures;
 pub mod fleet;
 pub mod properties;
 pub mod report;
@@ -54,9 +56,11 @@ pub use analysis::{
 pub use deploy::{run_deploy, DeployOutcome, DeployParams, DeployTransport};
 pub use experiment::{
     average_metrics, effective_jobs, parallel_map_indexed, run_experiment,
-    run_experiment_with_options, run_single, set_jobs, ExperimentConfig, ExperimentResult,
+    run_experiment_with_options, run_single, set_jobs, simulate_session, ExperimentConfig,
+    ExperimentResult, SimulatedSession,
 };
-pub use fleet::{compile_fleet, run_fleet, CompiledFleetMember, FleetParams};
+pub use figures::{comm_frequency_run, paper_run, transition_counts, PROCESS_COUNTS};
+pub use fleet::{compile_fleet, CompiledFleetMember, FleetParams};
 pub use properties::PaperProperty;
 pub use report::{render_report, RenderedReport, TrendPoint};
 pub use results::{sweep_from_json, sweep_to_json, ScenarioRecord, RESULTS_SCHEMA_VERSION};
@@ -65,7 +69,7 @@ pub use spec::{
 };
 pub use scenario::{Scenario, ScenarioFamily, ScenarioRegistry, StreamParams};
 pub use system::{MonitoredSystem, MonitoringOutcome};
-pub use throughput::run_throughput;
+pub use throughput::run_streamed;
 
 pub use dlrv_analyze;
 pub use dlrv_automaton;

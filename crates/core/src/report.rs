@@ -42,14 +42,13 @@ pub struct RenderedReport {
 }
 
 /// Display order of the family sections (registry families, offline first).
-const FAMILY_ORDER: [ScenarioFamily; 9] = [
+const FAMILY_ORDER: [ScenarioFamily; 8] = [
     ScenarioFamily::Paper,
     ScenarioFamily::CommFrequency,
     ScenarioFamily::Extended,
     ScenarioFamily::Custom,
     ScenarioFamily::Overhead,
     ScenarioFamily::Throughput,
-    ScenarioFamily::Hotpath,
     ScenarioFamily::Fleet,
     ScenarioFamily::Deploy,
 ];
@@ -491,11 +490,7 @@ pub fn render_report(current: &[ScenarioRecord], history: &[TrendPoint]) -> Rend
         let members = family_members(current, family);
         let _ = writeln!(out, "\n## {} ({} scenarios)\n", family.name(), members.len());
         match family {
-            // The hotpath ablation is measured by the same streaming engine, so
-            // it shares the throughput table shape (rates, stalls, shards).
-            ScenarioFamily::Throughput | ScenarioFamily::Hotpath => {
-                throughput_table(&mut out, &members)
-            }
+            ScenarioFamily::Throughput => throughput_table(&mut out, &members),
             ScenarioFamily::Overhead => overhead_table(&mut out, &members),
             ScenarioFamily::Fleet => fleet_table(&mut out, &members),
             ScenarioFamily::Deploy => deploy_table(&mut out, &members),

@@ -153,23 +153,18 @@ pub fn stream_params_to_json(params: &StreamParams) -> Json {
         ("n_shards", Json::from(params.n_shards)),
         ("mailbox_capacity", Json::from(params.mailbox_capacity)),
         ("batch_size", Json::from(params.batch_size)),
-        ("binary_wire", Json::from(params.binary_wire)),
-        ("use_rings", Json::from(params.use_rings)),
     ])
 }
 
-/// Parses the streaming-engine sizing back.
+/// Parses the streaming-engine sizing back.  Documents written while the
+/// wire-format and mailbox switches were per-scenario also carry `binary_wire`
+/// and `use_rings`; both are ignored.
 pub fn stream_params_from_json(v: &Json) -> Result<StreamParams, JsonError> {
     Ok(StreamParams {
         n_sessions: v.get("n_sessions")?.as_usize()?,
         n_shards: v.get("n_shards")?.as_usize()?,
         mailbox_capacity: v.get("mailbox_capacity")?.as_usize()?,
         batch_size: v.get("batch_size")?.as_usize()?,
-        // The hot-path wire/mailbox switches postdate the first throughput
-        // documents; records written before them ran JSON frames over
-        // `sync_channel` mailboxes, so absence means `false`.
-        binary_wire: v.get_opt("binary_wire")?.map_or(Ok(false), Json::as_bool)?,
-        use_rings: v.get_opt("use_rings")?.map_or(Ok(false), Json::as_bool)?,
     })
 }
 
@@ -321,9 +316,16 @@ pub fn sweep_to_json(runs: &[(Scenario, ExperimentResult)]) -> Json {
     ])
 }
 
+/// A scenario family earlier documents contain and this build no longer runs
+/// (the one-switch ablation the repository benchmark's probes replaced).  Its
+/// records are skipped, so committed snapshots that include them keep parsing
+/// and keep their place in the report's trend history.
+const RETIRED_FAMILY: &str = "hotpath";
+
 /// Parses a sweep document produced by [`sweep_to_json`].
 ///
-/// Rejects documents with a newer `schema_version` than this build understands.
+/// Rejects documents with a newer `schema_version` than this build understands;
+/// skips records of the retired `hotpath` family.
 pub fn sweep_from_json(v: &Json) -> Result<Vec<ScenarioRecord>, JsonError> {
     let version = v.get("schema_version")?.as_u64()?;
     if version > RESULTS_SCHEMA_VERSION {
@@ -331,11 +333,13 @@ pub fn sweep_from_json(v: &Json) -> Result<Vec<ScenarioRecord>, JsonError> {
             "results schema version {version} is newer than supported {RESULTS_SCHEMA_VERSION}"
         )));
     }
-    v.get("scenarios")?
-        .as_array()?
-        .iter()
-        .map(record_from_json)
-        .collect()
+    let mut records = Vec::new();
+    for item in v.get("scenarios")?.as_array()? {
+        if item.get("family")?.as_str()? != RETIRED_FAMILY {
+            records.push(record_from_json(item)?);
+        }
+    }
+    Ok(records)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! ([`ArrivalModel`] / [`CommTopology`] via [`ExperimentConfig`]) and the
 //! [`MonitorOptions`] — under a stable name.  The [`ScenarioRegistry`] is the single
 //! source of truth consumed by the `experiments` binary (`--target sweep`,
-//! `--list-scenarios`), the criterion benches and the JSON results pipeline
+//! `--list-scenarios`), the Chapter 5 figure helpers ([`crate::figures`]) and the JSON results pipeline
 //! ([`crate::results`]), so a new workload shape added here is immediately
 //! measurable everywhere.
 //!
@@ -23,10 +23,10 @@
 
 use crate::deploy::{run_deploy, DeployParams, DeployTransport};
 use crate::experiment::{run_experiment_with_options, ExperimentConfig, ExperimentResult};
-use crate::fleet::{run_fleet, FleetParams};
+use crate::fleet::FleetParams;
 use crate::properties::PaperProperty;
 use crate::spec::PropertySpec;
-use crate::throughput::run_throughput;
+use crate::throughput::run_streamed;
 use dlrv_monitor::MonitorOptions;
 use dlrv_net::FaultSpec;
 use dlrv_trace::{ArrivalModel, CommTopology};
@@ -58,11 +58,6 @@ pub enum ScenarioFamily {
     /// monitor, tokens over TCP/Unix sockets, optionally through the
     /// deterministic fault-injection shim (`--target deploy`).
     Deploy,
-    /// Hot-path A/B ablation: one streaming workload run with each hot-path
-    /// optimization (binary wire, view arenas, SPSC rings) individually on,
-    /// all on, and all off, so `--target hotpath` attributes the throughput
-    /// gain switch by switch (`--target hotpath`).
-    Hotpath,
     /// Fleet monitoring: N properties monitored in one pass over a shared
     /// stream — each event decoded once, clocks interned once, tokens of all
     /// members batched onto shared monitoring messages — with solo baselines
@@ -81,7 +76,6 @@ impl ScenarioFamily {
             ScenarioFamily::Overhead => "overhead",
             ScenarioFamily::Custom => "custom",
             ScenarioFamily::Deploy => "deploy",
-            ScenarioFamily::Hotpath => "hotpath",
             ScenarioFamily::Fleet => "fleet",
         }
     }
@@ -96,7 +90,6 @@ impl ScenarioFamily {
             ScenarioFamily::Overhead,
             ScenarioFamily::Custom,
             ScenarioFamily::Deploy,
-            ScenarioFamily::Hotpath,
             ScenarioFamily::Fleet,
         ]
         .into_iter()
@@ -115,36 +108,18 @@ pub struct StreamParams {
     pub mailbox_capacity: usize,
     /// Maximum records a shard applies per wakeup.
     pub batch_size: usize,
-    /// Encode the wire stream with the compact binary codec instead of JSON
-    /// frames (hot-path optimization 1; the decoder handles either).
-    pub binary_wire: bool,
-    /// Route records through SPSC ring mailboxes instead of `sync_channel`s
-    /// (hot-path optimization 3).
-    pub use_rings: bool,
 }
 
 impl StreamParams {
     /// The registry's default engine sizing: deep-enough mailboxes to keep shards
-    /// busy, small batches to keep queue latency bounded, and the (equivalence-
-    /// pinned) hot-path wire/mailbox optimizations on.
+    /// busy, small batches to keep queue latency bounded.  The stream is always
+    /// binary frames over the runtime's default mailboxes.
     pub fn sized(n_sessions: usize, n_shards: usize) -> Self {
         StreamParams {
             n_sessions,
             n_shards,
             mailbox_capacity: 1024,
             batch_size: 32,
-            binary_wire: true,
-            use_rings: true,
-        }
-    }
-
-    /// The pre-optimization engine: JSON frames and `sync_channel` mailboxes.
-    /// The `hotpath` A/B family measures [`sized`](Self::sized) against this.
-    pub fn classic(n_sessions: usize, n_shards: usize) -> Self {
-        StreamParams {
-            binary_wire: false,
-            use_rings: false,
-            ..StreamParams::sized(n_sessions, n_shards)
         }
     }
 }
@@ -183,27 +158,28 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Runs the scenario — offline experiment or streamed throughput run, one
-    /// simulation per seed, metrics averaged.
+    /// Runs the scenario — offline experiment, streamed run or process-fleet
+    /// deployment, one simulation per seed, metrics averaged.
     ///
     /// Every family measures real elapsed time per seed (`wall_clock_secs`,
-    /// `events_per_sec`, `peak_rss_bytes`) — offline runs inside
-    /// `run_single`, throughput runs inside the engine (workload generation
+    /// `events_per_sec`) — offline runs inside `run_single`, streamed runs
+    /// around `pump` + `shutdown` (workload generation and shard-thread start
     /// excluded), deploy runs across the whole fleet round trip — and the
-    /// averaged metrics fold them like every other field.  These are the only
+    /// averaged metrics fold them like every other field.  Together with
+    /// `peak_rss_bytes` (offline: process high-water mark; deploy: largest
+    /// daemon; streamed: `0`, not measured) these are the only
     /// run-to-run-varying fields of the results document.
     /// Panics when a deploy scenario's process fleet fails (daemon spawn,
     /// handshake or barrier errors); use [`run_deploy`] directly for a `Result`.
     pub fn run(&self) -> ExperimentResult {
-        if let Some(fleet) = &self.fleet {
-            let params = self
-                .stream
-                .as_ref()
-                .expect("fleet scenarios carry stream params");
-            return run_fleet(&self.config, params, fleet, self.options);
-        }
+        assert!(
+            self.fleet.is_none() || self.stream.is_some(),
+            "fleet scenarios carry stream params"
+        );
         match (&self.stream, &self.deploy) {
-            (Some(params), _) => run_throughput(&self.config, params, self.options),
+            (Some(params), _) => {
+                run_streamed(&self.config, params, self.fleet.as_ref(), self.options)
+            }
             (None, Some(params)) => run_deploy(&self.config, self.options, params)
                 .unwrap_or_else(|e| panic!("deploy scenario `{}` failed: {e}", self.name))
                 .result,
@@ -466,63 +442,6 @@ impl ScenarioRegistry {
             deploy: None,
             fleet: None,
         });
-
-        // The hotpath family: the shard-scaling workload (property C, 400
-        // sessions) run under a one-switch-at-a-time ablation of the hot-path
-        // optimizations.  Every variant of one shard count shares the same
-        // config and seeds, so within a group any events/sec difference is the
-        // named switch — the streaming sibling of the §4.3 overhead A/B pairs.
-        // Verdict equality across variants is separately pinned by
-        // `tests/stream_equivalence.rs`; this family measures the speed side.
-        let arena_off = MonitorOptions {
-            arena_recycling: false,
-            ..MonitorOptions::default()
-        };
-        for n_shards in [1usize, 4] {
-            let variants: [(&str, &str, StreamParams, MonitorOptions); 5] = [
-                ("off", "every hot-path switch off", StreamParams::classic(400, n_shards), arena_off),
-                (
-                    "binary",
-                    "binary wire frames only",
-                    StreamParams {
-                        binary_wire: true,
-                        ..StreamParams::classic(400, n_shards)
-                    },
-                    arena_off,
-                ),
-                (
-                    "arena",
-                    "view/token arena recycling only",
-                    StreamParams::classic(400, n_shards),
-                    MonitorOptions::default(),
-                ),
-                (
-                    "rings",
-                    "SPSC ring mailboxes only",
-                    StreamParams {
-                        use_rings: true,
-                        ..StreamParams::classic(400, n_shards)
-                    },
-                    arena_off,
-                ),
-                ("all", "every hot-path switch on", StreamParams::sized(400, n_shards), MonitorOptions::default()),
-            ];
-            for (suffix, label, stream, options) in variants {
-                registry.push(Scenario {
-                    name: format!("hotpath-C-s400-sh{n_shards}-{suffix}"),
-                    description: format!(
-                        "Hot-path A/B: 400 concurrent sessions of property C, \
-                         2 processes, {n_shards} shard(s), {label}"
-                    ),
-                    family: ScenarioFamily::Hotpath,
-                    config: stream_config(PaperProperty::C, 2, 8),
-                    options,
-                    stream: Some(stream),
-                    deploy: None,
-                    fleet: None,
-                });
-            }
-        }
 
         // The §4.3 overhead family: every property at the paper's 4-process point,
         // once with the full optimization suite (the defaults) and once with every
@@ -849,17 +768,12 @@ mod tests {
             shard_counts.len() >= 3,
             "need ≥ 3 shard counts, got {shard_counts:?}"
         );
-        // Offline scenarios never carry stream params; the three streaming
+        // Offline scenarios never carry stream params; the two streaming
         // families always do.
         for s in &registry {
             assert_eq!(
                 s.stream.is_some(),
-                matches!(
-                    s.family,
-                    ScenarioFamily::Throughput
-                        | ScenarioFamily::Hotpath
-                        | ScenarioFamily::Fleet
-                ),
+                matches!(s.family, ScenarioFamily::Throughput | ScenarioFamily::Fleet),
                 "{}",
                 s.name
             );
@@ -868,47 +782,6 @@ mod tests {
         for s in &registry {
             assert_eq!(s.fleet.is_some(), s.family == ScenarioFamily::Fleet, "{}", s.name);
         }
-    }
-
-    #[test]
-    fn hotpath_family_ablates_one_switch_at_a_time() {
-        let registry = ScenarioRegistry::standard();
-        for n_shards in [1usize, 4] {
-            // (suffix, binary_wire, use_rings, arena_recycling)
-            let expect = [
-                ("off", false, false, false),
-                ("binary", true, false, false),
-                ("arena", false, false, true),
-                ("rings", false, true, false),
-                ("all", true, true, true),
-            ];
-            let baseline = registry
-                .get(&format!("hotpath-C-s400-sh{n_shards}-off"))
-                .expect("baseline variant");
-            for (suffix, binary, rings, arena) in expect {
-                let name = format!("hotpath-C-s400-sh{n_shards}-{suffix}");
-                let s = registry.get(&name).unwrap_or_else(|| panic!("missing {name}"));
-                assert_eq!(s.family, ScenarioFamily::Hotpath);
-                // All variants of a shard count share the same workload …
-                assert_eq!(s.config, baseline.config, "{name}: must share traces");
-                let stream = s.stream.expect("hotpath scenarios stream");
-                assert_eq!(stream.n_sessions, 400, "{name}");
-                assert_eq!(stream.n_shards, n_shards, "{name}");
-                assert_eq!(
-                    (stream.mailbox_capacity, stream.batch_size),
-                    {
-                        let b = baseline.stream.unwrap();
-                        (b.mailbox_capacity, b.batch_size)
-                    },
-                    "{name}: engine sizing must match the baseline"
-                );
-                // … and differ only in the advertised switches.
-                assert_eq!(stream.binary_wire, binary, "{name}");
-                assert_eq!(stream.use_rings, rings, "{name}");
-                assert_eq!(s.options.arena_recycling, arena, "{name}");
-            }
-        }
-        assert_eq!(registry.family(ScenarioFamily::Hotpath).count(), 10);
     }
 
     #[test]
@@ -983,7 +856,6 @@ mod tests {
             ScenarioFamily::Overhead,
             ScenarioFamily::Custom,
             ScenarioFamily::Deploy,
-            ScenarioFamily::Hotpath,
             ScenarioFamily::Fleet,
         ] {
             assert_eq!(ScenarioFamily::from_name(family.name()), Some(family));

@@ -1,39 +1,52 @@
-//! The throughput runner: drives hundreds–thousands of concurrent monitored sessions
-//! through the online [`ShardedRuntime`] and measures ingestion throughput.
+//! The streamed runner: drives hundreds–thousands of concurrent monitored sessions
+//! through the online [`ShardedRuntime`] and measures ingestion throughput — one
+//! property per session (the throughput family) or a whole property fleet per
+//! session (the fleet family).
 //!
-//! One throughput run works end-to-end over the wire path:
+//! One streamed run works end-to-end over the wire path:
 //!
 //! 1. For every session, a seeded workload is generated and executed under the
-//!    deterministic simulator (with no-op monitors) to obtain its vector-clocked
-//!    event sequence — the stand-in for a live distributed program emitting events.
+//!    deterministic simulator with no-op monitors ([`simulate_session`]) to obtain
+//!    its vector-clocked event sequence — the stand-in for a live distributed
+//!    program emitting events.
 //! 2. All sessions' records (open, events in round-robin interleaving across
 //!    sessions, close) are **encoded into one framed byte stream** with the
-//!    `dlrv-stream` codec.
+//!    `dlrv-stream` binary codec.
 //! 3. The byte stream is pumped through a [`ReaderSource`] into the sharded runtime:
 //!    frames are decoded, hash-routed to shards, applied in batches by the
-//!    per-session decentralized monitors.
+//!    per-session decentralized monitors.  A fleet run then pumps the *same bytes*
+//!    once more per member, each time monitoring only that member: the summed wall
+//!    clock of these solo baselines is the "N independent deployments" cost the
+//!    fleet amortizes (see `docs/FLEET.md`).
 //! 4. The shutdown report is folded into [`RunMetrics`]: aggregate events/sec,
 //!    wall-clock duration and per-shard measurements next to the usual monitoring
-//!    metrics (messages, global views, verdicts).
+//!    metrics (messages, global views, verdicts), plus — for a fleet —
+//!    `fleet_size`, the summed solo wall clock, the measured marginal cost per
+//!    added property and a per-property metrics slice.
+//!
+//! The timed region (`wall_clock_secs`, `events_per_sec`) is `pump` + `shutdown`;
+//! spawning the shard threads happens before the clock starts, which is the
+//! definition `benchmark/README.md` uses.  `peak_rss_bytes` stays `0` ("not
+//! measured"): the process-wide high-water mark says nothing about one run.
 //!
 //! Because each session's events are fed in timestamp order, every session's
 //! verdicts equal the offline replay of the same trace (pinned by the
-//! `stream_equivalence` integration test) — the throughput family measures the
-//! online engine, it does not change what is detected.
+//! `stream_equivalence` integration test), and every fleet member's verdicts and
+//! token counts equal its solo run (`fleet_equivalence`) — the streamed families
+//! measure the online engine, they do not change what is detected.
 
-use crate::experiment::{average_metrics, ExperimentConfig, ExperimentResult};
+use crate::experiment::{simulate_session, ExperimentConfig, ExperimentResult};
+use crate::fleet::{compile_fleet, CompiledFleetMember, FleetParams};
 use crate::scenario::StreamParams;
 use crate::spec::CompiledProperty;
-use dlrv_automaton::MonitorAutomaton;
-use dlrv_distsim::{initial_global_state, run_simulation, NullMonitor, SimConfig};
-use dlrv_ltl::{AtomRegistry, Verdict};
-use dlrv_monitor::{timestamp_order, MonitorOptions, RunMetrics};
+use dlrv_ltl::AtomRegistry;
+use dlrv_monitor::{
+    combined_verdict, verdict_name, FleetPropertyMetrics, MonitorOptions, RunMetrics,
+};
 use dlrv_stream::{
-    encode_stream, encode_stream_binary, interleave_sessions, ReaderSource, SessionSpec,
+    encode_stream_binary, interleave_sessions, FleetMemberSpec, ReaderSource, SessionSpec,
     SessionStream, ShardedRuntime, StreamConfig,
 };
-use dlrv_trace::generate_workload;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,118 +56,149 @@ fn session_seed(run_seed: u64, session: u64) -> u64 {
     run_seed.wrapping_mul(0x100_0003).wrapping_add(session).wrapping_add(1)
 }
 
-
 /// Runs `params.n_sessions` concurrent sessions of `config`'s workload through the
 /// sharded streaming runtime, once per seed in `config.seeds`, and averages the
 /// metrics exactly like the offline experiment runner.
-pub fn run_throughput(
+///
+/// With `fleet` absent every session monitors `config.property`.  With a fleet,
+/// every session monitors all of its members in one pass, `config.property`
+/// should be the lead member (it only shapes the workload), and the run also
+/// measures one solo baseline per member over the same bytes.
+pub fn run_streamed(
     config: &ExperimentConfig,
     params: &StreamParams,
+    fleet: Option<&FleetParams>,
     opts: MonitorOptions,
 ) -> ExperimentResult {
-    let compiled = CompiledProperty::compile(&config.property, config.n_processes);
-
-    let per_seed: Vec<RunMetrics> = config
+    let (registry, members) = match fleet {
+        Some(fleet) => compile_fleet(fleet, config.n_processes),
+        None => {
+            let compiled = CompiledProperty::compile(&config.property, config.n_processes);
+            let solo = CompiledFleetMember {
+                name: config.property.name().to_string(),
+                automaton: compiled.automaton,
+            };
+            (compiled.registry, vec![solo])
+        }
+    };
+    let per_seed = config
         .seeds
         .iter()
-        .map(|&seed| run_once(config, params, opts, seed, &compiled.automaton, &compiled.registry))
+        .map(|&seed| run_once(config, params, fleet, opts, seed, &registry, &members))
         .collect();
-
-    let mut detected = BTreeSet::new();
-    for metrics in &per_seed {
-        detected.extend(metrics.detected_final_verdicts.iter().copied());
-    }
-    ExperimentResult {
-        config: config.clone(),
-        avg: average_metrics(&per_seed),
-        per_seed,
-        detected_verdicts: detected,
-    }
+    ExperimentResult::from_seeds(config, per_seed)
 }
 
-/// One streaming run: generate all session inputs, encode the wire stream, pump it
-/// through a fresh runtime, fold the report into [`RunMetrics`].
+/// One streamed run: generate all session inputs, encode the wire stream, pump it
+/// through a fresh runtime (plus once per member for a fleet's solo baselines),
+/// fold the report into [`RunMetrics`].
 fn run_once(
     config: &ExperimentConfig,
     params: &StreamParams,
+    fleet: Option<&FleetParams>,
     opts: MonitorOptions,
     seed: u64,
-    automaton: &Arc<MonitorAutomaton>,
     registry: &Arc<AtomRegistry>,
+    members: &[CompiledFleetMember],
 ) -> RunMetrics {
     // Phase 1: workload generation (the simulated "live programs").  Not measured:
     // the scenario times the ingestion engine, not the trace generator.
+    let is_fleet = fleet.is_some();
+    let property = fleet.map_or_else(|| config.property.name().to_string(), FleetParams::joined_name);
     let mut inputs = Vec::with_capacity(params.n_sessions);
     let mut program_messages = 0usize;
     let mut program_time = 0.0f64;
     for s in 0..params.n_sessions {
-        let workload = generate_workload(&config.workload_config(session_seed(seed, s as u64)));
-        let report = run_simulation(&workload, registry, &SimConfig::default(), |_| {
-            NullMonitor::default()
-        });
-        program_messages += report.program_messages;
-        program_time = program_time.max(report.program_end_time);
-        let events = timestamp_order(&report.computation)
-            .into_iter()
-            .map(|(_, p, sn)| report.computation.events[p][(sn - 1) as usize].clone())
-            .collect();
+        let session =
+            simulate_session(&config.workload_config(session_seed(seed, s as u64)), registry);
+        program_messages += session.report.program_messages;
+        program_time = program_time.max(session.report.program_end_time);
         inputs.push(SessionStream {
             session: s as u64,
-            property: config.property.name().to_string(),
+            property: property.clone(),
             n_processes: config.n_processes,
-            initial_state: initial_global_state(&workload, registry).0,
-            events,
+            initial_state: session.initial_state.0,
+            events: session.events,
         });
     }
 
-    // Phase 2: the canonical interleaved wire stream, in the scenario's wire
-    // format — the decoder autodetects, so this purely changes the bytes pumped.
-    let records = interleave_sessions(&inputs);
-    let bytes = if params.binary_wire {
-        encode_stream_binary(&records)
-    } else {
-        encode_stream(&records)
+    // Phase 2: the canonical interleaved wire stream, shared by every pump below —
+    // the bytes, and therefore the decode work, are identical.
+    let bytes = encode_stream_binary(&interleave_sessions(&inputs));
+
+    // Phase 3: pump the bytes through a fresh runtime (decode + route + monitor).
+    // Sessions share automata and registry; only the initial state differs.  With
+    // no `fleet_members` every session monitors `lead` alone.
+    let pump = |lead: &CompiledFleetMember, fleet_members: &[CompiledFleetMember]| {
+        let runtime = ShardedRuntime::start(StreamConfig {
+            n_shards: params.n_shards,
+            mailbox_capacity: params.mailbox_capacity,
+            batch_size: params.batch_size,
+            ..StreamConfig::default()
+        });
+        let started = Instant::now();
+        let mut source = ReaderSource::new(&bytes[..]);
+        runtime
+            .pump(&mut source, &mut |open| {
+                Ok(Arc::new(SessionSpec {
+                    n_processes: open.n_processes,
+                    automaton: lead.automaton.clone(),
+                    registry: registry.clone(),
+                    initial_state: open.initial_state,
+                    options: opts,
+                    fleet: fleet_members
+                        .iter()
+                        .map(|m| FleetMemberSpec {
+                            property: m.name.clone(),
+                            automaton: m.automaton.clone(),
+                            registry: registry.clone(),
+                            initial_state: open.initial_state,
+                        })
+                        .collect(),
+                }))
+            })
+            .expect("a freshly encoded stream must decode");
+        let report = runtime.shutdown();
+        (report, started.elapsed().as_secs_f64())
     };
+    // The measured pass goes first (it pays any first-run warmup, keeping a fleet's
+    // amortization claim conservative), then one solo baseline per fleet member.
+    let (report, wall_clock_secs) = pump(&members[0], if is_fleet { members } else { &[] });
+    let mut solo_wall_clock = 0.0f64;
+    if is_fleet {
+        for (k, member) in members.iter().enumerate() {
+            let (solo, secs) = pump(member, &[]);
+            solo_wall_clock += secs;
+            assert_eq!(
+                solo.total_events, report.total_events,
+                "solo baseline {k} and the fleet pass decode the same bytes"
+            );
+            // Fleet soundness guard: session for session, the fleet must report
+            // exactly the solo verdicts and token counts.  The release-mode pin
+            // lives in `tests/fleet_equivalence.rs`.
+            #[cfg(debug_assertions)]
+            for (session, outcome) in &solo.sessions {
+                let fleet_outcome = &report.sessions[session].per_property[k];
+                assert_eq!(
+                    outcome.detected_verdicts, fleet_outcome.detected_verdicts,
+                    "fleet member {k} diverged from its solo run in session {session}"
+                );
+                assert_eq!(
+                    outcome.monitor_tokens, fleet_outcome.monitor_tokens,
+                    "fleet member {k} sent different tokens than its solo run in session {session}"
+                );
+            }
+        }
+    }
 
-    // Phase 3: pump the bytes through the runtime (decode + route + monitor).
-    let started = Instant::now();
-    let runtime = ShardedRuntime::start(StreamConfig {
-        n_shards: params.n_shards,
-        mailbox_capacity: params.mailbox_capacity,
-        batch_size: params.batch_size,
-        use_rings: params.use_rings,
-    });
-    let spec = Arc::new(SessionSpec {
-        n_processes: config.n_processes,
-        automaton: automaton.clone(),
-        registry: registry.clone(),
-        initial_state: dlrv_ltl::Assignment::ALL_FALSE, // replaced per session below
-        options: opts,
-        fleet: Vec::new(),
-    });
-    let mut source = ReaderSource::new(&bytes[..]);
-    runtime
-        .pump(&mut source, &mut |open| {
-            // Sessions share automaton and registry; only the initial state differs.
-            Ok(Arc::new(SessionSpec {
-                n_processes: open.n_processes,
-                automaton: spec.automaton.clone(),
-                registry: spec.registry.clone(),
-                initial_state: open.initial_state,
-                options: spec.options,
-                fleet: Vec::new(),
-            }))
-        })
-        .expect("a freshly encoded stream must decode");
-    let report = runtime.shutdown();
-    let wall_clock_secs = started.elapsed().as_secs_f64();
-
-    // Phase 4: fold into RunMetrics.
+    // Phase 4: fold the measured pass into RunMetrics (the solos only contribute
+    // their wall clock) and, for a fleet, attach the per-property slice.
     debug_assert_eq!(report.sessions.len(), params.n_sessions);
     debug_assert!(
         report.per_shard.iter().all(|m| m.routing_errors == 0),
         "a well-formed generated stream must not misroute"
     );
+    let n = members.len();
     let mut metrics = RunMetrics {
         n_processes: config.n_processes,
         total_events: report.total_events,
@@ -167,9 +211,25 @@ fn run_once(
             0.0
         },
         per_shard: report.per_shard,
-        peak_rss_bytes: dlrv_obs::peak_rss_bytes().unwrap_or(0),
         ..RunMetrics::default()
     };
+    let mut per_property: Vec<FleetPropertyMetrics> = Vec::new();
+    if is_fleet {
+        metrics.fleet_size = n;
+        metrics.fleet_solo_wall_clock_secs = solo_wall_clock;
+        if n > 1 {
+            let solo_single = solo_wall_clock / n as f64;
+            metrics.fleet_marginal_cost_secs =
+                ((wall_clock_secs - solo_single) / (n - 1) as f64).max(0.0);
+        }
+        per_property = members
+            .iter()
+            .map(|m| FleetPropertyMetrics {
+                property: m.name.clone(),
+                ..FleetPropertyMetrics::default()
+            })
+            .collect();
+    }
     for outcome in report.sessions.values() {
         metrics.monitor_messages += outcome.monitor_messages;
         metrics.monitor_tokens += outcome.monitor_tokens;
@@ -181,65 +241,57 @@ fn run_once(
         metrics
             .possible_verdicts
             .extend(outcome.possible_verdicts.iter().copied());
+        for (agg, slice) in per_property.iter_mut().zip(&outcome.per_property) {
+            agg.monitor_tokens += slice.monitor_tokens;
+            agg.global_views += slice.global_views;
+            agg.peak_global_views += slice.peak_global_views;
+            agg.detected_final_verdicts
+                .extend(slice.detected_verdicts.iter().copied());
+            agg.possible_verdicts
+                .extend(slice.possible_verdicts.iter().copied());
+        }
     }
+    for agg in &mut per_property {
+        agg.verdict = verdict_name(combined_verdict(&agg.detected_final_verdicts)).to_string();
+    }
+    metrics.fleet_per_property = per_property;
     metrics
-}
-
-/// True when every session of a throughput run reached a conclusive or consistent
-/// verdict set — a cheap structural sanity check used by tests.
-pub fn verdicts_nonempty(metrics: &RunMetrics) -> bool {
-    !metrics.possible_verdicts.is_empty() || metrics.detected_final_verdicts.contains(&Verdict::True)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::properties::PaperProperty;
-    use crate::scenario::StreamParams;
-
-    fn small_config(property: PaperProperty) -> ExperimentConfig {
-        ExperimentConfig {
-            events_per_process: 5,
-            seeds: vec![1],
-            ..ExperimentConfig::paper_default(property, 2)
-        }
-    }
+    use dlrv_ltl::Verdict;
 
     #[test]
     fn throughput_run_produces_streaming_metrics() {
-        // Both the optimized (binary + rings) and the classic (JSON + channels)
-        // engine must produce structurally identical streaming metrics.
-        for params in [
-            StreamParams {
-                mailbox_capacity: 64,
-                batch_size: 8,
-                ..StreamParams::sized(20, 3)
-            },
-            StreamParams {
-                mailbox_capacity: 64,
-                batch_size: 8,
-                ..StreamParams::classic(20, 3)
-            },
-        ] {
-            let result = run_throughput(
-                &small_config(PaperProperty::B),
-                &params,
-                MonitorOptions::default(),
-            );
-            let m = &result.avg;
-            assert!(m.total_events > 0);
-            assert!(m.wall_clock_secs > 0.0);
-            assert!(m.events_per_sec > 0.0);
-            assert_eq!(m.per_shard.len(), 3);
-            let shard_events: usize = m.per_shard.iter().map(|s| s.events_processed).sum();
-            assert_eq!(shard_events, m.total_events);
-            let opened: usize = m.per_shard.iter().map(|s| s.sessions_opened).sum();
-            assert_eq!(opened, params.n_sessions);
-            // The workload's goal tail satisfies reachability property B in
-            // every session.
-            assert!(result.detected_verdicts.contains(&Verdict::True));
-            assert!(verdicts_nonempty(m));
-        }
+        let params = StreamParams {
+            mailbox_capacity: 64,
+            batch_size: 8,
+            ..StreamParams::sized(20, 3)
+        };
+        let config = ExperimentConfig {
+            events_per_process: 5,
+            seeds: vec![1],
+            ..ExperimentConfig::paper_default(PaperProperty::B, 2)
+        };
+        let result = run_streamed(&config, &params, None, MonitorOptions::default());
+        let m = &result.avg;
+        assert!(m.total_events > 0);
+        assert!(m.wall_clock_secs > 0.0);
+        assert!(m.events_per_sec > 0.0);
+        assert_eq!(m.per_shard.len(), 3);
+        let shard_events: usize = m.per_shard.iter().map(|s| s.events_processed).sum();
+        assert_eq!(shard_events, m.total_events);
+        let opened: usize = m.per_shard.iter().map(|s| s.sessions_opened).sum();
+        assert_eq!(opened, params.n_sessions);
+        // A solo run carries no fleet fields.
+        assert_eq!(m.fleet_size, 0);
+        assert!(m.fleet_per_property.is_empty());
+        // The workload's goal tail satisfies reachability property B in
+        // every session.
+        assert!(result.detected_verdicts.contains(&Verdict::True));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A deterministic discrete-event simulator of an asynchronous distributed program
 //! with co-located monitors.
 //!
-//! This is the repository's substitute for the paper's iOS testbed (see DESIGN.md):
+//! This is the repository's substitute for the paper's iOS testbed (see
+//! `docs/ARCHITECTURE.md`, "Ch. 5 testbed"):
 //! processes execute their trace entries at simulated wall-clock times, program
 //! messages and monitor messages travel over reliable FIFO channels with configurable
 //! latency, and every program event is handed to the co-located

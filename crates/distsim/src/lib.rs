@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates its algorithm on a network of iOS devices running trace-driven
 //! programs over WiFi.  This crate is the reproduction's substitute substrate (see
-//! DESIGN.md → Substitutions): it executes the same trace-driven programs over reliable
+//! `docs/ARCHITECTURE.md`, "Ch. 5 testbed"): it executes the same trace-driven programs over reliable
 //! FIFO channels, co-locates a monitor with every process and routes monitor-to-monitor
 //! messages, in two flavours:
 //!

@@ -16,8 +16,8 @@
 //! # The §4.3 optimization suite
 //!
 //! The three overhead optimizations of §4.3 are individually switchable through
-//! [`MonitorOptions`] so the benchmark harness (`experiments --target overhead`, the
-//! `ablations`/`overhead` criterion benches) can ablate them:
+//! [`MonitorOptions`] so the harness (`experiments --target overhead`, the probes of
+//! the repository benchmark under `benchmark/`) can ablate them:
 //!
 //! * **Token aggregation** (§4.3.1, `aggregate_tokens`) — two levels.  Per event: all
 //!   candidate transitions of one event travel in a single token instead of one token

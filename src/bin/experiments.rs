@@ -34,11 +34,10 @@
 //! sessions through the sharded `dlrv-stream` runtime), `deploy` runs the
 //! real-socket family (one `monitord` OS process per monitor over TCP/Unix
 //! sockets, optionally through the fault-injection shim — `--fault
-//! drop=p,delay=ms,dup=p,reorder=p` overrides the scenarios' shim spec),
-//! `hotpath` runs the hot-path optimization ablation (the streaming engine with
-//! each of the binary wire / arena recycling / SPSC ring switches toggled one at
-//! a time, then all together) and `custom` runs the registry's user-style LTL
-//! properties.  Targets are positional arguments; `--target NAME` is an
+//! drop=p,delay=ms,dup=p,reorder=p` overrides the scenarios' shim spec), `fleet`
+//! runs the property-fleet family (N properties per session in one streamed pass,
+//! against per-member solo baselines) and `custom` runs the registry's user-style
+//! LTL properties.  Targets are positional arguments; `--target NAME` is an
 //! equivalent spelling.
 //!
 //! `--property 'LTL'` (or `--property-file PATH`, whose format allows `#` comments
@@ -52,8 +51,8 @@
 //! registry scenario (or of the `--property` formula via `--emit-dot property`) as
 //! Graphviz DOT instead of running anything; `--out` redirects it to a file.
 //!
-//! `--scenario NAME[,NAME…]` restricts a registry target (`sweep` / `throughput`)
-//! to the named scenarios, so a single data point can be (re)run without the whole
+//! `--scenario NAME[,NAME…]` restricts a registry target (`sweep`, `throughput`,
+//! `overhead`, `custom`, `deploy`, `fleet`) to the named scenarios, so a single data point can be (re)run without the whole
 //! sweep; unknown names and names outside the requested target are rejected.
 //!
 //! `--target analyze` statically analyzes the registry's properties — no workload
@@ -78,13 +77,10 @@
 //! `dlrv-analyze`) and fails loudly on schema drift — CI uses it instead of an
 //! external JSON tool; `--require-family NAME[,…]` additionally fails unless the
 //! document contains scenarios of each named family with real measurements
-//! (non-zero `events_per_sec` for `throughput`).  `--baseline PATH` additionally
-//! gates the validated document's throughput rates against a committed baseline
-//! document: any shared scenario whose `events_per_sec` dropped more than
-//! `--max-regression PCT` (default 50) fails the run — the CI perf-regression
-//! gate.  Unknown formats, `--out` without
-//! `--format json`, and `--format json` with a text-only target are rejected with
-//! an error — nothing is silently ignored.
+//! (non-zero `events_per_sec` for `throughput`).  Performance is compared across
+//! commits by `benchmark/run.sh compare`, not here.  Unknown formats, `--out`
+//! without `--format json`, and `--format json` with a text-only target are
+//! rejected with an error — nothing is silently ignored.
 //!
 //! `--target report` renders a results document (`--results PATH`, default the
 //! committed `BENCH_results.json`) plus its git history into a dashboard under
@@ -98,22 +94,22 @@
 //! Results are byte-identical for every thread count — each (property, process count,
 //! seed) data point is a deterministic simulation collected in a fixed order.
 //!
-//! The numbers are produced by the discrete-event simulator substitute for the paper's
-//! iOS testbed (see DESIGN.md), so absolute values differ from the thesis; the shapes
-//! (growth trends, relative ordering of the properties) are what EXPERIMENTS.md
-//! compares.
+//! The numbers are produced by the discrete-event simulator that stands in for the
+//! paper's iOS testbed (see `docs/ARCHITECTURE.md`), so absolute values differ from
+//! the thesis; the shapes (growth trends, relative ordering of the properties) are
+//! what carries over.
 
 use dlrv_automaton::{dot, MonitorAutomaton};
-use dlrv_bench::{comm_frequency_run, paper_run, transition_counts, PROCESS_COUNTS};
 use dlrv_core::dlrv_analyze::{
     analyses_from_json, analyses_to_json, AnalysisRecord, Budget, Finding, Lint, Severity,
     ANALYSIS_GENERATOR,
 };
 use dlrv_core::{
-    analyze_spec, analyze_to_dot, measured_overhead_for, parallel_map_indexed, render_report,
-    set_jobs, sweep_from_json, sweep_to_json, CompiledProperty, ExperimentConfig,
-    ExperimentResult, FleetParams, PaperProperty, PropertySpec, PropertySpecError, Scenario,
-    ScenarioFamily, ScenarioRecord, ScenarioRegistry, StreamParams, TrendPoint,
+    analyze_spec, analyze_to_dot, comm_frequency_run, measured_overhead_for,
+    parallel_map_indexed, paper_run, render_report, set_jobs, sweep_from_json, sweep_to_json,
+    transition_counts, CompiledProperty, ExperimentConfig, ExperimentResult, FleetParams,
+    PaperProperty, PropertySpec, PropertySpecError, Scenario, ScenarioFamily, ScenarioRecord,
+    ScenarioRegistry, StreamParams, TrendPoint, PROCESS_COUNTS,
 };
 use dlrv_core::dlrv_net::FaultSpec;
 use dlrv_monitor::{MonitorOptions, RunMetrics};
@@ -124,16 +120,16 @@ use std::process::exit;
 const EVENTS: usize = 20;
 
 /// Everything a target argument may select.
-const KNOWN_TARGETS: [&str; 18] = [
+const KNOWN_TARGETS: [&str; 17] = [
     "all", "table5_1", "automata_dot", "fig5_4", "fig5_5", "fig5_6", "fig5_7", "fig5_8",
-    "fig5_9", "sweep", "throughput", "overhead", "custom", "deploy", "hotpath", "fleet",
-    "analyze", "report",
+    "fig5_9", "sweep", "throughput", "overhead", "custom", "deploy", "fleet", "analyze",
+    "report",
 ];
 
 /// The targets backed by the scenario registry (the ones `--scenario` can filter,
 /// `--no-opt` can override and `--format json` can serialize).
-const REGISTRY_TARGETS: [&str; 7] =
-    ["sweep", "throughput", "overhead", "custom", "deploy", "hotpath", "fleet"];
+const REGISTRY_TARGETS: [&str; 6] =
+    ["sweep", "throughput", "overhead", "custom", "deploy", "fleet"];
 
 /// Output format of metric-producing targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,12 +185,6 @@ struct Cli {
     /// `--require-family NAME[,...]`: with `--validate-results`, additionally fail
     /// unless the document contains measured scenarios of each named family.
     require_family: Vec<String>,
-    /// `--baseline PATH`: with `--validate-results`, gate the validated document's
-    /// throughput rates against this committed baseline document.
-    baseline: Option<PathBuf>,
-    /// `--max-regression PCT`: with `--baseline`, the tolerated `events_per_sec`
-    /// drop (in percent) before the perf gate fails.
-    max_regression: Option<f64>,
     /// `--fault SPEC`: override the fault-injection spec of every selected deploy
     /// scenario (`drop=p,delay=ms,dup=p,reorder=p[,seed=n]`).
     fault: Option<FaultSpec>,
@@ -214,8 +204,7 @@ fn usage_error(message: &str) -> ! {
          [--analyze-property LTL|PATH] [--deny warn|error|LINT-ID[,...]] \
          [--allow LINT-ID[,...]] [--results PATH] \
          [--budget alphabet=N,states=N,transitions=N] [--list-scenarios] \
-         [--validate-results PATH [--require-family NAME[,...]] \
-          [--baseline PATH [--max-regression PCT]]] \
+         [--validate-results PATH [--require-family NAME[,...]]] \
          [--target report [--results PATH] [--out-dir DIR]]"
     );
     exit(2);
@@ -320,8 +309,6 @@ fn parse_cli(args: Vec<String>) -> Cli {
         results: None,
         budget: Budget::default(),
         require_family: Vec::new(),
-        baseline: None,
-        max_regression: None,
         fault: None,
         out_dir: None,
     };
@@ -492,17 +479,6 @@ fn parse_cli(args: Vec<String>) -> Cli {
                     cli.require_family.push(name.to_string());
                 }
             }
-            "--baseline" => {
-                let value = flag_value(&mut iter, "--baseline", inline.as_deref());
-                cli.baseline = Some(PathBuf::from(value));
-            }
-            "--max-regression" => {
-                let value = flag_value(&mut iter, "--max-regression", inline.as_deref());
-                match value.parse::<f64>() {
-                    Ok(pct) if (0.0..100.0).contains(&pct) => cli.max_regression = Some(pct),
-                    _ => usage_error("--max-regression expects a percentage in [0, 100)"),
-                }
-            }
             "--no-opt" => {
                 if inline.is_some() {
                     usage_error("--no-opt takes no value");
@@ -633,12 +609,6 @@ fn parse_cli(args: Vec<String>) -> Cli {
     if !cli.require_family.is_empty() && cli.validate.is_none() {
         usage_error("--require-family only applies to --validate-results");
     }
-    if cli.baseline.is_some() && cli.validate.is_none() {
-        usage_error("--baseline only applies to --validate-results");
-    }
-    if cli.max_regression.is_some() && cli.baseline.is_none() {
-        usage_error("--max-regression requires --baseline");
-    }
     if cli.fault.is_some() && !cli.targets.iter().any(|t| t == "deploy") {
         usage_error("--fault only applies to `--target deploy`");
     }
@@ -724,7 +694,6 @@ fn parse_cli(args: Vec<String>) -> Cli {
                 ScenarioFamily::Overhead => vec!["overhead"],
                 ScenarioFamily::Custom => vec!["custom", "sweep"],
                 ScenarioFamily::Deploy => vec!["deploy"],
-                ScenarioFamily::Hotpath => vec!["hotpath"],
                 ScenarioFamily::Fleet => vec!["fleet"],
                 _ => vec!["sweep"],
             };
@@ -796,12 +765,7 @@ fn main() {
         return;
     }
     if let Some(path) = &cli.validate {
-        validate_results(
-            path,
-            &cli.require_family,
-            cli.baseline.as_deref(),
-            cli.max_regression,
-        );
+        validate_results(path, &cli.require_family);
         return;
     }
     if cli.property.is_some() || !cli.property_files.is_empty() || !cli.properties.is_empty() {
@@ -886,7 +850,7 @@ fn main() {
 }
 
 /// The registry families one registry target runs: `throughput`, `overhead`,
-/// `deploy` and `hotpath` own their families, `custom` focuses on the custom LTL
+/// `deploy` and `fleet` own their families, `custom` focuses on the custom LTL
 /// family, and `sweep` runs every offline in-process family (paper,
 /// comm-frequency, extended and custom).
 fn target_selects(target: &str, family: ScenarioFamily) -> bool {
@@ -895,14 +859,12 @@ fn target_selects(target: &str, family: ScenarioFamily) -> bool {
         "overhead" => family == ScenarioFamily::Overhead,
         "custom" => family == ScenarioFamily::Custom,
         "deploy" => family == ScenarioFamily::Deploy,
-        "hotpath" => family == ScenarioFamily::Hotpath,
         "fleet" => family == ScenarioFamily::Fleet,
         _ => !matches!(
             family,
             ScenarioFamily::Throughput
                 | ScenarioFamily::Overhead
                 | ScenarioFamily::Deploy
-                | ScenarioFamily::Hotpath
                 | ScenarioFamily::Fleet
         ),
     }
@@ -915,12 +877,7 @@ fn target_selects(target: &str, family: ScenarioFamily) -> bool {
 /// `analyses_from_json`.  `require_family` names scenario families that must be
 /// present with real measurements (CI's guard against committing a sweep that
 /// silently dropped the throughput family).
-fn validate_results(
-    path: &std::path::Path,
-    require_family: &[String],
-    baseline: Option<&std::path::Path>,
-    max_regression: Option<f64>,
-) {
+fn validate_results(path: &std::path::Path, require_family: &[String]) {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
@@ -941,14 +898,6 @@ fn validate_results(
         .flatten()
         .and_then(|g| g.as_str().ok().map(str::to_string));
     if generator.as_deref() == Some(ANALYSIS_GENERATOR) {
-        if baseline.is_some() {
-            eprintln!(
-                "error: --baseline applies to benchmark documents; `{}` is an \
-                 analysis report",
-                path.display()
-            );
-            exit(1);
-        }
         if !require_family.is_empty() {
             eprintln!(
                 "error: --require-family applies to benchmark documents; `{}` is an \
@@ -993,15 +942,13 @@ fn validate_results(
                     exit(1);
                 }
                 // A streamed family whose rates are all zero was never actually
-                // measured — fail exactly like an absent family.  `hotpath` runs
-                // through the same streaming engine as `throughput`, so the same
-                // liveness check applies.
-                if (family == "throughput" || family == "hotpath")
+                // measured — fail exactly like an absent family.
+                if family == "throughput"
                     && members.iter().any(|r| r.avg.events_per_sec <= 0.0)
                 {
                     eprintln!(
-                        "error: `{}` has {family} scenarios with zero \
-                         events_per_sec; regenerate with `--target {family}`",
+                        "error: `{}` has throughput scenarios with zero \
+                         events_per_sec; regenerate with `--target throughput`",
                         path.display()
                     );
                     exit(1);
@@ -1049,9 +996,6 @@ fn validate_results(
                 streamed,
                 deployed
             );
-            if let Some(baseline_path) = baseline {
-                perf_gate(&records, baseline_path, max_regression.unwrap_or(50.0));
-            }
         }
         Err(e) => {
             eprintln!(
@@ -1061,81 +1005,6 @@ fn validate_results(
             exit(1);
         }
     }
-}
-
-/// The CI perf-regression gate: every throughput scenario in the validated
-/// (freshly measured) document whose name also appears in the committed
-/// baseline must keep its `events_per_sec` within `max_pct` percent of the
-/// baseline rate.  Scenarios only on one side are reported and skipped; an
-/// empty intersection fails loudly, because a vacuous gate guards nothing.
-fn perf_gate(fresh: &[ScenarioRecord], baseline_path: &std::path::Path, max_pct: f64) {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: cannot read baseline `{}`: {e}", baseline_path.display());
-            exit(1);
-        }
-    };
-    let baseline = match dlrv_core::dlrv_json::Json::parse(&text)
-        .map_err(|e| e.to_string())
-        .and_then(|doc| sweep_from_json(&doc).map_err(|e| e.to_string()))
-    {
-        Ok(records) => records,
-        Err(e) => {
-            eprintln!(
-                "error: baseline `{}` is not a valid results document: {e}",
-                baseline_path.display()
-            );
-            exit(1);
-        }
-    };
-    let mut compared = 0usize;
-    let mut failures = Vec::new();
-    for record in fresh.iter().filter(|r| r.scenario.stream.is_some()) {
-        let rate = record.avg.events_per_sec;
-        let Some(base) = baseline
-            .iter()
-            .find(|b| b.scenario.name == record.scenario.name)
-        else {
-            println!("perf gate: {:<28} not in baseline, skipped", record.scenario.name);
-            continue;
-        };
-        let base_rate = base.avg.events_per_sec;
-        if base_rate <= 0.0 {
-            println!("perf gate: {:<28} baseline unmeasured, skipped", record.scenario.name);
-            continue;
-        }
-        compared += 1;
-        let delta_pct = (rate - base_rate) / base_rate * 100.0;
-        let verdict = if -delta_pct > max_pct { "FAIL" } else { "ok" };
-        println!(
-            "perf gate: {:<28} {:>12.0} ev/s vs {:>12.0} baseline ({:+.1}%) {verdict}",
-            record.scenario.name, rate, base_rate, delta_pct
-        );
-        if -delta_pct > max_pct {
-            failures.push(record.scenario.name.clone());
-        }
-    }
-    if compared == 0 {
-        eprintln!(
-            "error: no throughput scenario overlaps baseline `{}`; the perf gate \
-             compared nothing",
-            baseline_path.display()
-        );
-        exit(1);
-    }
-    if !failures.is_empty() {
-        eprintln!(
-            "error: throughput regressed more than {max_pct}% vs `{}`: {}",
-            baseline_path.display(),
-            failures.join(", ")
-        );
-        exit(1);
-    }
-    println!(
-        "perf gate: {compared} scenario(s) within {max_pct}% of `{}`",
-        baseline_path.display()
-    );
 }
 
 /// Writes `text` to `--out` or stdout.
@@ -1788,9 +1657,7 @@ fn registry_target(target: &str, cli: &Cli) {
             text.push('\n');
             write_output(cli, &text, &format!("{} scenarios", results.len()));
         }
-        Format::Text if target == "throughput" || target == "hotpath" => {
-            throughput_table(&results)
-        }
+        Format::Text if target == "throughput" => throughput_table(&results),
         Format::Text if target == "overhead" => overhead_table(&results),
         Format::Text if target == "custom" => sweep_table("Custom property scenarios", &results),
         Format::Text if target == "deploy" => deploy_table(&results),

@@ -17,13 +17,12 @@
 //!   deployed detections stay a subset of the baseline and at least one paper
 //!   property demonstrably loses a verdict.
 
-use dlrv::dlrv_distsim::{run_simulation, NullMonitor, SimConfig};
 use dlrv::dlrv_ltl::Verdict;
 use dlrv::dlrv_monitor::{replay_decentralized, MonitorOptions};
 use dlrv::dlrv_net::FaultSpec;
-use dlrv::dlrv_trace::generate_workload;
 use dlrv::{
-    run_deploy, CompiledProperty, DeployParams, DeployTransport, ExperimentConfig, PaperProperty,
+    run_deploy, simulate_session, CompiledProperty, DeployParams, DeployTransport,
+    ExperimentConfig, PaperProperty,
 };
 use std::collections::BTreeSet;
 
@@ -46,12 +45,9 @@ fn deploy_config(property: PaperProperty, seeds: Vec<u64>) -> ExperimentConfig {
 /// `FeedSession` driver and return (detected, possible) verdict sets.
 fn baseline(config: &ExperimentConfig, seed: u64) -> (BTreeSet<Verdict>, BTreeSet<Verdict>) {
     let compiled = CompiledProperty::compile(&config.property, config.n_processes);
-    let workload = generate_workload(&config.workload_config(seed));
-    let report = run_simulation(&workload, &compiled.registry, &SimConfig::default(), |_| {
-        NullMonitor::default()
-    });
+    let session = simulate_session(&config.workload_config(seed), &compiled.registry);
     let replay = replay_decentralized(
-        &report.computation,
+        &session.report.computation,
         &compiled.registry,
         &compiled.automaton,
         MonitorOptions::default(),

@@ -7,16 +7,14 @@
 //! This is the soundness anchor of the fleet subsystem: amortizing shared work
 //! is only a perf optimization if nothing a member monitor computes changes.
 
-use dlrv::dlrv_distsim::{initial_global_state, run_simulation, NullMonitor, SimConfig};
-use dlrv::dlrv_monitor::{timestamp_order, MonitorOptions};
+use dlrv::dlrv_monitor::MonitorOptions;
 use dlrv::dlrv_stream::{
     encode_stream_binary, interleave_sessions, FleetMemberSpec, ReaderSource, SessionOutcome,
     SessionSpec, SessionStream, ShardedRuntime, StreamConfig,
 };
-use dlrv::dlrv_trace::generate_workload;
 use dlrv::{
-    compile_fleet, CompiledFleetMember, ExperimentConfig, FleetParams, PaperProperty,
-    PropertySpec,
+    compile_fleet, simulate_session, CompiledFleetMember, ExperimentConfig, FleetParams,
+    PaperProperty, PropertySpec,
 };
 use dlrv::dlrv_ltl::AtomRegistry;
 use std::collections::BTreeMap;
@@ -36,20 +34,13 @@ fn fleet_wire(
 ) -> Vec<u8> {
     let mut inputs = Vec::with_capacity(n_sessions);
     for s in 0..n_sessions {
-        let workload = generate_workload(&config.workload_config(1000 + s as u64));
-        let report = run_simulation(&workload, registry, &SimConfig::default(), |_| {
-            NullMonitor::default()
-        });
-        let events = timestamp_order(&report.computation)
-            .into_iter()
-            .map(|(_, p, sn)| report.computation.events[p][(sn - 1) as usize].clone())
-            .collect();
+        let session = simulate_session(&config.workload_config(1000 + s as u64), registry);
         inputs.push(SessionStream {
             session: s as u64,
             property: "fleet".to_string(),
             n_processes: config.n_processes,
-            initial_state: initial_global_state(&workload, registry).0,
-            events,
+            initial_state: session.initial_state.0,
+            events: session.events,
         });
     }
     encode_stream_binary(&interleave_sessions(&inputs))

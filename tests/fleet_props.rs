@@ -9,14 +9,14 @@
 //! through `--properties`/`--property-file` fleets.
 
 use dlrv::dlrv_automaton::MonitorAutomaton;
-use dlrv::dlrv_distsim::{initial_global_state, run_simulation, NullMonitor, SimConfig};
 use dlrv::dlrv_ltl::{AtomId, AtomRegistry, Formula};
-use dlrv::dlrv_monitor::{timestamp_order, MonitorOptions};
+use dlrv::dlrv_monitor::MonitorOptions;
 use dlrv::dlrv_stream::{
     encode_stream_binary, interleave_sessions, FleetMemberSpec, ReaderSource, SessionOutcome,
     SessionSpec, SessionStream, ShardedRuntime, StreamConfig,
 };
-use dlrv::dlrv_trace::{generate_workload, WorkloadConfig};
+use dlrv::dlrv_trace::WorkloadConfig;
+use dlrv::simulate_session;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,26 +135,22 @@ proptest! {
         // Two random sessions over the shared registry.
         let mut inputs = Vec::new();
         for s in 0..2u64 {
-            let workload = generate_workload(&WorkloadConfig {
-                n_processes,
-                events_per_process: 5,
-                seed: rng.gen_range(0u64..1_000_000),
-                initial_p: rng.gen_bool(0.5),
-                ..WorkloadConfig::default()
-            });
-            let report = run_simulation(&workload, &registry, &SimConfig::default(), |_| {
-                NullMonitor::default()
-            });
-            let events = timestamp_order(&report.computation)
-                .into_iter()
-                .map(|(_, p, sn)| report.computation.events[p][(sn - 1) as usize].clone())
-                .collect();
+            let session = simulate_session(
+                &WorkloadConfig {
+                    n_processes,
+                    events_per_process: 5,
+                    seed: rng.gen_range(0u64..1_000_000),
+                    initial_p: rng.gen_bool(0.5),
+                    ..WorkloadConfig::default()
+                },
+                &registry,
+            );
             inputs.push(SessionStream {
                 session: s,
                 property: "pair".to_string(),
                 n_processes,
-                initial_state: initial_global_state(&workload, &registry).0,
-                events,
+                initial_state: session.initial_state.0,
+                events: session.events,
             });
         }
         let bytes = encode_stream_binary(&interleave_sessions(&inputs));

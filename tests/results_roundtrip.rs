@@ -267,3 +267,47 @@ fn emitted_document_declares_current_schema_version() {
         "dlrv-experiments"
     );
 }
+
+/// The value under `key` of a JSON object, inserted as `null` when absent.
+fn field_mut<'a>(object: &'a mut Json, key: &str) -> &'a mut Json {
+    let Json::Object(fields) = object else {
+        panic!("`{key}` looked up in a non-object");
+    };
+    let at = match fields.iter().position(|(k, _)| k == key) {
+        Some(at) => at,
+        None => {
+            fields.push((key.to_string(), Json::Null));
+            fields.len() - 1
+        }
+    };
+    &mut fields[at].1
+}
+
+#[test]
+fn documents_with_the_retired_switches_and_family_still_parse() {
+    // A PR-10-shaped fragment: a `throughput` record whose `stream` object still
+    // carries `binary_wire` / `use_rings`, next to a record of the retired
+    // `hotpath` family.  The switches are ignored and the retired record is
+    // skipped, so committed snapshots of that shape keep their place in the
+    // report's trend history instead of failing the whole document.
+    let mut scenario = small("throughput-B-s200-sh4");
+    scenario.stream = Some(dlrv::StreamParams::sized(4, 1));
+    let result = scenario.run();
+    let mut throughput =
+        sweep_to_json(&[(scenario.clone(), result.clone())]).get("scenarios").unwrap().as_array().unwrap()[0].clone();
+    *field_mut(field_mut(&mut throughput, "stream"), "binary_wire") = Json::Bool(true);
+    *field_mut(field_mut(&mut throughput, "stream"), "use_rings") = Json::Bool(false);
+    let mut hotpath = throughput.clone();
+    *field_mut(&mut hotpath, "name") = Json::from("hotpath-C-s400-sh1-off");
+    *field_mut(&mut hotpath, "family") = Json::from("hotpath");
+
+    let mut doc = sweep_to_json(&[]);
+    *field_mut(&mut doc, "scenarios") = Json::Array(vec![hotpath, throughput]);
+    let text = doc.to_string_pretty();
+    assert!(text.contains("\"use_rings\"") && text.contains("\"hotpath\""));
+
+    let records = sweep_from_json(&Json::parse(&text).expect("valid JSON")).expect("schema");
+    assert_eq!(records.len(), 1, "the retired family's record is skipped");
+    assert_eq!(records[0].scenario, scenario);
+    assert_metrics_eq(&records[0].avg, &result.avg, "throughput record");
+}

@@ -9,15 +9,12 @@
 //! so detected and possible verdicts (and even the token-message count) match
 //! one-for-one.
 
-use dlrv::dlrv_distsim::{initial_global_state, run_simulation, NullMonitor, SimConfig};
-use dlrv::dlrv_monitor::{replay_decentralized, timestamp_order, MonitorOptions};
+use dlrv::dlrv_monitor::{replay_decentralized, MonitorOptions};
 use dlrv::dlrv_stream::{
     encode_stream, encode_stream_binary, interleave_sessions, ReaderSource, SessionSpec,
     SessionStream, ShardedRuntime, StreamConfig,
 };
-use dlrv::dlrv_trace::generate_workload;
-use dlrv::dlrv_vclock::Event;
-use dlrv::{CompiledProperty, ExperimentConfig, PaperProperty, PropertySpec};
+use dlrv::{simulate_session, CompiledProperty, ExperimentConfig, PaperProperty, PropertySpec};
 use dlrv_automaton::MonitorAutomaton;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -62,20 +59,14 @@ fn streamed_verdicts_equal_offline_replay_for_every_flag_combination() {
     let automaton = Arc::new(MonitorAutomaton::synthesize(&formula, &registry));
     let registry = Arc::new(registry);
 
-    let workload = generate_workload(&config.workload_config(77));
-    let report = run_simulation(&workload, &registry, &SimConfig::default(), |_| {
-        NullMonitor::default()
-    });
-    let events: Vec<Event> = timestamp_order(&report.computation)
-        .into_iter()
-        .map(|(_, p, sn)| report.computation.events[p][(sn - 1) as usize].clone())
-        .collect();
+    let session = simulate_session(&config.workload_config(77), &registry);
+    let report = session.report;
     let input = SessionStream {
         session: 0,
         property: property.name().to_string(),
         n_processes: config.n_processes,
-        initial_state: initial_global_state(&workload, &registry).0,
-        events,
+        initial_state: session.initial_state.0,
+        events: session.events,
     };
     for opts in MonitorOptions::all_combinations() {
         let replay = replay_decentralized(&report.computation, &registry, &automaton, opts);
@@ -148,23 +139,16 @@ fn streamed_verdicts_equal_offline_replay_for_custom_properties() {
 
             let mut baselines = Vec::new();
             for (s, seed) in [7u64, 19, 31].into_iter().enumerate() {
-                let workload = generate_workload(&config.workload_config(seed));
-                let report = run_simulation(&workload, registry, &SimConfig::default(), |_| {
-                    NullMonitor::default()
-                });
+                let session = simulate_session(&config.workload_config(seed), registry);
                 let replay =
-                    replay_decentralized(&report.computation, registry, automaton, opts);
-                let events: Vec<Event> = timestamp_order(&report.computation)
-                    .into_iter()
-                    .map(|(_, p, sn)| report.computation.events[p][(sn - 1) as usize].clone())
-                    .collect();
+                    replay_decentralized(&session.report.computation, registry, automaton, opts);
                 baselines.push(Baseline {
                     input: SessionStream {
                         session: s as u64,
                         property: spec.name().to_string(),
                         n_processes,
-                        initial_state: initial_global_state(&workload, registry).0,
-                        events,
+                        initial_state: session.initial_state.0,
+                        events: session.events,
                     },
                     detected: replay.detected_final_verdicts(),
                     possible: replay.possible_verdicts(),
@@ -240,27 +224,20 @@ fn streamed_verdicts_equal_offline_replay_for_every_property() {
         // offline for the baseline verdicts.
         let mut baselines = Vec::new();
         for (s, seed) in [11u64, 22, 33, 44, 55].into_iter().enumerate() {
-            let workload = generate_workload(&config.workload_config(seed));
-            let report = run_simulation(&workload, &registry, &SimConfig::default(), |_| {
-                NullMonitor::default()
-            });
+            let session = simulate_session(&config.workload_config(seed), &registry);
             let replay = replay_decentralized(
-                &report.computation,
+                &session.report.computation,
                 &registry,
                 &automaton,
                 MonitorOptions::default(),
             );
-            let events: Vec<Event> = timestamp_order(&report.computation)
-                .into_iter()
-                .map(|(_, p, sn)| report.computation.events[p][(sn - 1) as usize].clone())
-                .collect();
             baselines.push(Baseline {
                 input: SessionStream {
                     session: s as u64,
                     property: property.name().to_string(),
                     n_processes: config.n_processes,
-                    initial_state: initial_global_state(&workload, &registry).0,
-                    events,
+                    initial_state: session.initial_state.0,
+                    events: session.events,
                 },
                 detected: replay.detected_final_verdicts(),
                 possible: replay.possible_verdicts(),
@@ -269,7 +246,7 @@ fn streamed_verdicts_equal_offline_replay_for_every_property() {
         }
 
         // Encode all sessions into one interleaved wire stream — the same
-        // construction the throughput runner uses — once per frame format.
+        // construction the streamed runner uses — once per frame format.
         let inputs: Vec<SessionStream> = baselines.iter().map(|b| b.input.clone()).collect();
 
         // Pump the same records through every engine variant and 1, 2 and 4 shards:
