@@ -8,7 +8,6 @@
 
 use dlrv_ltl::ProcessId;
 use dlrv_vclock::Event;
-use std::sync::Arc;
 
 /// Callback interface implemented by monitors (and baselines) running on top of the
 /// execution substrate.
@@ -19,10 +18,10 @@ pub trait MonitorBehavior {
     /// Called when the co-located program process produces an event (internal, send or
     /// receive).  The event carries the process's vector clock and new local state.
     ///
-    /// The event arrives shared (`&Arc<Event>`) so monitors that keep long-lived
-    /// histories ([`Arc<Event>`]-based, as the decentralized monitor's) can retain it
-    /// without a per-event deep clone.
-    fn on_local_event(&mut self, event: &Arc<Event>, ctx: &mut MonitorContext<'_, Self::Message>);
+    /// The event is only lent: a monitor copies out what it keeps (the decentralized
+    /// monitor, the event's clock and state into its flat history), so the substrate
+    /// need not put events behind a shared allocation.
+    fn on_local_event(&mut self, event: &Event, ctx: &mut MonitorContext<'_, Self::Message>);
 
     /// Called when a message from monitor `from` is delivered.
     fn on_monitor_message(
@@ -104,7 +103,7 @@ pub struct NullMonitor {
 impl MonitorBehavior for NullMonitor {
     type Message = ();
 
-    fn on_local_event(&mut self, _event: &Arc<Event>, _ctx: &mut MonitorContext<'_, ()>) {
+    fn on_local_event(&mut self, _event: &Event, _ctx: &mut MonitorContext<'_, ()>) {
         self.events_seen += 1;
     }
 

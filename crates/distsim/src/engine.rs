@@ -16,7 +16,6 @@ use dlrv_trace::{TraceAction, Workload};
 use dlrv_vclock::{Computation, Event, EventKind, VectorClock};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// Latency and bookkeeping parameters of the simulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,10 +198,6 @@ pub fn run_simulation<B: MonitorBehavior>(
                     }
                 };
                 program_events += 1;
-                // One shared allocation serves the recorded computation's copy and
-                // every monitor-side retention (history, pending queues).
-                let event = Arc::new(event);
-                computation.push((*event).clone());
                 deliver_event(
                     &mut monitors[process],
                     &event,
@@ -211,6 +206,7 @@ pub fn run_simulation<B: MonitorBehavior>(
                     now,
                     &mut outbox,
                 );
+                computation.push(event);
                 flush_outbox(
                     &mut outbox,
                     process,
@@ -249,9 +245,8 @@ pub fn run_simulation<B: MonitorBehavior>(
                     time: now,
                 };
                 program_events += 1;
-                let event = Arc::new(event);
-                computation.push((*event).clone());
                 deliver_event(&mut monitors[to], &event, to, n, now, &mut outbox);
+                computation.push(event);
                 flush_outbox(
                     &mut outbox,
                     to,
@@ -343,7 +338,7 @@ fn next_seq(seq: &mut u64) -> u64 {
 
 fn deliver_event<B: MonitorBehavior>(
     monitor: &mut B,
-    event: &Arc<Event>,
+    event: &Event,
     process: ProcessId,
     n: usize,
     now: f64,

@@ -12,7 +12,6 @@ use dlrv_ltl::{Assignment, AtomLayout, AtomRegistry, ProcessId};
 use dlrv_trace::{TraceAction, Workload};
 use dlrv_vclock::{Computation, Event, EventKind, VectorClock};
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of the threaded runtime.
@@ -126,8 +125,6 @@ where
                                 state: *state,
                                 time: now,
                             };
-                            let event = Arc::new(event);
-                            events.push((*event).clone());
                             let mut ctx = MonitorContext {
                                 self_id: i,
                                 n_processes: n,
@@ -135,6 +132,7 @@ where
                                 outbox,
                             };
                             monitor.on_local_event(&event, &mut ctx);
+                            events.push(event);
                             drain_outbox(outbox, sent);
                             false
                         }
@@ -228,8 +226,6 @@ where
                             }
                         }
                     };
-                    let event = Arc::new(event);
-                    events.push((*event).clone());
                     let mut ctx = MonitorContext {
                         self_id: i,
                         n_processes: n,
@@ -237,6 +233,7 @@ where
                         outbox: &mut outbox,
                     };
                     monitor.on_local_event(&event, &mut ctx);
+                    events.push(event);
                     drain_outbox(&mut outbox, &mut sent);
                 }
 

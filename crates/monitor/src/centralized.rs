@@ -114,13 +114,13 @@ impl CentralizedMonitor {
 impl MonitorBehavior for CentralizedMonitor {
     type Message = CentralMsg;
 
-    fn on_local_event(&mut self, event: &Arc<Event>, ctx: &mut MonitorContext<'_, CentralMsg>) {
+    fn on_local_event(&mut self, event: &Event, ctx: &mut MonitorContext<'_, CentralMsg>) {
         self.metrics.events_observed += 1;
         self.metrics.last_event_time = ctx.now;
         if self.is_central() {
-            self.record_event((**event).clone());
+            self.record_event(event.clone());
         } else {
-            ctx.send(self.central, CentralMsg::Event((**event).clone()));
+            ctx.send(self.central, CentralMsg::Event(event.clone()));
             self.metrics.tokens_sent += 1;
         }
     }

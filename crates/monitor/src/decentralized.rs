@@ -49,6 +49,7 @@ use dlrv_automaton::{MonitorAutomaton, SymbolicTransition};
 use dlrv_distsim::{MonitorBehavior, MonitorContext};
 use dlrv_ltl::{Assignment, AtomRegistry, Cube, ProcessId, Verdict};
 use dlrv_vclock::{ClockIntern, Event, VectorClock};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -66,10 +67,11 @@ pub struct MonitorOptions {
     /// target verdict a sibling view already detected.
     pub prune_disjunctive: bool,
     /// Hot-path allocation recycling: retired global views, token cuts, conjunct
-    /// buffers and view-set staging vectors are pooled and reused instead of
-    /// reallocated per event, and the §4.3.2 dedup/merge scans run as single-pass
-    /// batched clock comparisons over the live view set instead of building
-    /// per-call hash indexes.  Not a paper optimization — an engineering switch
+    /// buffers and view-set staging vectors are pooled — one pool per thread, shared
+    /// by every monitor the thread runs — and reused instead of reallocated per
+    /// event, and the §4.3.2 dedup/merge scans run as single-pass batched clock
+    /// comparisons over the live view set instead of building per-call hash
+    /// indexes.  Not a paper optimization — an engineering switch
     /// following the same A/B discipline: verdicts, tokens and messages are
     /// byte-identical with the flag off (pinned by the equivalence suites).
     pub arena_recycling: bool,
@@ -112,17 +114,21 @@ impl Default for MonitorOptions {
 }
 
 /// Recycled allocation pools of the event hot path (the
-/// [`MonitorOptions::arena_recycling`] switch).  Every buffer is cleared before
-/// reuse, so recycling is observationally invisible — it only removes the
-/// per-event allocate/free churn of the unoptimized path.
+/// [`MonitorOptions::arena_recycling`] switch).  Every buffer is cleared or
+/// overwritten before reuse, so recycling is observationally invisible — it only
+/// removes the per-event allocate/free churn of the unoptimized path — and a buffer
+/// retired by one session (of any process count) can serve the next.
+///
+/// There is one arena per thread, not per monitor: a monitor leases it for the
+/// duration of one activation (see [`DecentralizedMonitor::lease_arena`]) and owns
+/// no pool in between.  A session of a few dozen events never amortises pools of
+/// its own; a shard thread running thousands of sessions keeps this one hot.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// Spare view-set vectors (merge staging, per-event rebuild, fork outputs).
     view_bufs: Vec<Vec<GlobalView>>,
-    /// Retired global views whose cut and pending-queue allocations
-    /// [`spawn_view`](DecentralizedMonitor::spawn_view) reuses.
-    free_views: Vec<GlobalView>,
-    /// Spare vector clocks for token cuts.
+    /// Spare vector clocks for token cuts and the cuts of forked views (a retired
+    /// view's cut — its only allocation — comes back here too).
     clocks: Vec<VectorClock>,
     /// Spare per-process conjunct buffers.
     conjuncts: Vec<Vec<ConjunctEval>>,
@@ -136,9 +142,59 @@ struct Scratch {
     local_results: Vec<(usize, bool)>,
 }
 
-/// Upper bound on each scratch pool, so pathological fan-outs cannot turn the
-/// recycler into a leak.
+/// Upper bound on each scratch pool — per thread, since the arena is — so
+/// pathological fan-outs cannot turn the recycler into a leak.
 const POOL_CAP: usize = 64;
+
+thread_local! {
+    /// This thread's scratch arena while no activation has it on lease.
+    static ARENA: Cell<Option<Box<Scratch>>> = const { Cell::new(None) };
+}
+
+/// The local event history (`history` in Algorithm 2), stored flat: `n` clock
+/// entries per event in one vector and one state per event in another, both indexed
+/// by sequence number.  The token path and the views read an event's clock and
+/// state, nothing else, so nothing else is kept — and the views' queues of buffered
+/// events are cursors into this history ([`GlobalView::next_sn`]) rather than
+/// copies of it.
+#[derive(Debug, Clone)]
+struct LocalHistory {
+    n: usize,
+    clocks: Vec<u64>,
+    states: Vec<Assignment>,
+}
+
+impl LocalHistory {
+    fn new(n: usize) -> Self {
+        LocalHistory {
+            n,
+            clocks: Vec::new(),
+            states: Vec::new(),
+        }
+    }
+
+    /// Number of recorded events, i.e. the sequence number of the latest one.
+    fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    fn push(&mut self, event: &Event) {
+        debug_assert_eq!(event.vc.len(), self.n);
+        self.clocks.extend_from_slice(event.vc.entries());
+        self.states.push(event.state);
+    }
+
+    /// The vector clock of event `sn` (1-based).
+    fn clock(&self, sn: u64) -> &[u64] {
+        let at = (sn as usize - 1) * self.n;
+        &self.clocks[at..at + self.n]
+    }
+
+    /// The local state after event `sn` (1-based).
+    fn state(&self, sn: u64) -> Assignment {
+        self.states[sn as usize - 1]
+    }
+}
 
 /// A decentralized monitor process `Mi` (Algorithm 1).
 #[derive(Debug, Clone)]
@@ -157,10 +213,13 @@ pub struct DecentralizedMonitor {
     registry: Arc<AtomRegistry>,
     /// Optimization switches.
     opts: MonitorOptions,
-    /// Local event history (`history` in Algorithm 2), indexed by `sn - 1`.  Events
-    /// are `Arc`-shared with every view's pending queue, so buffering an event at
-    /// `k` views costs `k` pointer bumps, not `k` deep clones of its vector clock.
-    history: Vec<Arc<Event>>,
+    /// Local event history (`history` in Algorithm 2).
+    history: LocalHistory,
+    /// How many events of `history` have been offered to the views: a view's queue of
+    /// buffered events is `history[next_sn ..= delivered]`.  Equal to `history.len()`
+    /// except while the tokens parked on a fresh event are woken, which Algorithm 2
+    /// does before the views get that event.
+    delivered: u64,
     /// Tokens waiting for a future local event (`w_tokens`), indexed by the cut
     /// entry (sequence number) each token awaits.
     waiting_tokens: WaitingTokens,
@@ -170,18 +229,18 @@ pub struct DecentralizedMonitor {
     next_gv_id: u64,
     /// Whether the local program has terminated.
     local_terminated: bool,
-    /// Per-peer termination info: `Some(last_sn)` once the peer announced termination.
-    peer_last_sn: Vec<Option<u64>>,
     /// Number of tokens currently in flight per originating automaton state (used by
     /// the §4.3.2 optimization to avoid launching duplicate explorations).
     in_flight: BTreeMap<dlrv_automaton::StateId, usize>,
     /// §4.3.1 staging area: tokens awaiting the end-of-activation flush, grouped by
     /// destination (only used when `opts.aggregate_tokens` is set).
     outbound: BTreeMap<ProcessId, Vec<Token>>,
-    /// Hash-consing pool for the immutable clocks tokens carry.
+    /// Shares the parent-event clock across the tokens one event fans out into.
     intern: ClockIntern,
-    /// Recycled allocation pools (`opts.arena_recycling`).
-    scratch: Scratch,
+    /// The thread's scratch arena while an activation has it on lease; `None`
+    /// between activations (so cloning a monitor copies no pool) and whenever
+    /// `opts.arena_recycling` is off.
+    scratch: Option<Box<Scratch>>,
     /// Collected metrics.
     metrics: MonitorMetrics,
 }
@@ -216,16 +275,16 @@ impl DecentralizedMonitor {
             automaton,
             registry,
             opts,
-            history: Vec::new(),
+            history: LocalHistory::new(n_processes),
+            delivered: 0,
             waiting_tokens: WaitingTokens::new(),
             views: vec![gv0],
             next_gv_id: 1,
             local_terminated: false,
-            peer_last_sn: vec![None; n_processes],
             in_flight: Default::default(),
             outbound: BTreeMap::new(),
             intern: ClockIntern::new(),
-            scratch: Scratch::default(),
+            scratch: None,
             metrics,
         }
     }
@@ -276,101 +335,101 @@ impl DecentralizedMonitor {
     // Scratch pools (`opts.arena_recycling`)
     // ------------------------------------------------------------------
 
+    /// Starts an activation: takes the thread's arena on lease (nothing when the
+    /// arena is off, so every pool helper below falls through to plain allocation).
+    fn lease_arena(&mut self) {
+        if self.opts.arena_recycling {
+            self.scratch = Some(ARENA.with(Cell::take).unwrap_or_default());
+        }
+    }
+
+    /// Ends an activation: hands the arena back to the thread.
+    fn return_arena(&mut self) {
+        if let Some(scratch) = self.scratch.take() {
+            ARENA.with(|slot| slot.set(Some(scratch)));
+        }
+    }
+
     /// An empty view-set vector — recycled when the arena is on, fresh otherwise.
     fn take_view_buf(&mut self) -> Vec<GlobalView> {
-        if self.opts.arena_recycling {
-            self.scratch.view_bufs.pop().unwrap_or_default()
-        } else {
-            Vec::new()
-        }
+        self.scratch
+            .as_mut()
+            .and_then(|s| s.view_bufs.pop())
+            .unwrap_or_default()
     }
 
     /// Returns a view-set vector to the pool (dropped when the arena is off).
     fn put_view_buf(&mut self, mut buf: Vec<GlobalView>) {
-        if self.opts.arena_recycling && self.scratch.view_bufs.len() < POOL_CAP {
+        if let Some(s) = self.scratch.as_mut().filter(|s| s.view_bufs.len() < POOL_CAP) {
             buf.clear();
-            self.scratch.view_bufs.push(buf);
+            s.view_bufs.push(buf);
         }
     }
 
     /// An empty transition vector for token payloads.
     fn take_transition_buf(&mut self) -> Vec<TokenTransition> {
-        if self.opts.arena_recycling {
-            self.scratch.transitions.pop().unwrap_or_default()
-        } else {
-            Vec::new()
-        }
+        self.scratch
+            .as_mut()
+            .and_then(|s| s.transitions.pop())
+            .unwrap_or_default()
     }
 
     /// Returns a (drained) transition vector to the pool.
     fn put_transition_buf(&mut self, mut buf: Vec<TokenTransition>) {
-        if self.opts.arena_recycling && self.scratch.transitions.len() < POOL_CAP {
+        if let Some(s) = self.scratch.as_mut().filter(|s| s.transitions.len() < POOL_CAP) {
             buf.clear();
-            self.scratch.transitions.push(buf);
+            s.transitions.push(buf);
         }
     }
 
     /// A clock holding a copy of `src`: a recycled buffer overwritten in place when
     /// the arena is on, a fresh clone otherwise.
     fn clock_copy(&mut self, src: &VectorClock) -> VectorClock {
-        if self.opts.arena_recycling {
-            if let Some(mut clock) = self.scratch.clocks.pop() {
+        match self.scratch.as_mut().and_then(|s| s.clocks.pop()) {
+            Some(mut clock) => {
                 clock.copy_from(src);
-                return clock;
+                clock
             }
+            None => src.clone(),
         }
-        src.clone()
     }
 
     /// Returns a retired clock to the pool.
     fn reclaim_clock(&mut self, clock: VectorClock) {
-        if self.opts.arena_recycling && self.scratch.clocks.len() < POOL_CAP {
-            self.scratch.clocks.push(clock);
+        if let Some(s) = self.scratch.as_mut().filter(|s| s.clocks.len() < POOL_CAP) {
+            s.clocks.push(clock);
         }
     }
 
     /// An empty conjunct buffer.
     fn take_conjunct_buf(&mut self) -> Vec<ConjunctEval> {
-        if self.opts.arena_recycling {
-            self.scratch.conjuncts.pop().unwrap_or_default()
-        } else {
-            Vec::new()
+        self.scratch
+            .as_mut()
+            .and_then(|s| s.conjuncts.pop())
+            .unwrap_or_default()
+    }
+
+    /// Returns a conjunct buffer to the pool.
+    fn put_conjunct_buf(&mut self, mut buf: Vec<ConjunctEval>) {
+        if let Some(s) = self.scratch.as_mut().filter(|s| s.conjuncts.len() < POOL_CAP) {
+            buf.clear();
+            s.conjuncts.push(buf);
         }
     }
 
     /// Reclaims a decided transition's allocations: both cuts and the conjunct
     /// buffer go back to their pools.
     fn reclaim_transition(&mut self, tran: TokenTransition) {
-        if !self.opts.arena_recycling {
-            return;
-        }
         self.reclaim_clock(tran.gcut);
         self.reclaim_clock(tran.depend);
-        if self.scratch.conjuncts.len() < POOL_CAP {
-            let mut conjuncts = tran.conjuncts;
-            conjuncts.clear();
-            self.scratch.conjuncts.push(conjuncts);
-        }
+        self.put_conjunct_buf(tran.conjuncts);
     }
 
-    /// A retired global view for [`spawn_view`](Self::spawn_view) to overwrite, or
-    /// `None` when the pool is empty or the arena is off.
-    fn take_free_view(&mut self) -> Option<GlobalView> {
-        if self.opts.arena_recycling {
-            self.scratch.free_views.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Retires a dropped global view so its cut and pending-queue allocations can
-    /// be reused.  The pending queue is cleared eagerly: buffered events must not
-    /// stay alive while the view sits in the pool.
-    fn reclaim_view(&mut self, mut gv: GlobalView) {
-        if self.opts.arena_recycling && self.scratch.free_views.len() < POOL_CAP {
-            gv.pending.clear();
-            self.scratch.free_views.push(gv);
-        }
+    /// The cursor of a view whose queue starts empty (a fork, a view spawned by a
+    /// returned token): just past everything the views have been offered so far.
+    fn empty_queue_cursor(&self) -> u64 {
+        debug_assert!(self.delivered <= self.history.len() as u64);
+        self.delivered + 1
     }
 
     // ------------------------------------------------------------------
@@ -483,12 +542,12 @@ impl DecentralizedMonitor {
         for gv in std::mem::take(&mut self.views) {
             match index.entry(gv.slice_key()) {
                 std::collections::hash_map::Entry::Occupied(slot) => {
-                    // Prefer the unblocked copy; merge pending queues conservatively.
+                    // Prefer the unblocked copy; the kept slot keeps its queue.
                     let existing = &mut kept[*slot.get()];
                     if existing.state == GvState::Waiting && gv.state == GvState::Unblocked {
-                        let pending = std::mem::take(&mut existing.pending);
+                        let next_sn = existing.next_sn;
                         *existing = gv;
-                        existing.pending = pending;
+                        existing.next_sn = next_sn;
                     }
                 }
                 std::collections::hash_map::Entry::Vacant(slot) => {
@@ -508,43 +567,49 @@ impl DecentralizedMonitor {
     fn merge_similar_views_scan(&mut self) {
         let mut staged = self.take_view_buf();
         std::mem::swap(&mut staged, &mut self.views);
+        let mut ord = self
+            .scratch
+            .as_mut()
+            .map(|s| std::mem::take(&mut s.ord))
+            .unwrap_or_default();
         for gv in staged.drain(..) {
             dlrv_vclock::compare_many(
                 &gv.gcut,
                 self.views.iter().map(|kept| &kept.gcut),
-                &mut self.scratch.ord,
+                &mut ord,
             );
             let pos = self.views.iter().enumerate().position(|(i, kept)| {
-                self.scratch.ord[i] == Some(std::cmp::Ordering::Equal)
+                ord[i] == Some(std::cmp::Ordering::Equal)
                     && kept.q == gv.q
                     && kept.gstate == gv.gstate
             });
             match pos {
                 Some(i) => {
-                    // Prefer the unblocked copy; merge pending queues conservatively.
+                    // Prefer the unblocked copy; the kept slot keeps its queue.
                     let existing = &mut self.views[i];
                     if existing.state == GvState::Waiting && gv.state == GvState::Unblocked {
-                        let pending = std::mem::take(&mut existing.pending);
-                        let mut retired = std::mem::replace(existing, gv);
-                        // The kept slot gets the saved queue; the incoming view's
-                        // (identical) queue rides out on the retired view, whose
-                        // reclamation clears it.
-                        retired.pending = std::mem::replace(&mut self.views[i].pending, pending);
-                        self.reclaim_view(retired);
+                        let next_sn = existing.next_sn;
+                        let retired = std::mem::replace(existing, gv);
+                        existing.next_sn = next_sn;
+                        // A dropped view's cut is its only allocation.
+                        self.reclaim_clock(retired.gcut);
                     } else {
-                        self.reclaim_view(gv);
+                        self.reclaim_clock(gv.gcut);
                     }
                 }
                 None => self.views.push(gv),
             }
         }
+        if let Some(s) = self.scratch.as_mut() {
+            s.ord = ord;
+        }
         self.put_view_buf(staged);
     }
 
     /// CHECKOUTGOINGTRANSITIONS: build the candidate token transitions of `gv` for the
-    /// event `e`.  With the arena on, the cuts and conjunct buffers come from the
-    /// scratch pools (they return when the token's transitions are decided).
-    fn candidate_transitions(&mut self, gv: &GlobalView, e: &Event) -> Vec<TokenTransition> {
+    /// local event `sn`.  With the arena on, the cuts and conjunct buffers come from
+    /// the scratch pools (they return when the token's transitions are decided).
+    fn candidate_transitions(&mut self, gv: &GlobalView, sn: u64) -> Vec<TokenTransition> {
         let mut out = self.take_transition_buf();
         // A second handle to the shared automaton, so iterating its transitions does
         // not hold a borrow of `self` across the pool calls below.
@@ -579,15 +644,12 @@ impl DecentralizedMonitor {
                 conjuncts.push(c);
             }
             if !has_forbidding {
-                if self.opts.arena_recycling && self.scratch.conjuncts.len() < POOL_CAP {
-                    conjuncts.clear();
-                    self.scratch.conjuncts.push(conjuncts);
-                }
+                self.put_conjunct_buf(conjuncts);
                 continue;
             }
             let gcut = {
                 let mut g = self.clock_copy(&gv.gcut);
-                g.merge(&e.vc);
+                g.merge_entries(self.history.clock(sn));
                 g
             };
             let depend = self.clock_copy(&gcut);
@@ -595,7 +657,8 @@ impl DecentralizedMonitor {
                 .iter()
                 .position(|c| *c == ConjunctEval::Unset)
                 .expect("has_forbidding implies an unset conjunct");
-            let next_target_event = gcut.get(first_unset).max(e.vc.get(first_unset)) + 1;
+            let next_target_event =
+                gcut.get(first_unset).max(self.history.clock(sn)[first_unset]) + 1;
             out.push(TokenTransition {
                 transition_id: t.id,
                 gcut,
@@ -695,8 +758,7 @@ impl DecentralizedMonitor {
                 }
                 return;
             }
-            let event = Arc::clone(&self.history[(sn - 1) as usize]);
-            let keep_going = self.process_token_with_event(&mut token, &event);
+            let keep_going = self.process_token_with_event(&mut token, sn);
             if !keep_going {
                 self.dispatch_after_local_processing(token, ctx);
                 return;
@@ -714,16 +776,17 @@ impl DecentralizedMonitor {
         self.route_token(token, ctx);
     }
 
-    /// PROCESSTOKEN + EVALUATETOKEN for one local event.  Returns `true` when the token
-    /// should continue consuming this monitor's subsequent local events.
-    fn process_token_with_event(&mut self, token: &mut Token, event: &Event) -> bool {
-        let sn = event.sn;
+    /// PROCESSTOKEN + EVALUATETOKEN for the local event `sn` (already in the
+    /// history).  Returns `true` when the token should continue consuming this
+    /// monitor's subsequent local events.
+    fn process_token_with_event(&mut self, token: &mut Token, sn: u64) -> bool {
+        let state = self.history.state(sn);
         // ADDEVENTTOTOKEN for every transition targeting (self, sn).
-        let mut targeted = if self.opts.arena_recycling {
-            std::mem::take(&mut self.scratch.targeted)
-        } else {
-            Vec::new()
-        };
+        let mut targeted = self
+            .scratch
+            .as_mut()
+            .map(|s| std::mem::take(&mut s.targeted))
+            .unwrap_or_default();
         targeted.clear();
         for (idx, tran) in token.transitions.iter_mut().enumerate() {
             if tran.eval == EvalState::Unset
@@ -731,27 +794,27 @@ impl DecentralizedMonitor {
                 && tran.next_target_event == sn
             {
                 tran.gcut.set(self.pid, sn);
-                tran.depend.merge(&event.vc);
+                tran.depend.merge_entries(self.history.clock(sn));
                 let mut gstate = tran.gstate;
-                self.apply_local_state(&mut gstate, self.pid, event.state);
+                self.apply_local_state(&mut gstate, self.pid, state);
                 tran.gstate = gstate;
                 targeted.push(idx);
             }
         }
         if targeted.is_empty() {
-            if self.opts.arena_recycling {
-                self.scratch.targeted = targeted;
+            if let Some(s) = self.scratch.as_mut() {
+                s.targeted = targeted;
             }
             return false;
         }
 
         // EVALUATETOKEN: evaluate this process's conjunct of every targeted transition.
         let mut any_true = false;
-        let mut local_results = if self.opts.arena_recycling {
-            std::mem::take(&mut self.scratch.local_results)
-        } else {
-            Vec::new()
-        };
+        let mut local_results = self
+            .scratch
+            .as_mut()
+            .map(|s| std::mem::take(&mut s.local_results))
+            .unwrap_or_default();
         local_results.clear();
         for &idx in &targeted {
             let tran = &token.transitions[idx];
@@ -761,7 +824,7 @@ impl DecentralizedMonitor {
                 continue;
             }
             let symbolic = self.automaton.transition(tran.transition_id).clone();
-            let ok = self.conjunct_of(&symbolic, self.pid).eval(event.state);
+            let ok = self.conjunct_of(&symbolic, self.pid).eval(state);
             any_true |= ok;
             local_results.push((idx, ok));
         }
@@ -816,9 +879,9 @@ impl DecentralizedMonitor {
             token.next_target_process = self.pid;
             token.next_target_event = next;
         }
-        if self.opts.arena_recycling {
-            self.scratch.targeted = targeted;
-            self.scratch.local_results = local_results;
+        if let Some(s) = self.scratch.as_mut() {
+            s.targeted = targeted;
+            s.local_results = local_results;
         }
         continue_here
     }
@@ -902,15 +965,12 @@ impl DecentralizedMonitor {
                         gcut,
                         depend,
                         gstate,
-                        mut conjuncts,
+                        conjuncts,
                         ..
                     } = tran;
                     self.spawn_view(target, gcut, gstate);
                     self.reclaim_clock(depend);
-                    if self.opts.arena_recycling && self.scratch.conjuncts.len() < POOL_CAP {
-                        conjuncts.clear();
-                        self.scratch.conjuncts.push(conjuncts);
-                    }
+                    self.put_conjunct_buf(conjuncts);
                 }
                 EvalState::Disabled => {
                     self.reclaim_transition(tran);
@@ -957,31 +1017,19 @@ impl DecentralizedMonitor {
     }
 
     /// Forks a new global view at `q` with the constructed cut and state (the caller
-    /// has already applied the §4.3.2 duplicate check).  With the arena on, a retired
-    /// view is overwritten in place instead of allocating a fresh one.
+    /// has already applied the §4.3.2 duplicate check).  Its queue starts empty: it
+    /// will be offered the local events that follow, not the ones already delivered.
     fn spawn_view(&mut self, q: dlrv_automaton::StateId, gcut: VectorClock, gstate: Assignment) {
         let id = self.next_gv_id;
         self.next_gv_id += 1;
-        let gv = match self.take_free_view() {
-            Some(mut view) => {
-                self.reclaim_clock(std::mem::replace(&mut view.gcut, gcut));
-                view.id = id;
-                view.gstate = gstate;
-                view.q = q;
-                view.pending.clear();
-                view.keep_after_fork = false;
-                view.state = GvState::Unblocked;
-                view
-            }
-            None => GlobalView {
-                id,
-                gcut,
-                gstate,
-                q,
-                pending: Default::default(),
-                keep_after_fork: false,
-                state: GvState::Unblocked,
-            },
+        let gv = GlobalView {
+            id,
+            gcut,
+            gstate,
+            q,
+            next_sn: self.empty_queue_cursor(),
+            keep_after_fork: false,
+            state: GvState::Unblocked,
         };
         self.metrics.global_views_created += 1;
         self.record_state_verdict(q);
@@ -997,22 +1045,21 @@ impl DecentralizedMonitor {
     fn process_event_on_view(
         &mut self,
         mut gv: GlobalView,
-        e: &Event,
+        sn: u64,
         ctx: &mut MonitorContext<'_, MonitorMsg>,
         produced: &mut Vec<GlobalView>,
     ) {
         debug_assert!(produced.is_empty());
 
         // Fold the local event into the view.
-        gv.gcut.set(self.pid, e.vc.get(self.pid));
-        let mut gstate = gv.gstate;
-        self.apply_local_state(&mut gstate, self.pid, e.state);
-        gv.gstate = gstate;
-
+        let vc = self.history.clock(sn);
+        gv.gcut.set(self.pid, vc[self.pid]);
         // The event is inconsistent with the view when it already knows about more
         // events of other processes than the view has folded in.
-        let is_consistent =
-            (0..self.n).all(|j| j == self.pid || gv.gcut.get(j) >= e.vc.get(j));
+        let is_consistent = (0..self.n).all(|j| j == self.pid || gv.gcut.get(j) >= vc[j]);
+        let mut gstate = gv.gstate;
+        self.apply_local_state(&mut gstate, self.pid, self.history.state(sn));
+        gv.gstate = gstate;
 
         gv.keep_after_fork = false;
         if is_consistent {
@@ -1028,7 +1075,7 @@ impl DecentralizedMonitor {
         let candidates = if self.automaton.is_final(gv.q) {
             Vec::new()
         } else {
-            self.candidate_transitions(&gv, e)
+            self.candidate_transitions(&gv, sn)
         };
 
         // §4.3.2: if an exploration for this automaton state is already in flight at
@@ -1054,37 +1101,29 @@ impl DecentralizedMonitor {
                 && (self.views.iter().any(|other| other.same_slice(&gv))
                     || produced.iter().any(|other: &GlobalView| other.same_slice(&gv)));
             if !duplicate_exists {
-                // The fork starts with an empty queue, so a retired view's buffers
-                // can host it without ever cloning the pending events.
-                let mut copy = match self.take_free_view() {
-                    Some(mut view) => {
-                        view.gcut.copy_from(&gv.gcut);
-                        view.gstate = gv.gstate;
-                        view.q = gv.q;
-                        view.pending.clear();
-                        view
-                    }
-                    None => {
-                        let mut fresh = gv.clone();
-                        fresh.pending.clear();
-                        fresh
-                    }
+                // The fork starts with an empty queue; the original keeps its
+                // backlog and works through it once its token returns.
+                let copy = GlobalView {
+                    id: self.next_gv_id,
+                    gcut: self.clock_copy(&gv.gcut),
+                    gstate: gv.gstate,
+                    q: gv.q,
+                    next_sn: self.empty_queue_cursor(),
+                    keep_after_fork: false,
+                    state: GvState::Unblocked,
                 };
-                copy.id = self.next_gv_id;
                 self.next_gv_id += 1;
-                copy.keep_after_fork = false;
-                copy.state = GvState::Unblocked;
                 self.metrics.global_views_created += 1;
                 produced.push(copy);
             }
         }
 
-        // Emit the token(s); the parent-event clock is interned so every token of the
-        // fan-out shares one allocation.
+        // Emit the token(s); every token of the event's fan-out shares one allocation
+        // of the parent-event clock.
         let origin_state = gv.q;
         gv.state = GvState::Waiting;
         let parent_gv = gv.id;
-        let shared_vc = self.intern.intern(&e.vc);
+        let shared_vc = self.intern.intern(self.history.clock(sn));
         if self.opts.aggregate_tokens {
             let token = Token {
                 property: self.property,
@@ -1122,18 +1161,18 @@ impl DecentralizedMonitor {
         }
     }
 
-    /// Drains the pending queue of view `idx` as long as it stays unblocked.
+    /// Drains the queue of view `idx` as long as it stays unblocked.
     fn drain_pending(&mut self, idx: usize, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         let mut produced = self.take_view_buf();
         loop {
             if idx >= self.views.len() || !self.views[idx].is_unblocked() {
                 break;
             }
-            let Some(event) = self.views[idx].pending.pop_front() else {
+            let Some(sn) = self.views[idx].pop_queued(self.delivered) else {
                 break;
             };
             let gv = self.views.remove(idx);
-            self.process_event_on_view(gv, &event, ctx, &mut produced);
+            self.process_event_on_view(gv, sn, ctx, &mut produced);
             // Reinsert produced views at the same position to keep `idx` meaningful:
             // the first produced view is the continuation of the drained one.
             for (offset, v) in produced.drain(..).enumerate() {
@@ -1155,26 +1194,28 @@ impl MonitorBehavior for DecentralizedMonitor {
     type Message = MonitorMsg;
 
     /// RECEIVEEVENT (Algorithm 2).
-    fn on_local_event(&mut self, event: &Arc<Event>, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+    fn on_local_event(&mut self, event: &Event, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         let _span = dlrv_obs::span("monitor.local_event");
+        self.lease_arena();
         self.metrics.events_observed += 1;
         self.metrics.last_event_time = ctx.now;
         self.metrics.last_activity_time = ctx.now;
-        // The caller's allocation is shared as-is by the history and every view's
-        // pending queue — no per-event deep clone on the hot path.
-        let event = Arc::clone(event);
-        self.history.push(Arc::clone(&event));
+        // All the monitor keeps of the event: its clock and state, copied flat.
+        self.history.push(event);
         self.merge_similar_views();
 
         // Wake up exactly the tokens waiting for this event (per-cut index lookup).
+        // The views have not been offered it yet: one spawned by a token returning
+        // here still gets it below, like every other live view.
         for token in self.waiting_tokens.take(event.sn) {
             self.advance_local_token(token, ctx);
         }
 
-        // Deliver the event to every view (waiting views just buffer it).  The view
-        // set is rebuilt through recycled staging buffers; `self.views` holds only
-        // synchronously spawned views until the rebuilt set is appended, exactly as
-        // in the allocating version.
+        // Deliver the event to every view (waiting views just buffer it, i.e. leave
+        // their cursor behind).  The view set is rebuilt through recycled staging
+        // buffers; `self.views` holds only synchronously spawned views until the
+        // rebuilt set is appended — those start past this event and never see it.
+        self.delivered = self.history.len() as u64;
         let mut delayed = 0usize;
         let mut staged = self.take_view_buf();
         std::mem::swap(&mut staged, &mut self.views);
@@ -1182,15 +1223,14 @@ impl MonitorBehavior for DecentralizedMonitor {
         rebuilt.reserve(staged.len());
         let mut produced = self.take_view_buf();
         for mut gv in staged.drain(..) {
-            gv.pending.push_back(Arc::clone(&event));
             if gv.is_unblocked() {
                 // Process the whole queue while the view stays unblocked.
                 loop {
                     if !gv.is_unblocked() {
                         break;
                     }
-                    let Some(e) = gv.pending.pop_front() else { break };
-                    self.process_event_on_view(gv, &e, ctx, &mut produced);
+                    let Some(sn) = gv.pop_queued(self.delivered) else { break };
+                    self.process_event_on_view(gv, sn, ctx, &mut produced);
                     // The first produced view is the continuation; the rest are forks.
                     let mut views = produced.drain(..);
                     gv = views.next().expect("the continuation view is always produced");
@@ -1198,7 +1238,7 @@ impl MonitorBehavior for DecentralizedMonitor {
                 }
                 rebuilt.push(gv);
             } else {
-                delayed += gv.pending.len();
+                delayed += gv.queued(self.delivered);
                 rebuilt.push(gv);
             }
         }
@@ -1212,6 +1252,7 @@ impl MonitorBehavior for DecentralizedMonitor {
         self.merge_similar_views();
         self.note_view_peak();
         self.flush_outbound(ctx);
+        self.return_arena();
     }
 
     fn on_monitor_message(
@@ -1220,6 +1261,7 @@ impl MonitorBehavior for DecentralizedMonitor {
         msg: MonitorMsg,
         ctx: &mut MonitorContext<'_, MonitorMsg>,
     ) {
+        self.lease_arena();
         self.metrics.last_activity_time = ctx.now;
         match msg {
             MonitorMsg::Token(token) => {
@@ -1245,16 +1287,19 @@ impl MonitorBehavior for DecentralizedMonitor {
                     }
                 }
             }
-            MonitorMsg::Terminated { process, last_sn } => {
-                self.peer_last_sn[process] = Some(last_sn);
-            }
+            // Nothing to do: a token that needs an event the terminated peer never
+            // produced is failed by that peer itself (`fail_local_targets`) when the
+            // token gets there, so its `last_sn` is not needed here.
+            MonitorMsg::Terminated { .. } => {}
         }
         self.note_view_peak();
         self.flush_outbound(ctx);
+        self.return_arena();
     }
 
     /// TERMINATE (§4.2.0.10).
     fn on_local_termination(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        self.lease_arena();
         self.local_terminated = true;
         self.metrics.last_activity_time = ctx.now;
         let last_sn = self.history.len() as u64;
@@ -1276,6 +1321,7 @@ impl MonitorBehavior for DecentralizedMonitor {
             self.route_token(token, ctx);
         }
         self.flush_outbound(ctx);
+        self.return_arena();
         self.metrics.global_views_final = self.views.len();
         self.metrics.possible_verdicts = self.possible_verdicts();
     }
@@ -1380,7 +1426,7 @@ mod tests {
             state: Assignment::ALL_FALSE, // P0.p becomes false
             time: 1.0,
         };
-        m0.on_local_event(&Arc::new(event), &mut ctx);
+        m0.on_local_event(&event, &mut ctx);
         assert!(m0.detected_final_verdicts().contains(&Verdict::False));
         assert!(outbox.is_empty(), "a purely local violation needs no tokens");
     }
@@ -1392,5 +1438,134 @@ mod tests {
         let _a1 = reg.intern("P1.p", 1);
         let monitors = setup(2, Formula::eventually(Formula::Atom(a0)), reg);
         assert_eq!(monitors[0].metrics().max_live_views, 1);
+    }
+
+    /// Monitor `M0` of `F (P0.p && P1.p)` over two processes, and the local state in
+    /// which `P0.p` holds — the state that makes `M0` ask `P1` about `P1.p`.
+    fn goal_monitor(opts: MonitorOptions) -> (DecentralizedMonitor, Assignment) {
+        let mut reg = AtomRegistry::new();
+        let a = reg.intern("P0.p", 0);
+        let b = reg.intern("P1.p", 1);
+        let phi = Formula::eventually(Formula::and(Formula::Atom(a), Formula::Atom(b)));
+        let automaton = Arc::new(MonitorAutomaton::synthesize(&phi, &reg));
+        let monitor = DecentralizedMonitor::new(
+            0,
+            2,
+            automaton,
+            Arc::new(reg),
+            Assignment::ALL_FALSE,
+            opts,
+        );
+        (monitor, Assignment::from_true_atoms([a]))
+    }
+
+    /// The `sn`-th event of `P0`, which has heard from nobody.
+    fn local_event(sn: u64, state: Assignment) -> Event {
+        Event {
+            process: 0,
+            kind: dlrv_vclock::EventKind::Internal,
+            sn,
+            vc: VectorClock::from_entries(vec![sn, 0]),
+            state,
+            time: sn as f64,
+        }
+    }
+
+    #[test]
+    fn monitor_and_view_sizes_are_pinned() {
+        // 600 bytes before the scratch pools moved to the thread and the history
+        // went flat; a session pays this once per process.
+        assert!(std::mem::size_of::<DecentralizedMonitor>() <= 448);
+        assert!(std::mem::size_of::<GlobalView>() <= 64);
+    }
+
+    #[test]
+    fn a_view_spawned_while_an_event_is_delivered_does_not_see_it() {
+        let (mut m, p) = goal_monitor(MonitorOptions::default());
+        let q = m.views[0].q;
+        m.history.push(&local_event(1, p));
+        // While the tokens parked on event 1 are woken, the views have not been
+        // offered it yet: a view spawned now gets it with all the others.
+        m.spawn_view(q, VectorClock::zero(2), Assignment::ALL_FALSE);
+        m.delivered = 1;
+        assert_eq!(m.views[1].queued(m.delivered), 1);
+        // A view spawned during the delivery starts past the event.
+        m.spawn_view(q, VectorClock::zero(2), Assignment::ALL_FALSE);
+        assert_eq!(m.views[2].next_sn, 2);
+        assert_eq!(m.views[2].pop_queued(m.delivered), None);
+    }
+
+    #[test]
+    fn a_fork_starts_empty_while_the_original_keeps_its_backlog() {
+        let (mut m, p) = goal_monitor(MonitorOptions::default());
+        m.history.push(&local_event(1, p));
+        m.history.push(&local_event(2, p));
+        m.delivered = 2;
+        let mut gv = m.views.pop().expect("the initial view");
+        let sn = gv.pop_queued(m.delivered).expect("event 1 is queued");
+        let mut outbox = Vec::new();
+        let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
+        let mut produced = Vec::new();
+        // `P0.p` holds, `P1.p` is unknown: the view sends a token and forks.
+        m.process_event_on_view(gv, sn, &mut ctx, &mut produced);
+        assert_eq!(m.metrics.tokens_sent, 1);
+        let [fork, original] = &produced[..] else {
+            panic!("expected the fork and the original, got {produced:?}");
+        };
+        assert_eq!(fork.state, GvState::Unblocked);
+        assert_eq!(fork.queued(m.delivered), 0, "a fork has nothing to catch up on");
+        assert_eq!(original.state, GvState::Waiting);
+        assert_eq!(original.next_sn, 2, "event 2 waits for the token to return");
+        assert_eq!(original.queued(m.delivered), 1);
+    }
+
+    #[test]
+    fn a_merge_keeps_the_kept_views_cursor() {
+        // Both merge implementations: hash-keyed (arena off) and batched scan.
+        for arena_recycling in [false, true] {
+            let (mut m, p) = goal_monitor(MonitorOptions {
+                arena_recycling,
+                ..MonitorOptions::default()
+            });
+            for sn in 1..=4 {
+                m.history.push(&local_event(sn, p));
+            }
+            m.delivered = 4;
+            let mut waiting = m.views[0].clone();
+            waiting.state = GvState::Waiting;
+            waiting.next_sn = 2;
+            let mut converged = waiting.clone();
+            converged.id = 9;
+            converged.state = GvState::Unblocked;
+            converged.next_sn = 5;
+            m.views = vec![waiting, converged];
+            m.merge_similar_views();
+            // The unblocked copy takes the slot, the slot keeps its queue.
+            let [kept] = &m.views[..] else {
+                panic!("expected one merged view, got {:?}", m.views);
+            };
+            assert_eq!((kept.id, kept.state), (9, GvState::Unblocked));
+            assert_eq!(kept.next_sn, 2, "arena_recycling={arena_recycling}");
+        }
+    }
+
+    #[test]
+    fn the_arena_is_leased_per_activation_and_parked_at_the_thread() {
+        let feed = |opts| {
+            let (mut m, p) = goal_monitor(opts);
+            let mut outbox = Vec::new();
+            let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
+            m.on_local_event(&local_event(1, p), &mut ctx);
+            assert!(m.scratch.is_none(), "the lease ends with the activation");
+        };
+        // Arena off: this (fresh) thread's arena is never touched.
+        feed(MonitorOptions {
+            arena_recycling: false,
+            ..MonitorOptions::default()
+        });
+        assert!(ARENA.with(Cell::take).is_none());
+        // Arena on: it is back at the thread for the next monitor to lease.
+        feed(MonitorOptions::default());
+        assert!(ARENA.with(Cell::take).is_some());
     }
 }

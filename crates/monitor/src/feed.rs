@@ -135,11 +135,9 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
     /// different processes should arrive in timestamp order for equivalence with the
     /// offline replay.  Feeding a finished session panics.
     ///
-    /// The event is taken shared: monitors retain the same `Arc` in their histories
-    /// and pending queues, so an online caller that owns its decoded event pays no
-    /// per-event deep clone (wrap with [`Arc::new`]; see also
-    /// [`feed_owned`](Self::feed_owned)).
-    pub fn feed_event(&mut self, event: &Arc<Event>) -> Verdict {
+    /// The event is only lent: the monitors copy what they keep of it (its clock and
+    /// state) into their own histories, so the caller may reuse or drop it at once.
+    pub fn feed_event(&mut self, event: &Event) -> Verdict {
         assert!(!self.finished, "cannot feed a finished session");
         let p = event.process;
         assert!(p < self.monitors.len(), "event process {p} out of range");
@@ -158,10 +156,9 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
         self.verdict()
     }
 
-    /// [`feed_event`](Self::feed_event) for an owned event: wraps it in the shared
-    /// allocation the monitors retain.
+    /// [`feed_event`](Self::feed_event) for a caller that is done with the event.
     pub fn feed_owned(&mut self, event: Event) -> Verdict {
-        self.feed_event(&Arc::new(event))
+        self.feed_event(&event)
     }
 
     /// Signals end-of-stream: every monitor's local termination runs at the latest

@@ -10,10 +10,10 @@
 //!
 //! What is shared across members:
 //!
-//! * **The decoded event** — each [`Arc<Event>`] is decoded (or simulated) once
-//!   and handed to every member by reference; members retain the same allocation
-//!   in their histories and pending queues, so the event's vector clock exists
-//!   once per process, not once per property.
+//! * **The decoded event** — each [`Event`] is decoded (or simulated) once and
+//!   lent to every member in turn; a member copies its clock and state into its
+//!   own flat history (32 bytes per event at three processes) and keeps nothing
+//!   else of it.
 //! * **Transport** — with `aggregate_tokens` on (§4.3.1), outbound tokens from
 //!   *all* members to the same destination ride one [`MonitorMsg::Batch`].  The
 //!   [`Token::property`] field is the property-id dimension of the batch: the
@@ -21,10 +21,11 @@
 //!   `Terminated` notification per peer serves the whole fleet (every member
 //!   observes the same local history, so the notifications are identical).
 //!
-//! What is *not* shared: all monitor state — global views, waiting tokens,
-//! clock-intern pools, scratch arenas — stays strictly per member, so properties
-//! cannot bleed state into each other.  This is load-bearing for the
-//! equivalence guarantee below.
+//! What is *not* shared: all monitor state — event histories, global views,
+//! waiting tokens — stays strictly per member, so properties cannot bleed state
+//! into each other.  This is load-bearing for the equivalence guarantee below.
+//! (The scratch arena members recycle buffers through is per *thread*, shared with
+//! every other monitor the thread runs; it carries capacity, never content.)
 //!
 //! **Equivalence.**  Each member is a deterministic state machine driven only by
 //! its local events and its own tokens.  The fleet preserves, per member, the
@@ -245,8 +246,7 @@ impl FleetMonitor {
 impl MonitorBehavior for FleetMonitor {
     type Message = MonitorMsg;
 
-    fn on_local_event(&mut self, event: &Arc<Event>, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        // One decode, one clock: every member retains the same `Arc<Event>`.
+    fn on_local_event(&mut self, event: &Event, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         for k in 0..self.members.len() {
             self.run_member(k, ctx.now, |m, mctx| m.on_local_event(event, mctx));
         }

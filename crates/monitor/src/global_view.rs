@@ -2,8 +2,8 @@
 //!
 //! Each global view tracks one lattice path the monitor is exploring: the global cut
 //! constructed so far (as per-process event counts), the believed global state, the
-//! current monitor-automaton state and a queue of local events that arrived while the
-//! view was waiting for a token to return.
+//! current monitor-automaton state and a cursor into the monitor's local event history
+//! marking the events that arrived while the view was waiting for a token to return.
 //!
 //! Views at the same exploration point are interchangeable; [`ViewKey`] is their
 //! canonical hashable identity (automaton state + frontier cut + believed global
@@ -12,9 +12,7 @@
 
 use dlrv_automaton::StateId;
 use dlrv_ltl::Assignment;
-use dlrv_vclock::{Event, VectorClock};
-use std::collections::VecDeque;
-use std::sync::Arc;
+use dlrv_vclock::VectorClock;
 
 /// The processing state of a global view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,12 +50,13 @@ pub struct GlobalView {
     pub gstate: Assignment,
     /// Current monitor-automaton state.
     pub q: StateId,
-    /// Local events buffered while the view is waiting for a token.
+    /// Sequence number of the next local event this view has yet to consume.
     ///
-    /// Shared (`Arc`) rather than owned: every view of a monitor buffers the same
-    /// local event, so the queues share one allocation per event — including its
-    /// vector clock — instead of cloning it per view.
-    pub pending: VecDeque<Arc<Event>>,
+    /// Every view is offered every local event and consumes them in order, so the
+    /// events buffered while the view waits for a token are always the suffix of the
+    /// monitor's history starting here — the queue of Algorithm 2 is this one
+    /// cursor, and the events themselves exist once, in the history.
+    pub next_sn: u64,
     /// Whether the view survives forking (set when it took a real transition).
     pub keep_after_fork: bool,
     /// Processing state.
@@ -73,7 +72,7 @@ impl GlobalView {
             gcut: VectorClock::zero(n_processes),
             gstate: initial_gstate,
             q,
-            pending: VecDeque::new(),
+            next_sn: 1,
             keep_after_fork: false,
             state: GvState::Unblocked,
         }
@@ -99,6 +98,23 @@ impl GlobalView {
     pub fn is_unblocked(&self) -> bool {
         self.state == GvState::Unblocked
     }
+
+    /// Takes the oldest buffered event off the view's queue — its sequence number —
+    /// or returns `None` when the view has consumed all `delivered` events the
+    /// monitor has offered its views so far.
+    pub fn pop_queued(&mut self, delivered: u64) -> Option<u64> {
+        debug_assert!(self.next_sn <= delivered + 1);
+        (self.next_sn <= delivered).then(|| {
+            self.next_sn += 1;
+            self.next_sn - 1
+        })
+    }
+
+    /// Number of events buffered at the view, out of the `delivered` offered so far.
+    pub fn queued(&self, delivered: u64) -> usize {
+        debug_assert!(self.next_sn <= delivered + 1);
+        (delivered + 1 - self.next_sn) as usize
+    }
 }
 
 #[cfg(test)]
@@ -111,8 +127,27 @@ mod tests {
         assert!(gv.is_unblocked());
         assert_eq!(gv.gcut, VectorClock::zero(3));
         assert_eq!(gv.q, 1);
-        assert!(gv.pending.is_empty());
+        assert_eq!(gv.next_sn, 1, "nothing consumed yet");
         assert!(!gv.keep_after_fork);
+    }
+
+    #[test]
+    fn the_queue_is_the_history_suffix_from_the_cursor() {
+        let mut gv = GlobalView::initial(0, 2, Assignment::ALL_FALSE, 0);
+        assert_eq!(gv.pop_queued(0), None, "no event delivered yet");
+        // Three events delivered while the view was away: it catches up in order.
+        assert_eq!(gv.queued(3), 3);
+        assert_eq!(gv.pop_queued(3), Some(1));
+        assert_eq!(gv.pop_queued(3), Some(2));
+        assert_eq!(gv.queued(3), 1);
+        assert_eq!(gv.pop_queued(3), Some(3));
+        assert_eq!(gv.pop_queued(3), None);
+        assert_eq!(gv.queued(3), 0);
+    }
+
+    #[test]
+    fn a_view_is_one_cache_line() {
+        assert!(std::mem::size_of::<GlobalView>() <= 64);
     }
 
     #[test]

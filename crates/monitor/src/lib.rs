@@ -14,11 +14,11 @@
 //! * [`replay`] — a zero-latency driver over recorded computations, used by the
 //!   soundness/completeness test-suite to compare monitors against the lattice oracle.
 //! * [`feed`] — the incremental feed API: a [`FeedSession`] delivers events one at a
-//!   time (`feed_event(&mut self, &Arc<Event>) -> Verdict`, or
+//!   time (`feed_event(&mut self, &Event) -> Verdict`, or
 //!   [`feed_owned`](feed::FeedSession::feed_owned) for owned events) so monitors no
-//!   longer require a complete trace up front; the shared `Arc` is retained by the
-//!   monitors' histories directly — no per-event deep clone.  The substrate of the
-//!   online `dlrv-stream` runtime.
+//!   longer require a complete trace up front; the event is only lent — a monitor
+//!   copies its clock and state into a flat history and keeps nothing else.  The
+//!   substrate of the online `dlrv-stream` runtime.
 //! * [`fleet`] — fleet monitoring: a [`FleetMonitor`] wraps one decentralized
 //!   monitor per property behind a single behavior, so N properties share one
 //!   decoded event stream and one batched token transport (see `docs/FLEET.md`).

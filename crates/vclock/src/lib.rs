@@ -15,9 +15,9 @@
 //!   conceptual baseline the decentralized algorithm is compared against.
 //! * [`mod@slice`] — conjunctive-predicate detection via least consistent cuts
 //!   (computation slicing, Definitions 13–15).
-//! * [`mod@intern`] — hash-consing of vector clocks ([`ClockIntern`] /
-//!   [`SharedClock`]), used by the monitors to share one allocation across the many
-//!   equal clocks a token fan-out produces (§4.3 support).
+//! * [`mod@intern`] — [`ClockIntern`] / [`SharedClock`], used by the monitors to share
+//!   one allocation across the many equal clocks the token fan-out of one event
+//!   produces (§4.3 support).
 //!
 //! # Example
 //!

@@ -55,8 +55,14 @@ impl VectorClock {
 
     /// Component-wise maximum with `other` (called on message receipt).
     pub fn merge(&mut self, other: &VectorClock) {
+        self.merge_entries(&other.entries);
+    }
+
+    /// [`merge`](Self::merge) against raw entries — for clocks stored flat (several
+    /// per buffer, as in the monitors' event history) rather than as `VectorClock`s.
+    pub fn merge_entries(&mut self, other: &[u64]) {
         debug_assert_eq!(self.len(), other.len());
-        for (a, b) in self.entries.iter_mut().zip(other.entries.iter()) {
+        for (a, b) in self.entries.iter_mut().zip(other) {
             *a = (*a).max(*b);
         }
     }
@@ -161,6 +167,17 @@ mod tests {
         let b = VectorClock::from_entries(vec![1, 2, 1]);
         a.merge(&b);
         assert_eq!(a.entries(), &[3, 2, 1]);
+    }
+
+    #[test]
+    fn merge_entries_is_merge_over_a_slice() {
+        // Two clocks stored back to back, as the monitors' flat history stores them.
+        let flat = [1u64, 2, 1, 0, 5, 0];
+        let mut a = VectorClock::from_entries(vec![3, 0, 1]);
+        a.merge_entries(&flat[..3]);
+        assert_eq!(a.entries(), &[3, 2, 1]);
+        a.merge_entries(&flat[3..]);
+        assert_eq!(a.entries(), &[3, 5, 1]);
     }
 
     #[test]

@@ -34,7 +34,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::io::Write as _;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: monitord --listen <tcp:HOST:PORT | unix:PATH> [--idle-timeout-secs SECS] [--log-level error|warn|info|debug|trace]";
@@ -439,7 +438,7 @@ impl Daemon {
                 let mut outbox = Vec::new();
                 {
                     let mut ctx = MonitorContext::new(process, n, time, &mut outbox);
-                    run.monitor.on_local_event(&Arc::new(event), &mut ctx);
+                    run.monitor.on_local_event(&event, &mut ctx);
                 }
                 self.dispatch_outbox(time, outbox)?;
                 let telemetry_due = self
