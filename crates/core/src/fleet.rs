@@ -5,10 +5,10 @@
 //! ([`compile_fleet`] via [`PropertySpec::build_in`]), so all members interpret
 //! the same event assignments; each member keeps its own synthesized automaton.
 //! The streamed runner ([`run_streamed`](crate::throughput::run_streamed)) then
-//! pumps one byte stream with a fleet session spec — each event is decoded once,
-//! its clock interned once, and outbound tokens of all members share batched
-//! monitoring messages (see `docs/FLEET.md`) — and measures one solo baseline per
-//! member over the same bytes for the marginal-cost metrics.
+//! pumps one byte stream with a fleet session spec — each event is decoded once
+//! and outbound tokens of all members share batched monitoring messages (see
+//! `docs/FLEET.md`) — and measures one solo baseline per member over the same
+//! bytes for the marginal-cost metrics.
 
 use crate::spec::{PropertySpec, MAX_SPEC_ATOMS};
 use dlrv_automaton::MonitorAutomaton;

@@ -2,9 +2,9 @@
 //!
 //! A *monitor behavior* is whatever sits next to a program process and reacts to its
 //! local events: the paper's decentralized monitor, a centralized collector, or a
-//! no-op.  The substrate (discrete-event simulator or threaded runtime) owns message
-//! delivery; behaviors only see callbacks and a context through which they can send
-//! messages to their peers.
+//! no-op.  The substrate (the discrete-event simulator, a feed session, a daemon) owns
+//! message delivery; behaviors only see callbacks and a context through which they can
+//! send messages to their peers.
 
 use dlrv_ltl::ProcessId;
 use dlrv_vclock::Event;
@@ -54,8 +54,8 @@ pub struct MonitorContext<'a, M> {
 impl<'a, M> MonitorContext<'a, M> {
     /// Creates a context writing outgoing messages into `outbox`.
     ///
-    /// Execution substrates (the simulator, the threaded runtime, or test harnesses
-    /// such as the monitor crate's replay driver) use this to invoke behaviors.
+    /// Execution substrates (the simulator, or harnesses such as the monitor
+    /// crate's replay driver and feed session) use this to invoke behaviors.
     pub fn new(
         self_id: ProcessId,
         n_processes: usize,

@@ -48,7 +48,7 @@ use crate::metrics::MonitorMetrics;
 use dlrv_automaton::{MonitorAutomaton, SymbolicTransition};
 use dlrv_distsim::{MonitorBehavior, MonitorContext};
 use dlrv_ltl::{Assignment, AtomRegistry, Cube, ProcessId, Verdict};
-use dlrv_vclock::{ClockIntern, Event, VectorClock};
+use dlrv_vclock::{Event, VectorClock};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -235,8 +235,6 @@ pub struct DecentralizedMonitor {
     /// §4.3.1 staging area: tokens awaiting the end-of-activation flush, grouped by
     /// destination (only used when `opts.aggregate_tokens` is set).
     outbound: BTreeMap<ProcessId, Vec<Token>>,
-    /// Shares the parent-event clock across the tokens one event fans out into.
-    intern: ClockIntern,
     /// The thread's scratch arena while an activation has it on lease; `None`
     /// between activations (so cloning a monitor copies no pool) and whenever
     /// `opts.arena_recycling` is off.
@@ -283,7 +281,6 @@ impl DecentralizedMonitor {
             local_terminated: false,
             in_flight: Default::default(),
             outbound: BTreeMap::new(),
-            intern: ClockIntern::new(),
             scratch: None,
             metrics,
         }
@@ -1118,19 +1115,16 @@ impl DecentralizedMonitor {
             }
         }
 
-        // Emit the token(s); every token of the event's fan-out shares one allocation
-        // of the parent-event clock.
+        // Emit the token(s).
         let origin_state = gv.q;
         gv.state = GvState::Waiting;
         let parent_gv = gv.id;
-        let shared_vc = self.intern.intern(self.history.clock(sn));
         if self.opts.aggregate_tokens {
             let token = Token {
                 property: self.property,
                 parent: self.pid,
                 origin_state,
                 parent_gv,
-                parent_event_vc: shared_vc,
                 transitions: candidates,
                 next_target_process: self.pid,
                 next_target_event: 0,
@@ -1148,7 +1142,6 @@ impl DecentralizedMonitor {
                     parent: self.pid,
                     origin_state,
                     parent_gv,
-                    parent_event_vc: shared_vc.clone(),
                     transitions,
                     next_target_process: self.pid,
                     next_target_event: 0,

@@ -19,7 +19,7 @@
 //!   rescanning every parked token.
 
 use dlrv_ltl::{Assignment, ProcessId};
-use dlrv_vclock::{SharedClock, VectorClock};
+use dlrv_vclock::VectorClock;
 use std::collections::BTreeMap;
 
 /// Evaluation status of one process's conjunct of a transition guard.
@@ -107,9 +107,6 @@ pub struct Token {
     pub origin_state: usize,
     /// Identifier of the owning global view at the parent.
     pub parent_gv: u64,
-    /// Vector clock of the parent event that triggered the token (interned: the
-    /// per-transition fan-out of one event shares a single clock allocation).
-    pub parent_event_vc: SharedClock,
     /// Candidate transitions still being evaluated.
     pub transitions: Vec<TokenTransition>,
     /// The process the token should visit next.
@@ -250,7 +247,6 @@ mod tests {
             parent: 0,
             origin_state: 0,
             parent_gv: 0,
-            parent_event_vc: std::sync::Arc::new(VectorClock::zero(2)),
             transitions: Vec::new(),
             next_target_process: 1,
             next_target_event,

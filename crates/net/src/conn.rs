@@ -1,12 +1,12 @@
-//! Framed, non-blocking JSON connections.
+//! Framed, non-blocking connections carrying [`WireMsg`]s.
 //!
-//! The deploy protocol reuses the `dlrv-stream` framing — a 4-byte big-endian
-//! length prefix followed by compact JSON — but with arbitrary [`Json`] payloads
-//! instead of [`dlrv_stream::StreamRecord`]s: control, peer and fault-shim frames
-//! all travel through the same [`FramedConn`].
+//! The deploy protocol reuses the `dlrv-stream` framing (see
+//! [`dlrv_stream::wire`]): control, peer and fault-shim frames all travel through
+//! the same [`FramedConn`], each frame declaring in its header whether its
+//! payload is JSON or binary.
 //!
 //! A [`FramedConn`] wraps a non-blocking [`Socket`] with an incremental
-//! [`JsonFrameDecoder`] on the read side and a frame-boundary-aware write queue on
+//! [`FrameSplitter`] on the read side and a frame-boundary-aware write queue on
 //! the write side: [`flush`](FramedConn::flush) writes as much as the kernel
 //! accepts and remembers the offset inside a partially-written frame, so the
 //! reactor can resume exactly where `EWOULDBLOCK` interrupted.  The
@@ -15,8 +15,7 @@
 
 use crate::endpoint::Socket;
 use crate::wire::{self, WireMsg};
-use dlrv_json::Json;
-use dlrv_stream::{BINARY_FRAME_FLAG, MAX_FRAME_LEN};
+use dlrv_stream::FrameSplitter;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io;
@@ -64,92 +63,11 @@ impl From<dlrv_stream::StreamError> for NetError {
     }
 }
 
-/// Encodes one JSON value as a frame: 4-byte big-endian length + compact payload.
-pub fn encode_json_frame(value: &Json) -> Vec<u8> {
-    let payload = value.to_string_compact().into_bytes();
-    assert!(payload.len() <= MAX_FRAME_LEN, "frame exceeds MAX_FRAME_LEN");
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
-/// An incremental frame decoder yielding [`Json`] payloads (the generic sibling of
-/// `dlrv_stream::FrameDecoder`, which is specialized to stream records).
-#[derive(Debug, Default)]
-pub struct JsonFrameDecoder {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl JsonFrameDecoder {
-    /// A decoder with an empty buffer.
-    pub fn new() -> Self {
-        JsonFrameDecoder::default()
-    }
-
-    /// Appends raw bytes from the wire.
-    pub fn push(&mut self, bytes: &[u8]) {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Number of buffered, not-yet-decoded bytes.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Decodes the next complete frame as `(binary-flag, payload)`, or `None`
-    /// when more bytes are needed.  The flag is the header's bit 31 (see
-    /// [`BINARY_FRAME_FLAG`]); interpreting the payload is the caller's job.
-    pub fn next_raw_frame(&mut self) -> Result<Option<(bool, Vec<u8>)>, NetError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
-            return Ok(None);
-        }
-        let header = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]);
-        let binary = header & BINARY_FRAME_FLAG != 0;
-        let len = (header & !BINARY_FRAME_FLAG) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(NetError::msg(format!(
-                "frame length {len} exceeds maximum {MAX_FRAME_LEN}"
-            )));
-        }
-        if avail.len() < 4 + len {
-            return Ok(None);
-        }
-        let payload = avail[4..4 + len].to_vec();
-        self.pos += 4 + len;
-        Ok(Some((binary, payload)))
-    }
-
-    /// Decodes the next complete frame as JSON, or `None` when more bytes are
-    /// needed.  Binary frames are an error on this legacy path — callers that
-    /// negotiated the binary wire read typed messages through
-    /// [`FramedConn::on_readable_msgs`] instead.
-    pub fn next_frame(&mut self) -> Result<Option<Json>, NetError> {
-        match self.next_raw_frame()? {
-            None => Ok(None),
-            Some((true, _)) => Err(NetError::msg(
-                "binary frame on a JSON-only decode path (wire format not negotiated?)",
-            )),
-            Some((false, payload)) => {
-                let text = std::str::from_utf8(&payload)
-                    .map_err(|_| NetError::msg("frame payload is not UTF-8"))?;
-                Ok(Some(Json::parse(text)?))
-            }
-        }
-    }
-}
-
-/// A non-blocking socket carrying framed JSON in both directions.
+/// A non-blocking socket carrying framed deploy messages in both directions.
 #[derive(Debug)]
 pub struct FramedConn {
     sock: Socket,
-    decoder: JsonFrameDecoder,
+    frames: FrameSplitter,
     /// Outgoing frames not yet fully written; `out_pos` bytes of the front frame
     /// are already on the wire.
     outq: VecDeque<Vec<u8>>,
@@ -165,7 +83,7 @@ impl FramedConn {
     pub fn new(sock: Socket) -> Self {
         FramedConn {
             sock,
-            decoder: JsonFrameDecoder::new(),
+            frames: FrameSplitter::new(),
             outq: VecDeque::new(),
             out_pos: 0,
             frames_flushed: 0,
@@ -183,11 +101,6 @@ impl FramedConn {
         self.binary_wire = on;
     }
 
-    /// The outgoing frame format last set by [`set_binary_wire`](Self::set_binary_wire).
-    pub fn binary_wire(&self) -> bool {
-        self.binary_wire
-    }
-
     /// The raw descriptor, for reactor registration.
     pub fn raw_fd(&self) -> RawFd {
         self.sock.raw_fd()
@@ -198,34 +111,27 @@ impl FramedConn {
         self.eof
     }
 
-    /// Reads everything currently available and returns the complete frames
-    /// decoded from it (possibly empty).  Sets [`is_eof`](Self::is_eof) on a clean
-    /// peer close; trailing bytes of a truncated frame at EOF are an error.
-    pub fn on_readable(&mut self) -> Result<Vec<Json>, NetError> {
-        self.fill_from_socket()?;
-        let mut frames = Vec::new();
-        while let Some(frame) = self.decoder.next_frame()? {
-            frames.push(frame);
-        }
-        self.check_eof_remainder()?;
-        Ok(frames)
-    }
-
     /// Reads everything currently available and returns the complete deploy
-    /// messages decoded from it — the typed sibling of
-    /// [`on_readable`](Self::on_readable), decoding each frame per its own
-    /// header flag so JSON and binary peers share one receive path.
+    /// messages decoded from it (possibly none), each frame per its own header
+    /// flag so JSON and binary peers share one receive path.  Sets
+    /// [`is_eof`](Self::is_eof) on a clean peer close; trailing bytes of a
+    /// truncated frame at EOF are an error.
     pub fn on_readable_msgs(&mut self) -> Result<Vec<WireMsg>, NetError> {
         self.fill_from_socket()?;
         let mut msgs = Vec::new();
-        while let Some((binary, payload)) = self.decoder.next_raw_frame()? {
-            msgs.push(wire::decode_wire_frame(binary, &payload)?);
+        while let Some((binary, payload)) = self.frames.next_frame()? {
+            msgs.push(wire::decode_wire_frame(binary, payload)?);
         }
-        self.check_eof_remainder()?;
+        if self.eof && self.frames.pending_bytes() > 0 {
+            return Err(NetError::msg(format!(
+                "peer closed mid-frame ({} trailing bytes)",
+                self.frames.pending_bytes()
+            )));
+        }
         Ok(msgs)
     }
 
-    /// Pulls every available byte off the socket into the frame decoder.
+    /// Pulls every available byte off the socket into the frame splitter.
     fn fill_from_socket(&mut self) -> Result<(), NetError> {
         loop {
             match self.sock.read(&mut self.read_chunk) {
@@ -233,32 +139,12 @@ impl FramedConn {
                     self.eof = true;
                     return Ok(());
                 }
-                Ok(n) => {
-                    let chunk = self.read_chunk[..n].to_vec();
-                    self.decoder.push(&chunk);
-                }
+                Ok(n) => self.frames.push(&self.read_chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e.into()),
             }
         }
-    }
-
-    fn check_eof_remainder(&self) -> Result<(), NetError> {
-        if self.eof && self.decoder.pending_bytes() > 0 {
-            return Err(NetError::msg(format!(
-                "peer closed mid-frame ({} trailing bytes)",
-                self.decoder.pending_bytes()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Queues one JSON value for sending (framed) and attempts an immediate flush.
-    pub fn send(&mut self, value: &Json) -> Result<(), NetError> {
-        self.queue_bytes(encode_json_frame(value));
-        self.flush()?;
-        Ok(())
     }
 
     /// Queues one deploy message in the connection's negotiated format (see
@@ -317,7 +203,6 @@ impl FramedConn {
 mod tests {
     use super::*;
     use crate::endpoint::{connect_with_retry, Endpoint, Listener};
-    use dlrv_json::object;
     use std::time::{Duration, Instant};
 
     fn loopback_pair() -> (FramedConn, FramedConn) {
@@ -334,16 +219,12 @@ mod tests {
         (FramedConn::new(client), FramedConn::new(server))
     }
 
-    fn pump_until(
-        rx: &mut FramedConn,
-        want: usize,
-        timeout: Duration,
-    ) -> Vec<Json> {
+    fn pump_until(rx: &mut FramedConn, want: usize, timeout: Duration) -> Vec<WireMsg> {
         let deadline = Instant::now() + timeout;
         let mut got = Vec::new();
         while got.len() < want {
             assert!(Instant::now() < deadline, "timed out with {} frames", got.len());
-            got.extend(rx.on_readable().expect("read"));
+            got.extend(rx.on_readable_msgs().expect("read"));
             std::thread::sleep(Duration::from_millis(1));
         }
         got
@@ -352,41 +233,22 @@ mod tests {
     #[test]
     fn frames_round_trip_over_a_real_socket() {
         let (mut tx, mut rx) = loopback_pair();
-        let frames: Vec<Json> = (0..10u64)
-            .map(|i| object([("k", Json::from(i)), ("tag", Json::from("x"))]))
+        let msgs: Vec<WireMsg> = (0..10usize)
+            .map(|i| match i % 2 {
+                0 => WireMsg::PeerHello { from: i },
+                _ => WireMsg::Finish { time: i as f64 },
+            })
             .collect();
-        for f in &frames {
-            tx.send(f).expect("send");
+        for m in &msgs {
+            tx.send_msg(m).expect("send");
         }
         // Finish any partial flush.
         let deadline = Instant::now() + Duration::from_secs(2);
         while tx.wants_write() && Instant::now() < deadline {
             tx.flush().expect("flush");
         }
-        assert_eq!(tx.frames_flushed(), frames.len() as u64);
-        let got = pump_until(&mut rx, frames.len(), Duration::from_secs(2));
-        assert_eq!(got, frames);
-    }
-
-    #[test]
-    fn json_frame_decoder_handles_split_prefixes() {
-        let value = object([("answer", Json::from(42u64))]);
-        let bytes = encode_json_frame(&value);
-        let mut decoder = JsonFrameDecoder::new();
-        // Push the length prefix one byte at a time: no frame must appear early.
-        for b in &bytes[..3] {
-            decoder.push(&[*b]);
-            assert!(decoder.next_frame().expect("decode").is_none());
-        }
-        decoder.push(&bytes[3..]);
-        assert_eq!(decoder.next_frame().expect("decode"), Some(value));
-        assert_eq!(decoder.pending_bytes(), 0);
-    }
-
-    #[test]
-    fn oversized_frames_are_rejected() {
-        let mut decoder = JsonFrameDecoder::new();
-        decoder.push(&u32::MAX.to_be_bytes());
-        assert!(decoder.next_frame().is_err());
+        assert_eq!(tx.frames_flushed(), msgs.len() as u64);
+        let got = pump_until(&mut rx, msgs.len(), Duration::from_secs(2));
+        assert_eq!(got, msgs);
     }
 }

@@ -1,6 +1,6 @@
 //! Real-socket transport for decentralized monitors.
 //!
-//! `dlrv-net` turns the `dlrv-stream` wire codec into a true multi-process
+//! `dlrv-net` turns the `dlrv-stream` wire layer into a true multi-process
 //! transport: TCP/Unix [endpoints](endpoint), framed non-blocking
 //! [connections](conn), a vendored epoll [reactor], a deterministic
 //! seeded [fault-injection shim](fault) and the [deploy wire protocol](wire)
@@ -20,7 +20,7 @@ pub mod fault;
 pub mod reactor;
 pub mod wire;
 
-pub use conn::{encode_json_frame, FramedConn, JsonFrameDecoder, NetError};
+pub use conn::{FramedConn, NetError};
 pub use endpoint::{connect_with_retry, Endpoint, Listener, Socket};
 pub use fault::{FaultInjector, FaultSpec, FaultStats};
 pub use reactor::{IoEvent, Interest, Reactor};

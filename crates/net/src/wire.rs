@@ -1,8 +1,13 @@
 //! The deploy wire protocol: every frame exchanged between the orchestrator, the
 //! `monitord` daemons and their peer mesh.
 //!
-//! All frames are length-prefixed compact JSON (see [`crate::conn`]) with a
-//! `type` tag.  Three planes share one message enum:
+//! Every message has a self-describing JSON form with a `type` tag; the two
+//! message types whose count scales with the trace, `event` and `monitor`, also
+//! have a compact binary body that a connection may negotiate (its grammar is
+//! the comment above the binary codec, further down this file).  Framing, the
+//! bounds-checked [`Reader`] and the vector clock's two forms come from
+//! [`dlrv_stream::wire`], which this codec shares with the session-stream
+//! codec.  Three planes share one message enum:
 //!
 //! * **control** (orchestrator ↔ daemon): `hello`/`hello_ok` handshake, `event`
 //!   delivery, `status` quiescence polls, `finish` (end-of-trace), `report`
@@ -22,25 +27,12 @@ use crate::fault::{FaultSpec, FaultStats};
 use dlrv_json::{object, Json, JsonError};
 use dlrv_ltl::Assignment;
 use dlrv_monitor::{ConjunctEval, EvalState, MonitorMetrics, MonitorMsg, Token, TokenTransition};
-use dlrv_stream::{
-    event_from_binary, event_from_json, event_to_binary, event_to_json, varint,
-    BINARY_FRAME_FLAG, MAX_FRAME_LEN,
+use dlrv_stream::wire::{
+    clock_from_json, clock_to_json, json_frame, json_payload, write_clock, write_frame, Reader,
+    StreamError,
 };
-use dlrv_vclock::{Event, VectorClock};
-use std::sync::Arc;
-
-fn vc_to_json(vc: &VectorClock) -> Json {
-    Json::Array(vc.entries().iter().map(|&e| Json::from(e)).collect())
-}
-
-fn vc_from_json(v: &Json) -> Result<VectorClock, JsonError> {
-    Ok(VectorClock::from_entries(
-        v.as_array()?
-            .iter()
-            .map(Json::as_u64)
-            .collect::<Result<Vec<_>, _>>()?,
-    ))
-}
+use dlrv_stream::{event_from_binary, event_from_json, event_to_binary, event_to_json, varint};
+use dlrv_vclock::Event;
 
 /// Serializes one token transition.  Conjunct evaluations travel as a compact
 /// string (one char per process: `-` not involved, `?` unset, `t`, `f`), the
@@ -63,8 +55,8 @@ fn transition_to_json(t: &TokenTransition) -> Json {
     };
     object([
         ("id", Json::from(t.transition_id)),
-        ("gcut", vc_to_json(&t.gcut)),
-        ("depend", vc_to_json(&t.depend)),
+        ("gcut", clock_to_json(&t.gcut)),
+        ("depend", clock_to_json(&t.depend)),
         ("gstate", Json::from(t.gstate.0)),
         ("conjuncts", Json::from(conjuncts)),
         ("next_p", Json::from(t.next_target_process)),
@@ -94,8 +86,8 @@ fn transition_from_json(v: &Json) -> Result<TokenTransition, JsonError> {
     };
     Ok(TokenTransition {
         transition_id: v.get("id")?.as_usize()?,
-        gcut: vc_from_json(v.get("gcut")?)?,
-        depend: vc_from_json(v.get("depend")?)?,
+        gcut: clock_from_json(v.get("gcut")?)?,
+        depend: clock_from_json(v.get("depend")?)?,
         gstate: Assignment(v.get("gstate")?.as_u64()?),
         conjuncts,
         next_target_process: v.get("next_p")?.as_usize()?,
@@ -111,7 +103,6 @@ pub fn token_to_json(t: &Token) -> Json {
         ("parent", Json::from(t.parent)),
         ("origin_state", Json::from(t.origin_state)),
         ("parent_gv", Json::from(t.parent_gv)),
-        ("parent_vc", vc_to_json(&t.parent_event_vc)),
         (
             "transitions",
             Json::Array(t.transitions.iter().map(transition_to_json).collect()),
@@ -129,7 +120,6 @@ pub fn token_from_json(v: &Json) -> Result<Token, JsonError> {
         parent: v.get("parent")?.as_usize()?,
         origin_state: v.get("origin_state")?.as_usize()?,
         parent_gv: v.get("parent_gv")?.as_u64()?,
-        parent_event_vc: Arc::new(vc_from_json(v.get("parent_vc")?)?),
         transitions: v
             .get("transitions")?
             .as_array()?
@@ -582,9 +572,8 @@ impl WireMsg {
 //
 // Control-plane traffic (hello, status, report, …) is a handful of frames per
 // run; only `event` and `monitor` frames scale with the trace, so only they get
-// a binary body.  A binary deploy frame reuses the `dlrv-stream` frame header —
-// 4-byte big-endian length with [`BINARY_FRAME_FLAG`] in bit 31 — so one
-// [`crate::conn::FramedConn`] decodes JSON and binary frames from the same
+// a binary body.  The frame header is `dlrv_stream::wire`'s, so one
+// [`crate::conn::FramedConn`] reads JSON and binary frames from the same
 // connection, frame by frame.  Payload grammar (unsigned LEB128 varints unless
 // noted; `vc` and events exactly as in `dlrv_stream`'s binary codec):
 //
@@ -592,7 +581,7 @@ impl WireMsg {
 //   event      = event-binary                      -- dlrv_stream::event_to_binary
 //   monitor    = from seq time(8-byte LE f64) monmsg
 //   monmsg     = 0x00 token | 0x01 len token* | 0x02 process last_sn
-//   token      = parent origin_state parent_gv vc n-transitions transition* next_p next_e
+//   token      = property parent origin_state parent_gv n-transitions transition* next_p next_e
 //   transition = id vc(gcut) vc(depend) gstate n-conjuncts conjunct-byte* next_p next_e eval-byte
 //   conjunct   = 0 not-involved | 1 unset | 2 true | 3 false
 //   eval       = 0 unset | 1 enabled | 2 disabled
@@ -608,53 +597,16 @@ const MSG_TOKEN: u8 = 0;
 const MSG_BATCH: u8 = 1;
 const MSG_TERMINATED: u8 = 2;
 
-fn truncated(what: &str) -> NetError {
-    NetError::msg(format!("binary wire frame truncated or corrupt at {what}"))
-}
-
-fn read_uv(buf: &[u8], pos: &mut usize, what: &str) -> Result<u64, NetError> {
-    varint::read_u64(buf, pos).ok_or_else(|| truncated(what))
-}
-
-fn read_usize(buf: &[u8], pos: &mut usize, what: &str) -> Result<usize, NetError> {
-    usize::try_from(read_uv(buf, pos, what)?).map_err(|_| truncated(what))
-}
-
-fn read_f64(buf: &[u8], pos: &mut usize, what: &str) -> Result<f64, NetError> {
-    let bytes: [u8; 8] = buf
-        .get(*pos..*pos + 8)
-        .ok_or_else(|| truncated(what))?
-        .try_into()
-        .expect("slice of length 8");
-    *pos += 8;
-    Ok(f64::from_bits(u64::from_le_bytes(bytes)))
-}
-
-fn vc_to_binary(vc: &VectorClock, out: &mut Vec<u8>) {
-    varint::write_u64(out, vc.len() as u64);
-    for &entry in vc.entries() {
-        varint::write_u64(out, entry);
-    }
-}
-
-fn vc_from_binary(buf: &[u8], pos: &mut usize, what: &str) -> Result<VectorClock, NetError> {
-    let n = read_usize(buf, pos, what)?;
-    if n > buf.len().saturating_sub(*pos) + 1 {
-        // Entries take at least one byte each; a longer length prefix is
-        // corruption, not a request to allocate.
-        return Err(truncated(what));
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(read_uv(buf, pos, what)?);
-    }
-    Ok(VectorClock::from_entries(entries))
-}
+/// Fewest bytes an encoded transition can take: eight one-byte fields (two of
+/// them empty clocks, one an empty conjunct list).
+const MIN_TRANSITION_BYTES: usize = 8;
+/// Fewest bytes an encoded token can take: seven one-byte fields, no transitions.
+const MIN_TOKEN_BYTES: usize = 7;
 
 fn transition_to_binary(t: &TokenTransition, out: &mut Vec<u8>) {
     varint::write_u64(out, t.transition_id as u64);
-    vc_to_binary(&t.gcut, out);
-    vc_to_binary(&t.depend, out);
+    write_clock(out, &t.gcut);
+    write_clock(out, &t.depend);
     varint::write_u64(out, t.gstate.0);
     varint::write_u64(out, t.conjuncts.len() as u64);
     for c in &t.conjuncts {
@@ -674,46 +626,32 @@ fn transition_to_binary(t: &TokenTransition, out: &mut Vec<u8>) {
     });
 }
 
-fn transition_from_binary(buf: &[u8], pos: &mut usize) -> Result<TokenTransition, NetError> {
-    let transition_id = read_usize(buf, pos, "transition id")?;
-    let gcut = vc_from_binary(buf, pos, "transition gcut")?;
-    let depend = vc_from_binary(buf, pos, "transition depend")?;
-    let gstate = Assignment(read_uv(buf, pos, "transition gstate")?);
-    let n = read_usize(buf, pos, "conjunct count")?;
-    if n > buf.len().saturating_sub(*pos) {
-        return Err(truncated("conjunct count"));
-    }
-    let mut conjuncts = Vec::with_capacity(n);
-    for _ in 0..n {
-        let byte = *buf.get(*pos).ok_or_else(|| truncated("conjunct"))?;
-        *pos += 1;
-        conjuncts.push(match byte {
-            0 => ConjunctEval::NotInvolved,
-            1 => ConjunctEval::Unset,
-            2 => ConjunctEval::True,
-            3 => ConjunctEval::False,
-            other => return Err(truncated(&format!("conjunct byte {other}"))),
-        });
-    }
-    let next_target_process = read_usize(buf, pos, "transition next_p")?;
-    let next_target_event = read_uv(buf, pos, "transition next_e")?;
-    let eval_byte = *buf.get(*pos).ok_or_else(|| truncated("eval state"))?;
-    *pos += 1;
-    let eval = match eval_byte {
-        0 => EvalState::Unset,
-        1 => EvalState::Enabled,
-        2 => EvalState::Disabled,
-        other => return Err(truncated(&format!("eval byte {other}"))),
-    };
+fn transition_from_binary(r: &mut Reader<'_>) -> Result<TokenTransition, StreamError> {
+    let transition_id = r.usize("transition id")?;
+    let gcut = r.clock("transition gcut")?;
+    let depend = r.clock("transition depend")?;
+    let gstate = Assignment(r.uv("transition gstate")?);
+    let conjuncts = r.seq("conjunct count", 1, |r| match r.byte("conjunct")? {
+        0 => Ok(ConjunctEval::NotInvolved),
+        1 => Ok(ConjunctEval::Unset),
+        2 => Ok(ConjunctEval::True),
+        3 => Ok(ConjunctEval::False),
+        other => Err(r.corrupt(&format!("conjunct byte {other}"))),
+    })?;
     Ok(TokenTransition {
         transition_id,
         gcut,
         depend,
         gstate,
         conjuncts,
-        next_target_process,
-        next_target_event,
-        eval,
+        next_target_process: r.usize("transition next_p")?,
+        next_target_event: r.uv("transition next_e")?,
+        eval: match r.byte("eval state")? {
+            0 => EvalState::Unset,
+            1 => EvalState::Enabled,
+            2 => EvalState::Disabled,
+            other => return Err(r.corrupt(&format!("eval byte {other}"))),
+        },
     })
 }
 
@@ -722,7 +660,6 @@ fn token_to_binary(t: &Token, out: &mut Vec<u8>) {
     varint::write_u64(out, t.parent as u64);
     varint::write_u64(out, t.origin_state as u64);
     varint::write_u64(out, t.parent_gv);
-    vc_to_binary(&t.parent_event_vc, out);
     varint::write_u64(out, t.transitions.len() as u64);
     for tran in &t.transitions {
         transition_to_binary(tran, out);
@@ -731,29 +668,20 @@ fn token_to_binary(t: &Token, out: &mut Vec<u8>) {
     varint::write_u64(out, t.next_target_event);
 }
 
-fn token_from_binary(buf: &[u8], pos: &mut usize) -> Result<Token, NetError> {
-    let property = read_uv(buf, pos, "token property")? as u32;
-    let parent = read_usize(buf, pos, "token parent")?;
-    let origin_state = read_usize(buf, pos, "token origin_state")?;
-    let parent_gv = read_uv(buf, pos, "token parent_gv")?;
-    let parent_event_vc = Arc::new(vc_from_binary(buf, pos, "token parent_vc")?);
-    let n = read_usize(buf, pos, "transition count")?;
-    if n > buf.len().saturating_sub(*pos) {
-        return Err(truncated("transition count"));
-    }
-    let mut transitions = Vec::with_capacity(n);
-    for _ in 0..n {
-        transitions.push(transition_from_binary(buf, pos)?);
-    }
+fn token_from_binary(r: &mut Reader<'_>) -> Result<Token, StreamError> {
+    let property = r.u32("token property")?;
+    let parent = r.usize("token parent")?;
+    let origin_state = r.usize("token origin_state")?;
+    let parent_gv = r.uv("token parent_gv")?;
+    let transitions = r.seq("transition count", MIN_TRANSITION_BYTES, transition_from_binary)?;
     Ok(Token {
         property,
         parent,
         origin_state,
         parent_gv,
-        parent_event_vc,
         transitions,
-        next_target_process: read_usize(buf, pos, "token next_p")?,
-        next_target_event: read_uv(buf, pos, "token next_e")?,
+        next_target_process: r.usize("token next_p")?,
+        next_target_event: r.uv("token next_e")?,
     })
 }
 
@@ -778,27 +706,19 @@ fn monitor_msg_to_binary(msg: &MonitorMsg, out: &mut Vec<u8>) {
     }
 }
 
-fn monitor_msg_from_binary(buf: &[u8], pos: &mut usize) -> Result<MonitorMsg, NetError> {
-    let tag = *buf.get(*pos).ok_or_else(|| truncated("monitor msg tag"))?;
-    *pos += 1;
-    match tag {
-        MSG_TOKEN => Ok(MonitorMsg::Token(token_from_binary(buf, pos)?)),
-        MSG_BATCH => {
-            let n = read_usize(buf, pos, "batch length")?;
-            if n > buf.len().saturating_sub(*pos) {
-                return Err(truncated("batch length"));
-            }
-            let mut tokens = Vec::with_capacity(n);
-            for _ in 0..n {
-                tokens.push(token_from_binary(buf, pos)?);
-            }
-            Ok(MonitorMsg::Batch(tokens))
-        }
+fn monitor_msg_from_binary(r: &mut Reader<'_>) -> Result<MonitorMsg, StreamError> {
+    match r.byte("monitor msg tag")? {
+        MSG_TOKEN => Ok(MonitorMsg::Token(token_from_binary(r)?)),
+        MSG_BATCH => Ok(MonitorMsg::Batch(r.seq(
+            "batch length",
+            MIN_TOKEN_BYTES,
+            token_from_binary,
+        )?)),
         MSG_TERMINATED => Ok(MonitorMsg::Terminated {
-            process: read_usize(buf, pos, "terminated process")?,
-            last_sn: read_uv(buf, pos, "terminated last_sn")?,
+            process: r.usize("terminated process")?,
+            last_sn: r.uv("terminated last_sn")?,
         }),
-        other => Err(truncated(&format!("monitor msg tag {other}"))),
+        other => Err(r.corrupt(&format!("monitor msg tag {other}"))),
     }
 }
 
@@ -810,80 +730,61 @@ fn monitor_msg_from_binary(buf: &[u8], pos: &mut usize) -> Result<MonitorMsg, Ne
 /// is off, travels as self-describing JSON.  [`decode_wire_frame`] dispatches on
 /// the header bit, so mixed connections always decode.
 pub fn encode_wire_frame(msg: &WireMsg, binary: bool) -> Vec<u8> {
-    if binary {
-        let body: Option<Vec<u8>> = match msg {
-            WireMsg::Event { event } => {
-                let mut body = vec![NET_EVENT];
-                event_to_binary(event, &mut body);
-                Some(body)
-            }
-            WireMsg::Monitor {
-                from,
-                seq,
-                time,
-                msg,
-            } => {
-                let mut body = vec![NET_MONITOR];
-                varint::write_u64(&mut body, *from as u64);
-                varint::write_u64(&mut body, *seq);
-                body.extend_from_slice(&time.to_bits().to_le_bytes());
-                monitor_msg_to_binary(msg, &mut body);
-                Some(body)
-            }
-            _ => None,
-        };
-        if let Some(body) = body {
-            assert!(body.len() <= MAX_FRAME_LEN, "frame exceeds MAX_FRAME_LEN");
-            let mut out = Vec::with_capacity(4 + body.len());
-            out.extend_from_slice(&((body.len() as u32) | BINARY_FRAME_FLAG).to_be_bytes());
-            out.extend_from_slice(&body);
-            return out;
-        }
+    let mut out = Vec::new();
+    match msg {
+        WireMsg::Event { event } if binary => write_frame(&mut out, true, |out| {
+            out.push(NET_EVENT);
+            event_to_binary(event, out);
+        }),
+        WireMsg::Monitor {
+            from,
+            seq,
+            time,
+            msg,
+        } if binary => write_frame(&mut out, true, |out| {
+            out.push(NET_MONITOR);
+            varint::write_u64(out, *from as u64);
+            varint::write_u64(out, *seq);
+            out.extend_from_slice(&time.to_bits().to_le_bytes());
+            monitor_msg_to_binary(msg, out);
+        }),
+        _ => return json_frame(&msg.to_json()),
     }
-    crate::conn::encode_json_frame(&msg.to_json())
+    out
+}
+
+fn wire_msg_from_binary(payload: &[u8]) -> Result<WireMsg, StreamError> {
+    let mut r = Reader::new(payload);
+    let msg = match r.byte("frame tag")? {
+        NET_EVENT => WireMsg::Event {
+            event: event_from_binary(&mut r)?,
+        },
+        NET_MONITOR => WireMsg::Monitor {
+            from: r.usize("monitor from")?,
+            seq: r.uv("monitor seq")?,
+            time: r.f64("monitor time")?,
+            msg: monitor_msg_from_binary(&mut r)?,
+        },
+        other => return Err(r.corrupt(&format!("frame tag {other}"))),
+    };
+    r.finish()?;
+    Ok(msg)
 }
 
 /// Decodes one deploy frame payload; `binary` is the header's bit-31 flag.
 pub fn decode_wire_frame(binary: bool, payload: &[u8]) -> Result<WireMsg, NetError> {
-    if !binary {
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| NetError::msg("frame payload is not UTF-8"))?;
-        return Ok(WireMsg::from_json(&Json::parse(text)?)?);
+    if binary {
+        Ok(wire_msg_from_binary(payload)?)
+    } else {
+        Ok(WireMsg::from_json(&json_payload(payload)?)?)
     }
-    let mut pos = 0usize;
-    let tag = *payload.get(pos).ok_or_else(|| truncated("frame tag"))?;
-    pos += 1;
-    let msg = match tag {
-        NET_EVENT => WireMsg::Event {
-            event: event_from_binary(payload, &mut pos)
-                .map_err(|e| NetError::msg(e.message))?,
-        },
-        NET_MONITOR => {
-            let from = read_usize(payload, &mut pos, "monitor from")?;
-            let seq = read_uv(payload, &mut pos, "monitor seq")?;
-            let time = read_f64(payload, &mut pos, "monitor time")?;
-            WireMsg::Monitor {
-                from,
-                seq,
-                time,
-                msg: monitor_msg_from_binary(payload, &mut pos)?,
-            }
-        }
-        other => return Err(truncated(&format!("frame tag {other}"))),
-    };
-    if pos != payload.len() {
-        return Err(NetError::msg(format!(
-            "binary wire frame has {} trailing payload bytes",
-            payload.len() - pos
-        )));
-    }
-    Ok(msg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlrv_vclock::EventKind;
+    use dlrv_stream::FrameSplitter;
+    use dlrv_vclock::{EventKind, VectorClock};
     use std::collections::BTreeSet;
 
     fn sample_token(seq: u64) -> Token {
@@ -892,7 +793,6 @@ mod tests {
             parent: 1,
             origin_state: 3,
             parent_gv: 40 + seq,
-            parent_event_vc: Arc::new(VectorClock::from_entries(vec![2, 5, 0])),
             transitions: vec![
                 TokenTransition {
                     transition_id: 7,
@@ -1039,12 +939,12 @@ mod tests {
             // hot frames through their binary bodies, everything else as JSON
             // regardless of the connection's negotiated format.
             for binary in [false, true] {
-                let frame = encode_wire_frame(&msg, binary);
-                let header = u32::from_be_bytes(frame[..4].try_into().expect("header"));
-                let is_binary = header & BINARY_FRAME_FLAG != 0;
+                let mut splitter = FrameSplitter::new();
+                splitter.push(&encode_wire_frame(&msg, binary));
+                let (is_binary, payload) = splitter.next_frame().expect("split").expect("frame");
                 let hot = matches!(msg, WireMsg::Event { .. } | WireMsg::Monitor { .. });
                 assert_eq!(is_binary, binary && hot, "only hot frames go binary");
-                let back = decode_wire_frame(is_binary, &frame[4..]).expect("decode frame");
+                let back = decode_wire_frame(is_binary, payload).expect("decode frame");
                 assert_eq!(back, msg);
             }
         }
@@ -1110,5 +1010,72 @@ mod tests {
         let mut padded = payload.to_vec();
         padded.push(0);
         assert!(decode_wire_frame(true, &padded).is_err());
+    }
+
+    /// A 64-byte binary `monitor` payload: the fixed head, then `body`, zero-padded.
+    fn monitor_payload(body: &[u8]) -> Vec<u8> {
+        let mut payload = vec![NET_MONITOR, 0, 0]; // from 0, seq 0
+        payload.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+        payload.extend_from_slice(body);
+        assert!(payload.len() <= 64);
+        payload.resize(64, 0);
+        payload
+    }
+
+    #[test]
+    fn counts_no_payload_can_hold_are_rejected_before_reserving() {
+        let mut million = Vec::new();
+        varint::write_u64(&mut million, 1 << 20);
+        // (field, bytes before the count, minimum item size named in the error)
+        let cases: [(&str, Vec<u8>, usize); 4] = [
+            ("batch length", vec![MSG_BATCH], MIN_TOKEN_BYTES),
+            ("transition count", vec![MSG_TOKEN, 0, 0, 0, 0], MIN_TRANSITION_BYTES),
+            ("transition gcut", vec![MSG_TOKEN, 0, 0, 0, 0, 1, 0], 1),
+            ("conjunct count", vec![MSG_TOKEN, 0, 0, 0, 0, 1, 0, 0, 0, 0], 1),
+        ];
+        for (field, mut body, min) in cases {
+            let offset = 11 + body.len();
+            body.extend_from_slice(&million);
+            let err = decode_wire_frame(true, &monitor_payload(&body)).expect_err(field);
+            for part in [
+                field.to_string(),
+                format!("byte offset {offset}"),
+                format!("1048576 items of at least {min} bytes"),
+            ] {
+                assert!(err.message.contains(&part), "`{part}` missing from: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn property_ids_beyond_u32_are_rejected_not_truncated() {
+        let mut token = sample_token(0);
+        token.property = u32::MAX;
+        let msg = WireMsg::Monitor {
+            from: 1,
+            seq: 2,
+            time: 0.5,
+            msg: MonitorMsg::Token(token),
+        };
+        let frame = encode_wire_frame(&msg, true);
+        assert_eq!(decode_wire_frame(true, &frame[4..]).expect("u32::MAX fits"), msg);
+
+        let mut body = vec![MSG_TOKEN];
+        varint::write_u64(&mut body, 1 << 32);
+        let err = decode_wire_frame(true, &monitor_payload(&body)).expect_err("2^32");
+        assert!(err.message.contains("token property"), "{err}");
+    }
+
+    #[test]
+    fn json_tokens_with_the_retired_parent_clock_still_decode() {
+        let token = sample_token(1);
+        let Json::Object(mut fields) = token_to_json(&token) else {
+            panic!("tokens serialize as objects");
+        };
+        fields.push((
+            "parent_vc".to_string(),
+            clock_to_json(&VectorClock::from_entries(vec![2, 5, 0])),
+        ));
+        assert_eq!(token_from_json(&Json::Object(fields)).expect("decode"), token);
     }
 }

@@ -1,22 +1,21 @@
-//! Property-based tests of the socket transport: the framed-JSON layer must
+//! Property-based tests of the socket transport: the framing layer must
 //! reassemble any chunking, coalescing or partial-write pattern the kernel (or a
-//! hostile sender) produces.  The wire never guarantees frame-aligned reads — a
-//! length prefix may arrive one byte at a time, ten frames may coalesce into one
-//! `read`, and a non-blocking `write` may stop inside a payload — so both
-//! directions are driven through the epoll [`Reactor`], exactly like the
-//! `monitord` event loop.
+//! hostile sender) produces, and no byte sequence may panic the decoder.  The
+//! wire never guarantees frame-aligned reads — a length prefix may arrive one
+//! byte at a time, ten frames may coalesce into one `read`, and a non-blocking
+//! `write` may stop inside a payload — so both directions are driven through the
+//! epoll [`Reactor`], exactly like the `monitord` event loop.
 
-use dlrv_json::{object, Json};
 use dlrv_ltl::Assignment;
 use dlrv_monitor::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition};
 use dlrv_net::{
-    connect_with_retry, encode_json_frame, encode_wire_frame, Endpoint, FramedConn, Interest,
+    connect_with_retry, decode_wire_frame, encode_wire_frame, Endpoint, FramedConn, Interest,
     Listener, Reactor, Socket, WireMsg,
 };
+use dlrv_stream::FrameSplitter;
 use dlrv_vclock::{Event, EventKind, VectorClock};
 use proptest::prelude::*;
 use std::io;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// SplitMix64 step: expands one seed into a reproducible pseudo-random sequence.
@@ -27,9 +26,10 @@ fn mix(seed: &mut u64) -> u64 {
     *seed >> 17
 }
 
-/// An arbitrary JSON frame payload: sizes range from a few bytes to well past the
-/// 64 KiB read-chunk size, so reassembly crosses every internal buffer boundary.
-fn frame_from_seed(seed: &mut u64, index: usize) -> Json {
+/// An arbitrary JSON frame (an `error` message padded to size): sizes range from
+/// a few bytes to well past the 64 KiB read-chunk size, so reassembly crosses
+/// every internal buffer boundary.
+fn frame_from_seed(seed: &mut u64, index: usize) -> WireMsg {
     let fill = (b'a' + (mix(seed) % 26) as u8) as char;
     let len = match mix(seed) % 4 {
         0 => mix(seed) % 8,               // tiny: several coalesce into one read
@@ -37,10 +37,9 @@ fn frame_from_seed(seed: &mut u64, index: usize) -> Json {
         2 => 4096 + mix(seed) % 4096,     // large: spans several TCP segments
         _ => 60_000 + mix(seed) % 20_000, // huge: larger than the 64 KiB read chunk
     } as usize;
-    object([
-        ("i", Json::from(index as u64)),
-        ("pad", Json::from(fill.to_string().repeat(len))),
-    ])
+    WireMsg::Error {
+        message: format!("{index}:{}", fill.to_string().repeat(len)),
+    }
 }
 
 /// An arbitrary hot-path wire message — the frames the binary codec covers.
@@ -75,7 +74,6 @@ fn hot_msg_from_seed(seed: &mut u64) -> WireMsg {
         parent: (mix(seed) % n as u64) as usize,
         origin_state: (mix(seed) % 8) as usize,
         parent_gv: mix(seed),
-        parent_event_vc: Arc::new(vc(seed)),
         transitions: (0..1 + mix(seed) % 3).map(|_| transition(seed)).collect(),
         next_target_process: (mix(seed) % n as u64) as usize,
         next_target_event: mix(seed) % 1000,
@@ -152,6 +150,51 @@ fn write_some(sock: &mut Socket, chunk: &[u8]) -> Result<usize, io::Error> {
     }
 }
 
+/// Pushes `wire` through a loopback socket in arbitrary slices (single bytes
+/// up to multi-frame coalescings), with the reactor deciding when the receiving
+/// [`FramedConn`] reads, until `want` messages came out.
+fn pump_chunked(wire: &[u8], want: usize, s: &mut u64) -> Result<Vec<WireMsg>, String> {
+    let (mut tx, server) = loopback_sockets();
+    let mut rx = FramedConn::new(server);
+    let mut reactor = Reactor::new().expect("reactor");
+    reactor
+        .register(rx.raw_fd(), 1, Interest::READABLE)
+        .expect("register rx");
+
+    let mut sent = 0usize;
+    let mut got: Vec<WireMsg> = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while got.len() < want {
+        prop_assert!(Instant::now() < deadline, "timed out with {} messages", got.len());
+        // Push one arbitrary-sized slice (1 byte .. ~100 KiB) while data remains.
+        if sent < wire.len() {
+            let max = wire.len() - sent;
+            let chunk = match mix(s) % 3 {
+                0 => 1 + (mix(s) % 7) as usize,       // byte-dribble
+                1 => 1 + (mix(s) % 1500) as usize,    // segment-ish
+                _ => 1 + (mix(s) % 100_000) as usize, // coalesce frames
+            }
+            .min(max);
+            match write_some(&mut tx, &wire[sent..sent + chunk]) {
+                Ok(n) => sent += n,
+                Err(e) => prop_assert!(false, "write: {e}"),
+            }
+        }
+        let ready = reactor
+            .poll(Some(50))
+            .expect("poll")
+            .iter()
+            .any(|e| e.token == 1 && e.readable);
+        if ready || sent == wire.len() {
+            match rx.on_readable_msgs() {
+                Ok(decoded) => got.extend(decoded),
+                Err(e) => prop_assert!(false, "read: {e}"),
+            }
+        }
+    }
+    Ok(got)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -163,50 +206,13 @@ proptest! {
     fn arbitrary_chunking_reassembles_every_frame(seed in 0u64..1 << 48) {
         let mut s = seed;
         let n_frames = 2 + (mix(&mut s) % 24) as usize;
-        let frames: Vec<Json> = (0..n_frames).map(|i| frame_from_seed(&mut s, i)).collect();
+        let frames: Vec<WireMsg> = (0..n_frames).map(|i| frame_from_seed(&mut s, i)).collect();
         let mut wire: Vec<u8> = Vec::new();
         for f in &frames {
-            wire.extend(encode_json_frame(f));
+            wire.extend(encode_wire_frame(f, false));
         }
 
-        let (mut tx, server) = loopback_sockets();
-        let mut rx = FramedConn::new(server);
-        let mut reactor = Reactor::new().expect("reactor");
-        reactor
-            .register(rx.raw_fd(), 1, Interest::READABLE)
-            .expect("register rx");
-
-        let mut sent = 0usize;
-        let mut got: Vec<Json> = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while got.len() < frames.len() {
-            prop_assert!(Instant::now() < deadline, "timed out with {} frames", got.len());
-            // Push one arbitrary-sized slice (1 byte .. ~100 KiB) while data remains.
-            if sent < wire.len() {
-                let max = wire.len() - sent;
-                let chunk = match mix(&mut s) % 3 {
-                    0 => 1 + (mix(&mut s) % 7) as usize,       // byte-dribble
-                    1 => 1 + (mix(&mut s) % 1500) as usize,    // segment-ish
-                    _ => 1 + (mix(&mut s) % 100_000) as usize, // coalesce frames
-                }
-                .min(max);
-                match write_some(&mut tx, &wire[sent..sent + chunk]) {
-                    Ok(n) => sent += n,
-                    Err(e) => prop_assert!(false, "write: {e}"),
-                }
-            }
-            let ready = reactor
-                .poll(Some(50))
-                .expect("poll")
-                .iter()
-                .any(|e| e.token == 1 && e.readable);
-            if ready || sent == wire.len() {
-                match rx.on_readable() {
-                    Ok(decoded) => got.extend(decoded),
-                    Err(e) => prop_assert!(false, "read: {e}"),
-                }
-            }
-        }
+        let got = pump_chunked(&wire, frames.len(), &mut s)?;
         prop_assert_eq!(got, frames);
     }
 
@@ -219,7 +225,7 @@ proptest! {
     fn partial_writes_resume_across_reactor_wakeups(seed in 0u64..1 << 48) {
         let mut s = seed;
         let n_frames = 8 + (mix(&mut s) % 24) as usize;
-        let frames: Vec<Json> = (0..n_frames).map(|i| frame_from_seed(&mut s, i)).collect();
+        let frames: Vec<WireMsg> = (0..n_frames).map(|i| frame_from_seed(&mut s, i)).collect();
 
         let (client, server) = loopback_sockets();
         let mut tx = FramedConn::new(client);
@@ -233,9 +239,9 @@ proptest! {
             .expect("register rx");
 
         for f in &frames {
-            tx.queue_bytes(encode_json_frame(f));
+            tx.queue_bytes(encode_wire_frame(f, false));
         }
-        let mut got: Vec<Json> = Vec::new();
+        let mut got: Vec<WireMsg> = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(30);
         while got.len() < frames.len() {
             prop_assert!(Instant::now() < deadline, "timed out with {} frames", got.len());
@@ -248,7 +254,7 @@ proptest! {
                     }
                 }
                 if event.token == 1 && event.readable {
-                    match rx.on_readable() {
+                    match rx.on_readable_msgs() {
                         Ok(decoded) => got.extend(decoded),
                         Err(e) => prop_assert!(false, "read: {e}"),
                     }
@@ -276,43 +282,55 @@ proptest! {
             wire.extend(encode_wire_frame(msg, mix(&mut s).is_multiple_of(2)));
         }
 
-        let (mut tx, server) = loopback_sockets();
-        let mut rx = FramedConn::new(server);
-        let mut reactor = Reactor::new().expect("reactor");
-        reactor
-            .register(rx.raw_fd(), 1, Interest::READABLE)
-            .expect("register rx");
-
-        let mut sent = 0usize;
-        let mut got: Vec<WireMsg> = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while got.len() < msgs.len() {
-            prop_assert!(Instant::now() < deadline, "timed out with {} messages", got.len());
-            if sent < wire.len() {
-                let max = wire.len() - sent;
-                let chunk = match mix(&mut s) % 3 {
-                    0 => 1 + (mix(&mut s) % 7) as usize,
-                    1 => 1 + (mix(&mut s) % 1500) as usize,
-                    _ => 1 + (mix(&mut s) % 100_000) as usize,
-                }
-                .min(max);
-                match write_some(&mut tx, &wire[sent..sent + chunk]) {
-                    Ok(n) => sent += n,
-                    Err(e) => prop_assert!(false, "write: {e}"),
-                }
-            }
-            let ready = reactor
-                .poll(Some(50))
-                .expect("poll")
-                .iter()
-                .any(|e| e.token == 1 && e.readable);
-            if ready || sent == wire.len() {
-                match rx.on_readable_msgs() {
-                    Ok(decoded) => got.extend(decoded),
-                    Err(e) => prop_assert!(false, "read: {e}"),
-                }
-            }
-        }
+        let got = pump_chunked(&wire, msgs.len(), &mut s)?;
         prop_assert_eq!(got, msgs);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile input, generated: arbitrary bytes under either format flag end in
+    /// a message or an error, never a panic.
+    #[test]
+    fn arbitrary_payloads_never_panic_the_wire_decoder(seed in 0u64..1 << 48) {
+        let mut s = seed;
+        let len = (mix(&mut s) % 256) as usize;
+        let mut bytes: Vec<u8> = (0..len).map(|_| mix(&mut s) as u8).collect();
+        for binary in [false, true] {
+            let _ = decode_wire_frame(binary, &bytes);
+        }
+        // The same noise behind a plausible head, so the decoder gets past the tags.
+        for (i, b) in [2u8, 0, 0].into_iter().enumerate().take(len) {
+            bytes[i] = b;
+        }
+        let _ = decode_wire_frame(true, &bytes);
+    }
+
+    /// Hostile input, mutated: at every position of a valid frame's payload, a
+    /// flipped byte, a truncation, and the byte replaced by a varint claiming
+    /// 2²⁷ (what a corrupted length prefix looks like) all end in a message or
+    /// an error.  The unmutated payload decodes to the message it encodes.
+    #[test]
+    fn mutated_wire_frames_decode_or_error(seed in 0u64..1 << 48) {
+        let mut s = seed;
+        let msg = hot_msg_from_seed(&mut s);
+        let mut splitter = FrameSplitter::new();
+        splitter.push(&encode_wire_frame(&msg, true));
+        let (binary, payload) = splitter.next_frame().expect("split").expect("one frame");
+        match decode_wire_frame(binary, payload) {
+            Ok(back) => prop_assert_eq!(back, msg),
+            Err(e) => prop_assert!(false, "valid frame rejected: {e}"),
+        }
+        for i in 0..payload.len() {
+            let mut flipped = payload.to_vec();
+            flipped[i] ^= 1 + (mix(&mut s) % 255) as u8;
+            let _ = decode_wire_frame(binary, &flipped);
+            let _ = decode_wire_frame(binary, &payload[..i]);
+            let mut inflated = payload[..i].to_vec();
+            inflated.extend_from_slice(&[0x80, 0x80, 0x80, 0x40]);
+            inflated.extend_from_slice(&payload[i + 1..]);
+            let _ = decode_wire_frame(binary, &inflated);
+        }
     }
 }

@@ -1,81 +1,36 @@
-//! The wire codec of the streaming runtime: length-prefixed JSON or binary records.
+//! The record codec of the streaming runtime: [`StreamRecord`]s as JSON or binary
+//! frame payloads.
 //!
-//! A stream is a sequence of *frames*.  Each frame is a 4-byte big-endian header
-//! followed by a payload encoding one [`StreamRecord`]: a session opening, one
-//! program event of a session, or a session close.  The low 31 bits of the header
-//! are the payload length; the top bit selects the payload format:
+//! A stream is a sequence of frames (see [`crate::wire`] for the framing), each
+//! carrying one [`StreamRecord`]: a session opening, one program event of a
+//! session, or a session close.  The payload is either
 //!
-//! * **clear** — the payload is JSON (over the in-tree [`dlrv_json`] — this build
-//!   environment has no serde), the original self-describing format;
-//! * **set** — the payload is the compact binary format of
-//!   [`BinaryStreamEncoder`]: varint-packed integers, a one-byte record tag, and
-//!   property names interned per stream so each name travels once.
+//! * **JSON** (over the in-tree [`dlrv_json`] — this build environment has no
+//!   serde), the original self-describing format, or
+//! * the compact **binary** format of [`BinaryStreamEncoder`]: varint-packed
+//!   integers, a one-byte record tag, and property names interned per stream so
+//!   each name travels once.
 //!
-//! [`MAX_FRAME_LEN`] is far below 2³¹, so the flag bit can never collide with a
-//! legitimate JSON length, and [`FrameDecoder`] detects the format per frame —
-//! mixed streams decode transparently, which is what lets the binary path be
-//! introduced per-connection without a protocol version bump.
-//!
-//! The framing makes record boundaries independent of payload syntax and lets a
-//! reader hand the decoder arbitrary byte chunks — exactly what a socket delivers.
+//! Each frame's header says which, so [`FrameDecoder`] reads either format — or a
+//! mix — which is what lets the binary path be introduced per-connection without
+//! a protocol version bump.
 //!
 //! [`EventSource`] abstracts where records come from: an in-memory vector
 //! ([`VecSource`]), any [`std::io::Read`] ([`ReaderSource`]), or something custom
 //! (a socket acceptor, a replay file).  The sharded runtime only ever sees the trait.
 
 use crate::varint;
+use crate::wire::{
+    clock_from_json, clock_to_json, json_frame, json_payload, write_clock, write_frame,
+    FrameSplitter, Reader, StreamError,
+};
 use dlrv_json::{object, Json, JsonError};
 use dlrv_ltl::{Assignment, ProcessId};
-use dlrv_vclock::{Event, EventKind, VectorClock};
-use std::fmt;
+use dlrv_vclock::{Event, EventKind};
 use std::io::Read;
 
 /// Identifies one monitored session within a stream.
 pub type SessionId = u64;
-
-/// Upper bound on a single frame's payload; a corrupt length prefix fails fast
-/// instead of asking the decoder to buffer gigabytes.
-pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
-
-/// Top bit of the 4-byte frame header: set when the payload is binary-encoded,
-/// clear when it is JSON.  [`MAX_FRAME_LEN`] `< 2³¹` guarantees the bit is free.
-pub const BINARY_FRAME_FLAG: u32 = 1 << 31;
-
-/// Error of the codec layer: framing, JSON syntax, or I/O.
-#[derive(Debug)]
-pub struct StreamError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl StreamError {
-    /// Creates an error from a message.
-    pub fn msg(message: impl Into<String>) -> Self {
-        StreamError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for StreamError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for StreamError {}
-
-impl From<JsonError> for StreamError {
-    fn from(e: JsonError) -> Self {
-        StreamError::msg(format!("wire JSON: {e}"))
-    }
-}
-
-impl From<std::io::Error> for StreamError {
-    fn from(e: std::io::Error) -> Self {
-        StreamError::msg(format!("wire I/O: {e}"))
-    }
-}
 
 /// One record of the wire protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,10 +119,7 @@ pub fn event_to_json(event: &Event) -> Json {
         ("process", Json::from(event.process)),
         ("kind", kind_to_json(&event.kind)),
         ("sn", Json::from(event.sn)),
-        (
-            "vc",
-            Json::Array(event.vc.entries().iter().map(|&e| Json::from(e)).collect()),
-        ),
+        ("vc", clock_to_json(&event.vc)),
         ("state", Json::from(event.state.0)),
         ("time", Json::from(event.time)),
     ])
@@ -176,23 +128,18 @@ pub fn event_to_json(event: &Event) -> Json {
 /// Parses a program event back from its [`event_to_json`] form.
 pub fn event_from_json(v: &Json) -> Result<Event, JsonError> {
     let process: ProcessId = v.get("process")?.as_usize()?;
-    let vc_entries: Vec<u64> = v
-        .get("vc")?
-        .as_array()?
-        .iter()
-        .map(Json::as_u64)
-        .collect::<Result<_, _>>()?;
-    if process >= vc_entries.len() {
+    let vc = clock_from_json(v.get("vc")?)?;
+    if process >= vc.len() {
         return Err(JsonError::msg(format!(
             "event process {process} out of range for a {}-entry vector clock",
-            vc_entries.len()
+            vc.len()
         )));
     }
     Ok(Event {
         process,
         kind: kind_from_json(v.get("kind")?)?,
         sn: v.get("sn")?.as_u64()?,
-        vc: VectorClock::from_entries(vc_entries),
+        vc,
         state: Assignment(v.get("state")?.as_u64()?),
         time: v.get("time")?.as_f64()?,
     })
@@ -244,15 +191,9 @@ pub fn record_from_json(v: &Json) -> Result<StreamRecord, JsonError> {
     }
 }
 
-/// Encodes one record as a frame: 4-byte big-endian payload length + compact JSON
-/// payload (no whitespace — this is the hot wire path).
+/// Encodes one record as a JSON frame (compact, no whitespace).
 pub fn encode_frame(record: &StreamRecord) -> Vec<u8> {
-    let payload = record_to_json(record).to_string_compact().into_bytes();
-    assert!(payload.len() <= MAX_FRAME_LEN, "record exceeds MAX_FRAME_LEN");
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&payload);
-    out
+    json_frame(&record_to_json(record))
 }
 
 /// Encodes a whole record sequence into one byte stream.
@@ -318,91 +259,44 @@ pub fn event_to_binary(event: &Event, out: &mut Vec<u8>) {
         }
     }
     varint::write_u64(out, event.sn);
-    varint::write_u64(out, event.vc.len() as u64);
-    for &entry in event.vc.entries() {
-        varint::write_u64(out, entry);
-    }
+    write_clock(out, &event.vc);
     varint::write_u64(out, event.state.0);
     out.extend_from_slice(&event.time.to_bits().to_le_bytes());
 }
 
-fn truncated(what: &str) -> StreamError {
-    StreamError::msg(format!("binary frame truncated or corrupt at {what}"))
-}
-
-fn read_uv(buf: &[u8], pos: &mut usize, what: &str) -> Result<u64, StreamError> {
-    varint::read_u64(buf, pos).ok_or_else(|| truncated(what))
-}
-
-fn read_usize(buf: &[u8], pos: &mut usize, what: &str) -> Result<usize, StreamError> {
-    usize::try_from(read_uv(buf, pos, what)?).map_err(|_| truncated(what))
-}
-
-/// Decodes one program event from its [`event_to_binary`] form, advancing `pos`.
-pub fn event_from_binary(buf: &[u8], pos: &mut usize) -> Result<Event, StreamError> {
-    let process = read_usize(buf, pos, "event process")?;
-    let kind = match *buf.get(*pos).ok_or_else(|| truncated("event kind"))? {
-        KIND_INTERNAL => {
-            *pos += 1;
-            EventKind::Internal
-        }
-        KIND_SEND => {
-            *pos += 1;
-            EventKind::Send {
-                to: read_usize(buf, pos, "send target")?,
-                msg_id: read_uv(buf, pos, "send msg_id")?,
-            }
-        }
-        KIND_BROADCAST => {
-            *pos += 1;
-            EventKind::Broadcast {
-                msg_id: read_uv(buf, pos, "broadcast msg_id")?,
-            }
-        }
-        KIND_RECEIVE => {
-            *pos += 1;
-            EventKind::Receive {
-                from: read_usize(buf, pos, "receive source")?,
-                msg_id: read_uv(buf, pos, "receive msg_id")?,
-            }
-        }
-        other => {
-            return Err(StreamError::msg(format!(
-                "unknown binary event kind tag {other}"
-            )))
-        }
+/// Decodes one program event from its [`event_to_binary`] form.
+pub fn event_from_binary(r: &mut Reader<'_>) -> Result<Event, StreamError> {
+    let process = r.usize("event process")?;
+    let kind = match r.byte("event kind")? {
+        KIND_INTERNAL => EventKind::Internal,
+        KIND_SEND => EventKind::Send {
+            to: r.usize("send target")?,
+            msg_id: r.uv("send msg_id")?,
+        },
+        KIND_BROADCAST => EventKind::Broadcast {
+            msg_id: r.uv("broadcast msg_id")?,
+        },
+        KIND_RECEIVE => EventKind::Receive {
+            from: r.usize("receive source")?,
+            msg_id: r.uv("receive msg_id")?,
+        },
+        other => return Err(r.corrupt(&format!("event kind tag {other}"))),
     };
-    let sn = read_uv(buf, pos, "event sn")?;
-    let n = read_usize(buf, pos, "vector clock length")?;
-    if n > buf.len().saturating_sub(*pos) + 1 {
-        // Each entry takes at least one byte; a length prefix larger than the
-        // remaining payload is corrupt, not a request to allocate.
-        return Err(truncated("vector clock length"));
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(read_uv(buf, pos, "vector clock entry")?);
-    }
-    if process >= entries.len() {
+    let sn = r.uv("event sn")?;
+    let vc = r.clock("event vector clock")?;
+    if process >= vc.len() {
         return Err(StreamError::msg(format!(
             "event process {process} out of range for a {}-entry vector clock",
-            entries.len()
+            vc.len()
         )));
     }
-    let state = Assignment(read_uv(buf, pos, "event state")?);
-    let time_bytes: [u8; 8] = buf
-        .get(*pos..*pos + 8)
-        .ok_or_else(|| truncated("event time"))?
-        .try_into()
-        .expect("slice of length 8");
-    *pos += 8;
     Ok(Event {
         process,
         kind,
         sn,
-        vc: VectorClock::from_entries(entries),
-        state,
-        time: f64::from_bits(u64::from_le_bytes(time_bytes)),
+        vc,
+        state: Assignment(r.uv("event state")?),
+        time: r.f64("event time")?,
     })
 }
 
@@ -434,9 +328,7 @@ impl BinaryStreamEncoder {
 
     /// Appends one complete binary frame (header + payload) for `record` to `out`.
     pub fn encode_frame_into(&mut self, record: &StreamRecord, out: &mut Vec<u8>) {
-        let header_at = out.len();
-        out.extend_from_slice(&[0u8; 4]);
-        match record {
+        write_frame(out, true, |out| match record {
             StreamRecord::Open {
                 session,
                 property,
@@ -458,18 +350,7 @@ impl BinaryStreamEncoder {
                 out.push(REC_CLOSE);
                 varint::write_u64(out, *session);
             }
-        }
-        let payload_len = out.len() - header_at - 4;
-        assert!(payload_len <= MAX_FRAME_LEN, "record exceeds MAX_FRAME_LEN");
-        let header = (payload_len as u32) | BINARY_FRAME_FLAG;
-        out[header_at..header_at + 4].copy_from_slice(&header.to_be_bytes());
-    }
-
-    /// Encodes one record as a standalone binary frame.
-    pub fn encode_frame(&mut self, record: &StreamRecord) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_frame_into(record, &mut out);
-        out
+        });
     }
 }
 
@@ -488,19 +369,15 @@ fn decode_binary_record(
     payload: &[u8],
     props: &mut Vec<String>,
 ) -> Result<StreamRecord, StreamError> {
-    let mut pos = 0usize;
-    let tag = *payload.get(pos).ok_or_else(|| truncated("record tag"))?;
-    pos += 1;
-    let record = match tag {
+    let mut r = Reader::new(payload);
+    let record = match r.byte("record tag")? {
         REC_OPEN => {
-            let session = read_uv(payload, &mut pos, "open session")?;
-            let idx = read_usize(payload, &mut pos, "property index")?;
+            let session = r.uv("open session")?;
+            let idx = r.usize("property index")?;
             let property = if idx < props.len() {
                 props[idx].clone()
             } else if idx == props.len() {
-                let bytes = varint::read_bytes(payload, &mut pos)
-                    .ok_or_else(|| truncated("property name"))?;
-                let name = std::str::from_utf8(bytes)
+                let name = std::str::from_utf8(r.bytes("property name")?)
                     .map_err(|_| StreamError::msg("property name is not UTF-8"))?
                     .to_string();
                 props.push(name.clone());
@@ -514,32 +391,20 @@ fn decode_binary_record(
             StreamRecord::Open {
                 session,
                 property,
-                n_processes: read_usize(payload, &mut pos, "open n_processes")?,
-                initial_state: read_uv(payload, &mut pos, "open initial_state")?,
+                n_processes: r.usize("open n_processes")?,
+                initial_state: r.uv("open initial_state")?,
             }
         }
-        REC_EVENT => {
-            let session = read_uv(payload, &mut pos, "event session")?;
-            StreamRecord::Event {
-                session,
-                event: event_from_binary(payload, &mut pos)?,
-            }
-        }
-        REC_CLOSE => StreamRecord::Close {
-            session: read_uv(payload, &mut pos, "close session")?,
+        REC_EVENT => StreamRecord::Event {
+            session: r.uv("event session")?,
+            event: event_from_binary(&mut r)?,
         },
-        other => {
-            return Err(StreamError::msg(format!(
-                "unknown binary record tag {other}"
-            )))
-        }
+        REC_CLOSE => StreamRecord::Close {
+            session: r.uv("close session")?,
+        },
+        other => return Err(r.corrupt(&format!("record tag {other}"))),
     };
-    if pos != payload.len() {
-        return Err(StreamError::msg(format!(
-            "binary frame has {} trailing payload bytes",
-            payload.len() - pos
-        )));
-    }
+    r.finish()?;
     Ok(record)
 }
 
@@ -592,14 +457,13 @@ pub fn interleave_sessions(sessions: &[SessionStream]) -> Vec<StreamRecord> {
     records
 }
 
-/// An incremental frame decoder: feed it byte chunks of any size, pull complete
-/// records out.  Each frame's header says whether its payload is JSON or binary
-/// (see [`BINARY_FRAME_FLAG`]), so one decoder handles either format — or a mix.
+/// An incremental record decoder: feed it byte chunks of any size, pull complete
+/// records out.  Each frame's header says whether its payload is JSON or binary,
+/// so one decoder handles either format — or a mix.  An error is terminal for
+/// the stream: the offending frame is not offered again.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already consumed (compacted lazily).
-    pos: usize,
+    frames: FrameSplitter,
     /// Property-name intern table for binary frames, mirroring the sending
     /// [`BinaryStreamEncoder`]'s table entry for entry.
     props: Vec<String>,
@@ -613,46 +477,21 @@ impl FrameDecoder {
 
     /// Appends raw bytes from the wire.
     pub fn push(&mut self, bytes: &[u8]) {
-        // Compact before growing, so the buffer never holds already-decoded frames.
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
+        self.frames.push(bytes);
     }
 
     /// Number of buffered, not-yet-decoded bytes.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.pos
+        self.frames.pending_bytes()
     }
 
     /// Decodes the next complete record, or `None` when more bytes are needed.
     pub fn next_record(&mut self) -> Result<Option<StreamRecord>, StreamError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
-            return Ok(None);
-        }
-        let header = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]);
-        let binary = header & BINARY_FRAME_FLAG != 0;
-        let len = (header & !BINARY_FRAME_FLAG) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(StreamError::msg(format!(
-                "frame length {len} exceeds maximum {MAX_FRAME_LEN}"
-            )));
-        }
-        if avail.len() < 4 + len {
-            return Ok(None);
-        }
-        let payload = &avail[4..4 + len];
-        let record = if binary {
-            decode_binary_record(payload, &mut self.props)?
-        } else {
-            let text = std::str::from_utf8(payload)
-                .map_err(|_| StreamError::msg("frame payload is not UTF-8"))?;
-            record_from_json(&Json::parse(text)?)?
-        };
-        self.pos += 4 + len;
-        Ok(Some(record))
+        Ok(match self.frames.next_frame()? {
+            None => None,
+            Some((true, payload)) => Some(decode_binary_record(payload, &mut self.props)?),
+            Some((false, payload)) => Some(record_from_json(&json_payload(payload)?)?),
+        })
     }
 }
 
@@ -732,6 +571,7 @@ impl<R: Read> EventSource for ReaderSource<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlrv_vclock::VectorClock;
 
     fn sample_event() -> Event {
         Event {
@@ -978,50 +818,43 @@ mod tests {
                 };
                 let mut buf = Vec::new();
                 event_to_binary(&event, &mut buf);
-                let mut pos = 0;
-                let back = event_from_binary(&buf, &mut pos).unwrap();
-                assert_eq!(pos, buf.len());
+                let mut r = Reader::new(&buf);
+                let back = event_from_binary(&mut r).unwrap();
+                r.finish().unwrap();
                 assert_eq!(back.time.to_bits(), event.time.to_bits());
                 assert_eq!(back, event);
             }
         }
     }
 
+    /// Decodes `payload` as the single binary frame of a fresh stream.
+    fn decode_binary_payload(payload: &[u8]) -> Result<Option<StreamRecord>, StreamError> {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, true, |out| out.extend_from_slice(payload));
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&frame);
+        decoder.next_record()
+    }
+
     #[test]
     fn binary_decoder_rejects_corruption() {
         // Unknown record tag.
-        let mut frame = vec![0u8, 0, 0, 1, 9];
-        frame[0] = (BINARY_FRAME_FLAG >> 24) as u8;
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&frame);
-        assert!(decoder.next_record().is_err());
+        assert!(decode_binary_payload(&[9]).is_err());
 
         // Truncated payload: a valid event frame with its last byte dropped
         // (header length shortened to match) must error, not decode.
-        let mut encoder = BinaryStreamEncoder::new();
-        let full = encoder.encode_frame(&StreamRecord::Event {
+        let full = encode_stream_binary(&[StreamRecord::Event {
             session: 1,
             event: sample_event(),
-        });
-        let payload_len = full.len() - 4 - 1;
-        let mut cut = Vec::new();
-        cut.extend_from_slice(&((payload_len as u32) | BINARY_FRAME_FLAG).to_be_bytes());
-        cut.extend_from_slice(&full[4..4 + payload_len]);
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&cut);
-        assert!(decoder.next_record().is_err());
+        }]);
+        assert!(decode_binary_payload(&full[4..]).unwrap().is_some());
+        assert!(decode_binary_payload(&full[4..full.len() - 1]).is_err());
 
         // A property back-reference that skips ahead of the intern table.
         let mut payload = vec![REC_OPEN];
         varint::write_u64(&mut payload, 1); // session
         varint::write_u64(&mut payload, 3); // index 3 into an empty table
-        let mut frame = ((payload.len() as u32) | BINARY_FRAME_FLAG)
-            .to_be_bytes()
-            .to_vec();
-        frame.extend_from_slice(&payload);
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&frame);
-        assert!(decoder.next_record().is_err());
+        assert!(decode_binary_payload(&payload).is_err());
 
         // Out-of-range process index, exactly like the JSON codec rejects.
         let mut payload = vec![REC_EVENT];
@@ -1033,13 +866,7 @@ mod tests {
         varint::write_u64(&mut payload, 1); // vc[0]
         varint::write_u64(&mut payload, 0); // state
         payload.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
-        let mut frame = ((payload.len() as u32) | BINARY_FRAME_FLAG)
-            .to_be_bytes()
-            .to_vec();
-        frame.extend_from_slice(&payload);
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&frame);
-        assert!(decoder.next_record().is_err());
+        assert!(decode_binary_payload(&payload).is_err());
     }
 
     #[test]

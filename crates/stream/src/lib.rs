@@ -7,13 +7,16 @@
 //! monitored executions ("sessions") run concurrently over a fixed pool of worker
 //! shards.
 //!
-//! * [`codec`] — the wire format: length-prefixed records ([`StreamRecord`]) as
-//!   JSON (over the in-tree `dlrv-json`) or as the compact varint binary format
-//!   of [`BinaryStreamEncoder`] (frame-header flag bit selects per frame), an
-//!   incremental [`FrameDecoder`] that reads either, and the [`EventSource`]
-//!   abstraction ([`VecSource`] for in-memory records, [`ReaderSource`] for any
-//!   `std::io::Read`).
-//! * [`varint`] — the LEB128 integer primitive shared with `dlrv-net`.
+//! * [`wire`] — the one wire layer under this crate's record codec and
+//!   `dlrv-net`'s deploy codec: the frame header ([`FrameSplitter`] on the read
+//!   side, [`wire::write_frame`] on the write side), the bounds-checked binary
+//!   [`Reader`], and the vector clock's JSON and binary forms.
+//! * [`varint`] — the LEB128 integer primitive inside binary payloads.
+//! * [`codec`] — records ([`StreamRecord`]) as JSON (over the in-tree
+//!   `dlrv-json`) or as the compact binary format of [`BinaryStreamEncoder`]
+//!   (each frame's header says which), an incremental [`FrameDecoder`] that
+//!   reads either, and the [`EventSource`] abstraction ([`VecSource`] for
+//!   in-memory records, [`ReaderSource`] for any `std::io::Read`).
 //! * [`ring`] — bounded SPSC rings with park/unpark backpressure, the
 //!   lock-light mailbox behind [`StreamConfig::use_rings`].
 //! * [`runtime`] — the [`ShardedRuntime`]: hash-sharded session routing onto N
@@ -63,14 +66,16 @@ pub mod codec;
 pub mod ring;
 pub mod runtime;
 pub mod varint;
+pub mod wire;
 
 pub use codec::{
     encode_frame, encode_stream, encode_stream_binary, event_from_binary, event_from_json,
     event_to_binary, event_to_json, interleave_sessions, record_from_json, record_to_json,
     BinaryStreamEncoder, EventSource, FrameDecoder, ReaderSource, SessionId, SessionStream,
-    StreamError, StreamRecord, VecSource, BINARY_FRAME_FLAG, MAX_FRAME_LEN,
+    StreamRecord, VecSource,
 };
 pub use ring::{PopState, SpscRing};
+pub use wire::{FrameSplitter, Reader, StreamError, BINARY_FRAME_FLAG, MAX_FRAME_LEN};
 pub use runtime::{
     FleetMemberSpec, OpenRequest, PropertyOutcome, SessionOutcome, SessionSpec, ShardedRuntime,
     StreamConfig, StreamReport,

@@ -21,8 +21,9 @@
 //! async executor; the paper's monitors are CPU-bound anyway, which makes one thread
 //! per shard the right shape.
 
-use crate::codec::{EventSource, SessionId, StreamError, StreamRecord};
+use crate::codec::{EventSource, SessionId, StreamRecord};
 use crate::ring::{PopState, SpscRing};
+use crate::wire::StreamError;
 use dlrv_automaton::MonitorAutomaton;
 use dlrv_ltl::{Assignment, AtomRegistry, Verdict};
 use dlrv_monitor::{

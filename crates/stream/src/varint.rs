@@ -50,21 +50,12 @@ pub fn read_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// Appends a length-prefixed byte string (varint length + raw bytes).
+/// Appends a length-prefixed byte string (varint length + raw bytes); read
+/// back with [`Reader::bytes`](crate::wire::Reader::bytes).
 #[inline]
 pub fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     write_u64(out, bytes.len() as u64);
     out.extend_from_slice(bytes);
-}
-
-/// Reads a length-prefixed byte string written by [`write_bytes`].
-#[inline]
-pub fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
-    let len = usize::try_from(read_u64(buf, pos)?).ok()?;
-    let end = pos.checked_add(len)?;
-    let slice = buf.get(*pos..end)?;
-    *pos = end;
-    Some(slice)
 }
 
 #[cfg(test)]
@@ -116,23 +107,5 @@ mod tests {
         overflow.push(0x02);
         let mut pos = 0;
         assert_eq!(read_u64(&overflow, &mut pos), None);
-    }
-
-    #[test]
-    fn byte_strings_round_trip() {
-        let mut buf = Vec::new();
-        write_bytes(&mut buf, b"hello");
-        write_bytes(&mut buf, b"");
-        write_u64(&mut buf, 7);
-        let mut pos = 0;
-        assert_eq!(read_bytes(&buf, &mut pos), Some(&b"hello"[..]));
-        assert_eq!(read_bytes(&buf, &mut pos), Some(&b""[..]));
-        assert_eq!(read_u64(&buf, &mut pos), Some(7));
-        assert_eq!(pos, buf.len());
-        // Length prefix pointing past the buffer is rejected.
-        let mut bad = Vec::new();
-        write_u64(&mut bad, 99);
-        let mut pos = 0;
-        assert_eq!(read_bytes(&bad, &mut pos), None);
     }
 }

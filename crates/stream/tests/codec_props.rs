@@ -6,12 +6,16 @@
 //! record sequence, decoding the binary encoding and decoding the JSON encoding
 //! must produce identical records (timestamps bit-for-bit), under any chunking,
 //! and even when the two frame formats are interleaved on a single stream.
+//!
+//! The last two properties are the hostile-input net: generated garbage and
+//! mutated valid streams must end in a record or an error, never a panic.
 
 use dlrv_ltl::Assignment;
+use dlrv_stream::wire::write_frame;
 use dlrv_stream::{
     encode_frame, encode_stream, encode_stream_binary, event_from_binary, event_to_binary,
     event_from_json, event_to_json, record_from_json, record_to_json, BinaryStreamEncoder,
-    FrameDecoder, StreamRecord,
+    FrameDecoder, Reader, StreamRecord,
 };
 use dlrv_vclock::{Event, EventKind, VectorClock};
 use proptest::prelude::*;
@@ -106,23 +110,9 @@ proptest! {
             (0..n_records).map(|i| record_from_seed(seed.wrapping_add(i as u64 * 7919))).collect();
         let bytes = encode_stream(&records);
 
-        // Slice the byte stream into pseudo-random chunks (1..=97 bytes each) and
-        // feed them to the decoder one at a time.
-        let mut decoder = FrameDecoder::new();
-        let mut decoded = Vec::new();
-        let mut pos = 0usize;
+        // The whole stream decodes, with no trailing bytes, however it is sliced.
         let mut s = chunk_seed;
-        while pos < bytes.len() {
-            let len = (1 + mix(&mut s) % 97) as usize;
-            let end = (pos + len).min(bytes.len());
-            decoder.push(&bytes[pos..end]);
-            pos = end;
-            while let Some(r) = decoder.next_record().map_err(|e| format!("{e}"))? {
-                decoded.push(r);
-            }
-        }
-        prop_assert_eq!(decoded, records);
-        prop_assert!(decoder.pending_bytes() == 0, "trailing bytes after full stream");
+        prop_assert_eq!(decode_chunked(&bytes, &mut s), (records, Ok(0)));
     }
 
     /// Differential event codec: for any event, the binary round-trip must land on
@@ -133,9 +123,9 @@ proptest! {
         let event = event_from_seed(seed);
         let mut buf = Vec::new();
         event_to_binary(&event, &mut buf);
-        let mut pos = 0usize;
-        let via_binary = event_from_binary(&buf, &mut pos).map_err(|e| format!("{e}"))?;
-        prop_assert!(pos == buf.len(), "binary decoder must consume the whole encoding");
+        let mut r = Reader::new(&buf);
+        let via_binary = event_from_binary(&mut r).map_err(|e| format!("{e}"))?;
+        prop_assert!(r.finish().is_ok(), "binary decoder must consume the whole encoding");
         let via_json = event_from_json(&event_to_json(&event)).map_err(|e| format!("{e}"))?;
         prop_assert_eq!(&via_binary, &via_json);
         prop_assert_eq!(&via_binary, &event);
@@ -170,20 +160,9 @@ proptest! {
             via_json.push(r);
         }
 
-        let mut via_binary = Vec::new();
-        let mut decoder = FrameDecoder::new();
-        let mut pos = 0usize;
         let mut s = chunk_seed;
-        while pos < binary_bytes.len() {
-            let len = (1 + mix(&mut s) % 97) as usize;
-            let end = (pos + len).min(binary_bytes.len());
-            decoder.push(&binary_bytes[pos..end]);
-            pos = end;
-            while let Some(r) = decoder.next_record().map_err(|e| format!("{e}"))? {
-                via_binary.push(r);
-            }
-        }
-        prop_assert!(decoder.pending_bytes() == 0, "trailing bytes after full stream");
+        let (via_binary, end) = decode_chunked(&binary_bytes, &mut s);
+        prop_assert_eq!(end, Ok(0));
         prop_assert_eq!(&via_binary, &via_json);
         prop_assert_eq!(via_binary, records);
     }
@@ -212,19 +191,84 @@ proptest! {
             }
         }
 
-        let mut decoder = FrameDecoder::new();
-        let mut decoded = Vec::new();
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            let len = (1 + mix(&mut s) % 97) as usize;
-            let end = (pos + len).min(bytes.len());
-            decoder.push(&bytes[pos..end]);
-            pos = end;
-            while let Some(r) = decoder.next_record().map_err(|e| format!("{e}"))? {
-                decoded.push(r);
-            }
-        }
-        prop_assert_eq!(decoded, records);
-        prop_assert!(decoder.pending_bytes() == 0, "trailing bytes after full stream");
+        prop_assert_eq!(decode_chunked(&bytes, &mut s), (records, Ok(0)));
     }
+
+    /// Hostile input, generated: arbitrary bytes — raw, and behind a well-formed
+    /// header of either format so the payload decoders see them — end in a
+    /// record or an error, never a panic.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_frame_decoder(seed in 0u64..1 << 48) {
+        let mut s = seed;
+        let len = (mix(&mut s) % 256) as usize;
+        let noise: Vec<u8> = (0..len).map(|_| mix(&mut s) as u8).collect();
+        let _ = decode_chunked(&noise, &mut s);
+        for binary in [false, true] {
+            let mut framed = Vec::new();
+            write_frame(&mut framed, binary, |out| out.extend_from_slice(&noise));
+            prop_assert!(decode_chunked(&framed, &mut s).0.len() <= 1);
+        }
+    }
+
+    /// Hostile input, mutated: at every position of a valid mixed-format stream
+    /// (headers included), a flipped byte, a truncation, and the byte replaced
+    /// by a varint claiming 2²⁷ (what a corrupted length prefix looks like) all
+    /// end in records or an error, and every frame that ends before the damage
+    /// still decodes to its record.
+    #[test]
+    fn mutated_streams_decode_or_error(seed in 0u64..1 << 48, n_records in 1usize..6) {
+        let mut s = seed;
+        let records: Vec<StreamRecord> =
+            (0..n_records).map(|i| record_from_seed(seed.wrapping_add(i as u64 * 7919))).collect();
+        let mut encoder = BinaryStreamEncoder::new();
+        let mut bytes = Vec::new();
+        let mut frame_ends = Vec::new();
+        for (i, record) in records.iter().enumerate() {
+            if i % 3 == 2 {
+                bytes.extend(encode_frame(record));
+            } else {
+                encoder.encode_frame_into(record, &mut bytes);
+            }
+            frame_ends.push(bytes.len());
+        }
+        prop_assert_eq!(decode_chunked(&bytes, &mut s), (records.clone(), Ok(0)));
+        for i in 0..bytes.len() {
+            let intact = frame_ends.iter().filter(|&&end| end <= i).count();
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 1 + (mix(&mut s) % 255) as u8;
+            let mut inflated = bytes[..i].to_vec();
+            inflated.extend_from_slice(&[0x80, 0x80, 0x80, 0x40]);
+            inflated.extend_from_slice(&bytes[i + 1..]);
+            for damaged in [&flipped[..], &inflated[..]] {
+                let (decoded, _) = decode_chunked(damaged, &mut s);
+                prop_assert!(decoded.len() >= intact, "lost a frame before byte {}", i);
+                prop_assert_eq!(&decoded[..intact], &records[..intact]);
+            }
+            prop_assert_eq!(&decode_chunked(&bytes[..i], &mut s).0[..], &records[..intact]);
+        }
+    }
+}
+
+/// Feeds `bytes` to a fresh decoder in pseudo-random chunks (1..=97 bytes each)
+/// and pulls records until the input is used up or the decoder reports an error.
+/// Returns what came out, and how the stream ended: the bytes left undecoded, or
+/// the error.  The pull loop is bounded: every record consumes a 4-byte header.
+fn decode_chunked(bytes: &[u8], s: &mut u64) -> (Vec<StreamRecord>, Result<usize, String>) {
+    let mut decoder = FrameDecoder::new();
+    let mut decoded = Vec::new();
+    let mut pos = 0usize;
+    while pos < bytes.len() {
+        let end = (pos + 1 + (mix(s) % 97) as usize).min(bytes.len());
+        decoder.push(&bytes[pos..end]);
+        pos = end;
+        loop {
+            match decoder.next_record() {
+                Ok(Some(record)) => decoded.push(record),
+                Ok(None) => break,
+                Err(e) => return (decoded, Err(e.to_string())),
+            }
+            assert!(decoded.len() <= bytes.len() / 4, "decoder yields records out of nothing");
+        }
+    }
+    (decoded, Ok(decoder.pending_bytes()))
 }

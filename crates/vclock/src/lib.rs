@@ -15,9 +15,8 @@
 //!   conceptual baseline the decentralized algorithm is compared against.
 //! * [`mod@slice`] — conjunctive-predicate detection via least consistent cuts
 //!   (computation slicing, Definitions 13–15).
-//! * [`mod@intern`] — [`ClockIntern`] / [`SharedClock`], used by the monitors to share
-//!   one allocation across the many equal clocks the token fan-out of one event
-//!   produces (§4.3 support).
+//! * [`mod@batch`] — [`compare_many`] / [`first_equal`], one clock compared against
+//!   many in a single pass (the view-set scans of the monitors).
 //!
 //! # Example
 //!
@@ -42,14 +41,12 @@
 pub mod batch;
 pub mod event;
 pub mod fixtures;
-pub mod intern;
 pub mod lattice;
 pub mod slice;
 pub mod vc;
 
 pub use batch::{compare_many, first_equal};
 pub use event::{Computation, Event, EventKind};
-pub use intern::{ClockIntern, SharedClock};
 pub use lattice::{evaluate_path, oracle_evaluate, CutId, Lattice, OracleResult};
 pub use slice::{is_join_irreducible, least_consistent_cut_satisfying, slice_frontiers};
 pub use vc::VectorClock;

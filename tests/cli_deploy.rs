@@ -75,7 +75,7 @@ fn wait_with_deadline(child: &mut Child, deadline: Duration) -> ExitStatus {
 /// channel (e.g. a final sample right before `finish_ok`); like the real
 /// orchestrator, the helper collects those without treating them as replies.
 fn rpc(conn: &mut FramedConn, msg: &WireMsg) -> WireMsg {
-    conn.send(&msg.to_json()).expect("send");
+    conn.send_msg(msg).expect("send");
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         assert!(Instant::now() < deadline, "reply timed out for {msg:?}");
@@ -83,8 +83,7 @@ fn rpc(conn: &mut FramedConn, msg: &WireMsg) -> WireMsg {
             conn.flush().expect("flush");
         }
         let mut reply = None;
-        for frame in conn.on_readable().expect("read") {
-            let decoded = WireMsg::from_json(&frame).expect("decode frame");
+        for decoded in conn.on_readable_msgs().expect("read") {
             if matches!(decoded, WireMsg::Telemetry(_)) {
                 continue;
             }
@@ -224,7 +223,7 @@ fn full_control_session_shuts_down_gracefully_with_exit_0() {
         state: Assignment(0b1),
         time: 1.0,
     };
-    conn.send(&WireMsg::Event { event }.to_json()).expect("send event");
+    conn.send_msg(&WireMsg::Event { event }).expect("send event");
     while conn.wants_write() {
         conn.flush().expect("flush event");
     }

@@ -1,5 +1,5 @@
 //! Fleet/solo equivalence: monitoring N properties as one fleet — one decode,
-//! one clock intern, batched token transport — must be **observationally
+//! batched token transport — must be **observationally
 //! invisible**.  For every fleet member, across shard counts and every §4.3
 //! optimization combination, the fleet's per-property verdicts and token counts
 //! must equal a solo run of that member over the same wire bytes.
