@@ -290,14 +290,9 @@ pub fn run_single(
         report.program_end_time,
         report.monitoring_end_time,
     );
-    // Real elapsed time of the run, so offline sweep/overhead/custom rows carry a
-    // nonzero wall clock and throughput like the streamed families do (these are
-    // the only fields of an offline record that vary run to run).
+    // Real elapsed time of the run, so the terminal's offline rows show a wall
+    // clock like the streamed families' do.
     metrics.wall_clock_secs = started.elapsed().as_secs_f64();
-    if metrics.wall_clock_secs > 0.0 {
-        metrics.events_per_sec = metrics.total_events as f64 / metrics.wall_clock_secs;
-    }
-    metrics.peak_rss_bytes = dlrv_obs::peak_rss_bytes().unwrap_or(0);
     metrics
 }
 
@@ -505,21 +500,13 @@ mod tests {
         set_jobs(4);
         let parallel = run_experiment(&cfg);
         set_jobs(0);
-        // Full structural equality: every per-seed metric, the averages and the
-        // detected verdicts are identical whatever the thread count.  Wall clock,
-        // throughput and RSS are real machine measurements — the documented
-        // run-to-run-varying fields — so they are scrubbed before comparing.
-        fn scrubbed(mut r: ExperimentResult) -> ExperimentResult {
-            let scrub = |m: &mut RunMetrics| {
-                m.wall_clock_secs = 0.0;
-                m.events_per_sec = 0.0;
-                m.peak_rss_bytes = 0;
-            };
-            scrub(&mut r.avg);
-            r.per_seed.iter_mut().for_each(scrub);
-            r
-        }
-        assert_eq!(scrubbed(sequential), scrubbed(parallel));
+        // Everything a result writes — every per-seed metric, the averages and the
+        // detected verdicts — is identical whatever the thread count.
+        let written = |r: &ExperimentResult| {
+            let per_seed: Vec<_> = r.per_seed.iter().map(RunMetrics::to_json).collect();
+            (r.avg.to_json(), per_seed, r.detected_verdicts.clone())
+        };
+        assert_eq!(written(&sequential), written(&parallel));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`PaperProperty`] — the six evaluation properties A–F of the thesis,
 //!   parameterized by process count; thin constructors of [`PropertySpec`]s.
 //! * [`ExperimentConfig`] / [`run_experiment`] — the experiment runner, and
-//!   [`figures`] — the data points of every table and figure of Chapter 5 that the
-//!   `experiments` binary prints.
+//!   [`tables`] — every table the `experiments` binary prints and the report
+//!   renders, as column lists behind one text and one markdown renderer.
 //! * [`Scenario`] / [`ScenarioRegistry`] — every experiment the repository knows how
 //!   to run, by stable name: the paper's sweeps plus extended workload shapes
 //!   (bursty arrivals, ring/pipeline/hotspot topologies, large-N runs) and the
@@ -48,6 +48,7 @@ pub mod results;
 pub mod scenario;
 pub mod spec;
 pub mod system;
+pub mod tables;
 pub mod throughput;
 
 pub use analysis::{
@@ -59,11 +60,13 @@ pub use experiment::{
     run_experiment_with_options, run_single, set_jobs, simulate_session, ExperimentConfig,
     ExperimentResult, SimulatedSession,
 };
-pub use figures::{comm_frequency_run, paper_run, transition_counts, PROCESS_COUNTS};
+pub use figures::{transition_counts, TransitionRow, PROCESS_COUNTS};
 pub use fleet::{compile_fleet, CompiledFleetMember, FleetParams};
 pub use properties::PaperProperty;
 pub use report::{render_report, RenderedReport, TrendPoint};
-pub use results::{sweep_from_json, sweep_to_json, ScenarioRecord, RESULTS_SCHEMA_VERSION};
+pub use results::{
+    records_to_json, sweep_from_json, sweep_to_json, ScenarioRecord, RESULTS_SCHEMA_VERSION,
+};
 pub use spec::{
     CompiledProperty, PropertySpec, PropertySpecError, MAX_SPEC_ATOMS,
 };

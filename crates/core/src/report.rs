@@ -1,6 +1,7 @@
 //! The BENCH report dashboard: renders a benchmark results document (plus its
 //! git history) into a markdown report with per-family tables, §4.3 overhead
-//! A/B deltas and hand-rolled SVG trend charts.
+//! A/B deltas and hand-rolled SVG trend charts.  The tables are the ones the
+//! terminal prints ([`crate::tables`]) without their host-measured columns.
 //!
 //! Rendering is a pure function of the parsed records — no filesystem, no git,
 //! no clock — so the markdown is byte-deterministic for a given input (pinned
@@ -18,6 +19,7 @@
 
 use crate::results::ScenarioRecord;
 use crate::scenario::ScenarioFamily;
+use crate::tables::{family_table, Layout, RunView};
 use dlrv_monitor::RunMetrics;
 use std::fmt::Write as _;
 
@@ -53,235 +55,12 @@ const FAMILY_ORDER: [ScenarioFamily; 8] = [
     ScenarioFamily::Deploy,
 ];
 
-/// A human-scaled byte count (`-` for zero = unmeasured).
-fn fmt_rss(bytes: u64) -> String {
-    if bytes == 0 {
-        return "-".to_string();
-    }
-    let mib = bytes as f64 / (1024.0 * 1024.0);
-    format!("{mib:.1} MiB")
-}
-
-/// The record's detected verdicts as the usual `⊤,⊥` symbol list (`-` if none).
-fn fmt_verdicts(record: &ScenarioRecord) -> String {
-    if record.detected_verdicts.is_empty() {
-        return "-".to_string();
-    }
-    let symbols: Vec<&str> = record.detected_verdicts.iter().map(|v| v.symbol()).collect();
-    symbols.join(",")
-}
-
-/// Throughput rounded to whole events/sec (`-` for zero = unmeasured).
-fn fmt_rate(events_per_sec: f64) -> String {
-    if events_per_sec <= 0.0 {
-        "-".to_string()
-    } else {
-        format!("{events_per_sec:.0}")
-    }
-}
-
-/// `Δ% = (off - on) / off` — the reduction the §4.3 suite achieves.
-fn fmt_reduction(on: usize, off: usize) -> String {
-    if off == 0 {
-        "-".to_string()
-    } else {
-        let pct = (on as f64 - off as f64) / off as f64 * 100.0;
-        format!("{:+.1}%", if pct == 0.0 { 0.0 } else { pct })
-    }
-}
-
 /// One family's members, in document order.
 fn family_members(
     records: &[ScenarioRecord],
     family: ScenarioFamily,
 ) -> Vec<&ScenarioRecord> {
     records.iter().filter(|r| r.scenario.family == family).collect()
-}
-
-/// The default per-family table: the offline sweep columns plus throughput and
-/// the RSS high-water mark.
-fn offline_table(out: &mut String, members: &[&ScenarioRecord]) {
-    out.push_str(
-        "| scenario | procs | events | mon.msgs | glob.views | delayed | delay%/GV \
-         | events/sec | peak RSS | verdicts |\n\
-         |---|---:|---:|---:|---:|---:|---:|---:|---:|---|\n",
-    );
-    for r in members {
-        let m = &r.avg;
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {:.2} | {:.4} | {} | {} | {} |",
-            r.scenario.name,
-            r.scenario.config.n_processes,
-            m.total_events,
-            m.monitor_messages,
-            m.total_global_views,
-            m.avg_delayed_events,
-            m.delay_time_pct_per_gv,
-            fmt_rate(m.events_per_sec),
-            fmt_rss(m.peak_rss_bytes),
-            fmt_verdicts(r),
-        );
-    }
-}
-
-/// The streaming table: session/shard shape next to the measured rates.
-fn throughput_table(out: &mut String, members: &[&ScenarioRecord]) {
-    out.push_str(
-        "| scenario | sessions | shards | events | events/sec | wall s | peak RSS | verdicts |\n\
-         |---|---:|---:|---:|---:|---:|---:|---|\n",
-    );
-    for r in members {
-        let m = &r.avg;
-        let (sessions, shards) = r
-            .scenario
-            .stream
-            .map_or((0, 0), |p| (p.n_sessions, p.n_shards));
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {:.3} | {} | {} |",
-            r.scenario.name,
-            sessions,
-            shards,
-            m.total_events,
-            fmt_rate(m.events_per_sec),
-            m.wall_clock_secs,
-            fmt_rss(m.peak_rss_bytes),
-            fmt_verdicts(r),
-        );
-    }
-}
-
-/// The §4.3 A/B table: `<root>-opts` vs `<root>-noopt` pairs with the message
-/// and memory reduction the optimization suite achieves; unpaired members are
-/// listed as single rows so a partial document drops nothing silently.
-fn overhead_table(out: &mut String, members: &[&ScenarioRecord]) {
-    out.push_str(
-        "| property | procs | msgs (opt) | msgs (off) | Δmsgs | peak GV (opt) | peak GV (off) \
-         | ΔGV | tokens (opt) | tokens (off) |\n\
-         |---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n",
-    );
-    let find = |name: &str| members.iter().find(|r| r.scenario.name == name);
-    let mut printed: Vec<&str> = Vec::new();
-    for r in members {
-        let root = r
-            .scenario
-            .name
-            .rsplit_once('-')
-            .map(|(root, _)| root)
-            .unwrap_or(r.scenario.name.as_str());
-        if printed.contains(&root) {
-            continue;
-        }
-        printed.push(root);
-        let on = find(&format!("{root}-opts"));
-        let off = find(&format!("{root}-noopt"));
-        match (on, off) {
-            (Some(r_on), Some(r_off)) => {
-                let (a, b) = (&r_on.avg, &r_off.avg);
-                let _ = writeln!(
-                    out,
-                    "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-                    r_on.scenario.config.property.name(),
-                    r_on.scenario.config.n_processes,
-                    a.monitor_messages,
-                    b.monitor_messages,
-                    fmt_reduction(a.monitor_messages, b.monitor_messages),
-                    a.peak_global_views,
-                    b.peak_global_views,
-                    fmt_reduction(a.peak_global_views, b.peak_global_views),
-                    a.monitor_tokens,
-                    b.monitor_tokens,
-                );
-            }
-            _ => {
-                let r = on.or(off).expect("root derived from a present member");
-                let _ = writeln!(
-                    out,
-                    "| {} | {} | {} (unpaired `{}`) | | | {} | | | {} | |",
-                    r.scenario.config.property.name(),
-                    r.scenario.config.n_processes,
-                    r.avg.monitor_messages,
-                    r.scenario.name,
-                    r.avg.peak_global_views,
-                    r.avg.monitor_tokens,
-                );
-            }
-        }
-    }
-}
-
-/// The fleet table: amortization of the shared pipeline across N properties.
-/// `amort` is fleet wall clock over the solo-sum — below 1.0 means the fleet
-/// pass is cheaper than running the members back to back; `marginal s/prop` is
-/// the measured extra wall clock each added property costs beyond a solo run.
-fn fleet_table(out: &mut String, members: &[&ScenarioRecord]) {
-    out.push_str(
-        "| scenario | props | shards | events | fleet wall s | solo sum s | amort \
-         | marginal s/prop | events/sec | verdicts |\n\
-         |---|---:|---:|---:|---:|---:|---:|---:|---:|---|\n",
-    );
-    for r in members {
-        let m = &r.avg;
-        let shards = r.scenario.stream.map_or(0, |p| p.n_shards);
-        let amort = if m.fleet_solo_wall_clock_secs > 0.0 {
-            format!("{:.2}x", m.wall_clock_secs / m.fleet_solo_wall_clock_secs)
-        } else {
-            "-".to_string()
-        };
-        let per_property = m
-            .fleet_per_property
-            .iter()
-            .map(|p| format!("{}:{}", p.property, p.verdict))
-            .collect::<Vec<_>>()
-            .join(" ");
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {:.3} | {:.3} | {} | {:.4} | {} | {} |",
-            r.scenario.name,
-            m.fleet_size,
-            shards,
-            m.total_events,
-            m.wall_clock_secs,
-            m.fleet_solo_wall_clock_secs,
-            amort,
-            m.fleet_marginal_cost_secs,
-            fmt_rate(m.events_per_sec),
-            if per_property.is_empty() { "-".to_string() } else { per_property },
-        );
-    }
-}
-
-/// The real-socket table: transport and fault spec next to the sweep columns.
-fn deploy_table(out: &mut String, members: &[&ScenarioRecord]) {
-    out.push_str(
-        "| scenario | transport | fault | procs | events | mon.msgs | wall s | peak RSS \
-         | verdicts |\n\
-         |---|---|---|---:|---:|---:|---:|---:|---|\n",
-    );
-    for r in members {
-        let m = &r.avg;
-        let (transport, fault) = match &r.scenario.deploy {
-            Some(p) => (
-                p.transport.name().to_string(),
-                p.fault.map(|f| f.to_string()).unwrap_or_else(|| "none".to_string()),
-            ),
-            None => ("-".to_string(), "-".to_string()),
-        };
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {:.3} | {} | {} |",
-            r.scenario.name,
-            transport,
-            fault,
-            r.scenario.config.n_processes,
-            m.total_events,
-            m.monitor_messages,
-            m.wall_clock_secs,
-            fmt_rss(m.peak_rss_bytes),
-            fmt_verdicts(r),
-        );
-    }
 }
 
 /// Fixed line-color palette (cycled when a family has more scenarios).
@@ -489,13 +268,8 @@ pub fn render_report(current: &[ScenarioRecord], history: &[TrendPoint]) -> Rend
     for &&family in &families {
         let members = family_members(current, family);
         let _ = writeln!(out, "\n## {} ({} scenarios)\n", family.name(), members.len());
-        match family {
-            ScenarioFamily::Throughput => throughput_table(&mut out, &members),
-            ScenarioFamily::Overhead => overhead_table(&mut out, &members),
-            ScenarioFamily::Fleet => fleet_table(&mut out, &members),
-            ScenarioFamily::Deploy => deploy_table(&mut out, &members),
-            _ => offline_table(&mut out, &members),
-        }
+        let rows: Vec<RunView> = members.iter().map(|r| r.view()).collect();
+        out.push_str(&family_table(family, &rows, Layout::Markdown));
         if let Some((file, svg)) = family_trend(family, history) {
             let _ = writeln!(out, "\n![{} trend]({file})", family.name());
             svgs.push((file, svg));
@@ -525,7 +299,6 @@ mod tests {
             total_global_views: 120,
             peak_global_views: 9,
             monitor_tokens: msgs * 2,
-            events_per_sec: 1000.0,
             ..RunMetrics::default()
         };
         avg.detected_final_verdicts.insert(crate::dlrv_ltl::Verdict::True);
@@ -556,8 +329,8 @@ mod tests {
         let report = render_report(&current, &[]);
         assert!(report.markdown.contains("## paper (1 scenarios)"));
         assert!(report.markdown.contains("## overhead (2 scenarios)"));
-        // The A/B pair printed once, with a -50% message reduction.
-        assert!(report.markdown.contains("-50.0%"), "{}", report.markdown);
+        // The A/B pair printed once: 80 messages against 160 is a 50% reduction.
+        assert!(report.markdown.contains("| 80 | 160 | 50.0 |"), "{}", report.markdown);
         // No history → no charts.
         assert!(report.svgs.is_empty());
     }
@@ -579,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_family_renders_the_amortization_table() {
+    fn fleet_family_renders_per_property_verdicts_and_no_host_measurement() {
         use crate::scenario::StreamParams;
         use dlrv_monitor::FleetPropertyMetrics;
         let mut r = record("fleet-AB-sh4", ScenarioFamily::Fleet, 40);
@@ -587,17 +360,15 @@ mod tests {
         r.avg.wall_clock_secs = 0.30;
         r.avg.fleet_size = 2;
         r.avg.fleet_solo_wall_clock_secs = 0.50;
-        r.avg.fleet_marginal_cost_secs = 0.05;
         r.avg.fleet_per_property = vec![
             FleetPropertyMetrics { property: "A".to_string(), verdict: "true".to_string(), ..FleetPropertyMetrics::default() },
             FleetPropertyMetrics { property: "B".to_string(), verdict: "unknown".to_string(), ..FleetPropertyMetrics::default() },
         ];
         let report = render_report(&[r], &[]);
         assert!(report.markdown.contains("## fleet (1 scenarios)"), "{}", report.markdown);
-        assert!(report.markdown.contains("marginal s/prop"));
-        // 0.30 / 0.50 → fleet runs at 0.60x the cost of the solo runs.
-        assert!(report.markdown.contains("0.60x"), "{}", report.markdown);
-        assert!(report.markdown.contains("A:true B:unknown"), "{}", report.markdown);
+        assert!(report.markdown.contains("| fleet-AB-sh4 | 2 | 4 | 60 | A:true B:unknown |"), "{}", report.markdown);
+        // 0.30 s over a 0.50 s solo sum is the terminal's `amort`, not the report's.
+        assert!(!report.markdown.contains("amort") && !report.markdown.contains("0.60x"));
     }
 
     #[test]

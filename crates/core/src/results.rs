@@ -1,11 +1,15 @@
 //! Machine-readable sweep results (`BENCH_results.json`).
 //!
 //! Every run of `experiments --target sweep --format json` emits one document in the
-//! schema below, so the performance trajectory of the repository can be diffed
-//! commit-by-commit.  The document is self-describing: each record carries the full
+//! schema below.  The document is self-describing — each record carries the full
 //! scenario (name, family, [`ExperimentConfig`], [`MonitorOptions`]) next to its
-//! measured [`RunMetrics`], and [`sweep_from_json`] restores everything
-//! field-for-field (floats use shortest round-trip formatting, see [`dlrv_json`]).
+//! [`RunMetrics`] — and seed-exact: it holds only what the seeds determine
+//! (messages, tokens, views, queued events, simulated delay, verdicts), never a
+//! wall clock, a rate or a memory reading, so regenerating it reproduces it byte
+//! for byte and a `cmp` against the committed file is a regression check.
+//! [`sweep_from_json`] restores everything written field-for-field (floats use
+//! shortest round-trip formatting, see [`dlrv_json`]) and still reads the
+//! host-measured fields of documents committed while they were written.
 //!
 //! ```text
 //! {
@@ -16,7 +20,8 @@
 //!       "name": "paper-A-n2", "family": "paper", "description": "…",
 //!       "config":  { property, n_processes, events_per_process, evt_mu, …,
 //!                    seeds, arrival, topology },
-//!       "options": { aggregate_tokens, dedup_global_views, prune_disjunctive },
+//!       "options": { aggregate_tokens, dedup_global_views, prune_disjunctive,
+//!                    arena_recycling },
 //!       "avg":      { RunMetrics fields },
 //!       "per_seed": [ { RunMetrics fields }, … ],
 //!       "detected_verdicts": [ "true" | "false" | "unknown", … ]
@@ -31,6 +36,7 @@ use crate::fleet::FleetParams;
 use crate::properties::PaperProperty;
 use crate::scenario::{Scenario, ScenarioFamily, StreamParams};
 use crate::spec::PropertySpec;
+use crate::tables::RunView;
 use dlrv_json::{object, Json, JsonError};
 use dlrv_net::FaultSpec;
 use dlrv_ltl::Verdict;
@@ -224,7 +230,8 @@ fn verdicts_to_json(set: &BTreeSet<Verdict>) -> Json {
     Json::Array(set.iter().map(|&v| Json::from(verdict_name(v))).collect())
 }
 
-fn record_to_json(scenario: &Scenario, result: &ExperimentResult) -> Json {
+fn record_to_json(view: RunView<'_>, per_seed: &[RunMetrics]) -> Json {
+    let scenario = view.scenario;
     object([
         ("name", Json::from(scenario.name.as_str())),
         ("family", Json::from(scenario.family.name())),
@@ -252,12 +259,9 @@ fn record_to_json(scenario: &Scenario, result: &ExperimentResult) -> Json {
                 .as_ref()
                 .map_or(Json::Null, fleet_params_to_json),
         ),
-        ("avg", result.avg.to_json()),
-        (
-            "per_seed",
-            Json::Array(result.per_seed.iter().map(RunMetrics::to_json).collect()),
-        ),
-        ("detected_verdicts", verdicts_to_json(&result.detected_verdicts)),
+        ("avg", view.avg.to_json()),
+        ("per_seed", Json::Array(per_seed.iter().map(RunMetrics::to_json).collect())),
+        ("detected_verdicts", verdicts_to_json(view.verdicts)),
     ])
 }
 
@@ -304,16 +308,23 @@ fn record_from_json(v: &Json) -> Result<ScenarioRecord, JsonError> {
     })
 }
 
-/// Builds the full sweep document from `(scenario, result)` pairs.
-pub fn sweep_to_json(runs: &[(Scenario, ExperimentResult)]) -> Json {
+fn document(records: Vec<Json>) -> Json {
     object([
         ("schema_version", Json::from(RESULTS_SCHEMA_VERSION)),
         ("generator", Json::from("dlrv-experiments")),
-        (
-            "scenarios",
-            Json::Array(runs.iter().map(|(s, r)| record_to_json(s, r)).collect()),
-        ),
+        ("scenarios", Json::Array(records)),
     ])
+}
+
+/// Builds the full sweep document from `(scenario, result)` pairs.
+pub fn sweep_to_json(runs: &[(Scenario, ExperimentResult)]) -> Json {
+    document(runs.iter().map(|(s, r)| record_to_json(RunView::of(s, r), &r.per_seed)).collect())
+}
+
+/// Builds the document back from parsed records: the inverse of
+/// [`sweep_from_json`], byte for byte on a document this build wrote.
+pub fn records_to_json(records: &[ScenarioRecord]) -> Json {
+    document(records.iter().map(|r| record_to_json(r.view(), &r.per_seed)).collect())
 }
 
 /// A scenario family earlier documents contain and this build no longer runs
@@ -355,17 +366,22 @@ mod tests {
         s
     }
 
+    /// Emits `runs`, parses the document back and checks that the scenarios come
+    /// back equal and that the parsed records serialize to the same bytes again.
+    fn round_trip(runs: &[(Scenario, ExperimentResult)]) -> Vec<ScenarioRecord> {
+        let text = sweep_to_json(runs).to_string_pretty();
+        let records = sweep_from_json(&Json::parse(&text).expect("parse")).expect("schema");
+        assert_eq!(records_to_json(&records).to_string_pretty(), text);
+        let scenarios: Vec<&Scenario> = runs.iter().map(|(s, _)| s).collect();
+        assert_eq!(records.iter().map(|r| &r.scenario).collect::<Vec<_>>(), scenarios);
+        records
+    }
+
     #[test]
     fn sweep_document_round_trips() {
         let scenarios = [small("paper-B-n2"), small("ring-B-n4")];
         let runs: Vec<_> = scenarios.iter().map(|s| (s.clone(), s.run())).collect();
-        let text = sweep_to_json(&runs).to_string_pretty();
-        let records = sweep_from_json(&Json::parse(&text).expect("parse")).expect("schema");
-        assert_eq!(records.len(), runs.len());
-        for (record, (scenario, result)) in records.iter().zip(&runs) {
-            assert_eq!(&record.scenario, scenario);
-            assert_eq!(record.avg, result.avg);
-            assert_eq!(record.per_seed, result.per_seed);
+        for (record, (_, result)) in round_trip(&runs).iter().zip(&runs) {
             assert_eq!(record.detected_verdicts, result.detected_verdicts);
         }
     }
@@ -403,11 +419,9 @@ mod tests {
         scenario.config.events_per_process = 4;
         scenario.stream = Some(crate::scenario::StreamParams::sized(10, 2));
         let runs = vec![(scenario.clone(), scenario.run())];
-        let text = sweep_to_json(&runs).to_string_pretty();
-        let records = sweep_from_json(&Json::parse(&text).expect("parse")).expect("schema");
-        assert_eq!(records[0].scenario, scenario);
+        let records = round_trip(&runs);
         assert_eq!(records[0].avg.per_shard.len(), 2);
-        assert_eq!(records[0].avg, runs[0].1.avg);
+        assert_eq!(records[0].avg.total_events, runs[0].1.avg.total_events);
     }
 
     #[test]
@@ -419,14 +433,11 @@ mod tests {
         scenario.config.events_per_process = 4;
         scenario.stream = Some(crate::scenario::StreamParams::sized(6, 2));
         let runs = vec![(scenario.clone(), scenario.run())];
-        let text = sweep_to_json(&runs).to_string_pretty();
-        let records = sweep_from_json(&Json::parse(&text).expect("parse")).expect("schema");
-        assert_eq!(records[0].scenario, scenario);
-        assert_eq!(records[0].avg, runs[0].1.avg);
+        let records = round_trip(&runs);
         let fleet = records[0].scenario.fleet.as_ref().expect("fleet survives");
         assert_eq!(fleet.joined_name(), "A+B");
         assert_eq!(records[0].avg.fleet_size, 2);
-        assert_eq!(records[0].avg.fleet_per_property.len(), 2);
+        assert_eq!(records[0].avg.fleet_per_property, runs[0].1.avg.fleet_per_property);
     }
 
     #[test]

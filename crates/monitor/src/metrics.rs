@@ -159,36 +159,36 @@ pub struct ShardMetrics {
 }
 
 impl ShardMetrics {
-    /// Serializes the shard metrics; field names are part of the results schema.
+    /// Serializes what the seed determines of a shard's work — session routing,
+    /// event and error counts.  How the mailbox happened to batch and how long
+    /// records waited (`batches` … `backpressure_stalls`) measure the host and stay
+    /// in memory only; field names are part of the results schema.
     pub fn to_json(&self) -> Json {
         object([
             ("shard", Json::from(self.shard)),
             ("sessions_opened", Json::from(self.sessions_opened)),
             ("sessions_closed", Json::from(self.sessions_closed)),
             ("events_processed", Json::from(self.events_processed)),
-            ("batches", Json::from(self.batches)),
-            ("max_batch_len", Json::from(self.max_batch_len)),
-            ("busy_secs", Json::from(self.busy_secs)),
-            ("avg_queue_latency_secs", Json::from(self.avg_queue_latency_secs)),
-            ("max_queue_latency_secs", Json::from(self.max_queue_latency_secs)),
-            ("backpressure_stalls", Json::from(self.backpressure_stalls)),
             ("routing_errors", Json::from(self.routing_errors)),
         ])
     }
 
-    /// Parses shard metrics back from their [`ShardMetrics::to_json`] form.
+    /// Parses shard metrics back from their [`ShardMetrics::to_json`] form.  The
+    /// host-measured fields are read when an older document carries them.
     pub fn from_json(v: &Json) -> Result<ShardMetrics, JsonError> {
+        let count = |key| v.get_opt(key)?.map_or(Ok(0), Json::as_usize);
+        let secs = |key| v.get_opt(key)?.map_or(Ok(0.0), Json::as_f64);
         Ok(ShardMetrics {
             shard: v.get("shard")?.as_usize()?,
             sessions_opened: v.get("sessions_opened")?.as_usize()?,
             sessions_closed: v.get("sessions_closed")?.as_usize()?,
             events_processed: v.get("events_processed")?.as_usize()?,
-            batches: v.get("batches")?.as_usize()?,
-            max_batch_len: v.get("max_batch_len")?.as_usize()?,
-            busy_secs: v.get("busy_secs")?.as_f64()?,
-            avg_queue_latency_secs: v.get("avg_queue_latency_secs")?.as_f64()?,
-            max_queue_latency_secs: v.get("max_queue_latency_secs")?.as_f64()?,
-            backpressure_stalls: v.get("backpressure_stalls")?.as_usize()?,
+            batches: count("batches")?,
+            max_batch_len: count("max_batch_len")?,
+            busy_secs: secs("busy_secs")?,
+            avg_queue_latency_secs: secs("avg_queue_latency_secs")?,
+            max_queue_latency_secs: secs("max_queue_latency_secs")?,
+            backpressure_stalls: count("backpressure_stalls")?,
             routing_errors: v.get("routing_errors")?.as_usize()?,
         })
     }
@@ -275,10 +275,11 @@ pub struct RunMetrics {
     pub possible_verdicts: BTreeSet<Verdict>,
     /// Wall-clock duration of the run/scenario that produced these metrics (seconds;
     /// `0.0` when not measured).  Unlike every field above this is real elapsed time,
-    /// not simulated time, so it varies run to run.
+    /// not simulated time, so it varies run to run — like every host-measured field
+    /// it is never written by [`RunMetrics::to_json`].
     pub wall_clock_secs: f64,
-    /// Aggregate ingestion throughput of a streaming run (events per wall-clock
-    /// second; `0.0` for offline runs).
+    /// Aggregate ingestion throughput of the run (events per wall-clock second;
+    /// `0.0` when not measured).  Host-measured, never serialized.
     pub events_per_sec: f64,
     /// Per-shard measurements of a streaming run (empty for offline runs).
     pub per_shard: Vec<ShardMetrics>,
@@ -293,8 +294,8 @@ pub struct RunMetrics {
     /// Peak resident set size in bytes (`VmHWM` from `/proc/self/status`) of the
     /// largest single process involved in the run — the bounded-memory observable
     /// soak assertions watch.  Like `wall_clock_secs` this is a real machine
-    /// measurement, not simulated, so it varies run to run.  `0` when not measured
-    /// (non-Linux, or records that predate the field).
+    /// measurement, not simulated, so it varies run to run and is never serialized.
+    /// `0` when not measured (non-Linux; every substrate but the deploy fleet).
     pub peak_rss_bytes: u64,
     /// Number of properties monitored as one fleet over a shared event stream.
     /// `0` for single-property runs and records that predate fleet monitoring.
@@ -302,12 +303,13 @@ pub struct RunMetrics {
     /// Sum of the wall-clock seconds of `fleet_size` *solo* baseline runs over the
     /// exact same wire stream, measured back-to-back with the fleet run — the
     /// denominator of the fleet's amortization ratio.  Like `wall_clock_secs`
-    /// this is real elapsed time.  `0.0` outside the fleet family.
+    /// this is real elapsed time, never serialized.  `0.0` outside the fleet family.
     pub fleet_solo_wall_clock_secs: f64,
     /// Measured marginal wall-clock cost of each property added to the fleet
     /// beyond the first: `(fleet_wall − solo_sum/N) / (N − 1)` seconds, where
     /// `solo_sum/N` estimates one property's standalone cost.  `0.0` when the
-    /// fleet has fewer than two members or outside the fleet family.
+    /// fleet has fewer than two members or outside the fleet family.  Host-measured,
+    /// never serialized.
     pub fleet_marginal_cost_secs: f64,
     /// Per-property slice of a fleet run (empty outside the fleet family).
     pub fleet_per_property: Vec<FleetPropertyMetrics>,
@@ -317,8 +319,13 @@ impl RunMetrics {
     /// Serializes the metrics as a JSON object; the field names below are the stable
     /// schema of `BENCH_results.json` records.
     ///
-    /// Floats are printed with Rust's shortest round-trip formatting (see
-    /// [`dlrv_json`]), so [`RunMetrics::from_json`] restores every field exactly.
+    /// Only what the seed determines is written, so two runs of one scenario
+    /// serialize to the same bytes: the host-measured fields (`wall_clock_secs`,
+    /// `events_per_sec`, `peak_rss_bytes`, `fleet_solo_wall_clock_secs`,
+    /// `fleet_marginal_cost_secs`) stay in memory for the terminal tables and the
+    /// benchmark harness.  Floats are printed with Rust's shortest round-trip
+    /// formatting (see [`dlrv_json`]), so [`RunMetrics::from_json`] restores every
+    /// written field exactly.
     pub fn to_json(&self) -> Json {
         object([
             ("n_processes", Json::from(self.n_processes)),
@@ -335,24 +342,13 @@ impl RunMetrics {
                 verdicts_to_json(&self.detected_final_verdicts),
             ),
             ("possible_verdicts", verdicts_to_json(&self.possible_verdicts)),
-            ("wall_clock_secs", Json::from(self.wall_clock_secs)),
-            ("events_per_sec", Json::from(self.events_per_sec)),
             (
                 "per_shard",
                 Json::Array(self.per_shard.iter().map(ShardMetrics::to_json).collect()),
             ),
             ("monitor_tokens", Json::from(self.monitor_tokens)),
             ("peak_global_views", Json::from(self.peak_global_views)),
-            ("peak_rss_bytes", Json::from(self.peak_rss_bytes)),
             ("fleet_size", Json::from(self.fleet_size)),
-            (
-                "fleet_solo_wall_clock_secs",
-                Json::from(self.fleet_solo_wall_clock_secs),
-            ),
-            (
-                "fleet_marginal_cost_secs",
-                Json::from(self.fleet_marginal_cost_secs),
-            ),
             (
                 "fleet_per_property",
                 Json::Array(
@@ -366,7 +362,21 @@ impl RunMetrics {
     }
 
     /// Parses metrics back from their [`RunMetrics::to_json`] form, field-for-field.
+    ///
+    /// Fields added within schema v1 — the per-shard rows, the §4.3 overhead
+    /// counters, the fleet fields — default to zero/empty ("not measured") in
+    /// documents that predate them.  The host-measured fields are no longer
+    /// written; documents committed while they were still carry them, and the
+    /// report's trend history reads those documents.
     pub fn from_json(v: &Json) -> Result<RunMetrics, JsonError> {
+        let count = |key| v.get_opt(key)?.map_or(Ok(0), Json::as_usize);
+        let secs = |key| v.get_opt(key)?.map_or(Ok(0.0), Json::as_f64);
+        fn rows<T>(
+            rows: Option<&Json>,
+            row: fn(&Json) -> Result<T, JsonError>,
+        ) -> Result<Vec<T>, JsonError> {
+            rows.map_or(Ok(Vec::new()), |rows| rows.as_array()?.iter().map(row).collect())
+        }
         Ok(RunMetrics {
             n_processes: v.get("n_processes")?.as_usize()?,
             total_events: v.get("total_events")?.as_usize()?,
@@ -379,43 +389,19 @@ impl RunMetrics {
             monitor_extra_time: v.get("monitor_extra_time")?.as_f64()?,
             detected_final_verdicts: verdicts_from_json(v.get("detected_final_verdicts")?)?,
             possible_verdicts: verdicts_from_json(v.get("possible_verdicts")?)?,
-            // The three streaming fields postdate the first schema-v1 documents;
-            // records written before them carry offline runs only.
-            wall_clock_secs: v.get_opt("wall_clock_secs")?.map_or(Ok(0.0), Json::as_f64)?,
-            events_per_sec: v.get_opt("events_per_sec")?.map_or(Ok(0.0), Json::as_f64)?,
-            per_shard: match v.get_opt("per_shard")? {
-                None => Vec::new(),
-                Some(arr) => arr
-                    .as_array()?
-                    .iter()
-                    .map(ShardMetrics::from_json)
-                    .collect::<Result<_, _>>()?,
-            },
-            // The §4.3 overhead fields postdate the streaming fields; records written
-            // before them default to zero (meaning "not measured").
-            monitor_tokens: v.get_opt("monitor_tokens")?.map_or(Ok(0), Json::as_usize)?,
-            peak_global_views: v
-                .get_opt("peak_global_views")?
-                .map_or(Ok(0), Json::as_usize)?,
-            // The RSS field postdates the §4.3 fields (PR 8); additive like them.
+            wall_clock_secs: secs("wall_clock_secs")?,
+            events_per_sec: secs("events_per_sec")?,
+            per_shard: rows(v.get_opt("per_shard")?, ShardMetrics::from_json)?,
+            monitor_tokens: count("monitor_tokens")?,
+            peak_global_views: count("peak_global_views")?,
             peak_rss_bytes: v.get_opt("peak_rss_bytes")?.map_or(Ok(0), Json::as_u64)?,
-            // The fleet fields postdate the RSS field; pre-fleet records are
-            // single-property runs, so they default to "no fleet".
-            fleet_size: v.get_opt("fleet_size")?.map_or(Ok(0), Json::as_usize)?,
-            fleet_solo_wall_clock_secs: v
-                .get_opt("fleet_solo_wall_clock_secs")?
-                .map_or(Ok(0.0), Json::as_f64)?,
-            fleet_marginal_cost_secs: v
-                .get_opt("fleet_marginal_cost_secs")?
-                .map_or(Ok(0.0), Json::as_f64)?,
-            fleet_per_property: match v.get_opt("fleet_per_property")? {
-                None => Vec::new(),
-                Some(arr) => arr
-                    .as_array()?
-                    .iter()
-                    .map(FleetPropertyMetrics::from_json)
-                    .collect::<Result<_, _>>()?,
-            },
+            fleet_size: count("fleet_size")?,
+            fleet_solo_wall_clock_secs: secs("fleet_solo_wall_clock_secs")?,
+            fleet_marginal_cost_secs: secs("fleet_marginal_cost_secs")?,
+            fleet_per_property: rows(
+                v.get_opt("fleet_per_property")?,
+                FleetPropertyMetrics::from_json,
+            )?,
         })
     }
 
@@ -543,96 +529,95 @@ mod tests {
         assert_eq!(zero, back.unwrap());
     }
 
+    /// A streamed record in the shape documents had while the eleven host-measured
+    /// fields (five of the run, six per shard) were still written.
+    const OLDER_STREAMED_RECORD: &str = r#"{
+        "n_processes": 2, "total_events": 400, "monitor_messages": 9, "program_messages": 0,
+        "total_global_views": 0, "avg_delayed_events": 0, "delay_time_pct_per_gv": 0,
+        "program_time": 0, "monitor_extra_time": 0,
+        "detected_final_verdicts": [], "possible_verdicts": [],
+        "wall_clock_secs": 1.25, "events_per_sec": 320, "peak_rss_bytes": 1048576,
+        "fleet_solo_wall_clock_secs": 3.75, "fleet_marginal_cost_secs": 0.0625,
+        "per_shard": [{
+            "shard": 0, "sessions_opened": 10, "sessions_closed": 10, "events_processed": 400,
+            "batches": 17, "max_batch_len": 32, "busy_secs": 0.5,
+            "avg_queue_latency_secs": 0.00015, "max_queue_latency_secs": 0.003,
+            "backpressure_stalls": 2, "routing_errors": 1
+        }]
+    }"#;
+
     #[test]
-    fn streaming_fields_round_trip() {
-        let m = RunMetrics {
-            wall_clock_secs: 1.25,
-            events_per_sec: 123456.789,
-            per_shard: vec![
-                ShardMetrics {
-                    shard: 0,
-                    sessions_opened: 10,
-                    sessions_closed: 10,
-                    events_processed: 400,
-                    batches: 17,
-                    max_batch_len: 32,
-                    busy_secs: 0.5,
-                    avg_queue_latency_secs: 1.5e-4,
-                    max_queue_latency_secs: 3.0e-3,
-                    backpressure_stalls: 2,
-                    routing_errors: 0,
-                },
-                ShardMetrics {
-                    shard: 1,
-                    ..ShardMetrics::default()
-                },
-            ],
+    fn host_measured_fields_are_read_from_older_documents_and_never_written() {
+        let old = RunMetrics::from_json(&Json::parse(OLDER_STREAMED_RECORD).unwrap()).unwrap();
+        let seed_exact = RunMetrics {
+            n_processes: 2,
+            total_events: 400,
+            monitor_messages: 9,
+            per_shard: vec![ShardMetrics {
+                sessions_opened: 10,
+                sessions_closed: 10,
+                events_processed: 400,
+                routing_errors: 1,
+                ..ShardMetrics::default()
+            }],
             ..RunMetrics::default()
         };
-        let text = m.to_json().to_string_pretty();
-        let back = RunMetrics::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(m, back);
+        let expected = RunMetrics {
+            wall_clock_secs: 1.25,
+            events_per_sec: 320.0,
+            peak_rss_bytes: 1 << 20,
+            fleet_solo_wall_clock_secs: 3.75,
+            fleet_marginal_cost_secs: 0.0625,
+            per_shard: vec![ShardMetrics {
+                batches: 17,
+                max_batch_len: 32,
+                busy_secs: 0.5,
+                avg_queue_latency_secs: 1.5e-4,
+                max_queue_latency_secs: 3.0e-3,
+                backpressure_stalls: 2,
+                ..seed_exact.per_shard[0].clone()
+            }],
+            ..seed_exact.clone()
+        };
+        assert_eq!(old, expected);
+
+        // Written back, only what the seed determines remains, and that round-trips.
+        let text = old.to_json().to_string_pretty();
+        assert_eq!(RunMetrics::from_json(&Json::parse(&text).unwrap()).unwrap(), seed_exact);
+        assert_eq!(seed_exact.to_json().to_string_pretty(), text);
     }
 
     #[test]
     fn pre_streaming_records_still_parse() {
-        // A record written before the streaming fields existed must load with zeroed
-        // streaming metrics.  This pins the schema's backward compatibility.
-        let mut m = RunMetrics {
+        // A record written before the additive fields existed must load with them
+        // zeroed ("not measured").  This pins the schema's backward compatibility.
+        let m = RunMetrics {
             n_processes: 3,
             total_events: 12,
+            monitor_tokens: 44,
+            peak_global_views: 9,
+            fleet_size: 3,
+            fleet_per_property: vec![FleetPropertyMetrics::default()],
             ..RunMetrics::default()
         };
-        m.wall_clock_secs = 9.0; // will be stripped below
-        m.monitor_tokens = 44; // likewise
-        m.peak_global_views = 9;
-        m.peak_rss_bytes = 1 << 30;
-        m.fleet_size = 3;
-        m.fleet_solo_wall_clock_secs = 2.5;
-        m.fleet_marginal_cost_secs = 0.1;
-        m.fleet_per_property = vec![FleetPropertyMetrics {
-            property: "A".to_string(),
-            verdict: "true".to_string(),
-            ..FleetPropertyMetrics::default()
-        }];
         let Json::Object(mut fields) = m.to_json() else {
             panic!("metrics must serialize to an object")
         };
         fields.retain(|(k, _)| {
             !matches!(
                 k.as_str(),
-                "wall_clock_secs"
-                    | "events_per_sec"
-                    | "per_shard"
-                    | "monitor_tokens"
-                    | "peak_global_views"
-                    | "peak_rss_bytes"
-                    | "fleet_size"
-                    | "fleet_solo_wall_clock_secs"
-                    | "fleet_marginal_cost_secs"
-                    | "fleet_per_property"
+                "per_shard" | "monitor_tokens" | "peak_global_views" | "fleet_size" | "fleet_per_property"
             )
         });
         let back = RunMetrics::from_json(&Json::Object(fields)).unwrap();
-        assert_eq!(back.wall_clock_secs, 0.0);
-        assert_eq!(back.events_per_sec, 0.0);
-        assert!(back.per_shard.is_empty());
-        assert_eq!(back.monitor_tokens, 0, "overhead fields default to unmeasured");
-        assert_eq!(back.peak_global_views, 0);
-        assert_eq!(back.peak_rss_bytes, 0, "RSS defaults to unmeasured");
-        assert_eq!(back.fleet_size, 0, "pre-fleet records are single-property runs");
-        assert_eq!(back.fleet_solo_wall_clock_secs, 0.0);
-        assert_eq!(back.fleet_marginal_cost_secs, 0.0);
-        assert!(back.fleet_per_property.is_empty());
-        assert_eq!(back.total_events, 12);
+        let core = RunMetrics { n_processes: 3, total_events: 12, ..RunMetrics::default() };
+        assert_eq!(back, core, "additive fields default to unmeasured / no fleet");
     }
 
     #[test]
     fn fleet_fields_round_trip() {
         let m = RunMetrics {
             fleet_size: 2,
-            fleet_solo_wall_clock_secs: 3.75,
-            fleet_marginal_cost_secs: 0.0625,
             fleet_per_property: vec![
                 FleetPropertyMetrics {
                     property: "A".to_string(),

@@ -46,6 +46,11 @@
 //! assert!(result.avg.monitor_messages > 0);
 //! ```
 
+//!
+//! The `experiments` binary is the [`cli`] module behind a `main`.
+
 #![forbid(unsafe_code)]
+
+pub mod cli;
 
 pub use dlrv_core::*;

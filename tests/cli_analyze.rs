@@ -144,12 +144,20 @@ fn require_family_rejects_documents_missing_the_family() {
         "--validate-results", path.to_str().unwrap(),
         "--require-family", "throughput",
     ]);
+    // A family name that does not exist is a mistake on the command line (usage
+    // code 2, closest name suggested), not a shortcoming of the document (code 1).
+    let typo = experiments(&[
+        "--validate-results", path.to_str().unwrap(),
+        "--require-family", "througput",
+    ]);
     std::fs::remove_file(&path).ok();
-    assert!(!missing.status.success());
+    assert_eq!(missing.status.code(), Some(1));
     assert!(
-        stderr(&missing).contains("throughput"),
+        stderr(&missing).contains("contains no `throughput` scenarios"),
         "{}", stderr(&missing)
     );
+    assert_eq!(typo.status.code(), Some(2));
+    assert!(stderr(&typo).contains("did you mean `throughput`?"), "{}", stderr(&typo));
 }
 
 #[test]

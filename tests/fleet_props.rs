@@ -8,8 +8,11 @@
 //! six properties; this sweep covers the automaton shapes users can produce
 //! through `--properties`/`--property-file` fleets.
 
+mod common;
+
+use common::{random_formula, shared_registry};
 use dlrv::dlrv_automaton::MonitorAutomaton;
-use dlrv::dlrv_ltl::{AtomId, AtomRegistry, Formula};
+use dlrv::dlrv_ltl::{AtomRegistry, Formula};
 use dlrv::dlrv_monitor::MonitorOptions;
 use dlrv::dlrv_stream::{
     encode_stream_binary, interleave_sessions, FleetMemberSpec, ReaderSource, SessionOutcome,
@@ -22,51 +25,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Draws a random formula over `n_atoms` atoms with at most `budget` AST nodes
-/// (the `monitor_lasso_props` generator).
-fn random_formula(rng: &mut StdRng, n_atoms: u32, budget: usize) -> Formula {
-    if budget <= 1 {
-        return match rng.gen_range(0u32..6) {
-            0 => Formula::True,
-            1 => Formula::False,
-            _ => Formula::Atom(AtomId(rng.gen_range(0..n_atoms))),
-        };
-    }
-    let half = budget / 2;
-    match rng.gen_range(0u32..8) {
-        0 => Formula::Atom(AtomId(rng.gen_range(0..n_atoms))),
-        1 => Formula::not(random_formula(rng, n_atoms, budget - 1)),
-        2 => Formula::and(
-            random_formula(rng, n_atoms, half),
-            random_formula(rng, n_atoms, half),
-        ),
-        3 => Formula::or(
-            random_formula(rng, n_atoms, half),
-            random_formula(rng, n_atoms, half),
-        ),
-        4 => Formula::next(random_formula(rng, n_atoms, budget - 1)),
-        5 => Formula::until(
-            random_formula(rng, n_atoms, half),
-            random_formula(rng, n_atoms, half),
-        ),
-        6 => Formula::release(
-            random_formula(rng, n_atoms, half),
-            random_formula(rng, n_atoms, half),
-        ),
-        _ => Formula::eventually(random_formula(rng, n_atoms, budget - 1)),
-    }
-}
-
-/// One `P<i>.p` atom per process — the shared registry both fleet members (and
-/// the workload generator's channel layout) interpret events against.
-fn shared_registry(n_processes: usize) -> AtomRegistry {
-    let mut reg = AtomRegistry::new();
-    for i in 0..n_processes {
-        reg.intern(&format!("P{i}.p"), i);
-    }
-    reg
-}
 
 /// Pumps `bytes` through a fresh runtime.  With an empty `fleet_automata` the
 /// session monitors `automaton` solo; otherwise it monitors the whole fleet,
@@ -122,8 +80,8 @@ proptest! {
         let n_processes = 3usize;
         let registry = Arc::new(shared_registry(n_processes));
         let formulas = [
-            random_formula(&mut rng, n_processes as u32, 7),
-            random_formula(&mut rng, n_processes as u32, 7),
+            random_formula(&mut rng, n_processes as u32, 7, Formula::next),
+            random_formula(&mut rng, n_processes as u32, 7, Formula::next),
         ];
         let automata: Vec<Arc<MonitorAutomaton>> = formulas
             .iter()

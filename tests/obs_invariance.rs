@@ -2,27 +2,15 @@
 //! every verdict and every schema-v1 metric is **byte-identical** to a run with
 //! it disabled — instrumentation may time, count and trace, but never steer.
 //!
-//! Wall-clock seconds, derived throughput and the RSS high-water mark are
-//! genuinely volatile (they measure the machine, not the algorithm), so they
-//! are scrubbed to zero on both sides before the byte comparison; everything
-//! else in the serialized result must match exactly.
+//! What measures the machine rather than the algorithm (wall clock, throughput,
+//! RSS) is not part of the serialized result, so the serialized forms are compared
+//! as they are.
 
-use dlrv::dlrv_monitor::{MonitorOptions, RunMetrics};
+use dlrv::dlrv_monitor::MonitorOptions;
 use dlrv::{run_experiment_with_options, ExperimentConfig, ExperimentResult, PaperProperty};
 
-/// Zeroes the fields that measure the machine rather than the monitored run.
-fn scrub(metrics: &mut RunMetrics) {
-    metrics.wall_clock_secs = 0.0;
-    metrics.events_per_sec = 0.0;
-    metrics.peak_rss_bytes = 0;
-}
-
-/// One experiment result, serialized with volatile fields scrubbed.
-fn scrubbed_json(mut result: ExperimentResult) -> String {
-    scrub(&mut result.avg);
-    for metrics in &mut result.per_seed {
-        scrub(metrics);
-    }
+/// One experiment result in its serialized form.
+fn serialized(result: &ExperimentResult) -> String {
     let mut out = String::new();
     out.push_str(&result.avg.to_json().to_string_pretty());
     for metrics in &result.per_seed {
@@ -49,7 +37,7 @@ fn enabling_observability_is_byte_invisible_in_results() {
     let opts = MonitorOptions::default();
 
     dlrv::dlrv_obs::set_enabled(false);
-    let off = scrubbed_json(run_experiment_with_options(&config, opts));
+    let off = serialized(&run_experiment_with_options(&config, opts));
 
     dlrv::dlrv_obs::set_enabled(true);
     let on_result = run_experiment_with_options(&config, opts);
@@ -73,9 +61,9 @@ fn enabling_observability_is_byte_invisible_in_results() {
         "enabled run must time monitor.local_event spans"
     );
 
-    let on = scrubbed_json(on_result);
+    let on = serialized(&on_result);
     assert_eq!(
         off, on,
-        "observability on/off must not change any non-volatile result byte"
+        "observability on/off must not change any result byte"
     );
 }

@@ -1,24 +1,44 @@
-//! Golden-file pin of the `--target report` markdown.
+//! Golden-file pins of both table renderers over one input.
 //!
-//! The dashboard renderer ([`dlrv::render_report`]) is a pure function of the
-//! parsed records, so its markdown for a fixed input must never drift without
-//! a deliberate decision.  This test renders a hand-built document (one
-//! scenario per table shape: offline, overhead A/B pair, throughput, deploy)
-//! with a two-point history and compares the result byte-for-byte against
-//! `tests/fixtures/report_golden.md`.
+//! The dashboard renderer ([`dlrv::render_report`]) and the terminal's text
+//! renderer ([`dlrv::tables::render_text`], through `family_table`) are pure functions of the records, over
+//! the same column definitions, so their output for a fixed input must never drift
+//! without a deliberate decision.  The tests render one hand-built document (one
+//! scenario per table shape: offline, overhead A/B pair, throughput, fleet, deploy)
+//! — as markdown with a two-point history, as text family by family — and compare
+//! byte-for-byte against `tests/fixtures/report_golden.md` / `.txt`.  The text form
+//! has every column; the markdown leaves the host-measured ones out.
 //!
 //! To bless an intentional change: `UPDATE_GOLDEN=1 cargo test --test
 //! report_golden`, then review the diff like any other code change.
 
 use dlrv::dlrv_ltl::Verdict;
-use dlrv::dlrv_monitor::{MonitorOptions, RunMetrics};
+use dlrv::dlrv_monitor::{FleetPropertyMetrics, MonitorOptions, RunMetrics};
 use dlrv::dlrv_net::FaultSpec;
+use dlrv::tables::{family_table, Layout, RunView};
 use dlrv::{
-    render_report, DeployParams, DeployTransport, ExperimentConfig, PaperProperty, Scenario,
-    ScenarioFamily, ScenarioRecord, StreamParams, TrendPoint,
+    render_report, DeployParams, DeployTransport, ExperimentConfig, FleetParams, PaperProperty,
+    PropertySpec, Scenario, ScenarioFamily, ScenarioRecord, StreamParams, TrendPoint,
 };
 
 const GOLDEN_PATH: &str = "tests/fixtures/report_golden.md";
+const TEXT_GOLDEN_PATH: &str = "tests/fixtures/report_golden.txt";
+
+/// Compares `rendered` with the golden file at `path`, or blesses it.
+fn check_golden(path: &str, rendered: &str) {
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all("tests/fixtures").expect("create fixture dir");
+        std::fs::write(path, rendered).expect("write golden");
+        return;
+    }
+    let golden =
+        std::fs::read_to_string(path).expect("golden file missing; bless with UPDATE_GOLDEN=1");
+    assert_eq!(
+        rendered, golden,
+        "rendering drifted from {path}; if intentional, bless with UPDATE_GOLDEN=1 and review \
+         the diff"
+    );
+}
 
 /// A fully deterministic record: every metric fixed by hand, including the
 /// normally machine-dependent wall clock / throughput / RSS fields.
@@ -57,7 +77,7 @@ fn record(
                 ..ExperimentConfig::paper_default(property, 3)
             },
             options: MonitorOptions::default(),
-            stream: (family == ScenarioFamily::Throughput).then_some(StreamParams {
+            stream: matches!(family, ScenarioFamily::Throughput | ScenarioFamily::Fleet).then_some(StreamParams {
                 mailbox_capacity: 64,
                 batch_size: 8,
                 ..StreamParams::sized(50, 4)
@@ -75,7 +95,26 @@ fn record(
     }
 }
 
-/// One fixture document covering all four table shapes.
+/// A two-member fleet record: the fleet pass at 0.5 s against a 0.8 s solo sum.
+fn fleet_record(msgs: usize) -> ScenarioRecord {
+    let mut r = record("fleet-AB-sh4", ScenarioFamily::Fleet, PaperProperty::A, msgs, Verdict::False);
+    r.scenario.fleet =
+        Some(FleetParams::new([PaperProperty::A, PaperProperty::B].map(PropertySpec::paper).to_vec()));
+    r.avg.fleet_size = 2;
+    r.avg.fleet_solo_wall_clock_secs = 0.8;
+    r.avg.fleet_marginal_cost_secs = 0.1;
+    r.avg.fleet_per_property = [("A", "false"), ("B", "true")]
+        .map(|(property, verdict)| FleetPropertyMetrics {
+            property: property.to_string(),
+            verdict: verdict.to_string(),
+            ..FleetPropertyMetrics::default()
+        })
+        .to_vec();
+    r.per_seed = vec![r.avg.clone()];
+    r
+}
+
+/// One fixture document covering all five table shapes.
 fn fixture(msg_scale: usize) -> Vec<ScenarioRecord> {
     vec![
         record(
@@ -106,6 +145,7 @@ fn fixture(msg_scale: usize) -> Vec<ScenarioRecord> {
             30 * msg_scale,
             Verdict::True,
         ),
+        fleet_record(80 * msg_scale),
         record(
             "deploy-C-n3",
             ScenarioFamily::Deploy,
@@ -133,7 +173,7 @@ fn report_markdown_matches_the_golden_file() {
 
     // The SVG charts referenced from the markdown must actually be rendered,
     // one per family present in the two-point history.
-    let families = ["paper", "overhead", "throughput", "deploy"];
+    let families = ["paper", "overhead", "throughput", "fleet", "deploy"];
     for family in families {
         let file = format!("svg/trend-{family}.svg");
         assert!(
@@ -143,16 +183,30 @@ fn report_markdown_matches_the_golden_file() {
         assert!(rendered.markdown.contains(&file), "markdown must link {file}");
     }
 
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all("tests/fixtures").expect("create fixture dir");
-        std::fs::write(GOLDEN_PATH, &rendered.markdown).expect("write golden");
-        return;
+    check_golden(GOLDEN_PATH, &rendered.markdown);
+}
+
+#[test]
+fn text_tables_match_the_golden_file() {
+    // The same records through the terminal's renderer, one table per family the
+    // way `--target <family>` prints them.
+    let records = fixture(2);
+    let mut rendered = String::new();
+    for family in [
+        ScenarioFamily::Paper,
+        ScenarioFamily::Overhead,
+        ScenarioFamily::Throughput,
+        ScenarioFamily::Fleet,
+        ScenarioFamily::Deploy,
+    ] {
+        let rows: Vec<RunView> =
+            records.iter().filter(|r| r.scenario.family == family).map(|r| r.view()).collect();
+        rendered.push_str(&format!("== {family} ({} scenarios) ==\n", rows.len()));
+        rendered.push_str(&family_table(family, &rows, Layout::Text));
+        rendered.push('\n');
     }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing; bless with UPDATE_GOLDEN=1");
-    assert_eq!(
-        rendered.markdown, golden,
-        "report markdown drifted from {GOLDEN_PATH}; if intentional, bless with \
-         UPDATE_GOLDEN=1 and review the diff"
-    );
+    // An A/B pair with one member filtered out ends its row at a note.
+    let unpaired = [records[1].view()];
+    rendered.push_str(&family_table(ScenarioFamily::Overhead, &unpaired, Layout::Text));
+    check_golden(TEXT_GOLDEN_PATH, &rendered);
 }

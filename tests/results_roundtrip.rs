@@ -2,11 +2,15 @@
 //! way `experiments --target sweep --format json` emits it must parse back via
 //! `dlrv-json` and match the in-memory `RunMetrics` **field-for-field** — the
 //! integers exactly, the floats bit-for-bit (shortest round-trip formatting), the
-//! verdict sets element-for-element.
+//! verdict sets element-for-element — in everything the seed determines, and carry
+//! nothing else: the committed `BENCH_results.json` re-serializes, and its
+//! scenarios re-run, to the same bytes.
 
 use dlrv::dlrv_json::Json;
 use dlrv::dlrv_monitor::RunMetrics;
-use dlrv::{sweep_from_json, sweep_to_json, ExperimentResult, Scenario, ScenarioRegistry};
+use dlrv::{
+    records_to_json, sweep_from_json, sweep_to_json, ExperimentResult, Scenario, ScenarioRegistry,
+};
 
 /// A scaled-down copy of a registry scenario (fewer events/seeds keep the test fast
 /// without changing what is serialized).
@@ -113,18 +117,14 @@ fn assert_metrics_eq(parsed: &RunMetrics, original: &RunMetrics, scenario: &str)
         parsed.possible_verdicts, original.possible_verdicts,
         "{scenario}: possible_verdicts"
     );
-    // The streaming additions: wall-clock duration, ingestion rate, shard metrics.
-    assert_eq!(
-        parsed.wall_clock_secs.to_bits(),
-        original.wall_clock_secs.to_bits(),
-        "{scenario}: wall_clock_secs"
-    );
-    assert_eq!(
-        parsed.events_per_sec.to_bits(),
-        original.events_per_sec.to_bits(),
-        "{scenario}: events_per_sec"
-    );
-    assert_eq!(parsed.per_shard, original.per_shard, "{scenario}: per_shard");
+    // Per-shard rows: what the seed determines of each shard's work.
+    let seed_exact = |m: &RunMetrics| -> Vec<[usize; 5]> {
+        m.per_shard
+            .iter()
+            .map(|s| [s.shard, s.sessions_opened, s.sessions_closed, s.events_processed, s.routing_errors])
+            .collect()
+    };
+    assert_eq!(seed_exact(parsed), seed_exact(original), "{scenario}: per_shard");
     // The §4.3 overhead additions: token traffic and peak view memory.
     assert_eq!(
         parsed.monitor_tokens, original.monitor_tokens,
@@ -134,23 +134,25 @@ fn assert_metrics_eq(parsed: &RunMetrics, original: &RunMetrics, scenario: &str)
         parsed.peak_global_views, original.peak_global_views,
         "{scenario}: peak_global_views"
     );
-    // The fleet additions: member count, the solo-sum baseline, the measured
-    // marginal cost, and the per-property metric slices.
+    // The fleet additions: member count and the per-property metric slices.
     assert_eq!(parsed.fleet_size, original.fleet_size, "{scenario}: fleet_size");
-    assert_eq!(
-        parsed.fleet_solo_wall_clock_secs.to_bits(),
-        original.fleet_solo_wall_clock_secs.to_bits(),
-        "{scenario}: fleet_solo_wall_clock_secs"
-    );
-    assert_eq!(
-        parsed.fleet_marginal_cost_secs.to_bits(),
-        original.fleet_marginal_cost_secs.to_bits(),
-        "{scenario}: fleet_marginal_cost_secs"
-    );
     assert_eq!(
         parsed.fleet_per_property, original.fleet_per_property,
         "{scenario}: fleet_per_property"
     );
+    // What measures the host is kept out of the document: a freshly parsed record
+    // reads as unmeasured, so re-serializing it reproduces the bytes it came from.
+    assert_eq!(
+        (parsed.wall_clock_secs, parsed.events_per_sec, parsed.peak_rss_bytes),
+        (0.0, 0.0, 0),
+        "{scenario}: host-measured run fields"
+    );
+    assert_eq!(
+        (parsed.fleet_solo_wall_clock_secs, parsed.fleet_marginal_cost_secs),
+        (0.0, 0.0),
+        "{scenario}: host-measured fleet fields"
+    );
+    assert_eq!(parsed.to_json(), original.to_json(), "{scenario}: serialized form");
 }
 
 #[test]
@@ -175,10 +177,8 @@ fn fleet_fields_are_populated_and_survive_the_roundtrip() {
     let record = &sweep_from_json(&doc).expect("schema")[0];
     assert_eq!(record.avg.fleet_size, result.avg.fleet_size);
     assert_eq!(record.avg.fleet_per_property, result.avg.fleet_per_property);
-    assert_eq!(
-        record.avg.fleet_solo_wall_clock_secs.to_bits(),
-        result.avg.fleet_solo_wall_clock_secs.to_bits()
-    );
+    // The solo baseline is a timing: shown on the terminal, not carried.
+    assert_eq!(record.avg.fleet_solo_wall_clock_secs, 0.0);
 }
 
 #[test]
@@ -238,19 +238,20 @@ fn zero_event_shards_emit_zeroed_per_shard_rows_that_round_trip() {
         .len();
     assert_eq!(raw_rows, 4, "the emitted JSON itself carries all four rows");
     let record = &sweep_from_json(&doc).expect("schema")[0];
-    assert_eq!(record.per_seed[0].per_shard, result.per_seed[0].per_shard);
+    assert_metrics_eq(&record.per_seed[0], &result.per_seed[0], "one session on four shards");
+    assert_eq!(record.per_seed[0].per_shard.len(), 4);
 }
 
 #[test]
 fn scenario_wall_clock_duration_is_reported() {
-    // The per-scenario duration is an additive schema field: present in emitted
-    // documents, non-zero for any scenario that actually ran.
+    // The per-scenario duration is measured for any scenario that actually ran —
+    // the terminal tables show it — and is not part of the document.
     let scenario = small("paper-B-n2");
     let result = scenario.run();
     assert!(result.avg.wall_clock_secs > 0.0);
     let doc = sweep_to_json(&[(scenario, result)]);
     let record = &doc.get("scenarios").unwrap().as_array().unwrap()[0];
-    assert!(record.get("avg").unwrap().get("wall_clock_secs").unwrap().as_f64().unwrap() > 0.0);
+    assert!(record.get("avg").unwrap().get_opt("wall_clock_secs").unwrap().is_none());
 }
 
 #[test]
@@ -297,6 +298,14 @@ fn documents_with_the_retired_switches_and_family_still_parse() {
         sweep_to_json(&[(scenario.clone(), result.clone())]).get("scenarios").unwrap().as_array().unwrap()[0].clone();
     *field_mut(field_mut(&mut throughput, "stream"), "binary_wire") = Json::Bool(true);
     *field_mut(field_mut(&mut throughput, "stream"), "use_rings") = Json::Bool(false);
+    // Documents of that age also carry the host-measured fields; they are read.
+    *field_mut(field_mut(&mut throughput, "avg"), "wall_clock_secs") = Json::from(0.25);
+    *field_mut(field_mut(&mut throughput, "avg"), "events_per_sec") = Json::from(1234.5);
+    let Json::Array(shards) = field_mut(field_mut(&mut throughput, "avg"), "per_shard") else {
+        panic!("per_shard is an array")
+    };
+    *field_mut(&mut shards[0], "backpressure_stalls") = Json::from(3usize);
+    *field_mut(&mut shards[0], "busy_secs") = Json::from(0.125);
     let mut hotpath = throughput.clone();
     *field_mut(&mut hotpath, "name") = Json::from("hotpath-C-s400-sh1-off");
     *field_mut(&mut hotpath, "family") = Json::from("hotpath");
@@ -309,5 +318,67 @@ fn documents_with_the_retired_switches_and_family_still_parse() {
     let records = sweep_from_json(&Json::parse(&text).expect("valid JSON")).expect("schema");
     assert_eq!(records.len(), 1, "the retired family's record is skipped");
     assert_eq!(records[0].scenario, scenario);
-    assert_metrics_eq(&records[0].avg, &result.avg, "throughput record");
+    let mut read = records[0].avg.clone();
+    assert_eq!((read.wall_clock_secs, read.events_per_sec), (0.25, 1234.5));
+    assert_eq!((read.per_shard[0].backpressure_stalls, read.per_shard[0].busy_secs), (3, 0.125));
+    (read.wall_clock_secs, read.events_per_sec) = (0.0, 0.0);
+    assert_metrics_eq(&read, &result.avg, "throughput record");
+}
+
+/// The eleven fields that measure the host rather than the monitored run.
+const HOST_MEASURED_FIELDS: [&str; 11] = [
+    "wall_clock_secs",
+    "events_per_sec",
+    "peak_rss_bytes",
+    "fleet_solo_wall_clock_secs",
+    "fleet_marginal_cost_secs",
+    "batches",
+    "max_batch_len",
+    "busy_secs",
+    "avg_queue_latency_secs",
+    "max_queue_latency_secs",
+    "backpressure_stalls",
+];
+
+/// The committed five-target document.
+fn committed_document() -> String {
+    std::fs::read_to_string("BENCH_results.json").expect("the committed results document")
+}
+
+#[test]
+fn committed_document_reserializes_byte_for_byte() {
+    let text = committed_document();
+    let records = sweep_from_json(&Json::parse(&text).expect("valid JSON")).expect("schema");
+    assert_eq!(records.len(), 86);
+    let mut again = records_to_json(&records).to_string_pretty();
+    again.push('\n');
+    assert!(again == text, "parse → serialize must reproduce BENCH_results.json");
+}
+
+#[test]
+fn committed_scenarios_rerun_to_the_committed_bytes_without_host_measurements() {
+    // One offline scenario, one member of a §4.3 pair and one custom LTL spec, at
+    // their committed size: what a fresh run writes is the committed record.  This
+    // is the regression pin CI applies to all 86 scenarios with `cmp`.
+    let text = committed_document();
+    let committed = Json::parse(&text).expect("valid JSON");
+    let committed = committed.get("scenarios").unwrap().as_array().unwrap();
+    let registry = ScenarioRegistry::standard();
+    for name in ["paper-B-n3", "overhead-C-opts", "custom-reqack-n2"] {
+        let scenario = registry.get(name).expect(name).clone();
+        let fresh = sweep_to_json(&[(scenario.clone(), scenario.run())]).to_string_pretty();
+        for field in HOST_MEASURED_FIELDS {
+            assert!(!fresh.contains(&format!("\"{field}\"")), "{name}: `{field}` was written");
+        }
+        let fresh = Json::parse(&fresh).expect("valid JSON");
+        let fresh = &fresh.get("scenarios").unwrap().as_array().unwrap()[0];
+        let pinned = committed
+            .iter()
+            .find(|r| r.get("name").unwrap().as_str().unwrap() == name)
+            .unwrap_or_else(|| panic!("`{name}` is committed"));
+        assert_eq!(fresh.to_string_pretty(), pinned.to_string_pretty(), "{name}");
+    }
+    for field in HOST_MEASURED_FIELDS {
+        assert!(!text.contains(&format!("\"{field}\"")), "committed document carries `{field}`");
+    }
 }

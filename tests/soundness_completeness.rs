@@ -7,7 +7,15 @@
 //!   reaching ⊥ (resp. ⊤), some monitor must detect ⊥ (resp. ⊤) as well
 //!   (Equation 3.1 restricted to final verdicts, which is what the monitors report to
 //!   the program).
+//!
+//! Beyond the paper's six properties, a seeded sweep checks soundness for random LTL
+//! over random small computations.  It is **not clean**: the seeds it is known to
+//! fail on are listed ([`KNOWN_UNSOUND`]) and described under "Open findings" in
+//! `docs/MONITORING.md`.
 
+mod common;
+
+use common::{random_formula, shared_registry};
 use dlrv_core::dlrv_automaton::MonitorAutomaton;
 use dlrv_core::dlrv_distsim::{run_simulation, NullMonitor, SimConfig};
 use dlrv_core::dlrv_ltl::{Assignment, AtomRegistry, Formula, Verdict};
@@ -15,57 +23,73 @@ use dlrv_core::dlrv_monitor::{replay_decentralized, MonitorOptions};
 use dlrv_core::dlrv_trace::{generate_workload, WorkloadConfig};
 use dlrv_core::dlrv_vclock::{oracle_evaluate, Computation, Lattice, OracleResult};
 use dlrv_core::PaperProperty;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Runs a workload program-only (null monitors) to obtain its computation, then
-/// evaluates it with both the oracle and the decentralized monitors.
+/// The verdicts the decentralized monitors detect on the computation of `workload`
+/// under each of `options`, next to the oracle's evaluation of the same computation.
+fn detect(
+    formula: &Formula,
+    registry: AtomRegistry,
+    workload: &WorkloadConfig,
+    options: &[MonitorOptions],
+) -> (OracleResult, Vec<BTreeSet<Verdict>>) {
+    let automaton = Arc::new(MonitorAutomaton::synthesize(formula, &registry));
+    let registry = Arc::new(registry);
+    let report = run_simulation(
+        &generate_workload(workload),
+        &registry,
+        &SimConfig::default(),
+        |_| NullMonitor::default(),
+    );
+    let comp = report.computation;
+    let oracle = oracle_evaluate(&comp, &Lattice::build(&comp), &automaton, &registry);
+    let detected = options
+        .iter()
+        .map(|&opts| replay_decentralized(&comp, &registry, &automaton, opts).detected_final_verdicts())
+        .collect();
+    (oracle, detected)
+}
+
+/// Whether every detected ⊤/⊥ is reachable on some lattice path.
+fn sound(oracle: &OracleResult, detected: &BTreeSet<Verdict>) -> bool {
+    (oracle.violation_reachable || !detected.contains(&Verdict::False))
+        && (oracle.satisfaction_reachable || !detected.contains(&Verdict::True))
+}
+
+/// A paper property on `n` processes: the oracle's evaluation and what the monitors
+/// detect under the default options.
 fn compare(
     property: PaperProperty,
     n: usize,
     events: usize,
     seed: u64,
     comm_mu: Option<f64>,
-) -> (OracleResult, std::collections::BTreeSet<Verdict>, std::collections::BTreeSet<Verdict>) {
+) -> (OracleResult, BTreeSet<Verdict>) {
     let (formula, registry) = property.build(n);
-    let automaton = Arc::new(MonitorAutomaton::synthesize(&formula, &registry));
-    let registry = Arc::new(registry);
-
-    let workload = generate_workload(&WorkloadConfig {
+    let workload = WorkloadConfig {
         n_processes: n,
         events_per_process: events,
         comm_mu,
         seed,
         ..WorkloadConfig::default()
-    });
-    let report = run_simulation(&workload, &registry, &SimConfig::default(), |_| {
-        NullMonitor::default()
-    });
-    let comp = report.computation;
-
-    let lattice = Lattice::build(&comp);
-    let oracle = oracle_evaluate(&comp, &lattice, &automaton, &registry);
-
-    let result = replay_decentralized(&comp, &registry, &automaton, MonitorOptions::default());
-    (oracle, result.detected_final_verdicts(), result.possible_verdicts())
+    };
+    let (oracle, mut detected) =
+        detect(&formula, registry, &workload, &[MonitorOptions::default()]);
+    (oracle, detected.remove(0))
 }
 
 #[test]
 fn soundness_of_final_verdicts_across_properties_and_seeds() {
     for property in [PaperProperty::A, PaperProperty::B, PaperProperty::C, PaperProperty::D] {
         for seed in 1..=4u64 {
-            let (oracle, detected, _) = compare(property, 3, 6, seed, Some(3.0));
-            if detected.contains(&Verdict::False) {
-                assert!(
-                    oracle.violation_reachable,
-                    "{property} seed {seed}: monitors declared ⊥ but no lattice path violates"
-                );
-            }
-            if detected.contains(&Verdict::True) {
-                assert!(
-                    oracle.satisfaction_reachable,
-                    "{property} seed {seed}: monitors declared ⊤ but no lattice path satisfies"
-                );
-            }
+            let (oracle, detected) = compare(property, 3, 6, seed, Some(3.0));
+            assert!(
+                sound(&oracle, &detected),
+                "{property} seed {seed}: monitors declared {detected:?}, unreachable on the lattice"
+            );
         }
     }
 }
@@ -77,7 +101,7 @@ fn completeness_for_reachability_properties() {
     // must find it.
     for property in [PaperProperty::B, PaperProperty::E] {
         for seed in 1..=3u64 {
-            let (oracle, detected, _) = compare(property, 3, 6, seed, Some(3.0));
+            let (oracle, detected) = compare(property, 3, 6, seed, Some(3.0));
             assert!(oracle.satisfaction_reachable, "{property}: workload should allow ⊤");
             assert!(
                 detected.contains(&Verdict::True),
@@ -92,7 +116,7 @@ fn completeness_without_any_communication() {
     // With no program communication every pair of events of different processes is
     // concurrent — the hardest case for detecting a global conjunction.
     for seed in 1..=3u64 {
-        let (oracle, detected, _) = compare(PaperProperty::B, 3, 5, seed, None);
+        let (oracle, detected) = compare(PaperProperty::B, 3, 5, seed, None);
         assert!(oracle.satisfaction_reachable);
         assert!(
             detected.contains(&Verdict::True),
@@ -214,4 +238,82 @@ fn optimizations_do_not_change_detected_verdicts() {
             }
         }
     }
+}
+
+/// Seeds of the `X`-free sweep on which the monitors detect a verdict no lattice
+/// path reaches, identically with the §4.3 optimizations on and off.  An open
+/// finding, not an allowance: the sweep also fails when a listed seed stops
+/// disagreeing, so whatever fixes one deletes its entry.
+const KNOWN_UNSOUND: [u64; 9] = [229, 802, 1039, 1301, 2065, 2246, 2486, 2513, 2569];
+
+/// The same for the generator as it is, `X` included.
+const KNOWN_UNSOUND_WITH_NEXT: [u64; 25] = [
+    7, 19, 43, 44, 71, 73, 125, 143, 155, 158, 178, 181, 224, 229, 271, 277, 287, 292, 320, 346,
+    347, 358, 365, 385, 394,
+];
+
+/// Seeds of the `X`-free sweep on which the two option sets detect different
+/// verdicts: on 1673 the default suite misses a reachable ⊥ that all-off finds.
+const KNOWN_OPTION_DEPENDENT: [u64; 1] = [1673];
+
+#[test]
+fn random_ltl_verdicts_are_reachable_on_the_lattice_except_on_the_known_seeds() {
+    // Random LTL (the `fleet_props` generator, budget 8, one `P<i>.p` atom per
+    // process) over random small computations (2–3 processes, 4 events each, every
+    // third seed without communication), through `FeedSession` — which
+    // `replay_decentralized` drives — with the §4.3 suite on and off.
+    let options = [MonitorOptions::default(), MonitorOptions::ALL_OFF];
+    type Next = fn(Formula) -> Formula;
+    let without_next = (Formula::globally as Next, 3000, &KNOWN_UNSOUND[..], &KNOWN_OPTION_DEPENDENT[..]);
+    let with_next = (Formula::next as Next, 400, &KNOWN_UNSOUND_WITH_NEXT[..], &[][..]);
+    for (next, seeds, known_unsound, known_option_dependent) in [without_next, with_next] {
+        let (mut unsound, mut option_dependent) = (Vec::new(), Vec::new());
+        for seed in 0..seeds {
+            let n = 2 + (seed % 2) as usize;
+            let formula = random_formula(&mut StdRng::seed_from_u64(seed), n as u32, 8, next);
+            let workload = WorkloadConfig {
+                n_processes: n,
+                events_per_process: 4,
+                comm_mu: if seed % 3 == 0 { None } else { Some(3.0) },
+                seed,
+                ..WorkloadConfig::default()
+            };
+            let (oracle, detected) = detect(&formula, shared_registry(n), &workload, &options);
+            if detected.iter().any(|d| !sound(&oracle, d)) {
+                unsound.push(seed);
+            }
+            if detected[0] != detected[1] {
+                option_dependent.push(seed);
+            }
+        }
+        assert_eq!(unsound, known_unsound, "seeds detecting an unreachable verdict");
+        assert_eq!(option_dependent, known_option_dependent, "seeds where the options matter");
+    }
+}
+
+#[test]
+#[ignore = "open soundness finding, docs/MONITORING.md"]
+fn release_reproducer_detects_only_the_reachable_verdict() {
+    // The smallest reproducer of the sweep's finding, independent of the generator:
+    // `P0.p R !P1.p` on a 2-process computation.  Every lattice path reaches ⊤ at
+    // cut [3,1], before `P1.p` first holds (P1's event 11, clock [8,11]), so ⊥ is
+    // unreachable — and P0's monitor reports it anyway.
+    let mut registry = AtomRegistry::new();
+    let p0 = Formula::Atom(registry.intern("P0.p", 0));
+    let p1 = Formula::Atom(registry.intern("P1.p", 1));
+    let workload = WorkloadConfig {
+        n_processes: 2,
+        events_per_process: 4,
+        comm_mu: Some(3.0),
+        seed: 802,
+        ..WorkloadConfig::default()
+    };
+    let (oracle, detected) = detect(
+        &Formula::release(p0, Formula::not(p1)),
+        registry,
+        &workload,
+        &[MonitorOptions::default()],
+    );
+    assert!(oracle.satisfaction_reachable && !oracle.violation_reachable);
+    assert_eq!(detected[0], BTreeSet::from([Verdict::True]), "detected verdicts");
 }
