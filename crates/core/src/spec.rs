@@ -15,8 +15,8 @@
 //! [`CompiledProperty`] is the spec fully elaborated for a concrete process count:
 //! formula, atom registry, atom-to-channel [`AtomLayout`] and the synthesized
 //! [`MonitorAutomaton`], shared (`Arc`) by every monitor of a run.  It is what the
-//! decentralized/centralized feed sessions and the stream runtime's
-//! `SessionSpec` are built from.
+//! decentralized feed sessions and the stream runtime's `SessionSpec` are built
+//! from.
 
 use crate::properties::PaperProperty;
 use dlrv_automaton::{dot, MonitorAutomaton};

@@ -1,10 +1,10 @@
 //! The interface between the execution substrate and monitor implementations.
 //!
 //! A *monitor behavior* is whatever sits next to a program process and reacts to its
-//! local events: the paper's decentralized monitor, a centralized collector, or a
-//! no-op.  The substrate (the discrete-event simulator, a feed session, a daemon) owns
-//! message delivery; behaviors only see callbacks and a context through which they can
-//! send messages to their peers.
+//! local events: the paper's decentralized monitor, a fleet of them, or a no-op.  The
+//! substrate (the discrete-event simulator, a feed session, a daemon) owns message
+//! delivery; behaviors only see callbacks and a context through which they can send
+//! messages to their peers.
 
 use dlrv_ltl::ProcessId;
 use dlrv_vclock::Event;
@@ -76,18 +76,6 @@ impl<'a, M> MonitorContext<'a, M> {
         debug_assert_ne!(to, self.self_id, "monitors do not message themselves");
         self.outbox.push((to, msg));
     }
-
-    /// Queues `msg` for every other monitor.
-    pub fn broadcast(&mut self, msg: M)
-    where
-        M: Clone,
-    {
-        for p in 0..self.n_processes {
-            if p != self.self_id {
-                self.outbox.push((p, msg.clone()));
-            }
-        }
-    }
 }
 
 /// A monitor that does nothing: used to measure the bare program execution and as a
@@ -119,7 +107,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn context_send_and_broadcast_fill_outbox() {
+    fn context_send_fills_the_outbox_in_order() {
         let mut outbox = Vec::new();
         let mut ctx: MonitorContext<'_, u32> = MonitorContext {
             self_id: 1,
@@ -128,8 +116,8 @@ mod tests {
             outbox: &mut outbox,
         };
         ctx.send(0, 10);
-        ctx.broadcast(7);
-        assert_eq!(outbox, vec![(0, 10), (0, 7), (2, 7), (3, 7)]);
+        ctx.send(3, 7);
+        assert_eq!(outbox, vec![(0, 10), (3, 7)]);
     }
 
     #[test]

@@ -27,11 +27,11 @@
 //!   number of *monitoring messages* is bounded by the number of destination
 //!   processes per activation, not by the number of explorations.
 //! * **Duplicate-global-view avoidance** (§4.3.2, `dedup_global_views`) — a returned
-//!   token never forks a view whose exploration point ([`ViewKey`]: automaton state +
-//!   frontier + believed global state) already exists, and a view does not launch a
-//!   token for an automaton state that already has an exploration in flight.
-//!   View-set maintenance is hash-keyed: merging converged views is one map lookup
-//!   per view instead of pairwise comparison.
+//!   token never forks a view whose exploration point ([`GlobalView::same_slice`]:
+//!   automaton state + frontier + believed global state) already exists, and a view
+//!   does not launch a token for an automaton state that already has an exploration
+//!   in flight.  Both this check and the merge of converged views are one scan of
+//!   the live view set (view counts are bounded by the lattice width).
 //! * **Disjunctive-transition pruning** (§4.3.3, `prune_disjunctive`) — once some
 //!   transition into a target state is enabled, sibling candidates into the same
 //!   target are dropped; and candidates whose target is a ⊤/⊥ verdict state this
@@ -42,7 +42,7 @@
 //! `stream_equivalence` and soundness/completeness suites); the flags only change the
 //! message, queueing and memory cost — the quantities `--target overhead` reports.
 
-use crate::global_view::{GlobalView, GvState, ViewKey};
+use crate::global_view::{GlobalView, GvState};
 use crate::messages::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition, WaitingTokens};
 use crate::metrics::MonitorMetrics;
 use dlrv_automaton::{MonitorAutomaton, SymbolicTransition};
@@ -50,7 +50,7 @@ use dlrv_distsim::{MonitorBehavior, MonitorContext};
 use dlrv_ltl::{Assignment, AtomRegistry, Cube, ProcessId, Verdict};
 use dlrv_vclock::{Event, VectorClock};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Switches for the optimizations of §4.3.
@@ -69,11 +69,10 @@ pub struct MonitorOptions {
     /// Hot-path allocation recycling: retired global views, token cuts, conjunct
     /// buffers and view-set staging vectors are pooled — one pool per thread, shared
     /// by every monitor the thread runs — and reused instead of reallocated per
-    /// event, and the §4.3.2 dedup/merge scans run as single-pass batched clock
-    /// comparisons over the live view set instead of building per-call hash
-    /// indexes.  Not a paper optimization — an engineering switch
-    /// following the same A/B discipline: verdicts, tokens and messages are
-    /// byte-identical with the flag off (pinned by the equivalence suites).
+    /// event.  Not a paper optimization — an engineering switch following the same
+    /// A/B discipline: it selects where buffers come from and nothing else, so
+    /// verdicts, tokens and messages are byte-identical with the flag off (pinned
+    /// by the equivalence suites).
     pub arena_recycling: bool,
 }
 
@@ -513,55 +512,19 @@ impl DecentralizedMonitor {
     }
 
     /// MERGESIMILARGLOBALVIEWS: collapse views with identical automaton state, cut and
-    /// global state.
+    /// global state, keeping the first occurrence of each exploration point in
+    /// encounter order.
     ///
-    /// Two equivalent implementations, selected by `opts.arena_recycling`:
-    ///
-    /// * **Hash-keyed** (arena off) — one map lookup per view; building the index
-    ///   clones every view's cut into its [`ViewKey`] and allocates the map and the
-    ///   kept vector per call.
-    /// * **Batched scan** (arena on) — each incoming view's cut is compared against
-    ///   every kept cut in a single [`compare_many`] pass over raw entry slices,
-    ///   using only recycled buffers.  Both keep the first occurrence of each
-    ///   exploration point in encounter order, so the resulting view sets are
-    ///   identical.
+    /// Kept views accumulate in `self.views`, and each incoming view's cut is compared
+    /// against every kept cut in a single [`compare_many`](dlrv_vclock::compare_many)
+    /// pass over raw entry slices, plus the state/valuation checks.  View counts per
+    /// monitor are small (bounded by the lattice width), so the scan stays cheap, and
+    /// with the arena on it allocates nothing.
     fn merge_similar_views(&mut self) {
         if self.views.len() <= 1 {
             return;
         }
         let _span = dlrv_obs::span("monitor.merge_views");
-        if self.opts.arena_recycling {
-            self.merge_similar_views_scan();
-            return;
-        }
-        let mut kept: Vec<GlobalView> = Vec::with_capacity(self.views.len());
-        let mut index: HashMap<ViewKey, usize> = HashMap::with_capacity(self.views.len());
-        for gv in std::mem::take(&mut self.views) {
-            match index.entry(gv.slice_key()) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    // Prefer the unblocked copy; the kept slot keeps its queue.
-                    let existing = &mut kept[*slot.get()];
-                    if existing.state == GvState::Waiting && gv.state == GvState::Unblocked {
-                        let next_sn = existing.next_sn;
-                        *existing = gv;
-                        existing.next_sn = next_sn;
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(kept.len());
-                    kept.push(gv);
-                }
-            }
-        }
-        self.views = kept;
-    }
-
-    /// The allocation-free merge: kept views accumulate in (recycled) `self.views`,
-    /// and each incoming view is matched by one batched clock comparison plus the
-    /// state/valuation checks.  View counts per monitor are small (bounded by the
-    /// lattice width), so the scan term stays cheap while saving the per-view key
-    /// clone and the per-call map.
-    fn merge_similar_views_scan(&mut self) {
         let mut staged = self.take_view_buf();
         std::mem::swap(&mut staged, &mut self.views);
         let mut ord = self
@@ -749,7 +712,7 @@ impl DecentralizedMonitor {
                     // No further events will ever occur here: the pending conjuncts of
                     // transitions targeting us can never be satisfied.
                     self.fail_local_targets(&mut token);
-                    self.dispatch_after_local_processing(token, ctx);
+                    self.route_token(token, ctx);
                 } else {
                     self.waiting_tokens.park(token);
                 }
@@ -757,20 +720,10 @@ impl DecentralizedMonitor {
             }
             let keep_going = self.process_token_with_event(&mut token, sn);
             if !keep_going {
-                self.dispatch_after_local_processing(token, ctx);
+                self.route_token(token, ctx);
                 return;
             }
         }
-    }
-
-    /// After local processing, decide where the token goes (never "Local" again unless
-    /// it must wait).
-    fn dispatch_after_local_processing(
-        &mut self,
-        token: Token,
-        ctx: &mut MonitorContext<'_, MonitorMsg>,
-    ) {
-        self.route_token(token, ctx);
     }
 
     /// PROCESSTOKEN + EVALUATETOKEN for the local event `sn` (already in the
@@ -905,15 +858,6 @@ impl DecentralizedMonitor {
     fn handle_returned_token(&mut self, mut token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         let owner_idx = self.views.iter().position(|gv| gv.id == token.parent_gv);
 
-        // §4.3.2: the exploration points already represented, so an enabled
-        // transition never forks a duplicate view.  Two equivalent forms: without the
-        // arena, a lazily built hash snapshot (one probe per spawn, but every live
-        // view's cut is cloned into its key); with the arena, a direct scan of the
-        // live view set — freshly spawned views are pushed into `self.views`
-        // immediately, so the scan sees exactly the snapshot-plus-inserts membership
-        // without allocating anything.
-        let mut existing: Option<HashSet<ViewKey>> = None;
-
         let mut enabled_targets: BTreeSet<dlrv_automaton::StateId> = BTreeSet::new();
         let mut remaining: Vec<TokenTransition> = self.take_transition_buf();
         for tran in token.transitions.drain(..) {
@@ -933,28 +877,16 @@ impl DecentralizedMonitor {
                         continue;
                     }
                     enabled_targets.insert(target);
-                    if self.opts.dedup_global_views {
-                        let duplicate = if self.opts.arena_recycling {
-                            self.views.iter().any(|gv| {
-                                gv.q == target
-                                    && gv.gstate == tran.gstate
-                                    && gv.gcut == tran.gcut
-                            })
-                        } else {
-                            let keys = existing.get_or_insert_with(|| {
-                                self.views.iter().map(GlobalView::slice_key).collect()
-                            });
-                            let key = ViewKey {
-                                q: target,
-                                gcut: tran.gcut.clone(),
-                                gstate: tran.gstate,
-                            };
-                            !keys.insert(key)
-                        };
-                        if duplicate {
-                            self.reclaim_transition(tran);
-                            continue;
-                        }
+                    // §4.3.2: never fork a view whose exploration point is already
+                    // represented.  Freshly spawned views are pushed into `self.views`
+                    // at once, so this scan sees the siblings spawned just above too.
+                    if self.opts.dedup_global_views
+                        && self.views.iter().any(|gv| {
+                            gv.q == target && gv.gstate == tran.gstate && gv.gcut == tran.gcut
+                        })
+                    {
+                        self.reclaim_transition(tran);
+                        continue;
                     }
                     // The cut moves into the spawned view; the rest of the
                     // transition's allocations are reclaimed.
@@ -1025,7 +957,6 @@ impl DecentralizedMonitor {
             gstate,
             q,
             next_sn: self.empty_queue_cursor(),
-            keep_after_fork: false,
             state: GvState::Unblocked,
         };
         self.metrics.global_views_created += 1;
@@ -1058,12 +989,14 @@ impl DecentralizedMonitor {
         self.apply_local_state(&mut gstate, self.pid, self.history.state(sn));
         gv.gstate = gstate;
 
-        gv.keep_after_fork = false;
+        // Whether the view took a real step on this event; only then does a copy
+        // survive the fork below.
+        let mut keep_after_fork = false;
         if is_consistent {
             let target = self.automaton.step(gv.q, gv.gstate);
             if target != gv.q || !self.automaton.is_final(gv.q) {
                 gv.q = target;
-                gv.keep_after_fork = true;
+                keep_after_fork = true;
                 self.record_state_verdict(target);
             }
         }
@@ -1093,7 +1026,7 @@ impl DecentralizedMonitor {
 
         // Fork: keep a copy following the local progress path while the original waits
         // for the token (Algorithm 2, lines 33–37).
-        if gv.keep_after_fork {
+        if keep_after_fork {
             let duplicate_exists = self.opts.dedup_global_views
                 && (self.views.iter().any(|other| other.same_slice(&gv))
                     || produced.iter().any(|other: &GlobalView| other.same_slice(&gv)));
@@ -1106,7 +1039,6 @@ impl DecentralizedMonitor {
                     gstate: gv.gstate,
                     q: gv.q,
                     next_sn: self.empty_queue_cursor(),
-                    keep_after_fork: false,
                     state: GvState::Unblocked,
                 };
                 self.next_gv_id += 1;
@@ -1280,34 +1212,19 @@ impl MonitorBehavior for DecentralizedMonitor {
                     }
                 }
             }
-            // Nothing to do: a token that needs an event the terminated peer never
-            // produced is failed by that peer itself (`fail_local_targets`) when the
-            // token gets there, so its `last_sn` is not needed here.
-            MonitorMsg::Terminated { .. } => {}
         }
         self.note_view_peak();
         self.flush_outbound(ctx);
         self.return_arena();
     }
 
-    /// TERMINATE (§4.2.0.10).
+    /// TERMINATE (§4.2.0.10).  Termination is local: no peer is told, because a
+    /// token that arrives later asking for an event this process never produced is
+    /// failed on arrival (`advance_local_token`).
     fn on_local_termination(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         self.lease_arena();
         self.local_terminated = true;
         self.metrics.last_activity_time = ctx.now;
-        let last_sn = self.history.len() as u64;
-        // Tell every peer we will produce no more events.
-        for p in 0..self.n {
-            if p != self.pid {
-                ctx.send(
-                    p,
-                    MonitorMsg::Terminated {
-                        process: self.pid,
-                        last_sn,
-                    },
-                );
-            }
-        }
         // Fail every token parked here waiting for events that will never happen.
         for mut token in self.waiting_tokens.drain_all() {
             self.fail_local_targets(&mut token);
@@ -1514,7 +1431,7 @@ mod tests {
 
     #[test]
     fn a_merge_keeps_the_kept_views_cursor() {
-        // Both merge implementations: hash-keyed (arena off) and batched scan.
+        // One merge, with the staging buffers pooled or freshly allocated.
         for arena_recycling in [false, true] {
             let (mut m, p) = goal_monitor(MonitorOptions {
                 arena_recycling,
@@ -1532,7 +1449,9 @@ mod tests {
             converged.state = GvState::Unblocked;
             converged.next_sn = 5;
             m.views = vec![waiting, converged];
+            m.lease_arena();
             m.merge_similar_views();
+            m.return_arena();
             // The unblocked copy takes the slot, the slot keeps its queue.
             let [kept] = &m.views[..] else {
                 panic!("expected one merged view, got {:?}", m.views);

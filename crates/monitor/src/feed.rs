@@ -20,7 +20,6 @@
 //! [`combined_verdict`] defines what a single incremental call reports when monitors
 //! have detected final verdicts on several lattice paths.
 
-use crate::centralized::CentralizedMonitor;
 use crate::decentralized::{DecentralizedMonitor, MonitorOptions};
 use dlrv_automaton::MonitorAutomaton;
 use dlrv_distsim::{MonitorBehavior, MonitorContext};
@@ -44,16 +43,6 @@ impl SessionVerdicts for DecentralizedMonitor {
 
     fn possible_verdicts(&self) -> BTreeSet<Verdict> {
         self.possible_verdicts()
-    }
-}
-
-impl SessionVerdicts for CentralizedMonitor {
-    fn detected_verdicts(&self) -> BTreeSet<Verdict> {
-        self.metrics().detected_final_verdicts
-    }
-
-    fn possible_verdicts(&self) -> BTreeSet<Verdict> {
-        self.metrics().possible_verdicts
     }
 }
 
@@ -229,9 +218,6 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
 /// A feed session over decentralized (token-algorithm) monitors.
 pub type DecentralizedSession = FeedSession<DecentralizedMonitor>;
 
-/// A feed session over the centralized baseline.
-pub type CentralizedSession = FeedSession<CentralizedMonitor>;
-
 /// Creates a decentralized session: one [`DecentralizedMonitor`] per process, all
 /// starting from `initial_gstate`.
 pub fn decentralized_session(
@@ -249,26 +235,6 @@ pub fn decentralized_session(
             registry.clone(),
             initial_gstate,
             opts,
-        )
-    })
-}
-
-/// Creates a centralized session with the collector at process `central`.
-pub fn centralized_session(
-    n_processes: usize,
-    central: ProcessId,
-    automaton: &Arc<MonitorAutomaton>,
-    registry: &Arc<AtomRegistry>,
-    initial_states: Vec<Assignment>,
-) -> CentralizedSession {
-    FeedSession::new(n_processes, |i| {
-        CentralizedMonitor::new(
-            i,
-            n_processes,
-            central,
-            automaton.clone(),
-            registry.clone(),
-            initial_states.clone(),
         )
     })
 }
@@ -320,23 +286,6 @@ mod tests {
         assert!(session.monitor_messages() > 0, "exploration requires tokens");
         // finish is idempotent.
         assert_eq!(session.finish(), Verdict::True);
-    }
-
-    #[test]
-    fn centralized_session_reaches_same_verdict() {
-        let (automaton, registry, a, b) = two_proc_setup();
-        let mut session = centralized_session(
-            2,
-            0,
-            &automaton,
-            &registry,
-            vec![Assignment::ALL_FALSE; 2],
-        );
-        session.feed_owned(internal(0, 1, vec![1, 0], Assignment::from_true_atoms([a]), 1.0));
-        session.feed_owned(internal(1, 1, vec![0, 1], Assignment::from_true_atoms([b]), 2.0));
-        assert_eq!(session.finish(), Verdict::True);
-        // The non-central monitor forwarded two events and one Done message.
-        assert_eq!(session.monitor_messages(), 2);
     }
 
     #[test]

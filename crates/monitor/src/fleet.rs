@@ -17,9 +17,9 @@
 //! * **Transport** — with `aggregate_tokens` on (§4.3.1), outbound tokens from
 //!   *all* members to the same destination ride one [`MonitorMsg::Batch`].  The
 //!   [`Token::property`] field is the property-id dimension of the batch: the
-//!   receiving fleet demultiplexes tokens back to their members.  One
-//!   `Terminated` notification per peer serves the whole fleet (every member
-//!   observes the same local history, so the notifications are identical).
+//!   receiving fleet demultiplexes tokens back to their members.  Termination
+//!   sends nothing of its own (it is local to each member), so every message the
+//!   fleet puts on the transport carries tokens.
 //!
 //! What is *not* shared: all monitor state — event histories, global views,
 //! waiting tokens — stays strictly per member, so properties cannot bleed state
@@ -92,9 +92,8 @@ pub struct FleetMonitor {
     /// Retired token vectors (unwrapped incoming batches, flushed staging
     /// groups), reused for outgoing batches.
     token_pool: Vec<Vec<Token>>,
-    /// Messages forwarded verbatim, in emission order: `Terminated`
-    /// notifications (first member only — they are identical across members)
-    /// and, with `aggregate` off, every token message.
+    /// With `aggregate` off: every member message, forwarded verbatim in
+    /// emission order.  Unused in aggregate mode.
     direct: Vec<(ProcessId, MonitorMsg)>,
 }
 
@@ -180,13 +179,6 @@ impl FleetMonitor {
         }
         for (dest, msg) in outbox.drain(..) {
             match msg {
-                MonitorMsg::Terminated { .. } => {
-                    // Every member observed the same local history, so the
-                    // notifications are identical; one per peer serves the fleet.
-                    if k == 0 {
-                        self.direct.push((dest, msg));
-                    }
-                }
                 _ if !self.aggregate => self.direct.push((dest, msg)),
                 MonitorMsg::Token(token) => {
                     self.staging[dest].push(token);
@@ -200,9 +192,8 @@ impl FleetMonitor {
         self.member_outbox = outbox;
     }
 
-    /// Emits everything captured during one fleet activation: direct messages
-    /// first (`Terminated` precedes token traffic, as in a solo monitor's
-    /// termination), then one merged message per staged destination.
+    /// Emits everything captured during one fleet activation: the pass-through
+    /// messages (aggregation off) or one merged message per staged destination.
     fn flush(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         for (dest, msg) in self.direct.drain(..) {
             ctx.send(dest, msg);
@@ -260,16 +251,6 @@ impl MonitorBehavior for FleetMonitor {
         ctx: &mut MonitorContext<'_, MonitorMsg>,
     ) {
         match msg {
-            MonitorMsg::Terminated { .. } => {
-                // One wire notification fans out to every member (each solo run
-                // would have received its own copy).
-                for k in 0..self.members.len() {
-                    let msg = msg.clone();
-                    self.run_member(k, ctx.now, |m, mctx| {
-                        m.on_monitor_message(from, msg, mctx)
-                    });
-                }
-            }
             MonitorMsg::Token(token) => {
                 let k = token.property as usize;
                 self.deliver_member_tokens(k, from, vec![token], ctx.now);
@@ -371,14 +352,17 @@ mod tests {
     use dlrv_ltl::Formula;
     use dlrv_vclock::{EventKind, VectorClock};
 
-    /// Two different properties over the same two-process alphabet.
-    fn two_property_setup() -> (Vec<FleetMember>, Arc<AtomRegistry>) {
+    /// Two different properties over the same two-process alphabet:
+    /// `F (P0.p ∧ P1.p)` and `second(P0.p, P1.p)`.
+    fn two_property_setup(
+        second: fn(Formula, Formula) -> Formula,
+    ) -> (Vec<FleetMember>, Arc<AtomRegistry>) {
         let mut reg = AtomRegistry::new();
         let a = reg.intern("P0.p", 0);
         let b = reg.intern("P1.p", 1);
         let registry = Arc::new(reg);
         let phi0 = Formula::eventually(Formula::and(Formula::Atom(a), Formula::Atom(b)));
-        let phi1 = Formula::globally(Formula::Atom(a));
+        let phi1 = second(Formula::Atom(a), Formula::Atom(b));
         let members = vec![
             FleetMember {
                 automaton: Arc::new(MonitorAutomaton::synthesize(&phi0, &registry)),
@@ -418,7 +402,7 @@ mod tests {
     #[test]
     fn fleet_matches_solo_runs_member_for_member() {
         for opts in MonitorOptions::all_combinations() {
-            let (members, registry) = two_property_setup();
+            let (members, registry) = two_property_setup(|a, _| Formula::globally(a));
             let mut fleet = fleet_session(2, &members, opts);
             let mut solos: Vec<_> = members
                 .iter()
@@ -458,9 +442,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fleet_transport_is_cheaper_than_sum_of_solos() {
-        let (members, registry) = two_property_setup();
+    /// Monitoring messages of the fleet `{F (P0.p ∧ P1.p), second}` and of its two
+    /// members' solo runs summed, over [`sample_events`].
+    fn fleet_and_solo_messages(second: fn(Formula, Formula) -> Formula) -> (usize, usize) {
+        let (members, registry) = two_property_setup(second);
         let opts = MonitorOptions::default();
         let mut fleet = fleet_session(2, &members, opts);
         let mut solos: Vec<_> = members
@@ -481,12 +466,22 @@ mod tests {
                 solo.monitor_messages()
             })
             .sum();
-        assert!(
-            fleet.monitor_messages() < solo_messages,
-            "fleet sent {} messages, solos {}",
-            fleet.monitor_messages(),
-            solo_messages
-        );
+        (fleet.monitor_messages(), solo_messages)
+    }
+
+    #[test]
+    fn fleet_transport_is_cheaper_than_sum_of_solos() {
+        // `G ¬(P0.p ∧ P1.p)` asks `P1` about `P0`'s first event, exactly as
+        // `F (P0.p ∧ P1.p)` does: the two tokens share an activation and a
+        // destination, so they ride one message.
+        let (fleet, solos) = fleet_and_solo_messages(|a, b| {
+            Formula::globally(Formula::not(Formula::and(a, b)))
+        });
+        assert!(fleet < solos, "fleet sent {fleet} messages, solos {solos}");
+        // `G P0.p` is decided locally and never sends: with nothing to merge, the
+        // fleet costs exactly what the solo runs cost.
+        let (fleet, solos) = fleet_and_solo_messages(|a, _| Formula::globally(a));
+        assert_eq!(fleet, solos, "a silent member adds no message and saves none");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! current monitor-automaton state and a cursor into the monitor's local event history
 //! marking the events that arrived while the view was waiting for a token to return.
 //!
-//! Views at the same exploration point are interchangeable; [`ViewKey`] is their
-//! canonical hashable identity (automaton state + frontier cut + believed global
-//! state), the key of the §4.3.2 dedup/merge machinery in
+//! Views at the same exploration point — automaton state + frontier cut + believed
+//! global state, [`GlobalView::same_slice`] — are interchangeable; that is the
+//! criterion of the §4.3.2 dedup/merge scans in
 //! [`DecentralizedMonitor`](crate::decentralized::DecentralizedMonitor).
 
 use dlrv_automaton::StateId;
@@ -21,22 +21,6 @@ pub enum GvState {
     Unblocked,
     /// A token is in flight; local events are buffered until it returns.
     Waiting,
-}
-
-/// The canonical identity of a global view's exploration point: two views with equal
-/// keys have converged to the same hypothesis and can be merged
-/// (`MERGESIMILARGLOBALVIEWS`, strengthened with equal global states).
-///
-/// Hashable, so view sets can be deduplicated with one map lookup per view instead of
-/// pairwise comparisons.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ViewKey {
-    /// Current monitor-automaton state.
-    pub q: StateId,
-    /// The constructed cut (frontier).
-    pub gcut: VectorClock,
-    /// The believed global state.
-    pub gstate: Assignment,
 }
 
 /// One global view maintained by a monitor process.
@@ -57,8 +41,6 @@ pub struct GlobalView {
     /// monitor's history starting here — the queue of Algorithm 2 is this one
     /// cursor, and the events themselves exist once, in the history.
     pub next_sn: u64,
-    /// Whether the view survives forking (set when it took a real transition).
-    pub keep_after_fork: bool,
     /// Processing state.
     pub state: GvState,
 }
@@ -73,17 +55,7 @@ impl GlobalView {
             gstate: initial_gstate,
             q,
             next_sn: 1,
-            keep_after_fork: false,
             state: GvState::Unblocked,
-        }
-    }
-
-    /// The canonical [`ViewKey`] of this view's exploration point.
-    pub fn slice_key(&self) -> ViewKey {
-        ViewKey {
-            q: self.q,
-            gcut: self.gcut.clone(),
-            gstate: self.gstate,
         }
     }
 
@@ -128,7 +100,6 @@ mod tests {
         assert_eq!(gv.gcut, VectorClock::zero(3));
         assert_eq!(gv.q, 1);
         assert_eq!(gv.next_sn, 1, "nothing consumed yet");
-        assert!(!gv.keep_after_fork);
     }
 
     #[test]
@@ -160,19 +131,10 @@ mod tests {
         b.q = 0;
         b.gcut.increment(0);
         assert!(!a.same_slice(&b));
-    }
-
-    #[test]
-    fn view_keys_agree_with_same_slice() {
-        let a = GlobalView::initial(0, 2, Assignment::ALL_FALSE, 0);
-        let mut b = GlobalView::initial(7, 2, Assignment::ALL_FALSE, 0);
-        assert_eq!(a.slice_key(), b.slice_key());
-        b.gstate = Assignment(1);
-        assert!(a.slice_key() != b.slice_key());
-        assert_eq!(a.same_slice(&b), a.slice_key() == b.slice_key());
-        // Keys are hashable: a set of keys deduplicates converged views.
-        let set: std::collections::HashSet<ViewKey> =
-            [a.slice_key(), a.slice_key(), b.slice_key()].into_iter().collect();
-        assert_eq!(set.len(), 2);
+        // The believed global state is part of the exploration point, the id is not.
+        let mut c = GlobalView::initial(7, 2, Assignment::ALL_FALSE, 0);
+        assert!(a.same_slice(&c));
+        c.gstate = Assignment(1);
+        assert!(!a.same_slice(&c));
     }
 }

@@ -1,14 +1,11 @@
-//! The decentralized LTL₃ runtime-verification algorithm (the paper's contribution),
-//! plus the centralized baseline it is compared against.
+//! The decentralized LTL₃ runtime-verification algorithm (the paper's contribution).
 //!
 //! * [`decentralized`] — the token-based decentralized monitor of Chapter 4:
 //!   [`DecentralizedMonitor`] implements
 //!   [`MonitorBehavior`](dlrv_distsim::MonitorBehavior) and can be run on either
 //!   execution substrate.  Optimizations of §4.3 are switchable via
 //!   [`MonitorOptions`].
-//! * [`centralized`] — the centralized-monitor baseline (every event forwarded to one
-//!   collector that evaluates the full lattice).
-//! * [`messages`] — tokens and termination messages.
+//! * [`messages`] — tokens, the §4.3.1 batch and the parked-token index.
 //! * [`global_view`] — the per-monitor exploration state.
 //! * [`metrics`] — per-monitor and per-run measurements matching Chapter 5.
 //! * [`replay`] — a zero-latency driver over recorded computations, used by the
@@ -63,7 +60,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod centralized;
 pub mod decentralized;
 pub mod feed;
 pub mod fleet;
@@ -72,11 +68,9 @@ pub mod messages;
 pub mod metrics;
 pub mod replay;
 
-pub use centralized::{CentralMsg, CentralizedMonitor};
 pub use decentralized::{DecentralizedMonitor, MonitorOptions};
 pub use feed::{
-    centralized_session, combined_verdict, decentralized_session, CentralizedSession,
-    DecentralizedSession, FeedSession, SessionVerdicts,
+    combined_verdict, decentralized_session, DecentralizedSession, FeedSession, SessionVerdicts,
 };
 pub use fleet::{
     fleet_member_detected, fleet_member_metrics, fleet_member_possible, fleet_session,

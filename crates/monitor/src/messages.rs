@@ -1,5 +1,6 @@
-//! Monitor-to-monitor messages: tokens and termination notifications (§4.2), plus the
-//! §4.3.1 aggregation machinery.
+//! Monitor-to-monitor messages: tokens (§4.2), plus the §4.3.1 aggregation machinery.
+//! Every message carries at least one token — termination is local to each monitor
+//! and sends nothing (`docs/MONITORING.md`, step 5).
 //!
 //! A *token* is created by a global view when it needs information from other
 //! processes to decide whether some outgoing monitor-automaton transitions are enabled.
@@ -124,22 +125,15 @@ pub enum MonitorMsg {
     /// monitoring message (the receiver processes them in order).  Invariant: emitted
     /// only with ≥ 2 tokens; a singleton travels as [`MonitorMsg::Token`].
     Batch(Vec<Token>),
-    /// Notification that `process`'s program terminated after `last_sn` local events.
-    Terminated {
-        /// The terminated process.
-        process: ProcessId,
-        /// Sequence number of its last event.
-        last_sn: u64,
-    },
 }
 
 impl MonitorMsg {
-    /// Number of tokens this message carries (0 for non-token messages).
+    /// Number of tokens this message carries: at least one for every message a
+    /// monitor emits, so a run's message count never exceeds its token count.
     pub fn token_count(&self) -> usize {
         match self {
             MonitorMsg::Token(_) => 1,
             MonitorMsg::Batch(tokens) => tokens.len(),
-            MonitorMsg::Terminated { .. } => 0,
         }
     }
 }
@@ -270,12 +264,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_messages_report_their_token_count() {
-        assert_eq!(MonitorMsg::Token(parked(1)).token_count(), 1);
-        assert_eq!(MonitorMsg::Batch(vec![parked(1), parked(2)]).token_count(), 2);
-        assert_eq!(
-            MonitorMsg::Terminated { process: 0, last_sn: 4 }.token_count(),
-            0
-        );
+    fn every_message_carries_at_least_one_token() {
+        // Both variants there are; `token_count` matches exhaustively, so a new one
+        // has to say what it carries.
+        let one = MonitorMsg::Token(parked(1));
+        let batch = MonitorMsg::Batch(vec![parked(1), parked(2)]);
+        assert_eq!((one.token_count(), batch.token_count()), (1, 2));
     }
 }

@@ -13,9 +13,9 @@
 //!   delivery, `status` quiescence polls, `finish` (end-of-trace), `report`
 //!   (metrics collection) and `shutdown`;
 //! * **peer** (daemon ↔ daemon): `peer_hello` identification and `monitor`
-//!   frames carrying a [`MonitorMsg`] — a token, a §4.3.1 batch or a
-//!   termination notice — plus the simulated timestamp it was sent at, so the
-//!   receiving monitor processes it at exactly the time a co-located
+//!   frames carrying a [`MonitorMsg`] — a token or a §4.3.1 batch — plus the
+//!   simulated timestamp it was sent at, so the receiving monitor processes it
+//!   at exactly the time a co-located
 //!   [`FeedSession`](dlrv_monitor::FeedSession) would have;
 //! * **property payloads** stay opaque here: `hello` carries the property and the
 //!   monitor options as raw [`Json`] interpreted by `dlrv-core`'s results codec,
@@ -145,11 +145,6 @@ pub fn monitor_msg_to_json(msg: &MonitorMsg) -> Json {
                 Json::Array(tokens.iter().map(token_to_json).collect()),
             ),
         ]),
-        MonitorMsg::Terminated { process, last_sn } => object([
-            ("type", Json::from("terminated")),
-            ("process", Json::from(*process)),
-            ("last_sn", Json::from(*last_sn)),
-        ]),
     }
 }
 
@@ -164,11 +159,12 @@ pub fn monitor_msg_from_json(v: &Json) -> Result<MonitorMsg, JsonError> {
                 .map(token_from_json)
                 .collect::<Result<_, _>>()?,
         )),
-        "terminated" => Ok(MonitorMsg::Terminated {
-            process: v.get("process")?.as_usize()?,
-            last_sn: v.get("last_sn")?.as_u64()?,
-        }),
-        other => Err(JsonError::msg(format!("unknown monitor msg `{other}`"))),
+        // Reserved: `"terminated"` (the retired termination notice) must stay an
+        // error and never name anything else, so an older daemon's frame cannot be
+        // misread.
+        other => Err(JsonError::msg(format!(
+            "unknown monitor msg kind `{other}` in field `type`"
+        ))),
     }
 }
 
@@ -580,7 +576,9 @@ impl WireMsg {
 //   payload    = 0x01 event | 0x02 monitor
 //   event      = event-binary                      -- dlrv_stream::event_to_binary
 //   monitor    = from seq time(8-byte LE f64) monmsg
-//   monmsg     = 0x00 token | 0x01 len token* | 0x02 process last_sn
+//   monmsg     = 0x00 token | 0x01 len token*      -- 0x02 is reserved (the retired
+//                                                     termination notice): an error,
+//                                                     never to be reused
 //   token      = property parent origin_state parent_gv n-transitions transition* next_p next_e
 //   transition = id vc(gcut) vc(depend) gstate n-conjuncts conjunct-byte* next_p next_e eval-byte
 //   conjunct   = 0 not-involved | 1 unset | 2 true | 3 false
@@ -595,7 +593,6 @@ const NET_MONITOR: u8 = 2;
 
 const MSG_TOKEN: u8 = 0;
 const MSG_BATCH: u8 = 1;
-const MSG_TERMINATED: u8 = 2;
 
 /// Fewest bytes an encoded transition can take: eight one-byte fields (two of
 /// them empty clocks, one an empty conjunct list).
@@ -698,11 +695,6 @@ fn monitor_msg_to_binary(msg: &MonitorMsg, out: &mut Vec<u8>) {
                 token_to_binary(t, out);
             }
         }
-        MonitorMsg::Terminated { process, last_sn } => {
-            out.push(MSG_TERMINATED);
-            varint::write_u64(out, *process as u64);
-            varint::write_u64(out, *last_sn);
-        }
     }
 }
 
@@ -714,10 +706,6 @@ fn monitor_msg_from_binary(r: &mut Reader<'_>) -> Result<MonitorMsg, StreamError
             MIN_TOKEN_BYTES,
             token_from_binary,
         )?)),
-        MSG_TERMINATED => Ok(MonitorMsg::Terminated {
-            process: r.usize("terminated process")?,
-            last_sn: r.uv("terminated last_sn")?,
-        }),
         other => Err(r.corrupt(&format!("monitor msg tag {other}"))),
     }
 }
@@ -825,10 +813,6 @@ mod tests {
         for msg in [
             MonitorMsg::Token(sample_token(0)),
             MonitorMsg::Batch(vec![sample_token(1), sample_token(2)]),
-            MonitorMsg::Terminated {
-                process: 2,
-                last_sn: 17,
-            },
         ] {
             let text = monitor_msg_to_json(&msg).to_string_compact();
             let back =
@@ -1044,6 +1028,37 @@ mod tests {
             ] {
                 assert!(err.message.contains(&part), "`{part}` missing from: {err}");
             }
+        }
+    }
+
+    #[test]
+    fn the_retired_termination_notice_is_rejected_in_both_forms() {
+        // Binary tag 2, with the two varints the notice used to carry.
+        let err = decode_wire_frame(true, &monitor_payload(&[2, 1, 17]))
+            .expect_err("binary tag 2 is retired");
+        for part in ["monitor msg tag 2", "byte offset 11"] {
+            assert!(err.message.contains(part), "`{part}` missing from: {err}");
+        }
+        // JSON kind `terminated`, exactly as a daemon built before the retirement
+        // wrote it.
+        let old = object([
+            ("type", Json::from("monitor")),
+            ("from", Json::from(1usize)),
+            ("seq", Json::from(0u64)),
+            ("time", Json::from(0.5)),
+            (
+                "msg",
+                object([
+                    ("type", Json::from("terminated")),
+                    ("process", Json::from(1usize)),
+                    ("last_sn", Json::from(17u64)),
+                ]),
+            ),
+        ]);
+        let err = decode_wire_frame(false, old.to_string_compact().as_bytes())
+            .expect_err("JSON kind `terminated` is retired");
+        for part in ["`terminated`", "field `type`", "at byte"] {
+            assert!(err.message.contains(part), "`{part}` missing from: {err}");
         }
     }
 

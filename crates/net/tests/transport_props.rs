@@ -78,7 +78,7 @@ fn hot_msg_from_seed(seed: &mut u64) -> WireMsg {
         next_target_process: (mix(seed) % n as u64) as usize,
         next_target_event: mix(seed) % 1000,
     };
-    match mix(seed) % 5 {
+    match mix(seed) % 4 {
         0 => {
             let process = (mix(seed) % n as u64) as usize;
             WireMsg::Event {
@@ -107,15 +107,6 @@ fn hot_msg_from_seed(seed: &mut u64) -> WireMsg {
             seq: mix(seed),
             time: (mix(seed) % 1_000_000) as f64 * 0.001,
             msg: MonitorMsg::Batch((0..1 + mix(seed) % 4).map(|_| token(seed)).collect()),
-        },
-        3 => WireMsg::Monitor {
-            from: (mix(seed) % n as u64) as usize,
-            seq: mix(seed),
-            time: (mix(seed) % 1_000_000) as f64 * 0.001,
-            msg: MonitorMsg::Terminated {
-                process: (mix(seed) % n as u64) as usize,
-                last_sn: mix(seed) % 1000,
-            },
         },
         // Control frames stay JSON even on a binary connection; interleave some
         // so the decoder's per-frame autodetect is exercised both ways.

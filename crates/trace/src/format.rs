@@ -1,20 +1,15 @@
-//! Trace-file (de)serialization.
+//! JSON forms of the two workload-shape parameters.
 //!
-//! The paper's devices load their traces from files at startup; this module provides
-//! the equivalent JSON round-trip for [`Workload`]s so experiments can be archived and
-//! replayed byte-for-byte.  Serialization is hand-written over [`dlrv_json`] (the
-//! build environment has no registry access, so `serde`/`serde_json` are unavailable);
-//! the field names below are the stable on-disk schema.
+//! The results document (`dlrv-core`'s `results` module) records every scenario's
+//! [`ArrivalModel`] and [`CommTopology`]; these are their tagged-object forms.
+//! Serialization is hand-written over [`dlrv_json`] (the build environment has no
+//! registry access, so `serde`/`serde_json` are unavailable); the field names below
+//! are the stable on-disk schema.
 
-use crate::workload::{
-    ArrivalModel, CommTopology, ProcessTrace, TraceAction, TraceEntry, Workload, WorkloadConfig,
-};
+use crate::workload::{ArrivalModel, CommTopology};
 use dlrv_json::{object, Json, JsonError};
-use std::fs;
-use std::io;
-use std::path::Path;
 
-/// Error type of [`from_json`]; re-exported so callers need not depend on `dlrv_json`.
+/// Error type of the parsers; re-exported so callers need not depend on `dlrv_json`.
 pub type FormatError = JsonError;
 
 /// Serializes an arrival model as a tagged object.
@@ -73,277 +68,39 @@ pub fn topology_from_json(v: &Json) -> Result<CommTopology, FormatError> {
     }
 }
 
-fn config_to_json(config: &WorkloadConfig) -> Json {
-    object([
-        ("n_processes", Json::from(config.n_processes)),
-        ("events_per_process", Json::from(config.events_per_process)),
-        ("evt_mu", Json::from(config.evt_mu)),
-        ("evt_sigma", Json::from(config.evt_sigma)),
-        ("comm_mu", Json::from(config.comm_mu)),
-        ("comm_sigma", Json::from(config.comm_sigma)),
-        ("seed", Json::from(config.seed)),
-        ("goal_tail_fraction", Json::from(config.goal_tail_fraction)),
-        ("initial_p", Json::from(config.initial_p)),
-        ("initial_q", Json::from(config.initial_q)),
-        ("arrival", arrival_to_json(&config.arrival)),
-        ("topology", topology_to_json(&config.topology)),
-    ])
-}
-
-fn config_from_json(v: &Json) -> Result<WorkloadConfig, FormatError> {
-    Ok(WorkloadConfig {
-        n_processes: v.get("n_processes")?.as_usize()?,
-        events_per_process: v.get("events_per_process")?.as_usize()?,
-        evt_mu: v.get("evt_mu")?.as_f64()?,
-        evt_sigma: v.get("evt_sigma")?.as_f64()?,
-        comm_mu: match v.get("comm_mu")? {
-            Json::Null => None,
-            value => Some(value.as_f64()?),
-        },
-        comm_sigma: v.get("comm_sigma")?.as_f64()?,
-        seed: v.get("seed")?.as_u64()?,
-        goal_tail_fraction: v.get("goal_tail_fraction")?.as_f64()?,
-        initial_p: v.get("initial_p")?.as_bool()?,
-        initial_q: v.get("initial_q")?.as_bool()?,
-        // Both fields postdate the first on-disk schema; archives written before
-        // them carry the (then-only) paper shapes.
-        arrival: v
-            .get_opt("arrival")?
-            .map_or(Ok(ArrivalModel::Normal), arrival_from_json)?,
-        topology: v
-            .get_opt("topology")?
-            .map_or(Ok(CommTopology::Broadcast), topology_from_json)?,
-    })
-}
-
-fn entry_to_json(entry: &TraceEntry) -> Json {
-    let action = match entry.action {
-        TraceAction::SetProps { p, q } => object([
-            ("kind", Json::from("set_props")),
-            ("p", Json::from(p)),
-            ("q", Json::from(q)),
-        ]),
-        TraceAction::Broadcast => object([("kind", Json::from("broadcast"))]),
-        TraceAction::Send { to } => object([
-            ("kind", Json::from("send")),
-            ("to", Json::from(to)),
-        ]),
-    };
-    object([("wait", Json::from(entry.wait)), ("action", action)])
-}
-
-fn entry_from_json(v: &Json) -> Result<TraceEntry, FormatError> {
-    let action_value = v.get("action")?;
-    let action = match action_value.get("kind")?.as_str()? {
-        "set_props" => TraceAction::SetProps {
-            p: action_value.get("p")?.as_bool()?,
-            q: action_value.get("q")?.as_bool()?,
-        },
-        "broadcast" => TraceAction::Broadcast,
-        "send" => TraceAction::Send {
-            to: action_value.get("to")?.as_usize()?,
-        },
-        other => return Err(JsonError::msg(format!("unknown action kind `{other}`"))),
-    };
-    Ok(TraceEntry {
-        wait: v.get("wait")?.as_f64()?,
-        action,
-    })
-}
-
-fn trace_to_json(trace: &ProcessTrace) -> Json {
-    object([
-        ("initial_p", Json::from(trace.initial.0)),
-        ("initial_q", Json::from(trace.initial.1)),
-        (
-            "entries",
-            Json::Array(trace.entries.iter().map(entry_to_json).collect()),
-        ),
-    ])
-}
-
-fn trace_from_json(v: &Json) -> Result<ProcessTrace, FormatError> {
-    Ok(ProcessTrace {
-        initial: (
-            v.get("initial_p")?.as_bool()?,
-            v.get("initial_q")?.as_bool()?,
-        ),
-        entries: v
-            .get("entries")?
-            .as_array()?
-            .iter()
-            .map(entry_from_json)
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-/// Serializes a workload to a pretty-printed JSON string.
-pub fn to_json(workload: &Workload) -> String {
-    object([
-        ("config", config_to_json(&workload.config)),
-        (
-            "traces",
-            Json::Array(workload.traces.iter().map(trace_to_json).collect()),
-        ),
-    ])
-    .to_string_pretty()
-}
-
-/// Parses a workload from JSON.
-///
-/// Beyond syntactic validity, the workload is checked for internal consistency (one
-/// trace per process, send targets that name an existing peer), so a malformed
-/// archive fails here with a descriptive error instead of panicking later inside a
-/// simulation substrate.
-pub fn from_json(json: &str) -> Result<Workload, FormatError> {
-    let v = Json::parse(json)?;
-    let workload = Workload {
-        config: config_from_json(v.get("config")?)?,
-        traces: v
-            .get("traces")?
-            .as_array()?
-            .iter()
-            .map(trace_from_json)
-            .collect::<Result<_, _>>()?,
-    };
-    let n = workload.config.n_processes;
-    if workload.traces.len() != n {
-        return Err(JsonError::msg(format!(
-            "workload declares {n} processes but carries {} traces",
-            workload.traces.len()
-        )));
-    }
-    for (i, trace) in workload.traces.iter().enumerate() {
-        for entry in &trace.entries {
-            if let TraceAction::Send { to } = entry.action {
-                if to >= n || to == i {
-                    return Err(JsonError::msg(format!(
-                        "process {i}: send target {to} is not a peer of a {n}-process workload"
-                    )));
-                }
-            }
-        }
-    }
-    Ok(workload)
-}
-
-/// Writes a workload to `path` as JSON.
-pub fn save(workload: &Workload, path: &Path) -> io::Result<()> {
-    fs::write(path, to_json(workload))
-}
-
-/// Loads a workload from a JSON file at `path`.
-pub fn load(path: &Path) -> io::Result<Workload> {
-    let text = fs::read_to_string(path)?;
-    from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{generate_workload, WorkloadConfig};
 
     #[test]
-    fn json_roundtrip_preserves_workload() {
-        let w = generate_workload(&WorkloadConfig::paper_default(3, 42));
-        let json = to_json(&w);
-        let back = from_json(&json).expect("parse");
-        assert_eq!(w, back);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let w = generate_workload(&WorkloadConfig::paper_default(2, 1));
-        let dir = std::env::temp_dir().join("dlrv-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("workload.json");
-        save(&w, &path).unwrap();
-        let back = load(&path).unwrap();
-        assert_eq!(w, back);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn malformed_json_is_rejected() {
-        assert!(from_json("{not json").is_err());
-        assert!(from_json("{}").is_err());
-    }
-
-    #[test]
-    fn inconsistent_workloads_are_rejected_at_parse_time() {
-        // Round-trip a valid 2-process ring workload, then corrupt it: out-of-range
-        // and self-targeted sends, and a missing trace, must all fail in from_json
-        // (not panic later in a simulator).
-        use crate::workload::CommTopology;
-        let good = to_json(&generate_workload(&WorkloadConfig {
-            events_per_process: 4,
-            ..WorkloadConfig::with_topology(2, CommTopology::Ring, 8)
-        }));
-        assert!(from_json(&good).is_ok());
-
-        let out_of_range = good.replacen("\"to\": 1", "\"to\": 9", 1);
-        assert_ne!(out_of_range, good, "fixture must contain a send to process 1");
-        let err = from_json(&out_of_range).unwrap_err();
-        assert!(err.message.contains("not a peer"), "got: {}", err.message);
-
-        let self_send = good.replacen("\"to\": 1", "\"to\": 0", 1);
-        assert!(from_json(&self_send).unwrap_err().message.contains("not a peer"));
-
-        let missing_trace =
-            good.replacen("\"n_processes\": 2", "\"n_processes\": 3", 1);
-        let err = from_json(&missing_trace).unwrap_err();
-        assert!(err.message.contains("carries 2 traces"), "got: {}", err.message);
-    }
-
-    #[test]
-    fn new_shapes_round_trip() {
-        use crate::workload::{ArrivalModel, CommTopology};
-        for cfg in [
-            WorkloadConfig::bursty(3, 4, 21),
-            WorkloadConfig::with_topology(4, CommTopology::Ring, 22),
-            WorkloadConfig::with_topology(4, CommTopology::Pipeline, 23),
-            WorkloadConfig::with_topology(4, CommTopology::Hotspot { hub: 2 }, 24),
-            WorkloadConfig {
-                arrival: ArrivalModel::Bursty {
-                    burst_len: 5,
-                    intra_scale: 0.1,
-                    gap_scale: 4.0,
-                },
-                topology: CommTopology::Ring,
-                ..WorkloadConfig::default()
+    fn every_shape_round_trips() {
+        for arrival in [
+            ArrivalModel::Normal,
+            ArrivalModel::Bursty {
+                burst_len: 5,
+                intra_scale: 0.1,
+                gap_scale: 4.0,
             },
         ] {
-            let w = generate_workload(&cfg);
-            let back = from_json(&to_json(&w)).expect("parse");
-            assert_eq!(w, back);
+            assert_eq!(arrival_from_json(&arrival_to_json(&arrival)).expect("parse"), arrival);
+        }
+        for topology in [
+            CommTopology::Broadcast,
+            CommTopology::Ring,
+            CommTopology::Pipeline,
+            CommTopology::Hotspot { hub: 2 },
+        ] {
+            assert_eq!(topology_from_json(&topology_to_json(&topology)).expect("parse"), topology);
         }
     }
 
     #[test]
-    fn pre_scenario_archives_still_parse() {
-        // A config written before the arrival/topology fields existed must load with
-        // the paper defaults.  This pins the schema's backward compatibility.
-        let old = r#"{
-          "config": {
-            "n_processes": 2, "events_per_process": 0,
-            "evt_mu": 3.0, "evt_sigma": 1.0, "comm_mu": 3.0, "comm_sigma": 1.0,
-            "seed": 1, "goal_tail_fraction": 0.2, "initial_p": false, "initial_q": false
-          },
-          "traces": [
-            {"initial_p": false, "initial_q": false, "entries": []},
-            {"initial_p": false, "initial_q": false, "entries": []}
-          ]
-        }"#;
-        let w = from_json(old).expect("old archive parses");
-        assert_eq!(w.config.arrival, crate::workload::ArrivalModel::Normal);
-        assert_eq!(w.config.topology, crate::workload::CommTopology::Broadcast);
-    }
-
-    #[test]
-    fn no_comm_round_trips_none() {
-        let w = generate_workload(&WorkloadConfig::comm_sweep(2, None, 9));
-        let back = from_json(&to_json(&w)).expect("parse");
-        assert_eq!(back.config.comm_mu, None);
-        assert_eq!(w, back);
+    fn unknown_and_incomplete_shapes_are_rejected() {
+        let unknown = object([("model", Json::from("poisson"))]);
+        assert!(arrival_from_json(&unknown).unwrap_err().message.contains("poisson"));
+        assert!(arrival_from_json(&object([("model", Json::from("bursty"))])).is_err());
+        let unknown = object([("kind", Json::from("mesh"))]);
+        assert!(topology_from_json(&unknown).unwrap_err().message.contains("mesh"));
+        assert!(topology_from_json(&object([("kind", Json::from("hotspot"))])).is_err());
     }
 }

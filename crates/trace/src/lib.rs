@@ -15,7 +15,8 @@
 //!   are parameterized by an [`ArrivalModel`] (normally-distributed or bursty event
 //!   arrivals) and a [`CommTopology`] (broadcast, ring, pipeline, or hotspot
 //!   communication), which is what the scenario registry in `dlrv-core` builds on.
-//! * [`mod@format`] — JSON (de)serialization of trace files.
+//! * [`mod@format`] — the JSON forms of [`ArrivalModel`] and [`CommTopology`] that
+//!   the results document records.
 
 #![forbid(unsafe_code)]
 

@@ -1,13 +1,12 @@
 //! Batched vector-clock comparisons (§4.3 support).
 //!
 //! The decentralized monitor repeatedly compares *one* clock against *many* —
-//! a fresh event's clock against every live global view's cut, or a candidate
-//! view's cut against every retained view during deduplication.  Doing that
-//! with `partial_cmp_clock` in a loop re-walks both clocks per pair and, when
-//! the results are collected, reallocates the output vector per scan.  This
-//! module provides the single-pass, buffer-reusing variants the hot path uses:
-//! the caller keeps one scratch `Vec` alive across events and every scan is a
-//! tight pass over contiguous entry slices.
+//! a candidate view's cut against every retained view while merging converged
+//! views.  Doing that with `partial_cmp_clock` in a loop re-walks both clocks
+//! per pair and, when the results are collected, reallocates the output vector
+//! per scan.  This module provides the single-pass, buffer-reusing variant the
+//! hot path uses: the caller keeps one scratch `Vec` alive across events and
+//! every scan is a tight pass over contiguous entry slices.
 
 use crate::vc::VectorClock;
 use std::cmp::Ordering;
@@ -26,19 +25,6 @@ where
     for other in others {
         out.push(cmp_entries(a, other.entries()));
     }
-}
-
-/// Returns the index of the first clock in `others` equal to `one`, scanning
-/// entry slices directly without building an intermediate result vector.  This
-/// is the primitive behind view deduplication: "is this cut already tracked?"
-pub fn first_equal<'a, I>(one: &VectorClock, others: I) -> Option<usize>
-where
-    I: IntoIterator<Item = &'a VectorClock>,
-{
-    let a = one.entries();
-    others
-        .into_iter()
-        .position(|other| a == other.entries())
 }
 
 /// Single-pass partial-order comparison over raw entry slices.  Tracks the
@@ -109,15 +95,6 @@ mod tests {
         compare_many(&one, [vc(&[2, 2])].iter(), &mut out);
         assert_eq!(out, vec![Some(Ordering::Less)]);
         assert_eq!(out.capacity(), cap, "buffer is recycled, not reallocated");
-    }
-
-    #[test]
-    fn first_equal_finds_only_exact_matches() {
-        let one = vc(&[1, 2]);
-        let pool = [vc(&[1, 1]), vc(&[2, 2]), vc(&[1, 2]), vc(&[1, 2])];
-        assert_eq!(first_equal(&one, pool.iter()), Some(2));
-        assert_eq!(first_equal(&vc(&[9, 9]), pool.iter()), None);
-        assert_eq!(first_equal(&one, std::iter::empty()), None);
     }
 
     #[test]

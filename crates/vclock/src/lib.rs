@@ -1,5 +1,5 @@
-//! Vector clocks, events, consistent cuts, computation lattices and computation
-//! slicing — the partial-order substrate of the decentralized monitoring algorithm.
+//! Vector clocks, events, consistent cuts and computation lattices — the
+//! partial-order substrate of the decentralized monitoring algorithm.
 //!
 //! The thesis assumes the standard asynchronous message-passing model (§2.1): processes
 //! have no shared clock, communicate over reliable FIFO channels, and events are
@@ -13,10 +13,8 @@
 //!   oracle of Chapter 3 ([`oracle_evaluate`]) that runs a monitor automaton over all
 //!   lattice paths; this is the ground truth for soundness/completeness testing and the
 //!   conceptual baseline the decentralized algorithm is compared against.
-//! * [`mod@slice`] — conjunctive-predicate detection via least consistent cuts
-//!   (computation slicing, Definitions 13–15).
-//! * [`mod@batch`] — [`compare_many`] / [`first_equal`], one clock compared against
-//!   many in a single pass (the view-set scans of the monitors).
+//! * [`mod@batch`] — [`compare_many`], one clock compared against many in a single
+//!   pass (the view-set merge scan of the monitors).
 //!
 //! # Example
 //!
@@ -42,11 +40,9 @@ pub mod batch;
 pub mod event;
 pub mod fixtures;
 pub mod lattice;
-pub mod slice;
 pub mod vc;
 
-pub use batch::{compare_many, first_equal};
+pub use batch::compare_many;
 pub use event::{Computation, Event, EventKind};
 pub use lattice::{evaluate_path, oracle_evaluate, CutId, Lattice, OracleResult};
-pub use slice::{is_join_irreducible, least_consistent_cut_satisfying, slice_frontiers};
 pub use vc::VectorClock;

@@ -19,11 +19,12 @@
 //! Unix socket files left by a killed daemon are detected and removed on bind
 //! (see `dlrv_net::Listener::bind`), so a restart on the same path succeeds.
 
+use dlrv_core::dlrv_automaton::MonitorAutomaton;
 use dlrv_core::dlrv_distsim::{MonitorBehavior, MonitorContext};
 use dlrv_core::dlrv_ltl::Assignment;
 use dlrv_core::results::{options_from_json, property_from_json};
 use dlrv_core::CompiledProperty;
-use dlrv_monitor::{DecentralizedMonitor, MonitorMsg};
+use dlrv_monitor::{DecentralizedMonitor, MonitorMsg, Token};
 use dlrv_net::{
     connect_with_retry, encode_wire_frame, DaemonReport, DaemonStatus, DaemonTelemetry, Endpoint,
     FaultInjector, FaultStats, FramedConn, Interest, Listener, NetError, Reactor, WireMsg,
@@ -34,6 +35,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: monitord --listen <tcp:HOST:PORT | unix:PATH> [--idle-timeout-secs SECS] [--log-level error|warn|info|debug|trace]";
@@ -148,6 +150,9 @@ struct Delayed {
 struct RunState {
     process: usize,
     n: usize,
+    /// The run's monitor automaton: the range of a token's `transition_id` and
+    /// of the global states it may carry.
+    automaton: Arc<MonitorAutomaton>,
     monitor: DecentralizedMonitor,
     /// Reactor token of the peer connection to each process (self is `None`).
     peer_token: Vec<Option<u64>>,
@@ -175,6 +180,81 @@ struct RunState {
     /// True when the hello negotiated the binary wire: outgoing monitor frames
     /// are binary-encoded (incoming frames self-describe either way).
     binary_wire: bool,
+}
+
+/// Checks a decoded frame against the run it arrived in.  The monitor and the
+/// transport tables index by the process numbers, transition ids and clock widths
+/// a frame carries without looking, so this is the boundary that turns a
+/// decodable but inconsistent frame into a protocol failure instead of a panic —
+/// what the stream runtime's shard worker does for session records.
+fn check_frame(msg: &WireMsg, run: &RunState) -> Result<(), String> {
+    let n = run.n;
+    match msg {
+        WireMsg::PeerHello { from } | WireMsg::Monitor { from, .. }
+            if *from >= n || *from == run.process =>
+        {
+            Err(format!(
+                "frame from process {from}, which is no peer of process {} of {n}",
+                run.process
+            ))
+        }
+        WireMsg::Event { event } if event.process != run.process || event.vc.len() != n => {
+            Err(format!(
+                "event of process {} with a {}-entry clock at process {} of {n}",
+                event.process,
+                event.vc.len(),
+                run.process
+            ))
+        }
+        WireMsg::Monitor { msg, .. } => {
+            let tokens = match msg {
+                MonitorMsg::Token(token) => std::slice::from_ref(token),
+                MonitorMsg::Batch(tokens) => tokens,
+            };
+            tokens
+                .iter()
+                .try_for_each(|token| check_token(token, n, &run.automaton))
+        }
+        _ => Ok(()),
+    }
+}
+
+fn check_token(token: &Token, n: usize, automaton: &MonitorAutomaton) -> Result<(), String> {
+    let process = |what: &str, p: usize| {
+        if p < n {
+            Ok(())
+        } else {
+            Err(format!("token {what} {p} out of range for {n} processes"))
+        }
+    };
+    process("parent", token.parent)?;
+    process("next_target_process", token.next_target_process)?;
+    for t in &token.transitions {
+        process("transition next_target_process", t.next_target_process)?;
+        if t.transition_id >= automaton.transitions.len() {
+            return Err(format!(
+                "token transition_id {} out of range for {} transitions",
+                t.transition_id,
+                automaton.transitions.len()
+            ));
+        }
+        if t.gstate.0 >= automaton.n_symbols() as u64 {
+            return Err(format!(
+                "token gstate {:#x} outside the automaton's {} symbols",
+                t.gstate.0,
+                automaton.n_symbols()
+            ));
+        }
+        if t.gcut.len() != n || t.depend.len() != n || t.conjuncts.len() != n {
+            return Err(format!(
+                "token transition of widths gcut {}, depend {}, conjuncts {} in a {n}-process run",
+                t.gcut.len(),
+                t.depend.len(),
+                t.conjuncts.len()
+            ));
+        }
+    }
+    Ok(())
 }
 
 struct Daemon {
@@ -316,6 +396,9 @@ impl Daemon {
 
     /// Dispatches one decoded frame according to the connection's role.
     fn handle_frame(&mut self, token: u64, msg: WireMsg) -> Result<(), NetError> {
+        if let Some(Err(reason)) = self.run.as_ref().map(|run| check_frame(&msg, run)) {
+            return self.fail(token, &reason);
+        }
         match msg {
             WireMsg::Hello {
                 process,
@@ -342,12 +425,18 @@ impl Daemon {
                     v => options_from_json(v)
                         .map_err(|e| NetError::msg(format!("hello options: {e}")))?,
                 };
-                if process >= n_processes || peers.len() != n_processes {
-                    return self.fail(token, "hello process/peers mismatch");
+                if process >= n_processes
+                    || peers.len() != n_processes
+                    || n_processes < spec.min_processes()
+                {
+                    return self.fail(token, "hello process/peers/property mismatch");
                 }
                 dlrv_obs::set_log_prefix(format!("daemon{process}"));
                 obs_info!("hello: process {process} of {n_processes}");
                 let compiled = CompiledProperty::compile(&spec, n_processes);
+                if initial_state >= compiled.automaton.n_symbols() as u64 {
+                    return self.fail(token, "hello initial_state outside the property's atoms");
+                }
                 let monitor = DecentralizedMonitor::new(
                     process,
                     n_processes,
@@ -359,6 +448,7 @@ impl Daemon {
                 let mut run = RunState {
                     process,
                     n: n_processes,
+                    automaton: compiled.automaton.clone(),
                     monitor,
                     peer_token: vec![None; n_processes],
                     peer_overhead: vec![0; n_processes],
@@ -401,17 +491,20 @@ impl Daemon {
                     run.peer_token[j] = Some(peer_token);
                     self.update_interest(peer_token)?;
                 }
-                // Adopt peers that already introduced themselves.
-                let adopted: Vec<(u64, usize)> = self
+                // Adopt peers that already introduced themselves — before this
+                // frame said how many processes there are, so checked only now.
+                let introduced: Vec<(u64, usize)> = self
                     .conns
                     .iter()
                     .filter_map(|(t, e)| match e.role {
-                        Role::Peer { from } if run.peer_token[from].is_none() => Some((*t, from)),
+                        Role::Peer { from } => Some((*t, from)),
                         _ => None,
                     })
                     .collect();
-                for (t, from) in adopted {
-                    run.peer_token[from] = Some(t);
+                for (t, from) in introduced {
+                    check_frame(&WireMsg::PeerHello { from }, &run)
+                        .or_else(|reason| self.fail(token, &reason))?;
+                    run.peer_token[from].get_or_insert(t);
                 }
                 self.run = Some(run);
                 self.maybe_hello_ok()?;
@@ -421,7 +514,7 @@ impl Daemon {
                     entry.role = Role::Peer { from };
                 }
                 if let Some(run) = &mut self.run {
-                    if from >= run.n || run.peer_token[from].is_some() {
+                    if run.peer_token[from].is_some() {
                         return self.fail(token, "unexpected peer_hello");
                     }
                     run.peer_token[from] = Some(token);
@@ -740,10 +833,11 @@ impl Daemon {
         self.update_interest(token)
     }
 
-    /// Sends an error frame on the control connection and fails the daemon.
+    /// Sends an error frame on the control connection — or, before any hello, on
+    /// the offending connection `token` — and fails the daemon.
     fn fail(&mut self, token: u64, message: &str) -> Result<(), NetError> {
         let _ = self.reply(
-            token,
+            self.control.unwrap_or(token),
             &WireMsg::Error {
                 message: message.to_string(),
             },

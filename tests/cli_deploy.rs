@@ -1,6 +1,8 @@
 //! Lifecycle tests of the `monitord` daemon binary: exit codes, the idle-timeout
-//! watchdog, stale-socket recovery and a complete single-daemon control session
-//! driven over a real socket.
+//! watchdog, stale-socket recovery, a complete single-daemon control session
+//! driven over a real socket, and the `malformed_*` cases — decodable frames that
+//! do not fit the run, each of which must end in the documented protocol failure
+//! (an `error` frame and exit 1), never in a panic.
 //!
 //! Exit-code contract (also documented in the binary's module header):
 //! `0` graceful shutdown, `1` transport/protocol failure, `2` usage error,
@@ -8,12 +10,13 @@
 //! a live daemon.
 
 use dlrv::dlrv_ltl::Assignment;
+use dlrv::dlrv_monitor::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition};
 use dlrv::dlrv_net::{connect_with_retry, DaemonStatus, Endpoint, FramedConn, WireMsg};
 use dlrv::dlrv_vclock::{Event, EventKind, VectorClock};
 use dlrv::results::property_to_json;
 use dlrv::dlrv_json::Json;
 use dlrv::PropertySpec;
-use std::io::BufRead as _;
+use std::io::{BufRead as _, Read as _};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -194,25 +197,11 @@ fn stale_socket_is_cleaned_up_on_restart() {
 fn full_control_session_shuts_down_gracefully_with_exit_0() {
     let mut child = spawn_daemon(&["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "30"]);
     let endpoint = read_listen(&mut child);
-    let ep = Endpoint::parse(&endpoint).expect("parse endpoint");
-    let sock = connect_with_retry(&ep, Duration::from_secs(5)).expect("connect");
-    let mut conn = FramedConn::new(sock);
+    let mut conn = connect(&endpoint);
 
     // The paper properties need n >= 2; a single-process custom spec keeps this
     // a one-daemon lifecycle test (no peer mesh, so `hello_ok` is immediate).
-    let property = PropertySpec::parse("G P0.p").expect("parse property");
-    let hello = WireMsg::Hello {
-        process: 0,
-        n_processes: 1,
-        property: property_to_json(&property),
-        options: Json::Null,
-        initial_state: 0,
-        fault: None,
-        peers: vec![endpoint.clone()],
-        // This session stays on the original all-JSON wire: it pins that a
-        // plain-JSON orchestrator still drives a daemon end to end.
-        binary_wire: false,
-    };
+    let hello = hello(&endpoint, "G P0.p", 1, 0);
     assert_eq!(rpc(&mut conn, &hello), WireMsg::HelloOk { process: 0 });
 
     let event = Event {
@@ -223,10 +212,7 @@ fn full_control_session_shuts_down_gracefully_with_exit_0() {
         state: Assignment(0b1),
         time: 1.0,
     };
-    conn.send_msg(&WireMsg::Event { event }).expect("send event");
-    while conn.wants_write() {
-        conn.flush().expect("flush event");
-    }
+    send(&mut conn, &WireMsg::Event { event });
 
     match rpc(&mut conn, &WireMsg::Status) {
         WireMsg::StatusOk(DaemonStatus {
@@ -257,4 +243,243 @@ fn full_control_session_shuts_down_gracefully_with_exit_0() {
 
     let status = wait_with_deadline(&mut child, Duration::from_secs(10));
     assert_eq!(status.code(), Some(0), "graceful shutdown exits 0");
+}
+
+/// A daemon started as process 0 of an `n`-process run of `F (P0.p && P1.p)`, with
+/// the test playing the orchestrator (`control`) and, at `n == 2`, peer 1 (`peer`).
+struct Session {
+    child: Child,
+    endpoint: String,
+    control: FramedConn,
+    peer: Option<FramedConn>,
+}
+
+fn connect(endpoint: &str) -> FramedConn {
+    let ep = Endpoint::parse(endpoint).expect("parse endpoint");
+    FramedConn::new(connect_with_retry(&ep, Duration::from_secs(5)).expect("connect"))
+}
+
+fn send(conn: &mut FramedConn, msg: &WireMsg) {
+    conn.send_msg(msg).expect("send");
+    while conn.wants_write() {
+        conn.flush().expect("flush");
+    }
+}
+
+/// The `hello` of process 0 of `n`, every peer at `endpoint`.
+fn hello(endpoint: &str, property: &str, n: usize, initial_state: u64) -> WireMsg {
+    WireMsg::Hello {
+        process: 0,
+        n_processes: n,
+        property: property_to_json(&PropertySpec::parse(property).expect("parse property")),
+        options: Json::Null,
+        initial_state,
+        fault: None,
+        peers: vec![endpoint.to_string(); n],
+        // These sessions stay on the original all-JSON wire: they pin that a
+        // plain-JSON orchestrator still drives a daemon end to end.
+        binary_wire: false,
+    }
+}
+
+impl Session {
+    /// Spawns the daemon and connects the control channel, nothing sent yet.
+    fn spawn() -> Session {
+        let mut child = spawn_daemon(&["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "30"]);
+        let endpoint = read_listen(&mut child);
+        let control = connect(&endpoint);
+        Session {
+            child,
+            endpoint,
+            control,
+            peer: None,
+        }
+    }
+
+    /// A session past its handshake: `hello_ok` received, peer mesh complete.
+    fn established(n: usize) -> Session {
+        let mut session = Session::spawn();
+        if n == 2 {
+            let mut peer = connect(&session.endpoint);
+            send(&mut peer, &WireMsg::PeerHello { from: 1 });
+            session.peer = Some(peer);
+        }
+        let property = if n == 1 { "G P0.p" } else { "F (P0.p && P1.p)" };
+        let hello = hello(&session.endpoint, property, n, 0);
+        assert_eq!(rpc(&mut session.control, &hello), WireMsg::HelloOk { process: 0 });
+        session
+    }
+
+    /// The daemon must answer what it was just sent with the documented protocol
+    /// failure: an `error` frame naming `reason` on the control connection, exit
+    /// code 1, and no Rust panic on stderr.
+    fn assert_protocol_failure(mut self, reason: &str) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let message = loop {
+            assert!(Instant::now() < deadline, "no error frame within 10 s");
+            // A read error here is the daemon closing after its last frame.
+            let frames = self.control.on_readable_msgs().unwrap_or_default();
+            if let Some(WireMsg::Error { message }) =
+                frames.into_iter().find(|f| matches!(f, WireMsg::Error { .. }))
+            {
+                break message;
+            }
+            assert!(!self.control.is_eof(), "daemon closed without an error frame");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert!(message.contains(reason), "error frame `{message}` lacks `{reason}`");
+        let status = wait_with_deadline(&mut self.child, Duration::from_secs(10));
+        let mut stderr = String::new();
+        self.child
+            .stderr
+            .take()
+            .expect("stderr captured")
+            .read_to_string(&mut stderr)
+            .expect("read stderr");
+        assert!(!stderr.contains("panicked"), "daemon panicked: {stderr}");
+        assert_eq!(status.code(), Some(1), "protocol failure exits 1, stderr: {stderr}");
+    }
+}
+
+/// A well-formed token of a 2-process run, from peer 1 to process 0.
+fn sound_token() -> Token {
+    Token {
+        property: 0,
+        parent: 1,
+        origin_state: 0,
+        parent_gv: 0,
+        transitions: vec![TokenTransition {
+            transition_id: 0,
+            gcut: VectorClock::from_entries(vec![0, 1]),
+            depend: VectorClock::from_entries(vec![0, 1]),
+            gstate: Assignment(0),
+            conjuncts: vec![ConjunctEval::Unset, ConjunctEval::True],
+            next_target_process: 0,
+            next_target_event: 1,
+            eval: EvalState::Unset,
+        }],
+        next_target_process: 0,
+        next_target_event: 1,
+    }
+}
+
+fn monitor_frame(from: usize, token: Token) -> WireMsg {
+    WireMsg::Monitor {
+        from,
+        seq: 0,
+        time: 1.0,
+        msg: MonitorMsg::Token(token),
+    }
+}
+
+#[test]
+fn malformed_monitor_from_out_of_range_is_a_protocol_failure() {
+    // The parent daemon indexed its per-peer counters with this `from`: exit 101.
+    let mut session = Session::established(1);
+    send(&mut session.control, &monitor_frame(5, sound_token()));
+    session.assert_protocol_failure("process 5");
+}
+
+#[test]
+fn malformed_monitor_from_the_daemon_itself_is_a_protocol_failure() {
+    let mut session = Session::established(2);
+    send(session.peer.as_mut().expect("peer"), &monitor_frame(0, sound_token()));
+    session.assert_protocol_failure("process 0");
+}
+
+#[test]
+fn malformed_peer_hello_before_hello_is_a_protocol_failure_at_adoption() {
+    let mut session = Session::spawn();
+    let mut early = connect(&session.endpoint);
+    send(&mut early, &WireMsg::PeerHello { from: 7 });
+    // The daemon learns the process count only now, and must check the early peer.
+    let hello = hello(&session.endpoint, "F (P0.p && P1.p)", 2, 0);
+    send(&mut session.control, &hello);
+    session.assert_protocol_failure("process 7");
+}
+
+#[test]
+fn malformed_hellos_are_protocol_failures() {
+    // Fewer processes than the property names, then an initial state with a bit
+    // no atom of the property owns.
+    for (n, initial_state, reason) in [(1, 0, "mismatch"), (2, 0b100, "initial_state")] {
+        let mut session = Session::spawn();
+        let hello = hello(&session.endpoint, "F (P0.p && P1.p)", n, initial_state);
+        send(&mut session.control, &hello);
+        session.assert_protocol_failure(reason);
+    }
+}
+
+#[test]
+fn malformed_events_are_protocol_failures() {
+    let event = |process, vc: Vec<u64>| WireMsg::Event {
+        event: Event {
+            process,
+            kind: EventKind::Internal,
+            sn: 1,
+            vc: VectorClock::from_entries(vc),
+            state: Assignment(0b1),
+            time: 1.0,
+        },
+    };
+    // Another process's event, then a clock of the wrong width (which a release
+    // build used to fold into the flat history unaligned).
+    for (bad, reason) in [
+        (event(1, vec![0, 1]), "event of process 1"),
+        (event(0, vec![1]), "1-entry clock"),
+        (event(0, vec![1, 0, 0]), "3-entry clock"),
+    ] {
+        let mut session = Session::established(2);
+        send(&mut session.control, &bad);
+        session.assert_protocol_failure(reason);
+    }
+}
+
+#[test]
+fn malformed_tokens_are_protocol_failures() {
+    type Break = fn(&mut Token);
+    let cases: [(Break, &str); 8] = [
+        (|t| t.parent = 2, "parent 2"),
+        (|t| t.next_target_process = 9, "next_target_process 9"),
+        (|t| t.transitions[0].next_target_process = 2, "transition next_target_process 2"),
+        (|t| t.transitions[0].transition_id = 1 << 20, "transition_id 1048576"),
+        (|t| t.transitions[0].gcut = VectorClock::from_entries(vec![0]), "gcut 1"),
+        (|t| t.transitions[0].depend = VectorClock::from_entries(vec![0, 1, 2]), "depend 3"),
+        (|t| t.transitions[0].conjuncts.clear(), "conjuncts 0"),
+        (|t| t.transitions[0].gstate = Assignment(0b100), "gstate 0x4"),
+    ];
+    for (break_it, reason) in cases {
+        let mut session = Session::established(2);
+        let mut token = sound_token();
+        break_it(&mut token);
+        // The second token of a batch is checked like the first.
+        let batch = WireMsg::Monitor {
+            from: 1,
+            seq: 0,
+            time: 1.0,
+            msg: MonitorMsg::Batch(vec![sound_token(), token]),
+        };
+        send(session.peer.as_mut().expect("peer"), &batch);
+        session.assert_protocol_failure(reason);
+    }
+}
+
+#[test]
+fn malformed_checks_accept_the_well_formed_token() {
+    // The control of the cases above: the unbroken token is accepted, and the
+    // daemon answers a status poll after it.
+    let mut session = Session::established(2);
+    send(session.peer.as_mut().expect("peer"), &monitor_frame(1, sound_token()));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        assert!(Instant::now() < deadline, "token never counted");
+        match rpc(&mut session.control, &WireMsg::Status) {
+            WireMsg::StatusOk(status) if status.received == vec![0, 1] => break,
+            WireMsg::StatusOk(_) => std::thread::sleep(Duration::from_millis(1)),
+            other => panic!("expected status_ok, got {other:?}"),
+        }
+    }
+    assert_eq!(rpc(&mut session.control, &WireMsg::Shutdown), WireMsg::ShutdownOk);
+    let status = wait_with_deadline(&mut session.child, Duration::from_secs(10));
+    assert_eq!(status.code(), Some(0));
 }

@@ -11,7 +11,9 @@
 //! Beyond the paper's six properties, a seeded sweep checks soundness for random LTL
 //! over random small computations.  It is **not clean**: the seeds it is known to
 //! fail on are listed ([`KNOWN_UNSOUND`]) and described under "Open findings" in
-//! `docs/MONITORING.md`.
+//! `docs/MONITORING.md`.  The sweep goes through `FeedSession`; a second test pumps
+//! its first 300 computations through the stream runtime and pins the same verdicts
+//! there, so the lists speak for that substrate too.
 
 mod common;
 
@@ -20,9 +22,13 @@ use dlrv_core::dlrv_automaton::MonitorAutomaton;
 use dlrv_core::dlrv_distsim::{run_simulation, NullMonitor, SimConfig};
 use dlrv_core::dlrv_ltl::{Assignment, AtomRegistry, Formula, Verdict};
 use dlrv_core::dlrv_monitor::{replay_decentralized, MonitorOptions};
+use dlrv_core::dlrv_stream::{
+    encode_stream_binary, interleave_sessions, ReaderSource, SessionSpec, SessionStream,
+    ShardedRuntime, StreamConfig,
+};
 use dlrv_core::dlrv_trace::{generate_workload, WorkloadConfig};
 use dlrv_core::dlrv_vclock::{oracle_evaluate, Computation, Lattice, OracleResult};
-use dlrv_core::PaperProperty;
+use dlrv_core::{simulate_session, PaperProperty};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -38,13 +44,7 @@ fn detect(
 ) -> (OracleResult, Vec<BTreeSet<Verdict>>) {
     let automaton = Arc::new(MonitorAutomaton::synthesize(formula, &registry));
     let registry = Arc::new(registry);
-    let report = run_simulation(
-        &generate_workload(workload),
-        &registry,
-        &SimConfig::default(),
-        |_| NullMonitor::default(),
-    );
-    let comp = report.computation;
+    let comp = simulate_session(workload, &registry).report.computation;
     let oracle = oracle_evaluate(&comp, &Lattice::build(&comp), &automaton, &registry);
     let detected = options
         .iter()
@@ -256,29 +256,37 @@ const KNOWN_UNSOUND_WITH_NEXT: [u64; 25] = [
 /// verdicts: on 1673 the default suite misses a reachable ⊥ that all-off finds.
 const KNOWN_OPTION_DEPENDENT: [u64; 1] = [1673];
 
+type Next = fn(Formula) -> Formula;
+
+/// Case `seed` of the sweep: random LTL (the `fleet_props` generator, budget 8, one
+/// `P<i>.p` atom per process) and a random small computation (2–3 processes, 4
+/// events each, every third seed without communication).
+fn sweep_case(seed: u64, next: Next) -> (Formula, WorkloadConfig) {
+    let n = 2 + (seed % 2) as usize;
+    let formula = random_formula(&mut StdRng::seed_from_u64(seed), n as u32, 8, next);
+    let workload = WorkloadConfig {
+        n_processes: n,
+        events_per_process: 4,
+        comm_mu: if seed.is_multiple_of(3) { None } else { Some(3.0) },
+        seed,
+        ..WorkloadConfig::default()
+    };
+    (formula, workload)
+}
+
 #[test]
 fn random_ltl_verdicts_are_reachable_on_the_lattice_except_on_the_known_seeds() {
-    // Random LTL (the `fleet_props` generator, budget 8, one `P<i>.p` atom per
-    // process) over random small computations (2–3 processes, 4 events each, every
-    // third seed without communication), through `FeedSession` — which
-    // `replay_decentralized` drives — with the §4.3 suite on and off.
+    // Every [`sweep_case`] through `FeedSession` — which `replay_decentralized`
+    // drives — with the §4.3 suite on and off.
     let options = [MonitorOptions::default(), MonitorOptions::ALL_OFF];
-    type Next = fn(Formula) -> Formula;
     let without_next = (Formula::globally as Next, 3000, &KNOWN_UNSOUND[..], &KNOWN_OPTION_DEPENDENT[..]);
     let with_next = (Formula::next as Next, 400, &KNOWN_UNSOUND_WITH_NEXT[..], &[][..]);
     for (next, seeds, known_unsound, known_option_dependent) in [without_next, with_next] {
         let (mut unsound, mut option_dependent) = (Vec::new(), Vec::new());
         for seed in 0..seeds {
-            let n = 2 + (seed % 2) as usize;
-            let formula = random_formula(&mut StdRng::seed_from_u64(seed), n as u32, 8, next);
-            let workload = WorkloadConfig {
-                n_processes: n,
-                events_per_process: 4,
-                comm_mu: if seed % 3 == 0 { None } else { Some(3.0) },
-                seed,
-                ..WorkloadConfig::default()
-            };
-            let (oracle, detected) = detect(&formula, shared_registry(n), &workload, &options);
+            let (formula, workload) = sweep_case(seed, next);
+            let registry = shared_registry(workload.n_processes);
+            let (oracle, detected) = detect(&formula, registry, &workload, &options);
             if detected.iter().any(|d| !sound(&oracle, d)) {
                 unsound.push(seed);
             }
@@ -288,6 +296,61 @@ fn random_ltl_verdicts_are_reachable_on_the_lattice_except_on_the_known_seeds() 
         }
         assert_eq!(unsound, known_unsound, "seeds detecting an unreachable verdict");
         assert_eq!(option_dependent, known_option_dependent, "seeds where the options matter");
+    }
+}
+
+#[test]
+fn random_ltl_verdicts_through_the_stream_runtime_equal_the_replay() {
+    // The first 300 `X`-free cases of the sweep above, as 300 sessions of one binary
+    // stream through a one-shard `ShardedRuntime`: each session must detect exactly
+    // what the replay of its computation detects, so whatever the oracle sweep says
+    // of `FeedSession` — the `KNOWN_*` lists included — it says of the runtime.
+    let mut specs = Vec::new();
+    let mut inputs = Vec::new();
+    let mut expected = Vec::new();
+    for seed in 0..300u64 {
+        let (formula, workload) = sweep_case(seed, Formula::globally);
+        let n = workload.n_processes;
+        let registry = shared_registry(n);
+        let automaton = Arc::new(MonitorAutomaton::synthesize(&formula, &registry));
+        let registry = Arc::new(registry);
+        let session = simulate_session(&workload, &registry);
+        let options = MonitorOptions::default();
+        expected.push(
+            replay_decentralized(&session.report.computation, &registry, &automaton, options)
+                .detected_final_verdicts(),
+        );
+        inputs.push(SessionStream {
+            session: seed,
+            property: format!("sweep-{seed}"),
+            n_processes: n,
+            initial_state: session.initial_state.0,
+            events: session.events,
+        });
+        specs.push(Arc::new(SessionSpec {
+            n_processes: n,
+            automaton,
+            registry,
+            initial_state: session.initial_state,
+            options,
+            fleet: Vec::new(),
+        }));
+    }
+    let bytes = encode_stream_binary(&interleave_sessions(&inputs));
+    let runtime = ShardedRuntime::start(StreamConfig {
+        n_shards: 1,
+        ..StreamConfig::default()
+    });
+    runtime
+        .pump(&mut ReaderSource::new(&bytes[..]), &mut |open| {
+            Ok(specs[open.session as usize].clone())
+        })
+        .expect("freshly encoded stream must decode");
+    let report = runtime.shutdown();
+    for (seed, expected) in expected.iter().enumerate() {
+        let outcome = &report.sessions[&(seed as u64)];
+        assert_eq!(outcome.events, inputs[seed].events.len(), "seed {seed}: events fed");
+        assert_eq!(&outcome.detected_verdicts, expected, "seed {seed}: detected verdicts");
     }
 }
 
