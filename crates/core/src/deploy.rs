@@ -23,6 +23,11 @@
 //! 5. Reports are collected and folded into the same [`RunMetrics`] as the
 //!    in-process runners, so deploy results flow into the schema-v1 pipeline.
 //!
+//! Every exchange after the `hello`s is one round trip through `Daemon::request`,
+//! which blocks on the control socket — a reactor of its own per daemon — rather
+//! than on the clock; only the pause between two barrier rounds is a sleep
+//! (pacing, measured in `docs/DEPLOYMENT.md`, "The quiescence barrier").
+//!
 //! Because the barrier delivers everything between consecutive events, verdicts
 //! under delay/duplication/reordering faults are identical to the in-process
 //! runtime (duplicates are absorbed by global-view merging, reordering happens
@@ -35,7 +40,7 @@ use crate::spec::CompiledProperty;
 use dlrv_monitor::{MonitorOptions, RunMetrics};
 use dlrv_net::{
     connect_with_retry, DaemonReport, DaemonStatus, DaemonTelemetry, Endpoint, FaultSpec,
-    FaultStats, FramedConn, WireMsg,
+    FaultStats, FramedConn, Interest, Reactor, WireMsg,
 };
 use std::collections::VecDeque;
 use std::io::BufRead;
@@ -173,6 +178,8 @@ struct Daemon {
     child: Child,
     endpoint: String,
     conn: FramedConn,
+    /// Holds `conn` alone, so [`Daemon::recv`] sleeps until the daemon writes.
+    reactor: Reactor,
     inbox: VecDeque<WireMsg>,
     /// Unsolicited telemetry samples intercepted off the control channel, in
     /// arrival order — the daemon's live timeline for this run.
@@ -182,23 +189,15 @@ struct Daemon {
 impl Daemon {
     /// Sends one control frame, blocking until it is fully on the wire.
     fn send(&mut self, msg: &WireMsg) -> Result<(), String> {
-        self.conn
-            .send_msg(msg)
-            .map_err(|e| format!("send to {}: {e}", self.endpoint))?;
-        let deadline = Instant::now() + REPLY_TIMEOUT;
-        while self.conn.wants_write() {
-            if Instant::now() >= deadline {
-                return Err(format!("send to {}: flush timed out", self.endpoint));
-            }
-            self.conn
-                .flush()
-                .map_err(|e| format!("send to {}: {e}", self.endpoint))?;
-            std::thread::sleep(Duration::from_micros(200));
+        match self.conn.send_msg(msg).and_then(|()| self.conn.flush_blocking(REPLY_TIMEOUT)) {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(format!("send to {}: flush timed out", self.endpoint)),
+            Err(e) => Err(format!("send to {}: {e}", self.endpoint)),
         }
-        Ok(())
     }
 
-    /// Receives the next control frame, blocking up to [`REPLY_TIMEOUT`].
+    /// Receives the next control frame, blocking on the socket up to
+    /// [`REPLY_TIMEOUT`].
     ///
     /// Telemetry frames are unsolicited: they are folded into
     /// [`Daemon::telemetry`] here and never surfaced as a reply, so the
@@ -225,13 +224,42 @@ impl Daemon {
                 if self.conn.is_eof() {
                     return Err(format!("daemon {} closed the control channel", self.endpoint));
                 }
-                if Instant::now() >= deadline {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
                     return Err(format!("daemon {}: reply timed out", self.endpoint));
                 }
-                std::thread::sleep(Duration::from_micros(500));
+                self.reactor
+                    .poll(Some(left.as_millis().max(1) as u64))
+                    .map_err(|e| format!("wait for {}: {e}", self.endpoint))?;
             }
         }
     }
+
+    /// Awaits the reply to a request already sent: `expect` takes what the caller
+    /// wants out of the right frame and hands any other frame back (boxed: it is the
+    /// failure path) as the error.
+    fn reply<T>(
+        &mut self,
+        expect: impl FnOnce(WireMsg) -> Result<T, Box<WireMsg>>,
+    ) -> Result<T, String> {
+        expect(self.recv()?)
+            .map_err(|other| format!("daemon {}: unexpected reply {other:?}", self.endpoint))
+    }
+
+    /// One control round trip — every exchange after the `hello`s is one.
+    fn request<T>(
+        &mut self,
+        msg: &WireMsg,
+        expect: impl FnOnce(WireMsg) -> Result<T, Box<WireMsg>>,
+    ) -> Result<T, String> {
+        self.send(msg)?;
+        self.reply(expect)
+    }
+}
+
+/// Expects exactly `wanted` as the reply (the `*_ok` frames without a payload).
+fn just(wanted: WireMsg) -> impl FnOnce(WireMsg) -> Result<(), Box<WireMsg>> {
+    move |reply| if reply == wanted { Ok(()) } else { Err(reply.into()) }
 }
 
 /// Kills every remaining daemon process when a run unwinds early.
@@ -348,10 +376,15 @@ fn run_seed(
         // binary bodies), so switching the connection before the handshake is
         // safe — the daemon learns the format from the hello it decodes first.
         conn.set_binary_wire(params.binary_wire);
+        let reactor = Reactor::new().map_err(|e| format!("reactor for {endpoint}: {e}"))?;
+        reactor
+            .register(conn.raw_fd(), 0, Interest::READABLE)
+            .map_err(|e| format!("watch control channel to {endpoint}: {e}"))?;
         fleet.daemons.push(Daemon {
             child,
             endpoint,
             conn,
+            reactor,
             inbox: VecDeque::new(),
             telemetry: Vec::new(),
         });
@@ -374,10 +407,7 @@ fn run_seed(
         })?;
     }
     for (i, daemon) in fleet.daemons.iter_mut().enumerate() {
-        match daemon.recv()? {
-            WireMsg::HelloOk { process } if process == i => {}
-            other => return Err(format!("daemon {i}: expected hello_ok, got {other:?}")),
-        }
+        daemon.reply(just(WireMsg::HelloOk { process: i }))?;
     }
 
     // Feed the trace in lockstep: one event, then drain the whole system.
@@ -395,11 +425,7 @@ fn run_seed(
     // Sequential per-process termination at the global last timestamp, exactly
     // like `FeedSession::finish`.
     for i in 0..n {
-        fleet.daemons[i].send(&WireMsg::Finish { time: last_time })?;
-        match fleet.daemons[i].recv()? {
-            WireMsg::FinishOk => {}
-            other => return Err(format!("daemon {i}: expected finish_ok, got {other:?}")),
-        }
+        fleet.daemons[i].request(&WireMsg::Finish { time: last_time }, just(WireMsg::FinishOk))?;
         barrier(&mut fleet)?;
     }
     let wall_clock_secs = started.elapsed().as_secs_f64();
@@ -407,11 +433,10 @@ fn run_seed(
     // Collect reports, then shut the fleet down gracefully.
     let mut reports: Vec<DaemonReport> = Vec::with_capacity(n);
     for (i, daemon) in fleet.daemons.iter_mut().enumerate() {
-        daemon.send(&WireMsg::Report)?;
-        match daemon.recv()? {
-            WireMsg::ReportOk(report) if report.process == i => reports.push(report),
-            other => return Err(format!("daemon {i}: expected report_ok, got {other:?}")),
-        }
+        reports.push(daemon.request(&WireMsg::Report, |reply| match reply {
+            WireMsg::ReportOk(report) if report.process == i => Ok(report),
+            other => Err(other.into()),
+        })?);
     }
     // Every telemetry frame precedes `report_ok` on the control channel, so by
     // now each daemon's full timeline has been intercepted into its inbox path.
@@ -421,11 +446,7 @@ fn run_seed(
         .map(|d| std::mem::take(&mut d.telemetry))
         .collect();
     for (i, daemon) in fleet.daemons.iter_mut().enumerate() {
-        daemon.send(&WireMsg::Shutdown)?;
-        match daemon.recv()? {
-            WireMsg::ShutdownOk => {}
-            other => return Err(format!("daemon {i}: expected shutdown_ok, got {other:?}")),
-        }
+        daemon.request(&WireMsg::Shutdown, just(WireMsg::ShutdownOk))?;
         let status = daemon
             .child
             .wait()
@@ -521,11 +542,10 @@ fn barrier(fleet: &mut Fleet) -> Result<(), String> {
     loop {
         let mut statuses = Vec::with_capacity(fleet.daemons.len());
         for daemon in &mut fleet.daemons {
-            daemon.send(&WireMsg::Status)?;
-            match daemon.recv()? {
-                WireMsg::StatusOk(status) => statuses.push(status),
-                other => return Err(format!("expected status_ok, got {other:?}")),
-            }
+            statuses.push(daemon.request(&WireMsg::Status, |reply| match reply {
+                WireMsg::StatusOk(status) => Ok(status),
+                other => Err(other.into()),
+            })?);
         }
         let n = statuses.len();
         let balanced = statuses.iter().all(|s| s.pending == 0)
@@ -541,6 +561,8 @@ fn barrier(fleet: &mut Fleet) -> Result<(), String> {
             ));
         }
         previous = Some(statuses);
+        // Pacing, not waiting: back-to-back rounds are a third faster and cost twice
+        // the CPU, taken from the daemons the round is waiting for.
         std::thread::sleep(Duration::from_micros(500));
     }
 }

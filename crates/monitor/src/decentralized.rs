@@ -47,7 +47,7 @@ use crate::messages::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransitio
 use crate::metrics::MonitorMetrics;
 use dlrv_automaton::{MonitorAutomaton, SymbolicTransition};
 use dlrv_distsim::{MonitorBehavior, MonitorContext};
-use dlrv_ltl::{Assignment, AtomRegistry, Cube, ProcessId, Verdict};
+use dlrv_ltl::{Assignment, AtomRegistry, ProcessId, Verdict};
 use dlrv_vclock::{Event, VectorClock};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -432,15 +432,19 @@ impl DecentralizedMonitor {
     // Internal helpers
     // ------------------------------------------------------------------
 
-    /// The guard literals of `transition` owned by process `p`, as a cube.
-    fn conjunct_of(&self, transition: &SymbolicTransition, p: ProcessId) -> Cube {
-        let mut cube = Cube::top();
-        for lit in transition.guard.literals() {
-            if self.registry.owner(lit.atom) == p {
-                cube.insert(*lit);
-            }
-        }
-        cube
+    /// Whether `state` satisfies process `p`'s conjunct of `transition`'s guard: the
+    /// literals `p` owns, evaluated where they stand.
+    fn conjunct_holds(
+        &self,
+        transition: &SymbolicTransition,
+        p: ProcessId,
+        state: Assignment,
+    ) -> bool {
+        transition
+            .guard
+            .literals()
+            .iter()
+            .all(|lit| self.registry.owner(lit.atom) != p || lit.eval(state))
     }
 
     /// Whether process `p` owns any literal of `transition`'s guard.
@@ -452,11 +456,14 @@ impl DecentralizedMonitor {
             .any(|lit| self.registry.owner(lit.atom) == p)
     }
 
-    /// Overwrites the atoms owned by `p` in `gstate` with their values in `local`.
-    fn apply_local_state(&self, gstate: &mut Assignment, p: ProcessId, local: Assignment) {
-        for atom in self.registry.atoms_of_process(p) {
-            gstate.set(atom, local.get(atom));
+    /// `gstate` with this process's atoms overwritten by their values in `local`.
+    fn apply_local_state(&self, mut gstate: Assignment, local: Assignment) -> Assignment {
+        for atom in self.registry.ids() {
+            if self.registry.owner(atom) == self.pid {
+                gstate.set(atom, local.get(atom));
+            }
         }
+        gstate
     }
 
     fn record_state_verdict(&mut self, q: dlrv_automaton::StateId) {
@@ -574,9 +581,9 @@ impl DecentralizedMonitor {
         // A second handle to the shared automaton, so iterating its transitions does
         // not hold a borrow of `self` across the pool calls below.
         let automaton = Arc::clone(&self.automaton);
-        for t in automaton.outgoing_transitions(gv.q) {
+        for t in automaton.transitions_from(gv.q).filter(|t| !t.is_self_loop()) {
             // The local conjunct must be satisfied by the process's own (fresh) state.
-            if !self.conjunct_of(t, self.pid).eval(gv.gstate) {
+            if !self.conjunct_holds(t, self.pid, gv.gstate) {
                 continue;
             }
             // §4.3.3: exploring a transition whose target verdict a sibling view
@@ -593,7 +600,7 @@ impl DecentralizedMonitor {
             for p in 0..self.n {
                 let c = if !self.participates(t, p) {
                     ConjunctEval::NotInvolved
-                } else if p == self.pid || self.conjunct_of(t, p).eval(gv.gstate) {
+                } else if p == self.pid || self.conjunct_holds(t, p, gv.gstate) {
                     // The monitor's own conjunct was already checked above; remote
                     // conjuncts count as satisfied under the believed state.
                     ConjunctEval::True
@@ -745,9 +752,7 @@ impl DecentralizedMonitor {
             {
                 tran.gcut.set(self.pid, sn);
                 tran.depend.merge_entries(self.history.clock(sn));
-                let mut gstate = tran.gstate;
-                self.apply_local_state(&mut gstate, self.pid, state);
-                tran.gstate = gstate;
+                tran.gstate = self.apply_local_state(tran.gstate, state);
                 targeted.push(idx);
             }
         }
@@ -773,8 +778,8 @@ impl DecentralizedMonitor {
                 // this must not influence the ordering flag below.
                 continue;
             }
-            let symbolic = self.automaton.transition(tran.transition_id).clone();
-            let ok = self.conjunct_of(&symbolic, self.pid).eval(state);
+            let symbolic = self.automaton.transition(tran.transition_id);
+            let ok = self.conjunct_holds(symbolic, self.pid, state);
             any_true |= ok;
             local_results.push((idx, ok));
         }
@@ -985,9 +990,7 @@ impl DecentralizedMonitor {
         // The event is inconsistent with the view when it already knows about more
         // events of other processes than the view has folded in.
         let is_consistent = (0..self.n).all(|j| j == self.pid || gv.gcut.get(j) >= vc[j]);
-        let mut gstate = gv.gstate;
-        self.apply_local_state(&mut gstate, self.pid, self.history.state(sn));
-        gv.gstate = gstate;
+        gv.gstate = self.apply_local_state(gv.gstate, self.history.state(sn));
 
         // Whether the view took a real step on this event; only then does a copy
         // survive the fork below.

@@ -14,12 +14,14 @@
 //! the kernel — is the `sent` side of the deploy quiescence barrier.
 
 use crate::endpoint::Socket;
+use crate::reactor::{Interest, Reactor};
 use crate::wire::{self, WireMsg};
 use dlrv_stream::FrameSplitter;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::os::unix::io::RawFd;
+use std::time::{Duration, Instant};
 
 /// Error of the transport layer: framing, JSON or socket I/O.
 #[derive(Debug)]
@@ -183,6 +185,29 @@ impl FramedConn {
         Ok(true)
     }
 
+    /// Writes the whole queue out, waiting on the socket — not on the clock —
+    /// whenever the kernel pushes back.  Returns `false` when `timeout` passed with
+    /// frames still queued.
+    pub fn flush_blocking(&mut self, timeout: Duration) -> Result<bool, NetError> {
+        if self.flush()? {
+            return Ok(true);
+        }
+        // A reactor of its own: only this socket's writability ends the wait.
+        let mut reactor = Reactor::new()?;
+        reactor.register(self.raw_fd(), 0, Interest::WRITABLE)?;
+        let deadline = Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Ok(false);
+            }
+            reactor.poll(Some(left.as_millis().max(1) as u64))?;
+            if self.flush()? {
+                return Ok(true);
+            }
+        }
+    }
+
     /// True while queued frames are waiting for the socket to become writable.
     pub fn wants_write(&self) -> bool {
         !self.outq.is_empty()
@@ -203,7 +228,6 @@ impl FramedConn {
 mod tests {
     use super::*;
     use crate::endpoint::{connect_with_retry, Endpoint, Listener};
-    use std::time::{Duration, Instant};
 
     fn loopback_pair() -> (FramedConn, FramedConn) {
         let listener =
@@ -250,5 +274,34 @@ mod tests {
         assert_eq!(tx.frames_flushed(), msgs.len() as u64);
         let got = pump_until(&mut rx, msgs.len(), Duration::from_secs(2));
         assert_eq!(got, msgs);
+    }
+
+    #[test]
+    fn flush_blocking_waits_for_the_reader_and_gives_up_at_the_timeout() {
+        // The reading end is a bare stream: nothing here depends on what a frame says.
+        let (a, mut b) = std::os::unix::net::UnixStream::pair().expect("pair");
+        a.set_nonblocking(true).expect("nonblocking");
+        let mut tx = FramedConn::new(Socket::Unix(a));
+        // Far more than a socket buffer holds, so the first flush stops short.
+        const FRAMES: usize = 8;
+        for _ in 0..FRAMES {
+            tx.queue_bytes(vec![0u8; 1 << 20]);
+        }
+        // Nobody reads: the wait ends at the timeout with frames still queued.
+        let started = Instant::now();
+        assert!(!tx.flush_blocking(Duration::from_millis(30)).expect("flush"));
+        assert!(started.elapsed() >= Duration::from_millis(30) && tx.wants_write());
+        // A reader that starts late: the wait ends as soon as the queue is out.
+        let reader = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            let (mut sink, mut total) = (vec![0u8; 1 << 16], 0);
+            while total < FRAMES << 20 {
+                total += std::io::Read::read(&mut b, &mut sink).expect("read");
+            }
+            total
+        });
+        assert!(tx.flush_blocking(Duration::from_secs(10)).expect("flush"));
+        assert_eq!(tx.frames_flushed(), FRAMES as u64);
+        assert_eq!(reader.join().expect("reader"), FRAMES << 20);
     }
 }

@@ -18,6 +18,16 @@
 //! orchestrator traffic, `4` endpoint already in use by a live daemon.  Stale
 //! Unix socket files left by a killed daemon are detected and removed on bind
 //! (see `dlrv_net::Listener::bind`), so a restart on the same path succeeds.
+//!
+//! The daemon is two halves.  [`Daemon`] is the I/O half: the reactor, the
+//! connections, and [`Daemon::next_input`], which turns socket readiness into
+//! one [`Input`] at a time.  [`Run`] is the protocol half: the monitor and one
+//! [`Peer`] record per process.  A run has two phases — [`Daemon::await_hello`],
+//! where only `hello` and `peer_hello` are legal and no run exists yet, and
+//! [`Daemon::serve`], which owns the [`Run`] the `hello` created.  Every
+//! protocol failure in either phase goes through [`Daemon::fail`]: an `error`
+//! frame to the orchestrator (before the `hello`, to the offending connection),
+//! then exit 1.
 
 use dlrv_core::dlrv_automaton::MonitorAutomaton;
 use dlrv_core::dlrv_distsim::{MonitorBehavior, MonitorContext};
@@ -27,7 +37,7 @@ use dlrv_core::CompiledProperty;
 use dlrv_monitor::{DecentralizedMonitor, MonitorMsg, Token};
 use dlrv_net::{
     connect_with_retry, encode_wire_frame, DaemonReport, DaemonStatus, DaemonTelemetry, Endpoint,
-    FaultInjector, FaultStats, FramedConn, Interest, Listener, NetError, Reactor, WireMsg,
+    FaultInjector, FaultStats, FramedConn, Interest, IoEvent, Listener, NetError, Reactor, WireMsg,
     TELEMETRY_EVERY_EVENTS,
 };
 use dlrv_obs::{obs_debug, obs_info, obs_warn, LogLevel};
@@ -111,7 +121,7 @@ fn main() -> ExitCode {
     let _ = std::io::stdout().flush();
     dlrv_obs::set_log_prefix("monitord");
     obs_info!("listening on {local} (idle timeout {:.1}s)", idle_timeout.as_secs_f64());
-    match Daemon::new(listener, idle_timeout).and_then(Daemon::run) {
+    match Daemon::new(listener, idle_timeout).and_then(Daemon::await_hello) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("monitord: {e}");
@@ -120,21 +130,24 @@ fn main() -> ExitCode {
     }
 }
 
-/// What a connection is for, learned from its first frame.
-enum Role {
-    /// Accepted but not yet identified.
-    Anonymous,
-    /// The orchestrator's control connection.
-    Control,
-    /// Carries monitor frames from peer `from` (accepted or dialed).
-    Peer { from: usize },
-}
-
 struct ConnEntry {
     conn: FramedConn,
-    role: Role,
     /// Interest currently registered with the reactor.
     writable: bool,
+}
+
+/// What [`Daemon::next_input`] hands the protocol, in arrival order.  Nearly every
+/// input is a frame, so boxing that variant would buy an allocation per frame.
+#[allow(clippy::large_enum_variant)]
+enum Input {
+    /// A decoded frame and the connection it arrived on.
+    Frame(u64, WireMsg),
+    /// The connection reached EOF; its frames came before this and it is closed.
+    Closed(u64),
+    /// The wait ended with nothing to hand out (a delayed frame may be due).
+    Quiet,
+    /// No orchestrator traffic for the whole idle timeout.
+    Idle,
 }
 
 /// A frame sitting in the delay queue until `release`.
@@ -146,33 +159,45 @@ struct Delayed {
     frame: Vec<u8>,
 }
 
-/// Per-run state, created by the `hello` frame.
-struct RunState {
+/// The channel to and from one process of the run.
+struct Peer {
+    /// Reactor token of the connection, once dialed or introduced.
+    conn: Option<u64>,
+    /// Frames on that connection that are not monitor frames (the single
+    /// `peer_hello` on a dialed one), excluded from the `sent` counter.
+    overhead: u64,
+    /// The outgoing fault shim.
+    injector: FaultInjector,
+    /// Next outgoing monitor-frame sequence number, assigned before the fault
+    /// shim so duplicates share one number.
+    next_seq: u64,
+    /// Incoming sequence numbers already processed.  Duplicates the shim injects
+    /// still tick `received` (the barrier counts wire frames) but are not re-fed
+    /// to the monitor — re-feeding would provoke responses that are themselves
+    /// duplicated, amplifying traffic without bound at `dup=1`.
+    seen_seq: HashSet<u64>,
+    /// Monitor frames decoded from it.
+    received: u64,
+}
+
+/// The state of the run, created by the `hello` frame and owned by
+/// [`Daemon::serve`].
+struct Run {
+    /// The orchestrator's connection (the one the `hello` arrived on).
+    control: u64,
     process: usize,
     n: usize,
     /// The run's monitor automaton: the range of a token's `transition_id` and
     /// of the global states it may carry.
     automaton: Arc<MonitorAutomaton>,
     monitor: DecentralizedMonitor,
-    /// Reactor token of the peer connection to each process (self is `None`).
-    peer_token: Vec<Option<u64>>,
-    /// Frames on each peer connection that are not monitor frames (the single
-    /// `peer_hello` on dialed connections), excluded from the `sent` counters.
-    peer_overhead: Vec<u64>,
-    /// Outgoing fault shim per destination process (self is `None`).
-    injectors: Vec<Option<FaultInjector>>,
+    /// One record per process, indexed by process number; the daemon's own slot
+    /// never gets a connection and carries no traffic.
+    peers: Vec<Peer>,
+    /// What the monitor sent during the activation in progress (reused).
+    outbox: Vec<(usize, MonitorMsg)>,
     delay_heap: BinaryHeap<Reverse<Delayed>>,
     delay_seq: u64,
-    /// Next monitor-frame sequence number per destination process, assigned
-    /// before the fault shim so duplicates share one number.
-    next_seq: Vec<u64>,
-    /// Sequence numbers already processed, per source process.  Duplicates the
-    /// shim injects still tick `received` (the barrier counts wire frames) but
-    /// are not re-fed to the monitor — re-feeding would provoke responses that
-    /// are themselves duplicated, amplifying traffic without bound at `dup=1`.
-    seen_seq: Vec<HashSet<u64>>,
-    /// Monitor frames decoded per source process.
-    received: Vec<u64>,
     events_seen: u64,
     /// Messages the monitor emitted, pre-shim (what a co-located
     /// `FeedSession` would count).
@@ -187,7 +212,7 @@ struct RunState {
 /// a frame carries without looking, so this is the boundary that turns a
 /// decodable but inconsistent frame into a protocol failure instead of a panic —
 /// what the stream runtime's shard worker does for session records.
-fn check_frame(msg: &WireMsg, run: &RunState) -> Result<(), String> {
+fn check_frame(msg: &WireMsg, run: &Run) -> Result<(), String> {
     let n = run.n;
     match msg {
         WireMsg::PeerHello { from } | WireMsg::Monitor { from, .. }
@@ -257,16 +282,16 @@ fn check_token(token: &Token, n: usize, automaton: &MonitorAutomaton) -> Result<
     Ok(())
 }
 
+/// The I/O half: sockets in, [`Input`]s out, frames back onto connections.
 struct Daemon {
     reactor: Reactor,
     listener: Listener,
     conns: HashMap<u64, ConnEntry>,
     next_token: u64,
-    control: Option<u64>,
-    run: Option<RunState>,
+    /// Read off the sockets, not yet handed out.
+    inbox: VecDeque<Input>,
     idle_timeout: Duration,
     idle_deadline: Instant,
-    shutdown: bool,
 }
 
 impl Daemon {
@@ -278,107 +303,74 @@ impl Daemon {
             listener,
             conns: HashMap::new(),
             next_token: 1,
-            control: None,
-            run: None,
+            inbox: VecDeque::new(),
             idle_timeout,
             idle_deadline: Instant::now() + idle_timeout,
-            shutdown: false,
         })
     }
 
-    fn run(mut self) -> Result<ExitCode, NetError> {
-        loop {
-            if self.shutdown {
-                self.drain_control()?;
-                return Ok(ExitCode::SUCCESS);
-            }
+    /// The next thing for the protocol to look at.  With nothing read ahead it
+    /// blocks on the reactor once — until a socket is ready, `wake`, or the idle
+    /// deadline, whichever is first — and reads every ready connection.
+    fn next_input(&mut self, wake: Option<Instant>) -> Result<Input, NetError> {
+        if self.inbox.is_empty() {
             let now = Instant::now();
             if now >= self.idle_deadline {
                 obs_warn!(
                     "no orchestrator traffic for {:.1}s, exiting",
                     self.idle_timeout.as_secs_f64()
                 );
-                return Ok(ExitCode::from(3));
+                return Ok(Input::Idle);
             }
-            let mut timeout = self.idle_deadline - now;
-            if let Some(run) = &self.run {
-                if let Some(Reverse(front)) = run.delay_heap.peek() {
-                    timeout = timeout.min(front.release.saturating_duration_since(now));
-                }
-            }
-            let timeout_ms = timeout.as_millis().clamp(1, 10_000) as u64;
-            let events: Vec<dlrv_net::IoEvent> =
-                self.reactor.poll(Some(timeout_ms))?.to_vec();
+            let until = wake.map_or(self.idle_deadline, |w| w.min(self.idle_deadline));
+            let timeout_ms = until.saturating_duration_since(now).as_millis().clamp(1, 10_000);
+            let events = self.reactor.poll(Some(timeout_ms as u64))?.to_vec();
             for ev in events {
                 if ev.token == LISTENER_TOKEN {
-                    self.accept_all()?;
+                    while let Some(sock) = self.listener.accept()? {
+                        self.adopt(FramedConn::new(sock))?;
+                    }
                 } else {
-                    self.service_conn(ev.token, ev.readable, ev.writable)?;
-                    if self.shutdown {
-                        break;
-                    }
-                }
-            }
-            self.release_due_frames()?;
-        }
-    }
-
-    /// Accepts every pending connection on the listener.
-    fn accept_all(&mut self) -> Result<(), NetError> {
-        while let Some(sock) = self.listener.accept()? {
-            let token = self.next_token;
-            self.next_token += 1;
-            let conn = FramedConn::new(sock);
-            self.reactor.register(conn.raw_fd(), token, Interest::READABLE)?;
-            self.conns.insert(
-                token,
-                ConnEntry {
-                    conn,
-                    role: Role::Anonymous,
-                    writable: false,
-                },
-            );
-        }
-        Ok(())
-    }
-
-    /// Handles readiness on one connection.
-    fn service_conn(&mut self, token: u64, readable: bool, writable: bool) -> Result<(), NetError> {
-        if writable {
-            if let Some(entry) = self.conns.get_mut(&token) {
-                entry.conn.flush()?;
-            }
-        }
-        if readable {
-            let msgs = match self.conns.get_mut(&token) {
-                Some(entry) => entry.conn.on_readable_msgs()?,
-                None => return Ok(()),
-            };
-            for msg in msgs {
-                self.handle_frame(token, msg)?;
-                if self.shutdown {
-                    return Ok(());
-                }
-            }
-            if let Some(entry) = self.conns.get(&token) {
-                if entry.conn.is_eof() {
-                    self.close_conn(token)?;
-                    if self.control == Some(token) && !self.shutdown {
-                        return Err(NetError::msg("orchestrator closed the control connection"));
-                    }
-                    return Ok(());
+                    self.service_conn(ev)?;
                 }
             }
         }
-        self.update_interest(token)?;
-        Ok(())
+        match self.inbox.pop_front() {
+            Some(Input::Closed(token)) => {
+                if let Some(entry) = self.conns.remove(&token) {
+                    self.reactor.deregister(entry.conn.raw_fd())?;
+                }
+                Ok(Input::Closed(token))
+            }
+            Some(input) => Ok(input),
+            None => Ok(Input::Quiet),
+        }
     }
 
-    fn close_conn(&mut self, token: u64) -> Result<(), NetError> {
-        if let Some(entry) = self.conns.remove(&token) {
-            self.reactor.deregister(entry.conn.raw_fd())?;
+    /// Registers a new connection (accepted or dialed) and returns its token.
+    fn adopt(&mut self, conn: FramedConn) -> Result<u64, NetError> {
+        let token = self.next_token;
+        self.next_token += 1;
+        self.reactor.register(conn.raw_fd(), token, Interest::READABLE)?;
+        self.conns.insert(token, ConnEntry { conn, writable: false });
+        Ok(token)
+    }
+
+    /// Handles readiness on one connection: flushes, and reads into the inbox.
+    fn service_conn(&mut self, ev: IoEvent) -> Result<(), NetError> {
+        let Some(entry) = self.conns.get_mut(&ev.token) else { return Ok(()) };
+        if ev.writable {
+            entry.conn.flush()?;
         }
-        Ok(())
+        if ev.readable {
+            let msgs = entry.conn.on_readable_msgs()?;
+            self.inbox.extend(msgs.into_iter().map(|msg| Input::Frame(ev.token, msg)));
+            if entry.conn.is_eof() {
+                self.inbox.push_back(Input::Closed(ev.token));
+                return Ok(());
+            }
+        }
+        self.update_interest(ev.token)
     }
 
     /// Re-registers the connection with write interest iff frames are queued.
@@ -394,268 +386,309 @@ impl Daemon {
         Ok(())
     }
 
-    /// Dispatches one decoded frame according to the connection's role.
-    fn handle_frame(&mut self, token: u64, msg: WireMsg) -> Result<(), NetError> {
-        if let Some(Err(reason)) = self.run.as_ref().map(|run| check_frame(&msg, run)) {
-            return self.fail(token, &reason);
-        }
-        match msg {
-            WireMsg::Hello {
-                process,
-                n_processes,
-                property,
-                options,
-                initial_state,
-                fault,
-                peers,
-                binary_wire,
-            } => {
-                if self.run.is_some() {
-                    return self.fail(token, "duplicate hello");
-                }
-                self.touch_control(token);
-                if let Some(entry) = self.conns.get_mut(&token) {
-                    entry.role = Role::Control;
-                }
-                self.control = Some(token);
-                let spec = property_from_json(&property)
-                    .map_err(|e| NetError::msg(format!("hello property: {e}")))?;
-                let opts = match &options {
-                    dlrv_core::dlrv_json::Json::Null => dlrv_monitor::MonitorOptions::default(),
-                    v => options_from_json(v)
-                        .map_err(|e| NetError::msg(format!("hello options: {e}")))?,
-                };
-                if process >= n_processes
-                    || peers.len() != n_processes
-                    || n_processes < spec.min_processes()
-                {
-                    return self.fail(token, "hello process/peers/property mismatch");
-                }
-                dlrv_obs::set_log_prefix(format!("daemon{process}"));
-                obs_info!("hello: process {process} of {n_processes}");
-                let compiled = CompiledProperty::compile(&spec, n_processes);
-                if initial_state >= compiled.automaton.n_symbols() as u64 {
-                    return self.fail(token, "hello initial_state outside the property's atoms");
-                }
-                let monitor = DecentralizedMonitor::new(
-                    process,
-                    n_processes,
-                    compiled.automaton.clone(),
-                    compiled.registry.clone(),
-                    Assignment(initial_state),
-                    opts,
-                );
-                let mut run = RunState {
-                    process,
-                    n: n_processes,
-                    automaton: compiled.automaton.clone(),
-                    monitor,
-                    peer_token: vec![None; n_processes],
-                    peer_overhead: vec![0; n_processes],
-                    injectors: (0..n_processes)
-                        .map(|j| {
-                            let spec = fault.unwrap_or_default();
-                            (j != process)
-                                .then(|| FaultInjector::new(spec, (process * n_processes + j) as u64))
-                        })
-                        .collect(),
-                    delay_heap: BinaryHeap::new(),
-                    delay_seq: 0,
-                    next_seq: vec![0; n_processes],
-                    seen_seq: vec![HashSet::new(); n_processes],
-                    received: vec![0; n_processes],
-                    events_seen: 0,
-                    logical_msgs: 0,
-                    binary_wire,
-                };
-                // Dial the lower-numbered peers; higher-numbered peers dial us.
-                for (j, peer) in peers.iter().enumerate().take(process) {
-                    let ep = Endpoint::parse(peer)
-                        .map_err(|e| NetError::msg(format!("peer endpoint {peer}: {e}")))?;
-                    let sock = connect_with_retry(&ep, Duration::from_secs(10))?;
-                    let peer_token = self.next_token;
-                    self.next_token += 1;
-                    let mut conn = FramedConn::new(sock);
-                    conn.send_msg(&WireMsg::PeerHello { from: process })?;
-                    run.peer_overhead[j] = 1;
-                    self.reactor
-                        .register(conn.raw_fd(), peer_token, Interest::READABLE)?;
-                    self.conns.insert(
-                        peer_token,
-                        ConnEntry {
-                            conn,
-                            role: Role::Peer { from: j },
-                            writable: false,
-                        },
-                    );
-                    run.peer_token[j] = Some(peer_token);
-                    self.update_interest(peer_token)?;
-                }
-                // Adopt peers that already introduced themselves — before this
-                // frame said how many processes there are, so checked only now.
-                let introduced: Vec<(u64, usize)> = self
-                    .conns
-                    .iter()
-                    .filter_map(|(t, e)| match e.role {
-                        Role::Peer { from } => Some((*t, from)),
-                        _ => None,
-                    })
-                    .collect();
-                for (t, from) in introduced {
-                    check_frame(&WireMsg::PeerHello { from }, &run)
-                        .or_else(|reason| self.fail(token, &reason))?;
-                    run.peer_token[from].get_or_insert(t);
-                }
-                self.run = Some(run);
-                self.maybe_hello_ok()?;
-            }
-            WireMsg::PeerHello { from } => {
-                if let Some(entry) = self.conns.get_mut(&token) {
-                    entry.role = Role::Peer { from };
-                }
-                if let Some(run) = &mut self.run {
-                    if run.peer_token[from].is_some() {
-                        return self.fail(token, "unexpected peer_hello");
-                    }
-                    run.peer_token[from] = Some(token);
-                }
-                self.maybe_hello_ok()?;
-            }
-            WireMsg::Event { event } => {
-                self.touch_control(token);
-                let run = self.run.as_mut().ok_or_else(|| NetError::msg("event before hello"))?;
-                run.events_seen += 1;
-                let time = event.time;
-                let process = run.process;
-                let n = run.n;
-                let mut outbox = Vec::new();
-                {
-                    let mut ctx = MonitorContext::new(process, n, time, &mut outbox);
-                    run.monitor.on_local_event(&event, &mut ctx);
-                }
-                self.dispatch_outbox(time, outbox)?;
-                let telemetry_due = self
-                    .run
-                    .as_ref()
-                    .is_some_and(|r| r.events_seen % TELEMETRY_EVERY_EVENTS == 0);
-                if telemetry_due {
-                    self.send_telemetry()?;
-                }
-            }
-            WireMsg::Monitor {
-                from,
-                seq,
-                time,
-                msg,
-            } => {
-                let run = self.run.as_mut().ok_or_else(|| NetError::msg("monitor frame before hello"))?;
-                run.received[from] += 1;
-                if !run.seen_seq[from].insert(seq) {
-                    // A shim-injected duplicate: counted for the barrier, not
-                    // re-processed by the monitor.
-                    return Ok(());
-                }
-                let process = run.process;
-                let n = run.n;
-                let decoded = msg;
-                let mut outbox = Vec::new();
-                {
-                    let mut ctx = MonitorContext::new(process, n, time, &mut outbox);
-                    run.monitor.on_monitor_message(from, decoded, &mut ctx);
-                }
-                self.dispatch_outbox(time, outbox)?;
-            }
-            WireMsg::Status => {
-                self.touch_control(token);
-                self.flush_holds()?;
-                let status = self.status()?;
-                self.reply(token, &WireMsg::StatusOk(status))?;
-            }
-            WireMsg::Finish { time } => {
-                self.touch_control(token);
-                self.flush_holds()?;
-                {
-                    let run = self
-                        .run
-                        .as_mut()
-                        .ok_or_else(|| NetError::msg("finish before hello"))?;
-                    let process = run.process;
-                    let n = run.n;
-                    let mut outbox = Vec::new();
+    /// Phase one: no run exists.  Peers whose own `hello` came first may already
+    /// introduce themselves, any other frame is a protocol failure like any later
+    /// one, and the `hello` creates the run and ends the phase by entering the next.
+    fn await_hello(mut self) -> Result<ExitCode, NetError> {
+        let mut introduced: Vec<(u64, usize)> = Vec::new();
+        loop {
+            match self.next_input(None)? {
+                Input::Idle => return Ok(ExitCode::from(3)),
+                Input::Quiet | Input::Closed(_) => {}
+                Input::Frame(token, WireMsg::PeerHello { from }) => introduced.push((token, from)),
+                Input::Frame(
+                    control,
+                    WireMsg::Hello {
+                        process,
+                        n_processes,
+                        property,
+                        options,
+                        initial_state,
+                        fault,
+                        peers,
+                        binary_wire,
+                    },
+                ) => {
+                    self.idle_deadline = Instant::now() + self.idle_timeout;
+                    let spec = property_from_json(&property)
+                        .or_else(|e| self.fail(control, &format!("hello property: {e}")))?;
+                    let opts = match &options {
+                        dlrv_core::dlrv_json::Json::Null => dlrv_monitor::MonitorOptions::default(),
+                        v => options_from_json(v)
+                            .or_else(|e| self.fail(control, &format!("hello options: {e}")))?,
+                    };
+                    if process >= n_processes
+                        || peers.len() != n_processes
+                        || n_processes < spec.min_processes()
                     {
-                        let mut ctx = MonitorContext::new(process, n, time, &mut outbox);
-                        run.monitor.on_local_termination(&mut ctx);
+                        return self.fail(control, "hello process/peers/property mismatch");
                     }
-                    self.dispatch_outbox(time, outbox)?;
+                    dlrv_obs::set_log_prefix(format!("daemon{process}"));
+                    obs_info!("hello: process {process} of {n_processes}");
+                    let compiled = CompiledProperty::compile(&spec, n_processes);
+                    if initial_state >= compiled.automaton.n_symbols() as u64 {
+                        return self
+                            .fail(control, "hello initial_state outside the property's atoms");
+                    }
+                    let mut run = Run {
+                        control,
+                        process,
+                        n: n_processes,
+                        automaton: compiled.automaton.clone(),
+                        monitor: DecentralizedMonitor::new(
+                            process,
+                            n_processes,
+                            compiled.automaton.clone(),
+                            compiled.registry.clone(),
+                            Assignment(initial_state),
+                            opts,
+                        ),
+                        peers: (0..n_processes)
+                            .map(|j| Peer {
+                                conn: None,
+                                overhead: 0,
+                                injector: FaultInjector::new(
+                                    fault.unwrap_or_default(),
+                                    (process * n_processes + j) as u64,
+                                ),
+                                next_seq: 0,
+                                seen_seq: HashSet::new(),
+                                received: 0,
+                            })
+                            .collect(),
+                        outbox: Vec::new(),
+                        delay_heap: BinaryHeap::new(),
+                        delay_seq: 0,
+                        events_seen: 0,
+                        logical_msgs: 0,
+                        binary_wire,
+                    };
+                    // Dial the lower-numbered peers; higher-numbered peers dial us.
+                    for (peer, endpoint) in run.peers.iter_mut().zip(&peers).take(process) {
+                        let ep = Endpoint::parse(endpoint).or_else(|e| {
+                            self.fail(control, &format!("hello peer endpoint {endpoint}: {e}"))
+                        })?;
+                        let sock = connect_with_retry(&ep, Duration::from_secs(10))?;
+                        let token = self.adopt(FramedConn::new(sock))?;
+                        self.reply(token, &WireMsg::PeerHello { from: process })?;
+                        (peer.conn, peer.overhead) = (Some(token), 1);
+                    }
+                    // Adopt peers that already introduced themselves — before this
+                    // frame said how many processes there are, so checked only now.
+                    for (token, from) in introduced {
+                        check_frame(&WireMsg::PeerHello { from }, &run)
+                            .or_else(|reason| self.fail(control, &reason))?;
+                        run.peers[from].conn.get_or_insert(token);
+                    }
+                    return self.serve(run);
                 }
-                obs_info!("finish at t={time:.3}");
-                // One final sample so the timeline always covers the run's end
-                // state, whatever the event-count cadence left off at.
-                self.send_telemetry()?;
-                self.reply(token, &WireMsg::FinishOk)?;
-            }
-            WireMsg::Report => {
-                self.touch_control(token);
-                let run = self.run.as_ref().ok_or_else(|| NetError::msg("report before hello"))?;
-                let mut fault_stats = FaultStats::default();
-                for injector in run.injectors.iter().flatten() {
-                    fault_stats.merge(&injector.stats());
+                Input::Frame(token, other) => {
+                    return self.fail(token, &format!("frame before hello: {other:?}"));
                 }
-                let report = DaemonReport {
-                    process: run.process,
-                    metrics: run.monitor.metrics(),
-                    logical_monitor_msgs: run.logical_msgs,
-                    fault_stats,
-                    peak_rss_bytes: dlrv_obs::peak_rss_bytes().unwrap_or(0),
-                };
-                obs_info!(
-                    "report: {} events, {} logical monitor msgs",
-                    run.events_seen, run.logical_msgs
-                );
-                self.reply(token, &WireMsg::ReportOk(report))?;
             }
-            WireMsg::Shutdown => {
-                self.touch_control(token);
-                obs_info!("shutdown");
-                self.reply(token, &WireMsg::ShutdownOk)?;
-                self.shutdown = true;
+        }
+    }
+
+    /// Phase two: the run exists and this loop owns it.
+    fn serve(mut self, mut run: Run) -> Result<ExitCode, NetError> {
+        self.maybe_hello_ok(&run)?;
+        loop {
+            // Move every frame whose delay elapsed onto its peer connection.
+            while run
+                .delay_heap
+                .peek()
+                .is_some_and(|Reverse(front)| front.release <= Instant::now())
+            {
+                let Some(Reverse(due)) = run.delay_heap.pop() else { break };
+                self.queue_frame(&run, due.dest, due.frame)?;
             }
-            other => {
-                return self.fail(token, &format!("unexpected frame {other:?}"));
+            let wake = run.delay_heap.peek().map(|Reverse(front)| front.release);
+            let (token, msg) = match self.next_input(wake)? {
+                Input::Idle => return Ok(ExitCode::from(3)),
+                Input::Closed(token) if token == run.control => {
+                    return Err(NetError::msg("orchestrator closed the control connection"));
+                }
+                Input::Quiet | Input::Closed(_) => continue,
+                Input::Frame(token, msg) => (token, msg),
+            };
+            if token == run.control {
+                self.idle_deadline = Instant::now() + self.idle_timeout;
+            }
+            if let Err(reason) = check_frame(&msg, &run) {
+                return self.fail(run.control, &reason);
+            }
+            match msg {
+                WireMsg::PeerHello { from } => {
+                    if run.peers[from].conn.replace(token).is_some() {
+                        return self.fail(run.control, "unexpected peer_hello");
+                    }
+                    self.maybe_hello_ok(&run)?;
+                }
+                WireMsg::Event { event } => {
+                    run.events_seen += 1;
+                    self.activate(&mut run, event.time, |monitor, ctx| {
+                        monitor.on_local_event(&event, ctx);
+                    })?;
+                    if run.events_seen.is_multiple_of(TELEMETRY_EVERY_EVENTS) {
+                        self.send_telemetry(&run)?;
+                    }
+                }
+                WireMsg::Monitor { from, seq, time, msg } => {
+                    run.peers[from].received += 1;
+                    // A shim-injected duplicate is counted for the barrier, not
+                    // re-processed by the monitor.
+                    if run.peers[from].seen_seq.insert(seq) {
+                        self.activate(&mut run, time, |monitor, ctx| {
+                            monitor.on_monitor_message(from, msg, ctx);
+                        })?;
+                    }
+                }
+                WireMsg::Status => {
+                    self.flush_holds(&mut run)?;
+                    let status = self.status(&run);
+                    self.reply(token, &WireMsg::StatusOk(status))?;
+                }
+                WireMsg::Finish { time } => {
+                    self.flush_holds(&mut run)?;
+                    self.activate(&mut run, time, |monitor, ctx| {
+                        monitor.on_local_termination(ctx);
+                    })?;
+                    obs_info!("finish at t={time:.3}");
+                    // One final sample so the timeline always covers the run's end
+                    // state, whatever the event-count cadence left off at.
+                    self.send_telemetry(&run)?;
+                    self.reply(token, &WireMsg::FinishOk)?;
+                }
+                WireMsg::Report => {
+                    let mut fault_stats = FaultStats::default();
+                    for peer in &run.peers {
+                        fault_stats.merge(&peer.injector.stats());
+                    }
+                    let report = DaemonReport {
+                        process: run.process,
+                        metrics: run.monitor.metrics(),
+                        logical_monitor_msgs: run.logical_msgs,
+                        fault_stats,
+                        peak_rss_bytes: dlrv_obs::peak_rss_bytes().unwrap_or(0),
+                    };
+                    obs_info!(
+                        "report: {} events, {} logical monitor msgs",
+                        run.events_seen, run.logical_msgs
+                    );
+                    self.reply(token, &WireMsg::ReportOk(report))?;
+                }
+                WireMsg::Shutdown => {
+                    obs_info!("shutdown");
+                    self.reply(token, &WireMsg::ShutdownOk)?;
+                    // Leave only once the reply is on the wire (bounded).
+                    if let Some(entry) = self.conns.get_mut(&token) {
+                        entry.conn.flush_blocking(Duration::from_secs(5))?;
+                    }
+                    return Ok(ExitCode::SUCCESS);
+                }
+                other => return self.fail(run.control, &format!("unexpected frame {other:?}")),
+            }
+        }
+    }
+
+    /// Runs one monitor callback and puts what it sent on the wire, through the
+    /// fault shim — the only place a [`MonitorContext`] is built.
+    fn activate(
+        &mut self,
+        run: &mut Run,
+        time: f64,
+        callback: impl FnOnce(&mut DecentralizedMonitor, &mut MonitorContext<'_, MonitorMsg>),
+    ) -> Result<(), NetError> {
+        let mut outbox = std::mem::take(&mut run.outbox);
+        callback(
+            &mut run.monitor,
+            &mut MonitorContext::new(run.process, run.n, time, &mut outbox),
+        );
+        run.logical_msgs += outbox.len() as u64;
+        for (dest, msg) in outbox.drain(..) {
+            let peer = &mut run.peers[dest];
+            let seq = peer.next_seq;
+            peer.next_seq += 1;
+            // Encoded here (not via the connection) because the fault shim
+            // operates on whole opaque frames — binary or JSON alike.
+            let frame = WireMsg::Monitor { from: run.process, seq, time, msg };
+            let frame = encode_wire_frame(&frame, run.binary_wire);
+            for frame in peer.injector.on_send(frame) {
+                self.emit(run, dest, frame)?;
+            }
+        }
+        run.outbox = outbox;
+        Ok(())
+    }
+
+    /// Hands one post-shim frame to the channel to `dest`: the delay queue when
+    /// the channel has a delay, the connection otherwise.
+    fn emit(&mut self, run: &mut Run, dest: usize, frame: Vec<u8>) -> Result<(), NetError> {
+        let delay_ms = run.peers[dest].injector.delay_ms();
+        if delay_ms <= 0.0 {
+            return self.queue_frame(run, dest, frame);
+        }
+        let seq = run.delay_seq;
+        run.delay_seq += 1;
+        run.delay_heap.push(Reverse(Delayed {
+            release: Instant::now() + Duration::from_secs_f64(delay_ms / 1000.0),
+            seq,
+            dest,
+            frame,
+        }));
+        Ok(())
+    }
+
+    /// Puts one frame on the connection to peer `dest` — the only place that does.
+    fn queue_frame(&mut self, run: &Run, dest: usize, frame: Vec<u8>) -> Result<(), NetError> {
+        let Some(token) = run.peers[dest].conn else {
+            let reason = format!("a frame for process {dest}, which is not connected");
+            return self.fail(run.control, &reason);
+        };
+        if let Some(entry) = self.conns.get_mut(&token) {
+            entry.conn.queue_bytes(frame);
+            entry.conn.flush()?;
+        }
+        self.update_interest(token)
+    }
+
+    /// Releases every reorder hold so the channels drain (barrier/finish time).
+    fn flush_holds(&mut self, run: &mut Run) -> Result<(), NetError> {
+        for dest in 0..run.n {
+            if let Some(frame) = run.peers[dest].injector.flush_hold() {
+                self.emit(run, dest, frame)?;
             }
         }
         Ok(())
     }
 
-    /// Sends `hello_ok` once the hello arrived and the peer mesh is complete.
-    fn maybe_hello_ok(&mut self) -> Result<(), NetError> {
-        let Some(run) = &self.run else { return Ok(()) };
-        let complete = (0..run.n).all(|j| j == run.process || run.peer_token[j].is_some());
+    /// Sends `hello_ok` once the peer mesh is complete.
+    fn maybe_hello_ok(&mut self, run: &Run) -> Result<(), NetError> {
+        let complete = run
+            .peers
+            .iter()
+            .enumerate()
+            .all(|(j, peer)| j == run.process || peer.conn.is_some());
         if !complete {
             return Ok(());
         }
-        let process = run.process;
-        let Some(control) = self.control else { return Ok(()) };
         obs_info!("peer mesh complete, sending hello_ok");
-        self.reply(control, &WireMsg::HelloOk { process })
+        self.reply(run.control, &WireMsg::HelloOk { process: run.process })
     }
 
     /// Emits one unsolicited [`WireMsg::Telemetry`] frame on the control
     /// connection; the orchestrator intercepts these into per-daemon timelines
     /// instead of treating them as replies.
-    fn send_telemetry(&mut self) -> Result<(), NetError> {
-        let Some(control) = self.control else { return Ok(()) };
-        let Some(run) = self.run.as_ref() else { return Ok(()) };
+    fn send_telemetry(&mut self, run: &Run) -> Result<(), NetError> {
         let metrics = run.monitor.metrics();
-        let queued_frames = run.delay_heap.len() as u64
-            + run.injectors.iter().flatten().map(|i| i.held() as u64).sum::<u64>();
+        let held: u64 = run.peers.iter().map(|peer| peer.injector.held() as u64).sum();
         let sample = DaemonTelemetry {
             process: run.process,
             events_seen: run.events_seen,
             live_views: run.monitor.views().len() as u64,
             tokens_sent: metrics.tokens_sent as u64,
             tokens_received: metrics.tokens_received as u64,
-            queued_frames,
+            queued_frames: run.delay_heap.len() as u64 + held,
             peak_rss_bytes: dlrv_obs::peak_rss_bytes().unwrap_or(0),
         };
         obs_debug!(
@@ -664,166 +697,28 @@ impl Daemon {
             sample.live_views,
             sample.queued_frames
         );
-        self.reply(control, &WireMsg::Telemetry(sample))
-    }
-
-    /// Runs the monitor outbox to quiescence: self-deliveries recurse FIFO, remote
-    /// messages go through the fault shim onto peer connections.
-    fn dispatch_outbox(
-        &mut self,
-        time: f64,
-        outbox: Vec<(usize, MonitorMsg)>,
-    ) -> Result<(), NetError> {
-        let mut queue: VecDeque<(usize, MonitorMsg)> = VecDeque::new();
-        {
-            let run = self.run.as_mut().ok_or_else(|| NetError::msg("no run"))?;
-            run.logical_msgs += outbox.len() as u64;
-            queue.extend(outbox);
-        }
-        while let Some((dest, msg)) = queue.pop_front() {
-            let run = self.run.as_mut().ok_or_else(|| NetError::msg("no run"))?;
-            if dest == run.process {
-                let process = run.process;
-                let n = run.n;
-                let mut outbox = Vec::new();
-                {
-                    let mut ctx = MonitorContext::new(process, n, time, &mut outbox);
-                    run.monitor.on_monitor_message(process, msg, &mut ctx);
-                }
-                run.logical_msgs += outbox.len() as u64;
-                queue.extend(outbox);
-            } else {
-                let seq = run.next_seq[dest];
-                run.next_seq[dest] += 1;
-                // Encoded here (not via the connection) because the fault shim
-                // operates on whole opaque frames — binary or JSON alike.
-                let frame = encode_wire_frame(
-                    &WireMsg::Monitor {
-                        from: run.process,
-                        seq,
-                        time,
-                        msg,
-                    },
-                    run.binary_wire,
-                );
-                let injector = run.injectors[dest]
-                    .as_mut()
-                    .ok_or_else(|| NetError::msg("no injector for peer"))?;
-                let wire_frames = injector.on_send(frame);
-                self.emit_frames(dest, wire_frames)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Queues post-shim frames for `dest`, via the delay queue when configured.
-    fn emit_frames(&mut self, dest: usize, frames: Vec<Vec<u8>>) -> Result<(), NetError> {
-        let run = self.run.as_mut().ok_or_else(|| NetError::msg("no run"))?;
-        let delay_ms = run.injectors[dest]
-            .as_ref()
-            .map_or(0.0, FaultInjector::delay_ms);
-        if delay_ms > 0.0 {
-            let release = Instant::now() + Duration::from_secs_f64(delay_ms / 1000.0);
-            for frame in frames {
-                let seq = run.delay_seq;
-                run.delay_seq += 1;
-                run.delay_heap.push(Reverse(Delayed {
-                    release,
-                    seq,
-                    dest,
-                    frame,
-                }));
-            }
-            Ok(())
-        } else {
-            let token = run.peer_token[dest].ok_or_else(|| NetError::msg("peer not connected"))?;
-            if let Some(entry) = self.conns.get_mut(&token) {
-                for frame in frames {
-                    entry.conn.queue_bytes(frame);
-                }
-                entry.conn.flush()?;
-            }
-            self.update_interest(token)
-        }
-    }
-
-    /// Moves every frame whose delay elapsed onto its peer connection.
-    fn release_due_frames(&mut self) -> Result<(), NetError> {
-        loop {
-            let (dest, frame) = {
-                let Some(run) = self.run.as_mut() else { return Ok(()) };
-                match run.delay_heap.peek() {
-                    Some(Reverse(front)) if front.release <= Instant::now() => {
-                        let Some(Reverse(d)) = run.delay_heap.pop() else { unreachable!() };
-                        (d.dest, d.frame)
-                    }
-                    _ => return Ok(()),
-                }
-            };
-            let token = {
-                let run = self.run.as_ref().ok_or_else(|| NetError::msg("no run"))?;
-                run.peer_token[dest].ok_or_else(|| NetError::msg("peer not connected"))?
-            };
-            if let Some(entry) = self.conns.get_mut(&token) {
-                entry.conn.queue_bytes(frame);
-                entry.conn.flush()?;
-            }
-            self.update_interest(token)?;
-        }
-    }
-
-    /// Releases every reorder hold so the channels drain (barrier/finish time).
-    fn flush_holds(&mut self) -> Result<(), NetError> {
-        let n = match &self.run {
-            Some(run) => run.n,
-            None => return Ok(()),
-        };
-        for dest in 0..n {
-            let held = self
-                .run
-                .as_mut()
-                .and_then(|run| run.injectors[dest].as_mut())
-                .and_then(FaultInjector::flush_hold);
-            if let Some(frame) = held {
-                self.emit_frames(dest, vec![frame])?;
-            }
-        }
-        Ok(())
+        self.reply(run.control, &WireMsg::Telemetry(sample))
     }
 
     /// The transport counters of the quiescence barrier.
-    fn status(&self) -> Result<DaemonStatus, NetError> {
-        let run = self.run.as_ref().ok_or_else(|| NetError::msg("status before hello"))?;
-        let mut sent = vec![0u64; run.n];
-        let mut pending = run.delay_heap.len() as u64;
-        for (j, slot) in sent.iter_mut().enumerate() {
-            if let Some(injector) = &run.injectors[j] {
-                pending += injector.held() as u64;
-            }
-            if let Some(token) = run.peer_token[j] {
-                if let Some(entry) = self.conns.get(&token) {
-                    *slot = entry
-                        .conn
-                        .frames_flushed()
-                        .saturating_sub(run.peer_overhead[j]);
-                    pending += entry.conn.queued_frames() as u64;
-                }
-            }
-        }
-        let dropped = run
-            .injectors
-            .iter()
-            .flatten()
-            .map(|i| i.stats().dropped)
-            .sum();
-        Ok(DaemonStatus {
+    fn status(&self, run: &Run) -> DaemonStatus {
+        let mut status = DaemonStatus {
             process: run.process,
             events_seen: run.events_seen,
-            sent,
-            received: run.received.clone(),
-            pending,
-            dropped,
-        })
+            sent: Vec::with_capacity(run.n),
+            received: Vec::with_capacity(run.n),
+            pending: run.delay_heap.len() as u64,
+            dropped: 0,
+        };
+        for peer in &run.peers {
+            let conn = peer.conn.and_then(|token| self.conns.get(&token)).map(|entry| &entry.conn);
+            status.sent.push(conn.map_or(0, |c| c.frames_flushed().saturating_sub(peer.overhead)));
+            status.received.push(peer.received);
+            status.pending +=
+                peer.injector.held() as u64 + conn.map_or(0, |c| c.queued_frames() as u64);
+            status.dropped += peer.injector.stats().dropped;
+        }
+        status
     }
 
     fn reply(&mut self, token: u64, msg: &WireMsg) -> Result<(), NetError> {
@@ -833,34 +728,11 @@ impl Daemon {
         self.update_interest(token)
     }
 
-    /// Sends an error frame on the control connection — or, before any hello, on
-    /// the offending connection `token` — and fails the daemon.
-    fn fail(&mut self, token: u64, message: &str) -> Result<(), NetError> {
-        let _ = self.reply(
-            self.control.unwrap_or(token),
-            &WireMsg::Error {
-                message: message.to_string(),
-            },
-        );
+    /// Sends an `error` frame on connection `to` — the control connection, or
+    /// before any `hello` the offending one — and fails the daemon.
+    fn fail<T>(&mut self, to: u64, message: &str) -> Result<T, NetError> {
+        let error = WireMsg::Error { message: message.to_string() };
+        let _ = self.reply(to, &error);
         Err(NetError::msg(message))
-    }
-
-    fn touch_control(&mut self, token: u64) {
-        if self.control.is_none() || self.control == Some(token) {
-            self.idle_deadline = Instant::now() + self.idle_timeout;
-        }
-    }
-
-    /// Blocks until the control connection's write queue drains (bounded).
-    fn drain_control(&mut self) -> Result<(), NetError> {
-        let Some(token) = self.control else { return Ok(()) };
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while let Some(entry) = self.conns.get_mut(&token) {
-            if entry.conn.flush()? || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        Ok(())
     }
 }

@@ -399,12 +399,64 @@ fn malformed_peer_hello_before_hello_is_a_protocol_failure_at_adoption() {
 }
 
 #[test]
+fn malformed_frames_before_hello_are_protocol_failures() {
+    // Before a run exists only `hello` and `peer_hello` are legal.  The parent daemon
+    // exited 1 on the first five of these without telling anybody, and answered the
+    // `shutdown` with `shutdown_ok` and exit 0.
+    let event = Event {
+        process: 0,
+        kind: EventKind::Internal,
+        sn: 1,
+        vc: VectorClock::from_entries(vec![1, 0]),
+        state: Assignment(0b1),
+        time: 1.0,
+    };
+    for (early, name) in [
+        (WireMsg::Event { event }, "Event"),
+        (monitor_frame(1, sound_token()), "Monitor"),
+        (WireMsg::Status, "Status"),
+        (WireMsg::Finish { time: 1.0 }, "Finish"),
+        (WireMsg::Report, "Report"),
+        (WireMsg::Shutdown, "Shutdown"),
+    ] {
+        let mut session = Session::spawn();
+        send(&mut session.control, &early);
+        // No `hello` yet, so the connection that sent the frame is the one told.
+        session.assert_protocol_failure(&format!("before hello: {name}"));
+    }
+}
+
+#[test]
 fn malformed_hellos_are_protocol_failures() {
     // Fewer processes than the property names, then an initial state with a bit
     // no atom of the property owns.
     for (n, initial_state, reason) in [(1, 0, "mismatch"), (2, 0b100, "initial_state")] {
         let mut session = Session::spawn();
         let hello = hello(&session.endpoint, "F (P0.p && P1.p)", n, initial_state);
+        send(&mut session.control, &hello);
+        session.assert_protocol_failure(reason);
+    }
+}
+
+#[test]
+fn malformed_hello_payloads_are_protocol_failures() {
+    // A property no letter names, options without their switches, a peer endpoint of
+    // no socket family: the parent daemon exited 1 on each without an `error` frame.
+    type Break = fn(&mut Json, &mut Json, &mut Vec<String>);
+    let cases: [(Break, &str); 3] = [
+        (|property, _, _| *property = Json::from("Z"), "hello property"),
+        (|_, options, _| *options = Json::from(true), "hello options"),
+        (|_, _, peers| peers[0] = "ftp:example.com:21".to_string(), "hello peer endpoint"),
+    ];
+    for (break_it, reason) in cases {
+        let mut session = Session::spawn();
+        // Process 1 of 2, so that the daemon has a peer endpoint to dial.
+        let mut hello = hello(&session.endpoint, "F (P0.p && P1.p)", 2, 0);
+        let WireMsg::Hello { process, property, options, peers, .. } = &mut hello else {
+            unreachable!("`hello` builds a hello frame")
+        };
+        *process = 1;
+        break_it(property, options, peers);
         send(&mut session.control, &hello);
         session.assert_protocol_failure(reason);
     }

@@ -131,6 +131,44 @@ fn each_sound_fault_kind_preserves_verdicts_in_isolation() {
 }
 
 #[test]
+fn repeated_runs_of_one_cell_agree_under_fast_polling() {
+    use_built_monitord();
+    // The orchestrator waits on its sockets, so the reads of a barrier round follow
+    // each other as fast as the daemons answer.  The criterion never leaned on the
+    // old sleeps (two identical balanced rounds bracket an instant of quiescence,
+    // docs/DEPLOYMENT.md), but they did hide timing: ten runs of one cell, on clean
+    // channels and with every frame 2 ms late, must report the same verdicts and
+    // the same message count.
+    let config = deploy_config(PaperProperty::C, vec![1]);
+    for fault in [None, Some(FaultSpec::parse("delay=2").expect("valid spec"))] {
+        let params = DeployParams {
+            transport: DeployTransport::Unix,
+            fault,
+            binary_wire: true,
+        };
+        let runs: Vec<_> = (0..10)
+            .map(|i| {
+                let outcome = run_deploy(&config, MonitorOptions::default(), &params)
+                    .unwrap_or_else(|e| panic!("run {i} [{fault:?}]: deploy failed: {e}"));
+                let run = &outcome.result.per_seed[0];
+                (
+                    run.monitor_messages,
+                    run.detected_final_verdicts.clone(),
+                    run.possible_verdicts.clone(),
+                )
+            })
+            .collect();
+        let (detected, possible) = baseline(&config, 1);
+        assert_eq!((&runs[0].1, &runs[0].2), (&detected, &possible), "[{fault:?}] verdicts");
+        assert!(runs[0].0 > 0, "fixture too weak: property C exchanged no message");
+        assert!(
+            runs.iter().all(|run| run == &runs[0]),
+            "[{fault:?}] ten runs of one cell disagree: {runs:?}"
+        );
+    }
+}
+
+#[test]
 fn deploy_writes_live_telemetry_artifacts() {
     use_built_monitord();
     // A unique seed keeps this run's artifact directory disjoint from the other

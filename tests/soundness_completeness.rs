@@ -13,7 +13,9 @@
 //! fail on are listed ([`KNOWN_UNSOUND`]) and described under "Open findings" in
 //! `docs/MONITORING.md`.  The sweep goes through `FeedSession`; a second test pumps
 //! its first 300 computations through the stream runtime and pins the same verdicts
-//! there, so the lists speak for that substrate too.
+//! there, so the lists speak for that substrate too; a third runs its first 40
+//! formulas that name an atom as `monitord` fleets and pins verdicts and message
+//! counts against the replay, so no substrate is left on the paper's six alone.
 
 mod common;
 
@@ -28,7 +30,10 @@ use dlrv_core::dlrv_stream::{
 };
 use dlrv_core::dlrv_trace::{generate_workload, WorkloadConfig};
 use dlrv_core::dlrv_vclock::{oracle_evaluate, Computation, Lattice, OracleResult};
-use dlrv_core::{simulate_session, PaperProperty};
+use dlrv_core::{
+    run_deploy, simulate_session, CompiledProperty, DeployParams, DeployTransport,
+    ExperimentConfig, PaperProperty, PropertySpec,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -352,6 +357,56 @@ fn random_ltl_verdicts_through_the_stream_runtime_equal_the_replay() {
         assert_eq!(outcome.events, inputs[seed].events.len(), "seed {seed}: events fed");
         assert_eq!(&outcome.detected_verdicts, expected, "seed {seed}: detected verdicts");
     }
+}
+
+#[test]
+fn random_ltl_verdicts_through_a_daemon_fleet_equal_the_replay() {
+    // The first 40 `X`-free formulas of the sweep that name an atom, each printed,
+    // parsed back as a `PropertySpec` (the only form a `hello` frame carries) and run
+    // by `run_deploy` as one `monitord` process per monitor over Unix sockets: every
+    // fleet must detect what the replay of the same computation detects, with the
+    // same number of monitor messages.
+    std::env::set_var("DLRV_MONITORD_BIN", env!("CARGO_BIN_EXE_monitord"));
+    let cases = (0u64..)
+        .map(|seed| (seed, sweep_case(seed, Formula::globally)))
+        .filter(|(_, (formula, _))| !formula.atoms().is_empty())
+        .take(40);
+    let mut with_traffic = 0;
+    for (seed, (formula, workload)) in cases {
+        let names = shared_registry(workload.n_processes);
+        let text = formula.display_with(|a| names.name(a).to_string()).to_string();
+        let spec = PropertySpec::parse_named(&format!("sweep-{seed}"), &text)
+            .unwrap_or_else(|e| panic!("seed {seed}: `{text}` does not parse back: {e}"));
+        let config = ExperimentConfig {
+            events_per_process: workload.events_per_process,
+            comm_mu: workload.comm_mu,
+            seeds: vec![seed],
+            ..ExperimentConfig::paper_default(spec, workload.n_processes)
+        };
+        let compiled = CompiledProperty::compile(&config.property, config.n_processes);
+        let session = simulate_session(&config.workload_config(seed), &compiled.registry);
+        let options = MonitorOptions::default();
+        let replay = replay_decentralized(
+            &session.report.computation,
+            &compiled.registry,
+            &compiled.automaton,
+            options,
+        );
+        let outcome = run_deploy(&config, options, &DeployParams::clean(DeployTransport::Unix))
+            .unwrap_or_else(|e| panic!("seed {seed} `{text}`: deploy failed: {e}"));
+        let deployed = &outcome.result.per_seed[0];
+        assert_eq!(
+            deployed.detected_final_verdicts,
+            replay.detected_final_verdicts(),
+            "seed {seed} `{text}`: detected verdicts"
+        );
+        assert_eq!(
+            deployed.monitor_messages, replay.monitor_messages,
+            "seed {seed} `{text}`: monitor messages"
+        );
+        with_traffic += usize::from(replay.monitor_messages > 0);
+    }
+    assert!(with_traffic >= 10, "fixture too weak: {with_traffic} of 40 fleets exchanged a token");
 }
 
 #[test]
