@@ -209,6 +209,21 @@ impl ExperimentResult {
     }
 }
 
+/// The workload seed of session `index` in a run seeded `run_seed`: SplitMix64 over
+/// both, so neighbouring run seeds share no session trace.  The repository benchmark
+/// draws its sessions this way (`benchmark/src/workload.rs`); `examples/tour_costs.rs`
+/// and the oracle ledger of `tests/soundness_completeness.rs` use it to measure the
+/// sessions the benchmark runs.
+pub fn session_seed(run_seed: u64, index: u64) -> u64 {
+    let mut x = run_seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(index.wrapping_mul(0xD1B5_4A32_D192_ED03))
+        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// One session of the simulated distributed program, recorded with no monitors
 /// attached: what every substrate that monitors a *recorded* computation starts
 /// from (the streamed runner, the deploy orchestrator, and the equivalence tests

@@ -57,8 +57,8 @@ pub use analysis::{
 pub use deploy::{run_deploy, DeployOutcome, DeployParams, DeployTransport};
 pub use experiment::{
     average_metrics, effective_jobs, parallel_map_indexed, run_experiment,
-    run_experiment_with_options, run_single, set_jobs, simulate_session, ExperimentConfig,
-    ExperimentResult, SimulatedSession,
+    run_experiment_with_options, run_single, session_seed, set_jobs, simulate_session,
+    ExperimentConfig, ExperimentResult, SimulatedSession,
 };
 pub use figures::{transition_counts, TransitionRow, PROCESS_COUNTS};
 pub use fleet::{compile_fleet, CompiledFleetMember, FleetParams};

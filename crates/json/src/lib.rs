@@ -67,13 +67,13 @@ impl Json {
     /// Parses a JSON document; trailing non-whitespace input is an error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            text: input,
             pos: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(JsonError::at("trailing characters after document", p.pos));
         }
         Ok(value)
@@ -372,13 +372,15 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The document: structure is scanned bytewise, string contents are decoded
+    /// from the `str` (already valid UTF-8).
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -388,7 +390,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -418,7 +420,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -499,11 +501,8 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| {
+                            let hex =
+                                self.text.get(self.pos + 1..self.pos + 5).ok_or_else(|| {
                                     JsonError::at("truncated \\u escape", self.pos)
                                 })?;
                             let code = u32::from_str_radix(hex, 16).map_err(|_| {
@@ -522,13 +521,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so it is valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::at("invalid UTF-8", self.pos))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .expect("the Some(_) arm guarantees at least one byte");
+                    // Consume one UTF-8 character, decoded where it stands: `pos` only
+                    // ever advances by whole characters inside a string.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| JsonError::at("invalid UTF-8", self.pos))?;
                     if (c as u32) < 0x20 {
                         return Err(JsonError::at("raw control character in string", self.pos));
                     }
@@ -565,8 +564,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::at("invalid number", start))?;
+        // Only ASCII was consumed, so both ends are character boundaries.
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -659,6 +658,32 @@ mod tests {
             let text = Json::from(x).to_string_pretty();
             assert_eq!(Json::parse(&text).unwrap().as_f64().unwrap(), x);
         }
+    }
+
+    #[test]
+    fn string_decoding_is_linear_in_the_document() {
+        // One 4 MiB string.  Re-validating the rest of the document per character
+        // made 1 MiB take 27 s, and four times that for every doubling.
+        let long = "x".repeat(4 << 20);
+        let text = Json::from(long.as_str()).to_string_compact();
+        assert_eq!(Json::parse(&text).unwrap(), Json::Str(long));
+
+        // Characters of every encoded width at every alignment, after an escape
+        // and right before the closing quote.
+        for pad in 0..4 {
+            let s = format!("{}é€𝄞\n€", "a".repeat(pad));
+            let text = Json::from(s.as_str()).to_string_pretty();
+            assert_eq!(Json::parse(&text).unwrap(), Json::Str(s));
+        }
+
+        // A raw control character is reported where it stands, in bytes.
+        let err = Json::parse("[\"é€\u{1}\"]").unwrap_err();
+        assert_eq!(err, JsonError::at("raw control character in string", 7));
+        assert_eq!(err.to_string(), "raw control character in string (at byte 7)");
+        // So is a `\u` escape whose four bytes run into multi-byte characters.
+        let err = |text| Json::parse(text).unwrap_err();
+        assert_eq!(err("\"\\u12é\""), JsonError::at("invalid \\u escape", 2));
+        assert_eq!(err("\"\\u1é€\""), JsonError::at("truncated \\u escape", 2));
     }
 
     #[test]

@@ -495,6 +495,7 @@ impl DecentralizedMonitor {
     /// for the end-of-activation batch flush when token aggregation is on (§4.3.1).
     fn send_token(&mut self, dest: ProcessId, token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         self.metrics.tokens_sent += 1;
+        self.metrics.tokens_sent_after_termination += usize::from(self.local_terminated);
         dlrv_obs::counter!("monitor.tokens_sent").inc();
         if self.opts.aggregate_tokens {
             self.outbound.entry(dest).or_default().push(token);
@@ -718,9 +719,11 @@ impl DecentralizedMonitor {
                 if self.local_terminated {
                     // No further events will ever occur here: the pending conjuncts of
                     // transitions targeting us can never be satisfied.
+                    self.metrics.tokens_failed_at_termination += 1;
                     self.fail_local_targets(&mut token);
                     self.route_token(token, ctx);
                 } else {
+                    self.metrics.tokens_parked += 1;
                     self.waiting_tokens.park(token);
                 }
                 return;
@@ -737,6 +740,7 @@ impl DecentralizedMonitor {
     /// history).  Returns `true` when the token should continue consuming this
     /// monitor's subsequent local events.
     fn process_token_with_event(&mut self, token: &mut Token, sn: u64) -> bool {
+        self.metrics.history_events_served += 1;
         let state = self.history.state(sn);
         // ADDEVENTTOTOKEN for every transition targeting (self, sn).
         let mut targeted = self
@@ -796,12 +800,27 @@ impl DecentralizedMonitor {
             }
         }
 
-        // Decide each targeted transition's fate.
+        // Decide each targeted transition's fate.  Local first: a transition this
+        // process still owes an answer — its own cut entry lags, or its own conjunct
+        // is unset — stays for the next local event whenever that event is already
+        // recorded or can never come, so one visit serves the whole recorded suffix
+        // (and a terminated process fails its own targets on the spot) instead of
+        // one sequence number per hop.  The least consistent cut satisfying the
+        // conjuncts does not depend on the order in which lagging entries are
+        // advanced, so only the tour gets shorter.  In every other case the token
+        // leaves or parks exactly where SENDTONEXTPROCESS would have put it.
+        let answer_is_known = (sn as usize) < self.history.len() || self.local_terminated;
         for &idx in &targeted {
             let tran = &mut token.transitions[idx];
             if tran.conjuncts[self.pid] == ConjunctEval::False {
                 tran.eval = EvalState::Disabled;
                 tran.next_target_process = token.parent;
+            } else if answer_is_known
+                && (tran.gcut.get(self.pid) < tran.depend.get(self.pid)
+                    || tran.conjuncts[self.pid] == ConjunctEval::Unset)
+            {
+                tran.next_target_process = self.pid;
+                tran.next_target_event = tran.gcut.get(self.pid) + 1;
             } else if tran.all_conjuncts_true() {
                 if let Some(k) = tran.inconsistent_process() {
                     tran.next_target_process = k;
@@ -1099,6 +1118,7 @@ impl DecentralizedMonitor {
             let Some(sn) = self.views[idx].pop_queued(self.delivered) else {
                 break;
             };
+            self.metrics.backlog_events_drained += 1;
             let gv = self.views.remove(idx);
             self.process_event_on_view(gv, sn, ctx, &mut produced);
             // Reinsert produced views at the same position to keep `idx` meaningful:
@@ -1230,6 +1250,7 @@ impl MonitorBehavior for DecentralizedMonitor {
         self.metrics.last_activity_time = ctx.now;
         // Fail every token parked here waiting for events that will never happen.
         for mut token in self.waiting_tokens.drain_all() {
+            self.metrics.tokens_failed_at_termination += 1;
             self.fail_local_targets(&mut token);
             self.route_token(token, ctx);
         }
@@ -1353,23 +1374,33 @@ mod tests {
         assert_eq!(monitors[0].metrics().max_live_views, 1);
     }
 
-    /// Monitor `M0` of `F (P0.p && P1.p)` over two processes, and the local state in
-    /// which `P0.p` holds — the state that makes `M0` ask `P1` about `P1.p`.
-    fn goal_monitor(opts: MonitorOptions) -> (DecentralizedMonitor, Assignment) {
+    /// Monitor `M<pid>` of `F (P0.p && P1.p)` over two processes, and the local
+    /// states in which `P0.p` and `P1.p` hold.
+    fn goal_monitor_of(
+        pid: ProcessId,
+        opts: MonitorOptions,
+    ) -> (DecentralizedMonitor, [Assignment; 2]) {
         let mut reg = AtomRegistry::new();
         let a = reg.intern("P0.p", 0);
         let b = reg.intern("P1.p", 1);
         let phi = Formula::eventually(Formula::and(Formula::Atom(a), Formula::Atom(b)));
         let automaton = Arc::new(MonitorAutomaton::synthesize(&phi, &reg));
         let monitor = DecentralizedMonitor::new(
-            0,
+            pid,
             2,
             automaton,
             Arc::new(reg),
             Assignment::ALL_FALSE,
             opts,
         );
-        (monitor, Assignment::from_true_atoms([a]))
+        (monitor, [a, b].map(|atom| Assignment::from_true_atoms([atom])))
+    }
+
+    /// `M0`, and the state in which `P0.p` holds — the state that makes `M0` ask `P1`
+    /// about `P1.p`.
+    fn goal_monitor(opts: MonitorOptions) -> (DecentralizedMonitor, Assignment) {
+        let (monitor, [p0, _]) = goal_monitor_of(0, opts);
+        (monitor, p0)
     }
 
     /// The `sn`-th event of `P0`, which has heard from nobody.
@@ -1462,6 +1493,157 @@ mod tests {
             assert_eq!((kept.id, kept.state), (9, GvState::Unblocked));
             assert_eq!(kept.next_sn, 2, "arena_recycling={arena_recycling}");
         }
+    }
+
+    /// `M0` and `M1` of `F (P0.p && P1.p)` with `k` events recorded at each, and the
+    /// token `M0` launches on its first one.  `P0.p` holds throughout, `P1.p` only at
+    /// `P1`'s last event, and event `i` of `P1` has heard of event `i` of `P0` (which
+    /// has heard of event `i - 1` of `P1`): every step of the cut at one process
+    /// asks for the next step at the other.
+    fn staircase(k: u64) -> ([DecentralizedMonitor; 2], Token) {
+        let (_, [p0, p1]) = goal_monitor_of(0, MonitorOptions::default());
+        let mut monitors = [0, 1].map(|pid| goal_monitor_of(pid, MonitorOptions::default()).0);
+        for i in 1..=k {
+            let goal = if i == k { p1 } else { Assignment::ALL_FALSE };
+            for (process, vc, state) in [(0, vec![i, i - 1], p0), (1, vec![i, i], goal)] {
+                monitors[process].history.push(&Event {
+                    process,
+                    kind: dlrv_vclock::EventKind::Internal,
+                    sn: i,
+                    vc: VectorClock::from_entries(vc),
+                    state,
+                    time: i as f64,
+                });
+            }
+        }
+        let m0 = &mut monitors[0];
+        let mut gv = m0.views[0].clone();
+        gv.gstate = p0;
+        let token = Token {
+            property: 0,
+            parent: 0,
+            origin_state: gv.q,
+            parent_gv: gv.id,
+            transitions: m0.candidate_transitions(&gv, 1),
+            next_target_process: 0,
+            next_target_event: 0,
+        };
+        assert_eq!(token.transitions.len(), 1, "one way to the goal");
+        assert_eq!(token.transitions[0].conjuncts, [ConjunctEval::True, ConjunctEval::Unset]);
+        (monitors, token)
+    }
+
+    /// [`staircase`] of one step on which `P1.p` never held, and `P1`'s one event has
+    /// heard of a second event of `P0`: the cut lags at `P0`, the conjunct is still
+    /// unset at `P1`, and `P1` has nothing further recorded.
+    fn unanswered_and_lagging() -> ([DecentralizedMonitor; 2], Token) {
+        let (mut monitors, token) = staircase(1);
+        monitors[1].history.states[0] = Assignment::ALL_FALSE;
+        monitors[1].history.clocks.copy_from_slice(&[2, 1]);
+        monitors[0].history.push(&local_event(2, Assignment::ALL_FALSE));
+        (monitors, token)
+    }
+
+    /// Routes `token` from `monitors[from]` and delivers every message it causes;
+    /// returns the messages in delivery order as `(from, to, token)`.
+    fn tour(
+        monitors: &mut [DecentralizedMonitor; 2],
+        from: ProcessId,
+        token: Token,
+    ) -> Vec<(ProcessId, ProcessId, Token)> {
+        let mut outbox = Vec::new();
+        let mut ctx = MonitorContext::new(from, 2, 0.0, &mut outbox);
+        monitors[from].route_token(token, &mut ctx);
+        monitors[from].flush_outbound(&mut ctx);
+        let mut inflight: std::collections::VecDeque<_> =
+            outbox.drain(..).map(|(to, msg)| (from, to, msg)).collect();
+        let mut delivered = Vec::new();
+        while let Some((from, to, msg)) = inflight.pop_front() {
+            let MonitorMsg::Token(token) = &msg else {
+                panic!("one token, never a batch: {msg:?}");
+            };
+            delivered.push((from, to, token.clone()));
+            let mut ctx = MonitorContext::new(to, 2, 0.0, &mut outbox);
+            monitors[to].on_monitor_message(from, msg, &mut ctx);
+            inflight.extend(outbox.drain(..).map(|(dest, msg)| (to, dest, msg)));
+        }
+        delivered
+    }
+
+    #[test]
+    fn a_token_is_served_the_whole_recorded_suffix_in_one_visit() {
+        const K: u64 = 6;
+        let (mut monitors, token) = staircase(K);
+
+        // The reference: the same events folded one sequence number per hop, in the
+        // order the lowest-index-first routing visits them.
+        let mut stepped = token.clone();
+        let mut reference = monitors.clone();
+        let mut hops = vec![(1, 1)];
+        hops.extend((2..=K).flat_map(|sn| [(1, sn), (0, sn)]));
+        for (process, sn) in hops {
+            let tran = &mut stepped.transitions[0];
+            (tran.next_target_process, tran.next_target_event) = (process, sn);
+            reference[process].process_token_with_event(&mut stepped, sn);
+        }
+        let stepped = &stepped.transitions[0];
+        assert_eq!(stepped.eval, EvalState::Enabled);
+        assert_eq!(stepped.gcut, VectorClock::from_entries(vec![K, K]));
+
+        // One visit per process: out to `P1`, which serves events 1..=K, and home,
+        // where `P0` catches up over 2..=K and enables the transition.
+        let messages = tour(&mut monitors, 0, token);
+        let route: Vec<_> = messages.iter().map(|(from, to, _)| (*from, *to)).collect();
+        assert_eq!(route, [(0, 1), (1, 0)]);
+        let [m0, m1] = &monitors;
+        assert_eq!(m1.metrics.history_events_served, K as usize);
+        assert_eq!(m0.metrics.history_events_served, K as usize - 1);
+        assert_eq!((m0.metrics.tokens_parked, m1.metrics.tokens_parked), (0, 0));
+        // The same cut, state and decision: the enabled transition forked its view.
+        let spawned = m0.views.last().expect("the view the token forked");
+        assert_eq!(spawned.q, m0.automaton.transition(stepped.transition_id).to);
+        assert_eq!((&spawned.gcut, spawned.gstate), (&stepped.gcut, stepped.gstate));
+        assert!(m0.detected_final_verdicts().contains(&Verdict::True));
+    }
+
+    #[test]
+    fn a_token_whose_answer_is_not_recorded_leaves_or_parks_as_before() {
+        // `P1` has recorded its first event only, `P1.p` did not hold, and `P1` is
+        // still running.  Its conjunct stays unset and nothing else is owed: the
+        // token parks for event 2, at `P1`.
+        let (mut parks, token) = staircase(1);
+        parks[1].history.states[0] = Assignment::ALL_FALSE;
+        assert_eq!(tour(&mut parks, 0, token).len(), 1);
+        assert_eq!(parks[1].waiting_tokens.len(), 1);
+        assert_eq!(parks[1].metrics.tokens_parked, 1);
+        assert_eq!(parks[1].waiting_tokens.take(2).len(), 1);
+
+        // The event has heard of `P0`'s second: the token leaves to repair the cut
+        // there, although `P1` still owes its conjunct — staying would park it early.
+        let (mut monitors, token) = unanswered_and_lagging();
+        let messages = tour(&mut monitors, 0, token);
+        let (from, to, sent) = messages.last().expect("the token came back");
+        assert_eq!((*from, *to), (1, 0));
+        assert_eq!((sent.next_target_process, sent.next_target_event), (0, 2));
+        assert_eq!(sent.transitions[0].conjuncts[1], ConjunctEval::Unset);
+        assert_eq!(monitors[1].metrics.tokens_parked, 0);
+    }
+
+    #[test]
+    fn a_terminated_process_fails_its_own_targets_in_the_visit_that_finds_out() {
+        // `P1` has terminated: no event of `P0` can make `P1` satisfy its conjunct.
+        let (mut monitors, token) = unanswered_and_lagging();
+        monitors[1].local_terminated = true;
+
+        let messages = tour(&mut monitors, 0, token);
+        let route: Vec<_> = messages.iter().map(|(from, to, _)| (*from, *to)).collect();
+        assert_eq!(route, [(0, 1), (1, 0)], "no detour over `P0`'s second event");
+        let failed = &messages[1].2.transitions[0];
+        assert_eq!(failed.eval, EvalState::Disabled);
+        assert_eq!(failed.conjuncts[1], ConjunctEval::False);
+        let m1 = &monitors[1].metrics;
+        assert_eq!((m1.tokens_failed_at_termination, m1.tokens_sent_after_termination), (1, 1));
+        assert_eq!(monitors[0].metrics.history_events_served, 0);
     }
 
     #[test]

@@ -63,6 +63,18 @@ pub struct MonitorMetrics {
     pub queued_events_samples: usize,
     /// Largest pending queue observed.
     pub max_queued_events: usize,
+    /// Local events served to visiting tokens from the recorded history (one per
+    /// PROCESSTOKEN call): the work a token tour does, as opposed to the hops it makes.
+    pub history_events_served: usize,
+    /// Tokens parked here to wait for a local event that had not happened yet.
+    pub tokens_parked: usize,
+    /// Tokens whose targets here were failed because this process had terminated:
+    /// on arrival, or while parked when the termination came.
+    pub tokens_failed_at_termination: usize,
+    /// Buffered events a view worked through after its token returned.
+    pub backlog_events_drained: usize,
+    /// The part of `tokens_sent` sent after this process terminated.
+    pub tokens_sent_after_termination: usize,
     /// Simulated time of the last local program event.
     pub last_event_time: f64,
     /// Simulated time of the last monitoring activity (event or token processing).
@@ -97,6 +109,17 @@ impl MonitorMetrics {
             ("queued_events_sum", Json::from(self.queued_events_sum)),
             ("queued_events_samples", Json::from(self.queued_events_samples)),
             ("max_queued_events", Json::from(self.max_queued_events)),
+            ("history_events_served", Json::from(self.history_events_served)),
+            ("tokens_parked", Json::from(self.tokens_parked)),
+            (
+                "tokens_failed_at_termination",
+                Json::from(self.tokens_failed_at_termination),
+            ),
+            ("backlog_events_drained", Json::from(self.backlog_events_drained)),
+            (
+                "tokens_sent_after_termination",
+                Json::from(self.tokens_sent_after_termination),
+            ),
             ("last_event_time", Json::from(self.last_event_time)),
             ("last_activity_time", Json::from(self.last_activity_time)),
             (
@@ -107,8 +130,10 @@ impl MonitorMetrics {
         ])
     }
 
-    /// Parses the metrics back from their [`MonitorMetrics::to_json`] form.
+    /// Parses the metrics back from their [`MonitorMetrics::to_json`] form.  The
+    /// tour work counters read as zero from a report that predates them.
     pub fn from_json(v: &Json) -> Result<MonitorMetrics, JsonError> {
+        let count = |key| v.get_opt(key)?.map_or(Ok(0), Json::as_usize);
         Ok(MonitorMetrics {
             tokens_sent: v.get("tokens_sent")?.as_usize()?,
             tokens_received: v.get("tokens_received")?.as_usize()?,
@@ -120,6 +145,11 @@ impl MonitorMetrics {
             queued_events_sum: v.get("queued_events_sum")?.as_usize()?,
             queued_events_samples: v.get("queued_events_samples")?.as_usize()?,
             max_queued_events: v.get("max_queued_events")?.as_usize()?,
+            history_events_served: count("history_events_served")?,
+            tokens_parked: count("tokens_parked")?,
+            tokens_failed_at_termination: count("tokens_failed_at_termination")?,
+            backlog_events_drained: count("backlog_events_drained")?,
+            tokens_sent_after_termination: count("tokens_sent_after_termination")?,
             last_event_time: v.get("last_event_time")?.as_f64()?,
             last_activity_time: v.get("last_activity_time")?.as_f64()?,
             detected_final_verdicts: verdicts_from_json(v.get("detected_final_verdicts")?)?,
@@ -466,6 +496,37 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(m2.avg_queued_events(), 2.5);
+    }
+
+    #[test]
+    fn tour_work_counters_round_trip_and_default_to_zero_in_older_reports() {
+        let m = MonitorMetrics {
+            tokens_sent: 9,
+            history_events_served: 40,
+            tokens_parked: 3,
+            tokens_failed_at_termination: 2,
+            backlog_events_drained: 5,
+            tokens_sent_after_termination: 4,
+            ..Default::default()
+        };
+        assert_eq!(MonitorMetrics::from_json(&m.to_json()).unwrap(), m);
+
+        // A report written by a daemon that predates the counters.
+        let Json::Object(mut fields) = m.to_json() else {
+            panic!("metrics must serialize to an object")
+        };
+        fields.retain(|(k, _)| {
+            !matches!(
+                k.as_str(),
+                "history_events_served"
+                    | "tokens_parked"
+                    | "tokens_failed_at_termination"
+                    | "backlog_events_drained"
+                    | "tokens_sent_after_termination"
+            )
+        });
+        let older = MonitorMetrics::from_json(&Json::Object(fields)).unwrap();
+        assert_eq!(older, MonitorMetrics { tokens_sent: 9, ..Default::default() });
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * the full suite never loses to the unoptimized baseline on messages, tokens or
 //!   peak global-view memory, for any property A–F;
 //! * every flag combination reports the same verdicts (the switches trade cost, not
-//!   soundness).
+//!   soundness);
+//! * an until-property at 4 processes costs at most 3 monitoring messages per program
+//!   event — the ceiling that keeps the local-first token service from leaking away.
 
 use dlrv::dlrv_monitor::MonitorOptions;
 use dlrv::{
@@ -141,6 +143,25 @@ fn arena_recycling_is_invisible_in_every_counted_metric() {
             "{property}: possible verdicts"
         );
     }
+}
+
+#[test]
+fn an_until_property_costs_at_most_three_messages_per_event() {
+    // The paper's headline cost on the shape of the benchmark's `stream-heavy`
+    // workload: property A, 4 processes, 8 events per process, 100 sessions.  A token
+    // is served everything the visited process has recorded before it moves on
+    // (docs/MONITORING.md, step 3); one sequence number per hop cost 14 here.
+    let config = ExperimentConfig {
+        events_per_process: 8,
+        seeds: (1..=100).collect(),
+        ..ExperimentConfig::paper_default(PaperProperty::A, 4)
+    };
+    let runs = run_experiment_with_options(&config, MonitorOptions::default()).per_seed;
+    let messages: usize = runs.iter().map(|run| run.monitor_messages).sum();
+    let events: usize = runs.iter().map(|run| run.total_events).sum();
+    let per_event = messages as f64 / events as f64;
+    println!("{messages} monitor messages over {events} events: {per_event:.3} per event");
+    assert!(messages > 0 && per_event <= 3.0, "{per_event:.3} monitor messages per event");
 }
 
 #[test]

@@ -16,6 +16,13 @@
 //! there, so the lists speak for that substrate too; a third runs its first 40
 //! formulas that name an atom as `monitord` fleets and pins verdicts and message
 //! counts against the replay, so no substrate is left on the paper's six alone.
+//! All three run with the §4.3 suite on and off.
+//!
+//! The **oracle ledger** counts, for the paper's six properties over the sessions of
+//! the benchmark's `fleet-6` workload, the sessions that miss a reachable verdict and
+//! the ones that detect an unreachable one, and holds both to the counts of the
+//! commit before tokens were served local-first: the safety net of a routing change,
+//! which moves message counts and so cannot be judged by equality with its parent.
 
 mod common;
 
@@ -31,7 +38,7 @@ use dlrv_core::dlrv_stream::{
 use dlrv_core::dlrv_trace::{generate_workload, WorkloadConfig};
 use dlrv_core::dlrv_vclock::{oracle_evaluate, Computation, Lattice, OracleResult};
 use dlrv_core::{
-    run_deploy, simulate_session, CompiledProperty, DeployParams, DeployTransport,
+    run_deploy, session_seed, simulate_session, CompiledProperty, DeployParams, DeployTransport,
     ExperimentConfig, PaperProperty, PropertySpec,
 };
 use rand::rngs::StdRng;
@@ -48,12 +55,21 @@ fn detect(
     options: &[MonitorOptions],
 ) -> (OracleResult, Vec<BTreeSet<Verdict>>) {
     let automaton = Arc::new(MonitorAutomaton::synthesize(formula, &registry));
-    let registry = Arc::new(registry);
-    let comp = simulate_session(workload, &registry).report.computation;
-    let oracle = oracle_evaluate(&comp, &Lattice::build(&comp), &automaton, &registry);
+    detect_compiled(&automaton, &Arc::new(registry), workload, options)
+}
+
+/// [`detect`] for a property synthesized once and run over many computations.
+fn detect_compiled(
+    automaton: &Arc<MonitorAutomaton>,
+    registry: &Arc<AtomRegistry>,
+    workload: &WorkloadConfig,
+    options: &[MonitorOptions],
+) -> (OracleResult, Vec<BTreeSet<Verdict>>) {
+    let comp = simulate_session(workload, registry).report.computation;
+    let oracle = oracle_evaluate(&comp, &Lattice::build(&comp), automaton, registry);
     let detected = options
         .iter()
-        .map(|&opts| replay_decentralized(&comp, &registry, &automaton, opts).detected_final_verdicts())
+        .map(|&opts| replay_decentralized(&comp, registry, automaton, opts).detected_final_verdicts())
         .collect();
     (oracle, detected)
 }
@@ -304,15 +320,74 @@ fn random_ltl_verdicts_are_reachable_on_the_lattice_except_on_the_known_seeds() 
     }
 }
 
+/// Sessions in the oracle ledger: the first wave of the benchmark's `fleet-6` workload.
+const LEDGER_SESSIONS: u64 = 400;
+
+/// The ledger's ceilings: of [`LEDGER_SESSIONS`] sessions, how many `(miss a verdict
+/// the oracle reaches, detect one it does not reach)` per property under
+/// `[default(), ALL_OFF]` — counted on the commit before tokens were served
+/// local-first (PR 20: one sequence number per hop), so that routing change and
+/// every later one is held to "no worse than that, per property, on either count".
+/// D's entries are the open finding of `docs/MONITORING.md`.
+const LEDGER_CEILING: [(PaperProperty, [(usize, usize); 2]); 6] = [
+    (PaperProperty::A, [(0, 0), (0, 0)]),
+    (PaperProperty::B, [(0, 0), (0, 0)]),
+    (PaperProperty::C, [(0, 0), (0, 0)]),
+    (PaperProperty::D, [(9, 5), (0, 5)]),
+    (PaperProperty::E, [(0, 0), (0, 0)]),
+    (PaperProperty::F, [(0, 0), (0, 0)]),
+];
+
+#[test]
+fn the_oracle_ledger_of_the_paper_properties_is_no_worse_than_its_ceiling() {
+    // The sessions `benchmark/run.sh --workload fleet-6 --seed 1` monitors: 3
+    // processes, 4 events each, the lead property's (A's) initial channel values,
+    // every property over the same traces.  The order in which a token repairs its
+    // cut is not perfectly invisible (EVALUATETOKEN's sibling rule, "Open findings"
+    // in docs/MONITORING.md), so a routing change is judged here, against the
+    // lattice, and not by equality with the routing before it.
+    let options = [MonitorOptions::default(), MonitorOptions::ALL_OFF];
+    let traces = ExperimentConfig {
+        events_per_process: 4,
+        ..ExperimentConfig::paper_default(PaperProperty::A, 3)
+    };
+    for (property, ceiling) in LEDGER_CEILING {
+        let compiled = CompiledProperty::compile(&property.into(), 3);
+        let mut ledger = [(0, 0); 2];
+        for index in 0..LEDGER_SESSIONS {
+            let (oracle, detected) = detect_compiled(
+                &compiled.automaton,
+                &compiled.registry,
+                &traces.workload_config(session_seed(1, index)),
+                &options,
+            );
+            for ((missed, unreachable), detected) in ledger.iter_mut().zip(&detected) {
+                *missed += usize::from(
+                    (oracle.violation_reachable && !detected.contains(&Verdict::False))
+                        || (oracle.satisfaction_reachable && !detected.contains(&Verdict::True)),
+                );
+                *unreachable += usize::from(!sound(&oracle, detected));
+            }
+        }
+        println!("{property}: (missed, unreachable) under [default, all-off] = {ledger:?}");
+        for ((counted, ceiling), opts) in ledger.iter().zip(&ceiling).zip(&options) {
+            assert!(
+                counted.0 <= ceiling.0 && counted.1 <= ceiling.1,
+                "{property} with {opts:?}: (missed, unreachable) = {counted:?}, ceiling {ceiling:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn random_ltl_verdicts_through_the_stream_runtime_equal_the_replay() {
     // The first 300 `X`-free cases of the sweep above, as 300 sessions of one binary
-    // stream through a one-shard `ShardedRuntime`: each session must detect exactly
-    // what the replay of its computation detects, so whatever the oracle sweep says
-    // of `FeedSession` — the `KNOWN_*` lists included — it says of the runtime.
-    let mut specs = Vec::new();
+    // stream through a one-shard `ShardedRuntime`, with the §4.3 suite on and off:
+    // each session must detect exactly what the replay of its computation detects
+    // under the same options, so whatever the oracle sweep says of `FeedSession` —
+    // the `KNOWN_*` lists included — it says of the runtime.
+    let mut cases = Vec::new();
     let mut inputs = Vec::new();
-    let mut expected = Vec::new();
     for seed in 0..300u64 {
         let (formula, workload) = sweep_case(seed, Formula::globally);
         let n = workload.n_processes;
@@ -320,11 +395,6 @@ fn random_ltl_verdicts_through_the_stream_runtime_equal_the_replay() {
         let automaton = Arc::new(MonitorAutomaton::synthesize(&formula, &registry));
         let registry = Arc::new(registry);
         let session = simulate_session(&workload, &registry);
-        let options = MonitorOptions::default();
-        expected.push(
-            replay_decentralized(&session.report.computation, &registry, &automaton, options)
-                .detected_final_verdicts(),
-        );
         inputs.push(SessionStream {
             session: seed,
             property: format!("sweep-{seed}"),
@@ -332,30 +402,44 @@ fn random_ltl_verdicts_through_the_stream_runtime_equal_the_replay() {
             initial_state: session.initial_state.0,
             events: session.events,
         });
-        specs.push(Arc::new(SessionSpec {
-            n_processes: n,
-            automaton,
-            registry,
-            initial_state: session.initial_state,
-            options,
-            fleet: Vec::new(),
-        }));
+        cases.push((automaton, registry, session.initial_state, session.report.computation));
     }
     let bytes = encode_stream_binary(&interleave_sessions(&inputs));
-    let runtime = ShardedRuntime::start(StreamConfig {
-        n_shards: 1,
-        ..StreamConfig::default()
-    });
-    runtime
-        .pump(&mut ReaderSource::new(&bytes[..]), &mut |open| {
-            Ok(specs[open.session as usize].clone())
-        })
-        .expect("freshly encoded stream must decode");
-    let report = runtime.shutdown();
-    for (seed, expected) in expected.iter().enumerate() {
-        let outcome = &report.sessions[&(seed as u64)];
-        assert_eq!(outcome.events, inputs[seed].events.len(), "seed {seed}: events fed");
-        assert_eq!(&outcome.detected_verdicts, expected, "seed {seed}: detected verdicts");
+    for options in [MonitorOptions::default(), MonitorOptions::ALL_OFF] {
+        let specs: Vec<_> = cases
+            .iter()
+            .zip(&inputs)
+            .map(|((automaton, registry, initial_state, _), input)| {
+                Arc::new(SessionSpec {
+                    n_processes: input.n_processes,
+                    automaton: automaton.clone(),
+                    registry: registry.clone(),
+                    initial_state: *initial_state,
+                    options,
+                    fleet: Vec::new(),
+                })
+            })
+            .collect();
+        let runtime = ShardedRuntime::start(StreamConfig {
+            n_shards: 1,
+            ..StreamConfig::default()
+        });
+        runtime
+            .pump(&mut ReaderSource::new(&bytes[..]), &mut |open| {
+                Ok(specs[open.session as usize].clone())
+            })
+            .expect("freshly encoded stream must decode");
+        let report = runtime.shutdown();
+        for (seed, (automaton, registry, _, computation)) in cases.iter().enumerate() {
+            let outcome = &report.sessions[&(seed as u64)];
+            assert_eq!(outcome.events, inputs[seed].events.len(), "seed {seed}: events fed");
+            assert_eq!(
+                outcome.detected_verdicts,
+                replay_decentralized(computation, registry, automaton, options)
+                    .detected_final_verdicts(),
+                "seed {seed} with {options:?}: detected verdicts"
+            );
+        }
     }
 }
 
@@ -363,9 +447,10 @@ fn random_ltl_verdicts_through_the_stream_runtime_equal_the_replay() {
 fn random_ltl_verdicts_through_a_daemon_fleet_equal_the_replay() {
     // The first 40 `X`-free formulas of the sweep that name an atom, each printed,
     // parsed back as a `PropertySpec` (the only form a `hello` frame carries) and run
-    // by `run_deploy` as one `monitord` process per monitor over Unix sockets: every
-    // fleet must detect what the replay of the same computation detects, with the
-    // same number of monitor messages.
+    // by `run_deploy` as one `monitord` process per monitor over Unix sockets, with
+    // the §4.3 suite on and off: every fleet must detect what the replay of the same
+    // computation detects under the same options, with the same number of monitor
+    // messages.
     std::env::set_var("DLRV_MONITORD_BIN", env!("CARGO_BIN_EXE_monitord"));
     let cases = (0u64..)
         .map(|seed| (seed, sweep_case(seed, Formula::globally)))
@@ -385,28 +470,30 @@ fn random_ltl_verdicts_through_a_daemon_fleet_equal_the_replay() {
         };
         let compiled = CompiledProperty::compile(&config.property, config.n_processes);
         let session = simulate_session(&config.workload_config(seed), &compiled.registry);
-        let options = MonitorOptions::default();
-        let replay = replay_decentralized(
-            &session.report.computation,
-            &compiled.registry,
-            &compiled.automaton,
-            options,
-        );
-        let outcome = run_deploy(&config, options, &DeployParams::clean(DeployTransport::Unix))
-            .unwrap_or_else(|e| panic!("seed {seed} `{text}`: deploy failed: {e}"));
-        let deployed = &outcome.result.per_seed[0];
-        assert_eq!(
-            deployed.detected_final_verdicts,
-            replay.detected_final_verdicts(),
-            "seed {seed} `{text}`: detected verdicts"
-        );
-        assert_eq!(
-            deployed.monitor_messages, replay.monitor_messages,
-            "seed {seed} `{text}`: monitor messages"
-        );
-        with_traffic += usize::from(replay.monitor_messages > 0);
+        for options in [MonitorOptions::default(), MonitorOptions::ALL_OFF] {
+            let replay = replay_decentralized(
+                &session.report.computation,
+                &compiled.registry,
+                &compiled.automaton,
+                options,
+            );
+            let outcome =
+                run_deploy(&config, options, &DeployParams::clean(DeployTransport::Unix))
+                    .unwrap_or_else(|e| panic!("seed {seed} `{text}`: deploy failed: {e}"));
+            let deployed = &outcome.result.per_seed[0];
+            assert_eq!(
+                deployed.detected_final_verdicts,
+                replay.detected_final_verdicts(),
+                "seed {seed} `{text}` with {options:?}: detected verdicts"
+            );
+            assert_eq!(
+                deployed.monitor_messages, replay.monitor_messages,
+                "seed {seed} `{text}` with {options:?}: monitor messages"
+            );
+            with_traffic += usize::from(replay.monitor_messages > 0);
+        }
     }
-    assert!(with_traffic >= 10, "fixture too weak: {with_traffic} of 40 fleets exchanged a token");
+    assert!(with_traffic >= 20, "fixture too weak: {with_traffic} of 80 fleets exchanged a token");
 }
 
 #[test]
