@@ -219,8 +219,7 @@ pub struct DecentralizedMonitor {
     /// except while the tokens parked on a fresh event are woken, which Algorithm 2
     /// does before the views get that event.
     delivered: u64,
-    /// Tokens waiting for a future local event (`w_tokens`), indexed by the cut
-    /// entry (sequence number) each token awaits.
+    /// Tokens waiting for a future local event (`w_tokens`).
     waiting_tokens: WaitingTokens,
     /// The set of global views (`GV`).
     views: Vec<GlobalView>,
@@ -229,8 +228,9 @@ pub struct DecentralizedMonitor {
     /// Whether the local program has terminated.
     local_terminated: bool,
     /// Number of tokens currently in flight per originating automaton state (used by
-    /// the §4.3.2 optimization to avoid launching duplicate explorations).
-    in_flight: BTreeMap<dlrv_automaton::StateId, usize>,
+    /// the §4.3.2 optimization to avoid launching duplicate explorations).  A state
+    /// with no token out has no entry, so an idle monitor holds nothing here.
+    in_flight: Vec<(dlrv_automaton::StateId, u32)>,
     /// §4.3.1 staging area: tokens awaiting the end-of-activation flush, grouped by
     /// destination (only used when `opts.aggregate_tokens` is set).
     outbound: BTreeMap<ProcessId, Vec<Token>>,
@@ -278,7 +278,7 @@ impl DecentralizedMonitor {
             views: vec![gv0],
             next_gv_id: 1,
             local_terminated: false,
-            in_flight: Default::default(),
+            in_flight: Vec::new(),
             outbound: BTreeMap::new(),
             scratch: None,
             metrics,
@@ -491,6 +491,29 @@ impl DecentralizedMonitor {
         dlrv_obs::gauge!("monitor.live_views").raise_to(self.views.len() as i64);
     }
 
+    /// Whether an exploration launched from automaton state `q` is still out.
+    fn is_exploring(&self, q: dlrv_automaton::StateId) -> bool {
+        self.in_flight.iter().any(|&(state, _)| state == q)
+    }
+
+    /// Counts one more token out for automaton state `q`.
+    fn exploration_launched(&mut self, q: dlrv_automaton::StateId) {
+        match self.in_flight.iter_mut().find(|(state, _)| *state == q) {
+            Some((_, count)) => *count += 1,
+            None => self.in_flight.push((q, 1)),
+        }
+    }
+
+    /// Counts one token of automaton state `q` home and decided.
+    fn exploration_over(&mut self, q: dlrv_automaton::StateId) {
+        if let Some(at) = self.in_flight.iter().position(|&(state, _)| state == q) {
+            self.in_flight[at].1 -= 1;
+            if self.in_flight[at].1 == 0 {
+                self.in_flight.swap_remove(at);
+            }
+        }
+    }
+
     /// Sends `token` toward `dest` — immediately as a single-token message, or staged
     /// for the end-of-activation batch flush when token aggregation is on (§4.3.1).
     fn send_token(&mut self, dest: ProcessId, token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
@@ -642,66 +665,38 @@ impl DecentralizedMonitor {
     }
 
     /// SENDTONEXTPROCESS: decide where `token` goes next, following the routing rules
-    /// of §4.2.0.6, and dispatch it (send, keep waiting locally, or hand back to the
+    /// of §4.2.0.6, and dispatch it (send, serve or park locally, or hand back to the
     /// owning global view when this monitor is the parent).
     fn route_token(&mut self, mut token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        // Rule 1: an enabled transition sends the token home.
-        let target: RouteTarget = if token
-            .transitions
-            .iter()
-            .any(|t| t.eval == EvalState::Enabled)
-        {
-            RouteTarget::Parent
-        } else if let Some(t) = token.transitions.iter().find(|t| {
-            t.eval == EvalState::Unset && t.next_target_process == self.pid
-        }) {
-            // Rule 2: some transition wants an event of this very process.
-            token.next_target_process = self.pid;
-            token.next_target_event = t.next_target_event;
-            RouteTarget::Local
-        } else if let Some(t) = token.transitions.iter().find(|t| {
-            t.eval == EvalState::Unset
-                && t.next_target_process != token.parent
-                && t.next_target_process != self.pid
-        }) {
-            // Rule 3: visit another process that some transition targets.
-            token.next_target_process = t.next_target_process;
-            token.next_target_event = t.next_target_event;
-            RouteTarget::Remote(t.next_target_process)
-        } else if let Some(t) = token
-            .transitions
-            .iter()
-            .find(|t| t.eval == EvalState::Unset && t.next_target_process == token.parent)
-        {
-            // Rule 4 variant: only the parent is left to visit.
-            token.next_target_process = t.next_target_process;
-            token.next_target_event = t.next_target_event;
-            if token.parent == self.pid {
-                RouteTarget::Local
-            } else {
-                RouteTarget::Parent
-            }
+        let pending = || token.transitions.iter().filter(|t| t.eval == EvalState::Unset);
+        // Rule 1: an enabled transition sends the token home.  Otherwise it visits a
+        // process some undecided transition targets: this very one (rule 2) before
+        // any third one (rule 3) before the parent (rule 4).
+        let next = if token.transitions.iter().any(|t| t.eval == EvalState::Enabled) {
+            None
         } else {
-            RouteTarget::Parent
+            pending()
+                .find(|t| t.next_target_process == self.pid)
+                .or_else(|| pending().find(|t| t.next_target_process != token.parent))
+                .or_else(|| pending().next())
+                .map(|t| (t.next_target_process, t.next_target_event))
         };
-
-        match target {
-            RouteTarget::Local => {
-                // If the requested event is already in our history, process it right
-                // away; otherwise wait for it.
-                self.advance_local_token(token, ctx);
+        let dest = match next {
+            Some((process, event)) => {
+                token.next_target_process = process;
+                token.next_target_event = event;
+                process
             }
-            RouteTarget::Remote(p) => {
-                self.send_token(p, token, ctx);
-            }
-            RouteTarget::Parent => {
-                if token.parent == self.pid {
-                    self.handle_returned_token(token, ctx);
-                } else {
-                    let parent = token.parent;
-                    self.send_token(parent, token, ctx);
-                }
-            }
+            None => token.parent,
+        };
+        if dest != self.pid {
+            self.send_token(dest, token, ctx);
+        } else if next.is_some() {
+            // If the requested event is already in our history, process it right
+            // away; otherwise wait for it.
+            self.advance_local_token(token, ctx);
+        } else {
+            self.handle_returned_token(token, ctx);
         }
     }
 
@@ -715,7 +710,7 @@ impl DecentralizedMonitor {
                 return;
             }
             let sn = token.next_target_event;
-            if sn == 0 || sn as usize > self.history.len() {
+            if self.is_unrecorded(sn) {
                 if self.local_terminated {
                     // No further events will ever occur here: the pending conjuncts of
                     // transitions targeting us can never be satisfied.
@@ -821,35 +816,27 @@ impl DecentralizedMonitor {
             {
                 tran.next_target_process = self.pid;
                 tran.next_target_event = tran.gcut.get(self.pid) + 1;
+            } else if let Some(k) =
+                tran.inconsistent_process().or_else(|| tran.first_unset_process())
+            {
+                // Repair the cut first, then ask whoever has not answered yet.
+                tran.next_target_process = k;
+                tran.next_target_event = tran.gcut.get(k) + 1;
             } else if tran.all_conjuncts_true() {
-                if let Some(k) = tran.inconsistent_process() {
-                    tran.next_target_process = k;
-                    tran.next_target_event = tran.gcut.get(k) + 1;
-                } else {
-                    tran.eval = EvalState::Enabled;
-                    tran.next_target_process = token.parent;
-                }
-            } else if let Some(k) = tran.inconsistent_process() {
-                tran.next_target_process = k;
-                tran.next_target_event = tran.gcut.get(k) + 1;
-            } else if let Some(k) = tran.first_unset_process() {
-                tran.next_target_process = k;
-                tran.next_target_event = tran.gcut.get(k) + 1;
+                tran.eval = EvalState::Enabled;
+                tran.next_target_process = token.parent;
             }
         }
 
-        // Continue locally only if some transition still targets this process's future.
-        let continue_here = token.transitions.iter().any(|t| {
-            t.eval == EvalState::Unset && t.next_target_process == self.pid
-        });
-        if continue_here {
-            let next = token
-                .transitions
-                .iter()
-                .filter(|t| t.eval == EvalState::Unset && t.next_target_process == self.pid)
-                .map(|t| t.next_target_event)
-                .min()
-                .expect("continue_here implies a local target");
+        // Continue locally only if some transition still targets this process's
+        // future: at the earliest event any of them asks for.
+        let next = token
+            .transitions
+            .iter()
+            .filter(|t| t.eval == EvalState::Unset && t.next_target_process == self.pid)
+            .map(|t| t.next_target_event)
+            .min();
+        if let Some(next) = next {
             token.next_target_process = self.pid;
             token.next_target_event = next;
         }
@@ -857,15 +844,22 @@ impl DecentralizedMonitor {
             s.targeted = targeted;
             s.local_results = local_results;
         }
-        continue_here
+        next.is_some()
     }
 
-    /// Marks every transition waiting on this (terminated) process as disabled.
+    /// Whether event `sn` of this process is not in the history: not yet, or —
+    /// sequence numbers are 1-based — never.
+    fn is_unrecorded(&self, sn: u64) -> bool {
+        sn == 0 || sn as usize > self.history.len()
+    }
+
+    /// Marks every transition waiting on this (terminated) process for an event its
+    /// history can never serve as disabled.
     fn fail_local_targets(&self, token: &mut Token) {
         for tran in &mut token.transitions {
             if tran.eval == EvalState::Unset
                 && tran.next_target_process == self.pid
-                && tran.next_target_event as usize > self.history.len()
+                && self.is_unrecorded(tran.next_target_event)
             {
                 if tran.conjuncts[self.pid] != ConjunctEval::NotInvolved {
                     tran.conjuncts[self.pid] = ConjunctEval::False;
@@ -936,11 +930,9 @@ impl DecentralizedMonitor {
                     }
                     // §4.3.3 also applies to still-pending siblings.
                     let target = self.automaton.transition(tran.transition_id).to;
-                    if self.opts.prune_disjunctive && enabled_targets.contains(&target) {
-                        self.reclaim_transition(tran);
-                        continue;
-                    }
-                    if self.target_verdict_subsumed(target) {
+                    if (self.opts.prune_disjunctive && enabled_targets.contains(&target))
+                        || self.target_verdict_subsumed(target)
+                    {
                         self.reclaim_transition(tran);
                         continue;
                     }
@@ -954,9 +946,7 @@ impl DecentralizedMonitor {
             self.put_transition_buf(std::mem::take(&mut token.transitions));
             // The exploration is over: release the in-flight slot, unblock the owning
             // view and drain its queue.
-            if let Some(count) = self.in_flight.get_mut(&token.origin_state) {
-                *count = count.saturating_sub(1);
-            }
+            self.exploration_over(token.origin_state);
             if let Some(idx) = owner_idx {
                 self.views[idx].state = GvState::Unblocked;
                 self.drain_pending(idx, ctx);
@@ -991,9 +981,10 @@ impl DecentralizedMonitor {
 
     /// PROCESSEVENT (Algorithm 2) for one view; may fork a copy and/or emit a token.
     ///
-    /// The views this call produces (the continuation first, then any forks) are
-    /// pushed into `produced`, which must arrive empty — an out-parameter so callers
-    /// can recycle one buffer across an event's whole view set.
+    /// The views this call produces are pushed into `produced`, which must arrive
+    /// empty — an out-parameter so callers can recycle one buffer across an event's
+    /// whole view set.  The first one follows the local progress path (the fork, if
+    /// the view forked); `gv` itself, `Waiting` if it launched a token, comes last.
     fn process_event_on_view(
         &mut self,
         mut gv: GlobalView,
@@ -1032,9 +1023,13 @@ impl DecentralizedMonitor {
 
         // §4.3.2: if an exploration for this automaton state is already in flight at
         // this monitor, do not launch a duplicate one — the waiting view will reprocess
-        // the buffered events once its token returns.
+        // the buffered events once its token returns.  Not at a terminated monitor:
+        // there the token in flight is the one this very view launched an event ago
+        // (`drain_pending` sweeps its backlog without waiting), and it answers for
+        // that event, not for this one.
         let already_exploring = self.opts.dedup_global_views
-            && self.in_flight.get(&gv.q).copied().unwrap_or(0) > 0;
+            && !self.local_terminated
+            && self.is_exploring(gv.q);
 
         if candidates.is_empty() || already_exploring {
             let mut candidates = candidates;
@@ -1069,73 +1064,76 @@ impl DecentralizedMonitor {
             }
         }
 
-        // Emit the token(s).
-        let origin_state = gv.q;
+        // Emit the token(s): one for all candidates (§4.3.1), or one each.
         gv.state = GvState::Waiting;
-        let parent_gv = gv.id;
         if self.opts.aggregate_tokens {
-            let token = Token {
-                property: self.property,
-                parent: self.pid,
-                origin_state,
-                parent_gv,
-                transitions: candidates,
-                next_target_process: self.pid,
-                next_target_event: 0,
-            };
-            *self.in_flight.entry(origin_state).or_insert(0) += 1;
-            produced.push(gv);
-            self.route_token(token, ctx);
+            self.launch_token(&gv, candidates, ctx);
         } else {
             let mut candidates = candidates;
             for tran in candidates.drain(..) {
                 let mut transitions = self.take_transition_buf();
                 transitions.push(tran);
-                let token = Token {
-                    property: self.property,
-                    parent: self.pid,
-                    origin_state,
-                    parent_gv,
-                    transitions,
-                    next_target_process: self.pid,
-                    next_target_event: 0,
-                };
-                *self.in_flight.entry(origin_state).or_insert(0) += 1;
-                self.route_token(token, ctx);
+                self.launch_token(&gv, transitions, ctx);
             }
             self.put_transition_buf(candidates);
-            produced.push(gv);
         }
+        produced.push(gv);
     }
 
-    /// Drains the queue of view `idx` as long as it stays unblocked.
-    fn drain_pending(&mut self, idx: usize, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+    /// Sends a token exploring `transitions` on behalf of view `gv` on its way.
+    fn launch_token(
+        &mut self,
+        gv: &GlobalView,
+        transitions: Vec<TokenTransition>,
+        ctx: &mut MonitorContext<'_, MonitorMsg>,
+    ) {
+        let token = Token {
+            property: self.property,
+            parent: self.pid,
+            origin_state: gv.q,
+            parent_gv: gv.id,
+            transitions,
+            next_target_process: self.pid,
+            next_target_event: 0,
+        };
+        self.exploration_launched(gv.q);
+        self.route_token(token, ctx);
+    }
+
+    /// Drains the queue of view `idx` as long as it stays unblocked — and, once this
+    /// monitor has terminated, to its end (TERMINATE's sweep, `docs/MONITORING.md`
+    /// step 5).  No further local event can arrive then and a returning token never
+    /// writes to the view that launched it, so the view's state at every queued event
+    /// is already determined: the tokens leave together, one batch per destination,
+    /// instead of one round trip per event.
+    fn drain_pending(&mut self, mut idx: usize, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         let mut produced = self.take_view_buf();
-        loop {
-            if idx >= self.views.len() || !self.views[idx].is_unblocked() {
-                break;
-            }
+        while self.views[idx].is_unblocked() || self.local_terminated {
             let Some(sn) = self.views[idx].pop_queued(self.delivered) else {
                 break;
             };
             self.metrics.backlog_events_drained += 1;
             let gv = self.views.remove(idx);
             self.process_event_on_view(gv, sn, ctx, &mut produced);
-            // Reinsert produced views at the same position to keep `idx` meaningful:
-            // the first produced view is the continuation of the drained one.
-            for (offset, v) in produced.drain(..).enumerate() {
-                self.views.insert(idx + offset, v);
-            }
+            // Back where the view was, and on with the drained view itself: it comes
+            // last, behind its fork (whose queue is empty).
+            let at = idx;
+            idx += produced.len() - 1;
+            self.views.splice(at..at, produced.drain(..));
             self.note_view_peak();
         }
         self.put_view_buf(produced);
     }
-}
 
-enum RouteTarget {
-    Local,
-    Remote(ProcessId),
-    Parent,
+    /// RECEIVETOKEN: a token of our own is home; a foreign one is served from our
+    /// history or parked.
+    fn receive_token(&mut self, token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        if token.parent == self.pid {
+            self.handle_returned_token(token, ctx);
+        } else {
+            self.advance_local_token(token, ctx);
+        }
+    }
 }
 
 impl MonitorBehavior for DecentralizedMonitor {
@@ -1171,24 +1169,20 @@ impl MonitorBehavior for DecentralizedMonitor {
         rebuilt.reserve(staged.len());
         let mut produced = self.take_view_buf();
         for mut gv in staged.drain(..) {
-            if gv.is_unblocked() {
-                // Process the whole queue while the view stays unblocked.
-                loop {
-                    if !gv.is_unblocked() {
-                        break;
-                    }
-                    let Some(sn) = gv.pop_queued(self.delivered) else { break };
-                    self.process_event_on_view(gv, sn, ctx, &mut produced);
-                    // The first produced view is the continuation; the rest are forks.
-                    let mut views = produced.drain(..);
-                    gv = views.next().expect("the continuation view is always produced");
-                    rebuilt.extend(views);
-                }
-                rebuilt.push(gv);
-            } else {
+            if !gv.is_unblocked() {
                 delayed += gv.queued(self.delivered);
-                rebuilt.push(gv);
             }
+            // Process the whole queue while the view stays unblocked.
+            while gv.is_unblocked() {
+                let Some(sn) = gv.pop_queued(self.delivered) else { break };
+                self.process_event_on_view(gv, sn, ctx, &mut produced);
+                // On with the first produced view, which follows local progress;
+                // any other waits for its token.
+                let mut views = produced.drain(..);
+                gv = views.next().expect("the continuation view is always produced");
+                rebuilt.extend(views);
+            }
+            rebuilt.push(gv);
         }
         self.put_view_buf(staged);
         self.put_view_buf(produced);
@@ -1211,28 +1205,15 @@ impl MonitorBehavior for DecentralizedMonitor {
     ) {
         self.lease_arena();
         self.metrics.last_activity_time = ctx.now;
+        self.metrics.tokens_received += msg.token_count();
+        dlrv_obs::counter!("monitor.tokens_received").add(msg.token_count() as u64);
         match msg {
-            MonitorMsg::Token(token) => {
-                self.metrics.tokens_received += 1;
-                dlrv_obs::counter!("monitor.tokens_received").inc();
-                if token.parent == self.pid {
-                    self.handle_returned_token(token, ctx);
-                } else {
-                    // A foreign token: serve it from our history or park it.
-                    self.advance_local_token(token, ctx);
-                }
-            }
+            MonitorMsg::Token(token) => self.receive_token(token, ctx),
+            // §4.3.1: an aggregated message — process the carried tokens in order,
+            // exactly as if they had arrived as consecutive messages.
             MonitorMsg::Batch(tokens) => {
-                // §4.3.1: an aggregated message — process the carried tokens in order,
-                // exactly as if they had arrived as consecutive messages.
-                self.metrics.tokens_received += tokens.len();
-                dlrv_obs::counter!("monitor.tokens_received").add(tokens.len() as u64);
                 for token in tokens {
-                    if token.parent == self.pid {
-                        self.handle_returned_token(token, ctx);
-                    } else {
-                        self.advance_local_token(token, ctx);
-                    }
+                    self.receive_token(token, ctx);
                 }
             }
         }
@@ -1544,6 +1525,25 @@ mod tests {
         (monitors, token)
     }
 
+    /// Delivers what `monitors[from]` left in `outbox` and every message that
+    /// causes; returns the messages in delivery order as `(from, to, message)`.
+    fn deliver(
+        monitors: &mut [DecentralizedMonitor; 2],
+        from: ProcessId,
+        outbox: &mut Vec<(ProcessId, MonitorMsg)>,
+    ) -> Vec<(ProcessId, ProcessId, MonitorMsg)> {
+        let mut inflight: std::collections::VecDeque<_> =
+            outbox.drain(..).map(|(to, msg)| (from, to, msg)).collect();
+        let mut delivered = Vec::new();
+        while let Some((from, to, msg)) = inflight.pop_front() {
+            delivered.push((from, to, msg.clone()));
+            let mut ctx = MonitorContext::new(to, 2, 0.0, outbox);
+            monitors[to].on_monitor_message(from, msg, &mut ctx);
+            inflight.extend(outbox.drain(..).map(|(dest, msg)| (to, dest, msg)));
+        }
+        delivered
+    }
+
     /// Routes `token` from `monitors[from]` and delivers every message it causes;
     /// returns the messages in delivery order as `(from, to, token)`.
     fn tour(
@@ -1555,19 +1555,13 @@ mod tests {
         let mut ctx = MonitorContext::new(from, 2, 0.0, &mut outbox);
         monitors[from].route_token(token, &mut ctx);
         monitors[from].flush_outbound(&mut ctx);
-        let mut inflight: std::collections::VecDeque<_> =
-            outbox.drain(..).map(|(to, msg)| (from, to, msg)).collect();
-        let mut delivered = Vec::new();
-        while let Some((from, to, msg)) = inflight.pop_front() {
-            let MonitorMsg::Token(token) = &msg else {
-                panic!("one token, never a batch: {msg:?}");
-            };
-            delivered.push((from, to, token.clone()));
-            let mut ctx = MonitorContext::new(to, 2, 0.0, &mut outbox);
-            monitors[to].on_monitor_message(from, msg, &mut ctx);
-            inflight.extend(outbox.drain(..).map(|(dest, msg)| (to, dest, msg)));
-        }
-        delivered
+        deliver(monitors, from, &mut outbox)
+            .into_iter()
+            .map(|(from, to, msg)| match msg {
+                MonitorMsg::Token(token) => (from, to, token),
+                batch => panic!("one token, never a batch: {batch:?}"),
+            })
+            .collect()
     }
 
     #[test]
@@ -1644,6 +1638,205 @@ mod tests {
         let m1 = &monitors[1].metrics;
         assert_eq!((m1.tokens_failed_at_termination, m1.tokens_sent_after_termination), (1, 1));
         assert_eq!(monitors[0].metrics.history_events_served, 0);
+    }
+
+    /// `M0` and `M1` of `F (P0.p && P1.p)` under `opts`, the moment `M0`'s first
+    /// token is due home.  `P0.p` held at all four events of `P0`, and all four had
+    /// heard of `P1`'s first, which the initial view has not folded in: it took no
+    /// step and made no fork, launched the token on the first event and waits with a
+    /// backlog of three.  `P1` has terminated after two events, having heard nobody;
+    /// `P1.p` held at the second if `p1_holds`.  Returns the monitors and the
+    /// token's message, not yet delivered.
+    fn backlog_of_three(
+        opts: MonitorOptions,
+        p1_holds: bool,
+    ) -> ([DecentralizedMonitor; 2], Vec<(ProcessId, MonitorMsg)>) {
+        let (_, [p0, p1]) = goal_monitor_of(0, opts);
+        let mut monitors = [0, 1].map(|pid| goal_monitor_of(pid, opts).0);
+        let mut outbox = Vec::new();
+        for sn in 1..=4 {
+            let mut ctx = MonitorContext::new(0, 2, sn as f64, &mut outbox);
+            let heard = Event {
+                vc: VectorClock::from_entries(vec![sn, 1]),
+                ..local_event(sn, p0)
+            };
+            monitors[0].on_local_event(&heard, &mut ctx);
+        }
+        assert_eq!(outbox.len(), 1, "one exploration, launched on the first event");
+        let owner = initial_view(&monitors[0]);
+        assert_eq!((owner.state, owner.queued(4)), (GvState::Waiting, 3));
+        for sn in 1..=2 {
+            monitors[1].history.push(&Event {
+                process: 1,
+                kind: dlrv_vclock::EventKind::Internal,
+                sn,
+                vc: VectorClock::from_entries(vec![0, sn]),
+                state: if p1_holds && sn == 2 { p1 } else { Assignment::ALL_FALSE },
+                time: sn as f64,
+            });
+        }
+        monitors[1].local_terminated = true;
+        (monitors, outbox)
+    }
+
+    /// The view the monitor started with, wherever its forks have pushed it.
+    fn initial_view(m: &DecentralizedMonitor) -> &GlobalView {
+        m.views.iter().find(|gv| gv.id == 0).expect("the initial view")
+    }
+
+    /// What a monitor ended with: its views' exploration points (automaton state,
+    /// cut, believed state, processing state), the views it ever created and the
+    /// verdicts it detected.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        views: Vec<(usize, Vec<u64>, u64, GvState)>,
+        views_created: usize,
+        detected: BTreeSet<Verdict>,
+    }
+
+    fn outcome(m: &DecentralizedMonitor) -> Outcome {
+        let mut views: Vec<_> = m
+            .views
+            .iter()
+            .map(|gv| (gv.q, gv.gcut.entries().to_vec(), gv.gstate.0, gv.state))
+            .collect();
+        views.sort_by(|a, b| (a.0, &a.1, a.2).cmp(&(b.0, &b.1, b.2)));
+        Outcome {
+            views,
+            views_created: m.metrics.global_views_created,
+            detected: m.metrics.detected_final_verdicts.clone(),
+        }
+    }
+
+    #[test]
+    fn a_terminated_monitor_sweeps_a_views_backlog_in_one_activation() {
+        for opts in [MonitorOptions::default(), MonitorOptions::ALL_OFF] {
+            for p1_holds in [false, true] {
+                // One return at a time, as before the sweep: `M0` is still live, so
+                // each return releases one queued event and its token has to come
+                // home before the next is looked at.
+                let (mut live, mut outbox) = backlog_of_three(opts, p1_holds);
+                let mut swept = live.clone();
+                let stepped = deliver(&mut live, 0, &mut outbox.clone());
+
+                // The sweep: `M0` has terminated, the same return releases all three.
+                let mut ctx = MonitorContext::new(0, 2, 5.0, &mut outbox);
+                swept[0].on_local_termination(&mut ctx);
+                let messages = deliver(&mut swept, 0, &mut outbox);
+
+                let case = format!("{opts:?}, p1_holds={p1_holds}");
+                assert_eq!(outcome(&swept[0]), outcome(&live[0]), "{case}");
+                assert_eq!(swept[0].metrics.backlog_events_drained, 3, "{case}");
+                assert_eq!(live[0].metrics.backlog_events_drained, 3, "{case}");
+                assert_eq!(swept[0].detected_final_verdicts().len(), usize::from(p1_holds));
+                assert!(swept[0].views.iter().all(GlobalView::is_unblocked), "{case}");
+                assert!(swept[0].in_flight.is_empty() && live[0].in_flight.is_empty());
+
+                let counts = |messages: &[(ProcessId, ProcessId, MonitorMsg)]| -> Vec<_> {
+                    messages.iter().map(|(from, to, msg)| (*from, *to, msg.token_count())).collect()
+                };
+                if opts.aggregate_tokens && !p1_holds {
+                    // `P1` fails every token: four round trips before, the first
+                    // token's and one batch of three now.
+                    assert_eq!(counts(&stepped), [(0, 1, 1), (1, 0, 1)].repeat(4));
+                    assert_eq!(
+                        counts(&messages),
+                        [(0, 1, 1), (1, 0, 1), (0, 1, 3), (1, 0, 3)]
+                    );
+                    assert_eq!(swept[0].metrics.token_batches_sent, 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_live_monitor_stops_draining_at_the_first_waiting_view() {
+        let (mut monitors, mut outbox) = backlog_of_three(MonitorOptions::default(), false);
+        let (from, msg) = (1, {
+            // `P1`'s answer to the first token, by hand: it never satisfied `P1.p`.
+            let (_, MonitorMsg::Token(mut token)) = outbox.pop().expect("the token") else {
+                panic!("a single token");
+            };
+            token.transitions[0].eval = EvalState::Disabled;
+            MonitorMsg::Token(token)
+        });
+        let mut ctx = MonitorContext::new(0, 2, 5.0, &mut outbox);
+        monitors[0].on_monitor_message(from, msg, &mut ctx);
+        let m0 = &monitors[0];
+        assert_eq!(m0.metrics.backlog_events_drained, 1);
+        assert_eq!(outbox.len(), 1, "the second event's token, alone");
+        let owner = initial_view(m0);
+        assert_eq!((owner.state, owner.queued(4)), (GvState::Waiting, 2));
+    }
+
+    #[test]
+    fn in_flight_suppression_ends_with_the_local_program() {
+        for terminated in [false, true] {
+            let (mut m, p0) = goal_monitor(MonitorOptions::default());
+            m.history.push(&local_event(1, p0));
+            m.delivered = 1;
+            m.local_terminated = terminated;
+            // Some other view at the same automaton state has a token out.
+            let mut gv = m.views.pop().expect("the initial view");
+            m.exploration_launched(gv.q);
+            let sn = gv.pop_queued(m.delivered).expect("event 1 is queued");
+            let mut outbox = Vec::new();
+            let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
+            let mut produced = Vec::new();
+            m.process_event_on_view(gv, sn, &mut ctx, &mut produced);
+            m.flush_outbound(&mut ctx);
+            let view = produced.last().expect("the view itself comes last");
+            if terminated {
+                // No later event will revisit the question: the view asks itself.
+                assert_eq!((view.state, outbox.len()), (GvState::Waiting, 1));
+                assert_eq!(m.in_flight, [(view.q, 2)]);
+            } else {
+                assert_eq!((view.state, outbox.len()), (GvState::Unblocked, 0));
+                assert_eq!(m.in_flight, [(view.q, 1)]);
+            }
+        }
+    }
+
+    #[test]
+    fn in_flight_holds_no_entry_for_a_state_with_nothing_out() {
+        let (mut m, _) = goal_monitor(MonitorOptions::default());
+        m.exploration_launched(3);
+        m.exploration_launched(5);
+        m.exploration_launched(3);
+        assert!(m.is_exploring(3) && m.is_exploring(5) && !m.is_exploring(4));
+        m.exploration_over(3);
+        assert!(m.is_exploring(3), "one of two is still out");
+        m.exploration_over(3);
+        m.exploration_over(4);
+        assert_eq!(m.in_flight, [(5, 1)]);
+        m.exploration_over(5);
+        assert!(m.in_flight.is_empty());
+    }
+
+    #[test]
+    fn a_token_awaiting_event_zero_goes_home_disabled_at_termination() {
+        // Sequence numbers are 1-based: event 0 is never recorded.  A token asking
+        // for it parks like any token asking for the future; termination used to
+        // leave its transition standing and route it back to itself without end.
+        let (mut monitors, mut token) = staircase(1);
+        let tran = &mut token.transitions[0];
+        (tran.next_target_process, tran.next_target_event) = (1, 0);
+        (token.next_target_process, token.next_target_event) = (1, 0);
+        let m1 = &mut monitors[1];
+        let mut outbox = Vec::new();
+        let mut ctx = MonitorContext::new(1, 2, 0.0, &mut outbox);
+        m1.on_monitor_message(0, MonitorMsg::Token(token), &mut ctx);
+        assert_eq!((m1.waiting_tokens.len(), outbox.len()), (1, 0));
+
+        let mut ctx = MonitorContext::new(1, 2, 1.0, &mut outbox);
+        m1.on_local_termination(&mut ctx);
+        assert!(m1.waiting_tokens.is_empty());
+        let [(0, MonitorMsg::Token(home))] = &outbox[..] else {
+            panic!("the token goes home, alone: {outbox:?}");
+        };
+        assert_eq!(home.transitions[0].eval, EvalState::Disabled);
+        assert_eq!(home.transitions[0].conjuncts[1], ConjunctEval::False);
+        assert_eq!(m1.metrics.tokens_failed_at_termination, 1);
     }
 
     #[test]

@@ -14,14 +14,11 @@
 //! * [`MonitorMsg::Batch`] — token aggregation (§4.3.1): every token a monitor wants
 //!   to send to the same destination during one activation (one local event, one
 //!   received message, one termination) travels as a *single* monitoring message.
-//! * [`WaitingTokens`] — per-cut indexing of parked tokens: a token waiting for a
-//!   future local event is filed under the exact sequence number (cut entry) it
-//!   needs, so arrival of event `sn` wakes precisely the tokens keyed `sn` instead of
-//!   rescanning every parked token.
+//! * [`WaitingTokens`] — the tokens parked for a future local event: arrival of event
+//!   `sn` wakes precisely the tokens whose awaited cut entry is `sn`.
 
 use dlrv_ltl::{Assignment, ProcessId};
 use dlrv_vclock::VectorClock;
-use std::collections::BTreeMap;
 
 /// Evaluation status of one process's conjunct of a transition guard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,57 +135,59 @@ impl MonitorMsg {
     }
 }
 
-/// Tokens parked at a monitor until a future local event arrives, indexed by the cut
-/// entry (local sequence number) each token is waiting for.
+/// Tokens parked at a monitor until a future local event arrives, each waiting for
+/// the cut entry (local sequence number) in its `next_target_event`.
 ///
-/// The unoptimized bookkeeping kept parked tokens in a flat `Vec` and rescanned all
-/// of them on every local event; this index makes the wake-up a single map lookup.
-/// Tokens keyed `0` wait for an event that can never occur (sequence numbers are
-/// 1-based); they stay parked until [`drain_all`](WaitingTokens::drain_all) at
-/// termination, exactly like the flat-scan behavior they replace.
+/// A monitor parks about one token at a time, so the tokens lie in one vector in
+/// parking order and a wake-up is a scan of it: an index by sequence number cost a
+/// map node and a vector per parked token, and kept a node once the last token woke.
 #[derive(Debug, Clone, Default)]
 pub struct WaitingTokens {
-    by_sn: BTreeMap<u64, Vec<Token>>,
-    len: usize,
+    parked: Vec<Token>,
 }
 
 impl WaitingTokens {
-    /// An empty index.
+    /// Nothing parked.
     pub fn new() -> Self {
         WaitingTokens::default()
     }
 
-    /// Parks `token` under the local sequence number it is waiting for
+    /// Parks `token` until the local event it is waiting for
     /// (`token.next_target_event`).
     pub fn park(&mut self, token: Token) {
-        self.by_sn.entry(token.next_target_event).or_default().push(token);
-        self.len += 1;
+        self.parked.push(token);
     }
 
     /// Removes and returns every token waiting for exactly event `sn`, in parking
     /// order.
     pub fn take(&mut self, sn: u64) -> Vec<Token> {
-        let tokens = self.by_sn.remove(&sn).unwrap_or_default();
-        self.len -= tokens.len();
-        tokens
+        if !self.parked.iter().any(|t| t.next_target_event == sn) {
+            return Vec::new();
+        }
+        let (woken, parked) = std::mem::take(&mut self.parked)
+            .into_iter()
+            .partition(|t| t.next_target_event == sn);
+        self.parked = parked;
+        woken
     }
 
     /// Removes and returns all parked tokens (ordered by awaited sequence number,
     /// then parking order) — used at local termination, when no further event will
     /// ever satisfy them.
     pub fn drain_all(&mut self) -> Vec<Token> {
-        self.len = 0;
-        std::mem::take(&mut self.by_sn).into_values().flatten().collect()
+        let mut tokens = std::mem::take(&mut self.parked);
+        tokens.sort_by_key(|t| t.next_target_event);
+        tokens
     }
 
     /// Number of parked tokens.
     pub fn len(&self) -> usize {
-        self.len
+        self.parked.len()
     }
 
     /// True when no tokens are parked.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.parked.is_empty()
     }
 }
 
@@ -250,16 +249,19 @@ mod tests {
     #[test]
     fn waiting_tokens_wake_by_exact_sequence_number() {
         let mut waiting = WaitingTokens::new();
-        waiting.park(parked(3));
-        waiting.park(parked(5));
-        waiting.park(parked(3));
+        // `parent_gv` numbers the tokens in parking order.
+        for (parent_gv, sn) in [3, 5, 3, 4, 5].into_iter().enumerate() {
+            waiting.park(Token { parent_gv: parent_gv as u64, ..parked(sn) });
+        }
+        let order = |tokens: Vec<Token>| -> Vec<(u64, u64)> {
+            tokens.iter().map(|t| (t.next_target_event, t.parent_gv)).collect()
+        };
+        assert_eq!(waiting.len(), 5);
+        assert!(waiting.take(2).is_empty());
+        assert_eq!(order(waiting.take(3)), [(3, 0), (3, 2)], "parking order");
         assert_eq!(waiting.len(), 3);
-        assert!(waiting.take(4).is_empty());
-        let woken = waiting.take(3);
-        assert_eq!(woken.len(), 2);
-        assert!(woken.iter().all(|t| t.next_target_event == 3));
-        assert_eq!(waiting.len(), 1);
-        assert_eq!(waiting.drain_all().len(), 1);
+        // By awaited number, then parking order.
+        assert_eq!(order(waiting.drain_all()), [(4, 3), (5, 1), (5, 4)]);
         assert!(waiting.is_empty());
     }
 

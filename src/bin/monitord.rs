@@ -34,7 +34,7 @@ use dlrv_core::dlrv_distsim::{MonitorBehavior, MonitorContext};
 use dlrv_core::dlrv_ltl::Assignment;
 use dlrv_core::results::{options_from_json, property_from_json};
 use dlrv_core::CompiledProperty;
-use dlrv_monitor::{DecentralizedMonitor, MonitorMsg, Token};
+use dlrv_monitor::{DecentralizedMonitor, EvalState, MonitorMsg, Token};
 use dlrv_net::{
     connect_with_retry, encode_wire_frame, DaemonReport, DaemonStatus, DaemonTelemetry, Endpoint,
     FaultInjector, FaultStats, FramedConn, Interest, IoEvent, Listener, NetError, Reactor, WireMsg,
@@ -269,6 +269,9 @@ fn check_token(token: &Token, n: usize, automaton: &MonitorAutomaton) -> Result<
                 t.gstate.0,
                 automaton.n_symbols()
             ));
+        }
+        if t.eval == EvalState::Unset && t.next_target_event == 0 {
+            return Err("token transition awaits event 0 (sequence numbers start at 1)".to_string());
         }
         if t.gcut.len() != n || t.depend.len() != n || t.conjuncts.len() != n {
             return Err(format!(

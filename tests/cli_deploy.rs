@@ -490,7 +490,7 @@ fn malformed_events_are_protocol_failures() {
 #[test]
 fn malformed_tokens_are_protocol_failures() {
     type Break = fn(&mut Token);
-    let cases: [(Break, &str); 8] = [
+    let cases: [(Break, &str); 9] = [
         (|t| t.parent = 2, "parent 2"),
         (|t| t.next_target_process = 9, "next_target_process 9"),
         (|t| t.transitions[0].next_target_process = 2, "transition next_target_process 2"),
@@ -499,6 +499,8 @@ fn malformed_tokens_are_protocol_failures() {
         (|t| t.transitions[0].depend = VectorClock::from_entries(vec![0, 1, 2]), "depend 3"),
         (|t| t.transitions[0].conjuncts.clear(), "conjuncts 0"),
         (|t| t.transitions[0].gstate = Assignment(0b100), "gstate 0x4"),
+        // Parked, this one overflowed the daemon's stack when its process terminated.
+        (|t| t.transitions[0].next_target_event = 0, "awaits event 0"),
     ];
     for (break_it, reason) in cases {
         let mut session = Session::established(2);

@@ -12,8 +12,12 @@
 //!   peak global-view memory, for any property A–F;
 //! * every flag combination reports the same verdicts (the switches trade cost, not
 //!   soundness);
-//! * an until-property at 4 processes costs at most 3 monitoring messages per program
-//!   event — the ceiling that keeps the local-first token service from leaking away.
+//! * an until-property at 4 processes costs at most 1.3 monitoring messages per
+//!   program event on the simulator — the ceiling that keeps the local-first token
+//!   service and the termination sweep from leaking away;
+//! * the simulated time the monitors run on after the program (Fig 5.6's delay) of
+//!   Fig 5.9's `commMu=3` cell stays below a tenth of what it was when a terminated
+//!   monitor drained its backlog one token round trip per event.
 
 use dlrv::dlrv_monitor::MonitorOptions;
 use dlrv::{
@@ -146,11 +150,14 @@ fn arena_recycling_is_invisible_in_every_counted_metric() {
 }
 
 #[test]
-fn an_until_property_costs_at_most_three_messages_per_event() {
+fn an_until_property_costs_at_most_one_point_three_messages_per_event() {
     // The paper's headline cost on the shape of the benchmark's `stream-heavy`
     // workload: property A, 4 processes, 8 events per process, 100 sessions.  A token
     // is served everything the visited process has recorded before it moves on
-    // (docs/MONITORING.md, step 3); one sequence number per hop cost 14 here.
+    // (docs/MONITORING.md, step 3; one sequence number per hop cost 14 here), and a
+    // terminated monitor sweeps a view's backlog in one batch (step 5; one round trip
+    // per queued event cost 2.26 — messages take time on the simulator, so the
+    // backlogs are longer than a `FeedSession`'s).  Measured: 1.062.
     let config = ExperimentConfig {
         events_per_process: 8,
         seeds: (1..=100).collect(),
@@ -161,7 +168,27 @@ fn an_until_property_costs_at_most_three_messages_per_event() {
     let events: usize = runs.iter().map(|run| run.total_events).sum();
     let per_event = messages as f64 / events as f64;
     println!("{messages} monitor messages over {events} events: {per_event:.3} per event");
-    assert!(messages > 0 && per_event <= 3.0, "{per_event:.3} monitor messages per event");
+    assert!(messages > 0 && per_event <= 1.3, "{per_event:.3} monitor messages per event");
+}
+
+/// `monitor_extra_time` of the registry's `commfreq-mu3` scenario (Fig 5.9's
+/// `commMu=3` row: property C, 4 processes, averaged over its three seeds) at the
+/// commit before the termination sweep, from that commit's `experiments` binary.
+const COMM_MU_3_EXTRA_TIME_BEFORE_THE_SWEEP: f64 = 2.8533333333329125;
+
+#[test]
+fn the_termination_tail_is_a_tenth_of_one_round_trip_per_queued_event() {
+    // Simulated time, so exact per seed: how long the monitors keep exchanging
+    // tokens after the last program event.  It was one message latency per queued
+    // event per waiting view; the sweep sends a view's whole backlog at once.
+    let registry = ScenarioRegistry::standard();
+    let scenario = registry.get("commfreq-mu3").expect("Fig 5.9's first row is registered");
+    let tail = scenario.run().avg.monitor_extra_time;
+    println!("monitor_extra_time {tail} (was {COMM_MU_3_EXTRA_TIME_BEFORE_THE_SWEEP})");
+    assert!(
+        tail > 0.0 && tail < COMM_MU_3_EXTRA_TIME_BEFORE_THE_SWEEP / 10.0,
+        "monitor_extra_time {tail}"
+    );
 }
 
 #[test]

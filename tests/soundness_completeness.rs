@@ -320,6 +320,20 @@ fn random_ltl_verdicts_are_reachable_on_the_lattice_except_on_the_known_seeds() 
     }
 }
 
+#[test]
+fn sweep_seed_1039_detects_the_same_with_the_suite_on_and_off() {
+    // The case that decides how a terminated monitor sweeps a view's backlog
+    // (docs/MONITORING.md, step 5): if §4.3.2's in-flight suppression stayed on after
+    // termination, the view's own token — still out, where it used to be home before
+    // the next queued event was looked at — would silence the explorations behind it
+    // under `default()` and not under `ALL_OFF`, and the two would part here.
+    let (formula, workload) = sweep_case(1039, Formula::globally);
+    let registry = shared_registry(workload.n_processes);
+    let options = [MonitorOptions::default(), MonitorOptions::ALL_OFF];
+    let (_, detected) = detect(&formula, registry, &workload, &options);
+    assert_eq!(detected[0], detected[1], "{formula:?}");
+}
+
 /// Sessions in the oracle ledger: the first wave of the benchmark's `fleet-6` workload.
 const LEDGER_SESSIONS: u64 = 400;
 
