@@ -156,15 +156,19 @@ thread_local! {
 /// state, nothing else, so nothing else is kept — and the views' queues of buffered
 /// events are cursors into this history ([`GlobalView::next_sn`]) rather than
 /// copies of it.
+///
+/// A history belongs to a *process*, not to a property: the monitors a
+/// [`FleetMonitor`](crate::FleetMonitor) attaches to one process read one history,
+/// which the fleet records and lends them ([`DecentralizedMonitor::swap_history`]).
 #[derive(Debug, Clone)]
-struct LocalHistory {
+pub(crate) struct LocalHistory {
     n: usize,
     clocks: Vec<u64>,
     states: Vec<Assignment>,
 }
 
 impl LocalHistory {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         LocalHistory {
             n,
             clocks: Vec::new(),
@@ -173,11 +177,11 @@ impl LocalHistory {
     }
 
     /// Number of recorded events, i.e. the sequence number of the latest one.
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.states.len()
     }
 
-    fn push(&mut self, event: &Event) {
+    pub(crate) fn push(&mut self, event: &Event) {
         debug_assert_eq!(event.vc.len(), self.n);
         self.clocks.extend_from_slice(event.vc.entries());
         self.states.push(event.state);
@@ -212,7 +216,8 @@ pub struct DecentralizedMonitor {
     registry: Arc<AtomRegistry>,
     /// Optimization switches.
     opts: MonitorOptions,
-    /// Local event history (`history` in Algorithm 2).
+    /// Local event history (`history` in Algorithm 2).  A fleet member's is empty
+    /// between activations: the process's one history is lent to it for each.
     history: LocalHistory,
     /// How many events of `history` have been offered to the views: a view's queue of
     /// buffered events is `history[next_sn ..= delivered]`.  Equal to `history.len()`
@@ -294,6 +299,12 @@ impl DecentralizedMonitor {
     /// (`0` outside fleets).  Must be set before the first event is fed.
     pub fn set_property_id(&mut self, property: u32) {
         self.property = property;
+    }
+
+    /// Exchanges this monitor's history with `other` — how a fleet lends a member
+    /// the process's history for one activation and takes it back afterwards.
+    pub(crate) fn swap_history(&mut self, other: &mut LocalHistory) {
+        std::mem::swap(&mut self.history, other);
     }
 
     /// The current global views.
@@ -1136,24 +1147,22 @@ impl DecentralizedMonitor {
     }
 }
 
-impl MonitorBehavior for DecentralizedMonitor {
-    type Message = MonitorMsg;
-
-    /// RECEIVEEVENT (Algorithm 2).
-    fn on_local_event(&mut self, event: &Event, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+impl DecentralizedMonitor {
+    /// RECEIVEEVENT (Algorithm 2) for event `sn`, the latest of `history` — recorded
+    /// by [`on_local_event`](MonitorBehavior::on_local_event), or by the fleet that
+    /// lends this member its process's history.
+    pub(crate) fn on_recorded_event(&mut self, sn: u64, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         let _span = dlrv_obs::span("monitor.local_event");
         self.lease_arena();
         self.metrics.events_observed += 1;
         self.metrics.last_event_time = ctx.now;
         self.metrics.last_activity_time = ctx.now;
-        // All the monitor keeps of the event: its clock and state, copied flat.
-        self.history.push(event);
         self.merge_similar_views();
 
         // Wake up exactly the tokens waiting for this event (per-cut index lookup).
         // The views have not been offered it yet: one spawned by a token returning
         // here still gets it below, like every other live view.
-        for token in self.waiting_tokens.take(event.sn) {
+        for token in self.waiting_tokens.take(sn) {
             self.advance_local_token(token, ctx);
         }
 
@@ -1195,6 +1204,17 @@ impl MonitorBehavior for DecentralizedMonitor {
         self.note_view_peak();
         self.flush_outbound(ctx);
         self.return_arena();
+    }
+}
+
+impl MonitorBehavior for DecentralizedMonitor {
+    type Message = MonitorMsg;
+
+    /// RECEIVEEVENT (Algorithm 2): all the monitor keeps of the event is its clock
+    /// and state, copied flat.
+    fn on_local_event(&mut self, event: &Event, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        self.history.push(event);
+        self.on_recorded_event(event.sn, ctx);
     }
 
     fn on_monitor_message(
@@ -1399,9 +1419,11 @@ mod tests {
     #[test]
     fn monitor_and_view_sizes_are_pinned() {
         // 600 bytes before the scratch pools moved to the thread and the history
-        // went flat; a session pays this once per process.
-        assert!(std::mem::size_of::<DecentralizedMonitor>() <= 448);
+        // went flat; a session pays this once per process (per member, in a fleet).
+        assert!(std::mem::size_of::<DecentralizedMonitor>() <= 408);
         assert!(std::mem::size_of::<GlobalView>() <= 64);
+        // Identity, the members, the one history and four reused buffers — no pool.
+        assert!(std::mem::size_of::<crate::FleetMonitor>() <= 200);
     }
 
     #[test]
@@ -1837,6 +1859,61 @@ mod tests {
         assert_eq!(home.transitions[0].eval, EvalState::Disabled);
         assert_eq!(home.transitions[0].conjuncts[1], ConjunctEval::False);
         assert_eq!(m1.metrics.tokens_failed_at_termination, 1);
+    }
+
+    #[test]
+    fn a_fleet_member_holds_no_history_between_activations_and_is_still_served_it() {
+        let (mut m0, [p0, _]) = goal_monitor_of(0, MonitorOptions::default());
+        let member = crate::FleetMember {
+            automaton: m0.automaton.clone(),
+            registry: m0.registry.clone(),
+            initial_state: Assignment::ALL_FALSE,
+        };
+        let mut fleet =
+            crate::FleetMonitor::new(1, 2, &[member.clone(), member], MonitorOptions::default());
+        let returned =
+            |fleet: &crate::FleetMonitor| fleet.members().iter().all(|m| m.history.len() == 0);
+        let mut outbox = Vec::new();
+
+        // Local events: `P1` records two on which `P1.p` does not hold.
+        for sn in 1..=2 {
+            let event = Event {
+                process: 1,
+                vc: VectorClock::from_entries(vec![0, sn]),
+                ..local_event(sn, Assignment::ALL_FALSE)
+            };
+            let mut ctx = MonitorContext::new(1, 2, sn as f64, &mut outbox);
+            fleet.on_local_event(&event, &mut ctx);
+            assert!(returned(&fleet), "after local event {sn}");
+        }
+        assert!(outbox.is_empty());
+
+        // A message: `M0`'s token of the second property asks `P1` about `P1.p`.  The
+        // member is served both recorded events and parks the token for a third.
+        let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
+        m0.on_local_event(&local_event(1, p0), &mut ctx);
+        let Some((1, MonitorMsg::Token(mut token))) = outbox.pop() else {
+            panic!("`M0` asks `P1`");
+        };
+        token.property = 1;
+        let mut ctx = MonitorContext::new(1, 2, 3.0, &mut outbox);
+        fleet.on_monitor_message(0, MonitorMsg::Token(token), &mut ctx);
+        assert!(returned(&fleet), "after a message");
+        let [idle, asked] = fleet.members() else {
+            panic!("two members");
+        };
+        assert_eq!(idle.metrics.history_events_served, 0);
+        assert_eq!((asked.metrics.history_events_served, asked.metrics.tokens_parked), (2, 1));
+        assert!(outbox.is_empty());
+
+        // Termination: the parked token goes home failed.
+        let mut ctx = MonitorContext::new(1, 2, 3.0, &mut outbox);
+        fleet.on_local_termination(&mut ctx);
+        assert!(returned(&fleet), "after termination");
+        let [(0, MonitorMsg::Token(home))] = &outbox[..] else {
+            panic!("the token goes home, alone: {outbox:?}");
+        };
+        assert_eq!((home.property, home.transitions[0].eval), (1, EvalState::Disabled));
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! What is shared across members:
 //!
 //! * **The decoded event** — each [`Event`] is decoded (or simulated) once and
-//!   lent to every member in turn; a member copies its clock and state into its
-//!   own flat history (32 bytes per event at three processes) and keeps nothing
-//!   else of it.
+//!   every member is activated on it in turn.
+//! * **The recorded history** — Algorithm 2's `history` is the process's, not the
+//!   property's: the fleet copies each event's clock and state once into one flat
+//!   history (32 bytes per event at three processes) and lends that history to a
+//!   member for the length of one activation — local event, received message or
+//!   termination.  A member holds no history of its own in between.
 //! * **Transport** — with `aggregate_tokens` on (§4.3.1), outbound tokens from
 //!   *all* members to the same destination ride one [`MonitorMsg::Batch`].  The
 //!   [`Token::property`] field is the property-id dimension of the batch: the
@@ -21,9 +24,11 @@
 //!   sends nothing of its own (it is local to each member), so every message the
 //!   fleet puts on the transport carries tokens.
 //!
-//! What is *not* shared: all monitor state — event histories, global views,
-//! waiting tokens — stays strictly per member, so properties cannot bleed state
-//! into each other.  This is load-bearing for the equivalence guarantee below.
+//! What is *not* shared: everything a property decides — global views, parked
+//! tokens, in-flight explorations, metrics — stays strictly per member, so
+//! properties cannot bleed state into each other.  This is load-bearing for the
+//! equivalence guarantee below; the history does not weaken it, because it holds
+//! what the process did, identically for every member, and members only read it.
 //! (The scratch arena members recycle buffers through is per *thread*, shared with
 //! every other monitor the thread runs; it carries capacity, never content.)
 //!
@@ -37,7 +42,7 @@
 //! byte-identical to N independent runs — pinned by `tests/fleet_equivalence.rs`
 //! across shard counts and every [`MonitorOptions`] combination.
 
-use crate::decentralized::{DecentralizedMonitor, MonitorOptions};
+use crate::decentralized::{DecentralizedMonitor, LocalHistory, MonitorOptions};
 use crate::feed::{FeedSession, SessionVerdicts};
 use crate::messages::{MonitorMsg, Token};
 use crate::metrics::MonitorMetrics;
@@ -77,21 +82,21 @@ pub struct FleetMonitor {
     /// means off — including the cross-property kind).
     aggregate: bool,
     members: Vec<DecentralizedMonitor>,
+    /// The process's recorded events, on loan to a member while it is activated.
+    history: LocalHistory,
     /// Recycled capture buffer for one member activation.
     member_outbox: Vec<(ProcessId, MonitorMsg)>,
     /// Cross-member per-destination token staging (aggregate mode), indexed by
     /// destination process and flushed at the end of every fleet activation in
     /// ascending destination order — exactly the order each member's own §4.3.1
     /// flush uses, so the merge preserves every member's solo emission
-    /// schedule.  Buffers are reused across activations (this is the fleet's
-    /// per-event hot path; a map rebuilt per flush would churn the allocator).
+    /// schedule.  A lone token leaves its buffer behind for the next activation
+    /// (this is the fleet's per-event hot path; a map rebuilt per flush would churn
+    /// the allocator); a batch takes its buffer along.
     staging: Vec<Vec<Token>>,
-    /// Per-member regroup buffers of incoming batch demultiplexing, reused
-    /// across messages.
+    /// Per-member regroup buffers of incoming batch demultiplexing: filled and
+    /// emptied within one message, so a live session parks no capacity here.
     demux: Vec<Vec<Token>>,
-    /// Retired token vectors (unwrapped incoming batches, flushed staging
-    /// groups), reused for outgoing batches.
-    token_pool: Vec<Vec<Token>>,
     /// With `aggregate` off: every member message, forwarded verbatim in
     /// emission order.  Unused in aggregate mode.
     direct: Vec<(ProcessId, MonitorMsg)>,
@@ -129,22 +134,11 @@ impl FleetMonitor {
             n: n_processes,
             aggregate: opts.aggregate_tokens,
             members,
+            history: LocalHistory::new(n_processes),
             member_outbox: Vec::new(),
             staging: vec![Vec::new(); n_processes],
             demux: vec![Vec::new(); n_members],
-            token_pool: Vec::new(),
             direct: Vec::new(),
-        }
-    }
-
-    /// Caps the retired-vector pool like the monitors' own scratch arenas.
-    const TOKEN_POOL_CAP: usize = 64;
-
-    /// Retires a token vector for reuse as a future outgoing batch.
-    fn recycle_tokens(&mut self, mut tokens: Vec<Token>) {
-        if self.token_pool.len() < Self::TOKEN_POOL_CAP {
-            tokens.clear();
-            self.token_pool.push(tokens);
         }
     }
 
@@ -163,8 +157,9 @@ impl FleetMonitor {
         self.members[k].metrics()
     }
 
-    /// Runs one activation of member `k`, capturing its emissions into the
-    /// fleet's staging area (aggregate mode) or pass-through buffer.
+    /// Runs one activation of member `k` with the process's history on loan,
+    /// capturing its emissions into the fleet's staging area (aggregate mode) or
+    /// pass-through buffer.
     fn run_member(
         &mut self,
         k: usize,
@@ -173,20 +168,21 @@ impl FleetMonitor {
     ) {
         let mut outbox = std::mem::take(&mut self.member_outbox);
         debug_assert!(outbox.is_empty());
+        let recorded = self.history.len();
+        let member = &mut self.members[k];
+        member.swap_history(&mut self.history);
+        debug_assert_eq!(self.history.len(), 0, "a member keeps no history of its own");
         {
             let mut ctx = MonitorContext::new(self.pid, self.n, now, &mut outbox);
-            activate(&mut self.members[k], &mut ctx);
+            activate(member, &mut ctx);
         }
+        member.swap_history(&mut self.history);
+        debug_assert_eq!(self.history.len(), recorded, "members only read the history");
         for (dest, msg) in outbox.drain(..) {
             match msg {
                 _ if !self.aggregate => self.direct.push((dest, msg)),
-                MonitorMsg::Token(token) => {
-                    self.staging[dest].push(token);
-                }
-                MonitorMsg::Batch(mut tokens) => {
-                    self.staging[dest].append(&mut tokens);
-                    self.recycle_tokens(tokens);
-                }
+                MonitorMsg::Token(token) => self.staging[dest].push(token),
+                MonitorMsg::Batch(mut tokens) => self.staging[dest].append(&mut tokens),
             }
         }
         self.member_outbox = outbox;
@@ -206,30 +202,15 @@ impl FleetMonitor {
                     ctx.send(dest, MonitorMsg::Token(token));
                 }
                 _ => {
-                    let mut tokens = self.token_pool.pop().unwrap_or_default();
-                    std::mem::swap(&mut tokens, &mut self.staging[dest]);
+                    let tokens = std::mem::take(&mut self.staging[dest]);
                     ctx.send(dest, MonitorMsg::Batch(tokens));
                 }
             }
         }
     }
 
-    /// Delivers `tokens` (all of one member, in received order) as the message
-    /// the member would have received solo: a singleton travels as
-    /// [`MonitorMsg::Token`], anything larger as [`MonitorMsg::Batch`].
-    fn deliver_member_tokens(
-        &mut self,
-        k: usize,
-        from: ProcessId,
-        mut tokens: Vec<Token>,
-        now: f64,
-    ) {
-        debug_assert!(!tokens.is_empty());
-        let msg = if tokens.len() == 1 {
-            MonitorMsg::Token(tokens.pop().expect("one delivered token"))
-        } else {
-            MonitorMsg::Batch(tokens)
-        };
+    /// Delivers `msg`, whose tokens are all member `k`'s, to that member.
+    fn deliver_member_tokens(&mut self, k: usize, from: ProcessId, msg: MonitorMsg, now: f64) {
         self.run_member(k, now, |m, ctx| m.on_monitor_message(from, msg, ctx));
     }
 }
@@ -238,8 +219,10 @@ impl MonitorBehavior for FleetMonitor {
     type Message = MonitorMsg;
 
     fn on_local_event(&mut self, event: &Event, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        // Recorded once, for every member.
+        self.history.push(event);
         for k in 0..self.members.len() {
-            self.run_member(k, ctx.now, |m, mctx| m.on_local_event(event, mctx));
+            self.run_member(k, ctx.now, |m, mctx| m.on_recorded_event(event.sn, mctx));
         }
         self.flush(ctx);
     }
@@ -251,26 +234,28 @@ impl MonitorBehavior for FleetMonitor {
         ctx: &mut MonitorContext<'_, MonitorMsg>,
     ) {
         match msg {
-            MonitorMsg::Token(token) => {
+            MonitorMsg::Token(ref token) => {
                 let k = token.property as usize;
-                self.deliver_member_tokens(k, from, vec![token], ctx.now);
+                self.deliver_member_tokens(k, from, msg, ctx.now);
             }
-            MonitorMsg::Batch(mut tokens) => {
+            MonitorMsg::Batch(tokens) => {
                 // Demultiplex on the property id, preserving per-member order,
                 // then deliver each member's group as one activation (ascending
-                // member order, matching the sender's member-major merge).
-                for token in tokens.drain(..) {
+                // member order, matching the sender's member-major merge) and as
+                // the message the member would have received solo: a singleton
+                // travels as a `Token`, anything larger as a `Batch`.
+                for token in tokens {
                     let k = token.property as usize;
                     self.demux[k].push(token);
                 }
-                self.recycle_tokens(tokens);
                 for k in 0..self.demux.len() {
-                    if self.demux[k].is_empty() {
-                        continue;
-                    }
-                    let mut group = self.token_pool.pop().unwrap_or_default();
-                    std::mem::swap(&mut group, &mut self.demux[k]);
-                    self.deliver_member_tokens(k, from, group, ctx.now);
+                    let mut group = std::mem::take(&mut self.demux[k]);
+                    let msg = match group.len() {
+                        0 => continue,
+                        1 => MonitorMsg::Token(group.pop().expect("one token")),
+                        _ => MonitorMsg::Batch(group),
+                    };
+                    self.deliver_member_tokens(k, from, msg, ctx.now);
                 }
             }
         }

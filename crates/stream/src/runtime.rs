@@ -27,9 +27,8 @@ use crate::wire::StreamError;
 use dlrv_automaton::MonitorAutomaton;
 use dlrv_ltl::{Assignment, AtomRegistry, Verdict};
 use dlrv_monitor::{
-    combined_verdict, decentralized_session, fleet_member_detected, fleet_member_metrics,
-    fleet_member_possible, fleet_session, DecentralizedSession, FleetMember, FleetSession,
-    MonitorOptions, ShardMetrics,
+    combined_verdict, decentralized_session, fleet_session, DecentralizedSession, FleetMember,
+    FleetSession, MonitorOptions, ShardMetrics,
 };
 use dlrv_vclock::Event;
 use std::collections::{BTreeMap, BTreeSet};
@@ -660,39 +659,52 @@ fn outcome_of(session: ShardSession, drained: bool) -> SessionOutcome {
         }
         ShardSession::Fleet { session, spec } => {
             // `events` counts the stream's events once (every member observes
-            // the same decoded events); the work metrics sum across members.
+            // the same decoded events); the work metrics sum across members.  One
+            // metrics snapshot per member monitor supplies the counts and both
+            // verdict sets, and the session's sets are the unions of its members'.
             let mut events = 0usize;
             let mut global_views = 0usize;
             let mut monitor_tokens = 0usize;
             let mut peak_global_views = 0usize;
+            let mut detected_verdicts = BTreeSet::new();
+            let mut possible_verdicts = BTreeSet::new();
             let mut per_property = Vec::with_capacity(spec.fleet.len());
             for (k, member) in spec.fleet.iter().enumerate() {
-                let metrics = fleet_member_metrics(&session, k);
-                let member_tokens: usize = metrics.iter().map(|m| m.tokens_sent).sum();
-                let member_views: usize =
-                    metrics.iter().map(|m| m.global_views_created).sum();
-                let member_peak: usize = metrics.iter().map(|m| m.max_live_views).sum();
-                if k == 0 {
-                    events = metrics.iter().map(|m| m.events_observed).sum();
+                let mut member_detected = BTreeSet::new();
+                let mut member_possible = BTreeSet::new();
+                let mut member_tokens = 0usize;
+                let mut member_views = 0usize;
+                let mut member_peak = 0usize;
+                for fleet in session.monitors() {
+                    let m = fleet.member_metrics(k);
+                    if k == 0 {
+                        events += m.events_observed;
+                    }
+                    member_tokens += m.tokens_sent;
+                    member_views += m.global_views_created;
+                    member_peak += m.max_live_views;
+                    member_detected.extend(m.detected_final_verdicts);
+                    member_possible.extend(m.possible_verdicts);
                 }
                 global_views += member_views;
                 monitor_tokens += member_tokens;
                 peak_global_views += member_peak;
-                let detected = fleet_member_detected(&session, k);
+                detected_verdicts.extend(member_detected.iter().copied());
+                possible_verdicts.extend(member_possible.iter().copied());
                 per_property.push(PropertyOutcome {
                     property: member.property.clone(),
-                    verdict: combined_verdict(&detected),
-                    detected_verdicts: detected,
-                    possible_verdicts: fleet_member_possible(&session, k),
+                    verdict: combined_verdict(&member_detected),
+                    detected_verdicts: member_detected,
+                    possible_verdicts: member_possible,
                     monitor_tokens: member_tokens,
                     global_views: member_views,
                     peak_global_views: member_peak,
                 });
             }
             SessionOutcome {
-                verdict: session.verdict(),
-                detected_verdicts: session.detected_verdicts(),
-                possible_verdicts: session.possible_verdicts(),
+                verdict: combined_verdict(&detected_verdicts),
+                detected_verdicts,
+                possible_verdicts,
                 monitor_messages: session.monitor_messages(),
                 monitor_tokens,
                 events,

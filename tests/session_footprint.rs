@@ -14,55 +14,17 @@
 
 #![allow(unsafe_code)]
 
-use dlrv::dlrv_monitor::{decentralized_session, DecentralizedSession, MonitorOptions};
-use dlrv::dlrv_ltl::Assignment;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{open_feed_finish, Counting, ARENA_SLACK};
+use dlrv::dlrv_monitor::{decentralized_session, MonitorOptions};
 use dlrv::{simulate_session, ExperimentConfig, PaperProperty, SimulatedSession};
 use dlrv_automaton::MonitorAutomaton;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Bytes currently allocated, process-wide.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a statistic and publishes no data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `alloc`/`realloc` above, i.e. by `System`,
-        // with this layout.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
-        let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new_ptr.is_null() {
-            LIVE.fetch_add(new_size, Ordering::Relaxed);
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        }
-        new_ptr
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-fn live_bytes() -> usize {
-    LIVE.load(Ordering::Relaxed)
-}
 
 const SESSIONS: usize = 200;
 /// Live heap a session may hold per event it has been fed, set-up included.  The
@@ -70,39 +32,6 @@ const SESSIONS: usize = 200;
 /// held 267; the map nodes of the parked-token index and the in-flight counts, 79.
 /// Measured: 68.
 const BYTES_PER_EVENT: usize = 100;
-/// What may stay allocated after every session is gone: late growth of the thread's
-/// scratch arena, whose pools are capped at 64 small buffers each (about 25 KB once
-/// they are all full, which the warm-up round below all but guarantees).
-const ARENA_SLACK: usize = 8 * 1024;
-
-/// Opens one session per input, all together, feeds them interleaved as a stream
-/// would deliver them, then finishes and drops them all.  Returns the heap the live
-/// sessions held just before the first `finish`, and what was still allocated after
-/// the last drop — both relative to the level before the first open.
-fn open_feed_finish(
-    inputs: &[SimulatedSession],
-    open: impl Fn(Assignment) -> DecentralizedSession,
-) -> (usize, usize) {
-    let longest = inputs.iter().map(|s| s.events.len()).max().unwrap_or(0);
-    let mut sessions: Vec<DecentralizedSession> = Vec::with_capacity(inputs.len());
-    let before = live_bytes();
-
-    sessions.extend(inputs.iter().map(|s| open(s.initial_state)));
-    for i in 0..longest {
-        for (session, input) in sessions.iter_mut().zip(inputs) {
-            if let Some(event) = input.events.get(i) {
-                session.feed_event(event);
-            }
-        }
-    }
-    let held = live_bytes() - before;
-
-    for session in &mut sessions {
-        session.finish();
-    }
-    sessions.clear();
-    (held, live_bytes().saturating_sub(before))
-}
 
 #[test]
 fn live_sessions_stay_within_the_per_event_budget_and_give_everything_back() {
