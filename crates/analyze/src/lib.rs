@@ -225,7 +225,7 @@ fn hygiene_lints(
         if !reach.reachable[s] {
             continue;
         }
-        let all: Vec<_> = automaton.transitions_from(s).collect();
+        let all = automaton.transitions_from(s);
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 if a.guard.conjoin(&b.guard).is_some() {
@@ -272,7 +272,7 @@ fn hygiene_lints(
         }
         for sigma in Assignment::enumerate(automaton.n_atoms) {
             let covered =
-                automaton.transitions_from(s).any(|t| t.guard.eval(sigma));
+                automaton.transitions_from(s).iter().any(|t| t.guard.eval(sigma));
             if !covered {
                 holes.push(format!("q{s}"));
                 break;

@@ -7,15 +7,26 @@
 //! of some successor).  Acceptance of `u` therefore means "`u` can be extended to an
 //! infinite word satisfying φ".  This module performs the subset construction of that
 //! NFA over the explicit alphabet `2^AP`.
+//!
+//! The construction runs on bits.  A subset of GBA nodes is a bitset of
+//! `⌈nodes / 64⌉` words.  Before the worklist starts, every node is reduced to its
+//! successor bitset and whether it has a live successor, and every symbol `σ` to the
+//! bitset of nodes whose label it satisfies (a label is a cube, held as a
+//! `(care, value)` mask pair over the atoms: `σ` satisfies it iff
+//! `σ & care == value`).  A popped subset ORs its members' successor bitsets once;
+//! its successor on `σ` is that union ANDed with `σ`'s bitset, looked up by slice in
+//! the subset index.  The worklist order (LIFO, symbols ascending, states numbered in
+//! discovery order) is the one the construction has always had, so the table and its
+//! numbering do not depend on the representation (`tests/synthesis_identity.rs`
+//! holds it to the set-based original).
 
-use crate::gba::{GeneralizedBuchi, NodeId, INIT_NODE};
+use crate::gba::{GeneralizedBuchi, INIT_NODE};
 use dlrv_ltl::Assignment;
-use std::collections::BTreeSet;
 use std::collections::HashMap;
 
 /// A deterministic automaton over the explicit alphabet of assignments on `n_atoms`
 /// atomic propositions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dfa {
     /// Number of atomic propositions (alphabet size is `2^n_atoms`).
     pub n_atoms: usize,
@@ -39,51 +50,71 @@ impl Dfa {
             n_atoms <= 16,
             "explicit subset construction over {n_atoms} atoms is not supported"
         );
-        let alphabet: Vec<Assignment> = Assignment::enumerate(n_atoms).collect();
-
-        // Pre-compute, for every GBA node, its successors and whether they are live.
+        let n_symbols = 1usize << n_atoms;
         let n_nodes = gba.nodes.len();
-        let successors: Vec<Vec<NodeId>> = (0..n_nodes).map(|q| gba.successors(q)).collect();
+        let words = n_nodes.div_ceil(64);
 
-        // A subset state is a sorted set of GBA nodes.  The initial subset is the
-        // singleton {INIT_NODE} (the empty word has been read).
-        let mut subsets: Vec<BTreeSet<NodeId>> = Vec::new();
-        let mut index: HashMap<BTreeSet<NodeId>, usize> = HashMap::new();
-        let mut table: Vec<Vec<usize>> = Vec::new();
-        let mut accepting: Vec<bool> = Vec::new();
-
-        let is_accepting = |subset: &BTreeSet<NodeId>| -> bool {
-            subset
+        // Per node, once: its successor bitset (row `q` of `succ`) and whether it has
+        // a live successor.
+        let mut succ = vec![0u64; n_nodes * words];
+        let mut feeds_live = Vec::with_capacity(n_nodes);
+        for (q, bits) in succ.chunks_exact_mut(words).enumerate() {
+            for &r in gba.successors(q) {
+                insert(bits, r);
+            }
+            feeds_live.push(gba.successors(q).iter().any(|&r| gba.is_live(r)));
+        }
+        // Per symbol, once: the nodes whose label it satisfies (row `σ` of `fits`).
+        let mut fits = vec![0u64; n_symbols * words];
+        for (r, node) in gba.nodes.iter().enumerate() {
+            let (care, value) = node
+                .label()
+                .literals()
                 .iter()
-                .any(|&q| successors[q].iter().any(|&r| gba.is_live(r)))
-        };
+                .fold((0u64, 0u64), |(c, v), lit| {
+                    let bit = 1u64 << lit.atom.index();
+                    (c | bit, if lit.positive { v | bit } else { v })
+                });
+            for (sigma, bits) in fits.chunks_exact_mut(words).enumerate() {
+                if sigma as u64 & care == value {
+                    insert(bits, r);
+                }
+            }
+        }
+        let is_accepting = |subset: &[u64]| members(subset).any(|q| feeds_live[q]);
 
-        let initial_set = BTreeSet::from([INIT_NODE]);
-        index.insert(initial_set.clone(), 0);
-        accepting.push(is_accepting(&initial_set));
-        subsets.push(initial_set);
-        table.push(Vec::new());
+        // Subset `s` is `subsets[s * words..][..words]`.  The initial subset is the
+        // singleton {INIT_NODE} (the empty word has been read).
+        let mut initial = vec![0u64; words];
+        insert(&mut initial, INIT_NODE);
+        let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut accepting = vec![is_accepting(&initial)];
+        let mut subsets = initial.clone();
+        index.insert(initial, 0);
+        let mut table: Vec<Vec<usize>> = vec![Vec::new()];
 
+        let mut union = vec![0u64; words];
+        let mut next = vec![0u64; words];
         let mut worklist = vec![0usize];
         while let Some(s) = worklist.pop() {
-            let current = subsets[s].clone();
-            let mut row = Vec::with_capacity(alphabet.len());
-            for &sigma in &alphabet {
-                let mut next: BTreeSet<NodeId> = BTreeSet::new();
-                for &q in &current {
-                    for &r in &successors[q] {
-                        if gba.label_satisfied(r, sigma) {
-                            next.insert(r);
-                        }
-                    }
+            union.fill(0);
+            for q in members(&subsets[s * words..][..words]) {
+                for (u, w) in union.iter_mut().zip(&succ[q * words..][..words]) {
+                    *u |= w;
                 }
-                let id = match index.get(&next) {
+            }
+            let mut row = Vec::with_capacity(n_symbols);
+            for fit in fits.chunks_exact(words) {
+                for ((n, u), f) in next.iter_mut().zip(&union).zip(fit) {
+                    *n = u & f;
+                }
+                let id = match index.get(next.as_slice()) {
                     Some(&id) => id,
                     None => {
-                        let id = subsets.len();
+                        let id = table.len();
                         index.insert(next.clone(), id);
                         accepting.push(is_accepting(&next));
-                        subsets.push(next);
+                        subsets.extend_from_slice(&next);
                         table.push(Vec::new());
                         worklist.push(id);
                         id
@@ -94,14 +125,9 @@ impl Dfa {
             table[s] = row;
         }
 
-        // Normalize: every state must have a complete row (placeholder rows were
-        // resized when their state was popped from the worklist).
-        let n_states = subsets.len();
-        debug_assert!(table.iter().all(|r| r.len() == alphabet.len()));
-
         Dfa {
             n_atoms,
-            n_states,
+            n_states: table.len(),
             initial: 0,
             accepting,
             table,
@@ -123,6 +149,25 @@ impl Dfa {
     pub fn is_accepting(&self, state: usize) -> bool {
         self.accepting[state]
     }
+}
+
+/// Adds node `i` to a node bitset.
+fn insert(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+/// The members of a node bitset, ascending.
+fn members(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 #[cfg(test)]

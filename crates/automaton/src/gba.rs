@@ -10,7 +10,7 @@
 //! `qᵢ` and every acceptance set is visited infinitely often (one acceptance set per
 //! until-subformula).
 
-use dlrv_ltl::{Assignment, Cube, Formula, Literal};
+use dlrv_ltl::{Cube, Formula, Literal};
 use std::collections::BTreeSet;
 
 /// Index of a tableau node.  Node `0` is the virtual initial node.
@@ -65,6 +65,8 @@ pub struct GeneralizedBuchi {
     pub acceptance_sets: Vec<BTreeSet<NodeId>>,
     /// `live[q]` — true iff an accepting infinite run *starts* at node `q`.
     pub live: Vec<bool>,
+    /// `successors[q]` — the nodes listing `q` as incoming, ascending.
+    successors: Vec<Vec<NodeId>>,
 }
 
 impl GeneralizedBuchi {
@@ -87,26 +89,26 @@ impl GeneralizedBuchi {
         builder.expand(start);
 
         let acceptance_sets = Self::acceptance_sets(&nnf, &builder.nodes);
+        let mut successors = vec![Vec::new(); builder.nodes.len()];
+        for (r, node) in builder.nodes.iter().enumerate().skip(1) {
+            for &q in &node.incoming {
+                successors[q].push(r);
+            }
+        }
         let mut gba = GeneralizedBuchi {
             formula: nnf,
             nodes: builder.nodes,
             acceptance_sets,
             live: Vec::new(),
+            successors,
         };
         gba.live = gba.compute_liveness();
         gba
     }
 
-    /// The successors of node `q` (nodes that list `q` as incoming).
-    pub fn successors(&self, q: NodeId) -> Vec<NodeId> {
-        (1..self.nodes.len())
-            .filter(|&r| self.nodes[r].incoming.contains(&q))
-            .collect()
-    }
-
-    /// True iff symbol `sigma` satisfies the label of node `q`.
-    pub fn label_satisfied(&self, q: NodeId, sigma: Assignment) -> bool {
-        self.nodes[q].label().eval(sigma)
+    /// The successors of node `q` (nodes that list `q` as incoming), ascending.
+    pub fn successors(&self, q: NodeId) -> &[NodeId] {
+        &self.successors[q]
     }
 
     /// True iff some infinite accepting run starts at `q` (i.e. the language of the
@@ -142,8 +144,8 @@ impl GeneralizedBuchi {
     /// iff it can reach a non-trivial SCC that intersects every acceptance set.
     fn compute_liveness(&self) -> Vec<bool> {
         let n = self.nodes.len();
-        let succ: Vec<Vec<NodeId>> = (0..n).map(|q| self.successors(q)).collect();
-        let sccs = tarjan_sccs(n, &succ);
+        let succ = &self.successors;
+        let sccs = tarjan_sccs(n, succ);
 
         // An SCC is "fair" if it contains a cycle and intersects every acceptance set.
         let mut scc_of = vec![usize::MAX; n];
@@ -227,10 +229,9 @@ impl Builder {
     fn expand(&mut self, mut node: PendingNode) {
         let Some(f) = node.new.iter().next().cloned() else {
             // All obligations processed: merge with an existing identical node or add.
-            for (id, existing) in self.nodes.iter_mut().enumerate().skip(1) {
+            for existing in self.nodes.iter_mut().skip(1) {
                 if existing.old == node.old && existing.next == node.next {
                     existing.incoming.extend(node.incoming.iter().copied());
-                    let _ = id;
                     return;
                 }
             }

@@ -90,8 +90,11 @@ pub struct MonitorAutomaton {
     pub initial: StateId,
     /// Explicit transition table: `table[s][sigma.0]`.
     table: Vec<Vec<StateId>>,
-    /// Symbolic conjunctive transitions (derived from the explicit table).
+    /// Symbolic conjunctive transitions (derived from the explicit table), grouped
+    /// by source state in state order.
     pub transitions: Vec<SymbolicTransition>,
+    /// `transitions[first_transition[s]..first_transition[s + 1]]` leave state `s`.
+    first_transition: Vec<usize>,
 }
 
 impl MonitorAutomaton {
@@ -166,6 +169,18 @@ impl MonitorAutomaton {
 
         let transitions =
             symbolic_transitions(&min_table, &min_verdicts, n_atoms, n_symbols);
+        let mut first_transition = vec![0usize; min_verdicts.len() + 1];
+        for t in &transitions {
+            first_transition[t.from + 1] += 1;
+        }
+        for s in 1..first_transition.len() {
+            first_transition[s] += first_transition[s - 1];
+        }
+        let max_cubes_per_state = first_transition
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0);
 
         let automaton = MonitorAutomaton {
             formula: formula.clone(),
@@ -174,11 +189,8 @@ impl MonitorAutomaton {
             initial: min_initial,
             table: min_table,
             transitions,
+            first_transition,
         };
-        let mut cubes_per_state = vec![0usize; automaton.n_states()];
-        for t in &automaton.transitions {
-            cubes_per_state[t.from] += 1;
-        }
         let report = SynthesisReport {
             n_atoms,
             alphabet_size: n_symbols,
@@ -189,7 +201,7 @@ impl MonitorAutomaton {
             product_states,
             states: automaton.n_states(),
             transitions: automaton.transition_counts(),
-            max_cubes_per_state: cubes_per_state.iter().copied().max().unwrap_or(0),
+            max_cubes_per_state,
         };
         (automaton, report)
     }
@@ -238,14 +250,15 @@ impl MonitorAutomaton {
         self.verdicts[s]
     }
 
-    /// All symbolic transitions leaving `state` (self-loops included).
-    pub fn transitions_from(&self, state: StateId) -> impl Iterator<Item = &SymbolicTransition> {
-        self.transitions.iter().filter(move |t| t.from == state)
+    /// All symbolic transitions leaving `state` (self-loops included), in id order.
+    pub fn transitions_from(&self, state: StateId) -> &[SymbolicTransition] {
+        &self.transitions[self.first_transition[state]..self.first_transition[state + 1]]
     }
 
     /// Symbolic transitions leaving `state` whose target differs from `state`.
     pub fn outgoing_transitions(&self, state: StateId) -> Vec<&SymbolicTransition> {
         self.transitions_from(state)
+            .iter()
             .filter(|t| !t.is_self_loop())
             .collect()
     }
@@ -253,6 +266,7 @@ impl MonitorAutomaton {
     /// Symbolic self-loop transitions of `state`.
     pub fn self_loop_transitions(&self, state: StateId) -> Vec<&SymbolicTransition> {
         self.transitions_from(state)
+            .iter()
             .filter(|t| t.is_self_loop())
             .collect()
     }
@@ -395,7 +409,9 @@ fn minimize_moore(
 /// `t`, the set of such symbols is compacted into a DNF cover; each cube of the cover
 /// becomes one [`SymbolicTransition`].  Transitions out of ⊤/⊥ trap states are not
 /// split per target (the paper draws a single `true` self-loop on final states), so
-/// final states get exactly one `true` self-loop.
+/// final states get exactly one `true` self-loop.  Transitions come out grouped by
+/// source state, in state order, and are numbered in that order
+/// ([`MonitorAutomaton::transitions_from`] slices by it).
 fn symbolic_transitions(
     table: &[Vec<StateId>],
     verdicts: &[Verdict],
@@ -583,6 +599,7 @@ mod tests {
                 let target = m.step(s, sigma);
                 let matching: Vec<_> = m
                     .transitions_from(s)
+                    .iter()
                     .filter(|t| t.guard.eval(sigma))
                     .collect();
                 assert!(

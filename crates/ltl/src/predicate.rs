@@ -9,7 +9,7 @@
 
 use crate::atoms::{AtomId, AtomRegistry, ProcessId};
 use crate::syntax::Formula;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A truth assignment over at most 64 atomic propositions, stored as a bitmask.
@@ -366,6 +366,12 @@ impl Predicate {
     /// polarity of exactly one atom, then dropping subsumed cubes).  It is used to turn
     /// the explicit transition relation of a synthesized monitor into the conjunctive
     /// transition labels the paper reports in Table 5.1.
+    ///
+    /// The pass runs on `(care, value)` bit masks and builds [`Cube`]s only for the
+    /// result; it orders the masks exactly as `Cube`'s own ordering would, so the
+    /// cover — and the transition ids numbered from it — comes out in a fixed order.
+    ///
+    /// Panics if `n_atoms > 21`.
     pub fn cover_of_assignments(assignments: &[Assignment], n_atoms: usize) -> Predicate {
         if assignments.is_empty() {
             return Predicate::bottom();
@@ -374,42 +380,57 @@ impl Predicate {
         if assignments.len() as u64 == total {
             return Predicate::top();
         }
+        assert!(
+            n_atoms <= MaskCube::MAX_ATOMS,
+            "a cover over {n_atoms} atoms is not supported"
+        );
         // Start with one full cube per assignment.
-        let mut cubes: Vec<Cube> = assignments
+        let full = total - 1;
+        let mut cubes: Vec<MaskCube> = assignments
             .iter()
-            .map(|a| {
-                let lits = (0..n_atoms as u32).map(|i| {
-                    let atom = AtomId(i);
-                    if a.get(atom) {
-                        Literal::pos(atom)
-                    } else {
-                        Literal::neg(atom)
-                    }
-                });
-                Cube::new(lits).expect("full cube cannot contradict")
+            .map(|a| MaskCube {
+                care: full,
+                value: a.0 & full,
             })
             .collect();
 
         // Iteratively merge cube pairs that differ in exactly one atom's polarity.
+        let mut partners = Vec::new();
         loop {
-            cubes.sort();
+            cubes.sort_by_cached_key(MaskCube::literal_order);
             cubes.dedup();
+            let position: HashMap<MaskCube, usize> =
+                cubes.iter().enumerate().map(|(i, &c)| (c, i)).collect();
             let mut merged = Vec::new();
             let mut used = vec![false; cubes.len()];
-            let mut changed = false;
-            for i in 0..cubes.len() {
-                for j in (i + 1)..cubes.len() {
-                    if let Some(m) = merge_adjacent(&cubes[i], &cubes[j]) {
-                        merged.push(m);
-                        used[i] = true;
-                        used[j] = true;
-                        changed = true;
-                    }
+            for (i, &c) in cubes.iter().enumerate() {
+                // The cubes after `c` that differ from it in one polarity, met in list
+                // order, as a scan over all pairs `i < j` would meet them.
+                partners.clear();
+                partners.extend(c.care_bits().filter_map(|bit| {
+                    let flipped = MaskCube {
+                        care: c.care,
+                        value: c.value ^ bit,
+                    };
+                    position
+                        .get(&flipped)
+                        .filter(|&&j| j > i)
+                        .map(|&j| (j, bit))
+                }));
+                partners.sort_unstable();
+                for &(j, bit) in &partners {
+                    merged.push(MaskCube {
+                        care: c.care & !bit,
+                        value: c.value & !bit,
+                    });
+                    used[i] = true;
+                    used[j] = true;
                 }
             }
-            for (i, c) in cubes.iter().enumerate() {
+            let changed = !merged.is_empty();
+            for (i, &c) in cubes.iter().enumerate() {
                 if !used[i] {
-                    merged.push(c.clone());
+                    merged.push(c);
                 }
             }
             cubes = merged;
@@ -418,39 +439,77 @@ impl Predicate {
             }
         }
 
-        // Drop subsumed cubes.
-        let mut pred = Predicate::bottom();
+        // Drop subsumed cubes, as `add_cube` does.
+        let mut kept: Vec<MaskCube> = Vec::new();
         for c in cubes {
-            pred.add_cube(c);
+            if kept.iter().any(|k| c.implies(*k)) {
+                continue;
+            }
+            kept.retain(|k| !k.implies(c));
+            kept.push(c);
         }
-        pred
+        Predicate {
+            cubes: kept.into_iter().map(MaskCube::to_cube).collect(),
+        }
     }
 }
 
-/// Merges two cubes over the same atoms that differ in exactly one literal's polarity.
-fn merge_adjacent(a: &Cube, b: &Cube) -> Option<Cube> {
-    if a.len() != b.len() {
-        return None;
-    }
-    let mut diff_atom = None;
-    for (la, lb) in a.literals().iter().zip(b.literals().iter()) {
-        if la.atom != lb.atom {
-            return None;
+/// A cube over atoms `0..64` as two masks: bit `i` of `care` says atom `i` is
+/// constrained, bit `i` of `value` the polarity it must have (`value ⊆ care`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct MaskCube {
+    care: u64,
+    value: u64,
+}
+
+impl MaskCube {
+    /// Atoms [`literal_order`](Self::literal_order) can pack: 21 six-bit fields fit
+    /// a `u128`, and the largest code (atom 20, positive) is 42.
+    const MAX_ATOMS: usize = 21;
+
+    /// A key that orders mask cubes as [`Cube`]'s derived `Ord` orders their literal
+    /// vectors: one 6-bit field per literal, atoms ascending, most significant field
+    /// first, code `atom * 2 + positive + 1` (so the zero padding after a shorter
+    /// cube sorts it before every extension of it, as a vector prefix does).
+    fn literal_order(&self) -> u128 {
+        let mut key = 0u128;
+        let mut fields = 0;
+        for bit in self.care_bits() {
+            let atom = bit.trailing_zeros();
+            let code = u128::from(atom) * 2 + 1 + u128::from(self.value & bit != 0);
+            key = (key << 6) | code;
+            fields += 1;
         }
-        if la.positive != lb.positive {
-            if diff_atom.is_some() {
-                return None;
-            }
-            diff_atom = Some(la.atom);
-        }
+        key << (6 * (Self::MAX_ATOMS - fields))
     }
-    let diff = diff_atom?;
-    Cube::new(
-        a.literals()
-            .iter()
-            .copied()
-            .filter(|l| l.atom != diff),
-    )
+
+    /// One single-bit mask per constrained atom, ascending.
+    fn care_bits(self) -> impl Iterator<Item = u64> {
+        let mut care = self.care;
+        std::iter::from_fn(move || {
+            (care != 0).then(|| {
+                let bit = care & care.wrapping_neg();
+                care &= care - 1;
+                bit
+            })
+        })
+    }
+
+    /// [`Cube::implies`]: every literal of `other` is a literal of `self`.
+    fn implies(self, other: MaskCube) -> bool {
+        other.care & !self.care == 0 && self.value & other.care == other.value
+    }
+
+    fn to_cube(self) -> Cube {
+        let literals = self
+            .care_bits()
+            .map(|bit| Literal {
+                atom: AtomId(bit.trailing_zeros()),
+                positive: self.value & bit != 0,
+            })
+            .collect();
+        Cube { literals }
+    }
 }
 
 impl fmt::Display for Predicate {

@@ -616,7 +616,7 @@ impl DecentralizedMonitor {
         // A second handle to the shared automaton, so iterating its transitions does
         // not hold a borrow of `self` across the pool calls below.
         let automaton = Arc::clone(&self.automaton);
-        for t in automaton.transitions_from(gv.q).filter(|t| !t.is_self_loop()) {
+        for t in automaton.transitions_from(gv.q).iter().filter(|t| !t.is_self_loop()) {
             // The local conjunct must be satisfied by the process's own (fresh) state.
             if !self.conjunct_holds(t, self.pid, gv.gstate) {
                 continue;
