@@ -13,6 +13,12 @@
 //! (`RECEIVETOKEN`), and views that have converged to the same exploration point are
 //! merged (`MERGESIMILARGLOBALVIEWS`).
 //!
+//! A view that reaches ⊤ or ⊥ is retired the moment it gets there: its verdict is
+//! recorded and its cut reclaimed.  Both are sinks of the minimal LTL₃ monitor, so
+//! such a view could never change state, launch a token or merge with a view that
+//! can still move — a monitor holds only the views that can, and its peak-view
+//! count (the memory cost of Chapter 5) counts only those.
+//!
 //! # The §4.3 optimization suite
 //!
 //! The three overhead optimizations of §4.3 are individually switchable through
@@ -226,7 +232,8 @@ pub struct DecentralizedMonitor {
     delivered: u64,
     /// Tokens waiting for a future local event (`w_tokens`).
     waiting_tokens: WaitingTokens,
-    /// The set of global views (`GV`).
+    /// The set of global views (`GV`) that can still move: a view that reaches ⊤ or
+    /// ⊥ is retired on the spot and never held here.
     views: Vec<GlobalView>,
     /// Next fresh global-view identifier.
     next_gv_id: u64,
@@ -249,7 +256,9 @@ pub struct DecentralizedMonitor {
 
 impl DecentralizedMonitor {
     /// INIT (Algorithm 1): creates monitor `Mi` with its initial global view, already
-    /// advanced over the initial global state.
+    /// advanced over the initial global state — or with no view at all when that
+    /// state is already ⊤ or ⊥: the verdict is recorded and the view retired, as
+    /// every view that reaches one is.
     pub fn new(
         pid: ProcessId,
         n_processes: usize,
@@ -259,17 +268,19 @@ impl DecentralizedMonitor {
         opts: MonitorOptions,
     ) -> Self {
         let q0 = automaton.step(automaton.initial, initial_gstate);
-        let gv0 = GlobalView::initial(0, n_processes, initial_gstate, q0);
         let mut metrics = MonitorMetrics {
             global_views_created: 1,
-            max_live_views: 1,
             ..MonitorMetrics::default()
         };
-        if automaton.is_final(q0) {
+        let views = if automaton.is_final(q0) {
             metrics
                 .detected_final_verdicts
                 .insert(automaton.verdict(q0));
-        }
+            Vec::new()
+        } else {
+            vec![GlobalView::initial(0, n_processes, initial_gstate, q0)]
+        };
+        metrics.max_live_views = views.len();
         DecentralizedMonitor {
             pid,
             property: 0,
@@ -280,7 +291,7 @@ impl DecentralizedMonitor {
             history: LocalHistory::new(n_processes),
             delivered: 0,
             waiting_tokens: WaitingTokens::new(),
-            views: vec![gv0],
+            views,
             next_gv_id: 1,
             local_terminated: false,
             in_flight: Vec::new(),
@@ -307,7 +318,7 @@ impl DecentralizedMonitor {
         std::mem::swap(&mut self.history, other);
     }
 
-    /// The current global views.
+    /// The live global views — the ones that can still move; none is at ⊤ or ⊥.
     pub fn views(&self) -> &[GlobalView] {
         &self.views
     }
@@ -477,12 +488,17 @@ impl DecentralizedMonitor {
         gstate
     }
 
-    fn record_state_verdict(&mut self, q: dlrv_automaton::StateId) {
-        if self.automaton.is_final(q) {
-            self.metrics
-                .detected_final_verdicts
-                .insert(self.automaton.verdict(q));
-        }
+    /// Retires a view that reached the final state `q`.  ⊤ and ⊥ are sinks of the
+    /// LTL₃ monitor, so such a view would never change state again, never launch a
+    /// token and could only ever merge with another final view: all it still
+    /// carries is its verdict, which goes into the detected set.  Its cut — its only
+    /// allocation — goes back to the pool.
+    fn retire_view(&mut self, q: dlrv_automaton::StateId, gcut: VectorClock) {
+        debug_assert!(self.automaton.is_final(q));
+        self.metrics
+            .detected_final_verdicts
+            .insert(self.automaton.verdict(q));
+        self.reclaim_clock(gcut);
     }
 
     /// §4.3.3 extension: true when exploring a transition into `target` could only
@@ -498,6 +514,10 @@ impl DecentralizedMonitor {
 
     /// Updates the peak-live-view count (the §4.3 memory-overhead measurement).
     fn note_view_peak(&mut self) {
+        debug_assert!(
+            self.views.iter().all(|gv| !self.automaton.is_final(gv.q)),
+            "a view at ⊤ or ⊥ is retired, never held"
+        );
         self.metrics.max_live_views = self.metrics.max_live_views.max(self.views.len());
         dlrv_obs::gauge!("monitor.live_views").raise_to(self.views.len() as i64);
     }
@@ -908,7 +928,9 @@ impl DecentralizedMonitor {
                     enabled_targets.insert(target);
                     // §4.3.2: never fork a view whose exploration point is already
                     // represented.  Freshly spawned views are pushed into `self.views`
-                    // at once, so this scan sees the siblings spawned just above too.
+                    // at once, so this scan sees the siblings spawned just above too —
+                    // the live ones: a view at ⊤/⊥ is retired, and a repeat fork into
+                    // a detected verdict is stopped by §4.3.3 above, if at all.
                     if self.opts.dedup_global_views
                         && self.views.iter().any(|gv| {
                             gv.q == target && gv.gstate == tran.gstate && gv.gcut == tran.gcut
@@ -973,9 +995,15 @@ impl DecentralizedMonitor {
     /// Forks a new global view at `q` with the constructed cut and state (the caller
     /// has already applied the §4.3.2 duplicate check).  Its queue starts empty: it
     /// will be offered the local events that follow, not the ones already delivered.
+    /// A view forked at ⊤ or ⊥ counts as created and is retired at once.
     fn spawn_view(&mut self, q: dlrv_automaton::StateId, gcut: VectorClock, gstate: Assignment) {
         let id = self.next_gv_id;
         self.next_gv_id += 1;
+        self.metrics.global_views_created += 1;
+        if self.automaton.is_final(q) {
+            self.retire_view(q, gcut);
+            return;
+        }
         let gv = GlobalView {
             id,
             gcut,
@@ -984,8 +1012,6 @@ impl DecentralizedMonitor {
             next_sn: self.empty_queue_cursor(),
             state: GvState::Unblocked,
         };
-        self.metrics.global_views_created += 1;
-        self.record_state_verdict(q);
         self.views.push(gv);
         self.note_view_peak();
     }
@@ -996,6 +1022,7 @@ impl DecentralizedMonitor {
     /// empty — an out-parameter so callers can recycle one buffer across an event's
     /// whole view set.  The first one follows the local progress path (the fork, if
     /// the view forked); `gv` itself, `Waiting` if it launched a token, comes last.
+    /// A view the event takes to ⊤ or ⊥ is retired and produces nothing.
     fn process_event_on_view(
         &mut self,
         mut gv: GlobalView,
@@ -1013,24 +1040,18 @@ impl DecentralizedMonitor {
         let is_consistent = (0..self.n).all(|j| j == self.pid || gv.gcut.get(j) >= vc[j]);
         gv.gstate = self.apply_local_state(gv.gstate, self.history.state(sn));
 
-        // Whether the view took a real step on this event; only then does a copy
-        // survive the fork below.
-        let mut keep_after_fork = false;
+        // Only a view that took a step on this event leaves a copy behind at the
+        // fork below.
         if is_consistent {
-            let target = self.automaton.step(gv.q, gv.gstate);
-            if target != gv.q || !self.automaton.is_final(gv.q) {
-                gv.q = target;
-                keep_after_fork = true;
-                self.record_state_verdict(target);
+            gv.q = self.automaton.step(gv.q, gv.gstate);
+            if self.automaton.is_final(gv.q) {
+                self.retire_view(gv.q, gv.gcut);
+                return;
             }
         }
 
         // Look for outgoing transitions that concurrent events elsewhere could enable.
-        let candidates = if self.automaton.is_final(gv.q) {
-            Vec::new()
-        } else {
-            self.candidate_transitions(&gv, sn)
-        };
+        let candidates = self.candidate_transitions(&gv, sn);
 
         // §4.3.2: if an exploration for this automaton state is already in flight at
         // this monitor, do not launch a duplicate one — the waiting view will reprocess
@@ -1054,7 +1075,7 @@ impl DecentralizedMonitor {
 
         // Fork: keep a copy following the local progress path while the original waits
         // for the token (Algorithm 2, lines 33–37).
-        if keep_after_fork {
+        if is_consistent {
             let duplicate_exists = self.opts.dedup_global_views
                 && (self.views.iter().any(|other| other.same_slice(&gv))
                     || produced.iter().any(|other: &GlobalView| other.same_slice(&gv)));
@@ -1126,6 +1147,10 @@ impl DecentralizedMonitor {
             self.metrics.backlog_events_drained += 1;
             let gv = self.views.remove(idx);
             self.process_event_on_view(gv, sn, ctx, &mut produced);
+            if produced.is_empty() {
+                // The view retired at ⊤/⊥, and its drain with it.
+                break;
+            }
             // Back where the view was, and on with the drained view itself: it comes
             // last, behind its fork (whose queue is empty).
             let at = idx;
@@ -1177,7 +1202,7 @@ impl DecentralizedMonitor {
         let mut rebuilt = self.take_view_buf();
         rebuilt.reserve(staged.len());
         let mut produced = self.take_view_buf();
-        for mut gv in staged.drain(..) {
+        'views: for mut gv in staged.drain(..) {
             if !gv.is_unblocked() {
                 delayed += gv.queued(self.delivered);
             }
@@ -1186,9 +1211,10 @@ impl DecentralizedMonitor {
                 let Some(sn) = gv.pop_queued(self.delivered) else { break };
                 self.process_event_on_view(gv, sn, ctx, &mut produced);
                 // On with the first produced view, which follows local progress;
-                // any other waits for its token.
+                // any other waits for its token.  None: the view retired at ⊤/⊥.
                 let mut views = produced.drain(..);
-                gv = views.next().expect("the continuation view is always produced");
+                let Some(next) = views.next() else { continue 'views };
+                gv = next;
                 rebuilt.extend(views);
             }
             rebuilt.push(gv);
@@ -1373,6 +1399,117 @@ mod tests {
         let _a1 = reg.intern("P1.p", 1);
         let monitors = setup(2, Formula::eventually(Formula::Atom(a0)), reg);
         assert_eq!(monitors[0].metrics().max_live_views, 1);
+    }
+
+    /// Monitor `M0` of `G P0.p` over two processes, started where `P0.p` holds iff
+    /// `p0_holds`, with one local event recorded on which it does not.
+    fn invariant_monitor(p0_holds: bool) -> (DecentralizedMonitor, Event) {
+        let mut reg = AtomRegistry::new();
+        let a0 = reg.intern("P0.p", 0);
+        let _a1 = reg.intern("P1.p", 1);
+        let automaton = Arc::new(MonitorAutomaton::synthesize(
+            &Formula::globally(Formula::Atom(a0)),
+            &reg,
+        ));
+        let init = if p0_holds {
+            Assignment::from_true_atoms([a0])
+        } else {
+            Assignment::ALL_FALSE
+        };
+        let opts = MonitorOptions::default();
+        let m = DecentralizedMonitor::new(0, 2, automaton, Arc::new(reg), init, opts);
+        (m, local_event(1, Assignment::ALL_FALSE))
+    }
+
+    #[test]
+    fn a_local_step_into_bottom_retires_the_view() {
+        let (mut m0, violation) = invariant_monitor(true);
+        let mut outbox = Vec::new();
+        let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
+        m0.on_local_event(&violation, &mut ctx);
+        assert!(m0.views().is_empty(), "the ⊥ view is retired, not held: {:?}", m0.views());
+        let bottom = BTreeSet::from([Verdict::False]);
+        assert_eq!((m0.detected_final_verdicts(), &m0.possible_verdicts()), (&bottom, &bottom));
+        let metrics = m0.metrics();
+        assert_eq!((metrics.global_views_created, metrics.max_live_views), (1, 1));
+        assert_eq!(metrics.global_views_final, 0);
+    }
+
+    #[test]
+    fn a_final_initial_state_means_no_view() {
+        // `P0.p` is false before the first event: `G P0.p` is violated at q₀.
+        let (mut m0, event) = invariant_monitor(false);
+        assert!(m0.views().is_empty());
+        let bottom = BTreeSet::from([Verdict::False]);
+        assert_eq!((m0.detected_final_verdicts(), &m0.possible_verdicts()), (&bottom, &bottom));
+        let metrics = m0.metrics();
+        assert_eq!((metrics.global_views_created, metrics.max_live_views), (1, 0));
+        // Events and termination find nothing to do.
+        let mut outbox = Vec::new();
+        let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
+        m0.on_local_event(&event, &mut ctx);
+        m0.on_local_termination(&mut ctx);
+        assert!(m0.views().is_empty() && outbox.is_empty());
+        assert_eq!(m0.possible_verdicts(), bottom);
+    }
+
+    #[test]
+    fn a_returned_token_enabling_top_counts_a_view_and_holds_none() {
+        let (mut m0, p0) = goal_monitor(MonitorOptions::default());
+        let mut outbox = Vec::new();
+        let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
+        m0.on_local_event(&local_event(1, p0), &mut ctx);
+        let Some((1, MonitorMsg::Token(mut token))) = outbox.pop() else {
+            panic!("`M0` asks `P1` about `P1.p`");
+        };
+        let live = |m: &DecentralizedMonitor| -> Vec<_> {
+            m.views.iter().map(|gv| (gv.id, gv.q, gv.gcut.clone(), gv.gstate, gv.next_sn)).collect()
+        };
+        let before = live(&m0);
+        let created = m0.metrics.global_views_created;
+
+        // `P1`'s answer, by hand: `P1.p` held, the transition into ⊤ is enabled.
+        let target = m0.automaton.transition(token.transitions[0].transition_id).to;
+        assert_eq!(m0.automaton.verdict(target), Verdict::True);
+        token.transitions[0].eval = EvalState::Enabled;
+        let mut ctx = MonitorContext::new(0, 2, 2.0, &mut outbox);
+        m0.on_monitor_message(1, MonitorMsg::Token(token), &mut ctx);
+
+        assert_eq!(m0.metrics.global_views_created, created + 1, "the fork at ⊤ is counted");
+        assert_eq!(live(&m0), before, "and retired: the live set is as it was");
+        assert_eq!(m0.detected_final_verdicts(), &BTreeSet::from([Verdict::True]));
+        assert_eq!(m0.possible_verdicts(), BTreeSet::from([Verdict::Unknown, Verdict::True]));
+        assert!(m0.in_flight.is_empty() && outbox.is_empty());
+    }
+
+    #[test]
+    fn a_view_that_retires_mid_backlog_ends_a_terminated_sweep() {
+        // `G ¬P0.p` is decided locally: no event of `P0` launches a token.  The view
+        // is waiting with a backlog of three events, `P0.p` holding at the second.
+        let mut reg = AtomRegistry::new();
+        let a0 = reg.intern("P0.p", 0);
+        let _a1 = reg.intern("P1.p", 1);
+        let mut m0 = setup(2, Formula::globally(Formula::not(Formula::Atom(a0))), reg).remove(0);
+        let p0 = Assignment::from_true_atoms([a0]);
+        for (sn, state) in [(1, Assignment::ALL_FALSE), (2, p0), (3, Assignment::ALL_FALSE)] {
+            m0.history.push(&local_event(sn, state));
+        }
+        m0.delivered = 3;
+        m0.views[0].state = GvState::Waiting;
+        m0.local_terminated = true;
+
+        let mut outbox = Vec::new();
+        let mut ctx = MonitorContext::new(0, 2, 4.0, &mut outbox);
+        m0.lease_arena();
+        m0.drain_pending(0, &mut ctx);
+        m0.return_arena();
+
+        // The sweep took the first two events and stopped with the view: nothing is
+        // left to offer the third to.
+        assert!(m0.views.is_empty());
+        assert_eq!(m0.metrics.backlog_events_drained, 2);
+        assert_eq!(m0.detected_final_verdicts(), &BTreeSet::from([Verdict::False]));
+        assert!(outbox.is_empty());
     }
 
     /// Monitor `M<pid>` of `F (P0.p && P1.p)` over two processes, and the local
@@ -1615,10 +1752,10 @@ mod tests {
         assert_eq!(m1.metrics.history_events_served, K as usize);
         assert_eq!(m0.metrics.history_events_served, K as usize - 1);
         assert_eq!((m0.metrics.tokens_parked, m1.metrics.tokens_parked), (0, 0));
-        // The same cut, state and decision: the enabled transition forked its view.
-        let spawned = m0.views.last().expect("the view the token forked");
-        assert_eq!(spawned.q, m0.automaton.transition(stepped.transition_id).to);
-        assert_eq!((&spawned.gcut, spawned.gstate), (&stepped.gcut, stepped.gstate));
+        // The same decision: the enabled transition forked its view, at ⊤.
+        let target = m0.automaton.transition(stepped.transition_id).to;
+        assert_eq!(m0.automaton.verdict(target), Verdict::True);
+        assert_eq!(m0.metrics.global_views_created, 2);
         assert!(m0.detected_final_verdicts().contains(&Verdict::True));
     }
 

@@ -30,15 +30,22 @@ use std::sync::Arc;
 
 /// Verdict reporting shared by every monitor kind a [`FeedSession`] can drive.
 pub trait SessionVerdicts {
+    /// Whether this monitor has detected the final verdict `verdict` (⊤ or ⊥).
+    fn has_detected(&self, verdict: Verdict) -> bool;
     /// ⊤/⊥ verdicts this monitor has detected so far.
-    fn detected_verdicts(&self) -> BTreeSet<Verdict>;
+    fn detected_verdicts(&self) -> BTreeSet<Verdict> {
+        [Verdict::False, Verdict::True]
+            .into_iter()
+            .filter(|&v| self.has_detected(v))
+            .collect()
+    }
     /// All verdicts this monitor still considers possible.
     fn possible_verdicts(&self) -> BTreeSet<Verdict>;
 }
 
 impl SessionVerdicts for DecentralizedMonitor {
-    fn detected_verdicts(&self) -> BTreeSet<Verdict> {
-        self.detected_final_verdicts().clone()
+    fn has_detected(&self, verdict: Verdict) -> bool {
+        self.detected_final_verdicts().contains(&verdict)
     }
 
     fn possible_verdicts(&self) -> BTreeSet<Verdict> {
@@ -50,9 +57,15 @@ impl SessionVerdicts for DecentralizedMonitor {
 /// caller acts on: a detected violation dominates, then a detected satisfaction,
 /// otherwise the execution is still inconclusive.
 pub fn combined_verdict(detected: &BTreeSet<Verdict>) -> Verdict {
-    if detected.contains(&Verdict::False) {
+    combined_verdict_where(|v| detected.contains(&v))
+}
+
+/// [`combined_verdict`] asking `detected` whether each final verdict was detected,
+/// so the detections can be read where they are kept instead of collected first.
+fn combined_verdict_where(detected: impl Fn(Verdict) -> bool) -> Verdict {
+    if detected(Verdict::False) {
         Verdict::False
-    } else if detected.contains(&Verdict::True) {
+    } else if detected(Verdict::True) {
         Verdict::True
     } else {
         Verdict::Unknown
@@ -175,9 +188,10 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
         self.verdict()
     }
 
-    /// The [`combined_verdict`] over every monitor's detections so far.
+    /// The [`combined_verdict`] over every monitor's detections so far, read in
+    /// place: [`feed_event`](Self::feed_event) returns it for every event.
     pub fn verdict(&self) -> Verdict {
-        combined_verdict(&self.detected_verdicts())
+        combined_verdict_where(|v| self.monitors.iter().any(|m| m.has_detected(v)))
     }
 
     /// Union of ⊤/⊥ verdicts detected by any monitor.

@@ -271,12 +271,10 @@ impl MonitorBehavior for FleetMonitor {
 }
 
 impl SessionVerdicts for FleetMonitor {
-    fn detected_verdicts(&self) -> BTreeSet<Verdict> {
-        let mut set = BTreeSet::new();
-        for m in &self.members {
-            set.extend(m.detected_final_verdicts().iter().copied());
-        }
-        set
+    fn has_detected(&self, verdict: Verdict) -> bool {
+        self.members
+            .iter()
+            .any(|m| m.detected_final_verdicts().contains(&verdict))
     }
 
     fn possible_verdicts(&self) -> BTreeSet<Verdict> {

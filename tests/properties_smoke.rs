@@ -1,8 +1,88 @@
 //! Smoke tests of the full experiment pipeline for every evaluation property, plus
 //! property-based tests of workload/monitoring invariants.
 
-use dlrv_core::{run_experiment, ExperimentConfig, PaperProperty};
+use dlrv_core::dlrv_distsim::MonitorBehavior;
+use dlrv_core::dlrv_monitor::{
+    combined_verdict, decentralized_session, fleet_session, FeedSession, FleetMember,
+    MonitorOptions, SessionVerdicts,
+};
+use dlrv_core::dlrv_vclock::Event;
+use dlrv_core::{
+    compile_fleet, run_experiment, simulate_session, CompiledProperty, ExperimentConfig,
+    FleetParams, PaperProperty,
+};
 use proptest::prelude::*;
+
+/// Feeds `session` every event and finishes it, holding the verdict each call
+/// returns — read from the monitors' detections in place — to the detected sets
+/// collected and combined.
+fn assert_verdicts_match_the_collected_sets<B: MonitorBehavior + SessionVerdicts>(
+    mut session: FeedSession<B>,
+    events: &[Event],
+    case: &str,
+) {
+    for (i, event) in events.iter().enumerate() {
+        let verdict = session.feed_event(event);
+        assert_eq!(verdict, combined_verdict(&session.detected_verdicts()), "{case}, event {i}");
+    }
+    let verdict = session.finish();
+    assert_eq!(verdict, combined_verdict(&session.detected_verdicts()), "{case}, finish");
+}
+
+#[test]
+fn a_fed_session_reports_the_verdict_of_its_collected_detections() {
+    const N: usize = 3;
+    const SESSIONS: u64 = 12;
+    let options = [MonitorOptions::default(), MonitorOptions::ALL_OFF];
+    for property in PaperProperty::ALL {
+        let compiled = CompiledProperty::compile(&property.into(), N);
+        let config = ExperimentConfig {
+            events_per_process: 5,
+            ..ExperimentConfig::paper_default(property, N)
+        };
+        for seed in 0..SESSIONS {
+            let input = simulate_session(&config.workload_config(seed), &compiled.registry);
+            for opts in options {
+                let session = decentralized_session(
+                    N,
+                    &compiled.automaton,
+                    &compiled.registry,
+                    input.initial_state,
+                    opts,
+                );
+                let case = format!("{property} solo, seed {seed}, {opts:?}");
+                assert_verdicts_match_the_collected_sets(session, &input.events, &case);
+            }
+        }
+    }
+
+    // A–F as one fleet over the lead property's traces, as `fleet-6` runs them.
+    let fleet = FleetParams::new(PaperProperty::ALL.iter().map(|&p| p.into()).collect());
+    let (registry, members) = compile_fleet(&fleet, N);
+    let config = ExperimentConfig {
+        events_per_process: 5,
+        ..ExperimentConfig::paper_default(PaperProperty::A, N)
+    };
+    for seed in 0..SESSIONS {
+        let input = simulate_session(&config.workload_config(seed), &registry);
+        let members: Vec<FleetMember> = members
+            .iter()
+            .map(|m| FleetMember {
+                automaton: m.automaton.clone(),
+                registry: registry.clone(),
+                initial_state: input.initial_state,
+            })
+            .collect();
+        for opts in options {
+            let case = format!("A–F fleet, seed {seed}, {opts:?}");
+            assert_verdicts_match_the_collected_sets(
+                fleet_session(N, &members, opts),
+                &input.events,
+                &case,
+            );
+        }
+    }
+}
 
 #[test]
 fn every_paper_property_runs_end_to_end_on_three_processes() {

@@ -352,6 +352,15 @@ const LEDGER_CEILING: [(PaperProperty, [(usize, usize); 2]); 6] = [
     (PaperProperty::F, [(0, 0), (0, 0)]),
 ];
 
+/// The traces of the ledger's sessions: the workload of the benchmark's `fleet-6`,
+/// shaped for its lead property (A) at 3 processes, 4 events each.
+fn ledger_traces() -> ExperimentConfig {
+    ExperimentConfig {
+        events_per_process: 4,
+        ..ExperimentConfig::paper_default(PaperProperty::A, 3)
+    }
+}
+
 #[test]
 fn the_oracle_ledger_of_the_paper_properties_is_no_worse_than_its_ceiling() {
     // The sessions `benchmark/run.sh --workload fleet-6 --seed 1` monitors: 3
@@ -361,10 +370,7 @@ fn the_oracle_ledger_of_the_paper_properties_is_no_worse_than_its_ceiling() {
     // in docs/MONITORING.md), so a routing change is judged here, against the
     // lattice, and not by equality with the routing before it.
     let options = [MonitorOptions::default(), MonitorOptions::ALL_OFF];
-    let traces = ExperimentConfig {
-        events_per_process: 4,
-        ..ExperimentConfig::paper_default(PaperProperty::A, 3)
-    };
+    let traces = ledger_traces();
     for (property, ceiling) in LEDGER_CEILING {
         let compiled = CompiledProperty::compile(&property.into(), 3);
         let mut ledger = [(0, 0); 2];
@@ -388,6 +394,102 @@ fn the_oracle_ledger_of_the_paper_properties_is_no_worse_than_its_ceiling() {
             assert!(
                 counted.0 <= ceiling.0 && counted.1 <= ceiling.1,
                 "{property} with {opts:?}: (missed, unreachable) = {counted:?}, ceiling {ceiling:?}"
+            );
+        }
+    }
+}
+
+/// What the replays of three groups of sessions show from outside, recorded on the
+/// build before a view at ⊤/⊥ was retired on the spot, under `[default(), ALL_OFF]`:
+/// an FNV-1a digest of every session's `(detected, possible, monitor messages,
+/// tokens sent, global views created)`, and the sum over sessions and monitors of
+/// the peak of live views.  Retirement may lower the peaks; nothing else may move.
+const SESSION_DIGESTS: [(&str, [(u64, usize); 2]); 3] = [
+    ("sweep without X", [(0xd1c5828548db702a, 3022), (0x73c3a5fe7e09a522, 4142)]),
+    ("sweep with X", [(0x9740a9e07a9deb5e, 640), (0x36c04a16cca32b1a, 986)]),
+    ("fleet-6 first wave, A-F", [(0xdfba682ba5ce9deb, 8969), (0x791c4005daeb2bd0, 14529)]),
+];
+
+/// Replays the computation of `workload` under each of `options`, folding what the
+/// replay shows from outside into the option's digest and adding the peaks of its
+/// monitors' live views to the option's sum.
+fn digest_session(
+    digests: &mut [(u64, usize); 2],
+    automaton: &Arc<MonitorAutomaton>,
+    registry: &Arc<AtomRegistry>,
+    workload: &WorkloadConfig,
+    options: &[MonitorOptions; 2],
+) {
+    let comp = simulate_session(workload, registry).report.computation;
+    for ((digest, peaks), &opts) in digests.iter_mut().zip(options) {
+        let replay = replay_decentralized(&comp, registry, automaton, opts);
+        let metrics: Vec<_> = replay.monitors.iter().map(|m| m.metrics()).collect();
+        let bits = |set: BTreeSet<Verdict>| set.into_iter().map(|v| 1u64 << v as u64).sum::<u64>();
+        for word in [
+            bits(replay.detected_final_verdicts()),
+            bits(replay.possible_verdicts()),
+            replay.monitor_messages as u64,
+            metrics.iter().map(|m| m.tokens_sent as u64).sum(),
+            metrics.iter().map(|m| m.global_views_created as u64).sum(),
+        ] {
+            *digest = (*digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        *peaks += metrics.iter().map(|m| m.max_live_views).sum::<usize>();
+    }
+}
+
+#[test]
+fn sessions_show_what_they_showed_before_final_views_were_retired() {
+    // Case seeds of the sweep (1 000 `X`-free, 200 with `X`) and the oracle
+    // ledger's sessions.
+    let options = [MonitorOptions::default(), MonitorOptions::ALL_OFF];
+    let fresh = [(0xcbf2_9ce4_8422_2325, 0); 2];
+    let mut got = Vec::new();
+    for (label, next, seeds) in [
+        ("sweep without X", Formula::globally as Next, 1000),
+        ("sweep with X", Formula::next as Next, 200),
+    ] {
+        let mut digests = fresh;
+        for seed in 0..seeds {
+            let (formula, workload) = sweep_case(seed, next);
+            let registry = Arc::new(shared_registry(workload.n_processes));
+            let automaton = Arc::new(MonitorAutomaton::synthesize(&formula, &registry));
+            digest_session(&mut digests, &automaton, &registry, &workload, &options);
+        }
+        got.push((label, digests));
+    }
+    let mut digests = fresh;
+    let traces = ledger_traces();
+    for property in PaperProperty::ALL {
+        let compiled = CompiledProperty::compile(&property.into(), 3);
+        for index in 0..LEDGER_SESSIONS {
+            let workload = traces.workload_config(session_seed(1, index));
+            let (automaton, registry) = (&compiled.automaton, &compiled.registry);
+            digest_session(&mut digests, automaton, registry, &workload, &options);
+        }
+    }
+    got.push(("fleet-6 first wave, A-F", digests));
+
+    let table: String = got
+        .iter()
+        .map(|(label, [(d0, p0), (d1, p1)])| {
+            format!("    (\"{label}\", [({d0:#018x}, {p0}), ({d1:#018x}, {p1})]),\n")
+        })
+        .collect();
+    println!("this build's digests and peak sums under [default, all-off]:\n{table}");
+    for ((label, got), (pinned, want)) in got.iter().zip(SESSION_DIGESTS) {
+        assert_eq!(*label, pinned);
+        for (((digest, peaks), (pinned_digest, pinned_peaks)), opts) in
+            got.iter().zip(want).zip(&options)
+        {
+            assert_eq!(
+                *digest, pinned_digest,
+                "{label} with {opts:?}: a session's verdicts, messages, tokens or views \
+                 created moved; this build's table:\n{table}"
+            );
+            assert!(
+                *peaks <= pinned_peaks,
+                "{label} with {opts:?}: {peaks} peak live views, {pinned_peaks} before"
             );
         }
     }

@@ -8,10 +8,22 @@
 //! the [`SynthesisReport`].  A renumbered state or transition, a reordered cube or
 //! a different intermediate size fails it, which is what the decentralized monitor
 //! (transition ids on the wire), Table 5.1 and `BENCH_results.json` rely on.
+//!
+//! The same automata, and random formulas of the `monitor_lasso_props` generator
+//! with and without `X`, also pin the invariant a decentralized monitor's view
+//! retirement rests on: every ⊤ or ⊥ state is a sink — all its symbolic
+//! transitions are self-loops and every symbol steps it to itself — so a view that
+//! reaches one can never move again (`docs/MONITORING.md`, "Retired views").
 
+mod common;
+
+use common::{random_formula, shared_registry};
 use dlrv_core::dlrv_automaton::{MonitorAutomaton, SynthesisReport};
-use dlrv_core::dlrv_ltl::{AtomRegistry, Verdict};
+use dlrv_core::dlrv_ltl::{Assignment, AtomRegistry, Formula, Verdict};
 use dlrv_core::PaperProperty;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::OnceLock;
 
 /// `(label, processes, digest)`: `solo` is the property over its own atoms,
 /// `fleet` the same property over the six properties' shared registry.
@@ -107,35 +119,84 @@ fn digest(m: &MonitorAutomaton, report: &SynthesisReport) -> u64 {
     d.0
 }
 
+/// One pinned automaton: its [`GOLDEN`] label and process count, and what
+/// synthesis produced.
+type Synthesized = (String, usize, MonitorAutomaton, SynthesisReport);
+
 /// Every pinned automaton, synthesized the way the experiments and the benchmark
-/// do it, in [`GOLDEN`]'s order.
-fn synthesize_all() -> Vec<(String, usize, u64)> {
-    let mut out = Vec::new();
-    for n in 2..=5 {
-        for prop in PaperProperty::ALL {
-            let (formula, reg) = prop.build(n);
-            let (m, report) = MonitorAutomaton::synthesize_with_report(&formula, &reg);
-            out.push((format!("solo {}", prop.name()), n, digest(&m, &report)));
+/// do it, in [`GOLDEN`]'s order — once for all the tests of this file.
+fn synthesize_all() -> &'static [Synthesized] {
+    static ALL: OnceLock<Vec<Synthesized>> = OnceLock::new();
+    ALL.get_or_init(|| {
+        let mut out = Vec::new();
+        for n in 2..=5 {
+            for prop in PaperProperty::ALL {
+                let (formula, reg) = prop.build(n);
+                let (m, report) = MonitorAutomaton::synthesize_with_report(&formula, &reg);
+                out.push((format!("solo {}", prop.name()), n, m, report));
+            }
+        }
+        for n in [3, 4] {
+            // `compile_fleet`'s registry: every property interned in fleet order.
+            let mut reg = AtomRegistry::new();
+            let formulas: Vec<_> = PaperProperty::ALL
+                .iter()
+                .map(|p| p.build_in(&mut reg, n))
+                .collect();
+            for (prop, formula) in PaperProperty::ALL.iter().zip(&formulas) {
+                let (m, report) = MonitorAutomaton::synthesize_with_report(formula, &reg);
+                out.push((format!("fleet {}", prop.name()), n, m, report));
+            }
+        }
+        out
+    })
+}
+
+/// Panics unless every final state of `m` is a sink; returns how many it checked.
+fn assert_final_states_are_sinks(m: &MonitorAutomaton, what: &str) -> usize {
+    let finals: Vec<_> = (0..m.n_states()).filter(|&q| m.is_final(q)).collect();
+    for &q in &finals {
+        for t in m.transitions_from(q) {
+            assert!(t.is_self_loop(), "{what}: final state {q} leaves by {} to {}", t.id, t.to);
+        }
+        for sigma in 0..m.n_symbols() as u64 {
+            let next = m.step(q, Assignment(sigma));
+            assert_eq!(next, q, "{what}: final state {q} moves on {sigma:#b}");
         }
     }
-    for n in [3, 4] {
-        // `compile_fleet`'s registry: every property interned in fleet order.
-        let mut reg = AtomRegistry::new();
-        let formulas: Vec<_> = PaperProperty::ALL
-            .iter()
-            .map(|p| p.build_in(&mut reg, n))
-            .collect();
-        for (prop, formula) in PaperProperty::ALL.iter().zip(&formulas) {
-            let (m, report) = MonitorAutomaton::synthesize_with_report(formula, &reg);
-            out.push((format!("fleet {}", prop.name()), n, digest(&m, &report)));
+    finals.len()
+}
+
+#[test]
+fn every_final_state_of_the_paper_and_fleet_automata_is_a_sink() {
+    let finals: usize = synthesize_all()
+        .iter()
+        .map(|(label, n, m, _)| assert_final_states_are_sinks(m, &format!("{label} at {n}")))
+        .sum();
+    assert!(finals >= GOLDEN.len(), "every property can be decided: {finals} final states");
+}
+
+#[test]
+fn every_final_state_of_a_random_formulas_monitor_is_a_sink() {
+    const FORMULAS: u64 = 1_200;
+    let mut finals = 0;
+    for next in [Formula::next as fn(Formula) -> Formula, Formula::globally] {
+        for seed in 0..FORMULAS {
+            let n_atoms = 1 + (seed % 3) as u32;
+            let formula = random_formula(&mut StdRng::seed_from_u64(seed), n_atoms, 8, next);
+            let m = MonitorAutomaton::synthesize(&formula, &shared_registry(n_atoms as usize));
+            finals += assert_final_states_are_sinks(&m, &format!("{formula} (seed {seed})"));
         }
     }
-    out
+    assert!(finals > FORMULAS as usize, "too few final states checked: {finals}");
 }
 
 #[test]
 fn paper_and_fleet_automata_match_their_golden_digests() {
-    let got = synthesize_all();
+    let got: Vec<(String, usize, u64)> = synthesize_all()
+        .iter()
+        .map(|(label, n, m, report)| (label.clone(), *n, digest(m, report)))
+        .collect();
     let want: Vec<(String, usize, u64)> = GOLDEN
         .iter()
         .map(|&(label, n, d)| (label.to_string(), n, d))
