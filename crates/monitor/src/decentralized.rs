@@ -56,7 +56,7 @@ use dlrv_distsim::{MonitorBehavior, MonitorContext};
 use dlrv_ltl::{Assignment, AtomRegistry, ProcessId, Verdict};
 use dlrv_vclock::{Event, VectorClock};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Switches for the optimizations of §4.3.
@@ -128,6 +128,15 @@ impl Default for MonitorOptions {
 /// duration of one activation (see [`DecentralizedMonitor::lease_arena`]) and owns
 /// no pool in between.  A session of a few dozen events never amortises pools of
 /// its own; a shard thread running thousands of sessions keeps this one hot.
+///
+/// Scratch lives here or on the stack of one activation, never in a monitor or a
+/// session: at the end of every activation the view set is held at exactly its
+/// length and the buffer it was rebuilt in comes back here, and a token is parked
+/// with exactly its transitions ([`DecentralizedMonitor::parks_no_spare`]).  The
+/// message queue and outboxes of a session call, and a fleet activation's outbox,
+/// are leased from here too ([`lease_outbox`], [`lease_queue`]) whatever
+/// [`MonitorOptions::arena_recycling`] says: before they lived here, they lived for
+/// a whole session.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// Spare view-set vectors (merge staging, per-event rebuild, fork outputs).
@@ -145,6 +154,10 @@ struct Scratch {
     targeted: Vec<usize>,
     /// Result buffer of `process_token_with_event`.
     local_results: Vec<(usize, bool)>,
+    /// Spare outboxes of session calls and fleet activations.
+    outboxes: Vec<Outbox>,
+    /// Spare in-flight queues of session calls.
+    queues: Vec<MessageQueue>,
 }
 
 /// Upper bound on each scratch pool — per thread, since the arena is — so
@@ -154,6 +167,74 @@ const POOL_CAP: usize = 64;
 thread_local! {
     /// This thread's scratch arena while no activation has it on lease.
     static ARENA: Cell<Option<Box<Scratch>>> = const { Cell::new(None) };
+}
+
+/// What one activation sends: `(destination, message)` in emission order.
+pub(crate) type Outbox = Vec<(ProcessId, MonitorMsg)>;
+
+/// Messages in flight within one session call: `(sender, destination, message)`.
+pub(crate) type MessageQueue = VecDeque<(ProcessId, ProcessId, MonitorMsg)>;
+
+/// Runs `f` on this thread's arena.  For callers outside any monitor activation —
+/// a session call, a fleet activation around its members' — so the arena is not on
+/// lease.
+fn with_arena<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    ARENA.with(|slot| {
+        let mut scratch = slot.take().unwrap_or_default();
+        let out = f(&mut scratch);
+        slot.set(Some(scratch));
+        out
+    })
+}
+
+/// An empty outbox from this thread's arena; give it back with [`return_outbox`].
+pub(crate) fn lease_outbox() -> Outbox {
+    with_arena(|s| s.outboxes.pop()).unwrap_or_default()
+}
+
+/// Gives an emptied outbox back to this thread's arena.
+pub(crate) fn return_outbox(outbox: Outbox) {
+    debug_assert!(outbox.is_empty());
+    with_arena(|s| {
+        if outbox.capacity() > 0 && s.outboxes.len() < POOL_CAP {
+            s.outboxes.push(outbox);
+        }
+    });
+}
+
+/// An empty message queue from this thread's arena; give it back with
+/// [`return_queue`].
+pub(crate) fn lease_queue() -> MessageQueue {
+    with_arena(|s| s.queues.pop()).unwrap_or_default()
+}
+
+/// Gives an emptied message queue back to this thread's arena.
+pub(crate) fn return_queue(queue: MessageQueue) {
+    debug_assert!(queue.is_empty());
+    with_arena(|s| {
+        if queue.capacity() > 0 && s.queues.len() < POOL_CAP {
+            s.queues.push(queue);
+        }
+    });
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Views this thread's monitors have dropped in MERGESIMILARGLOBALVIEWS: how a
+    /// unit test knows that its runs merged at all.
+    pub(crate) static MERGED_VIEWS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Moves `buf`'s elements into a vector of exactly their number and returns the
+/// emptied original, spare capacity and all, for a pool to take back.  Without spare
+/// capacity there is nothing to do: the returned vector is empty and unallocated.
+fn exact<T>(buf: &mut Vec<T>) -> Vec<T> {
+    if buf.capacity() == buf.len() {
+        return Vec::new();
+    }
+    let mut held = Vec::with_capacity(buf.len());
+    held.append(buf);
+    std::mem::replace(buf, held)
 }
 
 /// The local event history (`history` in Algorithm 2), stored flat: `n` clock
@@ -361,11 +442,24 @@ impl DecentralizedMonitor {
         }
     }
 
-    /// Ends an activation: hands the arena back to the thread.
+    /// Ends an activation: holds the view set at exactly its length — the buffer
+    /// the activation rebuilt it in goes back to the pool — and hands the arena back
+    /// to the thread.
     fn return_arena(&mut self) {
+        let spare = exact(&mut self.views);
+        self.put_view_buf(spare);
         if let Some(scratch) = self.scratch.take() {
             ARENA.with(|slot| slot.set(Some(scratch)));
         }
+        debug_assert!(self.parks_no_spare());
+    }
+
+    /// Whether this monitor holds monitoring state only: a view set at exactly its
+    /// length, parked tokens holding exactly their transitions, and no allocation
+    /// for parked tokens when none is ([`WaitingTokens`]).  True between
+    /// activations: `return_arena` makes it so.
+    pub(crate) fn parks_no_spare(&self) -> bool {
+        self.views.capacity() == self.views.len() && self.waiting_tokens.parks_no_spare()
     }
 
     /// An empty view-set vector — recycled when the arena is on, fresh otherwise.
@@ -376,8 +470,12 @@ impl DecentralizedMonitor {
             .unwrap_or_default()
     }
 
-    /// Returns a view-set vector to the pool (dropped when the arena is off).
+    /// Returns a view-set vector to the pool (dropped when the arena is off, or when
+    /// it holds no allocation to reuse).
     fn put_view_buf(&mut self, mut buf: Vec<GlobalView>) {
+        if buf.capacity() == 0 {
+            return;
+        }
         if let Some(s) = self.scratch.as_mut().filter(|s| s.view_bufs.len() < POOL_CAP) {
             buf.clear();
             s.view_bufs.push(buf);
@@ -392,8 +490,12 @@ impl DecentralizedMonitor {
             .unwrap_or_default()
     }
 
-    /// Returns a (drained) transition vector to the pool.
+    /// Returns a (drained) transition vector to the pool (dropped as
+    /// [`put_view_buf`](Self::put_view_buf) drops a view-set vector).
     fn put_transition_buf(&mut self, mut buf: Vec<TokenTransition>) {
+        if buf.capacity() == 0 {
+            return;
+        }
         if let Some(s) = self.scratch.as_mut().filter(|s| s.transitions.len() < POOL_CAP) {
             buf.clear();
             s.transitions.push(buf);
@@ -607,6 +709,8 @@ impl DecentralizedMonitor {
             });
             match pos {
                 Some(i) => {
+                    #[cfg(test)]
+                    MERGED_VIEWS.with(|merged| merged.set(merged.get() + 1));
                     // Prefer the unblocked copy; the kept slot keeps its queue.
                     let existing = &mut self.views[i];
                     if existing.state == GvState::Waiting && gv.state == GvState::Unblocked {
@@ -750,6 +854,11 @@ impl DecentralizedMonitor {
                     self.route_token(token, ctx);
                 } else {
                     self.metrics.tokens_parked += 1;
+                    // It may wait for the rest of the session: it keeps exactly its
+                    // transitions, and the buffer they travelled in goes back to the
+                    // pool.
+                    let spare = exact(&mut token.transitions);
+                    self.put_transition_buf(spare);
                     self.waiting_tokens.park(token);
                 }
                 return;
@@ -1559,8 +1668,10 @@ mod tests {
         // went flat; a session pays this once per process (per member, in a fleet).
         assert!(std::mem::size_of::<DecentralizedMonitor>() <= 408);
         assert!(std::mem::size_of::<GlobalView>() <= 64);
-        // Identity, the members, the one history and four reused buffers — no pool.
-        assert!(std::mem::size_of::<crate::FleetMonitor>() <= 200);
+        // Identity, the members, the one history and the per-member regroup
+        // table — no pool, no outbox, no staging (200 while it held an outbox, a
+        // pass-through buffer and a per-destination staging table).
+        assert!(std::mem::size_of::<crate::FleetMonitor>() <= 128);
     }
 
     #[test]

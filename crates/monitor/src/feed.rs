@@ -20,16 +20,22 @@
 //! [`combined_verdict`] defines what a single incremental call reports when monitors
 //! have detected final verdicts on several lattice paths.
 
-use crate::decentralized::{DecentralizedMonitor, MonitorOptions};
+use crate::decentralized::{
+    lease_outbox, lease_queue, return_outbox, return_queue, DecentralizedMonitor, MonitorOptions,
+    Outbox,
+};
+use crate::messages::MonitorMsg;
 use dlrv_automaton::MonitorAutomaton;
 use dlrv_distsim::{MonitorBehavior, MonitorContext};
 use dlrv_ltl::{Assignment, AtomRegistry, ProcessId, Verdict};
 use dlrv_vclock::Event;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Verdict reporting shared by every monitor kind a [`FeedSession`] can drive.
-pub trait SessionVerdicts {
+/// Verdict reporting shared by every monitor kind a [`FeedSession`] can drive:
+/// token monitors, whose messages a session queues in buffers leased from the
+/// thread's arena.
+pub trait SessionVerdicts: MonitorBehavior<Message = MonitorMsg> {
     /// Whether this monitor has detected the final verdict `verdict` (⊤ or ⊥).
     fn has_detected(&self, verdict: Verdict) -> bool;
     /// ⊤/⊥ verdicts this monitor has detected so far.
@@ -72,20 +78,20 @@ fn combined_verdict_where(detected: impl Fn(Verdict) -> bool) -> Verdict {
     }
 }
 
-/// An incremental monitoring session: the monitors of one execution plus the
-/// in-flight monitor messages between them.
+/// An incremental monitoring session: the monitors of one execution.
 ///
 /// Message delivery is zero-latency and drained to quiescence after every fed event
 /// (exactly the discipline of the replay driver), so a session fed the events of a
 /// computation in timestamp order produces the same verdicts — and the same number of
 /// monitor messages — as replaying that computation offline.
+///
+/// Between calls a session holds monitoring state only.  The queue of messages in
+/// flight during one call, and the outbox each activation writes into, are leased
+/// from the thread's scratch arena for that call and given back empty, as a
+/// monitor's own scratch is for each activation ([`DecentralizedMonitor`]).
 #[derive(Debug)]
 pub struct FeedSession<B: MonitorBehavior> {
     monitors: Vec<B>,
-    inflight: VecDeque<(ProcessId, ProcessId, B::Message)>,
-    /// Recycled per-activation outbox: one buffer for the whole session instead of a
-    /// fresh `Vec` per delivered event/message.
-    outbox: Vec<(ProcessId, B::Message)>,
     messages: usize,
     /// Largest event timestamp seen; termination is signalled at this time.
     last_time: f64,
@@ -97,8 +103,6 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
     pub fn new(n_processes: usize, make_monitor: impl FnMut(ProcessId) -> B) -> Self {
         FeedSession {
             monitors: (0..n_processes).map(make_monitor).collect(),
-            inflight: VecDeque::new(),
-            outbox: Vec::new(),
             messages: 0,
             last_time: 0.0,
             finished: false,
@@ -145,16 +149,11 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
         assert!(p < self.monitors.len(), "event process {p} out of range");
         self.last_time = self.last_time.max(event.time);
         let now = event.time;
-        debug_assert!(self.outbox.is_empty());
-        {
-            let mut ctx = MonitorContext::new(p, self.monitors.len(), now, &mut self.outbox);
-            self.monitors[p].on_local_event(event, &mut ctx);
-        }
-        self.messages += self.outbox.len();
-        for (dest, m) in self.outbox.drain(..) {
-            self.inflight.push_back((p, dest, m));
-        }
-        self.drain(now);
+        let n = self.monitors.len();
+        let mut outbox = lease_outbox();
+        let mut ctx = MonitorContext::new(p, n, now, &mut outbox);
+        self.monitors[p].on_local_event(event, &mut ctx);
+        self.drain(p, outbox, now);
         self.verdict()
     }
 
@@ -174,16 +173,10 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
         let n = self.monitors.len();
         let end_time = self.last_time;
         for p in 0..n {
-            debug_assert!(self.outbox.is_empty());
-            {
-                let mut ctx = MonitorContext::new(p, n, end_time, &mut self.outbox);
-                self.monitors[p].on_local_termination(&mut ctx);
-            }
-            self.messages += self.outbox.len();
-            for (dest, m) in self.outbox.drain(..) {
-                self.inflight.push_back((p, dest, m));
-            }
-            self.drain(end_time);
+            let mut outbox = lease_outbox();
+            let mut ctx = MonitorContext::new(p, n, end_time, &mut outbox);
+            self.monitors[p].on_local_termination(&mut ctx);
+            self.drain(p, outbox, end_time);
         }
         self.verdict()
     }
@@ -212,20 +205,25 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
         set
     }
 
-    /// Delivers in-flight monitor messages until no monitor has anything queued.
-    fn drain(&mut self, now: f64) {
+    /// Delivers the messages `sender`'s monitor just put in `outbox`, and every
+    /// message they cause in turn, until no monitor has anything in flight; then
+    /// gives the outbox and the queue back to the thread's arena, so a session keeps
+    /// no buffer between calls.
+    fn drain(&mut self, mut sender: ProcessId, mut outbox: Outbox, now: f64) {
         let n = self.monitors.len();
-        while let Some((from, to, msg)) = self.inflight.pop_front() {
-            debug_assert!(self.outbox.is_empty());
-            {
-                let mut ctx = MonitorContext::new(to, n, now, &mut self.outbox);
-                self.monitors[to].on_monitor_message(from, msg, &mut ctx);
-            }
-            self.messages += self.outbox.len();
-            for (dest, m) in self.outbox.drain(..) {
-                self.inflight.push_back((to, dest, m));
-            }
+        let mut inflight = lease_queue();
+        loop {
+            self.messages += outbox.len();
+            inflight.extend(outbox.drain(..).map(|(to, msg)| (sender, to, msg)));
+            let Some((from, to, msg)) = inflight.pop_front() else {
+                break;
+            };
+            let mut ctx = MonitorContext::new(to, n, now, &mut outbox);
+            self.monitors[to].on_monitor_message(from, msg, &mut ctx);
+            sender = to;
         }
+        return_queue(inflight);
+        return_outbox(outbox);
     }
 }
 

@@ -32,6 +32,11 @@
 //! (The scratch arena members recycle buffers through is per *thread*, shared with
 //! every other monitor the thread runs; it carries capacity, never content.)
 //!
+//! Between activations a fleet holds monitoring state only, as every member does:
+//! the members activated on one event or message emit into one outbox, leased from
+//! the thread's scratch arena for that fleet activation, and the flush that ends it
+//! moves everything in that outbox into the messages it sends and gives it back.
+//!
 //! **Equivalence.**  Each member is a deterministic state machine driven only by
 //! its local events and its own tokens.  The fleet preserves, per member, the
 //! exact solo schedule: members activate on the same events in the same order,
@@ -42,7 +47,9 @@
 //! byte-identical to N independent runs — pinned by `tests/fleet_equivalence.rs`
 //! across shard counts and every [`MonitorOptions`] combination.
 
-use crate::decentralized::{DecentralizedMonitor, LocalHistory, MonitorOptions};
+use crate::decentralized::{
+    lease_outbox, return_outbox, DecentralizedMonitor, LocalHistory, MonitorOptions, Outbox,
+};
 use crate::feed::{FeedSession, SessionVerdicts};
 use crate::messages::{MonitorMsg, Token};
 use crate::metrics::MonitorMetrics;
@@ -84,22 +91,9 @@ pub struct FleetMonitor {
     members: Vec<DecentralizedMonitor>,
     /// The process's recorded events, on loan to a member while it is activated.
     history: LocalHistory,
-    /// Recycled capture buffer for one member activation.
-    member_outbox: Vec<(ProcessId, MonitorMsg)>,
-    /// Cross-member per-destination token staging (aggregate mode), indexed by
-    /// destination process and flushed at the end of every fleet activation in
-    /// ascending destination order — exactly the order each member's own §4.3.1
-    /// flush uses, so the merge preserves every member's solo emission
-    /// schedule.  A lone token leaves its buffer behind for the next activation
-    /// (this is the fleet's per-event hot path; a map rebuilt per flush would churn
-    /// the allocator); a batch takes its buffer along.
-    staging: Vec<Vec<Token>>,
     /// Per-member regroup buffers of incoming batch demultiplexing: filled and
     /// emptied within one message, so a live session parks no capacity here.
     demux: Vec<Vec<Token>>,
-    /// With `aggregate` off: every member message, forwarded verbatim in
-    /// emission order.  Unused in aggregate mode.
-    direct: Vec<(ProcessId, MonitorMsg)>,
 }
 
 impl FleetMonitor {
@@ -135,10 +129,7 @@ impl FleetMonitor {
             aggregate: opts.aggregate_tokens,
             members,
             history: LocalHistory::new(n_processes),
-            member_outbox: Vec::new(),
-            staging: vec![Vec::new(); n_processes],
             demux: vec![Vec::new(); n_members],
-            direct: Vec::new(),
         }
     }
 
@@ -157,61 +148,76 @@ impl FleetMonitor {
         self.members[k].metrics()
     }
 
-    /// Runs one activation of member `k` with the process's history on loan,
-    /// capturing its emissions into the fleet's staging area (aggregate mode) or
-    /// pass-through buffer.
+    /// Runs one activation of member `k` with the process's history on loan.  The
+    /// member emits into `emitted`, the outbox of the fleet activation it is part
+    /// of.
     fn run_member(
         &mut self,
         k: usize,
         now: f64,
+        emitted: &mut Outbox,
         activate: impl FnOnce(&mut DecentralizedMonitor, &mut MonitorContext<'_, MonitorMsg>),
     ) {
-        let mut outbox = std::mem::take(&mut self.member_outbox);
-        debug_assert!(outbox.is_empty());
         let recorded = self.history.len();
         let member = &mut self.members[k];
         member.swap_history(&mut self.history);
         debug_assert_eq!(self.history.len(), 0, "a member keeps no history of its own");
-        {
-            let mut ctx = MonitorContext::new(self.pid, self.n, now, &mut outbox);
-            activate(member, &mut ctx);
-        }
+        activate(member, &mut MonitorContext::new(self.pid, self.n, now, emitted));
         member.swap_history(&mut self.history);
         debug_assert_eq!(self.history.len(), recorded, "members only read the history");
-        for (dest, msg) in outbox.drain(..) {
-            match msg {
-                _ if !self.aggregate => self.direct.push((dest, msg)),
-                MonitorMsg::Token(token) => self.staging[dest].push(token),
-                MonitorMsg::Batch(mut tokens) => self.staging[dest].append(&mut tokens),
-            }
-        }
-        self.member_outbox = outbox;
     }
 
-    /// Emits everything captured during one fleet activation: the pass-through
-    /// messages (aggregation off) or one merged message per staged destination.
-    fn flush(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        for (dest, msg) in self.direct.drain(..) {
-            ctx.send(dest, msg);
-        }
-        for dest in 0..self.n {
-            match self.staging[dest].len() {
-                0 => {}
-                1 => {
-                    let token = self.staging[dest].pop().expect("one staged token");
-                    ctx.send(dest, MonitorMsg::Token(token));
-                }
-                _ => {
-                    let tokens = std::mem::take(&mut self.staging[dest]);
-                    ctx.send(dest, MonitorMsg::Batch(tokens));
-                }
+    /// Sends what the members emitted during one fleet activation, and gives the
+    /// emptied outbox back to the thread's arena.  Aggregation off: every message
+    /// verbatim, in emission order.  On: one message per destination, in ascending
+    /// destination order — exactly the order each member's own §4.3.1 flush uses,
+    /// so the merge preserves every member's solo emission schedule.  A lone message
+    /// goes as it is; several merge into one batch of their tokens, in emission
+    /// order.
+    fn flush(&self, mut emitted: Outbox, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        if !self.aggregate {
+            for (dest, msg) in emitted.drain(..) {
+                ctx.send(dest, msg);
             }
         }
+        for dest in 0..self.n {
+            let mut bound = emitted.extract_if(.., |(to, _)| *to == dest).map(|(_, msg)| msg);
+            let Some(first) = bound.next() else { continue };
+            let Some(second) = bound.next() else {
+                ctx.send(dest, first);
+                continue;
+            };
+            let mut tokens = Vec::new();
+            for msg in [first, second].into_iter().chain(bound) {
+                match msg {
+                    MonitorMsg::Token(token) => tokens.push(token),
+                    MonitorMsg::Batch(mut batch) => tokens.append(&mut batch),
+                }
+            }
+            ctx.send(dest, MonitorMsg::Batch(tokens));
+        }
+        return_outbox(emitted);
+        debug_assert!(self.parks_no_spare());
+    }
+
+    /// Whether this fleet holds monitoring state only: no regroup buffer, and no
+    /// member holding spare capacity ([`DecentralizedMonitor::parks_no_spare`]).
+    /// True between activations.
+    pub(crate) fn parks_no_spare(&self) -> bool {
+        self.demux.iter().all(|buf| buf.capacity() == 0)
+            && self.members.iter().all(DecentralizedMonitor::parks_no_spare)
     }
 
     /// Delivers `msg`, whose tokens are all member `k`'s, to that member.
-    fn deliver_member_tokens(&mut self, k: usize, from: ProcessId, msg: MonitorMsg, now: f64) {
-        self.run_member(k, now, |m, ctx| m.on_monitor_message(from, msg, ctx));
+    fn deliver_member_tokens(
+        &mut self,
+        k: usize,
+        from: ProcessId,
+        msg: MonitorMsg,
+        now: f64,
+        emitted: &mut Outbox,
+    ) {
+        self.run_member(k, now, emitted, |m, ctx| m.on_monitor_message(from, msg, ctx));
     }
 }
 
@@ -221,10 +227,11 @@ impl MonitorBehavior for FleetMonitor {
     fn on_local_event(&mut self, event: &Event, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         // Recorded once, for every member.
         self.history.push(event);
+        let (sn, mut emitted) = (event.sn, lease_outbox());
         for k in 0..self.members.len() {
-            self.run_member(k, ctx.now, |m, mctx| m.on_recorded_event(event.sn, mctx));
+            self.run_member(k, ctx.now, &mut emitted, |m, mctx| m.on_recorded_event(sn, mctx));
         }
-        self.flush(ctx);
+        self.flush(emitted, ctx);
     }
 
     fn on_monitor_message(
@@ -233,10 +240,11 @@ impl MonitorBehavior for FleetMonitor {
         msg: MonitorMsg,
         ctx: &mut MonitorContext<'_, MonitorMsg>,
     ) {
+        let mut emitted = lease_outbox();
         match msg {
             MonitorMsg::Token(ref token) => {
                 let k = token.property as usize;
-                self.deliver_member_tokens(k, from, msg, ctx.now);
+                self.deliver_member_tokens(k, from, msg, ctx.now, &mut emitted);
             }
             MonitorMsg::Batch(tokens) => {
                 // Demultiplex on the property id, preserving per-member order,
@@ -255,18 +263,19 @@ impl MonitorBehavior for FleetMonitor {
                         1 => MonitorMsg::Token(group.pop().expect("one token")),
                         _ => MonitorMsg::Batch(group),
                     };
-                    self.deliver_member_tokens(k, from, msg, ctx.now);
+                    self.deliver_member_tokens(k, from, msg, ctx.now, &mut emitted);
                 }
             }
         }
-        self.flush(ctx);
+        self.flush(emitted, ctx);
     }
 
     fn on_local_termination(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        let mut emitted = lease_outbox();
         for k in 0..self.members.len() {
-            self.run_member(k, ctx.now, |m, mctx| m.on_local_termination(mctx));
+            self.run_member(k, ctx.now, &mut emitted, |m, mctx| m.on_local_termination(mctx));
         }
-        self.flush(ctx);
+        self.flush(emitted, ctx);
     }
 }
 
@@ -331,8 +340,9 @@ pub fn fleet_member_metrics(session: &FleetSession, k: usize) -> Vec<MonitorMetr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feed::decentralized_session;
+    use crate::feed::{decentralized_session, DecentralizedSession};
     use dlrv_ltl::Formula;
+    use std::cell::Cell;
     use dlrv_vclock::{EventKind, VectorClock};
 
     /// Two different properties over the same two-process alphabet:
@@ -465,6 +475,123 @@ mod tests {
         // fleet costs exactly what the solo runs cost.
         let (fleet, solos) = fleet_and_solo_messages(|a, _| Formula::globally(a));
         assert_eq!(fleet, solos, "a silent member adds no message and saves none");
+    }
+
+    /// Paper properties A–F at `n` processes, interned into one registry as a fleet
+    /// compiles them (the formulas of the umbrella crate's `PaperProperty`).
+    fn paper_properties(n: usize) -> (Vec<Formula>, Arc<AtomRegistry>) {
+        let mut reg = AtomRegistry::new();
+        let mut channel = |c: &str| -> Vec<Formula> {
+            (0..n).map(|i| Formula::Atom(reg.intern(&format!("P{i}.{c}"), i))).collect()
+        };
+        let (p, q) = (channel("p"), channel("q"));
+        let all = |fs: &[Formula]| Formula::conj(fs.iter().cloned());
+        let head_until_rest = |fs: &[Formula]| Formula::until(fs[0].clone(), all(&fs[1..]));
+        let formulas = vec![
+            Formula::globally(Formula::until(all(&p[..n / 2]), all(&p[n / 2..]))),
+            Formula::eventually(all(&p)),
+            Formula::globally(head_until_rest(&p)),
+            Formula::globally(Formula::until(all(&p), all(&q))),
+            Formula::eventually(Formula::and(all(&p), all(&q))),
+            Formula::globally(Formula::and(head_until_rest(&p), head_until_rest(&q))),
+        ];
+        (formulas, Arc::new(reg))
+    }
+
+    /// One simulated execution, in delivery order, with its initial global state.
+    fn simulated(
+        n: usize,
+        seed: u64,
+        initial_channels: bool,
+        registry: &AtomRegistry,
+    ) -> (Vec<Event>, Assignment) {
+        use dlrv_distsim::{initial_global_state, run_simulation, NullMonitor, SimConfig};
+        let workload = dlrv_trace::generate_workload(&dlrv_trace::WorkloadConfig {
+            events_per_process: 6,
+            initial_p: initial_channels,
+            initial_q: initial_channels,
+            ..dlrv_trace::WorkloadConfig::paper_default(n, seed)
+        });
+        let report =
+            run_simulation(&workload, registry, &SimConfig::default(), |_| NullMonitor::default());
+        let comp = &report.computation;
+        let events = crate::timestamp_order(comp)
+            .into_iter()
+            .map(|(_, p, sn)| comp.events[p][sn as usize - 1].clone())
+            .collect();
+        (events, initial_global_state(&workload, registry))
+    }
+
+    #[test]
+    fn a_live_session_parks_no_spare_capacity_between_activations() {
+        // What the runs went through, summed over every solo session: views forked,
+        // views merged, tokens parked, backlog events a terminated monitor swept.
+        let (mut forked, mut parked, mut swept) = (0, 0, 0);
+        let merged_before = crate::decentralized::MERGED_VIEWS.with(Cell::get);
+        let solo_metrics = |solo: &FeedSession<DecentralizedMonitor>| {
+            solo.monitors().iter().map(DecentralizedMonitor::metrics).collect::<Vec<_>>()
+        };
+        for n in [3, 4] {
+            let (formulas, registry) = paper_properties(n);
+            let automata: Vec<_> = formulas
+                .iter()
+                .map(|phi| Arc::new(MonitorAutomaton::synthesize(phi, &registry)))
+                .collect();
+            let options = [MonitorOptions::default(), MonitorOptions::ALL_OFF];
+            for (seed, opts) in (0..6).zip(options.iter().cycle()) {
+                let (events, initial_state) = simulated(n, seed, seed % 4 < 2, &registry);
+                let members: Vec<FleetMember> = automata
+                    .iter()
+                    .map(|automaton| FleetMember {
+                        automaton: automaton.clone(),
+                        registry: registry.clone(),
+                        initial_state,
+                    })
+                    .collect();
+                let mut fleet = fleet_session(n, &members, *opts);
+                let mut solos: Vec<_> = automata
+                    .iter()
+                    .map(|a| decentralized_session(n, a, &registry, initial_state, *opts))
+                    .collect();
+                let check = |fleet: &FleetSession, solos: &[DecentralizedSession], at: &str| {
+                    let case = format!("{n} processes, seed {seed}, {opts:?}, {at}");
+                    let fleets = fleet.monitors();
+                    assert!(fleets.iter().all(FleetMonitor::parks_no_spare), "fleet, {case}");
+                    for (k, solo) in solos.iter().enumerate() {
+                        assert!(
+                            solo.monitors().iter().all(DecentralizedMonitor::parks_no_spare),
+                            "solo session of member {k}, {case}"
+                        );
+                    }
+                };
+                for (i, event) in events.iter().enumerate() {
+                    fleet.feed_event(event);
+                    for solo in &mut solos {
+                        solo.feed_event(event);
+                    }
+                    check(&fleet, &solos, &format!("after event {i}"));
+                }
+                let drained_while_live: Vec<usize> = solos
+                    .iter()
+                    .map(|solo| solo_metrics(solo).iter().map(|m| m.backlog_events_drained).sum())
+                    .collect();
+                fleet.finish();
+                for (solo, live) in solos.iter_mut().zip(drained_while_live) {
+                    solo.finish();
+                    let metrics = solo_metrics(solo);
+                    forked += metrics.iter().map(|m| m.global_views_created - 1).sum::<usize>();
+                    parked += metrics.iter().map(|m| m.tokens_parked).sum::<usize>();
+                    swept += metrics.iter().map(|m| m.backlog_events_drained).sum::<usize>() - live;
+                }
+                check(&fleet, &solos, "at finish");
+            }
+        }
+        let merged = crate::decentralized::MERGED_VIEWS.with(Cell::get) - merged_before;
+        assert!(
+            forked > 0 && merged > 0 && parked > 0 && swept > 0,
+            "the runs must fork, merge, park and sweep: {forked} forked, {merged} merged, \
+             {parked} parked, {swept} swept"
+        );
     }
 
     #[test]

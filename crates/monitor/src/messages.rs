@@ -141,6 +141,8 @@ impl MonitorMsg {
 /// A monitor parks about one token at a time, so the tokens lie in one vector in
 /// parking order and a wake-up is a scan of it: an index by sequence number cost a
 /// map node and a vector per parked token, and kept a node once the last token woke.
+/// Most of the time nothing is parked at all, so the vector is released when the
+/// last token wakes: an empty set holds no allocation.
 #[derive(Debug, Clone, Default)]
 pub struct WaitingTokens {
     parked: Vec<Token>,
@@ -161,13 +163,13 @@ impl WaitingTokens {
     /// Removes and returns every token waiting for exactly event `sn`, in parking
     /// order.
     pub fn take(&mut self, sn: u64) -> Vec<Token> {
-        if !self.parked.iter().any(|t| t.next_target_event == sn) {
-            return Vec::new();
+        let woken = self
+            .parked
+            .extract_if(.., |t| t.next_target_event == sn)
+            .collect();
+        if self.parked.is_empty() {
+            self.parked = Vec::new();
         }
-        let (woken, parked) = std::mem::take(&mut self.parked)
-            .into_iter()
-            .partition(|t| t.next_target_event == sn);
-        self.parked = parked;
         woken
     }
 
@@ -188,6 +190,16 @@ impl WaitingTokens {
     /// True when no tokens are parked.
     pub fn is_empty(&self) -> bool {
         self.parked.is_empty()
+    }
+
+    /// Whether an empty set holds no allocation and every parked token holds
+    /// exactly its transitions (the monitor trims them before parking it).
+    pub(crate) fn parks_no_spare(&self) -> bool {
+        (!self.parked.is_empty() || self.parked.capacity() == 0)
+            && self
+                .parked
+                .iter()
+                .all(|t| t.transitions.capacity() == t.transitions.len())
     }
 }
 

@@ -6,7 +6,9 @@
 //! a `fleet-6`-shaped session (paper properties A–F, three processes, four events
 //! per process) has to hold clearly less than the six solo sessions monitoring the
 //! same stream — pinned here with the counting allocator of `session_footprint`.
-//! Before the history was shared the fleet held 1.14× the six-solo sum.
+//! Before the history was shared the fleet held 1.14× the six-solo sum.  A ratio
+//! alone would let a regression that inflates fleet and solos alike through, so the
+//! fleet session's own live bytes are pinned too.
 //!
 //! One `#[test]` only: the allocator counts the whole process, so a second test
 //! running beside it would be counted too.
@@ -28,9 +30,13 @@ static ALLOCATOR: Counting = Counting;
 
 const SESSIONS: usize = 400;
 /// Live heap of the fleet sessions over the live heap of their solo sessions, in
-/// percent.  Measured: 79 (78 while views at ⊤/⊥ were held instead of retired,
-/// 114 with a history per member and the token pool).
-const FLEET_OVER_SOLOS_PERCENT: usize = 85;
+/// percent.  Measured: 62 (79 while view sets, parked tokens and the fleet's staging
+/// kept pool-sized buffers between activations, 78 while views at ⊤/⊥ were held
+/// instead of retired, 114 with a history per member and the token pool).
+const FLEET_OVER_SOLOS_PERCENT: usize = 70;
+/// Live heap of one fleet session, in bytes.  Measured: 14 655 (24 078 with the
+/// pool-sized buffers above).
+const BYTES_PER_FLEET_SESSION: usize = 17_000;
 
 #[test]
 fn live_fleet_sessions_hold_less_than_their_solo_sessions_and_give_everything_back() {
@@ -75,10 +81,14 @@ fn live_fleet_sessions_hold_less_than_their_solo_sessions_and_give_everything_ba
     let (solos_held, _) = open_feed_finish_solos(&inputs);
 
     let percent = fleet_held * 100 / solos_held;
+    let per_fleet = fleet_held / SESSIONS;
     println!(
-        "{} live bytes per fleet session, {} per six solo sessions: {percent} %",
-        fleet_held / SESSIONS,
+        "{per_fleet} live bytes per fleet session, {} per six solo sessions: {percent} %",
         solos_held / SESSIONS
+    );
+    assert!(
+        per_fleet <= BYTES_PER_FLEET_SESSION,
+        "a live fleet session holds {per_fleet} bytes, budget {BYTES_PER_FLEET_SESSION}"
     );
     assert!(
         percent <= FLEET_OVER_SOLOS_PERCENT,

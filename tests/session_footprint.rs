@@ -29,9 +29,11 @@ static ALLOCATOR: Counting = Counting;
 const SESSIONS: usize = 200;
 /// Live heap a session may hold per event it has been fed, set-up included.  The
 /// `Arc<Event>` histories, per-view `VecDeque`s and per-monitor pools this replaced
-/// held 267; the map nodes of the parked-token index and the in-flight counts, 79.
-/// Measured: 64 (68 while views at ⊤/⊥ were held instead of retired).
-const BYTES_PER_EVENT: usize = 100;
+/// held 267; the map nodes of the parked-token index and the in-flight counts, 79;
+/// views at ⊤/⊥ held instead of retired, 68; pool-sized view sets, parked-token
+/// payloads and a session-long outbox and message queue kept between events, 64.
+/// Measured: 57.
+const BYTES_PER_EVENT: usize = 64;
 
 #[test]
 fn live_sessions_stay_within_the_per_event_budget_and_give_everything_back() {
