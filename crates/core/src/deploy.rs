@@ -17,9 +17,12 @@
 //!    any daemon (write queues, reorder holds, delay queues), and two consecutive
 //!    polls agree — the classic counter-balance termination test adapted to lossy
 //!    channels (deliberately dropped frames are excluded from `sent`).
-//! 4. End-of-trace termination runs sequentially per process at the global last
-//!    event timestamp, with a barrier after each, exactly like
-//!    `FeedSession::finish`.
+//! 4. End of trace is one instant, exactly as in `FeedSession::finish`.  Every
+//!    daemon gets `finish` at the global last event timestamp: its monitor runs
+//!    local termination and the daemon *holds* the messages that emits.  Only
+//!    then does each daemon, in process order, get `release` — its held messages
+//!    go out through the ordinary send path — followed by a barrier.  So no
+//!    monitor hears from a peer before it knows that its own process ended.
 //! 5. Reports are collected and folded into the same [`RunMetrics`] as the
 //!    in-process runners, so deploy results flow into the schema-v1 pipeline.
 //!
@@ -422,10 +425,16 @@ fn run_seed(
         barrier(&mut fleet)?;
     }
 
-    // Sequential per-process termination at the global last timestamp, exactly
-    // like `FeedSession::finish`.
+    // End of trace is one instant, exactly as in `FeedSession::finish`: every
+    // daemon terminates at the global last timestamp and holds what that emits;
+    // then the held messages are released one daemon at a time, in process order,
+    // each drained to quiescence before the next (one barrier for all would make
+    // the delivery order depend on the sockets).
+    for daemon in &mut fleet.daemons {
+        daemon.request(&WireMsg::Finish { time: last_time }, just(WireMsg::FinishOk))?;
+    }
     for i in 0..n {
-        fleet.daemons[i].request(&WireMsg::Finish { time: last_time }, just(WireMsg::FinishOk))?;
+        fleet.daemons[i].request(&WireMsg::Release, just(WireMsg::ReleaseOk))?;
         barrier(&mut fleet)?;
     }
     let wall_clock_secs = started.elapsed().as_secs_f64();

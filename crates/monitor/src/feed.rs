@@ -162,9 +162,13 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
         self.feed_event(&event)
     }
 
-    /// Signals end-of-stream: every monitor's local termination runs at the latest
-    /// seen timestamp and messages drain to quiescence.  Idempotent; returns the
-    /// final [`combined_verdict`].
+    /// Signals end-of-stream: every process ended at the latest seen timestamp, as
+    /// one instant.  So every monitor's local termination runs first, in process
+    /// order, each into an outbox of its own; only then are those outboxes drained
+    /// to quiescence, in process order.  No message is delivered to a monitor that
+    /// has not yet learnt its process ended — the simulator's schedule, which
+    /// terminates every monitor at the program's end before delivering anything.
+    /// Idempotent; returns the final [`combined_verdict`].
     pub fn finish(&mut self) -> Verdict {
         if self.finished {
             return self.verdict();
@@ -172,10 +176,15 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
         self.finished = true;
         let n = self.monitors.len();
         let end_time = self.last_time;
-        for p in 0..n {
-            let mut outbox = lease_outbox();
-            let mut ctx = MonitorContext::new(p, n, end_time, &mut outbox);
-            self.monitors[p].on_local_termination(&mut ctx);
+        let outboxes: Vec<Outbox> = (0..n)
+            .map(|p| {
+                let mut outbox = lease_outbox();
+                let mut ctx = MonitorContext::new(p, n, end_time, &mut outbox);
+                self.monitors[p].on_local_termination(&mut ctx);
+                outbox
+            })
+            .collect();
+        for (p, outbox) in outboxes.into_iter().enumerate() {
             self.drain(p, outbox, end_time);
         }
         self.verdict()
@@ -254,8 +263,11 @@ pub fn decentralized_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::Token;
     use dlrv_ltl::Formula;
     use dlrv_vclock::{EventKind, VectorClock};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn two_proc_setup() -> (Arc<MonitorAutomaton>, Arc<AtomRegistry>, dlrv_ltl::AtomId, dlrv_ltl::AtomId)
     {
@@ -312,6 +324,104 @@ mod tests {
             combined_verdict(&BTreeSet::from_iter([Verdict::True, Verdict::False])),
             Verdict::False
         );
+    }
+
+    /// What the recording monitors of the schedule test saw, in order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Step {
+        /// Process `p`'s monitor learnt that its process ended.
+        Terminated(ProcessId),
+        /// Process `to`'s monitor got the token process `origin` sent at termination,
+        /// `hops` hops after it left.
+        Delivered { to: ProcessId, origin: ProcessId, hops: u64 },
+    }
+
+    /// A monitor that logs its callbacks.  At termination it sends one token to the
+    /// next process; a token on its first hop is passed on once more, so each
+    /// termination outbox sets off a chain that takes two deliveries to drain.
+    struct Recorder {
+        log: Rc<RefCell<Vec<Step>>>,
+    }
+
+    impl MonitorBehavior for Recorder {
+        type Message = MonitorMsg;
+
+        fn on_local_event(&mut self, _: &Event, _: &mut MonitorContext<'_, MonitorMsg>) {}
+
+        fn on_monitor_message(
+            &mut self,
+            _: ProcessId,
+            msg: MonitorMsg,
+            ctx: &mut MonitorContext<'_, MonitorMsg>,
+        ) {
+            let MonitorMsg::Token(mut token) = msg else {
+                unreachable!("recorders send single tokens")
+            };
+            let (to, origin, hops) = (ctx.self_id, token.parent, token.parent_gv);
+            self.log.borrow_mut().push(Step::Delivered { to, origin, hops });
+            if hops == 0 {
+                token.parent_gv = 1;
+                ctx.send((to + 1) % ctx.n_processes, MonitorMsg::Token(token));
+            }
+        }
+
+        fn on_local_termination(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+            let p = ctx.self_id;
+            self.log.borrow_mut().push(Step::Terminated(p));
+            let token = Token {
+                property: 0,
+                parent: p,
+                origin_state: 0,
+                parent_gv: 0,
+                transitions: Vec::new(),
+                next_target_process: 0,
+                next_target_event: 0,
+            };
+            ctx.send((p + 1) % ctx.n_processes, MonitorMsg::Token(token));
+        }
+    }
+
+    impl SessionVerdicts for Recorder {
+        fn has_detected(&self, _: Verdict) -> bool {
+            false
+        }
+
+        fn possible_verdicts(&self) -> BTreeSet<Verdict> {
+            BTreeSet::new()
+        }
+    }
+
+    #[test]
+    fn finish_terminates_every_monitor_before_delivering_and_drains_in_process_order() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut session = FeedSession::new(3, |_| Recorder { log: log.clone() });
+        session.finish();
+        let log = log.take();
+        let first_delivery = log
+            .iter()
+            .position(|step| matches!(step, Step::Delivered { .. }))
+            .expect("termination tokens are delivered");
+        assert!(
+            log[first_delivery..].iter().all(|step| matches!(step, Step::Delivered { .. })),
+            "a monitor got a message before every process had ended: {log:?}"
+        );
+        let delivered = |to, origin, hops| Step::Delivered { to, origin, hops };
+        assert_eq!(
+            log,
+            [
+                Step::Terminated(0),
+                Step::Terminated(1),
+                Step::Terminated(2),
+                // Process 0's outbox, to quiescence, then process 1's, then 2's.
+                delivered(1, 0, 0),
+                delivered(2, 0, 1),
+                delivered(2, 1, 0),
+                delivered(0, 1, 1),
+                delivered(0, 2, 0),
+                delivered(1, 2, 1),
+            ]
+        );
+        assert_eq!(session.monitor_messages(), 6);
     }
 
     #[test]

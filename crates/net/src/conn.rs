@@ -257,10 +257,12 @@ mod tests {
     #[test]
     fn frames_round_trip_over_a_real_socket() {
         let (mut tx, mut rx) = loopback_pair();
-        let msgs: Vec<WireMsg> = (0..10usize)
-            .map(|i| match i % 2 {
+        let msgs: Vec<WireMsg> = (0..12usize)
+            .map(|i| match i % 4 {
                 0 => WireMsg::PeerHello { from: i },
-                _ => WireMsg::Finish { time: i as f64 },
+                1 => WireMsg::Finish { time: i as f64 },
+                2 => WireMsg::Release,
+                _ => WireMsg::ReleaseOk,
             })
             .collect();
         for m in &msgs {

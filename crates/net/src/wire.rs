@@ -10,8 +10,9 @@
 //! codec.  Three planes share one message enum:
 //!
 //! * **control** (orchestrator ↔ daemon): `hello`/`hello_ok` handshake, `event`
-//!   delivery, `status` quiescence polls, `finish` (end-of-trace), `report`
-//!   (metrics collection) and `shutdown`;
+//!   delivery, `status` quiescence polls, `finish` (end-of-trace: terminate and
+//!   hold) and `release` (send what termination emitted), `report` (metrics
+//!   collection) and `shutdown`;
 //! * **peer** (daemon ↔ daemon): `peer_hello` identification and `monitor`
 //!   frames carrying a [`MonitorMsg`] — a token or a §4.3.1 batch — plus the
 //!   simulated timestamp it was sent at, so the receiving monitor processes it
@@ -321,7 +322,7 @@ impl DaemonTelemetry {
 }
 
 /// A daemon emits one [`WireMsg::Telemetry`] sample each time `events_seen`
-/// crosses a multiple of this count (and one final sample at finish time).
+/// crosses a multiple of this count (and one final sample at release time).
 pub const TELEMETRY_EVERY_EVENTS: u64 = 16;
 
 /// Every frame of the deploy protocol.
@@ -367,14 +368,22 @@ pub enum WireMsg {
     /// Daemon → orchestrator: the counters.
     StatusOk(DaemonStatus),
     /// Orchestrator → daemon: end-of-trace at simulated time `time` — run local
-    /// termination and emit the resulting messages.
+    /// termination and *hold* the messages it emits until [`WireMsg::Release`].
+    /// The orchestrator finishes every daemon before it releases any, so no
+    /// monitor hears from a peer before it has learnt that its own process ended,
+    /// exactly as in `FeedSession::finish`.
     Finish {
         /// The global last event timestamp (every daemon terminates at the same
         /// simulated time, mirroring `FeedSession::finish`).
         time: f64,
     },
-    /// Daemon → orchestrator: termination processed.
+    /// Daemon → orchestrator: termination processed, its messages held.
     FinishOk,
+    /// Orchestrator → daemon: send the messages held since `finish`, at the
+    /// finish time.  A `release` before `finish` is a protocol failure.
+    Release,
+    /// Daemon → orchestrator: the held messages are on the wire.
+    ReleaseOk,
     /// Orchestrator → daemon: report metrics.
     Report,
     /// Daemon → orchestrator: the end-of-run report.
@@ -467,6 +476,8 @@ impl WireMsg {
                 ("time", Json::from(*time)),
             ]),
             WireMsg::FinishOk => object([("type", Json::from("finish_ok"))]),
+            WireMsg::Release => object([("type", Json::from("release"))]),
+            WireMsg::ReleaseOk => object([("type", Json::from("release_ok"))]),
             WireMsg::Report => object([("type", Json::from("report"))]),
             WireMsg::ReportOk(report) => object([
                 ("type", Json::from("report_ok")),
@@ -539,6 +550,8 @@ impl WireMsg {
                 time: v.get("time")?.as_f64()?,
             }),
             "finish_ok" => Ok(WireMsg::FinishOk),
+            "release" => Ok(WireMsg::Release),
+            "release_ok" => Ok(WireMsg::ReleaseOk),
             "report" => Ok(WireMsg::Report),
             "report_ok" => Ok(WireMsg::ReportOk(DaemonReport::from_json(v.get("report")?)?)),
             "shutdown" => Ok(WireMsg::Shutdown),
@@ -879,6 +892,8 @@ mod tests {
             }),
             WireMsg::Finish { time: 61.75 },
             WireMsg::FinishOk,
+            WireMsg::Release,
+            WireMsg::ReleaseOk,
             WireMsg::Report,
             WireMsg::ReportOk(DaemonReport {
                 process: 1,

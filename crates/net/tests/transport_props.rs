@@ -110,8 +110,12 @@ fn hot_msg_from_seed(seed: &mut u64) -> WireMsg {
         },
         // Control frames stay JSON even on a binary connection; interleave some
         // so the decoder's per-frame autodetect is exercised both ways.
-        _ => WireMsg::Finish {
-            time: (mix(seed) % 1_000_000) as f64 * 0.001,
+        _ => match mix(seed) % 3 {
+            0 => WireMsg::Finish {
+                time: (mix(seed) % 1_000_000) as f64 * 0.001,
+            },
+            1 => WireMsg::Release,
+            _ => WireMsg::ReleaseOk,
         },
     }
 }

@@ -196,6 +196,9 @@ struct Run {
     peers: Vec<Peer>,
     /// What the monitor sent during the activation in progress (reused).
     outbox: Vec<(usize, MonitorMsg)>,
+    /// What local termination emitted, and the finish time, held from `finish`
+    /// until `release`.
+    held: Option<(f64, Vec<(usize, MonitorMsg)>)>,
     delay_heap: BinaryHeap<Reverse<Delayed>>,
     delay_seq: u64,
     events_seen: u64,
@@ -205,6 +208,23 @@ struct Run {
     /// True when the hello negotiated the binary wire: outgoing monitor frames
     /// are binary-encoded (incoming frames self-describe either way).
     binary_wire: bool,
+}
+
+impl Run {
+    /// Runs one monitor callback at `time` and returns what the monitor sent —
+    /// the only place a [`MonitorContext`] is built.
+    fn call(
+        &mut self,
+        time: f64,
+        callback: impl FnOnce(&mut DecentralizedMonitor, &mut MonitorContext<'_, MonitorMsg>),
+    ) -> Vec<(usize, MonitorMsg)> {
+        let mut outbox = std::mem::take(&mut self.outbox);
+        callback(
+            &mut self.monitor,
+            &mut MonitorContext::new(self.process, self.n, time, &mut outbox),
+        );
+        outbox
+    }
 }
 
 /// Checks a decoded frame against the run it arrived in.  The monitor and the
@@ -460,6 +480,7 @@ impl Daemon {
                             })
                             .collect(),
                         outbox: Vec::new(),
+                        held: None,
                         delay_heap: BinaryHeap::new(),
                         delay_seq: 0,
                         events_seen: 0,
@@ -552,15 +573,25 @@ impl Daemon {
                     self.reply(token, &WireMsg::StatusOk(status))?;
                 }
                 WireMsg::Finish { time } => {
+                    if run.held.is_some() {
+                        return self.fail(run.control, "second finish before release");
+                    }
                     self.flush_holds(&mut run)?;
-                    self.activate(&mut run, time, |monitor, ctx| {
-                        monitor.on_local_termination(ctx);
-                    })?;
-                    obs_info!("finish at t={time:.3}");
-                    // One final sample so the timeline always covers the run's end
-                    // state, whatever the event-count cadence left off at.
-                    self.send_telemetry(&run)?;
+                    let held = run.call(time, |monitor, ctx| monitor.on_local_termination(ctx));
+                    obs_info!("finish at t={time:.3}, {} messages held", held.len());
+                    run.held = Some((time, held));
                     self.reply(token, &WireMsg::FinishOk)?;
+                }
+                WireMsg::Release => {
+                    let Some((time, held)) = run.held.take() else {
+                        return self.fail(run.control, "release before finish");
+                    };
+                    self.send_outbox(&mut run, time, held)?;
+                    // One final sample so the timeline always covers the run's end
+                    // state, termination traffic included, whatever the event-count
+                    // cadence left off at.
+                    self.send_telemetry(&run)?;
+                    self.reply(token, &WireMsg::ReleaseOk)?;
                 }
                 WireMsg::Report => {
                     let mut fault_stats = FaultStats::default();
@@ -594,19 +625,25 @@ impl Daemon {
         }
     }
 
-    /// Runs one monitor callback and puts what it sent on the wire, through the
-    /// fault shim — the only place a [`MonitorContext`] is built.
+    /// Runs one monitor callback and puts what it sent on the wire.
     fn activate(
         &mut self,
         run: &mut Run,
         time: f64,
         callback: impl FnOnce(&mut DecentralizedMonitor, &mut MonitorContext<'_, MonitorMsg>),
     ) -> Result<(), NetError> {
-        let mut outbox = std::mem::take(&mut run.outbox);
-        callback(
-            &mut run.monitor,
-            &mut MonitorContext::new(run.process, run.n, time, &mut outbox),
-        );
+        let outbox = run.call(time, callback);
+        self.send_outbox(run, time, outbox)
+    }
+
+    /// Puts what the monitor sent at `time` on the wire, through the fault shim:
+    /// the one send path, for an activation's messages and for held ones alike.
+    fn send_outbox(
+        &mut self,
+        run: &mut Run,
+        time: f64,
+        mut outbox: Vec<(usize, MonitorMsg)>,
+    ) -> Result<(), NetError> {
         run.logical_msgs += outbox.len() as u64;
         for (dest, msg) in outbox.drain(..) {
             let peer = &mut run.peers[dest];

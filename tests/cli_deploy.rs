@@ -75,7 +75,7 @@ fn wait_with_deadline(child: &mut Child, deadline: Duration) -> ExitStatus {
 /// Sends one control frame and blocks for the single reply it provokes.
 ///
 /// The daemon also pushes unsolicited `telemetry` frames up the control
-/// channel (e.g. a final sample right before `finish_ok`); like the real
+/// channel (e.g. a final sample right before `release_ok`); like the real
 /// orchestrator, the helper collects those without treating them as replies.
 fn rpc(conn: &mut FramedConn, msg: &WireMsg) -> WireMsg {
     conn.send_msg(msg).expect("send");
@@ -192,7 +192,7 @@ fn stale_socket_is_cleaned_up_on_restart() {
 
 /// A complete orchestrator session against a single daemon (a 1-process fleet:
 /// no peer mesh, so `hello_ok` is immediate): handshake, one event, a quiescence
-/// poll, finish, report, shutdown — and exit code 0.
+/// poll, finish, release, report, shutdown — and exit code 0.
 #[test]
 fn full_control_session_shuts_down_gracefully_with_exit_0() {
     let mut child = spawn_daemon(&["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "30"]);
@@ -232,6 +232,7 @@ fn full_control_session_shuts_down_gracefully_with_exit_0() {
     }
 
     assert_eq!(rpc(&mut conn, &WireMsg::Finish { time: 1.0 }), WireMsg::FinishOk);
+    assert_eq!(rpc(&mut conn, &WireMsg::Release), WireMsg::ReleaseOk);
     match rpc(&mut conn, &WireMsg::Report) {
         WireMsg::ReportOk(report) => {
             assert_eq!(report.process, 0);
@@ -416,6 +417,7 @@ fn malformed_frames_before_hello_are_protocol_failures() {
         (monitor_frame(1, sound_token()), "Monitor"),
         (WireMsg::Status, "Status"),
         (WireMsg::Finish { time: 1.0 }, "Finish"),
+        (WireMsg::Release, "Release"),
         (WireMsg::Report, "Report"),
         (WireMsg::Shutdown, "Shutdown"),
     ] {
@@ -423,6 +425,24 @@ fn malformed_frames_before_hello_are_protocol_failures() {
         send(&mut session.control, &early);
         // No `hello` yet, so the connection that sent the frame is the one told.
         session.assert_protocol_failure(&format!("before hello: {name}"));
+    }
+}
+
+#[test]
+fn malformed_finish_and_release_orders_are_protocol_failures() {
+    // `release` sends what `finish` held.  With nothing finished there is nothing
+    // to send, and a second `finish` would replace messages still held: either
+    // way the orchestrator has lost track of the run.
+    let finish = WireMsg::Finish { time: 1.0 };
+    for (frames, reason) in [
+        (vec![WireMsg::Release], "release before finish"),
+        (vec![finish.clone(), finish], "second finish before release"),
+    ] {
+        let mut session = Session::established(2);
+        for frame in &frames {
+            send(&mut session.control, frame);
+        }
+        session.assert_protocol_failure(reason);
     }
 }
 

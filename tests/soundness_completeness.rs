@@ -14,8 +14,9 @@
 //! `docs/MONITORING.md`.  The sweep goes through `FeedSession`; a second test pumps
 //! its first 300 computations through the stream runtime and pins the same verdicts
 //! there, so the lists speak for that substrate too; a third runs its first 40
-//! formulas that name an atom as `monitord` fleets and pins verdicts and message
-//! counts against the replay, so no substrate is left on the paper's six alone.
+//! formulas that name an atom, and the deploy family's property D, as `monitord`
+//! fleets and pins verdicts and message counts against the replay, so no
+//! substrate is left on the paper's six alone.
 //! All three run with the §4.3 suite on and off.
 //!
 //! The **oracle ledger** counts, for the paper's six properties over the sessions of
@@ -39,7 +40,7 @@ use dlrv_core::dlrv_trace::{generate_workload, WorkloadConfig};
 use dlrv_core::dlrv_vclock::{oracle_evaluate, Computation, Lattice, OracleResult};
 use dlrv_core::{
     run_deploy, session_seed, simulate_session, CompiledProperty, DeployParams, DeployTransport,
-    ExperimentConfig, PaperProperty, PropertySpec,
+    ExperimentConfig, PaperProperty, PropertySpec, ScenarioRegistry,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -399,42 +400,71 @@ fn the_oracle_ledger_of_the_paper_properties_is_no_worse_than_its_ceiling() {
     }
 }
 
-/// What the replays of three groups of sessions show from outside, recorded on the
-/// build before a view at ⊤/⊥ was retired on the spot, under `[default(), ALL_OFF]`:
-/// an FNV-1a digest of every session's `(detected, possible, monitor messages,
-/// tokens sent, global views created)`, and the sum over sessions and monitors of
-/// the peak of live views.  Retirement may lower the peaks; nothing else may move.
+/// What the replays of three groups of sessions show from outside under
+/// `[default(), ALL_OFF]`: an FNV-1a digest of every session's `(detected, possible,
+/// global views created)`, recorded on the build before end of stream became one
+/// instant, and the sum over sessions and monitors of the peak of live views,
+/// recorded on the build before a view at ⊤/⊥ was retired on the spot.  Retirement
+/// may lower the peaks; the digest may not move.
 const SESSION_DIGESTS: [(&str, [(u64, usize); 2]); 3] = [
-    ("sweep without X", [(0xd1c5828548db702a, 3022), (0x73c3a5fe7e09a522, 4142)]),
-    ("sweep with X", [(0x9740a9e07a9deb5e, 640), (0x36c04a16cca32b1a, 986)]),
-    ("fleet-6 first wave, A-F", [(0xdfba682ba5ce9deb, 8969), (0x791c4005daeb2bd0, 14529)]),
+    ("sweep without X", [(0x62298260fbb9961b, 3022), (0x37bd095aab7a5fa2, 4142)]),
+    ("sweep with X", [(0x18b8f0212be8400c, 640), (0xc298fa2d588b27f0, 986)]),
+    ("fleet-6 first wave, A-F", [(0x87d335a393612292, 8969), (0x1ebc1a1146f6748a, 14529)]),
 ];
 
-/// Replays the computation of `workload` under each of `options`, folding what the
-/// replay shows from outside into the option's digest and adding the peaks of its
-/// monitors' live views to the option's sum.
+/// The exact monitor messages and tokens sent by the same sessions, summed, under
+/// `[default(), ALL_OFF]`.  These are the protocol's cost: a change that moves them
+/// on purpose records the move here.  When end of stream became one instant (every
+/// monitor terminates before any termination token is delivered), `(messages,
+/// tokens)` went, under `default()` and `ALL_OFF`:
+///
+/// * sweep without X: (2 153, 2 918) → (2 141, 2 924); (14 712, 14 712) unmoved;
+/// * sweep with X: unmoved;
+/// * fleet-6 first wave: (65 158, 95 401) → (39 475, 93 333);
+///   (589 911, 589 911) → (533 929, 533 929).
+const SESSION_TRAFFIC: [(&str, [(usize, usize); 2]); 3] = [
+    ("sweep without X", [(2141, 2924), (14712, 14712)]),
+    ("sweep with X", [(577, 715), (3815, 3815)]),
+    ("fleet-6 first wave, A-F", [(39475, 93333), (533929, 533929)]),
+];
+
+/// What a group of sessions shows from outside under one option set.
+#[derive(Clone, Copy)]
+struct Shown {
+    /// FNV-1a over every session's `(detected, possible, global views created)`.
+    digest: u64,
+    /// Monitor messages, summed over sessions.
+    messages: usize,
+    /// Tokens sent, summed over sessions and monitors.
+    tokens: usize,
+    /// Peak of live views, summed over sessions and monitors.
+    peaks: usize,
+}
+
+/// Replays the computation of `workload` under each of `options` and folds what the
+/// replay shows from outside into the option's [`Shown`].
 fn digest_session(
-    digests: &mut [(u64, usize); 2],
+    shown: &mut [Shown; 2],
     automaton: &Arc<MonitorAutomaton>,
     registry: &Arc<AtomRegistry>,
     workload: &WorkloadConfig,
     options: &[MonitorOptions; 2],
 ) {
     let comp = simulate_session(workload, registry).report.computation;
-    for ((digest, peaks), &opts) in digests.iter_mut().zip(options) {
+    for (shown, &opts) in shown.iter_mut().zip(options) {
         let replay = replay_decentralized(&comp, registry, automaton, opts);
         let metrics: Vec<_> = replay.monitors.iter().map(|m| m.metrics()).collect();
         let bits = |set: BTreeSet<Verdict>| set.into_iter().map(|v| 1u64 << v as u64).sum::<u64>();
         for word in [
             bits(replay.detected_final_verdicts()),
             bits(replay.possible_verdicts()),
-            replay.monitor_messages as u64,
-            metrics.iter().map(|m| m.tokens_sent as u64).sum(),
             metrics.iter().map(|m| m.global_views_created as u64).sum(),
         ] {
-            *digest = (*digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            shown.digest = (shown.digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
         }
-        *peaks += metrics.iter().map(|m| m.max_live_views).sum::<usize>();
+        shown.messages += replay.monitor_messages;
+        shown.tokens += metrics.iter().map(|m| m.tokens_sent).sum::<usize>();
+        shown.peaks += metrics.iter().map(|m| m.max_live_views).sum::<usize>();
     }
 }
 
@@ -443,7 +473,12 @@ fn sessions_show_what_they_showed_before_final_views_were_retired() {
     // Case seeds of the sweep (1 000 `X`-free, 200 with `X`) and the oracle
     // ledger's sessions.
     let options = [MonitorOptions::default(), MonitorOptions::ALL_OFF];
-    let fresh = [(0xcbf2_9ce4_8422_2325, 0); 2];
+    let fresh = [Shown {
+        digest: 0xcbf2_9ce4_8422_2325,
+        messages: 0,
+        tokens: 0,
+        peaks: 0,
+    }; 2];
     let mut got = Vec::new();
     for (label, next, seeds) in [
         ("sweep without X", Formula::globally as Next, 1000),
@@ -472,24 +507,37 @@ fn sessions_show_what_they_showed_before_final_views_were_retired() {
 
     let table: String = got
         .iter()
-        .map(|(label, [(d0, p0), (d1, p1)])| {
-            format!("    (\"{label}\", [({d0:#018x}, {p0}), ({d1:#018x}, {p1})]),\n")
+        .map(|(label, [on, off])| {
+            format!(
+                "    (\"{label}\", [({:#018x}, {}), ({:#018x}, {})]),  \
+                 traffic [({}, {}), ({}, {})]\n",
+                on.digest, on.peaks, off.digest, off.peaks, on.messages, on.tokens,
+                off.messages, off.tokens
+            )
         })
         .collect();
-    println!("this build's digests and peak sums under [default, all-off]:\n{table}");
-    for ((label, got), (pinned, want)) in got.iter().zip(SESSION_DIGESTS) {
+    println!("this build's digests, peak sums and traffic under [default, all-off]:\n{table}");
+    for (((label, got), (pinned, want)), (_, traffic)) in
+        got.iter().zip(SESSION_DIGESTS).zip(SESSION_TRAFFIC)
+    {
         assert_eq!(*label, pinned);
-        for (((digest, peaks), (pinned_digest, pinned_peaks)), opts) in
-            got.iter().zip(want).zip(&options)
+        for (((shown, (pinned_digest, pinned_peaks)), traffic), opts) in
+            got.iter().zip(want).zip(traffic).zip(&options)
         {
             assert_eq!(
-                *digest, pinned_digest,
-                "{label} with {opts:?}: a session's verdicts, messages, tokens or views \
-                 created moved; this build's table:\n{table}"
+                shown.digest, pinned_digest,
+                "{label} with {opts:?}: a session's verdicts or views created moved; \
+                 this build's table:\n{table}"
+            );
+            assert_eq!(
+                (shown.messages, shown.tokens),
+                traffic,
+                "{label} with {opts:?}: (messages, tokens) moved; this build's table:\n{table}"
             );
             assert!(
-                *peaks <= pinned_peaks,
-                "{label} with {opts:?}: {peaks} peak live views, {pinned_peaks} before"
+                shown.peaks <= pinned_peaks,
+                "{label} with {opts:?}: {} peak live views, {pinned_peaks} before",
+                shown.peaks
             );
         }
     }
@@ -566,24 +614,36 @@ fn random_ltl_verdicts_through_a_daemon_fleet_equal_the_replay() {
     // by `run_deploy` as one `monitord` process per monitor over Unix sockets, with
     // the §4.3 suite on and off: every fleet must detect what the replay of the same
     // computation detects under the same options, with the same number of monitor
-    // messages.
+    // messages.  The registry's `deploy-D-n3` runs last: its termination tokens
+    // reach peers whose process has ended, so its message count holds the daemons
+    // to the replay's one-instant end of stream (finished one at a time, it sends 97
+    // messages instead of 92).
     std::env::set_var("DLRV_MONITORD_BIN", env!("CARGO_BIN_EXE_monitord"));
-    let cases = (0u64..)
+    let sweep = (0u64..)
         .map(|seed| (seed, sweep_case(seed, Formula::globally)))
         .filter(|(_, (formula, _))| !formula.atoms().is_empty())
-        .take(40);
+        .take(40)
+        .map(|(seed, (formula, workload))| {
+            let names = shared_registry(workload.n_processes);
+            let text = formula.display_with(|a| names.name(a).to_string()).to_string();
+            let spec = PropertySpec::parse_named(&format!("sweep-{seed}"), &text)
+                .unwrap_or_else(|e| panic!("seed {seed}: `{text}` does not parse back: {e}"));
+            let config = ExperimentConfig {
+                events_per_process: workload.events_per_process,
+                comm_mu: workload.comm_mu,
+                seeds: vec![seed],
+                ..ExperimentConfig::paper_default(spec, workload.n_processes)
+            };
+            (text, config)
+        });
+    let registered = ScenarioRegistry::standard()
+        .get("deploy-D-n3")
+        .expect("the deploy family registers property D at 3 processes")
+        .config
+        .clone();
     let mut with_traffic = 0;
-    for (seed, (formula, workload)) in cases {
-        let names = shared_registry(workload.n_processes);
-        let text = formula.display_with(|a| names.name(a).to_string()).to_string();
-        let spec = PropertySpec::parse_named(&format!("sweep-{seed}"), &text)
-            .unwrap_or_else(|e| panic!("seed {seed}: `{text}` does not parse back: {e}"));
-        let config = ExperimentConfig {
-            events_per_process: workload.events_per_process,
-            comm_mu: workload.comm_mu,
-            seeds: vec![seed],
-            ..ExperimentConfig::paper_default(spec, workload.n_processes)
-        };
+    for (text, config) in sweep.chain([("deploy-D-n3".to_string(), registered)]) {
+        let seed = config.seeds[0];
         let compiled = CompiledProperty::compile(&config.property, config.n_processes);
         let session = simulate_session(&config.workload_config(seed), &compiled.registry);
         for options in [MonitorOptions::default(), MonitorOptions::ALL_OFF] {
@@ -609,7 +669,7 @@ fn random_ltl_verdicts_through_a_daemon_fleet_equal_the_replay() {
             with_traffic += usize::from(replay.monitor_messages > 0);
         }
     }
-    assert!(with_traffic >= 20, "fixture too weak: {with_traffic} of 80 fleets exchanged a token");
+    assert!(with_traffic >= 20, "fixture too weak: {with_traffic} of 82 fleets exchanged a token");
 }
 
 #[test]
