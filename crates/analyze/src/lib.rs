@@ -13,31 +13,26 @@
 //!   monitorable / non-monitorable / trivially-⊤/⊥);
 //! * automaton hygiene — unreachable states, `?`-trap states, guard-cube
 //!   overlap/exhaustiveness, construction-size budget ([`Budget`]);
-//! * [`cost`] — predicted decentralization cost (token fan-out, messages per
-//!   event) from guard-cube atom ownership, the static counterpart of the
-//!   `overhead` benchmark family;
 //! * config lints — out-of-range atom owners, idle processes, initial channel
 //!   values that decide the property at the first cut, aliased atoms.
 //!
 //! Diagnostics are [`finding::Finding`]s with stable IDs (`DLRV-M001`, …),
 //! severities and optional spans into the LTL source; [`report`] gives the whole
-//! thing a schema-v1 JSON form, [`dot`] an annotated Graphviz rendering.
+//! thing a versioned JSON form, [`dot`] an annotated Graphviz rendering.
 
 #![forbid(unsafe_code)]
 
 pub mod classify;
-pub mod cost;
 pub mod dot;
 pub mod finding;
 pub mod report;
 
 pub use classify::{MonitorabilityClass, StateClass, VerdictReachability};
-pub use cost::CostPrediction;
 pub use dot::to_dot_annotated;
 pub use finding::{Finding, Lint, Severity, Span};
 pub use report::{
-    analyses_from_json, analyses_to_json, AnalysisRecord, MeasuredOverhead,
-    PropertyAnalysis, ANALYSIS_GENERATOR, ANALYSIS_SCHEMA_VERSION,
+    analyses_from_json, analyses_to_json, AnalysisRecord, PropertyAnalysis,
+    ANALYSIS_GENERATOR, ANALYSIS_SCHEMA_VERSION,
 };
 
 use dlrv_automaton::{MonitorAutomaton, SynthesisReport};
@@ -92,11 +87,8 @@ pub struct AnalysisInput<'a> {
 /// Runs every analysis over one compiled property.
 pub fn analyze(input: &AnalysisInput<'_>) -> PropertyAnalysis {
     let automaton = input.automaton;
-    let registry = input.registry;
     let reach = VerdictReachability::of(automaton);
     let classification = reach.classification(automaton);
-    let effective_processes = input.n_processes.max(registry.process_count()).max(1);
-    let cost = CostPrediction::predict(automaton, registry, effective_processes);
 
     let mut findings = Vec::new();
     monitorability_lints(&mut findings, input, classification, &reach);
@@ -114,7 +106,6 @@ pub fn analyze(input: &AnalysisInput<'_>) -> PropertyAnalysis {
         state_classes: reach.classes.clone(),
         reachable: reach.reachable.clone(),
         synthesis: input.synthesis,
-        cost,
         findings,
     }
 }

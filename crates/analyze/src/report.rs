@@ -1,4 +1,4 @@
-//! The analyzer's report type and its schema-v1-style JSON form.
+//! The analyzer's report type and its versioned JSON form.
 //!
 //! Mirrors the discipline of `BENCH_results.json` (`dlrv-core`'s results module):
 //! a top-level envelope with `schema_version` and a `generator` tag, one record
@@ -7,15 +7,14 @@
 //! distinguishes analysis reports from benchmark sweeps.
 
 use crate::classify::{MonitorabilityClass, StateClass};
-use crate::cost::CostPrediction;
 use crate::finding::{Finding, Lint, Severity, Span};
 use dlrv_automaton::{SynthesisReport, TransitionCounts};
 use dlrv_json::{object, Json, JsonError};
 use dlrv_ltl::Verdict;
 
-/// Schema version of the analysis document (kept in lockstep with the results
-/// schema: additive changes only within a version).
-pub const ANALYSIS_SCHEMA_VERSION: u64 = 1;
+/// Schema version of the analysis document, versioned on its own: additive
+/// changes keep it, a removed or changed field bumps it.
+pub const ANALYSIS_SCHEMA_VERSION: u64 = 2;
 
 /// The `generator` tag of analysis documents.
 pub const ANALYSIS_GENERATOR: &str = "dlrv-analyze";
@@ -39,8 +38,6 @@ pub struct PropertyAnalysis {
     pub reachable: Vec<bool>,
     /// Construction-size statistics of the synthesis run.
     pub synthesis: SynthesisReport,
-    /// Predicted decentralization cost.
-    pub cost: CostPrediction,
     /// All diagnostics, catalog order not guaranteed; sorted by severity
     /// descending for display.
     pub findings: Vec<Finding>,
@@ -58,16 +55,6 @@ impl PropertyAnalysis {
     }
 }
 
-/// Measured counterpart of a [`CostPrediction`], joined from benchmark results.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeasuredOverhead {
-    /// The benchmark scenario the numbers come from (an `overhead`/`paper` family
-    /// member for the same property).
-    pub scenario: String,
-    /// Measured monitoring messages per event, averaged over seeds.
-    pub msgs_per_event: f64,
-}
-
 /// One entry of an analysis document: the analysis plus optional provenance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisRecord {
@@ -76,8 +63,6 @@ pub struct AnalysisRecord {
     pub scenario: Option<String>,
     /// The analysis itself.
     pub analysis: PropertyAnalysis,
-    /// Measured cost joined from a results file, when available.
-    pub measured: Option<MeasuredOverhead>,
 }
 
 fn verdict_name(v: Verdict) -> &'static str {
@@ -130,37 +115,6 @@ fn synthesis_from_json(v: &Json) -> Result<SynthesisReport, JsonError> {
             self_loops: v.get("transitions_self_loops")?.as_usize()?,
         },
         max_cubes_per_state: v.get("max_cubes_per_state")?.as_usize()?,
-    })
-}
-
-fn cost_to_json(c: &CostPrediction) -> Json {
-    object([
-        (
-            "token_fanout",
-            Json::Array(c.token_fanout.iter().map(|&n| Json::from(n)).collect()),
-        ),
-        (
-            "max_remote_literals_per_event",
-            Json::from(c.max_remote_literals_per_event),
-        ),
-        ("max_messages_per_event", Json::from(c.max_messages_per_event)),
-        ("local_transitions", Json::from(c.local_transitions)),
-        ("cross_process_transitions", Json::from(c.cross_process_transitions)),
-    ])
-}
-
-fn cost_from_json(v: &Json) -> Result<CostPrediction, JsonError> {
-    Ok(CostPrediction {
-        token_fanout: v
-            .get("token_fanout")?
-            .as_array()?
-            .iter()
-            .map(|n| n.as_usize())
-            .collect::<Result<_, _>>()?,
-        max_remote_literals_per_event: v.get("max_remote_literals_per_event")?.as_usize()?,
-        max_messages_per_event: v.get("max_messages_per_event")?.as_usize()?,
-        local_transitions: v.get("local_transitions")?.as_usize()?,
-        cross_process_transitions: v.get("cross_process_transitions")?.as_usize()?,
     })
 }
 
@@ -226,7 +180,6 @@ fn analysis_to_json(a: &PropertyAnalysis) -> Json {
         ("classification", Json::from(a.classification.name())),
         ("states", Json::Array(states)),
         ("synthesis", synthesis_to_json(&a.synthesis)),
-        ("cost", cost_to_json(&a.cost)),
         (
             "findings",
             Json::Array(a.findings.iter().map(finding_to_json).collect()),
@@ -261,7 +214,6 @@ fn analysis_from_json(v: &Json) -> Result<PropertyAnalysis, JsonError> {
         state_classes,
         reachable,
         synthesis: synthesis_from_json(v.get("synthesis")?)?,
-        cost: cost_from_json(v.get("cost")?)?,
         findings: v
             .get("findings")?
             .as_array()?
@@ -271,7 +223,7 @@ fn analysis_from_json(v: &Json) -> Result<PropertyAnalysis, JsonError> {
     })
 }
 
-/// Serializes analysis records into the schema-v1 analysis document.
+/// Serializes analysis records into the analysis document.
 pub fn analyses_to_json(records: &[AnalysisRecord]) -> Json {
     let entries = records
         .iter()
@@ -282,16 +234,6 @@ pub fn analyses_to_json(records: &[AnalysisRecord]) -> Json {
                     r.scenario.clone().map(Json::from).unwrap_or(Json::Null),
                 ),
                 ("analysis", analysis_to_json(&r.analysis)),
-                (
-                    "measured",
-                    match &r.measured {
-                        Some(m) => object([
-                            ("scenario", Json::from(m.scenario.clone())),
-                            ("msgs_per_event", Json::from(m.msgs_per_event)),
-                        ]),
-                        None => Json::Null,
-                    },
-                ),
             ])
         })
         .collect();
@@ -302,7 +244,7 @@ pub fn analyses_to_json(records: &[AnalysisRecord]) -> Json {
     ])
 }
 
-/// Parses and validates a schema-v1 analysis document.
+/// Parses and validates an analysis document of the current schema version.
 pub fn analyses_from_json(doc: &Json) -> Result<Vec<AnalysisRecord>, JsonError> {
     let version = doc.get("schema_version")?.as_u64()?;
     if version != ANALYSIS_SCHEMA_VERSION {
@@ -326,13 +268,6 @@ pub fn analyses_from_json(doc: &Json) -> Result<Vec<AnalysisRecord>, JsonError> 
                     name => Some(name.as_str()?.to_string()),
                 },
                 analysis: analysis_from_json(entry.get("analysis")?)?,
-                measured: match entry.get("measured")? {
-                    Json::Null => None,
-                    m => Some(MeasuredOverhead {
-                        scenario: m.get("scenario")?.as_str()?.to_string(),
-                        msgs_per_event: m.get("msgs_per_event")?.as_f64()?,
-                    }),
-                },
             })
         })
         .collect()
@@ -369,16 +304,8 @@ mod tests {
             AnalysisRecord {
                 scenario: Some("paper-A-n2".to_string()),
                 analysis: sample("G (P0.p U (P1.p && P1.q))"),
-                measured: Some(MeasuredOverhead {
-                    scenario: "overhead-base-A-n2".to_string(),
-                    msgs_per_event: 3.25,
-                }),
             },
-            AnalysisRecord {
-                scenario: None,
-                analysis: sample("G (P0.req -> F P1.ack)"),
-                measured: None,
-            },
+            AnalysisRecord { scenario: None, analysis: sample("G (P0.req -> F P1.ack)") },
         ];
         let doc = analyses_to_json(&records);
         let text = doc.to_string_pretty();
@@ -387,16 +314,28 @@ mod tests {
         assert_eq!(back, records);
     }
 
-    #[test]
-    fn wrong_generator_is_rejected() {
-        let mut doc = analyses_to_json(&[]);
+    /// `doc` with its top-level field `key` replaced by `value`.
+    fn with_field(mut doc: Json, key: &str, value: Json) -> Json {
         if let Json::Object(fields) = &mut doc {
-            for (k, v) in fields.iter_mut() {
-                if k == "generator" {
-                    *v = Json::from("dlrv-experiments");
-                }
+            if let Some((_, v)) = fields.iter_mut().find(|(k, _)| k == key) {
+                *v = value;
             }
         }
+        doc
+    }
+
+    #[test]
+    fn wrong_generator_is_rejected() {
+        let doc = with_field(analyses_to_json(&[]), "generator", Json::from("dlrv-experiments"));
         assert!(analyses_from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn a_version_1_document_is_rejected_naming_both_versions() {
+        let doc = with_field(analyses_to_json(&[]), "schema_version", Json::from(1u64));
+        let err = analyses_from_json(&doc).expect_err("version 1 carried cost predictions");
+        let message = err.to_string();
+        assert!(message.contains("version 1"), "{message}");
+        assert!(message.contains("expected 2"), "{message}");
     }
 }

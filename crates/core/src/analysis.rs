@@ -3,21 +3,17 @@
 //! The analyzer itself sits below this crate (it knows formulas, automata and atom
 //! ownership, not [`PropertySpec`]s), so this module does the elaboration it cannot:
 //! building the spec at a *safe* process count even when the configured count is too
-//! small (that misconfiguration must become lint `DLRV-C001`, not a panic), deriving
-//! the initial global state from the spec's initial channel values, and joining the
-//! predicted decentralization cost against measured benchmark records.
+//! small (that misconfiguration must become lint `DLRV-C001`, not a panic) and
+//! deriving the initial global state from the spec's initial channel values.
 
-use crate::results::ScenarioRecord;
-use crate::spec::{CompiledProperty, PropertySpec};
-use dlrv_analyze::{
-    analyze, to_dot_annotated, AnalysisInput, Budget, MeasuredOverhead, PropertyAnalysis,
-};
+use crate::spec::PropertySpec;
+use dlrv_analyze::{analyze, to_dot_annotated, AnalysisInput, Budget, PropertyAnalysis};
 use dlrv_automaton::MonitorAutomaton;
 use dlrv_ltl::{Assignment, AtomLayout, AtomRegistry};
 
 /// Derives the initial global state a run of `spec` would start from: the spec's
 /// initial channel values applied to every process's channel-bound atoms.
-pub fn initial_global_state_for(
+fn initial_global_state_for(
     spec: &PropertySpec,
     registry: &AtomRegistry,
     n_processes: usize,
@@ -31,38 +27,14 @@ pub fn initial_global_state_for(
     state
 }
 
-/// Statically analyzes `spec` as configured for `n_processes` processes.
-///
-/// Unlike [`PropertySpec::build`], this never panics on a too-small process count:
-/// the spec is elaborated at `max(n_processes, min_processes)` and the analyzer
-/// reports the mismatch as `DLRV-C001`.
-pub fn analyze_spec(
+/// Elaborates `spec` at `max(n_processes, min_processes)`, synthesizes its monitor
+/// and analyzes it as configured for `n_processes`; returns the analysis with the
+/// automaton and registry it was derived from.
+fn elaborate_and_analyze(
     spec: &PropertySpec,
     n_processes: usize,
     budget: Budget,
-) -> PropertyAnalysis {
-    let effective = n_processes.max(spec.min_processes());
-    let (formula, registry) = spec.build(effective);
-    let (automaton, synthesis) = MonitorAutomaton::synthesize_with_report(&formula, &registry);
-    let initial_gstate = initial_global_state_for(spec, &registry, effective);
-    analyze(&AnalysisInput {
-        name: spec.name(),
-        ltl_source: spec.ltl_source(),
-        formula: &formula,
-        registry: &registry,
-        automaton: &automaton,
-        synthesis,
-        n_processes,
-        initial_gstate,
-        budget,
-    })
-}
-
-/// Analyzes `spec` and renders the annotated DOT export in one go.
-///
-/// This is the `--emit-dot` path: same digraph as [`CompiledProperty::to_dot`], plus
-/// verdict-reachability colors, dashed unreachable states and `(trap)` markers.
-pub fn analyze_to_dot(spec: &PropertySpec, n_processes: usize) -> String {
+) -> (PropertyAnalysis, MonitorAutomaton, AtomRegistry) {
     let effective = n_processes.max(spec.min_processes());
     let (formula, registry) = spec.build(effective);
     let (automaton, synthesis) = MonitorAutomaton::synthesize_with_report(&formula, &registry);
@@ -76,44 +48,39 @@ pub fn analyze_to_dot(spec: &PropertySpec, n_processes: usize) -> String {
         synthesis,
         n_processes,
         initial_gstate,
-        budget: Budget::default(),
+        budget,
     });
+    (analysis, automaton, registry)
+}
+
+/// Statically analyzes `spec` as configured for `n_processes` processes.
+///
+/// Unlike [`PropertySpec::build`], this never panics on a too-small process count:
+/// the spec is elaborated at `max(n_processes, min_processes)` and the analyzer
+/// reports the mismatch as `DLRV-C001`.
+pub fn analyze_spec(
+    spec: &PropertySpec,
+    n_processes: usize,
+    budget: Budget,
+) -> PropertyAnalysis {
+    elaborate_and_analyze(spec, n_processes, budget).0
+}
+
+/// Analyzes `spec` and renders the annotated DOT export in one go.
+///
+/// This is the `--emit-dot` path: the synthesized monitor as a digraph with named
+/// guards, plus verdict-reachability colors, dashed unreachable states and
+/// `(trap)` markers.
+pub fn analyze_to_dot(spec: &PropertySpec, n_processes: usize) -> String {
+    let (analysis, automaton, registry) =
+        elaborate_and_analyze(spec, n_processes, Budget::default());
+    let effective = n_processes.max(spec.min_processes());
     to_dot_annotated(
         &automaton,
         &registry,
         &analysis,
         &format!("{} ({} procs)", spec.name(), effective),
     )
-}
-
-impl CompiledProperty {
-    /// Statically analyzes this compiled property (default [`Budget`]).
-    pub fn analyze(&self) -> PropertyAnalysis {
-        analyze_spec(&self.spec, self.n_processes, Budget::default())
-    }
-}
-
-/// Finds the measured decentralization cost matching `analysis` in benchmark
-/// records: the first record with the same property name and process count that
-/// actually moved events.  Offline families measure real monitor messages, so
-/// throughput records (which do not exchange tokens) are skipped.
-pub fn measured_overhead_for(
-    analysis: &PropertyAnalysis,
-    records: &[ScenarioRecord],
-) -> Option<MeasuredOverhead> {
-    records
-        .iter()
-        .filter(|r| r.scenario.stream.is_none())
-        .filter(|r| {
-            r.scenario.config.property.name() == analysis.name
-                && r.scenario.config.n_processes == analysis.n_processes.max(1)
-                && r.avg.total_events > 0
-        })
-        .map(|r| MeasuredOverhead {
-            scenario: r.scenario.name.clone(),
-            msgs_per_event: r.avg.monitor_messages as f64 / r.avg.total_events as f64,
-        })
-        .next()
 }
 
 #[cfg(test)]
@@ -189,13 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_property_analyze_matches_free_function() {
-        let spec = PropertySpec::parse("F (P0.p && P1.p)").expect("valid LTL");
-        let compiled = CompiledProperty::compile(&spec, 2);
-        assert_eq!(compiled.analyze(), analyze_spec(&spec, 2, Budget::default()));
-    }
-
-    #[test]
     fn too_few_processes_lints_instead_of_panicking() {
         let spec = PropertySpec::parse("F (P2.p)").expect("valid LTL");
         let analysis = analyze_spec(&spec, 2, Budget::default());
@@ -214,29 +174,5 @@ mod tests {
         assert!(dot.contains("P0.p"));
         assert!(dot.contains("q_top"));
         assert!(dot.contains("classification: co_safety"), "{dot}");
-    }
-
-    #[test]
-    fn measured_overhead_joins_on_property_and_process_count() {
-        let registry = ScenarioRegistry::standard();
-        let scenario = registry.get("paper-B-n2").expect("registered").clone();
-        let mut record = ScenarioRecord {
-            scenario,
-            avg: Default::default(),
-            per_seed: Vec::new(),
-            detected_verdicts: Default::default(),
-        };
-        record.avg.total_events = 100;
-        record.avg.monitor_messages = 250;
-        let analysis =
-            analyze_spec(&PropertySpec::paper(PaperProperty::B), 2, Budget::default());
-        let measured =
-            measured_overhead_for(&analysis, std::slice::from_ref(&record)).expect("joined");
-        assert_eq!(measured.scenario, "paper-B-n2");
-        assert!((measured.msgs_per_event - 2.5).abs() < 1e-12);
-        // A different process count must not join.
-        let analysis5 =
-            analyze_spec(&PropertySpec::paper(PaperProperty::B), 5, Budget::default());
-        assert!(measured_overhead_for(&analysis5, std::slice::from_ref(&record)).is_none());
     }
 }

@@ -32,13 +32,13 @@ thread_local! {
 
 /// Sets the number of worker threads used to fan out independent seeds and
 /// configurations (the `--jobs` knob of the `experiments` binary).  `0` restores the
-/// default: the `DLRV_JOBS` environment variable if set, otherwise all available cores.
+/// default: all available cores.
 pub fn set_jobs(jobs: usize) {
     JOBS.store(jobs, Ordering::Relaxed);
 }
 
-/// Resolves the effective worker-thread count: [`set_jobs`] override, then the
-/// `DLRV_JOBS` environment variable, then `std::thread::available_parallelism`.
+/// Resolves the effective worker-thread count: the [`set_jobs`] override, else
+/// `std::thread::available_parallelism`.
 ///
 /// Returns 1 when called from inside a [`parallel_map_indexed`] worker, so nested
 /// fan-outs never exceed the configured cap.
@@ -49,13 +49,6 @@ pub fn effective_jobs() -> usize {
     let explicit = JOBS.load(Ordering::Relaxed);
     if explicit > 0 {
         return explicit;
-    }
-    if let Some(jobs) = std::env::var("DLRV_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&v| v > 0)
-    {
-        return jobs;
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

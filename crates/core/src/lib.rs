@@ -27,8 +27,7 @@
 //!   results serialized over [`dlrv_json`] and parsed back field-for-field.
 //! * [`analysis`] — spec-level entry points into the static analyzer
 //!   ([`dlrv_analyze`]): monitorability classification, automaton hygiene and
-//!   decentralization cost prediction without running a workload
-//!   (`--target analyze`).
+//!   configuration lints without running a workload (`--target analyze`).
 //!
 //! The lower-level building blocks are re-exported from their crates: LTL syntax
 //! ([`dlrv_ltl`]), monitor-automaton synthesis ([`dlrv_automaton`]), vector clocks and
@@ -51,9 +50,7 @@ pub mod system;
 pub mod tables;
 pub mod throughput;
 
-pub use analysis::{
-    analyze_spec, analyze_to_dot, initial_global_state_for, measured_overhead_for,
-};
+pub use analysis::{analyze_spec, analyze_to_dot};
 pub use deploy::{run_deploy, DeployOutcome, DeployParams, DeployTransport};
 pub use experiment::{
     average_metrics, effective_jobs, parallel_map_indexed, run_experiment,

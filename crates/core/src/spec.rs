@@ -19,7 +19,7 @@
 //! from.
 
 use crate::properties::PaperProperty;
-use dlrv_automaton::{dot, MonitorAutomaton};
+use dlrv_automaton::MonitorAutomaton;
 use dlrv_ltl::{
     parse, Assignment, AtomLayout, AtomRegistry, Channel, Formula, ParseError,
 };
@@ -367,15 +367,6 @@ impl CompiledProperty {
             opts,
         )
     }
-
-    /// The synthesized monitor automaton rendered as a Graphviz DOT digraph.
-    pub fn to_dot(&self) -> String {
-        dot::to_dot(
-            &self.automaton,
-            &self.registry,
-            &format!("{} ({} procs)", self.spec.name(), self.n_processes),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -515,15 +506,5 @@ mod tests {
             time: 2.0,
         });
         assert_eq!(session.finish(), Verdict::True);
-    }
-
-    #[test]
-    fn compiled_property_renders_dot() {
-        let compiled =
-            CompiledProperty::compile(&PropertySpec::from(PaperProperty::B), 2);
-        let dot = compiled.to_dot();
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("P0.p"));
-        assert!(dot.contains("q_top"));
     }
 }

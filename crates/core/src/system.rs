@@ -9,7 +9,7 @@
 
 use dlrv_automaton::MonitorAutomaton;
 use dlrv_distsim::{initial_global_state, run_simulation, SimConfig};
-use dlrv_ltl::{parse, Assignment, AtomRegistry, Formula, ParseError, Verdict};
+use dlrv_ltl::{parse, AtomRegistry, Formula, ParseError, Verdict};
 use dlrv_monitor::{DecentralizedMonitor, MonitorOptions, RunMetrics};
 use dlrv_trace::{generate_workload, Workload, WorkloadConfig};
 use dlrv_vclock::{oracle_evaluate, Computation, Lattice};
@@ -25,7 +25,6 @@ pub struct MonitoredSystem {
     workload: Option<Workload>,
     sim_config: SimConfig,
     options: MonitorOptions,
-    initial_gstate: Assignment,
 }
 
 /// The result of running a monitored system.
@@ -83,7 +82,6 @@ impl MonitoredSystem {
             workload: None,
             sim_config: SimConfig::default(),
             options: MonitorOptions::default(),
-            initial_gstate: Assignment::ALL_FALSE,
         }
     }
 
@@ -153,11 +151,7 @@ impl MonitoredSystem {
         let registry = Arc::new(self.registry);
         let n = self.n_processes;
         let opts = self.options;
-        let initial = if self.initial_gstate == Assignment::ALL_FALSE {
-            initial_global_state(&workload, &registry)
-        } else {
-            self.initial_gstate
-        };
+        let initial = initial_global_state(&workload, &registry);
 
         let report = run_simulation(&workload, &registry, &self.sim_config, |i| {
             DecentralizedMonitor::new(i, n, automaton.clone(), registry.clone(), initial, opts)

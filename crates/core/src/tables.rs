@@ -417,8 +417,7 @@ pub fn transition_columns() -> Vec<Column<TransitionRow>> {
 }
 
 /// The static-analysis table (`--target analyze`, `--analyze-property`):
-/// predicted decentralization cost next to the measured one, when a results
-/// document was joined.
+/// classification, automaton size and finding counts per analyzed property.
 pub fn analysis_columns() -> Vec<Column<AnalysisRecord>> {
     vec![
         Column::<AnalysisRecord>::left("scenario", 18, |r| r.scenario.as_deref().unwrap_or("-").to_string()),
@@ -430,13 +429,6 @@ pub fn analysis_columns() -> Vec<Column<AnalysisRecord>> {
             r.analysis.reachable.iter().filter(|&&x| x).count().to_string()
         }),
         Column::<AnalysisRecord>::right("alpha", 7, |r| r.analysis.synthesis.alphabet_size.to_string()),
-        Column::<AnalysisRecord>::right("fanout", 6, |r| {
-            r.analysis.cost.token_fanout.iter().copied().max().unwrap_or(0).to_string()
-        }),
-        Column::<AnalysisRecord>::right("pred.msg/ev", 11, |r| r.analysis.cost.max_messages_per_event.to_string()),
-        Column::<AnalysisRecord>::right("meas.msg/ev", 11, |r| {
-            r.measured.as_ref().map_or("-".to_string(), |m| format!("{:.2}", m.msgs_per_event))
-        }),
         Column::<AnalysisRecord>::left("findings", 8, |r| {
             let a = &r.analysis;
             let errors = a.count_at_least(Severity::Error);

@@ -3,14 +3,10 @@
 
 use super::args::target_selects;
 use super::run::print_table;
-use super::validate::load_results;
 use super::{emit_json, parse_property, read_property_file, Cli, CliError, Format};
 use dlrv_core::dlrv_analyze::{analyses_to_json, AnalysisRecord, PropertyAnalysis};
 use dlrv_core::tables::analysis_columns;
-use dlrv_core::{
-    analyze_spec, measured_overhead_for, parallel_map_indexed, PropertySpec, Scenario,
-    ScenarioRecord, ScenarioRegistry,
-};
+use dlrv_core::{analyze_spec, parallel_map_indexed, PropertySpec, Scenario, ScenarioRegistry};
 
 /// Analyzes `spec` under the command line's `--budget` and `--allow`.
 fn analyze(spec: &PropertySpec, procs: usize, cli: &Cli) -> PropertyAnalysis {
@@ -44,7 +40,6 @@ pub fn run_analyze_target(cli: &Cli) -> Result<(), CliError> {
     let analyses = parallel_map_indexed(unique.len(), dlrv_core::effective_jobs(), |i| {
         analyze(&unique[i].config.property, unique[i].config.n_processes, cli)
     });
-    let measured = cli.results.as_deref().map(load_results).transpose()?;
     let records: Vec<AnalysisRecord> = scenarios
         .iter()
         .map(|s| {
@@ -52,7 +47,7 @@ pub fn run_analyze_target(cli: &Cli) -> Result<(), CliError> {
                 .iter()
                 .position(|u| key(u) == key(s))
                 .expect("every scenario maps to a unique-pair analysis");
-            record(Some(s.name.clone()), analyses[at].clone(), measured.as_deref())
+            AnalysisRecord { scenario: Some(s.name.clone()), analysis: analyses[at].clone() }
         })
         .collect();
     report_analyses(&records, cli)
@@ -73,19 +68,7 @@ pub fn run_analyze_property(cli: &Cli) -> Result<(), CliError> {
     // No minimum-process check here (unlike `--property` runs): analyzing a spec
     // at a too-small count is exactly what `DLRV-C001` reports.
     let procs = cli.procs.or(file_procs).unwrap_or_else(|| spec.min_processes().max(2));
-    let measured = cli.results.as_deref().map(load_results).transpose()?;
-    report_analyses(&[record(None, analyze(&spec, procs, cli), measured.as_deref())], cli)
-}
-
-/// An analysis next to the measured overhead of its property, when a results
-/// document was given and has it.
-fn record(
-    scenario: Option<String>,
-    analysis: PropertyAnalysis,
-    measured: Option<&[ScenarioRecord]>,
-) -> AnalysisRecord {
-    let measured = measured.and_then(|records| measured_overhead_for(&analysis, records));
-    AnalysisRecord { scenario, analysis, measured }
+    report_analyses(&[AnalysisRecord { scenario: None, analysis: analyze(&spec, procs, cli) }], cli)
 }
 
 /// Reports analyses in the requested format, then applies the `--deny` gate: a

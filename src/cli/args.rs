@@ -18,7 +18,7 @@ pub(super) const USAGE: &str = "usage: experiments [TARGET...] [--target NAME] [
      [--property LTL | --property-file PATH... | --properties A,B,...] \
      [--procs N] [--emit-dot NAME] \
      [--analyze-property LTL|PATH] [--deny warn|error|LINT-ID[,...]] \
-     [--allow LINT-ID[,...]] [--results PATH] \
+     [--allow LINT-ID[,...]] \
      [--budget alphabet=N,states=N,transitions=N] [--list-scenarios] \
      [--validate-results PATH [--require-family NAME[,...]]] \
      [--target report [--results PATH] [--out-dir DIR]]";
@@ -155,8 +155,7 @@ pub struct Cli {
     pub deny_lints: Vec<Lint>,
     /// `--allow LINT-ID[,...]`: suppress these lints from analysis reports.
     pub allow_lints: Vec<Lint>,
-    /// `--results PATH`: results document to join measured overhead numbers from
-    /// (analysis modes), or to render (`--target report`).
+    /// `--results PATH`: the results document `--target report` renders.
     pub results: Option<PathBuf>,
     /// `--budget alphabet=N,states=N,transitions=N`: construction-size budget
     /// behind `DLRV-A006` (analysis modes only).
@@ -213,7 +212,7 @@ const FLAGS: [Flag; 20] = [
     Flag { name: "--deny", given: |c| c.deny_level.is_some() || !c.deny_lints.is_empty(), modes: &[AnalyzeProperty, Run], run_targets: &["analyze"] },
     Flag { name: "--allow", given: |c| !c.allow_lints.is_empty(), modes: &[AnalyzeProperty, Run], run_targets: &["analyze"] },
     Flag { name: "--budget", given: |c| c.budget != Budget::default(), modes: &[AnalyzeProperty, Run], run_targets: &["analyze"] },
-    Flag { name: "--results", given: |c| c.results.is_some(), modes: &[AnalyzeProperty, Report, Run], run_targets: &["analyze"] },
+    Flag { name: "--results", given: |c| c.results.is_some(), modes: &[Report], run_targets: &[] },
     Flag { name: "--require-family", given: |c| !c.require_family.is_empty(), modes: &[Validate], run_targets: &[] },
     Flag { name: "--fault", given: |c| c.fault.is_some(), modes: &[Run], run_targets: &["deploy"] },
 ];

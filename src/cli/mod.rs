@@ -23,7 +23,6 @@
 //! cargo run --release --bin experiments -- --property 'F(P0.p && P1.p)' --emit-dot property
 //! cargo run --release --bin experiments -- --validate-results BENCH_results.json --require-family throughput,fleet,deploy
 //! cargo run --release --bin experiments -- --target analyze --deny error
-//! cargo run --release --bin experiments -- --target analyze --results BENCH_results.json
 //! cargo run --release --bin experiments -- --analyze-property 'G(P0.req -> F P1.ack)'
 //! cargo run --release --bin experiments -- --target report
 //! cargo run --release --bin experiments -- --target report --results thr.json --out-dir /tmp/dash
@@ -61,8 +60,7 @@
 //!
 //! `--target analyze` statically analyzes the registry's properties — no workload
 //! runs — through the `dlrv-analyze` crate: monitorability classification, automaton
-//! hygiene, predicted decentralization cost (joined against measured numbers when
-//! `--results PATH` points at a results document) and configuration lints.
+//! hygiene and configuration lints.
 //! `--analyze-property VALUE` does the same for one ad-hoc property, where `VALUE`
 //! is LTL text or the path of a `--property-file`-style file.  `--deny
 //! warn|error|LINT-ID[,…]` makes matching findings exit non-zero (the CI gate),
@@ -96,8 +94,8 @@
 //! `dot/`.  It runs no workloads and must stand alone — see
 //! `docs/OBSERVABILITY.md`.
 //!
-//! `--jobs N` (or the `DLRV_JOBS` environment variable) caps the worker threads used
-//! to fan out independent seeds and configurations; the default uses every core.
+//! `--jobs N` caps the worker threads used to fan out independent seeds and
+//! configurations; the default uses every core.
 //! Results are byte-identical for every thread count — each (property, process count,
 //! seed) data point is a deterministic simulation collected in a fixed order.
 //!

@@ -159,25 +159,3 @@ fn require_family_rejects_documents_missing_the_family() {
     assert_eq!(typo.status.code(), Some(2));
     assert!(stderr(&typo).contains("did you mean `throughput`?"), "{}", stderr(&typo));
 }
-
-#[test]
-fn analyze_combines_with_measured_results() {
-    // Produce a small sweep document, then feed it back as measured context.
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("dlrv_measured_{}.json", std::process::id()));
-    let out = experiments(&[
-        "--target", "sweep", "--scenario", "paper-A-n2", "--format", "json",
-        "--out", path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-
-    let out = experiments(&[
-        "--target", "analyze", "--scenario", "paper-A-n2",
-        "--results", path.to_str().unwrap(),
-    ]);
-    std::fs::remove_file(&path).ok();
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    // The measured msg/ev column must be populated (not just the dash).
-    assert!(text.contains("meas.msg/ev"), "{text}");
-}

@@ -68,7 +68,9 @@ const REJECTED: &[(&str, &[&str])] = &[
     ("--procs with --emit-dot NAME", &["--emit-dot", "paper-A-n2", "--procs", "3"]),
     ("--deny outside analysis", &["--target", "sweep", "--deny", "warn"]),
     ("--allow outside analysis", &["table5_1", "--allow", "DLRV-M001"]),
-    ("--results outside analysis and report", &["--target", "sweep", "--results", "x.json"]),
+    ("--results outside report", &["--target", "sweep", "--results", "x.json"]),
+    ("--results on the analyze target", &["--target", "analyze", "--results", "x.json"]),
+    ("--results with --analyze-property", &["--analyze-property", "G P0.p", "--results", "x.json"]),
     ("--budget outside analysis", &["--target", "sweep", "--budget", "states=5"]),
     ("--deny on a property run", &["--property", "F P0.p", "--deny", "warn"]),
     ("report with --format json", &["--target", "report", "--format", "json"]),
@@ -119,6 +121,15 @@ fn every_rejection_rule_exits_with_the_usage_code() {
         assert_eq!(out.status.code(), Some(2), "{what}: `{}`\n{stderr}", args.join(" "));
         assert!(stderr.starts_with("error: "), "{what}: stderr must explain\n{stderr}");
         assert!(out.stdout.is_empty(), "{what}: a rejected command line prints nothing to stdout");
+    }
+}
+
+#[test]
+fn a_rejected_results_flag_names_the_report() {
+    let with_results = REJECTED.iter().filter(|(_, args)| args.contains(&"--results"));
+    for (what, args) in with_results {
+        let stderr = String::from_utf8_lossy(&experiments(args).stderr).into_owned();
+        assert!(stderr.contains("it applies to: `--target report`"), "{what}\n{stderr}");
     }
 }
 
