@@ -114,19 +114,14 @@ impl MonitorAutomaton {
         registry: &AtomRegistry,
     ) -> (MonitorAutomaton, SynthesisReport) {
         let n_atoms = registry.len();
-        let (gba_pos, gba_neg) = {
-            let _phase = dlrv_obs::span("automaton.gba_build");
-            (GeneralizedBuchi::build(formula), GeneralizedBuchi::build(&formula.negated_nnf()))
-        };
+        let gba_pos = GeneralizedBuchi::build(formula);
+        let gba_neg = GeneralizedBuchi::build(&formula.negated_nnf());
         let gba_nodes_pos = gba_pos.nodes.len();
         let gba_nodes_neg = gba_neg.nodes.len();
-        let (dfa_pos, dfa_neg) = {
-            let _phase = dlrv_obs::span("automaton.determinize");
-            (Dfa::from_gba(&gba_pos, n_atoms), Dfa::from_gba(&gba_neg, n_atoms))
-        };
+        let dfa_pos = Dfa::from_gba(&gba_pos, n_atoms);
+        let dfa_neg = Dfa::from_gba(&gba_neg, n_atoms);
 
         // Product construction over reachable pairs.
-        let _phase = dlrv_obs::span("automaton.product_and_minimize");
         let n_symbols = 1usize << n_atoms;
         let mut pair_index: HashMap<(usize, usize), StateId> = HashMap::new();
         let mut pairs: Vec<(usize, usize)> = Vec::new();

@@ -621,7 +621,6 @@ impl DecentralizedMonitor {
             "a view at ⊤ or ⊥ is retired, never held"
         );
         self.metrics.max_live_views = self.metrics.max_live_views.max(self.views.len());
-        dlrv_obs::gauge!("monitor.live_views").raise_to(self.views.len() as i64);
     }
 
     /// Whether an exploration launched from automaton state `q` is still out.
@@ -652,7 +651,6 @@ impl DecentralizedMonitor {
     fn send_token(&mut self, dest: ProcessId, token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         self.metrics.tokens_sent += 1;
         self.metrics.tokens_sent_after_termination += usize::from(self.local_terminated);
-        dlrv_obs::counter!("monitor.tokens_sent").inc();
         if self.opts.aggregate_tokens {
             self.outbound.entry(dest).or_default().push(token);
         } else {
@@ -688,7 +686,6 @@ impl DecentralizedMonitor {
         if self.views.len() <= 1 {
             return;
         }
-        let _span = dlrv_obs::span("monitor.merge_views");
         let mut staged = self.take_view_buf();
         std::mem::swap(&mut staged, &mut self.views);
         let mut ord = self
@@ -1286,7 +1283,6 @@ impl DecentralizedMonitor {
     /// by [`on_local_event`](MonitorBehavior::on_local_event), or by the fleet that
     /// lends this member its process's history.
     pub(crate) fn on_recorded_event(&mut self, sn: u64, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        let _span = dlrv_obs::span("monitor.local_event");
         self.lease_arena();
         self.metrics.events_observed += 1;
         self.metrics.last_event_time = ctx.now;
@@ -1361,7 +1357,6 @@ impl MonitorBehavior for DecentralizedMonitor {
         self.lease_arena();
         self.metrics.last_activity_time = ctx.now;
         self.metrics.tokens_received += msg.token_count();
-        dlrv_obs::counter!("monitor.tokens_received").add(msg.token_count() as u64);
         match msg {
             MonitorMsg::Token(token) => self.receive_token(token, ctx),
             // §4.3.1: an aggregated message — process the carried tokens in order,

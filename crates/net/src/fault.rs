@@ -232,11 +232,9 @@ impl FaultInjector {
         let mut out = Vec::new();
         if self.roll(self.spec.drop) {
             self.stats.dropped += 1;
-            dlrv_obs::counter!("net.fault.dropped").inc();
         } else {
             let copies = if self.roll(self.spec.dup) {
                 self.stats.duplicated += 1;
-                dlrv_obs::counter!("net.fault.duplicated").inc();
                 2
             } else {
                 1
@@ -256,7 +254,6 @@ impl FaultInjector {
             if let Some(held) = self.hold.take() {
                 out.push(held);
                 self.stats.reordered += 1;
-                dlrv_obs::counter!("net.fault.reordered").inc();
             }
         }
         self.stats.passed += out.len() as u64;

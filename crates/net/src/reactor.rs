@@ -51,9 +51,7 @@ impl Reactor {
     /// an empty slice means the timeout elapsed.
     pub fn poll(&mut self, timeout_ms: Option<u64>) -> io::Result<&[IoEvent]> {
         self.events.clear();
-        let _span = dlrv_obs::span("net.reactor_poll");
         self.epoll.wait(timeout_ms, &mut self.events)?;
-        dlrv_obs::counter!("net.reactor_wakeups").inc();
         Ok(&self.events)
     }
 }

@@ -1,87 +1,41 @@
-//! # dlrv-obs — unified observability for the dlrv workspace
+//! # dlrv-obs — leveled logging and the process RSS probe
 //!
-//! A dependency-free (stdlib + `dlrv-json` only) observability layer shared by
-//! every dlrv crate:
+//! The two facilities that have readers, on the standard library alone (the
+//! manifest's `dlrv-json` edge is unused):
 //!
-//! * **Metrics registry** ([`metrics`]): named [`Counter`]s, [`Gauge`]s and
-//!   log₂-bucketed latency [`Histogram`]s with p50/p90/p99 snapshots.  Handles
-//!   are interned once and cached at the call site (see `counter!`,
-//!   `histogram!`), so the hot path is a single relaxed atomic op.
-//! * **Structured trace** ([`trace`]): per-thread ring buffers of spans and
-//!   events with monotonic timestamps, drained as JSONL.
 //! * **Leveled logging** ([`log`]): `DLRV_LOG`-controlled stderr logging with
-//!   per-process prefixes and monotonic timestamps (used by `monitord`).
-//! * **Process probes** ([`rss`]): `peak_rss_bytes()` from `/proc/self/status`.
+//!   per-process prefixes and monotonic timestamps, used by `monitord` (and its
+//!   `--log-level` flag) and by the deploy orchestrator's artifact warnings.
+//! * **Process probe** ([`rss`]): [`peak_rss_bytes`] from `/proc/self/status`,
+//!   reported by every `monitord` daemon.
 //!
-//! ## The enable gate
+//! The paper's counts (tokens, messages, live views, queueing delay) are not
+//! kept here: they live in the structs that the tables, results documents,
+//! telemetry frames and benchmark probes read — `MonitorMetrics`,
+//! `ShardMetrics` and `FaultStats`.
 //!
-//! All recording is gated on one global [`AtomicBool`]
-//! read with `Relaxed` ordering.  Disabled (the default unless `DLRV_OBS=1`),
-//! every instrumentation point is one atomic load and an untaken branch —
-//! cheap enough to leave in hot paths unconditionally.  Nothing observable
-//! feeds back into monitoring decisions, so verdicts and schema-v1 results are
-//! byte-identical whether observability is on or off (pinned by
-//! `tests/obs_invariance.rs` in the umbrella crate).
+//! [`set_enabled`] is a no-op kept for callers that still switch the retired
+//! metrics registry off.
 
 #![forbid(unsafe_code)]
 
 pub mod log;
-pub mod metrics;
 pub mod rss;
-pub mod trace;
 
 pub use log::{log_level, set_log_level, set_log_prefix, LogLevel};
-pub use metrics::{
-    registry, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
-};
-pub use rss::peak_rss_bytes;
-pub use trace::{drain_trace_jsonl, span, trace_event, SpanGuard};
+pub use rss::{parse_vm_hwm, peak_rss_bytes};
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: OnceLock<()> = OnceLock::new();
-
-/// Returns whether observability recording is on.
-///
-/// The first call consults the `DLRV_OBS` environment variable (`1`/`true`/`on`
-/// enable); afterwards [`set_enabled`] is the only way to flip it.  The check
-/// itself is a single `Relaxed` atomic load.
-#[inline]
-pub fn enabled() -> bool {
-    ENV_INIT.get_or_init(|| {
-        if let Ok(v) = std::env::var("DLRV_OBS") {
-            let on = matches!(v.as_str(), "1" | "true" | "on");
-            ENABLED.store(on, Ordering::Relaxed);
-        }
-    });
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns observability recording on or off process-wide.
-pub fn set_enabled(on: bool) {
-    ENV_INIT.get_or_init(|| ());
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Unit tests toggle the process-global enable flag; they serialize on this
-/// lock so cargo's parallel test runner cannot interleave them.
-#[cfg(test)]
-pub(crate) static TEST_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-#[cfg(test)]
-pub(crate) fn test_gate() -> std::sync::MutexGuard<'static, ()> {
-    TEST_GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// Does nothing.  The metrics registry and trace ring this switched are gone;
+/// the function stays so that callers which still turn them off keep building.
+pub fn set_enabled(_on: bool) {}
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Monotonic nanoseconds since the first observability call in this process.
-///
-/// All trace timestamps and log timestamps share this epoch, so traces from
-/// different threads interleave consistently.
+/// Monotonic nanoseconds since the first call in this process: the timestamp
+/// of every log line.
 pub fn now_nanos() -> u64 {
     let epoch = *EPOCH.get_or_init(Instant::now);
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)

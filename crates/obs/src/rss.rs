@@ -5,7 +5,8 @@
 /// decreases, which is exactly the bounded-memory observable soak tests need).
 ///
 /// Returns `None` on platforms without procfs or when parsing fails; callers
-/// treat that as "not measured" (recorded as 0 in schema-v1 results).
+/// treat that as "not measured" and report 0.  The value measures the host, so
+/// no results document carries it.
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     parse_vm_hwm(&status)

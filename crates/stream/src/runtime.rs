@@ -414,14 +414,11 @@ impl ShardedRuntime {
     }
 
     fn send(&self, shard: usize, msg: ShardMsg) {
-        dlrv_obs::counter!("stream.mailbox_enqueued").inc();
         match &self.mailboxes[shard] {
             ShardMailbox::Channel(tx) => match tx.try_send(msg) {
                 Ok(()) => {}
                 Err(TrySendError::Full(msg)) => {
                     self.stalls[shard].fetch_add(1, Ordering::Relaxed);
-                    dlrv_obs::counter!("stream.backpressure_stalls").inc();
-                    let _stall = dlrv_obs::span("stream.backpressure_wait");
                     tx.send(msg)
                         .expect("shard worker terminated while its mailbox was full");
                 }
@@ -432,8 +429,6 @@ impl ShardedRuntime {
             ShardMailbox::Ring(ring) => {
                 if let Err(msg) = ring.try_push(msg) {
                     self.stalls[shard].fetch_add(1, Ordering::Relaxed);
-                    dlrv_obs::counter!("stream.backpressure_stalls").inc();
-                    let _stall = dlrv_obs::span("stream.backpressure_wait");
                     ring.push_blocking(msg);
                 }
             }
@@ -554,17 +549,14 @@ fn shard_worker(shard: usize, inbox: ShardInbox, batch_size: usize) -> ShardResu
         }
 
         let started = Instant::now();
-        let _batch_span = dlrv_obs::span("stream.batch_apply");
         metrics.batches += 1;
         metrics.max_batch_len = metrics.max_batch_len.max(batch.len());
         for msg in batch.drain(..) {
             let mut note_latency = |enqueued: Instant| {
-                let elapsed = enqueued.elapsed();
-                let lat = elapsed.as_secs_f64();
+                let lat = enqueued.elapsed().as_secs_f64();
                 latency_sum += lat;
                 latency_samples += 1;
                 metrics.max_queue_latency_secs = metrics.max_queue_latency_secs.max(lat);
-                dlrv_obs::histogram!("stream.queue_latency_nanos").record_duration(elapsed);
             };
             match msg {
                 ShardMsg::Open {

@@ -9,7 +9,7 @@
 //! deterministic fault-injection shim ([`dlrv_net::FaultInjector`]).
 //!
 //! ```text
-//! monitord --listen tcp:127.0.0.1:0 [--idle-timeout-secs 30]
+//! monitord --listen tcp:127.0.0.1:0 [--idle-timeout-secs 30] [--log-level error|warn|info|debug|trace]
 //! ```
 //!
 //! On startup the daemon binds, prints `LISTEN <endpoint>` (with the resolved

@@ -110,6 +110,8 @@ fn usage_errors_exit_2() {
         &["--listen", "ftp:example.com:21"][..],          // unsupported scheme
         &["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "nope"][..],
         &["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "0"][..],
+        &["--listen", "tcp:127.0.0.1:0", "--log-level", "loud"][..],
+        &["--listen", "tcp:127.0.0.1:0", "--log-level"][..],
     ] {
         let out = Command::new(BIN).args(args).output().expect("run monitord");
         assert_eq!(
@@ -140,6 +142,33 @@ fn idle_timeout_kills_an_abandoned_daemon() {
     // Never connect: the watchdog must fire on its own.
     let status = wait_with_deadline(&mut child, Duration::from_secs(10));
     assert_eq!(status.code(), Some(3), "idle timeout exits 3");
+}
+
+#[test]
+fn log_level_flag_wins_over_dlrv_log() {
+    let mut child = Command::new(BIN)
+        .args(["--listen", "tcp:127.0.0.1:0", "--log-level", "info", "--idle-timeout-secs", "0.3"])
+        .env("DLRV_LOG", "error")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn monitord");
+    let _ = read_listen(&mut child);
+    let status = wait_with_deadline(&mut child, Duration::from_secs(10));
+    assert_eq!(status.code(), Some(3), "idle timeout exits 3");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr captured")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.contains("[monitord] INFO") && l.contains("listening on tcp:")),
+        "expected an INFO line despite DLRV_LOG=error, stderr: {stderr}"
+    );
 }
 
 #[test]
