@@ -89,20 +89,14 @@ pub struct DeployParams {
     /// Fault spec applied to every daemon's outgoing peer channels (`None` = a
     /// perfect network).
     pub fault: Option<FaultSpec>,
-    /// True when event and monitor frames travel in the compact binary format
-    /// (negotiated via the `hello` frame's `wire` field); false keeps the
-    /// original all-JSON wire, the A/B baseline.
-    pub binary_wire: bool,
 }
 
 impl DeployParams {
-    /// A fault-free deployment over the given transport, with the binary wire
-    /// (the optimized default; use a struct literal for the JSON baseline).
+    /// A fault-free deployment over the given transport.
     pub fn clean(transport: DeployTransport) -> Self {
         DeployParams {
             transport,
             fault: None,
-            binary_wire: true,
         }
     }
 }
@@ -122,6 +116,8 @@ pub struct DeployOutcome {
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Timeout for one quiescence barrier (covers delay faults and slow CI machines).
+/// A fault spec's delay is bounded by the same minute
+/// ([`dlrv_net::fault::MAX_DELAY_MS`]).
 const BARRIER_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Distinguishes concurrent deploy runs sharing a temp directory.
@@ -374,11 +370,7 @@ fn run_seed(
         let ep = Endpoint::parse(&endpoint).map_err(|e| format!("daemon endpoint: {e}"))?;
         let sock = connect_with_retry(&ep, Duration::from_secs(10))
             .map_err(|e| format!("connect control channel to {endpoint}: {e}"))?;
-        let mut conn = FramedConn::new(sock);
-        // The hello itself still travels as JSON (only the hot frame types have
-        // binary bodies), so switching the connection before the handshake is
-        // safe — the daemon learns the format from the hello it decodes first.
-        conn.set_binary_wire(params.binary_wire);
+        let conn = FramedConn::new(sock);
         let reactor = Reactor::new().map_err(|e| format!("reactor for {endpoint}: {e}"))?;
         reactor
             .register(conn.raw_fd(), 0, Interest::READABLE)
@@ -406,7 +398,6 @@ fn run_seed(
             initial_state,
             fault: params.fault,
             peers: peers.clone(),
-            binary_wire: params.binary_wire,
         })?;
     }
     for (i, daemon) in fleet.daemons.iter_mut().enumerate() {

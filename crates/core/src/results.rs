@@ -183,11 +183,11 @@ pub fn deploy_params_to_json(params: &DeployParams) -> Json {
             "fault",
             params.fault.as_ref().map_or(Json::Null, FaultSpec::to_json),
         ),
-        ("binary_wire", Json::from(params.binary_wire)),
     ])
 }
 
-/// Parses the deployment parameters back.
+/// Parses the deployment parameters back.  Documents written while the deploy
+/// wire had a JSON mode also carry `binary_wire`; it is ignored.
 pub fn deploy_params_from_json(v: &Json) -> Result<DeployParams, JsonError> {
     let name = v.get("transport")?.as_str()?;
     let transport = DeployTransport::from_name(name)
@@ -198,8 +198,6 @@ pub fn deploy_params_from_json(v: &Json) -> Result<DeployParams, JsonError> {
             Json::Null => None,
             spec => Some(FaultSpec::from_json(spec)?),
         },
-        // Additive: deploy records written before the binary wire ran all-JSON.
-        binary_wire: v.get_opt("binary_wire")?.map_or(Ok(false), Json::as_bool)?,
     })
 }
 
@@ -448,6 +446,21 @@ mod tests {
         };
         let back = options_from_json(&options_to_json(&options)).unwrap();
         assert_eq!(options, back);
+    }
+
+    #[test]
+    fn deploy_params_round_trip_and_ignore_the_retired_wire_switch() {
+        let params = DeployParams {
+            transport: DeployTransport::Unix,
+            fault: Some(FaultSpec::parse("delay=1,dup=0.2,seed=7").expect("valid spec")),
+        };
+        assert_eq!(deploy_params_from_json(&deploy_params_to_json(&params)).unwrap(), params);
+        // A deploy record as documents committed before the one-format wire wrote it.
+        let Json::Object(mut fields) = deploy_params_to_json(&params) else {
+            panic!("deploy params serialize as an object")
+        };
+        fields.push(("binary_wire".to_string(), Json::Bool(true)));
+        assert_eq!(deploy_params_from_json(&Json::Object(fields)).unwrap(), params);
     }
 
     #[test]

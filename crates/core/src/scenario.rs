@@ -620,7 +620,6 @@ impl ScenarioRegistry {
                     FaultSpec::parse("delay=1,dup=0.2,reorder=0.2,seed=7")
                         .expect("registry fault specs are valid"),
                 ),
-                binary_wire: true,
             }),
             fleet: None,
         });

@@ -130,10 +130,8 @@ impl MonitorMetrics {
         ])
     }
 
-    /// Parses the metrics back from their [`MonitorMetrics::to_json`] form.  The
-    /// tour work counters read as zero from a report that predates them.
+    /// Parses the metrics back from their [`MonitorMetrics::to_json`] form.
     pub fn from_json(v: &Json) -> Result<MonitorMetrics, JsonError> {
-        let count = |key| v.get_opt(key)?.map_or(Ok(0), Json::as_usize);
         Ok(MonitorMetrics {
             tokens_sent: v.get("tokens_sent")?.as_usize()?,
             tokens_received: v.get("tokens_received")?.as_usize()?,
@@ -145,11 +143,11 @@ impl MonitorMetrics {
             queued_events_sum: v.get("queued_events_sum")?.as_usize()?,
             queued_events_samples: v.get("queued_events_samples")?.as_usize()?,
             max_queued_events: v.get("max_queued_events")?.as_usize()?,
-            history_events_served: count("history_events_served")?,
-            tokens_parked: count("tokens_parked")?,
-            tokens_failed_at_termination: count("tokens_failed_at_termination")?,
-            backlog_events_drained: count("backlog_events_drained")?,
-            tokens_sent_after_termination: count("tokens_sent_after_termination")?,
+            history_events_served: v.get("history_events_served")?.as_usize()?,
+            tokens_parked: v.get("tokens_parked")?.as_usize()?,
+            tokens_failed_at_termination: v.get("tokens_failed_at_termination")?.as_usize()?,
+            backlog_events_drained: v.get("backlog_events_drained")?.as_usize()?,
+            tokens_sent_after_termination: v.get("tokens_sent_after_termination")?.as_usize()?,
             last_event_time: v.get("last_event_time")?.as_f64()?,
             last_activity_time: v.get("last_activity_time")?.as_f64()?,
             detected_final_verdicts: verdicts_from_json(v.get("detected_final_verdicts")?)?,
@@ -499,7 +497,7 @@ mod tests {
     }
 
     #[test]
-    fn tour_work_counters_round_trip_and_default_to_zero_in_older_reports() {
+    fn tour_work_counters_round_trip() {
         let m = MonitorMetrics {
             tokens_sent: 9,
             history_events_served: 40,
@@ -510,23 +508,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(MonitorMetrics::from_json(&m.to_json()).unwrap(), m);
-
-        // A report written by a daemon that predates the counters.
-        let Json::Object(mut fields) = m.to_json() else {
-            panic!("metrics must serialize to an object")
-        };
-        fields.retain(|(k, _)| {
-            !matches!(
-                k.as_str(),
-                "history_events_served"
-                    | "tokens_parked"
-                    | "tokens_failed_at_termination"
-                    | "backlog_events_drained"
-                    | "tokens_sent_after_termination"
-            )
-        });
-        let older = MonitorMetrics::from_json(&Json::Object(fields)).unwrap();
-        assert_eq!(older, MonitorMetrics { tokens_sent: 9, ..Default::default() });
     }
 
     #[test]

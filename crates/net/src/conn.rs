@@ -77,7 +77,6 @@ pub struct FramedConn {
     frames_flushed: u64,
     eof: bool,
     read_chunk: Vec<u8>,
-    binary_wire: bool,
 }
 
 impl FramedConn {
@@ -91,17 +90,13 @@ impl FramedConn {
             frames_flushed: 0,
             eof: false,
             read_chunk: vec![0u8; 64 * 1024],
-            binary_wire: false,
         }
     }
 
-    /// Selects the outgoing frame format for [`send_msg`](Self::send_msg):
-    /// binary bodies for the hot frame types when `on`, JSON for everything
-    /// (the default).  Reading needs no mode — each incoming frame declares its
-    /// own format in the header.
-    pub fn set_binary_wire(&mut self, on: bool) {
-        self.binary_wire = on;
-    }
+    /// Does nothing: the deploy wire has one format, so a connection has no
+    /// mode to select.  Kept for the benchmark's connection probes, which
+    /// always pass `true`; ROADMAP.md item 4(d) removes it together with them.
+    pub fn set_binary_wire(&mut self, _on: bool) {}
 
     /// The raw descriptor, for reactor registration.
     pub fn raw_fd(&self) -> RawFd {
@@ -115,9 +110,8 @@ impl FramedConn {
 
     /// Reads everything currently available and returns the complete deploy
     /// messages decoded from it (possibly none), each frame per its own header
-    /// flag so JSON and binary peers share one receive path.  Sets
-    /// [`is_eof`](Self::is_eof) on a clean peer close; trailing bytes of a
-    /// truncated frame at EOF are an error.
+    /// flag.  Sets [`is_eof`](Self::is_eof) on a clean peer close; trailing
+    /// bytes of a truncated frame at EOF are an error.
     pub fn on_readable_msgs(&mut self) -> Result<Vec<WireMsg>, NetError> {
         self.fill_from_socket()?;
         let mut msgs = Vec::new();
@@ -149,10 +143,10 @@ impl FramedConn {
         }
     }
 
-    /// Queues one deploy message in the connection's negotiated format (see
-    /// [`set_binary_wire`](Self::set_binary_wire)) and attempts an immediate flush.
+    /// Queues one deploy message (see [`wire::encode_frame`]) and attempts an
+    /// immediate flush.
     pub fn send_msg(&mut self, msg: &WireMsg) -> Result<(), NetError> {
-        self.queue_bytes(wire::encode_wire_frame(msg, self.binary_wire));
+        self.queue_bytes(wire::encode_frame(msg));
         self.flush()?;
         Ok(())
     }

@@ -7,7 +7,7 @@
 //!
 //! * `drop=p` — each frame vanishes with probability `p` (reliability broken),
 //! * `delay=ms` — every surviving frame is released `ms` milliseconds later
-//!   (timing relaxed; ordering kept),
+//!   (timing relaxed; ordering kept), at most [`MAX_DELAY_MS`],
 //! * `dup=p` — each frame is sent twice with probability `p` (at-most-once
 //!   delivery broken),
 //! * `reorder=p` — a frame is held back with probability `p` and released *after*
@@ -22,6 +22,11 @@
 
 use dlrv_json::{object, Json, JsonError};
 use std::fmt;
+
+/// The longest per-frame delay a spec may ask for, in milliseconds: one minute,
+/// the deploy orchestrator's quiescence-barrier timeout.  A longer delay could
+/// only make that barrier give up before the frame arrives.
+pub const MAX_DELAY_MS: f64 = 60_000.0;
 
 /// Parsed `--fault drop=p,delay=ms,dup=p,reorder=p[,seed=n]` specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,8 +56,9 @@ impl Default for FaultSpec {
 }
 
 impl FaultSpec {
-    /// Parses a comma-separated `key=value` list; unknown keys and out-of-range
-    /// probabilities are rejected.  The empty string is the no-fault spec.
+    /// Parses a comma-separated `key=value` list; unknown keys, probabilities
+    /// outside `[0, 1]` and delays outside `[0, MAX_DELAY_MS]` are rejected.  The
+    /// empty string is the no-fault spec.
     pub fn parse(text: &str) -> Result<FaultSpec, String> {
         let mut spec = FaultSpec::default();
         for part in text.split(',').filter(|p| !p.trim().is_empty()) {
@@ -61,28 +67,16 @@ impl FaultSpec {
                 .ok_or_else(|| format!("fault clause `{part}` must be key=value"))?;
             let key = key.trim();
             let value = value.trim();
-            let prob = |what: &str| -> Result<f64, String> {
-                let p: f64 = value
+            let number = || -> Result<f64, String> {
+                value
                     .parse()
-                    .map_err(|_| format!("{what} `{value}` is not a number"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("{what} `{value}` must be within [0, 1]"));
-                }
-                Ok(p)
+                    .map_err(|_| format!("{key} `{value}` is not a number"))
             };
             match key {
-                "drop" => spec.drop = prob("drop probability")?,
-                "dup" => spec.dup = prob("dup probability")?,
-                "reorder" => spec.reorder = prob("reorder probability")?,
-                "delay" => {
-                    let ms: f64 = value
-                        .parse()
-                        .map_err(|_| format!("delay `{value}` is not a number"))?;
-                    if !(ms >= 0.0 && ms.is_finite()) {
-                        return Err(format!("delay `{value}` must be a finite non-negative ms"));
-                    }
-                    spec.delay_ms = ms;
-                }
+                "drop" => spec.drop = number()?,
+                "dup" => spec.dup = number()?,
+                "reorder" => spec.reorder = number()?,
+                "delay" => spec.delay_ms = number()?,
                 "seed" => {
                     spec.seed = value
                         .parse()
@@ -91,7 +85,25 @@ impl FaultSpec {
                 other => return Err(format!("unknown fault key `{other}`")),
             }
         }
-        Ok(spec)
+        spec.validate()
+    }
+
+    /// Checks the ranges every spec must keep, whether parsed from the command
+    /// line or read from a daemon's `hello`: each probability within `[0, 1]`,
+    /// the delay within `[0, MAX_DELAY_MS]` milliseconds.
+    fn validate(self) -> Result<FaultSpec, String> {
+        for (what, p) in [("drop", self.drop), ("dup", self.dup), ("reorder", self.reorder)] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{what} probability {p:?} must be within [0, 1]"));
+            }
+        }
+        if !(0.0..=MAX_DELAY_MS).contains(&self.delay_ms) {
+            return Err(format!(
+                "delay {:?} ms must be within [0, {MAX_DELAY_MS}] ms",
+                self.delay_ms
+            ));
+        }
+        Ok(self)
     }
 
     /// True when the spec injects nothing (the identity shim).
@@ -110,15 +122,18 @@ impl FaultSpec {
         ])
     }
 
-    /// Parses the spec back from its [`to_json`](Self::to_json) form.
+    /// Parses the spec back from its [`to_json`](Self::to_json) form; values
+    /// [`parse`](Self::parse) would reject are rejected here too.
     pub fn from_json(v: &Json) -> Result<FaultSpec, JsonError> {
-        Ok(FaultSpec {
+        FaultSpec {
             drop: v.get("drop")?.as_f64()?,
             delay_ms: v.get("delay_ms")?.as_f64()?,
             dup: v.get("dup")?.as_f64()?,
             reorder: v.get("reorder")?.as_f64()?,
             seed: v.get("seed")?.as_u64()?,
-        })
+        }
+        .validate()
+        .map_err(|e| JsonError::msg(format!("fault spec: {e}")))
     }
 }
 
@@ -313,11 +328,34 @@ mod tests {
         assert!(FaultSpec::default().is_noop());
         assert!(!spec.is_noop());
         assert!(FaultSpec::parse("drop=2").is_err());
+        assert!(FaultSpec::parse("dup=NaN").is_err());
         assert!(FaultSpec::parse("delay=-1").is_err());
+        assert!(FaultSpec::parse("delay=inf").is_err());
+        assert!(FaultSpec::parse("delay=1e300").is_err());
+        assert!(FaultSpec::parse("delay=60001").is_err());
+        assert_eq!(FaultSpec::parse("delay=60000").expect("the bound").delay_ms, MAX_DELAY_MS);
         assert!(FaultSpec::parse("jitter=3").is_err());
         assert!(FaultSpec::parse("drop").is_err());
         // Display form parses back to the same spec.
         assert_eq!(FaultSpec::parse(&spec.to_string()).expect("redisplay"), spec);
+    }
+
+    #[test]
+    fn json_specs_outside_the_ranges_are_rejected() {
+        let default = FaultSpec::default();
+        for spec in [
+            FaultSpec { drop: 2.0, ..default },
+            FaultSpec { dup: -0.5, ..default },
+            FaultSpec { reorder: 1.5, ..default },
+            FaultSpec { delay_ms: 1e300, ..default },
+            FaultSpec { delay_ms: MAX_DELAY_MS + 1.0, ..default },
+            FaultSpec { delay_ms: -1.0, ..default },
+        ] {
+            let err = FaultSpec::from_json(&spec.to_json()).expect_err(&spec.to_string());
+            assert!(err.to_string().contains("must be within"), "{spec}: {err}");
+        }
+        let edge = FaultSpec { delay_ms: MAX_DELAY_MS, ..default };
+        assert_eq!(FaultSpec::from_json(&edge.to_json()).expect("the bound is legal"), edge);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The deploy wire protocol: every frame exchanged between the orchestrator, the
 //! `monitord` daemons and their peer mesh.
 //!
-//! Every message has a self-describing JSON form with a `type` tag; the two
-//! message types whose count scales with the trace, `event` and `monitor`, also
-//! have a compact binary body that a connection may negotiate (its grammar is
-//! the comment above the binary codec, further down this file).  Framing, the
-//! bounds-checked [`Reader`] and the vector clock's two forms come from
-//! [`dlrv_stream::wire`], which this codec shares with the session-stream
-//! codec.  Three planes share one message enum:
+//! There is one wire format.  The two message types whose count scales with the
+//! trace, `event` and `monitor`, always travel as a compact binary body (its
+//! grammar is the comment above the binary codec, further down this file);
+//! every other message is a self-describing JSON object with a `type` tag.  The
+//! frame header's format bit says which, and a JSON-headed `event` or `monitor`
+//! frame is a decode error.  Framing, the bounds-checked [`Reader`] and the
+//! vector clock's binary form come from [`dlrv_stream::wire`], which this codec
+//! shares with the session-stream codec.  Three planes share one message enum:
 //!
 //! * **control** (orchestrator ↔ daemon): `hello`/`hello_ok` handshake, `event`
 //!   delivery, `status` quiescence polls, `finish` (end-of-trace: terminate and
@@ -28,146 +29,9 @@ use crate::fault::{FaultSpec, FaultStats};
 use dlrv_json::{object, Json, JsonError};
 use dlrv_ltl::Assignment;
 use dlrv_monitor::{ConjunctEval, EvalState, MonitorMetrics, MonitorMsg, Token, TokenTransition};
-use dlrv_stream::wire::{
-    clock_from_json, clock_to_json, json_frame, json_payload, write_clock, write_frame, Reader,
-    StreamError,
-};
-use dlrv_stream::{event_from_binary, event_from_json, event_to_binary, event_to_json, varint};
+use dlrv_stream::wire::{json_frame, json_payload, write_clock, write_frame, Reader, StreamError};
+use dlrv_stream::{event_from_binary, event_to_binary, varint};
 use dlrv_vclock::Event;
-
-/// Serializes one token transition.  Conjunct evaluations travel as a compact
-/// string (one char per process: `-` not involved, `?` unset, `t`, `f`), the
-/// overall evaluation as `?`/`e`/`d`.
-fn transition_to_json(t: &TokenTransition) -> Json {
-    let conjuncts: String = t
-        .conjuncts
-        .iter()
-        .map(|c| match c {
-            ConjunctEval::NotInvolved => '-',
-            ConjunctEval::Unset => '?',
-            ConjunctEval::True => 't',
-            ConjunctEval::False => 'f',
-        })
-        .collect();
-    let eval = match t.eval {
-        EvalState::Unset => "?",
-        EvalState::Enabled => "e",
-        EvalState::Disabled => "d",
-    };
-    object([
-        ("id", Json::from(t.transition_id)),
-        ("gcut", clock_to_json(&t.gcut)),
-        ("depend", clock_to_json(&t.depend)),
-        ("gstate", Json::from(t.gstate.0)),
-        ("conjuncts", Json::from(conjuncts)),
-        ("next_p", Json::from(t.next_target_process)),
-        ("next_e", Json::from(t.next_target_event)),
-        ("eval", Json::from(eval)),
-    ])
-}
-
-fn transition_from_json(v: &Json) -> Result<TokenTransition, JsonError> {
-    let conjuncts = v
-        .get("conjuncts")?
-        .as_str()?
-        .chars()
-        .map(|c| match c {
-            '-' => Ok(ConjunctEval::NotInvolved),
-            '?' => Ok(ConjunctEval::Unset),
-            't' => Ok(ConjunctEval::True),
-            'f' => Ok(ConjunctEval::False),
-            other => Err(JsonError::msg(format!("unknown conjunct eval `{other}`"))),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let eval = match v.get("eval")?.as_str()? {
-        "?" => EvalState::Unset,
-        "e" => EvalState::Enabled,
-        "d" => EvalState::Disabled,
-        other => return Err(JsonError::msg(format!("unknown eval state `{other}`"))),
-    };
-    Ok(TokenTransition {
-        transition_id: v.get("id")?.as_usize()?,
-        gcut: clock_from_json(v.get("gcut")?)?,
-        depend: clock_from_json(v.get("depend")?)?,
-        gstate: Assignment(v.get("gstate")?.as_u64()?),
-        conjuncts,
-        next_target_process: v.get("next_p")?.as_usize()?,
-        next_target_event: v.get("next_e")?.as_u64()?,
-        eval,
-    })
-}
-
-/// Serializes a token.
-pub fn token_to_json(t: &Token) -> Json {
-    object([
-        ("property", Json::from(t.property as u64)),
-        ("parent", Json::from(t.parent)),
-        ("origin_state", Json::from(t.origin_state)),
-        ("parent_gv", Json::from(t.parent_gv)),
-        (
-            "transitions",
-            Json::Array(t.transitions.iter().map(transition_to_json).collect()),
-        ),
-        ("next_p", Json::from(t.next_target_process)),
-        ("next_e", Json::from(t.next_target_event)),
-    ])
-}
-
-/// Parses a token back from its [`token_to_json`] form.
-pub fn token_from_json(v: &Json) -> Result<Token, JsonError> {
-    Ok(Token {
-        // Additive (absent in pre-fleet documents): `0` is the solo-run id.
-        property: v.get_opt("property")?.map_or(Ok(0), Json::as_u64)? as u32,
-        parent: v.get("parent")?.as_usize()?,
-        origin_state: v.get("origin_state")?.as_usize()?,
-        parent_gv: v.get("parent_gv")?.as_u64()?,
-        transitions: v
-            .get("transitions")?
-            .as_array()?
-            .iter()
-            .map(transition_from_json)
-            .collect::<Result<_, _>>()?,
-        next_target_process: v.get("next_p")?.as_usize()?,
-        next_target_event: v.get("next_e")?.as_u64()?,
-    })
-}
-
-/// Serializes a monitor-to-monitor message.
-pub fn monitor_msg_to_json(msg: &MonitorMsg) -> Json {
-    match msg {
-        MonitorMsg::Token(t) => object([
-            ("type", Json::from("token")),
-            ("token", token_to_json(t)),
-        ]),
-        MonitorMsg::Batch(tokens) => object([
-            ("type", Json::from("batch")),
-            (
-                "tokens",
-                Json::Array(tokens.iter().map(token_to_json).collect()),
-            ),
-        ]),
-    }
-}
-
-/// Parses a monitor-to-monitor message back.
-pub fn monitor_msg_from_json(v: &Json) -> Result<MonitorMsg, JsonError> {
-    match v.get("type")?.as_str()? {
-        "token" => Ok(MonitorMsg::Token(token_from_json(v.get("token")?)?)),
-        "batch" => Ok(MonitorMsg::Batch(
-            v.get("tokens")?
-                .as_array()?
-                .iter()
-                .map(token_from_json)
-                .collect::<Result<_, _>>()?,
-        )),
-        // Reserved: `"terminated"` (the retired termination notice) must stay an
-        // error and never name anything else, so an older daemon's frame cannot be
-        // misread.
-        other => Err(JsonError::msg(format!(
-            "unknown monitor msg kind `{other}` in field `type`"
-        ))),
-    }
-}
 
 /// One daemon's transport counters, polled by the orchestrator's quiescence
 /// barrier after every fed event.
@@ -241,9 +105,7 @@ pub struct DaemonReport {
     pub logical_monitor_msgs: u64,
     /// What the fault shim did across all of this daemon's outgoing channels.
     pub fault_stats: FaultStats,
-    /// The daemon process's peak RSS in bytes (`VmHWM`); `0` when not measured
-    /// or when the peer predates the field (additive, like the schema-v1
-    /// `RunMetrics` field it feeds).
+    /// The daemon process's peak RSS in bytes (`VmHWM`); `0` when not measured.
     pub peak_rss_bytes: u64,
 }
 
@@ -266,7 +128,7 @@ impl DaemonReport {
             metrics: MonitorMetrics::from_json(v.get("metrics")?)?,
             logical_monitor_msgs: v.get("logical_monitor_msgs")?.as_u64()?,
             fault_stats: FaultStats::from_json(v.get("fault_stats")?)?,
-            peak_rss_bytes: v.get_opt("peak_rss_bytes")?.map_or(Ok(0), Json::as_u64)?,
+            peak_rss_bytes: v.get("peak_rss_bytes")?.as_u64()?,
         })
     }
 }
@@ -345,13 +207,6 @@ pub enum WireMsg {
         fault: Option<FaultSpec>,
         /// Listen endpoints of all daemons, indexed by process.
         peers: Vec<String>,
-        /// True when the orchestrator will send binary event frames and the
-        /// daemon should encode its peer monitor frames in the binary format
-        /// too.  Travels as an additive `"wire":"binary"` field: peers that
-        /// predate it read plain JSON hellos unchanged, and a missing field
-        /// decodes as `false` — so JSON stays the bootstrap format and the
-        /// binary path is negotiated per connection, never assumed.
-        binary_wire: bool,
     },
     /// Daemon → orchestrator: mesh established, ready for events.
     HelloOk {
@@ -425,163 +280,12 @@ pub enum WireMsg {
     },
 }
 
-impl WireMsg {
-    /// Serializes the message as a tagged object (the frame payload).
-    pub fn to_json(&self) -> Json {
-        match self {
-            WireMsg::Hello {
-                process,
-                n_processes,
-                property,
-                options,
-                initial_state,
-                fault,
-                peers,
-                binary_wire,
-            } => object([
-                ("type", Json::from("hello")),
-                ("process", Json::from(*process)),
-                ("n_processes", Json::from(*n_processes)),
-                ("property", property.clone()),
-                ("options", options.clone()),
-                ("initial_state", Json::from(*initial_state)),
-                (
-                    "fault",
-                    fault.as_ref().map_or(Json::Null, FaultSpec::to_json),
-                ),
-                (
-                    "peers",
-                    Json::Array(peers.iter().map(|p| Json::from(p.as_str())).collect()),
-                ),
-                (
-                    "wire",
-                    Json::from(if *binary_wire { "binary" } else { "json" }),
-                ),
-            ]),
-            WireMsg::HelloOk { process } => object([
-                ("type", Json::from("hello_ok")),
-                ("process", Json::from(*process)),
-            ]),
-            WireMsg::Event { event } => object([
-                ("type", Json::from("event")),
-                ("event", event_to_json(event)),
-            ]),
-            WireMsg::Status => object([("type", Json::from("status"))]),
-            WireMsg::StatusOk(status) => object([
-                ("type", Json::from("status_ok")),
-                ("status", status.to_json()),
-            ]),
-            WireMsg::Finish { time } => object([
-                ("type", Json::from("finish")),
-                ("time", Json::from(*time)),
-            ]),
-            WireMsg::FinishOk => object([("type", Json::from("finish_ok"))]),
-            WireMsg::Release => object([("type", Json::from("release"))]),
-            WireMsg::ReleaseOk => object([("type", Json::from("release_ok"))]),
-            WireMsg::Report => object([("type", Json::from("report"))]),
-            WireMsg::ReportOk(report) => object([
-                ("type", Json::from("report_ok")),
-                ("report", report.to_json()),
-            ]),
-            WireMsg::Shutdown => object([("type", Json::from("shutdown"))]),
-            WireMsg::ShutdownOk => object([("type", Json::from("shutdown_ok"))]),
-            WireMsg::Telemetry(sample) => object([
-                ("type", Json::from("telemetry")),
-                ("sample", sample.to_json()),
-            ]),
-            WireMsg::Error { message } => object([
-                ("type", Json::from("error")),
-                ("message", Json::from(message.as_str())),
-            ]),
-            WireMsg::PeerHello { from } => object([
-                ("type", Json::from("peer_hello")),
-                ("from", Json::from(*from)),
-            ]),
-            WireMsg::Monitor {
-                from,
-                seq,
-                time,
-                msg,
-            } => object([
-                ("type", Json::from("monitor")),
-                ("from", Json::from(*from)),
-                ("seq", Json::from(*seq)),
-                ("time", Json::from(*time)),
-                ("msg", monitor_msg_to_json(msg)),
-            ]),
-        }
-    }
-
-    /// Parses a message back from its [`to_json`](Self::to_json) form.
-    pub fn from_json(v: &Json) -> Result<WireMsg, JsonError> {
-        match v.get("type")?.as_str()? {
-            "hello" => Ok(WireMsg::Hello {
-                process: v.get("process")?.as_usize()?,
-                n_processes: v.get("n_processes")?.as_usize()?,
-                property: v.get("property")?.clone(),
-                options: v.get("options")?.clone(),
-                initial_state: v.get("initial_state")?.as_u64()?,
-                fault: match v.get("fault")? {
-                    Json::Null => None,
-                    spec => Some(FaultSpec::from_json(spec)?),
-                },
-                peers: v
-                    .get("peers")?
-                    .as_array()?
-                    .iter()
-                    .map(|p| Ok(p.as_str()?.to_string()))
-                    .collect::<Result<_, JsonError>>()?,
-                // Additive: hellos written before the binary wire existed carry
-                // no `wire` field, and their senders speak JSON only.
-                binary_wire: match v.get_opt("wire")? {
-                    None => false,
-                    Some(w) => w.as_str()? == "binary",
-                },
-            }),
-            "hello_ok" => Ok(WireMsg::HelloOk {
-                process: v.get("process")?.as_usize()?,
-            }),
-            "event" => Ok(WireMsg::Event {
-                event: event_from_json(v.get("event")?)?,
-            }),
-            "status" => Ok(WireMsg::Status),
-            "status_ok" => Ok(WireMsg::StatusOk(DaemonStatus::from_json(v.get("status")?)?)),
-            "finish" => Ok(WireMsg::Finish {
-                time: v.get("time")?.as_f64()?,
-            }),
-            "finish_ok" => Ok(WireMsg::FinishOk),
-            "release" => Ok(WireMsg::Release),
-            "release_ok" => Ok(WireMsg::ReleaseOk),
-            "report" => Ok(WireMsg::Report),
-            "report_ok" => Ok(WireMsg::ReportOk(DaemonReport::from_json(v.get("report")?)?)),
-            "shutdown" => Ok(WireMsg::Shutdown),
-            "shutdown_ok" => Ok(WireMsg::ShutdownOk),
-            "telemetry" => Ok(WireMsg::Telemetry(DaemonTelemetry::from_json(
-                v.get("sample")?,
-            )?)),
-            "error" => Ok(WireMsg::Error {
-                message: v.get("message")?.as_str()?.to_string(),
-            }),
-            "peer_hello" => Ok(WireMsg::PeerHello {
-                from: v.get("from")?.as_usize()?,
-            }),
-            "monitor" => Ok(WireMsg::Monitor {
-                from: v.get("from")?.as_usize()?,
-                seq: v.get("seq")?.as_u64()?,
-                time: v.get("time")?.as_f64()?,
-                msg: monitor_msg_from_json(v.get("msg")?)?,
-            }),
-            other => Err(JsonError::msg(format!("unknown wire message `{other}`"))),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Binary frame format for the two per-event hot messages.
 //
 // Control-plane traffic (hello, status, report, …) is a handful of frames per
 // run; only `event` and `monitor` frames scale with the trace, so only they get
-// a binary body.  The frame header is `dlrv_stream::wire`'s, so one
+// a binary body, and they always do.  The frame header is `dlrv_stream::wire`'s, so one
 // [`crate::conn::FramedConn`] reads JSON and binary frames from the same
 // connection, frame by frame.  Payload grammar (unsigned LEB128 varints unless
 // noted; `vc` and events exactly as in `dlrv_stream`'s binary codec):
@@ -725,33 +429,107 @@ fn monitor_msg_from_binary(r: &mut Reader<'_>) -> Result<MonitorMsg, StreamError
 
 /// Encodes one deploy frame (header + payload) for `msg`.
 ///
-/// With `binary` set, `event` and `monitor` messages — the only frame types
-/// whose count scales with the trace — are emitted in the compact binary format
-/// (bit 31 of the header set); every other message, and everything when `binary`
-/// is off, travels as self-describing JSON.  [`decode_wire_frame`] dispatches on
-/// the header bit, so mixed connections always decode.
-pub fn encode_wire_frame(msg: &WireMsg, binary: bool) -> Vec<u8> {
-    let mut out = Vec::new();
-    match msg {
-        WireMsg::Event { event } if binary => write_frame(&mut out, true, |out| {
-            out.push(NET_EVENT);
-            event_to_binary(event, out);
-        }),
+/// `event` and `monitor` messages — the only frame types whose count scales
+/// with the trace — get the binary body above (bit 31 of the header set); every
+/// other message travels as a self-describing JSON object tagged with its
+/// `type`.  [`decode_wire_frame`] dispatches on the header bit.
+pub fn encode_frame(msg: &WireMsg) -> Vec<u8> {
+    let control = match msg {
+        WireMsg::Event { event } => {
+            return binary_frame(|out| {
+                out.push(NET_EVENT);
+                event_to_binary(event, out);
+            })
+        }
         WireMsg::Monitor {
             from,
             seq,
             time,
             msg,
-        } if binary => write_frame(&mut out, true, |out| {
-            out.push(NET_MONITOR);
-            varint::write_u64(out, *from as u64);
-            varint::write_u64(out, *seq);
-            out.extend_from_slice(&time.to_bits().to_le_bytes());
-            monitor_msg_to_binary(msg, out);
-        }),
-        _ => return json_frame(&msg.to_json()),
-    }
+        } => {
+            return binary_frame(|out| {
+                out.push(NET_MONITOR);
+                varint::write_u64(out, *from as u64);
+                varint::write_u64(out, *seq);
+                out.extend_from_slice(&time.to_bits().to_le_bytes());
+                monitor_msg_to_binary(msg, out);
+            })
+        }
+        WireMsg::Hello {
+            process,
+            n_processes,
+            property,
+            options,
+            initial_state,
+            fault,
+            peers,
+        } => object([
+            ("type", Json::from("hello")),
+            ("process", Json::from(*process)),
+            ("n_processes", Json::from(*n_processes)),
+            ("property", property.clone()),
+            ("options", options.clone()),
+            ("initial_state", Json::from(*initial_state)),
+            (
+                "fault",
+                fault.as_ref().map_or(Json::Null, FaultSpec::to_json),
+            ),
+            (
+                "peers",
+                Json::Array(peers.iter().map(|p| Json::from(p.as_str())).collect()),
+            ),
+        ]),
+        WireMsg::HelloOk { process } => object([
+            ("type", Json::from("hello_ok")),
+            ("process", Json::from(*process)),
+        ]),
+        WireMsg::Status => object([("type", Json::from("status"))]),
+        WireMsg::StatusOk(status) => object([
+            ("type", Json::from("status_ok")),
+            ("status", status.to_json()),
+        ]),
+        WireMsg::Finish { time } => object([
+            ("type", Json::from("finish")),
+            ("time", Json::from(*time)),
+        ]),
+        WireMsg::FinishOk => object([("type", Json::from("finish_ok"))]),
+        WireMsg::Release => object([("type", Json::from("release"))]),
+        WireMsg::ReleaseOk => object([("type", Json::from("release_ok"))]),
+        WireMsg::Report => object([("type", Json::from("report"))]),
+        WireMsg::ReportOk(report) => object([
+            ("type", Json::from("report_ok")),
+            ("report", report.to_json()),
+        ]),
+        WireMsg::Shutdown => object([("type", Json::from("shutdown"))]),
+        WireMsg::ShutdownOk => object([("type", Json::from("shutdown_ok"))]),
+        WireMsg::Telemetry(sample) => object([
+            ("type", Json::from("telemetry")),
+            ("sample", sample.to_json()),
+        ]),
+        WireMsg::Error { message } => object([
+            ("type", Json::from("error")),
+            ("message", Json::from(message.as_str())),
+        ]),
+        WireMsg::PeerHello { from } => object([
+            ("type", Json::from("peer_hello")),
+            ("from", Json::from(*from)),
+        ]),
+    };
+    json_frame(&control)
+}
+
+fn binary_frame(payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_frame(&mut out, true, payload);
     out
+}
+
+/// [`encode_frame`] under its former two-argument signature: `_binary` is
+/// ignored, because the frame's type alone decides its format.  Kept for the
+/// benchmark's wire probes, which always pass `true`; ROADMAP.md item 4(d)
+/// removes it together with them.
+pub fn encode_wire_frame(msg: &WireMsg, _binary: bool) -> Vec<u8> {
+    encode_frame(msg)
 }
 
 fn wire_msg_from_binary(payload: &[u8]) -> Result<WireMsg, StreamError> {
@@ -772,12 +550,63 @@ fn wire_msg_from_binary(payload: &[u8]) -> Result<WireMsg, StreamError> {
     Ok(msg)
 }
 
+/// Parses a control message back from the JSON object [`encode_frame`] writes.
+fn control_from_json(v: &Json) -> Result<WireMsg, JsonError> {
+    match v.get("type")?.as_str()? {
+        "hello" => Ok(WireMsg::Hello {
+            process: v.get("process")?.as_usize()?,
+            n_processes: v.get("n_processes")?.as_usize()?,
+            property: v.get("property")?.clone(),
+            options: v.get("options")?.clone(),
+            initial_state: v.get("initial_state")?.as_u64()?,
+            fault: match v.get("fault")? {
+                Json::Null => None,
+                spec => Some(FaultSpec::from_json(spec)?),
+            },
+            peers: v
+                .get("peers")?
+                .as_array()?
+                .iter()
+                .map(|p| Ok(p.as_str()?.to_string()))
+                .collect::<Result<_, JsonError>>()?,
+        }),
+        "hello_ok" => Ok(WireMsg::HelloOk {
+            process: v.get("process")?.as_usize()?,
+        }),
+        "status" => Ok(WireMsg::Status),
+        "status_ok" => Ok(WireMsg::StatusOk(DaemonStatus::from_json(v.get("status")?)?)),
+        "finish" => Ok(WireMsg::Finish {
+            time: v.get("time")?.as_f64()?,
+        }),
+        "finish_ok" => Ok(WireMsg::FinishOk),
+        "release" => Ok(WireMsg::Release),
+        "release_ok" => Ok(WireMsg::ReleaseOk),
+        "report" => Ok(WireMsg::Report),
+        "report_ok" => Ok(WireMsg::ReportOk(DaemonReport::from_json(v.get("report")?)?)),
+        "shutdown" => Ok(WireMsg::Shutdown),
+        "shutdown_ok" => Ok(WireMsg::ShutdownOk),
+        "telemetry" => Ok(WireMsg::Telemetry(DaemonTelemetry::from_json(
+            v.get("sample")?,
+        )?)),
+        "error" => Ok(WireMsg::Error {
+            message: v.get("message")?.as_str()?.to_string(),
+        }),
+        "peer_hello" => Ok(WireMsg::PeerHello {
+            from: v.get("from")?.as_usize()?,
+        }),
+        hot @ ("event" | "monitor") => Err(JsonError::msg(format!(
+            "a JSON-headed `{hot}` frame: `{hot}` frames are binary"
+        ))),
+        other => Err(JsonError::msg(format!("unknown wire message `{other}`"))),
+    }
+}
+
 /// Decodes one deploy frame payload; `binary` is the header's bit-31 flag.
 pub fn decode_wire_frame(binary: bool, payload: &[u8]) -> Result<WireMsg, NetError> {
     if binary {
         Ok(wire_msg_from_binary(payload)?)
     } else {
-        Ok(WireMsg::from_json(&json_payload(payload)?)?)
+        Ok(control_from_json(&json_payload(payload)?)?)
     }
 }
 
@@ -822,19 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn monitor_messages_round_trip() {
-        for msg in [
-            MonitorMsg::Token(sample_token(0)),
-            MonitorMsg::Batch(vec![sample_token(1), sample_token(2)]),
-        ] {
-            let text = monitor_msg_to_json(&msg).to_string_compact();
-            let back =
-                monitor_msg_from_json(&Json::parse(&text).expect("parse")).expect("decode");
-            assert_eq!(back, msg);
-        }
-    }
-
-    #[test]
     fn every_wire_message_round_trips() {
         let event = Event {
             process: 0,
@@ -867,7 +683,6 @@ mod tests {
                     "tcp:127.0.0.1:4001".to_string(),
                     "tcp:127.0.0.1:4002".to_string(),
                 ],
-                binary_wire: true,
             },
             WireMsg::Hello {
                 process: 0,
@@ -877,7 +692,6 @@ mod tests {
                 initial_state: 0,
                 fault: None,
                 peers: vec![],
-                binary_wire: false,
             },
             WireMsg::HelloOk { process: 1 },
             WireMsg::Event { event },
@@ -928,62 +742,59 @@ mod tests {
                 time: 3.5,
                 msg: MonitorMsg::Token(sample_token(3)),
             },
+            WireMsg::Monitor {
+                from: 2,
+                seq: 12,
+                time: 4.0,
+                msg: MonitorMsg::Batch(vec![sample_token(1), sample_token(2)]),
+            },
         ];
         for msg in messages {
-            let text = msg.to_json().to_string_compact();
-            let back = WireMsg::from_json(&Json::parse(&text).expect("parse")).expect("decode");
+            // The hot frames through their binary bodies, everything else as JSON.
+            let mut splitter = FrameSplitter::new();
+            splitter.push(&encode_frame(&msg));
+            let (is_binary, payload) = splitter.next_frame().expect("split").expect("frame");
+            let hot = matches!(msg, WireMsg::Event { .. } | WireMsg::Monitor { .. });
+            assert_eq!(is_binary, hot, "exactly the hot frames go binary");
+            let back = decode_wire_frame(is_binary, payload).expect("decode frame");
             assert_eq!(back, msg);
-
-            // The frame codec must round-trip every message in both modes: the
-            // hot frames through their binary bodies, everything else as JSON
-            // regardless of the connection's negotiated format.
-            for binary in [false, true] {
-                let mut splitter = FrameSplitter::new();
-                splitter.push(&encode_wire_frame(&msg, binary));
-                let (is_binary, payload) = splitter.next_frame().expect("split").expect("frame");
-                let hot = matches!(msg, WireMsg::Event { .. } | WireMsg::Monitor { .. });
-                assert_eq!(is_binary, binary && hot, "only hot frames go binary");
-                let back = decode_wire_frame(is_binary, payload).expect("decode frame");
-                assert_eq!(back, msg);
-            }
         }
     }
 
     #[test]
-    fn hello_without_a_wire_field_decodes_as_json_mode() {
-        // A frame written before the negotiation field existed.
-        let old = object([
-            ("type", Json::from("hello")),
-            ("process", Json::from(0usize)),
-            ("n_processes", Json::from(1usize)),
-            ("property", Json::from("A")),
-            ("options", Json::Null),
-            ("initial_state", Json::from(0u64)),
-            ("fault", Json::Null),
-            ("peers", Json::Array(vec![Json::from("tcp:127.0.0.1:1")])),
-        ]);
-        match WireMsg::from_json(&old).expect("decode") {
-            WireMsg::Hello { binary_wire, .. } => assert!(!binary_wire),
-            other => panic!("expected hello, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn binary_monitor_frames_are_much_smaller_than_json() {
-        let msg = WireMsg::Monitor {
-            from: 0,
-            seq: 11,
-            time: 3.5,
-            msg: MonitorMsg::Batch(vec![sample_token(1), sample_token(2), sample_token(3)]),
+    fn json_headed_event_and_monitor_frames_are_rejected() {
+        // Both shapes exactly as the retired all-JSON wire wrote them.
+        let event = Event {
+            process: 0,
+            kind: EventKind::Internal,
+            sn: 1,
+            vc: VectorClock::from_entries(vec![1, 0]),
+            state: Assignment(0b1),
+            time: 1.0,
         };
-        let json = encode_wire_frame(&msg, false);
-        let binary = encode_wire_frame(&msg, true);
-        assert!(
-            binary.len() < json.len() / 3,
-            "binary ({}) should be well under a third of JSON ({})",
-            binary.len(),
-            json.len()
-        );
+        let json_event = object([
+            ("type", Json::from("event")),
+            ("event", dlrv_stream::event_to_json(&event)),
+        ]);
+        let json_monitor = object([
+            ("type", Json::from("monitor")),
+            ("from", Json::from(1usize)),
+            ("seq", Json::from(0u64)),
+            ("time", Json::from(0.5)),
+            (
+                "msg",
+                object([
+                    ("type", Json::from("batch")),
+                    ("tokens", Json::Array(vec![])),
+                ]),
+            ),
+        ]);
+        for (frame, kind) in [(json_event, "event"), (json_monitor, "monitor")] {
+            let err = decode_wire_frame(false, frame.to_string_compact().as_bytes())
+                .expect_err("a JSON hot frame is an error");
+            let named = format!("JSON-headed `{kind}` frame");
+            assert!(err.message.contains(&named), "`{named}` missing from: {err}");
+        }
     }
 
     #[test]
@@ -997,7 +808,7 @@ mod tests {
             time: 0.5,
             msg: MonitorMsg::Token(sample_token(0)),
         };
-        let frame = encode_wire_frame(&msg, true);
+        let frame = encode_frame(&msg);
         let payload = &frame[4..];
         for cut in 0..payload.len() {
             assert!(
@@ -1047,32 +858,11 @@ mod tests {
     }
 
     #[test]
-    fn the_retired_termination_notice_is_rejected_in_both_forms() {
+    fn the_retired_termination_notice_is_rejected() {
         // Binary tag 2, with the two varints the notice used to carry.
         let err = decode_wire_frame(true, &monitor_payload(&[2, 1, 17]))
             .expect_err("binary tag 2 is retired");
         for part in ["monitor msg tag 2", "byte offset 11"] {
-            assert!(err.message.contains(part), "`{part}` missing from: {err}");
-        }
-        // JSON kind `terminated`, exactly as a daemon built before the retirement
-        // wrote it.
-        let old = object([
-            ("type", Json::from("monitor")),
-            ("from", Json::from(1usize)),
-            ("seq", Json::from(0u64)),
-            ("time", Json::from(0.5)),
-            (
-                "msg",
-                object([
-                    ("type", Json::from("terminated")),
-                    ("process", Json::from(1usize)),
-                    ("last_sn", Json::from(17u64)),
-                ]),
-            ),
-        ]);
-        let err = decode_wire_frame(false, old.to_string_compact().as_bytes())
-            .expect_err("JSON kind `terminated` is retired");
-        for part in ["`terminated`", "field `type`", "at byte"] {
             assert!(err.message.contains(part), "`{part}` missing from: {err}");
         }
     }
@@ -1087,25 +877,12 @@ mod tests {
             time: 0.5,
             msg: MonitorMsg::Token(token),
         };
-        let frame = encode_wire_frame(&msg, true);
+        let frame = encode_frame(&msg);
         assert_eq!(decode_wire_frame(true, &frame[4..]).expect("u32::MAX fits"), msg);
 
         let mut body = vec![MSG_TOKEN];
         varint::write_u64(&mut body, 1 << 32);
         let err = decode_wire_frame(true, &monitor_payload(&body)).expect_err("2^32");
         assert!(err.message.contains("token property"), "{err}");
-    }
-
-    #[test]
-    fn json_tokens_with_the_retired_parent_clock_still_decode() {
-        let token = sample_token(1);
-        let Json::Object(mut fields) = token_to_json(&token) else {
-            panic!("tokens serialize as objects");
-        };
-        fields.push((
-            "parent_vc".to_string(),
-            clock_to_json(&VectorClock::from_entries(vec![2, 5, 0])),
-        ));
-        assert_eq!(token_from_json(&Json::Object(fields)).expect("decode"), token);
     }
 }

@@ -9,8 +9,8 @@
 use dlrv_ltl::Assignment;
 use dlrv_monitor::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition};
 use dlrv_net::{
-    connect_with_retry, decode_wire_frame, encode_wire_frame, Endpoint, FramedConn, Interest,
-    Listener, Reactor, Socket, WireMsg,
+    connect_with_retry, decode_wire_frame, encode_frame, Endpoint, FramedConn, Interest, Listener,
+    Reactor, Socket, WireMsg,
 };
 use dlrv_stream::FrameSplitter;
 use dlrv_vclock::{Event, EventKind, VectorClock};
@@ -44,7 +44,7 @@ fn frame_from_seed(seed: &mut u64, index: usize) -> WireMsg {
 
 /// An arbitrary hot-path wire message — the frames the binary codec covers.
 /// Events and monitor tokens scale with the trace, so these are exactly the
-/// shapes a binary-wire connection carries at volume.
+/// shapes a connection carries at volume; a quarter are control frames.
 fn hot_msg_from_seed(seed: &mut u64) -> WireMsg {
     let n = 2 + (mix(seed) % 4) as usize;
     let vc = |seed: &mut u64| VectorClock::from_entries((0..n).map(|_| mix(seed) % 500).collect());
@@ -108,8 +108,8 @@ fn hot_msg_from_seed(seed: &mut u64) -> WireMsg {
             time: (mix(seed) % 1_000_000) as f64 * 0.001,
             msg: MonitorMsg::Batch((0..1 + mix(seed) % 4).map(|_| token(seed)).collect()),
         },
-        // Control frames stay JSON even on a binary connection; interleave some
-        // so the decoder's per-frame autodetect is exercised both ways.
+        // Control frames are JSON; interleave some so the decoder's per-frame
+        // format bit is exercised both ways.
         _ => match mix(seed) % 3 {
             0 => WireMsg::Finish {
                 time: (mix(seed) % 1_000_000) as f64 * 0.001,
@@ -204,7 +204,7 @@ proptest! {
         let frames: Vec<WireMsg> = (0..n_frames).map(|i| frame_from_seed(&mut s, i)).collect();
         let mut wire: Vec<u8> = Vec::new();
         for f in &frames {
-            wire.extend(encode_wire_frame(f, false));
+            wire.extend(encode_frame(f));
         }
 
         let got = pump_chunked(&wire, frames.len(), &mut s)?;
@@ -234,7 +234,7 @@ proptest! {
             .expect("register rx");
 
         for f in &frames {
-            tx.queue_bytes(encode_wire_frame(f, false));
+            tx.queue_bytes(encode_frame(f));
         }
         let mut got: Vec<WireMsg> = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(30);
@@ -261,20 +261,29 @@ proptest! {
         prop_assert_eq!(got, frames);
     }
 
-    /// Differential binary-wire transport: every frame independently picks the
-    /// binary or the JSON encoding (a binary connection still sends control
-    /// frames as JSON, so real streams are always mixed), the byte stream is
-    /// pushed in arbitrary slices, and the typed receive path must reproduce
-    /// every message exactly — the receiver autodetects the format per frame
-    /// from the header bit, never from negotiated state.
+    /// Differential transport, control frames JSON and hot frames binary: a
+    /// stream interleaving both (as every real connection does) is pushed in
+    /// arbitrary slices, each frame's header must declare the format its type
+    /// decides, and the typed receive path must reproduce every message exactly.
     #[test]
-    fn mixed_binary_and_json_wire_frames_reassemble_typed(seed in 0u64..1 << 48) {
+    fn control_json_and_hot_binary_frames_reassemble_typed(seed in 0u64..1 << 48) {
         let mut s = seed;
         let n_msgs = 2 + (mix(&mut s) % 24) as usize;
-        let msgs: Vec<WireMsg> = (0..n_msgs).map(|_| hot_msg_from_seed(&mut s)).collect();
+        let msgs: Vec<WireMsg> = (0..n_msgs)
+            .map(|i| match mix(&mut s) % 4 {
+                0 => frame_from_seed(&mut s, i),
+                _ => hot_msg_from_seed(&mut s),
+            })
+            .collect();
         let mut wire: Vec<u8> = Vec::new();
         for msg in &msgs {
-            wire.extend(encode_wire_frame(msg, mix(&mut s).is_multiple_of(2)));
+            let frame = encode_frame(msg);
+            let mut splitter = FrameSplitter::new();
+            splitter.push(&frame);
+            let (binary, _) = splitter.next_frame().expect("split").expect("one frame");
+            let hot = matches!(msg, WireMsg::Event { .. } | WireMsg::Monitor { .. });
+            prop_assert!(binary == hot, "header format bit {binary} for {msg:?}");
+            wire.extend(frame);
         }
 
         let got = pump_chunked(&wire, msgs.len(), &mut s)?;
@@ -311,7 +320,7 @@ proptest! {
         let mut s = seed;
         let msg = hot_msg_from_seed(&mut s);
         let mut splitter = FrameSplitter::new();
-        splitter.push(&encode_wire_frame(&msg, true));
+        splitter.push(&encode_frame(&msg));
         let (binary, payload) = splitter.next_frame().expect("split").expect("one frame");
         match decode_wire_frame(binary, payload) {
             Ok(back) => prop_assert_eq!(back, msg),

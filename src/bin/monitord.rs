@@ -36,7 +36,7 @@ use dlrv_core::results::{options_from_json, property_from_json};
 use dlrv_core::CompiledProperty;
 use dlrv_monitor::{DecentralizedMonitor, EvalState, MonitorMsg, Token};
 use dlrv_net::{
-    connect_with_retry, encode_wire_frame, DaemonReport, DaemonStatus, DaemonTelemetry, Endpoint,
+    connect_with_retry, encode_frame, DaemonReport, DaemonStatus, DaemonTelemetry, Endpoint,
     FaultInjector, FaultStats, FramedConn, Interest, IoEvent, Listener, NetError, Reactor, WireMsg,
     TELEMETRY_EVERY_EVENTS,
 };
@@ -65,11 +65,15 @@ fn main() -> ExitCode {
                     eprintln!("monitord: --idle-timeout-secs expects a number\n{USAGE}");
                     return ExitCode::from(2);
                 };
-                if value.is_nan() || value <= 0.0 {
-                    eprintln!("monitord: idle timeout must be positive\n{USAGE}");
-                    return ExitCode::from(2);
+                match Duration::try_from_secs_f64(value) {
+                    Ok(timeout) if !timeout.is_zero() => idle_timeout = timeout,
+                    _ => {
+                        eprintln!(
+                            "monitord: idle timeout `{value}` must be positive and below 2^64 s\n{USAGE}"
+                        );
+                        return ExitCode::from(2);
+                    }
                 }
-                idle_timeout = Duration::from_secs_f64(value);
             }
             "--log-level" => {
                 let Some(level) = args.next().as_deref().and_then(LogLevel::parse) else {
@@ -144,6 +148,9 @@ enum Input {
     Frame(u64, WireMsg),
     /// The connection reached EOF; its frames came before this and it is closed.
     Closed(u64),
+    /// The connection delivered bytes that decode to no frame of the protocol
+    /// (a JSON-headed `event`, a corrupt binary body, …), or failed.
+    Malformed(u64, NetError),
     /// The wait ended with nothing to hand out (a delayed frame may be due).
     Quiet,
     /// No orchestrator traffic for the whole idle timeout.
@@ -205,9 +212,6 @@ struct Run {
     /// Messages the monitor emitted, pre-shim (what a co-located
     /// `FeedSession` would count).
     logical_msgs: u64,
-    /// True when the hello negotiated the binary wire: outgoing monitor frames
-    /// are binary-encoded (incoming frames self-describe either way).
-    binary_wire: bool,
 }
 
 impl Run {
@@ -386,7 +390,13 @@ impl Daemon {
             entry.conn.flush()?;
         }
         if ev.readable {
-            let msgs = entry.conn.on_readable_msgs()?;
+            let msgs = match entry.conn.on_readable_msgs() {
+                Ok(msgs) => msgs,
+                Err(e) => {
+                    self.inbox.push_back(Input::Malformed(ev.token, e));
+                    return Ok(());
+                }
+            };
             self.inbox.extend(msgs.into_iter().map(|msg| Input::Frame(ev.token, msg)));
             if entry.conn.is_eof() {
                 self.inbox.push_back(Input::Closed(ev.token));
@@ -418,6 +428,7 @@ impl Daemon {
             match self.next_input(None)? {
                 Input::Idle => return Ok(ExitCode::from(3)),
                 Input::Quiet | Input::Closed(_) => {}
+                Input::Malformed(token, e) => return self.fail(token, &e.message),
                 Input::Frame(token, WireMsg::PeerHello { from }) => introduced.push((token, from)),
                 Input::Frame(
                     control,
@@ -429,7 +440,6 @@ impl Daemon {
                         initial_state,
                         fault,
                         peers,
-                        binary_wire,
                     },
                 ) => {
                     self.idle_deadline = Instant::now() + self.idle_timeout;
@@ -485,7 +495,6 @@ impl Daemon {
                         delay_seq: 0,
                         events_seen: 0,
                         logical_msgs: 0,
-                        binary_wire,
                     };
                     // Dial the lower-numbered peers; higher-numbered peers dial us.
                     for (peer, endpoint) in run.peers.iter_mut().zip(&peers).take(process) {
@@ -533,6 +542,7 @@ impl Daemon {
                     return Err(NetError::msg("orchestrator closed the control connection"));
                 }
                 Input::Quiet | Input::Closed(_) => continue,
+                Input::Malformed(_, e) => return self.fail(run.control, &e.message),
                 Input::Frame(token, msg) => (token, msg),
             };
             if token == run.control {
@@ -650,9 +660,8 @@ impl Daemon {
             let seq = peer.next_seq;
             peer.next_seq += 1;
             // Encoded here (not via the connection) because the fault shim
-            // operates on whole opaque frames — binary or JSON alike.
-            let frame = WireMsg::Monitor { from: run.process, seq, time, msg };
-            let frame = encode_wire_frame(&frame, run.binary_wire);
+            // operates on whole opaque frames.
+            let frame = encode_frame(&WireMsg::Monitor { from: run.process, seq, time, msg });
             for frame in peer.injector.on_send(frame) {
                 self.emit(run, dest, frame)?;
             }

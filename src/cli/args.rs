@@ -164,7 +164,8 @@ pub struct Cli {
     /// unless the document contains scenarios of each named family that really ran.
     pub require_family: Vec<ScenarioFamily>,
     /// `--fault SPEC`: override the fault-injection spec of every selected deploy
-    /// scenario (`drop=p,delay=ms,dup=p,reorder=p[,seed=n]`).
+    /// scenario (`drop=p,delay=ms,dup=p,reorder=p[,seed=n]`: probabilities in
+    /// `[0, 1]`, the delay at most `dlrv_net::fault::MAX_DELAY_MS`, one minute).
     pub fault: Option<FaultSpec>,
     /// `--out-dir PATH`: output directory of the `report` target (default
     /// `report/`).

@@ -35,7 +35,8 @@
 //! (hundreds–thousands of concurrent sessions through the sharded `dlrv-stream`
 //! runtime), `deploy` runs the real-socket family (one `monitord` OS process per
 //! monitor over TCP/Unix sockets, optionally through the fault-injection shim —
-//! `--fault drop=p,delay=ms,dup=p,reorder=p` overrides the scenarios' shim spec),
+//! `--fault drop=p,delay=ms,dup=p,reorder=p` overrides the scenarios' shim spec;
+//! probabilities lie in `[0, 1]` and the delay is at most 60 000 ms),
 //! `fleet` runs the property-fleet family (N properties per session in one streamed
 //! pass, against per-member solo baselines) and `custom` runs the registry's
 //! user-style LTL properties.  Targets are positional arguments; `--target NAME` is

@@ -1,7 +1,7 @@
 //! Lifecycle tests of the `monitord` daemon binary: exit codes, the idle-timeout
 //! watchdog, stale-socket recovery, a complete single-daemon control session
-//! driven over a real socket, and the `malformed_*` cases — decodable frames that
-//! do not fit the run, each of which must end in the documented protocol failure
+//! driven over a real socket, and the `malformed_*` cases — frames that do not fit
+//! the run or the wire, each of which must end in the documented protocol failure
 //! (an `error` frame and exit 1), never in a panic.
 //!
 //! Exit-code contract (also documented in the binary's module header):
@@ -11,10 +11,11 @@
 
 use dlrv::dlrv_ltl::Assignment;
 use dlrv::dlrv_monitor::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition};
-use dlrv::dlrv_net::{connect_with_retry, DaemonStatus, Endpoint, FramedConn, WireMsg};
+use dlrv::dlrv_net::{connect_with_retry, DaemonStatus, Endpoint, FaultSpec, FramedConn, WireMsg};
+use dlrv::dlrv_stream::{event_to_json, wire::json_frame};
 use dlrv::dlrv_vclock::{Event, EventKind, VectorClock};
 use dlrv::results::property_to_json;
-use dlrv::dlrv_json::Json;
+use dlrv::dlrv_json::{object, Json};
 use dlrv::PropertySpec;
 use std::io::{BufRead as _, Read as _};
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -110,6 +111,9 @@ fn usage_errors_exit_2() {
         &["--listen", "ftp:example.com:21"][..],          // unsupported scheme
         &["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "nope"][..],
         &["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "0"][..],
+        // Positive, but no `Duration` holds them (the parent daemon panicked).
+        &["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "inf"][..],
+        &["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "1e300"][..],
         &["--listen", "tcp:127.0.0.1:0", "--log-level", "loud"][..],
         &["--listen", "tcp:127.0.0.1:0", "--log-level"][..],
     ] {
@@ -306,9 +310,6 @@ fn hello(endpoint: &str, property: &str, n: usize, initial_state: u64) -> WireMs
         initial_state,
         fault: None,
         peers: vec![endpoint.to_string(); n],
-        // These sessions stay on the original all-JSON wire: they pin that a
-        // plain-JSON orchestrator still drives a daemon end to end.
-        binary_wire: false,
     }
 }
 
@@ -491,21 +492,31 @@ fn malformed_hellos_are_protocol_failures() {
 fn malformed_hello_payloads_are_protocol_failures() {
     // A property no letter names, options without their switches, a peer endpoint of
     // no socket family: the parent daemon exited 1 on each without an `error` frame.
-    type Break = fn(&mut Json, &mut Json, &mut Vec<String>);
-    let cases: [(Break, &str); 3] = [
-        (|property, _, _| *property = Json::from("Z"), "hello property"),
-        (|_, options, _| *options = Json::from(true), "hello options"),
-        (|_, _, peers| peers[0] = "ftp:example.com:21".to_string(), "hello peer endpoint"),
+    // Then fault specs `--fault` rejects: a delay no `Duration` holds (the parent
+    // daemon panicked at its first delayed frame) and a probability above 1.
+    type Break = fn(&mut Json, &mut Json, &mut Vec<String>, &mut Option<FaultSpec>);
+    let cases: [(Break, &str); 5] = [
+        (|property, _, _, _| *property = Json::from("Z"), "hello property"),
+        (|_, options, _, _| *options = Json::from(true), "hello options"),
+        (|_, _, peers, _| peers[0] = "ftp:example.com:21".to_string(), "hello peer endpoint"),
+        (
+            |_, _, _, fault| *fault = Some(FaultSpec { delay_ms: 1e300, ..FaultSpec::default() }),
+            "delay 1e300 ms must be within",
+        ),
+        (
+            |_, _, _, fault| *fault = Some(FaultSpec { drop: 2.0, ..FaultSpec::default() }),
+            "drop probability 2.0 must be within",
+        ),
     ];
     for (break_it, reason) in cases {
         let mut session = Session::spawn();
         // Process 1 of 2, so that the daemon has a peer endpoint to dial.
         let mut hello = hello(&session.endpoint, "F (P0.p && P1.p)", 2, 0);
-        let WireMsg::Hello { process, property, options, peers, .. } = &mut hello else {
+        let WireMsg::Hello { process, property, options, peers, fault, .. } = &mut hello else {
             unreachable!("`hello` builds a hello frame")
         };
         *process = 1;
-        break_it(property, options, peers);
+        break_it(property, options, peers, fault);
         send(&mut session.control, &hello);
         session.assert_protocol_failure(reason);
     }
@@ -585,4 +596,42 @@ fn malformed_checks_accept_the_well_formed_token() {
     assert_eq!(rpc(&mut session.control, &WireMsg::Shutdown), WireMsg::ShutdownOk);
     let status = wait_with_deadline(&mut session.child, Duration::from_secs(10));
     assert_eq!(status.code(), Some(0));
+}
+
+#[test]
+fn malformed_json_headed_event_and_monitor_frames_are_protocol_failures() {
+    // `event` and `monitor` frames are binary.  The same frames in the retired
+    // all-JSON form, which the parent daemon accepted, now end the run.
+    let event = Event {
+        process: 0,
+        kind: EventKind::Internal,
+        sn: 1,
+        vc: VectorClock::from_entries(vec![1, 0]),
+        state: Assignment(0b1),
+        time: 1.0,
+    };
+    let json_event = object([("type", Json::from("event")), ("event", event_to_json(&event))]);
+    let json_monitor = object([
+        ("type", Json::from("monitor")),
+        ("from", Json::from(1usize)),
+        ("seq", Json::from(0u64)),
+        ("time", Json::from(1.0)),
+        (
+            "msg",
+            object([("type", Json::from("batch")), ("tokens", Json::Array(vec![]))]),
+        ),
+    ]);
+    for (frame, kind, from_peer) in [(json_event, "event", false), (json_monitor, "monitor", true)] {
+        let mut session = Session::established(2);
+        let conn = if from_peer {
+            session.peer.as_mut().expect("peer")
+        } else {
+            &mut session.control
+        };
+        conn.queue_bytes(json_frame(&frame));
+        while conn.wants_write() {
+            conn.flush().expect("flush");
+        }
+        session.assert_protocol_failure(&format!("JSON-headed `{kind}` frame"));
+    }
 }

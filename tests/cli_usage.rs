@@ -34,6 +34,7 @@ const REJECTED: &[(&str, &[&str])] = &[
     ("--budget bound of zero", &["--analyze-property", "G P0.p", "--budget", "states=0"]),
     ("unknown --budget key", &["--analyze-property", "G P0.p", "--budget", "edges=3"]),
     ("malformed --fault", &["--target", "deploy", "--fault", "bogus"]),
+    ("--fault delay beyond a minute", &["--target", "deploy", "--fault", "delay=1e300"]),
     ("empty --require-family name", &["--validate-results", "x.json", "--require-family", "fleet,,deploy"]),
     ("--no-opt with a value", &["--target", "sweep", "--no-opt=1"]),
     ("--list-scenarios with a value", &["--list-scenarios=1"]),

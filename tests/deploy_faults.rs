@@ -64,13 +64,7 @@ fn assert_verdicts_match_baseline(
     label: &str,
 ) {
     let config = deploy_config(property, vec![1]);
-    // Faults exercise the binary wire: byte-opaque drop/dup/delay/reorder must
-    // behave identically whatever the frame payload format is.
-    let params = DeployParams {
-        transport,
-        fault,
-        binary_wire: true,
-    };
+    let params = DeployParams { transport, fault };
     let outcome = run_deploy(&config, MonitorOptions::default(), &params)
         .unwrap_or_else(|e| panic!("{property:?} [{label}]: deploy failed: {e}"));
     for (i, &seed) in config.seeds.iter().enumerate() {
@@ -144,7 +138,6 @@ fn repeated_runs_of_one_cell_agree_under_fast_polling() {
         let params = DeployParams {
             transport: DeployTransport::Unix,
             fault,
-            binary_wire: true,
         };
         let runs: Vec<_> = (0..10)
             .map(|i| {
@@ -229,7 +222,6 @@ fn total_frame_loss_is_a_pinned_divergence() {
         let params = DeployParams {
             transport: DeployTransport::Unix,
             fault: Some(fault),
-            binary_wire: true,
         };
         let outcome = run_deploy(&config, MonitorOptions::default(), &params)
             .unwrap_or_else(|e| panic!("{property:?} [drop]: deploy failed: {e}"));

@@ -85,7 +85,6 @@ fn record(
             deploy: (family == ScenarioFamily::Deploy).then(|| DeployParams {
                 transport: DeployTransport::Unix,
                 fault: Some(FaultSpec::parse("delay=1,dup=0.2,seed=7").expect("valid spec")),
-                binary_wire: true,
             }),
             fleet: None,
         },
