@@ -331,8 +331,6 @@ pub fn average_metrics(runs: &[RunMetrics]) -> RunMetrics {
         avg.monitor_extra_time += r.monitor_extra_time;
         avg.wall_clock_secs += r.wall_clock_secs;
         avg.events_per_sec += r.events_per_sec;
-        avg.fleet_solo_wall_clock_secs += r.fleet_solo_wall_clock_secs;
-        avg.fleet_marginal_cost_secs += r.fleet_marginal_cost_secs;
         // RSS is a high-water mark, not a rate: the max across runs, never a mean.
         avg.peak_rss_bytes = avg.peak_rss_bytes.max(r.peak_rss_bytes);
         avg.detected_final_verdicts
@@ -351,8 +349,6 @@ pub fn average_metrics(runs: &[RunMetrics]) -> RunMetrics {
     avg.monitor_extra_time /= k;
     avg.wall_clock_secs /= k;
     avg.events_per_sec /= k;
-    avg.fleet_solo_wall_clock_secs /= k;
-    avg.fleet_marginal_cost_secs /= k;
     avg.per_shard = average_shards(runs);
     avg.fleet_per_property = average_fleet_properties(runs);
     avg

@@ -60,8 +60,7 @@ pub enum ScenarioFamily {
     Deploy,
     /// Fleet monitoring: N properties monitored in one pass over a shared
     /// stream — each event decoded once, clocks interned once, tokens of all
-    /// members batched onto shared monitoring messages — with solo baselines
-    /// measured back-to-back for the marginal-cost metric (`--target fleet`).
+    /// members batched onto shared monitoring messages (`--target fleet`).
     Fleet,
 }
 
@@ -625,12 +624,9 @@ impl ScenarioRegistry {
         });
 
         // The fleet family: N properties monitored in one pass over a shared
-        // stream (`--target fleet`).  Each scenario runs the fleet once and one
-        // solo baseline per member over the *same* bytes, so the amortization
-        // ratio and the marginal cost per added property are measured, not
-        // inferred.  The lead (first) member shapes the workload; sessions stay
-        // small like the throughput family — the measured quantity is how much
-        // of the pipeline N properties share, not per-property lattice depth.
+        // stream (`--target fleet`), pumped once per seed.  The lead (first)
+        // member shapes the workload; sessions stay small like the throughput
+        // family.
         let fleet_scenario = |letters: &[PaperProperty],
                               n_shards: usize,
                               suffix: &str,
@@ -880,8 +876,7 @@ mod tests {
         // A no-opt variant keeps the aggregation-off transport path measured.
         let noopt = registry.get("fleet-ABCDEF-sh4-noopt").expect("noopt fleet");
         assert_eq!(noopt.options, MonitorOptions::ALL_OFF);
-        // Fleet sizes 2, 3, 4 and 6 are all present (the amortization curve
-        // needs intermediate points).
+        // Fleet sizes 2, 3, 4 and 6 are all present.
         let sizes: std::collections::BTreeSet<usize> = registry
             .family(ScenarioFamily::Fleet)
             .map(|s| s.fleet.as_ref().unwrap().len())
@@ -899,7 +894,6 @@ mod tests {
         assert_eq!(result.avg.fleet_size, 2);
         assert_eq!(result.avg.fleet_per_property.len(), 2);
         assert!(result.avg.wall_clock_secs > 0.0);
-        assert!(result.avg.fleet_solo_wall_clock_secs > 0.0);
         assert!(result.avg.events_per_sec > 0.0);
         assert!(result.detected_verdicts.contains(&dlrv_ltl::Verdict::True));
     }

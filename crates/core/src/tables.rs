@@ -236,9 +236,8 @@ fn throughput_columns<'a>() -> RunColumns<'a> {
     ]
 }
 
-/// The fleet table (`--target fleet`, `--properties` runs): `amort` is the fleet
-/// pass's wall clock over the sum of its members' solo passes, `marginal s` the
-/// measured wall-clock cost of each property beyond the first.
+/// The fleet table (`--target fleet`, `--properties` runs): fleet size, exact
+/// counts, the host's rate and wall clock, and one verdict per member.
 fn fleet_columns<'a>() -> RunColumns<'a> {
     vec![
         RunColumn::left("scenario", 24, |r| r.scenario.name.clone()),
@@ -246,18 +245,7 @@ fn fleet_columns<'a>() -> RunColumns<'a> {
         shards_column(),
         RunColumn::right("events", 9, |r| r.avg.total_events.to_string()),
         rate_column(),
-        RunColumn::right("fleet s", 9, |r| format!("{:.3}", r.avg.wall_clock_secs)).host(),
-        RunColumn::right("solo s", 9, |r| format!("{:.3}", r.avg.fleet_solo_wall_clock_secs)).host(),
-        RunColumn::right("amort", 7, |r| {
-            if r.avg.fleet_solo_wall_clock_secs > 0.0 {
-                format!("{:.2}x", r.avg.wall_clock_secs / r.avg.fleet_solo_wall_clock_secs)
-            } else {
-                "-".to_string()
-            }
-        })
-        .host(),
-        RunColumn::right("marginal s", 11, |r| format!("{:.4}", r.avg.fleet_marginal_cost_secs))
-            .host(),
+        wall_clock_column(),
         RunColumn::left("per-property verdicts", 0, |r| {
             let verdicts: Vec<String> = r
                 .avg

@@ -14,15 +14,14 @@
 //!    `dlrv-stream` binary codec.
 //! 3. The byte stream is pumped through a [`ReaderSource`] into the sharded runtime:
 //!    frames are decoded, hash-routed to shards, applied in batches by the
-//!    per-session decentralized monitors.  A fleet run then pumps the *same bytes*
-//!    once more per member, each time monitoring only that member: the summed wall
-//!    clock of these solo baselines is the "N independent deployments" cost the
-//!    fleet amortizes (see `docs/FLEET.md`).
+//!    per-session decentralized monitors — every member of a fleet at once.  The
+//!    bytes are pumped exactly once; what a fleet costs against N solo passes is
+//!    measured by the benchmark's `monitor.fleet.*_amortization_ratio` probes
+//!    (see `docs/FLEET.md`).
 //! 4. The shutdown report is folded into [`RunMetrics`]: aggregate events/sec,
 //!    wall-clock duration and per-shard measurements next to the usual monitoring
 //!    metrics (messages, global views, verdicts), plus — for a fleet —
-//!    `fleet_size`, the summed solo wall clock, the measured marginal cost per
-//!    added property and a per-property metrics slice.
+//!    `fleet_size` and a per-property metrics slice.
 //!
 //! The timed region (`wall_clock_secs`, `events_per_sec`) is `pump` + `shutdown`;
 //! spawning the shard threads happens before the clock starts, which is the
@@ -61,9 +60,8 @@ fn session_seed(run_seed: u64, session: u64) -> u64 {
 /// metrics exactly like the offline experiment runner.
 ///
 /// With `fleet` absent every session monitors `config.property`.  With a fleet,
-/// every session monitors all of its members in one pass, `config.property`
-/// should be the lead member (it only shapes the workload), and the run also
-/// measures one solo baseline per member over the same bytes.
+/// every session monitors all of its members in one pass and `config.property`
+/// should be the lead member (it only shapes the workload).
 pub fn run_streamed(
     config: &ExperimentConfig,
     params: &StreamParams,
@@ -90,8 +88,7 @@ pub fn run_streamed(
 }
 
 /// One streamed run: generate all session inputs, encode the wire stream, pump it
-/// through a fresh runtime (plus once per member for a fleet's solo baselines),
-/// fold the report into [`RunMetrics`].
+/// once through a fresh runtime, fold the report into [`RunMetrics`].
 fn run_once(
     config: &ExperimentConfig,
     params: &StreamParams,
@@ -103,7 +100,6 @@ fn run_once(
 ) -> RunMetrics {
     // Phase 1: workload generation (the simulated "live programs").  Not measured:
     // the scenario times the ingestion engine, not the trace generator.
-    let is_fleet = fleet.is_some();
     let property = fleet.map_or_else(|| config.property.name().to_string(), FleetParams::joined_name);
     let mut inputs = Vec::with_capacity(params.n_sessions);
     let mut program_messages = 0usize;
@@ -122,83 +118,51 @@ fn run_once(
         });
     }
 
-    // Phase 2: the canonical interleaved wire stream, shared by every pump below —
-    // the bytes, and therefore the decode work, are identical.
+    // Phase 2: the canonical interleaved wire stream.
     let bytes = encode_stream_binary(&interleave_sessions(&inputs));
 
     // Phase 3: pump the bytes through a fresh runtime (decode + route + monitor).
-    // Sessions share automata and registry; only the initial state differs.  With
-    // no `fleet_members` every session monitors `lead` alone.
-    let pump = |lead: &CompiledFleetMember, fleet_members: &[CompiledFleetMember]| {
-        let runtime = ShardedRuntime::start(StreamConfig {
-            n_shards: params.n_shards,
-            mailbox_capacity: params.mailbox_capacity,
-            batch_size: params.batch_size,
-            ..StreamConfig::default()
-        });
-        let started = Instant::now();
-        let mut source = ReaderSource::new(&bytes[..]);
-        runtime
-            .pump(&mut source, &mut |open| {
-                Ok(Arc::new(SessionSpec {
-                    n_processes: open.n_processes,
-                    automaton: lead.automaton.clone(),
-                    registry: registry.clone(),
-                    initial_state: open.initial_state,
-                    options: opts,
-                    fleet: fleet_members
-                        .iter()
-                        .map(|m| FleetMemberSpec {
-                            property: m.name.clone(),
-                            automaton: m.automaton.clone(),
-                            registry: registry.clone(),
-                            initial_state: open.initial_state,
-                        })
-                        .collect(),
-                }))
-            })
-            .expect("a freshly encoded stream must decode");
-        let report = runtime.shutdown();
-        (report, started.elapsed().as_secs_f64())
-    };
-    // The measured pass goes first (it pays any first-run warmup, keeping a fleet's
-    // amortization claim conservative), then one solo baseline per fleet member.
-    let (report, wall_clock_secs) = pump(&members[0], if is_fleet { members } else { &[] });
-    let mut solo_wall_clock = 0.0f64;
-    if is_fleet {
-        for (k, member) in members.iter().enumerate() {
-            let (solo, secs) = pump(member, &[]);
-            solo_wall_clock += secs;
-            assert_eq!(
-                solo.total_events, report.total_events,
-                "solo baseline {k} and the fleet pass decode the same bytes"
-            );
-            // Fleet soundness guard: session for session, the fleet must report
-            // exactly the solo verdicts and token counts.  The release-mode pin
-            // lives in `tests/fleet_equivalence.rs`.
-            #[cfg(debug_assertions)]
-            for (session, outcome) in &solo.sessions {
-                let fleet_outcome = &report.sessions[session].per_property[k];
-                assert_eq!(
-                    outcome.detected_verdicts, fleet_outcome.detected_verdicts,
-                    "fleet member {k} diverged from its solo run in session {session}"
-                );
-                assert_eq!(
-                    outcome.monitor_tokens, fleet_outcome.monitor_tokens,
-                    "fleet member {k} sent different tokens than its solo run in session {session}"
-                );
-            }
-        }
-    }
+    // Sessions share automata and registry; only the initial state differs.  A
+    // solo run has no fleet members, so every session monitors the lead alone.
+    let fleet_members = if fleet.is_some() { members } else { &[] };
+    let runtime = ShardedRuntime::start(StreamConfig {
+        n_shards: params.n_shards,
+        mailbox_capacity: params.mailbox_capacity,
+        batch_size: params.batch_size,
+        ..StreamConfig::default()
+    });
+    let started = Instant::now();
+    let mut source = ReaderSource::new(&bytes[..]);
+    runtime
+        .pump(&mut source, &mut |open| {
+            Ok(Arc::new(SessionSpec {
+                n_processes: open.n_processes,
+                automaton: members[0].automaton.clone(),
+                registry: registry.clone(),
+                initial_state: open.initial_state,
+                options: opts,
+                fleet: fleet_members
+                    .iter()
+                    .map(|m| FleetMemberSpec {
+                        property: m.name.clone(),
+                        automaton: m.automaton.clone(),
+                        registry: registry.clone(),
+                        initial_state: open.initial_state,
+                    })
+                    .collect(),
+            }))
+        })
+        .expect("a freshly encoded stream must decode");
+    let report = runtime.shutdown();
+    let wall_clock_secs = started.elapsed().as_secs_f64();
 
-    // Phase 4: fold the measured pass into RunMetrics (the solos only contribute
-    // their wall clock) and, for a fleet, attach the per-property slice.
+    // Phase 4: fold the report into RunMetrics and, for a fleet, attach the
+    // per-property slice.
     debug_assert_eq!(report.sessions.len(), params.n_sessions);
     debug_assert!(
         report.per_shard.iter().all(|m| m.routing_errors == 0),
         "a well-formed generated stream must not misroute"
     );
-    let n = members.len();
     let mut metrics = RunMetrics {
         n_processes: config.n_processes,
         total_events: report.total_events,
@@ -213,23 +177,14 @@ fn run_once(
         per_shard: report.per_shard,
         ..RunMetrics::default()
     };
-    let mut per_property: Vec<FleetPropertyMetrics> = Vec::new();
-    if is_fleet {
-        metrics.fleet_size = n;
-        metrics.fleet_solo_wall_clock_secs = solo_wall_clock;
-        if n > 1 {
-            let solo_single = solo_wall_clock / n as f64;
-            metrics.fleet_marginal_cost_secs =
-                ((wall_clock_secs - solo_single) / (n - 1) as f64).max(0.0);
-        }
-        per_property = members
-            .iter()
-            .map(|m| FleetPropertyMetrics {
-                property: m.name.clone(),
-                ..FleetPropertyMetrics::default()
-            })
-            .collect();
-    }
+    metrics.fleet_size = fleet_members.len();
+    let mut per_property: Vec<FleetPropertyMetrics> = fleet_members
+        .iter()
+        .map(|m| FleetPropertyMetrics {
+            property: m.name.clone(),
+            ..FleetPropertyMetrics::default()
+        })
+        .collect();
     for outcome in report.sessions.values() {
         metrics.monitor_messages += outcome.monitor_messages;
         metrics.monitor_tokens += outcome.monitor_tokens;

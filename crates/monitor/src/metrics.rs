@@ -328,17 +328,6 @@ pub struct RunMetrics {
     /// Number of properties monitored as one fleet over a shared event stream.
     /// `0` for single-property runs and records that predate fleet monitoring.
     pub fleet_size: usize,
-    /// Sum of the wall-clock seconds of `fleet_size` *solo* baseline runs over the
-    /// exact same wire stream, measured back-to-back with the fleet run — the
-    /// denominator of the fleet's amortization ratio.  Like `wall_clock_secs`
-    /// this is real elapsed time, never serialized.  `0.0` outside the fleet family.
-    pub fleet_solo_wall_clock_secs: f64,
-    /// Measured marginal wall-clock cost of each property added to the fleet
-    /// beyond the first: `(fleet_wall − solo_sum/N) / (N − 1)` seconds, where
-    /// `solo_sum/N` estimates one property's standalone cost.  `0.0` when the
-    /// fleet has fewer than two members or outside the fleet family.  Host-measured,
-    /// never serialized.
-    pub fleet_marginal_cost_secs: f64,
     /// Per-property slice of a fleet run (empty outside the fleet family).
     pub fleet_per_property: Vec<FleetPropertyMetrics>,
 }
@@ -349,9 +338,8 @@ impl RunMetrics {
     ///
     /// Only what the seed determines is written, so two runs of one scenario
     /// serialize to the same bytes: the host-measured fields (`wall_clock_secs`,
-    /// `events_per_sec`, `peak_rss_bytes`, `fleet_solo_wall_clock_secs`,
-    /// `fleet_marginal_cost_secs`) stay in memory for the terminal tables and the
-    /// benchmark harness.  Floats are printed with Rust's shortest round-trip
+    /// `events_per_sec`, `peak_rss_bytes`) stay in memory for the terminal tables
+    /// and the benchmark harness.  Floats are printed with Rust's shortest round-trip
     /// formatting (see [`dlrv_json`]), so [`RunMetrics::from_json`] restores every
     /// written field exactly.
     pub fn to_json(&self) -> Json {
@@ -424,8 +412,6 @@ impl RunMetrics {
             peak_global_views: count("peak_global_views")?,
             peak_rss_bytes: v.get_opt("peak_rss_bytes")?.map_or(Ok(0), Json::as_u64)?,
             fleet_size: count("fleet_size")?,
-            fleet_solo_wall_clock_secs: secs("fleet_solo_wall_clock_secs")?,
-            fleet_marginal_cost_secs: secs("fleet_marginal_cost_secs")?,
             fleet_per_property: rows(
                 v.get_opt("fleet_per_property")?,
                 FleetPropertyMetrics::from_json,
@@ -572,7 +558,9 @@ mod tests {
     }
 
     /// A streamed record in the shape documents had while the eleven host-measured
-    /// fields (five of the run, six per shard) were still written.
+    /// fields (five of the run, six per shard) were still written.  The two fleet
+    /// wall clocks no longer exist in memory either, so they are ignored like any
+    /// unknown key.
     const OLDER_STREAMED_RECORD: &str = r#"{
         "n_processes": 2, "total_events": 400, "monitor_messages": 9, "program_messages": 0,
         "total_global_views": 0, "avg_delayed_events": 0, "delay_time_pct_per_gv": 0,
@@ -608,8 +596,6 @@ mod tests {
             wall_clock_secs: 1.25,
             events_per_sec: 320.0,
             peak_rss_bytes: 1 << 20,
-            fleet_solo_wall_clock_secs: 3.75,
-            fleet_marginal_cost_secs: 0.0625,
             per_shard: vec![ShardMetrics {
                 batches: 17,
                 max_batch_len: 32,

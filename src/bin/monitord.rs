@@ -33,7 +33,7 @@ use dlrv_core::dlrv_automaton::MonitorAutomaton;
 use dlrv_core::dlrv_distsim::{MonitorBehavior, MonitorContext};
 use dlrv_core::dlrv_ltl::Assignment;
 use dlrv_core::results::{options_from_json, property_from_json};
-use dlrv_core::CompiledProperty;
+use dlrv_core::{CompiledProperty, MAX_SPEC_ATOMS};
 use dlrv_monitor::{DecentralizedMonitor, EvalState, MonitorMsg, Token};
 use dlrv_net::{
     connect_with_retry, encode_frame, DaemonReport, DaemonStatus, DaemonTelemetry, Endpoint,
@@ -455,6 +455,19 @@ impl Daemon {
                         || n_processes < spec.min_processes()
                     {
                         return self.fail(control, "hello process/peers/property mismatch");
+                    }
+                    // A paper property grows an atom per process; synthesis past the
+                    // ceiling runs for over a minute, and past 16 atoms it panics.
+                    let atoms = spec.build(n_processes).1.len();
+                    if atoms > MAX_SPEC_ATOMS {
+                        return self.fail(
+                            control,
+                            &format!(
+                                "hello property `{}` has {atoms} atoms at {n_processes} \
+                                 processes, over the {MAX_SPEC_ATOMS}-atom ceiling",
+                                spec.name()
+                            ),
+                        );
                     }
                     dlrv_obs::set_log_prefix(format!("daemon{process}"));
                     obs_info!("hello: process {process} of {n_processes}");

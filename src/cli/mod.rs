@@ -38,9 +38,8 @@
 //! `--fault drop=p,delay=ms,dup=p,reorder=p` overrides the scenarios' shim spec;
 //! probabilities lie in `[0, 1]` and the delay is at most 60 000 ms),
 //! `fleet` runs the property-fleet family (N properties per session in one streamed
-//! pass, against per-member solo baselines) and `custom` runs the registry's
-//! user-style LTL properties.  Targets are positional arguments; `--target NAME` is
-//! an equivalent spelling.
+//! pass) and `custom` runs the registry's user-style LTL properties.  Targets are
+//! positional arguments; `--target NAME` is an equivalent spelling.
 //!
 //! `--property 'LTL'` (or `--property-file PATH`, whose format allows `#` comments
 //! plus optional `name:` / `procs:` headers before the formula) runs an arbitrary

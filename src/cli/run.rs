@@ -237,15 +237,26 @@ pub fn emit_dot_for_scenario(cli: &Cli) -> Result<(), CliError> {
     write_output(cli, &dot, "monitor automaton DOT")
 }
 
+/// The most processes a user run may have: the registry's largest count is 8.
+/// Each process adds a monitor to the run and an entry to every event's vector
+/// clock, so cost grows much faster than the count (`F P0.p` on 4096 processes
+/// exhausts memory).
+const MAX_USER_PROCS: usize = 64;
+
 /// The `--procs` of a user run: the flag, else the files' largest `procs:` header,
-/// else the smallest count the properties allow (at least two) — and never below
-/// that count.
+/// else the smallest count the properties allow (at least two) — never below that
+/// count and never above [`MAX_USER_PROCS`].
 fn user_procs(cli: &Cli, header: Option<usize>, min: usize, who: &str) -> Result<usize, CliError> {
     let procs = cli.procs.or(header).unwrap_or(min.max(2));
     if procs < min {
         return Err(CliError::usage(format!(
             "{who} names process P{}, so it needs --procs >= {min}",
             min - 1
+        )));
+    }
+    if procs > MAX_USER_PROCS {
+        return Err(CliError::usage(format!(
+            "{who} would run on {procs} processes; a run has at most {MAX_USER_PROCS}"
         )));
     }
     Ok(procs)
@@ -332,8 +343,7 @@ pub fn run_user_property(cli: &Cli) -> Result<(), CliError> {
 }
 
 /// `--properties A,B,C` / repeated `--property-file`: monitor a fleet of
-/// properties in one streaming pass, next to one solo pass per member over the
-/// same bytes.
+/// properties in one streaming pass.
 pub fn run_user_fleet(cli: &Cli) -> Result<(), CliError> {
     let mut specs: Vec<PropertySpec> =
         cli.properties.iter().map(|&p| PropertySpec::paper(p)).collect();

@@ -523,6 +523,21 @@ fn malformed_hello_payloads_are_protocol_failures() {
 }
 
 #[test]
+fn malformed_hello_over_the_atom_ceiling_is_a_protocol_failure() {
+    // Paper property A names one atom per process, so at 17 processes it has 17
+    // atoms: without the ceiling check the daemon goes on to synthesis and panics
+    // there (exit 101, no error frame).
+    let mut session = Session::spawn();
+    let mut hello = hello(&session.endpoint, "F (P0.p && P1.p)", 17, 0);
+    let WireMsg::Hello { property, .. } = &mut hello else {
+        unreachable!("`hello` builds a hello frame")
+    };
+    *property = Json::from("A");
+    send(&mut session.control, &hello);
+    session.assert_protocol_failure("has 17 atoms at 17 processes");
+}
+
+#[test]
 fn malformed_events_are_protocol_failures() {
     let event = |process, vc: Vec<u64>| WireMsg::Event {
         event: Event {

@@ -110,6 +110,12 @@ const REJECTED: &[(&str, &[&str])] = &[
     ("property without atoms", &["--property", "true"]),
     ("--procs below the formula's processes", &["--property", "F (P0.p && P2.p)", "--procs", "2"]),
     ("fleet --procs below its processes", &["--properties", "A,B", "--procs", "1"]),
+    ("--procs above the process bound", &["--property", "F P0.p", "--procs", "65"]),
+    (
+        "procs: header above the process bound",
+        &["--property-file", concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/procs_over_bound.ltl")],
+    ),
+    ("formula naming a process above the bound", &["--property", "F P64.p"]),
     ("--emit-dot of an unknown scenario", &["--emit-dot", "papr-A-n2"]),
 ];
 

@@ -14,7 +14,7 @@ use dlrv::dlrv_stream::{
 };
 use dlrv::{
     compile_fleet, simulate_session, CompiledFleetMember, ExperimentConfig, FleetParams,
-    PaperProperty, PropertySpec,
+    PaperProperty, PropertySpec, ScenarioFamily, ScenarioRegistry,
 };
 use dlrv::dlrv_ltl::AtomRegistry;
 use std::collections::BTreeMap;
@@ -209,6 +209,29 @@ fn six_property_fleet_equals_solo_runs() {
             assert_member_matches(&fleet_sessions, &solo, k, &tag);
         }
     }
+}
+
+#[test]
+fn registry_fleet_scenarios_equal_solo_runs() {
+    // Every `--target fleet` scenario on its own shape: its members, its options
+    // (the `-noopt` ablation included), its shard count, its workload shape and
+    // its session count.
+    let registry = ScenarioRegistry::standard();
+    let mut scenarios = 0;
+    for scenario in registry.family(ScenarioFamily::Fleet) {
+        let fleet = scenario.fleet.as_ref().expect("a fleet scenario has members");
+        let stream = scenario.stream.expect("a fleet scenario is streamed");
+        let (atoms, members) = compile_fleet(fleet, scenario.config.n_processes);
+        let bytes = fleet_wire(&scenario.config, &atoms, stream.n_sessions);
+        let fleet_sessions =
+            run_as_fleet(&bytes, &atoms, &members, scenario.options, stream.n_shards);
+        for (k, member) in members.iter().enumerate() {
+            let solo = run_as_solo(&bytes, &atoms, member, scenario.options, stream.n_shards);
+            assert_member_matches(&fleet_sessions, &solo, k, &scenario.name);
+        }
+        scenarios += 1;
+    }
+    assert!(scenarios >= 9, "the registry has {scenarios} fleet scenarios");
 }
 
 #[test]

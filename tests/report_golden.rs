@@ -94,14 +94,12 @@ fn record(
     }
 }
 
-/// A two-member fleet record: the fleet pass at 0.5 s against a 0.8 s solo sum.
+/// A two-member fleet record.
 fn fleet_record(msgs: usize) -> ScenarioRecord {
     let mut r = record("fleet-AB-sh4", ScenarioFamily::Fleet, PaperProperty::A, msgs, Verdict::False);
     r.scenario.fleet =
         Some(FleetParams::new([PaperProperty::A, PaperProperty::B].map(PropertySpec::paper).to_vec()));
     r.avg.fleet_size = 2;
-    r.avg.fleet_solo_wall_clock_secs = 0.8;
-    r.avg.fleet_marginal_cost_secs = 0.1;
     r.avg.fleet_per_property = [("A", "false"), ("B", "true")]
         .map(|(property, verdict)| FleetPropertyMetrics {
             property: property.to_string(),

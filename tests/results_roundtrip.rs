@@ -33,7 +33,7 @@ fn sweep_json_round_trips_run_metrics_field_for_field() {
     let mut streamed = small("throughput-B-s200-sh4");
     streamed.stream = Some(dlrv::StreamParams::sized(8, 2));
     // A fleet run: the scenario carries a `fleet` member list and the metrics
-    // carry the amortization fields plus per-property slices.
+    // carry the fleet size plus per-property slices.
     let mut fleet = small("fleet-AB-sh4");
     fleet.stream = Some(dlrv::StreamParams::sized(6, 2));
     let scenarios = [
@@ -147,25 +147,18 @@ fn assert_metrics_eq(parsed: &RunMetrics, original: &RunMetrics, scenario: &str)
         (0.0, 0.0, 0),
         "{scenario}: host-measured run fields"
     );
-    assert_eq!(
-        (parsed.fleet_solo_wall_clock_secs, parsed.fleet_marginal_cost_secs),
-        (0.0, 0.0),
-        "{scenario}: host-measured fleet fields"
-    );
     assert_eq!(parsed.to_json(), original.to_json(), "{scenario}: serialized form");
 }
 
 #[test]
 fn fleet_fields_are_populated_and_survive_the_roundtrip() {
     // The fleet fields are measured, not merely serialized: a two-member fleet
-    // records its size, a positive solo-sum baseline, and one metric slice per
-    // property — and all of it comes back intact from the JSON document.
+    // records its size and one metric slice per property — and all of it comes
+    // back intact from the JSON document.
     let mut scenario = small("fleet-AB-sh4");
     scenario.stream = Some(dlrv::StreamParams::sized(6, 2));
     let result = scenario.run();
     assert_eq!(result.avg.fleet_size, 2, "two members");
-    assert!(result.avg.fleet_solo_wall_clock_secs > 0.0, "solo baseline ran");
-    assert!(result.avg.fleet_marginal_cost_secs >= 0.0);
     let names: Vec<&str> = result
         .avg
         .fleet_per_property
@@ -177,8 +170,6 @@ fn fleet_fields_are_populated_and_survive_the_roundtrip() {
     let record = &sweep_from_json(&doc).expect("schema")[0];
     assert_eq!(record.avg.fleet_size, result.avg.fleet_size);
     assert_eq!(record.avg.fleet_per_property, result.avg.fleet_per_property);
-    // The solo baseline is a timing: shown on the terminal, not carried.
-    assert_eq!(record.avg.fleet_solo_wall_clock_secs, 0.0);
 }
 
 #[test]
@@ -325,7 +316,9 @@ fn documents_with_the_retired_switches_and_family_still_parse() {
     assert_metrics_eq(&read, &result.avg, "throughput record");
 }
 
-/// The eleven fields that measure the host rather than the monitored run.
+/// The eleven fields that measure the host rather than the monitored run.  The
+/// fleet's solo-sum wall clock and marginal cost are no longer measured at all;
+/// documents from before that still carry them, this one must not.
 const HOST_MEASURED_FIELDS: [&str; 11] = [
     "wall_clock_secs",
     "events_per_sec",
