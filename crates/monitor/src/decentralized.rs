@@ -237,74 +237,179 @@ fn exact<T>(buf: &mut Vec<T>) -> Vec<T> {
     std::mem::replace(buf, held)
 }
 
-/// The local event history (`history` in Algorithm 2), stored flat: `n` clock
-/// entries per event in one vector and one state per event in another, both indexed
-/// by sequence number.  The token path and the views read an event's clock and
-/// state, nothing else, so nothing else is kept — and the views' queues of buffered
-/// events are cursors into this history ([`GlobalView::next_sn`]) rather than
-/// copies of it.
+/// The local event history (`history` in Algorithm 2), stored by runs.  A run is a
+/// maximal stretch of consecutive events with one local state and one set of
+/// remote clock entries; the process's own entry of an event's clock is its
+/// sequence number, so it is never stored per event.  Each run is one record of
+/// `n + 1` words in one vector: the clock of the run's first event — whose own
+/// entry, the run's first sequence number, is the record's search key — then the
+/// state.  The token path and the views read an event's clock and state, nothing
+/// else, so nothing else is kept — and the views' queues of buffered events are
+/// cursors into this history ([`GlobalView::next_sn`]) rather than copies of it.
 ///
 /// A history belongs to a *process*, not to a property: the monitors a
 /// [`FleetMonitor`](crate::FleetMonitor) attaches to one process read one history,
 /// which the fleet records and lends them ([`DecentralizedMonitor::swap_history`]).
 #[derive(Debug, Clone)]
 pub(crate) struct LocalHistory {
+    /// The process whose events these are.
+    pid: ProcessId,
     n: usize,
-    clocks: Vec<u64>,
-    states: Vec<Assignment>,
+    /// Number of recorded events, i.e. the sequence number of the latest one.
+    len: u64,
+    /// The run records, `n + 1` words each, in sequence-number order.
+    runs: Vec<u64>,
+}
+
+/// A run cursor that starts at the latest run: where [`LocalHistory::run`] looks
+/// first when nothing has been read yet.
+const LATEST_RUN: usize = usize::MAX;
+
+/// One run of a [`LocalHistory`]: every event from the one `clock` belongs to
+/// through `last` has `state` and `clock`'s remote entries.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run<'a> {
+    pid: ProcessId,
+    /// Where the run's record starts in [`LocalHistory::runs`], in words.
+    at: usize,
+    /// The clock of the run's first event.
+    clock: &'a [u64],
+    state: Assignment,
+    /// The sequence number of the run's last recorded event.
+    last: u64,
+}
+
+impl Run<'_> {
+    /// Where to look for event `sn` of a walk from (see [`LocalHistory::run`]):
+    /// this run, or the next when `sn` is past this one.
+    fn cursor_for(&self, sn: u64) -> usize {
+        if sn > self.last {
+            self.at + self.clock.len() + 1
+        } else {
+            self.at
+        }
+    }
+
+    /// Merges the clock of event `sn`, an event of this run, into `vc`.
+    fn merge_clock_into(&self, sn: u64, vc: &mut VectorClock) {
+        vc.merge_entries(self.clock);
+        vc.set(self.pid, vc.get(self.pid).max(sn));
+    }
 }
 
 impl LocalHistory {
-    pub(crate) fn new(n: usize) -> Self {
+    pub(crate) fn new(pid: ProcessId, n: usize) -> Self {
         LocalHistory {
+            pid,
             n,
-            clocks: Vec::new(),
-            states: Vec::new(),
+            len: 0,
+            runs: Vec::new(),
         }
     }
 
     /// Number of recorded events, i.e. the sequence number of the latest one.
     pub(crate) fn len(&self) -> usize {
-        self.states.len()
+        self.len as usize
     }
 
+    /// The process whose events these are.
+    pub(crate) fn process(&self) -> ProcessId {
+        self.pid
+    }
+
+    /// Number of processes, i.e. of entries in every clock.
+    pub(crate) fn n_processes(&self) -> usize {
+        self.n
+    }
+
+    /// Records the process's next event: a new run when its state or a remote
+    /// entry of its clock differs from the latest run's, nothing but the count
+    /// otherwise.
     pub(crate) fn push(&mut self, event: &Event) {
-        debug_assert_eq!(event.vc.len(), self.n);
-        self.clocks.extend_from_slice(event.vc.entries());
-        self.states.push(event.state);
+        let (n, pid, sn) = (self.n, self.pid, self.len + 1);
+        debug_assert_eq!(event.vc.len(), n);
+        debug_assert_eq!((event.sn, event.vc.get(pid)), (sn, sn), "events arrive in sequence");
+        let vc = event.vc.entries();
+        let continues = self.runs.len() > n && {
+            let latest = &self.runs[self.runs.len() - (n + 1)..];
+            latest[n] == event.state.0
+                && latest[..pid] == vc[..pid]
+                && latest[pid + 1..n] == vc[pid + 1..]
+        };
+        if !continues {
+            self.runs.extend_from_slice(vc);
+            self.runs.push(event.state.0);
+        }
+        self.len = sn;
     }
 
-    /// The vector clock of event `sn` (1-based).
-    fn clock(&self, sn: u64) -> &[u64] {
-        let at = (sn as usize - 1) * self.n;
-        &self.clocks[at..at + self.n]
+    /// The run holding event `sn` (1-based, recorded), looked for from the record
+    /// at word `from`: where an earlier read of the same walk or view queue left
+    /// off ([`Run::cursor_for`]), or [`LATEST_RUN`] for the latest record, where
+    /// fresh events are read.  The runs from there on are stepped through; the ones
+    /// before it are binary-searched on their keys.  Every token visit and view
+    /// event reads through here, so it is inlined (left to itself the compiler
+    /// called it, and the call cost more than the walk saved); the search is not.
+    #[inline(always)]
+    pub(crate) fn run(&self, sn: u64, from: usize) -> Run<'_> {
+        debug_assert!((1..=self.len).contains(&sn));
+        let (w, end) = (self.n + 1, self.runs.len());
+        let key = |at: usize| self.runs[at + self.pid];
+        let mut at = from.min(end - w);
+        if key(at) > sn {
+            at = self.search(sn, at);
+        } else {
+            while at + w < end && key(at + w) <= sn {
+                at += w;
+            }
+        }
+        Run {
+            pid: self.pid,
+            at,
+            clock: &self.runs[at..at + self.n],
+            state: Assignment(self.runs[at + self.n]),
+            last: if at + w < end { key(at + w) - 1 } else { self.len },
+        }
     }
 
-    /// The local state after event `sn` (1-based).
-    fn state(&self, sn: u64) -> Assignment {
-        self.states[sn as usize - 1]
+    /// The last record before word `past` whose key is not past `sn`, halving
+    /// without a branch on the comparison.  Every run holds at least one event, so
+    /// that record is among the `len - sn` before `past` and among the first `sn`:
+    /// a recent event is found in a few steps.
+    #[inline(never)]
+    fn search(&self, sn: u64, past: usize) -> usize {
+        let w = self.n + 1;
+        let past = past / w;
+        let mut base = past.saturating_sub((self.len - sn) as usize);
+        let mut left = past.min(sn as usize) - base;
+        while left > 1 {
+            let half = left / 2;
+            if self.runs[(base + half) * w + self.pid] <= sn {
+                base += half;
+            }
+            left -= half;
+        }
+        base * w
     }
 }
 
 /// A decentralized monitor process `Mi` (Algorithm 1).
 #[derive(Debug, Clone)]
 pub struct DecentralizedMonitor {
-    /// The process this monitor is attached to.
-    pid: ProcessId,
     /// The fleet member index stamped on every token this monitor emits: `0` in
     /// single-property runs, assigned by [`FleetMonitor`](crate::FleetMonitor)
     /// when several properties share one transport.
     property: u32,
-    /// Number of processes.
-    n: usize,
     /// The shared monitor automaton replica.
     automaton: Arc<MonitorAutomaton>,
     /// Shared atom registry (for conjunct ownership).
     registry: Arc<AtomRegistry>,
     /// Optimization switches.
     opts: MonitorOptions,
-    /// Local event history (`history` in Algorithm 2).  A fleet member's is empty
-    /// between activations: the process's one history is lent to it for each.
+    /// Local event history (`history` in Algorithm 2), which also knows the process
+    /// this monitor is attached to and the number of processes.  A fleet member's
+    /// is empty between activations: the process's one history is lent to it for
+    /// each.
     history: LocalHistory,
     /// How many events of `history` have been offered to the views: a view's queue of
     /// buffered events is `history[next_sn ..= delivered]`.  Equal to `history.len()`
@@ -363,13 +468,11 @@ impl DecentralizedMonitor {
         };
         metrics.max_live_views = views.len();
         DecentralizedMonitor {
-            pid,
             property: 0,
-            n: n_processes,
             automaton,
             registry,
             opts,
-            history: LocalHistory::new(n_processes),
+            history: LocalHistory::new(pid, n_processes),
             delivered: 0,
             waiting_tokens: WaitingTokens::new(),
             views,
@@ -384,7 +487,23 @@ impl DecentralizedMonitor {
 
     /// The process index this monitor is attached to.
     pub fn process_id(&self) -> ProcessId {
-        self.pid
+        self.pid()
+    }
+
+    /// The process this monitor is attached to (its history knows).
+    fn pid(&self) -> ProcessId {
+        self.history.pid
+    }
+
+    /// Number of processes.
+    fn n(&self) -> usize {
+        self.history.n
+    }
+
+    /// How many events of its process this monitor has recorded (none, between
+    /// activations, for a fleet member: the fleet holds the history).
+    pub fn events_recorded(&self) -> u64 {
+        self.history.len() as u64
     }
 
     /// Assigns the fleet member index stamped on every token this monitor emits
@@ -583,7 +702,7 @@ impl DecentralizedMonitor {
     /// `gstate` with this process's atoms overwritten by their values in `local`.
     fn apply_local_state(&self, mut gstate: Assignment, local: Assignment) -> Assignment {
         for atom in self.registry.ids() {
-            if self.registry.owner(atom) == self.pid {
+            if self.registry.owner(atom) == self.pid() {
                 gstate.set(atom, local.get(atom));
             }
         }
@@ -730,16 +849,17 @@ impl DecentralizedMonitor {
     }
 
     /// CHECKOUTGOINGTRANSITIONS: build the candidate token transitions of `gv` for the
-    /// local event `sn`.  With the arena on, the cuts and conjunct buffers come from
-    /// the scratch pools (they return when the token's transitions are decided).
-    fn candidate_transitions(&mut self, gv: &GlobalView, sn: u64) -> Vec<TokenTransition> {
+    /// local event `sn`, whose run's record starts at word `at` of the history.  With
+    /// the arena on, the cuts and conjunct buffers come from the scratch pools (they
+    /// return when the token's transitions are decided).
+    fn candidate_transitions(&mut self, gv: &GlobalView, sn: u64, at: usize) -> Vec<TokenTransition> {
         let mut out = self.take_transition_buf();
         // A second handle to the shared automaton, so iterating its transitions does
         // not hold a borrow of `self` across the pool calls below.
         let automaton = Arc::clone(&self.automaton);
         for t in automaton.transitions_from(gv.q).iter().filter(|t| !t.is_self_loop()) {
             // The local conjunct must be satisfied by the process's own (fresh) state.
-            if !self.conjunct_holds(t, self.pid, gv.gstate) {
+            if !self.conjunct_holds(t, self.pid(), gv.gstate) {
                 continue;
             }
             // §4.3.3: exploring a transition whose target verdict a sibling view
@@ -751,12 +871,12 @@ impl DecentralizedMonitor {
             // does not satisfy their conjunct.  If nobody forbids, the transition is
             // already enabled under the believed state and needs no token.
             let mut conjuncts = self.take_conjunct_buf();
-            conjuncts.reserve(self.n);
+            conjuncts.reserve(self.n());
             let mut has_forbidding = false;
-            for p in 0..self.n {
+            for p in 0..self.n() {
                 let c = if !self.participates(t, p) {
                     ConjunctEval::NotInvolved
-                } else if p == self.pid || self.conjunct_holds(t, p, gv.gstate) {
+                } else if p == self.pid() || self.conjunct_holds(t, p, gv.gstate) {
                     // The monitor's own conjunct was already checked above; remote
                     // conjuncts count as satisfied under the believed state.
                     ConjunctEval::True
@@ -772,7 +892,7 @@ impl DecentralizedMonitor {
             }
             let gcut = {
                 let mut g = self.clock_copy(&gv.gcut);
-                g.merge_entries(self.history.clock(sn));
+                self.history.run(sn, at).merge_clock_into(sn, &mut g);
                 g
             };
             let depend = self.clock_copy(&gcut);
@@ -780,8 +900,8 @@ impl DecentralizedMonitor {
                 .iter()
                 .position(|c| *c == ConjunctEval::Unset)
                 .expect("has_forbidding implies an unset conjunct");
-            let next_target_event =
-                gcut.get(first_unset).max(self.history.clock(sn)[first_unset]) + 1;
+            // The cut has merged the event's clock: no further entry to take.
+            let next_target_event = gcut.get(first_unset) + 1;
             out.push(TokenTransition {
                 transition_id: t.id,
                 gcut,
@@ -808,7 +928,7 @@ impl DecentralizedMonitor {
             None
         } else {
             pending()
-                .find(|t| t.next_target_process == self.pid)
+                .find(|t| t.next_target_process == self.pid())
                 .or_else(|| pending().find(|t| t.next_target_process != token.parent))
                 .or_else(|| pending().next())
                 .map(|t| (t.next_target_process, t.next_target_event))
@@ -821,7 +941,7 @@ impl DecentralizedMonitor {
             }
             None => token.parent,
         };
-        if dest != self.pid {
+        if dest != self.pid() {
             self.send_token(dest, token, ctx);
         } else if next.is_some() {
             // If the requested event is already in our history, process it right
@@ -835,8 +955,10 @@ impl DecentralizedMonitor {
     /// Feeds the token already-known local events (starting at its target sequence
     /// number) until it is routed away or has to wait for a future event.
     fn advance_local_token(&mut self, mut token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        // The run of the latest visit: where the next one starts looking.
+        let mut walked = LATEST_RUN;
         loop {
-            if token.next_target_process != self.pid {
+            if token.next_target_process != self.pid() {
                 // Re-routing decided elsewhere.
                 self.route_token(token, ctx);
                 return;
@@ -860,7 +982,7 @@ impl DecentralizedMonitor {
                 }
                 return;
             }
-            let keep_going = self.process_token_with_event(&mut token, sn);
+            let keep_going = self.process_token_with_event(&mut token, sn, &mut walked);
             if !keep_going {
                 self.route_token(token, ctx);
                 return;
@@ -869,12 +991,19 @@ impl DecentralizedMonitor {
     }
 
     /// PROCESSTOKEN + EVALUATETOKEN for the local event `sn` (already in the
-    /// history).  Returns `true` when the token should continue consuming this
-    /// monitor's subsequent local events.
-    fn process_token_with_event(&mut self, token: &mut Token, sn: u64) -> bool {
+    /// history), whose run is looked for from the record at `walked` (see
+    /// [`LocalHistory::run`]) and left there.  Returns `true` when the token
+    /// should continue consuming this monitor's subsequent local events — from the
+    /// next event at which that can change anything, which is where this visit
+    /// leaves the token's target.
+    fn process_token_with_event(&mut self, token: &mut Token, sn: u64, walked: &mut usize) -> bool {
         self.metrics.history_events_served += 1;
-        let state = self.history.state(sn);
-        // ADDEVENTTOTOKEN for every transition targeting (self, sn).
+        self.metrics.history_events_covered += 1;
+        let run = self.history.run(sn, *walked);
+        // ADDEVENTTOTOKEN for every transition targeting (self, sn).  The run walk
+        // (below) lands no later than the end of this run, the last recorded
+        // event, or any event another pending transition asks for here.
+        let mut land = (run.last + 1).min(self.history.len() as u64);
         let mut targeted = self
             .scratch
             .as_mut()
@@ -882,14 +1011,16 @@ impl DecentralizedMonitor {
             .unwrap_or_default();
         targeted.clear();
         for (idx, tran) in token.transitions.iter_mut().enumerate() {
-            if tran.eval == EvalState::Unset
-                && tran.next_target_process == self.pid
-                && tran.next_target_event == sn
-            {
-                tran.gcut.set(self.pid, sn);
-                tran.depend.merge_entries(self.history.clock(sn));
-                tran.gstate = self.apply_local_state(tran.gstate, state);
+            if tran.eval != EvalState::Unset || tran.next_target_process != self.pid() {
+                continue;
+            }
+            if tran.next_target_event == sn {
+                tran.gcut.set(self.pid(), sn);
+                run.merge_clock_into(sn, &mut tran.depend);
+                tran.gstate = self.apply_local_state(tran.gstate, run.state);
                 targeted.push(idx);
+            } else {
+                land = land.min(tran.next_target_event);
             }
         }
         if targeted.is_empty() {
@@ -909,25 +1040,25 @@ impl DecentralizedMonitor {
         local_results.clear();
         for &idx in &targeted {
             let tran = &token.transitions[idx];
-            if tran.conjuncts[self.pid] == ConjunctEval::NotInvolved {
+            if tran.conjuncts[self.pid()] == ConjunctEval::NotInvolved {
                 // Only visited to repair an inconsistency; nothing to evaluate here and
                 // this must not influence the ordering flag below.
                 continue;
             }
             let symbolic = self.automaton.transition(tran.transition_id);
-            let ok = self.conjunct_holds(symbolic, self.pid, state);
+            let ok = self.conjunct_holds(symbolic, self.pid(), run.state);
             any_true |= ok;
             local_results.push((idx, ok));
         }
 
         for (idx, ok) in &local_results {
             let tran = &mut token.transitions[*idx];
-            if tran.conjuncts[self.pid] != ConjunctEval::NotInvolved {
+            if tran.conjuncts[self.pid()] != ConjunctEval::NotInvolved {
                 if any_true {
-                    tran.conjuncts[self.pid] = if *ok { ConjunctEval::True } else { ConjunctEval::False };
+                    tran.conjuncts[self.pid()] = if *ok { ConjunctEval::True } else { ConjunctEval::False };
                 } else {
                     // No candidate satisfied at this event: keep looking at later ones.
-                    tran.conjuncts[self.pid] = ConjunctEval::Unset;
+                    tran.conjuncts[self.pid()] = ConjunctEval::Unset;
                 }
             }
         }
@@ -944,15 +1075,19 @@ impl DecentralizedMonitor {
         let answer_is_known = (sn as usize) < self.history.len() || self.local_terminated;
         for &idx in &targeted {
             let tran = &mut token.transitions[idx];
-            if tran.conjuncts[self.pid] == ConjunctEval::False {
+            if tran.conjuncts[self.pid()] == ConjunctEval::False {
                 tran.eval = EvalState::Disabled;
                 tran.next_target_process = token.parent;
             } else if answer_is_known
-                && (tran.gcut.get(self.pid) < tran.depend.get(self.pid)
-                    || tran.conjuncts[self.pid] == ConjunctEval::Unset)
+                && (tran.gcut.get(self.pid()) < tran.depend.get(self.pid())
+                    || tran.conjuncts[self.pid()] == ConjunctEval::Unset)
             {
-                tran.next_target_process = self.pid;
-                tran.next_target_event = tran.gcut.get(self.pid) + 1;
+                tran.next_target_process = self.pid();
+                tran.next_target_event = sn + 1;
+                if tran.conjuncts[self.pid()] != ConjunctEval::Unset {
+                    // Answered: it stays only to repair the cut up to `depend`.
+                    land = land.min(tran.depend.get(self.pid()));
+                }
             } else if let Some(k) =
                 tran.inconsistent_process().or_else(|| tran.first_unset_process())
             {
@@ -965,17 +1100,44 @@ impl DecentralizedMonitor {
             }
         }
 
+        // The run walk.  A transition that stays for event `sn + 1` meets at every
+        // further event of this run the state it met here, and the clock entries
+        // it merged here except its own, so each such event decides it exactly as
+        // this one did.  What can change is left to the event that changes it
+        // (`land`): the next run's first, the last recorded (where the answer stops
+        // being known), the `depend` entry a cut repair waits for, and any event
+        // another pending transition asks for (from there on the two are evaluated
+        // together).  The staying ones jump there: merging that event's clock is
+        // merging every skipped one, because a process's own clocks are monotone.
+        if land > sn + 1 {
+            let mut jumped = false;
+            for &idx in &targeted {
+                let tran = &mut token.transitions[idx];
+                if tran.eval == EvalState::Unset
+                    && tran.next_target_process == self.pid()
+                    && tran.next_target_event == sn + 1
+                {
+                    tran.next_target_event = land;
+                    jumped = true;
+                }
+            }
+            if jumped {
+                self.metrics.history_events_covered += (land - sn - 1) as usize;
+            }
+        }
+
         // Continue locally only if some transition still targets this process's
         // future: at the earliest event any of them asks for.
         let next = token
             .transitions
             .iter()
-            .filter(|t| t.eval == EvalState::Unset && t.next_target_process == self.pid)
+            .filter(|t| t.eval == EvalState::Unset && t.next_target_process == self.pid())
             .map(|t| t.next_target_event)
             .min();
         if let Some(next) = next {
-            token.next_target_process = self.pid;
+            token.next_target_process = self.pid();
             token.next_target_event = next;
+            *walked = run.cursor_for(next);
         }
         if let Some(s) = self.scratch.as_mut() {
             s.targeted = targeted;
@@ -995,11 +1157,11 @@ impl DecentralizedMonitor {
     fn fail_local_targets(&self, token: &mut Token) {
         for tran in &mut token.transitions {
             if tran.eval == EvalState::Unset
-                && tran.next_target_process == self.pid
+                && tran.next_target_process == self.pid()
                 && self.is_unrecorded(tran.next_target_event)
             {
-                if tran.conjuncts[self.pid] != ConjunctEval::NotInvolved {
-                    tran.conjuncts[self.pid] = ConjunctEval::False;
+                if tran.conjuncts[self.pid()] != ConjunctEval::NotInvolved {
+                    tran.conjuncts[self.pid()] = ConjunctEval::False;
                 }
                 tran.eval = EvalState::Disabled;
                 tran.next_target_process = token.parent;
@@ -1123,6 +1285,8 @@ impl DecentralizedMonitor {
     }
 
     /// PROCESSEVENT (Algorithm 2) for one view; may fork a copy and/or emit a token.
+    /// The event's run is looked for from the record at `walked` (see
+    /// [`LocalHistory::run`]) and left there, for the view's next event.
     ///
     /// The views this call produces are pushed into `produced`, which must arrive
     /// empty — an out-parameter so callers can recycle one buffer across an event's
@@ -1133,18 +1297,22 @@ impl DecentralizedMonitor {
         &mut self,
         mut gv: GlobalView,
         sn: u64,
+        walked: &mut usize,
         ctx: &mut MonitorContext<'_, MonitorMsg>,
         produced: &mut Vec<GlobalView>,
     ) {
         debug_assert!(produced.is_empty());
 
         // Fold the local event into the view.
-        let vc = self.history.clock(sn);
-        gv.gcut.set(self.pid, vc[self.pid]);
+        let run = self.history.run(sn, *walked);
+        *walked = run.cursor_for(sn + 1);
+        gv.gcut.set(self.pid(), sn);
         // The event is inconsistent with the view when it already knows about more
-        // events of other processes than the view has folded in.
-        let is_consistent = (0..self.n).all(|j| j == self.pid || gv.gcut.get(j) >= vc[j]);
-        gv.gstate = self.apply_local_state(gv.gstate, self.history.state(sn));
+        // events of other processes than the view has folded in.  (The run's own
+        // entry, its first event, is not past `sn`.)
+        let is_consistent = gv.gcut.entries().iter().zip(run.clock).all(|(g, c)| g >= c);
+        let run_at = run.at;
+        gv.gstate = self.apply_local_state(gv.gstate, run.state);
 
         // Only a view that took a step on this event leaves a copy behind at the
         // fork below.
@@ -1157,7 +1325,7 @@ impl DecentralizedMonitor {
         }
 
         // Look for outgoing transitions that concurrent events elsewhere could enable.
-        let candidates = self.candidate_transitions(&gv, sn);
+        let candidates = self.candidate_transitions(&gv, sn, run_at);
 
         // §4.3.2: if an exploration for this automaton state is already in flight at
         // this monitor, do not launch a duplicate one — the waiting view will reprocess
@@ -1227,11 +1395,11 @@ impl DecentralizedMonitor {
     ) {
         let token = Token {
             property: self.property,
-            parent: self.pid,
+            parent: self.pid(),
             origin_state: gv.q,
             parent_gv: gv.id,
             transitions,
-            next_target_process: self.pid,
+            next_target_process: self.pid(),
             next_target_event: 0,
         };
         self.exploration_launched(gv.q);
@@ -1246,13 +1414,14 @@ impl DecentralizedMonitor {
     /// instead of one round trip per event.
     fn drain_pending(&mut self, mut idx: usize, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         let mut produced = self.take_view_buf();
+        let mut walked = LATEST_RUN;
         while self.views[idx].is_unblocked() || self.local_terminated {
             let Some(sn) = self.views[idx].pop_queued(self.delivered) else {
                 break;
             };
             self.metrics.backlog_events_drained += 1;
             let gv = self.views.remove(idx);
-            self.process_event_on_view(gv, sn, ctx, &mut produced);
+            self.process_event_on_view(gv, sn, &mut walked, ctx, &mut produced);
             if produced.is_empty() {
                 // The view retired at ⊤/⊥, and its drain with it.
                 break;
@@ -1270,7 +1439,7 @@ impl DecentralizedMonitor {
     /// RECEIVETOKEN: a token of our own is home; a foreign one is served from our
     /// history or parked.
     fn receive_token(&mut self, token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        if token.parent == self.pid {
+        if token.parent == self.pid() {
             self.handle_returned_token(token, ctx);
         } else {
             self.advance_local_token(token, ctx);
@@ -1312,9 +1481,10 @@ impl DecentralizedMonitor {
                 delayed += gv.queued(self.delivered);
             }
             // Process the whole queue while the view stays unblocked.
+            let mut walked = LATEST_RUN;
             while gv.is_unblocked() {
                 let Some(sn) = gv.pop_queued(self.delivered) else { break };
-                self.process_event_on_view(gv, sn, ctx, &mut produced);
+                self.process_event_on_view(gv, sn, &mut walked, ctx, &mut produced);
                 // On with the first produced view, which follows local progress;
                 // any other waits for its token.  None: the view retired at ⊤/⊥.
                 let mut views = produced.drain(..);
@@ -1342,7 +1512,7 @@ impl MonitorBehavior for DecentralizedMonitor {
     type Message = MonitorMsg;
 
     /// RECEIVEEVENT (Algorithm 2): all the monitor keeps of the event is its clock
-    /// and state, copied flat.
+    /// and state, and only when they start a new run of the history.
     fn on_local_event(&mut self, event: &Event, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         self.history.push(event);
         self.on_recorded_event(event.sn, ctx);
@@ -1658,15 +1828,93 @@ mod tests {
     }
 
     #[test]
+    fn the_run_history_reads_like_a_flat_one() {
+        // Seeded random processes: n = 1..=5, receives that raise random remote
+        // entries, state changes, both at random rates per process.  At every
+        // recorded `sn` the run history must answer what a flat per-event one
+        // does, and hold one record per change.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        for _ in 0..400 {
+            let n = 1 + next(5) as usize;
+            let pid = next(n as u64) as usize;
+            let (receive_in, change_in) = (1 + next(4), 1 + next(8));
+            let mut history = LocalHistory::new(pid, n);
+            let mut flat: Vec<(Vec<u64>, Assignment)> = Vec::new();
+            let (mut vc, mut state, mut runs) = (vec![0; n], Assignment(next(4)), 0);
+            for sn in 1..=next(40) {
+                let mut changed = sn == 1;
+                if n > 1 && next(receive_in) == 0 {
+                    let from = (pid + 1 + next(n as u64 - 1) as usize) % n;
+                    vc[from] += 1 + next(3);
+                    changed = true;
+                }
+                if next(change_in) == 0 {
+                    let flipped = Assignment(state.0 ^ (1 << next(3)));
+                    changed |= flipped != state;
+                    state = flipped;
+                }
+                vc[pid] = sn;
+                runs += usize::from(changed);
+                let event = Event {
+                    process: pid,
+                    kind: dlrv_vclock::EventKind::Internal,
+                    sn,
+                    vc: VectorClock::from_entries(vc.clone()),
+                    state,
+                    time: sn as f64,
+                };
+                history.push(&event);
+                flat.push((vc.clone(), state));
+            }
+            assert_eq!(history.len(), flat.len());
+            assert_eq!(history.runs.len(), runs * (n + 1), "one record per change");
+            // Each event read from the latest run, from where the previous
+            // read left off, and from a record picked at random.
+            let (mut walked, records) = (LATEST_RUN, runs as u64);
+            for (at, (clock, state)) in flat.iter().enumerate() {
+                let sn = at as u64 + 1;
+                let from = [LATEST_RUN, walked, (next(records) * (n as u64 + 1)) as usize];
+                let run = history.run(sn, from[next(3) as usize]);
+                walked = run.cursor_for(sn + 1);
+                let case = format!("n={n}, pid={pid}, sn={sn} of {}", flat.len());
+                assert_eq!(run.state, *state, "{case}");
+                let mut entries = VectorClock::zero(n);
+                run.merge_clock_into(sn, &mut entries);
+                assert_eq!(entries.entries(), clock, "{case}");
+                let same_run = |(vc, st): &(Vec<u64>, Assignment)| {
+                    st == state && (0..n).all(|j| j == pid || vc[j] == clock[j])
+                };
+                let last = sn - 1 + flat[at..].iter().take_while(|e| same_run(e)).count() as u64;
+                assert_eq!(run.last, last, "{case}");
+                let base: Vec<u64> = (0..n).map(|_| next(2 * sn + 2)).collect();
+                let mut merged = VectorClock::from_entries(base.clone());
+                run.merge_clock_into(sn, &mut merged);
+                let mut reference = VectorClock::from_entries(base);
+                reference.merge_entries(clock);
+                assert_eq!(merged, reference, "{case}");
+            }
+        }
+    }
+
+    #[test]
     fn monitor_and_view_sizes_are_pinned() {
         // 600 bytes before the scratch pools moved to the thread and the history
-        // went flat; a session pays this once per process (per member, in a fleet).
-        assert!(std::mem::size_of::<DecentralizedMonitor>() <= 408);
+        // went flat, 408 while the monitor kept its process and process count
+        // beside its history's; a session pays this once per process (per member,
+        // in a fleet).
+        assert!(std::mem::size_of::<DecentralizedMonitor>() <= 392);
         assert!(std::mem::size_of::<GlobalView>() <= 64);
-        // Identity, the members, the one history and the per-member regroup
-        // table — no pool, no outbox, no staging (200 while it held an outbox, a
-        // pass-through buffer and a per-destination staging table).
-        assert!(std::mem::size_of::<crate::FleetMonitor>() <= 128);
+        // The members, the one history (which knows the process) and the
+        // per-member regroup table — no pool, no outbox, no staging (200 while it
+        // held an outbox, a pass-through buffer and a per-destination staging
+        // table, 120 with its own copy of the process and process count).
+        assert!(std::mem::size_of::<crate::FleetMonitor>() <= 104);
     }
 
     #[test]
@@ -1697,7 +1945,7 @@ mod tests {
         let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
         let mut produced = Vec::new();
         // `P0.p` holds, `P1.p` is unknown: the view sends a token and forks.
-        m.process_event_on_view(gv, sn, &mut ctx, &mut produced);
+        m.process_event_on_view(gv, sn, &mut { LATEST_RUN }, &mut ctx, &mut produced);
         assert_eq!(m.metrics.tokens_sent, 1);
         let [fork, original] = &produced[..] else {
             panic!("expected the fork and the original, got {produced:?}");
@@ -1770,7 +2018,7 @@ mod tests {
             parent: 0,
             origin_state: gv.q,
             parent_gv: gv.id,
-            transitions: m0.candidate_transitions(&gv, 1),
+            transitions: m0.candidate_transitions(&gv, 1, 0),
             next_target_process: 0,
             next_target_event: 0,
         };
@@ -1784,10 +2032,21 @@ mod tests {
     /// unset at `P1`, and `P1` has nothing further recorded.
     fn unanswered_and_lagging() -> ([DecentralizedMonitor; 2], Token) {
         let (mut monitors, token) = staircase(1);
-        monitors[1].history.states[0] = Assignment::ALL_FALSE;
-        monitors[1].history.clocks.copy_from_slice(&[2, 1]);
+        monitors[1].history = history_of_p1(vec![2, 1]);
         monitors[0].history.push(&local_event(2, Assignment::ALL_FALSE));
         (monitors, token)
+    }
+
+    /// The history of a `P1` that recorded one event, with clock `vc`, on which
+    /// `P1.p` did not hold.
+    fn history_of_p1(vc: Vec<u64>) -> LocalHistory {
+        let mut history = LocalHistory::new(1, 2);
+        history.push(&Event {
+            process: 1,
+            vc: VectorClock::from_entries(vc),
+            ..local_event(1, Assignment::ALL_FALSE)
+        });
+        history
     }
 
     /// Delivers what `monitors[from]` left in `outbox` and every message that
@@ -1843,7 +2102,7 @@ mod tests {
         for (process, sn) in hops {
             let tran = &mut stepped.transitions[0];
             (tran.next_target_process, tran.next_target_event) = (process, sn);
-            reference[process].process_token_with_event(&mut stepped, sn);
+            reference[process].process_token_with_event(&mut stepped, sn, &mut { LATEST_RUN });
         }
         let stepped = &stepped.transitions[0];
         assert_eq!(stepped.eval, EvalState::Enabled);
@@ -1866,12 +2125,42 @@ mod tests {
     }
 
     #[test]
+    fn a_token_walks_a_run_in_one_jump_to_its_last_event() {
+        // `P1` has recorded one run of six events: it heard from nobody and `P1.p`
+        // never held.  The token is served event 1, jumps to event 6 — the last
+        // recorded, where the answer stops being known — and parks for event 7,
+        // exactly as if it had been served all six.
+        const K: u64 = 6;
+        let (mut monitors, token) = staircase(1);
+        let mut history = LocalHistory::new(1, 2);
+        for sn in 1..=K {
+            history.push(&Event {
+                process: 1,
+                vc: VectorClock::from_entries(vec![0, sn]),
+                ..local_event(sn, Assignment::ALL_FALSE)
+            });
+        }
+        assert_eq!(history.runs.len(), 3, "one record");
+        monitors[1].history = history;
+        assert_eq!(tour(&mut monitors, 0, token).len(), 1);
+        let m1 = &monitors[1];
+        assert_eq!(m1.metrics.history_events_served, 2);
+        assert_eq!(m1.metrics.history_events_covered, K as usize);
+        let [parked] = &m1.waiting_tokens.clone().take(K + 1)[..] else {
+            panic!("the token parks for event {}", K + 1);
+        };
+        let tran = &parked.transitions[0];
+        assert_eq!((tran.gcut.entries(), tran.depend.entries()), (&[1, K][..], &[1, K][..]));
+        assert_eq!(tran.conjuncts, [ConjunctEval::True, ConjunctEval::Unset]);
+    }
+
+    #[test]
     fn a_token_whose_answer_is_not_recorded_leaves_or_parks_as_before() {
         // `P1` has recorded its first event only, `P1.p` did not hold, and `P1` is
         // still running.  Its conjunct stays unset and nothing else is owed: the
         // token parks for event 2, at `P1`.
         let (mut parks, token) = staircase(1);
-        parks[1].history.states[0] = Assignment::ALL_FALSE;
+        parks[1].history = history_of_p1(vec![1, 1]);
         assert_eq!(tour(&mut parks, 0, token).len(), 1);
         assert_eq!(parks[1].waiting_tokens.len(), 1);
         assert_eq!(parks[1].metrics.tokens_parked, 1);
@@ -2048,7 +2337,7 @@ mod tests {
             let mut outbox = Vec::new();
             let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
             let mut produced = Vec::new();
-            m.process_event_on_view(gv, sn, &mut ctx, &mut produced);
+            m.process_event_on_view(gv, sn, &mut { LATEST_RUN }, &mut ctx, &mut produced);
             m.flush_outbound(&mut ctx);
             let view = produced.last().expect("the view itself comes last");
             if terminated {

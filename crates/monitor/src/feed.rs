@@ -32,10 +32,13 @@ use dlrv_vclock::Event;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Verdict reporting shared by every monitor kind a [`FeedSession`] can drive:
-/// token monitors, whose messages a session queues in buffers leased from the
-/// thread's arena.
+/// What a [`FeedSession`] asks of every monitor kind it can drive — token
+/// monitors, whose messages a session queues in buffers leased from the thread's
+/// arena: verdict reporting, and how far the monitor's process has got.
 pub trait SessionVerdicts: MonitorBehavior<Message = MonitorMsg> {
+    /// How many events of its process this monitor has recorded: the next one it
+    /// can take is this plus one.
+    fn events_recorded(&self) -> u64;
     /// Whether this monitor has detected the final verdict `verdict` (⊤ or ⊥).
     fn has_detected(&self, verdict: Verdict) -> bool;
     /// ⊤/⊥ verdicts this monitor has detected so far.
@@ -50,6 +53,10 @@ pub trait SessionVerdicts: MonitorBehavior<Message = MonitorMsg> {
 }
 
 impl SessionVerdicts for DecentralizedMonitor {
+    fn events_recorded(&self) -> u64 {
+        self.events_recorded()
+    }
+
     fn has_detected(&self, verdict: Verdict) -> bool {
         self.detected_final_verdicts().contains(&verdict)
     }
@@ -134,19 +141,38 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
         self.finished
     }
 
+    /// Whether `event` can be fed next: it belongs to one of the session's
+    /// processes, its clock has one entry per process, and it is its process's
+    /// next event — its sequence number, which its own clock entry repeats, is one
+    /// past the events that process has had.  A monitor's history stores runs of
+    /// events keyed by those numbers, so a runtime that takes events off a wire
+    /// drops any other event instead of feeding it.
+    pub fn is_next_event(&self, event: &Event) -> bool {
+        let (n, p) = (self.monitors.len(), event.process);
+        p < n
+            && event.vc.len() == n
+            && event.sn == self.monitors[p].events_recorded() + 1
+            && event.vc.get(p) == event.sn
+    }
+
     /// Delivers one program event to the monitor of its process and drains monitor
     /// messages to quiescence.  Returns the [`combined_verdict`] detected so far.
     ///
     /// Events of one process must arrive in local (sequence-number) order; events of
     /// different processes should arrive in timestamp order for equivalence with the
-    /// offline replay.  Feeding a finished session panics.
+    /// offline replay.  Feeding a finished session, or an event that is not
+    /// [its process's next](Self::is_next_event), panics.
     ///
     /// The event is only lent: the monitors copy what they keep of it (its clock and
     /// state) into their own histories, so the caller may reuse or drop it at once.
     pub fn feed_event(&mut self, event: &Event) -> Verdict {
         assert!(!self.finished, "cannot feed a finished session");
         let p = event.process;
-        assert!(p < self.monitors.len(), "event process {p} out of range");
+        assert!(
+            self.is_next_event(event),
+            "event {} of process {p} is not that process's next in this session",
+            event.sn
+        );
         self.last_time = self.last_time.max(event.time);
         let now = event.time;
         let n = self.monitors.len();
@@ -382,6 +408,10 @@ mod tests {
     }
 
     impl SessionVerdicts for Recorder {
+        fn events_recorded(&self) -> u64 {
+            0
+        }
+
         fn has_detected(&self, _: Verdict) -> bool {
             false
         }
@@ -422,6 +452,34 @@ mod tests {
             ]
         );
         assert_eq!(session.monitor_messages(), 6);
+    }
+
+    #[test]
+    fn only_each_process_s_next_event_can_be_fed() {
+        let (automaton, registry, a, _) = two_proc_setup();
+        let mut session = decentralized_session(
+            2,
+            &automaton,
+            &registry,
+            Assignment::ALL_FALSE,
+            MonitorOptions::default(),
+        );
+        let p = Assignment::from_true_atoms([a]);
+        let first = internal(0, 1, vec![1, 0], p, 1.0);
+        for misfit in [
+            internal(2, 1, vec![0, 0, 1], p, 1.0),
+            internal(0, 1, vec![1, 0, 0], p, 1.0),
+            internal(0, 2, vec![2, 0], p, 1.0),
+            internal(0, 1, vec![2, 0], p, 1.0),
+            internal(0, 0, vec![0, 0], p, 1.0),
+        ] {
+            assert!(!session.is_next_event(&misfit), "{misfit:?}");
+        }
+        assert!(session.is_next_event(&first));
+        session.feed_event(&first);
+        assert!(!session.is_next_event(&first), "a repeat is out of sequence");
+        assert!(session.is_next_event(&internal(0, 2, vec![2, 0], p, 2.0)));
+        assert!(session.is_next_event(&internal(1, 1, vec![1, 1], p, 2.0)));
     }
 
     #[test]

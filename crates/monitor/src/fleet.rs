@@ -81,15 +81,14 @@ pub struct FleetMember {
 /// tokens and cannot observe (or disturb) another property's exploration.
 #[derive(Debug, Clone)]
 pub struct FleetMonitor {
-    pid: ProcessId,
-    n: usize,
     /// §4.3.1 switch of the fleet's shared options: when set, tokens of *all*
     /// members bound for one destination merge into one batch per activation;
     /// when off, every member's messages pass through unmerged (aggregation off
     /// means off — including the cross-property kind).
     aggregate: bool,
     members: Vec<DecentralizedMonitor>,
-    /// The process's recorded events, on loan to a member while it is activated.
+    /// The process's recorded events, on loan to a member while it is activated;
+    /// it knows the process and the number of processes.
     history: LocalHistory,
     /// Per-member regroup buffers of incoming batch demultiplexing: filled and
     /// emptied within one message, so a live session parks no capacity here.
@@ -124,11 +123,9 @@ impl FleetMonitor {
             .collect();
         let n_members = members.len();
         FleetMonitor {
-            pid,
-            n: n_processes,
             aggregate: opts.aggregate_tokens,
             members,
-            history: LocalHistory::new(n_processes),
+            history: LocalHistory::new(pid, n_processes),
             demux: vec![Vec::new(); n_members],
         }
     }
@@ -162,7 +159,8 @@ impl FleetMonitor {
         let member = &mut self.members[k];
         member.swap_history(&mut self.history);
         debug_assert_eq!(self.history.len(), 0, "a member keeps no history of its own");
-        activate(member, &mut MonitorContext::new(self.pid, self.n, now, emitted));
+        let (pid, n) = (self.history.process(), self.history.n_processes());
+        activate(member, &mut MonitorContext::new(pid, n, now, emitted));
         member.swap_history(&mut self.history);
         debug_assert_eq!(self.history.len(), recorded, "members only read the history");
     }
@@ -180,7 +178,7 @@ impl FleetMonitor {
                 ctx.send(dest, msg);
             }
         }
-        for dest in 0..self.n {
+        for dest in 0..self.history.n_processes() {
             let mut bound = emitted.extract_if(.., |(to, _)| *to == dest).map(|(_, msg)| msg);
             let Some(first) = bound.next() else { continue };
             let Some(second) = bound.next() else {
@@ -280,6 +278,10 @@ impl MonitorBehavior for FleetMonitor {
 }
 
 impl SessionVerdicts for FleetMonitor {
+    fn events_recorded(&self) -> u64 {
+        self.history.len() as u64
+    }
+
     fn has_detected(&self, verdict: Verdict) -> bool {
         self.members
             .iter()

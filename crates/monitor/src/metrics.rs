@@ -63,9 +63,16 @@ pub struct MonitorMetrics {
     pub queued_events_samples: usize,
     /// Largest pending queue observed.
     pub max_queued_events: usize,
-    /// Local events served to visiting tokens from the recorded history (one per
-    /// PROCESSTOKEN call): the work a token tour does, as opposed to the hops it makes.
+    /// Visits of tokens to the recorded history (one per PROCESSTOKEN call): the
+    /// work a token tour does, as opposed to the hops it makes.  A visit serves one
+    /// local event and moves the token on to the next event that can change its
+    /// outcome, skipping the events of a run that would decide it the same way
+    /// (`docs/MONITORING.md`, "Local history and view queues").
     pub history_events_served: usize,
+    /// Local events those visits covered: each visit's own event and the events
+    /// it skipped — what `history_events_served` counted while a token was
+    /// served one event per visit.
+    pub history_events_covered: usize,
     /// Tokens parked here to wait for a local event that had not happened yet.
     pub tokens_parked: usize,
     /// Tokens whose targets here were failed because this process had terminated:
@@ -110,6 +117,7 @@ impl MonitorMetrics {
             ("queued_events_samples", Json::from(self.queued_events_samples)),
             ("max_queued_events", Json::from(self.max_queued_events)),
             ("history_events_served", Json::from(self.history_events_served)),
+            ("history_events_covered", Json::from(self.history_events_covered)),
             ("tokens_parked", Json::from(self.tokens_parked)),
             (
                 "tokens_failed_at_termination",
@@ -144,6 +152,7 @@ impl MonitorMetrics {
             queued_events_samples: v.get("queued_events_samples")?.as_usize()?,
             max_queued_events: v.get("max_queued_events")?.as_usize()?,
             history_events_served: v.get("history_events_served")?.as_usize()?,
+            history_events_covered: v.get("history_events_covered")?.as_usize()?,
             tokens_parked: v.get("tokens_parked")?.as_usize()?,
             tokens_failed_at_termination: v.get("tokens_failed_at_termination")?.as_usize()?,
             backlog_events_drained: v.get("backlog_events_drained")?.as_usize()?,
@@ -487,6 +496,7 @@ mod tests {
         let m = MonitorMetrics {
             tokens_sent: 9,
             history_events_served: 40,
+            history_events_covered: 52,
             tokens_parked: 3,
             tokens_failed_at_termination: 2,
             backlog_events_drained: 5,

@@ -482,10 +482,10 @@ impl ShardSession {
         }
     }
 
-    fn n_processes(&self) -> usize {
+    fn is_next_event(&self, event: &Event) -> bool {
         match self {
-            ShardSession::Solo(s) => s.n_processes(),
-            ShardSession::Fleet { session, .. } => session.n_processes(),
+            ShardSession::Solo(s) => s.is_next_event(event),
+            ShardSession::Fleet { session, .. } => session.is_next_event(event),
         }
     }
 
@@ -580,12 +580,11 @@ fn shard_worker(shard: usize, inbox: ShardInbox, batch_size: usize) -> ShardResu
                     note_latency(enqueued);
                     match sessions.get_mut(&session) {
                         // A decodable but inconsistent event (process index or clock
-                        // width not matching the session) must not panic the shard —
-                        // the wire may carry anything; count it like a misroute.
-                        Some(feed)
-                            if event.process < feed.n_processes()
-                                && event.vc.len() == feed.n_processes() =>
-                        {
+                        // width not matching the session, or not its process's next
+                        // in sequence) must not panic the shard or be recorded
+                        // misnumbered — the wire may carry anything; count it like a
+                        // misroute.
+                        Some(feed) if feed.is_next_event(&event) => {
                             feed.feed_owned(event);
                             metrics.events_processed += 1;
                         }
@@ -898,6 +897,38 @@ mod tests {
         runtime.close_session(1);
         let report = runtime.shutdown();
         assert_eq!(report.per_shard[0].routing_errors, 2);
+        assert_eq!(report.sessions[&1].verdict, Verdict::True);
+        assert_eq!(report.sessions[&1].events, 2);
+    }
+
+    #[test]
+    fn out_of_sequence_events_are_routing_errors() {
+        let runtime = ShardedRuntime::start(StreamConfig {
+            n_shards: 1,
+            ..StreamConfig::default()
+        });
+        runtime.open_session(1, reachability_spec());
+        let [first, second] = <[Event; 2]>::try_from(goal_events()).expect("two events");
+        // Ahead of its process's first event, numbered past what its own clock
+        // entry says, and (after the first) a repeat: none is fed.
+        let ahead = Event {
+            sn: 2,
+            vc: VectorClock::from_entries(vec![2, 0]),
+            ..first.clone()
+        };
+        let misnumbered = Event {
+            vc: VectorClock::from_entries(vec![3, 0]),
+            ..first.clone()
+        };
+        runtime.feed_event(1, ahead);
+        runtime.feed_event(1, misnumbered);
+        runtime.feed_event(1, first.clone());
+        runtime.feed_event(1, first);
+        runtime.feed_event(1, second);
+        runtime.close_session(1);
+        let report = runtime.shutdown();
+        assert_eq!(report.per_shard[0].routing_errors, 3);
+        assert_eq!(report.per_shard[0].events_processed, 2);
         assert_eq!(report.sessions[&1].verdict, Verdict::True);
         assert_eq!(report.sessions[&1].events, 2);
     }

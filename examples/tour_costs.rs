@@ -8,7 +8,10 @@
 //!
 //! Session seeds are drawn the way the repository benchmark draws them
 //! ([`session_seed`]), so the default arguments are the sessions of its `stream-heavy` workload at `--seed 1`
-//! and the `monitor messages` total is that run's `monitor_msgs_per_event`.  Every
+//! and the `monitor messages` total is that run's `monitor_msgs_per_event`.  A
+//! token visit serves one event and skips what the rest of its run would decide the
+//! same way: `history events served` counts the visits, `history events covered`
+//! the events they served or skipped (what one visit per event would have cost).  Every
 //! number is a count the seed determines; the last line fingerprints the per-session
 //! verdict sets, so two builds can be compared session for session.
 
@@ -17,10 +20,11 @@ use dlrv_core::{
     session_seed, simulate_session, CompiledProperty, ExperimentConfig, PaperProperty,
 };
 
-const ROWS: [&str; 7] = [
+const ROWS: [&str; 8] = [
     "monitor messages",
     "tokens sent",
     "history events served",
+    "history events covered",
     "tokens parked",
     "tokens failed at termination",
     "backlog events drained",
@@ -28,13 +32,14 @@ const ROWS: [&str; 7] = [
 ];
 
 /// The session's counters so far, in [`ROWS`] order, summed over its monitors.
-fn work(session: &DecentralizedSession) -> [usize; 7] {
-    let mut sum = [0; 7];
+fn work(session: &DecentralizedSession) -> [usize; 8] {
+    let mut sum = [0; 8];
     sum[0] = session.monitor_messages();
     for m in session.monitors().iter().map(|m| m.metrics()) {
         let counters = [
             m.tokens_sent,
             m.history_events_served,
+            m.history_events_covered,
             m.tokens_parked,
             m.tokens_failed_at_termination,
             m.backlog_events_drained,
@@ -69,7 +74,7 @@ fn main() {
     };
     let compiled = CompiledProperty::compile(&config.property, n);
 
-    let (mut feed, mut total) = ([0usize; 7], [0usize; 7]);
+    let (mut feed, mut total) = ([0usize; 8], [0usize; 8]);
     let (mut events, mut known_at, mut views, mut peak_views) = (0usize, 0usize, 0usize, 0usize);
     // Sessions by final verdict, in `Verdict`'s own order: false, unknown, true.
     let mut ending = [0usize; 3];

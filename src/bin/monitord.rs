@@ -255,6 +255,19 @@ fn check_frame(msg: &WireMsg, run: &Run) -> Result<(), String> {
                 run.process
             ))
         }
+        // The monitor keys its history by sequence number and never stores the
+        // own clock entry, which must repeat it.
+        WireMsg::Event { event }
+            if event.sn != run.events_seen + 1 || event.vc.get(run.process) != event.sn =>
+        {
+            Err(format!(
+                "event {} (own clock entry {}) out of sequence at process {} after {} events",
+                event.sn,
+                event.vc.get(run.process),
+                run.process,
+                run.events_seen
+            ))
+        }
         WireMsg::Monitor { msg, .. } => {
             let tokens = match msg {
                 MonitorMsg::Token(token) => std::slice::from_ref(token),

@@ -563,6 +563,33 @@ fn malformed_events_are_protocol_failures() {
 }
 
 #[test]
+fn malformed_out_of_sequence_events_are_protocol_failures() {
+    let event = |sn, own| WireMsg::Event {
+        event: Event {
+            process: 0,
+            kind: EventKind::Internal,
+            sn,
+            vc: VectorClock::from_entries(vec![own, 0]),
+            state: Assignment(0b1),
+            time: sn as f64,
+        },
+    };
+    // Ahead of the first event, an own clock entry that does not repeat the
+    // sequence number, and a repeat of the first event after it.
+    for (sent, reason) in [
+        (vec![event(2, 2)], "event 2 (own clock entry 2) out of sequence at process 0 after 0"),
+        (vec![event(1, 3)], "event 1 (own clock entry 3) out of sequence"),
+        (vec![event(1, 1), event(1, 1)], "event 1 (own clock entry 1) out of sequence at process 0 after 1"),
+    ] {
+        let mut session = Session::established(2);
+        for frame in &sent {
+            send(&mut session.control, frame);
+        }
+        session.assert_protocol_failure(reason);
+    }
+}
+
+#[test]
 fn malformed_tokens_are_protocol_failures() {
     type Break = fn(&mut Token);
     let cases: [(Break, &str); 9] = [

@@ -34,9 +34,9 @@ const SESSIONS: usize = 400;
 /// kept pool-sized buffers between activations, 78 while views at ⊤/⊥ were held
 /// instead of retired, 114 with a history per member and the token pool).
 const FLEET_OVER_SOLOS_PERCENT: usize = 70;
-/// Live heap of one fleet session, in bytes.  Measured: 14 655 (24 078 with the
-/// pool-sized buffers above).
-const BYTES_PER_FLEET_SESSION: usize = 17_000;
+/// Live heap of one fleet session, in bytes.  Measured: 13 934 (14 930 with a flat
+/// history of `n + 1` words per event, 24 078 with the pool-sized buffers above).
+const BYTES_PER_FLEET_SESSION: usize = 15_000;
 
 #[test]
 fn live_fleet_sessions_hold_less_than_their_solo_sessions_and_give_everything_back() {
