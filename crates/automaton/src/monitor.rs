@@ -258,14 +258,6 @@ impl MonitorAutomaton {
             .collect()
     }
 
-    /// Symbolic self-loop transitions of `state`.
-    pub fn self_loop_transitions(&self, state: StateId) -> Vec<&SymbolicTransition> {
-        self.transitions_from(state)
-            .iter()
-            .filter(|t| t.is_self_loop())
-            .collect()
-    }
-
     /// The transition with identifier `id`.
     pub fn transition(&self, id: usize) -> &SymbolicTransition {
         &self.transitions[id]

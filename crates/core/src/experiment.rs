@@ -284,13 +284,30 @@ pub fn run_single(
     opts: MonitorOptions,
 ) -> RunMetrics {
     let started = std::time::Instant::now();
+    let (_, mut metrics) =
+        simulate_monitors(workload, registry, automaton, opts, &SimConfig::default());
+    // Real elapsed time of the run, so the terminal's offline rows show a wall
+    // clock like the streamed families' do.
+    metrics.wall_clock_secs = started.elapsed().as_secs_f64();
+    metrics
+}
+
+/// Runs `workload` under the simulator configured by `sim`, one decentralized monitor
+/// per process, and aggregates their metrics.
+pub(crate) fn simulate_monitors(
+    workload: &dlrv_trace::Workload,
+    registry: &Arc<AtomRegistry>,
+    automaton: &Arc<MonitorAutomaton>,
+    opts: MonitorOptions,
+    sim: &SimConfig,
+) -> (SimReport<DecentralizedMonitor>, RunMetrics) {
     let n = workload.config.n_processes;
     let initial_gstate = initial_global_state(workload, registry);
-    let report = run_simulation(workload, registry, &SimConfig::default(), |i| {
+    let report = run_simulation(workload, registry, sim, |i| {
         DecentralizedMonitor::new(i, n, automaton.clone(), registry.clone(), initial_gstate, opts)
     });
     let per_monitor: Vec<_> = report.monitors.iter().map(|m| m.metrics()).collect();
-    let mut metrics = RunMetrics::aggregate(
+    let metrics = RunMetrics::aggregate(
         &per_monitor,
         report.program_events,
         report.program_messages,
@@ -298,10 +315,7 @@ pub fn run_single(
         report.program_end_time,
         report.monitoring_end_time,
     );
-    // Real elapsed time of the run, so the terminal's offline rows show a wall
-    // clock like the streamed families' do.
-    metrics.wall_clock_secs = started.elapsed().as_secs_f64();
-    metrics
+    (report, metrics)
 }
 
 /// Averages a slice of run metrics field-by-field (verdict sets are unioned).

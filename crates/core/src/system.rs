@@ -7,10 +7,11 @@
 //! monitors attached and obtain a [`MonitoringOutcome`] with verdicts, metrics and the
 //! recorded computation (which can additionally be checked against the lattice oracle).
 
+use crate::experiment::simulate_monitors;
 use dlrv_automaton::MonitorAutomaton;
-use dlrv_distsim::{initial_global_state, run_simulation, SimConfig};
+use dlrv_distsim::SimConfig;
 use dlrv_ltl::{parse, AtomRegistry, Formula, ParseError, Verdict};
-use dlrv_monitor::{DecentralizedMonitor, MonitorOptions, RunMetrics};
+use dlrv_monitor::{MonitorOptions, RunMetrics};
 use dlrv_trace::{generate_workload, Workload, WorkloadConfig};
 use dlrv_vclock::{oracle_evaluate, Computation, Lattice};
 use std::collections::BTreeSet;
@@ -149,23 +150,8 @@ impl MonitoredSystem {
         });
         let automaton = Arc::new(MonitorAutomaton::synthesize(&formula, &self.registry));
         let registry = Arc::new(self.registry);
-        let n = self.n_processes;
-        let opts = self.options;
-        let initial = initial_global_state(&workload, &registry);
-
-        let report = run_simulation(&workload, &registry, &self.sim_config, |i| {
-            DecentralizedMonitor::new(i, n, automaton.clone(), registry.clone(), initial, opts)
-        });
-
-        let per_monitor: Vec<_> = report.monitors.iter().map(|m| m.metrics()).collect();
-        let metrics = RunMetrics::aggregate(
-            &per_monitor,
-            report.program_events,
-            report.program_messages,
-            report.monitor_messages,
-            report.program_end_time,
-            report.monitoring_end_time,
-        );
+        let (report, metrics) =
+            simulate_monitors(&workload, &registry, &automaton, self.options, &self.sim_config);
         let mut detected = BTreeSet::new();
         let mut possible = BTreeSet::new();
         for m in &report.monitors {

@@ -270,15 +270,6 @@ impl Predicate {
         }
     }
 
-    /// Builds a predicate from cubes, dropping duplicates and subsumed cubes.
-    pub fn from_cubes<I: IntoIterator<Item = Cube>>(cubes: I) -> Self {
-        let mut pred = Predicate::bottom();
-        for c in cubes {
-            pred.add_cube(c);
-        }
-        pred
-    }
-
     /// Adds a cube unless it is subsumed by an existing one; removes cubes the new cube
     /// subsumes.
     pub fn add_cube(&mut self, cube: Cube) {

@@ -42,11 +42,6 @@ impl Formula {
         Formula::True
     }
 
-    /// The constant `false`.
-    pub fn ff() -> Self {
-        Formula::False
-    }
-
     /// An atomic proposition.
     pub fn atom(a: AtomId) -> Self {
         Formula::Atom(a)
@@ -119,13 +114,6 @@ impl Formula {
         parts
             .into_iter()
             .fold(Formula::True, Formula::and)
-    }
-
-    /// Disjunction of an iterator of formulas (`false` when empty).
-    pub fn disj<I: IntoIterator<Item = Formula>>(parts: I) -> Self {
-        parts
-            .into_iter()
-            .fold(Formula::False, Formula::or)
     }
 
     /// Converts the formula into negation normal form (negations pushed to atoms).

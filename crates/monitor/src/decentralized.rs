@@ -29,7 +29,7 @@
 //!   candidate transitions of one event travel in a single token instead of one token
 //!   per transition.  Per destination: every token this monitor wants to send to the
 //!   same peer during one activation (one local event, one received message, one
-//!   termination) is staged and flushed as a single [`MonitorMsg::Batch`], so the
+//!   termination) is staged and flushed as a single [`MonitorMsg`], so the
 //!   number of *monitoring messages* is bounded by the number of destination
 //!   processes per activation, not by the number of explorations.
 //! * **Duplicate-global-view avoidance** (§4.3.2, `dedup_global_views`) — a returned
@@ -64,7 +64,7 @@ use std::sync::Arc;
 pub struct MonitorOptions {
     /// §4.3.1 — carry all candidate transitions of an event in a single token instead
     /// of one token per transition, and aggregate all tokens bound for the same
-    /// destination process into one [`MonitorMsg::Batch`] per send opportunity.
+    /// destination process into one [`MonitorMsg`] per send opportunity.
     pub aggregate_tokens: bool,
     /// §4.3.2 — avoid forking a new global view when an equivalent one already exists.
     pub dedup_global_views: bool,
@@ -765,30 +765,26 @@ impl DecentralizedMonitor {
         }
     }
 
-    /// Sends `token` toward `dest` — immediately as a single-token message, or staged
-    /// for the end-of-activation batch flush when token aggregation is on (§4.3.1).
+    /// Sends `token` toward `dest` — immediately as a message of its own, or staged
+    /// for the end-of-activation flush when token aggregation is on (§4.3.1).
     fn send_token(&mut self, dest: ProcessId, token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         self.metrics.tokens_sent += 1;
         self.metrics.tokens_sent_after_termination += usize::from(self.local_terminated);
         if self.opts.aggregate_tokens {
             self.outbound.entry(dest).or_default().push(token);
         } else {
-            ctx.send(dest, MonitorMsg::Token(token));
+            ctx.send(dest, MonitorMsg { tokens: vec![token] });
         }
     }
 
     /// Flushes the per-destination staging area: one monitoring message per
-    /// destination, a [`MonitorMsg::Batch`] whenever ≥ 2 tokens aggregated.  Called
-    /// at the end of every activation (local event, received message, termination).
+    /// destination, counted as a batch whenever ≥ 2 tokens aggregated.  Called at
+    /// the end of every activation (local event, received message, termination).
     fn flush_outbound(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        for (dest, mut tokens) in std::mem::take(&mut self.outbound) {
+        for (dest, tokens) in std::mem::take(&mut self.outbound) {
             debug_assert!(!tokens.is_empty());
-            if tokens.len() == 1 {
-                ctx.send(dest, MonitorMsg::Token(tokens.pop().expect("one token")));
-            } else {
-                self.metrics.token_batches_sent += 1;
-                ctx.send(dest, MonitorMsg::Batch(tokens));
-            }
+            self.metrics.token_batches_sent += usize::from(tokens.len() >= 2);
+            ctx.send(dest, MonitorMsg { tokens });
         }
     }
 
@@ -918,8 +914,11 @@ impl DecentralizedMonitor {
 
     /// SENDTONEXTPROCESS: decide where `token` goes next, following the routing rules
     /// of §4.2.0.6, and dispatch it (send, serve or park locally, or hand back to the
-    /// owning global view when this monitor is the parent).
-    fn route_token(&mut self, mut token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+    /// owning global view when this monitor is the parent).  The destination serves
+    /// the first pending transition that targets it — the one chosen here: it is
+    /// the first pending transition by rule 2 and rule 4, and by rule 3 every one
+    /// before it targets the parent.
+    fn route_token(&mut self, token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         let pending = || token.transitions.iter().filter(|t| t.eval == EvalState::Unset);
         // Rule 1: an enabled transition sends the token home.  Otherwise it visits a
         // process some undecided transition targets: this very one (rule 2) before
@@ -933,70 +932,49 @@ impl DecentralizedMonitor {
                 .or_else(|| pending().next())
                 .map(|t| (t.next_target_process, t.next_target_event))
         };
-        let dest = match next {
-            Some((process, event)) => {
-                token.next_target_process = process;
-                token.next_target_event = event;
-                process
-            }
-            None => token.parent,
-        };
-        if dest != self.pid() {
-            self.send_token(dest, token, ctx);
-        } else if next.is_some() {
+        match next {
             // If the requested event is already in our history, process it right
             // away; otherwise wait for it.
-            self.advance_local_token(token, ctx);
-        } else {
-            self.handle_returned_token(token, ctx);
+            Some((process, sn)) if process == self.pid() => self.advance_local_token(token, sn, ctx),
+            Some((process, _)) => self.send_token(process, token, ctx),
+            None if token.parent == self.pid() => self.handle_returned_token(token, ctx),
+            None => self.send_token(token.parent, token, ctx),
         }
     }
 
-    /// Feeds the token already-known local events (starting at its target sequence
-    /// number) until it is routed away or has to wait for a future event.
-    fn advance_local_token(&mut self, mut token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+    /// Feeds the token already-known local events, starting at event `sn`, until it
+    /// is routed away or has to wait for a future event.
+    fn advance_local_token(&mut self, mut token: Token, mut sn: u64, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         // The run of the latest visit: where the next one starts looking.
         let mut walked = LATEST_RUN;
-        loop {
-            if token.next_target_process != self.pid() {
-                // Re-routing decided elsewhere.
-                self.route_token(token, ctx);
-                return;
+        while !self.is_unrecorded(sn) {
+            match self.process_token_with_event(&mut token, sn, &mut walked) {
+                Some(next) => sn = next,
+                None => return self.route_token(token, ctx),
             }
-            let sn = token.next_target_event;
-            if self.is_unrecorded(sn) {
-                if self.local_terminated {
-                    // No further events will ever occur here: the pending conjuncts of
-                    // transitions targeting us can never be satisfied.
-                    self.metrics.tokens_failed_at_termination += 1;
-                    self.fail_local_targets(&mut token);
-                    self.route_token(token, ctx);
-                } else {
-                    self.metrics.tokens_parked += 1;
-                    // It may wait for the rest of the session: it keeps exactly its
-                    // transitions, and the buffer they travelled in goes back to the
-                    // pool.
-                    let spare = exact(&mut token.transitions);
-                    self.put_transition_buf(spare);
-                    self.waiting_tokens.park(token);
-                }
-                return;
-            }
-            let keep_going = self.process_token_with_event(&mut token, sn, &mut walked);
-            if !keep_going {
-                self.route_token(token, ctx);
-                return;
-            }
+        }
+        if self.local_terminated {
+            // No further events will ever occur here: the pending conjuncts of
+            // transitions targeting us can never be satisfied.
+            self.metrics.tokens_failed_at_termination += 1;
+            self.fail_local_targets(&mut token);
+            self.route_token(token, ctx);
+        } else {
+            self.metrics.tokens_parked += 1;
+            // It may wait for the rest of the session: it keeps exactly its
+            // transitions, and the buffer they travelled in goes back to the pool.
+            let spare = exact(&mut token.transitions);
+            self.put_transition_buf(spare);
+            self.waiting_tokens.park(sn, token);
         }
     }
 
     /// PROCESSTOKEN + EVALUATETOKEN for the local event `sn` (already in the
     /// history), whose run is looked for from the record at `walked` (see
-    /// [`LocalHistory::run`]) and left there.  Returns `true` when the token
-    /// should continue consuming this monitor's subsequent local events — from the
-    /// next event at which that can change anything, which is where this visit
-    /// leaves the token's target.
-    fn process_token_with_event(&mut self, token: &mut Token, sn: u64, walked: &mut usize) -> bool {
+    /// [`LocalHistory::run`]) and left there.  Returns the local event the token
+    /// should be served next — the next one at which that can change anything —
+    /// or `None` when no pending transition targets this process any more.
+    fn process_token_with_event(&mut self, token: &mut Token, sn: u64, walked: &mut usize) -> Option<u64> {
         self.metrics.history_events_served += 1;
         self.metrics.history_events_covered += 1;
         let run = self.history.run(sn, *walked);
@@ -1027,7 +1005,7 @@ impl DecentralizedMonitor {
             if let Some(s) = self.scratch.as_mut() {
                 s.targeted = targeted;
             }
-            return false;
+            return None;
         }
 
         // EVALUATETOKEN: evaluate this process's conjunct of every targeted transition.
@@ -1135,15 +1113,13 @@ impl DecentralizedMonitor {
             .map(|t| t.next_target_event)
             .min();
         if let Some(next) = next {
-            token.next_target_process = self.pid();
-            token.next_target_event = next;
             *walked = run.cursor_for(next);
         }
         if let Some(s) = self.scratch.as_mut() {
             s.targeted = targeted;
             s.local_results = local_results;
         }
-        next.is_some()
+        next
     }
 
     /// Whether event `sn` of this process is not in the history: not yet, or —
@@ -1174,6 +1150,12 @@ impl DecentralizedMonitor {
     /// re-route the token.
     fn handle_returned_token(&mut self, mut token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         let owner_idx = self.views.iter().position(|gv| gv.id == token.parent_gv);
+        // Every candidate transition leaves the automaton state the token was
+        // launched from.
+        let origin = token
+            .transitions
+            .first()
+            .map(|t| self.automaton.transition(t.transition_id).from);
 
         let mut enabled_targets: BTreeSet<dlrv_automaton::StateId> = BTreeSet::new();
         let mut remaining: Vec<TokenTransition> = self.take_transition_buf();
@@ -1247,7 +1229,9 @@ impl DecentralizedMonitor {
             self.put_transition_buf(std::mem::take(&mut token.transitions));
             // The exploration is over: release the in-flight slot, unblock the owning
             // view and drain its queue.
-            self.exploration_over(token.origin_state);
+            if let Some(q) = origin {
+                self.exploration_over(q);
+            }
             if let Some(idx) = owner_idx {
                 self.views[idx].state = GvState::Unblocked;
                 self.drain_pending(idx, ctx);
@@ -1396,11 +1380,8 @@ impl DecentralizedMonitor {
         let token = Token {
             property: self.property,
             parent: self.pid(),
-            origin_state: gv.q,
             parent_gv: gv.id,
             transitions,
-            next_target_process: self.pid(),
-            next_target_event: 0,
         };
         self.exploration_launched(gv.q);
         self.route_token(token, ctx);
@@ -1437,12 +1418,13 @@ impl DecentralizedMonitor {
     }
 
     /// RECEIVETOKEN: a token of our own is home; a foreign one is served from our
-    /// history or parked.
+    /// history or parked — routed from here, it goes to the very transition its
+    /// sender routed it here for.
     fn receive_token(&mut self, token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         if token.parent == self.pid() {
             self.handle_returned_token(token, ctx);
         } else {
-            self.advance_local_token(token, ctx);
+            self.route_token(token, ctx);
         }
     }
 }
@@ -1462,7 +1444,7 @@ impl DecentralizedMonitor {
         // The views have not been offered it yet: one spawned by a token returning
         // here still gets it below, like every other live view.
         for token in self.waiting_tokens.take(sn) {
-            self.advance_local_token(token, ctx);
+            self.advance_local_token(token, sn, ctx);
         }
 
         // Deliver the event to every view (waiting views just buffer it, i.e. leave
@@ -1526,16 +1508,11 @@ impl MonitorBehavior for DecentralizedMonitor {
     ) {
         self.lease_arena();
         self.metrics.last_activity_time = ctx.now;
-        self.metrics.tokens_received += msg.token_count();
-        match msg {
-            MonitorMsg::Token(token) => self.receive_token(token, ctx),
-            // §4.3.1: an aggregated message — process the carried tokens in order,
-            // exactly as if they had arrived as consecutive messages.
-            MonitorMsg::Batch(tokens) => {
-                for token in tokens {
-                    self.receive_token(token, ctx);
-                }
-            }
+        self.metrics.tokens_received += msg.tokens.len();
+        // §4.3.1: an aggregated message is processed token by token, exactly as if
+        // they had arrived as consecutive messages.
+        for token in msg.tokens {
+            self.receive_token(token, ctx);
         }
         self.note_view_peak();
         self.flush_outbound(ctx);
@@ -1733,9 +1710,10 @@ mod tests {
         let mut outbox = Vec::new();
         let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
         m0.on_local_event(&local_event(1, p0), &mut ctx);
-        let Some((1, MonitorMsg::Token(mut token))) = outbox.pop() else {
+        let Some((1, msg)) = outbox.pop() else {
             panic!("`M0` asks `P1` about `P1.p`");
         };
+        let mut token = only_token(msg);
         let live = |m: &DecentralizedMonitor| -> Vec<_> {
             m.views.iter().map(|gv| (gv.id, gv.q, gv.gcut.clone(), gv.gstate, gv.next_sn)).collect()
         };
@@ -1747,7 +1725,7 @@ mod tests {
         assert_eq!(m0.automaton.verdict(target), Verdict::True);
         token.transitions[0].eval = EvalState::Enabled;
         let mut ctx = MonitorContext::new(0, 2, 2.0, &mut outbox);
-        m0.on_monitor_message(1, MonitorMsg::Token(token), &mut ctx);
+        m0.on_monitor_message(1, one(token), &mut ctx);
 
         assert_eq!(m0.metrics.global_views_created, created + 1, "the fork at ⊤ is counted");
         assert_eq!(live(&m0), before, "and retired: the live set is as it was");
@@ -1915,6 +1893,11 @@ mod tests {
         // held an outbox, a pass-through buffer and a per-destination staging
         // table, 120 with its own copy of the process and process count).
         assert!(std::mem::size_of::<crate::FleetMonitor>() <= 104);
+        // A token says where it goes next through its transitions only, and the
+        // state that launched it is theirs to tell (72 bytes with both copies); a
+        // message is one token list (72 while it was a token or a batch).
+        assert!(std::mem::size_of::<Token>() <= 48);
+        assert!(std::mem::size_of::<MonitorMsg>() <= 24);
     }
 
     #[test]
@@ -2016,11 +1999,8 @@ mod tests {
         let token = Token {
             property: 0,
             parent: 0,
-            origin_state: gv.q,
             parent_gv: gv.id,
             transitions: m0.candidate_transitions(&gv, 1, 0),
-            next_target_process: 0,
-            next_target_event: 0,
         };
         assert_eq!(token.transitions.len(), 1, "one way to the goal");
         assert_eq!(token.transitions[0].conjuncts, [ConjunctEval::True, ConjunctEval::Unset]);
@@ -2081,11 +2061,19 @@ mod tests {
         monitors[from].flush_outbound(&mut ctx);
         deliver(monitors, from, &mut outbox)
             .into_iter()
-            .map(|(from, to, msg)| match msg {
-                MonitorMsg::Token(token) => (from, to, token),
-                batch => panic!("one token, never a batch: {batch:?}"),
-            })
+            .map(|(from, to, msg)| (from, to, only_token(msg)))
             .collect()
+    }
+
+    /// The one token `msg` carries.
+    fn only_token(msg: MonitorMsg) -> Token {
+        let [token] = <[Token; 1]>::try_from(msg.tokens).expect("one token, never a batch");
+        token
+    }
+
+    /// A message of `token` alone.
+    fn one(token: Token) -> MonitorMsg {
+        MonitorMsg { tokens: vec![token] }
     }
 
     #[test]
@@ -2172,8 +2160,9 @@ mod tests {
         let messages = tour(&mut monitors, 0, token);
         let (from, to, sent) = messages.last().expect("the token came back");
         assert_eq!((*from, *to), (1, 0));
-        assert_eq!((sent.next_target_process, sent.next_target_event), (0, 2));
-        assert_eq!(sent.transitions[0].conjuncts[1], ConjunctEval::Unset);
+        let tran = &sent.transitions[0];
+        assert_eq!((tran.next_target_process, tran.next_target_event), (0, 2));
+        assert_eq!(tran.conjuncts[1], ConjunctEval::Unset);
         assert_eq!(monitors[1].metrics.tokens_parked, 0);
     }
 
@@ -2287,7 +2276,7 @@ mod tests {
                 assert!(swept[0].in_flight.is_empty() && live[0].in_flight.is_empty());
 
                 let counts = |messages: &[(ProcessId, ProcessId, MonitorMsg)]| -> Vec<_> {
-                    messages.iter().map(|(from, to, msg)| (*from, *to, msg.token_count())).collect()
+                    messages.iter().map(|(from, to, msg)| (*from, *to, msg.tokens.len())).collect()
                 };
                 if opts.aggregate_tokens && !p1_holds {
                     // `P1` fails every token: four round trips before, the first
@@ -2308,11 +2297,10 @@ mod tests {
         let (mut monitors, mut outbox) = backlog_of_three(MonitorOptions::default(), false);
         let (from, msg) = (1, {
             // `P1`'s answer to the first token, by hand: it never satisfied `P1.p`.
-            let (_, MonitorMsg::Token(mut token)) = outbox.pop().expect("the token") else {
-                panic!("a single token");
-            };
+            let (_, msg) = outbox.pop().expect("the token");
+            let mut token = only_token(msg);
             token.transitions[0].eval = EvalState::Disabled;
-            MonitorMsg::Token(token)
+            one(token)
         });
         let mut ctx = MonitorContext::new(0, 2, 5.0, &mut outbox);
         monitors[0].on_monitor_message(from, msg, &mut ctx);
@@ -2375,18 +2363,20 @@ mod tests {
         let (mut monitors, mut token) = staircase(1);
         let tran = &mut token.transitions[0];
         (tran.next_target_process, tran.next_target_event) = (1, 0);
-        (token.next_target_process, token.next_target_event) = (1, 0);
         let m1 = &mut monitors[1];
         let mut outbox = Vec::new();
         let mut ctx = MonitorContext::new(1, 2, 0.0, &mut outbox);
-        m1.on_monitor_message(0, MonitorMsg::Token(token), &mut ctx);
+        m1.on_monitor_message(0, one(token), &mut ctx);
         assert_eq!((m1.waiting_tokens.len(), outbox.len()), (1, 0));
 
         let mut ctx = MonitorContext::new(1, 2, 1.0, &mut outbox);
         m1.on_local_termination(&mut ctx);
         assert!(m1.waiting_tokens.is_empty());
-        let [(0, MonitorMsg::Token(home))] = &outbox[..] else {
+        let [(0, MonitorMsg { tokens })] = &outbox[..] else {
             panic!("the token goes home, alone: {outbox:?}");
+        };
+        let [home] = &tokens[..] else {
+            panic!("the token goes home, alone: {tokens:?}");
         };
         assert_eq!(home.transitions[0].eval, EvalState::Disabled);
         assert_eq!(home.transitions[0].conjuncts[1], ConjunctEval::False);
@@ -2424,12 +2414,13 @@ mod tests {
         // member is served both recorded events and parks the token for a third.
         let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
         m0.on_local_event(&local_event(1, p0), &mut ctx);
-        let Some((1, MonitorMsg::Token(mut token))) = outbox.pop() else {
+        let Some((1, msg)) = outbox.pop() else {
             panic!("`M0` asks `P1`");
         };
+        let mut token = only_token(msg);
         token.property = 1;
         let mut ctx = MonitorContext::new(1, 2, 3.0, &mut outbox);
-        fleet.on_monitor_message(0, MonitorMsg::Token(token), &mut ctx);
+        fleet.on_monitor_message(0, one(token), &mut ctx);
         assert!(returned(&fleet), "after a message");
         let [idle, asked] = fleet.members() else {
             panic!("two members");
@@ -2442,8 +2433,11 @@ mod tests {
         let mut ctx = MonitorContext::new(1, 2, 3.0, &mut outbox);
         fleet.on_local_termination(&mut ctx);
         assert!(returned(&fleet), "after termination");
-        let [(0, MonitorMsg::Token(home))] = &outbox[..] else {
+        let [(0, MonitorMsg { tokens })] = &outbox[..] else {
             panic!("the token goes home, alone: {outbox:?}");
+        };
+        let [home] = &tokens[..] else {
+            panic!("the token goes home, alone: {tokens:?}");
         };
         assert_eq!((home.property, home.transitions[0].eval), (1, EvalState::Disabled));
     }

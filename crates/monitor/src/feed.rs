@@ -136,11 +136,6 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
         self.messages
     }
 
-    /// True once [`finish`](Self::finish) has run.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// Whether `event` can be fed next: it belongs to one of the session's
     /// processes, its clock has one entry per process, and it is its process's
     /// next event — its sequence number, which its own clock entry repeats, is one
@@ -380,14 +375,12 @@ mod tests {
             msg: MonitorMsg,
             ctx: &mut MonitorContext<'_, MonitorMsg>,
         ) {
-            let MonitorMsg::Token(mut token) = msg else {
-                unreachable!("recorders send single tokens")
-            };
+            let [mut token] = <[Token; 1]>::try_from(msg.tokens).expect("recorders send single tokens");
             let (to, origin, hops) = (ctx.self_id, token.parent, token.parent_gv);
             self.log.borrow_mut().push(Step::Delivered { to, origin, hops });
             if hops == 0 {
                 token.parent_gv = 1;
-                ctx.send((to + 1) % ctx.n_processes, MonitorMsg::Token(token));
+                ctx.send((to + 1) % ctx.n_processes, MonitorMsg { tokens: vec![token] });
             }
         }
 
@@ -397,13 +390,10 @@ mod tests {
             let token = Token {
                 property: 0,
                 parent: p,
-                origin_state: 0,
                 parent_gv: 0,
                 transitions: Vec::new(),
-                next_target_process: 0,
-                next_target_event: 0,
             };
-            ctx.send((p + 1) % ctx.n_processes, MonitorMsg::Token(token));
+            ctx.send((p + 1) % ctx.n_processes, MonitorMsg { tokens: vec![token] });
         }
     }
 

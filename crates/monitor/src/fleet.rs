@@ -18,8 +18,8 @@
 //!   member for the length of one activation — local event, received message or
 //!   termination.  A member holds no history of its own in between.
 //! * **Transport** — with `aggregate_tokens` on (§4.3.1), outbound tokens from
-//!   *all* members to the same destination ride one [`MonitorMsg::Batch`].  The
-//!   [`Token::property`] field is the property-id dimension of the batch: the
+//!   *all* members to the same destination ride one [`MonitorMsg`].  The
+//!   [`Token::property`] field is the property-id dimension of the message: the
 //!   receiving fleet demultiplexes tokens back to their members.  Termination
 //!   sends nothing of its own (it is local to each member), so every message the
 //!   fleet puts on the transport carries tokens.
@@ -40,12 +40,12 @@
 //! **Equivalence.**  Each member is a deterministic state machine driven only by
 //! its local events and its own tokens.  The fleet preserves, per member, the
 //! exact solo schedule: members activate on the same events in the same order,
-//! a merged batch delivers member `k`'s tokens as exactly the message member `k`
-//! would have received solo (same tokens, same order, same `Token`/`Batch`
-//! wrapping), and with `aggregate_tokens` off messages pass through unmerged in
-//! emission order.  Per-property verdicts and token counts are therefore
-//! byte-identical to N independent runs — pinned by `tests/fleet_equivalence.rs`
-//! across shard counts and every [`MonitorOptions`] combination.
+//! a merged message delivers member `k`'s tokens as exactly the message member
+//! `k` would have received solo (same tokens, same order), and with
+//! `aggregate_tokens` off messages pass through unmerged in emission order.
+//! Per-property verdicts and token counts are therefore byte-identical to N
+//! independent runs — pinned by `tests/fleet_equivalence.rs` across shard counts
+//! and every [`MonitorOptions`] combination.
 
 use crate::decentralized::{
     lease_outbox, return_outbox, DecentralizedMonitor, LocalHistory, MonitorOptions, Outbox,
@@ -169,9 +169,8 @@ impl FleetMonitor {
     /// emptied outbox back to the thread's arena.  Aggregation off: every message
     /// verbatim, in emission order.  On: one message per destination, in ascending
     /// destination order — exactly the order each member's own §4.3.1 flush uses,
-    /// so the merge preserves every member's solo emission schedule.  A lone message
-    /// goes as it is; several merge into one batch of their tokens, in emission
-    /// order.
+    /// so the merge preserves every member's solo emission schedule.  The first
+    /// message to a destination takes the tokens of the others, in emission order.
     fn flush(&self, mut emitted: Outbox, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         if !self.aggregate {
             for (dest, msg) in emitted.drain(..) {
@@ -180,19 +179,11 @@ impl FleetMonitor {
         }
         for dest in 0..self.history.n_processes() {
             let mut bound = emitted.extract_if(.., |(to, _)| *to == dest).map(|(_, msg)| msg);
-            let Some(first) = bound.next() else { continue };
-            let Some(second) = bound.next() else {
-                ctx.send(dest, first);
-                continue;
-            };
-            let mut tokens = Vec::new();
-            for msg in [first, second].into_iter().chain(bound) {
-                match msg {
-                    MonitorMsg::Token(token) => tokens.push(token),
-                    MonitorMsg::Batch(mut batch) => tokens.append(&mut batch),
-                }
+            let Some(mut merged) = bound.next() else { continue };
+            for mut msg in bound {
+                merged.tokens.append(&mut msg.tokens);
             }
-            ctx.send(dest, MonitorMsg::Batch(tokens));
+            ctx.send(dest, merged);
         }
         return_outbox(emitted);
         debug_assert!(self.parks_no_spare());
@@ -239,29 +230,22 @@ impl MonitorBehavior for FleetMonitor {
         ctx: &mut MonitorContext<'_, MonitorMsg>,
     ) {
         let mut emitted = lease_outbox();
-        match msg {
-            MonitorMsg::Token(ref token) => {
+        let first = msg.tokens.first().map_or(0, |t| t.property);
+        if msg.tokens.iter().all(|t| t.property == first) {
+            self.deliver_member_tokens(first as usize, from, msg, ctx.now, &mut emitted);
+        } else {
+            // Demultiplex on the property id, preserving per-member order, then
+            // deliver each member's group as one activation (ascending member
+            // order, matching the sender's member-major merge) and as the message
+            // the member would have received solo.
+            for token in msg.tokens {
                 let k = token.property as usize;
-                self.deliver_member_tokens(k, from, msg, ctx.now, &mut emitted);
+                self.demux[k].push(token);
             }
-            MonitorMsg::Batch(tokens) => {
-                // Demultiplex on the property id, preserving per-member order,
-                // then deliver each member's group as one activation (ascending
-                // member order, matching the sender's member-major merge) and as
-                // the message the member would have received solo: a singleton
-                // travels as a `Token`, anything larger as a `Batch`.
-                for token in tokens {
-                    let k = token.property as usize;
-                    self.demux[k].push(token);
-                }
-                for k in 0..self.demux.len() {
-                    let mut group = std::mem::take(&mut self.demux[k]);
-                    let msg = match group.len() {
-                        0 => continue,
-                        1 => MonitorMsg::Token(group.pop().expect("one token")),
-                        _ => MonitorMsg::Batch(group),
-                    };
-                    self.deliver_member_tokens(k, from, msg, ctx.now, &mut emitted);
+            for k in 0..self.demux.len() {
+                let tokens = std::mem::take(&mut self.demux[k]);
+                if !tokens.is_empty() {
+                    self.deliver_member_tokens(k, from, MonitorMsg { tokens }, ctx.now, &mut emitted);
                 }
             }
         }

@@ -5,7 +5,8 @@
 //!   [`MonitorBehavior`](dlrv_distsim::MonitorBehavior) and can be run on either
 //!   execution substrate.  Optimizations of §4.3 are switchable via
 //!   [`MonitorOptions`].
-//! * [`messages`] — tokens, the §4.3.1 batch and the parked-token index.
+//! * [`messages`] — tokens, the monitor message (one or more tokens, §4.3.1) and the
+//!   parked-token index.
 //! * [`global_view`] — the per-monitor exploration state.
 //! * [`metrics`] — per-monitor and per-run measurements matching Chapter 5.
 //! * [`replay`] — a zero-latency driver over recorded computations, used by the

@@ -11,9 +11,10 @@
 //!
 //! Two §4.3 supports live here:
 //!
-//! * [`MonitorMsg::Batch`] — token aggregation (§4.3.1): every token a monitor wants
-//!   to send to the same destination during one activation (one local event, one
-//!   received message, one termination) travels as a *single* monitoring message.
+//! * [`MonitorMsg`] — one or more tokens: with token aggregation (§4.3.1) every token
+//!   a monitor wants to send to the same destination during one activation (one
+//!   local event, one received message, one termination) travels as a *single*
+//!   monitoring message.
 //! * [`WaitingTokens`] — the tokens parked for a future local event: arrival of event
 //!   `sn` wakes precisely the tokens whose awaited cut entry is `sn`.
 
@@ -91,52 +92,41 @@ impl TokenTransition {
 }
 
 /// A token (monitoring message) exchanged between monitors.
+///
+/// Where it goes next is not a field: SENDTONEXTPROCESS sends it to the target of
+/// its first pending transition that targets the destination, so the receiver
+/// serves exactly that transition, at that transition's
+/// [`next_target_event`](TokenTransition::next_target_event).  The automaton state
+/// that launched it is the source state of its transitions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Token {
     /// The fleet member (property) this token belongs to: `0` in single-property
     /// runs, the member index in a [`FleetMonitor`](crate::FleetMonitor) run.
-    /// This is the property-id dimension of [`MonitorMsg::Batch`] — one batch may
+    /// This is the property-id dimension of [`MonitorMsg`] — one message may
     /// aggregate tokens of several properties bound for the same destination, each
     /// self-identifying, and the receiving fleet demultiplexes on this field.
     pub property: u32,
     /// The process whose monitor created the token.
     pub parent: ProcessId,
-    /// The automaton state of the global view that launched the exploration.
-    pub origin_state: usize,
     /// Identifier of the owning global view at the parent.
     pub parent_gv: u64,
     /// Candidate transitions still being evaluated.
     pub transitions: Vec<TokenTransition>,
-    /// The process the token should visit next.
-    pub next_target_process: ProcessId,
-    /// The event sequence number it should wait for there.
-    pub next_target_event: u64,
 }
 
-/// Messages exchanged between monitor processes.
+/// A message exchanged between monitor processes: one or more tokens bound for the
+/// same destination, processed by the receiver in order.  With §4.3.1 aggregation
+/// a monitor sends one per destination and activation; without it, one per token.
+/// Every message a monitor emits carries at least one token, so a run's message
+/// count never exceeds its token count.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MonitorMsg {
-    /// A routed token.
-    Token(Token),
-    /// §4.3.1 — several tokens bound for the same destination, aggregated into one
-    /// monitoring message (the receiver processes them in order).  Invariant: emitted
-    /// only with ≥ 2 tokens; a singleton travels as [`MonitorMsg::Token`].
-    Batch(Vec<Token>),
+pub struct MonitorMsg {
+    /// The carried tokens, never empty.
+    pub tokens: Vec<Token>,
 }
 
-impl MonitorMsg {
-    /// Number of tokens this message carries: at least one for every message a
-    /// monitor emits, so a run's message count never exceeds its token count.
-    pub fn token_count(&self) -> usize {
-        match self {
-            MonitorMsg::Token(_) => 1,
-            MonitorMsg::Batch(tokens) => tokens.len(),
-        }
-    }
-}
-
-/// Tokens parked at a monitor until a future local event arrives, each waiting for
-/// the cut entry (local sequence number) in its `next_target_event`.
+/// Tokens parked at a monitor until a future local event arrives, each beside the
+/// cut entry (local sequence number) it waits for.
 ///
 /// A monitor parks about one token at a time, so the tokens lie in one vector in
 /// parking order and a wake-up is a scan of it: an index by sequence number cost a
@@ -145,7 +135,7 @@ impl MonitorMsg {
 /// last token wakes: an empty set holds no allocation.
 #[derive(Debug, Clone, Default)]
 pub struct WaitingTokens {
-    parked: Vec<Token>,
+    parked: Vec<(u64, Token)>,
 }
 
 impl WaitingTokens {
@@ -154,10 +144,9 @@ impl WaitingTokens {
         WaitingTokens::default()
     }
 
-    /// Parks `token` until the local event it is waiting for
-    /// (`token.next_target_event`).
-    pub fn park(&mut self, token: Token) {
-        self.parked.push(token);
+    /// Parks `token` until local event `sn`.
+    pub fn park(&mut self, sn: u64, token: Token) {
+        self.parked.push((sn, token));
     }
 
     /// Removes and returns every token waiting for exactly event `sn`, in parking
@@ -165,7 +154,8 @@ impl WaitingTokens {
     pub fn take(&mut self, sn: u64) -> Vec<Token> {
         let woken = self
             .parked
-            .extract_if(.., |t| t.next_target_event == sn)
+            .extract_if(.., |(awaited, _)| *awaited == sn)
+            .map(|(_, token)| token)
             .collect();
         if self.parked.is_empty() {
             self.parked = Vec::new();
@@ -177,9 +167,9 @@ impl WaitingTokens {
     /// then parking order) — used at local termination, when no further event will
     /// ever satisfy them.
     pub fn drain_all(&mut self) -> Vec<Token> {
-        let mut tokens = std::mem::take(&mut self.parked);
-        tokens.sort_by_key(|t| t.next_target_event);
-        tokens
+        let mut parked = std::mem::take(&mut self.parked);
+        parked.sort_by_key(|&(awaited, _)| awaited);
+        parked.into_iter().map(|(_, token)| token).collect()
     }
 
     /// Number of parked tokens.
@@ -199,7 +189,7 @@ impl WaitingTokens {
             && self
                 .parked
                 .iter()
-                .all(|t| t.transitions.capacity() == t.transitions.len())
+                .all(|(_, t)| t.transitions.capacity() == t.transitions.len())
     }
 }
 
@@ -246,43 +236,26 @@ mod tests {
         assert_eq!(done.first_unset_process(), None);
     }
 
-    fn parked(next_target_event: u64) -> Token {
-        Token {
-            property: 0,
-            parent: 0,
-            origin_state: 0,
-            parent_gv: 0,
-            transitions: Vec::new(),
-            next_target_process: 1,
-            next_target_event,
-        }
-    }
-
     #[test]
     fn waiting_tokens_wake_by_exact_sequence_number() {
         let mut waiting = WaitingTokens::new();
         // `parent_gv` numbers the tokens in parking order.
         for (parent_gv, sn) in [3, 5, 3, 4, 5].into_iter().enumerate() {
-            waiting.park(Token { parent_gv: parent_gv as u64, ..parked(sn) });
+            let token = Token {
+                property: 0,
+                parent: 0,
+                parent_gv: parent_gv as u64,
+                transitions: Vec::new(),
+            };
+            waiting.park(sn, token);
         }
-        let order = |tokens: Vec<Token>| -> Vec<(u64, u64)> {
-            tokens.iter().map(|t| (t.next_target_event, t.parent_gv)).collect()
-        };
+        let gvs = |tokens: Vec<Token>| -> Vec<u64> { tokens.iter().map(|t| t.parent_gv).collect() };
         assert_eq!(waiting.len(), 5);
         assert!(waiting.take(2).is_empty());
-        assert_eq!(order(waiting.take(3)), [(3, 0), (3, 2)], "parking order");
+        assert_eq!(gvs(waiting.take(3)), [0, 2], "parking order");
         assert_eq!(waiting.len(), 3);
-        // By awaited number, then parking order.
-        assert_eq!(order(waiting.drain_all()), [(4, 3), (5, 1), (5, 4)]);
+        // By awaited number (4, 5, 5), then parking order.
+        assert_eq!(gvs(waiting.drain_all()), [3, 1, 4]);
         assert!(waiting.is_empty());
-    }
-
-    #[test]
-    fn every_message_carries_at_least_one_token() {
-        // Both variants there are; `token_count` matches exhaustively, so a new one
-        // has to say what it carries.
-        let one = MonitorMsg::Token(parked(1));
-        let batch = MonitorMsg::Batch(vec![parked(1), parked(2)]);
-        assert_eq!((one.token_count(), batch.token_count()), (1, 2));
     }
 }

@@ -46,8 +46,7 @@ pub struct MonitorMetrics {
     pub tokens_sent: usize,
     /// Number of tokens this monitor received (batch members counted individually).
     pub tokens_received: usize,
-    /// Number of aggregated `MonitorMsg::Batch` messages this monitor sent (each
-    /// carried ≥ 2 tokens; singleton sends travel as plain token messages).
+    /// Number of aggregated messages this monitor sent: messages of ≥ 2 tokens.
     pub token_batches_sent: usize,
     /// Total number of global views ever created (including the initial one).
     pub global_views_created: usize,

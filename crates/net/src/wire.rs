@@ -292,11 +292,8 @@ pub enum WireMsg {
 //
 //   payload    = 0x01 event | 0x02 monitor
 //   event      = event-binary                      -- dlrv_stream::event_to_binary
-//   monitor    = from seq time(8-byte LE f64) monmsg
-//   monmsg     = 0x00 token | 0x01 len token*      -- 0x02 is reserved (the retired
-//                                                     termination notice): an error,
-//                                                     never to be reused
-//   token      = property parent origin_state parent_gv n-transitions transition* next_p next_e
+//   monitor    = from seq time(8-byte LE f64) n-tokens token+   -- n-tokens >= 1
+//   token      = property parent parent_gv n-transitions transition*
 //   transition = id vc(gcut) vc(depend) gstate n-conjuncts conjunct-byte* next_p next_e eval-byte
 //   conjunct   = 0 not-involved | 1 unset | 2 true | 3 false
 //   eval       = 0 unset | 1 enabled | 2 disabled
@@ -308,14 +305,11 @@ pub enum WireMsg {
 const NET_EVENT: u8 = 1;
 const NET_MONITOR: u8 = 2;
 
-const MSG_TOKEN: u8 = 0;
-const MSG_BATCH: u8 = 1;
-
 /// Fewest bytes an encoded transition can take: eight one-byte fields (two of
 /// them empty clocks, one an empty conjunct list).
 const MIN_TRANSITION_BYTES: usize = 8;
-/// Fewest bytes an encoded token can take: seven one-byte fields, no transitions.
-const MIN_TOKEN_BYTES: usize = 7;
+/// Fewest bytes an encoded token can take: four one-byte fields, no transitions.
+const MIN_TOKEN_BYTES: usize = 4;
 
 fn transition_to_binary(t: &TokenTransition, out: &mut Vec<u8>) {
     varint::write_u64(out, t.transition_id as u64);
@@ -372,59 +366,35 @@ fn transition_from_binary(r: &mut Reader<'_>) -> Result<TokenTransition, StreamE
 fn token_to_binary(t: &Token, out: &mut Vec<u8>) {
     varint::write_u64(out, t.property as u64);
     varint::write_u64(out, t.parent as u64);
-    varint::write_u64(out, t.origin_state as u64);
     varint::write_u64(out, t.parent_gv);
     varint::write_u64(out, t.transitions.len() as u64);
     for tran in &t.transitions {
         transition_to_binary(tran, out);
     }
-    varint::write_u64(out, t.next_target_process as u64);
-    varint::write_u64(out, t.next_target_event);
 }
 
 fn token_from_binary(r: &mut Reader<'_>) -> Result<Token, StreamError> {
-    let property = r.u32("token property")?;
-    let parent = r.usize("token parent")?;
-    let origin_state = r.usize("token origin_state")?;
-    let parent_gv = r.uv("token parent_gv")?;
-    let transitions = r.seq("transition count", MIN_TRANSITION_BYTES, transition_from_binary)?;
     Ok(Token {
-        property,
-        parent,
-        origin_state,
-        parent_gv,
-        transitions,
-        next_target_process: r.usize("token next_p")?,
-        next_target_event: r.uv("token next_e")?,
+        property: r.u32("token property")?,
+        parent: r.usize("token parent")?,
+        parent_gv: r.uv("token parent_gv")?,
+        transitions: r.seq("transition count", MIN_TRANSITION_BYTES, transition_from_binary)?,
     })
 }
 
 fn monitor_msg_to_binary(msg: &MonitorMsg, out: &mut Vec<u8>) {
-    match msg {
-        MonitorMsg::Token(t) => {
-            out.push(MSG_TOKEN);
-            token_to_binary(t, out);
-        }
-        MonitorMsg::Batch(tokens) => {
-            out.push(MSG_BATCH);
-            varint::write_u64(out, tokens.len() as u64);
-            for t in tokens {
-                token_to_binary(t, out);
-            }
-        }
+    varint::write_u64(out, msg.tokens.len() as u64);
+    for t in &msg.tokens {
+        token_to_binary(t, out);
     }
 }
 
 fn monitor_msg_from_binary(r: &mut Reader<'_>) -> Result<MonitorMsg, StreamError> {
-    match r.byte("monitor msg tag")? {
-        MSG_TOKEN => Ok(MonitorMsg::Token(token_from_binary(r)?)),
-        MSG_BATCH => Ok(MonitorMsg::Batch(r.seq(
-            "batch length",
-            MIN_TOKEN_BYTES,
-            token_from_binary,
-        )?)),
-        other => Err(r.corrupt(&format!("monitor msg tag {other}"))),
+    let tokens = r.seq("token count", MIN_TOKEN_BYTES, token_from_binary)?;
+    if tokens.is_empty() {
+        return Err(r.corrupt("token count 0"));
     }
+    Ok(MonitorMsg { tokens })
 }
 
 /// Encodes one deploy frame (header + payload) for `msg`.
@@ -621,7 +591,6 @@ mod tests {
         Token {
             property: (seq % 3) as u32,
             parent: 1,
-            origin_state: 3,
             parent_gv: 40 + seq,
             transitions: vec![
                 TokenTransition {
@@ -645,8 +614,6 @@ mod tests {
                     eval: EvalState::Disabled,
                 },
             ],
-            next_target_process: 2,
-            next_target_event: 4,
         }
     }
 
@@ -740,13 +707,13 @@ mod tests {
                 from: 0,
                 seq: 11,
                 time: 3.5,
-                msg: MonitorMsg::Token(sample_token(3)),
+                msg: MonitorMsg { tokens: vec![sample_token(3)] },
             },
             WireMsg::Monitor {
                 from: 2,
                 seq: 12,
                 time: 4.0,
-                msg: MonitorMsg::Batch(vec![sample_token(1), sample_token(2)]),
+                msg: MonitorMsg { tokens: vec![sample_token(1), sample_token(2)] },
             },
         ];
         for msg in messages {
@@ -806,7 +773,7 @@ mod tests {
             from: 1,
             seq: 2,
             time: 0.5,
-            msg: MonitorMsg::Token(sample_token(0)),
+            msg: MonitorMsg { tokens: vec![sample_token(0)] },
         };
         let frame = encode_frame(&msg);
         let payload = &frame[4..];
@@ -838,10 +805,10 @@ mod tests {
         varint::write_u64(&mut million, 1 << 20);
         // (field, bytes before the count, minimum item size named in the error)
         let cases: [(&str, Vec<u8>, usize); 4] = [
-            ("batch length", vec![MSG_BATCH], MIN_TOKEN_BYTES),
-            ("transition count", vec![MSG_TOKEN, 0, 0, 0, 0], MIN_TRANSITION_BYTES),
-            ("transition gcut", vec![MSG_TOKEN, 0, 0, 0, 0, 1, 0], 1),
-            ("conjunct count", vec![MSG_TOKEN, 0, 0, 0, 0, 1, 0, 0, 0, 0], 1),
+            ("token count", vec![], MIN_TOKEN_BYTES),
+            ("transition count", vec![1, 0, 0, 0], MIN_TRANSITION_BYTES),
+            ("transition gcut", vec![1, 0, 0, 0, 1, 0], 1),
+            ("conjunct count", vec![1, 0, 0, 0, 1, 0, 0, 0, 0], 1),
         ];
         for (field, mut body, min) in cases {
             let offset = 11 + body.len();
@@ -857,14 +824,44 @@ mod tests {
         }
     }
 
+    /// A binary `monitor` payload: the fixed head, then `body`, not padded.
+    fn exact_monitor_payload(body: &[u8]) -> Vec<u8> {
+        let mut payload = monitor_payload(body);
+        payload.truncate(11 + body.len());
+        payload
+    }
+
     #[test]
     fn the_retired_termination_notice_is_rejected() {
-        // Binary tag 2, with the two varints the notice used to carry.
-        let err = decode_wire_frame(true, &monitor_payload(&[2, 1, 17]))
-            .expect_err("binary tag 2 is retired");
-        for part in ["monitor msg tag 2", "byte offset 11"] {
+        // Binary tag 2, with the two varints the notice used to carry: read as a
+        // count of two tokens, which three bytes cannot hold.
+        let err = decode_wire_frame(true, &exact_monitor_payload(&[2, 1, 17]))
+            .expect_err("the retired notice does not decode");
+        for part in ["token count", "byte offset 11", "2 items of at least 4 bytes"] {
             assert!(err.message.contains(part), "`{part}` missing from: {err}");
         }
+    }
+
+    #[test]
+    fn a_monitor_message_with_no_token_is_rejected() {
+        let err = decode_wire_frame(true, &exact_monitor_payload(&[0]))
+            .expect_err("a monitor message carries at least one token");
+        for part in ["token count 0", "byte offset 11"] {
+            assert!(err.message.contains(part), "`{part}` missing from: {err}");
+        }
+        // One token with no transitions is the shortest message there is.
+        let one = exact_monitor_payload(&[1, 0, 0, 0, 0]);
+        assert_eq!(
+            decode_wire_frame(true, &one).expect("one bare token"),
+            WireMsg::Monitor {
+                from: 0,
+                seq: 0,
+                time: 0.5,
+                msg: MonitorMsg {
+                    tokens: vec![Token { property: 0, parent: 0, parent_gv: 0, transitions: vec![] }],
+                },
+            }
+        );
     }
 
     #[test]
@@ -875,12 +872,12 @@ mod tests {
             from: 1,
             seq: 2,
             time: 0.5,
-            msg: MonitorMsg::Token(token),
+            msg: MonitorMsg { tokens: vec![token] },
         };
         let frame = encode_frame(&msg);
         assert_eq!(decode_wire_frame(true, &frame[4..]).expect("u32::MAX fits"), msg);
 
-        let mut body = vec![MSG_TOKEN];
+        let mut body = vec![1];
         varint::write_u64(&mut body, 1 << 32);
         let err = decode_wire_frame(true, &monitor_payload(&body)).expect_err("2^32");
         assert!(err.message.contains("token property"), "{err}");

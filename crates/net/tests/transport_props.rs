@@ -72,11 +72,8 @@ fn hot_msg_from_seed(seed: &mut u64) -> WireMsg {
     let token = |seed: &mut u64| Token {
         property: (mix(seed) % 4) as u32,
         parent: (mix(seed) % n as u64) as usize,
-        origin_state: (mix(seed) % 8) as usize,
         parent_gv: mix(seed),
         transitions: (0..1 + mix(seed) % 3).map(|_| transition(seed)).collect(),
-        next_target_process: (mix(seed) % n as u64) as usize,
-        next_target_event: mix(seed) % 1000,
     };
     match mix(seed) % 4 {
         0 => {
@@ -96,17 +93,13 @@ fn hot_msg_from_seed(seed: &mut u64) -> WireMsg {
                 },
             }
         }
-        1 => WireMsg::Monitor {
+        1 | 2 => WireMsg::Monitor {
             from: (mix(seed) % n as u64) as usize,
             seq: mix(seed),
             time: (mix(seed) % 1_000_000) as f64 * 0.001,
-            msg: MonitorMsg::Token(token(seed)),
-        },
-        2 => WireMsg::Monitor {
-            from: (mix(seed) % n as u64) as usize,
-            seq: mix(seed),
-            time: (mix(seed) % 1_000_000) as f64 * 0.001,
-            msg: MonitorMsg::Batch((0..1 + mix(seed) % 4).map(|_| token(seed)).collect()),
+            msg: MonitorMsg {
+                tokens: (0..1 + mix(seed) % 4).map(|_| token(seed)).collect(),
+            },
         },
         // Control frames are JSON; interleave some so the decoder's per-frame
         // format bit is exercised both ways.

@@ -248,10 +248,6 @@ impl<T> SpscRing<T> {
         self.pop_waiter.wake();
     }
 
-    /// True once [`close`](SpscRing::close) was called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
-    }
 }
 
 #[cfg(test)]

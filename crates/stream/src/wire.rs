@@ -349,11 +349,11 @@ mod tests {
     #[test]
     fn counts_are_bounded_by_the_bytes_that_remain() {
         // A 64-byte payload: a tag byte, then a length prefix claiming 2²⁰ items —
-        // transitions (8 bytes each), tokens (7), clock entries, conjuncts, bytes (1).
+        // transitions (8 bytes each), tokens (4), clock entries, conjuncts, bytes (1).
         let mut payload = vec![0xAA];
         varint::write_u64(&mut payload, 1 << 20);
         payload.resize(64, 1);
-        for min in [8, 7, 1] {
+        for min in [8, 4, 1] {
             let mut r = Reader::new(&payload);
             r.byte("tag").expect("tag");
             let err = r.count("items", min).expect_err("2^20 items cannot fit");

@@ -268,15 +268,10 @@ fn check_frame(msg: &WireMsg, run: &Run) -> Result<(), String> {
                 run.events_seen
             ))
         }
-        WireMsg::Monitor { msg, .. } => {
-            let tokens = match msg {
-                MonitorMsg::Token(token) => std::slice::from_ref(token),
-                MonitorMsg::Batch(tokens) => tokens,
-            };
-            tokens
-                .iter()
-                .try_for_each(|token| check_token(token, n, &run.automaton))
-        }
+        WireMsg::Monitor { msg, .. } => msg
+            .tokens
+            .iter()
+            .try_for_each(|token| check_token(token, n, &run.automaton)),
         _ => Ok(()),
     }
 }
@@ -290,7 +285,6 @@ fn check_token(token: &Token, n: usize, automaton: &MonitorAutomaton) -> Result<
         }
     };
     process("parent", token.parent)?;
-    process("next_target_process", token.next_target_process)?;
     for t in &token.transitions {
         process("transition next_target_process", t.next_target_process)?;
         if t.transition_id >= automaton.transitions.len() {

@@ -377,7 +377,6 @@ fn sound_token() -> Token {
     Token {
         property: 0,
         parent: 1,
-        origin_state: 0,
         parent_gv: 0,
         transitions: vec![TokenTransition {
             transition_id: 0,
@@ -389,8 +388,6 @@ fn sound_token() -> Token {
             next_target_event: 1,
             eval: EvalState::Unset,
         }],
-        next_target_process: 0,
-        next_target_event: 1,
     }
 }
 
@@ -399,7 +396,7 @@ fn monitor_frame(from: usize, token: Token) -> WireMsg {
         from,
         seq: 0,
         time: 1.0,
-        msg: MonitorMsg::Token(token),
+        msg: MonitorMsg { tokens: vec![token] },
     }
 }
 
@@ -592,9 +589,8 @@ fn malformed_out_of_sequence_events_are_protocol_failures() {
 #[test]
 fn malformed_tokens_are_protocol_failures() {
     type Break = fn(&mut Token);
-    let cases: [(Break, &str); 9] = [
+    let cases: [(Break, &str); 8] = [
         (|t| t.parent = 2, "parent 2"),
-        (|t| t.next_target_process = 9, "next_target_process 9"),
         (|t| t.transitions[0].next_target_process = 2, "transition next_target_process 2"),
         (|t| t.transitions[0].transition_id = 1 << 20, "transition_id 1048576"),
         (|t| t.transitions[0].gcut = VectorClock::from_entries(vec![0]), "gcut 1"),
@@ -608,16 +604,31 @@ fn malformed_tokens_are_protocol_failures() {
         let mut session = Session::established(2);
         let mut token = sound_token();
         break_it(&mut token);
-        // The second token of a batch is checked like the first.
+        // The second token of a message is checked like the first.
         let batch = WireMsg::Monitor {
             from: 1,
             seq: 0,
             time: 1.0,
-            msg: MonitorMsg::Batch(vec![sound_token(), token]),
+            msg: MonitorMsg { tokens: vec![sound_token(), token] },
         };
         send(session.peer.as_mut().expect("peer"), &batch);
         session.assert_protocol_failure(reason);
     }
+}
+
+#[test]
+fn malformed_monitor_message_with_no_token_is_a_protocol_failure() {
+    // A monitor message carries at least one token.  The parent daemon decoded
+    // the empty one (then a batch of none) and accepted it.
+    let mut session = Session::established(2);
+    let empty = WireMsg::Monitor {
+        from: 1,
+        seq: 0,
+        time: 1.0,
+        msg: MonitorMsg { tokens: vec![] },
+    };
+    send(session.peer.as_mut().expect("peer"), &empty);
+    session.assert_protocol_failure("token count 0");
 }
 
 #[test]
