@@ -4,8 +4,9 @@
 //! discipline — feed one event, drain every monitor-to-monitor message to
 //! quiescence, then feed the next — across process boundaries:
 //!
-//! 1. One `monitord` daemon is spawned per monitored process; each binds a TCP or
-//!    Unix listener and prints `LISTEN <endpoint>` on stdout.
+//! 1. One `monitord` daemon is spawned per monitored process, all of them before
+//!    any start-up is waited for; each binds a TCP or Unix listener and prints
+//!    `LISTEN <endpoint>` on stdout.
 //! 2. The orchestrator connects a control channel to every daemon, sends the
 //!    `hello` (property, options, initial state, fault spec, full endpoint list)
 //!    and waits for every `hello_ok` — daemons establish their peer mesh in
@@ -269,24 +270,48 @@ struct Fleet {
 impl Drop for Fleet {
     fn drop(&mut self) {
         for daemon in &mut self.daemons {
-            let _ = daemon.child.kill();
-            let _ = daemon.child.wait();
+            kill_and_reap(&mut daemon.child);
         }
     }
 }
 
-/// Spawns one daemon, reads its `LISTEN` line, and starts a reader thread that
-/// tags every stderr line with the daemon index and appends it to the shared
-/// `stderr_log` in true arrival order (the interleaved fleet log).  The daemon
-/// inherits the orchestrator's environment, so `DLRV_LOG` set on the
-/// `experiments` process propagates to the whole fleet; when it is set the
-/// tagged lines are additionally echoed to the orchestrator's own stderr.
+/// The daemons of a fleet being started and their stderr readers, before they
+/// join the [`Fleet`]: when the start-up fails, every daemon is killed and reaped
+/// and every reader joined.
+struct Spawned {
+    children: Vec<Child>,
+    readers: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for Spawned {
+    fn drop(&mut self) {
+        for child in &mut self.children {
+            kill_and_reap(child);
+        }
+        // The daemons are gone, so their pipes are at EOF and the readers end.
+        for reader in self.readers.drain(..) {
+            let _ = reader.join();
+        }
+    }
+}
+
+fn kill_and_reap(child: &mut Child) {
+    let _ = child.kill();
+    let _ = child.wait();
+}
+
+/// Spawns one daemon and starts a reader thread that tags every stderr line with
+/// the daemon index and appends it to the shared `stderr_log` in true arrival
+/// order (the interleaved fleet log).  The daemon inherits the orchestrator's
+/// environment, so `DLRV_LOG` set on the `experiments` process propagates to the
+/// whole fleet; when it is set the tagged lines are additionally echoed to the
+/// orchestrator's own stderr.  Its `LISTEN` line is left for [`read_listen`].
 fn spawn_daemon(
     binary: &PathBuf,
     listen: &str,
     process: usize,
     stderr_log: &Arc<Mutex<Vec<String>>>,
-) -> Result<(Child, String, std::thread::JoinHandle<()>), String> {
+) -> Result<(Child, std::thread::JoinHandle<()>), String> {
     let mut child = Command::new(binary)
         .args(["--listen", listen, "--idle-timeout-secs", "60"])
         .stdout(Stdio::piped())
@@ -308,24 +333,20 @@ fn spawn_daemon(
             }
         }
     });
+    Ok((child, reader))
+}
+
+/// Reads the endpoint a spawned daemon listens on from its `LISTEN` line.
+fn read_listen(child: &mut Child) -> Result<String, String> {
     let stdout = child.stdout.take().ok_or("daemon stdout not captured")?;
     let mut line = String::new();
     std::io::BufReader::new(stdout)
         .read_line(&mut line)
         .map_err(|e| format!("read LISTEN line: {e}"))?;
-    let endpoint = line
-        .strip_prefix("LISTEN ")
+    line.strip_prefix("LISTEN ")
         .map(|rest| rest.trim().to_string())
-        .filter(|ep| !ep.is_empty());
-    match endpoint {
-        Some(ep) => Ok((child, ep, reader)),
-        None => {
-            let _ = child.kill();
-            let _ = child.wait();
-            let _ = reader.join();
-            Err(format!("daemon did not report LISTEN (got `{}`)", line.trim()))
-        }
-    }
+        .filter(|ep| !ep.is_empty())
+        .ok_or_else(|| format!("daemon did not report LISTEN (got `{}`)", line.trim()))
 }
 
 /// One seed end-to-end: spawn the fleet, handshake, feed, finish, report, shut down.
@@ -346,13 +367,16 @@ fn run_seed(
     let (events, report) = (session.events, session.report);
     let initial_state = session.initial_state.0;
 
-    // Spawn the fleet.  All daemons append their tagged stderr lines to one
-    // shared vector, so the fleet log is interleaved in actual arrival order.
+    // Spawn the fleet: every daemon is started before any `LISTEN` line is read,
+    // so their start-ups overlap.  All daemons append their tagged stderr lines
+    // to one shared vector, so the fleet log is interleaved in actual arrival
+    // order.  Until every control channel is up, any error kills and reaps every
+    // daemon spawned so far (`Spawned`), and after that the fleet does.
     let run_id = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
     let stderr_log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut stderr_readers = Vec::with_capacity(n);
-    let mut fleet = Fleet {
-        daemons: Vec::with_capacity(n),
+    let mut spawned = Spawned {
+        children: Vec::with_capacity(n),
+        readers: Vec::with_capacity(n),
     };
     for i in 0..n {
         let listen = match params.transport {
@@ -365,8 +389,13 @@ fn run_seed(
                 format!("unix:{}", path.display())
             }
         };
-        let (child, endpoint, reader) = spawn_daemon(binary, &listen, i, &stderr_log)?;
-        stderr_readers.push(reader);
+        let (child, reader) = spawn_daemon(binary, &listen, i, &stderr_log)?;
+        spawned.children.push(child);
+        spawned.readers.push(reader);
+    }
+    let mut controls = Vec::with_capacity(n);
+    for child in &mut spawned.children {
+        let endpoint = read_listen(child)?;
         let ep = Endpoint::parse(&endpoint).map_err(|e| format!("daemon endpoint: {e}"))?;
         let sock = connect_with_retry(&ep, Duration::from_secs(10))
             .map_err(|e| format!("connect control channel to {endpoint}: {e}"))?;
@@ -375,15 +404,23 @@ fn run_seed(
         reactor
             .register(conn.raw_fd(), 0, Interest::READABLE)
             .map_err(|e| format!("watch control channel to {endpoint}: {e}"))?;
-        fleet.daemons.push(Daemon {
-            child,
-            endpoint,
-            conn,
-            reactor,
-            inbox: VecDeque::new(),
-            telemetry: Vec::new(),
-        });
+        controls.push((endpoint, conn, reactor));
     }
+    let stderr_readers = std::mem::take(&mut spawned.readers);
+    let mut fleet = Fleet {
+        daemons: std::mem::take(&mut spawned.children)
+            .into_iter()
+            .zip(controls)
+            .map(|(child, (endpoint, conn, reactor))| Daemon {
+                child,
+                endpoint,
+                conn,
+                reactor,
+                inbox: VecDeque::new(),
+                telemetry: Vec::new(),
+            })
+            .collect(),
+    };
 
     // Handshake: every hello goes out before any hello_ok is awaited, because
     // daemon i only answers once its whole peer mesh (which includes daemons > i)

@@ -56,7 +56,7 @@ use dlrv_distsim::{MonitorBehavior, MonitorContext};
 use dlrv_ltl::{Assignment, AtomRegistry, ProcessId, Verdict};
 use dlrv_vclock::{Event, VectorClock};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Switches for the optimizations of §4.3.
@@ -154,6 +154,8 @@ struct Scratch {
     targeted: Vec<usize>,
     /// Result buffer of `process_token_with_event`.
     local_results: Vec<(usize, bool)>,
+    /// The tokens an activation sends, until its flush.
+    staged: Staged,
     /// Spare outboxes of session calls and fleet activations.
     outboxes: Vec<Outbox>,
     /// Spare in-flight queues of session calls.
@@ -171,6 +173,12 @@ thread_local! {
 
 /// What one activation sends: `(destination, message)` in emission order.
 pub(crate) type Outbox = Vec<(ProcessId, MonitorMsg)>;
+
+/// The tokens one activation sends, `(destination, token)` in emission order,
+/// held until the activation ends and [`DecentralizedMonitor::flush`] turns them
+/// into messages.  It lives for one activation: leased from the thread's arena
+/// when the arena is on, a fresh vector otherwise.
+type Staged = Vec<(ProcessId, Token)>;
 
 /// Messages in flight within one session call: `(sender, destination, message)`.
 pub(crate) type MessageQueue = VecDeque<(ProcessId, ProcessId, MonitorMsg)>;
@@ -393,7 +401,67 @@ impl LocalHistory {
     }
 }
 
+/// The final verdicts (⊤, ⊥) a monitor has detected, one bit each: all a retired
+/// view leaves behind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct FinalVerdicts(u8);
+
+impl FinalVerdicts {
+    fn bit(verdict: Verdict) -> u8 {
+        match verdict {
+            Verdict::False => 1,
+            Verdict::True => 2,
+            Verdict::Unknown => 0,
+        }
+    }
+
+    fn insert(&mut self, verdict: Verdict) {
+        debug_assert_ne!(verdict, Verdict::Unknown, "only ⊤ and ⊥ are final");
+        self.0 |= Self::bit(verdict);
+    }
+
+    fn contains(self, verdict: Verdict) -> bool {
+        self.0 & Self::bit(verdict) != 0
+    }
+
+    fn to_set(self) -> BTreeSet<Verdict> {
+        [Verdict::False, Verdict::True]
+            .into_iter()
+            .filter(|&v| self.contains(v))
+            .collect()
+    }
+}
+
+/// What a monitor counts as it runs: the fields of [`MonitorMetrics`] of the same
+/// names.  The rest of a snapshot — the views alive now, the verdicts detected and
+/// still possible — is read off the monitor when [`DecentralizedMonitor::metrics`]
+/// takes it, so no set is kept here.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counters {
+    tokens_sent: usize,
+    tokens_received: usize,
+    token_batches_sent: usize,
+    global_views_created: usize,
+    max_live_views: usize,
+    events_observed: usize,
+    queued_events_sum: usize,
+    queued_events_samples: usize,
+    max_queued_events: usize,
+    history_events_served: usize,
+    history_events_covered: usize,
+    tokens_parked: usize,
+    tokens_failed_at_termination: usize,
+    backlog_events_drained: usize,
+    tokens_sent_after_termination: usize,
+    last_event_time: f64,
+    last_activity_time: f64,
+}
+
 /// A decentralized monitor process `Mi` (Algorithm 1).
+///
+/// It holds only what outlives an activation: the history, the views, the parked
+/// tokens, the explorations in flight, the verdicts detected and the counters.
+/// What an activation sends is staged for that activation alone ([`Staged`]).
 #[derive(Debug, Clone)]
 pub struct DecentralizedMonitor {
     /// The fleet member index stamped on every token this monitor emits: `0` in
@@ -425,19 +493,19 @@ pub struct DecentralizedMonitor {
     next_gv_id: u64,
     /// Whether the local program has terminated.
     local_terminated: bool,
+    /// The ⊤/⊥ verdicts of the views retired so far.
+    detected: FinalVerdicts,
     /// Number of tokens currently in flight per originating automaton state (used by
     /// the §4.3.2 optimization to avoid launching duplicate explorations).  A state
-    /// with no token out has no entry, so an idle monitor holds nothing here.
+    /// with no token out has no entry, and with no entry at all the buffer is
+    /// released, so an idle monitor holds nothing here.
     in_flight: Vec<(dlrv_automaton::StateId, u32)>,
-    /// §4.3.1 staging area: tokens awaiting the end-of-activation flush, grouped by
-    /// destination (only used when `opts.aggregate_tokens` is set).
-    outbound: BTreeMap<ProcessId, Vec<Token>>,
     /// The thread's scratch arena while an activation has it on lease; `None`
     /// between activations (so cloning a monitor copies no pool) and whenever
     /// `opts.arena_recycling` is off.
     scratch: Option<Box<Scratch>>,
-    /// Collected metrics.
-    metrics: MonitorMetrics,
+    /// What this monitor has counted so far.
+    counters: Counters,
 }
 
 impl DecentralizedMonitor {
@@ -454,19 +522,18 @@ impl DecentralizedMonitor {
         opts: MonitorOptions,
     ) -> Self {
         let q0 = automaton.step(automaton.initial, initial_gstate);
-        let mut metrics = MonitorMetrics {
-            global_views_created: 1,
-            ..MonitorMetrics::default()
-        };
+        let mut detected = FinalVerdicts::default();
         let views = if automaton.is_final(q0) {
-            metrics
-                .detected_final_verdicts
-                .insert(automaton.verdict(q0));
+            detected.insert(automaton.verdict(q0));
             Vec::new()
         } else {
             vec![GlobalView::initial(0, n_processes, initial_gstate, q0)]
         };
-        metrics.max_live_views = views.len();
+        let counters = Counters {
+            global_views_created: 1,
+            max_live_views: views.len(),
+            ..Counters::default()
+        };
         DecentralizedMonitor {
             property: 0,
             automaton,
@@ -478,10 +545,10 @@ impl DecentralizedMonitor {
             views,
             next_gv_id: 1,
             local_terminated: false,
+            detected,
             in_flight: Vec::new(),
-            outbound: BTreeMap::new(),
             scratch: None,
-            metrics,
+            counters,
         }
     }
 
@@ -526,27 +593,49 @@ impl DecentralizedMonitor {
     /// The set of verdicts currently considered possible (one per global view),
     /// plus any ⊤/⊥ verdict that was detected along the way.
     pub fn possible_verdicts(&self) -> BTreeSet<Verdict> {
-        let mut set: BTreeSet<Verdict> = self
-            .views
-            .iter()
-            .map(|gv| self.automaton.verdict(gv.q))
-            .collect();
-        set.extend(self.metrics.detected_final_verdicts.iter().copied());
+        let mut set = self.detected.to_set();
+        set.extend(self.views.iter().map(|gv| self.automaton.verdict(gv.q)));
         set
     }
 
     /// ⊤/⊥ verdicts this monitor has detected.
-    pub fn detected_final_verdicts(&self) -> &BTreeSet<Verdict> {
-        &self.metrics.detected_final_verdicts
+    pub fn detected_final_verdicts(&self) -> BTreeSet<Verdict> {
+        self.detected.to_set()
     }
 
-    /// A snapshot of this monitor's metrics (view-derived fields filled in).
+    /// Whether this monitor has detected the final verdict `verdict` (⊤ or ⊥) —
+    /// one bit read, no set built: a session asks every monitor this for every
+    /// fed event.
+    pub fn has_detected(&self, verdict: Verdict) -> bool {
+        self.detected.contains(verdict)
+    }
+
+    /// A snapshot of this monitor's metrics: its counters, and what its views and
+    /// detected verdicts say now.
     pub fn metrics(&self) -> MonitorMetrics {
-        let mut m = self.metrics.clone();
-        m.global_views_final = self.views.len();
-        m.max_live_views = m.max_live_views.max(self.views.len());
-        m.possible_verdicts = self.possible_verdicts();
-        m
+        let c = self.counters;
+        MonitorMetrics {
+            tokens_sent: c.tokens_sent,
+            tokens_received: c.tokens_received,
+            token_batches_sent: c.token_batches_sent,
+            global_views_created: c.global_views_created,
+            global_views_final: self.views.len(),
+            max_live_views: c.max_live_views.max(self.views.len()),
+            events_observed: c.events_observed,
+            queued_events_sum: c.queued_events_sum,
+            queued_events_samples: c.queued_events_samples,
+            max_queued_events: c.max_queued_events,
+            history_events_served: c.history_events_served,
+            history_events_covered: c.history_events_covered,
+            tokens_parked: c.tokens_parked,
+            tokens_failed_at_termination: c.tokens_failed_at_termination,
+            backlog_events_drained: c.backlog_events_drained,
+            tokens_sent_after_termination: c.tokens_sent_after_termination,
+            last_event_time: c.last_event_time,
+            last_activity_time: c.last_activity_time,
+            detected_final_verdicts: self.detected_final_verdicts(),
+            possible_verdicts: self.possible_verdicts(),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -575,10 +664,13 @@ impl DecentralizedMonitor {
 
     /// Whether this monitor holds monitoring state only: a view set at exactly its
     /// length, parked tokens holding exactly their transitions, and no allocation
-    /// for parked tokens when none is ([`WaitingTokens`]).  True between
-    /// activations: `return_arena` makes it so.
+    /// for parked tokens when none is ([`WaitingTokens`]) nor for in-flight counts
+    /// when no token is out.  True between activations: `return_arena` and
+    /// [`exploration_over`](Self::exploration_over) make it so.
     pub(crate) fn parks_no_spare(&self) -> bool {
-        self.views.capacity() == self.views.len() && self.waiting_tokens.parks_no_spare()
+        self.views.capacity() == self.views.len()
+            && self.waiting_tokens.parks_no_spare()
+            && (!self.in_flight.is_empty() || self.in_flight.capacity() == 0)
     }
 
     /// An empty view-set vector — recycled when the arena is on, fresh otherwise.
@@ -598,6 +690,22 @@ impl DecentralizedMonitor {
         if let Some(s) = self.scratch.as_mut().filter(|s| s.view_bufs.len() < POOL_CAP) {
             buf.clear();
             s.view_bufs.push(buf);
+        }
+    }
+
+    /// An empty staging vector for the tokens of one activation.
+    fn take_staged(&mut self) -> Staged {
+        self.scratch
+            .as_mut()
+            .map(|s| std::mem::take(&mut s.staged))
+            .unwrap_or_default()
+    }
+
+    /// Returns an emptied staging vector to the arena (dropped when it is off).
+    fn put_staged(&mut self, staged: Staged) {
+        debug_assert!(staged.is_empty());
+        if let Some(s) = self.scratch.as_mut() {
+            s.staged = staged;
         }
     }
 
@@ -716,9 +824,7 @@ impl DecentralizedMonitor {
     /// allocation — goes back to the pool.
     fn retire_view(&mut self, q: dlrv_automaton::StateId, gcut: VectorClock) {
         debug_assert!(self.automaton.is_final(q));
-        self.metrics
-            .detected_final_verdicts
-            .insert(self.automaton.verdict(q));
+        self.detected.insert(self.automaton.verdict(q));
         self.reclaim_clock(gcut);
     }
 
@@ -727,10 +833,7 @@ impl DecentralizedMonitor {
     fn target_verdict_subsumed(&self, target: dlrv_automaton::StateId) -> bool {
         self.opts.prune_disjunctive
             && self.automaton.is_final(target)
-            && self
-                .metrics
-                .detected_final_verdicts
-                .contains(&self.automaton.verdict(target))
+            && self.detected.contains(self.automaton.verdict(target))
     }
 
     /// Updates the peak-live-view count (the §4.3 memory-overhead measurement).
@@ -739,7 +842,7 @@ impl DecentralizedMonitor {
             self.views.iter().all(|gv| !self.automaton.is_final(gv.q)),
             "a view at ⊤ or ⊥ is retired, never held"
         );
-        self.metrics.max_live_views = self.metrics.max_live_views.max(self.views.len());
+        self.counters.max_live_views = self.counters.max_live_views.max(self.views.len());
     }
 
     /// Whether an exploration launched from automaton state `q` is still out.
@@ -755,37 +858,52 @@ impl DecentralizedMonitor {
         }
     }
 
-    /// Counts one token of automaton state `q` home and decided.
+    /// Counts one token of automaton state `q` home and decided.  The last one
+    /// home releases the buffer, as [`WaitingTokens::take`] does.
     fn exploration_over(&mut self, q: dlrv_automaton::StateId) {
         if let Some(at) = self.in_flight.iter().position(|&(state, _)| state == q) {
             self.in_flight[at].1 -= 1;
             if self.in_flight[at].1 == 0 {
                 self.in_flight.swap_remove(at);
+                if self.in_flight.is_empty() {
+                    self.in_flight = Vec::new();
+                }
             }
         }
     }
 
-    /// Sends `token` toward `dest` — immediately as a message of its own, or staged
-    /// for the end-of-activation flush when token aggregation is on (§4.3.1).
-    fn send_token(&mut self, dest: ProcessId, token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        self.metrics.tokens_sent += 1;
-        self.metrics.tokens_sent_after_termination += usize::from(self.local_terminated);
-        if self.opts.aggregate_tokens {
-            self.outbound.entry(dest).or_default().push(token);
-        } else {
-            ctx.send(dest, MonitorMsg { tokens: vec![token] });
-        }
+    /// Sends `token` toward `dest`: staged until the activation's
+    /// [`flush`](Self::flush).
+    fn send_token(&mut self, dest: ProcessId, token: Token, staged: &mut Staged) {
+        self.counters.tokens_sent += 1;
+        self.counters.tokens_sent_after_termination += usize::from(self.local_terminated);
+        staged.push((dest, token));
     }
 
-    /// Flushes the per-destination staging area: one monitoring message per
-    /// destination, counted as a batch whenever ≥ 2 tokens aggregated.  Called at
-    /// the end of every activation (local event, received message, termination).
-    fn flush_outbound(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        for (dest, tokens) in std::mem::take(&mut self.outbound) {
-            debug_assert!(!tokens.is_empty());
-            self.metrics.token_batches_sent += usize::from(tokens.len() >= 2);
-            ctx.send(dest, MonitorMsg { tokens });
+    /// Ends an activation's sending: the staged tokens leave as one message each,
+    /// in emission order — or, with token aggregation on (§4.3.1), as one message
+    /// per destination in ascending destination order, each holding its tokens in
+    /// emission order and counted as a batch when it holds ≥ 2.  The emptied
+    /// staging vector goes back to the arena.
+    fn flush(&mut self, mut staged: Staged, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        if self.opts.aggregate_tokens {
+            // Stable: tokens to one destination keep their emission order.
+            staged.sort_by_key(|&(dest, _)| dest);
+            let mut tokens = staged.drain(..).peekable();
+            while let Some((dest, token)) = tokens.next() {
+                let mut batch = vec![token];
+                while let Some((_, token)) = tokens.next_if(|&(to, _)| to == dest) {
+                    batch.push(token);
+                }
+                self.counters.token_batches_sent += usize::from(batch.len() >= 2);
+                ctx.send(dest, MonitorMsg { tokens: batch });
+            }
+        } else {
+            for (dest, token) in staged.drain(..) {
+                ctx.send(dest, MonitorMsg { tokens: vec![token] });
+            }
         }
+        self.put_staged(staged);
     }
 
     /// MERGESIMILARGLOBALVIEWS: collapse views with identical automaton state, cut and
@@ -918,7 +1036,7 @@ impl DecentralizedMonitor {
     /// the first pending transition that targets it — the one chosen here: it is
     /// the first pending transition by rule 2 and rule 4, and by rule 3 every one
     /// before it targets the parent.
-    fn route_token(&mut self, token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+    fn route_token(&mut self, token: Token, staged: &mut Staged) {
         let pending = || token.transitions.iter().filter(|t| t.eval == EvalState::Unset);
         // Rule 1: an enabled transition sends the token home.  Otherwise it visits a
         // process some undecided transition targets: this very one (rule 2) before
@@ -935,32 +1053,32 @@ impl DecentralizedMonitor {
         match next {
             // If the requested event is already in our history, process it right
             // away; otherwise wait for it.
-            Some((process, sn)) if process == self.pid() => self.advance_local_token(token, sn, ctx),
-            Some((process, _)) => self.send_token(process, token, ctx),
-            None if token.parent == self.pid() => self.handle_returned_token(token, ctx),
-            None => self.send_token(token.parent, token, ctx),
+            Some((process, sn)) if process == self.pid() => self.advance_local_token(token, sn, staged),
+            Some((process, _)) => self.send_token(process, token, staged),
+            None if token.parent == self.pid() => self.handle_returned_token(token, staged),
+            None => self.send_token(token.parent, token, staged),
         }
     }
 
     /// Feeds the token already-known local events, starting at event `sn`, until it
     /// is routed away or has to wait for a future event.
-    fn advance_local_token(&mut self, mut token: Token, mut sn: u64, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+    fn advance_local_token(&mut self, mut token: Token, mut sn: u64, staged: &mut Staged) {
         // The run of the latest visit: where the next one starts looking.
         let mut walked = LATEST_RUN;
         while !self.is_unrecorded(sn) {
             match self.process_token_with_event(&mut token, sn, &mut walked) {
                 Some(next) => sn = next,
-                None => return self.route_token(token, ctx),
+                None => return self.route_token(token, staged),
             }
         }
         if self.local_terminated {
             // No further events will ever occur here: the pending conjuncts of
             // transitions targeting us can never be satisfied.
-            self.metrics.tokens_failed_at_termination += 1;
+            self.counters.tokens_failed_at_termination += 1;
             self.fail_local_targets(&mut token);
-            self.route_token(token, ctx);
+            self.route_token(token, staged);
         } else {
-            self.metrics.tokens_parked += 1;
+            self.counters.tokens_parked += 1;
             // It may wait for the rest of the session: it keeps exactly its
             // transitions, and the buffer they travelled in goes back to the pool.
             let spare = exact(&mut token.transitions);
@@ -975,8 +1093,8 @@ impl DecentralizedMonitor {
     /// should be served next — the next one at which that can change anything —
     /// or `None` when no pending transition targets this process any more.
     fn process_token_with_event(&mut self, token: &mut Token, sn: u64, walked: &mut usize) -> Option<u64> {
-        self.metrics.history_events_served += 1;
-        self.metrics.history_events_covered += 1;
+        self.counters.history_events_served += 1;
+        self.counters.history_events_covered += 1;
         let run = self.history.run(sn, *walked);
         // ADDEVENTTOTOKEN for every transition targeting (self, sn).  The run walk
         // (below) lands no later than the end of this run, the last recorded
@@ -1100,7 +1218,7 @@ impl DecentralizedMonitor {
                 }
             }
             if jumped {
-                self.metrics.history_events_covered += (land - sn - 1) as usize;
+                self.counters.history_events_covered += (land - sn - 1) as usize;
             }
         }
 
@@ -1148,7 +1266,7 @@ impl DecentralizedMonitor {
     /// RECEIVETOKEN when this monitor is the token's parent: spawn views for enabled
     /// transitions, drop disabled ones, retarget inconsistent ones and either finish or
     /// re-route the token.
-    fn handle_returned_token(&mut self, mut token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+    fn handle_returned_token(&mut self, mut token: Token, staged: &mut Staged) {
         let owner_idx = self.views.iter().position(|gv| gv.id == token.parent_gv);
         // Every candidate transition leaves the automaton state the token was
         // launched from.
@@ -1234,13 +1352,13 @@ impl DecentralizedMonitor {
             }
             if let Some(idx) = owner_idx {
                 self.views[idx].state = GvState::Unblocked;
-                self.drain_pending(idx, ctx);
+                self.drain_pending(idx, staged);
             }
             self.merge_similar_views();
         } else {
             let drained = std::mem::replace(&mut token.transitions, remaining);
             self.put_transition_buf(drained);
-            self.route_token(token, ctx);
+            self.route_token(token, staged);
         }
     }
 
@@ -1251,7 +1369,7 @@ impl DecentralizedMonitor {
     fn spawn_view(&mut self, q: dlrv_automaton::StateId, gcut: VectorClock, gstate: Assignment) {
         let id = self.next_gv_id;
         self.next_gv_id += 1;
-        self.metrics.global_views_created += 1;
+        self.counters.global_views_created += 1;
         if self.automaton.is_final(q) {
             self.retire_view(q, gcut);
             return;
@@ -1282,7 +1400,7 @@ impl DecentralizedMonitor {
         mut gv: GlobalView,
         sn: u64,
         walked: &mut usize,
-        ctx: &mut MonitorContext<'_, MonitorMsg>,
+        staged: &mut Staged,
         produced: &mut Vec<GlobalView>,
     ) {
         debug_assert!(produced.is_empty());
@@ -1349,7 +1467,7 @@ impl DecentralizedMonitor {
                     state: GvState::Unblocked,
                 };
                 self.next_gv_id += 1;
-                self.metrics.global_views_created += 1;
+                self.counters.global_views_created += 1;
                 produced.push(copy);
             }
         }
@@ -1357,13 +1475,13 @@ impl DecentralizedMonitor {
         // Emit the token(s): one for all candidates (§4.3.1), or one each.
         gv.state = GvState::Waiting;
         if self.opts.aggregate_tokens {
-            self.launch_token(&gv, candidates, ctx);
+            self.launch_token(&gv, candidates, staged);
         } else {
             let mut candidates = candidates;
             for tran in candidates.drain(..) {
                 let mut transitions = self.take_transition_buf();
                 transitions.push(tran);
-                self.launch_token(&gv, transitions, ctx);
+                self.launch_token(&gv, transitions, staged);
             }
             self.put_transition_buf(candidates);
         }
@@ -1375,7 +1493,7 @@ impl DecentralizedMonitor {
         &mut self,
         gv: &GlobalView,
         transitions: Vec<TokenTransition>,
-        ctx: &mut MonitorContext<'_, MonitorMsg>,
+        staged: &mut Staged,
     ) {
         let token = Token {
             property: self.property,
@@ -1384,7 +1502,7 @@ impl DecentralizedMonitor {
             transitions,
         };
         self.exploration_launched(gv.q);
-        self.route_token(token, ctx);
+        self.route_token(token, staged);
     }
 
     /// Drains the queue of view `idx` as long as it stays unblocked — and, once this
@@ -1393,16 +1511,16 @@ impl DecentralizedMonitor {
     /// writes to the view that launched it, so the view's state at every queued event
     /// is already determined: the tokens leave together, one batch per destination,
     /// instead of one round trip per event.
-    fn drain_pending(&mut self, mut idx: usize, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+    fn drain_pending(&mut self, mut idx: usize, staged: &mut Staged) {
         let mut produced = self.take_view_buf();
         let mut walked = LATEST_RUN;
         while self.views[idx].is_unblocked() || self.local_terminated {
             let Some(sn) = self.views[idx].pop_queued(self.delivered) else {
                 break;
             };
-            self.metrics.backlog_events_drained += 1;
+            self.counters.backlog_events_drained += 1;
             let gv = self.views.remove(idx);
-            self.process_event_on_view(gv, sn, &mut walked, ctx, &mut produced);
+            self.process_event_on_view(gv, sn, &mut walked, staged, &mut produced);
             if produced.is_empty() {
                 // The view retired at ⊤/⊥, and its drain with it.
                 break;
@@ -1420,11 +1538,11 @@ impl DecentralizedMonitor {
     /// RECEIVETOKEN: a token of our own is home; a foreign one is served from our
     /// history or parked — routed from here, it goes to the very transition its
     /// sender routed it here for.
-    fn receive_token(&mut self, token: Token, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+    fn receive_token(&mut self, token: Token, staged: &mut Staged) {
         if token.parent == self.pid() {
-            self.handle_returned_token(token, ctx);
+            self.handle_returned_token(token, staged);
         } else {
-            self.route_token(token, ctx);
+            self.route_token(token, staged);
         }
     }
 }
@@ -1435,16 +1553,17 @@ impl DecentralizedMonitor {
     /// lends this member its process's history.
     pub(crate) fn on_recorded_event(&mut self, sn: u64, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         self.lease_arena();
-        self.metrics.events_observed += 1;
-        self.metrics.last_event_time = ctx.now;
-        self.metrics.last_activity_time = ctx.now;
+        let mut staged = self.take_staged();
+        self.counters.events_observed += 1;
+        self.counters.last_event_time = ctx.now;
+        self.counters.last_activity_time = ctx.now;
         self.merge_similar_views();
 
         // Wake up exactly the tokens waiting for this event (per-cut index lookup).
         // The views have not been offered it yet: one spawned by a token returning
         // here still gets it below, like every other live view.
         for token in self.waiting_tokens.take(sn) {
-            self.advance_local_token(token, sn, ctx);
+            self.advance_local_token(token, sn, &mut staged);
         }
 
         // Deliver the event to every view (waiting views just buffer it, i.e. leave
@@ -1453,12 +1572,12 @@ impl DecentralizedMonitor {
         // rebuilt set is appended — those start past this event and never see it.
         self.delivered = self.history.len() as u64;
         let mut delayed = 0usize;
-        let mut staged = self.take_view_buf();
-        std::mem::swap(&mut staged, &mut self.views);
+        let mut offered = self.take_view_buf();
+        std::mem::swap(&mut offered, &mut self.views);
         let mut rebuilt = self.take_view_buf();
-        rebuilt.reserve(staged.len());
+        rebuilt.reserve(offered.len());
         let mut produced = self.take_view_buf();
-        'views: for mut gv in staged.drain(..) {
+        'views: for mut gv in offered.drain(..) {
             if !gv.is_unblocked() {
                 delayed += gv.queued(self.delivered);
             }
@@ -1466,7 +1585,7 @@ impl DecentralizedMonitor {
             let mut walked = LATEST_RUN;
             while gv.is_unblocked() {
                 let Some(sn) = gv.pop_queued(self.delivered) else { break };
-                self.process_event_on_view(gv, sn, &mut walked, ctx, &mut produced);
+                self.process_event_on_view(gv, sn, &mut walked, &mut staged, &mut produced);
                 // On with the first produced view, which follows local progress;
                 // any other waits for its token.  None: the view retired at ⊤/⊥.
                 let mut views = produced.drain(..);
@@ -1476,16 +1595,16 @@ impl DecentralizedMonitor {
             }
             rebuilt.push(gv);
         }
-        self.put_view_buf(staged);
+        self.put_view_buf(offered);
         self.put_view_buf(produced);
         self.views.append(&mut rebuilt);
         self.put_view_buf(rebuilt);
-        self.metrics.queued_events_sum += delayed;
-        self.metrics.queued_events_samples += 1;
-        self.metrics.max_queued_events = self.metrics.max_queued_events.max(delayed);
+        self.counters.queued_events_sum += delayed;
+        self.counters.queued_events_samples += 1;
+        self.counters.max_queued_events = self.counters.max_queued_events.max(delayed);
         self.merge_similar_views();
         self.note_view_peak();
-        self.flush_outbound(ctx);
+        self.flush(staged, ctx);
         self.return_arena();
     }
 }
@@ -1507,15 +1626,16 @@ impl MonitorBehavior for DecentralizedMonitor {
         ctx: &mut MonitorContext<'_, MonitorMsg>,
     ) {
         self.lease_arena();
-        self.metrics.last_activity_time = ctx.now;
-        self.metrics.tokens_received += msg.tokens.len();
+        let mut staged = self.take_staged();
+        self.counters.last_activity_time = ctx.now;
+        self.counters.tokens_received += msg.tokens.len();
         // §4.3.1: an aggregated message is processed token by token, exactly as if
         // they had arrived as consecutive messages.
         for token in msg.tokens {
-            self.receive_token(token, ctx);
+            self.receive_token(token, &mut staged);
         }
         self.note_view_peak();
-        self.flush_outbound(ctx);
+        self.flush(staged, ctx);
         self.return_arena();
     }
 
@@ -1524,18 +1644,17 @@ impl MonitorBehavior for DecentralizedMonitor {
     /// failed on arrival (`advance_local_token`).
     fn on_local_termination(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         self.lease_arena();
+        let mut staged = self.take_staged();
         self.local_terminated = true;
-        self.metrics.last_activity_time = ctx.now;
+        self.counters.last_activity_time = ctx.now;
         // Fail every token parked here waiting for events that will never happen.
         for mut token in self.waiting_tokens.drain_all() {
-            self.metrics.tokens_failed_at_termination += 1;
+            self.counters.tokens_failed_at_termination += 1;
             self.fail_local_targets(&mut token);
-            self.route_token(token, ctx);
+            self.route_token(token, &mut staged);
         }
-        self.flush_outbound(ctx);
+        self.flush(staged, ctx);
         self.return_arena();
-        self.metrics.global_views_final = self.views.len();
-        self.metrics.possible_verdicts = self.possible_verdicts();
     }
 }
 
@@ -1680,7 +1799,8 @@ mod tests {
         m0.on_local_event(&violation, &mut ctx);
         assert!(m0.views().is_empty(), "the ⊥ view is retired, not held: {:?}", m0.views());
         let bottom = BTreeSet::from([Verdict::False]);
-        assert_eq!((m0.detected_final_verdicts(), &m0.possible_verdicts()), (&bottom, &bottom));
+        assert_eq!(m0.detected_final_verdicts(), bottom);
+        assert_eq!(m0.possible_verdicts(), bottom);
         let metrics = m0.metrics();
         assert_eq!((metrics.global_views_created, metrics.max_live_views), (1, 1));
         assert_eq!(metrics.global_views_final, 0);
@@ -1692,7 +1812,8 @@ mod tests {
         let (mut m0, event) = invariant_monitor(false);
         assert!(m0.views().is_empty());
         let bottom = BTreeSet::from([Verdict::False]);
-        assert_eq!((m0.detected_final_verdicts(), &m0.possible_verdicts()), (&bottom, &bottom));
+        assert_eq!(m0.detected_final_verdicts(), bottom);
+        assert_eq!(m0.possible_verdicts(), bottom);
         let metrics = m0.metrics();
         assert_eq!((metrics.global_views_created, metrics.max_live_views), (1, 0));
         // Events and termination find nothing to do.
@@ -1718,7 +1839,7 @@ mod tests {
             m.views.iter().map(|gv| (gv.id, gv.q, gv.gcut.clone(), gv.gstate, gv.next_sn)).collect()
         };
         let before = live(&m0);
-        let created = m0.metrics.global_views_created;
+        let created = m0.counters.global_views_created;
 
         // `P1`'s answer, by hand: `P1.p` held, the transition into ⊤ is enabled.
         let target = m0.automaton.transition(token.transitions[0].transition_id).to;
@@ -1727,9 +1848,9 @@ mod tests {
         let mut ctx = MonitorContext::new(0, 2, 2.0, &mut outbox);
         m0.on_monitor_message(1, one(token), &mut ctx);
 
-        assert_eq!(m0.metrics.global_views_created, created + 1, "the fork at ⊤ is counted");
+        assert_eq!(m0.counters.global_views_created, created + 1, "the fork at ⊤ is counted");
         assert_eq!(live(&m0), before, "and retired: the live set is as it was");
-        assert_eq!(m0.detected_final_verdicts(), &BTreeSet::from([Verdict::True]));
+        assert_eq!(m0.detected_final_verdicts(), BTreeSet::from([Verdict::True]));
         assert_eq!(m0.possible_verdicts(), BTreeSet::from([Verdict::Unknown, Verdict::True]));
         assert!(m0.in_flight.is_empty() && outbox.is_empty());
     }
@@ -1750,18 +1871,17 @@ mod tests {
         m0.views[0].state = GvState::Waiting;
         m0.local_terminated = true;
 
-        let mut outbox = Vec::new();
-        let mut ctx = MonitorContext::new(0, 2, 4.0, &mut outbox);
+        let mut staged = Staged::new();
         m0.lease_arena();
-        m0.drain_pending(0, &mut ctx);
+        m0.drain_pending(0, &mut staged);
         m0.return_arena();
 
         // The sweep took the first two events and stopped with the view: nothing is
         // left to offer the third to.
         assert!(m0.views.is_empty());
-        assert_eq!(m0.metrics.backlog_events_drained, 2);
-        assert_eq!(m0.detected_final_verdicts(), &BTreeSet::from([Verdict::False]));
-        assert!(outbox.is_empty());
+        assert_eq!(m0.counters.backlog_events_drained, 2);
+        assert_eq!(m0.detected_final_verdicts(), BTreeSet::from([Verdict::False]));
+        assert!(staged.is_empty());
     }
 
     /// Monitor `M<pid>` of `F (P0.p && P1.p)` over two processes, and the local
@@ -1884,9 +2004,10 @@ mod tests {
     fn monitor_and_view_sizes_are_pinned() {
         // 600 bytes before the scratch pools moved to the thread and the history
         // went flat, 408 while the monitor kept its process and process count
-        // beside its history's; a session pays this once per process (per member,
-        // in a fleet).
-        assert!(std::mem::size_of::<DecentralizedMonitor>() <= 392);
+        // beside its history's, 392 while it kept a per-destination staging map
+        // and a whole `MonitorMetrics` with its two verdict sets (392 → 312); a
+        // session pays this once per process (per member, in a fleet).
+        assert!(std::mem::size_of::<DecentralizedMonitor>() <= 312);
         assert!(std::mem::size_of::<GlobalView>() <= 64);
         // The members, the one history (which knows the process) and the
         // per-member regroup table — no pool, no outbox, no staging (200 while it
@@ -1898,6 +2019,87 @@ mod tests {
         // message is one token list (72 while it was a token or a batch).
         assert!(std::mem::size_of::<Token>() <= 48);
         assert!(std::mem::size_of::<MonitorMsg>() <= 24);
+    }
+
+    /// `has_detected`, `detected_final_verdicts()`, `possible_verdicts()` and the
+    /// `metrics()` snapshot of `m` agree; returns the detected set.
+    fn verdict_readouts_agree(m: &DecentralizedMonitor, case: &str) -> BTreeSet<Verdict> {
+        let detected = m.detected_final_verdicts();
+        for v in [Verdict::False, Verdict::True, Verdict::Unknown] {
+            let has = crate::feed::SessionVerdicts::has_detected(m, v);
+            assert_eq!(has, detected.contains(&v), "{case}: {v:?}");
+        }
+        let snapshot = m.metrics();
+        assert_eq!(snapshot.detected_final_verdicts, detected, "{case}");
+        assert_eq!(snapshot.possible_verdicts, m.possible_verdicts(), "{case}");
+        assert!(detected.is_subset(&snapshot.possible_verdicts), "{case}");
+        assert_eq!(snapshot.global_views_final, m.views().len(), "{case}");
+        detected
+    }
+
+    #[test]
+    fn the_verdict_readouts_agree_before_and_after_termination() {
+        // `¬(P0.p ∧ (P1.p ∨ P1.q)) U (P0.p ∧ P1.p)`: ⊤ where `P0.p` meets `P1.p`, ⊥
+        // where it meets `P1.q` alone.  `P0.p` holds at every event of `P0`, and
+        // no process hears from the other, so `M0` asks `P1` about its events.
+        let mut reg = AtomRegistry::new();
+        let p0 = reg.intern("P0.p", 0);
+        let p1 = reg.intern("P1.p", 1);
+        let q1 = reg.intern("P1.q", 1);
+        let [p0, p1, q1] = [p0, p1, q1].map(Formula::Atom);
+        let phi = Formula::until(
+            Formula::not(Formula::and(p0.clone(), Formula::or(p1.clone(), q1.clone()))),
+            Formula::and(p0, p1),
+        );
+        let automaton = Arc::new(MonitorAutomaton::synthesize(&phi, &reg));
+        let registry = Arc::new(reg);
+        let state = |names: &[&str]| {
+            Assignment::from_true_atoms(names.iter().map(|name| registry.lookup(name).expect("interned")))
+        };
+        let none: &[&str] = &[];
+        // `P1`'s states, and what `M0` detects: ⊥ first and then, with ⊥ known,
+        // ⊤ on `P0`'s second event in the last case.
+        let cases: [(&[&[&str]], &[Verdict]); 4] = [
+            (&[none], &[]),
+            (&[&["P1.p"]], &[Verdict::True]),
+            (&[&["P1.q"]], &[Verdict::False]),
+            (&[&["P1.q"], &["P1.p"]], &[Verdict::False, Verdict::True]),
+        ];
+        for (p1_states, m0_detects) in cases {
+            let mut session = crate::feed::decentralized_session(
+                2,
+                &automaton,
+                &registry,
+                Assignment::ALL_FALSE,
+                MonitorOptions::default(),
+            );
+            let k = p1_states.len() as u64;
+            for (sn, names) in (1..).zip(p1_states) {
+                session.feed_owned(Event {
+                    process: 1,
+                    vc: VectorClock::from_entries(vec![0, sn]),
+                    ..local_event(sn, state(names))
+                });
+            }
+            for sn in 1..=k {
+                session.feed_owned(Event {
+                    time: (k + sn) as f64,
+                    ..local_event(sn, state(&["P0.p"]))
+                });
+            }
+            let mut before = Vec::new();
+            for (pid, m) in session.monitors().iter().enumerate() {
+                before.push(verdict_readouts_agree(m, &format!("{p1_states:?}, M{pid}, live")));
+            }
+            session.finish();
+            for (pid, m) in session.monitors().iter().enumerate() {
+                let case = format!("{p1_states:?}, M{pid}, terminated");
+                let after = verdict_readouts_agree(m, &case);
+                assert!(before[pid].is_subset(&after), "{case}");
+            }
+            let m0 = session.monitors()[0].detected_final_verdicts();
+            assert_eq!(m0, m0_detects.iter().copied().collect(), "{p1_states:?}");
+        }
     }
 
     #[test]
@@ -1924,12 +2126,10 @@ mod tests {
         m.delivered = 2;
         let mut gv = m.views.pop().expect("the initial view");
         let sn = gv.pop_queued(m.delivered).expect("event 1 is queued");
-        let mut outbox = Vec::new();
-        let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
         let mut produced = Vec::new();
         // `P0.p` holds, `P1.p` is unknown: the view sends a token and forks.
-        m.process_event_on_view(gv, sn, &mut { LATEST_RUN }, &mut ctx, &mut produced);
-        assert_eq!(m.metrics.tokens_sent, 1);
+        m.process_event_on_view(gv, sn, &mut { LATEST_RUN }, &mut Staged::new(), &mut produced);
+        assert_eq!(m.counters.tokens_sent, 1);
         let [fork, original] = &produced[..] else {
             panic!("expected the fork and the original, got {produced:?}");
         };
@@ -2055,10 +2255,9 @@ mod tests {
         from: ProcessId,
         token: Token,
     ) -> Vec<(ProcessId, ProcessId, Token)> {
-        let mut outbox = Vec::new();
-        let mut ctx = MonitorContext::new(from, 2, 0.0, &mut outbox);
-        monitors[from].route_token(token, &mut ctx);
-        monitors[from].flush_outbound(&mut ctx);
+        let (mut staged, mut outbox) = (Staged::new(), Vec::new());
+        monitors[from].route_token(token, &mut staged);
+        monitors[from].flush(staged, &mut MonitorContext::new(from, 2, 0.0, &mut outbox));
         deliver(monitors, from, &mut outbox)
             .into_iter()
             .map(|(from, to, msg)| (from, to, only_token(msg)))
@@ -2102,13 +2301,13 @@ mod tests {
         let route: Vec<_> = messages.iter().map(|(from, to, _)| (*from, *to)).collect();
         assert_eq!(route, [(0, 1), (1, 0)]);
         let [m0, m1] = &monitors;
-        assert_eq!(m1.metrics.history_events_served, K as usize);
-        assert_eq!(m0.metrics.history_events_served, K as usize - 1);
-        assert_eq!((m0.metrics.tokens_parked, m1.metrics.tokens_parked), (0, 0));
+        assert_eq!(m1.counters.history_events_served, K as usize);
+        assert_eq!(m0.counters.history_events_served, K as usize - 1);
+        assert_eq!((m0.counters.tokens_parked, m1.counters.tokens_parked), (0, 0));
         // The same decision: the enabled transition forked its view, at ⊤.
         let target = m0.automaton.transition(stepped.transition_id).to;
         assert_eq!(m0.automaton.verdict(target), Verdict::True);
-        assert_eq!(m0.metrics.global_views_created, 2);
+        assert_eq!(m0.counters.global_views_created, 2);
         assert!(m0.detected_final_verdicts().contains(&Verdict::True));
     }
 
@@ -2132,8 +2331,8 @@ mod tests {
         monitors[1].history = history;
         assert_eq!(tour(&mut monitors, 0, token).len(), 1);
         let m1 = &monitors[1];
-        assert_eq!(m1.metrics.history_events_served, 2);
-        assert_eq!(m1.metrics.history_events_covered, K as usize);
+        assert_eq!(m1.counters.history_events_served, 2);
+        assert_eq!(m1.counters.history_events_covered, K as usize);
         let [parked] = &m1.waiting_tokens.clone().take(K + 1)[..] else {
             panic!("the token parks for event {}", K + 1);
         };
@@ -2151,7 +2350,7 @@ mod tests {
         parks[1].history = history_of_p1(vec![1, 1]);
         assert_eq!(tour(&mut parks, 0, token).len(), 1);
         assert_eq!(parks[1].waiting_tokens.len(), 1);
-        assert_eq!(parks[1].metrics.tokens_parked, 1);
+        assert_eq!(parks[1].counters.tokens_parked, 1);
         assert_eq!(parks[1].waiting_tokens.take(2).len(), 1);
 
         // The event has heard of `P0`'s second: the token leaves to repair the cut
@@ -2163,7 +2362,7 @@ mod tests {
         let tran = &sent.transitions[0];
         assert_eq!((tran.next_target_process, tran.next_target_event), (0, 2));
         assert_eq!(tran.conjuncts[1], ConjunctEval::Unset);
-        assert_eq!(monitors[1].metrics.tokens_parked, 0);
+        assert_eq!(monitors[1].counters.tokens_parked, 0);
     }
 
     #[test]
@@ -2178,9 +2377,9 @@ mod tests {
         let failed = &messages[1].2.transitions[0];
         assert_eq!(failed.eval, EvalState::Disabled);
         assert_eq!(failed.conjuncts[1], ConjunctEval::False);
-        let m1 = &monitors[1].metrics;
+        let m1 = &monitors[1].counters;
         assert_eq!((m1.tokens_failed_at_termination, m1.tokens_sent_after_termination), (1, 1));
-        assert_eq!(monitors[0].metrics.history_events_served, 0);
+        assert_eq!(monitors[0].counters.history_events_served, 0);
     }
 
     /// `M0` and `M1` of `F (P0.p && P1.p)` under `opts`, the moment `M0`'s first
@@ -2246,8 +2445,8 @@ mod tests {
         views.sort_by(|a, b| (a.0, &a.1, a.2).cmp(&(b.0, &b.1, b.2)));
         Outcome {
             views,
-            views_created: m.metrics.global_views_created,
-            detected: m.metrics.detected_final_verdicts.clone(),
+            views_created: m.counters.global_views_created,
+            detected: m.detected_final_verdicts(),
         }
     }
 
@@ -2269,8 +2468,8 @@ mod tests {
 
                 let case = format!("{opts:?}, p1_holds={p1_holds}");
                 assert_eq!(outcome(&swept[0]), outcome(&live[0]), "{case}");
-                assert_eq!(swept[0].metrics.backlog_events_drained, 3, "{case}");
-                assert_eq!(live[0].metrics.backlog_events_drained, 3, "{case}");
+                assert_eq!(swept[0].counters.backlog_events_drained, 3, "{case}");
+                assert_eq!(live[0].counters.backlog_events_drained, 3, "{case}");
                 assert_eq!(swept[0].detected_final_verdicts().len(), usize::from(p1_holds));
                 assert!(swept[0].views.iter().all(GlobalView::is_unblocked), "{case}");
                 assert!(swept[0].in_flight.is_empty() && live[0].in_flight.is_empty());
@@ -2286,7 +2485,7 @@ mod tests {
                         counts(&messages),
                         [(0, 1, 1), (1, 0, 1), (0, 1, 3), (1, 0, 3)]
                     );
-                    assert_eq!(swept[0].metrics.token_batches_sent, 1);
+                    assert_eq!(swept[0].counters.token_batches_sent, 1);
                 }
             }
         }
@@ -2305,7 +2504,7 @@ mod tests {
         let mut ctx = MonitorContext::new(0, 2, 5.0, &mut outbox);
         monitors[0].on_monitor_message(from, msg, &mut ctx);
         let m0 = &monitors[0];
-        assert_eq!(m0.metrics.backlog_events_drained, 1);
+        assert_eq!(m0.counters.backlog_events_drained, 1);
         assert_eq!(outbox.len(), 1, "the second event's token, alone");
         let owner = initial_view(m0);
         assert_eq!((owner.state, owner.queued(4)), (GvState::Waiting, 2));
@@ -2322,11 +2521,10 @@ mod tests {
             let mut gv = m.views.pop().expect("the initial view");
             m.exploration_launched(gv.q);
             let sn = gv.pop_queued(m.delivered).expect("event 1 is queued");
-            let mut outbox = Vec::new();
-            let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
+            let (mut staged, mut outbox) = (Staged::new(), Vec::new());
             let mut produced = Vec::new();
-            m.process_event_on_view(gv, sn, &mut { LATEST_RUN }, &mut ctx, &mut produced);
-            m.flush_outbound(&mut ctx);
+            m.process_event_on_view(gv, sn, &mut { LATEST_RUN }, &mut staged, &mut produced);
+            m.flush(staged, &mut MonitorContext::new(0, 2, 1.0, &mut outbox));
             let view = produced.last().expect("the view itself comes last");
             if terminated {
                 // No later event will revisit the question: the view asks itself.
@@ -2380,7 +2578,7 @@ mod tests {
         };
         assert_eq!(home.transitions[0].eval, EvalState::Disabled);
         assert_eq!(home.transitions[0].conjuncts[1], ConjunctEval::False);
-        assert_eq!(m1.metrics.tokens_failed_at_termination, 1);
+        assert_eq!(m1.counters.tokens_failed_at_termination, 1);
     }
 
     #[test]
@@ -2425,8 +2623,8 @@ mod tests {
         let [idle, asked] = fleet.members() else {
             panic!("two members");
         };
-        assert_eq!(idle.metrics.history_events_served, 0);
-        assert_eq!((asked.metrics.history_events_served, asked.metrics.tokens_parked), (2, 1));
+        assert_eq!(idle.counters.history_events_served, 0);
+        assert_eq!((asked.counters.history_events_served, asked.counters.tokens_parked), (2, 1));
         assert!(outbox.is_empty());
 
         // Termination: the parked token goes home failed.

@@ -58,7 +58,7 @@ impl SessionVerdicts for DecentralizedMonitor {
     }
 
     fn has_detected(&self, verdict: Verdict) -> bool {
-        self.detected_final_verdicts().contains(&verdict)
+        self.has_detected(verdict)
     }
 
     fn possible_verdicts(&self) -> BTreeSet<Verdict> {

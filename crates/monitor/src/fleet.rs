@@ -267,9 +267,7 @@ impl SessionVerdicts for FleetMonitor {
     }
 
     fn has_detected(&self, verdict: Verdict) -> bool {
-        self.members
-            .iter()
-            .any(|m| m.detected_final_verdicts().contains(&verdict))
+        self.members.iter().any(|m| m.has_detected(verdict))
     }
 
     fn possible_verdicts(&self) -> BTreeSet<Verdict> {
@@ -300,7 +298,7 @@ pub fn fleet_session(
 pub fn fleet_member_detected(session: &FleetSession, k: usize) -> BTreeSet<Verdict> {
     let mut set = BTreeSet::new();
     for fleet in session.monitors() {
-        set.extend(fleet.members()[k].detected_final_verdicts().iter().copied());
+        set.extend(fleet.members()[k].detected_final_verdicts());
     }
     set
 }

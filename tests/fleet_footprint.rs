@@ -30,15 +30,19 @@ static ALLOCATOR: Counting = Counting;
 
 const SESSIONS: usize = 400;
 /// Live heap of the fleet sessions over the live heap of their solo sessions, in
-/// percent.  Measured: 70.05 (13 710 / 19 572; 70.4 while a token carried its own
-/// routing target and launch state, 62 with a flat history of `n + 1` words per
-/// event, 79 while view sets, parked tokens and the fleet's staging kept pool-sized
-/// buffers between activations, 78 while views at ⊤/⊥ were held instead of
-/// retired, 114 with a history per member and the token pool).
+/// percent.  Measured: 66.7 (11 745 / 17 607; 70.05 — 13 710 / 19 572 — while a
+/// monitor kept a staging map, two verdict sets and an emptied in-flight buffer;
+/// 70.4 while a token carried its own routing target and launch state, 62 with a
+/// flat history of `n + 1` words per event, 79 while view sets, parked tokens and
+/// the fleet's staging kept pool-sized buffers between activations, 78 while
+/// views at ⊤/⊥ were held instead of retired, 114 with a history per member and
+/// the token pool).
 const FLEET_OVER_SOLOS_PERCENT: usize = 70;
-/// Live heap of one fleet session, in bytes.  Measured: 13 710 (13 934 while a token
-/// carried its own routing target and launch state, 14 930 with a flat history of
-/// `n + 1` words per event, 24 078 with the pool-sized buffers above).
+/// Live heap of one fleet session, in bytes.  Measured: 11 745 (13 710 while a
+/// monitor kept a staging map, two verdict sets and an emptied in-flight buffer;
+/// 13 934 while a token carried its own routing target and launch state, 14 930
+/// with a flat history of `n + 1` words per event, 24 078 with the pool-sized
+/// buffers above).
 const BYTES_PER_FLEET_SESSION: usize = 15_000;
 
 #[test]
