@@ -44,9 +44,15 @@
 //!   monitor has *already detected* (via a sibling view) are never explored at all —
 //!   the exploration could only re-derive a known verdict.
 //!
-//! Verdicts are invariant under every flag combination (pinned by the repository's
-//! `stream_equivalence` and soundness/completeness suites); the flags only change the
-//! message, queueing and memory cost — the quantities `--target overhead` reports.
+//! The flags are meant to change only the message, queueing and memory cost — the
+//! quantities `--target overhead` reports — and not the verdicts, and the
+//! repository's `stream_equivalence`, `overhead_regression` and
+//! soundness/completeness suites compare verdicts across flag combinations.  The
+//! claim has a known exception: the soundness/completeness suite lists a
+//! random-LTL case on which the default suite misses a reachable ⊥ that all-off
+//! finds (`KNOWN_OPTION_DEPENDENT` in `tests/soundness_completeness.rs`), and its
+//! oracle ledger keeps a ceiling per option set, property D's differing
+//! (docs/MONITORING.md, "Open findings").
 
 use crate::global_view::{GlobalView, GvState};
 use crate::messages::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition, WaitingTokens};
@@ -124,15 +130,15 @@ impl Default for MonitorOptions {
 /// removes the per-event allocate/free churn of the unoptimized path — and a buffer
 /// retired by one session (of any process count) can serve the next.
 ///
-/// There is one arena per thread, not per monitor: a monitor leases it for the
-/// duration of one activation (see [`DecentralizedMonitor::lease_arena`]) and owns
-/// no pool in between.  A session of a few dozen events never amortises pools of
+/// There is one arena per thread, not per monitor: an [`Activation`] holds it on
+/// lease ([`Activation::start`]) and no monitor owns a pool or a lease in
+/// between.  A session of a few dozen events never amortises pools of
 /// its own; a shard thread running thousands of sessions keeps this one hot.
 ///
 /// Scratch lives here or on the stack of one activation, never in a monitor or a
 /// session: at the end of every activation the view set is held at exactly its
 /// length and the buffer it was rebuilt in comes back here, and a token is parked
-/// with exactly its transitions ([`DecentralizedMonitor::parks_no_spare`]).  The
+/// with exactly its transitions ([`PropertyMonitor::parks_no_spare`]).  The
 /// message queue and outboxes of a session call, and a fleet activation's outbox,
 /// are leased from here too ([`lease_outbox`], [`lease_queue`]) whatever
 /// [`MonitorOptions::arena_recycling`] says: before they lived here, they lived for
@@ -175,8 +181,8 @@ thread_local! {
 pub(crate) type Outbox = Vec<(ProcessId, MonitorMsg)>;
 
 /// The tokens one activation sends, `(destination, token)` in emission order,
-/// held until the activation ends and [`DecentralizedMonitor::flush`] turns them
-/// into messages.  It lives for one activation: leased from the thread's arena
+/// held until the activation ends and [`Activation::end`] turns them into
+/// messages.  It lives for one activation: leased from the thread's arena
 /// when the arena is on, a fresh vector otherwise.
 type Staged = Vec<(ProcessId, Token)>;
 
@@ -255,9 +261,10 @@ fn exact<T>(buf: &mut Vec<T>) -> Vec<T> {
 /// else, so nothing else is kept — and the views' queues of buffered events are
 /// cursors into this history ([`GlobalView::next_sn`]) rather than copies of it.
 ///
-/// A history belongs to a *process*, not to a property: the monitors a
-/// [`FleetMonitor`](crate::FleetMonitor) attaches to one process read one history,
-/// which the fleet records and lends them ([`DecentralizedMonitor::swap_history`]).
+/// A history belongs to a *process*, not to a property: it lives in the
+/// process's [`LocalProcess`], which the monitors a
+/// [`FleetMonitor`](crate::FleetMonitor) attaches to one process all borrow by `&`
+/// for their activations.
 #[derive(Debug, Clone)]
 pub(crate) struct LocalHistory {
     /// The process whose events these are.
@@ -318,16 +325,6 @@ impl LocalHistory {
     /// Number of recorded events, i.e. the sequence number of the latest one.
     pub(crate) fn len(&self) -> usize {
         self.len as usize
-    }
-
-    /// The process whose events these are.
-    pub(crate) fn process(&self) -> ProcessId {
-        self.pid
-    }
-
-    /// Number of processes, i.e. of entries in every clock.
-    pub(crate) fn n_processes(&self) -> usize {
-        self.n
     }
 
     /// Records the process's next event: a new run when its state or a remote
@@ -433,9 +430,9 @@ impl FinalVerdicts {
 }
 
 /// What a monitor counts as it runs: the fields of [`MonitorMetrics`] of the same
-/// names.  The rest of a snapshot — the views alive now, the verdicts detected and
-/// still possible — is read off the monitor when [`DecentralizedMonitor::metrics`]
-/// takes it, so no set is kept here.
+/// names.  The rest of a snapshot — the events observed, the views alive now, the
+/// verdicts detected and still possible — is read off the monitor and its process
+/// when [`PropertyMonitor::metrics`] takes it, so no set is kept here.
 #[derive(Debug, Clone, Copy, Default)]
 struct Counters {
     tokens_sent: usize,
@@ -443,9 +440,7 @@ struct Counters {
     token_batches_sent: usize,
     global_views_created: usize,
     max_live_views: usize,
-    events_observed: usize,
     queued_events_sum: usize,
-    queued_events_samples: usize,
     max_queued_events: usize,
     history_events_served: usize,
     history_events_covered: usize,
@@ -453,17 +448,78 @@ struct Counters {
     tokens_failed_at_termination: usize,
     backlog_events_drained: usize,
     tokens_sent_after_termination: usize,
-    last_event_time: f64,
     last_activity_time: f64,
 }
 
-/// A decentralized monitor process `Mi` (Algorithm 1).
-///
-/// It holds only what outlives an activation: the history, the views, the parked
-/// tokens, the explorations in flight, the verdicts detected and the counters.
-/// What an activation sends is staged for that activation alone ([`Staged`]).
+/// What a monitor keeps for its *process*, whatever property it decides: the
+/// history, whether the local program has terminated, the options and when the
+/// latest local event was recorded.  A [`DecentralizedMonitor`] is one of these and
+/// one [`PropertyMonitor`]; a [`FleetMonitor`](crate::FleetMonitor) is one of these
+/// and a member per property, so the process's part is held once per process.
 #[derive(Debug, Clone)]
-pub struct DecentralizedMonitor {
+pub(crate) struct LocalProcess {
+    /// Local event history (`history` in Algorithm 2), which also knows the process
+    /// and the number of processes.
+    history: LocalHistory,
+    /// Optimization switches, the same for every member.
+    opts: MonitorOptions,
+    /// Whether the local program has terminated.
+    local_terminated: bool,
+    /// The time of the latest local event.
+    last_event_time: f64,
+}
+
+impl LocalProcess {
+    pub(crate) fn new(pid: ProcessId, n_processes: usize, opts: MonitorOptions) -> Self {
+        LocalProcess {
+            history: LocalHistory::new(pid, n_processes),
+            opts,
+            local_terminated: false,
+            last_event_time: 0.0,
+        }
+    }
+
+    /// The process these events are of.
+    pub(crate) fn pid(&self) -> ProcessId {
+        self.history.pid
+    }
+
+    /// Number of processes.
+    pub(crate) fn n(&self) -> usize {
+        self.history.n
+    }
+
+    /// The options every monitor of the process runs under.
+    pub(crate) fn opts(&self) -> MonitorOptions {
+        self.opts
+    }
+
+    /// How many events of the process have been recorded.
+    pub(crate) fn events_recorded(&self) -> u64 {
+        self.history.len
+    }
+
+    /// Records the process's next event, which arrived at `now`: all a monitor
+    /// keeps of it is its clock and state, and only when they start a new run.
+    pub(crate) fn record(&mut self, event: &Event, now: f64) {
+        self.history.push(event);
+        self.last_event_time = now;
+    }
+
+    /// Notes that the local program has ended: no further event will be recorded.
+    pub(crate) fn terminate(&mut self) {
+        self.local_terminated = true;
+    }
+}
+
+/// What a monitor keeps for its *property*: the automaton replica, the views, the
+/// parked tokens, the explorations in flight, the verdicts detected and the
+/// counters — everything a property decides, and nothing its process records.  It
+/// reads its process's part (`LocalProcess`: history, termination, options) by `&`
+/// for the length of each activation; what an activation sends is staged for that
+/// activation alone.
+#[derive(Debug, Clone)]
+pub struct PropertyMonitor {
     /// The fleet member index stamped on every token this monitor emits: `0` in
     /// single-property runs, assigned by [`FleetMonitor`](crate::FleetMonitor)
     /// when several properties share one transport.
@@ -472,18 +528,6 @@ pub struct DecentralizedMonitor {
     automaton: Arc<MonitorAutomaton>,
     /// Shared atom registry (for conjunct ownership).
     registry: Arc<AtomRegistry>,
-    /// Optimization switches.
-    opts: MonitorOptions,
-    /// Local event history (`history` in Algorithm 2), which also knows the process
-    /// this monitor is attached to and the number of processes.  A fleet member's
-    /// is empty between activations: the process's one history is lent to it for
-    /// each.
-    history: LocalHistory,
-    /// How many events of `history` have been offered to the views: a view's queue of
-    /// buffered events is `history[next_sn ..= delivered]`.  Equal to `history.len()`
-    /// except while the tokens parked on a fresh event are woken, which Algorithm 2
-    /// does before the views get that event.
-    delivered: u64,
     /// Tokens waiting for a future local event (`w_tokens`).
     waiting_tokens: WaitingTokens,
     /// The set of global views (`GV`) that can still move: a view that reaches ⊤ or
@@ -491,8 +535,6 @@ pub struct DecentralizedMonitor {
     views: Vec<GlobalView>,
     /// Next fresh global-view identifier.
     next_gv_id: u64,
-    /// Whether the local program has terminated.
-    local_terminated: bool,
     /// The ⊤/⊥ verdicts of the views retired so far.
     detected: FinalVerdicts,
     /// Number of tokens currently in flight per originating automaton state (used by
@@ -500,26 +542,22 @@ pub struct DecentralizedMonitor {
     /// with no token out has no entry, and with no entry at all the buffer is
     /// released, so an idle monitor holds nothing here.
     in_flight: Vec<(dlrv_automaton::StateId, u32)>,
-    /// The thread's scratch arena while an activation has it on lease; `None`
-    /// between activations (so cloning a monitor copies no pool) and whenever
-    /// `opts.arena_recycling` is off.
-    scratch: Option<Box<Scratch>>,
     /// What this monitor has counted so far.
     counters: Counters,
 }
 
-impl DecentralizedMonitor {
-    /// INIT (Algorithm 1): creates monitor `Mi` with its initial global view, already
-    /// advanced over the initial global state — or with no view at all when that
-    /// state is already ⊤ or ⊥: the verdict is recorded and the view retired, as
-    /// every view that reaches one is.
-    pub fn new(
-        pid: ProcessId,
+impl PropertyMonitor {
+    /// INIT (Algorithm 1) of the monitor of property `property` at one of
+    /// `n_processes` processes: its initial global view, already advanced over the
+    /// initial global state — or no view at all when that state is already ⊤ or ⊥:
+    /// the verdict is recorded and the view retired, as every view that reaches one
+    /// is.
+    pub(crate) fn new(
+        property: u32,
         n_processes: usize,
         automaton: Arc<MonitorAutomaton>,
         registry: Arc<AtomRegistry>,
         initial_gstate: Assignment,
-        opts: MonitorOptions,
     ) -> Self {
         let q0 = automaton.step(automaton.initial, initial_gstate);
         let mut detected = FinalVerdicts::default();
@@ -534,55 +572,17 @@ impl DecentralizedMonitor {
             max_live_views: views.len(),
             ..Counters::default()
         };
-        DecentralizedMonitor {
-            property: 0,
+        PropertyMonitor {
+            property,
             automaton,
             registry,
-            opts,
-            history: LocalHistory::new(pid, n_processes),
-            delivered: 0,
             waiting_tokens: WaitingTokens::new(),
             views,
             next_gv_id: 1,
-            local_terminated: false,
             detected,
             in_flight: Vec::new(),
-            scratch: None,
             counters,
         }
-    }
-
-    /// The process index this monitor is attached to.
-    pub fn process_id(&self) -> ProcessId {
-        self.pid()
-    }
-
-    /// The process this monitor is attached to (its history knows).
-    fn pid(&self) -> ProcessId {
-        self.history.pid
-    }
-
-    /// Number of processes.
-    fn n(&self) -> usize {
-        self.history.n
-    }
-
-    /// How many events of its process this monitor has recorded (none, between
-    /// activations, for a fleet member: the fleet holds the history).
-    pub fn events_recorded(&self) -> u64 {
-        self.history.len() as u64
-    }
-
-    /// Assigns the fleet member index stamped on every token this monitor emits
-    /// (`0` outside fleets).  Must be set before the first event is fed.
-    pub fn set_property_id(&mut self, property: u32) {
-        self.property = property;
-    }
-
-    /// Exchanges this monitor's history with `other` — how a fleet lends a member
-    /// the process's history for one activation and takes it back afterwards.
-    pub(crate) fn swap_history(&mut self, other: &mut LocalHistory) {
-        std::mem::swap(&mut self.history, other);
     }
 
     /// The live global views — the ones that can still move; none is at ⊤ or ⊥.
@@ -610,10 +610,12 @@ impl DecentralizedMonitor {
         self.detected.contains(verdict)
     }
 
-    /// A snapshot of this monitor's metrics: its counters, and what its views and
-    /// detected verdicts say now.
-    pub fn metrics(&self) -> MonitorMetrics {
-        let c = self.counters;
+    /// A snapshot of this monitor's metrics at `process`: its counters, what its
+    /// views and detected verdicts say now, and what the process recorded.  Every
+    /// recorded event is observed, and its queue sampled, exactly once, in the
+    /// activation it was recorded for, so both counts are the history's length.
+    pub(crate) fn metrics(&self, process: &LocalProcess) -> MonitorMetrics {
+        let (c, events) = (self.counters, process.history.len());
         MonitorMetrics {
             tokens_sent: c.tokens_sent,
             tokens_received: c.tokens_received,
@@ -621,9 +623,9 @@ impl DecentralizedMonitor {
             global_views_created: c.global_views_created,
             global_views_final: self.views.len(),
             max_live_views: c.max_live_views.max(self.views.len()),
-            events_observed: c.events_observed,
+            events_observed: events,
             queued_events_sum: c.queued_events_sum,
-            queued_events_samples: c.queued_events_samples,
+            queued_events_samples: events,
             max_queued_events: c.max_queued_events,
             history_events_served: c.history_events_served,
             history_events_covered: c.history_events_covered,
@@ -631,47 +633,285 @@ impl DecentralizedMonitor {
             tokens_failed_at_termination: c.tokens_failed_at_termination,
             backlog_events_drained: c.backlog_events_drained,
             tokens_sent_after_termination: c.tokens_sent_after_termination,
-            last_event_time: c.last_event_time,
+            last_event_time: process.last_event_time,
             last_activity_time: c.last_activity_time,
             detected_final_verdicts: self.detected_final_verdicts(),
             possible_verdicts: self.possible_verdicts(),
         }
     }
 
-    // ------------------------------------------------------------------
-    // Scratch pools (`opts.arena_recycling`)
-    // ------------------------------------------------------------------
-
-    /// Starts an activation: takes the thread's arena on lease (nothing when the
-    /// arena is off, so every pool helper below falls through to plain allocation).
-    fn lease_arena(&mut self) {
-        if self.opts.arena_recycling {
-            self.scratch = Some(ARENA.with(Cell::take).unwrap_or_default());
-        }
-    }
-
-    /// Ends an activation: holds the view set at exactly its length — the buffer
-    /// the activation rebuilt it in goes back to the pool — and hands the arena back
-    /// to the thread.
-    fn return_arena(&mut self) {
-        let spare = exact(&mut self.views);
-        self.put_view_buf(spare);
-        if let Some(scratch) = self.scratch.take() {
-            ARENA.with(|slot| slot.set(Some(scratch)));
-        }
-        debug_assert!(self.parks_no_spare());
-    }
-
     /// Whether this monitor holds monitoring state only: a view set at exactly its
     /// length, parked tokens holding exactly their transitions, and no allocation
     /// for parked tokens when none is ([`WaitingTokens`]) nor for in-flight counts
-    /// when no token is out.  True between activations: `return_arena` and
+    /// when no token is out.  True between activations: [`Activation::end`] and
     /// [`exploration_over`](Self::exploration_over) make it so.
     pub(crate) fn parks_no_spare(&self) -> bool {
         self.views.capacity() == self.views.len()
             && self.waiting_tokens.parks_no_spare()
             && (!self.in_flight.is_empty() || self.in_flight.capacity() == 0)
     }
+
+    /// Updates the peak-live-view count (the §4.3 memory-overhead measurement).
+    fn note_view_peak(&mut self) {
+        debug_assert!(
+            self.views.iter().all(|gv| !self.automaton.is_final(gv.q)),
+            "a view at ⊤ or ⊥ is retired, never held"
+        );
+        self.counters.max_live_views = self.counters.max_live_views.max(self.views.len());
+    }
+
+    /// Whether an exploration launched from automaton state `q` is still out.
+    fn is_exploring(&self, q: dlrv_automaton::StateId) -> bool {
+        self.in_flight.iter().any(|&(state, _)| state == q)
+    }
+
+    /// Counts one more token out for automaton state `q`.
+    fn exploration_launched(&mut self, q: dlrv_automaton::StateId) {
+        match self.in_flight.iter_mut().find(|(state, _)| *state == q) {
+            Some((_, count)) => *count += 1,
+            None => self.in_flight.push((q, 1)),
+        }
+    }
+
+    /// Counts one token of automaton state `q` home and decided.  The last one
+    /// home releases the buffer, as [`WaitingTokens::take`] does.
+    fn exploration_over(&mut self, q: dlrv_automaton::StateId) {
+        if let Some(at) = self.in_flight.iter().position(|&(state, _)| state == q) {
+            self.in_flight[at].1 -= 1;
+            if self.in_flight[at].1 == 0 {
+                self.in_flight.swap_remove(at);
+                if self.in_flight.is_empty() {
+                    self.in_flight = Vec::new();
+                }
+            }
+        }
+    }
+
+    /// RECEIVEEVENT (Algorithm 2) for the latest event of `process`, just recorded
+    /// ([`LocalProcess::record`]).  Its tokens parked on the event are woken before
+    /// its views are offered the event.
+    pub(crate) fn on_recorded_event(
+        &mut self,
+        process: &LocalProcess,
+        ctx: &mut MonitorContext<'_, MonitorMsg>,
+    ) {
+        let sn = process.events_recorded();
+        Activation::start(process, self, sn - 1).receive_event(sn, ctx);
+    }
+
+    /// RECEIVETOKEN for every token of `msg`.
+    pub(crate) fn on_monitor_message(
+        &mut self,
+        process: &LocalProcess,
+        msg: MonitorMsg,
+        ctx: &mut MonitorContext<'_, MonitorMsg>,
+    ) {
+        let delivered = process.events_recorded();
+        Activation::start(process, self, delivered).receive_message(msg, ctx);
+    }
+
+    /// TERMINATE (§4.2.0.10) once `process` has [terminated](LocalProcess::terminate).
+    pub(crate) fn on_local_termination(
+        &mut self,
+        process: &LocalProcess,
+        ctx: &mut MonitorContext<'_, MonitorMsg>,
+    ) {
+        debug_assert!(process.local_terminated);
+        let delivered = process.events_recorded();
+        Activation::start(process, self, delivered).terminate(ctx);
+    }
+}
+
+/// A decentralized monitor process `Mi` (Algorithm 1): its process's part and the
+/// monitor of its one property.
+///
+/// It holds only what outlives an activation: the history, the views, the parked
+/// tokens, the explorations in flight, the verdicts detected and the counters.
+#[derive(Debug, Clone)]
+pub struct DecentralizedMonitor {
+    process: LocalProcess,
+    member: PropertyMonitor,
+}
+
+impl DecentralizedMonitor {
+    /// INIT (Algorithm 1): creates monitor `Mi` with its initial global view, already
+    /// advanced over the initial global state — or with no view at all when that
+    /// state is already ⊤ or ⊥: the verdict is recorded and the view retired, as
+    /// every view that reaches one is.
+    pub fn new(
+        pid: ProcessId,
+        n_processes: usize,
+        automaton: Arc<MonitorAutomaton>,
+        registry: Arc<AtomRegistry>,
+        initial_gstate: Assignment,
+        opts: MonitorOptions,
+    ) -> Self {
+        DecentralizedMonitor {
+            process: LocalProcess::new(pid, n_processes, opts),
+            member: PropertyMonitor::new(0, n_processes, automaton, registry, initial_gstate),
+        }
+    }
+
+    /// The process index this monitor is attached to.
+    pub fn process_id(&self) -> ProcessId {
+        self.process.pid()
+    }
+
+    /// How many events of its process this monitor has recorded.
+    pub fn events_recorded(&self) -> u64 {
+        self.process.events_recorded()
+    }
+
+    /// The live global views — the ones that can still move; none is at ⊤ or ⊥.
+    pub fn views(&self) -> &[GlobalView] {
+        self.member.views()
+    }
+
+    /// The set of verdicts currently considered possible (one per global view),
+    /// plus any ⊤/⊥ verdict that was detected along the way.
+    pub fn possible_verdicts(&self) -> BTreeSet<Verdict> {
+        self.member.possible_verdicts()
+    }
+
+    /// ⊤/⊥ verdicts this monitor has detected.
+    pub fn detected_final_verdicts(&self) -> BTreeSet<Verdict> {
+        self.member.detected_final_verdicts()
+    }
+
+    /// Whether this monitor has detected the final verdict `verdict` (⊤ or ⊥).
+    pub fn has_detected(&self, verdict: Verdict) -> bool {
+        self.member.has_detected(verdict)
+    }
+
+    /// A snapshot of this monitor's metrics: its counters, and what its views and
+    /// detected verdicts say now.
+    pub fn metrics(&self) -> MonitorMetrics {
+        self.member.metrics(&self.process)
+    }
+
+    /// Whether this monitor holds monitoring state only (see
+    /// [`PropertyMonitor::parks_no_spare`]).
+    #[cfg(test)]
+    pub(crate) fn parks_no_spare(&self) -> bool {
+        self.member.parks_no_spare()
+    }
+}
+
+impl MonitorBehavior for DecentralizedMonitor {
+    type Message = MonitorMsg;
+
+    fn on_local_event(&mut self, event: &Event, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        self.process.record(event, ctx.now);
+        self.member.on_recorded_event(&self.process, ctx);
+    }
+
+    fn on_monitor_message(
+        &mut self,
+        _from: ProcessId,
+        msg: MonitorMsg,
+        ctx: &mut MonitorContext<'_, MonitorMsg>,
+    ) {
+        self.member.on_monitor_message(&self.process, msg, ctx);
+    }
+
+    /// TERMINATE (§4.2.0.10).  Termination is local: no peer is told, because a
+    /// token that arrives later asking for an event this process never produced is
+    /// failed on arrival (`advance_local_token`).
+    fn on_local_termination(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        self.process.terminate();
+        self.member.on_local_termination(&self.process, ctx);
+    }
+}
+
+/// One activation of a [`PropertyMonitor`] — a local event, a received message or
+/// the local termination.  It borrows the monitor's process by `&` (the members of
+/// a fleet all read the one history) and holds what lives for the activation
+/// alone: the thread's scratch arena on lease, and the tokens it sends, staged
+/// until [`end`](Self::end).
+struct Activation<'a> {
+    process: &'a LocalProcess,
+    member: &'a mut PropertyMonitor,
+    /// How many events of the history have been offered to the views: a view's
+    /// queue of buffered events is `history[next_sn ..= delivered]`.  The history's
+    /// length, except while the tokens parked on a fresh event are woken, which
+    /// Algorithm 2 does before the views get that event.
+    delivered: u64,
+    /// The thread's arena on lease; `None` whenever `opts.arena_recycling` is off.
+    scratch: Option<Box<Scratch>>,
+    /// The tokens this activation sends, `(destination, token)` in emission order.
+    staged: Staged,
+}
+
+impl<'a> Activation<'a> {
+    /// Starts an activation of `member` at `process` with `delivered` events
+    /// offered to its views: takes the thread's arena on lease (nothing when the
+    /// arena is off, so every pool helper below falls through to plain allocation)
+    /// and the staging vector from it.
+    fn start(process: &'a LocalProcess, member: &'a mut PropertyMonitor, delivered: u64) -> Self {
+        let mut scratch = process
+            .opts
+            .arena_recycling
+            .then(|| ARENA.with(Cell::take).unwrap_or_default());
+        let staged = scratch
+            .as_mut()
+            .map(|s| std::mem::take(&mut s.staged))
+            .unwrap_or_default();
+        Activation {
+            process,
+            member,
+            delivered,
+            scratch,
+            staged,
+        }
+    }
+
+    /// Ends the activation.  The staged tokens leave as one message each, in
+    /// emission order — or, with token aggregation on (§4.3.1), as one message per
+    /// destination in ascending destination order, each holding its tokens in
+    /// emission order and counted as a batch when it holds ≥ 2.  Then the view set
+    /// is held at exactly its length — the buffer the activation rebuilt it in goes
+    /// back to the pool — and the arena, with the emptied staging vector, goes back
+    /// to the thread.
+    fn end(mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        if self.process.opts.aggregate_tokens {
+            // Stable: tokens to one destination keep their emission order.
+            self.staged.sort_by_key(|&(dest, _)| dest);
+            let mut tokens = self.staged.drain(..).peekable();
+            while let Some((dest, token)) = tokens.next() {
+                let mut batch = vec![token];
+                while let Some((_, token)) = tokens.next_if(|&(to, _)| to == dest) {
+                    batch.push(token);
+                }
+                self.member.counters.token_batches_sent += usize::from(batch.len() >= 2);
+                ctx.send(dest, MonitorMsg { tokens: batch });
+            }
+        } else {
+            for (dest, token) in self.staged.drain(..) {
+                ctx.send(dest, MonitorMsg { tokens: vec![token] });
+            }
+        }
+        let spare = exact(&mut self.member.views);
+        self.put_view_buf(spare);
+        if let Some(mut scratch) = self.scratch.take() {
+            scratch.staged = std::mem::take(&mut self.staged);
+            ARENA.with(|slot| slot.set(Some(scratch)));
+        }
+        debug_assert!(self.member.parks_no_spare());
+    }
+
+    /// The process this activation's monitor is attached to.
+    fn pid(&self) -> ProcessId {
+        self.process.pid()
+    }
+
+    /// Number of processes.
+    fn n(&self) -> usize {
+        self.process.n()
+    }
+
+    // ------------------------------------------------------------------
+    // Scratch pools (`opts.arena_recycling`)
+    // ------------------------------------------------------------------
 
     /// An empty view-set vector — recycled when the arena is on, fresh otherwise.
     fn take_view_buf(&mut self) -> Vec<GlobalView> {
@@ -690,22 +930,6 @@ impl DecentralizedMonitor {
         if let Some(s) = self.scratch.as_mut().filter(|s| s.view_bufs.len() < POOL_CAP) {
             buf.clear();
             s.view_bufs.push(buf);
-        }
-    }
-
-    /// An empty staging vector for the tokens of one activation.
-    fn take_staged(&mut self) -> Staged {
-        self.scratch
-            .as_mut()
-            .map(|s| std::mem::take(&mut s.staged))
-            .unwrap_or_default()
-    }
-
-    /// Returns an emptied staging vector to the arena (dropped when it is off).
-    fn put_staged(&mut self, staged: Staged) {
-        debug_assert!(staged.is_empty());
-        if let Some(s) = self.scratch.as_mut() {
-            s.staged = staged;
         }
     }
 
@@ -775,7 +999,7 @@ impl DecentralizedMonitor {
     /// The cursor of a view whose queue starts empty (a fork, a view spawned by a
     /// returned token): just past everything the views have been offered so far.
     fn empty_queue_cursor(&self) -> u64 {
-        debug_assert!(self.delivered <= self.history.len() as u64);
+        debug_assert!(self.delivered <= self.process.history.len() as u64);
         self.delivered + 1
     }
 
@@ -795,7 +1019,7 @@ impl DecentralizedMonitor {
             .guard
             .literals()
             .iter()
-            .all(|lit| self.registry.owner(lit.atom) != p || lit.eval(state))
+            .all(|lit| self.member.registry.owner(lit.atom) != p || lit.eval(state))
     }
 
     /// Whether process `p` owns any literal of `transition`'s guard.
@@ -804,13 +1028,13 @@ impl DecentralizedMonitor {
             .guard
             .literals()
             .iter()
-            .any(|lit| self.registry.owner(lit.atom) == p)
+            .any(|lit| self.member.registry.owner(lit.atom) == p)
     }
 
     /// `gstate` with this process's atoms overwritten by their values in `local`.
     fn apply_local_state(&self, mut gstate: Assignment, local: Assignment) -> Assignment {
-        for atom in self.registry.ids() {
-            if self.registry.owner(atom) == self.pid() {
+        for atom in self.member.registry.ids() {
+            if self.member.registry.owner(atom) == self.pid() {
                 gstate.set(atom, local.get(atom));
             }
         }
@@ -823,104 +1047,44 @@ impl DecentralizedMonitor {
     /// carries is its verdict, which goes into the detected set.  Its cut — its only
     /// allocation — goes back to the pool.
     fn retire_view(&mut self, q: dlrv_automaton::StateId, gcut: VectorClock) {
-        debug_assert!(self.automaton.is_final(q));
-        self.detected.insert(self.automaton.verdict(q));
+        debug_assert!(self.member.automaton.is_final(q));
+        self.member.detected.insert(self.member.automaton.verdict(q));
         self.reclaim_clock(gcut);
     }
 
     /// §4.3.3 extension: true when exploring a transition into `target` could only
     /// re-derive a verdict a sibling view already detected.
     fn target_verdict_subsumed(&self, target: dlrv_automaton::StateId) -> bool {
-        self.opts.prune_disjunctive
-            && self.automaton.is_final(target)
-            && self.detected.contains(self.automaton.verdict(target))
+        self.process.opts.prune_disjunctive
+            && self.member.automaton.is_final(target)
+            && self.member.detected.contains(self.member.automaton.verdict(target))
     }
 
-    /// Updates the peak-live-view count (the §4.3 memory-overhead measurement).
-    fn note_view_peak(&mut self) {
-        debug_assert!(
-            self.views.iter().all(|gv| !self.automaton.is_final(gv.q)),
-            "a view at ⊤ or ⊥ is retired, never held"
-        );
-        self.counters.max_live_views = self.counters.max_live_views.max(self.views.len());
-    }
-
-    /// Whether an exploration launched from automaton state `q` is still out.
-    fn is_exploring(&self, q: dlrv_automaton::StateId) -> bool {
-        self.in_flight.iter().any(|&(state, _)| state == q)
-    }
-
-    /// Counts one more token out for automaton state `q`.
-    fn exploration_launched(&mut self, q: dlrv_automaton::StateId) {
-        match self.in_flight.iter_mut().find(|(state, _)| *state == q) {
-            Some((_, count)) => *count += 1,
-            None => self.in_flight.push((q, 1)),
-        }
-    }
-
-    /// Counts one token of automaton state `q` home and decided.  The last one
-    /// home releases the buffer, as [`WaitingTokens::take`] does.
-    fn exploration_over(&mut self, q: dlrv_automaton::StateId) {
-        if let Some(at) = self.in_flight.iter().position(|&(state, _)| state == q) {
-            self.in_flight[at].1 -= 1;
-            if self.in_flight[at].1 == 0 {
-                self.in_flight.swap_remove(at);
-                if self.in_flight.is_empty() {
-                    self.in_flight = Vec::new();
-                }
-            }
-        }
-    }
-
-    /// Sends `token` toward `dest`: staged until the activation's
-    /// [`flush`](Self::flush).
-    fn send_token(&mut self, dest: ProcessId, token: Token, staged: &mut Staged) {
-        self.counters.tokens_sent += 1;
-        self.counters.tokens_sent_after_termination += usize::from(self.local_terminated);
-        staged.push((dest, token));
-    }
-
-    /// Ends an activation's sending: the staged tokens leave as one message each,
-    /// in emission order — or, with token aggregation on (§4.3.1), as one message
-    /// per destination in ascending destination order, each holding its tokens in
-    /// emission order and counted as a batch when it holds ≥ 2.  The emptied
-    /// staging vector goes back to the arena.
-    fn flush(&mut self, mut staged: Staged, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        if self.opts.aggregate_tokens {
-            // Stable: tokens to one destination keep their emission order.
-            staged.sort_by_key(|&(dest, _)| dest);
-            let mut tokens = staged.drain(..).peekable();
-            while let Some((dest, token)) = tokens.next() {
-                let mut batch = vec![token];
-                while let Some((_, token)) = tokens.next_if(|&(to, _)| to == dest) {
-                    batch.push(token);
-                }
-                self.counters.token_batches_sent += usize::from(batch.len() >= 2);
-                ctx.send(dest, MonitorMsg { tokens: batch });
-            }
-        } else {
-            for (dest, token) in staged.drain(..) {
-                ctx.send(dest, MonitorMsg { tokens: vec![token] });
-            }
-        }
-        self.put_staged(staged);
+    /// Sends `token` toward `dest`: staged until the activation
+    /// [ends](Self::end).
+    fn send_token(&mut self, dest: ProcessId, token: Token) {
+        self.member.counters.tokens_sent += 1;
+        let after_termination = usize::from(self.process.local_terminated);
+        self.member.counters.tokens_sent_after_termination += after_termination;
+        self.staged.push((dest, token));
     }
 
     /// MERGESIMILARGLOBALVIEWS: collapse views with identical automaton state, cut and
     /// global state, keeping the first occurrence of each exploration point in
     /// encounter order.
     ///
-    /// Kept views accumulate in `self.views`, and each incoming view's cut is compared
-    /// against every kept cut in a single [`compare_many`](dlrv_vclock::compare_many)
-    /// pass over raw entry slices, plus the state/valuation checks.  View counts per
-    /// monitor are small (bounded by the lattice width), so the scan stays cheap, and
-    /// with the arena on it allocates nothing.
+    /// Kept views accumulate in the member's view set, and each incoming view's cut
+    /// is compared against every kept cut in a single
+    /// [`compare_many`](dlrv_vclock::compare_many) pass over raw entry slices, plus
+    /// the state/valuation checks.  View counts per monitor are small (bounded by
+    /// the lattice width), so the scan stays cheap, and with the arena on it
+    /// allocates nothing.
     fn merge_similar_views(&mut self) {
-        if self.views.len() <= 1 {
+        if self.member.views.len() <= 1 {
             return;
         }
         let mut staged = self.take_view_buf();
-        std::mem::swap(&mut staged, &mut self.views);
+        std::mem::swap(&mut staged, &mut self.member.views);
         let mut ord = self
             .scratch
             .as_mut()
@@ -929,10 +1093,10 @@ impl DecentralizedMonitor {
         for gv in staged.drain(..) {
             dlrv_vclock::compare_many(
                 &gv.gcut,
-                self.views.iter().map(|kept| &kept.gcut),
+                self.member.views.iter().map(|kept| &kept.gcut),
                 &mut ord,
             );
-            let pos = self.views.iter().enumerate().position(|(i, kept)| {
+            let pos = self.member.views.iter().enumerate().position(|(i, kept)| {
                 ord[i] == Some(std::cmp::Ordering::Equal)
                     && kept.q == gv.q
                     && kept.gstate == gv.gstate
@@ -942,7 +1106,7 @@ impl DecentralizedMonitor {
                     #[cfg(test)]
                     MERGED_VIEWS.with(|merged| merged.set(merged.get() + 1));
                     // Prefer the unblocked copy; the kept slot keeps its queue.
-                    let existing = &mut self.views[i];
+                    let existing = &mut self.member.views[i];
                     if existing.state == GvState::Waiting && gv.state == GvState::Unblocked {
                         let next_sn = existing.next_sn;
                         let retired = std::mem::replace(existing, gv);
@@ -953,7 +1117,7 @@ impl DecentralizedMonitor {
                         self.reclaim_clock(gv.gcut);
                     }
                 }
-                None => self.views.push(gv),
+                None => self.member.views.push(gv),
             }
         }
         if let Some(s) = self.scratch.as_mut() {
@@ -970,7 +1134,7 @@ impl DecentralizedMonitor {
         let mut out = self.take_transition_buf();
         // A second handle to the shared automaton, so iterating its transitions does
         // not hold a borrow of `self` across the pool calls below.
-        let automaton = Arc::clone(&self.automaton);
+        let automaton = Arc::clone(&self.member.automaton);
         for t in automaton.transitions_from(gv.q).iter().filter(|t| !t.is_self_loop()) {
             // The local conjunct must be satisfied by the process's own (fresh) state.
             if !self.conjunct_holds(t, self.pid(), gv.gstate) {
@@ -1006,7 +1170,7 @@ impl DecentralizedMonitor {
             }
             let gcut = {
                 let mut g = self.clock_copy(&gv.gcut);
-                self.history.run(sn, at).merge_clock_into(sn, &mut g);
+                self.process.history.run(sn, at).merge_clock_into(sn, &mut g);
                 g
             };
             let depend = self.clock_copy(&gcut);
@@ -1036,7 +1200,7 @@ impl DecentralizedMonitor {
     /// the first pending transition that targets it — the one chosen here: it is
     /// the first pending transition by rule 2 and rule 4, and by rule 3 every one
     /// before it targets the parent.
-    fn route_token(&mut self, token: Token, staged: &mut Staged) {
+    fn route_token(&mut self, token: Token) {
         let pending = || token.transitions.iter().filter(|t| t.eval == EvalState::Unset);
         // Rule 1: an enabled transition sends the token home.  Otherwise it visits a
         // process some undecided transition targets: this very one (rule 2) before
@@ -1053,37 +1217,37 @@ impl DecentralizedMonitor {
         match next {
             // If the requested event is already in our history, process it right
             // away; otherwise wait for it.
-            Some((process, sn)) if process == self.pid() => self.advance_local_token(token, sn, staged),
-            Some((process, _)) => self.send_token(process, token, staged),
-            None if token.parent == self.pid() => self.handle_returned_token(token, staged),
-            None => self.send_token(token.parent, token, staged),
+            Some((process, sn)) if process == self.pid() => self.advance_local_token(token, sn),
+            Some((process, _)) => self.send_token(process, token),
+            None if token.parent == self.pid() => self.handle_returned_token(token),
+            None => self.send_token(token.parent, token),
         }
     }
 
     /// Feeds the token already-known local events, starting at event `sn`, until it
     /// is routed away or has to wait for a future event.
-    fn advance_local_token(&mut self, mut token: Token, mut sn: u64, staged: &mut Staged) {
+    fn advance_local_token(&mut self, mut token: Token, mut sn: u64) {
         // The run of the latest visit: where the next one starts looking.
         let mut walked = LATEST_RUN;
         while !self.is_unrecorded(sn) {
             match self.process_token_with_event(&mut token, sn, &mut walked) {
                 Some(next) => sn = next,
-                None => return self.route_token(token, staged),
+                None => return self.route_token(token),
             }
         }
-        if self.local_terminated {
+        if self.process.local_terminated {
             // No further events will ever occur here: the pending conjuncts of
             // transitions targeting us can never be satisfied.
-            self.counters.tokens_failed_at_termination += 1;
+            self.member.counters.tokens_failed_at_termination += 1;
             self.fail_local_targets(&mut token);
-            self.route_token(token, staged);
+            self.route_token(token);
         } else {
-            self.counters.tokens_parked += 1;
+            self.member.counters.tokens_parked += 1;
             // It may wait for the rest of the session: it keeps exactly its
             // transitions, and the buffer they travelled in goes back to the pool.
             let spare = exact(&mut token.transitions);
             self.put_transition_buf(spare);
-            self.waiting_tokens.park(sn, token);
+            self.member.waiting_tokens.park(sn, token);
         }
     }
 
@@ -1093,13 +1257,13 @@ impl DecentralizedMonitor {
     /// should be served next — the next one at which that can change anything —
     /// or `None` when no pending transition targets this process any more.
     fn process_token_with_event(&mut self, token: &mut Token, sn: u64, walked: &mut usize) -> Option<u64> {
-        self.counters.history_events_served += 1;
-        self.counters.history_events_covered += 1;
-        let run = self.history.run(sn, *walked);
+        self.member.counters.history_events_served += 1;
+        self.member.counters.history_events_covered += 1;
+        let run = self.process.history.run(sn, *walked);
         // ADDEVENTTOTOKEN for every transition targeting (self, sn).  The run walk
         // (below) lands no later than the end of this run, the last recorded
         // event, or any event another pending transition asks for here.
-        let mut land = (run.last + 1).min(self.history.len() as u64);
+        let mut land = (run.last + 1).min(self.process.history.len() as u64);
         let mut targeted = self
             .scratch
             .as_mut()
@@ -1141,7 +1305,7 @@ impl DecentralizedMonitor {
                 // this must not influence the ordering flag below.
                 continue;
             }
-            let symbolic = self.automaton.transition(tran.transition_id);
+            let symbolic = self.member.automaton.transition(tran.transition_id);
             let ok = self.conjunct_holds(symbolic, self.pid(), run.state);
             any_true |= ok;
             local_results.push((idx, ok));
@@ -1168,7 +1332,8 @@ impl DecentralizedMonitor {
         // conjuncts does not depend on the order in which lagging entries are
         // advanced, so only the tour gets shorter.  In every other case the token
         // leaves or parks exactly where SENDTONEXTPROCESS would have put it.
-        let answer_is_known = (sn as usize) < self.history.len() || self.local_terminated;
+        let answer_is_known =
+            (sn as usize) < self.process.history.len() || self.process.local_terminated;
         for &idx in &targeted {
             let tran = &mut token.transitions[idx];
             if tran.conjuncts[self.pid()] == ConjunctEval::False {
@@ -1218,7 +1383,7 @@ impl DecentralizedMonitor {
                 }
             }
             if jumped {
-                self.counters.history_events_covered += (land - sn - 1) as usize;
+                self.member.counters.history_events_covered += (land - sn - 1) as usize;
             }
         }
 
@@ -1243,7 +1408,7 @@ impl DecentralizedMonitor {
     /// Whether event `sn` of this process is not in the history: not yet, or —
     /// sequence numbers are 1-based — never.
     fn is_unrecorded(&self, sn: u64) -> bool {
-        sn == 0 || sn as usize > self.history.len()
+        sn == 0 || sn as usize > self.process.history.len()
     }
 
     /// Marks every transition waiting on this (terminated) process for an event its
@@ -1266,25 +1431,25 @@ impl DecentralizedMonitor {
     /// RECEIVETOKEN when this monitor is the token's parent: spawn views for enabled
     /// transitions, drop disabled ones, retarget inconsistent ones and either finish or
     /// re-route the token.
-    fn handle_returned_token(&mut self, mut token: Token, staged: &mut Staged) {
-        let owner_idx = self.views.iter().position(|gv| gv.id == token.parent_gv);
+    fn handle_returned_token(&mut self, mut token: Token) {
+        let owner_idx = self.member.views.iter().position(|gv| gv.id == token.parent_gv);
         // Every candidate transition leaves the automaton state the token was
         // launched from.
         let origin = token
             .transitions
             .first()
-            .map(|t| self.automaton.transition(t.transition_id).from);
+            .map(|t| self.member.automaton.transition(t.transition_id).from);
 
         let mut enabled_targets: BTreeSet<dlrv_automaton::StateId> = BTreeSet::new();
         let mut remaining: Vec<TokenTransition> = self.take_transition_buf();
         for tran in token.transitions.drain(..) {
             match tran.eval {
                 EvalState::Enabled => {
-                    let target = self.automaton.transition(tran.transition_id).to;
+                    let target = self.member.automaton.transition(tran.transition_id).to;
                     // §4.3.3: once some transition into `target` is enabled, siblings
                     // into the same target are redundant; likewise explorations whose
                     // target verdict a sibling view already detected.
-                    if self.opts.prune_disjunctive && enabled_targets.contains(&target) {
+                    if self.process.opts.prune_disjunctive && enabled_targets.contains(&target) {
                         self.reclaim_transition(tran);
                         continue;
                     }
@@ -1295,12 +1460,12 @@ impl DecentralizedMonitor {
                     }
                     enabled_targets.insert(target);
                     // §4.3.2: never fork a view whose exploration point is already
-                    // represented.  Freshly spawned views are pushed into `self.views`
+                    // represented.  Freshly spawned views are pushed into `self.member.views`
                     // at once, so this scan sees the siblings spawned just above too —
                     // the live ones: a view at ⊤/⊥ is retired, and a repeat fork into
                     // a detected verdict is stopped by §4.3.3 above, if at all.
-                    if self.opts.dedup_global_views
-                        && self.views.iter().any(|gv| {
+                    if self.process.opts.dedup_global_views
+                        && self.member.views.iter().any(|gv| {
                             gv.q == target && gv.gstate == tran.gstate && gv.gcut == tran.gcut
                         })
                     {
@@ -1330,8 +1495,8 @@ impl DecentralizedMonitor {
                         tran.next_target_event = tran.gcut.get(k) + 1;
                     }
                     // §4.3.3 also applies to still-pending siblings.
-                    let target = self.automaton.transition(tran.transition_id).to;
-                    if (self.opts.prune_disjunctive && enabled_targets.contains(&target))
+                    let target = self.member.automaton.transition(tran.transition_id).to;
+                    if (self.process.opts.prune_disjunctive && enabled_targets.contains(&target))
                         || self.target_verdict_subsumed(target)
                     {
                         self.reclaim_transition(tran);
@@ -1348,17 +1513,17 @@ impl DecentralizedMonitor {
             // The exploration is over: release the in-flight slot, unblock the owning
             // view and drain its queue.
             if let Some(q) = origin {
-                self.exploration_over(q);
+                self.member.exploration_over(q);
             }
             if let Some(idx) = owner_idx {
-                self.views[idx].state = GvState::Unblocked;
-                self.drain_pending(idx, staged);
+                self.member.views[idx].state = GvState::Unblocked;
+                self.drain_pending(idx);
             }
             self.merge_similar_views();
         } else {
             let drained = std::mem::replace(&mut token.transitions, remaining);
             self.put_transition_buf(drained);
-            self.route_token(token, staged);
+            self.route_token(token);
         }
     }
 
@@ -1367,10 +1532,10 @@ impl DecentralizedMonitor {
     /// will be offered the local events that follow, not the ones already delivered.
     /// A view forked at ⊤ or ⊥ counts as created and is retired at once.
     fn spawn_view(&mut self, q: dlrv_automaton::StateId, gcut: VectorClock, gstate: Assignment) {
-        let id = self.next_gv_id;
-        self.next_gv_id += 1;
-        self.counters.global_views_created += 1;
-        if self.automaton.is_final(q) {
+        let id = self.member.next_gv_id;
+        self.member.next_gv_id += 1;
+        self.member.counters.global_views_created += 1;
+        if self.member.automaton.is_final(q) {
             self.retire_view(q, gcut);
             return;
         }
@@ -1382,8 +1547,8 @@ impl DecentralizedMonitor {
             next_sn: self.empty_queue_cursor(),
             state: GvState::Unblocked,
         };
-        self.views.push(gv);
-        self.note_view_peak();
+        self.member.views.push(gv);
+        self.member.note_view_peak();
     }
 
     /// PROCESSEVENT (Algorithm 2) for one view; may fork a copy and/or emit a token.
@@ -1400,13 +1565,12 @@ impl DecentralizedMonitor {
         mut gv: GlobalView,
         sn: u64,
         walked: &mut usize,
-        staged: &mut Staged,
         produced: &mut Vec<GlobalView>,
     ) {
         debug_assert!(produced.is_empty());
 
         // Fold the local event into the view.
-        let run = self.history.run(sn, *walked);
+        let run = self.process.history.run(sn, *walked);
         *walked = run.cursor_for(sn + 1);
         gv.gcut.set(self.pid(), sn);
         // The event is inconsistent with the view when it already knows about more
@@ -1419,8 +1583,8 @@ impl DecentralizedMonitor {
         // Only a view that took a step on this event leaves a copy behind at the
         // fork below.
         if is_consistent {
-            gv.q = self.automaton.step(gv.q, gv.gstate);
-            if self.automaton.is_final(gv.q) {
+            gv.q = self.member.automaton.step(gv.q, gv.gstate);
+            if self.member.automaton.is_final(gv.q) {
                 self.retire_view(gv.q, gv.gcut);
                 return;
             }
@@ -1435,9 +1599,9 @@ impl DecentralizedMonitor {
         // there the token in flight is the one this very view launched an event ago
         // (`drain_pending` sweeps its backlog without waiting), and it answers for
         // that event, not for this one.
-        let already_exploring = self.opts.dedup_global_views
-            && !self.local_terminated
-            && self.is_exploring(gv.q);
+        let already_exploring = self.process.opts.dedup_global_views
+            && !self.process.local_terminated
+            && self.member.is_exploring(gv.q);
 
         if candidates.is_empty() || already_exploring {
             let mut candidates = candidates;
@@ -1452,36 +1616,36 @@ impl DecentralizedMonitor {
         // Fork: keep a copy following the local progress path while the original waits
         // for the token (Algorithm 2, lines 33–37).
         if is_consistent {
-            let duplicate_exists = self.opts.dedup_global_views
-                && (self.views.iter().any(|other| other.same_slice(&gv))
+            let duplicate_exists = self.process.opts.dedup_global_views
+                && (self.member.views.iter().any(|other| other.same_slice(&gv))
                     || produced.iter().any(|other: &GlobalView| other.same_slice(&gv)));
             if !duplicate_exists {
                 // The fork starts with an empty queue; the original keeps its
                 // backlog and works through it once its token returns.
                 let copy = GlobalView {
-                    id: self.next_gv_id,
+                    id: self.member.next_gv_id,
                     gcut: self.clock_copy(&gv.gcut),
                     gstate: gv.gstate,
                     q: gv.q,
                     next_sn: self.empty_queue_cursor(),
                     state: GvState::Unblocked,
                 };
-                self.next_gv_id += 1;
-                self.counters.global_views_created += 1;
+                self.member.next_gv_id += 1;
+                self.member.counters.global_views_created += 1;
                 produced.push(copy);
             }
         }
 
         // Emit the token(s): one for all candidates (§4.3.1), or one each.
         gv.state = GvState::Waiting;
-        if self.opts.aggregate_tokens {
-            self.launch_token(&gv, candidates, staged);
+        if self.process.opts.aggregate_tokens {
+            self.launch_token(&gv, candidates);
         } else {
             let mut candidates = candidates;
             for tran in candidates.drain(..) {
                 let mut transitions = self.take_transition_buf();
                 transitions.push(tran);
-                self.launch_token(&gv, transitions, staged);
+                self.launch_token(&gv, transitions);
             }
             self.put_transition_buf(candidates);
         }
@@ -1493,16 +1657,15 @@ impl DecentralizedMonitor {
         &mut self,
         gv: &GlobalView,
         transitions: Vec<TokenTransition>,
-        staged: &mut Staged,
     ) {
         let token = Token {
-            property: self.property,
+            property: self.member.property,
             parent: self.pid(),
             parent_gv: gv.id,
             transitions,
         };
-        self.exploration_launched(gv.q);
-        self.route_token(token, staged);
+        self.member.exploration_launched(gv.q);
+        self.route_token(token);
     }
 
     /// Drains the queue of view `idx` as long as it stays unblocked — and, once this
@@ -1511,16 +1674,16 @@ impl DecentralizedMonitor {
     /// writes to the view that launched it, so the view's state at every queued event
     /// is already determined: the tokens leave together, one batch per destination,
     /// instead of one round trip per event.
-    fn drain_pending(&mut self, mut idx: usize, staged: &mut Staged) {
+    fn drain_pending(&mut self, mut idx: usize) {
         let mut produced = self.take_view_buf();
         let mut walked = LATEST_RUN;
-        while self.views[idx].is_unblocked() || self.local_terminated {
-            let Some(sn) = self.views[idx].pop_queued(self.delivered) else {
+        while self.member.views[idx].is_unblocked() || self.process.local_terminated {
+            let Some(sn) = self.member.views[idx].pop_queued(self.delivered) else {
                 break;
             };
-            self.counters.backlog_events_drained += 1;
-            let gv = self.views.remove(idx);
-            self.process_event_on_view(gv, sn, &mut walked, staged, &mut produced);
+            self.member.counters.backlog_events_drained += 1;
+            let gv = self.member.views.remove(idx);
+            self.process_event_on_view(gv, sn, &mut walked, &mut produced);
             if produced.is_empty() {
                 // The view retired at ⊤/⊥, and its drain with it.
                 break;
@@ -1529,8 +1692,8 @@ impl DecentralizedMonitor {
             // last, behind its fork (whose queue is empty).
             let at = idx;
             idx += produced.len() - 1;
-            self.views.splice(at..at, produced.drain(..));
-            self.note_view_peak();
+            self.member.views.splice(at..at, produced.drain(..));
+            self.member.note_view_peak();
         }
         self.put_view_buf(produced);
     }
@@ -1538,42 +1701,34 @@ impl DecentralizedMonitor {
     /// RECEIVETOKEN: a token of our own is home; a foreign one is served from our
     /// history or parked — routed from here, it goes to the very transition its
     /// sender routed it here for.
-    fn receive_token(&mut self, token: Token, staged: &mut Staged) {
+    fn receive_token(&mut self, token: Token) {
         if token.parent == self.pid() {
-            self.handle_returned_token(token, staged);
+            self.handle_returned_token(token);
         } else {
-            self.route_token(token, staged);
+            self.route_token(token);
         }
     }
-}
 
-impl DecentralizedMonitor {
-    /// RECEIVEEVENT (Algorithm 2) for event `sn`, the latest of `history` — recorded
-    /// by [`on_local_event`](MonitorBehavior::on_local_event), or by the fleet that
-    /// lends this member its process's history.
-    pub(crate) fn on_recorded_event(&mut self, sn: u64, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        self.lease_arena();
-        let mut staged = self.take_staged();
-        self.counters.events_observed += 1;
-        self.counters.last_event_time = ctx.now;
-        self.counters.last_activity_time = ctx.now;
+    /// RECEIVEEVENT (Algorithm 2) for event `sn`, the latest of the history.
+    fn receive_event(mut self, sn: u64, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        self.member.counters.last_activity_time = ctx.now;
         self.merge_similar_views();
 
         // Wake up exactly the tokens waiting for this event (per-cut index lookup).
         // The views have not been offered it yet: one spawned by a token returning
         // here still gets it below, like every other live view.
-        for token in self.waiting_tokens.take(sn) {
-            self.advance_local_token(token, sn, &mut staged);
+        for token in self.member.waiting_tokens.take(sn) {
+            self.advance_local_token(token, sn);
         }
 
         // Deliver the event to every view (waiting views just buffer it, i.e. leave
         // their cursor behind).  The view set is rebuilt through recycled staging
-        // buffers; `self.views` holds only synchronously spawned views until the
-        // rebuilt set is appended — those start past this event and never see it.
-        self.delivered = self.history.len() as u64;
+        // buffers; `self.member.views` holds only synchronously spawned views until
+        // the rebuilt set is appended — those start past this event and never see it.
+        self.delivered = sn;
         let mut delayed = 0usize;
         let mut offered = self.take_view_buf();
-        std::mem::swap(&mut offered, &mut self.views);
+        std::mem::swap(&mut offered, &mut self.member.views);
         let mut rebuilt = self.take_view_buf();
         rebuilt.reserve(offered.len());
         let mut produced = self.take_view_buf();
@@ -1585,7 +1740,7 @@ impl DecentralizedMonitor {
             let mut walked = LATEST_RUN;
             while gv.is_unblocked() {
                 let Some(sn) = gv.pop_queued(self.delivered) else { break };
-                self.process_event_on_view(gv, sn, &mut walked, &mut staged, &mut produced);
+                self.process_event_on_view(gv, sn, &mut walked, &mut produced);
                 // On with the first produced view, which follows local progress;
                 // any other waits for its token.  None: the view retired at ⊤/⊥.
                 let mut views = produced.drain(..);
@@ -1597,64 +1752,39 @@ impl DecentralizedMonitor {
         }
         self.put_view_buf(offered);
         self.put_view_buf(produced);
-        self.views.append(&mut rebuilt);
+        self.member.views.append(&mut rebuilt);
         self.put_view_buf(rebuilt);
-        self.counters.queued_events_sum += delayed;
-        self.counters.queued_events_samples += 1;
-        self.counters.max_queued_events = self.counters.max_queued_events.max(delayed);
+        let counters = &mut self.member.counters;
+        counters.queued_events_sum += delayed;
+        counters.max_queued_events = counters.max_queued_events.max(delayed);
         self.merge_similar_views();
-        self.note_view_peak();
-        self.flush(staged, ctx);
-        self.return_arena();
-    }
-}
-
-impl MonitorBehavior for DecentralizedMonitor {
-    type Message = MonitorMsg;
-
-    /// RECEIVEEVENT (Algorithm 2): all the monitor keeps of the event is its clock
-    /// and state, and only when they start a new run of the history.
-    fn on_local_event(&mut self, event: &Event, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        self.history.push(event);
-        self.on_recorded_event(event.sn, ctx);
+        self.member.note_view_peak();
+        self.end(ctx);
     }
 
-    fn on_monitor_message(
-        &mut self,
-        _from: ProcessId,
-        msg: MonitorMsg,
-        ctx: &mut MonitorContext<'_, MonitorMsg>,
-    ) {
-        self.lease_arena();
-        let mut staged = self.take_staged();
-        self.counters.last_activity_time = ctx.now;
-        self.counters.tokens_received += msg.tokens.len();
-        // §4.3.1: an aggregated message is processed token by token, exactly as if
-        // they had arrived as consecutive messages.
+    /// RECEIVETOKEN for every token of `msg`: §4.3.1's aggregated message is
+    /// processed token by token, exactly as if they had arrived as consecutive
+    /// messages.
+    fn receive_message(mut self, msg: MonitorMsg, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        self.member.counters.last_activity_time = ctx.now;
+        self.member.counters.tokens_received += msg.tokens.len();
         for token in msg.tokens {
-            self.receive_token(token, &mut staged);
+            self.receive_token(token);
         }
-        self.note_view_peak();
-        self.flush(staged, ctx);
-        self.return_arena();
+        self.member.note_view_peak();
+        self.end(ctx);
     }
 
-    /// TERMINATE (§4.2.0.10).  Termination is local: no peer is told, because a
-    /// token that arrives later asking for an event this process never produced is
-    /// failed on arrival (`advance_local_token`).
-    fn on_local_termination(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        self.lease_arena();
-        let mut staged = self.take_staged();
-        self.local_terminated = true;
-        self.counters.last_activity_time = ctx.now;
-        // Fail every token parked here waiting for events that will never happen.
-        for mut token in self.waiting_tokens.drain_all() {
-            self.counters.tokens_failed_at_termination += 1;
+    /// TERMINATE (§4.2.0.10): fails every token parked here waiting for events that
+    /// will never happen.
+    fn terminate(mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        self.member.counters.last_activity_time = ctx.now;
+        for mut token in self.member.waiting_tokens.drain_all() {
+            self.member.counters.tokens_failed_at_termination += 1;
             self.fail_local_targets(&mut token);
-            self.route_token(token, &mut staged);
+            self.route_token(token);
         }
-        self.flush(staged, ctx);
-        self.return_arena();
+        self.end(ctx);
     }
 }
 
@@ -1662,6 +1792,14 @@ impl MonitorBehavior for DecentralizedMonitor {
 mod tests {
     use super::*;
     use dlrv_ltl::Formula;
+
+    impl DecentralizedMonitor {
+        /// An activation of this monitor, its whole history offered to its views.
+        fn activation(&mut self) -> Activation<'_> {
+            let delivered = self.process.events_recorded();
+            Activation::start(&self.process, &mut self.member, delivered)
+        }
+    }
 
     fn setup(n: usize, formula: Formula, reg: AtomRegistry) -> Vec<DecentralizedMonitor> {
         let automaton = Arc::new(MonitorAutomaton::synthesize(&formula, &reg));
@@ -1836,23 +1974,24 @@ mod tests {
         };
         let mut token = only_token(msg);
         let live = |m: &DecentralizedMonitor| -> Vec<_> {
-            m.views.iter().map(|gv| (gv.id, gv.q, gv.gcut.clone(), gv.gstate, gv.next_sn)).collect()
+            m.views().iter().map(|gv| (gv.id, gv.q, gv.gcut.clone(), gv.gstate, gv.next_sn)).collect()
         };
         let before = live(&m0);
-        let created = m0.counters.global_views_created;
+        let created = m0.member.counters.global_views_created;
 
         // `P1`'s answer, by hand: `P1.p` held, the transition into ⊤ is enabled.
-        let target = m0.automaton.transition(token.transitions[0].transition_id).to;
-        assert_eq!(m0.automaton.verdict(target), Verdict::True);
+        let target = m0.member.automaton.transition(token.transitions[0].transition_id).to;
+        assert_eq!(m0.member.automaton.verdict(target), Verdict::True);
         token.transitions[0].eval = EvalState::Enabled;
         let mut ctx = MonitorContext::new(0, 2, 2.0, &mut outbox);
         m0.on_monitor_message(1, one(token), &mut ctx);
 
-        assert_eq!(m0.counters.global_views_created, created + 1, "the fork at ⊤ is counted");
+        let created_now = m0.member.counters.global_views_created;
+        assert_eq!(created_now, created + 1, "the fork at ⊤ is counted");
         assert_eq!(live(&m0), before, "and retired: the live set is as it was");
         assert_eq!(m0.detected_final_verdicts(), BTreeSet::from([Verdict::True]));
         assert_eq!(m0.possible_verdicts(), BTreeSet::from([Verdict::Unknown, Verdict::True]));
-        assert!(m0.in_flight.is_empty() && outbox.is_empty());
+        assert!(m0.member.in_flight.is_empty() && outbox.is_empty());
     }
 
     #[test]
@@ -1865,23 +2004,21 @@ mod tests {
         let mut m0 = setup(2, Formula::globally(Formula::not(Formula::Atom(a0))), reg).remove(0);
         let p0 = Assignment::from_true_atoms([a0]);
         for (sn, state) in [(1, Assignment::ALL_FALSE), (2, p0), (3, Assignment::ALL_FALSE)] {
-            m0.history.push(&local_event(sn, state));
+            m0.process.history.push(&local_event(sn, state));
         }
-        m0.delivered = 3;
-        m0.views[0].state = GvState::Waiting;
-        m0.local_terminated = true;
+        m0.member.views[0].state = GvState::Waiting;
+        m0.process.local_terminated = true;
 
-        let mut staged = Staged::new();
-        m0.lease_arena();
-        m0.drain_pending(0, &mut staged);
-        m0.return_arena();
+        let mut act = m0.activation();
+        act.drain_pending(0);
+        assert!(act.staged.is_empty());
+        act.end(&mut MonitorContext::new(0, 2, 3.0, &mut Vec::new()));
 
         // The sweep took the first two events and stopped with the view: nothing is
         // left to offer the third to.
-        assert!(m0.views.is_empty());
-        assert_eq!(m0.counters.backlog_events_drained, 2);
+        assert!(m0.member.views.is_empty());
+        assert_eq!(m0.member.counters.backlog_events_drained, 2);
         assert_eq!(m0.detected_final_verdicts(), BTreeSet::from([Verdict::False]));
-        assert!(staged.is_empty());
     }
 
     /// Monitor `M<pid>` of `F (P0.p && P1.p)` over two processes, and the local
@@ -2005,15 +2142,19 @@ mod tests {
         // 600 bytes before the scratch pools moved to the thread and the history
         // went flat, 408 while the monitor kept its process and process count
         // beside its history's, 392 while it kept a per-destination staging map
-        // and a whole `MonitorMetrics` with its two verdict sets (392 → 312); a
-        // session pays this once per process (per member, in a fleet).
-        assert!(std::mem::size_of::<DecentralizedMonitor>() <= 312);
+        // and a whole `MonitorMetrics` with its two verdict sets, 312 while it
+        // stored its arena lease, its delivered count and three counters its
+        // history repeats (312 → 280).  A session pays this once per process.
+        assert!(std::mem::size_of::<DecentralizedMonitor>() <= 280);
+        // What a fleet pays per property and process: the monitor less its
+        // process's part (312 while every member was a whole monitor → 216).
+        assert!(std::mem::size_of::<PropertyMonitor>() <= 216);
         assert!(std::mem::size_of::<GlobalView>() <= 64);
-        // The members, the one history (which knows the process) and the
-        // per-member regroup table — no pool, no outbox, no staging (200 while it
-        // held an outbox, a pass-through buffer and a per-destination staging
-        // table, 120 with its own copy of the process and process count).
-        assert!(std::mem::size_of::<crate::FleetMonitor>() <= 104);
+        // The process's part and the members — no pool, no outbox, no staging,
+        // no regroup table (200 while it held an outbox, a pass-through buffer
+        // and a per-destination staging table, 120 with its own copy of the
+        // process and process count, 104 with a per-member regroup table → 88).
+        assert!(std::mem::size_of::<crate::FleetMonitor>() <= 88);
         // A token says where it goes next through its transitions only, and the
         // state that launched it is theirs to tell (72 bytes with both copies); a
         // message is one token list (72 while it was a token or a batch).
@@ -2105,39 +2246,41 @@ mod tests {
     #[test]
     fn a_view_spawned_while_an_event_is_delivered_does_not_see_it() {
         let (mut m, p) = goal_monitor(MonitorOptions::default());
-        let q = m.views[0].q;
-        m.history.push(&local_event(1, p));
+        let q = m.member.views[0].q;
+        m.process.history.push(&local_event(1, p));
         // While the tokens parked on event 1 are woken, the views have not been
         // offered it yet: a view spawned now gets it with all the others.
-        m.spawn_view(q, VectorClock::zero(2), Assignment::ALL_FALSE);
-        m.delivered = 1;
-        assert_eq!(m.views[1].queued(m.delivered), 1);
+        let mut act = m.activation();
+        act.delivered = 0;
+        act.spawn_view(q, VectorClock::zero(2), Assignment::ALL_FALSE);
+        act.delivered = 1;
+        assert_eq!(act.member.views[1].queued(act.delivered), 1);
         // A view spawned during the delivery starts past the event.
-        m.spawn_view(q, VectorClock::zero(2), Assignment::ALL_FALSE);
-        assert_eq!(m.views[2].next_sn, 2);
-        assert_eq!(m.views[2].pop_queued(m.delivered), None);
+        act.spawn_view(q, VectorClock::zero(2), Assignment::ALL_FALSE);
+        assert_eq!(act.member.views[2].next_sn, 2);
+        assert_eq!(act.member.views[2].pop_queued(act.delivered), None);
     }
 
     #[test]
     fn a_fork_starts_empty_while_the_original_keeps_its_backlog() {
         let (mut m, p) = goal_monitor(MonitorOptions::default());
-        m.history.push(&local_event(1, p));
-        m.history.push(&local_event(2, p));
-        m.delivered = 2;
-        let mut gv = m.views.pop().expect("the initial view");
-        let sn = gv.pop_queued(m.delivered).expect("event 1 is queued");
+        m.process.history.push(&local_event(1, p));
+        m.process.history.push(&local_event(2, p));
+        let mut act = m.activation();
+        let mut gv = act.member.views.pop().expect("the initial view");
+        let sn = gv.pop_queued(act.delivered).expect("event 1 is queued");
         let mut produced = Vec::new();
         // `P0.p` holds, `P1.p` is unknown: the view sends a token and forks.
-        m.process_event_on_view(gv, sn, &mut { LATEST_RUN }, &mut Staged::new(), &mut produced);
-        assert_eq!(m.counters.tokens_sent, 1);
+        act.process_event_on_view(gv, sn, &mut { LATEST_RUN }, &mut produced);
+        assert_eq!(act.member.counters.tokens_sent, 1);
         let [fork, original] = &produced[..] else {
             panic!("expected the fork and the original, got {produced:?}");
         };
         assert_eq!(fork.state, GvState::Unblocked);
-        assert_eq!(fork.queued(m.delivered), 0, "a fork has nothing to catch up on");
+        assert_eq!(fork.queued(act.delivered), 0, "a fork has nothing to catch up on");
         assert_eq!(original.state, GvState::Waiting);
         assert_eq!(original.next_sn, 2, "event 2 waits for the token to return");
-        assert_eq!(original.queued(m.delivered), 1);
+        assert_eq!(original.queued(act.delivered), 1);
     }
 
     #[test]
@@ -2149,23 +2292,22 @@ mod tests {
                 ..MonitorOptions::default()
             });
             for sn in 1..=4 {
-                m.history.push(&local_event(sn, p));
+                m.process.history.push(&local_event(sn, p));
             }
-            m.delivered = 4;
-            let mut waiting = m.views[0].clone();
+            let mut waiting = m.member.views[0].clone();
             waiting.state = GvState::Waiting;
             waiting.next_sn = 2;
             let mut converged = waiting.clone();
             converged.id = 9;
             converged.state = GvState::Unblocked;
             converged.next_sn = 5;
-            m.views = vec![waiting, converged];
-            m.lease_arena();
-            m.merge_similar_views();
-            m.return_arena();
+            m.member.views = vec![waiting, converged];
+            let mut act = m.activation();
+            act.merge_similar_views();
+            act.end(&mut MonitorContext::new(0, 2, 4.0, &mut Vec::new()));
             // The unblocked copy takes the slot, the slot keeps its queue.
-            let [kept] = &m.views[..] else {
-                panic!("expected one merged view, got {:?}", m.views);
+            let [kept] = &m.member.views[..] else {
+                panic!("expected one merged view, got {:?}", m.member.views);
             };
             assert_eq!((kept.id, kept.state), (9, GvState::Unblocked));
             assert_eq!(kept.next_sn, 2, "arena_recycling={arena_recycling}");
@@ -2183,7 +2325,7 @@ mod tests {
         for i in 1..=k {
             let goal = if i == k { p1 } else { Assignment::ALL_FALSE };
             for (process, vc, state) in [(0, vec![i, i - 1], p0), (1, vec![i, i], goal)] {
-                monitors[process].history.push(&Event {
+                monitors[process].process.history.push(&Event {
                     process,
                     kind: dlrv_vclock::EventKind::Internal,
                     sn: i,
@@ -2194,13 +2336,13 @@ mod tests {
             }
         }
         let m0 = &mut monitors[0];
-        let mut gv = m0.views[0].clone();
+        let mut gv = m0.member.views[0].clone();
         gv.gstate = p0;
         let token = Token {
             property: 0,
             parent: 0,
             parent_gv: gv.id,
-            transitions: m0.candidate_transitions(&gv, 1, 0),
+            transitions: m0.activation().candidate_transitions(&gv, 1, 0),
         };
         assert_eq!(token.transitions.len(), 1, "one way to the goal");
         assert_eq!(token.transitions[0].conjuncts, [ConjunctEval::True, ConjunctEval::Unset]);
@@ -2209,11 +2351,13 @@ mod tests {
 
     /// [`staircase`] of one step on which `P1.p` never held, and `P1`'s one event has
     /// heard of a second event of `P0`: the cut lags at `P0`, the conjunct is still
-    /// unset at `P1`, and `P1` has nothing further recorded.
+    /// unset at `P1`, and `P1` has nothing further recorded.  `M0`'s view has been
+    /// offered both events of `P0`: no backlog waits on the token.
     fn unanswered_and_lagging() -> ([DecentralizedMonitor; 2], Token) {
         let (mut monitors, token) = staircase(1);
-        monitors[1].history = history_of_p1(vec![2, 1]);
-        monitors[0].history.push(&local_event(2, Assignment::ALL_FALSE));
+        monitors[1].process.history = history_of_p1(vec![2, 1]);
+        monitors[0].process.history.push(&local_event(2, Assignment::ALL_FALSE));
+        monitors[0].member.views[0].next_sn = 3;
         (monitors, token)
     }
 
@@ -2255,9 +2399,10 @@ mod tests {
         from: ProcessId,
         token: Token,
     ) -> Vec<(ProcessId, ProcessId, Token)> {
-        let (mut staged, mut outbox) = (Staged::new(), Vec::new());
-        monitors[from].route_token(token, &mut staged);
-        monitors[from].flush(staged, &mut MonitorContext::new(from, 2, 0.0, &mut outbox));
+        let mut outbox = Vec::new();
+        let mut act = monitors[from].activation();
+        act.route_token(token);
+        act.end(&mut MonitorContext::new(from, 2, 0.0, &mut outbox));
         deliver(monitors, from, &mut outbox)
             .into_iter()
             .map(|(from, to, msg)| (from, to, only_token(msg)))
@@ -2289,7 +2434,8 @@ mod tests {
         for (process, sn) in hops {
             let tran = &mut stepped.transitions[0];
             (tran.next_target_process, tran.next_target_event) = (process, sn);
-            reference[process].process_token_with_event(&mut stepped, sn, &mut { LATEST_RUN });
+            let mut act = reference[process].activation();
+            act.process_token_with_event(&mut stepped, sn, &mut { LATEST_RUN });
         }
         let stepped = &stepped.transitions[0];
         assert_eq!(stepped.eval, EvalState::Enabled);
@@ -2301,13 +2447,13 @@ mod tests {
         let route: Vec<_> = messages.iter().map(|(from, to, _)| (*from, *to)).collect();
         assert_eq!(route, [(0, 1), (1, 0)]);
         let [m0, m1] = &monitors;
-        assert_eq!(m1.counters.history_events_served, K as usize);
-        assert_eq!(m0.counters.history_events_served, K as usize - 1);
-        assert_eq!((m0.counters.tokens_parked, m1.counters.tokens_parked), (0, 0));
+        assert_eq!(m1.member.counters.history_events_served, K as usize);
+        assert_eq!(m0.member.counters.history_events_served, K as usize - 1);
+        assert_eq!((m0.member.counters.tokens_parked, m1.member.counters.tokens_parked), (0, 0));
         // The same decision: the enabled transition forked its view, at ⊤.
-        let target = m0.automaton.transition(stepped.transition_id).to;
-        assert_eq!(m0.automaton.verdict(target), Verdict::True);
-        assert_eq!(m0.counters.global_views_created, 2);
+        let target = m0.member.automaton.transition(stepped.transition_id).to;
+        assert_eq!(m0.member.automaton.verdict(target), Verdict::True);
+        assert_eq!(m0.member.counters.global_views_created, 2);
         assert!(m0.detected_final_verdicts().contains(&Verdict::True));
     }
 
@@ -2328,12 +2474,12 @@ mod tests {
             });
         }
         assert_eq!(history.runs.len(), 3, "one record");
-        monitors[1].history = history;
+        monitors[1].process.history = history;
         assert_eq!(tour(&mut monitors, 0, token).len(), 1);
         let m1 = &monitors[1];
-        assert_eq!(m1.counters.history_events_served, 2);
-        assert_eq!(m1.counters.history_events_covered, K as usize);
-        let [parked] = &m1.waiting_tokens.clone().take(K + 1)[..] else {
+        assert_eq!(m1.member.counters.history_events_served, 2);
+        assert_eq!(m1.member.counters.history_events_covered, K as usize);
+        let [parked] = &m1.member.waiting_tokens.clone().take(K + 1)[..] else {
             panic!("the token parks for event {}", K + 1);
         };
         let tran = &parked.transitions[0];
@@ -2347,11 +2493,11 @@ mod tests {
         // still running.  Its conjunct stays unset and nothing else is owed: the
         // token parks for event 2, at `P1`.
         let (mut parks, token) = staircase(1);
-        parks[1].history = history_of_p1(vec![1, 1]);
+        parks[1].process.history = history_of_p1(vec![1, 1]);
         assert_eq!(tour(&mut parks, 0, token).len(), 1);
-        assert_eq!(parks[1].waiting_tokens.len(), 1);
-        assert_eq!(parks[1].counters.tokens_parked, 1);
-        assert_eq!(parks[1].waiting_tokens.take(2).len(), 1);
+        assert_eq!(parks[1].member.waiting_tokens.len(), 1);
+        assert_eq!(parks[1].member.counters.tokens_parked, 1);
+        assert_eq!(parks[1].member.waiting_tokens.take(2).len(), 1);
 
         // The event has heard of `P0`'s second: the token leaves to repair the cut
         // there, although `P1` still owes its conjunct — staying would park it early.
@@ -2362,14 +2508,14 @@ mod tests {
         let tran = &sent.transitions[0];
         assert_eq!((tran.next_target_process, tran.next_target_event), (0, 2));
         assert_eq!(tran.conjuncts[1], ConjunctEval::Unset);
-        assert_eq!(monitors[1].counters.tokens_parked, 0);
+        assert_eq!(monitors[1].member.counters.tokens_parked, 0);
     }
 
     #[test]
     fn a_terminated_process_fails_its_own_targets_in_the_visit_that_finds_out() {
         // `P1` has terminated: no event of `P0` can make `P1` satisfy its conjunct.
         let (mut monitors, token) = unanswered_and_lagging();
-        monitors[1].local_terminated = true;
+        monitors[1].process.local_terminated = true;
 
         let messages = tour(&mut monitors, 0, token);
         let route: Vec<_> = messages.iter().map(|(from, to, _)| (*from, *to)).collect();
@@ -2377,9 +2523,9 @@ mod tests {
         let failed = &messages[1].2.transitions[0];
         assert_eq!(failed.eval, EvalState::Disabled);
         assert_eq!(failed.conjuncts[1], ConjunctEval::False);
-        let m1 = &monitors[1].counters;
+        let m1 = &monitors[1].member.counters;
         assert_eq!((m1.tokens_failed_at_termination, m1.tokens_sent_after_termination), (1, 1));
-        assert_eq!(monitors[0].counters.history_events_served, 0);
+        assert_eq!(monitors[0].member.counters.history_events_served, 0);
     }
 
     /// `M0` and `M1` of `F (P0.p && P1.p)` under `opts`, the moment `M0`'s first
@@ -2408,7 +2554,7 @@ mod tests {
         let owner = initial_view(&monitors[0]);
         assert_eq!((owner.state, owner.queued(4)), (GvState::Waiting, 3));
         for sn in 1..=2 {
-            monitors[1].history.push(&Event {
+            monitors[1].process.history.push(&Event {
                 process: 1,
                 kind: dlrv_vclock::EventKind::Internal,
                 sn,
@@ -2417,13 +2563,13 @@ mod tests {
                 time: sn as f64,
             });
         }
-        monitors[1].local_terminated = true;
+        monitors[1].process.local_terminated = true;
         (monitors, outbox)
     }
 
     /// The view the monitor started with, wherever its forks have pushed it.
     fn initial_view(m: &DecentralizedMonitor) -> &GlobalView {
-        m.views.iter().find(|gv| gv.id == 0).expect("the initial view")
+        m.member.views.iter().find(|gv| gv.id == 0).expect("the initial view")
     }
 
     /// What a monitor ended with: its views' exploration points (automaton state,
@@ -2438,14 +2584,14 @@ mod tests {
 
     fn outcome(m: &DecentralizedMonitor) -> Outcome {
         let mut views: Vec<_> = m
-            .views
+            .views()
             .iter()
             .map(|gv| (gv.q, gv.gcut.entries().to_vec(), gv.gstate.0, gv.state))
             .collect();
         views.sort_by(|a, b| (a.0, &a.1, a.2).cmp(&(b.0, &b.1, b.2)));
         Outcome {
             views,
-            views_created: m.counters.global_views_created,
+            views_created: m.member.counters.global_views_created,
             detected: m.detected_final_verdicts(),
         }
     }
@@ -2468,11 +2614,12 @@ mod tests {
 
                 let case = format!("{opts:?}, p1_holds={p1_holds}");
                 assert_eq!(outcome(&swept[0]), outcome(&live[0]), "{case}");
-                assert_eq!(swept[0].counters.backlog_events_drained, 3, "{case}");
-                assert_eq!(live[0].counters.backlog_events_drained, 3, "{case}");
+                assert_eq!(swept[0].member.counters.backlog_events_drained, 3, "{case}");
+                assert_eq!(live[0].member.counters.backlog_events_drained, 3, "{case}");
                 assert_eq!(swept[0].detected_final_verdicts().len(), usize::from(p1_holds));
-                assert!(swept[0].views.iter().all(GlobalView::is_unblocked), "{case}");
-                assert!(swept[0].in_flight.is_empty() && live[0].in_flight.is_empty());
+                assert!(swept[0].member.views.iter().all(GlobalView::is_unblocked), "{case}");
+                let nothing_out = |m: &DecentralizedMonitor| m.member.in_flight.is_empty();
+                assert!(nothing_out(&swept[0]) && nothing_out(&live[0]));
 
                 let counts = |messages: &[(ProcessId, ProcessId, MonitorMsg)]| -> Vec<_> {
                     messages.iter().map(|(from, to, msg)| (*from, *to, msg.tokens.len())).collect()
@@ -2485,7 +2632,7 @@ mod tests {
                         counts(&messages),
                         [(0, 1, 1), (1, 0, 1), (0, 1, 3), (1, 0, 3)]
                     );
-                    assert_eq!(swept[0].counters.token_batches_sent, 1);
+                    assert_eq!(swept[0].member.counters.token_batches_sent, 1);
                 }
             }
         }
@@ -2504,7 +2651,7 @@ mod tests {
         let mut ctx = MonitorContext::new(0, 2, 5.0, &mut outbox);
         monitors[0].on_monitor_message(from, msg, &mut ctx);
         let m0 = &monitors[0];
-        assert_eq!(m0.counters.backlog_events_drained, 1);
+        assert_eq!(m0.member.counters.backlog_events_drained, 1);
         assert_eq!(outbox.len(), 1, "the second event's token, alone");
         let owner = initial_view(m0);
         assert_eq!((owner.state, owner.queued(4)), (GvState::Waiting, 2));
@@ -2514,32 +2661,32 @@ mod tests {
     fn in_flight_suppression_ends_with_the_local_program() {
         for terminated in [false, true] {
             let (mut m, p0) = goal_monitor(MonitorOptions::default());
-            m.history.push(&local_event(1, p0));
-            m.delivered = 1;
-            m.local_terminated = terminated;
+            m.process.history.push(&local_event(1, p0));
+            m.process.local_terminated = terminated;
             // Some other view at the same automaton state has a token out.
-            let mut gv = m.views.pop().expect("the initial view");
-            m.exploration_launched(gv.q);
-            let sn = gv.pop_queued(m.delivered).expect("event 1 is queued");
-            let (mut staged, mut outbox) = (Staged::new(), Vec::new());
-            let mut produced = Vec::new();
-            m.process_event_on_view(gv, sn, &mut { LATEST_RUN }, &mut staged, &mut produced);
-            m.flush(staged, &mut MonitorContext::new(0, 2, 1.0, &mut outbox));
+            let mut gv = m.member.views.pop().expect("the initial view");
+            m.member.exploration_launched(gv.q);
+            let sn = gv.pop_queued(1).expect("event 1 is queued");
+            let (mut outbox, mut produced) = (Vec::new(), Vec::new());
+            let mut act = m.activation();
+            act.process_event_on_view(gv, sn, &mut { LATEST_RUN }, &mut produced);
+            act.end(&mut MonitorContext::new(0, 2, 1.0, &mut outbox));
             let view = produced.last().expect("the view itself comes last");
             if terminated {
                 // No later event will revisit the question: the view asks itself.
                 assert_eq!((view.state, outbox.len()), (GvState::Waiting, 1));
-                assert_eq!(m.in_flight, [(view.q, 2)]);
+                assert_eq!(m.member.in_flight, [(view.q, 2)]);
             } else {
                 assert_eq!((view.state, outbox.len()), (GvState::Unblocked, 0));
-                assert_eq!(m.in_flight, [(view.q, 1)]);
+                assert_eq!(m.member.in_flight, [(view.q, 1)]);
             }
         }
     }
 
     #[test]
     fn in_flight_holds_no_entry_for_a_state_with_nothing_out() {
-        let (mut m, _) = goal_monitor(MonitorOptions::default());
+        let (monitor, _) = goal_monitor(MonitorOptions::default());
+        let mut m = monitor.member;
         m.exploration_launched(3);
         m.exploration_launched(5);
         m.exploration_launched(3);
@@ -2565,11 +2712,11 @@ mod tests {
         let mut outbox = Vec::new();
         let mut ctx = MonitorContext::new(1, 2, 0.0, &mut outbox);
         m1.on_monitor_message(0, one(token), &mut ctx);
-        assert_eq!((m1.waiting_tokens.len(), outbox.len()), (1, 0));
+        assert_eq!((m1.member.waiting_tokens.len(), outbox.len()), (1, 0));
 
         let mut ctx = MonitorContext::new(1, 2, 1.0, &mut outbox);
         m1.on_local_termination(&mut ctx);
-        assert!(m1.waiting_tokens.is_empty());
+        assert!(m1.member.waiting_tokens.is_empty());
         let [(0, MonitorMsg { tokens })] = &outbox[..] else {
             panic!("the token goes home, alone: {outbox:?}");
         };
@@ -2578,21 +2725,19 @@ mod tests {
         };
         assert_eq!(home.transitions[0].eval, EvalState::Disabled);
         assert_eq!(home.transitions[0].conjuncts[1], ConjunctEval::False);
-        assert_eq!(m1.counters.tokens_failed_at_termination, 1);
+        assert_eq!(m1.member.counters.tokens_failed_at_termination, 1);
     }
 
     #[test]
-    fn a_fleet_member_holds_no_history_between_activations_and_is_still_served_it() {
+    fn a_fleet_member_is_served_the_one_history_of_its_process() {
         let (mut m0, [p0, _]) = goal_monitor_of(0, MonitorOptions::default());
         let member = crate::FleetMember {
-            automaton: m0.automaton.clone(),
-            registry: m0.registry.clone(),
+            automaton: m0.member.automaton.clone(),
+            registry: m0.member.registry.clone(),
             initial_state: Assignment::ALL_FALSE,
         };
         let mut fleet =
             crate::FleetMonitor::new(1, 2, &[member.clone(), member], MonitorOptions::default());
-        let returned =
-            |fleet: &crate::FleetMonitor| fleet.members().iter().all(|m| m.history.len() == 0);
         let mut outbox = Vec::new();
 
         // Local events: `P1` records two on which `P1.p` does not hold.
@@ -2604,9 +2749,9 @@ mod tests {
             };
             let mut ctx = MonitorContext::new(1, 2, sn as f64, &mut outbox);
             fleet.on_local_event(&event, &mut ctx);
-            assert!(returned(&fleet), "after local event {sn}");
         }
         assert!(outbox.is_empty());
+        assert_eq!(crate::SessionVerdicts::events_recorded(&fleet), 2, "recorded once");
 
         // A message: `M0`'s token of the second property asks `P1` about `P1.p`.  The
         // member is served both recorded events and parks the token for a third.
@@ -2619,7 +2764,6 @@ mod tests {
         token.property = 1;
         let mut ctx = MonitorContext::new(1, 2, 3.0, &mut outbox);
         fleet.on_monitor_message(0, one(token), &mut ctx);
-        assert!(returned(&fleet), "after a message");
         let [idle, asked] = fleet.members() else {
             panic!("two members");
         };
@@ -2630,7 +2774,6 @@ mod tests {
         // Termination: the parked token goes home failed.
         let mut ctx = MonitorContext::new(1, 2, 3.0, &mut outbox);
         fleet.on_local_termination(&mut ctx);
-        assert!(returned(&fleet), "after termination");
         let [(0, MonitorMsg { tokens })] = &outbox[..] else {
             panic!("the token goes home, alone: {outbox:?}");
         };
@@ -2647,7 +2790,6 @@ mod tests {
             let mut outbox = Vec::new();
             let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
             m.on_local_event(&local_event(1, p), &mut ctx);
-            assert!(m.scratch.is_none(), "the lease ends with the activation");
         };
         // Arena off: this (fresh) thread's arena is never touched.
         feed(MonitorOptions {

@@ -3,26 +3,30 @@
 //! The paper's architecture monitors one LTL property per run, so a spec suite of
 //! N properties costs N full pipelines — N stream decodes, N vector-clock
 //! updates and N independent token meshes over the *same* trace.  A
-//! [`FleetMonitor`] collapses that: it wraps one [`DecentralizedMonitor`] per
-//! property ("fleet member") behind a single [`MonitorBehavior`], so one
-//! [`FeedSession`] drives every member at once and the per-property *marginal*
-//! cost drops instead of multiplying.
+//! [`FleetMonitor`] collapses that: it holds its process's part once and one
+//! [`PropertyMonitor`] per property ("fleet member") behind a single
+//! [`MonitorBehavior`], so one [`FeedSession`] drives every member at once and
+//! the per-property *marginal* cost drops instead of multiplying.  A solo
+//! [`DecentralizedMonitor`](crate::DecentralizedMonitor) is the same two parts
+//! with one member, and runs the same activations.
 //!
 //! What is shared across members:
 //!
 //! * **The decoded event** — each [`Event`] is decoded (or simulated) once and
 //!   every member is activated on it in turn.
 //! * **The recorded history** — Algorithm 2's `history` is the process's, not the
-//!   property's: the fleet copies each event's clock and state once into one flat
-//!   history (32 bytes per event at three processes) and lends that history to a
-//!   member for the length of one activation — local event, received message or
-//!   termination.  A member holds no history of its own in between.
+//!   property's: the fleet records each event once into the one run-length
+//!   history of its process's part (one `n + 1`-word record per run of events
+//!   with one state and one set of remote clock entries), which also holds the
+//!   termination flag, the options and the latest event's time.  Every member
+//!   borrows that part by `&` for each of its activations — local event,
+//!   received message or termination — and holds no history of its own.
 //! * **Transport** — with `aggregate_tokens` on (§4.3.1), outbound tokens from
 //!   *all* members to the same destination ride one [`MonitorMsg`].  The
-//!   [`Token::property`] field is the property-id dimension of the message: the
-//!   receiving fleet demultiplexes tokens back to their members.  Termination
-//!   sends nothing of its own (it is local to each member), so every message the
-//!   fleet puts on the transport carries tokens.
+//!   [`Token::property`](crate::Token::property) field is the property-id
+//!   dimension of the message: the receiving fleet demultiplexes tokens back to
+//!   their members.  Termination sends nothing of its own (it is local to each
+//!   member), so every message the fleet puts on the transport carries tokens.
 //!
 //! What is *not* shared: everything a property decides — global views, parked
 //! tokens, in-flight explorations, metrics — stays strictly per member, so
@@ -36,6 +40,9 @@
 //! the members activated on one event or message emit into one outbox, leased from
 //! the thread's scratch arena for that fleet activation, and the flush that ends it
 //! moves everything in that outbox into the messages it sends and gives it back.
+//! A received message is regrouped by member as it is delivered (a stable sort on
+//! the property id, then each member's run of tokens split off as its message), so
+//! no fleet keeps a regroup table either.
 //!
 //! **Equivalence.**  Each member is a deterministic state machine driven only by
 //! its local events and its own tokens.  The fleet preserves, per member, the
@@ -48,10 +55,10 @@
 //! and every [`MonitorOptions`] combination.
 
 use crate::decentralized::{
-    lease_outbox, return_outbox, DecentralizedMonitor, LocalHistory, MonitorOptions, Outbox,
+    lease_outbox, return_outbox, LocalProcess, MonitorOptions, Outbox, PropertyMonitor,
 };
 use crate::feed::{FeedSession, SessionVerdicts};
-use crate::messages::{MonitorMsg, Token};
+use crate::messages::MonitorMsg;
 use crate::metrics::MonitorMetrics;
 use dlrv_automaton::MonitorAutomaton;
 use dlrv_distsim::{MonitorBehavior, MonitorContext};
@@ -72,32 +79,28 @@ pub struct FleetMember {
     pub initial_state: Assignment,
 }
 
-/// The monitor of one process in a fleet run: one [`DecentralizedMonitor`] per
-/// property, all attached to the same process, sharing decoded events and
-/// outbound transport.
+/// The monitor of one process in a fleet run: the process's part once, and one
+/// [`PropertyMonitor`] per property, all sharing decoded events and outbound
+/// transport.
 ///
-/// Member `k`'s tokens are stamped with [`Token::property`]` == k`; on receipt
-/// the fleet demultiplexes on that field, so a member only ever sees its own
-/// tokens and cannot observe (or disturb) another property's exploration.
+/// Member `k`'s tokens are stamped with
+/// [`Token::property`](crate::Token::property)` == k`; on receipt the fleet
+/// demultiplexes on that field, so a member only ever sees its own tokens and
+/// cannot observe (or disturb) another property's exploration.
 #[derive(Debug, Clone)]
 pub struct FleetMonitor {
-    /// §4.3.1 switch of the fleet's shared options: when set, tokens of *all*
-    /// members bound for one destination merge into one batch per activation;
-    /// when off, every member's messages pass through unmerged (aggregation off
-    /// means off — including the cross-property kind).
-    aggregate: bool,
-    members: Vec<DecentralizedMonitor>,
-    /// The process's recorded events, on loan to a member while it is activated;
-    /// it knows the process and the number of processes.
-    history: LocalHistory,
-    /// Per-member regroup buffers of incoming batch demultiplexing: filled and
-    /// emptied within one message, so a live session parks no capacity here.
-    demux: Vec<Vec<Token>>,
+    /// The process's recorded events, termination and options, read by every
+    /// member: the §4.3.1 switch among them decides whether tokens of *all*
+    /// members bound for one destination merge into one batch per activation, or
+    /// every member's messages pass through unmerged (aggregation off means off —
+    /// including the cross-property kind).
+    process: LocalProcess,
+    members: Vec<PropertyMonitor>,
 }
 
 impl FleetMonitor {
-    /// Creates the fleet monitor of process `pid`: one [`DecentralizedMonitor`]
-    /// per member, every member running under the same shared `opts`.
+    /// Creates the fleet monitor of process `pid`: one [`PropertyMonitor`] per
+    /// member, every member running under the same shared `opts`.
     pub fn new(
         pid: ProcessId,
         n_processes: usize,
@@ -105,28 +108,15 @@ impl FleetMonitor {
         opts: MonitorOptions,
     ) -> Self {
         assert!(!members.is_empty(), "a fleet needs at least one property");
-        let members: Vec<DecentralizedMonitor> = members
-            .iter()
-            .enumerate()
-            .map(|(k, m)| {
-                let mut monitor = DecentralizedMonitor::new(
-                    pid,
-                    n_processes,
-                    m.automaton.clone(),
-                    m.registry.clone(),
-                    m.initial_state,
-                    opts,
-                );
-                monitor.set_property_id(k as u32);
-                monitor
-            })
-            .collect();
-        let n_members = members.len();
         FleetMonitor {
-            aggregate: opts.aggregate_tokens,
-            members,
-            history: LocalHistory::new(pid, n_processes),
-            demux: vec![Vec::new(); n_members],
+            process: LocalProcess::new(pid, n_processes, opts),
+            members: (0..)
+                .zip(members)
+                .map(|(k, m)| {
+                    let (automaton, registry) = (m.automaton.clone(), m.registry.clone());
+                    PropertyMonitor::new(k, n_processes, automaton, registry, m.initial_state)
+                })
+                .collect(),
         }
     }
 
@@ -136,33 +126,13 @@ impl FleetMonitor {
     }
 
     /// The per-property monitors, in member (property-id) order.
-    pub fn members(&self) -> &[DecentralizedMonitor] {
+    pub fn members(&self) -> &[PropertyMonitor] {
         &self.members
     }
 
     /// Metrics snapshot of member `k`'s monitor at this process.
     pub fn member_metrics(&self, k: usize) -> MonitorMetrics {
-        self.members[k].metrics()
-    }
-
-    /// Runs one activation of member `k` with the process's history on loan.  The
-    /// member emits into `emitted`, the outbox of the fleet activation it is part
-    /// of.
-    fn run_member(
-        &mut self,
-        k: usize,
-        now: f64,
-        emitted: &mut Outbox,
-        activate: impl FnOnce(&mut DecentralizedMonitor, &mut MonitorContext<'_, MonitorMsg>),
-    ) {
-        let recorded = self.history.len();
-        let member = &mut self.members[k];
-        member.swap_history(&mut self.history);
-        debug_assert_eq!(self.history.len(), 0, "a member keeps no history of its own");
-        let (pid, n) = (self.history.process(), self.history.n_processes());
-        activate(member, &mut MonitorContext::new(pid, n, now, emitted));
-        member.swap_history(&mut self.history);
-        debug_assert_eq!(self.history.len(), recorded, "members only read the history");
+        self.members[k].metrics(&self.process)
     }
 
     /// Sends what the members emitted during one fleet activation, and gives the
@@ -172,41 +142,34 @@ impl FleetMonitor {
     /// so the merge preserves every member's solo emission schedule.  The first
     /// message to a destination takes the tokens of the others, in emission order.
     fn flush(&self, mut emitted: Outbox, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        if !self.aggregate {
+        if !self.process.opts().aggregate_tokens {
             for (dest, msg) in emitted.drain(..) {
                 ctx.send(dest, msg);
             }
-        }
-        for dest in 0..self.history.n_processes() {
-            let mut bound = emitted.extract_if(.., |(to, _)| *to == dest).map(|(_, msg)| msg);
-            let Some(mut merged) = bound.next() else { continue };
-            for mut msg in bound {
-                merged.tokens.append(&mut msg.tokens);
+        } else {
+            for dest in 0..self.process.n() {
+                let mut bound = emitted.extract_if(.., |(to, _)| *to == dest).map(|(_, msg)| msg);
+                let Some(mut merged) = bound.next() else { continue };
+                for mut msg in bound {
+                    merged.tokens.append(&mut msg.tokens);
+                }
+                ctx.send(dest, merged);
             }
-            ctx.send(dest, merged);
         }
         return_outbox(emitted);
         debug_assert!(self.parks_no_spare());
     }
 
-    /// Whether this fleet holds monitoring state only: no regroup buffer, and no
-    /// member holding spare capacity ([`DecentralizedMonitor::parks_no_spare`]).
-    /// True between activations.
+    /// Whether this fleet holds monitoring state only: no member holding spare
+    /// capacity ([`PropertyMonitor::parks_no_spare`]).  True between activations.
     pub(crate) fn parks_no_spare(&self) -> bool {
-        self.demux.iter().all(|buf| buf.capacity() == 0)
-            && self.members.iter().all(DecentralizedMonitor::parks_no_spare)
+        self.members.iter().all(PropertyMonitor::parks_no_spare)
     }
 
-    /// Delivers `msg`, whose tokens are all member `k`'s, to that member.
-    fn deliver_member_tokens(
-        &mut self,
-        k: usize,
-        from: ProcessId,
-        msg: MonitorMsg,
-        now: f64,
-        emitted: &mut Outbox,
-    ) {
-        self.run_member(k, now, emitted, |m, ctx| m.on_monitor_message(from, msg, ctx));
+    /// The context of one fleet activation: every member activated in it emits
+    /// into `emitted`.
+    fn context<'o>(&self, now: f64, emitted: &'o mut Outbox) -> MonitorContext<'o, MonitorMsg> {
+        MonitorContext::new(self.process.pid(), self.process.n(), now, emitted)
     }
 }
 
@@ -215,47 +178,44 @@ impl MonitorBehavior for FleetMonitor {
 
     fn on_local_event(&mut self, event: &Event, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         // Recorded once, for every member.
-        self.history.push(event);
-        let (sn, mut emitted) = (event.sn, lease_outbox());
-        for k in 0..self.members.len() {
-            self.run_member(k, ctx.now, &mut emitted, |m, mctx| m.on_recorded_event(sn, mctx));
+        self.process.record(event, ctx.now);
+        let mut emitted = lease_outbox();
+        let mut fleet_ctx = self.context(ctx.now, &mut emitted);
+        for member in &mut self.members {
+            member.on_recorded_event(&self.process, &mut fleet_ctx);
         }
         self.flush(emitted, ctx);
     }
 
+    /// Delivers each member's tokens of `msg` as one activation, in ascending
+    /// member order (matching the sender's member-major merge) and as the message
+    /// the member would have received solo: a stable sort on the property id
+    /// keeps every member's tokens in their order, and each member's run of
+    /// tokens is split off as its own message.
     fn on_monitor_message(
         &mut self,
-        from: ProcessId,
+        _from: ProcessId,
         msg: MonitorMsg,
         ctx: &mut MonitorContext<'_, MonitorMsg>,
     ) {
+        let mut tokens = msg.tokens;
+        tokens.sort_by_key(|t| t.property);
         let mut emitted = lease_outbox();
-        let first = msg.tokens.first().map_or(0, |t| t.property);
-        if msg.tokens.iter().all(|t| t.property == first) {
-            self.deliver_member_tokens(first as usize, from, msg, ctx.now, &mut emitted);
-        } else {
-            // Demultiplex on the property id, preserving per-member order, then
-            // deliver each member's group as one activation (ascending member
-            // order, matching the sender's member-major merge) and as the message
-            // the member would have received solo.
-            for token in msg.tokens {
-                let k = token.property as usize;
-                self.demux[k].push(token);
-            }
-            for k in 0..self.demux.len() {
-                let tokens = std::mem::take(&mut self.demux[k]);
-                if !tokens.is_empty() {
-                    self.deliver_member_tokens(k, from, MonitorMsg { tokens }, ctx.now, &mut emitted);
-                }
-            }
+        let mut fleet_ctx = self.context(ctx.now, &mut emitted);
+        while let Some(k) = tokens.first().map(|t| t.property) {
+            let rest = tokens.split_off(tokens.partition_point(|t| t.property == k));
+            let msg = MonitorMsg { tokens: std::mem::replace(&mut tokens, rest) };
+            self.members[k as usize].on_monitor_message(&self.process, msg, &mut fleet_ctx);
         }
         self.flush(emitted, ctx);
     }
 
     fn on_local_termination(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
+        self.process.terminate();
         let mut emitted = lease_outbox();
-        for k in 0..self.members.len() {
-            self.run_member(k, ctx.now, &mut emitted, |m, mctx| m.on_local_termination(mctx));
+        let mut fleet_ctx = self.context(ctx.now, &mut emitted);
+        for member in &mut self.members {
+            member.on_local_termination(&self.process, &mut fleet_ctx);
         }
         self.flush(emitted, ctx);
     }
@@ -263,7 +223,7 @@ impl MonitorBehavior for FleetMonitor {
 
 impl SessionVerdicts for FleetMonitor {
     fn events_recorded(&self) -> u64 {
-        self.history.len() as u64
+        self.process.events_recorded()
     }
 
     fn has_detected(&self, verdict: Verdict) -> bool {
@@ -282,8 +242,8 @@ impl SessionVerdicts for FleetMonitor {
 /// A feed session monitoring a whole property fleet in one pass.
 pub type FleetSession = FeedSession<FleetMonitor>;
 
-/// Creates a fleet session: one [`FleetMonitor`] per process, each wrapping one
-/// [`DecentralizedMonitor`] per property, all under the same shared options.
+/// Creates a fleet session: one [`FleetMonitor`] per process, each holding one
+/// [`PropertyMonitor`] per property, all under the same shared options.
 pub fn fleet_session(
     n_processes: usize,
     members: &[FleetMember],
@@ -325,6 +285,7 @@ pub fn fleet_member_metrics(session: &FleetSession, k: usize) -> Vec<MonitorMetr
 mod tests {
     use super::*;
     use crate::feed::{decentralized_session, DecentralizedSession};
+    use crate::DecentralizedMonitor;
     use dlrv_ltl::Formula;
     use std::cell::Cell;
     use dlrv_vclock::{EventKind, VectorClock};
@@ -576,6 +537,68 @@ mod tests {
             "the runs must fork, merge, park and sweep: {forked} forked, {merged} merged, \
              {parked} parked, {swept} swept"
         );
+    }
+
+    /// Asserts that every member of `fleet` and every monitor of `solo` at process
+    /// `p` has observed and sampled `recorded[p]` events, the latest at `latest[p]`.
+    fn assert_recorded(
+        fleet: &FleetSession,
+        solo: &DecentralizedSession,
+        (recorded, latest): ([usize; 3], [f64; 3]),
+        case: &str,
+    ) {
+        for p in 0..3 {
+            let fleet_members = fleet.monitors()[p].members().len();
+            let members = (0..fleet_members).map(|k| fleet.monitors()[p].member_metrics(k));
+            for (k, m) in members.chain([solo.monitors()[p].metrics()]).enumerate() {
+                let case = format!("{case}, P{p}, member {k} of {fleet_members} (last: solo)");
+                assert_eq!(m.events_observed, recorded[p], "{case}");
+                assert_eq!(m.queued_events_samples, recorded[p], "{case}");
+                assert_eq!(m.last_event_time, latest[p], "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_member_observes_and_samples_each_recorded_event_once() {
+        // A snapshot derives both counts from its process's history and reads the
+        // latest event's time there: after every fed event (with the messages it
+        // set off) and at finish, every solo monitor and every fleet member at a
+        // process reports exactly the events fed to that process.
+        let (formulas, registry) = paper_properties(3);
+        let automata: Vec<_> = formulas[2..4]
+            .iter()
+            .map(|phi| Arc::new(MonitorAutomaton::synthesize(phi, &registry)))
+            .collect();
+        let opts = MonitorOptions::default();
+        let mut messages = 0;
+        for seed in 0..4 {
+            let (events, initial_state) = simulated(3, seed, seed % 2 == 0, &registry);
+            let members: Vec<FleetMember> = automata
+                .iter()
+                .map(|automaton| FleetMember {
+                    automaton: automaton.clone(),
+                    registry: registry.clone(),
+                    initial_state,
+                })
+                .collect();
+            let mut fleet = fleet_session(3, &members, opts);
+            let mut solo = decentralized_session(3, &automata[0], &registry, initial_state, opts);
+            let mut seen = ([0; 3], [0.0; 3]);
+            assert_recorded(&fleet, &solo, seen, &format!("seed {seed}, before any event"));
+            for (i, event) in events.iter().enumerate() {
+                fleet.feed_event(event);
+                solo.feed_event(event);
+                seen.0[event.process] += 1;
+                seen.1[event.process] = event.time;
+                assert_recorded(&fleet, &solo, seen, &format!("seed {seed}, after event {i}"));
+            }
+            fleet.finish();
+            solo.finish();
+            assert_recorded(&fleet, &solo, seen, &format!("seed {seed}, at finish"));
+            messages += fleet.monitor_messages() + solo.monitor_messages();
+        }
+        assert!(messages > 0, "the runs must exchange tokens");
     }
 
     #[test]

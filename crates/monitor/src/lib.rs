@@ -1,9 +1,9 @@
 //! The decentralized LTL₃ runtime-verification algorithm (the paper's contribution).
 //!
 //! * [`decentralized`] — the token-based decentralized monitor of Chapter 4:
-//!   [`DecentralizedMonitor`] implements
-//!   [`MonitorBehavior`](dlrv_distsim::MonitorBehavior) and can be run on either
-//!   execution substrate.  Optimizations of §4.3 are switchable via
+//!   [`DecentralizedMonitor`] (its process's part and one [`PropertyMonitor`])
+//!   implements [`MonitorBehavior`](dlrv_distsim::MonitorBehavior) and can be run
+//!   on either execution substrate.  Optimizations of §4.3 are switchable via
 //!   [`MonitorOptions`].
 //! * [`messages`] — tokens, the monitor message (one or more tokens, §4.3.1) and the
 //!   parked-token index.
@@ -15,11 +15,12 @@
 //!   time (`feed_event(&mut self, &Event) -> Verdict`, or
 //!   [`feed_owned`](feed::FeedSession::feed_owned) for owned events) so monitors no
 //!   longer require a complete trace up front; the event is only lent — a monitor
-//!   copies its clock and state into a flat history and keeps nothing else.  The
+//!   copies its clock and state into a run-length history and keeps nothing else.  The
 //!   substrate of the online `dlrv-stream` runtime.
-//! * [`fleet`] — fleet monitoring: a [`FleetMonitor`] wraps one decentralized
-//!   monitor per property behind a single behavior, so N properties share one
-//!   decoded event stream and one batched token transport (see `docs/FLEET.md`).
+//! * [`fleet`] — fleet monitoring: a [`FleetMonitor`] holds its process's part
+//!   once and one [`PropertyMonitor`] per property behind a single behavior, so N
+//!   properties share one decoded event stream, one history per process and one
+//!   batched token transport (see `docs/FLEET.md`).
 //!
 //! The §4.3 optimizations (token aggregation, global-view dedup/merge, disjunctive
 //! pruning) are switchable per monitor through [`MonitorOptions`]; see
@@ -69,7 +70,7 @@ pub mod messages;
 pub mod metrics;
 pub mod replay;
 
-pub use decentralized::{DecentralizedMonitor, MonitorOptions};
+pub use decentralized::{DecentralizedMonitor, MonitorOptions, PropertyMonitor};
 pub use feed::{
     combined_verdict, decentralized_session, DecentralizedSession, FeedSession, SessionVerdicts,
 };

@@ -28,7 +28,8 @@ use dlrv_automaton::MonitorAutomaton;
 use dlrv_ltl::{Assignment, AtomRegistry, Verdict};
 use dlrv_monitor::{
     combined_verdict, decentralized_session, fleet_session, DecentralizedMonitor,
-    DecentralizedSession, FleetMember, FleetSession, MonitorOptions, ShardMetrics,
+    DecentralizedSession, FleetMember, FleetSession, MonitorMetrics, MonitorOptions,
+    PropertyMonitor, ShardMetrics,
 };
 use dlrv_vclock::Event;
 use std::collections::{BTreeMap, BTreeSet};
@@ -626,12 +627,24 @@ fn outcome_of(session: ShardSession, drained: bool) -> SessionOutcome {
         ShardSession::Solo(session) => SessionOutcome {
             monitor_messages: session.monitor_messages(),
             drained,
-            ..fold_monitors(session.monitors().iter())
+            ..fold_monitors(
+                session.monitors().iter().map(DecentralizedMonitor::metrics),
+                session
+                    .monitors()
+                    .iter()
+                    .map(|m| (m.detected_final_verdicts(), m.possible_verdicts())),
+            )
         },
         ShardSession::Fleet { session, spec } => {
             // Each member folds its own monitors, the session folds them all.
+            let fleets = session.monitors();
             let members: Vec<SessionOutcome> = (0..spec.fleet.len())
-                .map(|k| fold_monitors(session.monitors().iter().map(move |f| &f.members()[k])))
+                .map(|k| {
+                    fold_monitors(
+                        fleets.iter().map(|f| f.member_metrics(k)),
+                        fleets.iter().map(|f| verdict_sets(&f.members()[k])),
+                    )
+                })
                 .collect();
             SessionOutcome {
                 monitor_messages: session.monitor_messages(),
@@ -652,22 +665,32 @@ fn outcome_of(session: ShardSession, drained: bool) -> SessionOutcome {
                         peak_global_views: m.peak_global_views,
                     })
                     .collect(),
-                ..fold_monitors(session.monitors().iter().flat_map(|f| f.members()))
+                ..fold_monitors(
+                    fleets.iter().flat_map(|f| (0..f.fleet_size()).map(|k| f.member_metrics(k))),
+                    fleets.iter().flat_map(|f| f.members()).map(verdict_sets),
+                )
             }
         }
     }
+}
+
+/// A member's detected and possible verdict sets, for [`fold_monitors`].
+fn verdict_sets(m: &PropertyMonitor) -> (BTreeSet<Verdict>, BTreeSet<Verdict>) {
+    (m.detected_final_verdicts(), m.possible_verdicts())
 }
 
 /// Folds monitors into an outcome: counts add up, verdict sets are unions, and the
 /// verdict combines the detected set.  Messages, `drained` and the per-property
 /// slice are the caller's.
 ///
-/// The sets are read in a second pass, after every metrics snapshot is dropped:
-/// allocated while a snapshot is live, the outcome's long-lived set nodes reach
-/// deeper into the shard thread's allocator cache, which held `stream-waves`'
+/// The sets are read in a second pass (`verdicts`: each monitor's detected and
+/// possible sets), after every metrics snapshot is dropped: allocated while a
+/// snapshot is live, the outcome's long-lived set nodes reach deeper into the
+/// shard thread's allocator cache, which held `stream-waves`'
 /// `run_rss_growth_mb` about 8 % higher (glibc malloc, 2-vCPU Linux host).
-fn fold_monitors<'a>(
-    monitors: impl Iterator<Item = &'a DecentralizedMonitor> + Clone,
+fn fold_monitors(
+    snapshots: impl Iterator<Item = MonitorMetrics>,
+    verdicts: impl Iterator<Item = (BTreeSet<Verdict>, BTreeSet<Verdict>)>,
 ) -> SessionOutcome {
     let mut outcome = SessionOutcome {
         verdict: Verdict::Unknown,
@@ -681,16 +704,15 @@ fn fold_monitors<'a>(
         drained: false,
         per_property: Vec::new(),
     };
-    for m in monitors.clone() {
-        let metrics = m.metrics();
+    for metrics in snapshots {
         outcome.events += metrics.events_observed;
         outcome.monitor_tokens += metrics.tokens_sent;
         outcome.global_views += metrics.global_views_created;
         outcome.peak_global_views += metrics.max_live_views;
     }
-    for m in monitors {
-        outcome.detected_verdicts.extend(m.detected_final_verdicts());
-        outcome.possible_verdicts.extend(m.possible_verdicts());
+    for (detected, possible) in verdicts {
+        outcome.detected_verdicts.extend(detected);
+        outcome.possible_verdicts.extend(possible);
     }
     outcome.verdict = combined_verdict(&outcome.detected_verdicts);
     outcome

@@ -1,10 +1,12 @@
 //! What a live fleet session costs in heap, against the solo sessions it replaces.
 //!
 //! A fleet attaches one monitor per property to every process, and what those
-//! monitors share must be held once: the process's recorded history is lent to each
-//! member, not copied per member, and the fleet parks no buffer pool of its own.  So
-//! a `fleet-6`-shaped session (paper properties A–F, three processes, four events
-//! per process) has to hold clearly less than the six solo sessions monitoring the
+//! monitors share must be held once: the process's part — its recorded history,
+//! termination flag, options and latest event time — is held once per process and
+//! borrowed by each member for its activations, not copied per member, and the
+//! fleet parks no buffer pool or regroup table of its own.  So a `fleet-6`-shaped
+//! session (paper properties A–F, three processes, four events per process) has
+//! to hold clearly less than the six solo sessions monitoring the
 //! same stream — pinned here with the counting allocator of `session_footprint`.
 //! Before the history was shared the fleet held 1.14× the six-solo sum.  A ratio
 //! alone would let a regression that inflates fleet and solos alike through, so the
@@ -30,20 +32,24 @@ static ALLOCATOR: Counting = Counting;
 
 const SESSIONS: usize = 400;
 /// Live heap of the fleet sessions over the live heap of their solo sessions, in
-/// percent.  Measured: 66.7 (11 745 / 17 607; 70.05 — 13 710 / 19 572 — while a
-/// monitor kept a staging map, two verdict sets and an emptied in-flight buffer;
+/// percent.  Measured: 56.0 (9 537 / 17 031; pin 70 → 56).  It read 66.7
+/// (11 745 / 17 607) while every member was a whole monitor — its own delivered
+/// count, arena slot, options, termination flag and three counters its history
+/// repeats — and every fleet kept a regroup table; 70.05 (13 710 / 19 572) while
+/// a monitor kept a staging map, two verdict sets and an emptied in-flight buffer;
 /// 70.4 while a token carried its own routing target and launch state, 62 with a
 /// flat history of `n + 1` words per event, 79 while view sets, parked tokens and
 /// the fleet's staging kept pool-sized buffers between activations, 78 while
 /// views at ⊤/⊥ were held instead of retired, 114 with a history per member and
-/// the token pool).
-const FLEET_OVER_SOLOS_PERCENT: usize = 70;
-/// Live heap of one fleet session, in bytes.  Measured: 11 745 (13 710 while a
-/// monitor kept a staging map, two verdict sets and an emptied in-flight buffer;
-/// 13 934 while a token carried its own routing target and launch state, 14 930
-/// with a flat history of `n + 1` words per event, 24 078 with the pool-sized
-/// buffers above).
-const BYTES_PER_FLEET_SESSION: usize = 15_000;
+/// the token pool.
+const FLEET_OVER_SOLOS_PERCENT: usize = 56;
+/// Live heap of one fleet session, in bytes.  Measured: 9 537 (budget 15 000 →
+/// 10 000).  It read 11 745 while every member was a whole monitor and every
+/// fleet kept a regroup table; 13 710 while a monitor kept a staging map, two
+/// verdict sets and an emptied in-flight buffer; 13 934 while a token carried its
+/// own routing target and launch state, 14 930 with a flat history of `n + 1`
+/// words per event, 24 078 with the pool-sized buffers above.
+const BYTES_PER_FLEET_SESSION: usize = 10_000;
 
 #[test]
 fn live_fleet_sessions_hold_less_than_their_solo_sessions_and_give_everything_back() {

@@ -34,9 +34,10 @@ const SESSIONS: usize = 200;
 /// views at ⊤/⊥ held instead of retired, 68; pool-sized view sets, parked-token
 /// payloads and a session-long outbox and message queue kept between events, 64;
 /// a flat history of `n + 1` words per event, 57; monitors keeping a staging map,
-/// two verdict sets and an emptied in-flight buffer, 41.  Measured: 37 (budget
-/// 48 → 40).
-const BYTES_PER_EVENT: usize = 40;
+/// two verdict sets and an emptied in-flight buffer, 41; monitors storing an
+/// arena slot, a delivered count and three counters the history repeats, 37.
+/// Measured: 36 (budget 48 → 40 → 38).
+const BYTES_PER_EVENT: usize = 38;
 
 #[test]
 fn live_sessions_stay_within_the_per_event_budget_and_give_everything_back() {
