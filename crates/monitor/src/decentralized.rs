@@ -251,15 +251,21 @@ fn exact<T>(buf: &mut Vec<T>) -> Vec<T> {
     std::mem::replace(buf, held)
 }
 
+/// The largest clock entry a monitor can record: its history stores clock entries
+/// as `u32` words.  [`FeedSession::is_next_event`](crate::FeedSession::is_next_event)
+/// refuses an event with a larger entry, and a history asserts it never records one.
+pub const MAX_CLOCK_ENTRY: u64 = u32::MAX as u64;
+
 /// The local event history (`history` in Algorithm 2), stored by runs.  A run is a
 /// maximal stretch of consecutive events with one local state and one set of
 /// remote clock entries; the process's own entry of an event's clock is its
 /// sequence number, so it is never stored per event.  Each run is one record of
-/// `n + 1` words in one vector: the clock of the run's first event — whose own
-/// entry, the run's first sequence number, is the record's search key — then the
-/// state.  The token path and the views read an event's clock and state, nothing
-/// else, so nothing else is kept — and the views' queues of buffered events are
-/// cursors into this history ([`GlobalView::next_sn`]) rather than copies of it.
+/// `n + 2` half-width (`u32`) words in one vector: the clock of the run's first
+/// event — whose own entry, the run's first sequence number, is the record's search
+/// key — then the state's low and high words.  The token path and the views read
+/// an event's clock and state, nothing else, so nothing else is kept — and the
+/// views' queues of buffered events are cursors into this history
+/// ([`GlobalView::next_sn`]) rather than copies of it.
 ///
 /// A history belongs to a *process*, not to a property: it lives in the
 /// process's [`LocalProcess`], which the monitors a
@@ -272,8 +278,8 @@ pub(crate) struct LocalHistory {
     n: usize,
     /// Number of recorded events, i.e. the sequence number of the latest one.
     len: u64,
-    /// The run records, `n + 1` words each, in sequence-number order.
-    runs: Vec<u64>,
+    /// The run records, `n + 2` words each, in sequence-number order.
+    runs: Vec<u32>,
 }
 
 /// A run cursor that starts at the latest run: where [`LocalHistory::run`] looks
@@ -288,7 +294,7 @@ pub(crate) struct Run<'a> {
     /// Where the run's record starts in [`LocalHistory::runs`], in words.
     at: usize,
     /// The clock of the run's first event.
-    clock: &'a [u64],
+    clock: &'a [u32],
     state: Assignment,
     /// The sequence number of the run's last recorded event.
     last: u64,
@@ -299,7 +305,7 @@ impl Run<'_> {
     /// this run, or the next when `sn` is past this one.
     fn cursor_for(&self, sn: u64) -> usize {
         if sn > self.last {
-            self.at + self.clock.len() + 1
+            self.at + self.clock.len() + 2
         } else {
             self.at
         }
@@ -329,21 +335,33 @@ impl LocalHistory {
 
     /// Records the process's next event: a new run when its state or a remote
     /// entry of its clock differs from the latest run's, nothing but the count
-    /// otherwise.
+    /// otherwise.  A remote entry past [`MAX_CLOCK_ENTRY`] differs from every
+    /// stored one, so it always reaches the new-run path, which refuses it: no
+    /// stored word is ever truncated.
+    ///
+    /// The first record allocates `max(2n, 8)` words: the `max(8n, 32)` bytes a
+    /// record of `u64` words first took, so the allocator serves a history's first
+    /// block from the size class it always has.  The vector doubles after that.
     pub(crate) fn push(&mut self, event: &Event) {
         let (n, pid, sn) = (self.n, self.pid, self.len + 1);
         debug_assert_eq!(event.vc.len(), n);
         debug_assert_eq!((event.sn, event.vc.get(pid)), (sn, sn), "events arrive in sequence");
         let vc = event.vc.entries();
-        let continues = self.runs.len() > n && {
-            let latest = &self.runs[self.runs.len() - (n + 1)..];
-            latest[n] == event.state.0
-                && latest[..pid] == vc[..pid]
-                && latest[pid + 1..n] == vc[pid + 1..]
+        let state = [event.state.0 as u32, (event.state.0 >> 32) as u32];
+        let continues = !self.runs.is_empty() && {
+            let latest = &self.runs[self.runs.len() - (n + 2)..];
+            latest[n..] == state && (0..n).all(|j| j == pid || u64::from(latest[j]) == vc[j])
         };
         if !continues {
-            self.runs.extend_from_slice(vc);
-            self.runs.push(event.state.0);
+            assert!(
+                vc.iter().all(|&e| e <= MAX_CLOCK_ENTRY),
+                "event {sn} of process {pid} has a clock entry past {MAX_CLOCK_ENTRY}: {vc:?}"
+            );
+            if self.runs.capacity() == 0 {
+                self.runs.reserve_exact((2 * n).max(8));
+            }
+            self.runs.extend(vc.iter().map(|&e| e as u32));
+            self.runs.extend_from_slice(&state);
         }
         self.len = sn;
     }
@@ -358,8 +376,8 @@ impl LocalHistory {
     #[inline(always)]
     pub(crate) fn run(&self, sn: u64, from: usize) -> Run<'_> {
         debug_assert!((1..=self.len).contains(&sn));
-        let (w, end) = (self.n + 1, self.runs.len());
-        let key = |at: usize| self.runs[at + self.pid];
+        let (w, end) = (self.n + 2, self.runs.len());
+        let key = |at: usize| u64::from(self.runs[at + self.pid]);
         let mut at = from.min(end - w);
         if key(at) > sn {
             at = self.search(sn, at);
@@ -368,11 +386,12 @@ impl LocalHistory {
                 at += w;
             }
         }
+        let state = &self.runs[at + self.n..at + w];
         Run {
             pid: self.pid,
             at,
             clock: &self.runs[at..at + self.n],
-            state: Assignment(self.runs[at + self.n]),
+            state: Assignment(u64::from(state[0]) | u64::from(state[1]) << 32),
             last: if at + w < end { key(at + w) - 1 } else { self.len },
         }
     }
@@ -383,13 +402,13 @@ impl LocalHistory {
     /// a recent event is found in a few steps.
     #[inline(never)]
     fn search(&self, sn: u64, past: usize) -> usize {
-        let w = self.n + 1;
+        let w = self.n + 2;
         let past = past / w;
         let mut base = past.saturating_sub((self.len - sn) as usize);
         let mut left = past.min(sn as usize) - base;
         while left > 1 {
             let half = left / 2;
-            if self.runs[(base + half) * w + self.pid] <= sn {
+            if u64::from(self.runs[(base + half) * w + self.pid]) <= sn {
                 base += half;
             }
             left -= half;
@@ -1576,7 +1595,7 @@ impl<'a> Activation<'a> {
         // The event is inconsistent with the view when it already knows about more
         // events of other processes than the view has folded in.  (The run's own
         // entry, its first event, is not past `sn`.)
-        let is_consistent = gv.gcut.entries().iter().zip(run.clock).all(|(g, c)| g >= c);
+        let is_consistent = gv.gcut.entries().iter().zip(run.clock).all(|(&g, &c)| g >= c.into());
         let run_at = run.at;
         gv.gstate = self.apply_local_state(gv.gstate, run.state);
 
@@ -2065,9 +2084,11 @@ mod tests {
     #[test]
     fn the_run_history_reads_like_a_flat_one() {
         // Seeded random processes: n = 1..=5, receives that raise random remote
-        // entries, state changes, both at random rates per process.  At every
-        // recorded `sn` the run history must answer what a flat per-event one
-        // does, and hold one record per change.
+        // entries (some to the history's limit, `MAX_CLOCK_ENTRY`), state changes
+        // that flip any of the 64 bits (so some runs differ only in the state's
+        // high word), both at random rates per process.  At every recorded `sn`
+        // the run history must answer what a flat per-event one does, and hold
+        // one record per change.
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = |bound: u64| {
             rng ^= rng << 13;
@@ -2081,18 +2102,23 @@ mod tests {
             let (receive_in, change_in) = (1 + next(4), 1 + next(8));
             let mut history = LocalHistory::new(pid, n);
             let mut flat: Vec<(Vec<u64>, Assignment)> = Vec::new();
-            let (mut vc, mut state, mut runs) = (vec![0; n], Assignment(next(4)), 0);
+            let (mut vc, mut state, mut runs) = (vec![0; n], Assignment(next(u64::MAX)), 0);
             for sn in 1..=next(40) {
                 let mut changed = sn == 1;
                 if n > 1 && next(receive_in) == 0 {
                     let from = (pid + 1 + next(n as u64 - 1) as usize) % n;
-                    vc[from] += 1 + next(3);
-                    changed = true;
+                    let raised = if next(6) == 0 {
+                        MAX_CLOCK_ENTRY - next(3)
+                    } else {
+                        vc[from] + 1 + next(3)
+                    };
+                    let raised = raised.clamp(vc[from], MAX_CLOCK_ENTRY);
+                    changed |= raised != vc[from];
+                    vc[from] = raised;
                 }
                 if next(change_in) == 0 {
-                    let flipped = Assignment(state.0 ^ (1 << next(3)));
-                    changed |= flipped != state;
-                    state = flipped;
+                    state = Assignment(state.0 ^ (1 << next(64)));
+                    changed = true;
                 }
                 vc[pid] = sn;
                 runs += usize::from(changed);
@@ -2108,13 +2134,13 @@ mod tests {
                 flat.push((vc.clone(), state));
             }
             assert_eq!(history.len(), flat.len());
-            assert_eq!(history.runs.len(), runs * (n + 1), "one record per change");
+            assert_eq!(history.runs.len(), runs * (n + 2), "one record per change");
             // Each event read from the latest run, from where the previous
             // read left off, and from a record picked at random.
             let (mut walked, records) = (LATEST_RUN, runs as u64);
             for (at, (clock, state)) in flat.iter().enumerate() {
                 let sn = at as u64 + 1;
-                let from = [LATEST_RUN, walked, (next(records) * (n as u64 + 1)) as usize];
+                let from = [LATEST_RUN, walked, (next(records) * (n as u64 + 2)) as usize];
                 let run = history.run(sn, from[next(3) as usize]);
                 walked = run.cursor_for(sn + 1);
                 let case = format!("n={n}, pid={pid}, sn={sn} of {}", flat.len());
@@ -2131,9 +2157,42 @@ mod tests {
                 let mut merged = VectorClock::from_entries(base.clone());
                 run.merge_clock_into(sn, &mut merged);
                 let mut reference = VectorClock::from_entries(base);
-                reference.merge_entries(clock);
+                reference.merge(&VectorClock::from_entries(clock.clone()));
                 assert_eq!(merged, reference, "{case}");
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "has a clock entry past 4294967295")]
+    fn a_history_refuses_a_clock_entry_past_the_limit() {
+        let mut history = LocalHistory::new(0, 2);
+        history.push(&Event {
+            vc: VectorClock::from_entries(vec![1, MAX_CLOCK_ENTRY + 1]),
+            ..local_event(1, Assignment::ALL_FALSE)
+        });
+    }
+
+    #[test]
+    fn a_run_record_is_n_plus_2_words_after_a_first_block_of_the_old_size() {
+        // A record is the run's first clock, then the state's low and high words.
+        // The first block is the `max(8n, 32)` bytes a record of `u64` words first
+        // took, so a history's first allocation keeps its size class.
+        for n in 1..=8 {
+            let mut history = LocalHistory::new(0, n);
+            for sn in 1..=3u64 {
+                let mut vc = vec![0; n];
+                vc[0] = sn;
+                history.push(&Event {
+                    vc: VectorClock::from_entries(vc),
+                    ..local_event(sn, Assignment(sn << 32))
+                });
+                if sn == 1 {
+                    let first_block = history.runs.capacity() * std::mem::size_of::<u32>();
+                    assert_eq!(first_block, (8 * n).max(32), "n={n}");
+                }
+            }
+            assert_eq!(history.runs.len(), 3 * (n + 2), "n={n}: three records");
         }
     }
 
@@ -2473,7 +2532,7 @@ mod tests {
                 ..local_event(sn, Assignment::ALL_FALSE)
             });
         }
-        assert_eq!(history.runs.len(), 3, "one record");
+        assert_eq!(history.runs.len(), 4, "one record");
         monitors[1].process.history = history;
         assert_eq!(tour(&mut monitors, 0, token).len(), 1);
         let m1 = &monitors[1];

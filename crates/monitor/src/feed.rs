@@ -22,7 +22,7 @@
 
 use crate::decentralized::{
     lease_outbox, lease_queue, return_outbox, return_queue, DecentralizedMonitor, MonitorOptions,
-    Outbox,
+    Outbox, MAX_CLOCK_ENTRY,
 };
 use crate::messages::MonitorMsg;
 use dlrv_automaton::MonitorAutomaton;
@@ -139,8 +139,9 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
     /// Whether `event` can be fed next: it belongs to one of the session's
     /// processes, its clock has one entry per process, and it is its process's
     /// next event — its sequence number, which its own clock entry repeats, is one
-    /// past the events that process has had.  A monitor's history stores runs of
-    /// events keyed by those numbers, so a runtime that takes events off a wire
+    /// past the events that process has had — and no clock entry is past
+    /// [`MAX_CLOCK_ENTRY`].  A monitor's history stores runs of events keyed by
+    /// those numbers, in `u32` words, so a runtime that takes events off a wire
     /// drops any other event instead of feeding it.
     pub fn is_next_event(&self, event: &Event) -> bool {
         let (n, p) = (self.monitors.len(), event.process);
@@ -148,6 +149,7 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
             && event.vc.len() == n
             && event.sn == self.monitors[p].events_recorded() + 1
             && event.vc.get(p) == event.sn
+            && event.vc.entries().iter().all(|&e| e <= MAX_CLOCK_ENTRY)
     }
 
     /// Delivers one program event to the monitor of its process and drains monitor
@@ -470,6 +472,10 @@ mod tests {
         assert!(!session.is_next_event(&first), "a repeat is out of sequence");
         assert!(session.is_next_event(&internal(0, 2, vec![2, 0], p, 2.0)));
         assert!(session.is_next_event(&internal(1, 1, vec![1, 1], p, 2.0)));
+        // A remote entry at the history's limit is fed; one past it is not.
+        assert!(session.is_next_event(&internal(1, 1, vec![MAX_CLOCK_ENTRY, 1], p, 2.0)));
+        let over = internal(1, 1, vec![MAX_CLOCK_ENTRY + 1, 1], p, 2.0);
+        assert!(!session.is_next_event(&over), "{over:?}");
     }
 
     #[test]

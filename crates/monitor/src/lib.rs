@@ -70,7 +70,7 @@ pub mod messages;
 pub mod metrics;
 pub mod replay;
 
-pub use decentralized::{DecentralizedMonitor, MonitorOptions, PropertyMonitor};
+pub use decentralized::{DecentralizedMonitor, MonitorOptions, PropertyMonitor, MAX_CLOCK_ENTRY};
 pub use feed::{
     combined_verdict, decentralized_session, DecentralizedSession, FeedSession, SessionVerdicts,
 };

@@ -932,7 +932,8 @@ mod tests {
         runtime.open_session(1, reachability_spec());
         let [first, second] = <[Event; 2]>::try_from(goal_events()).expect("two events");
         // Ahead of its process's first event, numbered past what its own clock
-        // entry says, and (after the first) a repeat: none is fed.
+        // entry says, with a remote entry past what a history's `u32` words hold,
+        // and (after the first) a repeat: none is fed.
         let ahead = Event {
             sn: 2,
             vc: VectorClock::from_entries(vec![2, 0]),
@@ -942,14 +943,19 @@ mod tests {
             vc: VectorClock::from_entries(vec![3, 0]),
             ..first.clone()
         };
+        let over_limit = Event {
+            vc: VectorClock::from_entries(vec![1, u64::from(u32::MAX) + 1]),
+            ..first.clone()
+        };
         runtime.feed_event(1, ahead);
         runtime.feed_event(1, misnumbered);
+        runtime.feed_event(1, over_limit);
         runtime.feed_event(1, first.clone());
         runtime.feed_event(1, first);
         runtime.feed_event(1, second);
         runtime.close_session(1);
         let report = runtime.shutdown();
-        assert_eq!(report.per_shard[0].routing_errors, 3);
+        assert_eq!(report.per_shard[0].routing_errors, 4);
         assert_eq!(report.per_shard[0].events_processed, 2);
         assert_eq!(report.sessions[&1].verdict, Verdict::True);
         assert_eq!(report.sessions[&1].events, 2);

@@ -55,15 +55,19 @@ impl VectorClock {
 
     /// Component-wise maximum with `other` (called on message receipt).
     pub fn merge(&mut self, other: &VectorClock) {
-        self.merge_entries(&other.entries);
+        debug_assert_eq!(self.len(), other.len());
+        for (a, b) in self.entries.iter_mut().zip(&other.entries) {
+            *a = (*a).max(*b);
+        }
     }
 
-    /// [`merge`](Self::merge) against raw entries — for clocks stored flat (several
-    /// per buffer, as in the monitors' event history) rather than as `VectorClock`s.
-    pub fn merge_entries(&mut self, other: &[u64]) {
+    /// [`merge`](Self::merge) against half-width raw entries — for clocks stored
+    /// flat in `u32` words (several per buffer, as in the monitors' event history)
+    /// rather than as `VectorClock`s.
+    pub fn merge_entries(&mut self, other: &[u32]) {
         debug_assert_eq!(self.len(), other.len());
-        for (a, b) in self.entries.iter_mut().zip(other) {
-            *a = (*a).max(*b);
+        for (a, &b) in self.entries.iter_mut().zip(other) {
+            *a = (*a).max(u64::from(b));
         }
     }
 
@@ -171,13 +175,14 @@ mod tests {
 
     #[test]
     fn merge_entries_is_merge_over_a_slice() {
-        // Two clocks stored back to back, as the monitors' flat history stores them.
-        let flat = [1u64, 2, 1, 0, 5, 0];
+        // Two clocks stored back to back in half-width words, as the monitors'
+        // history stores them; the widest word widens exactly.
+        let flat = [1u32, 2, 1, 0, u32::MAX, 0];
         let mut a = VectorClock::from_entries(vec![3, 0, 1]);
         a.merge_entries(&flat[..3]);
         assert_eq!(a.entries(), &[3, 2, 1]);
         a.merge_entries(&flat[3..]);
-        assert_eq!(a.entries(), &[3, 5, 1]);
+        assert_eq!(a.entries(), &[3, u64::from(u32::MAX), 1]);
     }
 
     #[test]

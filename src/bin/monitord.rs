@@ -34,7 +34,7 @@ use dlrv_core::dlrv_distsim::{MonitorBehavior, MonitorContext};
 use dlrv_core::dlrv_ltl::Assignment;
 use dlrv_core::results::{options_from_json, property_from_json};
 use dlrv_core::{CompiledProperty, MAX_SPEC_ATOMS};
-use dlrv_monitor::{DecentralizedMonitor, EvalState, MonitorMsg, Token};
+use dlrv_monitor::{DecentralizedMonitor, EvalState, MonitorMsg, Token, MAX_CLOCK_ENTRY};
 use dlrv_net::{
     connect_with_retry, encode_frame, DaemonReport, DaemonStatus, DaemonTelemetry, Endpoint,
     FaultInjector, FaultStats, FramedConn, Interest, IoEvent, Listener, NetError, Reactor, WireMsg,
@@ -266,6 +266,15 @@ fn check_frame(msg: &WireMsg, run: &Run) -> Result<(), String> {
                 event.vc.get(run.process),
                 run.process,
                 run.events_seen
+            ))
+        }
+        // The history stores clock entries as `u32` words.
+        WireMsg::Event { event } if event.vc.entries().iter().any(|&e| e > MAX_CLOCK_ENTRY) => {
+            Err(format!(
+                "event {} of process {} has a clock entry past {MAX_CLOCK_ENTRY}: {:?}",
+                event.sn,
+                run.process,
+                event.vc.entries()
             ))
         }
         WireMsg::Monitor { msg, .. } => msg

@@ -561,22 +561,28 @@ fn malformed_events_are_protocol_failures() {
 
 #[test]
 fn malformed_out_of_sequence_events_are_protocol_failures() {
-    let event = |sn, own| WireMsg::Event {
+    let event = |sn, own, remote| WireMsg::Event {
         event: Event {
             process: 0,
             kind: EventKind::Internal,
             sn,
-            vc: VectorClock::from_entries(vec![own, 0]),
+            vc: VectorClock::from_entries(vec![own, remote]),
             state: Assignment(0b1),
             time: sn as f64,
         },
     };
     // Ahead of the first event, an own clock entry that does not repeat the
-    // sequence number, and a repeat of the first event after it.
+    // sequence number, a repeat of the first event after it, and a remote clock
+    // entry past what the history's `u32` words hold.
+    let past_limit = u64::from(u32::MAX) + 1;
     for (sent, reason) in [
-        (vec![event(2, 2)], "event 2 (own clock entry 2) out of sequence at process 0 after 0"),
-        (vec![event(1, 3)], "event 1 (own clock entry 3) out of sequence"),
-        (vec![event(1, 1), event(1, 1)], "event 1 (own clock entry 1) out of sequence at process 0 after 1"),
+        (vec![event(2, 2, 0)], "event 2 (own clock entry 2) out of sequence at process 0 after 0"),
+        (vec![event(1, 3, 0)], "event 1 (own clock entry 3) out of sequence"),
+        (vec![event(1, 1, 0), event(1, 1, 0)], "event 1 (own clock entry 1) out of sequence at process 0 after 1"),
+        (
+            vec![event(1, 1, past_limit)],
+            "event 1 of process 0 has a clock entry past 4294967295: [1, 4294967296]",
+        ),
     ] {
         let mut session = Session::established(2);
         for frame in &sent {
