@@ -251,8 +251,8 @@ fn exact<T>(buf: &mut Vec<T>) -> Vec<T> {
     std::mem::replace(buf, held)
 }
 
-/// The largest clock entry a monitor can record: its history stores clock entries
-/// as `u32` words.  [`FeedSession::is_next_event`](crate::FeedSession::is_next_event)
+/// The largest clock entry a monitor can record: its history stores a clock entry
+/// in at most four bytes.  [`FeedSession::is_next_event`](crate::FeedSession::is_next_event)
 /// refuses an event with a larger entry, and a history asserts it never records one.
 pub const MAX_CLOCK_ENTRY: u64 = u32::MAX as u64;
 
@@ -260,11 +260,13 @@ pub const MAX_CLOCK_ENTRY: u64 = u32::MAX as u64;
 /// maximal stretch of consecutive events with one local state and one set of
 /// remote clock entries; the process's own entry of an event's clock is its
 /// sequence number, so it is never stored per event.  Each run is one record of
-/// `n + 2` half-width (`u32`) words in one vector: the clock of the run's first
-/// event — whose own entry, the run's first sequence number, is the record's search
-/// key — then the state's low and high words.  The token path and the views read
-/// an event's clock and state, nothing else, so nothing else is kept — and the
-/// views' queues of buffered events are cursors into this history
+/// `n·w + 8` bytes in one vector: the clock of the run's first event, each entry
+/// `w` bytes wide — whose own entry, the run's first sequence number, is the
+/// record's search key — then the state's 8 bytes.  The width `w` is the narrowest
+/// of 1, 2 and 4 bytes that holds every entry recorded so far; the first entry that
+/// needs more re-encodes the records once at the wider width.  The token path and
+/// the views read an event's clock and state, nothing else, so nothing else is
+/// kept — and the views' queues of buffered events are cursors into this history
 /// ([`GlobalView::next_sn`]) rather than copies of it.
 ///
 /// A history belongs to a *process*, not to a property: it lives in the
@@ -274,27 +276,57 @@ pub const MAX_CLOCK_ENTRY: u64 = u32::MAX as u64;
 #[derive(Debug, Clone)]
 pub(crate) struct LocalHistory {
     /// The process whose events these are.
-    pid: ProcessId,
-    n: usize,
+    pid: u32,
+    n: u32,
+    /// Bytes per stored clock entry: 1, 2 or 4.
+    width: u8,
     /// Number of recorded events, i.e. the sequence number of the latest one.
     len: u64,
-    /// The run records, `n + 2` words each, in sequence-number order.
-    runs: Vec<u32>,
+    /// The run records, `n·w + 8` bytes each, in sequence-number order.
+    runs: Vec<u8>,
 }
 
 /// A run cursor that starts at the latest run: where [`LocalHistory::run`] looks
 /// first when nothing has been read yet.
 const LATEST_RUN: usize = usize::MAX;
 
-/// One run of a [`LocalHistory`]: every event from the one `clock` belongs to
-/// through `last` has `state` and `clock`'s remote entries.
+/// The bytes of a record's state, after its clock.
+const STATE_BYTES: usize = 8;
+
+/// The narrowest entry width, in bytes, that holds `entry`.
+fn width_for(entry: u64) -> u8 {
+    match entry {
+        0..=0xff => 1,
+        0x100..=0xffff => 2,
+        _ => 4,
+    }
+}
+
+/// The clock entry `width` bytes wide at byte `at` of `records`: a four-byte load
+/// cut to the width, with no branch on it.  A clock is followed by its record's
+/// state bytes, so the load never leaves the record.
+#[inline(always)]
+fn entry_at(records: &[u8], at: usize, width: u8) -> u64 {
+    let word = u32::from_le_bytes(records[at..at + 4].try_into().expect("four bytes"));
+    u64::from(word & (u32::MAX >> (32 - 8 * u32::from(width))))
+}
+
+/// Appends `entry`'s low `width` bytes to `records`.
+fn put_entry(records: &mut Vec<u8>, entry: u64, width: u8) {
+    records.extend_from_slice(&(entry as u32).to_le_bytes()[..usize::from(width)]);
+}
+
+/// One run of a [`LocalHistory`]: every event from the one the clock of `record`
+/// belongs to through `last` has `state` and that clock's remote entries.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Run<'a> {
     pid: ProcessId,
-    /// Where the run's record starts in [`LocalHistory::runs`], in words.
+    /// Where the run's record starts in [`LocalHistory::runs`], in bytes.
     at: usize,
-    /// The clock of the run's first event.
-    clock: &'a [u32],
+    /// The run's whole record: the clock of its first event, then the state.
+    record: &'a [u8],
+    /// Bytes per clock entry.
+    width: u8,
     state: Assignment,
     /// The sequence number of the run's last recorded event.
     last: u64,
@@ -305,15 +337,23 @@ impl Run<'_> {
     /// this run, or the next when `sn` is past this one.
     fn cursor_for(&self, sn: u64) -> usize {
         if sn > self.last {
-            self.at + self.clock.len() + 2
+            self.at + self.record.len()
         } else {
             self.at
         }
     }
 
+    /// Entry `j` of the clock of the run's first event.
+    #[inline(always)]
+    fn entry(&self, j: usize) -> u64 {
+        entry_at(self.record, j * usize::from(self.width), self.width)
+    }
+
     /// Merges the clock of event `sn`, an event of this run, into `vc`.
     fn merge_clock_into(&self, sn: u64, vc: &mut VectorClock) {
-        vc.merge_entries(self.clock);
+        for j in 0..vc.len() {
+            vc.set(j, vc.get(j).max(self.entry(j)));
+        }
         vc.set(self.pid, vc.get(self.pid).max(sn));
     }
 }
@@ -321,8 +361,9 @@ impl Run<'_> {
 impl LocalHistory {
     pub(crate) fn new(pid: ProcessId, n: usize) -> Self {
         LocalHistory {
-            pid,
-            n,
+            pid: u32::try_from(pid).expect("a process index fits in 32 bits"),
+            n: u32::try_from(n).expect("a process count fits in 32 bits"),
+            width: 1,
             len: 0,
             runs: Vec::new(),
         }
@@ -333,41 +374,77 @@ impl LocalHistory {
         self.len as usize
     }
 
+    /// The bytes of one record at the current width.
+    fn record_len(&self) -> usize {
+        self.n as usize * usize::from(self.width) + STATE_BYTES
+    }
+
+    /// The search key (the own clock entry) of the record at byte `at`.
+    #[inline(always)]
+    fn key(&self, at: usize) -> u64 {
+        entry_at(&self.runs, at + self.pid as usize * usize::from(self.width), self.width)
+    }
+
     /// Records the process's next event: a new run when its state or a remote
     /// entry of its clock differs from the latest run's, nothing but the count
-    /// otherwise.  A remote entry past [`MAX_CLOCK_ENTRY`] differs from every
-    /// stored one, so it always reaches the new-run path, which refuses it: no
-    /// stored word is ever truncated.
+    /// otherwise.  A remote entry past the current width differs from every
+    /// stored one, so it always reaches the new-run path, which widens the
+    /// records to hold it — or refuses it past [`MAX_CLOCK_ENTRY`]: no stored
+    /// entry is ever truncated.
     ///
-    /// The first record allocates `max(2n, 8)` words: the `max(8n, 32)` bytes a
-    /// record of `u64` words first took, so the allocator serves a history's first
-    /// block from the size class it always has.  The vector doubles after that.
+    /// The first record allocates `max(8n, 32)` bytes: the size class a record
+    /// of `u64` words first took, so the allocator serves a history's first block
+    /// from the size class it always has.  The vector doubles after that.
     pub(crate) fn push(&mut self, event: &Event) {
-        let (n, pid, sn) = (self.n, self.pid, self.len + 1);
+        let (n, pid, sn) = (self.n as usize, self.pid as usize, self.len + 1);
         debug_assert_eq!(event.vc.len(), n);
         debug_assert_eq!((event.sn, event.vc.get(pid)), (sn, sn), "events arrive in sequence");
         let vc = event.vc.entries();
-        let state = [event.state.0 as u32, (event.state.0 >> 32) as u32];
-        let continues = !self.runs.is_empty() && {
-            let latest = &self.runs[self.runs.len() - (n + 2)..];
-            latest[n..] == state && (0..n).all(|j| j == pid || u64::from(latest[j]) == vc[j])
+        let continues = self.len > 0 && {
+            let latest = self.run(self.len, LATEST_RUN);
+            latest.state == event.state && (0..n).all(|j| j == pid || latest.entry(j) == vc[j])
         };
         if !continues {
+            let widest = vc.iter().copied().max().unwrap_or(0);
             assert!(
-                vc.iter().all(|&e| e <= MAX_CLOCK_ENTRY),
+                widest <= MAX_CLOCK_ENTRY,
                 "event {sn} of process {pid} has a clock entry past {MAX_CLOCK_ENTRY}: {vc:?}"
             );
+            self.widen(width_for(widest));
             if self.runs.capacity() == 0 {
-                self.runs.reserve_exact((2 * n).max(8));
+                self.runs.reserve_exact((8 * n).max(32));
             }
-            self.runs.extend(vc.iter().map(|&e| e as u32));
-            self.runs.extend_from_slice(&state);
+            for &e in vc {
+                put_entry(&mut self.runs, e, self.width);
+            }
+            self.runs.extend_from_slice(&event.state.0.to_le_bytes());
         }
         self.len = sn;
     }
 
+    /// Re-encodes the records at `width` bytes per clock entry when that is wider
+    /// than the current width; an empty history only takes the width.
+    fn widen(&mut self, width: u8) {
+        if width <= self.width {
+            return;
+        }
+        let (n, old, from) = (self.n as usize, self.record_len(), self.width);
+        self.width = width;
+        if self.runs.is_empty() {
+            return;
+        }
+        let mut runs = Vec::with_capacity((self.runs.len() / old + 1) * self.record_len());
+        for record in self.runs.chunks_exact(old) {
+            for j in 0..n {
+                put_entry(&mut runs, entry_at(record, j * usize::from(from), from), width);
+            }
+            runs.extend_from_slice(&record[old - STATE_BYTES..]);
+        }
+        self.runs = runs;
+    }
+
     /// The run holding event `sn` (1-based, recorded), looked for from the record
-    /// at word `from`: where an earlier read of the same walk or view queue left
+    /// at byte `from`: where an earlier read of the same walk or view queue left
     /// off ([`Run::cursor_for`]), or [`LATEST_RUN`] for the latest record, where
     /// fresh events are read.  The runs from there on are stepped through; the ones
     /// before it are binary-searched on their keys.  Every token visit and view
@@ -376,44 +453,45 @@ impl LocalHistory {
     #[inline(always)]
     pub(crate) fn run(&self, sn: u64, from: usize) -> Run<'_> {
         debug_assert!((1..=self.len).contains(&sn));
-        let (w, end) = (self.n + 2, self.runs.len());
-        let key = |at: usize| u64::from(self.runs[at + self.pid]);
-        let mut at = from.min(end - w);
-        if key(at) > sn {
+        let (rec, end) = (self.record_len(), self.runs.len());
+        let mut at = from.min(end - rec);
+        if self.key(at) > sn {
             at = self.search(sn, at);
         } else {
-            while at + w < end && key(at + w) <= sn {
-                at += w;
+            while at + rec < end && self.key(at + rec) <= sn {
+                at += rec;
             }
         }
-        let state = &self.runs[at + self.n..at + w];
+        let record = &self.runs[at..at + rec];
+        let state = record[rec - STATE_BYTES..].try_into().expect("eight bytes");
         Run {
-            pid: self.pid,
+            pid: self.pid as usize,
             at,
-            clock: &self.runs[at..at + self.n],
-            state: Assignment(u64::from(state[0]) | u64::from(state[1]) << 32),
-            last: if at + w < end { key(at + w) - 1 } else { self.len },
+            record,
+            width: self.width,
+            state: Assignment(u64::from_le_bytes(state)),
+            last: if at + rec < end { self.key(at + rec) - 1 } else { self.len },
         }
     }
 
-    /// The last record before word `past` whose key is not past `sn`, halving
+    /// The last record before byte `past` whose key is not past `sn`, halving
     /// without a branch on the comparison.  Every run holds at least one event, so
     /// that record is among the `len - sn` before `past` and among the first `sn`:
     /// a recent event is found in a few steps.
     #[inline(never)]
     fn search(&self, sn: u64, past: usize) -> usize {
-        let w = self.n + 2;
-        let past = past / w;
+        let rec = self.record_len();
+        let past = past / rec;
         let mut base = past.saturating_sub((self.len - sn) as usize);
         let mut left = past.min(sn as usize) - base;
         while left > 1 {
             let half = left / 2;
-            if u64::from(self.runs[(base + half) * w + self.pid]) <= sn {
+            if self.key((base + half) * rec) <= sn {
                 base += half;
             }
             left -= half;
         }
-        base * w
+        base * rec
     }
 }
 
@@ -500,12 +578,12 @@ impl LocalProcess {
 
     /// The process these events are of.
     pub(crate) fn pid(&self) -> ProcessId {
-        self.history.pid
+        self.history.pid as usize
     }
 
     /// Number of processes.
     pub(crate) fn n(&self) -> usize {
-        self.history.n
+        self.history.n as usize
     }
 
     /// The options every monitor of the process runs under.
@@ -1595,7 +1673,7 @@ impl<'a> Activation<'a> {
         // The event is inconsistent with the view when it already knows about more
         // events of other processes than the view has folded in.  (The run's own
         // entry, its first event, is not past `sn`.)
-        let is_consistent = gv.gcut.entries().iter().zip(run.clock).all(|(&g, &c)| g >= c.into());
+        let is_consistent = gv.gcut.entries().iter().enumerate().all(|(j, &g)| g >= run.entry(j));
         let run_at = run.at;
         gv.gstate = self.apply_local_state(gv.gstate, run.state);
 
@@ -2134,13 +2212,15 @@ mod tests {
                 flat.push((vc.clone(), state));
             }
             assert_eq!(history.len(), flat.len());
-            assert_eq!(history.runs.len(), runs * (n + 2), "one record per change");
+            let record = history.record_len();
+            assert_eq!(record, n * usize::from(history.width) + 8);
+            assert_eq!(history.runs.len(), runs * record, "one record per change");
             // Each event read from the latest run, from where the previous
             // read left off, and from a record picked at random.
             let (mut walked, records) = (LATEST_RUN, runs as u64);
             for (at, (clock, state)) in flat.iter().enumerate() {
                 let sn = at as u64 + 1;
-                let from = [LATEST_RUN, walked, (next(records) * (n as u64 + 2)) as usize];
+                let from = [LATEST_RUN, walked, next(records) as usize * record];
                 let run = history.run(sn, from[next(3) as usize]);
                 walked = run.cursor_for(sn + 1);
                 let case = format!("n={n}, pid={pid}, sn={sn} of {}", flat.len());
@@ -2174,25 +2254,90 @@ mod tests {
     }
 
     #[test]
-    fn a_run_record_is_n_plus_2_words_after_a_first_block_of_the_old_size() {
-        // A record is the run's first clock, then the state's low and high words.
-        // The first block is the `max(8n, 32)` bytes a record of `u64` words first
-        // took, so a history's first allocation keeps its size class.
+    fn a_run_record_is_n_w_plus_8_bytes_after_a_first_block_of_the_old_size() {
+        // A record is the run's first clock, `w` bytes an entry, then the state's
+        // 8 bytes; `w` is the narrowest width that holds the entries.  The first
+        // block is the `max(8n, 32)` bytes a record of `u64` words first took,
+        // whatever the width, so a history's first allocation keeps its size class.
         for n in 1..=8 {
-            let mut history = LocalHistory::new(0, n);
-            for sn in 1..=3u64 {
-                let mut vc = vec![0; n];
-                vc[0] = sn;
-                history.push(&Event {
-                    vc: VectorClock::from_entries(vc),
-                    ..local_event(sn, Assignment(sn << 32))
-                });
-                if sn == 1 {
-                    let first_block = history.runs.capacity() * std::mem::size_of::<u32>();
-                    assert_eq!(first_block, (8 * n).max(32), "n={n}");
+            for (remote, width) in [(0, 1), (0x100, 2), (0x1_0000, 4)] {
+                if n == 1 && remote > 0 {
+                    continue;
+                }
+                let mut history = LocalHistory::new(0, n);
+                for sn in 1..=3u64 {
+                    let mut vc = vec![remote; n];
+                    vc[0] = sn;
+                    history.push(&Event {
+                        vc: VectorClock::from_entries(vc),
+                        ..local_event(sn, Assignment(sn << 32))
+                    });
+                    if sn == 1 {
+                        assert_eq!(history.runs.capacity(), (8 * n).max(32), "n={n}, w={width}");
+                    }
+                }
+                assert_eq!(history.width, width, "n={n}");
+                let three = 3 * (n * usize::from(width) + 8);
+                assert_eq!(history.runs.len(), three, "n={n}, w={width}: three records");
+            }
+        }
+    }
+
+    #[test]
+    fn a_history_widens_its_clock_entries_once_and_reads_back_what_it_recorded() {
+        // A remote entry crosses one byte, then two, then reaches the history's
+        // limit.  Each step starts a run at the new entry and continues it for
+        // two events.  After every step each earlier event reads back the clock,
+        // state and run end it read before, every event its recorded clock (the
+        // widest entry widening exactly), and every record is `n·w + 8` bytes.
+        let reads = |history: &LocalHistory| -> Vec<(Vec<u64>, Assignment, u64)> {
+            let mut walked = LATEST_RUN;
+            (1..=history.len)
+                .map(|sn| {
+                    let run = history.run(sn, walked);
+                    walked = run.cursor_for(sn + 1);
+                    let mut clock = VectorClock::zero(history.n as usize);
+                    run.merge_clock_into(sn, &mut clock);
+                    (clock.entries().to_vec(), run.state, run.last)
+                })
+                .collect()
+        };
+        let steps =
+            [(0xfe, 1), (0xff, 1), (0x100, 2), (0xffff, 2), (0x1_0000, 4), (MAX_CLOCK_ENTRY, 4)];
+        for n in 2..=8 {
+            let pid = n / 2;
+            let mut history = LocalHistory::new(pid, n);
+            let (mut vc, mut flat) = (vec![0; n], Vec::new());
+            for (step, (raised, width)) in steps.into_iter().enumerate() {
+                let before = reads(&history);
+                vc[(pid + 1 + step % (n - 1)) % n] = raised;
+                let state = Assignment(step as u64 * 0x0101_0101_0101_0101);
+                for _ in 0..3 {
+                    let sn = history.len + 1;
+                    vc[pid] = sn;
+                    history.push(&Event {
+                        process: pid,
+                        vc: VectorClock::from_entries(vc.clone()),
+                        ..local_event(sn, state)
+                    });
+                    flat.push((vc.clone(), state));
+                    if sn == 1 {
+                        assert_eq!(history.runs.capacity(), (8 * n).max(32), "n={n}");
+                    }
+                }
+                let case = format!("n={n}, step {step}: {raised:#x}");
+                assert_eq!(history.width, width, "{case}");
+                let record = n * usize::from(width) + 8;
+                assert_eq!(history.record_len(), record, "{case}");
+                assert_eq!(history.runs.len(), (step + 1) * record, "{case}: one record a step");
+                let after = reads(&history);
+                assert_eq!(after[..before.len()], before[..], "{case}: earlier events");
+                for (sn, ((clock, state, last), (vc, st))) in (1..).zip(after.iter().zip(&flat)) {
+                    assert_eq!((clock, state), (vc, st), "{case}, event {sn}");
+                    assert_eq!(*last, sn + 2 - (sn - 1) % 3, "{case}, event {sn}");
                 }
             }
-            assert_eq!(history.runs.len(), 3 * (n + 2), "n={n}: three records");
+            assert_eq!(reads(&history).last().unwrap().0.iter().max(), Some(&u64::from(u32::MAX)));
         }
     }
 
@@ -2532,7 +2677,7 @@ mod tests {
                 ..local_event(sn, Assignment::ALL_FALSE)
             });
         }
-        assert_eq!(history.runs.len(), 4, "one record");
+        assert_eq!(history.runs.len(), 2 + 8, "one record: two one-byte entries and the state");
         monitors[1].process.history = history;
         assert_eq!(tour(&mut monitors, 0, token).len(), 1);
         let m1 = &monitors[1];

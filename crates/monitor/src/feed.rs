@@ -141,8 +141,8 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
     /// next event — its sequence number, which its own clock entry repeats, is one
     /// past the events that process has had — and no clock entry is past
     /// [`MAX_CLOCK_ENTRY`].  A monitor's history stores runs of events keyed by
-    /// those numbers, in `u32` words, so a runtime that takes events off a wire
-    /// drops any other event instead of feeding it.
+    /// those numbers, each in at most four bytes, so a runtime that takes events
+    /// off a wire drops any other event instead of feeding it.
     pub fn is_next_event(&self, event: &Event) -> bool {
         let (n, p) = (self.monitors.len(), event.process);
         p < n

@@ -132,7 +132,9 @@ pub struct MonitorMsg {
 /// parking order and a wake-up is a scan of it: an index by sequence number cost a
 /// map node and a vector per parked token, and kept a node once the last token woke.
 /// Most of the time nothing is parked at all, so the vector is released when the
-/// last token wakes: an empty set holds no allocation.
+/// last token wakes: an empty set holds no allocation.  A set holds no spare slot
+/// either: a token is parked into exactly one more slot, and a wake-up that
+/// leaves tokens behind shrinks the vector to them.
 #[derive(Debug, Clone, Default)]
 pub struct WaitingTokens {
     parked: Vec<(u64, Token)>,
@@ -146,6 +148,7 @@ impl WaitingTokens {
 
     /// Parks `token` until local event `sn`.
     pub fn park(&mut self, sn: u64, token: Token) {
+        self.parked.reserve_exact(1);
         self.parked.push((sn, token));
     }
 
@@ -157,9 +160,7 @@ impl WaitingTokens {
             .extract_if(.., |(awaited, _)| *awaited == sn)
             .map(|(_, token)| token)
             .collect();
-        if self.parked.is_empty() {
-            self.parked = Vec::new();
-        }
+        self.parked.shrink_to_fit();
         woken
     }
 
@@ -182,10 +183,11 @@ impl WaitingTokens {
         self.parked.is_empty()
     }
 
-    /// Whether an empty set holds no allocation and every parked token holds
-    /// exactly its transitions (the monitor trims them before parking it).
+    /// Whether the set holds exactly its parked tokens (an empty one no
+    /// allocation) and every parked token exactly its transitions (the monitor
+    /// trims them before parking it).
     pub(crate) fn parks_no_spare(&self) -> bool {
-        (!self.parked.is_empty() || self.parked.capacity() == 0)
+        self.parked.capacity() == self.parked.len()
             && self
                 .parked
                 .iter()
@@ -251,11 +253,13 @@ mod tests {
         }
         let gvs = |tokens: Vec<Token>| -> Vec<u64> { tokens.iter().map(|t| t.parent_gv).collect() };
         assert_eq!(waiting.len(), 5);
+        assert!(waiting.parks_no_spare(), "five tokens in five slots");
         assert!(waiting.take(2).is_empty());
         assert_eq!(gvs(waiting.take(3)), [0, 2], "parking order");
         assert_eq!(waiting.len(), 3);
+        assert!(waiting.parks_no_spare(), "the two woken tokens' slots are gone");
         // By awaited number (4, 5, 5), then parking order.
         assert_eq!(gvs(waiting.drain_all()), [3, 1, 4]);
-        assert!(waiting.is_empty());
+        assert!(waiting.is_empty() && waiting.parks_no_spare());
     }
 }

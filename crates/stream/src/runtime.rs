@@ -275,10 +275,17 @@ impl ShardedRuntime {
                 mailboxes.push(ShardMailbox::Channel(tx));
                 ShardInbox::Channel(rx)
             };
+            // The shard's outcome list is allocated here, on the spawning thread, at
+            // the capacity its first push would take, so it grows in the heap the
+            // spawning thread's set-up has already touched.  Left to its first push
+            // on the shard thread, it landed wherever that thread's allocator cache
+            // pointed: in the shard's own fresh heap on some inputs, which read as
+            // 0.1–0.2 MB more RSS (glibc malloc, docs/PERFORMANCE.md, finding (e)).
+            let outcomes = Vec::with_capacity(4);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("dlrv-shard-{shard}"))
-                    .spawn(move || shard_worker(shard, inbox, batch_size))
+                    .spawn(move || shard_worker(shard, inbox, batch_size, outcomes))
                     .expect("spawning a shard worker failed"),
             );
         }
@@ -513,9 +520,13 @@ impl ShardSession {
     }
 }
 
-fn shard_worker(shard: usize, inbox: ShardInbox, batch_size: usize) -> ShardResult {
+fn shard_worker(
+    shard: usize,
+    inbox: ShardInbox,
+    batch_size: usize,
+    mut outcomes: Vec<(SessionId, SessionOutcome)>,
+) -> ShardResult {
     let mut sessions: BTreeMap<SessionId, ShardSession> = BTreeMap::new();
-    let mut outcomes: Vec<(SessionId, SessionOutcome)> = Vec::new();
     let mut metrics = ShardMetrics {
         shard,
         ..ShardMetrics::default()
@@ -932,7 +943,7 @@ mod tests {
         runtime.open_session(1, reachability_spec());
         let [first, second] = <[Event; 2]>::try_from(goal_events()).expect("two events");
         // Ahead of its process's first event, numbered past what its own clock
-        // entry says, with a remote entry past what a history's `u32` words hold,
+        // entry says, with a remote entry past what a history's four-byte entries hold,
         // and (after the first) a repeat: none is fed.
         let ahead = Event {
             sn: 2,

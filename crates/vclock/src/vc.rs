@@ -61,16 +61,6 @@ impl VectorClock {
         }
     }
 
-    /// [`merge`](Self::merge) against half-width raw entries — for clocks stored
-    /// flat in `u32` words (several per buffer, as in the monitors' event history)
-    /// rather than as `VectorClock`s.
-    pub fn merge_entries(&mut self, other: &[u32]) {
-        debug_assert_eq!(self.len(), other.len());
-        for (a, &b) in self.entries.iter_mut().zip(other) {
-            *a = (*a).max(u64::from(b));
-        }
-    }
-
     /// Returns the component-wise maximum of two clocks.
     pub fn join(&self, other: &VectorClock) -> VectorClock {
         let mut out = self.clone();
@@ -171,18 +161,6 @@ mod tests {
         let b = VectorClock::from_entries(vec![1, 2, 1]);
         a.merge(&b);
         assert_eq!(a.entries(), &[3, 2, 1]);
-    }
-
-    #[test]
-    fn merge_entries_is_merge_over_a_slice() {
-        // Two clocks stored back to back in half-width words, as the monitors'
-        // history stores them; the widest word widens exactly.
-        let flat = [1u32, 2, 1, 0, u32::MAX, 0];
-        let mut a = VectorClock::from_entries(vec![3, 0, 1]);
-        a.merge_entries(&flat[..3]);
-        assert_eq!(a.entries(), &[3, 2, 1]);
-        a.merge_entries(&flat[3..]);
-        assert_eq!(a.entries(), &[3, u64::from(u32::MAX), 1]);
     }
 
     #[test]

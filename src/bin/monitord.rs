@@ -268,7 +268,7 @@ fn check_frame(msg: &WireMsg, run: &Run) -> Result<(), String> {
                 run.events_seen
             ))
         }
-        // The history stores clock entries as `u32` words.
+        // The history stores a clock entry in at most four bytes.
         WireMsg::Event { event } if event.vc.entries().iter().any(|&e| e > MAX_CLOCK_ENTRY) => {
             Err(format!(
                 "event {} of process {} has a clock entry past {MAX_CLOCK_ENTRY}: {:?}",

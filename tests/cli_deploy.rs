@@ -573,7 +573,7 @@ fn malformed_out_of_sequence_events_are_protocol_failures() {
     };
     // Ahead of the first event, an own clock entry that does not repeat the
     // sequence number, a repeat of the first event after it, and a remote clock
-    // entry past what the history's `u32` words hold.
+    // entry past what the history's four-byte entries hold.
     let past_limit = u64::from(u32::MAX) + 1;
     for (sent, reason) in [
         (vec![event(2, 2, 0)], "event 2 (own clock entry 2) out of sequence at process 0 after 0"),

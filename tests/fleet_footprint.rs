@@ -32,11 +32,13 @@ static ALLOCATOR: Counting = Counting;
 
 const SESSIONS: usize = 400;
 /// Live heap of the fleet sessions over the live heap of their solo sessions, in
-/// percent.  Measured: 65.2 (8 998 / 13 796; pin 70 → 56 → 66).  The one upward
-/// move is the half-width history record's, by its measured amount: its records
-/// shrink every history, six solo sessions hold 18 histories to a fleet's 3, so
-/// the solo side sheds six times the bytes.  It read 56.0 (9 537 / 17 031) with
-/// history records of `n + 1` full-width (`u64`) words.  It read 66.7
+/// percent.  Measured: 73.1 (8 202 / 11 214; pin 70 → 56 → 66 → 73).  The two
+/// upward moves are the history records', each by its measured amount: a
+/// narrower record shrinks every history, six solo sessions hold 18 histories to
+/// a fleet's 3, so the solo side sheds six times the bytes while the fleet's own
+/// fall too.  It read 65.2 (8 998 / 13 796) with records of `n + 2` half-width
+/// (`u32`) words, 56.0 (9 537 / 17 031) with records of `n + 1` full-width
+/// (`u64`) words.  It read 66.7
 /// (11 745 / 17 607) while every member was a whole monitor — its own delivered
 /// count, arena slot, options, termination flag and three counters its history
 /// repeats — and every fleet kept a regroup table; 70.05 (13 710 / 19 572) while
@@ -46,15 +48,17 @@ const SESSIONS: usize = 400;
 /// the fleet's staging kept pool-sized buffers between activations, 78 while
 /// views at ⊤/⊥ were held instead of retired, 114 with a history per member and
 /// the token pool.
-const FLEET_OVER_SOLOS_PERCENT: usize = 66;
-/// Live heap of one fleet session, in bytes.  Measured: 8 998 (budget 15 000 →
-/// 10 000 → 9 450).  It read 9 537 with history records of `n + 1` full-width
-/// (`u64`) words; 11 745 while every member was a whole monitor and every
+const FLEET_OVER_SOLOS_PERCENT: usize = 73;
+/// Live heap of one fleet session, in bytes.  Measured: 8 202 (budget 15 000 →
+/// 10 000 → 9 450 → 8 600).  It read 8 640 with a parked token's vector keeping
+/// spare slots, 8 998 with history records of `n + 2` half-width (`u32`) words,
+/// 9 537 with records of `n + 1` full-width (`u64`) words; 11 745 while every
+/// member was a whole monitor and every
 /// fleet kept a regroup table; 13 710 while a monitor kept a staging map, two
 /// verdict sets and an emptied in-flight buffer; 13 934 while a token carried its
 /// own routing target and launch state, 14 930 with a flat history of `n + 1`
 /// words per event, 24 078 with the pool-sized buffers above.
-const BYTES_PER_FLEET_SESSION: usize = 9_450;
+const BYTES_PER_FLEET_SESSION: usize = 8_600;
 
 #[test]
 fn live_fleet_sessions_hold_less_than_their_solo_sessions_and_give_everything_back() {

@@ -3,9 +3,10 @@
 //! Chapter 5 of the paper counts memory among the overheads of decentralized
 //! monitoring, and a stream runtime holds thousands of sessions open at once, so the
 //! bytes a session keeps per event it has seen are a budget, pinned here with a
-//! counting allocator: a monitor keeps one record of `n + 2` half-width words (a
-//! clock, then a state's low and high words) per run of local events with one
-//! state and one set of remote clock entries, plus the session's fixed set-up — no
+//! counting allocator: a monitor keeps one record of `n·w + 8` bytes (a clock of
+//! `w`-byte entries, `w` the narrowest of 1, 2 and 4 that holds them, then the
+//! 8-byte state) per run of local events with one state and one set of remote
+//! clock entries, plus the session's fixed set-up — no
 //! per-event allocation, no
 //! per-monitor pools.  Everything a session allocates must also come back when it
 //! is finished and dropped; the only thing allowed to stay is the thread's bounded
@@ -37,9 +38,10 @@ const SESSIONS: usize = 200;
 /// a flat history of `n + 1` words per event, 57; monitors keeping a staging map,
 /// two verdict sets and an emptied in-flight buffer, 41; monitors storing an
 /// arena slot, a delivered count and three counters the history repeats, 37;
-/// history records of `n + 1` full-width (`u64`) words, 36.
-/// Measured: 26 (budget 48 → 40 → 38 → 28).
-const BYTES_PER_EVENT: usize = 28;
+/// history records of `n + 1` full-width (`u64`) words, 36; records of `n + 2`
+/// half-width (`u32`) words, 26.
+/// Measured: 19 (budget 48 → 40 → 38 → 28 → 21).
+const BYTES_PER_EVENT: usize = 21;
 
 #[test]
 fn live_sessions_stay_within_the_per_event_budget_and_give_everything_back() {
