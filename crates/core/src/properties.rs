@@ -185,6 +185,29 @@ mod tests {
     }
 
     #[test]
+    fn a_and_c_are_one_property_below_four_processes() {
+        // A splits its conjunction at n / 2, C after P0: at two and three
+        // processes both are `G(P0.p U (P1.p ∧ … ∧ Pn-1.p))`, so `fleet-6` (three
+        // processes) monitors that formula twice.  They part at four.
+        for n in 2..=4 {
+            let (fa, ra) = PaperProperty::A.build(n);
+            let (fc, rc) = PaperProperty::C.build(n);
+            let (ma, mc) = (
+                MonitorAutomaton::synthesize(&fa, &ra),
+                MonitorAutomaton::synthesize(&fc, &rc),
+            );
+            let same_automaton = format!("{ma:?}") == format!("{mc:?}");
+            if n < 4 {
+                assert_eq!((&fa, &ra), (&fc, &rc), "A and C at n = {n}");
+                assert!(same_automaton, "A and C synthesize one automaton at n = {n}");
+            } else {
+                assert_ne!(fa, fc, "A and C at n = {n}");
+                assert!(!same_automaton, "A and C synthesize two automata at n = {n}");
+            }
+        }
+    }
+
+    #[test]
     fn property_names_and_display() {
         assert_eq!(PaperProperty::A.name(), "A");
         assert_eq!(format!("{}", PaperProperty::F), "Property F");

@@ -16,6 +16,15 @@
 //!   wakeup and applies them in one go, amortizing channel overhead on hot shards.
 //! * **Graceful drain** — shutdown delivers every in-flight record, finishes any
 //!   session the stream never closed, and reports per-shard plus aggregate metrics.
+//! * **Small closed sessions** — a shard drops a session's monitors at its close
+//!   and keeps one packed record of what it found: the id, the drained flag and
+//!   the counts as LEB128 integers, the verdict sets as bit masks, and for a fleet
+//!   session the same per member, with the members' names kept once per distinct
+//!   name list and referred to by index.  A record is about 8 B for a solo
+//!   session and 33 B for a six-property fleet, where a [`SessionOutcome`] took
+//!   128 B plus up to a kilobyte of heap.  The outcomes of
+//!   [`StreamReport::sessions`] are built from these records once, by
+//!   [`ShardedRuntime::shutdown`] on the caller's thread.
 //!
 //! Shards are plain `std::thread`s — this workspace is fully offline, so there is no
 //! async executor; the paper's monitors are CPU-bound anyway, which makes one thread
@@ -23,13 +32,13 @@
 
 use crate::codec::{EventSource, SessionId, StreamRecord};
 use crate::ring::{PopState, SpscRing};
+use crate::varint;
 use crate::wire::StreamError;
 use dlrv_automaton::MonitorAutomaton;
 use dlrv_ltl::{Assignment, AtomRegistry, Verdict};
 use dlrv_monitor::{
     combined_verdict, decentralized_session, fleet_session, DecentralizedMonitor,
-    DecentralizedSession, FleetMember, FleetSession, MonitorMetrics, MonitorOptions,
-    PropertyMonitor, ShardMetrics,
+    DecentralizedSession, FleetMember, FleetSession, MonitorMetrics, MonitorOptions, ShardMetrics,
 };
 use dlrv_vclock::Event;
 use std::collections::{BTreeMap, BTreeSet};
@@ -166,7 +175,9 @@ pub struct PropertyOutcome {
 pub struct StreamReport {
     /// Per-shard measurements, in shard order.
     pub per_shard: Vec<ShardMetrics>,
-    /// Outcome of every session ever opened, keyed by session id.
+    /// Outcome of every session ever opened, keyed by session id: decoded from
+    /// the shards' packed records when [`ShardedRuntime::shutdown`] builds the
+    /// report, so no outcome exists before then.
     pub sessions: BTreeMap<SessionId, SessionOutcome>,
     /// Wall-clock seconds from start to the end of shutdown.
     pub wall_secs: f64,
@@ -197,7 +208,7 @@ enum ShardMsg {
 
 struct ShardResult {
     metrics: ShardMetrics,
-    outcomes: Vec<(SessionId, SessionOutcome)>,
+    log: RecordLog,
 }
 
 /// Producer-side handle of one shard's mailbox.
@@ -275,17 +286,10 @@ impl ShardedRuntime {
                 mailboxes.push(ShardMailbox::Channel(tx));
                 ShardInbox::Channel(rx)
             };
-            // The shard's outcome list is allocated here, on the spawning thread, at
-            // the capacity its first push would take, so it grows in the heap the
-            // spawning thread's set-up has already touched.  Left to its first push
-            // on the shard thread, it landed wherever that thread's allocator cache
-            // pointed: in the shard's own fresh heap on some inputs, which read as
-            // 0.1–0.2 MB more RSS (glibc malloc, docs/PERFORMANCE.md, finding (e)).
-            let outcomes = Vec::with_capacity(4);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("dlrv-shard-{shard}"))
-                    .spawn(move || shard_worker(shard, inbox, batch_size, outcomes))
+                    .spawn(move || shard_worker(shard, inbox, batch_size))
                     .expect("spawning a shard worker failed"),
             );
         }
@@ -333,8 +337,9 @@ impl ShardedRuntime {
         );
     }
 
-    /// Closes `session`: its monitors observe end-of-stream and the final verdict is
-    /// recorded for the shutdown report.
+    /// Closes `session`: its monitors observe end-of-stream, and the shard drops
+    /// them and keeps a packed record of the verdicts and counts, which
+    /// [`shutdown`](Self::shutdown) turns into the session's [`SessionOutcome`].
     pub fn close_session(&self, session: SessionId) {
         self.send(
             self.shard_of(session),
@@ -401,9 +406,7 @@ impl ShardedRuntime {
             let mut result = handle.join().expect("shard worker panicked");
             result.metrics.backpressure_stalls = self.stalls[shard].load(Ordering::Relaxed);
             per_shard.push(result.metrics);
-            for (id, outcome) in result.outcomes {
-                sessions.insert(id, outcome);
-            }
+            result.log.read_into(&mut sessions);
         }
         let wall_secs = self.started.elapsed().as_secs_f64();
         let total_events: usize = per_shard.iter().map(|m| m.events_processed).sum();
@@ -520,13 +523,9 @@ impl ShardSession {
     }
 }
 
-fn shard_worker(
-    shard: usize,
-    inbox: ShardInbox,
-    batch_size: usize,
-    mut outcomes: Vec<(SessionId, SessionOutcome)>,
-) -> ShardResult {
+fn shard_worker(shard: usize, inbox: ShardInbox, batch_size: usize) -> ShardResult {
     let mut sessions: BTreeMap<SessionId, ShardSession> = BTreeMap::new();
+    let mut log = RecordLog::default();
     let mut metrics = ShardMetrics {
         shard,
         ..ShardMetrics::default()
@@ -608,7 +607,7 @@ fn shard_worker(
                     match sessions.remove(&session) {
                         Some(mut feed) => {
                             feed.finish();
-                            outcomes.push((session, outcome_of(feed, false)));
+                            log.record(session, feed, false);
                             metrics.sessions_closed += 1;
                         }
                         None => metrics.routing_errors += 1,
@@ -623,110 +622,242 @@ fn shard_worker(
     // Graceful drain: the stream ended without closing these sessions.
     for (id, mut feed) in std::mem::take(&mut sessions) {
         feed.finish();
-        outcomes.push((id, outcome_of(feed, true)));
+        log.record(id, feed, true);
     }
     metrics.avg_queue_latency_secs = if latency_samples > 0 {
         latency_sum / latency_samples as f64
     } else {
         0.0
     };
-    ShardResult { metrics, outcomes }
+    ShardResult { metrics, log }
 }
 
-fn outcome_of(session: ShardSession, drained: bool) -> SessionOutcome {
-    match session {
-        ShardSession::Solo(session) => SessionOutcome {
-            monitor_messages: session.monitor_messages(),
-            drained,
-            ..fold_monitors(
-                session.monitors().iter().map(DecentralizedMonitor::metrics),
-                session
-                    .monitors()
-                    .iter()
-                    .map(|m| (m.detected_final_verdicts(), m.possible_verdicts())),
-            )
-        },
-        ShardSession::Fleet { session, spec } => {
-            // Each member folds its own monitors, the session folds them all.
-            let fleets = session.monitors();
-            let members: Vec<SessionOutcome> = (0..spec.fleet.len())
-                .map(|k| {
-                    fold_monitors(
-                        fleets.iter().map(|f| f.member_metrics(k)),
-                        fleets.iter().map(|f| verdict_sets(&f.members()[k])),
-                    )
-                })
-                .collect();
-            SessionOutcome {
-                monitor_messages: session.monitor_messages(),
-                drained,
-                // Every member observes the same decoded events: count them once.
-                events: members[0].events,
-                per_property: spec
-                    .fleet
-                    .iter()
-                    .zip(members)
-                    .map(|(member, m)| PropertyOutcome {
-                        property: member.property.clone(),
-                        verdict: m.verdict,
-                        detected_verdicts: m.detected_verdicts,
-                        possible_verdicts: m.possible_verdicts,
-                        monitor_tokens: m.monitor_tokens,
-                        global_views: m.global_views,
-                        peak_global_views: m.peak_global_views,
-                    })
-                    .collect(),
-                ..fold_monitors(
-                    fleets.iter().flat_map(|f| (0..f.fleet_size()).map(|k| f.member_metrics(k))),
-                    fleets.iter().flat_map(|f| f.members()).map(verdict_sets),
-                )
-            }
+/// What a shard keeps of the sessions it has closed: one packed record per
+/// session, appended at its close and read back into [`SessionOutcome`]s only by
+/// [`ShardedRuntime::shutdown`], on the caller's thread.
+///
+/// A record is the session id, a flags byte ([`DRAINED`], [`FLEET`]) and the
+/// message count, then, for a fleet session, the index of its member-name list
+/// and one [`Tally`] per member, and last the session's own [`Tally`].
+/// Integers are LEB128 ([`varint`]), so no count is narrowed, and verdict sets
+/// are bit masks ([`verdict_bit`]).
+///
+/// The member names are not in the record: `name_lists` keeps the first spec of
+/// each distinct name list this shard has logged, and a record names its list
+/// by index.  A resolver may build a fresh spec for every open; keeping each
+/// one until shutdown would hold its member vector and names, about half a
+/// kilobyte, for every closed fleet session.
+#[derive(Debug, Default)]
+struct RecordLog {
+    bytes: Vec<u8>,
+    name_lists: Vec<Arc<SessionSpec>>,
+}
+
+/// Flags-byte bit: the session was finished by shutdown drain.
+const DRAINED: u8 = 1;
+/// Flags-byte bit: a name-list index and member tallies follow.
+const FLEET: u8 = 2;
+
+/// Monitors folded together — a session's, or one fleet member's: counts add
+/// up and verdict sets are unions, as [`verdict_bit`] masks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Tally {
+    detected: u8,
+    possible: u8,
+    tokens: usize,
+    events: usize,
+    views: usize,
+    peak_views: usize,
+}
+
+impl Tally {
+    fn of(snapshots: impl Iterator<Item = MonitorMetrics>) -> Tally {
+        let mut tally = Tally::default();
+        for m in snapshots {
+            tally.detected |= verdict_bits(&m.detected_final_verdicts);
+            tally.possible |= verdict_bits(&m.possible_verdicts);
+            tally.tokens += m.tokens_sent;
+            tally.events += m.events_observed;
+            tally.views += m.global_views_created;
+            tally.peak_views += m.max_live_views;
+        }
+        tally
+    }
+
+    /// Writes both masks in one byte, then the counts; the event count only
+    /// `with_events` (a fleet member observes its session's events).
+    fn write(&self, out: &mut Vec<u8>, with_events: bool) {
+        out.push(self.detected | self.possible << 3);
+        write_count(out, self.tokens);
+        if with_events {
+            write_count(out, self.events);
+        }
+        write_count(out, self.views);
+        write_count(out, self.peak_views);
+    }
+
+    fn read(log: &[u8], pos: &mut usize, with_events: bool) -> Tally {
+        let masks = log[*pos];
+        *pos += 1;
+        let mut count = || read_count(log, pos);
+        Tally {
+            detected: masks & 0b111,
+            possible: masks >> 3,
+            tokens: count(),
+            events: if with_events { count() } else { 0 },
+            views: count(),
+            peak_views: count(),
+        }
+    }
+
+    /// `self` and a fellow member's tally folded into one: masks are unions,
+    /// counts add up, and the events stay `self`'s, since every member of a
+    /// fleet observes the same events.
+    fn and(self, other: Tally) -> Tally {
+        Tally {
+            detected: self.detected | other.detected,
+            possible: self.possible | other.possible,
+            tokens: self.tokens + other.tokens,
+            events: self.events,
+            views: self.views + other.views,
+            peak_views: self.peak_views + other.peak_views,
+        }
+    }
+
+    fn property_outcome(self, property: &str) -> PropertyOutcome {
+        let detected_verdicts = verdict_set(self.detected);
+        PropertyOutcome {
+            property: property.to_string(),
+            verdict: combined_verdict(&detected_verdicts),
+            detected_verdicts,
+            possible_verdicts: verdict_set(self.possible),
+            monitor_tokens: self.tokens,
+            global_views: self.views,
+            peak_global_views: self.peak_views,
         }
     }
 }
 
-/// A member's detected and possible verdict sets, for [`fold_monitors`].
-fn verdict_sets(m: &PropertyMonitor) -> (BTreeSet<Verdict>, BTreeSet<Verdict>) {
-    (m.detected_final_verdicts(), m.possible_verdicts())
+/// One bit per verdict: ⊥ 1, ? 2, ⊤ 4.
+fn verdict_bit(verdict: Verdict) -> u8 {
+    match verdict {
+        Verdict::False => 1,
+        Verdict::Unknown => 2,
+        Verdict::True => 4,
+    }
 }
 
-/// Folds monitors into an outcome: counts add up, verdict sets are unions, and the
-/// verdict combines the detected set.  Messages, `drained` and the per-property
-/// slice are the caller's.
-///
-/// The sets are read in a second pass (`verdicts`: each monitor's detected and
-/// possible sets), after every metrics snapshot is dropped: allocated while a
-/// snapshot is live, the outcome's long-lived set nodes reach deeper into the
-/// shard thread's allocator cache, which held `stream-waves`'
-/// `run_rss_growth_mb` about 8 % higher (glibc malloc, 2-vCPU Linux host).
-fn fold_monitors(
-    snapshots: impl Iterator<Item = MonitorMetrics>,
-    verdicts: impl Iterator<Item = (BTreeSet<Verdict>, BTreeSet<Verdict>)>,
-) -> SessionOutcome {
-    let mut outcome = SessionOutcome {
-        verdict: Verdict::Unknown,
-        detected_verdicts: BTreeSet::new(),
-        possible_verdicts: BTreeSet::new(),
-        monitor_messages: 0,
-        monitor_tokens: 0,
-        events: 0,
-        global_views: 0,
-        peak_global_views: 0,
-        drained: false,
-        per_property: Vec::new(),
-    };
-    for metrics in snapshots {
-        outcome.events += metrics.events_observed;
-        outcome.monitor_tokens += metrics.tokens_sent;
-        outcome.global_views += metrics.global_views_created;
-        outcome.peak_global_views += metrics.max_live_views;
+fn verdict_bits(set: &BTreeSet<Verdict>) -> u8 {
+    set.iter().fold(0, |bits, &v| bits | verdict_bit(v))
+}
+
+fn verdict_set(bits: u8) -> BTreeSet<Verdict> {
+    [Verdict::False, Verdict::Unknown, Verdict::True]
+        .into_iter()
+        .filter(|&v| bits & verdict_bit(v) != 0)
+        .collect()
+}
+
+fn member_names(spec: &SessionSpec) -> impl Iterator<Item = &str> {
+    spec.fleet.iter().map(|m| m.property.as_str())
+}
+
+fn write_count(out: &mut Vec<u8>, count: usize) {
+    varint::write_u64(out, u64::try_from(count).expect("a count fits 64 bits"));
+}
+
+fn read_count(log: &[u8], pos: &mut usize) -> usize {
+    let v = varint::read_u64(log, pos).expect("a shard's record log is well formed");
+    usize::try_from(v).expect("a logged count was a usize")
+}
+
+impl RecordLog {
+    /// Appends the record of a finished session, which is dropped here.
+    fn record(&mut self, id: SessionId, session: ShardSession, drained: bool) {
+        match session {
+            ShardSession::Solo(session) => {
+                let tally = Tally::of(session.monitors().iter().map(DecentralizedMonitor::metrics));
+                let out = self.begin(id, drained, session.monitor_messages(), None);
+                tally.write(out, true);
+            }
+            ShardSession::Fleet { session, spec } => {
+                // Each member folds its own monitors; the session folds the members.
+                let out = self.begin(id, drained, session.monitor_messages(), Some(&spec));
+                let fleets = session.monitors();
+                let tally = (0..spec.fleet.len())
+                    .map(|k| Tally::of(fleets.iter().map(|f| f.member_metrics(k))))
+                    .inspect(|member| member.write(out, false))
+                    .reduce(Tally::and)
+                    .expect("a fleet session has members");
+                tally.write(out, true);
+            }
+        }
     }
-    for (detected, possible) in verdicts {
-        outcome.detected_verdicts.extend(detected);
-        outcome.possible_verdicts.extend(possible);
+
+    /// Starts a record: the id, the flags, the message count and, for a `fleet`
+    /// session, the index of its member-name list.  The caller writes the
+    /// member tallies, in member order, and then the session's own.
+    fn begin(
+        &mut self,
+        id: SessionId,
+        drained: bool,
+        messages: usize,
+        fleet: Option<&Arc<SessionSpec>>,
+    ) -> &mut Vec<u8> {
+        let out = &mut self.bytes;
+        varint::write_u64(out, id);
+        out.push(if drained { DRAINED } else { 0 } | if fleet.is_some() { FLEET } else { 0 });
+        write_count(out, messages);
+        if let Some(spec) = fleet {
+            let known = self
+                .name_lists
+                .iter()
+                .position(|k| Arc::ptr_eq(k, spec) || member_names(k).eq(member_names(spec)));
+            let list = known.unwrap_or_else(|| {
+                self.name_lists.push(Arc::clone(spec));
+                self.name_lists.len() - 1
+            });
+            write_count(out, list);
+        }
+        out
     }
-    outcome.verdict = combined_verdict(&outcome.detected_verdicts);
-    outcome
+
+    /// Reads every record back, into `sessions`.
+    fn read_into(self, sessions: &mut BTreeMap<SessionId, SessionOutcome>) {
+        let (log, mut pos) = (&self.bytes[..], 0);
+        while pos < log.len() {
+            let id = varint::read_u64(log, &mut pos).expect("a shard's record log is well formed");
+            let flags = log[pos];
+            pos += 1;
+            let monitor_messages = read_count(log, &mut pos);
+            let per_property = if flags & FLEET != 0 {
+                let spec = &self.name_lists[read_count(log, &mut pos)];
+                spec.fleet
+                    .iter()
+                    .map(|m| Tally::read(log, &mut pos, false).property_outcome(&m.property))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let tally = Tally::read(log, &mut pos, true);
+            let detected_verdicts = verdict_set(tally.detected);
+            sessions.insert(
+                id,
+                SessionOutcome {
+                    verdict: combined_verdict(&detected_verdicts),
+                    detected_verdicts,
+                    possible_verdicts: verdict_set(tally.possible),
+                    monitor_messages,
+                    monitor_tokens: tally.tokens,
+                    events: tally.events,
+                    global_views: tally.views,
+                    peak_global_views: tally.peak_views,
+                    drained: flags & DRAINED != 0,
+                    per_property,
+                },
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -771,6 +902,76 @@ mod tests {
                 time: 2.0,
             },
         ]
+    }
+
+    /// A fleet of six properties over the `p` and `q` of three processes, shaped
+    /// like the benchmark's `fleet-6` (the paper's A–F at n = 3).
+    fn fleet6_spec() -> Arc<SessionSpec> {
+        let mut reg = AtomRegistry::new();
+        let p: Vec<Formula> = (0..3)
+            .map(|i| Formula::Atom(reg.intern(&format!("P{i}.p"), i)))
+            .collect();
+        let q: Vec<Formula> = (0..3)
+            .map(|i| Formula::Atom(reg.intern(&format!("P{i}.q"), i)))
+            .collect();
+        let all = |fs: &[Formula]| Formula::conj(fs.iter().cloned());
+        let a_or_c = Formula::globally(Formula::until(p[0].clone(), all(&p[1..])));
+        let formulas = [
+            ("A", a_or_c.clone()),
+            ("B", Formula::eventually(all(&p))),
+            ("C", a_or_c),
+            ("D", Formula::globally(Formula::until(all(&p), all(&q)))),
+            ("E", Formula::eventually(Formula::and(all(&p), all(&q)))),
+            (
+                "F",
+                Formula::globally(Formula::and(
+                    Formula::until(p[0].clone(), all(&p[1..])),
+                    Formula::until(q[0].clone(), all(&q[1..])),
+                )),
+            ),
+        ];
+        let registry = Arc::new(reg);
+        let fleet: Vec<FleetMemberSpec> = formulas
+            .iter()
+            .map(|(name, phi)| FleetMemberSpec {
+                property: name.to_string(),
+                automaton: Arc::new(MonitorAutomaton::synthesize(phi, &registry)),
+                registry: registry.clone(),
+                initial_state: Assignment(0b111),
+            })
+            .collect();
+        Arc::new(SessionSpec {
+            n_processes: 3,
+            automaton: fleet[0].automaton.clone(),
+            registry,
+            initial_state: Assignment(0b111),
+            options: MonitorOptions::default(),
+            fleet,
+        })
+    }
+
+    /// Four internal events per process of [`fleet6_spec`]'s three (every `p`
+    /// true at the start), round-robin: `p` flips on every event, `q` holds from
+    /// the third.
+    fn fleet6_events() -> Vec<Event> {
+        let mut events = Vec::new();
+        for k in 1..=4u64 {
+            for i in 0..3usize {
+                let mut vc = vec![0; 3];
+                vc[i] = k;
+                let p = if (k + i as u64).is_multiple_of(2) { 1u64 << i } else { 0 };
+                let q = if k >= 3 { 1u64 << (3 + i) } else { 0 };
+                events.push(Event {
+                    process: i,
+                    kind: EventKind::Internal,
+                    sn: k,
+                    vc: VectorClock::from_entries(vc),
+                    state: Assignment(p | q),
+                    time: (3 * (k - 1) + i as u64) as f64,
+                });
+            }
+        }
+        events
     }
 
     #[test]
@@ -823,17 +1024,211 @@ mod tests {
 
     #[test]
     fn shutdown_drains_unclosed_sessions() {
-        let runtime = ShardedRuntime::start(StreamConfig::default());
-        let spec = reachability_spec();
-        runtime.open_session(5, spec);
-        for e in goal_events() {
-            runtime.feed_event(5, e);
+        // A solo and a fleet session, each fed and opened with no events: run once
+        // closed and once left to shutdown, which must finish them all the same.
+        let cases = [
+            (5, reachability_spec(), goal_events()),
+            (6, reachability_spec(), Vec::new()),
+            (7, fleet6_spec(), fleet6_events()),
+            (8, fleet6_spec(), Vec::new()),
+        ];
+        for use_rings in [false, true] {
+            for n_shards in [1, 2, 4] {
+                let run = |close: bool| {
+                    let runtime = ShardedRuntime::start(StreamConfig {
+                        n_shards,
+                        use_rings,
+                        ..StreamConfig::default()
+                    });
+                    for (id, spec, events) in &cases {
+                        runtime.open_session(*id, spec.clone());
+                        for e in events {
+                            runtime.feed_event(*id, e.clone());
+                        }
+                        if close {
+                            runtime.close_session(*id);
+                        }
+                    }
+                    runtime.shutdown().sessions
+                };
+                let (closed, drained) = (run(true), run(false));
+                let tag = format!("{n_shards} shards, rings={use_rings}");
+                assert_eq!(drained.len(), cases.len(), "{tag}");
+                for (id, outcome) in &drained {
+                    assert!(outcome.drained, "session {id}, {tag}");
+                    assert!(!closed[id].drained, "session {id}, {tag}");
+                    let undrained = SessionOutcome {
+                        drained: false,
+                        ..outcome.clone()
+                    };
+                    assert_eq!(undrained, closed[id], "session {id}, {tag}");
+                }
+                assert_eq!(drained[&5].verdict, Verdict::True, "{tag}");
+                assert_eq!(drained[&5].events, 2, "{tag}");
+                assert_eq!(drained[&6].events, 0, "{tag}");
+                assert_eq!(drained[&7].events, 12, "{tag}");
+                assert_eq!(drained[&8].events, 0, "{tag}");
+                for id in [7, 8] {
+                    let names: Vec<&str> = drained[&id]
+                        .per_property
+                        .iter()
+                        .map(|m| m.property.as_str())
+                        .collect();
+                    assert_eq!(names, ["A", "B", "C", "D", "E", "F"], "session {id}, {tag}");
+                }
+            }
         }
-        // No close: shutdown must finish the session anyway.
-        let report = runtime.shutdown();
-        let outcome = &report.sessions[&5];
-        assert!(outcome.drained);
-        assert_eq!(outcome.verdict, Verdict::True);
+    }
+
+    /// Counts at the edges of the one-, two-, five- and ten-byte LEB128 forms.
+    const EDGE_COUNTS: [usize; 6] = [
+        0,
+        127,
+        128,
+        u32::MAX as usize,
+        u32::MAX as usize + 1,
+        usize::MAX,
+    ];
+
+    /// The outcome of `tally`, with the sets spelled out from the bits.
+    fn expected_outcome(tally: Tally, messages: usize, drained: bool) -> SessionOutcome {
+        let set = |bits: u8| -> BTreeSet<Verdict> {
+            [
+                (1, Verdict::False),
+                (2, Verdict::Unknown),
+                (4, Verdict::True),
+            ]
+            .into_iter()
+            .filter(|&(bit, _)| bits & bit != 0)
+            .map(|(_, v)| v)
+            .collect()
+        };
+        SessionOutcome {
+            verdict: combined_verdict(&set(tally.detected)),
+            detected_verdicts: set(tally.detected),
+            possible_verdicts: set(tally.possible),
+            monitor_messages: messages,
+            monitor_tokens: tally.tokens,
+            events: tally.events,
+            global_views: tally.views,
+            peak_global_views: tally.peak_views,
+            drained,
+            per_property: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn a_record_reads_back_what_was_logged() {
+        let tally = |i: usize| Tally {
+            detected: (i % 8) as u8,
+            possible: (i / 8 % 8) as u8,
+            tokens: EDGE_COUNTS[i % 6],
+            events: EDGE_COUNTS[(i + 1) % 6],
+            views: EDGE_COUNTS[(i + 2) % 6],
+            peak_views: EDGE_COUNTS[(i + 3) % 6],
+        };
+        let fleet_of = |n: usize| {
+            let mut spec = Arc::try_unwrap(fleet6_spec()).expect("a fresh spec");
+            spec.fleet.truncate(n);
+            Arc::new(spec)
+        };
+        let fleets = [None, Some(fleet_of(1)), Some(fleet_of(6))];
+        let mut log = RecordLog::default();
+        let mut expected = BTreeMap::new();
+        let mut id = u64::MAX;
+        // Every detected × possible mask, for a solo session, a one-member fleet
+        // and a six-member one, drained and closed.
+        for i in 0..64 {
+            for fleet in &fleets {
+                for drained in [false, true] {
+                    let members: Vec<Tally> = fleet
+                        .iter()
+                        .flat_map(|spec| (0..spec.fleet.len()).map(|k| tally(i + 7 * k + 1)))
+                        .collect();
+                    let messages = EDGE_COUNTS[(i + 4) % 6];
+                    let out = log.begin(id, drained, messages, fleet.as_ref());
+                    for member in &members {
+                        member.write(out, false);
+                    }
+                    tally(i).write(out, true);
+                    let mut outcome = expected_outcome(tally(i), messages, drained);
+                    outcome.per_property = fleet
+                        .iter()
+                        .flat_map(|spec| &spec.fleet)
+                        .zip(&members)
+                        .map(|(member, &t)| {
+                            let o = expected_outcome(t, 0, false);
+                            PropertyOutcome {
+                                property: member.property.clone(),
+                                verdict: o.verdict,
+                                detected_verdicts: o.detected_verdicts,
+                                possible_verdicts: o.possible_verdicts,
+                                monitor_tokens: o.monitor_tokens,
+                                global_views: o.global_views,
+                                peak_global_views: o.peak_global_views,
+                            }
+                        })
+                        .collect();
+                    expected.insert(id, outcome);
+                    id = id.wrapping_add(0x1_0000_0001);
+                }
+            }
+        }
+        // One name list per distinct fleet, however many records name it.
+        assert_eq!(log.name_lists.len(), 2);
+        let mut sessions = BTreeMap::new();
+        log.read_into(&mut sessions);
+        assert_eq!(sessions.len(), 64 * 3 * 2);
+        assert_eq!(sessions, expected);
+    }
+
+    /// Bytes one closed session adds to its shard's log, measured: a solo
+    /// session of [`reachability_spec`] fed [`goal_events`], id 7.  Before the
+    /// log a shard held a closed session's whole `SessionOutcome` until shutdown:
+    /// for this session a 128 B `(SessionId, SessionOutcome)` list entry (and
+    /// the list's spare capacity) plus 48 B of verdict-set nodes.
+    const SOLO_RECORD_BYTES: usize = 8;
+    /// The same for a session of [`fleet6_spec`] fed [`fleet6_events`], ids 8
+    /// and 9, each opened with a fresh spec.  The first puts its spec in the
+    /// log's list of distinct member-name lists, the second names that list by
+    /// index.  With the log's spare capacity, `tests/stream_footprint.rs`
+    /// measures 62 B of heap kept per closed session of this shape, each with a
+    /// fresh spec; before the log a shard kept 1 160 B (the 128 B entry, its
+    /// outcome's names, per-property list and verdict-set nodes, and the list's
+    /// slack).
+    const FLEET6_RECORD_BYTES: usize = 33;
+
+    #[test]
+    fn a_closed_session_adds_one_packed_record() {
+        let mut log = RecordLog::default();
+        let mut solo = ShardSession::of(&reachability_spec());
+        for e in goal_events() {
+            solo.feed_owned(e);
+        }
+        solo.finish();
+        log.record(7, solo, false);
+        assert_eq!(log.bytes.len(), SOLO_RECORD_BYTES);
+        assert!(log.name_lists.is_empty());
+
+        for id in [8, 9] {
+            let before = log.bytes.len();
+            let mut fleet = ShardSession::of(&fleet6_spec());
+            for e in fleet6_events() {
+                fleet.feed_owned(e);
+            }
+            fleet.finish();
+            log.record(id, fleet, false);
+            assert_eq!(log.bytes.len() - before, FLEET6_RECORD_BYTES, "session {id}");
+        }
+        // Two specs, equal member names: one list.
+        assert_eq!(log.name_lists.len(), 1);
+
+        let mut sessions = BTreeMap::new();
+        log.read_into(&mut sessions);
+        assert_eq!(sessions[&7].verdict, Verdict::True);
+        assert_eq!(sessions[&8], sessions[&9]);
+        assert_eq!(sessions[&8].per_property.len(), 6);
+        assert_eq!(sessions[&8].events, 12);
     }
 
     #[test]

@@ -47,7 +47,8 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-fn live_bytes() -> usize {
+/// Bytes allocated right now, process-wide.
+pub fn live_bytes() -> usize {
     LIVE.load(Ordering::Relaxed)
 }
 
