@@ -78,7 +78,7 @@ pub struct SynthesisReport {
 }
 
 /// The LTL₃ monitor automaton (deterministic Moore machine).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MonitorAutomaton {
     /// The monitored formula.
     pub formula: Formula,

@@ -3,7 +3,8 @@
 //!
 //! Every member property is compiled into one **shared atom registry**
 //! ([`compile_fleet`] via [`PropertySpec::build_in`]), so all members interpret
-//! the same event assignments; each member keeps its own synthesized automaton.
+//! the same event assignments; each distinct formula is synthesized once, and
+//! members with one formula share its automaton.
 //! The streamed runner ([`run_streamed`](crate::throughput::run_streamed)) then
 //! pumps one byte stream with a fleet session spec — each event is decoded once
 //! and outbound tokens of all members share batched monitoring messages (see
@@ -18,8 +19,7 @@ use std::sync::Arc;
 /// The fleet of properties a fleet scenario monitors in one pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetParams {
-    /// The monitored properties in fleet-member order; the property id carried
-    /// by every wire token indexes into this list.  The first member is the
+    /// The monitored properties in fleet-member order.  The first member is the
     /// *lead*: the workload generator shapes traces (initial channel values,
     /// goal tail) for it, exactly as `config.property` does elsewhere.
     pub properties: Vec<PropertySpec>,
@@ -84,13 +84,16 @@ pub fn compile_fleet(
         MAX_SPEC_ATOMS
     );
     let registry = Arc::new(reg);
-    let members = formulas
-        .into_iter()
-        .map(|(name, formula)| CompiledFleetMember {
-            name,
-            automaton: Arc::new(MonitorAutomaton::synthesize(&formula, &registry)),
-        })
-        .collect();
+    let mut members: Vec<CompiledFleetMember> = Vec::with_capacity(formulas.len());
+    for (name, formula) in formulas {
+        // A repeated formula is handed the earlier member's automaton `Arc`: the
+        // fleet's monitors then see one question by a pointer compare.
+        let automaton = match members.iter().find(|m| m.automaton.formula == formula) {
+            Some(same) => same.automaton.clone(),
+            None => Arc::new(MonitorAutomaton::synthesize(&formula, &registry)),
+        };
+        members.push(CompiledFleetMember { name, automaton });
+    }
     (registry, members)
 }
 
@@ -124,6 +127,17 @@ mod tests {
         assert_eq!(members.len(), 2);
         assert_eq!(members[0].name, "A");
         assert_eq!(members[1].name, "D");
+    }
+
+    #[test]
+    fn a_repeated_formula_is_compiled_once() {
+        // A and C are one formula at three processes and two at four.
+        let fleet = paper_fleet(&[PaperProperty::A, PaperProperty::B, PaperProperty::C]);
+        let (_, members) = compile_fleet(&fleet, 3);
+        assert!(Arc::ptr_eq(&members[0].automaton, &members[2].automaton));
+        assert!(!Arc::ptr_eq(&members[0].automaton, &members[1].automaton));
+        let (_, members) = compile_fleet(&fleet, 4);
+        assert!(!Arc::ptr_eq(&members[0].automaton, &members[2].automaton));
     }
 
     #[test]

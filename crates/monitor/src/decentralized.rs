@@ -548,11 +548,48 @@ struct Counters {
     last_activity_time: f64,
 }
 
+/// A monitor's [`MonitorMetrics`] at `process`: its counters, the views alive now
+/// (`live`), the verdicts detected and still possible, and what the process
+/// recorded.  Every recorded event is observed, and its queue sampled, exactly
+/// once, in the activation it was recorded for, so both counts are the history's
+/// length.
+fn snapshot(
+    c: Counters,
+    live: usize,
+    detected: FinalVerdicts,
+    possible_verdicts: BTreeSet<Verdict>,
+    process: &LocalProcess,
+) -> MonitorMetrics {
+    let events = process.history.len();
+    MonitorMetrics {
+        tokens_sent: c.tokens_sent,
+        tokens_received: c.tokens_received,
+        token_batches_sent: c.token_batches_sent,
+        global_views_created: c.global_views_created,
+        global_views_final: live,
+        max_live_views: c.max_live_views.max(live),
+        events_observed: events,
+        queued_events_sum: c.queued_events_sum,
+        queued_events_samples: events,
+        max_queued_events: c.max_queued_events,
+        history_events_served: c.history_events_served,
+        history_events_covered: c.history_events_covered,
+        tokens_parked: c.tokens_parked,
+        tokens_failed_at_termination: c.tokens_failed_at_termination,
+        backlog_events_drained: c.backlog_events_drained,
+        tokens_sent_after_termination: c.tokens_sent_after_termination,
+        last_event_time: process.last_event_time,
+        last_activity_time: c.last_activity_time,
+        detected_final_verdicts: detected.to_set(),
+        possible_verdicts,
+    }
+}
+
 /// What a monitor keeps for its *process*, whatever property it decides: the
 /// history, whether the local program has terminated, the options and when the
 /// latest local event was recorded.  A [`DecentralizedMonitor`] is one of these and
 /// one [`PropertyMonitor`]; a [`FleetMonitor`](crate::FleetMonitor) is one of these
-/// and a member per property, so the process's part is held once per process.
+/// and a monitor per open question, so the process's part is held once per process.
 #[derive(Debug, Clone)]
 pub(crate) struct LocalProcess {
     /// Local event history (`history` in Algorithm 2), which also knows the process
@@ -617,9 +654,10 @@ impl LocalProcess {
 /// activation alone.
 #[derive(Debug, Clone)]
 pub struct PropertyMonitor {
-    /// The fleet member index stamped on every token this monitor emits: `0` in
+    /// The monitor index stamped on every token this monitor emits: `0` in
     /// single-property runs, assigned by [`FleetMonitor`](crate::FleetMonitor)
-    /// when several properties share one transport.
+    /// when several properties share one transport (one index per monitor it
+    /// holds, so per distinct open question, not per member).
     property: u32,
     /// The shared monitor automaton replica.
     automaton: Arc<MonitorAutomaton>,
@@ -682,6 +720,36 @@ impl PropertyMonitor {
         }
     }
 
+    /// The verdict INIT's view reaches at once over `initial_gstate`, if that is
+    /// already ⊤ or ⊥.  Such a monitor holds no view, so it never sends a token
+    /// nor gets one: its process's events and termination only move its activity
+    /// time ([`decided_at_open_metrics`](Self::decided_at_open_metrics)).
+    pub(crate) fn decided_at_open(
+        automaton: &MonitorAutomaton,
+        initial_gstate: Assignment,
+    ) -> Option<Verdict> {
+        let q0 = automaton.step(automaton.initial, initial_gstate);
+        automaton.is_final(q0).then(|| automaton.verdict(q0))
+    }
+
+    /// The snapshot a monitor [decided at open](Self::decided_at_open) on
+    /// `verdict` would take at `process`, its latest activation at
+    /// `last_activity_time`: INIT's counters, and what the process recorded.
+    pub(crate) fn decided_at_open_metrics(
+        process: &LocalProcess,
+        verdict: Verdict,
+        last_activity_time: f64,
+    ) -> MonitorMetrics {
+        let mut detected = FinalVerdicts::default();
+        detected.insert(verdict);
+        let counters = Counters {
+            global_views_created: 1,
+            last_activity_time,
+            ..Counters::default()
+        };
+        snapshot(counters, 0, detected, detected.to_set(), process)
+    }
+
     /// The live global views — the ones that can still move; none is at ⊤ or ⊥.
     pub fn views(&self) -> &[GlobalView] {
         &self.views
@@ -708,33 +776,10 @@ impl PropertyMonitor {
     }
 
     /// A snapshot of this monitor's metrics at `process`: its counters, what its
-    /// views and detected verdicts say now, and what the process recorded.  Every
-    /// recorded event is observed, and its queue sampled, exactly once, in the
-    /// activation it was recorded for, so both counts are the history's length.
+    /// views and detected verdicts say now, and what the process recorded.
     pub(crate) fn metrics(&self, process: &LocalProcess) -> MonitorMetrics {
-        let (c, events) = (self.counters, process.history.len());
-        MonitorMetrics {
-            tokens_sent: c.tokens_sent,
-            tokens_received: c.tokens_received,
-            token_batches_sent: c.token_batches_sent,
-            global_views_created: c.global_views_created,
-            global_views_final: self.views.len(),
-            max_live_views: c.max_live_views.max(self.views.len()),
-            events_observed: events,
-            queued_events_sum: c.queued_events_sum,
-            queued_events_samples: events,
-            max_queued_events: c.max_queued_events,
-            history_events_served: c.history_events_served,
-            history_events_covered: c.history_events_covered,
-            tokens_parked: c.tokens_parked,
-            tokens_failed_at_termination: c.tokens_failed_at_termination,
-            backlog_events_drained: c.backlog_events_drained,
-            tokens_sent_after_termination: c.tokens_sent_after_termination,
-            last_event_time: process.last_event_time,
-            last_activity_time: c.last_activity_time,
-            detected_final_verdicts: self.detected_final_verdicts(),
-            possible_verdicts: self.possible_verdicts(),
-        }
+        let live = self.views.len();
+        snapshot(self.counters, live, self.detected, self.possible_verdicts(), process)
     }
 
     /// Whether this monitor holds monitoring state only: a view set at exactly its
@@ -2354,11 +2399,15 @@ mod tests {
         // process's part (312 while every member was a whole monitor → 216).
         assert!(std::mem::size_of::<PropertyMonitor>() <= 216);
         assert!(std::mem::size_of::<GlobalView>() <= 64);
-        // The process's part and the members — no pool, no outbox, no staging,
+        // The process's part, the session's member → slot map, the monitors and
+        // the latest local activation's time — no pool, no outbox, no staging,
         // no regroup table (200 while it held an outbox, a pass-through buffer
         // and a per-destination staging table, 120 with its own copy of the
-        // process and process count, 104 with a per-member regroup table → 88).
-        assert!(std::mem::size_of::<crate::FleetMonitor>() <= 88);
+        // process and process count, 104 with a per-member regroup table, 88
+        // with a monitor per member → 104: +16 for the map, +8 for the time,
+        // −8 for the monitors in a boxed slice instead of a vector; they let it
+        // hold no monitor for a member decided at open, nor two for one question).
+        assert!(std::mem::size_of::<crate::FleetMonitor>() <= 104);
         // A token says where it goes next through its transitions only, and the
         // state that launched it is theirs to tell (72 bytes with both copies); a
         // message is one token list (72 while it was a token or a batch).
@@ -2934,14 +2983,15 @@ mod tests {
 
     #[test]
     fn a_fleet_member_is_served_the_one_history_of_its_process() {
-        let (mut m0, [p0, _]) = goal_monitor_of(0, MonitorOptions::default());
-        let member = crate::FleetMember {
+        let (mut m0, [p0, p1]) = goal_monitor_of(0, MonitorOptions::default());
+        // One automaton from two initial states: two questions, two monitors.
+        let member = |initial_state| crate::FleetMember {
             automaton: m0.member.automaton.clone(),
             registry: m0.member.registry.clone(),
-            initial_state: Assignment::ALL_FALSE,
+            initial_state,
         };
-        let mut fleet =
-            crate::FleetMonitor::new(1, 2, &[member.clone(), member], MonitorOptions::default());
+        let members = [member(p1), member(Assignment::ALL_FALSE)];
+        let mut fleet = crate::FleetMonitor::new(1, 2, &members, MonitorOptions::default());
         let mut outbox = Vec::new();
 
         // Local events: `P1` records two on which `P1.p` does not hold.
@@ -2968,8 +3018,8 @@ mod tests {
         token.property = 1;
         let mut ctx = MonitorContext::new(1, 2, 3.0, &mut outbox);
         fleet.on_monitor_message(0, one(token), &mut ctx);
-        let [idle, asked] = fleet.members() else {
-            panic!("two members");
+        let [idle, asked] = fleet.monitors() else {
+            panic!("two monitors");
         };
         assert_eq!(idle.counters.history_events_served, 0);
         assert_eq!((asked.counters.history_events_served, asked.counters.tokens_parked), (2, 1));

@@ -4,9 +4,9 @@
 //! N properties costs N full pipelines — N stream decodes, N vector-clock
 //! updates and N independent token meshes over the *same* trace.  A
 //! [`FleetMonitor`] collapses that: it holds its process's part once and one
-//! [`PropertyMonitor`] per property ("fleet member") behind a single
-//! [`MonitorBehavior`], so one [`FeedSession`] drives every member at once and
-//! the per-property *marginal* cost drops instead of multiplying.  A solo
+//! [`PropertyMonitor`] per open question behind a single [`MonitorBehavior`], so
+//! one [`FeedSession`] drives every property ("fleet member") at once and the
+//! per-property *marginal* cost drops instead of multiplying.  A solo
 //! [`DecentralizedMonitor`](crate::DecentralizedMonitor) is the same two parts
 //! with one member, and runs the same activations.
 //!
@@ -36,13 +36,34 @@
 //! (The scratch arena members recycle buffers through is per *thread*, shared with
 //! every other monitor the thread runs; it carries capacity, never content.)
 //!
+//! **Each open question once.**  When a session opens, every member gets a slot,
+//! computed once and shared by the session's processes:
+//!
+//! * A member whose first automaton step from the initial state is already ⊤ or
+//!   ⊥ is *decided at open* — at every process, because every process starts
+//!   from that state.  Its solo monitors hold no view, so they never send or get
+//!   a token; all its process's events and termination do to them is move their
+//!   activity time.  It gets no monitor: its snapshot is INIT's, with the
+//!   process's event count, latest event time and latest activation time.
+//! * A member with the same automaton, registry and initial state as an earlier
+//!   member would run that member's monitors step for step, since a monitor is a
+//!   deterministic function of those, the options and its process's events.  It
+//!   shares them: its verdicts and counts are read from that representative.
+//!
+//! So a fleet holds one monitor per distinct open question, and the tokens of a
+//! shared member are sent once.  Both cases are exact under any options; with
+//! aggregation on even the messages are the same, because a shared member's
+//! tokens would have ridden in its representative's envelopes.  One caveat: a
+//! sum of per-member token or view counts counts the shared work once per member
+//! that asks, as the solo runs it stands for would.
+//!
 //! Between activations a fleet holds monitoring state only, as every member does:
 //! the members activated on one event or message emit into one outbox, leased from
 //! the thread's scratch arena for that fleet activation, and the flush that ends it
 //! moves everything in that outbox into the messages it sends and gives it back.
-//! A received message is regrouped by member as it is delivered (a stable sort on
-//! the property id, then each member's run of tokens split off as its message), so
-//! no fleet keeps a regroup table either.
+//! A received message is regrouped by monitor as it is delivered (a stable sort
+//! on the property id, then each monitor's run of tokens split off as its
+//! message), so no fleet keeps a regroup table either.
 //!
 //! **Equivalence.**  Each member is a deterministic state machine driven only by
 //! its local events and its own tokens.  The fleet preserves, per member, the
@@ -52,7 +73,9 @@
 //! `aggregate_tokens` off messages pass through unmerged in emission order.
 //! Per-property verdicts and token counts are therefore byte-identical to N
 //! independent runs — pinned by `tests/fleet_equivalence.rs` across shard counts
-//! and every [`MonitorOptions`] combination.
+//! and every [`MonitorOptions`] combination.  Only the message count of a fleet
+//! with a shared member and aggregation off is lower than the solo sum: the
+//! shared member's messages are not sent twice.
 
 use crate::decentralized::{
     lease_outbox, return_outbox, LocalProcess, MonitorOptions, Outbox, PropertyMonitor,
@@ -79,67 +102,160 @@ pub struct FleetMember {
     pub initial_state: Assignment,
 }
 
+/// What answers for one fleet member, the same at every process of a session.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Decided at open: INIT's first step from the initial state is already ⊤ or
+    /// ⊥ — at every process, since they all start from that state — so no monitor
+    /// is held and nothing the member would do can move.
+    Decided(Verdict),
+    /// The monitor at this index of the fleet's monitors: the member's own, or
+    /// that of the first earlier member with the same automaton, registry and
+    /// initial state (its representative), whose every verdict and count it
+    /// would repeat.
+    Monitor(u32),
+}
+
+/// The member → slot map of a fleet: every member decided at open gets
+/// [`Slot::Decided`], every other the monitor of its representative.  Members
+/// compiled together share one automaton `Arc`, so the usual comparison is a
+/// pointer compare.
+fn plan(members: &[FleetMember]) -> Arc<[Slot]> {
+    let mut representatives: Vec<&FleetMember> = Vec::new();
+    members
+        .iter()
+        .map(|m| {
+            if let Some(verdict) = PropertyMonitor::decided_at_open(&m.automaton, m.initial_state) {
+                return Slot::Decided(verdict);
+            }
+            let same = |r: &&FleetMember| {
+                (&r.automaton, &r.registry, r.initial_state)
+                    == (&m.automaton, &m.registry, m.initial_state)
+            };
+            let index = representatives.iter().position(same).unwrap_or_else(|| {
+                representatives.push(m);
+                representatives.len() - 1
+            });
+            Slot::Monitor(u32::try_from(index).expect("a fleet's monitors fit u32 ids"))
+        })
+        .collect()
+}
+
 /// The monitor of one process in a fleet run: the process's part once, and one
-/// [`PropertyMonitor`] per property, all sharing decoded events and outbound
-/// transport.
+/// [`PropertyMonitor`] per open question, all sharing decoded events and
+/// outbound transport.
 ///
-/// Member `k`'s tokens are stamped with
-/// [`Token::property`](crate::Token::property)` == k`; on receipt the fleet
-/// demultiplexes on that field, so a member only ever sees its own tokens and
+/// A member decided at open holds no monitor, and members with the same
+/// automaton, registry and initial state share one (the module doc's "Each open
+/// question once"): the member → slot map is computed once per session and read
+/// by every per-member accessor.  Monitor `i`'s tokens are stamped with
+/// [`Token::property`](crate::Token::property)` == i`; on receipt the fleet
+/// demultiplexes on that field, so a monitor only ever sees its own tokens and
 /// cannot observe (or disturb) another property's exploration.
 #[derive(Debug, Clone)]
 pub struct FleetMonitor {
     /// The process's recorded events, termination and options, read by every
-    /// member: the §4.3.1 switch among them decides whether tokens of *all*
-    /// members bound for one destination merge into one batch per activation, or
-    /// every member's messages pass through unmerged (aggregation off means off —
+    /// monitor: the §4.3.1 switch among them decides whether tokens of *all*
+    /// monitors bound for one destination merge into one batch per activation, or
+    /// every monitor's messages pass through unmerged (aggregation off means off —
     /// including the cross-property kind).
     process: LocalProcess,
-    members: Vec<PropertyMonitor>,
+    /// Member `k` → what answers for it, shared by the session's processes.
+    slots: Arc<[Slot]>,
+    /// One monitor per [`Slot::Monitor`] index.
+    monitors: Box<[PropertyMonitor]>,
+    /// The time of this process's latest own activation, a local event or its
+    /// termination: the last activity a member decided at open reports.
+    last_local_activation: f64,
 }
 
 impl FleetMonitor {
     /// Creates the fleet monitor of process `pid`: one [`PropertyMonitor`] per
-    /// member, every member running under the same shared `opts`.
+    /// open question among `members`, every one running under the same shared
+    /// `opts`.
     pub fn new(
         pid: ProcessId,
         n_processes: usize,
         members: &[FleetMember],
         opts: MonitorOptions,
     ) -> Self {
+        Self::planned(pid, n_processes, members, plan(members), opts)
+    }
+
+    /// [`new`](Self::new) with the session's member → slot map, `plan(members)`.
+    fn planned(
+        pid: ProcessId,
+        n_processes: usize,
+        members: &[FleetMember],
+        slots: Arc<[Slot]>,
+        opts: MonitorOptions,
+    ) -> Self {
         assert!(!members.is_empty(), "a fleet needs at least one property");
+        let monitor_index = |slot: &Slot| match *slot {
+            Slot::Monitor(i) => Some(i),
+            Slot::Decided(_) => None,
+        };
+        let held = slots.iter().filter_map(monitor_index).max().map_or(0, |i| i as usize + 1);
+        let mut monitors = Vec::with_capacity(held);
+        for (m, slot) in members.iter().zip(slots.iter()) {
+            // A representative is the first member of its slot.
+            if let Some(i) = monitor_index(slot).filter(|&i| i as usize == monitors.len()) {
+                let (automaton, registry) = (m.automaton.clone(), m.registry.clone());
+                monitors.push(PropertyMonitor::new(
+                    i,
+                    n_processes,
+                    automaton,
+                    registry,
+                    m.initial_state,
+                ));
+            }
+        }
         FleetMonitor {
             process: LocalProcess::new(pid, n_processes, opts),
-            members: (0..)
-                .zip(members)
-                .map(|(k, m)| {
-                    let (automaton, registry) = (m.automaton.clone(), m.registry.clone());
-                    PropertyMonitor::new(k, n_processes, automaton, registry, m.initial_state)
-                })
-                .collect(),
+            slots,
+            monitors: monitors.into_boxed_slice(),
+            last_local_activation: 0.0,
         }
     }
 
     /// Number of properties in the fleet.
     pub fn fleet_size(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The per-property monitors, in member (property-id) order.
-    pub fn members(&self) -> &[PropertyMonitor] {
-        &self.members
+        self.slots.len()
     }
 
     /// Metrics snapshot of member `k`'s monitor at this process.
     pub fn member_metrics(&self, k: usize) -> MonitorMetrics {
-        self.members[k].metrics(&self.process)
+        match self.slots[k] {
+            Slot::Decided(verdict) => PropertyMonitor::decided_at_open_metrics(
+                &self.process,
+                verdict,
+                self.last_local_activation,
+            ),
+            Slot::Monitor(i) => self.monitors[i as usize].metrics(&self.process),
+        }
     }
 
-    /// Sends what the members emitted during one fleet activation, and gives the
+    /// ⊤/⊥ verdicts member `k` has detected at this process.
+    fn member_detected(&self, k: usize) -> BTreeSet<Verdict> {
+        match self.slots[k] {
+            Slot::Decided(verdict) => BTreeSet::from([verdict]),
+            Slot::Monitor(i) => self.monitors[i as usize].detected_final_verdicts(),
+        }
+    }
+
+    /// The verdicts member `k` still considers possible at this process.
+    fn member_possible(&self, k: usize) -> BTreeSet<Verdict> {
+        match self.slots[k] {
+            Slot::Decided(verdict) => BTreeSet::from([verdict]),
+            Slot::Monitor(i) => self.monitors[i as usize].possible_verdicts(),
+        }
+    }
+
+    /// Sends what the monitors emitted during one fleet activation, and gives the
     /// emptied outbox back to the thread's arena.  Aggregation off: every message
     /// verbatim, in emission order.  On: one message per destination, in ascending
-    /// destination order — exactly the order each member's own §4.3.1 flush uses,
-    /// so the merge preserves every member's solo emission schedule.  The first
+    /// destination order — exactly the order each monitor's own §4.3.1 flush uses,
+    /// so the merge preserves every monitor's solo emission schedule.  The first
     /// message to a destination takes the tokens of the others, in emission order.
     fn flush(&self, mut emitted: Outbox, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         if !self.process.opts().aggregate_tokens {
@@ -160,13 +276,19 @@ impl FleetMonitor {
         debug_assert!(self.parks_no_spare());
     }
 
-    /// Whether this fleet holds monitoring state only: no member holding spare
+    /// Whether this fleet holds monitoring state only: no monitor holding spare
     /// capacity ([`PropertyMonitor::parks_no_spare`]).  True between activations.
     pub(crate) fn parks_no_spare(&self) -> bool {
-        self.members.iter().all(PropertyMonitor::parks_no_spare)
+        self.monitors.iter().all(PropertyMonitor::parks_no_spare)
     }
 
-    /// The context of one fleet activation: every member activated in it emits
+    /// The monitors this fleet holds, one per open question, in token-id order.
+    #[cfg(test)]
+    pub(crate) fn monitors(&self) -> &[PropertyMonitor] {
+        &self.monitors
+    }
+
+    /// The context of one fleet activation: every monitor activated in it emits
     /// into `emitted`.
     fn context<'o>(&self, now: f64, emitted: &'o mut Outbox) -> MonitorContext<'o, MonitorMsg> {
         MonitorContext::new(self.process.pid(), self.process.n(), now, emitted)
@@ -177,21 +299,22 @@ impl MonitorBehavior for FleetMonitor {
     type Message = MonitorMsg;
 
     fn on_local_event(&mut self, event: &Event, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        // Recorded once, for every member.
+        // Recorded once, for every monitor.
         self.process.record(event, ctx.now);
+        self.last_local_activation = ctx.now;
         let mut emitted = lease_outbox();
         let mut fleet_ctx = self.context(ctx.now, &mut emitted);
-        for member in &mut self.members {
-            member.on_recorded_event(&self.process, &mut fleet_ctx);
+        for monitor in &mut self.monitors {
+            monitor.on_recorded_event(&self.process, &mut fleet_ctx);
         }
         self.flush(emitted, ctx);
     }
 
-    /// Delivers each member's tokens of `msg` as one activation, in ascending
-    /// member order (matching the sender's member-major merge) and as the message
-    /// the member would have received solo: a stable sort on the property id
-    /// keeps every member's tokens in their order, and each member's run of
-    /// tokens is split off as its own message.
+    /// Delivers each monitor's tokens of `msg` as one activation, in ascending
+    /// monitor order (matching the sender's monitor-major merge) and as the
+    /// message the monitor would have received solo: a stable sort on the
+    /// property id keeps every monitor's tokens in their order, and each
+    /// monitor's run of tokens is split off as its own message.
     fn on_monitor_message(
         &mut self,
         _from: ProcessId,
@@ -205,17 +328,18 @@ impl MonitorBehavior for FleetMonitor {
         while let Some(k) = tokens.first().map(|t| t.property) {
             let rest = tokens.split_off(tokens.partition_point(|t| t.property == k));
             let msg = MonitorMsg { tokens: std::mem::replace(&mut tokens, rest) };
-            self.members[k as usize].on_monitor_message(&self.process, msg, &mut fleet_ctx);
+            self.monitors[k as usize].on_monitor_message(&self.process, msg, &mut fleet_ctx);
         }
         self.flush(emitted, ctx);
     }
 
     fn on_local_termination(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         self.process.terminate();
+        self.last_local_activation = ctx.now;
         let mut emitted = lease_outbox();
         let mut fleet_ctx = self.context(ctx.now, &mut emitted);
-        for member in &mut self.members {
-            member.on_local_termination(&self.process, &mut fleet_ctx);
+        for monitor in &mut self.monitors {
+            monitor.on_local_termination(&self.process, &mut fleet_ctx);
         }
         self.flush(emitted, ctx);
     }
@@ -227,12 +351,18 @@ impl SessionVerdicts for FleetMonitor {
     }
 
     fn has_detected(&self, verdict: Verdict) -> bool {
-        self.members.iter().any(|m| m.has_detected(verdict))
+        self.slots.contains(&Slot::Decided(verdict))
+            || self.monitors.iter().any(|m| m.has_detected(verdict))
     }
 
     fn possible_verdicts(&self) -> BTreeSet<Verdict> {
         let mut set = BTreeSet::new();
-        for m in &self.members {
+        for slot in self.slots.iter() {
+            if let Slot::Decided(verdict) = slot {
+                set.insert(*verdict);
+            }
+        }
+        for m in self.monitors.iter() {
             set.extend(m.possible_verdicts());
         }
         set
@@ -243,14 +373,16 @@ impl SessionVerdicts for FleetMonitor {
 pub type FleetSession = FeedSession<FleetMonitor>;
 
 /// Creates a fleet session: one [`FleetMonitor`] per process, each holding one
-/// [`PropertyMonitor`] per property, all under the same shared options.
+/// [`PropertyMonitor`] per open question, all under the same shared options.
+/// The member → slot map is computed here, once, and shared by every process.
 pub fn fleet_session(
     n_processes: usize,
     members: &[FleetMember],
     opts: MonitorOptions,
 ) -> FleetSession {
+    let slots = plan(members);
     FeedSession::new(n_processes, |pid| {
-        FleetMonitor::new(pid, n_processes, members, opts)
+        FleetMonitor::planned(pid, n_processes, members, slots.clone(), opts)
     })
 }
 
@@ -258,7 +390,7 @@ pub fn fleet_session(
 pub fn fleet_member_detected(session: &FleetSession, k: usize) -> BTreeSet<Verdict> {
     let mut set = BTreeSet::new();
     for fleet in session.monitors() {
-        set.extend(fleet.members()[k].detected_final_verdicts());
+        set.extend(fleet.member_detected(k));
     }
     set
 }
@@ -267,7 +399,7 @@ pub fn fleet_member_detected(session: &FleetSession, k: usize) -> BTreeSet<Verdi
 pub fn fleet_member_possible(session: &FleetSession, k: usize) -> BTreeSet<Verdict> {
     let mut set = BTreeSet::new();
     for fleet in session.monitors() {
-        set.extend(fleet.members()[k].possible_verdicts());
+        set.extend(fleet.member_possible(k));
     }
     set
 }
@@ -548,7 +680,7 @@ mod tests {
         case: &str,
     ) {
         for p in 0..3 {
-            let fleet_members = fleet.monitors()[p].members().len();
+            let fleet_members = fleet.monitors()[p].fleet_size();
             let members = (0..fleet_members).map(|k| fleet.monitors()[p].member_metrics(k));
             for (k, m) in members.chain([solo.monitors()[p].metrics()]).enumerate() {
                 let case = format!("{case}, P{p}, member {k} of {fleet_members} (last: solo)");
@@ -599,6 +731,116 @@ mod tests {
             messages += fleet.monitor_messages() + solo.monitor_messages();
         }
         assert!(messages > 0, "the runs must exchange tokens");
+    }
+
+    /// Paper properties A–F at `n` processes as one fleet, each automaton its
+    /// own `Arc`, all opened in the state where every `p` holds and no `q` does:
+    /// there B is ⊤ and F is ⊥ at INIT, and A, C, D and E are open.
+    fn paper_fleet_from_all_p(n: usize) -> (Vec<FleetMember>, Arc<AtomRegistry>) {
+        let (formulas, registry) = paper_properties(n);
+        let all_p = Assignment::from_true_atoms(
+            (0..n).map(|i| registry.lookup(&format!("P{i}.p")).expect("atom P<i>.p")),
+        );
+        let members = formulas
+            .iter()
+            .map(|phi| FleetMember {
+                automaton: Arc::new(MonitorAutomaton::synthesize(phi, &registry)),
+                registry: registry.clone(),
+                initial_state: all_p,
+            })
+            .collect();
+        (members, registry)
+    }
+
+    #[test]
+    fn an_a_to_f_fleet_at_three_processes_holds_monitors_for_c_d_and_e_only() {
+        // B and F are decided at open; A and C are one formula at three
+        // processes, so they share the monitor A holds as the earlier member.
+        let (members, _) = paper_fleet_from_all_p(3);
+        let fleet = FleetMonitor::new(0, 3, &members, MonitorOptions::default());
+        use Slot::{Decided, Monitor};
+        let expected = [
+            Monitor(0),
+            Decided(Verdict::True),
+            Monitor(0),
+            Monitor(1),
+            Monitor(2),
+            Decided(Verdict::False),
+        ];
+        assert_eq!(fleet.slots[..], expected);
+        assert_eq!((fleet.fleet_size(), fleet.monitors().len()), (6, 3));
+        // Every process of a session reads one map.
+        let session = fleet_session(3, &members, MonitorOptions::default());
+        let [first, rest @ ..] = session.monitors() else { panic!("three processes") };
+        assert!(rest.iter().all(|f| Arc::ptr_eq(&f.slots, &first.slots)));
+        assert_eq!(first.slots[..], expected);
+    }
+
+    #[test]
+    fn at_four_processes_a_and_c_each_hold_their_own_monitor() {
+        let (members, _) = paper_fleet_from_all_p(4);
+        let fleet = FleetMonitor::new(0, 4, &members, MonitorOptions::default());
+        use Slot::{Decided, Monitor};
+        assert_eq!(
+            fleet.slots[..],
+            [
+                Monitor(0),
+                Decided(Verdict::True),
+                Monitor(1),
+                Monitor(2),
+                Monitor(3),
+                Decided(Verdict::False),
+            ]
+        );
+        assert_eq!(fleet.monitors().len(), 4);
+    }
+
+    #[test]
+    fn every_member_reports_its_solo_run_decided_and_shared_members_included() {
+        // After every fed event and at finish, member `k`'s snapshot at each
+        // process is the one its solo monitor there takes: B and F (decided at
+        // open, no monitor), A and C (one monitor), D and E (their own).
+        let (members, registry) = paper_fleet_from_all_p(3);
+        let mut compared = 0;
+        for (seed, opts) in [(1, MonitorOptions::default()), (2, MonitorOptions::ALL_OFF)] {
+            let (events, _) = simulated(3, seed, false, &registry);
+            let mut fleet = fleet_session(3, &members, opts);
+            let mut solos: Vec<_> = members
+                .iter()
+                .map(|m| decentralized_session(3, &m.automaton, &registry, m.initial_state, opts))
+                .collect();
+            let mut check = |fleet: &FleetSession, solos: &[DecentralizedSession], at: &str| {
+                for (k, solo) in solos.iter().enumerate() {
+                    let solo: Vec<_> = solo.monitors().iter().map(|m| m.metrics()).collect();
+                    let case = format!("member {k}, seed {seed}, {opts:?}, {at}");
+                    assert_eq!(fleet_member_metrics(fleet, k), solo, "{case}");
+                    compared += 1;
+                }
+                // The session's own read-outs are the union over every member.
+                let union = |of: fn(&DecentralizedSession) -> BTreeSet<Verdict>| {
+                    solos.iter().flat_map(of).collect::<BTreeSet<_>>()
+                };
+                let case = format!("session, seed {seed}, {opts:?}, {at}");
+                let detected = union(DecentralizedSession::detected_verdicts);
+                assert!(detected.contains(&Verdict::True), "B is ⊤ from the start, {case}");
+                assert_eq!(fleet.detected_verdicts(), detected, "{case}");
+                assert_eq!(fleet.verdict(), crate::combined_verdict(&detected), "{case}");
+                let possible = union(DecentralizedSession::possible_verdicts);
+                assert_eq!(fleet.possible_verdicts(), possible, "{case}");
+            };
+            for (i, event) in events.iter().enumerate() {
+                fleet.feed_event(event);
+                solos.iter_mut().for_each(|solo| _ = solo.feed_event(event));
+                check(&fleet, &solos, &format!("after event {i}"));
+            }
+            fleet.finish();
+            solos.iter_mut().for_each(|solo| _ = solo.finish());
+            check(&fleet, &solos, "at finish");
+            let tokens = |k| fleet_member_metrics(&fleet, k).iter().map(|m| m.tokens_sent).sum();
+            assert_eq!((tokens(1), tokens(5)), (0, 0), "decided members never send");
+            assert!(tokens(0) > 0, "the shared question is explored, seed {seed}");
+        }
+        assert!(compared > 0);
     }
 
     #[test]

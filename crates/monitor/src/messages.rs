@@ -100,8 +100,9 @@ impl TokenTransition {
 /// that launched it is the source state of its transitions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Token {
-    /// The fleet member (property) this token belongs to: `0` in single-property
-    /// runs, the member index in a [`FleetMonitor`](crate::FleetMonitor) run.
+    /// The monitor (property) this token belongs to: `0` in single-property
+    /// runs, the index of the monitor a [`FleetMonitor`](crate::FleetMonitor)
+    /// holds for the token's member — members asking one question share one.
     /// This is the property-id dimension of [`MonitorMsg`] — one message may
     /// aggregate tokens of several properties bound for the same destination, each
     /// self-identifying, and the receiving fleet demultiplexes on this field.

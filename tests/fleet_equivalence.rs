@@ -16,7 +16,7 @@ use dlrv::{
     compile_fleet, simulate_session, CompiledFleetMember, ExperimentConfig, FleetParams,
     PaperProperty, PropertySpec, ScenarioFamily, ScenarioRegistry,
 };
-use dlrv::dlrv_ltl::AtomRegistry;
+use dlrv::dlrv_ltl::{Assignment, AtomRegistry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -54,6 +54,19 @@ fn run_as_fleet(
     opts: MonitorOptions,
     n_shards: usize,
 ) -> BTreeMap<u64, SessionOutcome> {
+    run_as_fleet_from(bytes, registry, members, opts, n_shards, &|_, state| state)
+}
+
+/// [`run_as_fleet`] with member `k` of every session opened in
+/// `initial(k, the session's initial state)`.
+fn run_as_fleet_from(
+    bytes: &[u8],
+    registry: &Arc<AtomRegistry>,
+    members: &[CompiledFleetMember],
+    opts: MonitorOptions,
+    n_shards: usize,
+    initial: &dyn Fn(usize, Assignment) -> Assignment,
+) -> BTreeMap<u64, SessionOutcome> {
     let runtime = ShardedRuntime::start(StreamConfig {
         n_shards,
         mailbox_capacity: 8,
@@ -71,11 +84,12 @@ fn run_as_fleet(
                 options: opts,
                 fleet: members
                     .iter()
-                    .map(|m| FleetMemberSpec {
+                    .enumerate()
+                    .map(|(k, m)| FleetMemberSpec {
                         property: m.name.clone(),
                         automaton: m.automaton.clone(),
                         registry: registry.clone(),
-                        initial_state: open.initial_state,
+                        initial_state: initial(k, open.initial_state),
                     })
                     .collect(),
             }))
@@ -92,6 +106,18 @@ fn run_as_solo(
     opts: MonitorOptions,
     n_shards: usize,
 ) -> BTreeMap<u64, SessionOutcome> {
+    run_as_solo_from(bytes, registry, member, opts, n_shards, &|state| state)
+}
+
+/// [`run_as_solo`] with every session opened in `initial(its initial state)`.
+fn run_as_solo_from(
+    bytes: &[u8],
+    registry: &Arc<AtomRegistry>,
+    member: &CompiledFleetMember,
+    opts: MonitorOptions,
+    n_shards: usize,
+    initial: &dyn Fn(Assignment) -> Assignment,
+) -> BTreeMap<u64, SessionOutcome> {
     let runtime = ShardedRuntime::start(StreamConfig {
         n_shards,
         mailbox_capacity: 8,
@@ -105,7 +131,7 @@ fn run_as_solo(
                 n_processes: open.n_processes,
                 automaton: member.automaton.clone(),
                 registry: registry.clone(),
-                initial_state: open.initial_state,
+                initial_state: initial(open.initial_state),
                 options: opts,
                 fleet: Vec::new(),
             }))
@@ -256,5 +282,61 @@ fn fleet_of_one_is_a_solo_run() {
             "session {session}: a fleet of one must send exactly the solo messages"
         );
         assert_eq!(fleet_sessions[session].events, outcome.events, "session {session}");
+    }
+}
+
+#[test]
+fn one_automaton_from_two_initial_states_is_two_questions() {
+    // C twice — one automaton `Arc`, one registry — but opened in two states,
+    // both open for C (`P0.p` holds, `P1.p ∧ P2.p` does not).  A monitor is a
+    // function of its initial state too, so the two members must not share:
+    // each matches a solo run from its own state, and with aggregation off the
+    // fleet sends exactly what the two solo runs send.  Opened in one state they
+    // do share, and the second member's messages are not sent.
+    let fleet = paper_fleet(&[PaperProperty::C, PaperProperty::C]);
+    let config = ExperimentConfig {
+        events_per_process: 6,
+        ..ExperimentConfig::paper_default(PaperProperty::C, 3)
+    };
+    let (registry, members) = compile_fleet(&fleet, config.n_processes);
+    assert!(Arc::ptr_eq(&members[0].automaton, &members[1].automaton));
+    let atom = |name: &str| registry.lookup(name).expect("a p atom of three processes");
+    let (p0, p1, p2) = (atom("P0.p"), atom("P1.p"), atom("P2.p"));
+    let state_of = |k: usize, state: Assignment| {
+        state.with(p0, true).with(p1, k == 1).with(p2, k == 0)
+    };
+    let bytes = fleet_wire(&config, &registry, 6);
+
+    for opts in [MonitorOptions::ALL_OFF, MonitorOptions::default()] {
+        let tag = format!("C from two states, {opts:?}");
+        let two = run_as_fleet_from(&bytes, &registry, &members, opts, 2, &state_of);
+        let solos: Vec<_> = (0..2)
+            .map(|k| {
+                run_as_solo_from(&bytes, &registry, &members[k], opts, 2, &|s| state_of(k, s))
+            })
+            .collect();
+        for (k, solo) in solos.iter().enumerate() {
+            assert_member_matches(&two, solo, k, &tag);
+        }
+        if !opts.aggregate_tokens {
+            let one = run_as_fleet_from(&bytes, &registry, &members, opts, 2, &|_, s| {
+                state_of(0, s)
+            });
+            let mut sent = 0;
+            for (session, outcome) in &two {
+                let [first, second] = [&solos[0][session], &solos[1][session]];
+                assert_eq!(
+                    outcome.monitor_messages,
+                    first.monitor_messages + second.monitor_messages,
+                    "{tag}, session {session}: two questions send both solo runs' messages"
+                );
+                assert_eq!(
+                    one[session].monitor_messages, first.monitor_messages,
+                    "{tag}, session {session}: one question is sent once"
+                );
+                sent += first.monitor_messages.min(second.monitor_messages);
+            }
+            assert!(sent > 0, "{tag}: both solo runs must send");
+        }
     }
 }

@@ -1,10 +1,12 @@
 //! What a live fleet session costs in heap, against the solo sessions it replaces.
 //!
-//! A fleet attaches one monitor per property to every process, and what those
+//! A fleet attaches one monitor per open question to every process, and what those
 //! monitors share must be held once: the process's part — its recorded history,
 //! termination flag, options and latest event time — is held once per process and
 //! borrowed by each member for its activations, not copied per member, and the
-//! fleet parks no buffer pool or regroup table of its own.  So a `fleet-6`-shaped
+//! fleet parks no buffer pool or regroup table of its own; nor does it hold a
+//! monitor for a member decided at open, or a second one for a member asking an
+//! earlier member's question.  So a `fleet-6`-shaped
 //! session (paper properties A–F, three processes, four events per process) has
 //! to hold clearly less than the six solo sessions monitoring the
 //! same stream — pinned here with the counting allocator of `session_footprint`.
@@ -32,7 +34,11 @@ static ALLOCATOR: Counting = Counting;
 
 const SESSIONS: usize = 400;
 /// Live heap of the fleet sessions over the live heap of their solo sessions, in
-/// percent.  Measured: 73.1 (8 202 / 11 214; pin 70 → 56 → 66 → 73).  The two
+/// percent.  Measured: 48.8 (5 467 / 11 214; pin 70 → 56 → 66 → 73 → 48): B and
+/// F are decided at open in these sessions and hold no monitor, and A and C are
+/// one formula at three processes and share one, so the fleet holds three
+/// monitors per process to the solo sessions' six.  It read 73.1 (8 202 /
+/// 11 214) with a monitor per member.  The two
 /// upward moves are the history records', each by its measured amount: a
 /// narrower record shrinks every history, six solo sessions hold 18 histories to
 /// a fleet's 3, so the solo side sheds six times the bytes while the fleet's own
@@ -48,9 +54,14 @@ const SESSIONS: usize = 400;
 /// the fleet's staging kept pool-sized buffers between activations, 78 while
 /// views at ⊤/⊥ were held instead of retired, 114 with a history per member and
 /// the token pool.
-const FLEET_OVER_SOLOS_PERCENT: usize = 73;
-/// Live heap of one fleet session, in bytes.  Measured: 8 202 (budget 15 000 →
-/// 10 000 → 9 450 → 8 600).  It read 8 640 with a parked token's vector keeping
+const FLEET_OVER_SOLOS_PERCENT: usize = 48;
+/// Live heap of one fleet session, in bytes.  Measured: 5 467 (budget 15 000 →
+/// 10 000 → 9 450 → 8 600 → 5 600).  It read 8 202 with a monitor per member:
+/// B's, F's and a second one for A and C at each process were 1 944 B
+/// (3 × 3 × 216) of the difference, and the views, parked tokens and in-flight
+/// counts the second one repeated 903 B; the session's member → slot map and
+/// each process's map pointer and activation time add back 112 B.
+/// It read 8 640 with a parked token's vector keeping
 /// spare slots, 8 998 with history records of `n + 2` half-width (`u32`) words,
 /// 9 537 with records of `n + 1` full-width (`u64`) words; 11 745 while every
 /// member was a whole monitor and every
@@ -58,7 +69,7 @@ const FLEET_OVER_SOLOS_PERCENT: usize = 73;
 /// verdict sets and an emptied in-flight buffer; 13 934 while a token carried its
 /// own routing target and launch state, 14 930 with a flat history of `n + 1`
 /// words per event, 24 078 with the pool-sized buffers above.
-const BYTES_PER_FLEET_SESSION: usize = 8_600;
+const BYTES_PER_FLEET_SESSION: usize = 5_600;
 
 #[test]
 fn live_fleet_sessions_hold_less_than_their_solo_sessions_and_give_everything_back() {
