@@ -143,7 +143,12 @@ impl VerdictReachability {
                 },
             })
             .collect();
-        VerdictReachability { reachable, top_reachable, bot_reachable, classes }
+        VerdictReachability {
+            reachable,
+            top_reachable,
+            bot_reachable,
+            classes,
+        }
     }
 
     /// Classifies the spec from the classes of its *reachable* states.

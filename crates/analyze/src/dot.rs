@@ -55,8 +55,16 @@ pub fn to_dot_annotated(
             Verdict::True => ("q_top".to_string(), "doublecircle"),
             Verdict::Unknown => (format!("q{s}"), "circle"),
         };
-        let marker = if class == StateClass::NeitherReachable { "\\n(trap)" } else { "" };
-        let style = if analysis.reachable[s] { "filled" } else { "filled,dashed" };
+        let marker = if class == StateClass::NeitherReachable {
+            "\\n(trap)"
+        } else {
+            ""
+        };
+        let style = if analysis.reachable[s] {
+            "filled"
+        } else {
+            "filled,dashed"
+        };
         let _ = writeln!(
             out,
             "  s{s} [label=\"{name}\\n{}{marker}\", shape={shape}, \
@@ -85,8 +93,7 @@ mod tests {
     fn annotated_dot_marks_traps_and_keeps_the_plain_shape() {
         let mut registry = AtomRegistry::new();
         let formula = parse("G (P0.req -> F P1.ack)", &mut registry).expect("parses");
-        let (automaton, synthesis) =
-            MonitorAutomaton::synthesize_with_report(&formula, &registry);
+        let (automaton, synthesis) = MonitorAutomaton::synthesize_with_report(&formula, &registry);
         let analysis = analyze(&AnalysisInput {
             name: "reqack",
             ltl_source: Some("G (P0.req -> F P1.ack)"),
@@ -110,8 +117,7 @@ mod tests {
     fn annotated_dot_keeps_guard_labels_and_colors_finals() {
         let mut registry = AtomRegistry::new();
         let formula = parse("F (P0.p && P1.p)", &mut registry).expect("parses");
-        let (automaton, synthesis) =
-            MonitorAutomaton::synthesize_with_report(&formula, &registry);
+        let (automaton, synthesis) = MonitorAutomaton::synthesize_with_report(&formula, &registry);
         let analysis = analyze(&AnalysisInput {
             name: "rendezvous",
             ltl_source: Some("F (P0.p && P1.p)"),
@@ -125,7 +131,10 @@ mod tests {
         });
         let dot = to_dot_annotated(&automaton, &registry, &analysis, "rendezvous");
         assert!(dot.contains("P0.p"), "guards must use atom names: {dot}");
-        assert!(dot.contains("q_top"), "⊤ state keeps its classic name: {dot}");
+        assert!(
+            dot.contains("q_top"),
+            "⊤ state keeps its classic name: {dot}"
+        );
         assert!(dot.contains("palegreen"), "⊤ state is green: {dot}");
         assert!(dot.contains("->"));
         assert!(!dot.contains("(trap)"), "co-safety has no traps: {dot}");

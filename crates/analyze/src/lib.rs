@@ -31,8 +31,8 @@ pub use classify::{MonitorabilityClass, StateClass, VerdictReachability};
 pub use dot::to_dot_annotated;
 pub use finding::{Finding, Lint, Severity, Span};
 pub use report::{
-    analyses_from_json, analyses_to_json, AnalysisRecord, PropertyAnalysis,
-    ANALYSIS_GENERATOR, ANALYSIS_SCHEMA_VERSION,
+    analyses_from_json, analyses_to_json, AnalysisRecord, PropertyAnalysis, ANALYSIS_GENERATOR,
+    ANALYSIS_SCHEMA_VERSION,
 };
 
 use dlrv_automaton::{MonitorAutomaton, SynthesisReport};
@@ -56,7 +56,11 @@ pub struct Budget {
 
 impl Default for Budget {
     fn default() -> Self {
-        Budget { max_alphabet: 2048, max_states: 128, max_transitions: 1024 }
+        Budget {
+            max_alphabet: 2048,
+            max_states: 128,
+            max_transitions: 1024,
+        }
     }
 }
 
@@ -102,7 +106,9 @@ pub fn analyze(input: &AnalysisInput<'_>) -> PropertyAnalysis {
         ltl: input.ltl_source.map(str::to_string),
         n_processes: input.n_processes,
         classification,
-        verdicts: (0..automaton.n_states()).map(|s| automaton.verdict(s)).collect(),
+        verdicts: (0..automaton.n_states())
+            .map(|s| automaton.verdict(s))
+            .collect(),
         state_classes: reach.classes.clone(),
         reachable: reach.reachable.clone(),
         synthesis: input.synthesis,
@@ -112,13 +118,18 @@ pub fn analyze(input: &AnalysisInput<'_>) -> PropertyAnalysis {
 
 /// Locates `name` in the spec's LTL source, yielding a caret span.
 fn span_of(source: Option<&str>, name: &str) -> Option<Span> {
-    source
-        .and_then(|text| text.find(name))
-        .map(|start| Span { start, end: start + name.len() })
+    source.and_then(|text| text.find(name)).map(|start| Span {
+        start,
+        end: start + name.len(),
+    })
 }
 
 fn format_states(states: &[usize]) -> String {
-    states.iter().map(|s| format!("q{s}")).collect::<Vec<_>>().join(", ")
+    states
+        .iter()
+        .map(|s| format!("q{s}"))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 fn monitorability_lints(
@@ -262,8 +273,10 @@ fn hygiene_lints(
             continue;
         }
         for sigma in Assignment::enumerate(automaton.n_atoms) {
-            let covered =
-                automaton.transitions_from(s).iter().any(|t| t.guard.eval(sigma));
+            let covered = automaton
+                .transitions_from(s)
+                .iter()
+                .any(|t| t.guard.eval(sigma));
             if !covered {
                 holes.push(format!("q{s}"));
                 break;
@@ -372,8 +385,7 @@ fn config_lints(findings: &mut Vec<Finding>, input: &AnalysisInput<'_>) {
     let effective = input.n_processes.max(registry.process_count()).max(1);
     let layout = AtomLayout::from_registry(registry, effective);
     for (process, channel, atoms) in layout.aliased_atoms() {
-        let names: Vec<&str> =
-            atoms.iter().map(|&a| registry.name(a)).collect();
+        let names: Vec<&str> = atoms.iter().map(|&a| registry.name(a)).collect();
         findings.push(Finding::new(
             Lint::AliasedAtoms,
             format!(
@@ -411,8 +423,7 @@ mod tests {
     fn run(text: &str, n_processes: usize) -> PropertyAnalysis {
         let mut registry = AtomRegistry::new();
         let formula = parse(text, &mut registry).expect("parses");
-        let (automaton, synthesis) =
-            MonitorAutomaton::synthesize_with_report(&formula, &registry);
+        let (automaton, synthesis) = MonitorAutomaton::synthesize_with_report(&formula, &registry);
         analyze(&AnalysisInput {
             name: "test",
             ltl_source: Some(text),
@@ -436,8 +447,7 @@ mod tests {
         // derived initial channels provide), so hand the analyzer that state.
         let mut registry = AtomRegistry::new();
         let formula = parse("P0.p U P1.q", &mut registry).expect("parses");
-        let (automaton, synthesis) =
-            MonitorAutomaton::synthesize_with_report(&formula, &registry);
+        let (automaton, synthesis) = MonitorAutomaton::synthesize_with_report(&formula, &registry);
         let p = registry.lookup("P0.p").expect("registered");
         let a = analyze(&AnalysisInput {
             name: "test",
@@ -509,8 +519,7 @@ mod tests {
         // trippable by formulas whose synthesis takes seconds.
         let mut registry = AtomRegistry::new();
         let formula = parse("P0.p U P1.q", &mut registry).expect("parses");
-        let (automaton, synthesis) =
-            MonitorAutomaton::synthesize_with_report(&formula, &registry);
+        let (automaton, synthesis) = MonitorAutomaton::synthesize_with_report(&formula, &registry);
         let a = analyze(&AnalysisInput {
             name: "test",
             ltl_source: None,
@@ -520,7 +529,11 @@ mod tests {
             synthesis,
             n_processes: 2,
             initial_gstate: Assignment::ALL_FALSE,
-            budget: Budget { max_alphabet: 2, max_states: 1, max_transitions: 1 },
+            budget: Budget {
+                max_alphabet: 2,
+                max_states: 1,
+                max_transitions: 1,
+            },
         });
         assert!(has_lint(&a, Lint::ConstructionBudget), "{:?}", a.findings);
         let f = a
@@ -537,8 +550,7 @@ mod tests {
         // G P0.p with the channel starting false: the very first cut violates it.
         let mut registry = AtomRegistry::new();
         let formula = parse("G P0.p", &mut registry).expect("parses");
-        let (automaton, synthesis) =
-            MonitorAutomaton::synthesize_with_report(&formula, &registry);
+        let (automaton, synthesis) = MonitorAutomaton::synthesize_with_report(&formula, &registry);
         let a = analyze(&AnalysisInput {
             name: "test",
             ltl_source: Some("G P0.p"),

@@ -51,7 +51,10 @@ impl PropertyAnalysis {
 
     /// Number of findings at or above `severity`.
     pub fn count_at_least(&self, severity: Severity) -> usize {
-        self.findings.iter().filter(|f| f.severity >= severity).count()
+        self.findings
+            .iter()
+            .filter(|f| f.severity >= severity)
+            .count()
     }
 }
 
@@ -94,7 +97,10 @@ fn synthesis_to_json(r: &SynthesisReport) -> Json {
         ("states", Json::from(r.states)),
         ("transitions_total", Json::from(r.transitions.total)),
         ("transitions_outgoing", Json::from(r.transitions.outgoing)),
-        ("transitions_self_loops", Json::from(r.transitions.self_loops)),
+        (
+            "transitions_self_loops",
+            Json::from(r.transitions.self_loops),
+        ),
         ("max_cubes_per_state", Json::from(r.max_cubes_per_state)),
     ])
 }
@@ -126,9 +132,7 @@ fn finding_to_json(f: &Finding) -> Json {
         (
             "span",
             match f.span {
-                Some(span) => {
-                    Json::Array(vec![Json::from(span.start), Json::from(span.end)])
-                }
+                Some(span) => Json::Array(vec![Json::from(span.start), Json::from(span.end)]),
                 None => Json::Null,
             },
         ),
@@ -137,8 +141,8 @@ fn finding_to_json(f: &Finding) -> Json {
 
 fn finding_from_json(v: &Json) -> Result<Finding, JsonError> {
     let id = v.get("id")?.as_str()?;
-    let lint = Lint::from_id(id)
-        .ok_or_else(|| JsonError::msg(format!("unknown lint id `{id}`")))?;
+    let lint =
+        Lint::from_id(id).ok_or_else(|| JsonError::msg(format!("unknown lint id `{id}`")))?;
     let severity_name = v.get("severity")?.as_str()?;
     let severity = Severity::from_name(severity_name)
         .ok_or_else(|| JsonError::msg(format!("unknown severity `{severity_name}`")))?;
@@ -149,7 +153,10 @@ fn finding_from_json(v: &Json) -> Result<Finding, JsonError> {
             if pair.len() != 2 {
                 return Err(JsonError::msg("span must be a [start, end] pair"));
             }
-            Some(Span { start: pair[0].as_usize()?, end: pair[1].as_usize()? })
+            Some(Span {
+                start: pair[0].as_usize()?,
+                end: pair[1].as_usize()?,
+            })
         }
     };
     Ok(Finding {
@@ -172,10 +179,7 @@ fn analysis_to_json(a: &PropertyAnalysis) -> Json {
         .collect();
     object([
         ("name", Json::from(a.name.clone())),
-        (
-            "ltl",
-            a.ltl.clone().map(Json::from).unwrap_or(Json::Null),
-        ),
+        ("ltl", a.ltl.clone().map(Json::from).unwrap_or(Json::Null)),
         ("n_processes", Json::from(a.n_processes)),
         ("classification", Json::from(a.classification.name())),
         ("states", Json::Array(states)),
@@ -197,9 +201,10 @@ fn analysis_from_json(v: &Json) -> Result<PropertyAnalysis, JsonError> {
     for state in v.get("states")?.as_array()? {
         verdicts.push(verdict_from_name(state.get("verdict")?.as_str()?)?);
         let name = state.get("class")?.as_str()?;
-        state_classes.push(StateClass::from_name(name).ok_or_else(|| {
-            JsonError::msg(format!("unknown state class `{name}`"))
-        })?);
+        state_classes.push(
+            StateClass::from_name(name)
+                .ok_or_else(|| JsonError::msg(format!("unknown state class `{name}`")))?,
+        );
         reachable.push(state.get("reachable")?.as_bool()?);
     }
     Ok(PropertyAnalysis {
@@ -283,8 +288,7 @@ mod tests {
     fn sample(text: &str) -> PropertyAnalysis {
         let mut registry = AtomRegistry::new();
         let formula = parse(text, &mut registry).expect("parses");
-        let (automaton, synthesis) =
-            MonitorAutomaton::synthesize_with_report(&formula, &registry);
+        let (automaton, synthesis) = MonitorAutomaton::synthesize_with_report(&formula, &registry);
         analyze(&AnalysisInput {
             name: "sample",
             ltl_source: Some(text),
@@ -305,7 +309,10 @@ mod tests {
                 scenario: Some("paper-A-n2".to_string()),
                 analysis: sample("G (P0.p U (P1.p && P1.q))"),
             },
-            AnalysisRecord { scenario: None, analysis: sample("G (P0.req -> F P1.ack)") },
+            AnalysisRecord {
+                scenario: None,
+                analysis: sample("G (P0.req -> F P1.ack)"),
+            },
         ];
         let doc = analyses_to_json(&records);
         let text = doc.to_string_pretty();
@@ -326,7 +333,11 @@ mod tests {
 
     #[test]
     fn wrong_generator_is_rejected() {
-        let doc = with_field(analyses_to_json(&[]), "generator", Json::from("dlrv-experiments"));
+        let doc = with_field(
+            analyses_to_json(&[]),
+            "generator",
+            Json::from("dlrv-experiments"),
+        );
         assert!(analyses_from_json(&doc).is_err());
     }
 

@@ -142,7 +142,8 @@ impl Dfa {
 
     /// Runs the DFA on a finite word and returns the reached state.
     pub fn run(&self, word: &[Assignment]) -> usize {
-        word.iter().fold(self.initial, |s, &sigma| self.step(s, sigma))
+        word.iter()
+            .fold(self.initial, |s, &sigma| self.step(s, sigma))
     }
 
     /// True iff the word leading to `state` can be extended to a word in the language.

@@ -157,10 +157,7 @@ impl GeneralizedBuchi {
         let fair: Vec<bool> = sccs
             .iter()
             .map(|scc| {
-                let nontrivial = scc.len() > 1
-                    || scc
-                        .iter()
-                        .any(|&q| succ[q].contains(&q));
+                let nontrivial = scc.len() > 1 || scc.iter().any(|&q| succ[q].contains(&q));
                 nontrivial
                     && self
                         .acceptance_sets
@@ -441,19 +438,13 @@ mod tests {
         // Virtual init + at least one real node.
         assert!(gba.nodes.len() >= 2);
         // Some successor of init must be live (the formula is satisfiable).
-        assert!(gba
-            .successors(INIT_NODE)
-            .iter()
-            .any(|&q| gba.is_live(q)));
+        assert!(gba.successors(INIT_NODE).iter().any(|&q| gba.is_live(q)));
     }
 
     #[test]
     fn gba_of_false_has_no_live_initial_successor() {
         let gba = GeneralizedBuchi::build(&Formula::False);
-        assert!(gba
-            .successors(INIT_NODE)
-            .iter()
-            .all(|&q| !gba.is_live(q)));
+        assert!(gba.successors(INIT_NODE).iter().all(|&q| !gba.is_live(q)));
     }
 
     #[test]

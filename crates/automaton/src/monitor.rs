@@ -162,8 +162,7 @@ impl MonitorAutomaton {
         let (min_table, min_verdicts, min_initial) =
             minimize_moore(&table, &verdicts, 0, n_symbols);
 
-        let transitions =
-            symbolic_transitions(&min_table, &min_verdicts, n_atoms, n_symbols);
+        let transitions = symbolic_transitions(&min_table, &min_verdicts, n_atoms, n_symbols);
         let mut first_transition = vec![0usize; min_verdicts.len() + 1];
         for t in &transitions {
             first_transition[t.from + 1] += 1;
@@ -534,8 +533,12 @@ mod tests {
                 for ext in &alphabet {
                     let holds = evaluate_lasso(&phi, &word, &[*ext]);
                     match verdict {
-                        Verdict::True => assert!(holds, "⊤ verdict contradicted by {word:?} + {ext:?}"),
-                        Verdict::False => assert!(!holds, "⊥ verdict contradicted by {word:?} + {ext:?}"),
+                        Verdict::True => {
+                            assert!(holds, "⊤ verdict contradicted by {word:?} + {ext:?}")
+                        }
+                        Verdict::False => {
+                            assert!(!holds, "⊥ verdict contradicted by {word:?} + {ext:?}")
+                        }
                         Verdict::Unknown => {}
                     }
                 }
@@ -617,7 +620,11 @@ mod tests {
         let phi = Formula::globally(Formula::implies(a(0), Formula::eventually(a(1))));
         let m = MonitorAutomaton::synthesize(&phi, &reg(2));
         assert!(m.verdicts.iter().all(|v| *v == Verdict::Unknown));
-        assert!(m.n_states() <= 2, "expected ≤2 states, got {}", m.n_states());
+        assert!(
+            m.n_states() <= 2,
+            "expected ≤2 states, got {}",
+            m.n_states()
+        );
     }
 
     #[test]

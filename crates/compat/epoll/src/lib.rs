@@ -219,7 +219,9 @@ mod tests {
         b.set_nonblocking(true).expect("nonblocking");
         let epoll = Epoll::new().expect("epoll_create1");
         epoll.add(a.as_raw_fd(), 1, Interest::BOTH).expect("add a");
-        epoll.add(b.as_raw_fd(), 2, Interest::READABLE).expect("add b");
+        epoll
+            .add(b.as_raw_fd(), 2, Interest::READABLE)
+            .expect("add b");
 
         // An idle pair: `a` is writable (asked for BOTH), `b` has nothing to read.
         let mut events = Vec::new();
@@ -237,7 +239,9 @@ mod tests {
         assert_eq!(&buf[..n], b"ping");
 
         // Re-arm `a` read-only: no spurious writable wakeups afterwards.
-        epoll.modify(a.as_raw_fd(), 7, Interest::READABLE).expect("modify");
+        epoll
+            .modify(a.as_raw_fd(), 7, Interest::READABLE)
+            .expect("modify");
         events.clear();
         epoll.wait(Some(50), &mut events).expect("wait");
         assert!(events.iter().all(|e| e.token != 7 || !e.writable));

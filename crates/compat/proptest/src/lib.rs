@@ -57,7 +57,9 @@ impl_range_strategy!(u64, usize, u32, u16, u8);
 
 /// Everything the tests import.
 pub mod prelude {
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest, ProptestConfig, Strategy};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, proptest, ProptestConfig, Strategy,
+    };
 }
 
 /// Property-test macro: each `arg in strategy` binding is sampled per case from a

@@ -103,7 +103,10 @@ pub trait Rng: RngCore {
 
     /// Returns `true` with probability `p`.
     fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "gen_bool probability out of range");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "gen_bool probability out of range"
+        );
         unit_f64(self) < p
     }
 }

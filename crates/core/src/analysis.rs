@@ -58,11 +58,7 @@ fn elaborate_and_analyze(
 /// Unlike [`PropertySpec::build`], this never panics on a too-small process count:
 /// the spec is elaborated at `max(n_processes, min_processes)` and the analyzer
 /// reports the mismatch as `DLRV-C001`.
-pub fn analyze_spec(
-    spec: &PropertySpec,
-    n_processes: usize,
-    budget: Budget,
-) -> PropertyAnalysis {
+pub fn analyze_spec(spec: &PropertySpec, n_processes: usize, budget: Budget) -> PropertyAnalysis {
     elaborate_and_analyze(spec, n_processes, budget).0
 }
 
@@ -160,10 +156,7 @@ mod tests {
         let spec = PropertySpec::parse("F (P2.p)").expect("valid LTL");
         let analysis = analyze_spec(&spec, 2, Budget::default());
         assert_eq!(analysis.n_processes, 2);
-        assert!(analysis
-            .findings
-            .iter()
-            .any(|f| f.lint.id() == "DLRV-C001"));
+        assert!(analysis.findings.iter().any(|f| f.lint.id() == "DLRV-C001"));
     }
 
     #[test]

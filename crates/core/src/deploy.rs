@@ -133,7 +133,10 @@ pub fn monitord_binary() -> Result<PathBuf, String> {
         if path.is_file() {
             return Ok(path);
         }
-        return Err(format!("DLRV_MONITORD_BIN={} does not exist", path.display()));
+        return Err(format!(
+            "DLRV_MONITORD_BIN={} does not exist",
+            path.display()
+        ));
     }
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut dir = exe.parent();
@@ -147,9 +150,11 @@ pub fn monitord_binary() -> Result<PathBuf, String> {
         }
         dir = d.parent();
     }
-    Err("monitord binary not found next to the current executable; build it with \
+    Err(
+        "monitord binary not found next to the current executable; build it with \
          `cargo build --bin monitord` or set DLRV_MONITORD_BIN"
-        .to_string())
+            .to_string(),
+    )
 }
 
 /// Runs `config` as one OS process per monitor, once per seed (sequentially —
@@ -189,7 +194,11 @@ struct Daemon {
 impl Daemon {
     /// Sends one control frame, blocking until it is fully on the wire.
     fn send(&mut self, msg: &WireMsg) -> Result<(), String> {
-        match self.conn.send_msg(msg).and_then(|()| self.conn.flush_blocking(REPLY_TIMEOUT)) {
+        match self
+            .conn
+            .send_msg(msg)
+            .and_then(|()| self.conn.flush_blocking(REPLY_TIMEOUT))
+        {
             Ok(true) => Ok(()),
             Ok(false) => Err(format!("send to {}: flush timed out", self.endpoint)),
             Err(e) => Err(format!("send to {}: {e}", self.endpoint)),
@@ -222,7 +231,10 @@ impl Daemon {
             self.inbox.extend(msgs);
             if self.inbox.is_empty() {
                 if self.conn.is_eof() {
-                    return Err(format!("daemon {} closed the control channel", self.endpoint));
+                    return Err(format!(
+                        "daemon {} closed the control channel",
+                        self.endpoint
+                    ));
                 }
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
@@ -259,7 +271,13 @@ impl Daemon {
 
 /// Expects exactly `wanted` as the reply (the `*_ok` frames without a payload).
 fn just(wanted: WireMsg) -> impl FnOnce(WireMsg) -> Result<(), Box<WireMsg>> {
-    move |reply| if reply == wanted { Ok(()) } else { Err(reply.into()) }
+    move |reply| {
+        if reply == wanted {
+            Ok(())
+        } else {
+            Err(reply.into())
+        }
+    }
 }
 
 /// Kills every remaining daemon process when a run unwinds early.
@@ -459,7 +477,10 @@ fn run_seed(
     // each drained to quiescence before the next (one barrier for all would make
     // the delivery order depend on the sockets).
     for daemon in &mut fleet.daemons {
-        daemon.request(&WireMsg::Finish { time: last_time }, just(WireMsg::FinishOk))?;
+        daemon.request(
+            &WireMsg::Finish { time: last_time },
+            just(WireMsg::FinishOk),
+        )?;
     }
     for i in 0..n {
         fleet.daemons[i].request(&WireMsg::Release, just(WireMsg::ReleaseOk))?;
@@ -498,10 +519,7 @@ fn run_seed(
         let _ = reader.join();
     }
     if let Some(dir) = std::env::var_os("DLRV_ARTIFACT_DIR") {
-        let lines = stderr_log
-            .lock()
-            .map(|l| l.clone())
-            .unwrap_or_default();
+        let lines = stderr_log.lock().map(|l| l.clone()).unwrap_or_default();
         if let Err(e) =
             write_run_artifacts(Path::new(&dir), params.transport, seed, &telemetry, &lines)
         {
@@ -550,8 +568,7 @@ fn write_run_artifacts(
     stderr_lines: &[String],
 ) -> Result<(), String> {
     let run_dir = dir.join(format!("deploy-{}-seed{seed}", transport.name()));
-    std::fs::create_dir_all(&run_dir)
-        .map_err(|e| format!("create {}: {e}", run_dir.display()))?;
+    std::fs::create_dir_all(&run_dir).map_err(|e| format!("create {}: {e}", run_dir.display()))?;
     for (i, samples) in telemetry.iter().enumerate() {
         let mut out = String::new();
         for sample in samples {
@@ -586,9 +603,8 @@ fn barrier(fleet: &mut Fleet) -> Result<(), String> {
         }
         let n = statuses.len();
         let balanced = statuses.iter().all(|s| s.pending == 0)
-            && (0..n).all(|i| {
-                (0..n).all(|j| i == j || statuses[i].sent[j] == statuses[j].received[i])
-            });
+            && (0..n)
+                .all(|i| (0..n).all(|j| i == j || statuses[i].sent[j] == statuses[j].received[i]));
         if balanced && previous.as_ref() == Some(&statuses) {
             return Ok(());
         }

@@ -304,7 +304,14 @@ pub(crate) fn simulate_monitors(
     let n = workload.config.n_processes;
     let initial_gstate = initial_global_state(workload, registry);
     let report = run_simulation(workload, registry, sim, |i| {
-        DecentralizedMonitor::new(i, n, automaton.clone(), registry.clone(), initial_gstate, opts)
+        DecentralizedMonitor::new(
+            i,
+            n,
+            automaton.clone(),
+            registry.clone(),
+            initial_gstate,
+            opts,
+        )
     });
     let per_monitor: Vec<_> = report.monitors.iter().map(|m| m.metrics()).collect();
     let metrics = RunMetrics::aggregate(
@@ -349,7 +356,8 @@ pub fn average_metrics(runs: &[RunMetrics]) -> RunMetrics {
         avg.peak_rss_bytes = avg.peak_rss_bytes.max(r.peak_rss_bytes);
         avg.detected_final_verdicts
             .extend(r.detected_final_verdicts.iter().copied());
-        avg.possible_verdicts.extend(r.possible_verdicts.iter().copied());
+        avg.possible_verdicts
+            .extend(r.possible_verdicts.iter().copied());
     }
     avg.total_events = (avg.total_events as f64 / k).round() as usize;
     avg.monitor_messages = (avg.monitor_messages as f64 / k).round() as usize;
@@ -390,7 +398,8 @@ fn average_shards(runs: &[RunMetrics]) -> Vec<dlrv_monitor::ShardMetrics> {
                 out.max_batch_len = out.max_batch_len.max(m.max_batch_len);
                 out.busy_secs += m.busy_secs;
                 out.avg_queue_latency_secs += m.avg_queue_latency_secs;
-                out.max_queue_latency_secs = out.max_queue_latency_secs.max(m.max_queue_latency_secs);
+                out.max_queue_latency_secs =
+                    out.max_queue_latency_secs.max(m.max_queue_latency_secs);
                 out.backpressure_stalls += m.backpressure_stalls;
                 out.routing_errors += m.routing_errors;
             }
@@ -436,7 +445,8 @@ fn average_fleet_properties(runs: &[RunMetrics]) -> Vec<dlrv_monitor::FleetPrope
                 out.global_views += m.global_views;
                 out.peak_global_views += m.peak_global_views;
                 detected.extend(m.detected_final_verdicts.iter().copied());
-                out.possible_verdicts.extend(m.possible_verdicts.iter().copied());
+                out.possible_verdicts
+                    .extend(m.possible_verdicts.iter().copied());
             }
             out.monitor_tokens = (out.monitor_tokens as f64 / k).round() as usize;
             out.global_views = (out.global_views as f64 / k).round() as usize;
@@ -484,7 +494,11 @@ mod tests {
     fn parallel_map_preserves_index_order() {
         for jobs in [1, 2, 3, 8, 64] {
             let out = parallel_map_indexed(17, jobs, |i| i * i);
-            assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>(), "jobs={jobs}");
+            assert_eq!(
+                out,
+                (0..17).map(|i| i * i).collect::<Vec<_>>(),
+                "jobs={jobs}"
+            );
         }
         assert!(parallel_map_indexed(0, 4, |i| i).is_empty());
     }

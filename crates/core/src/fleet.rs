@@ -28,7 +28,10 @@ pub struct FleetParams {
 impl FleetParams {
     /// A fleet over the given properties (at least one).
     pub fn new(properties: Vec<PropertySpec>) -> FleetParams {
-        assert!(!properties.is_empty(), "a fleet needs at least one property");
+        assert!(
+            !properties.is_empty(),
+            "a fleet needs at least one property"
+        );
         FleetParams { properties }
     }
 
@@ -74,7 +77,12 @@ pub fn compile_fleet(
     let formulas: Vec<_> = fleet
         .properties
         .iter()
-        .map(|spec| (spec.name().to_string(), spec.build_in(&mut reg, n_processes)))
+        .map(|spec| {
+            (
+                spec.name().to_string(),
+                spec.build_in(&mut reg, n_processes),
+            )
+        })
         .collect();
     assert!(
         reg.len() <= MAX_SPEC_ATOMS,

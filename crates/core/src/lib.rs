@@ -64,10 +64,8 @@ pub use report::{render_report, RenderedReport, TrendPoint};
 pub use results::{
     records_to_json, sweep_from_json, sweep_to_json, ScenarioRecord, RESULTS_SCHEMA_VERSION,
 };
-pub use spec::{
-    CompiledProperty, PropertySpec, PropertySpecError, MAX_SPEC_ATOMS,
-};
 pub use scenario::{Scenario, ScenarioFamily, ScenarioRegistry, StreamParams};
+pub use spec::{CompiledProperty, PropertySpec, PropertySpecError, MAX_SPEC_ATOMS};
 pub use system::{MonitoredSystem, MonitoringOutcome};
 pub use throughput::run_streamed;
 

@@ -73,7 +73,10 @@ impl PaperProperty {
     ///
     /// Panics if `n_processes < 2`.
     pub fn build_in(self, reg: &mut AtomRegistry, n_processes: usize) -> Formula {
-        assert!(n_processes >= 2, "paper properties need at least two processes");
+        assert!(
+            n_processes >= 2,
+            "paper properties need at least two processes"
+        );
         let p = |reg: &mut AtomRegistry, i: usize| Formula::Atom(reg.intern(&format!("P{i}.p"), i));
         let q = |reg: &mut AtomRegistry, i: usize| Formula::Atom(reg.intern(&format!("P{i}.q"), i));
 
@@ -146,7 +149,10 @@ mod tests {
         for prop in PaperProperty::ALL {
             let (formula, reg) = prop.build(2);
             let m = MonitorAutomaton::synthesize(&formula, &reg);
-            assert!(m.n_states() >= 2, "{prop} should have a non-trivial monitor");
+            assert!(
+                m.n_states() >= 2,
+                "{prop} should have a non-trivial monitor"
+            );
             let counts = m.transition_counts();
             assert!(counts.total > 0);
             assert_eq!(counts.total, counts.outgoing + counts.self_loops);
@@ -166,7 +172,10 @@ mod tests {
                 .filter(|&s| !m.is_final(s))
                 .map(|s| m.outgoing_transitions(s).len())
                 .sum();
-            assert_eq!(outgoing, 1, "{prop} must have exactly one outgoing transition");
+            assert_eq!(
+                outgoing, 1,
+                "{prop} must have exactly one outgoing transition"
+            );
             assert!(m.verdicts.contains(&Verdict::True));
             assert!(!m.verdicts.contains(&Verdict::False));
         }
@@ -199,10 +208,16 @@ mod tests {
             let same_automaton = format!("{ma:?}") == format!("{mc:?}");
             if n < 4 {
                 assert_eq!((&fa, &ra), (&fc, &rc), "A and C at n = {n}");
-                assert!(same_automaton, "A and C synthesize one automaton at n = {n}");
+                assert!(
+                    same_automaton,
+                    "A and C synthesize one automaton at n = {n}"
+                );
             } else {
                 assert_ne!(fa, fc, "A and C at n = {n}");
-                assert!(!same_automaton, "A and C synthesize two automata at n = {n}");
+                assert!(
+                    !same_automaton,
+                    "A and C synthesize two automata at n = {n}"
+                );
             }
         }
     }

@@ -56,11 +56,11 @@ const FAMILY_ORDER: [ScenarioFamily; 8] = [
 ];
 
 /// One family's members, in document order.
-fn family_members(
-    records: &[ScenarioRecord],
-    family: ScenarioFamily,
-) -> Vec<&ScenarioRecord> {
-    records.iter().filter(|r| r.scenario.family == family).collect()
+fn family_members(records: &[ScenarioRecord], family: ScenarioFamily) -> Vec<&ScenarioRecord> {
+    records
+        .iter()
+        .filter(|r| r.scenario.family == family)
+        .collect()
 }
 
 /// Fixed line-color palette (cycled when a family has more scenarios).
@@ -179,7 +179,9 @@ fn trend_svg(title: &str, labels: &[String], series: &[(String, Vec<Option<f64>>
 
 /// Minimal XML text escaping for the hand-rolled SVG.
 fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 /// The per-family trend chart: one line per scenario, monitor messages over
@@ -250,7 +252,11 @@ pub fn render_report(current: &[ScenarioRecord], history: &[TrendPoint]) -> Rend
          messages exchanged in total.",
         current.len(),
         families.len(),
-        families.iter().map(|f| f.name()).collect::<Vec<_>>().join(", "),
+        families
+            .iter()
+            .map(|f| f.name())
+            .collect::<Vec<_>>()
+            .join(", "),
         total_over(current, |m| m.total_events),
         total_over(current, |m| m.monitor_messages),
     );
@@ -267,7 +273,12 @@ pub fn render_report(current: &[ScenarioRecord], history: &[TrendPoint]) -> Rend
 
     for &&family in &families {
         let members = family_members(current, family);
-        let _ = writeln!(out, "\n## {} ({} scenarios)\n", family.name(), members.len());
+        let _ = writeln!(
+            out,
+            "\n## {} ({} scenarios)\n",
+            family.name(),
+            members.len()
+        );
         let rows: Vec<RunView> = members.iter().map(|r| r.view()).collect();
         out.push_str(&family_table(family, &rows, Layout::Markdown));
         if let Some((file, svg)) = family_trend(family, history) {
@@ -280,7 +291,10 @@ pub fn render_report(current: &[ScenarioRecord], history: &[TrendPoint]) -> Rend
         "\n## Monitor automata\n\nPer-scenario LTL₃ monitor automata are rendered as \
          Graphviz DOT under `dot/` (one file per distinct property × process count).\n",
     );
-    RenderedReport { markdown: out, svgs }
+    RenderedReport {
+        markdown: out,
+        svgs,
+    }
 }
 
 #[cfg(test)]
@@ -301,7 +315,8 @@ mod tests {
             monitor_tokens: msgs * 2,
             ..RunMetrics::default()
         };
-        avg.detected_final_verdicts.insert(crate::dlrv_ltl::Verdict::True);
+        avg.detected_final_verdicts
+            .insert(crate::dlrv_ltl::Verdict::True);
         ScenarioRecord {
             scenario: Scenario {
                 name: name.to_string(),
@@ -330,7 +345,11 @@ mod tests {
         assert!(report.markdown.contains("## paper (1 scenarios)"));
         assert!(report.markdown.contains("## overhead (2 scenarios)"));
         // The A/B pair printed once: 80 messages against 160 is a 50% reduction.
-        assert!(report.markdown.contains("| 80 | 160 | 50.0 |"), "{}", report.markdown);
+        assert!(
+            report.markdown.contains("| 80 | 160 | 50.0 |"),
+            "{}",
+            report.markdown
+        );
         // No history → no charts.
         assert!(report.svgs.is_empty());
     }
@@ -348,7 +367,9 @@ mod tests {
         assert_eq!(file, "svg/trend-paper.svg");
         assert!(svg.contains("<polyline"), "two points must draw a line");
         assert!(svg.contains("paper-C-n3"));
-        assert!(report.markdown.contains("![paper trend](svg/trend-paper.svg)"));
+        assert!(report
+            .markdown
+            .contains("![paper trend](svg/trend-paper.svg)"));
     }
 
     #[test]
@@ -360,12 +381,30 @@ mod tests {
         r.avg.wall_clock_secs = 0.30;
         r.avg.fleet_size = 2;
         r.avg.fleet_per_property = vec![
-            FleetPropertyMetrics { property: "A".to_string(), verdict: "true".to_string(), ..FleetPropertyMetrics::default() },
-            FleetPropertyMetrics { property: "B".to_string(), verdict: "unknown".to_string(), ..FleetPropertyMetrics::default() },
+            FleetPropertyMetrics {
+                property: "A".to_string(),
+                verdict: "true".to_string(),
+                ..FleetPropertyMetrics::default()
+            },
+            FleetPropertyMetrics {
+                property: "B".to_string(),
+                verdict: "unknown".to_string(),
+                ..FleetPropertyMetrics::default()
+            },
         ];
         let report = render_report(&[r], &[]);
-        assert!(report.markdown.contains("## fleet (1 scenarios)"), "{}", report.markdown);
-        assert!(report.markdown.contains("| fleet-AB-sh4 | 2 | 4 | 60 | A:true B:unknown |"), "{}", report.markdown);
+        assert!(
+            report.markdown.contains("## fleet (1 scenarios)"),
+            "{}",
+            report.markdown
+        );
+        assert!(
+            report
+                .markdown
+                .contains("| fleet-AB-sh4 | 2 | 4 | 60 | A:true B:unknown |"),
+            "{}",
+            report.markdown
+        );
         // The 0.30 s wall clock is the terminal's `wall s`, not the report's.
         assert!(!report.markdown.contains("wall s") && !report.markdown.contains("0.300"));
     }

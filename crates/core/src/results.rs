@@ -38,10 +38,12 @@ use crate::scenario::{Scenario, ScenarioFamily, StreamParams};
 use crate::spec::PropertySpec;
 use crate::tables::RunView;
 use dlrv_json::{object, Json, JsonError};
-use dlrv_net::FaultSpec;
 use dlrv_ltl::Verdict;
 use dlrv_monitor::{verdict_from_name, verdict_name, MonitorOptions, RunMetrics};
-use dlrv_trace::format::{arrival_from_json, arrival_to_json, topology_from_json, topology_to_json};
+use dlrv_net::FaultSpec;
+use dlrv_trace::format::{
+    arrival_from_json, arrival_to_json, topology_from_json, topology_to_json,
+};
 use std::collections::BTreeSet;
 
 /// Version of the `BENCH_results.json` schema produced by [`sweep_to_json`].
@@ -66,10 +68,7 @@ pub struct ScenarioRecord {
 pub fn property_to_json(spec: &PropertySpec) -> Json {
     match spec.ltl_source() {
         None => Json::from(spec.name()),
-        Some(ltl) => object([
-            ("name", Json::from(spec.name())),
-            ("ltl", Json::from(ltl)),
-        ]),
+        Some(ltl) => object([("name", Json::from(spec.name())), ("ltl", Json::from(ltl))]),
     }
 }
 
@@ -148,7 +147,9 @@ pub fn options_from_json(v: &Json) -> Result<MonitorOptions, JsonError> {
         prune_disjunctive: v.get("prune_disjunctive")?.as_bool()?,
         // Arena recycling postdates the first documents; records written before it
         // ran with per-event allocation, so absence means `false`.
-        arena_recycling: v.get_opt("arena_recycling")?.map_or(Ok(false), Json::as_bool)?,
+        arena_recycling: v
+            .get_opt("arena_recycling")?
+            .map_or(Ok(false), Json::as_bool)?,
     })
 }
 
@@ -258,7 +259,10 @@ fn record_to_json(view: RunView<'_>, per_seed: &[RunMetrics]) -> Json {
                 .map_or(Json::Null, fleet_params_to_json),
         ),
         ("avg", view.avg.to_json()),
-        ("per_seed", Json::Array(per_seed.iter().map(RunMetrics::to_json).collect())),
+        (
+            "per_seed",
+            Json::Array(per_seed.iter().map(RunMetrics::to_json).collect()),
+        ),
         ("detected_verdicts", verdicts_to_json(view.verdicts)),
     ])
 }
@@ -316,13 +320,22 @@ fn document(records: Vec<Json>) -> Json {
 
 /// Builds the full sweep document from `(scenario, result)` pairs.
 pub fn sweep_to_json(runs: &[(Scenario, ExperimentResult)]) -> Json {
-    document(runs.iter().map(|(s, r)| record_to_json(RunView::of(s, r), &r.per_seed)).collect())
+    document(
+        runs.iter()
+            .map(|(s, r)| record_to_json(RunView::of(s, r), &r.per_seed))
+            .collect(),
+    )
 }
 
 /// Builds the document back from parsed records: the inverse of
 /// [`sweep_from_json`], byte for byte on a document this build wrote.
 pub fn records_to_json(records: &[ScenarioRecord]) -> Json {
-    document(records.iter().map(|r| record_to_json(r.view(), &r.per_seed)).collect())
+    document(
+        records
+            .iter()
+            .map(|r| record_to_json(r.view(), &r.per_seed))
+            .collect(),
+    )
 }
 
 /// A scenario family earlier documents contain and this build no longer runs
@@ -371,7 +384,10 @@ mod tests {
         let records = sweep_from_json(&Json::parse(&text).expect("parse")).expect("schema");
         assert_eq!(records_to_json(&records).to_string_pretty(), text);
         let scenarios: Vec<&Scenario> = runs.iter().map(|(s, _)| s).collect();
-        assert_eq!(records.iter().map(|r| &r.scenario).collect::<Vec<_>>(), scenarios);
+        assert_eq!(
+            records.iter().map(|r| &r.scenario).collect::<Vec<_>>(),
+            scenarios
+        );
         records
     }
 
@@ -435,7 +451,10 @@ mod tests {
         let fleet = records[0].scenario.fleet.as_ref().expect("fleet survives");
         assert_eq!(fleet.joined_name(), "A+B");
         assert_eq!(records[0].avg.fleet_size, 2);
-        assert_eq!(records[0].avg.fleet_per_property, runs[0].1.avg.fleet_per_property);
+        assert_eq!(
+            records[0].avg.fleet_per_property,
+            runs[0].1.avg.fleet_per_property
+        );
     }
 
     #[test]
@@ -454,13 +473,19 @@ mod tests {
             transport: DeployTransport::Unix,
             fault: Some(FaultSpec::parse("delay=1,dup=0.2,seed=7").expect("valid spec")),
         };
-        assert_eq!(deploy_params_from_json(&deploy_params_to_json(&params)).unwrap(), params);
+        assert_eq!(
+            deploy_params_from_json(&deploy_params_to_json(&params)).unwrap(),
+            params
+        );
         // A deploy record as documents committed before the one-format wire wrote it.
         let Json::Object(mut fields) = deploy_params_to_json(&params) else {
             panic!("deploy params serialize as an object")
         };
         fields.push(("binary_wire".to_string(), Json::Bool(true)));
-        assert_eq!(deploy_params_from_json(&Json::Object(fields)).unwrap(), params);
+        assert_eq!(
+            deploy_params_from_json(&Json::Object(fields)).unwrap(),
+            params
+        );
     }
 
     #[test]

@@ -179,9 +179,11 @@ impl Scenario {
             (Some(params), _) => {
                 run_streamed(&self.config, params, self.fleet.as_ref(), self.options)
             }
-            (None, Some(params)) => run_deploy(&self.config, self.options, params)
-                .unwrap_or_else(|e| panic!("deploy scenario `{}` failed: {e}", self.name))
-                .result,
+            (None, Some(params)) => {
+                run_deploy(&self.config, self.options, params)
+                    .unwrap_or_else(|e| panic!("deploy scenario `{}` failed: {e}", self.name))
+                    .result
+            }
             (None, None) => run_experiment_with_options(&self.config, self.options),
         }
     }
@@ -729,7 +731,9 @@ mod tests {
         for property in PaperProperty::ALL {
             for n in [2usize, 3, 4, 5] {
                 let name = format!("paper-{}-n{}", property.name(), n);
-                let s = registry.get(&name).unwrap_or_else(|| panic!("missing {name}"));
+                let s = registry
+                    .get(&name)
+                    .unwrap_or_else(|| panic!("missing {name}"));
                 assert_eq!(s.config.property, property);
                 assert_eq!(s.config.n_processes, n);
                 assert_eq!(s.family, ScenarioFamily::Paper);
@@ -749,7 +753,9 @@ mod tests {
         // Every paper property is streamed …
         for property in PaperProperty::ALL {
             let name = format!("throughput-{}-s200-sh4", property.name());
-            let s = registry.get(&name).unwrap_or_else(|| panic!("missing {name}"));
+            let s = registry
+                .get(&name)
+                .unwrap_or_else(|| panic!("missing {name}"));
             assert_eq!(s.family, ScenarioFamily::Throughput);
             assert_eq!(s.stream.unwrap().n_sessions, 200);
         }
@@ -775,14 +781,22 @@ mod tests {
         }
         // And fleet members are exactly the fleet family's scenarios.
         for s in &registry {
-            assert_eq!(s.fleet.is_some(), s.family == ScenarioFamily::Fleet, "{}", s.name);
+            assert_eq!(
+                s.fleet.is_some(),
+                s.family == ScenarioFamily::Fleet,
+                "{}",
+                s.name
+            );
         }
     }
 
     #[test]
     fn small_throughput_scenario_runs_end_to_end() {
         let registry = ScenarioRegistry::standard();
-        let mut scenario = registry.get("throughput-B-s200-sh4").expect("registered").clone();
+        let mut scenario = registry
+            .get("throughput-B-s200-sh4")
+            .expect("registered")
+            .clone();
         scenario.config.events_per_process = 4;
         scenario.stream = Some(StreamParams::sized(12, 2));
         let result = scenario.run();
@@ -799,7 +813,10 @@ mod tests {
         scenario.config.events_per_process = 4;
         scenario.config.seeds = vec![1];
         let result = scenario.run();
-        assert!(result.avg.wall_clock_secs > 0.0, "scenario duration must be measured");
+        assert!(
+            result.avg.wall_clock_secs > 0.0,
+            "scenario duration must be measured"
+        );
         assert!(result.per_seed.iter().all(|m| m.wall_clock_secs > 0.0));
         assert!(result.avg.per_shard.is_empty());
     }
@@ -864,7 +881,9 @@ mod tests {
         // The headline fleet (all six properties) is measured at 1 AND 4 shards.
         for n_shards in [1usize, 4] {
             let name = format!("fleet-ABCDEF-sh{n_shards}");
-            let s = registry.get(&name).unwrap_or_else(|| panic!("missing {name}"));
+            let s = registry
+                .get(&name)
+                .unwrap_or_else(|| panic!("missing {name}"));
             assert_eq!(s.family, ScenarioFamily::Fleet);
             let fleet = s.fleet.as_ref().expect("fleet scenarios carry members");
             assert_eq!(fleet.len(), 6);
@@ -909,7 +928,11 @@ mod tests {
             assert!(scenario.name.starts_with("custom-"), "{}", scenario.name);
             assert!(scenario.stream.is_none());
             let spec = &scenario.config.property;
-            assert!(spec.paper_property().is_none(), "{}: must be an LTL spec", scenario.name);
+            assert!(
+                spec.paper_property().is_none(),
+                "{}: must be an LTL spec",
+                scenario.name
+            );
             assert!(
                 spec.min_processes() <= scenario.config.n_processes,
                 "{}: process count too small for its atoms",
@@ -926,7 +949,11 @@ mod tests {
         // Scaled-down copies: every custom formula must drive workload generation,
         // simulation and decentralized monitoring to a deterministic conclusion.
         let registry = ScenarioRegistry::standard();
-        for name in ["custom-reqack-n2", "custom-mutex-n2", "custom-nested-until-n3"] {
+        for name in [
+            "custom-reqack-n2",
+            "custom-mutex-n2",
+            "custom-nested-until-n3",
+        ] {
             let mut scenario = registry.get(name).expect(name).clone();
             scenario.config.events_per_process = 5;
             scenario.config.seeds = vec![1];

@@ -20,9 +20,7 @@
 
 use crate::properties::PaperProperty;
 use dlrv_automaton::MonitorAutomaton;
-use dlrv_ltl::{
-    parse, Assignment, AtomLayout, AtomRegistry, Channel, Formula, ParseError,
-};
+use dlrv_ltl::{parse, Assignment, AtomLayout, AtomRegistry, Channel, Formula, ParseError};
 use dlrv_monitor::{decentralized_session, DecentralizedSession, MonitorOptions};
 use std::fmt;
 use std::sync::Arc;
@@ -59,7 +57,10 @@ impl fmt::Display for PropertySpecError {
                 "formula uses {count} atoms; the monitor synthesis accepts at most {max}"
             ),
             PropertySpecError::NoAtoms => {
-                write!(f, "formula contains no atomic proposition; nothing to monitor")
+                write!(
+                    f,
+                    "formula contains no atomic proposition; nothing to monitor"
+                )
             }
         }
     }
@@ -177,7 +178,9 @@ impl PropertySpec {
     pub fn build(&self, n_processes: usize) -> (Formula, AtomRegistry) {
         match &self.source {
             PropertySource::Paper(p) => p.build(n_processes),
-            PropertySource::Ltl { formula, registry, .. } => {
+            PropertySource::Ltl {
+                formula, registry, ..
+            } => {
                 assert!(
                     n_processes >= self.min_processes(),
                     "property `{}` names process P{}, but only {} process(es) requested",
@@ -232,9 +235,9 @@ impl PropertySpec {
                 PaperProperty::F => (true, true),
                 PaperProperty::B | PaperProperty::E => (false, false),
             },
-            PropertySource::Ltl { formula, registry, .. } => {
-                initial_channels_for(formula, registry)
-            }
+            PropertySource::Ltl {
+                formula, registry, ..
+            } => initial_channels_for(formula, registry),
         }
     }
 }
@@ -425,7 +428,10 @@ mod tests {
             .join(" && ");
         assert!(matches!(
             PropertySpec::parse(&format!("F ({wide})")),
-            Err(PropertySpecError::TooManyAtoms { count: 13, max: MAX_SPEC_ATOMS })
+            Err(PropertySpecError::TooManyAtoms {
+                count: 13,
+                max: MAX_SPEC_ATOMS
+            })
         ));
     }
 

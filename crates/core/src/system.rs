@@ -62,8 +62,7 @@ impl MonitoringOutcome {
     /// The lattice can be exponential in the number of processes; use on small runs.
     pub fn oracle_verdicts(&self) -> BTreeSet<Verdict> {
         let lattice = Lattice::build(&self.computation);
-        oracle_evaluate(&self.computation, &lattice, &self.automaton, &self.registry)
-            .final_verdicts
+        oracle_evaluate(&self.computation, &lattice, &self.automaton, &self.registry).final_verdicts
     }
 }
 
@@ -150,8 +149,13 @@ impl MonitoredSystem {
         });
         let automaton = Arc::new(MonitorAutomaton::synthesize(&formula, &self.registry));
         let registry = Arc::new(self.registry);
-        let (report, metrics) =
-            simulate_monitors(&workload, &registry, &automaton, self.options, &self.sim_config);
+        let (report, metrics) = simulate_monitors(
+            &workload,
+            &registry,
+            &automaton,
+            self.options,
+            &self.sim_config,
+        );
         let mut detected = BTreeSet::new();
         let mut possible = BTreeSet::new();
         for m in &report.monitors {

@@ -47,7 +47,10 @@ impl<R> Column<R> {
 
     /// A right-aligned column.
     pub fn right(header: &'static str, width: usize, cell: fn(&R) -> String) -> Self {
-        Column { right_aligned: true, ..Column::left(header, width, cell) }
+        Column {
+            right_aligned: true,
+            ..Column::left(header, width, cell)
+        }
     }
 
     /// Marks the column as host-measured (see the module docs).
@@ -62,7 +65,10 @@ impl<R> Column<R> {
 
     /// Ends a row's text form after this cell when `condition` holds for the row.
     pub fn ends_row_if(self, condition: fn(&R) -> bool) -> Self {
-        Column { ends_row_if: Some(condition), ..self }
+        Column {
+            ends_row_if: Some(condition),
+            ..self
+        }
     }
 }
 
@@ -91,7 +97,9 @@ pub fn render_text<R>(columns: &[Column<R>], rows: &[R]) -> String {
             .iter()
             .position(|c| c.ends_row_if.is_some_and(|ends| ends(row)))
             .map_or(columns.len(), |last| last + 1);
-        out.push_str(&line(columns[..shown].iter().map(|c| (c.cell)(row)).collect()));
+        out.push_str(&line(
+            columns[..shown].iter().map(|c| (c.cell)(row)).collect(),
+        ));
     }
     out
 }
@@ -102,8 +110,10 @@ pub fn render_markdown<R>(columns: &[Column<R>], rows: &[R]) -> String {
     let shown: Vec<&Column<R>> = columns.iter().filter(|c| !c.host).collect();
     let line = |cells: Vec<String>| format!("| {} |\n", cells.join(" | "));
     let mut out = line(shown.iter().map(|c| c.header.to_string()).collect());
-    let delimiters: Vec<&str> =
-        shown.iter().map(|c| if c.right_aligned { "---:" } else { "---" }).collect();
+    let delimiters: Vec<&str> = shown
+        .iter()
+        .map(|c| if c.right_aligned { "---:" } else { "---" })
+        .collect();
     out.push_str(&format!("|{}|\n", delimiters.join("|")));
     for row in rows {
         out.push_str(&line(shown.iter().map(|c| (c.cell)(row)).collect()));
@@ -127,7 +137,11 @@ pub struct RunView<'a> {
 impl<'a> RunView<'a> {
     /// The view of a scenario next to the result of running it.
     pub fn of(scenario: &'a Scenario, result: &'a ExperimentResult) -> Self {
-        RunView { scenario, avg: &result.avg, verdicts: &result.detected_verdicts }
+        RunView {
+            scenario,
+            avg: &result.avg,
+            verdicts: &result.detected_verdicts,
+        }
     }
 
     fn verdict_symbols(&self) -> String {
@@ -139,7 +153,11 @@ impl<'a> RunView<'a> {
 impl ScenarioRecord {
     /// The record as a table row.
     pub fn view(&self) -> RunView<'_> {
-        RunView { scenario: &self.scenario, avg: &self.avg, verdicts: &self.detected_verdicts }
+        RunView {
+            scenario: &self.scenario,
+            avg: &self.avg,
+            verdicts: &self.detected_verdicts,
+        }
     }
 }
 
@@ -153,8 +171,12 @@ fn paper_metric_columns<'a>() -> RunColumns<'a> {
         RunColumn::right("events", 8, |r| r.avg.total_events.to_string()),
         RunColumn::right("mon.msgs", 10, |r| r.avg.monitor_messages.to_string()),
         RunColumn::right("glob.views", 11, |r| r.avg.total_global_views.to_string()),
-        RunColumn::right("delayed.evts", 13, |r| format!("{:.2}", r.avg.avg_delayed_events)),
-        RunColumn::right("delay%/GV", 11, |r| format!("{:.4}", r.avg.delay_time_pct_per_gv)),
+        RunColumn::right("delayed.evts", 13, |r| {
+            format!("{:.2}", r.avg.avg_delayed_events)
+        }),
+        RunColumn::right("delay%/GV", 11, |r| {
+            format!("{:.4}", r.avg.delay_time_pct_per_gv)
+        }),
     ]
 }
 
@@ -175,7 +197,9 @@ fn rate_column<'a>() -> RunColumn<'a> {
 }
 
 fn shards_column<'a>() -> RunColumn<'a> {
-    RunColumn::right("shards", 7, |r| r.scenario.stream.map_or(0, |p| p.n_shards).to_string())
+    RunColumn::right("shards", 7, |r| {
+        r.scenario.stream.map_or(0, |p| p.n_shards).to_string()
+    })
 }
 
 /// The offline sweep table (`--target sweep` / `custom`, `--property` runs).
@@ -193,7 +217,9 @@ fn sweep_columns<'a>() -> RunColumns<'a> {
 /// The paper-sweep table of Figures 5.4–5.8: one row per (property, process count).
 pub fn figure_columns<'a>() -> RunColumns<'a> {
     let mut columns = vec![
-        RunColumn::left("property", 10, |r| r.scenario.config.property.name().to_string()),
+        RunColumn::left("property", 10, |r| {
+            r.scenario.config.property.name().to_string()
+        }),
         procs_column(),
     ];
     columns.extend(paper_metric_columns());
@@ -203,9 +229,11 @@ pub fn figure_columns<'a>() -> RunColumns<'a> {
 
 /// The communication-frequency table of Fig. 5.9.
 pub fn comm_frequency_columns<'a>() -> RunColumns<'a> {
-    let mut columns = vec![RunColumn::left("configuration", 22, |r| match r.scenario.config.comm_mu {
-        Some(mu) => format!("commMu={mu}, evtMu=3"),
-        None => "no comm, evtMu=3".to_string(),
+    let mut columns = vec![RunColumn::left("configuration", 22, |r| {
+        match r.scenario.config.comm_mu {
+            Some(mu) => format!("commMu={mu}, evtMu=3"),
+            None => "no comm, evtMu=3".to_string(),
+        }
     })];
     columns.extend(paper_metric_columns());
     columns
@@ -225,12 +253,22 @@ fn throughput_columns<'a>() -> RunColumns<'a> {
         wall_clock_column(),
         RunColumn::right("mon.msgs", 10, |r| r.avg.monitor_messages.to_string()),
         RunColumn::right("lat ms", 9, |r| {
-            let max = r.avg.per_shard.iter().map(|s| s.max_queue_latency_secs).fold(0.0, f64::max);
+            let max = r
+                .avg
+                .per_shard
+                .iter()
+                .map(|s| s.max_queue_latency_secs)
+                .fold(0.0, f64::max);
             format!("{:.2}", max * 1e3)
         })
         .host(),
         RunColumn::right("stalls", 7, |r| {
-            r.avg.per_shard.iter().map(|s| s.backpressure_stalls).sum::<usize>().to_string()
+            r.avg
+                .per_shard
+                .iter()
+                .map(|s| s.backpressure_stalls)
+                .sum::<usize>()
+                .to_string()
         })
         .host(),
     ]
@@ -266,7 +304,10 @@ fn deploy_columns<'a>() -> RunColumns<'a> {
     vec![
         RunColumn::left("scenario", 20, |r| r.scenario.name.clone()),
         RunColumn::left("trans", 6, |r| {
-            r.scenario.deploy.map_or("-", |p| p.transport.name()).to_string()
+            r.scenario
+                .deploy
+                .map_or("-", |p| p.transport.name())
+                .to_string()
         }),
         RunColumn::left("fault", 34, |r| match r.scenario.deploy {
             Some(params) => params.fault.map_or("none".to_string(), |f| f.to_string()),
@@ -329,7 +370,10 @@ impl OverheadPair<'_> {
     fn reduction(&self, f: fn(&RunMetrics) -> usize) -> String {
         match self.pair {
             Some((on, off)) if f(off) > 0 => {
-                format!("{:.1}", (f(off) as f64 - f(on) as f64) / f(off) as f64 * 100.0)
+                format!(
+                    "{:.1}",
+                    (f(off) as f64 - f(on) as f64) / f(off) as f64 * 100.0
+                )
             }
             _ => "-".to_string(),
         }
@@ -366,8 +410,12 @@ fn overhead_pairs<'a>(runs: &[RunView<'a>]) -> Vec<OverheadPair<'a>> {
 /// pair is incomplete ends after a note naming the member that ran.
 fn overhead_columns<'a>() -> Vec<PairColumn<'a>> {
     vec![
-        PairColumn::left("property", 10, |p| p.lead.scenario.config.property.name().to_string()),
-        PairColumn::right("procs", 6, |p| p.lead.scenario.config.n_processes.to_string()),
+        PairColumn::left("property", 10, |p| {
+            p.lead.scenario.config.property.name().to_string()
+        }),
+        PairColumn::right("procs", 6, |p| {
+            p.lead.scenario.config.n_processes.to_string()
+        }),
         PairColumn::right("events", 8, |p| p.lead.avg.total_events.to_string()),
         PairColumn::right("msgs:on", 9, |p| match p.pair {
             Some((on, _)) => on.monitor_messages.to_string(),
@@ -382,13 +430,21 @@ fn overhead_columns<'a>() -> Vec<PairColumn<'a>> {
         PairColumn::right("Δmsg%", 7, |p| p.reduction(|m| m.monitor_messages)),
         PairColumn::right("tok:on", 9, |p| p.on(|m| m.monitor_tokens.to_string())).after(" | "),
         PairColumn::right("tok:off", 9, |p| p.off(|m| m.monitor_tokens.to_string())),
-        PairColumn::right("peakGV:on", 9, |p| p.on(|m| m.peak_global_views.to_string()))
-            .after(" | "),
-        PairColumn::right("peakGV:off", 9, |p| p.off(|m| m.peak_global_views.to_string())),
+        PairColumn::right("peakGV:on", 9, |p| {
+            p.on(|m| m.peak_global_views.to_string())
+        })
+        .after(" | "),
+        PairColumn::right("peakGV:off", 9, |p| {
+            p.off(|m| m.peak_global_views.to_string())
+        }),
         PairColumn::right("ΔGV%", 7, |p| p.reduction(|m| m.peak_global_views)),
-        PairColumn::right("queued:on", 10, |p| p.on(|m| format!("{:.2}", m.avg_delayed_events)))
-            .after(" | "),
-        PairColumn::right("queued:off", 10, |p| p.off(|m| format!("{:.2}", m.avg_delayed_events))),
+        PairColumn::right("queued:on", 10, |p| {
+            p.on(|m| format!("{:.2}", m.avg_delayed_events))
+        })
+        .after(" | "),
+        PairColumn::right("queued:off", 10, |p| {
+            p.off(|m| format!("{:.2}", m.avg_delayed_events))
+        }),
     ]
 }
 
@@ -408,15 +464,26 @@ pub fn transition_columns() -> Vec<Column<TransitionRow>> {
 /// classification, automaton size and finding counts per analyzed property.
 pub fn analysis_columns() -> Vec<Column<AnalysisRecord>> {
     vec![
-        Column::<AnalysisRecord>::left("scenario", 18, |r| r.scenario.as_deref().unwrap_or("-").to_string()),
+        Column::<AnalysisRecord>::left("scenario", 18, |r| {
+            r.scenario.as_deref().unwrap_or("-").to_string()
+        }),
         Column::<AnalysisRecord>::left("property", 10, |r| r.analysis.name.clone()),
         Column::<AnalysisRecord>::right("procs", 5, |r| r.analysis.n_processes.to_string()),
-        Column::<AnalysisRecord>::left("class", 16, |r| r.analysis.classification.name().to_string()),
+        Column::<AnalysisRecord>::left("class", 16, |r| {
+            r.analysis.classification.name().to_string()
+        }),
         Column::<AnalysisRecord>::right("states", 6, |r| r.analysis.synthesis.states.to_string()),
         Column::<AnalysisRecord>::right("reach", 6, |r| {
-            r.analysis.reachable.iter().filter(|&&x| x).count().to_string()
+            r.analysis
+                .reachable
+                .iter()
+                .filter(|&&x| x)
+                .count()
+                .to_string()
         }),
-        Column::<AnalysisRecord>::right("alpha", 7, |r| r.analysis.synthesis.alphabet_size.to_string()),
+        Column::<AnalysisRecord>::right("alpha", 7, |r| {
+            r.analysis.synthesis.alphabet_size.to_string()
+        }),
         Column::<AnalysisRecord>::left("findings", 8, |r| {
             let a = &r.analysis;
             let errors = a.count_at_least(Severity::Error);
@@ -443,7 +510,9 @@ mod tests {
     fn the_two_renderers_share_cells_and_differ_in_layout_and_host_columns() {
         let columns: Vec<Column<(&str, f64)>> = vec![
             Column::left("name", 6, |r| r.0.to_string()),
-            Column::<(&str, f64)>::right("secs", 7, |r| format!("{:.2}", r.1)).host().after(" | "),
+            Column::<(&str, f64)>::right("secs", 7, |r| format!("{:.2}", r.1))
+                .host()
+                .after(" | "),
             Column::right("Δ%", 4, |r| r.0.len().to_string()),
         ];
         let rows = [("ab", 1.5), ("abcdefgh", 22.25)];
@@ -464,6 +533,9 @@ mod tests {
             Column::right("sq", 3, |n| (n * n).to_string()),
         ];
         assert_eq!(render_text(&columns, &[3, 0]), "n   sq\n3    9\n0 \n");
-        assert_eq!(render_markdown(&columns, &[0]), "| n | sq |\n|---|---:|\n| 0 | 0 |\n");
+        assert_eq!(
+            render_markdown(&columns, &[0]),
+            "| n | sq |\n|---|---:|\n| 0 | 0 |\n"
+        );
     }
 }

@@ -52,7 +52,10 @@ use std::time::Instant;
 /// Derives the workload seed of one session from the run seed; sessions must not
 /// share traces, and the mixing keeps run seeds 1, 2, 3 … from overlapping.
 fn session_seed(run_seed: u64, session: u64) -> u64 {
-    run_seed.wrapping_mul(0x100_0003).wrapping_add(session).wrapping_add(1)
+    run_seed
+        .wrapping_mul(0x100_0003)
+        .wrapping_add(session)
+        .wrapping_add(1)
 }
 
 /// Runs `params.n_sessions` concurrent sessions of `config`'s workload through the
@@ -100,13 +103,18 @@ fn run_once(
 ) -> RunMetrics {
     // Phase 1: workload generation (the simulated "live programs").  Not measured:
     // the scenario times the ingestion engine, not the trace generator.
-    let property = fleet.map_or_else(|| config.property.name().to_string(), FleetParams::joined_name);
+    let property = fleet.map_or_else(
+        || config.property.name().to_string(),
+        FleetParams::joined_name,
+    );
     let mut inputs = Vec::with_capacity(params.n_sessions);
     let mut program_messages = 0usize;
     let mut program_time = 0.0f64;
     for s in 0..params.n_sessions {
-        let session =
-            simulate_session(&config.workload_config(session_seed(seed, s as u64)), registry);
+        let session = simulate_session(
+            &config.workload_config(session_seed(seed, s as u64)),
+            registry,
+        );
         program_messages += session.report.program_messages;
         program_time = program_time.max(session.report.program_end_time);
         inputs.push(SessionStream {

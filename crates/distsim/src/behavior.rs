@@ -95,7 +95,13 @@ impl MonitorBehavior for NullMonitor {
         self.events_seen += 1;
     }
 
-    fn on_monitor_message(&mut self, _from: ProcessId, _msg: (), _ctx: &mut MonitorContext<'_, ()>) {}
+    fn on_monitor_message(
+        &mut self,
+        _from: ProcessId,
+        _msg: (),
+        _ctx: &mut MonitorContext<'_, ()>,
+    ) {
+    }
 
     fn on_local_termination(&mut self, _ctx: &mut MonitorContext<'_, ()>) {
         self.terminated = true;

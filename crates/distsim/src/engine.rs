@@ -114,7 +114,10 @@ pub fn run_simulation<B: MonitorBehavior>(
             queue.push(QueueItem {
                 time: first.wait,
                 seq: next_seq(&mut seq),
-                kind: ItemKind::ProgramStep { process: i, entry: 0 },
+                kind: ItemKind::ProgramStep {
+                    process: i,
+                    entry: 0,
+                },
             });
             program_items += 1;
         }
@@ -198,14 +201,7 @@ pub fn run_simulation<B: MonitorBehavior>(
                     }
                 };
                 program_events += 1;
-                deliver_event(
-                    &mut monitors[process],
-                    &event,
-                    process,
-                    n,
-                    now,
-                    &mut outbox,
-                );
+                deliver_event(&mut monitors[process], &event, process, n, now, &mut outbox);
                 computation.push(event);
                 flush_outbox(
                     &mut outbox,
@@ -231,7 +227,12 @@ pub fn run_simulation<B: MonitorBehavior>(
                     program_items += 1;
                 }
             }
-            ItemKind::ProgramMsg { to, from, vc, msg_id } => {
+            ItemKind::ProgramMsg {
+                to,
+                from,
+                vc,
+                msg_id,
+            } => {
                 program_items -= 1;
                 program_end_time = program_end_time.max(now);
                 clocks[to].increment(to);
@@ -437,7 +438,9 @@ mod tests {
         let cfg = WorkloadConfig::paper_default(3, 1);
         let workload = generate_workload(&cfg);
         let reg = registry_for(3);
-        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| NullMonitor::default());
+        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| {
+            NullMonitor::default()
+        });
         let internals: usize = workload.traces.iter().map(|t| t.n_internal()).sum();
         let broadcasts: usize = workload.traces.iter().map(|t| t.n_broadcasts()).sum();
         let receives = broadcasts * 2; // each broadcast reaches the other two processes
@@ -456,7 +459,9 @@ mod tests {
     fn vector_clocks_are_monotone_per_process() {
         let workload = generate_workload(&WorkloadConfig::paper_default(4, 2));
         let reg = registry_for(4);
-        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| NullMonitor::default());
+        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| {
+            NullMonitor::default()
+        });
         for events in &report.computation.events {
             for w in events.windows(2) {
                 assert!(w[0].vc.leq(&w[1].vc));
@@ -469,14 +474,18 @@ mod tests {
     fn receive_clock_dominates_send_clock() {
         let workload = generate_workload(&WorkloadConfig::paper_default(3, 3));
         let reg = registry_for(3);
-        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| NullMonitor::default());
+        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| {
+            NullMonitor::default()
+        });
         let comp = &report.computation;
         for events in &comp.events {
             for e in events {
                 if let EventKind::Receive { from, msg_id } = e.kind {
                     let send = comp.events[from]
                         .iter()
-                        .find(|s| matches!(s.kind, EventKind::Broadcast { msg_id: m } if m == msg_id))
+                        .find(
+                            |s| matches!(s.kind, EventKind::Broadcast { msg_id: m } if m == msg_id),
+                        )
                         .expect("matching broadcast exists");
                     assert!(send.vc.happened_before(&e.vc));
                 }
@@ -488,7 +497,9 @@ mod tests {
     fn final_frontier_is_consistent() {
         let workload = generate_workload(&WorkloadConfig::paper_default(5, 4));
         let reg = registry_for(5);
-        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| NullMonitor::default());
+        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| {
+            NullMonitor::default()
+        });
         assert!(report
             .computation
             .is_consistent_frontier(&report.computation.final_frontier()));
@@ -500,22 +511,23 @@ mod tests {
     fn no_comm_workload_generates_no_receives() {
         let workload = generate_workload(&WorkloadConfig::comm_sweep(4, None, 5));
         let reg = registry_for(4);
-        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| NullMonitor::default());
+        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| {
+            NullMonitor::default()
+        });
         assert_eq!(report.program_messages, 0);
         for events in &report.computation.events {
-            assert!(events
-                .iter()
-                .all(|e| matches!(e.kind, EventKind::Internal)));
+            assert!(events.iter().all(|e| matches!(e.kind, EventKind::Internal)));
         }
     }
 
     #[test]
     fn ring_topology_routes_point_to_point() {
         use dlrv_trace::CommTopology;
-        let workload =
-            generate_workload(&WorkloadConfig::with_topology(4, CommTopology::Ring, 6));
+        let workload = generate_workload(&WorkloadConfig::with_topology(4, CommTopology::Ring, 6));
         let reg = registry_for(4);
-        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| NullMonitor::default());
+        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| {
+            NullMonitor::default()
+        });
         let sends: usize = workload.traces.iter().map(|t| t.n_sends()).sum();
         assert!(sends > 0);
         // Every point-to-point send is exactly one program message and one receive.
@@ -542,7 +554,9 @@ mod tests {
             traces: vec![Default::default(), Default::default()],
         };
         let reg = registry_for(2);
-        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| NullMonitor::default());
+        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| {
+            NullMonitor::default()
+        });
         assert_eq!(report.program_events, 0);
         assert!(report.monitors.iter().all(|m| m.terminated));
     }

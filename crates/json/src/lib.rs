@@ -213,7 +213,10 @@ impl Json {
     pub fn as_bool(&self) -> Result<bool, JsonError> {
         match self {
             Json::Bool(b) => Ok(*b),
-            other => Err(JsonError::msg(format!("expected bool, found {}", other.kind()))),
+            other => Err(JsonError::msg(format!(
+                "expected bool, found {}",
+                other.kind()
+            ))),
         }
     }
 
@@ -244,7 +247,8 @@ impl Json {
     /// The integer value as `usize`.
     pub fn as_usize(&self) -> Result<usize, JsonError> {
         self.as_u64().and_then(|v| {
-            usize::try_from(v).map_err(|_| JsonError::msg(format!("integer {v} out of usize range")))
+            usize::try_from(v)
+                .map_err(|_| JsonError::msg(format!("integer {v} out of usize range")))
         })
     }
 
@@ -501,13 +505,12 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex =
-                                self.text.get(self.pos + 1..self.pos + 5).ok_or_else(|| {
-                                    JsonError::at("truncated \\u escape", self.pos)
-                                })?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|_| {
-                                JsonError::at("invalid \\u escape", self.pos)
-                            })?;
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| JsonError::at("truncated \\u escape", self.pos))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| JsonError::at("invalid \\u escape", self.pos))?;
                             // Surrogate pairs are not needed for our ASCII field
                             // names; reject them rather than decode them wrongly.
                             let c = char::from_u32(code).ok_or_else(|| {
@@ -638,10 +641,16 @@ mod tests {
         let text = v.to_string_compact();
         assert_eq!(Json::parse(&text).unwrap(), v);
         // Identical value as the pretty form, strictly fewer bytes.
-        assert_eq!(Json::parse(&text).unwrap(), Json::parse(&v.to_string_pretty()).unwrap());
+        assert_eq!(
+            Json::parse(&text).unwrap(),
+            Json::parse(&v.to_string_pretty()).unwrap()
+        );
         assert!(text.len() < v.to_string_pretty().len());
         // No structural whitespace (none of the strings above contain spaces).
-        assert!(!text.chars().any(|c| c.is_whitespace()), "compact form: {text}");
+        assert!(
+            !text.chars().any(|c| c.is_whitespace()),
+            "compact form: {text}"
+        );
     }
 
     #[test]
@@ -679,7 +688,10 @@ mod tests {
         // A raw control character is reported where it stands, in bytes.
         let err = Json::parse("[\"é€\u{1}\"]").unwrap_err();
         assert_eq!(err, JsonError::at("raw control character in string", 7));
-        assert_eq!(err.to_string(), "raw control character in string (at byte 7)");
+        assert_eq!(
+            err.to_string(),
+            "raw control character in string (at byte 7)"
+        );
         // So is a `\u` escape whose four bytes run into multi-byte characters.
         let err = |text| Json::parse(text).unwrap_err();
         assert_eq!(err("\"\\u12é\""), JsonError::at("invalid \\u escape", 2));

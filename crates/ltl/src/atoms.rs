@@ -366,7 +366,11 @@ mod tests {
         assert_eq!(layout.channel(req), Channel::P);
         assert_eq!(layout.channel(go), Channel::Q);
         assert_eq!(layout.channel(more), Channel::P);
-        assert_eq!(layout.channel(ack), Channel::P, "per-process alternation restarts");
+        assert_eq!(
+            layout.channel(ack),
+            Channel::P,
+            "per-process alternation restarts"
+        );
         assert_eq!(layout.atoms_on(0, Channel::P), &[req, more]);
     }
 

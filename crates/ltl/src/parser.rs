@@ -32,7 +32,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at offset {}: {}", self.position, self.message)
+        write!(
+            f,
+            "parse error at offset {}: {}",
+            self.position, self.message
+        )
     }
 }
 
@@ -50,7 +54,10 @@ pub fn parse(input: &str, registry: &mut AtomRegistry) -> Result<Formula, ParseE
     if parser.pos != parser.tokens.len() {
         return Err(ParseError {
             position: parser.tokens[parser.pos].1,
-            message: format!("unexpected trailing token {:?}", parser.tokens[parser.pos].0),
+            message: format!(
+                "unexpected trailing token {:?}",
+                parser.tokens[parser.pos].0
+            ),
         });
     }
     Ok(formula)
@@ -248,10 +255,7 @@ impl<'a> Parser<'a> {
                     self.bump();
                     let rhs = self.parse_unary()?;
                     // a W b = (a U b) || G a
-                    lhs = Formula::or(
-                        Formula::until(lhs.clone(), rhs),
-                        Formula::globally(lhs),
-                    );
+                    lhs = Formula::or(Formula::until(lhs.clone(), rhs), Formula::globally(lhs));
                 }
                 _ => return Ok(lhs),
             }
@@ -337,10 +341,7 @@ mod tests {
         let a = Formula::Atom(reg.lookup("a").unwrap());
         let b = Formula::Atom(reg.lookup("b").unwrap());
         let c = Formula::Atom(reg.lookup("c").unwrap());
-        assert_eq!(
-            f,
-            Formula::implies(a, Formula::implies(b, c))
-        );
+        assert_eq!(f, Formula::implies(a, Formula::implies(b, c)));
     }
 
     #[test]

@@ -52,16 +52,16 @@ impl Assignment {
 
     /// Enumerates all `2^n` assignments over the first `n` atoms.
     pub fn enumerate(n: usize) -> impl Iterator<Item = Assignment> {
-        assert!(n <= 20, "exhaustive enumeration over {n} atoms is unreasonable");
+        assert!(
+            n <= 20,
+            "exhaustive enumeration over {n} atoms is unreasonable"
+        );
         (0u64..(1u64 << n)).map(Assignment)
     }
 
     /// Returns the set of true atoms among the first `n` atoms.
     pub fn true_atoms(&self, n: usize) -> Vec<AtomId> {
-        (0..n as u32)
-            .map(AtomId)
-            .filter(|a| self.get(*a))
-            .collect()
+        (0..n as u32).map(AtomId).filter(|a| self.get(*a)).collect()
     }
 }
 
@@ -77,12 +77,18 @@ pub struct Literal {
 impl Literal {
     /// Positive literal over `atom`.
     pub fn pos(atom: AtomId) -> Self {
-        Literal { atom, positive: true }
+        Literal {
+            atom,
+            positive: true,
+        }
     }
 
     /// Negative literal over `atom`.
     pub fn neg(atom: AtomId) -> Self {
-        Literal { atom, positive: false }
+        Literal {
+            atom,
+            positive: false,
+        }
     }
 
     /// Evaluates the literal under `assignment`.
@@ -316,8 +322,9 @@ impl Predicate {
             Formula::True => Predicate::top(),
             Formula::False => Predicate::bottom(),
             Formula::Atom(a) => Predicate {
-                cubes: vec![Cube::new([Literal::pos(*a)])
-                    .expect("a single literal is never contradictory")],
+                cubes: vec![
+                    Cube::new([Literal::pos(*a)]).expect("a single literal is never contradictory")
+                ],
             },
             Formula::Not(inner) => match &**inner {
                 Formula::Atom(a) => Predicate {
@@ -541,7 +548,10 @@ mod tests {
         let mut c2 = Cube::top();
         assert!(c2.insert(Literal::pos(a(1))));
         assert!(!c2.insert(Literal::neg(a(1))));
-        assert!(c2.insert(Literal::pos(a(1))), "re-inserting same literal is fine");
+        assert!(
+            c2.insert(Literal::pos(a(1))),
+            "re-inserting same literal is fine"
+        );
     }
 
     #[test]

@@ -239,11 +239,7 @@ mod tests {
         // G (req -> F grant), req = a0, grant = a1.
         let f = Formula::globally(Formula::implies(a(0), Formula::eventually(a(1))));
         // Every request granted within the cycle.
-        assert!(evaluate_lasso(
-            &f,
-            &[],
-            &[asg(&[0]), asg(&[]), asg(&[1])]
-        ));
+        assert!(evaluate_lasso(&f, &[], &[asg(&[0]), asg(&[]), asg(&[1])]));
         // A request in the cycle never granted.
         assert!(!evaluate_lasso(&f, &[asg(&[1])], &[asg(&[0]), asg(&[])]));
     }

@@ -111,9 +111,7 @@ impl Formula {
 
     /// Conjunction of an iterator of formulas (`true` when empty).
     pub fn conj<I: IntoIterator<Item = Formula>>(parts: I) -> Self {
-        parts
-            .into_iter()
-            .fold(Formula::True, Formula::and)
+        parts.into_iter().fold(Formula::True, Formula::and)
     }
 
     /// Converts the formula into negation normal form (negations pushed to atoms).
@@ -136,18 +134,12 @@ impl Formula {
             (Formula::Or(a, b), false) => Formula::or(a.nnf_inner(false), b.nnf_inner(false)),
             (Formula::Or(a, b), true) => Formula::and(a.nnf_inner(true), b.nnf_inner(true)),
             (Formula::Next(f), n) => Formula::next(f.nnf_inner(n)),
-            (Formula::Until(a, b), false) => {
-                Formula::until(a.nnf_inner(false), b.nnf_inner(false))
-            }
-            (Formula::Until(a, b), true) => {
-                Formula::release(a.nnf_inner(true), b.nnf_inner(true))
-            }
+            (Formula::Until(a, b), false) => Formula::until(a.nnf_inner(false), b.nnf_inner(false)),
+            (Formula::Until(a, b), true) => Formula::release(a.nnf_inner(true), b.nnf_inner(true)),
             (Formula::Release(a, b), false) => {
                 Formula::release(a.nnf_inner(false), b.nnf_inner(false))
             }
-            (Formula::Release(a, b), true) => {
-                Formula::until(a.nnf_inner(true), b.nnf_inner(true))
-            }
+            (Formula::Release(a, b), true) => Formula::until(a.nnf_inner(true), b.nnf_inner(true)),
         }
     }
 
@@ -197,9 +189,7 @@ impl Formula {
         match self {
             Formula::True | Formula::False | Formula::Atom(_) => true,
             Formula::Not(f) => f.is_propositional(),
-            Formula::And(a, b) | Formula::Or(a, b) => {
-                a.is_propositional() && b.is_propositional()
-            }
+            Formula::And(a, b) | Formula::Or(a, b) => a.is_propositional() && b.is_propositional(),
             Formula::Next(_) | Formula::Until(_, _) | Formula::Release(_, _) => false,
         }
     }

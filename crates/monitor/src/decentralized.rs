@@ -382,7 +382,11 @@ impl LocalHistory {
     /// The search key (the own clock entry) of the record at byte `at`.
     #[inline(always)]
     fn key(&self, at: usize) -> u64 {
-        entry_at(&self.runs, at + self.pid as usize * usize::from(self.width), self.width)
+        entry_at(
+            &self.runs,
+            at + self.pid as usize * usize::from(self.width),
+            self.width,
+        )
     }
 
     /// Records the process's next event: a new run when its state or a remote
@@ -398,7 +402,11 @@ impl LocalHistory {
     pub(crate) fn push(&mut self, event: &Event) {
         let (n, pid, sn) = (self.n as usize, self.pid as usize, self.len + 1);
         debug_assert_eq!(event.vc.len(), n);
-        debug_assert_eq!((event.sn, event.vc.get(pid)), (sn, sn), "events arrive in sequence");
+        debug_assert_eq!(
+            (event.sn, event.vc.get(pid)),
+            (sn, sn),
+            "events arrive in sequence"
+        );
         let vc = event.vc.entries();
         let continues = self.len > 0 && {
             let latest = self.run(self.len, LATEST_RUN);
@@ -436,7 +444,11 @@ impl LocalHistory {
         let mut runs = Vec::with_capacity((self.runs.len() / old + 1) * self.record_len());
         for record in self.runs.chunks_exact(old) {
             for j in 0..n {
-                put_entry(&mut runs, entry_at(record, j * usize::from(from), from), width);
+                put_entry(
+                    &mut runs,
+                    entry_at(record, j * usize::from(from), from),
+                    width,
+                );
             }
             runs.extend_from_slice(&record[old - STATE_BYTES..]);
         }
@@ -470,7 +482,11 @@ impl LocalHistory {
             record,
             width: self.width,
             state: Assignment(u64::from_le_bytes(state)),
-            last: if at + rec < end { self.key(at + rec) - 1 } else { self.len },
+            last: if at + rec < end {
+                self.key(at + rec) - 1
+            } else {
+                self.len
+            },
         }
     }
 
@@ -779,7 +795,13 @@ impl PropertyMonitor {
     /// views and detected verdicts say now, and what the process recorded.
     pub(crate) fn metrics(&self, process: &LocalProcess) -> MonitorMetrics {
         let live = self.views.len();
-        snapshot(self.counters, live, self.detected, self.possible_verdicts(), process)
+        snapshot(
+            self.counters,
+            live,
+            self.detected,
+            self.possible_verdicts(),
+            process,
+        )
     }
 
     /// Whether this monitor holds monitoring state only: a view set at exactly its
@@ -1029,7 +1051,12 @@ impl<'a> Activation<'a> {
             }
         } else {
             for (dest, token) in self.staged.drain(..) {
-                ctx.send(dest, MonitorMsg { tokens: vec![token] });
+                ctx.send(
+                    dest,
+                    MonitorMsg {
+                        tokens: vec![token],
+                    },
+                );
             }
         }
         let spare = exact(&mut self.member.views);
@@ -1069,7 +1096,11 @@ impl<'a> Activation<'a> {
         if buf.capacity() == 0 {
             return;
         }
-        if let Some(s) = self.scratch.as_mut().filter(|s| s.view_bufs.len() < POOL_CAP) {
+        if let Some(s) = self
+            .scratch
+            .as_mut()
+            .filter(|s| s.view_bufs.len() < POOL_CAP)
+        {
             buf.clear();
             s.view_bufs.push(buf);
         }
@@ -1089,7 +1120,11 @@ impl<'a> Activation<'a> {
         if buf.capacity() == 0 {
             return;
         }
-        if let Some(s) = self.scratch.as_mut().filter(|s| s.transitions.len() < POOL_CAP) {
+        if let Some(s) = self
+            .scratch
+            .as_mut()
+            .filter(|s| s.transitions.len() < POOL_CAP)
+        {
             buf.clear();
             s.transitions.push(buf);
         }
@@ -1124,7 +1159,11 @@ impl<'a> Activation<'a> {
 
     /// Returns a conjunct buffer to the pool.
     fn put_conjunct_buf(&mut self, mut buf: Vec<ConjunctEval>) {
-        if let Some(s) = self.scratch.as_mut().filter(|s| s.conjuncts.len() < POOL_CAP) {
+        if let Some(s) = self
+            .scratch
+            .as_mut()
+            .filter(|s| s.conjuncts.len() < POOL_CAP)
+        {
             buf.clear();
             s.conjuncts.push(buf);
         }
@@ -1190,7 +1229,9 @@ impl<'a> Activation<'a> {
     /// allocation — goes back to the pool.
     fn retire_view(&mut self, q: dlrv_automaton::StateId, gcut: VectorClock) {
         debug_assert!(self.member.automaton.is_final(q));
-        self.member.detected.insert(self.member.automaton.verdict(q));
+        self.member
+            .detected
+            .insert(self.member.automaton.verdict(q));
         self.reclaim_clock(gcut);
     }
 
@@ -1199,7 +1240,10 @@ impl<'a> Activation<'a> {
     fn target_verdict_subsumed(&self, target: dlrv_automaton::StateId) -> bool {
         self.process.opts.prune_disjunctive
             && self.member.automaton.is_final(target)
-            && self.member.detected.contains(self.member.automaton.verdict(target))
+            && self
+                .member
+                .detected
+                .contains(self.member.automaton.verdict(target))
     }
 
     /// Sends `token` toward `dest`: staged until the activation
@@ -1272,12 +1316,21 @@ impl<'a> Activation<'a> {
     /// local event `sn`, whose run's record starts at word `at` of the history.  With
     /// the arena on, the cuts and conjunct buffers come from the scratch pools (they
     /// return when the token's transitions are decided).
-    fn candidate_transitions(&mut self, gv: &GlobalView, sn: u64, at: usize) -> Vec<TokenTransition> {
+    fn candidate_transitions(
+        &mut self,
+        gv: &GlobalView,
+        sn: u64,
+        at: usize,
+    ) -> Vec<TokenTransition> {
         let mut out = self.take_transition_buf();
         // A second handle to the shared automaton, so iterating its transitions does
         // not hold a borrow of `self` across the pool calls below.
         let automaton = Arc::clone(&self.member.automaton);
-        for t in automaton.transitions_from(gv.q).iter().filter(|t| !t.is_self_loop()) {
+        for t in automaton
+            .transitions_from(gv.q)
+            .iter()
+            .filter(|t| !t.is_self_loop())
+        {
             // The local conjunct must be satisfied by the process's own (fresh) state.
             if !self.conjunct_holds(t, self.pid(), gv.gstate) {
                 continue;
@@ -1312,7 +1365,10 @@ impl<'a> Activation<'a> {
             }
             let gcut = {
                 let mut g = self.clock_copy(&gv.gcut);
-                self.process.history.run(sn, at).merge_clock_into(sn, &mut g);
+                self.process
+                    .history
+                    .run(sn, at)
+                    .merge_clock_into(sn, &mut g);
                 g
             };
             let depend = self.clock_copy(&gcut);
@@ -1343,11 +1399,20 @@ impl<'a> Activation<'a> {
     /// the first pending transition by rule 2 and rule 4, and by rule 3 every one
     /// before it targets the parent.
     fn route_token(&mut self, token: Token) {
-        let pending = || token.transitions.iter().filter(|t| t.eval == EvalState::Unset);
+        let pending = || {
+            token
+                .transitions
+                .iter()
+                .filter(|t| t.eval == EvalState::Unset)
+        };
         // Rule 1: an enabled transition sends the token home.  Otherwise it visits a
         // process some undecided transition targets: this very one (rule 2) before
         // any third one (rule 3) before the parent (rule 4).
-        let next = if token.transitions.iter().any(|t| t.eval == EvalState::Enabled) {
+        let next = if token
+            .transitions
+            .iter()
+            .any(|t| t.eval == EvalState::Enabled)
+        {
             None
         } else {
             pending()
@@ -1398,7 +1463,12 @@ impl<'a> Activation<'a> {
     /// [`LocalHistory::run`]) and left there.  Returns the local event the token
     /// should be served next — the next one at which that can change anything —
     /// or `None` when no pending transition targets this process any more.
-    fn process_token_with_event(&mut self, token: &mut Token, sn: u64, walked: &mut usize) -> Option<u64> {
+    fn process_token_with_event(
+        &mut self,
+        token: &mut Token,
+        sn: u64,
+        walked: &mut usize,
+    ) -> Option<u64> {
         self.member.counters.history_events_served += 1;
         self.member.counters.history_events_covered += 1;
         let run = self.process.history.run(sn, *walked);
@@ -1457,7 +1527,11 @@ impl<'a> Activation<'a> {
             let tran = &mut token.transitions[*idx];
             if tran.conjuncts[self.pid()] != ConjunctEval::NotInvolved {
                 if any_true {
-                    tran.conjuncts[self.pid()] = if *ok { ConjunctEval::True } else { ConjunctEval::False };
+                    tran.conjuncts[self.pid()] = if *ok {
+                        ConjunctEval::True
+                    } else {
+                        ConjunctEval::False
+                    };
                 } else {
                     // No candidate satisfied at this event: keep looking at later ones.
                     tran.conjuncts[self.pid()] = ConjunctEval::Unset;
@@ -1491,8 +1565,9 @@ impl<'a> Activation<'a> {
                     // Answered: it stays only to repair the cut up to `depend`.
                     land = land.min(tran.depend.get(self.pid()));
                 }
-            } else if let Some(k) =
-                tran.inconsistent_process().or_else(|| tran.first_unset_process())
+            } else if let Some(k) = tran
+                .inconsistent_process()
+                .or_else(|| tran.first_unset_process())
             {
                 // Repair the cut first, then ask whoever has not answered yet.
                 tran.next_target_process = k;
@@ -1574,7 +1649,11 @@ impl<'a> Activation<'a> {
     /// transitions, drop disabled ones, retarget inconsistent ones and either finish or
     /// re-route the token.
     fn handle_returned_token(&mut self, mut token: Token) {
-        let owner_idx = self.member.views.iter().position(|gv| gv.id == token.parent_gv);
+        let owner_idx = self
+            .member
+            .views
+            .iter()
+            .position(|gv| gv.id == token.parent_gv);
         // Every candidate transition leaves the automaton state the token was
         // launched from.
         let origin = token
@@ -1718,7 +1797,12 @@ impl<'a> Activation<'a> {
         // The event is inconsistent with the view when it already knows about more
         // events of other processes than the view has folded in.  (The run's own
         // entry, its first event, is not past `sn`.)
-        let is_consistent = gv.gcut.entries().iter().enumerate().all(|(j, &g)| g >= run.entry(j));
+        let is_consistent = gv
+            .gcut
+            .entries()
+            .iter()
+            .enumerate()
+            .all(|(j, &g)| g >= run.entry(j));
         let run_at = run.at;
         gv.gstate = self.apply_local_state(gv.gstate, run.state);
 
@@ -1760,7 +1844,9 @@ impl<'a> Activation<'a> {
         if is_consistent {
             let duplicate_exists = self.process.opts.dedup_global_views
                 && (self.member.views.iter().any(|other| other.same_slice(&gv))
-                    || produced.iter().any(|other: &GlobalView| other.same_slice(&gv)));
+                    || produced
+                        .iter()
+                        .any(|other: &GlobalView| other.same_slice(&gv)));
             if !duplicate_exists {
                 // The fork starts with an empty queue; the original keeps its
                 // backlog and works through it once its token returns.
@@ -1795,11 +1881,7 @@ impl<'a> Activation<'a> {
     }
 
     /// Sends a token exploring `transitions` on behalf of view `gv` on its way.
-    fn launch_token(
-        &mut self,
-        gv: &GlobalView,
-        transitions: Vec<TokenTransition>,
-    ) {
+    fn launch_token(&mut self, gv: &GlobalView, transitions: Vec<TokenTransition>) {
         let token = Token {
             property: self.member.property,
             parent: self.pid(),
@@ -1881,12 +1963,16 @@ impl<'a> Activation<'a> {
             // Process the whole queue while the view stays unblocked.
             let mut walked = LATEST_RUN;
             while gv.is_unblocked() {
-                let Some(sn) = gv.pop_queued(self.delivered) else { break };
+                let Some(sn) = gv.pop_queued(self.delivered) else {
+                    break;
+                };
                 self.process_event_on_view(gv, sn, &mut walked, &mut produced);
                 // On with the first produced view, which follows local progress;
                 // any other waits for its token.  None: the view retired at ⊤/⊥.
                 let mut views = produced.drain(..);
-                let Some(next) = views.next() else { continue 'views };
+                let Some(next) = views.next() else {
+                    continue 'views;
+                };
                 gv = next;
                 rebuilt.extend(views);
             }
@@ -2019,14 +2105,8 @@ mod tests {
         let automaton = Arc::new(MonitorAutomaton::synthesize(&phi, &reg));
         let registry = Arc::new(reg);
         let init = Assignment::from_true_atoms([a0]);
-        let mut m0 = DecentralizedMonitor::new(
-            0,
-            2,
-            automaton,
-            registry,
-            init,
-            MonitorOptions::default(),
-        );
+        let mut m0 =
+            DecentralizedMonitor::new(0, 2, automaton, registry, init, MonitorOptions::default());
         let mut outbox = Vec::new();
         let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
         let event = Event {
@@ -2039,7 +2119,10 @@ mod tests {
         };
         m0.on_local_event(&event, &mut ctx);
         assert!(m0.detected_final_verdicts().contains(&Verdict::False));
-        assert!(outbox.is_empty(), "a purely local violation needs no tokens");
+        assert!(
+            outbox.is_empty(),
+            "a purely local violation needs no tokens"
+        );
     }
 
     #[test]
@@ -2077,12 +2160,19 @@ mod tests {
         let mut outbox = Vec::new();
         let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
         m0.on_local_event(&violation, &mut ctx);
-        assert!(m0.views().is_empty(), "the ⊥ view is retired, not held: {:?}", m0.views());
+        assert!(
+            m0.views().is_empty(),
+            "the ⊥ view is retired, not held: {:?}",
+            m0.views()
+        );
         let bottom = BTreeSet::from([Verdict::False]);
         assert_eq!(m0.detected_final_verdicts(), bottom);
         assert_eq!(m0.possible_verdicts(), bottom);
         let metrics = m0.metrics();
-        assert_eq!((metrics.global_views_created, metrics.max_live_views), (1, 1));
+        assert_eq!(
+            (metrics.global_views_created, metrics.max_live_views),
+            (1, 1)
+        );
         assert_eq!(metrics.global_views_final, 0);
     }
 
@@ -2095,7 +2185,10 @@ mod tests {
         assert_eq!(m0.detected_final_verdicts(), bottom);
         assert_eq!(m0.possible_verdicts(), bottom);
         let metrics = m0.metrics();
-        assert_eq!((metrics.global_views_created, metrics.max_live_views), (1, 0));
+        assert_eq!(
+            (metrics.global_views_created, metrics.max_live_views),
+            (1, 0)
+        );
         // Events and termination find nothing to do.
         let mut outbox = Vec::new();
         let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
@@ -2116,13 +2209,20 @@ mod tests {
         };
         let mut token = only_token(msg);
         let live = |m: &DecentralizedMonitor| -> Vec<_> {
-            m.views().iter().map(|gv| (gv.id, gv.q, gv.gcut.clone(), gv.gstate, gv.next_sn)).collect()
+            m.views()
+                .iter()
+                .map(|gv| (gv.id, gv.q, gv.gcut.clone(), gv.gstate, gv.next_sn))
+                .collect()
         };
         let before = live(&m0);
         let created = m0.member.counters.global_views_created;
 
         // `P1`'s answer, by hand: `P1.p` held, the transition into ⊤ is enabled.
-        let target = m0.member.automaton.transition(token.transitions[0].transition_id).to;
+        let target = m0
+            .member
+            .automaton
+            .transition(token.transitions[0].transition_id)
+            .to;
         assert_eq!(m0.member.automaton.verdict(target), Verdict::True);
         token.transitions[0].eval = EvalState::Enabled;
         let mut ctx = MonitorContext::new(0, 2, 2.0, &mut outbox);
@@ -2131,8 +2231,14 @@ mod tests {
         let created_now = m0.member.counters.global_views_created;
         assert_eq!(created_now, created + 1, "the fork at ⊤ is counted");
         assert_eq!(live(&m0), before, "and retired: the live set is as it was");
-        assert_eq!(m0.detected_final_verdicts(), BTreeSet::from([Verdict::True]));
-        assert_eq!(m0.possible_verdicts(), BTreeSet::from([Verdict::Unknown, Verdict::True]));
+        assert_eq!(
+            m0.detected_final_verdicts(),
+            BTreeSet::from([Verdict::True])
+        );
+        assert_eq!(
+            m0.possible_verdicts(),
+            BTreeSet::from([Verdict::Unknown, Verdict::True])
+        );
         assert!(m0.member.in_flight.is_empty() && outbox.is_empty());
     }
 
@@ -2145,7 +2251,11 @@ mod tests {
         let _a1 = reg.intern("P1.p", 1);
         let mut m0 = setup(2, Formula::globally(Formula::not(Formula::Atom(a0))), reg).remove(0);
         let p0 = Assignment::from_true_atoms([a0]);
-        for (sn, state) in [(1, Assignment::ALL_FALSE), (2, p0), (3, Assignment::ALL_FALSE)] {
+        for (sn, state) in [
+            (1, Assignment::ALL_FALSE),
+            (2, p0),
+            (3, Assignment::ALL_FALSE),
+        ] {
             m0.process.history.push(&local_event(sn, state));
         }
         m0.member.views[0].state = GvState::Waiting;
@@ -2160,7 +2270,10 @@ mod tests {
         // left to offer the third to.
         assert!(m0.member.views.is_empty());
         assert_eq!(m0.member.counters.backlog_events_drained, 2);
-        assert_eq!(m0.detected_final_verdicts(), BTreeSet::from([Verdict::False]));
+        assert_eq!(
+            m0.detected_final_verdicts(),
+            BTreeSet::from([Verdict::False])
+        );
     }
 
     /// Monitor `M<pid>` of `F (P0.p && P1.p)` over two processes, and the local
@@ -2182,7 +2295,10 @@ mod tests {
             Assignment::ALL_FALSE,
             opts,
         );
-        (monitor, [a, b].map(|atom| Assignment::from_true_atoms([atom])))
+        (
+            monitor,
+            [a, b].map(|atom| Assignment::from_true_atoms([atom])),
+        )
     }
 
     /// `M0`, and the state in which `P0.p` holds — the state that makes `M0` ask `P1`
@@ -2347,8 +2463,14 @@ mod tests {
                 })
                 .collect()
         };
-        let steps =
-            [(0xfe, 1), (0xff, 1), (0x100, 2), (0xffff, 2), (0x1_0000, 4), (MAX_CLOCK_ENTRY, 4)];
+        let steps = [
+            (0xfe, 1),
+            (0xff, 1),
+            (0x100, 2),
+            (0xffff, 2),
+            (0x1_0000, 4),
+            (MAX_CLOCK_ENTRY, 4),
+        ];
         for n in 2..=8 {
             let pid = n / 2;
             let mut history = LocalHistory::new(pid, n);
@@ -2374,7 +2496,11 @@ mod tests {
                 assert_eq!(history.width, width, "{case}");
                 let record = n * usize::from(width) + 8;
                 assert_eq!(history.record_len(), record, "{case}");
-                assert_eq!(history.runs.len(), (step + 1) * record, "{case}: one record a step");
+                assert_eq!(
+                    history.runs.len(),
+                    (step + 1) * record,
+                    "{case}: one record a step"
+                );
                 let after = reads(&history);
                 assert_eq!(after[..before.len()], before[..], "{case}: earlier events");
                 for (sn, ((clock, state, last), (vc, st))) in (1..).zip(after.iter().zip(&flat)) {
@@ -2382,7 +2508,10 @@ mod tests {
                     assert_eq!(*last, sn + 2 - (sn - 1) % 3, "{case}, event {sn}");
                 }
             }
-            assert_eq!(reads(&history).last().unwrap().0.iter().max(), Some(&u64::from(u32::MAX)));
+            assert_eq!(
+                reads(&history).last().unwrap().0.iter().max(),
+                Some(&u64::from(u32::MAX))
+            );
         }
     }
 
@@ -2442,13 +2571,20 @@ mod tests {
         let q1 = reg.intern("P1.q", 1);
         let [p0, p1, q1] = [p0, p1, q1].map(Formula::Atom);
         let phi = Formula::until(
-            Formula::not(Formula::and(p0.clone(), Formula::or(p1.clone(), q1.clone()))),
+            Formula::not(Formula::and(
+                p0.clone(),
+                Formula::or(p1.clone(), q1.clone()),
+            )),
             Formula::and(p0, p1),
         );
         let automaton = Arc::new(MonitorAutomaton::synthesize(&phi, &reg));
         let registry = Arc::new(reg);
         let state = |names: &[&str]| {
-            Assignment::from_true_atoms(names.iter().map(|name| registry.lookup(name).expect("interned")))
+            Assignment::from_true_atoms(
+                names
+                    .iter()
+                    .map(|name| registry.lookup(name).expect("interned")),
+            )
         };
         let none: &[&str] = &[];
         // `P1`'s states, and what `M0` detects: ⊥ first and then, with ⊥ known,
@@ -2483,7 +2619,10 @@ mod tests {
             }
             let mut before = Vec::new();
             for (pid, m) in session.monitors().iter().enumerate() {
-                before.push(verdict_readouts_agree(m, &format!("{p1_states:?}, M{pid}, live")));
+                before.push(verdict_readouts_agree(
+                    m,
+                    &format!("{p1_states:?}, M{pid}, live"),
+                ));
             }
             session.finish();
             for (pid, m) in session.monitors().iter().enumerate() {
@@ -2530,7 +2669,11 @@ mod tests {
             panic!("expected the fork and the original, got {produced:?}");
         };
         assert_eq!(fork.state, GvState::Unblocked);
-        assert_eq!(fork.queued(act.delivered), 0, "a fork has nothing to catch up on");
+        assert_eq!(
+            fork.queued(act.delivered),
+            0,
+            "a fork has nothing to catch up on"
+        );
         assert_eq!(original.state, GvState::Waiting);
         assert_eq!(original.next_sn, 2, "event 2 waits for the token to return");
         assert_eq!(original.queued(act.delivered), 1);
@@ -2598,7 +2741,10 @@ mod tests {
             transitions: m0.activation().candidate_transitions(&gv, 1, 0),
         };
         assert_eq!(token.transitions.len(), 1, "one way to the goal");
-        assert_eq!(token.transitions[0].conjuncts, [ConjunctEval::True, ConjunctEval::Unset]);
+        assert_eq!(
+            token.transitions[0].conjuncts,
+            [ConjunctEval::True, ConjunctEval::Unset]
+        );
         (monitors, token)
     }
 
@@ -2609,7 +2755,10 @@ mod tests {
     fn unanswered_and_lagging() -> ([DecentralizedMonitor; 2], Token) {
         let (mut monitors, token) = staircase(1);
         monitors[1].process.history = history_of_p1(vec![2, 1]);
-        monitors[0].process.history.push(&local_event(2, Assignment::ALL_FALSE));
+        monitors[0]
+            .process
+            .history
+            .push(&local_event(2, Assignment::ALL_FALSE));
         monitors[0].member.views[0].next_sn = 3;
         (monitors, token)
     }
@@ -2670,7 +2819,9 @@ mod tests {
 
     /// A message of `token` alone.
     fn one(token: Token) -> MonitorMsg {
-        MonitorMsg { tokens: vec![token] }
+        MonitorMsg {
+            tokens: vec![token],
+        }
     }
 
     #[test]
@@ -2702,7 +2853,13 @@ mod tests {
         let [m0, m1] = &monitors;
         assert_eq!(m1.member.counters.history_events_served, K as usize);
         assert_eq!(m0.member.counters.history_events_served, K as usize - 1);
-        assert_eq!((m0.member.counters.tokens_parked, m1.member.counters.tokens_parked), (0, 0));
+        assert_eq!(
+            (
+                m0.member.counters.tokens_parked,
+                m1.member.counters.tokens_parked
+            ),
+            (0, 0)
+        );
         // The same decision: the enabled transition forked its view, at ⊤.
         let target = m0.member.automaton.transition(stepped.transition_id).to;
         assert_eq!(m0.member.automaton.verdict(target), Verdict::True);
@@ -2726,7 +2883,11 @@ mod tests {
                 ..local_event(sn, Assignment::ALL_FALSE)
             });
         }
-        assert_eq!(history.runs.len(), 2 + 8, "one record: two one-byte entries and the state");
+        assert_eq!(
+            history.runs.len(),
+            2 + 8,
+            "one record: two one-byte entries and the state"
+        );
         monitors[1].process.history = history;
         assert_eq!(tour(&mut monitors, 0, token).len(), 1);
         let m1 = &monitors[1];
@@ -2736,7 +2897,10 @@ mod tests {
             panic!("the token parks for event {}", K + 1);
         };
         let tran = &parked.transitions[0];
-        assert_eq!((tran.gcut.entries(), tran.depend.entries()), (&[1, K][..], &[1, K][..]));
+        assert_eq!(
+            (tran.gcut.entries(), tran.depend.entries()),
+            (&[1, K][..], &[1, K][..])
+        );
         assert_eq!(tran.conjuncts, [ConjunctEval::True, ConjunctEval::Unset]);
     }
 
@@ -2772,12 +2936,22 @@ mod tests {
 
         let messages = tour(&mut monitors, 0, token);
         let route: Vec<_> = messages.iter().map(|(from, to, _)| (*from, *to)).collect();
-        assert_eq!(route, [(0, 1), (1, 0)], "no detour over `P0`'s second event");
+        assert_eq!(
+            route,
+            [(0, 1), (1, 0)],
+            "no detour over `P0`'s second event"
+        );
         let failed = &messages[1].2.transitions[0];
         assert_eq!(failed.eval, EvalState::Disabled);
         assert_eq!(failed.conjuncts[1], ConjunctEval::False);
         let m1 = &monitors[1].member.counters;
-        assert_eq!((m1.tokens_failed_at_termination, m1.tokens_sent_after_termination), (1, 1));
+        assert_eq!(
+            (
+                m1.tokens_failed_at_termination,
+                m1.tokens_sent_after_termination
+            ),
+            (1, 1)
+        );
         assert_eq!(monitors[0].member.counters.history_events_served, 0);
     }
 
@@ -2803,7 +2977,11 @@ mod tests {
             };
             monitors[0].on_local_event(&heard, &mut ctx);
         }
-        assert_eq!(outbox.len(), 1, "one exploration, launched on the first event");
+        assert_eq!(
+            outbox.len(),
+            1,
+            "one exploration, launched on the first event"
+        );
         let owner = initial_view(&monitors[0]);
         assert_eq!((owner.state, owner.queued(4)), (GvState::Waiting, 3));
         for sn in 1..=2 {
@@ -2812,7 +2990,11 @@ mod tests {
                 kind: dlrv_vclock::EventKind::Internal,
                 sn,
                 vc: VectorClock::from_entries(vec![0, sn]),
-                state: if p1_holds && sn == 2 { p1 } else { Assignment::ALL_FALSE },
+                state: if p1_holds && sn == 2 {
+                    p1
+                } else {
+                    Assignment::ALL_FALSE
+                },
                 time: sn as f64,
             });
         }
@@ -2822,7 +3004,11 @@ mod tests {
 
     /// The view the monitor started with, wherever its forks have pushed it.
     fn initial_view(m: &DecentralizedMonitor) -> &GlobalView {
-        m.member.views.iter().find(|gv| gv.id == 0).expect("the initial view")
+        m.member
+            .views
+            .iter()
+            .find(|gv| gv.id == 0)
+            .expect("the initial view")
     }
 
     /// What a monitor ended with: its views' exploration points (automaton state,
@@ -2869,13 +3055,22 @@ mod tests {
                 assert_eq!(outcome(&swept[0]), outcome(&live[0]), "{case}");
                 assert_eq!(swept[0].member.counters.backlog_events_drained, 3, "{case}");
                 assert_eq!(live[0].member.counters.backlog_events_drained, 3, "{case}");
-                assert_eq!(swept[0].detected_final_verdicts().len(), usize::from(p1_holds));
-                assert!(swept[0].member.views.iter().all(GlobalView::is_unblocked), "{case}");
+                assert_eq!(
+                    swept[0].detected_final_verdicts().len(),
+                    usize::from(p1_holds)
+                );
+                assert!(
+                    swept[0].member.views.iter().all(GlobalView::is_unblocked),
+                    "{case}"
+                );
                 let nothing_out = |m: &DecentralizedMonitor| m.member.in_flight.is_empty();
                 assert!(nothing_out(&swept[0]) && nothing_out(&live[0]));
 
                 let counts = |messages: &[(ProcessId, ProcessId, MonitorMsg)]| -> Vec<_> {
-                    messages.iter().map(|(from, to, msg)| (*from, *to, msg.tokens.len())).collect()
+                    messages
+                        .iter()
+                        .map(|(from, to, msg)| (*from, *to, msg.tokens.len()))
+                        .collect()
                 };
                 if opts.aggregate_tokens && !p1_holds {
                     // `P1` fails every token: four round trips before, the first
@@ -3005,7 +3200,11 @@ mod tests {
             fleet.on_local_event(&event, &mut ctx);
         }
         assert!(outbox.is_empty());
-        assert_eq!(crate::SessionVerdicts::events_recorded(&fleet), 2, "recorded once");
+        assert_eq!(
+            crate::SessionVerdicts::events_recorded(&fleet),
+            2,
+            "recorded once"
+        );
 
         // A message: `M0`'s token of the second property asks `P1` about `P1.p`.  The
         // member is served both recorded events and parks the token for a third.
@@ -3022,7 +3221,13 @@ mod tests {
             panic!("two monitors");
         };
         assert_eq!(idle.counters.history_events_served, 0);
-        assert_eq!((asked.counters.history_events_served, asked.counters.tokens_parked), (2, 1));
+        assert_eq!(
+            (
+                asked.counters.history_events_served,
+                asked.counters.tokens_parked
+            ),
+            (2, 1)
+        );
         assert!(outbox.is_empty());
 
         // Termination: the parked token goes home failed.
@@ -3034,7 +3239,10 @@ mod tests {
         let [home] = &tokens[..] else {
             panic!("the token goes home, alone: {tokens:?}");
         };
-        assert_eq!((home.property, home.transitions[0].eval), (1, EvalState::Disabled));
+        assert_eq!(
+            (home.property, home.transitions[0].eval),
+            (1, EvalState::Disabled)
+        );
     }
 
     #[test]

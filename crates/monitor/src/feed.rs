@@ -292,8 +292,12 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    fn two_proc_setup() -> (Arc<MonitorAutomaton>, Arc<AtomRegistry>, dlrv_ltl::AtomId, dlrv_ltl::AtomId)
-    {
+    fn two_proc_setup() -> (
+        Arc<MonitorAutomaton>,
+        Arc<AtomRegistry>,
+        dlrv_ltl::AtomId,
+        dlrv_ltl::AtomId,
+    ) {
         let mut reg = AtomRegistry::new();
         let a = reg.intern("P0.p", 0);
         let b = reg.intern("P1.p", 1);
@@ -324,13 +328,28 @@ mod tests {
             MonitorOptions::default(),
         );
         assert_eq!(session.verdict(), Verdict::Unknown);
-        let v1 = session.feed_owned(internal(0, 1, vec![1, 0], Assignment::from_true_atoms([a]), 1.0));
+        let v1 = session.feed_owned(internal(
+            0,
+            1,
+            vec![1, 0],
+            Assignment::from_true_atoms([a]),
+            1.0,
+        ));
         assert_eq!(v1, Verdict::Unknown);
-        session.feed_owned(internal(1, 1, vec![0, 1], Assignment::from_true_atoms([b]), 2.0));
+        session.feed_owned(internal(
+            1,
+            1,
+            vec![0, 1],
+            Assignment::from_true_atoms([b]),
+            2.0,
+        ));
         let final_verdict = session.finish();
         // F(a && b) is satisfied on the concurrent cut where both propositions hold.
         assert_eq!(final_verdict, Verdict::True);
-        assert!(session.monitor_messages() > 0, "exploration requires tokens");
+        assert!(
+            session.monitor_messages() > 0,
+            "exploration requires tokens"
+        );
         // finish is idempotent.
         assert_eq!(session.finish(), Verdict::True);
     }
@@ -356,7 +375,11 @@ mod tests {
         Terminated(ProcessId),
         /// Process `to`'s monitor got the token process `origin` sent at termination,
         /// `hops` hops after it left.
-        Delivered { to: ProcessId, origin: ProcessId, hops: u64 },
+        Delivered {
+            to: ProcessId,
+            origin: ProcessId,
+            hops: u64,
+        },
     }
 
     /// A monitor that logs its callbacks.  At termination it sends one token to the
@@ -377,12 +400,20 @@ mod tests {
             msg: MonitorMsg,
             ctx: &mut MonitorContext<'_, MonitorMsg>,
         ) {
-            let [mut token] = <[Token; 1]>::try_from(msg.tokens).expect("recorders send single tokens");
+            let [mut token] =
+                <[Token; 1]>::try_from(msg.tokens).expect("recorders send single tokens");
             let (to, origin, hops) = (ctx.self_id, token.parent, token.parent_gv);
-            self.log.borrow_mut().push(Step::Delivered { to, origin, hops });
+            self.log
+                .borrow_mut()
+                .push(Step::Delivered { to, origin, hops });
             if hops == 0 {
                 token.parent_gv = 1;
-                ctx.send((to + 1) % ctx.n_processes, MonitorMsg { tokens: vec![token] });
+                ctx.send(
+                    (to + 1) % ctx.n_processes,
+                    MonitorMsg {
+                        tokens: vec![token],
+                    },
+                );
             }
         }
 
@@ -395,7 +426,12 @@ mod tests {
                 parent_gv: 0,
                 transitions: Vec::new(),
             };
-            ctx.send((p + 1) % ctx.n_processes, MonitorMsg { tokens: vec![token] });
+            ctx.send(
+                (p + 1) % ctx.n_processes,
+                MonitorMsg {
+                    tokens: vec![token],
+                },
+            );
         }
     }
 
@@ -424,7 +460,9 @@ mod tests {
             .position(|step| matches!(step, Step::Delivered { .. }))
             .expect("termination tokens are delivered");
         assert!(
-            log[first_delivery..].iter().all(|step| matches!(step, Step::Delivered { .. })),
+            log[first_delivery..]
+                .iter()
+                .all(|step| matches!(step, Step::Delivered { .. })),
             "a monitor got a message before every process had ended: {log:?}"
         );
         let delivered = |to, origin, hops| Step::Delivered { to, origin, hops };
@@ -469,7 +507,10 @@ mod tests {
         }
         assert!(session.is_next_event(&first));
         session.feed_event(&first);
-        assert!(!session.is_next_event(&first), "a repeat is out of sequence");
+        assert!(
+            !session.is_next_event(&first),
+            "a repeat is out of sequence"
+        );
         assert!(session.is_next_event(&internal(0, 2, vec![2, 0], p, 2.0)));
         assert!(session.is_next_event(&internal(1, 1, vec![1, 1], p, 2.0)));
         // A remote entry at the history's limit is fed; one past it is not.
@@ -490,6 +531,12 @@ mod tests {
             MonitorOptions::default(),
         );
         session.finish();
-        session.feed_owned(internal(0, 1, vec![1, 0], Assignment::from_true_atoms([a]), 1.0));
+        session.feed_owned(internal(
+            0,
+            1,
+            vec![1, 0],
+            Assignment::from_true_atoms([a]),
+            1.0,
+        ));
     }
 }

@@ -195,7 +195,11 @@ impl FleetMonitor {
             Slot::Monitor(i) => Some(i),
             Slot::Decided(_) => None,
         };
-        let held = slots.iter().filter_map(monitor_index).max().map_or(0, |i| i as usize + 1);
+        let held = slots
+            .iter()
+            .filter_map(monitor_index)
+            .max()
+            .map_or(0, |i| i as usize + 1);
         let mut monitors = Vec::with_capacity(held);
         for (m, slot) in members.iter().zip(slots.iter()) {
             // A representative is the first member of its slot.
@@ -264,8 +268,12 @@ impl FleetMonitor {
             }
         } else {
             for dest in 0..self.process.n() {
-                let mut bound = emitted.extract_if(.., |(to, _)| *to == dest).map(|(_, msg)| msg);
-                let Some(mut merged) = bound.next() else { continue };
+                let mut bound = emitted
+                    .extract_if(.., |(to, _)| *to == dest)
+                    .map(|(_, msg)| msg);
+                let Some(mut merged) = bound.next() else {
+                    continue;
+                };
                 for mut msg in bound {
                     merged.tokens.append(&mut msg.tokens);
                 }
@@ -327,7 +335,9 @@ impl MonitorBehavior for FleetMonitor {
         let mut fleet_ctx = self.context(ctx.now, &mut emitted);
         while let Some(k) = tokens.first().map(|t| t.property) {
             let rest = tokens.split_off(tokens.partition_point(|t| t.property == k));
-            let msg = MonitorMsg { tokens: std::mem::replace(&mut tokens, rest) };
+            let msg = MonitorMsg {
+                tokens: std::mem::replace(&mut tokens, rest),
+            };
             self.monitors[k as usize].on_monitor_message(&self.process, msg, &mut fleet_ctx);
         }
         self.flush(emitted, ctx);
@@ -419,8 +429,8 @@ mod tests {
     use crate::feed::{decentralized_session, DecentralizedSession};
     use crate::DecentralizedMonitor;
     use dlrv_ltl::Formula;
-    use std::cell::Cell;
     use dlrv_vclock::{EventKind, VectorClock};
+    use std::cell::Cell;
 
     /// Two different properties over the same two-process alphabet:
     /// `F (P0.p ∧ P1.p)` and `second(P0.p, P1.p)`.
@@ -476,9 +486,7 @@ mod tests {
             let mut fleet = fleet_session(2, &members, opts);
             let mut solos: Vec<_> = members
                 .iter()
-                .map(|m| {
-                    decentralized_session(2, &m.automaton, &m.registry, m.initial_state, opts)
-                })
+                .map(|m| decentralized_session(2, &m.automaton, &m.registry, m.initial_state, opts))
                 .collect();
             for event in sample_events(&registry) {
                 fleet.feed_owned(event.clone());
@@ -505,9 +513,15 @@ mod tests {
                     .iter()
                     .map(|m| m.tokens_sent)
                     .sum();
-                let solo_tokens: usize =
-                    solo.monitors().iter().map(|m| m.metrics().tokens_sent).sum();
-                assert_eq!(fleet_tokens, solo_tokens, "token count of member {k} under {opts:?}");
+                let solo_tokens: usize = solo
+                    .monitors()
+                    .iter()
+                    .map(|m| m.metrics().tokens_sent)
+                    .sum();
+                assert_eq!(
+                    fleet_tokens, solo_tokens,
+                    "token count of member {k} under {opts:?}"
+                );
             }
         }
     }
@@ -544,14 +558,16 @@ mod tests {
         // `G ¬(P0.p ∧ P1.p)` asks `P1` about `P0`'s first event, exactly as
         // `F (P0.p ∧ P1.p)` does: the two tokens share an activation and a
         // destination, so they ride one message.
-        let (fleet, solos) = fleet_and_solo_messages(|a, b| {
-            Formula::globally(Formula::not(Formula::and(a, b)))
-        });
+        let (fleet, solos) =
+            fleet_and_solo_messages(|a, b| Formula::globally(Formula::not(Formula::and(a, b))));
         assert!(fleet < solos, "fleet sent {fleet} messages, solos {solos}");
         // `G P0.p` is decided locally and never sends: with nothing to merge, the
         // fleet costs exactly what the solo runs cost.
         let (fleet, solos) = fleet_and_solo_messages(|a, _| Formula::globally(a));
-        assert_eq!(fleet, solos, "a silent member adds no message and saves none");
+        assert_eq!(
+            fleet, solos,
+            "a silent member adds no message and saves none"
+        );
     }
 
     /// Paper properties A–F at `n` processes, interned into one registry as a fleet
@@ -559,7 +575,9 @@ mod tests {
     fn paper_properties(n: usize) -> (Vec<Formula>, Arc<AtomRegistry>) {
         let mut reg = AtomRegistry::new();
         let mut channel = |c: &str| -> Vec<Formula> {
-            (0..n).map(|i| Formula::Atom(reg.intern(&format!("P{i}.{c}"), i))).collect()
+            (0..n)
+                .map(|i| Formula::Atom(reg.intern(&format!("P{i}.{c}"), i)))
+                .collect()
         };
         let (p, q) = (channel("p"), channel("q"));
         let all = |fs: &[Formula]| Formula::conj(fs.iter().cloned());
@@ -589,8 +607,9 @@ mod tests {
             initial_q: initial_channels,
             ..dlrv_trace::WorkloadConfig::paper_default(n, seed)
         });
-        let report =
-            run_simulation(&workload, registry, &SimConfig::default(), |_| NullMonitor::default());
+        let report = run_simulation(&workload, registry, &SimConfig::default(), |_| {
+            NullMonitor::default()
+        });
         let comp = &report.computation;
         let events = crate::timestamp_order(comp)
             .into_iter()
@@ -606,7 +625,10 @@ mod tests {
         let (mut forked, mut parked, mut swept) = (0, 0, 0);
         let merged_before = crate::decentralized::MERGED_VIEWS.with(Cell::get);
         let solo_metrics = |solo: &FeedSession<DecentralizedMonitor>| {
-            solo.monitors().iter().map(DecentralizedMonitor::metrics).collect::<Vec<_>>()
+            solo.monitors()
+                .iter()
+                .map(DecentralizedMonitor::metrics)
+                .collect::<Vec<_>>()
         };
         for n in [3, 4] {
             let (formulas, registry) = paper_properties(n);
@@ -633,10 +655,15 @@ mod tests {
                 let check = |fleet: &FleetSession, solos: &[DecentralizedSession], at: &str| {
                     let case = format!("{n} processes, seed {seed}, {opts:?}, {at}");
                     let fleets = fleet.monitors();
-                    assert!(fleets.iter().all(FleetMonitor::parks_no_spare), "fleet, {case}");
+                    assert!(
+                        fleets.iter().all(FleetMonitor::parks_no_spare),
+                        "fleet, {case}"
+                    );
                     for (k, solo) in solos.iter().enumerate() {
                         assert!(
-                            solo.monitors().iter().all(DecentralizedMonitor::parks_no_spare),
+                            solo.monitors()
+                                .iter()
+                                .all(DecentralizedMonitor::parks_no_spare),
                             "solo session of member {k}, {case}"
                         );
                     }
@@ -650,15 +677,27 @@ mod tests {
                 }
                 let drained_while_live: Vec<usize> = solos
                     .iter()
-                    .map(|solo| solo_metrics(solo).iter().map(|m| m.backlog_events_drained).sum())
+                    .map(|solo| {
+                        solo_metrics(solo)
+                            .iter()
+                            .map(|m| m.backlog_events_drained)
+                            .sum()
+                    })
                     .collect();
                 fleet.finish();
                 for (solo, live) in solos.iter_mut().zip(drained_while_live) {
                     solo.finish();
                     let metrics = solo_metrics(solo);
-                    forked += metrics.iter().map(|m| m.global_views_created - 1).sum::<usize>();
+                    forked += metrics
+                        .iter()
+                        .map(|m| m.global_views_created - 1)
+                        .sum::<usize>();
                     parked += metrics.iter().map(|m| m.tokens_parked).sum::<usize>();
-                    swept += metrics.iter().map(|m| m.backlog_events_drained).sum::<usize>() - live;
+                    swept += metrics
+                        .iter()
+                        .map(|m| m.backlog_events_drained)
+                        .sum::<usize>()
+                        - live;
                 }
                 check(&fleet, &solos, "at finish");
             }
@@ -717,13 +756,23 @@ mod tests {
             let mut fleet = fleet_session(3, &members, opts);
             let mut solo = decentralized_session(3, &automata[0], &registry, initial_state, opts);
             let mut seen = ([0; 3], [0.0; 3]);
-            assert_recorded(&fleet, &solo, seen, &format!("seed {seed}, before any event"));
+            assert_recorded(
+                &fleet,
+                &solo,
+                seen,
+                &format!("seed {seed}, before any event"),
+            );
             for (i, event) in events.iter().enumerate() {
                 fleet.feed_event(event);
                 solo.feed_event(event);
                 seen.0[event.process] += 1;
                 seen.1[event.process] = event.time;
-                assert_recorded(&fleet, &solo, seen, &format!("seed {seed}, after event {i}"));
+                assert_recorded(
+                    &fleet,
+                    &solo,
+                    seen,
+                    &format!("seed {seed}, after event {i}"),
+                );
             }
             fleet.finish();
             solo.finish();
@@ -771,7 +820,9 @@ mod tests {
         assert_eq!((fleet.fleet_size(), fleet.monitors().len()), (6, 3));
         // Every process of a session reads one map.
         let session = fleet_session(3, &members, MonitorOptions::default());
-        let [first, rest @ ..] = session.monitors() else { panic!("three processes") };
+        let [first, rest @ ..] = session.monitors() else {
+            panic!("three processes")
+        };
         assert!(rest.iter().all(|f| Arc::ptr_eq(&f.slots, &first.slots)));
         assert_eq!(first.slots[..], expected);
     }
@@ -822,9 +873,16 @@ mod tests {
                 };
                 let case = format!("session, seed {seed}, {opts:?}, {at}");
                 let detected = union(DecentralizedSession::detected_verdicts);
-                assert!(detected.contains(&Verdict::True), "B is ⊤ from the start, {case}");
+                assert!(
+                    detected.contains(&Verdict::True),
+                    "B is ⊤ from the start, {case}"
+                );
                 assert_eq!(fleet.detected_verdicts(), detected, "{case}");
-                assert_eq!(fleet.verdict(), crate::combined_verdict(&detected), "{case}");
+                assert_eq!(
+                    fleet.verdict(),
+                    crate::combined_verdict(&detected),
+                    "{case}"
+                );
                 let possible = union(DecentralizedSession::possible_verdicts);
                 assert_eq!(fleet.possible_verdicts(), possible, "{case}");
             };
@@ -836,9 +894,17 @@ mod tests {
             fleet.finish();
             solos.iter_mut().for_each(|solo| _ = solo.finish());
             check(&fleet, &solos, "at finish");
-            let tokens = |k| fleet_member_metrics(&fleet, k).iter().map(|m| m.tokens_sent).sum();
+            let tokens = |k| {
+                fleet_member_metrics(&fleet, k)
+                    .iter()
+                    .map(|m| m.tokens_sent)
+                    .sum()
+            };
             assert_eq!((tokens(1), tokens(5)), (0, 0), "decided members never send");
-            assert!(tokens(0) > 0, "the shared question is explored, seed {seed}");
+            assert!(
+                tokens(0) > 0,
+                "the shared question is explored, seed {seed}"
+            );
         }
         assert!(compared > 0);
     }

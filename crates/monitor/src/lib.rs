@@ -75,13 +75,12 @@ pub use feed::{
     combined_verdict, decentralized_session, DecentralizedSession, FeedSession, SessionVerdicts,
 };
 pub use fleet::{
-    fleet_member_detected, fleet_member_metrics, fleet_member_possible, fleet_session,
-    FleetMember, FleetMonitor, FleetSession,
+    fleet_member_detected, fleet_member_metrics, fleet_member_possible, fleet_session, FleetMember,
+    FleetMonitor, FleetSession,
 };
 pub use global_view::{GlobalView, GvState};
 pub use messages::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition};
 pub use metrics::{
-    verdict_from_name, verdict_name, FleetPropertyMetrics, MonitorMetrics, RunMetrics,
-    ShardMetrics,
+    verdict_from_name, verdict_name, FleetPropertyMetrics, MonitorMetrics, RunMetrics, ShardMetrics,
 };
 pub use replay::{replay_decentralized, timestamp_order, ReplayResult};

@@ -215,9 +215,17 @@ mod tests {
 
     #[test]
     fn inconsistency_detection() {
-        let t = tt(vec![1, 0], vec![1, 2], vec![ConjunctEval::Unset, ConjunctEval::Unset]);
+        let t = tt(
+            vec![1, 0],
+            vec![1, 2],
+            vec![ConjunctEval::Unset, ConjunctEval::Unset],
+        );
         assert_eq!(t.inconsistent_process(), Some(1));
-        let ok = tt(vec![1, 2], vec![1, 2], vec![ConjunctEval::Unset, ConjunctEval::Unset]);
+        let ok = tt(
+            vec![1, 2],
+            vec![1, 2],
+            vec![ConjunctEval::Unset, ConjunctEval::Unset],
+        );
         assert_eq!(ok.inconsistent_process(), None);
     }
 
@@ -226,7 +234,11 @@ mod tests {
         let t = tt(
             vec![0, 0, 0],
             vec![0, 0, 0],
-            vec![ConjunctEval::True, ConjunctEval::NotInvolved, ConjunctEval::Unset],
+            vec![
+                ConjunctEval::True,
+                ConjunctEval::NotInvolved,
+                ConjunctEval::Unset,
+            ],
         );
         assert_eq!(t.first_unset_process(), Some(2));
         assert!(!t.all_conjuncts_true());
@@ -258,7 +270,10 @@ mod tests {
         assert!(waiting.take(2).is_empty());
         assert_eq!(gvs(waiting.take(3)), [0, 2], "parking order");
         assert_eq!(waiting.len(), 3);
-        assert!(waiting.parks_no_spare(), "the two woken tokens' slots are gone");
+        assert!(
+            waiting.parks_no_spare(),
+            "the two woken tokens' slots are gone"
+        );
         // By awaited number (4, 5, 5), then parking order.
         assert_eq!(gvs(waiting.drain_all()), [3, 1, 4]);
         assert!(waiting.is_empty() && waiting.parks_no_spare());

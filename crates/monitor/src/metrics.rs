@@ -108,21 +108,36 @@ impl MonitorMetrics {
             ("tokens_sent", Json::from(self.tokens_sent)),
             ("tokens_received", Json::from(self.tokens_received)),
             ("token_batches_sent", Json::from(self.token_batches_sent)),
-            ("global_views_created", Json::from(self.global_views_created)),
+            (
+                "global_views_created",
+                Json::from(self.global_views_created),
+            ),
             ("global_views_final", Json::from(self.global_views_final)),
             ("max_live_views", Json::from(self.max_live_views)),
             ("events_observed", Json::from(self.events_observed)),
             ("queued_events_sum", Json::from(self.queued_events_sum)),
-            ("queued_events_samples", Json::from(self.queued_events_samples)),
+            (
+                "queued_events_samples",
+                Json::from(self.queued_events_samples),
+            ),
             ("max_queued_events", Json::from(self.max_queued_events)),
-            ("history_events_served", Json::from(self.history_events_served)),
-            ("history_events_covered", Json::from(self.history_events_covered)),
+            (
+                "history_events_served",
+                Json::from(self.history_events_served),
+            ),
+            (
+                "history_events_covered",
+                Json::from(self.history_events_covered),
+            ),
             ("tokens_parked", Json::from(self.tokens_parked)),
             (
                 "tokens_failed_at_termination",
                 Json::from(self.tokens_failed_at_termination),
             ),
-            ("backlog_events_drained", Json::from(self.backlog_events_drained)),
+            (
+                "backlog_events_drained",
+                Json::from(self.backlog_events_drained),
+            ),
             (
                 "tokens_sent_after_termination",
                 Json::from(self.tokens_sent_after_termination),
@@ -133,7 +148,10 @@ impl MonitorMetrics {
                 "detected_final_verdicts",
                 verdicts_to_json(&self.detected_final_verdicts),
             ),
-            ("possible_verdicts", verdicts_to_json(&self.possible_verdicts)),
+            (
+                "possible_verdicts",
+                verdicts_to_json(&self.possible_verdicts),
+            ),
         ])
     }
 
@@ -262,7 +280,10 @@ impl FleetPropertyMetrics {
                 "detected_final_verdicts",
                 verdicts_to_json(&self.detected_final_verdicts),
             ),
-            ("possible_verdicts", verdicts_to_json(&self.possible_verdicts)),
+            (
+                "possible_verdicts",
+                verdicts_to_json(&self.possible_verdicts),
+            ),
             ("monitor_tokens", Json::from(self.monitor_tokens)),
             ("global_views", Json::from(self.global_views)),
             ("peak_global_views", Json::from(self.peak_global_views)),
@@ -358,14 +379,20 @@ impl RunMetrics {
             ("program_messages", Json::from(self.program_messages)),
             ("total_global_views", Json::from(self.total_global_views)),
             ("avg_delayed_events", Json::from(self.avg_delayed_events)),
-            ("delay_time_pct_per_gv", Json::from(self.delay_time_pct_per_gv)),
+            (
+                "delay_time_pct_per_gv",
+                Json::from(self.delay_time_pct_per_gv),
+            ),
             ("program_time", Json::from(self.program_time)),
             ("monitor_extra_time", Json::from(self.monitor_extra_time)),
             (
                 "detected_final_verdicts",
                 verdicts_to_json(&self.detected_final_verdicts),
             ),
-            ("possible_verdicts", verdicts_to_json(&self.possible_verdicts)),
+            (
+                "possible_verdicts",
+                verdicts_to_json(&self.possible_verdicts),
+            ),
             (
                 "per_shard",
                 Json::Array(self.per_shard.iter().map(ShardMetrics::to_json).collect()),
@@ -399,7 +426,9 @@ impl RunMetrics {
             rows: Option<&Json>,
             row: fn(&Json) -> Result<T, JsonError>,
         ) -> Result<Vec<T>, JsonError> {
-            rows.map_or(Ok(Vec::new()), |rows| rows.as_array()?.iter().map(row).collect())
+            rows.map_or(Ok(Vec::new()), |rows| {
+                rows.as_array()?.iter().map(row).collect()
+            })
         }
         Ok(RunMetrics {
             n_processes: v.get("n_processes")?.as_usize()?,
@@ -440,7 +469,10 @@ impl RunMetrics {
         let avg_delayed_events = if per_monitor.is_empty() {
             0.0
         } else {
-            per_monitor.iter().map(MonitorMetrics::avg_queued_events).sum::<f64>()
+            per_monitor
+                .iter()
+                .map(MonitorMetrics::avg_queued_events)
+                .sum::<f64>()
                 / per_monitor.len() as f64
         };
         let monitor_extra_time = (monitoring_end_time - program_time).max(0.0);
@@ -620,7 +652,10 @@ mod tests {
 
         // Written back, only what the seed determines remains, and that round-trips.
         let text = old.to_json().to_string_pretty();
-        assert_eq!(RunMetrics::from_json(&Json::parse(&text).unwrap()).unwrap(), seed_exact);
+        assert_eq!(
+            RunMetrics::from_json(&Json::parse(&text).unwrap()).unwrap(),
+            seed_exact
+        );
         assert_eq!(seed_exact.to_json().to_string_pretty(), text);
     }
 
@@ -643,12 +678,23 @@ mod tests {
         fields.retain(|(k, _)| {
             !matches!(
                 k.as_str(),
-                "per_shard" | "monitor_tokens" | "peak_global_views" | "fleet_size" | "fleet_per_property"
+                "per_shard"
+                    | "monitor_tokens"
+                    | "peak_global_views"
+                    | "fleet_size"
+                    | "fleet_per_property"
             )
         });
         let back = RunMetrics::from_json(&Json::Object(fields)).unwrap();
-        let core = RunMetrics { n_processes: 3, total_events: 12, ..RunMetrics::default() };
-        assert_eq!(back, core, "additive fields default to unmeasured / no fleet");
+        let core = RunMetrics {
+            n_processes: 3,
+            total_events: 12,
+            ..RunMetrics::default()
+        };
+        assert_eq!(
+            back, core,
+            "additive fields default to unmeasured / no fleet"
+        );
     }
 
     #[test]

@@ -19,10 +19,16 @@ fn replay_on_running_example_is_sound() {
     let result = replay_decentralized(&comp, &registry, &automaton, MonitorOptions::default());
 
     if result.detected_final_verdicts().contains(&Verdict::True) {
-        assert!(oracle.satisfaction_reachable, "monitors saw ⊤ the oracle cannot reach");
+        assert!(
+            oracle.satisfaction_reachable,
+            "monitors saw ⊤ the oracle cannot reach"
+        );
     }
     if result.detected_final_verdicts().contains(&Verdict::False) {
-        assert!(oracle.violation_reachable, "monitors saw ⊥ the oracle cannot reach");
+        assert!(
+            oracle.violation_reachable,
+            "monitors saw ⊥ the oracle cannot reach"
+        );
     }
     assert_eq!(result.monitors.len(), comp.n_processes());
 }

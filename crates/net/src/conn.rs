@@ -241,7 +241,11 @@ mod tests {
         let deadline = Instant::now() + timeout;
         let mut got = Vec::new();
         while got.len() < want {
-            assert!(Instant::now() < deadline, "timed out with {} frames", got.len());
+            assert!(
+                Instant::now() < deadline,
+                "timed out with {} frames",
+                got.len()
+            );
             got.extend(rx.on_readable_msgs().expect("read"));
             std::thread::sleep(Duration::from_millis(1));
         }

@@ -92,7 +92,11 @@ impl FaultSpec {
     /// line or read from a daemon's `hello`: each probability within `[0, 1]`,
     /// the delay within `[0, MAX_DELAY_MS]` milliseconds.
     fn validate(self) -> Result<FaultSpec, String> {
-        for (what, p) in [("drop", self.drop), ("dup", self.dup), ("reorder", self.reorder)] {
+        for (what, p) in [
+            ("drop", self.drop),
+            ("dup", self.dup),
+            ("reorder", self.reorder),
+        ] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("{what} probability {p:?} must be within [0, 1]"));
             }
@@ -333,29 +337,59 @@ mod tests {
         assert!(FaultSpec::parse("delay=inf").is_err());
         assert!(FaultSpec::parse("delay=1e300").is_err());
         assert!(FaultSpec::parse("delay=60001").is_err());
-        assert_eq!(FaultSpec::parse("delay=60000").expect("the bound").delay_ms, MAX_DELAY_MS);
+        assert_eq!(
+            FaultSpec::parse("delay=60000").expect("the bound").delay_ms,
+            MAX_DELAY_MS
+        );
         assert!(FaultSpec::parse("jitter=3").is_err());
         assert!(FaultSpec::parse("drop").is_err());
         // Display form parses back to the same spec.
-        assert_eq!(FaultSpec::parse(&spec.to_string()).expect("redisplay"), spec);
+        assert_eq!(
+            FaultSpec::parse(&spec.to_string()).expect("redisplay"),
+            spec
+        );
     }
 
     #[test]
     fn json_specs_outside_the_ranges_are_rejected() {
         let default = FaultSpec::default();
         for spec in [
-            FaultSpec { drop: 2.0, ..default },
-            FaultSpec { dup: -0.5, ..default },
-            FaultSpec { reorder: 1.5, ..default },
-            FaultSpec { delay_ms: 1e300, ..default },
-            FaultSpec { delay_ms: MAX_DELAY_MS + 1.0, ..default },
-            FaultSpec { delay_ms: -1.0, ..default },
+            FaultSpec {
+                drop: 2.0,
+                ..default
+            },
+            FaultSpec {
+                dup: -0.5,
+                ..default
+            },
+            FaultSpec {
+                reorder: 1.5,
+                ..default
+            },
+            FaultSpec {
+                delay_ms: 1e300,
+                ..default
+            },
+            FaultSpec {
+                delay_ms: MAX_DELAY_MS + 1.0,
+                ..default
+            },
+            FaultSpec {
+                delay_ms: -1.0,
+                ..default
+            },
         ] {
             let err = FaultSpec::from_json(&spec.to_json()).expect_err(&spec.to_string());
             assert!(err.to_string().contains("must be within"), "{spec}: {err}");
         }
-        let edge = FaultSpec { delay_ms: MAX_DELAY_MS, ..default };
-        assert_eq!(FaultSpec::from_json(&edge.to_json()).expect("the bound is legal"), edge);
+        let edge = FaultSpec {
+            delay_ms: MAX_DELAY_MS,
+            ..default
+        };
+        assert_eq!(
+            FaultSpec::from_json(&edge.to_json()).expect("the bound is legal"),
+            edge
+        );
     }
 
     #[test]
@@ -404,7 +438,11 @@ mod tests {
         assert!(inj.on_send(frame(1)).is_empty());
         assert_eq!(inj.held(), 1);
         let out = inj.on_send(frame(2));
-        assert_eq!(out, vec![frame(2), frame(1)], "successor overtakes held frame");
+        assert_eq!(
+            out,
+            vec![frame(2), frame(1)],
+            "successor overtakes held frame"
+        );
         assert_eq!(inj.stats().reordered, 1);
         // A lone trailing frame is held again and must drain via flush_hold.
         assert!(inj.on_send(frame(3)).is_empty());

@@ -23,7 +23,7 @@ pub mod wire;
 pub use conn::{FramedConn, NetError};
 pub use endpoint::{connect_with_retry, Endpoint, Listener, Socket};
 pub use fault::{FaultInjector, FaultSpec, FaultStats};
-pub use reactor::{IoEvent, Interest, Reactor};
+pub use reactor::{Interest, IoEvent, Reactor};
 pub use wire::{
     decode_wire_frame, encode_frame, encode_wire_frame, DaemonReport, DaemonStatus,
     DaemonTelemetry, WireMsg, TELEMETRY_EVERY_EVENTS,

@@ -115,7 +115,10 @@ impl DaemonReport {
         object([
             ("process", Json::from(self.process)),
             ("metrics", self.metrics.to_json()),
-            ("logical_monitor_msgs", Json::from(self.logical_monitor_msgs)),
+            (
+                "logical_monitor_msgs",
+                Json::from(self.logical_monitor_msgs),
+            ),
             ("fault_stats", self.fault_stats.to_json()),
             ("peak_rss_bytes", Json::from(self.peak_rss_bytes)),
         ])
@@ -378,7 +381,11 @@ fn token_from_binary(r: &mut Reader<'_>) -> Result<Token, StreamError> {
         property: r.u32("token property")?,
         parent: r.usize("token parent")?,
         parent_gv: r.uv("token parent_gv")?,
-        transitions: r.seq("transition count", MIN_TRANSITION_BYTES, transition_from_binary)?,
+        transitions: r.seq(
+            "transition count",
+            MIN_TRANSITION_BYTES,
+            transition_from_binary,
+        )?,
     })
 }
 
@@ -458,10 +465,9 @@ pub fn encode_frame(msg: &WireMsg) -> Vec<u8> {
             ("type", Json::from("status_ok")),
             ("status", status.to_json()),
         ]),
-        WireMsg::Finish { time } => object([
-            ("type", Json::from("finish")),
-            ("time", Json::from(*time)),
-        ]),
+        WireMsg::Finish { time } => {
+            object([("type", Json::from("finish")), ("time", Json::from(*time))])
+        }
         WireMsg::FinishOk => object([("type", Json::from("finish_ok"))]),
         WireMsg::Release => object([("type", Json::from("release"))]),
         WireMsg::ReleaseOk => object([("type", Json::from("release_ok"))]),
@@ -544,7 +550,9 @@ fn control_from_json(v: &Json) -> Result<WireMsg, JsonError> {
             process: v.get("process")?.as_usize()?,
         }),
         "status" => Ok(WireMsg::Status),
-        "status_ok" => Ok(WireMsg::StatusOk(DaemonStatus::from_json(v.get("status")?)?)),
+        "status_ok" => Ok(WireMsg::StatusOk(DaemonStatus::from_json(
+            v.get("status")?,
+        )?)),
         "finish" => Ok(WireMsg::Finish {
             time: v.get("time")?.as_f64()?,
         }),
@@ -552,7 +560,9 @@ fn control_from_json(v: &Json) -> Result<WireMsg, JsonError> {
         "release" => Ok(WireMsg::Release),
         "release_ok" => Ok(WireMsg::ReleaseOk),
         "report" => Ok(WireMsg::Report),
-        "report_ok" => Ok(WireMsg::ReportOk(DaemonReport::from_json(v.get("report")?)?)),
+        "report_ok" => Ok(WireMsg::ReportOk(DaemonReport::from_json(
+            v.get("report")?,
+        )?)),
         "shutdown" => Ok(WireMsg::Shutdown),
         "shutdown_ok" => Ok(WireMsg::ShutdownOk),
         "telemetry" => Ok(WireMsg::Telemetry(DaemonTelemetry::from_json(
@@ -598,7 +608,11 @@ mod tests {
                     gcut: VectorClock::from_entries(vec![1, 2, 0]),
                     depend: VectorClock::from_entries(vec![1, 2, 3]),
                     gstate: Assignment(0b110),
-                    conjuncts: vec![ConjunctEval::True, ConjunctEval::NotInvolved, ConjunctEval::Unset],
+                    conjuncts: vec![
+                        ConjunctEval::True,
+                        ConjunctEval::NotInvolved,
+                        ConjunctEval::Unset,
+                    ],
                     next_target_process: 2,
                     next_target_event: 4,
                     eval: EvalState::Unset,
@@ -707,13 +721,17 @@ mod tests {
                 from: 0,
                 seq: 11,
                 time: 3.5,
-                msg: MonitorMsg { tokens: vec![sample_token(3)] },
+                msg: MonitorMsg {
+                    tokens: vec![sample_token(3)],
+                },
             },
             WireMsg::Monitor {
                 from: 2,
                 seq: 12,
                 time: 4.0,
-                msg: MonitorMsg { tokens: vec![sample_token(1), sample_token(2)] },
+                msg: MonitorMsg {
+                    tokens: vec![sample_token(1), sample_token(2)],
+                },
             },
         ];
         for msg in messages {
@@ -760,7 +778,10 @@ mod tests {
             let err = decode_wire_frame(false, frame.to_string_compact().as_bytes())
                 .expect_err("a JSON hot frame is an error");
             let named = format!("JSON-headed `{kind}` frame");
-            assert!(err.message.contains(&named), "`{named}` missing from: {err}");
+            assert!(
+                err.message.contains(&named),
+                "`{named}` missing from: {err}"
+            );
         }
     }
 
@@ -773,7 +794,9 @@ mod tests {
             from: 1,
             seq: 2,
             time: 0.5,
-            msg: MonitorMsg { tokens: vec![sample_token(0)] },
+            msg: MonitorMsg {
+                tokens: vec![sample_token(0)],
+            },
         };
         let frame = encode_frame(&msg);
         let payload = &frame[4..];
@@ -837,7 +860,11 @@ mod tests {
         // count of two tokens, which three bytes cannot hold.
         let err = decode_wire_frame(true, &exact_monitor_payload(&[2, 1, 17]))
             .expect_err("the retired notice does not decode");
-        for part in ["token count", "byte offset 11", "2 items of at least 4 bytes"] {
+        for part in [
+            "token count",
+            "byte offset 11",
+            "2 items of at least 4 bytes",
+        ] {
             assert!(err.message.contains(part), "`{part}` missing from: {err}");
         }
     }
@@ -858,7 +885,12 @@ mod tests {
                 seq: 0,
                 time: 0.5,
                 msg: MonitorMsg {
-                    tokens: vec![Token { property: 0, parent: 0, parent_gv: 0, transitions: vec![] }],
+                    tokens: vec![Token {
+                        property: 0,
+                        parent: 0,
+                        parent_gv: 0,
+                        transitions: vec![]
+                    }],
                 },
             }
         );
@@ -872,10 +904,15 @@ mod tests {
             from: 1,
             seq: 2,
             time: 0.5,
-            msg: MonitorMsg { tokens: vec![token] },
+            msg: MonitorMsg {
+                tokens: vec![token],
+            },
         };
         let frame = encode_frame(&msg);
-        assert_eq!(decode_wire_frame(true, &frame[4..]).expect("u32::MAX fits"), msg);
+        assert_eq!(
+            decode_wire_frame(true, &frame[4..]).expect("u32::MAX fits"),
+            msg
+        );
 
         let mut body = vec![1];
         varint::write_u64(&mut body, 1 << 32);

@@ -83,8 +83,14 @@ fn hot_msg_from_seed(seed: &mut u64) -> WireMsg {
                     process,
                     kind: match mix(seed) % 3 {
                         0 => EventKind::Internal,
-                        1 => EventKind::Send { to: (process + 1) % n, msg_id: mix(seed) },
-                        _ => EventKind::Receive { from: (process + 1) % n, msg_id: mix(seed) },
+                        1 => EventKind::Send {
+                            to: (process + 1) % n,
+                            msg_id: mix(seed),
+                        },
+                        _ => EventKind::Receive {
+                            from: (process + 1) % n,
+                            msg_id: mix(seed),
+                        },
                     },
                     sn: 1 + mix(seed) % 500,
                     vc: vc(seed),
@@ -153,7 +159,11 @@ fn pump_chunked(wire: &[u8], want: usize, s: &mut u64) -> Result<Vec<WireMsg>, S
     let mut got: Vec<WireMsg> = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(30);
     while got.len() < want {
-        prop_assert!(Instant::now() < deadline, "timed out with {} messages", got.len());
+        prop_assert!(
+            Instant::now() < deadline,
+            "timed out with {} messages",
+            got.len()
+        );
         // Push one arbitrary-sized slice (1 byte .. ~100 KiB) while data remains.
         if sent < wire.len() {
             let max = wire.len() - sent;

@@ -78,7 +78,11 @@ fn prefix_slot() -> &'static Mutex<String> {
 /// First call reads `DLRV_LOG`; afterwards only [`set_log_level`] changes it.
 pub fn log_level() -> LogLevel {
     LEVEL_INIT.get_or_init(|| {
-        if let Some(l) = std::env::var("DLRV_LOG").ok().as_deref().and_then(LogLevel::parse) {
+        if let Some(l) = std::env::var("DLRV_LOG")
+            .ok()
+            .as_deref()
+            .and_then(LogLevel::parse)
+        {
             LEVEL.store(l as u8, Ordering::Relaxed);
         }
     });
@@ -107,7 +111,11 @@ pub fn log(level: LogLevel, message: std::fmt::Arguments<'_>) {
     let _ = if prefix.is_empty() {
         writeln!(err, "[{secs:>12.6}s] {} {message}", level.label())
     } else {
-        writeln!(err, "[{secs:>12.6}s] [{prefix}] {} {message}", level.label())
+        writeln!(
+            err,
+            "[{secs:>12.6}s] [{prefix}] {} {message}",
+            level.label()
+        )
     };
 }
 
@@ -147,8 +155,13 @@ mod tests {
 
     #[test]
     fn level_names_round_trip() {
-        for l in [LogLevel::Error, LogLevel::Warn, LogLevel::Info, LogLevel::Debug, LogLevel::Trace]
-        {
+        for l in [
+            LogLevel::Error,
+            LogLevel::Warn,
+            LogLevel::Info,
+            LogLevel::Debug,
+            LogLevel::Trace,
+        ] {
             assert_eq!(LogLevel::parse(l.label().trim()), Some(l));
         }
         assert_eq!(LogLevel::parse("bogus"), None);

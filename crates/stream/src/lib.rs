@@ -75,8 +75,8 @@ pub use codec::{
     StreamRecord, VecSource,
 };
 pub use ring::{PopState, SpscRing};
-pub use wire::{FrameSplitter, Reader, StreamError, BINARY_FRAME_FLAG, MAX_FRAME_LEN};
 pub use runtime::{
     FleetMemberSpec, OpenRequest, PropertyOutcome, SessionOutcome, SessionSpec, ShardedRuntime,
     StreamConfig, StreamReport,
 };
+pub use wire::{FrameSplitter, Reader, StreamError, BINARY_FRAME_FLAG, MAX_FRAME_LEN};

@@ -68,12 +68,7 @@ impl Waiter {
     /// Wakes the registered thread if it declared itself waiting.
     fn wake(&self) {
         if self.waiting.swap(false, Ordering::SeqCst) {
-            if let Some(t) = self
-                .thread
-                .lock()
-                .expect("waiter mutex poisoned")
-                .as_ref()
-            {
+            if let Some(t) = self.thread.lock().expect("waiter mutex poisoned").as_ref() {
                 t.unpark();
             }
         }
@@ -247,7 +242,6 @@ impl<T> SpscRing<T> {
         self.closed.store(true, Ordering::SeqCst);
         self.pop_waiter.wake();
     }
-
 }
 
 #[cfg(test)]

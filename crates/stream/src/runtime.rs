@@ -271,8 +271,14 @@ impl ShardedRuntime {
     /// records at them.
     pub fn start(config: StreamConfig) -> ShardedRuntime {
         assert!(config.n_shards > 0, "need at least one shard");
-        assert!(config.mailbox_capacity > 0, "mailboxes must hold at least one record");
-        assert!(config.batch_size > 0, "batches must hold at least one record");
+        assert!(
+            config.mailbox_capacity > 0,
+            "mailboxes must hold at least one record"
+        );
+        assert!(
+            config.batch_size > 0,
+            "batches must hold at least one record"
+        );
         let mut mailboxes = Vec::with_capacity(config.n_shards);
         let mut handles = Vec::with_capacity(config.n_shards);
         for shard in 0..config.n_shards {
@@ -959,7 +965,11 @@ mod tests {
             for i in 0..3usize {
                 let mut vc = vec![0; 3];
                 vc[i] = k;
-                let p = if (k + i as u64).is_multiple_of(2) { 1u64 << i } else { 0 };
+                let p = if (k + i as u64).is_multiple_of(2) {
+                    1u64 << i
+                } else {
+                    0
+                };
                 let q = if k >= 3 { 1u64 << (3 + i) } else { 0 };
                 events.push(Event {
                     process: i,
@@ -1218,7 +1228,11 @@ mod tests {
             }
             fleet.finish();
             log.record(id, fleet, false);
-            assert_eq!(log.bytes.len() - before, FLEET6_RECORD_BYTES, "session {id}");
+            assert_eq!(
+                log.bytes.len() - before,
+                FLEET6_RECORD_BYTES,
+                "session {id}"
+            );
         }
         // Two specs, equal member names: one list.
         assert_eq!(log.name_lists.len(), 1);

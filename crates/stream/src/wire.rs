@@ -266,7 +266,9 @@ impl<'a> Reader<'a> {
     /// One vector clock in its [`write_clock`] form.
     #[inline]
     pub fn clock(&mut self, what: &str) -> Result<VectorClock, StreamError> {
-        Ok(VectorClock::from_entries(self.seq(what, 1, |r| r.uv(what))?))
+        Ok(VectorClock::from_entries(
+            self.seq(what, 1, |r| r.uv(what))?,
+        ))
     }
 
     /// Ends the read: a payload with bytes left over is corrupt.

@@ -13,8 +13,8 @@
 use dlrv_ltl::Assignment;
 use dlrv_stream::wire::write_frame;
 use dlrv_stream::{
-    encode_frame, encode_stream, encode_stream_binary, event_from_binary, event_to_binary,
-    event_from_json, event_to_json, record_from_json, record_to_json, BinaryStreamEncoder,
+    encode_frame, encode_stream, encode_stream_binary, event_from_binary, event_from_json,
+    event_to_binary, event_to_json, record_from_json, record_to_json, BinaryStreamEncoder,
     FrameDecoder, Reader, StreamRecord,
 };
 use dlrv_vclock::{Event, EventKind, VectorClock};
@@ -267,7 +267,10 @@ fn decode_chunked(bytes: &[u8], s: &mut u64) -> (Vec<StreamRecord>, Result<usize
                 Ok(None) => break,
                 Err(e) => return (decoded, Err(e.to_string())),
             }
-            assert!(decoded.len() <= bytes.len() / 4, "decoder yields records out of nothing");
+            assert!(
+                decoded.len() <= bytes.len() / 4,
+                "decoder yields records out of nothing"
+            );
         }
     }
     (decoded, Ok(decoder.pending_bytes()))

@@ -76,16 +76,26 @@ fn many_producers_one_consumer_lose_nothing_and_keep_per_producer_fifo() {
     ring.close();
     let got = consumer.join().expect("consumer thread");
 
-    assert_eq!(got.len(), PRODUCERS * PER_PRODUCER, "every push must be popped");
+    assert_eq!(
+        got.len(),
+        PRODUCERS * PER_PRODUCER,
+        "every push must be popped"
+    );
     let mut next = [0usize; PRODUCERS];
     for (p, seq) in got {
-        assert_eq!(seq, next[p], "producer {p}: out-of-order or duplicated item");
+        assert_eq!(
+            seq, next[p],
+            "producer {p}: out-of-order or duplicated item"
+        );
         next[p] += 1;
     }
     assert!(next.iter().all(|&n| n == PER_PRODUCER));
     // Capacity 8 against 20k items cannot avoid stalling; the counter must have
     // seen it (backpressure is counted, never silent).
-    assert!(stalls.load(Ordering::Relaxed) > 0, "expected backpressure stalls");
+    assert!(
+        stalls.load(Ordering::Relaxed) > 0,
+        "expected backpressure stalls"
+    );
 }
 
 /// The runtime's actual shape: one pump thread feeds S shard rings, sessions

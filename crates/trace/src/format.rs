@@ -48,10 +48,9 @@ pub fn topology_to_json(topology: &CommTopology) -> Json {
         CommTopology::Broadcast => object([("kind", Json::from("broadcast"))]),
         CommTopology::Ring => object([("kind", Json::from("ring"))]),
         CommTopology::Pipeline => object([("kind", Json::from("pipeline"))]),
-        CommTopology::Hotspot { hub } => object([
-            ("kind", Json::from("hotspot")),
-            ("hub", Json::from(*hub)),
-        ]),
+        CommTopology::Hotspot { hub } => {
+            object([("kind", Json::from("hotspot")), ("hub", Json::from(*hub))])
+        }
     }
 }
 
@@ -82,7 +81,10 @@ mod tests {
                 gap_scale: 4.0,
             },
         ] {
-            assert_eq!(arrival_from_json(&arrival_to_json(&arrival)).expect("parse"), arrival);
+            assert_eq!(
+                arrival_from_json(&arrival_to_json(&arrival)).expect("parse"),
+                arrival
+            );
         }
         for topology in [
             CommTopology::Broadcast,
@@ -90,17 +92,26 @@ mod tests {
             CommTopology::Pipeline,
             CommTopology::Hotspot { hub: 2 },
         ] {
-            assert_eq!(topology_from_json(&topology_to_json(&topology)).expect("parse"), topology);
+            assert_eq!(
+                topology_from_json(&topology_to_json(&topology)).expect("parse"),
+                topology
+            );
         }
     }
 
     #[test]
     fn unknown_and_incomplete_shapes_are_rejected() {
         let unknown = object([("model", Json::from("poisson"))]);
-        assert!(arrival_from_json(&unknown).unwrap_err().message.contains("poisson"));
+        assert!(arrival_from_json(&unknown)
+            .unwrap_err()
+            .message
+            .contains("poisson"));
         assert!(arrival_from_json(&object([("model", Json::from("bursty"))])).is_err());
         let unknown = object([("kind", Json::from("mesh"))]);
-        assert!(topology_from_json(&unknown).unwrap_err().message.contains("mesh"));
+        assert!(topology_from_json(&unknown)
+            .unwrap_err()
+            .message
+            .contains("mesh"));
         assert!(topology_from_json(&object([("kind", Json::from("hotspot"))])).is_err());
     }
 }

@@ -26,6 +26,6 @@ pub mod workload;
 
 pub use distribution::NormalSampler;
 pub use workload::{
-    generate_workload, ArrivalModel, CommTopology, ProcessTrace, TraceAction, TraceEntry,
-    Workload, WorkloadConfig,
+    generate_workload, ArrivalModel, CommTopology, ProcessTrace, TraceAction, TraceEntry, Workload,
+    WorkloadConfig,
 };

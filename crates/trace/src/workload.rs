@@ -260,7 +260,8 @@ pub fn generate_workload(config: &WorkloadConfig) -> Workload {
     let mut traces = Vec::with_capacity(n);
     for p in 0..n {
         // Per-process RNG so that adding processes does not perturb existing traces.
-        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_mul(0x9E37_79B9).wrapping_add(p as u64));
+        let mut rng =
+            StdRng::seed_from_u64(config.seed.wrapping_mul(0x9E37_79B9).wrapping_add(p as u64));
         let mut evt_wait = NormalSampler::new(config.evt_mu, config.evt_sigma);
         // What this process's communication events do; `None` disables communication
         // for this process (point-to-point topologies need a peer to send to).
@@ -298,7 +299,11 @@ pub fn generate_workload(config: &WorkloadConfig) -> Workload {
                     intra_scale,
                     gap_scale,
                 } => {
-                    let scale = if k % burst_len.max(1) == 0 { gap_scale } else { intra_scale };
+                    let scale = if k % burst_len.max(1) == 0 {
+                        gap_scale
+                    } else {
+                        intra_scale
+                    };
                     evt_wait.sample(&mut rng) * scale
                 }
             };

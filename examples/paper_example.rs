@@ -34,7 +34,10 @@ fn main() {
 
     println!("=== the thesis running example (Fig. 2.1 / 2.3 / 3.1) ===\n");
     println!("monitor automaton states     : {}", automaton.n_states());
-    println!("monitor automaton transitions: {}", automaton.transition_counts().total);
+    println!(
+        "monitor automaton transitions: {}",
+        automaton.transition_counts().total
+    );
     println!("\nDOT rendering of the monitor automaton (Fig. 2.3):\n");
     println!("{}", dot::to_dot(&automaton, &registry, "psi"));
 
@@ -42,26 +45,46 @@ fn main() {
     // automaton.
     let lattice = Lattice::build(&comp);
     let oracle = oracle_evaluate(&comp, &lattice, &automaton, &registry);
-    println!("computation lattice nodes    : {} (Fig. 2.2b)", lattice.n_cuts());
+    println!(
+        "computation lattice nodes    : {} (Fig. 2.2b)",
+        lattice.n_cuts()
+    );
     println!(
         "oracle verdict set           : {:?}",
-        oracle.final_verdicts.iter().map(|v| v.symbol()).collect::<Vec<_>>()
+        oracle
+            .final_verdicts
+            .iter()
+            .map(|v| v.symbol())
+            .collect::<Vec<_>>()
     );
-    println!("violation reachable          : {}", oracle.violation_reachable);
+    println!(
+        "violation reachable          : {}",
+        oracle.violation_reachable
+    );
 
     // The decentralized monitors of Chapter 4 on the same execution.
     let result = replay_decentralized(&comp, &registry, &automaton, MonitorOptions::default());
     println!(
         "\ndecentralized monitors' verdicts: {:?}",
-        result.possible_verdicts().iter().map(|v| v.symbol()).collect::<Vec<_>>()
+        result
+            .possible_verdicts()
+            .iter()
+            .map(|v| v.symbol())
+            .collect::<Vec<_>>()
     );
-    println!("monitoring messages exchanged  : {}", result.monitor_messages);
+    println!(
+        "monitoring messages exchanged  : {}",
+        result.monitor_messages
+    );
     for m in &result.monitors {
         println!(
             "  monitor M{}: {} global views, detected {:?}",
             m.process_id(),
             m.views().len(),
-            m.detected_final_verdicts().iter().map(|v| v.symbol()).collect::<Vec<_>>()
+            m.detected_final_verdicts()
+                .iter()
+                .map(|v| v.symbol())
+                .collect::<Vec<_>>()
         );
     }
     println!(

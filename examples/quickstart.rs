@@ -26,7 +26,10 @@ fn main() {
     println!("program events      : {}", outcome.metrics.total_events);
     println!("program messages    : {}", outcome.metrics.program_messages);
     println!("monitoring messages : {}", outcome.metrics.monitor_messages);
-    println!("global views created: {}", outcome.metrics.total_global_views);
+    println!(
+        "global views created: {}",
+        outcome.metrics.total_global_views
+    );
     println!(
         "verdicts detected   : {:?}",
         outcome

@@ -45,10 +45,16 @@ fn main() {
         let reg = sys.registry_mut();
         use dlrv_core::dlrv_ltl::Formula;
         let p = |reg: &mut dlrv_core::dlrv_ltl::AtomRegistry, i: usize| {
-            Formula::Atom(reg.lookup(&format!("P{i}.p")).expect("interned by the workload"))
+            Formula::Atom(
+                reg.lookup(&format!("P{i}.p"))
+                    .expect("interned by the workload"),
+            )
         };
         let q = |reg: &mut dlrv_core::dlrv_ltl::AtomRegistry, i: usize| {
-            Formula::Atom(reg.lookup(&format!("P{i}.q")).expect("interned by the workload"))
+            Formula::Atom(
+                reg.lookup(&format!("P{i}.q"))
+                    .expect("interned by the workload"),
+            )
         };
         Formula::globally(Formula::until(
             Formula::conj((0..n).map(|i| p(reg, i))),
@@ -57,13 +63,29 @@ fn main() {
     };
     let outcome = sys.property_formula(formula).run();
     println!("-- formation-until-confirmed (paper property D shape) --");
-    println!("  formula (4 procs)    : {}", formation_until_confirmed.size());
-    println!("  monitoring messages  : {}", outcome.metrics.monitor_messages);
-    println!("  global views created : {}", outcome.metrics.total_global_views);
-    println!("  avg delayed events   : {:.2}", outcome.metrics.avg_delayed_events);
+    println!(
+        "  formula (4 procs)    : {}",
+        formation_until_confirmed.size()
+    );
+    println!(
+        "  monitoring messages  : {}",
+        outcome.metrics.monitor_messages
+    );
+    println!(
+        "  global views created : {}",
+        outcome.metrics.total_global_views
+    );
+    println!(
+        "  avg delayed events   : {:.2}",
+        outcome.metrics.avg_delayed_events
+    );
     println!(
         "  verdicts detected    : {:?}",
-        outcome.detected_verdicts.iter().map(|v| v.symbol()).collect::<Vec<_>>()
+        outcome
+            .detected_verdicts
+            .iter()
+            .map(|v| v.symbol())
+            .collect::<Vec<_>>()
     );
 
     // Reachability: eventually every drone has confirmed its waypoint.
@@ -73,11 +95,21 @@ fn main() {
         .workload(workload)
         .run();
     println!("\n-- all-waypoints-confirmed (reachability) --");
-    println!("  monitoring messages  : {}", outcome2.metrics.monitor_messages);
-    println!("  global views created : {}", outcome2.metrics.total_global_views);
+    println!(
+        "  monitoring messages  : {}",
+        outcome2.metrics.monitor_messages
+    );
+    println!(
+        "  global views created : {}",
+        outcome2.metrics.total_global_views
+    );
     println!(
         "  verdicts detected    : {:?}",
-        outcome2.detected_verdicts.iter().map(|v| v.symbol()).collect::<Vec<_>>()
+        outcome2
+            .detected_verdicts
+            .iter()
+            .map(|v| v.symbol())
+            .collect::<Vec<_>>()
     );
     if outcome2.satisfaction_detected() {
         println!("  → the swarm reached a global state where every waypoint is confirmed");

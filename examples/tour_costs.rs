@@ -109,7 +109,10 @@ fn main() {
         "property {letter}, {n} processes, {events_per_process} events per process, \
          {sessions} sessions, seed {seed}: {events} program events"
     );
-    println!("{:<32}{:>10}{:>10}{:>10}", "per program event", "feed", "finish", "total");
+    println!(
+        "{:<32}{:>10}{:>10}{:>10}",
+        "per program event", "feed", "finish", "total"
+    );
     let per_event = |count: usize| count as f64 / events.max(1) as f64;
     for ((name, fed), all) in ROWS.iter().zip(feed).zip(total) {
         println!(
@@ -125,5 +128,7 @@ fn main() {
         "sessions ending false / unknown / true: {} / {} / {}",
         ending[0], ending[1], ending[2]
     );
-    println!("fingerprint of every session's detected and possible verdict sets: {fingerprint:016x}");
+    println!(
+        "fingerprint of every session's detected and possible verdict sets: {fingerprint:016x}"
+    );
 }

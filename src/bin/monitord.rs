@@ -124,7 +124,10 @@ fn main() -> ExitCode {
     println!("LISTEN {local}");
     let _ = std::io::stdout().flush();
     dlrv_obs::set_log_prefix("monitord");
-    obs_info!("listening on {local} (idle timeout {:.1}s)", idle_timeout.as_secs_f64());
+    obs_info!(
+        "listening on {local} (idle timeout {:.1}s)",
+        idle_timeout.as_secs_f64()
+    );
     match Daemon::new(listener, idle_timeout).and_then(Daemon::await_hello) {
         Ok(code) => code,
         Err(e) => {
@@ -311,7 +314,9 @@ fn check_token(token: &Token, n: usize, automaton: &MonitorAutomaton) -> Result<
             ));
         }
         if t.eval == EvalState::Unset && t.next_target_event == 0 {
-            return Err("token transition awaits event 0 (sequence numbers start at 1)".to_string());
+            return Err(
+                "token transition awaits event 0 (sequence numbers start at 1)".to_string(),
+            );
         }
         if t.gcut.len() != n || t.depend.len() != n || t.conjuncts.len() != n {
             return Err(format!(
@@ -366,7 +371,10 @@ impl Daemon {
                 return Ok(Input::Idle);
             }
             let until = wake.map_or(self.idle_deadline, |w| w.min(self.idle_deadline));
-            let timeout_ms = until.saturating_duration_since(now).as_millis().clamp(1, 10_000);
+            let timeout_ms = until
+                .saturating_duration_since(now)
+                .as_millis()
+                .clamp(1, 10_000);
             let events = self.reactor.poll(Some(timeout_ms as u64))?.to_vec();
             for ev in events {
                 if ev.token == LISTENER_TOKEN {
@@ -394,14 +402,23 @@ impl Daemon {
     fn adopt(&mut self, conn: FramedConn) -> Result<u64, NetError> {
         let token = self.next_token;
         self.next_token += 1;
-        self.reactor.register(conn.raw_fd(), token, Interest::READABLE)?;
-        self.conns.insert(token, ConnEntry { conn, writable: false });
+        self.reactor
+            .register(conn.raw_fd(), token, Interest::READABLE)?;
+        self.conns.insert(
+            token,
+            ConnEntry {
+                conn,
+                writable: false,
+            },
+        );
         Ok(token)
     }
 
     /// Handles readiness on one connection: flushes, and reads into the inbox.
     fn service_conn(&mut self, ev: IoEvent) -> Result<(), NetError> {
-        let Some(entry) = self.conns.get_mut(&ev.token) else { return Ok(()) };
+        let Some(entry) = self.conns.get_mut(&ev.token) else {
+            return Ok(());
+        };
         if ev.writable {
             entry.conn.flush()?;
         }
@@ -413,7 +430,8 @@ impl Daemon {
                     return Ok(());
                 }
             };
-            self.inbox.extend(msgs.into_iter().map(|msg| Input::Frame(ev.token, msg)));
+            self.inbox
+                .extend(msgs.into_iter().map(|msg| Input::Frame(ev.token, msg)));
             if entry.conn.is_eof() {
                 self.inbox.push_back(Input::Closed(ev.token));
                 return Ok(());
@@ -427,8 +445,13 @@ impl Daemon {
         if let Some(entry) = self.conns.get_mut(&token) {
             let wants = entry.conn.wants_write();
             if wants != entry.writable {
-                let interest = if wants { Interest::BOTH } else { Interest::READABLE };
-                self.reactor.reregister(entry.conn.raw_fd(), token, interest)?;
+                let interest = if wants {
+                    Interest::BOTH
+                } else {
+                    Interest::READABLE
+                };
+                self.reactor
+                    .reregister(entry.conn.raw_fd(), token, interest)?;
                 entry.writable = wants;
             }
         }
@@ -561,7 +584,9 @@ impl Daemon {
                 .peek()
                 .is_some_and(|Reverse(front)| front.release <= Instant::now())
             {
-                let Some(Reverse(due)) = run.delay_heap.pop() else { break };
+                let Some(Reverse(due)) = run.delay_heap.pop() else {
+                    break;
+                };
                 self.queue_frame(&run, due.dest, due.frame)?;
             }
             let wake = run.delay_heap.peek().map(|Reverse(front)| front.release);
@@ -596,7 +621,12 @@ impl Daemon {
                         self.send_telemetry(&run)?;
                     }
                 }
-                WireMsg::Monitor { from, seq, time, msg } => {
+                WireMsg::Monitor {
+                    from,
+                    seq,
+                    time,
+                    msg,
+                } => {
                     run.peers[from].received += 1;
                     // A shim-injected duplicate is counted for the barrier, not
                     // re-processed by the monitor.
@@ -646,7 +676,8 @@ impl Daemon {
                     };
                     obs_info!(
                         "report: {} events, {} logical monitor msgs",
-                        run.events_seen, run.logical_msgs
+                        run.events_seen,
+                        run.logical_msgs
                     );
                     self.reply(token, &WireMsg::ReportOk(report))?;
                 }
@@ -690,7 +721,12 @@ impl Daemon {
             peer.next_seq += 1;
             // Encoded here (not via the connection) because the fault shim
             // operates on whole opaque frames.
-            let frame = encode_frame(&WireMsg::Monitor { from: run.process, seq, time, msg });
+            let frame = encode_frame(&WireMsg::Monitor {
+                from: run.process,
+                seq,
+                time,
+                msg,
+            });
             for frame in peer.injector.on_send(frame) {
                 self.emit(run, dest, frame)?;
             }
@@ -751,7 +787,12 @@ impl Daemon {
             return Ok(());
         }
         obs_info!("peer mesh complete, sending hello_ok");
-        self.reply(run.control, &WireMsg::HelloOk { process: run.process })
+        self.reply(
+            run.control,
+            &WireMsg::HelloOk {
+                process: run.process,
+            },
+        )
     }
 
     /// Emits one unsolicited [`WireMsg::Telemetry`] frame on the control
@@ -759,7 +800,11 @@ impl Daemon {
     /// instead of treating them as replies.
     fn send_telemetry(&mut self, run: &Run) -> Result<(), NetError> {
         let metrics = run.monitor.metrics();
-        let held: u64 = run.peers.iter().map(|peer| peer.injector.held() as u64).sum();
+        let held: u64 = run
+            .peers
+            .iter()
+            .map(|peer| peer.injector.held() as u64)
+            .sum();
         let sample = DaemonTelemetry {
             process: run.process,
             events_seen: run.events_seen,
@@ -789,8 +834,13 @@ impl Daemon {
             dropped: 0,
         };
         for peer in &run.peers {
-            let conn = peer.conn.and_then(|token| self.conns.get(&token)).map(|entry| &entry.conn);
-            status.sent.push(conn.map_or(0, |c| c.frames_flushed().saturating_sub(peer.overhead)));
+            let conn = peer
+                .conn
+                .and_then(|token| self.conns.get(&token))
+                .map(|entry| &entry.conn);
+            status
+                .sent
+                .push(conn.map_or(0, |c| c.frames_flushed().saturating_sub(peer.overhead)));
             status.received.push(peer.received);
             status.pending +=
                 peer.injector.held() as u64 + conn.map_or(0, |c| c.queued_frames() as u64);
@@ -809,7 +859,9 @@ impl Daemon {
     /// Sends an `error` frame on connection `to` — the control connection, or
     /// before any `hello` the offending one — and fails the daemon.
     fn fail<T>(&mut self, to: u64, message: &str) -> Result<T, NetError> {
-        let error = WireMsg::Error { message: message.to_string() };
+        let error = WireMsg::Error {
+            message: message.to_string(),
+        };
         let _ = self.reply(to, &error);
         Err(NetError::msg(message))
     }

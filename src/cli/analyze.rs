@@ -11,7 +11,9 @@ use dlrv_core::{analyze_spec, parallel_map_indexed, PropertySpec, Scenario, Scen
 /// Analyzes `spec` under the command line's `--budget` and `--allow`.
 fn analyze(spec: &PropertySpec, procs: usize, cli: &Cli) -> PropertyAnalysis {
     let mut analysis = analyze_spec(spec, procs, cli.budget);
-    analysis.findings.retain(|f| !cli.allow_lints.contains(&f.lint));
+    analysis
+        .findings
+        .retain(|f| !cli.allow_lints.contains(&f.lint));
     analysis
 }
 
@@ -38,7 +40,11 @@ pub fn run_analyze_target(cli: &Cli) -> Result<(), CliError> {
         }
     }
     let analyses = parallel_map_indexed(unique.len(), dlrv_core::effective_jobs(), |i| {
-        analyze(&unique[i].config.property, unique[i].config.n_processes, cli)
+        analyze(
+            &unique[i].config.property,
+            unique[i].config.n_processes,
+            cli,
+        )
     });
     let records: Vec<AnalysisRecord> = scenarios
         .iter()
@@ -47,7 +53,10 @@ pub fn run_analyze_target(cli: &Cli) -> Result<(), CliError> {
                 .iter()
                 .position(|u| key(u) == key(s))
                 .expect("every scenario maps to a unique-pair analysis");
-            AnalysisRecord { scenario: Some(s.name.clone()), analysis: analyses[at].clone() }
+            AnalysisRecord {
+                scenario: Some(s.name.clone()),
+                analysis: analyses[at].clone(),
+            }
         })
         .collect();
     report_analyses(&records, cli)
@@ -57,7 +66,10 @@ pub fn run_analyze_target(cli: &Cli) -> Result<(), CliError> {
 /// is LTL text, or the path of a `--property-file`-style file (detected by
 /// existence on disk).
 pub fn run_analyze_property(cli: &Cli) -> Result<(), CliError> {
-    let value = cli.analyze_property.as_deref().expect("mode AnalyzeProperty carries a value");
+    let value = cli
+        .analyze_property
+        .as_deref()
+        .expect("mode AnalyzeProperty carries a value");
     let path = std::path::Path::new(value);
     let (name, file_procs, text) = if path.exists() {
         read_property_file(path)?
@@ -67,17 +79,28 @@ pub fn run_analyze_property(cli: &Cli) -> Result<(), CliError> {
     let spec = parse_property(name.as_deref().unwrap_or("custom"), &text)?;
     // No minimum-process check here (unlike `--property` runs): analyzing a spec
     // at a too-small count is exactly what `DLRV-C001` reports.
-    let procs = cli.procs.or(file_procs).unwrap_or_else(|| spec.min_processes().max(2));
-    report_analyses(&[AnalysisRecord { scenario: None, analysis: analyze(&spec, procs, cli) }], cli)
+    let procs = cli
+        .procs
+        .or(file_procs)
+        .unwrap_or_else(|| spec.min_processes().max(2));
+    report_analyses(
+        &[AnalysisRecord {
+            scenario: None,
+            analysis: analyze(&spec, procs, cli),
+        }],
+        cli,
+    )
 }
 
 /// Reports analyses in the requested format, then applies the `--deny` gate: a
 /// severity floor, specific lint IDs, or both.
 fn report_analyses(records: &[AnalysisRecord], cli: &Cli) -> Result<(), CliError> {
     match cli.format {
-        Format::Json => {
-            emit_json(cli, &analyses_to_json(records), &format!("{} analyses", records.len()))?
-        }
+        Format::Json => emit_json(
+            cli,
+            &analyses_to_json(records),
+            &format!("{} analyses", records.len()),
+        )?,
         Format::Text => print_analyses(records),
     }
     let denied = records
@@ -90,7 +113,9 @@ fn report_analyses(records: &[AnalysisRecord], cli: &Cli) -> Result<(), CliError
         .count();
     match denied {
         0 => Ok(()),
-        _ => Err(CliError::failure(format!("{denied} finding(s) rejected by --deny"))),
+        _ => Err(CliError::failure(format!(
+            "{denied} finding(s) rejected by --deny"
+        ))),
     }
 }
 
@@ -102,7 +127,11 @@ fn print_analyses(records: &[AnalysisRecord]) {
     println!();
     for r in records.iter().filter(|r| !r.analysis.findings.is_empty()) {
         let a = &r.analysis;
-        println!("-- {} ({} procs):", r.scenario.as_deref().unwrap_or(&a.name), a.n_processes);
+        println!(
+            "-- {} ({} procs):",
+            r.scenario.as_deref().unwrap_or(&a.name),
+            a.n_processes
+        );
         for finding in &a.findings {
             println!("  {finding}");
             if let (Some(span), Some(text)) = (finding.span, a.ltl.as_deref()) {

@@ -25,20 +25,47 @@ pub(super) const USAGE: &str = "usage: experiments [TARGET...] [--target NAME] [
 
 /// Everything a target argument may select.
 const KNOWN_TARGETS: [&str; 17] = [
-    "all", "table5_1", "automata_dot", "fig5_4", "fig5_5", "fig5_6", "fig5_7", "fig5_8",
-    "fig5_9", "sweep", "throughput", "overhead", "custom", "deploy", "fleet", "analyze",
+    "all",
+    "table5_1",
+    "automata_dot",
+    "fig5_4",
+    "fig5_5",
+    "fig5_6",
+    "fig5_7",
+    "fig5_8",
+    "fig5_9",
+    "sweep",
+    "throughput",
+    "overhead",
+    "custom",
+    "deploy",
+    "fleet",
+    "analyze",
     "report",
 ];
 
 /// The targets backed by the scenario registry (what `--no-opt` can override), in
 /// the order they run.
-pub(super) const REGISTRY_TARGETS: [&str; 6] =
-    ["sweep", "throughput", "overhead", "custom", "deploy", "fleet"];
+pub(super) const REGISTRY_TARGETS: [&str; 6] = [
+    "sweep",
+    "throughput",
+    "overhead",
+    "custom",
+    "deploy",
+    "fleet",
+];
 
 /// The targets that work scenario by scenario — the registry targets and the
 /// analyzer: what `--scenario` can filter and `--format json` can serialize.
-const SCENARIO_TARGETS: [&str; 7] =
-    ["sweep", "throughput", "overhead", "custom", "deploy", "fleet", "analyze"];
+const SCENARIO_TARGETS: [&str; 7] = [
+    "sweep",
+    "throughput",
+    "overhead",
+    "custom",
+    "deploy",
+    "fleet",
+    "analyze",
+];
 
 /// The registry target that owns `family`; `sweep` owns every offline in-process
 /// family and additionally runs the custom one.
@@ -244,7 +271,10 @@ impl Flag {
 
 /// A positive integer; anything else is `complaint`.
 pub(super) fn positive(text: &str, complaint: &str) -> Result<usize, CliError> {
-    text.parse().ok().filter(|&n| n > 0).ok_or_else(|| CliError::usage(complaint))
+    text.parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| CliError::usage(complaint))
 }
 
 /// A value with something in it; a blank one is `complaint`.
@@ -304,11 +334,18 @@ pub(super) fn unknown_scenario(name: &str, registry: &ScenarioRegistry) -> CliEr
 /// catalog ID (and, for `--deny`, the severity names).
 fn lint(flag: &str, token: &str) -> Result<Lint, CliError> {
     Lint::from_id(token).ok_or_else(|| {
-        let severities: &[&str] = if flag == "--deny" { &["warn", "error"] } else { &[] };
+        let severities: &[&str] = if flag == "--deny" {
+            &["warn", "error"]
+        } else {
+            &[]
+        };
         unknown_name(
             "lint",
             token,
-            Lint::ALL.iter().map(|l| l.id()).chain(severities.iter().copied()),
+            Lint::ALL
+                .iter()
+                .map(|l| l.id())
+                .chain(severities.iter().copied()),
             "see docs/ANALYSIS.md for the lint catalog",
         )
     })
@@ -336,7 +373,9 @@ pub fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
         };
         let mut value = || match inline.clone() {
             Some(v) => Ok(v),
-            None => iter.next().ok_or_else(|| CliError::usage(format!("{flag} expects a value"))),
+            None => iter
+                .next()
+                .ok_or_else(|| CliError::usage(format!("{flag} expects a value"))),
         };
         match flag.as_str() {
             "--jobs" => cli.jobs = Some(positive(&value()?, "--jobs expects a positive integer")?),
@@ -355,7 +394,10 @@ pub fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
             "--out" => cli.out = Some(PathBuf::from(value()?)),
             "--out-dir" => cli.out_dir = Some(PathBuf::from(value()?)),
             "--scenario" => {
-                cli.scenarios.extend(names(value()?, "--scenario expects non-empty scenario names")?);
+                cli.scenarios.extend(names(
+                    value()?,
+                    "--scenario expects non-empty scenario names",
+                )?);
             }
             "--validate-results" => cli.validate = Some(PathBuf::from(value()?)),
             "--property" => {
@@ -363,18 +405,24 @@ pub fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
             }
             "--property-file" => cli.property_files.push(PathBuf::from(value()?)),
             "--properties" => {
-                for name in names(value()?, "--properties expects paper property letters (A-F)")? {
-                    cli.properties.push(PaperProperty::from_name(&name).ok_or_else(|| {
-                        unknown_name(
-                            "property",
-                            &name,
-                            PaperProperty::ALL.map(PaperProperty::name),
-                            "expected paper property letters A-F",
-                        )
-                    })?);
+                for name in names(
+                    value()?,
+                    "--properties expects paper property letters (A-F)",
+                )? {
+                    cli.properties
+                        .push(PaperProperty::from_name(&name).ok_or_else(|| {
+                            unknown_name(
+                                "property",
+                                &name,
+                                PaperProperty::ALL.map(PaperProperty::name),
+                                "expected paper property letters A-F",
+                            )
+                        })?);
                 }
             }
-            "--procs" => cli.procs = Some(positive(&value()?, "--procs expects a positive integer")?),
+            "--procs" => {
+                cli.procs = Some(positive(&value()?, "--procs expects a positive integer")?)
+            }
             "--emit-dot" => cli.emit_dot = Some(value()?),
             "--analyze-property" => {
                 let complaint = "--analyze-property expects an LTL formula or a file path";
@@ -405,7 +453,8 @@ pub fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
                             "--budget expects key=N pairs (alphabet, states, transitions)",
                         )
                     })?;
-                    let bound = positive(bound.trim(), "--budget bounds must be positive integers")?;
+                    let bound =
+                        positive(bound.trim(), "--budget bounds must be positive integers")?;
                     match key.trim() {
                         "alphabet" => cli.budget.max_alphabet = bound,
                         "states" => cli.budget.max_states = bound,
@@ -420,19 +469,21 @@ pub fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
                 }
             }
             "--fault" => {
-                cli.fault = Some(FaultSpec::parse(&value()?).map_err(|e| {
-                    CliError::usage(format!("invalid --fault spec: {e}"))
-                })?);
+                cli.fault = Some(
+                    FaultSpec::parse(&value()?)
+                        .map_err(|e| CliError::usage(format!("invalid --fault spec: {e}")))?,
+                );
             }
             "--require-family" => {
                 for name in names(value()?, "--require-family expects non-empty family names")? {
                     // A mistyped family is a mistake on the command line, not a
                     // shortcoming of the document.
-                    cli.require_family.push(ScenarioFamily::from_name(&name).ok_or_else(|| {
-                        let families = ScenarioFamily::ALL.map(ScenarioFamily::name);
-                        let hint = format!("expected one of: {}", families.join(", "));
-                        unknown_name("family", &name, families, &hint)
-                    })?);
+                    cli.require_family
+                        .push(ScenarioFamily::from_name(&name).ok_or_else(|| {
+                            let families = ScenarioFamily::ALL.map(ScenarioFamily::name);
+                            let hint = format!("expected one of: {}", families.join(", "));
+                            unknown_name("family", &name, families, &hint)
+                        })?);
                 }
             }
             "--no-opt" | "--list-scenarios" if inline.is_some() => {
@@ -447,7 +498,11 @@ pub fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
         }
     }
 
-    if let Some(unknown) = cli.targets.iter().find(|t| !KNOWN_TARGETS.contains(&t.as_str())) {
+    if let Some(unknown) = cli
+        .targets
+        .iter()
+        .find(|t| !KNOWN_TARGETS.contains(&t.as_str()))
+    {
         return Err(unknown_name(
             "target",
             unknown,
@@ -468,7 +523,11 @@ pub fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
     } else if !cli.properties.is_empty() || sources > 1 {
         Fleet
     } else if sources == 1 {
-        if cli.emit_dot.is_some() { PropertyDot } else { Property }
+        if cli.emit_dot.is_some() {
+            PropertyDot
+        } else {
+            Property
+        }
     } else if cli.emit_dot.is_some() {
         EmitDot
     } else if cli.names_target("report") {
@@ -488,7 +547,9 @@ pub fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
     // What the table cannot say: rules about a flag's value or about two flags of
     // one mode.
     if cli.mode == Report && cli.targets.len() > 1 {
-        return Err(CliError::usage("`--target report` renders a document; run it by itself"));
+        return Err(CliError::usage(
+            "`--target report` renders a document; run it by itself",
+        ));
     }
     if cli.out.is_some() && cli.format != Format::Json && cli.emit_dot.is_none() {
         return Err(CliError::usage(
@@ -510,7 +571,11 @@ pub fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
         _ => {}
     }
     if cli.mode == Run && cli.format == Format::Json {
-        if let Some(text_only) = cli.targets.iter().find(|t| !SCENARIO_TARGETS.contains(&t.as_str())) {
+        if let Some(text_only) = cli
+            .targets
+            .iter()
+            .find(|t| !SCENARIO_TARGETS.contains(&t.as_str()))
+        {
             return Err(CliError::usage(format!(
                 "target `{text_only}` only produces text output; `--format json` supports: {}",
                 SCENARIO_TARGETS.join(", ")
@@ -540,7 +605,9 @@ fn check_scenario_filter(cli: &Cli) -> Result<(), CliError> {
     let accepts = |target: &str, family| target == "analyze" || target_selects(target, family);
     let mut covered: Vec<&str> = Vec::new();
     for name in &cli.scenarios {
-        let scenario = registry.get(name).ok_or_else(|| unknown_scenario(name, &registry))?;
+        let scenario = registry
+            .get(name)
+            .ok_or_else(|| unknown_scenario(name, &registry))?;
         let before = covered.len();
         covered.extend(
             SCENARIO_TARGETS
@@ -577,14 +644,30 @@ mod tests {
     #[test]
     fn parsing_is_pure_and_decides_the_mode_once() {
         let cli = parse(&["--target", "sweep", "--jobs", "3", "--format=json"]).unwrap();
-        assert_eq!((cli.mode, cli.jobs, cli.format), (Run, Some(3), Format::Json));
+        assert_eq!(
+            (cli.mode, cli.jobs, cli.format),
+            (Run, Some(3), Format::Json)
+        );
         assert_eq!(parse(&[]).unwrap().mode, Run);
         assert_eq!(parse(&["--list-scenarios"]).unwrap().mode, List);
         assert_eq!(parse(&["--properties", "B"]).unwrap().mode, Fleet);
-        assert_eq!(parse(&["--property-file", "a", "--property-file", "b"]).unwrap().mode, Fleet);
-        assert_eq!(parse(&["--property", "F P0.p", "--emit-dot", "property"]).unwrap().mode, PropertyDot);
+        assert_eq!(
+            parse(&["--property-file", "a", "--property-file", "b"])
+                .unwrap()
+                .mode,
+            Fleet
+        );
+        assert_eq!(
+            parse(&["--property", "F P0.p", "--emit-dot", "property"])
+                .unwrap()
+                .mode,
+            PropertyDot
+        );
         assert_eq!(parse(&["--emit-dot", "paper-A-n2"]).unwrap().mode, EmitDot);
-        assert_eq!(parse(&["report", "--results", "x.json"]).unwrap().mode, Report);
+        assert_eq!(
+            parse(&["report", "--results", "x.json"]).unwrap().mode,
+            Report
+        );
     }
 
     #[test]
@@ -599,7 +682,12 @@ mod tests {
             err.message
         );
         let err = parse(&["--list-scenarios", "--procs", "3"]).unwrap_err();
-        assert!(err.message.contains("--procs does not apply to --list-scenarios;"), "{}", err.message);
+        assert!(
+            err.message
+                .contains("--procs does not apply to --list-scenarios;"),
+            "{}",
+            err.message
+        );
     }
 
     /// The `experiments` command lines of a shell-ish text: everything after
@@ -642,7 +730,11 @@ mod tests {
         ];
         for (name, text, at_least) in sources {
             let lines = command_lines(text);
-            assert!(lines.len() >= at_least, "{name}: only {} command lines found", lines.len());
+            assert!(
+                lines.len() >= at_least,
+                "{name}: only {} command lines found",
+                lines.len()
+            );
             for line in lines {
                 if let Err(e) = parse_cli(line.clone()) {
                     panic!("{name}: `{}` is rejected:\n{}", line.join(" "), e.message);

@@ -131,12 +131,18 @@ pub struct CliError {
 impl CliError {
     /// A command line that cannot be run: the reason, then the synopsis.
     pub fn usage(message: impl std::fmt::Display) -> Self {
-        CliError { code: 2, message: format!("error: {message}\n{}", args::USAGE) }
+        CliError {
+            code: 2,
+            message: format!("error: {message}\n{}", args::USAGE),
+        }
     }
 
     /// A command that ran and failed (unreadable input, schema drift, a tripped gate).
     pub fn failure(message: impl std::fmt::Display) -> Self {
-        CliError { code: 1, message: format!("error: {message}") }
+        CliError {
+            code: 1,
+            message: format!("error: {message}"),
+        }
     }
 }
 

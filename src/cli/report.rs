@@ -44,7 +44,10 @@ fn collect_history(path: &Path, current: &[ScenarioRecord]) -> Vec<TrendPoint> {
             let snapshot = git_stdout(&["show", &format!("{full}:{rel}")])
                 .and_then(|text| parse_document(short, &text).ok());
             if let Some(Document::Results(records)) = snapshot {
-                points.push(TrendPoint { label: short.to_string(), records });
+                points.push(TrendPoint {
+                    label: short.to_string(),
+                    records,
+                });
             }
         }
     }
@@ -68,7 +71,10 @@ pub fn run_report(cli: &Cli) -> Result<(), CliError> {
     let history = collect_history(&path, &records);
     let rendered = render_report(&records, &history);
 
-    let out_dir = cli.out_dir.clone().unwrap_or_else(|| PathBuf::from("report"));
+    let out_dir = cli
+        .out_dir
+        .clone()
+        .unwrap_or_else(|| PathBuf::from("report"));
     let write = |rel: &str, text: &str| {
         let target = out_dir.join(rel);
         if let Some(parent) = target.parent() {

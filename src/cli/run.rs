@@ -29,7 +29,9 @@ pub(super) fn print_table<R>(title: &str, columns: &[Column<R>], rows: &[R]) {
 }
 
 fn views(runs: &Runs) -> Vec<RunView<'_>> {
-    runs.iter().map(|(scenario, result)| RunView::of(scenario, result)).collect()
+    runs.iter()
+        .map(|(scenario, result)| RunView::of(scenario, result))
+        .collect()
 }
 
 /// Figures 5.4–5.8 report different metrics of the *same* runs — the registry's
@@ -46,9 +48,21 @@ const FIGURES: [(&str, &str, &[PaperProperty]); 5] = [
         "Fig 5.5 — messages overhead (properties D, E, F)",
         &[PaperProperty::D, PaperProperty::E, PaperProperty::F],
     ),
-    ("fig5_6", "Fig 5.6 — delay-time percentage per global state", &PaperProperty::ALL),
-    ("fig5_7", "Fig 5.7 — delayed (queued) events", &PaperProperty::ALL),
-    ("fig5_8", "Fig 5.8 — memory overhead (total global views)", &PaperProperty::ALL),
+    (
+        "fig5_6",
+        "Fig 5.6 — delay-time percentage per global state",
+        &PaperProperty::ALL,
+    ),
+    (
+        "fig5_7",
+        "Fig 5.7 — delayed (queued) events",
+        &PaperProperty::ALL,
+    ),
+    (
+        "fig5_8",
+        "Fig 5.8 — memory overhead (total global views)",
+        &PaperProperty::ALL,
+    ),
 ];
 
 /// Runs the targets of a [`Mode::Run`] command line, in their fixed order.
@@ -120,7 +134,11 @@ pub fn run_targets(cli: &Cli) -> Result<(), CliError> {
         }
         if !scenarios.is_empty() {
             let runs = run_scenarios(scenarios);
-            emit_json(cli, &sweep_to_json(&runs), &format!("{} scenarios", runs.len()))?;
+            emit_json(
+                cli,
+                &sweep_to_json(&runs),
+                &format!("{} scenarios", runs.len()),
+            )?;
         }
     } else {
         for target in targets {
@@ -179,16 +197,17 @@ fn overridden(mut scenario: Scenario, cli: &Cli) -> Scenario {
 /// wall clock.
 fn run_scenarios(scenarios: Vec<Scenario>) -> Runs {
     let offline = |s: &Scenario| s.stream.is_none() && s.deploy.is_none();
-    let mut results =
-        parallel_map_indexed(scenarios.len(), dlrv_core::effective_jobs(), |i| {
-            offline(&scenarios[i]).then(|| scenarios[i].run())
-        });
+    let mut results = parallel_map_indexed(scenarios.len(), dlrv_core::effective_jobs(), |i| {
+        offline(&scenarios[i]).then(|| scenarios[i].run())
+    });
     for (scenario, result) in scenarios.iter().zip(&mut results) {
         if result.is_none() {
             *result = Some(scenario.run());
         }
     }
-    let results = results.into_iter().map(|r| r.expect("every scenario ran exactly once"));
+    let results = results
+        .into_iter()
+        .map(|r| r.expect("every scenario ran exactly once"));
     scenarios.iter().cloned().zip(results).collect()
 }
 
@@ -230,9 +249,14 @@ fn automata_dot() {
 /// `--emit-dot NAME` for a registry scenario: synthesizes the scenario's monitor
 /// automaton and prints it as Graphviz DOT.
 pub fn emit_dot_for_scenario(cli: &Cli) -> Result<(), CliError> {
-    let name = cli.emit_dot.as_deref().expect("mode EmitDot carries a scenario name");
+    let name = cli
+        .emit_dot
+        .as_deref()
+        .expect("mode EmitDot carries a scenario name");
     let registry = ScenarioRegistry::standard();
-    let scenario = registry.get(name).ok_or_else(|| unknown_scenario(name, &registry))?;
+    let scenario = registry
+        .get(name)
+        .ok_or_else(|| unknown_scenario(name, &registry))?;
     let dot = analyze_to_dot(&scenario.config.property, scenario.config.n_processes);
     write_output(cli, &dot, "monitor automaton DOT")
 }
@@ -323,7 +347,11 @@ pub fn run_user_property(cli: &Cli) -> Result<(), CliError> {
     if cli.mode == Mode::PropertyDot {
         // The analyzer's annotated rendering: same digraph, plus verdict-
         // reachability colors, dashed unreachable states and `(trap)` markers.
-        return write_output(cli, &analyze_to_dot(&compiled.spec, procs), "monitor automaton DOT");
+        return write_output(
+            cli,
+            &analyze_to_dot(&compiled.spec, procs),
+            "monitor automaton DOT",
+        );
     }
 
     let scenario = Scenario {
@@ -345,15 +373,23 @@ pub fn run_user_property(cli: &Cli) -> Result<(), CliError> {
 /// `--properties A,B,C` / repeated `--property-file`: monitor a fleet of
 /// properties in one streaming pass.
 pub fn run_user_fleet(cli: &Cli) -> Result<(), CliError> {
-    let mut specs: Vec<PropertySpec> =
-        cli.properties.iter().map(|&p| PropertySpec::paper(p)).collect();
+    let mut specs: Vec<PropertySpec> = cli
+        .properties
+        .iter()
+        .map(|&p| PropertySpec::paper(p))
+        .collect();
     let mut file_procs: Option<usize> = None;
     for path in &cli.property_files {
         let (name, procs, text) = read_property_file(path)?;
         specs.push(parse_property(name.as_deref().unwrap_or("custom"), &text)?);
         file_procs = file_procs.max(procs);
     }
-    let min_procs = specs.iter().map(PropertySpec::min_processes).max().unwrap_or(2).max(2);
+    let min_procs = specs
+        .iter()
+        .map(PropertySpec::min_processes)
+        .max()
+        .unwrap_or(2)
+        .max(2);
     let procs = user_procs(cli, file_procs, min_procs, "the fleet")?;
     // Fleet members share one atom registry (events carry registry-relative
     // state bitmasks), so the combined atom count is bounded like a single

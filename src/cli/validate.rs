@@ -20,11 +20,17 @@ pub(super) enum Document {
 pub(super) fn parse_document(name: &str, text: &str) -> Result<Document, CliError> {
     let json = Json::parse(text)
         .map_err(|e| CliError::failure(format!("`{name}` is not valid JSON: {e}")))?;
-    let generator = json.get_opt("generator").ok().flatten().and_then(|g| g.as_str().ok());
+    let generator = json
+        .get_opt("generator")
+        .ok()
+        .flatten()
+        .and_then(|g| g.as_str().ok());
     if generator == Some(ANALYSIS_GENERATOR) {
-        analyses_from_json(&json).map(Document::Analyses).map_err(|e| {
-            CliError::failure(format!("`{name}` does not match the analysis schema: {e}"))
-        })
+        analyses_from_json(&json)
+            .map(Document::Analyses)
+            .map_err(|e| {
+                CliError::failure(format!("`{name}` does not match the analysis schema: {e}"))
+            })
     } else {
         sweep_from_json(&json).map(Document::Results).map_err(|e| {
             CliError::failure(format!("`{name}` does not match the results schema: {e}"))
@@ -75,7 +81,10 @@ fn really_ran(record: &ScenarioRecord, family: ScenarioFamily) -> bool {
 /// and must really have run (CI's guard against committing a document that
 /// silently dropped a family).
 pub fn validate_results(cli: &Cli) -> Result<(), CliError> {
-    let path = cli.validate.as_deref().expect("mode Validate carries a path");
+    let path = cli
+        .validate
+        .as_deref()
+        .expect("mode Validate carries a path");
     let name = path.display();
     match load_document(path)? {
         Document::Analyses(_) if !cli.require_family.is_empty() => Err(CliError::failure(format!(
@@ -91,7 +100,10 @@ pub fn validate_results(cli: &Cli) -> Result<(), CliError> {
         }
         Document::Results(records) => {
             for &family in &cli.require_family {
-                let mut members = records.iter().filter(|r| r.scenario.family == family).peekable();
+                let mut members = records
+                    .iter()
+                    .filter(|r| r.scenario.family == family)
+                    .peekable();
                 if members.peek().is_none() {
                     return Err(CliError::failure(format!(
                         "`{name}` contains no `{family}` scenarios"
@@ -106,8 +118,14 @@ pub fn validate_results(cli: &Cli) -> Result<(), CliError> {
                     )));
                 }
             }
-            let streamed = records.iter().filter(|r| r.scenario.stream.is_some()).count();
-            let deployed = records.iter().filter(|r| r.scenario.deploy.is_some()).count();
+            let streamed = records
+                .iter()
+                .filter(|r| r.scenario.stream.is_some())
+                .count();
+            let deployed = records
+                .iter()
+                .filter(|r| r.scenario.deploy.is_some())
+                .count();
             println!(
                 "{name}: valid results document ({} scenarios, {streamed} streamed, {deployed} deployed)",
                 records.len()
@@ -124,8 +142,10 @@ mod tests {
 
     #[test]
     fn a_family_really_ran_only_with_events_and_its_parameters() {
-        let mut scenario =
-            ScenarioRegistry::standard().get("fleet-AB-sh4").expect("registered").clone();
+        let mut scenario = ScenarioRegistry::standard()
+            .get("fleet-AB-sh4")
+            .expect("registered")
+            .clone();
         scenario.config.events_per_process = 4;
         scenario.stream = Some(StreamParams::sized(4, 1));
         let text = sweep_to_json(&[(scenario.clone(), scenario.run())]).to_string_pretty();
@@ -133,7 +153,10 @@ mod tests {
             panic!("a fresh document parses as results")
         };
         let record = &records[0];
-        assert!(really_ran(record, ScenarioFamily::Fleet), "no timing is needed as evidence");
+        assert!(
+            really_ran(record, ScenarioFamily::Fleet),
+            "no timing is needed as evidence"
+        );
 
         let mut idle = record.clone();
         idle.avg.total_events = 0;

@@ -54,7 +54,11 @@ fn parse_fixture(path: &Path) -> Fixture {
         formula_lines.push(line);
     }
     assert!(!formula_lines.is_empty(), "{}: no formula", path.display());
-    assert!(!expect.is_empty(), "{}: no `# expect:` line", path.display());
+    assert!(
+        !expect.is_empty(),
+        "{}: no `# expect:` line",
+        path.display()
+    );
     Fixture {
         name: name.unwrap_or_else(|| "fixture".to_string()),
         procs,
@@ -85,9 +89,7 @@ fn every_bad_spec_reports_exactly_the_expected_lints() {
         let fixture = parse_fixture(&path);
         let spec = PropertySpec::parse_named(&fixture.name, &fixture.formula)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let procs = fixture
-            .procs
-            .unwrap_or_else(|| spec.min_processes().max(2));
+        let procs = fixture.procs.unwrap_or_else(|| spec.min_processes().max(2));
         let analysis = analyze_spec(&spec, procs, Budget::default());
         let got: BTreeSet<Lint> = analysis.findings.iter().map(|f| f.lint).collect();
         assert_eq!(
@@ -109,9 +111,7 @@ fn every_bad_spec_trips_a_deny_warn_gate() {
         let fixture = parse_fixture(&path);
         let spec = PropertySpec::parse_named(&fixture.name, &fixture.formula)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let procs = fixture
-            .procs
-            .unwrap_or_else(|| spec.min_processes().max(2));
+        let procs = fixture.procs.unwrap_or_else(|| spec.min_processes().max(2));
         let analysis = analyze_spec(&spec, procs, Budget::default());
         assert!(
             analysis.max_severity().is_some_and(|s| s >= Severity::Warn),

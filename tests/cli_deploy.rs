@@ -9,13 +9,13 @@
 //! `3` idle timeout with no orchestrator traffic, `4` endpoint already in use by
 //! a live daemon.
 
+use dlrv::dlrv_json::{object, Json};
 use dlrv::dlrv_ltl::Assignment;
 use dlrv::dlrv_monitor::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition};
 use dlrv::dlrv_net::{connect_with_retry, DaemonStatus, Endpoint, FaultSpec, FramedConn, WireMsg};
 use dlrv::dlrv_stream::{event_to_json, wire::json_frame};
 use dlrv::dlrv_vclock::{Event, EventKind, VectorClock};
 use dlrv::results::property_to_json;
-use dlrv::dlrv_json::{object, Json};
 use dlrv::PropertySpec;
 use std::io::{BufRead as _, Read as _};
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -105,15 +105,20 @@ fn rpc(conn: &mut FramedConn, msg: &WireMsg) -> WireMsg {
 #[test]
 fn usage_errors_exit_2() {
     for args in [
-        &[][..],                                          // --listen is required
-        &["--listen"][..],                                // flag without a value
-        &["--listen", "tcp:127.0.0.1:0", "--bogus"][..],  // unknown flag
-        &["--listen", "ftp:example.com:21"][..],          // unsupported scheme
+        &[][..],                                         // --listen is required
+        &["--listen"][..],                               // flag without a value
+        &["--listen", "tcp:127.0.0.1:0", "--bogus"][..], // unknown flag
+        &["--listen", "ftp:example.com:21"][..],         // unsupported scheme
         &["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "nope"][..],
         &["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "0"][..],
         // Positive, but no `Duration` holds them (the parent daemon panicked).
         &["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "inf"][..],
-        &["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "1e300"][..],
+        &[
+            "--listen",
+            "tcp:127.0.0.1:0",
+            "--idle-timeout-secs",
+            "1e300",
+        ][..],
         &["--listen", "tcp:127.0.0.1:0", "--log-level", "loud"][..],
         &["--listen", "tcp:127.0.0.1:0", "--log-level"][..],
     ] {
@@ -133,7 +138,10 @@ fn usage_errors_exit_2() {
 
 #[test]
 fn help_prints_usage_and_exits_0() {
-    let out = Command::new(BIN).arg("--help").output().expect("run monitord");
+    let out = Command::new(BIN)
+        .arg("--help")
+        .output()
+        .expect("run monitord");
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
 }
@@ -142,7 +150,10 @@ fn help_prints_usage_and_exits_0() {
 fn idle_timeout_kills_an_abandoned_daemon() {
     let mut child = spawn_daemon(&["--listen", "tcp:127.0.0.1:0", "--idle-timeout-secs", "0.3"]);
     let endpoint = read_listen(&mut child);
-    assert!(endpoint.starts_with("tcp:"), "resolved endpoint: {endpoint}");
+    assert!(
+        endpoint.starts_with("tcp:"),
+        "resolved endpoint: {endpoint}"
+    );
     // Never connect: the watchdog must fire on its own.
     let status = wait_with_deadline(&mut child, Duration::from_secs(10));
     assert_eq!(status.code(), Some(3), "idle timeout exits 3");
@@ -151,7 +162,14 @@ fn idle_timeout_kills_an_abandoned_daemon() {
 #[test]
 fn log_level_flag_wins_over_dlrv_log() {
     let mut child = Command::new(BIN)
-        .args(["--listen", "tcp:127.0.0.1:0", "--log-level", "info", "--idle-timeout-secs", "0.3"])
+        .args([
+            "--listen",
+            "tcp:127.0.0.1:0",
+            "--log-level",
+            "info",
+            "--idle-timeout-secs",
+            "0.3",
+        ])
         .env("DLRV_LOG", "error")
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -264,7 +282,10 @@ fn full_control_session_shuts_down_gracefully_with_exit_0() {
         other => panic!("expected status_ok, got {other:?}"),
     }
 
-    assert_eq!(rpc(&mut conn, &WireMsg::Finish { time: 1.0 }), WireMsg::FinishOk);
+    assert_eq!(
+        rpc(&mut conn, &WireMsg::Finish { time: 1.0 }),
+        WireMsg::FinishOk
+    );
     assert_eq!(rpc(&mut conn, &WireMsg::Release), WireMsg::ReleaseOk);
     match rpc(&mut conn, &WireMsg::Report) {
         WireMsg::ReportOk(report) => {
@@ -337,7 +358,10 @@ impl Session {
         }
         let property = if n == 1 { "G P0.p" } else { "F (P0.p && P1.p)" };
         let hello = hello(&session.endpoint, property, n, 0);
-        assert_eq!(rpc(&mut session.control, &hello), WireMsg::HelloOk { process: 0 });
+        assert_eq!(
+            rpc(&mut session.control, &hello),
+            WireMsg::HelloOk { process: 0 }
+        );
         session
     }
 
@@ -350,15 +374,22 @@ impl Session {
             assert!(Instant::now() < deadline, "no error frame within 10 s");
             // A read error here is the daemon closing after its last frame.
             let frames = self.control.on_readable_msgs().unwrap_or_default();
-            if let Some(WireMsg::Error { message }) =
-                frames.into_iter().find(|f| matches!(f, WireMsg::Error { .. }))
+            if let Some(WireMsg::Error { message }) = frames
+                .into_iter()
+                .find(|f| matches!(f, WireMsg::Error { .. }))
             {
                 break message;
             }
-            assert!(!self.control.is_eof(), "daemon closed without an error frame");
+            assert!(
+                !self.control.is_eof(),
+                "daemon closed without an error frame"
+            );
             std::thread::sleep(Duration::from_millis(1));
         };
-        assert!(message.contains(reason), "error frame `{message}` lacks `{reason}`");
+        assert!(
+            message.contains(reason),
+            "error frame `{message}` lacks `{reason}`"
+        );
         let status = wait_with_deadline(&mut self.child, Duration::from_secs(10));
         let mut stderr = String::new();
         self.child
@@ -368,7 +399,11 @@ impl Session {
             .read_to_string(&mut stderr)
             .expect("read stderr");
         assert!(!stderr.contains("panicked"), "daemon panicked: {stderr}");
-        assert_eq!(status.code(), Some(1), "protocol failure exits 1, stderr: {stderr}");
+        assert_eq!(
+            status.code(),
+            Some(1),
+            "protocol failure exits 1, stderr: {stderr}"
+        );
     }
 }
 
@@ -396,7 +431,9 @@ fn monitor_frame(from: usize, token: Token) -> WireMsg {
         from,
         seq: 0,
         time: 1.0,
-        msg: MonitorMsg { tokens: vec![token] },
+        msg: MonitorMsg {
+            tokens: vec![token],
+        },
     }
 }
 
@@ -411,7 +448,10 @@ fn malformed_monitor_from_out_of_range_is_a_protocol_failure() {
 #[test]
 fn malformed_monitor_from_the_daemon_itself_is_a_protocol_failure() {
     let mut session = Session::established(2);
-    send(session.peer.as_mut().expect("peer"), &monitor_frame(0, sound_token()));
+    send(
+        session.peer.as_mut().expect("peer"),
+        &monitor_frame(0, sound_token()),
+    );
     session.assert_protocol_failure("process 0");
 }
 
@@ -493,15 +533,34 @@ fn malformed_hello_payloads_are_protocol_failures() {
     // daemon panicked at its first delayed frame) and a probability above 1.
     type Break = fn(&mut Json, &mut Json, &mut Vec<String>, &mut Option<FaultSpec>);
     let cases: [(Break, &str); 5] = [
-        (|property, _, _, _| *property = Json::from("Z"), "hello property"),
-        (|_, options, _, _| *options = Json::from(true), "hello options"),
-        (|_, _, peers, _| peers[0] = "ftp:example.com:21".to_string(), "hello peer endpoint"),
         (
-            |_, _, _, fault| *fault = Some(FaultSpec { delay_ms: 1e300, ..FaultSpec::default() }),
+            |property, _, _, _| *property = Json::from("Z"),
+            "hello property",
+        ),
+        (
+            |_, options, _, _| *options = Json::from(true),
+            "hello options",
+        ),
+        (
+            |_, _, peers, _| peers[0] = "ftp:example.com:21".to_string(),
+            "hello peer endpoint",
+        ),
+        (
+            |_, _, _, fault| {
+                *fault = Some(FaultSpec {
+                    delay_ms: 1e300,
+                    ..FaultSpec::default()
+                })
+            },
             "delay 1e300 ms must be within",
         ),
         (
-            |_, _, _, fault| *fault = Some(FaultSpec { drop: 2.0, ..FaultSpec::default() }),
+            |_, _, _, fault| {
+                *fault = Some(FaultSpec {
+                    drop: 2.0,
+                    ..FaultSpec::default()
+                })
+            },
             "drop probability 2.0 must be within",
         ),
     ];
@@ -509,7 +568,15 @@ fn malformed_hello_payloads_are_protocol_failures() {
         let mut session = Session::spawn();
         // Process 1 of 2, so that the daemon has a peer endpoint to dial.
         let mut hello = hello(&session.endpoint, "F (P0.p && P1.p)", 2, 0);
-        let WireMsg::Hello { process, property, options, peers, fault, .. } = &mut hello else {
+        let WireMsg::Hello {
+            process,
+            property,
+            options,
+            peers,
+            fault,
+            ..
+        } = &mut hello
+        else {
             unreachable!("`hello` builds a hello frame")
         };
         *process = 1;
@@ -576,9 +643,18 @@ fn malformed_out_of_sequence_events_are_protocol_failures() {
     // entry past what the history's four-byte entries hold.
     let past_limit = u64::from(u32::MAX) + 1;
     for (sent, reason) in [
-        (vec![event(2, 2, 0)], "event 2 (own clock entry 2) out of sequence at process 0 after 0"),
-        (vec![event(1, 3, 0)], "event 1 (own clock entry 3) out of sequence"),
-        (vec![event(1, 1, 0), event(1, 1, 0)], "event 1 (own clock entry 1) out of sequence at process 0 after 1"),
+        (
+            vec![event(2, 2, 0)],
+            "event 2 (own clock entry 2) out of sequence at process 0 after 0",
+        ),
+        (
+            vec![event(1, 3, 0)],
+            "event 1 (own clock entry 3) out of sequence",
+        ),
+        (
+            vec![event(1, 1, 0), event(1, 1, 0)],
+            "event 1 (own clock entry 1) out of sequence at process 0 after 1",
+        ),
         (
             vec![event(1, 1, past_limit)],
             "event 1 of process 0 has a clock entry past 4294967295: [1, 4294967296]",
@@ -597,12 +673,27 @@ fn malformed_tokens_are_protocol_failures() {
     type Break = fn(&mut Token);
     let cases: [(Break, &str); 8] = [
         (|t| t.parent = 2, "parent 2"),
-        (|t| t.transitions[0].next_target_process = 2, "transition next_target_process 2"),
-        (|t| t.transitions[0].transition_id = 1 << 20, "transition_id 1048576"),
-        (|t| t.transitions[0].gcut = VectorClock::from_entries(vec![0]), "gcut 1"),
-        (|t| t.transitions[0].depend = VectorClock::from_entries(vec![0, 1, 2]), "depend 3"),
+        (
+            |t| t.transitions[0].next_target_process = 2,
+            "transition next_target_process 2",
+        ),
+        (
+            |t| t.transitions[0].transition_id = 1 << 20,
+            "transition_id 1048576",
+        ),
+        (
+            |t| t.transitions[0].gcut = VectorClock::from_entries(vec![0]),
+            "gcut 1",
+        ),
+        (
+            |t| t.transitions[0].depend = VectorClock::from_entries(vec![0, 1, 2]),
+            "depend 3",
+        ),
         (|t| t.transitions[0].conjuncts.clear(), "conjuncts 0"),
-        (|t| t.transitions[0].gstate = Assignment(0b100), "gstate 0x4"),
+        (
+            |t| t.transitions[0].gstate = Assignment(0b100),
+            "gstate 0x4",
+        ),
         // Parked, this one overflowed the daemon's stack when its process terminated.
         (|t| t.transitions[0].next_target_event = 0, "awaits event 0"),
     ];
@@ -615,7 +706,9 @@ fn malformed_tokens_are_protocol_failures() {
             from: 1,
             seq: 0,
             time: 1.0,
-            msg: MonitorMsg { tokens: vec![sound_token(), token] },
+            msg: MonitorMsg {
+                tokens: vec![sound_token(), token],
+            },
         };
         send(session.peer.as_mut().expect("peer"), &batch);
         session.assert_protocol_failure(reason);
@@ -642,7 +735,10 @@ fn malformed_checks_accept_the_well_formed_token() {
     // The control of the cases above: the unbroken token is accepted, and the
     // daemon answers a status poll after it.
     let mut session = Session::established(2);
-    send(session.peer.as_mut().expect("peer"), &monitor_frame(1, sound_token()));
+    send(
+        session.peer.as_mut().expect("peer"),
+        &monitor_frame(1, sound_token()),
+    );
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         assert!(Instant::now() < deadline, "token never counted");
@@ -652,7 +748,10 @@ fn malformed_checks_accept_the_well_formed_token() {
             other => panic!("expected status_ok, got {other:?}"),
         }
     }
-    assert_eq!(rpc(&mut session.control, &WireMsg::Shutdown), WireMsg::ShutdownOk);
+    assert_eq!(
+        rpc(&mut session.control, &WireMsg::Shutdown),
+        WireMsg::ShutdownOk
+    );
     let status = wait_with_deadline(&mut session.child, Duration::from_secs(10));
     assert_eq!(status.code(), Some(0));
 }
@@ -669,7 +768,10 @@ fn malformed_json_headed_event_and_monitor_frames_are_protocol_failures() {
         state: Assignment(0b1),
         time: 1.0,
     };
-    let json_event = object([("type", Json::from("event")), ("event", event_to_json(&event))]);
+    let json_event = object([
+        ("type", Json::from("event")),
+        ("event", event_to_json(&event)),
+    ]);
     let json_monitor = object([
         ("type", Json::from("monitor")),
         ("from", Json::from(1usize)),
@@ -677,10 +779,16 @@ fn malformed_json_headed_event_and_monitor_frames_are_protocol_failures() {
         ("time", Json::from(1.0)),
         (
             "msg",
-            object([("type", Json::from("batch")), ("tokens", Json::Array(vec![]))]),
+            object([
+                ("type", Json::from("batch")),
+                ("tokens", Json::Array(vec![])),
+            ]),
         ),
     ]);
-    for (frame, kind, from_peer) in [(json_event, "event", false), (json_monitor, "monitor", true)] {
+    for (frame, kind, from_peer) in [
+        (json_event, "event", false),
+        (json_monitor, "monitor", true),
+    ] {
         let mut session = Session::established(2);
         let conn = if from_peer {
             session.peer.as_mut().expect("peer")

@@ -33,7 +33,10 @@ fn emit_dot_works_for_custom_scenarios_and_user_properties() {
     let out = experiments(&["--emit-dot", "custom-mutex-n2"]);
     assert!(out.status.success());
     let dot = String::from_utf8(out.stdout).unwrap();
-    assert!(dot.contains("P0.cs"), "custom atoms must label the guards: {dot}");
+    assert!(
+        dot.contains("P0.cs"),
+        "custom atoms must label the guards: {dot}"
+    );
 
     let out = experiments(&["--property", "F(P0.p && P1.p)", "--emit-dot", "property"]);
     assert!(out.status.success());
@@ -62,7 +65,10 @@ fn property_run_emits_schema_valid_json() {
         record.scenario.config.property.ltl_source(),
         Some("G(P0.p U (P1.p && P2.p))")
     );
-    assert!(record.avg.total_events > 0, "the property must actually run");
+    assert!(
+        record.avg.total_events > 0,
+        "the property must actually run"
+    );
 }
 
 #[test]
@@ -78,7 +84,10 @@ fn property_file_with_headers_runs() {
     std::fs::remove_file(&path).ok();
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("property-3p"), "file `procs:` header must apply: {text}");
+    assert!(
+        text.contains("property-3p"),
+        "file `procs:` header must apply: {text}"
+    );
 }
 
 #[test]
@@ -88,7 +97,10 @@ fn ltl_parse_errors_report_the_offending_position() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("cannot parse LTL property"), "{err}");
     assert!(err.contains("byte offset 8"), "position missing: {err}");
-    assert!(err.contains("G(P0.p U"), "the formula must be echoed: {err}");
+    assert!(
+        err.contains("G(P0.p U"),
+        "the formula must be echoed: {err}"
+    );
 }
 
 #[test]
@@ -122,5 +134,8 @@ fn properties_beyond_the_minimum_process_count_run() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("property-4p"), "{text}");
-    assert!(text.contains("⊤"), "goal tail must satisfy the reachability goal: {text}");
+    assert!(
+        text.contains("⊤"),
+        "goal tail must satisfy the reachability goal: {text}"
+    );
 }

@@ -152,8 +152,15 @@ fn repeated_runs_of_one_cell_agree_under_fast_polling() {
             })
             .collect();
         let (detected, possible) = baseline(&config, 1);
-        assert_eq!((&runs[0].1, &runs[0].2), (&detected, &possible), "[{fault:?}] verdicts");
-        assert!(runs[0].0 > 0, "fixture too weak: property C exchanged no message");
+        assert_eq!(
+            (&runs[0].1, &runs[0].2),
+            (&detected, &possible),
+            "[{fault:?}] verdicts"
+        );
+        assert!(
+            runs[0].0 > 0,
+            "fixture too weak: property C exchanged no message"
+        );
         assert!(
             runs.iter().all(|run| run == &runs[0]),
             "[{fault:?}] ten runs of one cell disagree: {runs:?}"
@@ -195,7 +202,9 @@ fn deploy_writes_live_telemetry_artifacts() {
         let last = samples.last().expect("nonempty");
         assert_eq!(last.process, i);
         assert!(
-            samples.windows(2).all(|w| w[0].events_seen <= w[1].events_seen),
+            samples
+                .windows(2)
+                .all(|w| w[0].events_seen <= w[1].events_seen),
             "daemon {i}: events_seen must be monotone across the timeline"
         );
     }

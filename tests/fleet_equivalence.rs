@@ -7,6 +7,7 @@
 //! This is the soundness anchor of the fleet subsystem: amortizing shared work
 //! is only a perf optimization if nothing a member monitor computes changes.
 
+use dlrv::dlrv_ltl::{Assignment, AtomRegistry};
 use dlrv::dlrv_monitor::MonitorOptions;
 use dlrv::dlrv_stream::{
     encode_stream_binary, interleave_sessions, FleetMemberSpec, ReaderSource, SessionOutcome,
@@ -16,7 +17,6 @@ use dlrv::{
     compile_fleet, simulate_session, CompiledFleetMember, ExperimentConfig, FleetParams,
     PaperProperty, PropertySpec, ScenarioFamily, ScenarioRegistry,
 };
-use dlrv::dlrv_ltl::{Assignment, AtomRegistry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -218,8 +218,13 @@ fn six_property_fleet_equals_solo_runs() {
 
     for n_shards in [1usize, 4] {
         let tag = format!("A-F fleet, {n_shards} shards");
-        let fleet_sessions =
-            run_as_fleet(&bytes, &registry, &members, MonitorOptions::default(), n_shards);
+        let fleet_sessions = run_as_fleet(
+            &bytes,
+            &registry,
+            &members,
+            MonitorOptions::default(),
+            n_shards,
+        );
         // Every session carries all six per-property slices, in member order.
         for outcome in fleet_sessions.values() {
             assert_eq!(outcome.per_property.len(), 6, "{tag}");
@@ -231,7 +236,13 @@ fn six_property_fleet_equals_solo_runs() {
             .collect();
         assert_eq!(names, ["A", "B", "C", "D", "E", "F"], "{tag}");
         for (k, member) in members.iter().enumerate() {
-            let solo = run_as_solo(&bytes, &registry, member, MonitorOptions::default(), n_shards);
+            let solo = run_as_solo(
+                &bytes,
+                &registry,
+                member,
+                MonitorOptions::default(),
+                n_shards,
+            );
             assert_member_matches(&fleet_sessions, &solo, k, &tag);
         }
     }
@@ -245,7 +256,10 @@ fn registry_fleet_scenarios_equal_solo_runs() {
     let registry = ScenarioRegistry::standard();
     let mut scenarios = 0;
     for scenario in registry.family(ScenarioFamily::Fleet) {
-        let fleet = scenario.fleet.as_ref().expect("a fleet scenario has members");
+        let fleet = scenario
+            .fleet
+            .as_ref()
+            .expect("a fleet scenario has members");
         let stream = scenario.stream.expect("a fleet scenario is streamed");
         let (atoms, members) = compile_fleet(fleet, scenario.config.n_processes);
         let bytes = fleet_wire(&scenario.config, &atoms, stream.n_sessions);
@@ -257,7 +271,10 @@ fn registry_fleet_scenarios_equal_solo_runs() {
         }
         scenarios += 1;
     }
-    assert!(scenarios >= 9, "the registry has {scenarios} fleet scenarios");
+    assert!(
+        scenarios >= 9,
+        "the registry has {scenarios} fleet scenarios"
+    );
 }
 
 #[test]
@@ -272,8 +289,7 @@ fn fleet_of_one_is_a_solo_run() {
     let (registry, members) = compile_fleet(&fleet, config.n_processes);
     let bytes = fleet_wire(&config, &registry, 3);
 
-    let fleet_sessions =
-        run_as_fleet(&bytes, &registry, &members, MonitorOptions::default(), 2);
+    let fleet_sessions = run_as_fleet(&bytes, &registry, &members, MonitorOptions::default(), 2);
     let solo = run_as_solo(&bytes, &registry, &members[0], MonitorOptions::default(), 2);
     assert_member_matches(&fleet_sessions, &solo, 0, "fleet of one");
     for (session, outcome) in &solo {
@@ -281,7 +297,10 @@ fn fleet_of_one_is_a_solo_run() {
             fleet_sessions[session].monitor_messages, outcome.monitor_messages,
             "session {session}: a fleet of one must send exactly the solo messages"
         );
-        assert_eq!(fleet_sessions[session].events, outcome.events, "session {session}");
+        assert_eq!(
+            fleet_sessions[session].events, outcome.events,
+            "session {session}"
+        );
     }
 }
 
@@ -302,26 +321,22 @@ fn one_automaton_from_two_initial_states_is_two_questions() {
     assert!(Arc::ptr_eq(&members[0].automaton, &members[1].automaton));
     let atom = |name: &str| registry.lookup(name).expect("a p atom of three processes");
     let (p0, p1, p2) = (atom("P0.p"), atom("P1.p"), atom("P2.p"));
-    let state_of = |k: usize, state: Assignment| {
-        state.with(p0, true).with(p1, k == 1).with(p2, k == 0)
-    };
+    let state_of =
+        |k: usize, state: Assignment| state.with(p0, true).with(p1, k == 1).with(p2, k == 0);
     let bytes = fleet_wire(&config, &registry, 6);
 
     for opts in [MonitorOptions::ALL_OFF, MonitorOptions::default()] {
         let tag = format!("C from two states, {opts:?}");
         let two = run_as_fleet_from(&bytes, &registry, &members, opts, 2, &state_of);
         let solos: Vec<_> = (0..2)
-            .map(|k| {
-                run_as_solo_from(&bytes, &registry, &members[k], opts, 2, &|s| state_of(k, s))
-            })
+            .map(|k| run_as_solo_from(&bytes, &registry, &members[k], opts, 2, &|s| state_of(k, s)))
             .collect();
         for (k, solo) in solos.iter().enumerate() {
             assert_member_matches(&two, solo, k, &tag);
         }
         if !opts.aggregate_tokens {
-            let one = run_as_fleet_from(&bytes, &registry, &members, opts, 2, &|_, s| {
-                state_of(0, s)
-            });
+            let one =
+                run_as_fleet_from(&bytes, &registry, &members, opts, 2, &|_, s| state_of(0, s));
             let mut sent = 0;
             for (session, outcome) in &two {
                 let [first, second] = [&solos[0][session], &solos[1][session]];

@@ -142,7 +142,10 @@ fn arena_recycling_is_invisible_in_every_counted_metric() {
             ),
             "{property}: arena recycling changed a counted metric"
         );
-        assert_eq!(on.detected_verdicts, off.detected_verdicts, "{property}: verdicts");
+        assert_eq!(
+            on.detected_verdicts, off.detected_verdicts,
+            "{property}: verdicts"
+        );
         assert_eq!(
             on.avg.possible_verdicts, off.avg.possible_verdicts,
             "{property}: possible verdicts"
@@ -175,12 +178,18 @@ fn an_until_property_costs_at_most_one_point_three_messages_per_event() {
         (messages + run.monitor_messages, events + run.total_events)
     });
     let compiled = CompiledProperty::compile(&config.property, config.n_processes);
-    let replayed = config.seeds.iter().fold((0, 0), |(messages, events), &seed| {
-        let session = simulate_session(&config.workload_config(seed), &compiled.registry);
-        let comp = &session.report.computation;
-        let replay = replay_decentralized(comp, &compiled.registry, &compiled.automaton, opts);
-        (messages + replay.monitor_messages, events + session.events.len())
-    });
+    let replayed = config
+        .seeds
+        .iter()
+        .fold((0, 0), |(messages, events), &seed| {
+            let session = simulate_session(&config.workload_config(seed), &compiled.registry);
+            let comp = &session.report.computation;
+            let replay = replay_decentralized(comp, &compiled.registry, &compiled.automaton, opts);
+            (
+                messages + replay.monitor_messages,
+                events + session.events.len(),
+            )
+        });
     for (substrate, (messages, events)) in [("simulator", simulated), ("replay", replayed)] {
         let per_event = messages as f64 / events as f64;
         println!(
@@ -205,7 +214,9 @@ fn the_termination_tail_is_a_tenth_of_one_round_trip_per_queued_event() {
     // tokens after the last program event.  It was one message latency per queued
     // event per waiting view; the sweep sends a view's whole backlog at once.
     let registry = ScenarioRegistry::standard();
-    let scenario = registry.get("commfreq-mu3").expect("Fig 5.9's first row is registered");
+    let scenario = registry
+        .get("commfreq-mu3")
+        .expect("Fig 5.9's first row is registered");
     let tail = scenario.run().avg.monitor_extra_time;
     println!("monitor_extra_time {tail} (was {COMM_MU_3_EXTRA_TIME_BEFORE_THE_SWEEP})");
     assert!(
@@ -224,8 +235,14 @@ fn overhead_metrics_are_emitted_by_the_registry_pairs() {
         scenario.config.seeds = vec![1];
         let avg = scenario.run().avg;
         let name = &scenario.name;
-        assert!(avg.peak_global_views >= scenario.config.n_processes, "{name}");
-        assert!(avg.monitor_tokens > 0, "{name} explores concurrent cuts via tokens");
+        assert!(
+            avg.peak_global_views >= scenario.config.n_processes,
+            "{name}"
+        );
+        assert!(
+            avg.monitor_tokens > 0,
+            "{name} explores concurrent cuts via tokens"
+        );
         // Monitors send tokens and nothing else, so messages never outnumber
         // tokens — and with the suite off, where nothing is aggregated, the two
         // counts are equal.

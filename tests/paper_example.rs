@@ -46,7 +46,10 @@ fn oracle_matches_fig_3_1_analysis() {
     let oracle = oracle_evaluate(&comp, &lattice, &automaton, &reg);
     assert!(oracle.final_verdicts.contains(&Verdict::False));
     assert!(oracle.final_verdicts.contains(&Verdict::Unknown));
-    assert!(!oracle.final_verdicts.contains(&Verdict::True), "ψ can never be satisfied finitely");
+    assert!(
+        !oracle.final_verdicts.contains(&Verdict::True),
+        "ψ can never be satisfied finitely"
+    );
     assert!(oracle.violation_reachable);
     assert!(!oracle.satisfaction_reachable);
 }

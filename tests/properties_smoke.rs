@@ -23,10 +23,18 @@ fn assert_verdicts_match_the_collected_sets<B: MonitorBehavior + SessionVerdicts
 ) {
     for (i, event) in events.iter().enumerate() {
         let verdict = session.feed_event(event);
-        assert_eq!(verdict, combined_verdict(&session.detected_verdicts()), "{case}, event {i}");
+        assert_eq!(
+            verdict,
+            combined_verdict(&session.detected_verdicts()),
+            "{case}, event {i}"
+        );
     }
     let verdict = session.finish();
-    assert_eq!(verdict, combined_verdict(&session.detected_verdicts()), "{case}, finish");
+    assert_eq!(
+        verdict,
+        combined_verdict(&session.detected_verdicts()),
+        "{case}, finish"
+    );
 }
 
 #[test]
@@ -88,7 +96,10 @@ fn a_fed_session_reports_the_verdict_of_its_collected_detections() {
 fn every_paper_property_runs_end_to_end_on_three_processes() {
     for property in PaperProperty::ALL {
         let result = run_experiment(&ExperimentConfig::small(property, 3));
-        assert!(result.avg.total_events > 0, "{property}: no events recorded");
+        assert!(
+            result.avg.total_events > 0,
+            "{property}: no events recorded"
+        );
         assert!(result.avg.program_time > 0.0);
         assert!(
             result.avg.total_global_views >= 3,

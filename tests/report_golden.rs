@@ -77,11 +77,13 @@ fn record(
                 ..ExperimentConfig::paper_default(property, 3)
             },
             options: MonitorOptions::default(),
-            stream: matches!(family, ScenarioFamily::Throughput | ScenarioFamily::Fleet).then_some(StreamParams {
-                mailbox_capacity: 64,
-                batch_size: 8,
-                ..StreamParams::sized(50, 4)
-            }),
+            stream: matches!(family, ScenarioFamily::Throughput | ScenarioFamily::Fleet).then_some(
+                StreamParams {
+                    mailbox_capacity: 64,
+                    batch_size: 8,
+                    ..StreamParams::sized(50, 4)
+                },
+            ),
             deploy: (family == ScenarioFamily::Deploy).then(|| DeployParams {
                 transport: DeployTransport::Unix,
                 fault: Some(FaultSpec::parse("delay=1,dup=0.2,seed=7").expect("valid spec")),
@@ -96,9 +98,18 @@ fn record(
 
 /// A two-member fleet record.
 fn fleet_record(msgs: usize) -> ScenarioRecord {
-    let mut r = record("fleet-AB-sh4", ScenarioFamily::Fleet, PaperProperty::A, msgs, Verdict::False);
-    r.scenario.fleet =
-        Some(FleetParams::new([PaperProperty::A, PaperProperty::B].map(PropertySpec::paper).to_vec()));
+    let mut r = record(
+        "fleet-AB-sh4",
+        ScenarioFamily::Fleet,
+        PaperProperty::A,
+        msgs,
+        Verdict::False,
+    );
+    r.scenario.fleet = Some(FleetParams::new(
+        [PaperProperty::A, PaperProperty::B]
+            .map(PropertySpec::paper)
+            .to_vec(),
+    ));
     r.avg.fleet_size = 2;
     r.avg.fleet_per_property = [("A", "false"), ("B", "true")]
         .map(|(property, verdict)| FleetPropertyMetrics {
@@ -177,7 +188,10 @@ fn report_markdown_matches_the_golden_file() {
             rendered.svgs.iter().any(|(f, _)| f == &file),
             "missing chart {file}"
         );
-        assert!(rendered.markdown.contains(&file), "markdown must link {file}");
+        assert!(
+            rendered.markdown.contains(&file),
+            "markdown must link {file}"
+        );
     }
 
     check_golden(GOLDEN_PATH, &rendered.markdown);
@@ -196,14 +210,21 @@ fn text_tables_match_the_golden_file() {
         ScenarioFamily::Fleet,
         ScenarioFamily::Deploy,
     ] {
-        let rows: Vec<RunView> =
-            records.iter().filter(|r| r.scenario.family == family).map(|r| r.view()).collect();
+        let rows: Vec<RunView> = records
+            .iter()
+            .filter(|r| r.scenario.family == family)
+            .map(|r| r.view())
+            .collect();
         rendered.push_str(&format!("== {family} ({} scenarios) ==\n", rows.len()));
         rendered.push_str(&family_table(family, &rows, Layout::Text));
         rendered.push('\n');
     }
     // An A/B pair with one member filtered out ends its row at a note.
     let unpaired = [records[1].view()];
-    rendered.push_str(&family_table(ScenarioFamily::Overhead, &unpaired, Layout::Text));
+    rendered.push_str(&family_table(
+        ScenarioFamily::Overhead,
+        &unpaired,
+        Layout::Text,
+    ));
     check_golden(TEXT_GOLDEN_PATH, &rendered);
 }

@@ -74,8 +74,14 @@ fn sweep_json_round_trips_run_metrics_field_for_field() {
 /// the exact metric it broke (a plain `assert_eq!` on the struct would only say
 /// "something differs").
 fn assert_metrics_eq(parsed: &RunMetrics, original: &RunMetrics, scenario: &str) {
-    assert_eq!(parsed.n_processes, original.n_processes, "{scenario}: n_processes");
-    assert_eq!(parsed.total_events, original.total_events, "{scenario}: total_events");
+    assert_eq!(
+        parsed.n_processes, original.n_processes,
+        "{scenario}: n_processes"
+    );
+    assert_eq!(
+        parsed.total_events, original.total_events,
+        "{scenario}: total_events"
+    );
     assert_eq!(
         parsed.monitor_messages, original.monitor_messages,
         "{scenario}: monitor_messages"
@@ -121,10 +127,22 @@ fn assert_metrics_eq(parsed: &RunMetrics, original: &RunMetrics, scenario: &str)
     let seed_exact = |m: &RunMetrics| -> Vec<[usize; 5]> {
         m.per_shard
             .iter()
-            .map(|s| [s.shard, s.sessions_opened, s.sessions_closed, s.events_processed, s.routing_errors])
+            .map(|s| {
+                [
+                    s.shard,
+                    s.sessions_opened,
+                    s.sessions_closed,
+                    s.events_processed,
+                    s.routing_errors,
+                ]
+            })
             .collect()
     };
-    assert_eq!(seed_exact(parsed), seed_exact(original), "{scenario}: per_shard");
+    assert_eq!(
+        seed_exact(parsed),
+        seed_exact(original),
+        "{scenario}: per_shard"
+    );
     // The §4.3 overhead additions: token traffic and peak view memory.
     assert_eq!(
         parsed.monitor_tokens, original.monitor_tokens,
@@ -135,7 +153,10 @@ fn assert_metrics_eq(parsed: &RunMetrics, original: &RunMetrics, scenario: &str)
         "{scenario}: peak_global_views"
     );
     // The fleet additions: member count and the per-property metric slices.
-    assert_eq!(parsed.fleet_size, original.fleet_size, "{scenario}: fleet_size");
+    assert_eq!(
+        parsed.fleet_size, original.fleet_size,
+        "{scenario}: fleet_size"
+    );
     assert_eq!(
         parsed.fleet_per_property, original.fleet_per_property,
         "{scenario}: fleet_per_property"
@@ -143,11 +164,19 @@ fn assert_metrics_eq(parsed: &RunMetrics, original: &RunMetrics, scenario: &str)
     // What measures the host is kept out of the document: a freshly parsed record
     // reads as unmeasured, so re-serializing it reproduces the bytes it came from.
     assert_eq!(
-        (parsed.wall_clock_secs, parsed.events_per_sec, parsed.peak_rss_bytes),
+        (
+            parsed.wall_clock_secs,
+            parsed.events_per_sec,
+            parsed.peak_rss_bytes
+        ),
         (0.0, 0.0, 0),
         "{scenario}: host-measured run fields"
     );
-    assert_eq!(parsed.to_json(), original.to_json(), "{scenario}: serialized form");
+    assert_eq!(
+        parsed.to_json(),
+        original.to_json(),
+        "{scenario}: serialized form"
+    );
 }
 
 #[test]
@@ -206,18 +235,18 @@ fn zero_event_shards_emit_zeroed_per_shard_rows_that_round_trip() {
     for m in &idle {
         assert_eq!(m.sessions_opened, 0, "shard {}: sessions_opened", m.shard);
         assert_eq!(m.sessions_closed, 0, "shard {}: sessions_closed", m.shard);
-        assert_eq!(m.backpressure_stalls, 0, "shard {}: backpressure_stalls", m.shard);
+        assert_eq!(
+            m.backpressure_stalls, 0,
+            "shard {}: backpressure_stalls",
+            m.shard
+        );
     }
     // Shard ids must stay a dense 0..n range even with idle members.
     let ids: Vec<usize> = shards.iter().map(|m| m.shard).collect();
     assert_eq!(ids, vec![0, 1, 2, 3]);
 
     let doc = sweep_to_json(&[(scenario, result.clone())]);
-    let raw_rows = doc
-        .get("scenarios")
-        .unwrap()
-        .as_array()
-        .unwrap()[0]
+    let raw_rows = doc.get("scenarios").unwrap().as_array().unwrap()[0]
         .get("per_seed")
         .unwrap()
         .as_array()
@@ -229,7 +258,11 @@ fn zero_event_shards_emit_zeroed_per_shard_rows_that_round_trip() {
         .len();
     assert_eq!(raw_rows, 4, "the emitted JSON itself carries all four rows");
     let record = &sweep_from_json(&doc).expect("schema")[0];
-    assert_metrics_eq(&record.per_seed[0], &result.per_seed[0], "one session on four shards");
+    assert_metrics_eq(
+        &record.per_seed[0],
+        &result.per_seed[0],
+        "one session on four shards",
+    );
     assert_eq!(record.per_seed[0].per_shard.len(), 4);
 }
 
@@ -242,7 +275,12 @@ fn scenario_wall_clock_duration_is_reported() {
     assert!(result.avg.wall_clock_secs > 0.0);
     let doc = sweep_to_json(&[(scenario, result)]);
     let record = &doc.get("scenarios").unwrap().as_array().unwrap()[0];
-    assert!(record.get("avg").unwrap().get_opt("wall_clock_secs").unwrap().is_none());
+    assert!(record
+        .get("avg")
+        .unwrap()
+        .get_opt("wall_clock_secs")
+        .unwrap()
+        .is_none());
 }
 
 #[test]
@@ -285,8 +323,12 @@ fn documents_with_the_retired_switches_and_family_still_parse() {
     let mut scenario = small("throughput-B-s200-sh4");
     scenario.stream = Some(dlrv::StreamParams::sized(4, 1));
     let result = scenario.run();
-    let mut throughput =
-        sweep_to_json(&[(scenario.clone(), result.clone())]).get("scenarios").unwrap().as_array().unwrap()[0].clone();
+    let mut throughput = sweep_to_json(&[(scenario.clone(), result.clone())])
+        .get("scenarios")
+        .unwrap()
+        .as_array()
+        .unwrap()[0]
+        .clone();
     *field_mut(field_mut(&mut throughput, "stream"), "binary_wire") = Json::Bool(true);
     *field_mut(field_mut(&mut throughput, "stream"), "use_rings") = Json::Bool(false);
     // Documents of that age also carry the host-measured fields; they are read.
@@ -311,7 +353,13 @@ fn documents_with_the_retired_switches_and_family_still_parse() {
     assert_eq!(records[0].scenario, scenario);
     let mut read = records[0].avg.clone();
     assert_eq!((read.wall_clock_secs, read.events_per_sec), (0.25, 1234.5));
-    assert_eq!((read.per_shard[0].backpressure_stalls, read.per_shard[0].busy_secs), (3, 0.125));
+    assert_eq!(
+        (
+            read.per_shard[0].backpressure_stalls,
+            read.per_shard[0].busy_secs
+        ),
+        (3, 0.125)
+    );
     (read.wall_clock_secs, read.events_per_sec) = (0.0, 0.0);
     assert_metrics_eq(&read, &result.avg, "throughput record");
 }
@@ -345,7 +393,10 @@ fn committed_document_reserializes_byte_for_byte() {
     assert_eq!(records.len(), 86);
     let mut again = records_to_json(&records).to_string_pretty();
     again.push('\n');
-    assert!(again == text, "parse → serialize must reproduce BENCH_results.json");
+    assert!(
+        again == text,
+        "parse → serialize must reproduce BENCH_results.json"
+    );
 }
 
 #[test]
@@ -361,7 +412,10 @@ fn committed_scenarios_rerun_to_the_committed_bytes_without_host_measurements() 
         let scenario = registry.get(name).expect(name).clone();
         let fresh = sweep_to_json(&[(scenario.clone(), scenario.run())]).to_string_pretty();
         for field in HOST_MEASURED_FIELDS {
-            assert!(!fresh.contains(&format!("\"{field}\"")), "{name}: `{field}` was written");
+            assert!(
+                !fresh.contains(&format!("\"{field}\"")),
+                "{name}: `{field}` was written"
+            );
         }
         let fresh = Json::parse(&fresh).expect("valid JSON");
         let fresh = &fresh.get("scenarios").unwrap().as_array().unwrap()[0];
@@ -369,9 +423,16 @@ fn committed_scenarios_rerun_to_the_committed_bytes_without_host_measurements() 
             .iter()
             .find(|r| r.get("name").unwrap().as_str().unwrap() == name)
             .unwrap_or_else(|| panic!("`{name}` is committed"));
-        assert_eq!(fresh.to_string_pretty(), pinned.to_string_pretty(), "{name}");
+        assert_eq!(
+            fresh.to_string_pretty(),
+            pinned.to_string_pretty(),
+            "{name}"
+        );
     }
     for field in HOST_MEASURED_FIELDS {
-        assert!(!text.contains(&format!("\"{field}\"")), "committed document carries `{field}`");
+        assert!(
+            !text.contains(&format!("\"{field}\"")),
+            "committed document carries `{field}`"
+        );
     }
 }

@@ -67,7 +67,10 @@ fn live_sessions_stay_within_the_per_event_budget_and_give_everything_back() {
         .map(|seed| simulate_session(&config.workload_config(seed), &registry))
         .collect();
     let total_events: usize = inputs.iter().map(|s| s.events.len()).sum();
-    assert!(total_events >= SESSIONS * 3 * 10, "every process produces its 10 events");
+    assert!(
+        total_events >= SESSIONS * 3 * 10,
+        "every process produces its 10 events"
+    );
 
     // The first round is the warm-up: it fills the thread's arena (and pays any
     // other first-use allocation), so the second round measures sessions only.

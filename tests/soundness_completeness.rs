@@ -70,7 +70,9 @@ fn detect_compiled(
     let oracle = oracle_evaluate(&comp, &Lattice::build(&comp), automaton, registry);
     let detected = options
         .iter()
-        .map(|&opts| replay_decentralized(&comp, registry, automaton, opts).detected_final_verdicts())
+        .map(|&opts| {
+            replay_decentralized(&comp, registry, automaton, opts).detected_final_verdicts()
+        })
         .collect();
     (oracle, detected)
 }
@@ -105,7 +107,12 @@ fn compare(
 
 #[test]
 fn soundness_of_final_verdicts_across_properties_and_seeds() {
-    for property in [PaperProperty::A, PaperProperty::B, PaperProperty::C, PaperProperty::D] {
+    for property in [
+        PaperProperty::A,
+        PaperProperty::B,
+        PaperProperty::C,
+        PaperProperty::D,
+    ] {
         for seed in 1..=4u64 {
             let (oracle, detected) = compare(property, 3, 6, seed, Some(3.0));
             assert!(
@@ -124,7 +131,10 @@ fn completeness_for_reachability_properties() {
     for property in [PaperProperty::B, PaperProperty::E] {
         for seed in 1..=3u64 {
             let (oracle, detected) = compare(property, 3, 6, seed, Some(3.0));
-            assert!(oracle.satisfaction_reachable, "{property}: workload should allow ⊤");
+            assert!(
+                oracle.satisfaction_reachable,
+                "{property}: workload should allow ⊤"
+            );
             assert!(
                 detected.contains(&Verdict::True),
                 "{property} seed {seed}: oracle reaches ⊤ but monitors did not detect it"
@@ -169,13 +179,19 @@ fn safety_violation_detection_matches_oracle_on_crafted_computation() {
     comp.push(mk(0, 2, vec![2, 0], Assignment::ALL_FALSE, 2.0));
     comp.push(mk(1, 1, vec![0, 1], Assignment::from_true_atoms([b]), 3.0));
 
-    let phi = Formula::globally(Formula::not(Formula::and(Formula::Atom(a), Formula::Atom(b))));
+    let phi = Formula::globally(Formula::not(Formula::and(
+        Formula::Atom(a),
+        Formula::Atom(b),
+    )));
     let automaton = Arc::new(MonitorAutomaton::synthesize(&phi, &reg));
     let registry = Arc::new(reg);
 
     let lattice = Lattice::build(&comp);
     let oracle = oracle_evaluate(&comp, &lattice, &automaton, &registry);
-    assert!(oracle.violation_reachable, "the oracle must see the concurrent violation");
+    assert!(
+        oracle.violation_reachable,
+        "the oracle must see the concurrent violation"
+    );
 
     let result = replay_decentralized(&comp, &registry, &automaton, MonitorOptions::default());
     assert!(
@@ -206,8 +222,12 @@ fn no_false_alarm_when_property_cannot_be_decided() {
     let report = run_simulation(&workload, &registry, &SimConfig::default(), |_| {
         NullMonitor::default()
     });
-    let result =
-        replay_decentralized(&report.computation, &registry, &automaton, MonitorOptions::default());
+    let result = replay_decentralized(
+        &report.computation,
+        &registry,
+        &automaton,
+        MonitorOptions::default(),
+    );
     assert!(result.detected_final_verdicts().is_empty());
     assert_eq!(
         result.possible_verdicts(),
@@ -237,8 +257,7 @@ fn optimizations_do_not_change_detected_verdicts() {
         let lattice = Lattice::build(&comp);
         let oracle = oracle_evaluate(&comp, &lattice, &automaton, &registry);
 
-        let baseline =
-            replay_decentralized(&comp, &registry, &automaton, MonitorOptions::ALL_OFF);
+        let baseline = replay_decentralized(&comp, &registry, &automaton, MonitorOptions::ALL_OFF);
         for opts in MonitorOptions::all_combinations() {
             let result = replay_decentralized(&comp, &registry, &automaton, opts);
             assert_eq!(
@@ -253,10 +272,16 @@ fn optimizations_do_not_change_detected_verdicts() {
             );
             let detected = result.detected_final_verdicts();
             if detected.contains(&Verdict::False) {
-                assert!(oracle.violation_reachable, "{property} with {opts:?}: unsound ⊥");
+                assert!(
+                    oracle.violation_reachable,
+                    "{property} with {opts:?}: unsound ⊥"
+                );
             }
             if detected.contains(&Verdict::True) {
-                assert!(oracle.satisfaction_reachable, "{property} with {opts:?}: unsound ⊤");
+                assert!(
+                    oracle.satisfaction_reachable,
+                    "{property} with {opts:?}: unsound ⊤"
+                );
             }
         }
     }
@@ -289,7 +314,11 @@ fn sweep_case(seed: u64, next: Next) -> (Formula, WorkloadConfig) {
     let workload = WorkloadConfig {
         n_processes: n,
         events_per_process: 4,
-        comm_mu: if seed.is_multiple_of(3) { None } else { Some(3.0) },
+        comm_mu: if seed.is_multiple_of(3) {
+            None
+        } else {
+            Some(3.0)
+        },
         seed,
         ..WorkloadConfig::default()
     };
@@ -301,8 +330,18 @@ fn random_ltl_verdicts_are_reachable_on_the_lattice_except_on_the_known_seeds() 
     // Every [`sweep_case`] through `FeedSession` — which `replay_decentralized`
     // drives — with the §4.3 suite on and off.
     let options = [MonitorOptions::default(), MonitorOptions::ALL_OFF];
-    let without_next = (Formula::globally as Next, 3000, &KNOWN_UNSOUND[..], &KNOWN_OPTION_DEPENDENT[..]);
-    let with_next = (Formula::next as Next, 400, &KNOWN_UNSOUND_WITH_NEXT[..], &[][..]);
+    let without_next = (
+        Formula::globally as Next,
+        3000,
+        &KNOWN_UNSOUND[..],
+        &KNOWN_OPTION_DEPENDENT[..],
+    );
+    let with_next = (
+        Formula::next as Next,
+        400,
+        &KNOWN_UNSOUND_WITH_NEXT[..],
+        &[][..],
+    );
     for (next, seeds, known_unsound, known_option_dependent) in [without_next, with_next] {
         let (mut unsound, mut option_dependent) = (Vec::new(), Vec::new());
         for seed in 0..seeds {
@@ -316,8 +355,14 @@ fn random_ltl_verdicts_are_reachable_on_the_lattice_except_on_the_known_seeds() 
                 option_dependent.push(seed);
             }
         }
-        assert_eq!(unsound, known_unsound, "seeds detecting an unreachable verdict");
-        assert_eq!(option_dependent, known_option_dependent, "seeds where the options matter");
+        assert_eq!(
+            unsound, known_unsound,
+            "seeds detecting an unreachable verdict"
+        );
+        assert_eq!(
+            option_dependent, known_option_dependent,
+            "seeds where the options matter"
+        );
     }
 }
 
@@ -407,9 +452,18 @@ fn the_oracle_ledger_of_the_paper_properties_is_no_worse_than_its_ceiling() {
 /// recorded on the build before a view at ⊤/⊥ was retired on the spot.  Retirement
 /// may lower the peaks; the digest may not move.
 const SESSION_DIGESTS: [(&str, [(u64, usize); 2]); 3] = [
-    ("sweep without X", [(0x62298260fbb9961b, 3022), (0x37bd095aab7a5fa2, 4142)]),
-    ("sweep with X", [(0x18b8f0212be8400c, 640), (0xc298fa2d588b27f0, 986)]),
-    ("fleet-6 first wave, A-F", [(0x87d335a393612292, 8969), (0x1ebc1a1146f6748a, 14529)]),
+    (
+        "sweep without X",
+        [(0x62298260fbb9961b, 3022), (0x37bd095aab7a5fa2, 4142)],
+    ),
+    (
+        "sweep with X",
+        [(0x18b8f0212be8400c, 640), (0xc298fa2d588b27f0, 986)],
+    ),
+    (
+        "fleet-6 first wave, A-F",
+        [(0x87d335a393612292, 8969), (0x1ebc1a1146f6748a, 14529)],
+    ),
 ];
 
 /// The exact monitor messages and tokens sent by the same sessions, summed, under
@@ -425,7 +479,10 @@ const SESSION_DIGESTS: [(&str, [(u64, usize); 2]); 3] = [
 const SESSION_TRAFFIC: [(&str, [(usize, usize); 2]); 3] = [
     ("sweep without X", [(2141, 2924), (14712, 14712)]),
     ("sweep with X", [(577, 715), (3815, 3815)]),
-    ("fleet-6 first wave, A-F", [(39475, 93333), (533929, 533929)]),
+    (
+        "fleet-6 first wave, A-F",
+        [(39475, 93333), (533929, 533929)],
+    ),
 ];
 
 /// What a group of sessions shows from outside under one option set.
@@ -511,8 +568,14 @@ fn sessions_show_what_they_showed_before_final_views_were_retired() {
             format!(
                 "    (\"{label}\", [({:#018x}, {}), ({:#018x}, {})]),  \
                  traffic [({}, {}), ({}, {})]\n",
-                on.digest, on.peaks, off.digest, off.peaks, on.messages, on.tokens,
-                off.messages, off.tokens
+                on.digest,
+                on.peaks,
+                off.digest,
+                off.peaks,
+                on.messages,
+                on.tokens,
+                off.messages,
+                off.tokens
             )
         })
         .collect();
@@ -566,7 +629,12 @@ fn random_ltl_verdicts_through_the_stream_runtime_equal_the_replay() {
             initial_state: session.initial_state.0,
             events: session.events,
         });
-        cases.push((automaton, registry, session.initial_state, session.report.computation));
+        cases.push((
+            automaton,
+            registry,
+            session.initial_state,
+            session.report.computation,
+        ));
     }
     let bytes = encode_stream_binary(&interleave_sessions(&inputs));
     for options in [MonitorOptions::default(), MonitorOptions::ALL_OFF] {
@@ -596,7 +664,11 @@ fn random_ltl_verdicts_through_the_stream_runtime_equal_the_replay() {
         let report = runtime.shutdown();
         for (seed, (automaton, registry, _, computation)) in cases.iter().enumerate() {
             let outcome = &report.sessions[&(seed as u64)];
-            assert_eq!(outcome.events, inputs[seed].events.len(), "seed {seed}: events fed");
+            assert_eq!(
+                outcome.events,
+                inputs[seed].events.len(),
+                "seed {seed}: events fed"
+            );
             assert_eq!(
                 outcome.detected_verdicts,
                 replay_decentralized(computation, registry, automaton, options)
@@ -625,7 +697,9 @@ fn random_ltl_verdicts_through_a_daemon_fleet_equal_the_replay() {
         .take(40)
         .map(|(seed, (formula, workload))| {
             let names = shared_registry(workload.n_processes);
-            let text = formula.display_with(|a| names.name(a).to_string()).to_string();
+            let text = formula
+                .display_with(|a| names.name(a).to_string())
+                .to_string();
             let spec = PropertySpec::parse_named(&format!("sweep-{seed}"), &text)
                 .unwrap_or_else(|e| panic!("seed {seed}: `{text}` does not parse back: {e}"));
             let config = ExperimentConfig {
@@ -653,9 +727,12 @@ fn random_ltl_verdicts_through_a_daemon_fleet_equal_the_replay() {
                 &compiled.automaton,
                 options,
             );
-            let outcome =
-                run_deploy(&config, options, &DeployParams::clean(DeployTransport::Unix))
-                    .unwrap_or_else(|e| panic!("seed {seed} `{text}`: deploy failed: {e}"));
+            let outcome = run_deploy(
+                &config,
+                options,
+                &DeployParams::clean(DeployTransport::Unix),
+            )
+            .unwrap_or_else(|e| panic!("seed {seed} `{text}`: deploy failed: {e}"));
             let deployed = &outcome.result.per_seed[0];
             assert_eq!(
                 deployed.detected_final_verdicts,
@@ -669,7 +746,10 @@ fn random_ltl_verdicts_through_a_daemon_fleet_equal_the_replay() {
             with_traffic += usize::from(replay.monitor_messages > 0);
         }
     }
-    assert!(with_traffic >= 20, "fixture too weak: {with_traffic} of 82 fleets exchanged a token");
+    assert!(
+        with_traffic >= 20,
+        "fixture too weak: {with_traffic} of 82 fleets exchanged a token"
+    );
 }
 
 #[test]
@@ -696,5 +776,9 @@ fn release_reproducer_detects_only_the_reachable_verdict() {
         &[MonitorOptions::default()],
     );
     assert!(oracle.satisfaction_reachable && !oracle.violation_reachable);
-    assert_eq!(detected[0], BTreeSet::from([Verdict::True]), "detected verdicts");
+    assert_eq!(
+        detected[0],
+        BTreeSet::from([Verdict::True]),
+        "detected verdicts"
+    );
 }

@@ -157,7 +157,12 @@ fn assert_final_states_are_sinks(m: &MonitorAutomaton, what: &str) -> usize {
     let finals: Vec<_> = (0..m.n_states()).filter(|&q| m.is_final(q)).collect();
     for &q in &finals {
         for t in m.transitions_from(q) {
-            assert!(t.is_self_loop(), "{what}: final state {q} leaves by {} to {}", t.id, t.to);
+            assert!(
+                t.is_self_loop(),
+                "{what}: final state {q} leaves by {} to {}",
+                t.id,
+                t.to
+            );
         }
         for sigma in 0..m.n_symbols() as u64 {
             let next = m.step(q, Assignment(sigma));
@@ -173,7 +178,10 @@ fn every_final_state_of_the_paper_and_fleet_automata_is_a_sink() {
         .iter()
         .map(|(label, n, m, _)| assert_final_states_are_sinks(m, &format!("{label} at {n}")))
         .sum();
-    assert!(finals >= GOLDEN.len(), "every property can be decided: {finals} final states");
+    assert!(
+        finals >= GOLDEN.len(),
+        "every property can be decided: {finals} final states"
+    );
 }
 
 #[test]
@@ -188,7 +196,10 @@ fn every_final_state_of_a_random_formulas_monitor_is_a_sink() {
             finals += assert_final_states_are_sinks(&m, &format!("{formula} (seed {seed})"));
         }
     }
-    assert!(finals > FORMULAS as usize, "too few final states checked: {finals}");
+    assert!(
+        finals > FORMULAS as usize,
+        "too few final states checked: {finals}"
+    );
 }
 
 #[test]
