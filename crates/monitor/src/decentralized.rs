@@ -512,7 +512,7 @@ impl LocalHistory {
 }
 
 /// The final verdicts (⊤, ⊥) a monitor has detected, one bit each: all a retired
-/// view leaves behind.
+/// view leaves behind.  The same bits travel on a token as [`Token::known`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct FinalVerdicts(u8);
 
@@ -532,6 +532,11 @@ impl FinalVerdicts {
 
     fn contains(self, verdict: Verdict) -> bool {
         self.0 & Self::bit(verdict) != 0
+    }
+
+    /// Both sets' verdicts.
+    fn union(self, other: FinalVerdicts) -> FinalVerdicts {
+        FinalVerdicts(self.0 | other.0)
     }
 
     fn to_set(self) -> BTreeSet<Verdict> {
@@ -688,6 +693,9 @@ pub struct PropertyMonitor {
     next_gv_id: u64,
     /// The ⊤/⊥ verdicts of the views retired so far.
     detected: FinalVerdicts,
+    /// The ⊤/⊥ verdicts peer monitors detected, as their tokens told this one
+    /// ([`Token::known`]).  Never reported: only `detected` was derived here.
+    learned: FinalVerdicts,
     /// Number of tokens currently in flight per originating automaton state (used by
     /// the §4.3.2 optimization to avoid launching duplicate explorations).  A state
     /// with no token out has no entry, and with no entry at all the buffer is
@@ -731,6 +739,7 @@ impl PropertyMonitor {
             views,
             next_gv_id: 1,
             detected,
+            learned: FinalVerdicts::default(),
             in_flight: Vec::new(),
             counters,
         }
@@ -1235,20 +1244,24 @@ impl<'a> Activation<'a> {
         self.reclaim_clock(gcut);
     }
 
+    /// The ⊤/⊥ verdicts this monitor knows of: detected here or learnt from a
+    /// peer's token.
+    fn known(&self) -> FinalVerdicts {
+        self.member.detected.union(self.member.learned)
+    }
+
     /// §4.3.3 extension: true when exploring a transition into `target` could only
-    /// re-derive a verdict a sibling view already detected.
+    /// re-derive a verdict a sibling view or a peer monitor already detected.
     fn target_verdict_subsumed(&self, target: dlrv_automaton::StateId) -> bool {
         self.process.opts.prune_disjunctive
             && self.member.automaton.is_final(target)
-            && self
-                .member
-                .detected
-                .contains(self.member.automaton.verdict(target))
+            && self.known().contains(self.member.automaton.verdict(target))
     }
 
-    /// Sends `token` toward `dest`: staged until the activation
-    /// [ends](Self::end).
-    fn send_token(&mut self, dest: ProcessId, token: Token) {
+    /// Sends `token` toward `dest`, stamped with the verdicts this monitor knows
+    /// of: staged until the activation [ends](Self::end).
+    fn send_token(&mut self, dest: ProcessId, mut token: Token) {
+        token.known = self.known().0;
         self.member.counters.tokens_sent += 1;
         let after_termination = usize::from(self.process.local_terminated);
         self.member.counters.tokens_sent_after_termination += after_termination;
@@ -1336,7 +1349,8 @@ impl<'a> Activation<'a> {
                 continue;
             }
             // §4.3.3: exploring a transition whose target verdict a sibling view
-            // already detected cannot change what is reported — skip it outright.
+            // or a peer monitor already detected cannot change what is reported —
+            // skip it outright.
             if self.target_verdict_subsumed(t.to) {
                 continue;
             }
@@ -1669,7 +1683,7 @@ impl<'a> Activation<'a> {
                     let target = self.member.automaton.transition(tran.transition_id).to;
                     // §4.3.3: once some transition into `target` is enabled, siblings
                     // into the same target are redundant; likewise explorations whose
-                    // target verdict a sibling view already detected.
+                    // target verdict a sibling view or a peer monitor already detected.
                     if self.process.opts.prune_disjunctive && enabled_targets.contains(&target) {
                         self.reclaim_transition(tran);
                         continue;
@@ -1886,6 +1900,7 @@ impl<'a> Activation<'a> {
             property: self.member.property,
             parent: self.pid(),
             parent_gv: gv.id,
+            known: 0,
             transitions,
         };
         self.member.exploration_launched(gv.q);
@@ -1924,8 +1939,9 @@ impl<'a> Activation<'a> {
 
     /// RECEIVETOKEN: a token of our own is home; a foreign one is served from our
     /// history or parked — routed from here, it goes to the very transition its
-    /// sender routed it here for.
+    /// sender routed it here for.  Either way, what its sender knew is learnt.
     fn receive_token(&mut self, token: Token) {
+        self.member.learned = self.member.learned.union(FinalVerdicts(token.known));
         if token.parent == self.pid() {
             self.handle_returned_token(token);
         } else {
@@ -2123,6 +2139,87 @@ mod tests {
             outbox.is_empty(),
             "a purely local violation needs no tokens"
         );
+    }
+
+    #[test]
+    fn a_verdict_a_peer_detected_rides_home_on_its_token_and_is_never_explored_again() {
+        // G ¬(P1.q ∨ (P0.p ∧ P1.p)): every transition out of the initial state goes
+        // to ⊥.  `M1` detects ⊥ on its own event (P1.q), then answers the token `M0`
+        // launched on its event (P0.p); the answer tells `M0` of ⊥.
+        for prune_disjunctive in [true, false] {
+            let opts = MonitorOptions {
+                prune_disjunctive,
+                ..MonitorOptions::default()
+            };
+            let mut reg = AtomRegistry::new();
+            let p0 = reg.intern("P0.p", 0);
+            let p1 = reg.intern("P1.p", 1);
+            let q1 = reg.intern("P1.q", 1);
+            let both = Formula::and(Formula::Atom(p0), Formula::Atom(p1));
+            let phi = Formula::globally(Formula::not(Formula::or(Formula::Atom(q1), both)));
+            let automaton = Arc::new(MonitorAutomaton::synthesize(&phi, &reg));
+            let registry = Arc::new(reg);
+            let mut monitors = [0, 1].map(|pid| {
+                let (automaton, registry) = (automaton.clone(), registry.clone());
+                DecentralizedMonitor::new(pid, 2, automaton, registry, Assignment::ALL_FALSE, opts)
+            });
+            let p0_holds = Assignment::from_true_atoms([p0]);
+            let mut outbox = Vec::new();
+
+            let q1_event = Event {
+                process: 1,
+                vc: VectorClock::from_entries(vec![0, 1]),
+                ..local_event(1, Assignment::from_true_atoms([q1]))
+            };
+            monitors[1].on_local_event(&q1_event, &mut MonitorContext::new(1, 2, 1.0, &mut outbox));
+            assert!(monitors[1].has_detected(Verdict::False) && outbox.is_empty());
+
+            let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
+            monitors[0].on_local_event(&local_event(1, p0_holds), &mut ctx);
+            assert!(!outbox.is_empty(), "M0 asks P1 about P1.p and P1.q");
+            let answers: Vec<Token> = deliver(&mut monitors, 0, &mut outbox)
+                .into_iter()
+                .filter(|(from, _, _)| *from == 1)
+                .flat_map(|(_, _, msg)| msg.tokens)
+                .collect();
+            assert!(!answers.is_empty(), "M1 sends the token home");
+            for token in &answers {
+                assert_eq!(token.known, 1, "stamped with M1's ⊥: {token:?}");
+            }
+
+            // The answer enabled a transition into ⊥: explored only without pruning,
+            // and then by `M0` itself.  A learnt verdict is never reported as detected.
+            let m0 = &mut monitors[0];
+            let expected = if prune_disjunctive {
+                BTreeSet::new()
+            } else {
+                BTreeSet::from([Verdict::False])
+            };
+            assert_eq!(
+                m0.detected_final_verdicts(),
+                expected,
+                "prune {prune_disjunctive}"
+            );
+            assert_eq!(m0.metrics().detected_final_verdicts, expected);
+
+            // `M0`'s view still holds P0.p: every transition it could explore leads to
+            // ⊥, and with pruning on, not one is a candidate.
+            let gv = m0.member.views[0].clone();
+            assert_eq!(gv.gstate, p0_holds);
+            let into_bottom = automaton
+                .transitions_from(gv.q)
+                .iter()
+                .filter(|t| !t.is_self_loop())
+                .inspect(|t| assert_eq!(automaton.verdict(t.to), Verdict::False))
+                .count();
+            assert!(into_bottom > 0);
+            let candidates = m0.activation().candidate_transitions(&gv, 1, 0);
+            assert_eq!(candidates.is_empty(), prune_disjunctive, "{candidates:?}");
+            // Nor does its next event launch a token toward ⊥.
+            let mut ctx = MonitorContext::new(0, 2, 2.0, &mut outbox);
+            m0.on_local_event(&local_event(2, p0_holds), &mut ctx);
+            assert_eq!(outbox.is_empty(), prune_disjunctive, "{outbox:?}");
+        }
     }
 
     #[test]
@@ -2586,52 +2683,69 @@ mod tests {
                     .map(|name| registry.lookup(name).expect("interned")),
             )
         };
-        let none: &[&str] = &[];
-        // `P1`'s states, and what `M0` detects: ⊥ first and then, with ⊥ known,
-        // ⊤ on `P0`'s second event in the last case.
-        let cases: [(&[&[&str]], &[Verdict]); 4] = [
-            (&[none], &[]),
-            (&[&["P1.p"]], &[Verdict::True]),
-            (&[&["P1.q"]], &[Verdict::False]),
-            (&[&["P1.q"], &["P1.p"]], &[Verdict::False, Verdict::True]),
+        const NONE: &[&str] = &[];
+        // `P1`'s states, the options, whether `P0`'s events are fed first, and
+        // what `M0` and `M1` detect.  With §4.3.3 on, each verdict is detected
+        // once: the monitor that finds it first tells the other on its next
+        // token, and the other does not explore toward it again.  So the session
+        // detects ⊥ and then ⊤ in the fourth case, but at two monitors; in the
+        // fifth, with §4.3.3 off and `P0` fed first, `M1` detects both.
+        use Verdict::{False as Bot, True as Top};
+        let no_prune = MonitorOptions {
+            prune_disjunctive: false,
+            ..MonitorOptions::default()
+        };
+        let on = MonitorOptions::default();
+        type Case = (&'static [&'static [&'static str]], MonitorOptions, bool);
+        let cases: [(Case, [&[Verdict]; 2]); 5] = [
+            ((&[NONE], on, false), [&[], &[]]),
+            ((&[&["P1.p"]], on, false), [&[], &[Top]]),
+            ((&[&["P1.q"]], on, false), [&[], &[Bot]]),
+            ((&[&["P1.q"], &["P1.p"]], on, false), [&[Top], &[Bot]]),
+            (
+                (&[&["P1.q"], &["P1.p"]], no_prune, true),
+                [&[Bot], &[Bot, Top]],
+            ),
         ];
-        for (p1_states, m0_detects) in cases {
+        for ((p1_states, opts, p0_first), detects) in cases {
             let mut session = crate::feed::decentralized_session(
                 2,
                 &automaton,
                 &registry,
                 Assignment::ALL_FALSE,
-                MonitorOptions::default(),
+                opts,
             );
             let k = p1_states.len() as u64;
-            for (sn, names) in (1..).zip(p1_states) {
-                session.feed_owned(Event {
-                    process: 1,
-                    vc: VectorClock::from_entries(vec![0, sn]),
-                    ..local_event(sn, state(names))
-                });
+            let p1_events = (1..).zip(p1_states).map(|(sn, names)| Event {
+                process: 1,
+                vc: VectorClock::from_entries(vec![0, sn]),
+                ..local_event(sn, state(names))
+            });
+            let p0_events = (1..=k).map(|sn| Event {
+                time: (k + sn) as f64,
+                ..local_event(sn, state(&["P0.p"]))
+            });
+            let events: Vec<Event> = if p0_first {
+                p0_events.chain(p1_events).collect()
+            } else {
+                p1_events.chain(p0_events).collect()
+            };
+            for event in events {
+                session.feed_owned(event);
             }
-            for sn in 1..=k {
-                session.feed_owned(Event {
-                    time: (k + sn) as f64,
-                    ..local_event(sn, state(&["P0.p"]))
-                });
-            }
+            let case = format!("{p1_states:?}, {opts:?}, P0 first {p0_first}");
             let mut before = Vec::new();
             for (pid, m) in session.monitors().iter().enumerate() {
-                before.push(verdict_readouts_agree(
-                    m,
-                    &format!("{p1_states:?}, M{pid}, live"),
-                ));
+                before.push(verdict_readouts_agree(m, &format!("{case}, M{pid}, live")));
             }
             session.finish();
             for (pid, m) in session.monitors().iter().enumerate() {
-                let case = format!("{p1_states:?}, M{pid}, terminated");
+                let case = format!("{case}, M{pid}, terminated");
                 let after = verdict_readouts_agree(m, &case);
                 assert!(before[pid].is_subset(&after), "{case}");
+                let want: BTreeSet<Verdict> = detects[pid].iter().copied().collect();
+                assert_eq!(after, want, "{case}");
             }
-            let m0 = session.monitors()[0].detected_final_verdicts();
-            assert_eq!(m0, m0_detects.iter().copied().collect(), "{p1_states:?}");
         }
     }
 
@@ -2738,6 +2852,7 @@ mod tests {
             property: 0,
             parent: 0,
             parent_gv: gv.id,
+            known: 0,
             transitions: m0.activation().candidate_transitions(&gv, 1, 0),
         };
         assert_eq!(token.transitions.len(), 1, "one way to the goal");

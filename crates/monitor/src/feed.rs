@@ -424,6 +424,7 @@ mod tests {
                 property: 0,
                 parent: p,
                 parent_gv: 0,
+                known: 0,
                 transitions: Vec::new(),
             };
             ctx.send(

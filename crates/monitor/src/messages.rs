@@ -111,6 +111,11 @@ pub struct Token {
     pub parent: ProcessId,
     /// Identifier of the owning global view at the parent.
     pub parent_gv: u64,
+    /// The final verdicts the sending monitor has detected or learnt, one bit each
+    /// (⊥ = 1, ⊤ = 2): the receiver learns them and explores toward neither again
+    /// (§4.3.3, `prune_disjunctive`).  Stamped on every send, so it is the latest
+    /// sender's knowledge, not the parent's.
+    pub known: u8,
     /// Candidate transitions still being evaluated.
     pub transitions: Vec<TokenTransition>,
 }
@@ -260,6 +265,7 @@ mod tests {
                 property: 0,
                 parent: 0,
                 parent_gv: parent_gv as u64,
+                known: 0,
                 transitions: Vec::new(),
             };
             waiting.park(sn, token);

@@ -296,7 +296,8 @@ pub enum WireMsg {
 //   payload    = 0x01 event | 0x02 monitor
 //   event      = event-binary                      -- dlrv_stream::event_to_binary
 //   monitor    = from seq time(8-byte LE f64) n-tokens token+   -- n-tokens >= 1
-//   token      = property parent parent_gv n-transitions transition*
+//   token      = property parent parent_gv known n-transitions transition*
+//   known      = one byte, 0..=3: the sender's detected/learnt verdicts (1 = ⊥, 2 = ⊤)
 //   transition = id vc(gcut) vc(depend) gstate n-conjuncts conjunct-byte* next_p next_e eval-byte
 //   conjunct   = 0 not-involved | 1 unset | 2 true | 3 false
 //   eval       = 0 unset | 1 enabled | 2 disabled
@@ -311,8 +312,8 @@ const NET_MONITOR: u8 = 2;
 /// Fewest bytes an encoded transition can take: eight one-byte fields (two of
 /// them empty clocks, one an empty conjunct list).
 const MIN_TRANSITION_BYTES: usize = 8;
-/// Fewest bytes an encoded token can take: four one-byte fields, no transitions.
-const MIN_TOKEN_BYTES: usize = 4;
+/// Fewest bytes an encoded token can take: five one-byte fields, no transitions.
+const MIN_TOKEN_BYTES: usize = 5;
 
 fn transition_to_binary(t: &TokenTransition, out: &mut Vec<u8>) {
     varint::write_u64(out, t.transition_id as u64);
@@ -370,6 +371,7 @@ fn token_to_binary(t: &Token, out: &mut Vec<u8>) {
     varint::write_u64(out, t.property as u64);
     varint::write_u64(out, t.parent as u64);
     varint::write_u64(out, t.parent_gv);
+    out.push(t.known);
     varint::write_u64(out, t.transitions.len() as u64);
     for tran in &t.transitions {
         transition_to_binary(tran, out);
@@ -381,6 +383,10 @@ fn token_from_binary(r: &mut Reader<'_>) -> Result<Token, StreamError> {
         property: r.u32("token property")?,
         parent: r.usize("token parent")?,
         parent_gv: r.uv("token parent_gv")?,
+        known: match r.byte("token known")? {
+            known @ 0..=3 => known,
+            other => return Err(r.corrupt(&format!("known byte {other}"))),
+        },
         transitions: r.seq(
             "transition count",
             MIN_TRANSITION_BYTES,
@@ -602,6 +608,7 @@ mod tests {
             property: (seq % 3) as u32,
             parent: 1,
             parent_gv: 40 + seq,
+            known: (seq % 4) as u8,
             transitions: vec![
                 TokenTransition {
                     transition_id: 7,
@@ -829,9 +836,13 @@ mod tests {
         // (field, bytes before the count, minimum item size named in the error)
         let cases: [(&str, Vec<u8>, usize); 4] = [
             ("token count", vec![], MIN_TOKEN_BYTES),
-            ("transition count", vec![1, 0, 0, 0], MIN_TRANSITION_BYTES),
-            ("transition gcut", vec![1, 0, 0, 0, 1, 0], 1),
-            ("conjunct count", vec![1, 0, 0, 0, 1, 0, 0, 0, 0], 1),
+            (
+                "transition count",
+                vec![1, 0, 0, 0, 0],
+                MIN_TRANSITION_BYTES,
+            ),
+            ("transition gcut", vec![1, 0, 0, 0, 0, 1, 0], 1),
+            ("conjunct count", vec![1, 0, 0, 0, 0, 1, 0, 0, 0, 0], 1),
         ];
         for (field, mut body, min) in cases {
             let offset = 11 + body.len();
@@ -863,7 +874,7 @@ mod tests {
         for part in [
             "token count",
             "byte offset 11",
-            "2 items of at least 4 bytes",
+            "2 items of at least 5 bytes",
         ] {
             assert!(err.message.contains(part), "`{part}` missing from: {err}");
         }
@@ -877,7 +888,7 @@ mod tests {
             assert!(err.message.contains(part), "`{part}` missing from: {err}");
         }
         // One token with no transitions is the shortest message there is.
-        let one = exact_monitor_payload(&[1, 0, 0, 0, 0]);
+        let one = exact_monitor_payload(&[1, 0, 0, 0, 0, 0]);
         assert_eq!(
             decode_wire_frame(true, &one).expect("one bare token"),
             WireMsg::Monitor {
@@ -889,11 +900,32 @@ mod tests {
                         property: 0,
                         parent: 0,
                         parent_gv: 0,
+                        known: 0,
                         transitions: vec![]
                     }],
                 },
             }
         );
+    }
+
+    #[test]
+    fn a_known_byte_above_3_is_rejected() {
+        // A token's `known` holds two verdict bits; every other value is corrupt.
+        for known in 0..=3 {
+            let payload = exact_monitor_payload(&[1, 0, 0, 0, known, 0]);
+            let WireMsg::Monitor { msg, .. } = decode_wire_frame(true, &payload).expect("0..=3")
+            else {
+                panic!("a monitor frame decodes as one");
+            };
+            assert_eq!(msg.tokens[0].known, known);
+        }
+        for known in [4, 0x80, 0xff] {
+            let err = decode_wire_frame(true, &exact_monitor_payload(&[1, 0, 0, 0, known, 0]))
+                .expect_err("known past 3");
+            for part in [format!("known byte {known}"), "byte offset 15".to_string()] {
+                assert!(err.message.contains(&part), "`{part}` missing from: {err}");
+            }
+        }
     }
 
     #[test]

@@ -73,6 +73,7 @@ fn hot_msg_from_seed(seed: &mut u64) -> WireMsg {
         property: (mix(seed) % 4) as u32,
         parent: (mix(seed) % n as u64) as usize,
         parent_gv: mix(seed),
+        known: (mix(seed) % 4) as u8,
         transitions: (0..1 + mix(seed) % 3).map(|_| transition(seed)).collect(),
     };
     match mix(seed) % 4 {

@@ -413,6 +413,7 @@ fn sound_token() -> Token {
         property: 0,
         parent: 1,
         parent_gv: 0,
+        known: 0,
         transitions: vec![TokenTransition {
             transition_id: 0,
             gcut: VectorClock::from_entries(vec![0, 1]),
@@ -671,8 +672,10 @@ fn malformed_out_of_sequence_events_are_protocol_failures() {
 #[test]
 fn malformed_tokens_are_protocol_failures() {
     type Break = fn(&mut Token);
-    let cases: [(Break, &str); 8] = [
+    let cases: [(Break, &str); 9] = [
         (|t| t.parent = 2, "parent 2"),
+        // Two verdict bits; the decoder refuses the rest.
+        (|t| t.known = 4, "known byte 4"),
         (
             |t| t.transitions[0].next_target_process = 2,
             "transition next_target_process 2",

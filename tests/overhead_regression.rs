@@ -161,12 +161,14 @@ fn an_until_property_costs_at_most_one_point_three_messages_per_event() {
     // (docs/MONITORING.md, step 3; one sequence number per hop cost 14 here), and a
     // terminated monitor sweeps a view's backlog in one batch (step 5; one round trip
     // per queued event cost 2.26 — messages take time on the simulator, so the
-    // backlogs are longer than a `FeedSession`'s).  Measured: 1.062.
+    // backlogs are longer than a `FeedSession`'s).  Measured: 0.954 (1.062 before
+    // tokens carried the verdicts their sender knows of, §4.3.3).
     //
     // The same sessions replayed through `FeedSession` are held to the same
     // ceiling.  There every monitor learns that its process ended before any
     // termination token is delivered, as on the simulator; terminating and draining
-    // one monitor at a time cost 2.103 here.  Measured: 1.052.
+    // one monitor at a time cost 2.103 here.  Measured: 0.941 (1.052 before tokens
+    // carried verdicts).
     let config = ExperimentConfig {
         events_per_process: 8,
         seeds: (1..=100).collect(),

@@ -445,55 +445,72 @@ fn the_oracle_ledger_of_the_paper_properties_is_no_worse_than_its_ceiling() {
     }
 }
 
-/// What the replays of three groups of sessions show from outside under
-/// `[default(), ALL_OFF]`: an FNV-1a digest of every session's `(detected, possible,
-/// global views created)`, recorded on the build before end of stream became one
-/// instant, and the sum over sessions and monitors of the peak of live views,
-/// recorded on the build before a view at ⊤/⊥ was retired on the spot.  Retirement
-/// may lower the peaks; the digest may not move.
-const SESSION_DIGESTS: [(&str, [(u64, usize); 2]); 3] = [
+/// What the replays of three groups of sessions decide under `[default(), ALL_OFF]`:
+/// an FNV-1a digest of every session's `(detected, possible)` verdict sets, and the
+/// sum over sessions and monitors of the peak of live views, recorded on the build
+/// before a view at ⊤/⊥ was retired on the spot.  Retirement may lower the peaks;
+/// the digest may not move — no protocol change may move a verdict, whatever it
+/// does to the cost in [`SESSION_TRAFFIC`].  The digest reads the same before and
+/// after verdict knowledge started riding on tokens.
+const SESSION_VERDICTS: [(&str, [(u64, usize); 2]); 3] = [
     (
         "sweep without X",
-        [(0x62298260fbb9961b, 3022), (0x37bd095aab7a5fa2, 4142)],
+        [(0xb4270800fe2ddfb9, 3022), (0xb4270800fe2ddfb9, 4142)],
     ),
     (
         "sweep with X",
-        [(0x18b8f0212be8400c, 640), (0xc298fa2d588b27f0, 986)],
+        [(0x9c17c3b48ae1627d, 640), (0x9c17c3b48ae1627d, 986)],
     ),
     (
         "fleet-6 first wave, A-F",
-        [(0x87d335a393612292, 8969), (0x1ebc1a1146f6748a, 14529)],
+        [(0x2aee75e1d0b4c5f9, 8969), (0x192706a2f1e640d9, 14529)],
     ),
 ];
 
-/// The exact monitor messages and tokens sent by the same sessions, summed, under
-/// `[default(), ALL_OFF]`.  These are the protocol's cost: a change that moves them
-/// on purpose records the move here.  When end of stream became one instant (every
-/// monitor terminates before any termination token is delivered), `(messages,
-/// tokens)` went, under `default()` and `ALL_OFF`:
+/// The exact monitor messages, tokens and global views created by the same
+/// sessions, summed, under `[default(), ALL_OFF]`.  These are the protocol's cost: a
+/// change that moves them on purpose records the move here.  When end of stream
+/// became one instant (every monitor terminates before any termination token is
+/// delivered), `(messages, tokens)` went, under `default()` and `ALL_OFF`:
 ///
 /// * sweep without X: (2 153, 2 918) → (2 141, 2 924); (14 712, 14 712) unmoved;
 /// * sweep with X: unmoved;
 /// * fleet-6 first wave: (65 158, 95 401) → (39 475, 93 333);
 ///   (589 911, 589 911) → (533 929, 533 929).
-const SESSION_TRAFFIC: [(&str, [(usize, usize); 2]); 3] = [
-    ("sweep without X", [(2141, 2924), (14712, 14712)]),
-    ("sweep with X", [(577, 715), (3815, 3815)]),
+///
+/// When tokens started carrying the verdicts their sender knows of (§4.3.3 prunes
+/// explorations into a verdict a peer monitor detected), `(messages, tokens, views
+/// created)` went, under `default()`, and `ALL_OFF` (no pruning) did not move:
+///
+/// * sweep without X: (2 141, 2 924, 3 336) → (2 038, 2 768, 3 238);
+/// * sweep with X: (577, 715, 717) → (546, 681, 689);
+/// * fleet-6 first wave: (39 475, 93 333, 10 549) → (37 316, 86 315, 9 880).
+const SESSION_TRAFFIC: [(&str, [Traffic; 2]); 3] = [
+    (
+        "sweep without X",
+        [(2038, 2768, 3238), (14712, 14712, 7877)],
+    ),
+    ("sweep with X", [(546, 681, 689), (3815, 3815, 1931)]),
     (
         "fleet-6 first wave, A-F",
-        [(39475, 93333), (533929, 533929)],
+        [(37316, 86315, 9880), (533929, 533929, 30955)],
     ),
 ];
+
+/// `(messages, tokens, global views created)`, summed over a group's sessions.
+type Traffic = (usize, usize, usize);
 
 /// What a group of sessions shows from outside under one option set.
 #[derive(Clone, Copy)]
 struct Shown {
-    /// FNV-1a over every session's `(detected, possible, global views created)`.
+    /// FNV-1a over every session's `(detected, possible)` verdict sets.
     digest: u64,
     /// Monitor messages, summed over sessions.
     messages: usize,
     /// Tokens sent, summed over sessions and monitors.
     tokens: usize,
+    /// Global views created, summed over sessions and monitors.
+    views_created: usize,
     /// Peak of live views, summed over sessions and monitors.
     peaks: usize,
 }
@@ -515,12 +532,15 @@ fn digest_session(
         for word in [
             bits(replay.detected_final_verdicts()),
             bits(replay.possible_verdicts()),
-            metrics.iter().map(|m| m.global_views_created as u64).sum(),
         ] {
             shown.digest = (shown.digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
         }
         shown.messages += replay.monitor_messages;
         shown.tokens += metrics.iter().map(|m| m.tokens_sent).sum::<usize>();
+        shown.views_created += metrics
+            .iter()
+            .map(|m| m.global_views_created)
+            .sum::<usize>();
         shown.peaks += metrics.iter().map(|m| m.max_live_views).sum::<usize>();
     }
 }
@@ -534,6 +554,7 @@ fn sessions_show_what_they_showed_before_final_views_were_retired() {
         digest: 0xcbf2_9ce4_8422_2325,
         messages: 0,
         tokens: 0,
+        views_created: 0,
         peaks: 0,
     }; 2];
     let mut got = Vec::new();
@@ -567,21 +588,23 @@ fn sessions_show_what_they_showed_before_final_views_were_retired() {
         .map(|(label, [on, off])| {
             format!(
                 "    (\"{label}\", [({:#018x}, {}), ({:#018x}, {})]),  \
-                 traffic [({}, {}), ({}, {})]\n",
+                 traffic [({}, {}, {}), ({}, {}, {})]\n",
                 on.digest,
                 on.peaks,
                 off.digest,
                 off.peaks,
                 on.messages,
                 on.tokens,
+                on.views_created,
                 off.messages,
-                off.tokens
+                off.tokens,
+                off.views_created
             )
         })
         .collect();
     println!("this build's digests, peak sums and traffic under [default, all-off]:\n{table}");
     for (((label, got), (pinned, want)), (_, traffic)) in
-        got.iter().zip(SESSION_DIGESTS).zip(SESSION_TRAFFIC)
+        got.iter().zip(SESSION_VERDICTS).zip(SESSION_TRAFFIC)
     {
         assert_eq!(*label, pinned);
         for (((shown, (pinned_digest, pinned_peaks)), traffic), opts) in
@@ -589,13 +612,13 @@ fn sessions_show_what_they_showed_before_final_views_were_retired() {
         {
             assert_eq!(
                 shown.digest, pinned_digest,
-                "{label} with {opts:?}: a session's verdicts or views created moved; \
-                 this build's table:\n{table}"
+                "{label} with {opts:?}: a session's verdicts moved; this build's table:\n{table}"
             );
             assert_eq!(
-                (shown.messages, shown.tokens),
+                (shown.messages, shown.tokens, shown.views_created),
                 traffic,
-                "{label} with {opts:?}: (messages, tokens) moved; this build's table:\n{table}"
+                "{label} with {opts:?}: (messages, tokens, views created) moved; \
+                 this build's table:\n{table}"
             );
             assert!(
                 shown.peaks <= pinned_peaks,
