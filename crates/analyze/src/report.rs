@@ -68,23 +68,6 @@ pub struct AnalysisRecord {
     pub analysis: PropertyAnalysis,
 }
 
-fn verdict_name(v: Verdict) -> &'static str {
-    match v {
-        Verdict::True => "true",
-        Verdict::False => "false",
-        Verdict::Unknown => "unknown",
-    }
-}
-
-fn verdict_from_name(name: &str) -> Result<Verdict, JsonError> {
-    match name {
-        "true" => Ok(Verdict::True),
-        "false" => Ok(Verdict::False),
-        "unknown" => Ok(Verdict::Unknown),
-        other => Err(JsonError::msg(format!("unknown verdict `{other}`"))),
-    }
-}
-
 fn synthesis_to_json(r: &SynthesisReport) -> Json {
     object([
         ("n_atoms", Json::from(r.n_atoms)),
@@ -171,7 +154,7 @@ fn analysis_to_json(a: &PropertyAnalysis) -> Json {
     let states = (0..a.verdicts.len())
         .map(|s| {
             object([
-                ("verdict", Json::from(verdict_name(a.verdicts[s]))),
+                ("verdict", Json::from(a.verdicts[s].name())),
                 ("class", Json::from(a.state_classes[s].name())),
                 ("reachable", Json::from(a.reachable[s])),
             ])
@@ -199,7 +182,11 @@ fn analysis_from_json(v: &Json) -> Result<PropertyAnalysis, JsonError> {
     let mut state_classes = Vec::new();
     let mut reachable = Vec::new();
     for state in v.get("states")?.as_array()? {
-        verdicts.push(verdict_from_name(state.get("verdict")?.as_str()?)?);
+        let name = state.get("verdict")?.as_str()?;
+        verdicts.push(
+            Verdict::from_name(name)
+                .ok_or_else(|| JsonError::msg(format!("unknown verdict `{name}`")))?,
+        );
         let name = state.get("class")?.as_str()?;
         state_classes.push(
             StateClass::from_name(name)

@@ -10,13 +10,12 @@
 use crate::spec::{CompiledProperty, PropertySpec};
 use dlrv_automaton::MonitorAutomaton;
 use dlrv_distsim::{initial_global_state, run_simulation, NullMonitor, SimConfig, SimReport};
-use dlrv_ltl::{Assignment, AtomRegistry, Verdict};
+use dlrv_ltl::{Assignment, AtomRegistry, Verdicts};
 use dlrv_monitor::{
     combined_verdict, timestamp_order, DecentralizedMonitor, MonitorOptions, RunMetrics,
 };
 use dlrv_trace::{generate_workload, ArrivalModel, CommTopology, WorkloadConfig};
 use dlrv_vclock::Event;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -186,7 +185,7 @@ pub struct ExperimentResult {
     /// Per-seed metrics.
     pub per_seed: Vec<RunMetrics>,
     /// Union of detected ⊤/⊥ verdicts over all seeds.
-    pub detected_verdicts: BTreeSet<Verdict>,
+    pub detected_verdicts: Verdicts,
 }
 
 impl ExperimentResult {
@@ -195,7 +194,7 @@ impl ExperimentResult {
         let avg = average_metrics(&per_seed);
         ExperimentResult {
             config: config.clone(),
-            detected_verdicts: avg.detected_final_verdicts.clone(),
+            detected_verdicts: avg.detected_final_verdicts,
             avg,
             per_seed,
         }
@@ -354,10 +353,8 @@ pub fn average_metrics(runs: &[RunMetrics]) -> RunMetrics {
         avg.events_per_sec += r.events_per_sec;
         // RSS is a high-water mark, not a rate: the max across runs, never a mean.
         avg.peak_rss_bytes = avg.peak_rss_bytes.max(r.peak_rss_bytes);
-        avg.detected_final_verdicts
-            .extend(r.detected_final_verdicts.iter().copied());
-        avg.possible_verdicts
-            .extend(r.possible_verdicts.iter().copied());
+        avg.detected_final_verdicts |= r.detected_final_verdicts;
+        avg.possible_verdicts |= r.possible_verdicts;
     }
     avg.total_events = (avg.total_events as f64 / k).round() as usize;
     avg.monitor_messages = (avg.monitor_messages as f64 / k).round() as usize;
@@ -438,23 +435,20 @@ fn average_fleet_properties(runs: &[RunMetrics]) -> Vec<dlrv_monitor::FleetPrope
                 property: first[p].property.clone(),
                 ..Default::default()
             };
-            let mut detected = std::collections::BTreeSet::new();
             for r in runs {
                 let m = &r.fleet_per_property[p];
                 out.monitor_tokens += m.monitor_tokens;
                 out.global_views += m.global_views;
                 out.peak_global_views += m.peak_global_views;
-                detected.extend(m.detected_final_verdicts.iter().copied());
-                out.possible_verdicts
-                    .extend(m.possible_verdicts.iter().copied());
+                out.detected_final_verdicts |= m.detected_final_verdicts;
+                out.possible_verdicts |= m.possible_verdicts;
             }
             out.monitor_tokens = (out.monitor_tokens as f64 / k).round() as usize;
             out.global_views = (out.global_views as f64 / k).round() as usize;
             out.peak_global_views = (out.peak_global_views as f64 / k).round() as usize;
             // The averaged verdict is the combined verdict of the union, matching
             // how detected sets fold everywhere else (False > True > Unknown).
-            out.verdict = dlrv_monitor::verdict_name(combined_verdict(&detected)).to_string();
-            out.detected_final_verdicts = detected;
+            out.verdict = combined_verdict(&out.detected_final_verdicts);
             out
         })
         .collect()
@@ -464,6 +458,7 @@ fn average_fleet_properties(runs: &[RunMetrics]) -> Vec<dlrv_monitor::FleetPrope
 mod tests {
     use super::*;
     use crate::properties::PaperProperty;
+    use dlrv_ltl::Verdict;
 
     #[test]
     fn small_experiment_produces_sane_metrics() {
@@ -536,7 +531,7 @@ mod tests {
         // detected verdicts — is identical whatever the thread count.
         let written = |r: &ExperimentResult| {
             let per_seed: Vec<_> = r.per_seed.iter().map(RunMetrics::to_json).collect();
-            (r.avg.to_json(), per_seed, r.detected_verdicts.clone())
+            (r.avg.to_json(), per_seed, r.detected_verdicts)
         };
         assert_eq!(written(&sequential), written(&parallel));
     }

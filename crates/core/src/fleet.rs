@@ -171,7 +171,7 @@ mod tests {
         assert_eq!(m.fleet_per_property[1].property, "C");
         // The goal tail drives all p true concurrently: reachability member B
         // must be satisfied in every session.
-        assert_eq!(m.fleet_per_property[0].verdict, "true");
+        assert_eq!(m.fleet_per_property[0].verdict, dlrv_ltl::Verdict::True);
         assert!(m.fleet_per_property.iter().any(|p| p.monitor_tokens > 0));
     }
 

@@ -328,7 +328,7 @@ mod tests {
                 deploy: None,
                 fleet: None,
             },
-            detected_verdicts: avg.detected_final_verdicts.clone(),
+            detected_verdicts: avg.detected_final_verdicts,
             per_seed: vec![avg.clone()],
             avg,
         }
@@ -383,12 +383,11 @@ mod tests {
         r.avg.fleet_per_property = vec![
             FleetPropertyMetrics {
                 property: "A".to_string(),
-                verdict: "true".to_string(),
+                verdict: crate::dlrv_ltl::Verdict::True,
                 ..FleetPropertyMetrics::default()
             },
             FleetPropertyMetrics {
                 property: "B".to_string(),
-                verdict: "unknown".to_string(),
                 ..FleetPropertyMetrics::default()
             },
         ];

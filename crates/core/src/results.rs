@@ -38,13 +38,12 @@ use crate::scenario::{Scenario, ScenarioFamily, StreamParams};
 use crate::spec::PropertySpec;
 use crate::tables::RunView;
 use dlrv_json::{object, Json, JsonError};
-use dlrv_ltl::Verdict;
-use dlrv_monitor::{verdict_from_name, verdict_name, MonitorOptions, RunMetrics};
+use dlrv_ltl::Verdicts;
+use dlrv_monitor::{verdicts_from_json, verdicts_to_json, MonitorOptions, RunMetrics};
 use dlrv_net::FaultSpec;
 use dlrv_trace::format::{
     arrival_from_json, arrival_to_json, topology_from_json, topology_to_json,
 };
-use std::collections::BTreeSet;
 
 /// Version of the `BENCH_results.json` schema produced by [`sweep_to_json`].
 pub const RESULTS_SCHEMA_VERSION: u64 = 1;
@@ -59,7 +58,7 @@ pub struct ScenarioRecord {
     /// Per-seed metrics, in seed order.
     pub per_seed: Vec<RunMetrics>,
     /// Union of detected ⊤/⊥ verdicts over all seeds.
-    pub detected_verdicts: BTreeSet<Verdict>,
+    pub detected_verdicts: Verdicts,
 }
 
 /// Serializes a property spec: paper properties as their bare letter (the schema's
@@ -225,10 +224,6 @@ pub fn fleet_params_from_json(v: &Json) -> Result<FleetParams, JsonError> {
     Ok(FleetParams::new(properties))
 }
 
-fn verdicts_to_json(set: &BTreeSet<Verdict>) -> Json {
-    Json::Array(set.iter().map(|&v| Json::from(verdict_name(v))).collect())
-}
-
 fn record_to_json(view: RunView<'_>, per_seed: &[RunMetrics]) -> Json {
     let scenario = view.scenario;
     object([
@@ -301,12 +296,7 @@ fn record_from_json(v: &Json) -> Result<ScenarioRecord, JsonError> {
             .iter()
             .map(RunMetrics::from_json)
             .collect::<Result<_, _>>()?,
-        detected_verdicts: v
-            .get("detected_verdicts")?
-            .as_array()?
-            .iter()
-            .map(|item| verdict_from_name(item.as_str()?))
-            .collect::<Result<_, _>>()?,
+        detected_verdicts: verdicts_from_json(v.get("detected_verdicts")?)?,
     })
 }
 

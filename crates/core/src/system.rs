@@ -10,11 +10,10 @@
 use crate::experiment::simulate_monitors;
 use dlrv_automaton::MonitorAutomaton;
 use dlrv_distsim::SimConfig;
-use dlrv_ltl::{parse, AtomRegistry, Formula, ParseError, Verdict};
+use dlrv_ltl::{parse, AtomRegistry, Formula, ParseError, Verdict, Verdicts};
 use dlrv_monitor::{MonitorOptions, RunMetrics};
 use dlrv_trace::{generate_workload, Workload, WorkloadConfig};
 use dlrv_vclock::{oracle_evaluate, Computation, Lattice};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Builder for a monitored distributed system.
@@ -32,9 +31,9 @@ pub struct MonitoredSystem {
 #[derive(Debug)]
 pub struct MonitoringOutcome {
     /// Union over all monitors of the ⊤/⊥ verdicts detected at runtime.
-    pub detected_verdicts: BTreeSet<Verdict>,
+    pub detected_verdicts: Verdicts,
     /// Union over all monitors of the verdicts their global views consider possible.
-    pub possible_verdicts: BTreeSet<Verdict>,
+    pub possible_verdicts: Verdicts,
     /// Aggregated run metrics (messages, delay, global views).
     pub metrics: RunMetrics,
     /// The recorded computation (usable with the lattice oracle).
@@ -60,7 +59,7 @@ impl MonitoringOutcome {
     /// its verdict set at the final cut.
     ///
     /// The lattice can be exponential in the number of processes; use on small runs.
-    pub fn oracle_verdicts(&self) -> BTreeSet<Verdict> {
+    pub fn oracle_verdicts(&self) -> Verdicts {
         let lattice = Lattice::build(&self.computation);
         oracle_evaluate(&self.computation, &lattice, &self.automaton, &self.registry).final_verdicts
     }
@@ -156,11 +155,11 @@ impl MonitoredSystem {
             self.options,
             &self.sim_config,
         );
-        let mut detected = BTreeSet::new();
-        let mut possible = BTreeSet::new();
+        let mut detected = Verdicts::EMPTY;
+        let mut possible = Verdicts::EMPTY;
         for m in &report.monitors {
-            detected.extend(m.detected_final_verdicts().iter().copied());
-            possible.extend(m.possible_verdicts());
+            detected |= m.detected_final_verdicts();
+            possible |= m.possible_verdicts();
         }
         MonitoringOutcome {
             detected_verdicts: detected,

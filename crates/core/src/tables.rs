@@ -13,9 +13,8 @@ use crate::results::ScenarioRecord;
 use crate::scenario::{Scenario, ScenarioFamily};
 use crate::ExperimentResult;
 use dlrv_analyze::{AnalysisRecord, Severity};
-use dlrv_ltl::Verdict;
+use dlrv_ltl::Verdicts;
 use dlrv_monitor::RunMetrics;
-use std::collections::BTreeSet;
 
 /// One column of a table over rows of type `R`.
 pub struct Column<R> {
@@ -131,7 +130,7 @@ pub struct RunView<'a> {
     /// Metric averages over the seeds.
     pub avg: &'a RunMetrics,
     /// Union of detected ⊤/⊥ verdicts over all seeds.
-    pub verdicts: &'a BTreeSet<Verdict>,
+    pub verdicts: Verdicts,
 }
 
 impl<'a> RunView<'a> {
@@ -140,7 +139,7 @@ impl<'a> RunView<'a> {
         RunView {
             scenario,
             avg: &result.avg,
-            verdicts: &result.detected_verdicts,
+            verdicts: result.detected_verdicts,
         }
     }
 
@@ -156,7 +155,7 @@ impl ScenarioRecord {
         RunView {
             scenario: &self.scenario,
             avg: &self.avg,
-            verdicts: &self.detected_verdicts,
+            verdicts: self.detected_verdicts,
         }
     }
 }
@@ -289,7 +288,7 @@ fn fleet_columns<'a>() -> RunColumns<'a> {
                 .avg
                 .fleet_per_property
                 .iter()
-                .map(|p| format!("{}:{}", p.property, p.verdict))
+                .map(|p| format!("{}:{}", p.property, p.verdict.name()))
                 .collect();
             verdicts.join(" ")
         })

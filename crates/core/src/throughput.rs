@@ -39,9 +39,7 @@ use crate::fleet::{compile_fleet, CompiledFleetMember, FleetParams};
 use crate::scenario::StreamParams;
 use crate::spec::CompiledProperty;
 use dlrv_ltl::AtomRegistry;
-use dlrv_monitor::{
-    combined_verdict, verdict_name, FleetPropertyMetrics, MonitorOptions, RunMetrics,
-};
+use dlrv_monitor::{combined_verdict, FleetPropertyMetrics, MonitorOptions, RunMetrics};
 use dlrv_stream::{
     encode_stream_binary, interleave_sessions, FleetMemberSpec, ReaderSource, SessionSpec,
     SessionStream, ShardedRuntime, StreamConfig,
@@ -198,24 +196,18 @@ fn run_once(
         metrics.monitor_tokens += outcome.monitor_tokens;
         metrics.total_global_views += outcome.global_views;
         metrics.peak_global_views += outcome.peak_global_views;
-        metrics
-            .detected_final_verdicts
-            .extend(outcome.detected_verdicts.iter().copied());
-        metrics
-            .possible_verdicts
-            .extend(outcome.possible_verdicts.iter().copied());
+        metrics.detected_final_verdicts |= outcome.detected_verdicts;
+        metrics.possible_verdicts |= outcome.possible_verdicts;
         for (agg, slice) in per_property.iter_mut().zip(&outcome.per_property) {
             agg.monitor_tokens += slice.monitor_tokens;
             agg.global_views += slice.global_views;
             agg.peak_global_views += slice.peak_global_views;
-            agg.detected_final_verdicts
-                .extend(slice.detected_verdicts.iter().copied());
-            agg.possible_verdicts
-                .extend(slice.possible_verdicts.iter().copied());
+            agg.detected_final_verdicts |= slice.detected_verdicts;
+            agg.possible_verdicts |= slice.possible_verdicts;
         }
     }
     for agg in &mut per_property {
-        agg.verdict = verdict_name(combined_verdict(&agg.detected_final_verdicts)).to_string();
+        agg.verdict = combined_verdict(&agg.detected_final_verdicts);
     }
     metrics.fleet_per_property = per_property;
     metrics

@@ -17,7 +17,8 @@
 //!   are labelled with single cubes (the paper splits disjunctive guards into multiple
 //!   transitions, §4.3.3 of the thesis).
 //! * [`semantics`] — LTL semantics over ultimately-periodic (lasso) words and the
-//!   three-valued verdict type [`Verdict`] used by LTL₃ monitors.
+//!   three-valued verdict type [`Verdict`] used by LTL₃ monitors, with [`Verdicts`],
+//!   the one-byte set of them that every layer reports.
 //!
 //! The crate is deliberately free of any distributed-systems machinery; it only deals
 //! with formulas, propositions and assignments.
@@ -33,5 +34,5 @@ pub mod syntax;
 pub use atoms::{AtomId, AtomLayout, AtomRegistry, Channel, ProcessId};
 pub use parser::{parse, ParseError};
 pub use predicate::{Assignment, Cube, Literal, Predicate};
-pub use semantics::{evaluate_lasso, Verdict};
+pub use semantics::{evaluate_lasso, Verdict, Verdicts};
 pub use syntax::Formula;

@@ -8,7 +8,6 @@
 //! evaluate its own share locally and request the remainder via tokens.
 
 use crate::atoms::{AtomId, AtomRegistry, ProcessId};
-use crate::syntax::Formula;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -57,11 +56,6 @@ impl Assignment {
             "exhaustive enumeration over {n} atoms is unreasonable"
         );
         (0u64..(1u64 << n)).map(Assignment)
-    }
-
-    /// Returns the set of true atoms among the first `n` atoms.
-    pub fn true_atoms(&self, n: usize) -> Vec<AtomId> {
-        (0..n as u32).map(AtomId).filter(|a| self.get(*a)).collect()
     }
 }
 
@@ -204,18 +198,6 @@ impl Cube {
         out
     }
 
-    /// The set of processes owning at least one literal of this cube.
-    pub fn participating_processes(&self, registry: &AtomRegistry) -> Vec<ProcessId> {
-        let mut procs: Vec<ProcessId> = self
-            .literals
-            .iter()
-            .map(|l| registry.owner(l.atom))
-            .collect();
-        procs.sort_unstable();
-        procs.dedup();
-        procs
-    }
-
     /// Renders the cube with atom names from `registry`.
     pub fn display(&self, registry: &AtomRegistry) -> String {
         if self.literals.is_empty() {
@@ -291,70 +273,9 @@ impl Predicate {
         &self.cubes
     }
 
-    /// True for the `false` predicate.
-    pub fn is_false(&self) -> bool {
-        self.cubes.is_empty()
-    }
-
-    /// True when some cube is unconstrained.
-    pub fn is_true(&self) -> bool {
-        self.cubes.iter().any(|c| c.is_empty())
-    }
-
     /// Evaluates the predicate under `assignment`.
     pub fn eval(&self, assignment: Assignment) -> bool {
         self.cubes.iter().any(|c| c.eval(assignment))
-    }
-
-    /// Converts a propositional [`Formula`] into DNF.
-    ///
-    /// Panics if the formula contains a temporal operator.
-    pub fn from_formula(formula: &Formula) -> Predicate {
-        assert!(
-            formula.is_propositional(),
-            "cannot convert a temporal formula into a state predicate"
-        );
-        Self::from_formula_nnf(&formula.nnf())
-    }
-
-    fn from_formula_nnf(formula: &Formula) -> Predicate {
-        match formula {
-            Formula::True => Predicate::top(),
-            Formula::False => Predicate::bottom(),
-            Formula::Atom(a) => Predicate {
-                cubes: vec![
-                    Cube::new([Literal::pos(*a)]).expect("a single literal is never contradictory")
-                ],
-            },
-            Formula::Not(inner) => match &**inner {
-                Formula::Atom(a) => Predicate {
-                    cubes: vec![Cube::new([Literal::neg(*a)])
-                        .expect("a single literal is never contradictory")],
-                },
-                other => panic!("formula not in NNF: negation of {other}"),
-            },
-            Formula::Or(a, b) => {
-                let mut left = Self::from_formula_nnf(a);
-                for c in Self::from_formula_nnf(b).cubes {
-                    left.add_cube(c);
-                }
-                left
-            }
-            Formula::And(a, b) => {
-                let left = Self::from_formula_nnf(a);
-                let right = Self::from_formula_nnf(b);
-                let mut out = Predicate::bottom();
-                for ca in &left.cubes {
-                    for cb in &right.cubes {
-                        if let Some(c) = ca.conjoin(cb) {
-                            out.add_cube(c);
-                        }
-                    }
-                }
-                out
-            }
-            other => panic!("unexpected temporal operator in state predicate: {other}"),
-        }
     }
 
     /// Computes a compact cube cover of an explicit set of satisfying assignments over
@@ -537,7 +458,7 @@ mod tests {
         asg.set(a(3), false);
         assert!(!asg.get(a(3)));
         let asg2 = Assignment::from_true_atoms([a(0), a(2)]);
-        assert_eq!(asg2.true_atoms(4), vec![a(0), a(2)]);
+        assert_eq!(asg2, Assignment(0b101));
         assert_eq!(Assignment::enumerate(3).count(), 8);
     }
 
@@ -576,22 +497,6 @@ mod tests {
         assert_eq!(split.len(), 2);
         assert_eq!(split[&0].len(), 2);
         assert_eq!(split[&1].len(), 1);
-        assert_eq!(cube.participating_processes(&reg), vec![0, 1]);
-    }
-
-    #[test]
-    fn predicate_from_formula_dnf() {
-        // (a || b) && !c  ->  (a && !c) || (b && !c)
-        let f = Formula::and(
-            Formula::or(Formula::Atom(a(0)), Formula::Atom(a(1))),
-            Formula::not(Formula::Atom(a(2))),
-        );
-        let pred = Predicate::from_formula(&f);
-        assert_eq!(pred.cubes().len(), 2);
-        for asg in Assignment::enumerate(3) {
-            let expected = (asg.get(a(0)) || asg.get(a(1))) && !asg.get(a(2));
-            assert_eq!(pred.eval(asg), expected, "mismatch at {asg:?}");
-        }
     }
 
     #[test]
@@ -626,8 +531,11 @@ mod tests {
     #[test]
     fn cover_of_all_assignments_is_true() {
         let all: Vec<Assignment> = Assignment::enumerate(2).collect();
-        assert!(Predicate::cover_of_assignments(&all, 2).is_true());
-        assert!(Predicate::cover_of_assignments(&[], 2).is_false());
+        assert_eq!(
+            Predicate::cover_of_assignments(&all, 2).cubes(),
+            [Cube::top()]
+        );
+        assert!(Predicate::cover_of_assignments(&[], 2).cubes().is_empty());
     }
 
     #[test]

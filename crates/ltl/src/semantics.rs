@@ -11,11 +11,12 @@ use crate::syntax::Formula;
 use std::fmt;
 
 /// The three-valued LTL₃ verdict (Definition 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Verdict {
     /// `⊥` — every infinite extension of the observed prefix violates the property.
     False,
     /// `?` — the prefix is inconclusive.
+    #[default]
     Unknown,
     /// `⊤` — every infinite extension of the observed prefix satisfies the property.
     True,
@@ -44,11 +45,142 @@ impl Verdict {
             Verdict::Unknown => "?",
         }
     }
+
+    /// Stable on-disk name: `"true"`, `"false"` or `"unknown"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Verdict::True => "true",
+            Verdict::False => "false",
+            Verdict::Unknown => "unknown",
+        }
+    }
+
+    /// The verdict whose [`name`](Self::name) is `name`, if any.
+    pub fn from_name(name: &str) -> Option<Verdict> {
+        Verdict::ALL.into_iter().find(|v| v.name() == name)
+    }
+
+    /// Every verdict, in order.
+    const ALL: [Verdict; 3] = [Verdict::False, Verdict::Unknown, Verdict::True];
+
+    /// This verdict's bit in a [`Verdicts`] set.
+    const fn bit(self) -> u8 {
+        match self {
+            Verdict::False => 1,
+            Verdict::True => 2,
+            Verdict::Unknown => 4,
+        }
+    }
 }
 
 impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.symbol())
+    }
+}
+
+/// A set of LTL₃ verdicts — what a monitor or a session reports as detected or
+/// still possible — one bit per verdict: ⊥ = 1, ⊤ = 2, ? = 4.  The final
+/// verdicts take the low bits, so a set of ⊤/⊥ only is a number from 0 to 3
+/// (the byte a token carries).  Iteration follows [`Verdict`]'s order and
+/// `Debug` prints a set, as a `BTreeSet` of them would.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct Verdicts(u8);
+
+impl Verdicts {
+    /// The empty set.
+    pub const EMPTY: Verdicts = Verdicts(0);
+
+    /// The set whose [`bits`](Self::bits) are `bits`, if every bit names a verdict.
+    pub fn from_bits(bits: u8) -> Option<Verdicts> {
+        (bits < 8).then_some(Verdicts(bits))
+    }
+
+    /// The set as its bits (⊥ = 1, ⊤ = 2, ? = 4).
+    pub fn bits(self) -> u8 {
+        self.0
+    }
+
+    /// Whether `verdict` is in the set.
+    pub fn contains(&self, verdict: &Verdict) -> bool {
+        self.0 & verdict.bit() != 0
+    }
+
+    /// Adds `verdict`; returns whether it was new.
+    pub fn insert(&mut self, verdict: Verdict) -> bool {
+        let new = !self.contains(&verdict);
+        self.0 |= verdict.bit();
+        new
+    }
+
+    /// The verdicts in the set, in [`Verdict`]'s order.
+    pub fn iter(&self) -> impl Iterator<Item = Verdict> {
+        let set = *self;
+        Verdict::ALL.into_iter().filter(move |v| set.contains(v))
+    }
+
+    /// Number of verdicts in the set.
+    pub fn len(&self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set has no verdict.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+
+    /// Whether every verdict of this set is in `other`.
+    pub fn is_subset(&self, other: &Verdicts) -> bool {
+        self.0 & !other.0 == 0
+    }
+}
+
+impl std::ops::BitOr for Verdicts {
+    type Output = Verdicts;
+
+    /// The union of both sets.
+    fn bitor(self, other: Verdicts) -> Verdicts {
+        Verdicts(self.0 | other.0)
+    }
+}
+
+impl std::ops::BitOrAssign for Verdicts {
+    fn bitor_assign(&mut self, other: Verdicts) {
+        self.0 |= other.0;
+    }
+}
+
+impl From<Verdict> for Verdicts {
+    fn from(verdict: Verdict) -> Verdicts {
+        Verdicts(verdict.bit())
+    }
+}
+
+impl<const N: usize> From<[Verdict; N]> for Verdicts {
+    fn from(verdicts: [Verdict; N]) -> Verdicts {
+        verdicts.into_iter().collect()
+    }
+}
+
+impl Extend<Verdict> for Verdicts {
+    fn extend<I: IntoIterator<Item = Verdict>>(&mut self, verdicts: I) {
+        for verdict in verdicts {
+            self.insert(verdict);
+        }
+    }
+}
+
+impl FromIterator<Verdict> for Verdicts {
+    fn from_iter<I: IntoIterator<Item = Verdict>>(verdicts: I) -> Verdicts {
+        let mut set = Verdicts::EMPTY;
+        set.extend(verdicts);
+        set
+    }
+}
+
+impl fmt::Debug for Verdicts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -159,6 +291,10 @@ mod tests {
         assert_eq!(Verdict::Unknown.negate(), Verdict::Unknown);
         assert_eq!(Verdict::False.symbol(), "⊥");
         assert!(Verdict::False < Verdict::Unknown && Verdict::Unknown < Verdict::True);
+        for v in Verdict::ALL {
+            assert_eq!(Verdict::from_name(v.name()), Some(v));
+        }
+        assert_eq!(Verdict::from_name("maybe"), None);
     }
 
     #[test]

@@ -41,8 +41,9 @@
 //! * **Disjunctive-transition pruning** (§4.3.3, `prune_disjunctive`) — once some
 //!   transition into a target state is enabled, sibling candidates into the same
 //!   target are dropped; and candidates whose target is a ⊤/⊥ verdict state this
-//!   monitor has *already detected* (via a sibling view) are never explored at all —
-//!   the exploration could only re-derive a known verdict.
+//!   monitor already knows — detected by a sibling view, or learnt from a peer's
+//!   token ([`Token::known`]) — are never explored at all: the exploration could
+//!   only re-derive a known verdict.
 //!
 //! The flags are meant to change only the message, queueing and memory cost — the
 //! quantities `--target overhead` reports — and not the verdicts, and the
@@ -59,7 +60,7 @@ use crate::messages::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransitio
 use crate::metrics::MonitorMetrics;
 use dlrv_automaton::{MonitorAutomaton, SymbolicTransition};
 use dlrv_distsim::{MonitorBehavior, MonitorContext};
-use dlrv_ltl::{Assignment, AtomRegistry, ProcessId, Verdict};
+use dlrv_ltl::{Assignment, AtomRegistry, ProcessId, Verdict, Verdicts};
 use dlrv_vclock::{Event, VectorClock};
 use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
@@ -76,7 +77,7 @@ pub struct MonitorOptions {
     pub dedup_global_views: bool,
     /// §4.3.3 — once a transition into a target state is enabled, drop sibling
     /// candidate transitions into the same target; never explore candidates whose
-    /// target verdict a sibling view already detected.
+    /// target verdict a sibling view already detected or a peer's token reported.
     pub prune_disjunctive: bool,
     /// Hot-path allocation recycling: retired global views, token cuts, conjunct
     /// buffers and view-set staging vectors are pooled — one pool per thread, shared
@@ -511,42 +512,6 @@ impl LocalHistory {
     }
 }
 
-/// The final verdicts (⊤, ⊥) a monitor has detected, one bit each: all a retired
-/// view leaves behind.  The same bits travel on a token as [`Token::known`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct FinalVerdicts(u8);
-
-impl FinalVerdicts {
-    fn bit(verdict: Verdict) -> u8 {
-        match verdict {
-            Verdict::False => 1,
-            Verdict::True => 2,
-            Verdict::Unknown => 0,
-        }
-    }
-
-    fn insert(&mut self, verdict: Verdict) {
-        debug_assert_ne!(verdict, Verdict::Unknown, "only ⊤ and ⊥ are final");
-        self.0 |= Self::bit(verdict);
-    }
-
-    fn contains(self, verdict: Verdict) -> bool {
-        self.0 & Self::bit(verdict) != 0
-    }
-
-    /// Both sets' verdicts.
-    fn union(self, other: FinalVerdicts) -> FinalVerdicts {
-        FinalVerdicts(self.0 | other.0)
-    }
-
-    fn to_set(self) -> BTreeSet<Verdict> {
-        [Verdict::False, Verdict::True]
-            .into_iter()
-            .filter(|&v| self.contains(v))
-            .collect()
-    }
-}
-
 /// What a monitor counts as it runs: the fields of [`MonitorMetrics`] of the same
 /// names.  The rest of a snapshot — the events observed, the views alive now, the
 /// verdicts detected and still possible — is read off the monitor and its process
@@ -577,8 +542,8 @@ struct Counters {
 fn snapshot(
     c: Counters,
     live: usize,
-    detected: FinalVerdicts,
-    possible_verdicts: BTreeSet<Verdict>,
+    detected: Verdicts,
+    possible_verdicts: Verdicts,
     process: &LocalProcess,
 ) -> MonitorMetrics {
     let events = process.history.len();
@@ -601,7 +566,7 @@ fn snapshot(
         tokens_sent_after_termination: c.tokens_sent_after_termination,
         last_event_time: process.last_event_time,
         last_activity_time: c.last_activity_time,
-        detected_final_verdicts: detected.to_set(),
+        detected_final_verdicts: detected,
         possible_verdicts,
     }
 }
@@ -692,10 +657,10 @@ pub struct PropertyMonitor {
     /// Next fresh global-view identifier.
     next_gv_id: u64,
     /// The ⊤/⊥ verdicts of the views retired so far.
-    detected: FinalVerdicts,
+    detected: Verdicts,
     /// The ⊤/⊥ verdicts peer monitors detected, as their tokens told this one
     /// ([`Token::known`]).  Never reported: only `detected` was derived here.
-    learned: FinalVerdicts,
+    learned: Verdicts,
     /// Number of tokens currently in flight per originating automaton state (used by
     /// the §4.3.2 optimization to avoid launching duplicate explorations).  A state
     /// with no token out has no entry, and with no entry at all the buffer is
@@ -719,7 +684,7 @@ impl PropertyMonitor {
         initial_gstate: Assignment,
     ) -> Self {
         let q0 = automaton.step(automaton.initial, initial_gstate);
-        let mut detected = FinalVerdicts::default();
+        let mut detected = Verdicts::EMPTY;
         let views = if automaton.is_final(q0) {
             detected.insert(automaton.verdict(q0));
             Vec::new()
@@ -739,7 +704,7 @@ impl PropertyMonitor {
             views,
             next_gv_id: 1,
             detected,
-            learned: FinalVerdicts::default(),
+            learned: Verdicts::EMPTY,
             in_flight: Vec::new(),
             counters,
         }
@@ -765,14 +730,13 @@ impl PropertyMonitor {
         verdict: Verdict,
         last_activity_time: f64,
     ) -> MonitorMetrics {
-        let mut detected = FinalVerdicts::default();
-        detected.insert(verdict);
+        let detected = Verdicts::from(verdict);
         let counters = Counters {
             global_views_created: 1,
             last_activity_time,
             ..Counters::default()
         };
-        snapshot(counters, 0, detected, detected.to_set(), process)
+        snapshot(counters, 0, detected, detected, process)
     }
 
     /// The live global views — the ones that can still move; none is at ⊤ or ⊥.
@@ -782,22 +746,15 @@ impl PropertyMonitor {
 
     /// The set of verdicts currently considered possible (one per global view),
     /// plus any ⊤/⊥ verdict that was detected along the way.
-    pub fn possible_verdicts(&self) -> BTreeSet<Verdict> {
-        let mut set = self.detected.to_set();
+    pub fn possible_verdicts(&self) -> Verdicts {
+        let mut set = self.detected;
         set.extend(self.views.iter().map(|gv| self.automaton.verdict(gv.q)));
         set
     }
 
     /// ⊤/⊥ verdicts this monitor has detected.
-    pub fn detected_final_verdicts(&self) -> BTreeSet<Verdict> {
-        self.detected.to_set()
-    }
-
-    /// Whether this monitor has detected the final verdict `verdict` (⊤ or ⊥) —
-    /// one bit read, no set built: a session asks every monitor this for every
-    /// fed event.
-    pub fn has_detected(&self, verdict: Verdict) -> bool {
-        self.detected.contains(verdict)
+    pub fn detected_final_verdicts(&self) -> Verdicts {
+        self.detected
     }
 
     /// A snapshot of this monitor's metrics at `process`: its counters, what its
@@ -942,18 +899,13 @@ impl DecentralizedMonitor {
 
     /// The set of verdicts currently considered possible (one per global view),
     /// plus any ⊤/⊥ verdict that was detected along the way.
-    pub fn possible_verdicts(&self) -> BTreeSet<Verdict> {
+    pub fn possible_verdicts(&self) -> Verdicts {
         self.member.possible_verdicts()
     }
 
     /// ⊤/⊥ verdicts this monitor has detected.
-    pub fn detected_final_verdicts(&self) -> BTreeSet<Verdict> {
+    pub fn detected_final_verdicts(&self) -> Verdicts {
         self.member.detected_final_verdicts()
-    }
-
-    /// Whether this monitor has detected the final verdict `verdict` (⊤ or ⊥).
-    pub fn has_detected(&self, verdict: Verdict) -> bool {
-        self.member.has_detected(verdict)
     }
 
     /// A snapshot of this monitor's metrics: its counters, and what its views and
@@ -1246,8 +1198,8 @@ impl<'a> Activation<'a> {
 
     /// The ⊤/⊥ verdicts this monitor knows of: detected here or learnt from a
     /// peer's token.
-    fn known(&self) -> FinalVerdicts {
-        self.member.detected.union(self.member.learned)
+    fn known(&self) -> Verdicts {
+        self.member.detected | self.member.learned
     }
 
     /// §4.3.3 extension: true when exploring a transition into `target` could only
@@ -1255,13 +1207,15 @@ impl<'a> Activation<'a> {
     fn target_verdict_subsumed(&self, target: dlrv_automaton::StateId) -> bool {
         self.process.opts.prune_disjunctive
             && self.member.automaton.is_final(target)
-            && self.known().contains(self.member.automaton.verdict(target))
+            && self
+                .known()
+                .contains(&self.member.automaton.verdict(target))
     }
 
     /// Sends `token` toward `dest`, stamped with the verdicts this monitor knows
     /// of: staged until the activation [ends](Self::end).
     fn send_token(&mut self, dest: ProcessId, mut token: Token) {
-        token.known = self.known().0;
+        token.known = self.known();
         self.member.counters.tokens_sent += 1;
         let after_termination = usize::from(self.process.local_terminated);
         self.member.counters.tokens_sent_after_termination += after_termination;
@@ -1900,7 +1854,7 @@ impl<'a> Activation<'a> {
             property: self.member.property,
             parent: self.pid(),
             parent_gv: gv.id,
-            known: 0,
+            known: Verdicts::EMPTY,
             transitions,
         };
         self.member.exploration_launched(gv.q);
@@ -1941,7 +1895,7 @@ impl<'a> Activation<'a> {
     /// history or parked — routed from here, it goes to the very transition its
     /// sender routed it here for.  Either way, what its sender knew is learnt.
     fn receive_token(&mut self, token: Token) {
-        self.member.learned = self.member.learned.union(FinalVerdicts(token.known));
+        self.member.learned |= token.known;
         if token.parent == self.pid() {
             self.handle_returned_token(token);
         } else {
@@ -2072,7 +2026,7 @@ mod tests {
         assert_eq!(monitors[0].views().len(), 1);
         assert_eq!(
             monitors[0].possible_verdicts(),
-            BTreeSet::from([Verdict::Unknown])
+            Verdicts::from([Verdict::Unknown])
         );
     }
 
@@ -2172,7 +2126,8 @@ mod tests {
                 ..local_event(1, Assignment::from_true_atoms([q1]))
             };
             monitors[1].on_local_event(&q1_event, &mut MonitorContext::new(1, 2, 1.0, &mut outbox));
-            assert!(monitors[1].has_detected(Verdict::False) && outbox.is_empty());
+            assert_eq!(monitors[1].detected_final_verdicts(), Verdict::False.into());
+            assert!(outbox.is_empty());
 
             let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
             monitors[0].on_local_event(&local_event(1, p0_holds), &mut ctx);
@@ -2184,16 +2139,16 @@ mod tests {
                 .collect();
             assert!(!answers.is_empty(), "M1 sends the token home");
             for token in &answers {
-                assert_eq!(token.known, 1, "stamped with M1's ⊥: {token:?}");
+                assert_eq!(token.known.bits(), 1, "stamped with M1's ⊥: {token:?}");
             }
 
             // The answer enabled a transition into ⊥: explored only without pruning,
             // and then by `M0` itself.  A learnt verdict is never reported as detected.
             let m0 = &mut monitors[0];
             let expected = if prune_disjunctive {
-                BTreeSet::new()
+                Verdicts::EMPTY
             } else {
-                BTreeSet::from([Verdict::False])
+                Verdicts::from([Verdict::False])
             };
             assert_eq!(
                 m0.detected_final_verdicts(),
@@ -2262,7 +2217,7 @@ mod tests {
             "the ⊥ view is retired, not held: {:?}",
             m0.views()
         );
-        let bottom = BTreeSet::from([Verdict::False]);
+        let bottom = Verdicts::from([Verdict::False]);
         assert_eq!(m0.detected_final_verdicts(), bottom);
         assert_eq!(m0.possible_verdicts(), bottom);
         let metrics = m0.metrics();
@@ -2278,7 +2233,7 @@ mod tests {
         // `P0.p` is false before the first event: `G P0.p` is violated at q₀.
         let (mut m0, event) = invariant_monitor(false);
         assert!(m0.views().is_empty());
-        let bottom = BTreeSet::from([Verdict::False]);
+        let bottom = Verdicts::from([Verdict::False]);
         assert_eq!(m0.detected_final_verdicts(), bottom);
         assert_eq!(m0.possible_verdicts(), bottom);
         let metrics = m0.metrics();
@@ -2330,11 +2285,11 @@ mod tests {
         assert_eq!(live(&m0), before, "and retired: the live set is as it was");
         assert_eq!(
             m0.detected_final_verdicts(),
-            BTreeSet::from([Verdict::True])
+            Verdicts::from([Verdict::True])
         );
         assert_eq!(
             m0.possible_verdicts(),
-            BTreeSet::from([Verdict::Unknown, Verdict::True])
+            Verdicts::from([Verdict::Unknown, Verdict::True])
         );
         assert!(m0.member.in_flight.is_empty() && outbox.is_empty());
     }
@@ -2369,7 +2324,7 @@ mod tests {
         assert_eq!(m0.member.counters.backlog_events_drained, 2);
         assert_eq!(
             m0.detected_final_verdicts(),
-            BTreeSet::from([Verdict::False])
+            Verdicts::from([Verdict::False])
         );
     }
 
@@ -2641,14 +2596,13 @@ mod tests {
         assert!(std::mem::size_of::<MonitorMsg>() <= 24);
     }
 
-    /// `has_detected`, `detected_final_verdicts()`, `possible_verdicts()` and the
-    /// `metrics()` snapshot of `m` agree; returns the detected set.
-    fn verdict_readouts_agree(m: &DecentralizedMonitor, case: &str) -> BTreeSet<Verdict> {
+    /// The session's read-out, `detected_final_verdicts()`, `possible_verdicts()`
+    /// and the `metrics()` snapshot of `m` agree; returns the detected set.
+    fn verdict_readouts_agree(m: &DecentralizedMonitor, case: &str) -> Verdicts {
         let detected = m.detected_final_verdicts();
-        for v in [Verdict::False, Verdict::True, Verdict::Unknown] {
-            let has = crate::feed::SessionVerdicts::has_detected(m, v);
-            assert_eq!(has, detected.contains(&v), "{case}: {v:?}");
-        }
+        let session = crate::feed::SessionVerdicts::detected_verdicts(m);
+        assert_eq!(session, detected, "{case}");
+        assert!(!detected.contains(&Verdict::Unknown), "{case}");
         let snapshot = m.metrics();
         assert_eq!(snapshot.detected_final_verdicts, detected, "{case}");
         assert_eq!(snapshot.possible_verdicts, m.possible_verdicts(), "{case}");
@@ -2743,7 +2697,7 @@ mod tests {
                 let case = format!("{case}, M{pid}, terminated");
                 let after = verdict_readouts_agree(m, &case);
                 assert!(before[pid].is_subset(&after), "{case}");
-                let want: BTreeSet<Verdict> = detects[pid].iter().copied().collect();
+                let want: Verdicts = detects[pid].iter().copied().collect();
                 assert_eq!(after, want, "{case}");
             }
         }
@@ -2852,7 +2806,7 @@ mod tests {
             property: 0,
             parent: 0,
             parent_gv: gv.id,
-            known: 0,
+            known: Verdicts::EMPTY,
             transitions: m0.activation().candidate_transitions(&gv, 1, 0),
         };
         assert_eq!(token.transitions.len(), 1, "one way to the goal");
@@ -3133,7 +3087,7 @@ mod tests {
     struct Outcome {
         views: Vec<(usize, Vec<u64>, u64, GvState)>,
         views_created: usize,
-        detected: BTreeSet<Verdict>,
+        detected: Verdicts,
     }
 
     fn outcome(m: &DecentralizedMonitor) -> Outcome {

@@ -27,9 +27,8 @@ use crate::decentralized::{
 use crate::messages::MonitorMsg;
 use dlrv_automaton::MonitorAutomaton;
 use dlrv_distsim::{MonitorBehavior, MonitorContext};
-use dlrv_ltl::{Assignment, AtomRegistry, ProcessId, Verdict};
+use dlrv_ltl::{Assignment, AtomRegistry, ProcessId, Verdict, Verdicts};
 use dlrv_vclock::Event;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// What a [`FeedSession`] asks of every monitor kind it can drive — token
@@ -39,17 +38,10 @@ pub trait SessionVerdicts: MonitorBehavior<Message = MonitorMsg> {
     /// How many events of its process this monitor has recorded: the next one it
     /// can take is this plus one.
     fn events_recorded(&self) -> u64;
-    /// Whether this monitor has detected the final verdict `verdict` (⊤ or ⊥).
-    fn has_detected(&self, verdict: Verdict) -> bool;
     /// ⊤/⊥ verdicts this monitor has detected so far.
-    fn detected_verdicts(&self) -> BTreeSet<Verdict> {
-        [Verdict::False, Verdict::True]
-            .into_iter()
-            .filter(|&v| self.has_detected(v))
-            .collect()
-    }
+    fn detected_verdicts(&self) -> Verdicts;
     /// All verdicts this monitor still considers possible.
-    fn possible_verdicts(&self) -> BTreeSet<Verdict>;
+    fn possible_verdicts(&self) -> Verdicts;
 }
 
 impl SessionVerdicts for DecentralizedMonitor {
@@ -57,11 +49,11 @@ impl SessionVerdicts for DecentralizedMonitor {
         self.events_recorded()
     }
 
-    fn has_detected(&self, verdict: Verdict) -> bool {
-        self.has_detected(verdict)
+    fn detected_verdicts(&self) -> Verdicts {
+        self.detected_final_verdicts()
     }
 
-    fn possible_verdicts(&self) -> BTreeSet<Verdict> {
+    fn possible_verdicts(&self) -> Verdicts {
         self.possible_verdicts()
     }
 }
@@ -69,16 +61,10 @@ impl SessionVerdicts for DecentralizedMonitor {
 /// Collapses a set of detected final verdicts into the single verdict an online
 /// caller acts on: a detected violation dominates, then a detected satisfaction,
 /// otherwise the execution is still inconclusive.
-pub fn combined_verdict(detected: &BTreeSet<Verdict>) -> Verdict {
-    combined_verdict_where(|v| detected.contains(&v))
-}
-
-/// [`combined_verdict`] asking `detected` whether each final verdict was detected,
-/// so the detections can be read where they are kept instead of collected first.
-fn combined_verdict_where(detected: impl Fn(Verdict) -> bool) -> Verdict {
-    if detected(Verdict::False) {
+pub fn combined_verdict(detected: &Verdicts) -> Verdict {
+    if detected.contains(&Verdict::False) {
         Verdict::False
-    } else if detected(Verdict::True) {
+    } else if detected.contains(&Verdict::True) {
         Verdict::True
     } else {
         Verdict::Unknown
@@ -213,28 +199,24 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
         self.verdict()
     }
 
-    /// The [`combined_verdict`] over every monitor's detections so far, read in
-    /// place: [`feed_event`](Self::feed_event) returns it for every event.
+    /// The [`combined_verdict`] over every monitor's detections so far:
+    /// [`feed_event`](Self::feed_event) returns it for every event.
     pub fn verdict(&self) -> Verdict {
-        combined_verdict_where(|v| self.monitors.iter().any(|m| m.has_detected(v)))
+        combined_verdict(&self.detected_verdicts())
     }
 
     /// Union of ⊤/⊥ verdicts detected by any monitor.
-    pub fn detected_verdicts(&self) -> BTreeSet<Verdict> {
-        let mut set = BTreeSet::new();
-        for m in &self.monitors {
-            set.extend(m.detected_verdicts());
-        }
-        set
+    pub fn detected_verdicts(&self) -> Verdicts {
+        self.monitors
+            .iter()
+            .fold(Verdicts::EMPTY, |set, m| set | m.detected_verdicts())
     }
 
     /// Union of the verdicts any monitor still considers possible.
-    pub fn possible_verdicts(&self) -> BTreeSet<Verdict> {
-        let mut set = BTreeSet::new();
-        for m in &self.monitors {
-            set.extend(m.possible_verdicts());
-        }
-        set
+    pub fn possible_verdicts(&self) -> Verdicts {
+        self.monitors
+            .iter()
+            .fold(Verdicts::EMPTY, |set, m| set | m.possible_verdicts())
     }
 
     /// Delivers the messages `sender`'s monitor just put in `outbox`, and every
@@ -356,14 +338,13 @@ mod tests {
 
     #[test]
     fn combined_verdict_precedence() {
-        use std::iter::FromIterator;
-        assert_eq!(combined_verdict(&BTreeSet::new()), Verdict::Unknown);
+        assert_eq!(combined_verdict(&Verdicts::EMPTY), Verdict::Unknown);
         assert_eq!(
-            combined_verdict(&BTreeSet::from_iter([Verdict::True])),
+            combined_verdict(&Verdicts::from([Verdict::True])),
             Verdict::True
         );
         assert_eq!(
-            combined_verdict(&BTreeSet::from_iter([Verdict::True, Verdict::False])),
+            combined_verdict(&Verdicts::from([Verdict::True, Verdict::False])),
             Verdict::False
         );
     }
@@ -424,7 +405,7 @@ mod tests {
                 property: 0,
                 parent: p,
                 parent_gv: 0,
-                known: 0,
+                known: Verdicts::EMPTY,
                 transitions: Vec::new(),
             };
             ctx.send(
@@ -441,12 +422,12 @@ mod tests {
             0
         }
 
-        fn has_detected(&self, _: Verdict) -> bool {
-            false
+        fn detected_verdicts(&self) -> Verdicts {
+            Verdicts::EMPTY
         }
 
-        fn possible_verdicts(&self) -> BTreeSet<Verdict> {
-            BTreeSet::new()
+        fn possible_verdicts(&self) -> Verdicts {
+            Verdicts::EMPTY
         }
     }
 

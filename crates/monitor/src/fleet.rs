@@ -85,9 +85,8 @@ use crate::messages::MonitorMsg;
 use crate::metrics::MonitorMetrics;
 use dlrv_automaton::MonitorAutomaton;
 use dlrv_distsim::{MonitorBehavior, MonitorContext};
-use dlrv_ltl::{Assignment, AtomRegistry, ProcessId, Verdict};
+use dlrv_ltl::{Assignment, AtomRegistry, ProcessId, Verdict, Verdicts};
 use dlrv_vclock::Event;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One property of a fleet: the compiled monitor automaton, its atom registry
@@ -240,19 +239,30 @@ impl FleetMonitor {
     }
 
     /// ⊤/⊥ verdicts member `k` has detected at this process.
-    fn member_detected(&self, k: usize) -> BTreeSet<Verdict> {
+    fn member_detected(&self, k: usize) -> Verdicts {
         match self.slots[k] {
-            Slot::Decided(verdict) => BTreeSet::from([verdict]),
+            Slot::Decided(verdict) => verdict.into(),
             Slot::Monitor(i) => self.monitors[i as usize].detected_final_verdicts(),
         }
     }
 
     /// The verdicts member `k` still considers possible at this process.
-    fn member_possible(&self, k: usize) -> BTreeSet<Verdict> {
+    fn member_possible(&self, k: usize) -> Verdicts {
         match self.slots[k] {
-            Slot::Decided(verdict) => BTreeSet::from([verdict]),
+            Slot::Decided(verdict) => verdict.into(),
             Slot::Monitor(i) => self.monitors[i as usize].possible_verdicts(),
         }
+    }
+
+    /// The verdicts of the members decided at open.
+    fn decided(&self) -> Verdicts {
+        self.slots
+            .iter()
+            .filter_map(|slot| match slot {
+                Slot::Decided(verdict) => Some(*verdict),
+                Slot::Monitor(_) => None,
+            })
+            .collect()
     }
 
     /// Sends what the monitors emitted during one fleet activation, and gives the
@@ -360,22 +370,16 @@ impl SessionVerdicts for FleetMonitor {
         self.process.events_recorded()
     }
 
-    fn has_detected(&self, verdict: Verdict) -> bool {
-        self.slots.contains(&Slot::Decided(verdict))
-            || self.monitors.iter().any(|m| m.has_detected(verdict))
+    fn detected_verdicts(&self) -> Verdicts {
+        self.monitors
+            .iter()
+            .fold(self.decided(), |set, m| set | m.detected_final_verdicts())
     }
 
-    fn possible_verdicts(&self) -> BTreeSet<Verdict> {
-        let mut set = BTreeSet::new();
-        for slot in self.slots.iter() {
-            if let Slot::Decided(verdict) = slot {
-                set.insert(*verdict);
-            }
-        }
-        for m in self.monitors.iter() {
-            set.extend(m.possible_verdicts());
-        }
-        set
+    fn possible_verdicts(&self) -> Verdicts {
+        self.monitors
+            .iter()
+            .fold(self.decided(), |set, m| set | m.possible_verdicts())
     }
 }
 
@@ -397,21 +401,19 @@ pub fn fleet_session(
 }
 
 /// Union of ⊤/⊥ verdicts member `k` detected at any process of `session`.
-pub fn fleet_member_detected(session: &FleetSession, k: usize) -> BTreeSet<Verdict> {
-    let mut set = BTreeSet::new();
-    for fleet in session.monitors() {
-        set.extend(fleet.member_detected(k));
-    }
-    set
+pub fn fleet_member_detected(session: &FleetSession, k: usize) -> Verdicts {
+    session
+        .monitors()
+        .iter()
+        .fold(Verdicts::EMPTY, |set, fleet| set | fleet.member_detected(k))
 }
 
 /// Union of the verdicts member `k` still considers possible at any process.
-pub fn fleet_member_possible(session: &FleetSession, k: usize) -> BTreeSet<Verdict> {
-    let mut set = BTreeSet::new();
-    for fleet in session.monitors() {
-        set.extend(fleet.member_possible(k));
-    }
-    set
+pub fn fleet_member_possible(session: &FleetSession, k: usize) -> Verdicts {
+    session
+        .monitors()
+        .iter()
+        .fold(Verdicts::EMPTY, |set, fleet| set | fleet.member_possible(k))
 }
 
 /// Metrics snapshots of member `k`'s monitors, in process order.
@@ -868,8 +870,10 @@ mod tests {
                     compared += 1;
                 }
                 // The session's own read-outs are the union over every member.
-                let union = |of: fn(&DecentralizedSession) -> BTreeSet<Verdict>| {
-                    solos.iter().flat_map(of).collect::<BTreeSet<_>>()
+                let union = |of: fn(&DecentralizedSession) -> Verdicts| {
+                    solos
+                        .iter()
+                        .fold(Verdicts::EMPTY, |set, solo| set | of(solo))
                 };
                 let case = format!("session, seed {seed}, {opts:?}, {at}");
                 let detected = union(DecentralizedSession::detected_verdicts);

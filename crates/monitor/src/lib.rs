@@ -81,6 +81,7 @@ pub use fleet::{
 pub use global_view::{GlobalView, GvState};
 pub use messages::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition};
 pub use metrics::{
-    verdict_from_name, verdict_name, FleetPropertyMetrics, MonitorMetrics, RunMetrics, ShardMetrics,
+    verdicts_from_json, verdicts_to_json, FleetPropertyMetrics, MonitorMetrics, RunMetrics,
+    ShardMetrics,
 };
 pub use replay::{replay_decentralized, timestamp_order, ReplayResult};

@@ -5,37 +5,22 @@
 //! state), and memory overhead as the total number of global views created.
 
 use dlrv_json::{object, Json, JsonError};
-use dlrv_ltl::Verdict;
-use std::collections::BTreeSet;
+use dlrv_ltl::{Verdict, Verdicts};
 
-/// Stable on-disk name of a verdict (`"true"`, `"false"`, `"unknown"`).
-pub fn verdict_name(v: Verdict) -> &'static str {
-    match v {
-        Verdict::True => "true",
-        Verdict::False => "false",
-        Verdict::Unknown => "unknown",
-    }
+/// A verdict set as a JSON array of [`Verdict::name`]s, in [`Verdict`]'s order.
+pub fn verdicts_to_json(set: Verdicts) -> Json {
+    Json::Array(set.iter().map(|v| Json::from(v.name())).collect())
 }
 
-/// Parses a verdict from its [`verdict_name`] form.
-pub fn verdict_from_name(name: &str) -> Result<Verdict, JsonError> {
-    match name {
-        "true" => Ok(Verdict::True),
-        "false" => Ok(Verdict::False),
-        "unknown" => Ok(Verdict::Unknown),
-        other => Err(JsonError::msg(format!("unknown verdict `{other}`"))),
-    }
+/// Parses a verdict from its [`Verdict::name`].
+fn verdict_from_json(v: &Json) -> Result<Verdict, JsonError> {
+    let name = v.as_str()?;
+    Verdict::from_name(name).ok_or_else(|| JsonError::msg(format!("unknown verdict `{name}`")))
 }
 
-fn verdicts_to_json(set: &BTreeSet<Verdict>) -> Json {
-    Json::Array(set.iter().map(|&v| Json::from(verdict_name(v))).collect())
-}
-
-fn verdicts_from_json(v: &Json) -> Result<BTreeSet<Verdict>, JsonError> {
-    v.as_array()?
-        .iter()
-        .map(|item| verdict_from_name(item.as_str()?))
-        .collect()
+/// Parses a verdict set from its [`verdicts_to_json`] form.
+pub fn verdicts_from_json(v: &Json) -> Result<Verdicts, JsonError> {
+    v.as_array()?.iter().map(verdict_from_json).collect()
 }
 
 /// Metrics collected by a single monitor process.
@@ -86,9 +71,9 @@ pub struct MonitorMetrics {
     /// Simulated time of the last monitoring activity (event or token processing).
     pub last_activity_time: f64,
     /// Verdicts of final (⊤/⊥) automaton states this monitor detected.
-    pub detected_final_verdicts: BTreeSet<Verdict>,
+    pub detected_final_verdicts: Verdicts,
     /// All verdicts over this monitor's global views at the end of monitoring.
-    pub possible_verdicts: BTreeSet<Verdict>,
+    pub possible_verdicts: Verdicts,
 }
 
 impl MonitorMetrics {
@@ -146,11 +131,11 @@ impl MonitorMetrics {
             ("last_activity_time", Json::from(self.last_activity_time)),
             (
                 "detected_final_verdicts",
-                verdicts_to_json(&self.detected_final_verdicts),
+                verdicts_to_json(self.detected_final_verdicts),
             ),
             (
                 "possible_verdicts",
-                verdicts_to_json(&self.possible_verdicts),
+                verdicts_to_json(self.possible_verdicts),
             ),
         ])
     }
@@ -254,13 +239,12 @@ impl ShardMetrics {
 pub struct FleetPropertyMetrics {
     /// The property's name within the fleet (`"A"`, `"reqack"`, …).
     pub property: String,
-    /// The property's combined final verdict across all sessions
-    /// ([`verdict_name`] form: `"true"` / `"false"` / `"unknown"`).
-    pub verdict: String,
+    /// The property's combined final verdict across all sessions.
+    pub verdict: Verdict,
     /// Union of final verdicts this property's monitors detected.
-    pub detected_final_verdicts: BTreeSet<Verdict>,
+    pub detected_final_verdicts: Verdicts,
     /// Union of possible verdicts over this property's global views.
-    pub possible_verdicts: BTreeSet<Verdict>,
+    pub possible_verdicts: Verdicts,
     /// Tokens this property's monitors sent (fleet transport shares the
     /// *messages*; token payloads stay attributable per property).
     pub monitor_tokens: usize,
@@ -275,14 +259,14 @@ impl FleetPropertyMetrics {
     pub fn to_json(&self) -> Json {
         object([
             ("property", Json::from(self.property.as_str())),
-            ("verdict", Json::from(self.verdict.as_str())),
+            ("verdict", Json::from(self.verdict.name())),
             (
                 "detected_final_verdicts",
-                verdicts_to_json(&self.detected_final_verdicts),
+                verdicts_to_json(self.detected_final_verdicts),
             ),
             (
                 "possible_verdicts",
-                verdicts_to_json(&self.possible_verdicts),
+                verdicts_to_json(self.possible_verdicts),
             ),
             ("monitor_tokens", Json::from(self.monitor_tokens)),
             ("global_views", Json::from(self.global_views)),
@@ -294,7 +278,7 @@ impl FleetPropertyMetrics {
     pub fn from_json(v: &Json) -> Result<FleetPropertyMetrics, JsonError> {
         Ok(FleetPropertyMetrics {
             property: v.get("property")?.as_str()?.to_string(),
-            verdict: v.get("verdict")?.as_str()?.to_string(),
+            verdict: verdict_from_json(v.get("verdict")?)?,
             detected_final_verdicts: verdicts_from_json(v.get("detected_final_verdicts")?)?,
             possible_verdicts: verdicts_from_json(v.get("possible_verdicts")?)?,
             monitor_tokens: v.get("monitor_tokens")?.as_usize()?,
@@ -327,9 +311,9 @@ pub struct RunMetrics {
     /// Extra monitoring time after program termination (simulated seconds).
     pub monitor_extra_time: f64,
     /// Union of final verdicts detected by any monitor.
-    pub detected_final_verdicts: BTreeSet<Verdict>,
+    pub detected_final_verdicts: Verdicts,
     /// Union of possible verdicts over all monitors' global views.
-    pub possible_verdicts: BTreeSet<Verdict>,
+    pub possible_verdicts: Verdicts,
     /// Wall-clock duration of the run/scenario that produced these metrics (seconds;
     /// `0.0` when not measured).  Unlike every field above this is real elapsed time,
     /// not simulated time, so it varies run to run — like every host-measured field
@@ -387,11 +371,11 @@ impl RunMetrics {
             ("monitor_extra_time", Json::from(self.monitor_extra_time)),
             (
                 "detected_final_verdicts",
-                verdicts_to_json(&self.detected_final_verdicts),
+                verdicts_to_json(self.detected_final_verdicts),
             ),
             (
                 "possible_verdicts",
-                verdicts_to_json(&self.possible_verdicts),
+                verdicts_to_json(self.possible_verdicts),
             ),
             (
                 "per_shard",
@@ -481,11 +465,11 @@ impl RunMetrics {
         } else {
             0.0
         };
-        let mut detected = BTreeSet::new();
-        let mut possible = BTreeSet::new();
+        let mut detected = Verdicts::EMPTY;
+        let mut possible = Verdicts::EMPTY;
         for m in per_monitor {
-            detected.extend(m.detected_final_verdicts.iter().copied());
-            possible.extend(m.possible_verdicts.iter().copied());
+            detected |= m.detected_final_verdicts;
+            possible |= m.possible_verdicts;
         }
         RunMetrics {
             n_processes: per_monitor.len(),
@@ -546,7 +530,7 @@ mod tests {
                 queued_events_samples: 2,
                 tokens_sent: 7,
                 max_live_views: 3,
-                detected_final_verdicts: BTreeSet::from([Verdict::False]),
+                detected_final_verdicts: Verdicts::from([Verdict::False]),
                 ..Default::default()
             },
             MonitorMetrics {
@@ -555,7 +539,7 @@ mod tests {
                 queued_events_samples: 2,
                 tokens_sent: 5,
                 max_live_views: 2,
-                possible_verdicts: BTreeSet::from([Verdict::Unknown]),
+                possible_verdicts: Verdicts::from([Verdict::Unknown]),
                 ..Default::default()
             },
         ];
@@ -583,8 +567,8 @@ mod tests {
             delay_time_pct_per_gv: 0.123456789,
             program_time: 59.87,
             monitor_extra_time: 2.5e-3,
-            detected_final_verdicts: BTreeSet::from([Verdict::True]),
-            possible_verdicts: BTreeSet::from([Verdict::True, Verdict::Unknown]),
+            detected_final_verdicts: Verdicts::from([Verdict::True]),
+            possible_verdicts: Verdicts::from([Verdict::True, Verdict::Unknown]),
             monitor_tokens: 512,
             peak_global_views: 33,
             ..RunMetrics::default()
@@ -704,16 +688,15 @@ mod tests {
             fleet_per_property: vec![
                 FleetPropertyMetrics {
                     property: "A".to_string(),
-                    verdict: "true".to_string(),
-                    detected_final_verdicts: BTreeSet::from([Verdict::True]),
-                    possible_verdicts: BTreeSet::from([Verdict::True, Verdict::Unknown]),
+                    verdict: Verdict::True,
+                    detected_final_verdicts: Verdicts::from([Verdict::True]),
+                    possible_verdicts: Verdicts::from([Verdict::True, Verdict::Unknown]),
                     monitor_tokens: 17,
                     global_views: 42,
                     peak_global_views: 8,
                 },
                 FleetPropertyMetrics {
                     property: "B".to_string(),
-                    verdict: "unknown".to_string(),
                     ..FleetPropertyMetrics::default()
                 },
             ],
@@ -722,14 +705,6 @@ mod tests {
         let text = m.to_json().to_string_pretty();
         let back = RunMetrics::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(m, back);
-    }
-
-    #[test]
-    fn verdict_names_round_trip() {
-        for v in [Verdict::True, Verdict::False, Verdict::Unknown] {
-            assert_eq!(verdict_from_name(verdict_name(v)).unwrap(), v);
-        }
-        assert!(verdict_from_name("maybe").is_err());
     }
 
     #[test]

@@ -10,9 +10,8 @@
 use crate::decentralized::{DecentralizedMonitor, MonitorOptions};
 use crate::feed::decentralized_session;
 use dlrv_automaton::MonitorAutomaton;
-use dlrv_ltl::{AtomRegistry, ProcessId, Verdict};
+use dlrv_ltl::{AtomRegistry, ProcessId, Verdicts};
 use dlrv_vclock::Computation;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The result of a replay run.
@@ -26,21 +25,17 @@ pub struct ReplayResult {
 
 impl ReplayResult {
     /// Union of the verdicts any monitor considers possible.
-    pub fn possible_verdicts(&self) -> BTreeSet<Verdict> {
-        let mut set = BTreeSet::new();
-        for m in &self.monitors {
-            set.extend(m.possible_verdicts());
-        }
-        set
+    pub fn possible_verdicts(&self) -> Verdicts {
+        self.monitors
+            .iter()
+            .fold(Verdicts::EMPTY, |set, m| set | m.possible_verdicts())
     }
 
     /// Union of ⊤/⊥ verdicts detected by any monitor.
-    pub fn detected_final_verdicts(&self) -> BTreeSet<Verdict> {
-        let mut set = BTreeSet::new();
-        for m in &self.monitors {
-            set.extend(m.detected_final_verdicts().iter().copied());
-        }
-        set
+    pub fn detected_final_verdicts(&self) -> Verdicts {
+        self.monitors
+            .iter()
+            .fold(Verdicts::EMPTY, |set, m| set | m.detected_final_verdicts())
     }
 }
 
@@ -87,7 +82,7 @@ pub fn replay_decentralized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlrv_ltl::Formula;
+    use dlrv_ltl::{Formula, Verdict};
     use dlrv_vclock::fixtures::running_example;
 
     #[test]

@@ -27,7 +27,7 @@
 use crate::conn::NetError;
 use crate::fault::{FaultSpec, FaultStats};
 use dlrv_json::{object, Json, JsonError};
-use dlrv_ltl::Assignment;
+use dlrv_ltl::{Assignment, Verdicts};
 use dlrv_monitor::{ConjunctEval, EvalState, MonitorMetrics, MonitorMsg, Token, TokenTransition};
 use dlrv_stream::wire::{json_frame, json_payload, write_clock, write_frame, Reader, StreamError};
 use dlrv_stream::{event_from_binary, event_to_binary, varint};
@@ -371,7 +371,7 @@ fn token_to_binary(t: &Token, out: &mut Vec<u8>) {
     varint::write_u64(out, t.property as u64);
     varint::write_u64(out, t.parent as u64);
     varint::write_u64(out, t.parent_gv);
-    out.push(t.known);
+    out.push(t.known.bits());
     varint::write_u64(out, t.transitions.len() as u64);
     for tran in &t.transitions {
         transition_to_binary(tran, out);
@@ -384,7 +384,7 @@ fn token_from_binary(r: &mut Reader<'_>) -> Result<Token, StreamError> {
         parent: r.usize("token parent")?,
         parent_gv: r.uv("token parent_gv")?,
         known: match r.byte("token known")? {
-            known @ 0..=3 => known,
+            known @ 0..=3 => Verdicts::from_bits(known).expect("0..=3 is a set of ⊤/⊥"),
             other => return Err(r.corrupt(&format!("known byte {other}"))),
         },
         transitions: r.seq(
@@ -601,14 +601,13 @@ mod tests {
     use super::*;
     use dlrv_stream::FrameSplitter;
     use dlrv_vclock::{EventKind, VectorClock};
-    use std::collections::BTreeSet;
 
     fn sample_token(seq: u64) -> Token {
         Token {
             property: (seq % 3) as u32,
             parent: 1,
             parent_gv: 40 + seq,
-            known: (seq % 4) as u8,
+            known: Verdicts::from_bits((seq % 4) as u8).expect("two bits"),
             transitions: vec![
                 TokenTransition {
                     transition_id: 7,
@@ -648,14 +647,12 @@ mod tests {
             state: Assignment(0b01),
             time: 6.5,
         };
-        let mut detected = BTreeSet::new();
-        detected.insert(dlrv_ltl::Verdict::True);
         let metrics = MonitorMetrics {
             tokens_sent: 4,
             tokens_received: 3,
             global_views_created: 7,
             last_activity_time: 9.25,
-            detected_final_verdicts: detected,
+            detected_final_verdicts: dlrv_ltl::Verdict::True.into(),
             ..MonitorMetrics::default()
         };
         let messages = vec![
@@ -900,7 +897,7 @@ mod tests {
                         property: 0,
                         parent: 0,
                         parent_gv: 0,
-                        known: 0,
+                        known: Verdicts::EMPTY,
                         transitions: vec![]
                     }],
                 },
@@ -917,7 +914,7 @@ mod tests {
             else {
                 panic!("a monitor frame decodes as one");
             };
-            assert_eq!(msg.tokens[0].known, known);
+            assert_eq!(msg.tokens[0].known.bits(), known);
         }
         for known in [4, 0x80, 0xff] {
             let err = decode_wire_frame(true, &exact_monitor_payload(&[1, 0, 0, 0, known, 0]))
@@ -925,6 +922,28 @@ mod tests {
             for part in [format!("known byte {known}"), "byte offset 15".to_string()] {
                 assert!(err.message.contains(&part), "`{part}` missing from: {err}");
             }
+        }
+    }
+
+    #[test]
+    fn the_known_byte_of_a_final_verdict_set_is_0_to_3() {
+        use dlrv_ltl::Verdict::{False, True};
+        for (known, byte) in [
+            (Verdicts::EMPTY, 0),
+            (Verdicts::from([False]), 1),
+            (Verdicts::from([True]), 2),
+            (Verdicts::from([False, True]), 3),
+        ] {
+            let token = Token {
+                property: 0,
+                parent: 0,
+                parent_gv: 0,
+                known,
+                transitions: vec![],
+            };
+            let mut out = Vec::new();
+            token_to_binary(&token, &mut out);
+            assert_eq!(out, [0, 0, 0, byte, 0], "{known:?}");
         }
     }
 

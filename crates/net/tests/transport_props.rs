@@ -6,7 +6,7 @@
 //! `write` may stop inside a payload — so both directions are driven through the
 //! epoll [`Reactor`], exactly like the `monitord` event loop.
 
-use dlrv_ltl::Assignment;
+use dlrv_ltl::{Assignment, Verdicts};
 use dlrv_monitor::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition};
 use dlrv_net::{
     connect_with_retry, decode_wire_frame, encode_frame, Endpoint, FramedConn, Interest, Listener,
@@ -73,7 +73,7 @@ fn hot_msg_from_seed(seed: &mut u64) -> WireMsg {
         property: (mix(seed) % 4) as u32,
         parent: (mix(seed) % n as u64) as usize,
         parent_gv: mix(seed),
-        known: (mix(seed) % 4) as u8,
+        known: Verdicts::from_bits((mix(seed) % 4) as u8).expect("two bits"),
         transitions: (0..1 + mix(seed) % 3).map(|_| transition(seed)).collect(),
     };
     match mix(seed) % 4 {

@@ -35,13 +35,13 @@ use crate::ring::{PopState, SpscRing};
 use crate::varint;
 use crate::wire::StreamError;
 use dlrv_automaton::MonitorAutomaton;
-use dlrv_ltl::{Assignment, AtomRegistry, Verdict};
+use dlrv_ltl::{Assignment, AtomRegistry, Verdict, Verdicts};
 use dlrv_monitor::{
     combined_verdict, decentralized_session, fleet_session, DecentralizedMonitor,
     DecentralizedSession, FleetMember, FleetSession, MonitorMetrics, MonitorOptions, ShardMetrics,
 };
 use dlrv_vclock::Event;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -128,9 +128,9 @@ pub struct SessionOutcome {
     /// The combined final verdict (⊥ dominates ⊤ dominates ?).
     pub verdict: Verdict,
     /// Union of ⊤/⊥ verdicts detected by the session's monitors.
-    pub detected_verdicts: BTreeSet<Verdict>,
+    pub detected_verdicts: Verdicts,
     /// Union of verdicts the monitors still considered possible at close.
-    pub possible_verdicts: BTreeSet<Verdict>,
+    pub possible_verdicts: Verdicts,
     /// Monitor-to-monitor (token) messages exchanged inside the session.
     pub monitor_messages: usize,
     /// Tokens carried by those messages (≥ `monitor_messages`' token share when
@@ -158,9 +158,9 @@ pub struct PropertyOutcome {
     /// The property's combined final verdict.
     pub verdict: Verdict,
     /// ⊤/⊥ verdicts the property's monitors detected.
-    pub detected_verdicts: BTreeSet<Verdict>,
+    pub detected_verdicts: Verdicts,
     /// Verdicts the property's monitors still considered possible at close.
-    pub possible_verdicts: BTreeSet<Verdict>,
+    pub possible_verdicts: Verdicts,
     /// Tokens the property's monitors sent (byte-identical to a solo run of the
     /// same property — pinned by `tests/fleet_equivalence.rs`).
     pub monitor_tokens: usize,
@@ -646,7 +646,7 @@ fn shard_worker(shard: usize, inbox: ShardInbox, batch_size: usize) -> ShardResu
 /// message count, then, for a fleet session, the index of its member-name list
 /// and one [`Tally`] per member, and last the session's own [`Tally`].
 /// Integers are LEB128 ([`varint`]), so no count is narrowed, and verdict sets
-/// are bit masks ([`verdict_bit`]).
+/// are their [`Verdicts::bits`].
 ///
 /// The member names are not in the record: `name_lists` keeps the first spec of
 /// each distinct name list this shard has logged, and a record names its list
@@ -665,11 +665,11 @@ const DRAINED: u8 = 1;
 const FLEET: u8 = 2;
 
 /// Monitors folded together — a session's, or one fleet member's: counts add
-/// up and verdict sets are unions, as [`verdict_bit`] masks.
+/// up and verdict sets are unions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Tally {
-    detected: u8,
-    possible: u8,
+    detected: Verdicts,
+    possible: Verdicts,
     tokens: usize,
     events: usize,
     views: usize,
@@ -680,8 +680,8 @@ impl Tally {
     fn of(snapshots: impl Iterator<Item = MonitorMetrics>) -> Tally {
         let mut tally = Tally::default();
         for m in snapshots {
-            tally.detected |= verdict_bits(&m.detected_final_verdicts);
-            tally.possible |= verdict_bits(&m.possible_verdicts);
+            tally.detected |= m.detected_final_verdicts;
+            tally.possible |= m.possible_verdicts;
             tally.tokens += m.tokens_sent;
             tally.events += m.events_observed;
             tally.views += m.global_views_created;
@@ -693,7 +693,7 @@ impl Tally {
     /// Writes both masks in one byte, then the counts; the event count only
     /// `with_events` (a fleet member observes its session's events).
     fn write(&self, out: &mut Vec<u8>, with_events: bool) {
-        out.push(self.detected | self.possible << 3);
+        out.push(self.detected.bits() | self.possible.bits() << 3);
         write_count(out, self.tokens);
         if with_events {
             write_count(out, self.events);
@@ -705,10 +705,11 @@ impl Tally {
     fn read(log: &[u8], pos: &mut usize, with_events: bool) -> Tally {
         let masks = log[*pos];
         *pos += 1;
+        let set = |bits| Verdicts::from_bits(bits).expect("a shard's record log is well formed");
         let mut count = || read_count(log, pos);
         Tally {
-            detected: masks & 0b111,
-            possible: masks >> 3,
+            detected: set(masks & 0b111),
+            possible: set(masks >> 3),
             tokens: count(),
             events: if with_events { count() } else { 0 },
             views: count(),
@@ -731,37 +732,16 @@ impl Tally {
     }
 
     fn property_outcome(self, property: &str) -> PropertyOutcome {
-        let detected_verdicts = verdict_set(self.detected);
         PropertyOutcome {
             property: property.to_string(),
-            verdict: combined_verdict(&detected_verdicts),
-            detected_verdicts,
-            possible_verdicts: verdict_set(self.possible),
+            verdict: combined_verdict(&self.detected),
+            detected_verdicts: self.detected,
+            possible_verdicts: self.possible,
             monitor_tokens: self.tokens,
             global_views: self.views,
             peak_global_views: self.peak_views,
         }
     }
-}
-
-/// One bit per verdict: ⊥ 1, ? 2, ⊤ 4.
-fn verdict_bit(verdict: Verdict) -> u8 {
-    match verdict {
-        Verdict::False => 1,
-        Verdict::Unknown => 2,
-        Verdict::True => 4,
-    }
-}
-
-fn verdict_bits(set: &BTreeSet<Verdict>) -> u8 {
-    set.iter().fold(0, |bits, &v| bits | verdict_bit(v))
-}
-
-fn verdict_set(bits: u8) -> BTreeSet<Verdict> {
-    [Verdict::False, Verdict::Unknown, Verdict::True]
-        .into_iter()
-        .filter(|&v| bits & verdict_bit(v) != 0)
-        .collect()
 }
 
 fn member_names(spec: &SessionSpec) -> impl Iterator<Item = &str> {
@@ -846,13 +826,12 @@ impl RecordLog {
                 Vec::new()
             };
             let tally = Tally::read(log, &mut pos, true);
-            let detected_verdicts = verdict_set(tally.detected);
             sessions.insert(
                 id,
                 SessionOutcome {
-                    verdict: combined_verdict(&detected_verdicts),
-                    detected_verdicts,
-                    possible_verdicts: verdict_set(tally.possible),
+                    verdict: combined_verdict(&tally.detected),
+                    detected_verdicts: tally.detected,
+                    possible_verdicts: tally.possible,
                     monitor_messages,
                     monitor_tokens: tally.tokens,
                     events: tally.events,
@@ -1100,23 +1079,12 @@ mod tests {
         usize::MAX,
     ];
 
-    /// The outcome of `tally`, with the sets spelled out from the bits.
+    /// The outcome of `tally`.
     fn expected_outcome(tally: Tally, messages: usize, drained: bool) -> SessionOutcome {
-        let set = |bits: u8| -> BTreeSet<Verdict> {
-            [
-                (1, Verdict::False),
-                (2, Verdict::Unknown),
-                (4, Verdict::True),
-            ]
-            .into_iter()
-            .filter(|&(bit, _)| bits & bit != 0)
-            .map(|(_, v)| v)
-            .collect()
-        };
         SessionOutcome {
-            verdict: combined_verdict(&set(tally.detected)),
-            detected_verdicts: set(tally.detected),
-            possible_verdicts: set(tally.possible),
+            verdict: combined_verdict(&tally.detected),
+            detected_verdicts: tally.detected,
+            possible_verdicts: tally.possible,
             monitor_messages: messages,
             monitor_tokens: tally.tokens,
             events: tally.events,
@@ -1129,9 +1097,10 @@ mod tests {
 
     #[test]
     fn a_record_reads_back_what_was_logged() {
+        let set = |bits: usize| Verdicts::from_bits(bits as u8).expect("three bits");
         let tally = |i: usize| Tally {
-            detected: (i % 8) as u8,
-            possible: (i / 8 % 8) as u8,
+            detected: set(i % 8),
+            possible: set(i / 8 % 8),
             tokens: EDGE_COUNTS[i % 6],
             events: EDGE_COUNTS[(i + 1) % 6],
             views: EDGE_COUNTS[(i + 2) % 6],

@@ -35,16 +35,6 @@ impl NormalSampler {
         }
     }
 
-    /// Creates a sampler clamped at `min`.
-    pub fn with_min(mean: f64, sigma: f64, min: f64) -> Self {
-        NormalSampler {
-            mean,
-            sigma,
-            min,
-            spare: None,
-        }
-    }
-
     /// Draws one sample.
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         let z = if let Some(z) = self.spare.take() {
@@ -86,7 +76,10 @@ mod tests {
     #[test]
     fn samples_respect_lower_clamp() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut sampler = NormalSampler::with_min(0.5, 2.0, 0.1);
+        let mut sampler = NormalSampler {
+            min: 0.1,
+            ..NormalSampler::new(0.5, 2.0)
+        };
         for _ in 0..5_000 {
             assert!(sampler.sample(&mut rng) >= 0.1);
         }

@@ -126,11 +126,6 @@ impl ProcessTrace {
             .count()
     }
 
-    /// Number of communication entries of any kind (broadcasts + sends).
-    pub fn n_comm(&self) -> usize {
-        self.n_broadcasts() + self.n_sends()
-    }
-
     /// Total simulated duration of the trace (sum of waits).
     pub fn duration(&self) -> f64 {
         self.entries.iter().map(|e| e.wait).sum()
@@ -454,7 +449,8 @@ mod tests {
         let w = generate_workload(&WorkloadConfig::with_topology(3, CommTopology::Pipeline, 5));
         assert!(w.traces[0].n_sends() > 0);
         assert!(w.traces[1].n_sends() > 0);
-        assert_eq!(w.traces[2].n_comm(), 0, "pipeline tail must not send");
+        assert_eq!(w.traces[2].n_sends(), 0, "pipeline tail must not send");
+        assert_eq!(w.traces[2].n_broadcasts(), 0, "nor broadcast");
         for e in &w.traces[0].entries {
             if let TraceAction::Send { to } = e.action {
                 assert_eq!(to, 1);

@@ -9,7 +9,7 @@
 
 use crate::event::Computation;
 use dlrv_automaton::{MonitorAutomaton, StateId};
-use dlrv_ltl::{AtomRegistry, Verdict};
+use dlrv_ltl::{AtomRegistry, Verdict, Verdicts};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Identifier of a lattice vertex.
@@ -118,7 +118,7 @@ pub struct OracleResult {
     /// including the initial one, to the automaton).
     pub reachable_states: Vec<BTreeSet<StateId>>,
     /// The set of possible verdicts at the final cut.
-    pub final_verdicts: BTreeSet<Verdict>,
+    pub final_verdicts: Verdicts,
     /// The set of automaton states at the final cut.
     pub final_states: BTreeSet<StateId>,
     /// Cuts at which some path first reaches a ⊤/⊥ state ("pivot" cuts for final
@@ -168,8 +168,7 @@ pub fn oracle_evaluate(
         .top
         .map(|t| reachable[t].clone())
         .unwrap_or_default();
-    let final_verdicts: BTreeSet<Verdict> =
-        final_states.iter().map(|&q| automaton.verdict(q)).collect();
+    let final_verdicts: Verdicts = final_states.iter().map(|&q| automaton.verdict(q)).collect();
     let violation_reachable = reachable
         .iter()
         .any(|set| set.iter().any(|&q| automaton.verdict(q) == Verdict::False));

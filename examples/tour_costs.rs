@@ -100,7 +100,7 @@ fn main() {
             peak_views += m.max_live_views;
         }
         for set in [session.detected_verdicts(), session.possible_verdicts()] {
-            let bits = set.iter().fold(0u64, |bits, &v| bits | 1 << v as u64);
+            let bits = set.iter().fold(0u64, |bits, v| bits | 1 << v as u64);
             fingerprint = (fingerprint ^ bits).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }

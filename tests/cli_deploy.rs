@@ -10,7 +10,7 @@
 //! a live daemon.
 
 use dlrv::dlrv_json::{object, Json};
-use dlrv::dlrv_ltl::Assignment;
+use dlrv::dlrv_ltl::{Assignment, Verdict, Verdicts};
 use dlrv::dlrv_monitor::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition};
 use dlrv::dlrv_net::{connect_with_retry, DaemonStatus, Endpoint, FaultSpec, FramedConn, WireMsg};
 use dlrv::dlrv_stream::{event_to_json, wire::json_frame};
@@ -413,7 +413,7 @@ fn sound_token() -> Token {
         property: 0,
         parent: 1,
         parent_gv: 0,
-        known: 0,
+        known: Verdicts::EMPTY,
         transitions: vec![TokenTransition {
             transition_id: 0,
             gcut: VectorClock::from_entries(vec![0, 1]),
@@ -674,8 +674,8 @@ fn malformed_tokens_are_protocol_failures() {
     type Break = fn(&mut Token);
     let cases: [(Break, &str); 9] = [
         (|t| t.parent = 2, "parent 2"),
-        // Two verdict bits; the decoder refuses the rest.
-        (|t| t.known = 4, "known byte 4"),
+        // ⊤/⊥ only; the decoder refuses ?, which is bit 4.
+        (|t| t.known = Verdict::Unknown.into(), "known byte 4"),
         (
             |t| t.transitions[0].next_target_process = 2,
             "transition next_target_process 2",

@@ -17,14 +17,13 @@
 //!   deployed detections stay a subset of the baseline and at least one paper
 //!   property demonstrably loses a verdict.
 
-use dlrv::dlrv_ltl::Verdict;
+use dlrv::dlrv_ltl::Verdicts;
 use dlrv::dlrv_monitor::{replay_decentralized, MonitorOptions};
 use dlrv::dlrv_net::FaultSpec;
 use dlrv::{
     run_deploy, simulate_session, CompiledProperty, DeployParams, DeployTransport,
     ExperimentConfig, PaperProperty,
 };
-use std::collections::BTreeSet;
 
 /// Points the orchestrator at the `monitord` binary Cargo built for this test run.
 fn use_built_monitord() {
@@ -43,7 +42,7 @@ fn deploy_config(property: PaperProperty, seeds: Vec<u64>) -> ExperimentConfig {
 
 /// The in-process baseline: replay the same seeded computation through the
 /// `FeedSession` driver and return (detected, possible) verdict sets.
-fn baseline(config: &ExperimentConfig, seed: u64) -> (BTreeSet<Verdict>, BTreeSet<Verdict>) {
+fn baseline(config: &ExperimentConfig, seed: u64) -> (Verdicts, Verdicts) {
     let compiled = CompiledProperty::compile(&config.property, config.n_processes);
     let session = simulate_session(&config.workload_config(seed), &compiled.registry);
     let replay = replay_decentralized(
@@ -146,8 +145,8 @@ fn repeated_runs_of_one_cell_agree_under_fast_polling() {
                 let run = &outcome.result.per_seed[0];
                 (
                     run.monitor_messages,
-                    run.detected_final_verdicts.clone(),
-                    run.possible_verdicts.clone(),
+                    run.detected_final_verdicts,
+                    run.possible_verdicts,
                 )
             })
             .collect();

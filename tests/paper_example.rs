@@ -86,7 +86,7 @@ fn decentralized_monitors_agree_with_the_oracle_on_the_running_example() {
     let result = replay_decentralized(&comp, &reg, &automaton, MonitorOptions::default());
 
     // Soundness: every detected final verdict is oracle-reachable.
-    for v in result.detected_final_verdicts() {
+    for v in result.detected_final_verdicts().iter() {
         match v {
             Verdict::False => assert!(oracle.violation_reachable),
             Verdict::True => assert!(oracle.satisfaction_reachable),

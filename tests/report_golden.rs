@@ -90,7 +90,7 @@ fn record(
             }),
             fleet: None,
         },
-        detected_verdicts: avg.detected_final_verdicts.clone(),
+        detected_verdicts: avg.detected_final_verdicts,
         per_seed: vec![avg.clone()],
         avg,
     }
@@ -111,10 +111,10 @@ fn fleet_record(msgs: usize) -> ScenarioRecord {
             .to_vec(),
     ));
     r.avg.fleet_size = 2;
-    r.avg.fleet_per_property = [("A", "false"), ("B", "true")]
+    r.avg.fleet_per_property = [("A", Verdict::False), ("B", Verdict::True)]
         .map(|(property, verdict)| FleetPropertyMetrics {
             property: property.to_string(),
-            verdict: verdict.to_string(),
+            verdict,
             ..FleetPropertyMetrics::default()
         })
         .to_vec();

@@ -30,7 +30,7 @@ mod common;
 use common::{random_formula, shared_registry};
 use dlrv_core::dlrv_automaton::MonitorAutomaton;
 use dlrv_core::dlrv_distsim::{run_simulation, NullMonitor, SimConfig};
-use dlrv_core::dlrv_ltl::{Assignment, AtomRegistry, Formula, Verdict};
+use dlrv_core::dlrv_ltl::{Assignment, AtomRegistry, Formula, Verdict, Verdicts};
 use dlrv_core::dlrv_monitor::{replay_decentralized, MonitorOptions};
 use dlrv_core::dlrv_stream::{
     encode_stream_binary, interleave_sessions, ReaderSource, SessionSpec, SessionStream,
@@ -44,7 +44,6 @@ use dlrv_core::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The verdicts the decentralized monitors detect on the computation of `workload`
@@ -54,7 +53,7 @@ fn detect(
     registry: AtomRegistry,
     workload: &WorkloadConfig,
     options: &[MonitorOptions],
-) -> (OracleResult, Vec<BTreeSet<Verdict>>) {
+) -> (OracleResult, Vec<Verdicts>) {
     let automaton = Arc::new(MonitorAutomaton::synthesize(formula, &registry));
     detect_compiled(&automaton, &Arc::new(registry), workload, options)
 }
@@ -65,7 +64,7 @@ fn detect_compiled(
     registry: &Arc<AtomRegistry>,
     workload: &WorkloadConfig,
     options: &[MonitorOptions],
-) -> (OracleResult, Vec<BTreeSet<Verdict>>) {
+) -> (OracleResult, Vec<Verdicts>) {
     let comp = simulate_session(workload, registry).report.computation;
     let oracle = oracle_evaluate(&comp, &Lattice::build(&comp), automaton, registry);
     let detected = options
@@ -78,7 +77,7 @@ fn detect_compiled(
 }
 
 /// Whether every detected ⊤/⊥ is reachable on some lattice path.
-fn sound(oracle: &OracleResult, detected: &BTreeSet<Verdict>) -> bool {
+fn sound(oracle: &OracleResult, detected: &Verdicts) -> bool {
     (oracle.violation_reachable || !detected.contains(&Verdict::False))
         && (oracle.satisfaction_reachable || !detected.contains(&Verdict::True))
 }
@@ -91,7 +90,7 @@ fn compare(
     events: usize,
     seed: u64,
     comm_mu: Option<f64>,
-) -> (OracleResult, BTreeSet<Verdict>) {
+) -> (OracleResult, Verdicts) {
     let (formula, registry) = property.build(n);
     let workload = WorkloadConfig {
         n_processes: n,
@@ -231,7 +230,7 @@ fn no_false_alarm_when_property_cannot_be_decided() {
     assert!(result.detected_final_verdicts().is_empty());
     assert_eq!(
         result.possible_verdicts(),
-        std::collections::BTreeSet::from([Verdict::Unknown])
+        Verdicts::from([Verdict::Unknown])
     );
 }
 
@@ -528,7 +527,7 @@ fn digest_session(
     for (shown, &opts) in shown.iter_mut().zip(options) {
         let replay = replay_decentralized(&comp, registry, automaton, opts);
         let metrics: Vec<_> = replay.monitors.iter().map(|m| m.metrics()).collect();
-        let bits = |set: BTreeSet<Verdict>| set.into_iter().map(|v| 1u64 << v as u64).sum::<u64>();
+        let bits = |set: Verdicts| set.iter().map(|v| 1u64 << v as u64).sum::<u64>();
         for word in [
             bits(replay.detected_final_verdicts()),
             bits(replay.possible_verdicts()),
@@ -801,7 +800,7 @@ fn release_reproducer_detects_only_the_reachable_verdict() {
     assert!(oracle.satisfaction_reachable && !oracle.violation_reachable);
     assert_eq!(
         detected[0],
-        BTreeSet::from([Verdict::True]),
+        Verdicts::from([Verdict::True]),
         "detected verdicts"
     );
 }

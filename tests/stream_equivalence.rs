@@ -16,14 +16,13 @@ use dlrv::dlrv_stream::{
 };
 use dlrv::{simulate_session, CompiledProperty, ExperimentConfig, PaperProperty, PropertySpec};
 use dlrv_automaton::MonitorAutomaton;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One prepared session: its wire input plus the offline baseline.
 struct Baseline {
     input: SessionStream,
-    detected: BTreeSet<dlrv::dlrv_ltl::Verdict>,
-    possible: BTreeSet<dlrv::dlrv_ltl::Verdict>,
+    detected: dlrv::dlrv_ltl::Verdicts,
+    possible: dlrv::dlrv_ltl::Verdicts,
     monitor_messages: usize,
 }
 
