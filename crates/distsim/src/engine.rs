@@ -94,6 +94,13 @@ pub fn run_simulation<B: MonitorBehavior>(
 
     let mut monitors: Vec<B> = (0..n).map(&mut make_monitor).collect();
     let mut computation = Computation::new((0..n).map(initial_state).collect());
+    for (events, len) in computation
+        .events
+        .iter_mut()
+        .zip(events_per_process(workload))
+    {
+        events.reserve_exact(len);
+    }
     let mut clocks: Vec<VectorClock> = (0..n).map(|_| VectorClock::zero(n)).collect();
     let mut states: Vec<Assignment> = (0..n).map(initial_state).collect();
 
@@ -158,7 +165,7 @@ pub fn run_simulation<B: MonitorBehavior>(
                                     kind: ItemKind::ProgramMsg {
                                         to,
                                         from: process,
-                                        vc: clocks[process].clone(),
+                                        send_sn: clocks[process].get(process),
                                         msg_id,
                                     },
                                 });
@@ -184,7 +191,7 @@ pub fn run_simulation<B: MonitorBehavior>(
                             kind: ItemKind::ProgramMsg {
                                 to,
                                 from: process,
-                                vc: clocks[process].clone(),
+                                send_sn: clocks[process].get(process),
                                 msg_id,
                             },
                         });
@@ -230,13 +237,13 @@ pub fn run_simulation<B: MonitorBehavior>(
             ItemKind::ProgramMsg {
                 to,
                 from,
-                vc,
+                send_sn,
                 msg_id,
             } => {
                 program_items -= 1;
                 program_end_time = program_end_time.max(now);
                 clocks[to].increment(to);
-                clocks[to].merge(&vc);
+                clocks[to].merge(&computation.events[from][(send_sn - 1) as usize].vc);
                 let event = Event {
                     process: to,
                     kind: EventKind::Receive { from, msg_id },
@@ -332,6 +339,32 @@ pub fn run_simulation<B: MonitorBehavior>(
     }
 }
 
+/// How many events each process of `workload` records: one per trace entry, plus
+/// one receive per broadcast of another process and per `Send` addressed to it.
+fn events_per_process(workload: &Workload) -> Vec<usize> {
+    let traces = &workload.traces;
+    let mut own_broadcasts = vec![0; traces.len()];
+    let mut events: Vec<usize> = traces.iter().map(|t| t.entries.len()).collect();
+    for (from, trace) in traces.iter().enumerate() {
+        for entry in &trace.entries {
+            match entry.action {
+                TraceAction::Broadcast => own_broadcasts[from] += 1,
+                TraceAction::Send { to } => {
+                    if let Some(received) = events.get_mut(to) {
+                        *received += 1;
+                    }
+                }
+                TraceAction::SetProps { .. } => {}
+            }
+        }
+    }
+    let broadcasts: usize = own_broadcasts.iter().sum();
+    for (len, own) in events.iter_mut().zip(own_broadcasts) {
+        *len += broadcasts - own;
+    }
+    events
+}
+
 fn next_seq(seq: &mut u64) -> u64 {
     *seq += 1;
     *seq
@@ -378,10 +411,13 @@ enum ItemKind<M> {
         process: ProcessId,
         entry: usize,
     },
+    /// A program message; the receiver merges the clock of the sender's send
+    /// event, which is already recorded, so the message carries its sequence
+    /// number instead of a copy of the clock.
     ProgramMsg {
         to: ProcessId,
         from: ProcessId,
-        vc: VectorClock,
+        send_sn: u64,
         msg_id: u64,
     },
     MonitorMsg {
@@ -470,26 +506,76 @@ mod tests {
         }
     }
 
+    /// The paper's broadcast workload, a ring, a hotspot and one without
+    /// communication, at 2–5 processes and three seeds each.
+    fn recorded_workloads() -> Vec<Workload> {
+        use dlrv_trace::CommTopology;
+        let mut workloads = Vec::new();
+        for n in 2..=5 {
+            for seed in 1..=3 {
+                workloads.push(generate_workload(&WorkloadConfig::paper_default(n, seed)));
+                for topology in [CommTopology::Ring, CommTopology::Hotspot { hub: 1 }] {
+                    let config = WorkloadConfig::with_topology(n, topology, seed);
+                    workloads.push(generate_workload(&config));
+                }
+                workloads.push(generate_workload(&WorkloadConfig::comm_sweep(
+                    n, None, seed,
+                )));
+            }
+        }
+        workloads
+    }
+
+    /// Exact, not just dominating: a receive's clock is the receiver's previous
+    /// clock with its own entry ticked, merged with its send event's clock.
     #[test]
     fn receive_clock_dominates_send_clock() {
-        let workload = generate_workload(&WorkloadConfig::paper_default(3, 3));
-        let reg = registry_for(3);
-        let report = run_simulation(&workload, &reg, &SimConfig::default(), |_| {
-            NullMonitor::default()
-        });
-        let comp = &report.computation;
-        for events in &comp.events {
-            for e in events {
-                if let EventKind::Receive { from, msg_id } = e.kind {
+        for workload in recorded_workloads() {
+            let n = workload.config.n_processes;
+            let report = run_simulation(&workload, &registry_for(n), &SimConfig::default(), |_| {
+                NullMonitor::default()
+            });
+            let comp = &report.computation;
+            for (p, events) in comp.events.iter().enumerate() {
+                for (k, e) in events.iter().enumerate() {
+                    let EventKind::Receive { from, msg_id } = e.kind else {
+                        continue;
+                    };
                     let send = comp.events[from]
                         .iter()
-                        .find(
-                            |s| matches!(s.kind, EventKind::Broadcast { msg_id: m } if m == msg_id),
-                        )
-                        .expect("matching broadcast exists");
+                        .find(|s| match s.kind {
+                            EventKind::Broadcast { msg_id: m } => m == msg_id,
+                            EventKind::Send { to, msg_id: m } => m == msg_id && to == p,
+                            _ => false,
+                        })
+                        .expect("the matching send event is recorded");
+                    let mut expected = match k {
+                        0 => VectorClock::zero(n),
+                        _ => events[k - 1].vc.clone(),
+                    };
+                    expected.increment(p);
+                    expected.merge(&send.vc);
+                    assert_eq!(e.vc, expected, "receive {k} of process {p}");
                     assert!(send.vc.happened_before(&e.vc));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn each_process_s_events_are_allocated_once_at_their_exact_count() {
+        for workload in recorded_workloads() {
+            let n = workload.config.n_processes;
+            let report = run_simulation(&workload, &registry_for(n), &SimConfig::default(), |_| {
+                NullMonitor::default()
+            });
+            for (p, events) in report.computation.events.iter().enumerate() {
+                assert_eq!(events.capacity(), events.len(), "process {p}");
+            }
+            assert_eq!(
+                events_per_process(&workload).iter().sum::<usize>(),
+                report.program_events
+            );
         }
     }
 

@@ -49,9 +49,10 @@
 //! quantities `--target overhead` reports — and not the verdicts, and the
 //! repository's `stream_equivalence`, `overhead_regression` and
 //! soundness/completeness suites compare verdicts across flag combinations.  The
-//! claim has a known exception: the soundness/completeness suite lists a
+//! claim has known exceptions: the soundness/completeness suite lists a
 //! random-LTL case on which the default suite misses a reachable ⊥ that all-off
-//! finds (`KNOWN_OPTION_DEPENDENT` in `tests/soundness_completeness.rs`), and its
+//! finds (`KNOWN_OPTION_DEPENDENT` in `tests/soundness_completeness.rs`) and pins
+//! a two-process session on which §4.3.3 off misses a reachable ⊤, and its
 //! oracle ledger keeps a ceiling per option set, property D's differing
 //! (docs/MONITORING.md, "Open findings").
 

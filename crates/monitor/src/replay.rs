@@ -43,15 +43,35 @@ impl ReplayResult {
 /// sequence (ties broken by process id, then sequence number, which respects each
 /// process's local order).  This is the canonical delivery order of both the replay
 /// driver and the streaming runtime's session feeds.
+///
+/// Each process's events are already in time order (the simulator records them as
+/// they happen), so this is a k-way merge of the per-process lists; it equals a
+/// full `(time, process, sn)` sort of all events.
 pub fn timestamp_order(comp: &Computation) -> Vec<(f64, ProcessId, u64)> {
-    let mut all: Vec<(f64, ProcessId, u64)> = Vec::new();
-    for (p, events) in comp.events.iter().enumerate() {
-        for e in events {
-            all.push((e.time, p, e.sn));
+    debug_assert!(
+        comp.events.iter().all(|events| events
+            .windows(2)
+            .all(|w| w[0].time.total_cmp(&w[1].time).is_le())),
+        "every process's event times must be nondecreasing"
+    );
+    let mut next = vec![0usize; comp.events.len()];
+    let mut order = Vec::with_capacity(comp.n_events());
+    loop {
+        // The earliest head; a tie goes to the lower process.
+        let mut earliest: Option<(f64, ProcessId)> = None;
+        for (p, events) in comp.events.iter().enumerate() {
+            if let Some(e) = events.get(next[p]) {
+                if earliest.is_none_or(|(time, _)| e.time.total_cmp(&time).is_lt()) {
+                    earliest = Some((e.time, p));
+                }
+            }
         }
+        let Some((time, p)) = earliest else {
+            return order;
+        };
+        order.push((time, p, comp.events[p][next[p]].sn));
+        next[p] += 1;
     }
-    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    all
 }
 
 /// Replays `comp` through freshly created decentralized monitors for `automaton`.
@@ -69,7 +89,7 @@ pub fn replay_decentralized(
     let initial_gstate = comp.global_state(&vec![0; n], registry);
     let mut session = decentralized_session(n, automaton, registry, initial_gstate, opts);
     for (_, p, sn) in timestamp_order(comp) {
-        session.feed_owned(comp.events[p][(sn - 1) as usize].clone());
+        session.feed_event(&comp.events[p][(sn - 1) as usize]);
     }
     session.finish();
     let monitor_messages = session.monitor_messages();
@@ -84,6 +104,107 @@ mod tests {
     use super::*;
     use dlrv_ltl::{Formula, Verdict};
     use dlrv_vclock::fixtures::running_example;
+
+    /// The reference order: every event, fully sorted by `(time, process, sn)`.
+    fn full_sort(comp: &Computation) -> Vec<(f64, ProcessId, u64)> {
+        let mut all: Vec<(f64, ProcessId, u64)> = Vec::new();
+        for (p, events) in comp.events.iter().enumerate() {
+            for e in events {
+                all.push((e.time, p, e.sn));
+            }
+        }
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        all
+    }
+
+    #[test]
+    fn timestamp_order_equals_a_full_sort_on_simulator_computations() {
+        use dlrv_distsim::{run_simulation, NullMonitor, SimConfig};
+        use dlrv_trace::{generate_workload, CommTopology, WorkloadConfig};
+        for n in 2..=5 {
+            let mut reg = AtomRegistry::new();
+            for i in 0..n {
+                reg.intern(&format!("P{i}.p"), i);
+                reg.intern(&format!("P{i}.q"), i);
+            }
+            for seed in 1..=4 {
+                let configs = [
+                    ("broadcast", WorkloadConfig::paper_default(n, seed)),
+                    (
+                        "ring",
+                        WorkloadConfig::with_topology(n, CommTopology::Ring, seed),
+                    ),
+                    (
+                        "hotspot",
+                        WorkloadConfig::with_topology(n, CommTopology::Hotspot { hub: 0 }, seed),
+                    ),
+                    ("no-comm", WorkloadConfig::comm_sweep(n, None, seed)),
+                ];
+                for (topology, config) in configs {
+                    let report = run_simulation(
+                        &generate_workload(&config),
+                        &reg,
+                        &SimConfig::default(),
+                        |_| NullMonitor::default(),
+                    );
+                    let comp = &report.computation;
+                    assert_eq!(
+                        timestamp_order(comp),
+                        full_sort(comp),
+                        "{topology}, n = {n}, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timestamp_order_equals_a_full_sort_on_the_running_example_and_on_ties() {
+        use dlrv_ltl::Assignment;
+        use dlrv_vclock::{Event, EventKind, VectorClock};
+        let (comp, _) = running_example();
+        assert_eq!(timestamp_order(&comp), full_sort(&comp), "running example");
+        // Equal times across and within processes: the lower process goes first,
+        // and a process's own events keep their sequence order.
+        let mut comp = Computation::new(vec![Assignment::ALL_FALSE; 3]);
+        for (process, times) in [
+            (0, [1.0, 2.0, 2.0]),
+            (1, [0.5, 2.0, 3.0]),
+            (2, [2.0, 2.0, 2.0]),
+        ] {
+            for (k, time) in times.into_iter().enumerate() {
+                let mut entries = vec![0; 3];
+                entries[process] = k as u64 + 1;
+                comp.push(Event {
+                    process,
+                    kind: EventKind::Internal,
+                    sn: k as u64 + 1,
+                    vc: VectorClock::from_entries(entries),
+                    state: Assignment::ALL_FALSE,
+                    time,
+                });
+            }
+        }
+        assert_eq!(timestamp_order(&comp), full_sort(&comp), "ties");
+        let order: Vec<(ProcessId, u64)> = timestamp_order(&comp)
+            .into_iter()
+            .map(|(_, p, sn)| (p, sn))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (1, 1),
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (1, 2),
+                (2, 1),
+                (2, 2),
+                (2, 3),
+                (1, 3)
+            ]
+        );
+    }
 
     #[test]
     fn replay_on_running_example_detects_interleaving_violation() {

@@ -431,7 +431,8 @@ pub struct SessionStream {
 /// Both the throughput runner and the stream-equivalence test construct their wire
 /// streams through this function, so they always exercise the same record shape.
 pub fn interleave_sessions(sessions: &[SessionStream]) -> Vec<StreamRecord> {
-    let mut records = Vec::new();
+    let events: usize = sessions.iter().map(|s| s.events.len()).sum();
+    let mut records = Vec::with_capacity(2 * sessions.len() + events);
     for s in sessions {
         records.push(StreamRecord::Open {
             session: s.session,
@@ -885,5 +886,42 @@ mod tests {
             .filter(|w| *w == b"SomeLongPropertyName")
             .count();
         assert_eq!(name_count, 1, "the property name travels exactly once");
+    }
+
+    #[test]
+    fn interleaving_opens_all_then_round_robins_into_exact_capacity() {
+        let session = |session: SessionId, events: usize| SessionStream {
+            session,
+            property: "C".to_string(),
+            n_processes: 2,
+            initial_state: 0,
+            events: vec![sample_event(); events],
+        };
+        let records = interleave_sessions(&[session(7, 2), session(9, 1)]);
+        let shape: Vec<(char, SessionId)> = records
+            .iter()
+            .map(|r| match r {
+                StreamRecord::Open { session, .. } => ('o', *session),
+                StreamRecord::Event { session, .. } => ('e', *session),
+                StreamRecord::Close { session } => ('c', *session),
+            })
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                ('o', 7),
+                ('o', 9),
+                ('e', 7),
+                ('e', 9),
+                ('e', 7),
+                ('c', 7),
+                ('c', 9)
+            ]
+        );
+        assert_eq!(
+            records.capacity(),
+            records.len(),
+            "one allocation, no spare"
+        );
     }
 }

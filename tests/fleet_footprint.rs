@@ -34,11 +34,13 @@ static ALLOCATOR: Counting = Counting;
 
 const SESSIONS: usize = 400;
 /// Live heap of the fleet sessions over the live heap of their solo sessions, in
-/// percent.  Measured: 48.8 (5 467 / 11 214; pin 70 → 56 → 66 → 73 → 48): B and
+/// percent.  Measured: 47.3 (5 154 / 10 886; pin 70 → 56 → 66 → 73 → 48): B and
 /// F are decided at open in these sessions and hold no monitor, and A and C are
 /// one formula at three processes and share one, so the fleet holds three
-/// monitors per process to the solo sessions' six.  It read 73.1 (8 202 /
-/// 11 214) with a monitor per member.  The two
+/// monitors per process to the solo sessions' six.  It read 48.8 (5 467 /
+/// 11 214) before tokens carried their sender's detected verdicts, which cut
+/// explorations on both sides, and 73.1 (8 202 / 11 214) with a monitor per
+/// member.  The two
 /// upward moves are the history records', each by its measured amount: a
 /// narrower record shrinks every history, six solo sessions hold 18 histories to
 /// a fleet's 3, so the solo side sheds six times the bytes while the fleet's own
@@ -55,8 +57,9 @@ const SESSIONS: usize = 400;
 /// views at ⊤/⊥ were held instead of retired, 114 with a history per member and
 /// the token pool.
 const FLEET_OVER_SOLOS_PERCENT: usize = 48;
-/// Live heap of one fleet session, in bytes.  Measured: 5 467 (budget 15 000 →
-/// 10 000 → 9 450 → 8 600 → 5 600).  It read 8 202 with a monitor per member:
+/// Live heap of one fleet session, in bytes.  Measured: 5 154 (budget 15 000 →
+/// 10 000 → 9 450 → 8 600 → 5 600).  It read 5 467 before tokens carried their
+/// sender's detected verdicts, and 8 202 with a monitor per member:
 /// B's, F's and a second one for A and C at each process were 1 944 B
 /// (3 × 3 × 216) of the difference, and the views, parked tokens and in-flight
 /// counts the second one repeated 903 B; the session's member → slot map and

@@ -379,6 +379,68 @@ fn sweep_seed_1039_detects_the_same_with_the_suite_on_and_off() {
     assert_eq!(detected[0], detected[1], "{formula:?}");
 }
 
+/// A known completeness miss with §4.3.3 off (docs/MONITORING.md, "Open
+/// findings"): on this two-process session `default()` detects both reachable
+/// verdicts and `prune_disjunctive: false` detects ⊥ only.  Not an allowance:
+/// the test pins today's sets, so it fails once the miss disappears, and
+/// whatever fixes it updates the pin and the finding.
+#[test]
+fn pruning_off_misses_a_reachable_top_on_a_two_process_until_session() {
+    // φ = ¬(P0.p ∧ (P1.p ∨ P1.q)) U (P0.p ∧ P1.p): ⊤ where P0.p meets P1.p, ⊥
+    // where it meets P1.q alone.  P1 records P1.q, then P1.p (times 1, 2); P0
+    // records P0.p twice (times 3, 4); no process hears from the other, so the
+    // replay feeds P1's events first.  The oracle reaches {⊥, ⊤}: ⊥ at cut
+    // (1, 1), ⊤ at cut (1, 2) — `(P0's events, P1's events)`.
+    use dlrv_core::dlrv_vclock::{Event, EventKind, VectorClock};
+    let mut reg = AtomRegistry::new();
+    let p0 = reg.intern("P0.p", 0);
+    let p1 = reg.intern("P1.p", 1);
+    let q1 = reg.intern("P1.q", 1);
+    let [p0_f, p1_f, q1_f] = [p0, p1, q1].map(Formula::Atom);
+    let phi = Formula::until(
+        Formula::not(Formula::and(p0_f.clone(), Formula::or(p1_f.clone(), q1_f))),
+        Formula::and(p0_f, p1_f),
+    );
+    let mut comp = Computation::new(vec![Assignment::ALL_FALSE; 2]);
+    let event = |process: usize, sn: u64, atom, time: f64| {
+        let mut entries = vec![0; 2];
+        entries[process] = sn;
+        Event {
+            process,
+            kind: EventKind::Internal,
+            sn,
+            vc: VectorClock::from_entries(entries),
+            state: Assignment::from_true_atoms([atom]),
+            time,
+        }
+    };
+    comp.push(event(1, 1, q1, 1.0));
+    comp.push(event(1, 2, p1, 2.0));
+    comp.push(event(0, 1, p0, 3.0));
+    comp.push(event(0, 2, p0, 4.0));
+    let automaton = Arc::new(MonitorAutomaton::synthesize(&phi, &reg));
+    let registry = Arc::new(reg);
+
+    let oracle = oracle_evaluate(&comp, &Lattice::build(&comp), &automaton, &registry);
+    assert!(oracle.violation_reachable && oracle.satisfaction_reachable);
+    let no_prune = MonitorOptions {
+        prune_disjunctive: false,
+        ..MonitorOptions::default()
+    };
+    let detected =
+        |opts| replay_decentralized(&comp, &registry, &automaton, opts).detected_final_verdicts();
+    use Verdict::{False as Bot, True as Top};
+    assert_eq!(
+        detected(MonitorOptions::default()),
+        Verdicts::from([Bot, Top])
+    );
+    assert_eq!(
+        detected(no_prune),
+        Verdicts::from([Bot]),
+        "§4.3.3 off: ⊤ at cut (1, 2) is reachable but not detected"
+    );
+}
+
 /// Sessions in the oracle ledger: the first wave of the benchmark's `fleet-6` workload.
 const LEDGER_SESSIONS: u64 = 400;
 

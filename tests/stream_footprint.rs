@@ -31,9 +31,11 @@ static ALLOCATOR: Counting = Counting;
 
 const WARM_UP: usize = 100;
 const SESSIONS: usize = 1000;
-/// Heap a shard keeps per closed `fleet-6` session, in bytes.  Measured: 62 —
-/// the 33 B record plus the spare capacity the log's doubling leaves, which
-/// lies between none and one record's worth per record.  It read 451 while the
+/// Heap a shard keeps per closed `fleet-6` session, in bytes.  Measured: 56 —
+/// the packed record plus the spare capacity the log's doubling leaves, which
+/// lies between none and one record's worth per record.  It read 60 before
+/// tokens carried their sender's detected verdicts, 62 (a 33 B record) with a
+/// monitor per member, 451 while the
 /// log kept every fleet session's spec for its member names, and 1 160 while
 /// the shard kept every closed session's `SessionOutcome`.
 const BYTES_PER_CLOSED_FLEET_SESSION: usize = 72;
