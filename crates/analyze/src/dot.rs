@@ -1,15 +1,16 @@
 //! Analysis-annotated Graphviz export.
 //!
-//! Same digraph shape as `dlrv_automaton::dot::to_dot` (state names `q<i>` /
-//! `q_top` / `q_bot`, guard labels from the registry), plus the analyzer's
-//! verdict-reachability classes as node colors, dashed outlines for unreachable
-//! states and a `(trap)` marker on `?`-traps — so a single glance at the figure
-//! shows *why* a spec is or is not monitorable.
+//! Same digraph shape as `dlrv_automaton::dot::to_dot`, whose state names
+//! (`q<i>` / `q_top` / `q_bot`) and guard-labelled edges it reuses, plus the
+//! analyzer's verdict-reachability classes as node colors, dashed outlines for
+//! unreachable states and a `(trap)` marker on `?`-traps — so a single glance at
+//! the figure shows *why* a spec is or is not monitorable.
 
 use crate::classify::StateClass;
 use crate::report::PropertyAnalysis;
+use dlrv_automaton::dot::{state_name_shape, write_edges};
 use dlrv_automaton::MonitorAutomaton;
-use dlrv_ltl::{AtomRegistry, Verdict};
+use dlrv_ltl::AtomRegistry;
 use std::fmt::Write as _;
 
 /// Fill color of a verdict-reachability class.
@@ -50,11 +51,7 @@ pub fn to_dot_annotated(
     let _ = writeln!(out, "  __init [shape=point, label=\"\", style=solid];");
     for s in 0..automaton.n_states() {
         let class = analysis.state_classes[s];
-        let (name, shape) = match automaton.verdict(s) {
-            Verdict::False => ("q_bot".to_string(), "doublecircle"),
-            Verdict::True => ("q_top".to_string(), "doublecircle"),
-            Verdict::Unknown => (format!("q{s}"), "circle"),
-        };
+        let (name, shape) = state_name_shape(automaton, s);
         let marker = if class == StateClass::NeitherReachable {
             "\\n(trap)"
         } else {
@@ -73,12 +70,7 @@ pub fn to_dot_annotated(
             class_color(class)
         );
     }
-    let _ = writeln!(out, "  __init -> s{};", automaton.initial);
-    for t in &automaton.transitions {
-        let guard = t.guard.display(registry);
-        let escaped = guard.replace('"', "\\\"");
-        let _ = writeln!(out, "  s{} -> s{} [label=\"{escaped}\"];", t.from, t.to);
-    }
+    write_edges(&mut out, automaton, registry);
     let _ = writeln!(out, "}}");
     out
 }

@@ -24,17 +24,25 @@ pub fn to_dot(automaton: &MonitorAutomaton, registry: &AtomRegistry, title: &str
             automaton.verdict(s).symbol()
         );
     }
+    write_edges(&mut out, automaton, registry);
+    let _ = writeln!(out, "}}");
+    out
+}
+
+/// Writes the edges of `automaton`'s digraph: the arrow into the initial state,
+/// then one edge per transition labelled with its guard over `registry`'s names.
+pub fn write_edges(out: &mut String, automaton: &MonitorAutomaton, registry: &AtomRegistry) {
     let _ = writeln!(out, "  __init -> s{};", automaton.initial);
     for t in &automaton.transitions {
         let guard = t.guard.display(registry);
         let escaped = guard.replace('"', "\\\"");
         let _ = writeln!(out, "  s{} -> s{} [label=\"{escaped}\"];", t.from, t.to);
     }
-    let _ = writeln!(out, "}}");
-    out
 }
 
-fn state_name_shape(automaton: &MonitorAutomaton, s: usize) -> (String, &'static str) {
+/// The name and node shape of state `s`: `q_bot` / `q_top` double circles for the
+/// final states, a `q<s>` circle otherwise.
+pub fn state_name_shape(automaton: &MonitorAutomaton, s: usize) -> (String, &'static str) {
     match automaton.verdict(s) {
         Verdict::False => ("q_bot".to_string(), "doublecircle"),
         Verdict::True => ("q_top".to_string(), "doublecircle"),

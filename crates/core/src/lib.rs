@@ -64,7 +64,7 @@ pub use report::{render_report, RenderedReport, TrendPoint};
 pub use results::{
     records_to_json, sweep_from_json, sweep_to_json, ScenarioRecord, RESULTS_SCHEMA_VERSION,
 };
-pub use scenario::{Scenario, ScenarioFamily, ScenarioRegistry, StreamParams};
+pub use scenario::{Scenario, ScenarioFamily, ScenarioRegistry, StreamParams, Substrate};
 pub use spec::{CompiledProperty, PropertySpec, PropertySpecError, MAX_SPEC_ATOMS};
 pub use system::{MonitoredSystem, MonitoringOutcome};
 pub use throughput::run_streamed;

@@ -302,7 +302,7 @@ mod tests {
     use super::*;
     use crate::experiment::ExperimentConfig;
     use crate::properties::PaperProperty;
-    use crate::scenario::Scenario;
+    use crate::scenario::{Scenario, Substrate};
     use dlrv_monitor::MonitorOptions;
 
     fn record(name: &str, family: ScenarioFamily, msgs: usize) -> ScenarioRecord {
@@ -324,9 +324,7 @@ mod tests {
                 family,
                 config: ExperimentConfig::paper_default(PaperProperty::C, 3),
                 options: MonitorOptions::default(),
-                stream: None,
-                deploy: None,
-                fleet: None,
+                substrate: Substrate::Simulated,
             },
             detected_verdicts: avg.detected_final_verdicts,
             per_seed: vec![avg.clone()],
@@ -374,10 +372,13 @@ mod tests {
 
     #[test]
     fn fleet_family_renders_per_property_verdicts_and_no_host_measurement() {
+        use crate::fleet::FleetParams;
         use crate::scenario::StreamParams;
         use dlrv_monitor::FleetPropertyMetrics;
         let mut r = record("fleet-AB-sh4", ScenarioFamily::Fleet, 40);
-        r.scenario.stream = Some(StreamParams::sized(100, 4));
+        let members = vec![PaperProperty::A.into(), PaperProperty::B.into()];
+        r.scenario.substrate =
+            Substrate::Fleet(StreamParams::sized(100, 4), FleetParams::new(members));
         r.avg.wall_clock_secs = 0.30;
         r.avg.fleet_size = 2;
         r.avg.fleet_per_property = vec![

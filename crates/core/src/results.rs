@@ -34,7 +34,7 @@ use crate::deploy::{DeployParams, DeployTransport};
 use crate::experiment::{ExperimentConfig, ExperimentResult};
 use crate::fleet::FleetParams;
 use crate::properties::PaperProperty;
-use crate::scenario::{Scenario, ScenarioFamily, StreamParams};
+use crate::scenario::{Scenario, ScenarioFamily, StreamParams, Substrate};
 use crate::spec::PropertySpec;
 use crate::tables::RunView;
 use dlrv_json::{object, Json, JsonError};
@@ -226,33 +226,26 @@ pub fn fleet_params_from_json(v: &Json) -> Result<FleetParams, JsonError> {
 
 fn record_to_json(view: RunView<'_>, per_seed: &[RunMetrics]) -> Json {
     let scenario = view.scenario;
+    // The substrate is written as three keys, `null` where it has no such params.
+    let (stream, deploy, fleet) = match &scenario.substrate {
+        Substrate::Simulated => (Json::Null, Json::Null, Json::Null),
+        Substrate::Streamed(params) => (stream_params_to_json(params), Json::Null, Json::Null),
+        Substrate::Fleet(params, fleet) => (
+            stream_params_to_json(params),
+            Json::Null,
+            fleet_params_to_json(fleet),
+        ),
+        Substrate::Deployed(params) => (Json::Null, deploy_params_to_json(params), Json::Null),
+    };
     object([
         ("name", Json::from(scenario.name.as_str())),
         ("family", Json::from(scenario.family.name())),
         ("description", Json::from(scenario.description.as_str())),
         ("config", config_to_json(&scenario.config)),
         ("options", options_to_json(&scenario.options)),
-        (
-            "stream",
-            scenario
-                .stream
-                .as_ref()
-                .map_or(Json::Null, stream_params_to_json),
-        ),
-        (
-            "deploy",
-            scenario
-                .deploy
-                .as_ref()
-                .map_or(Json::Null, deploy_params_to_json),
-        ),
-        (
-            "fleet",
-            scenario
-                .fleet
-                .as_ref()
-                .map_or(Json::Null, fleet_params_to_json),
-        ),
+        ("stream", stream),
+        ("deploy", deploy),
+        ("fleet", fleet),
         ("avg", view.avg.to_json()),
         (
             "per_seed",
@@ -262,32 +255,39 @@ fn record_to_json(view: RunView<'_>, per_seed: &[RunMetrics]) -> Json {
     ])
 }
 
+/// Reads a record's substrate back from its `stream` / `deploy` / `fleet` keys.
+/// Each is absent or null in documents written before its family, and null on a
+/// record whose substrate has no such params; a combination no substrate writes
+/// — `deploy` with `stream` or `fleet`, or `fleet` without `stream` — is refused.
+fn substrate_from_json(v: &Json, name: &str) -> Result<Substrate, JsonError> {
+    let params = |key| Ok(v.get_opt(key)?.filter(|p| !matches!(p, Json::Null)));
+    match (params("stream")?, params("deploy")?, params("fleet")?) {
+        (None, None, None) => Ok(Substrate::Simulated),
+        (Some(stream), None, None) => Ok(Substrate::Streamed(stream_params_from_json(stream)?)),
+        (Some(stream), None, Some(fleet)) => Ok(Substrate::Fleet(
+            stream_params_from_json(stream)?,
+            fleet_params_from_json(fleet)?,
+        )),
+        (None, Some(deploy), None) => Ok(Substrate::Deployed(deploy_params_from_json(deploy)?)),
+        _ => Err(JsonError::msg(format!(
+            "scenario `{name}`: `deploy` params go alone and `fleet` params need `stream` ones"
+        ))),
+    }
+}
+
 fn record_from_json(v: &Json) -> Result<ScenarioRecord, JsonError> {
     let family_name = v.get("family")?.as_str()?;
     let family = ScenarioFamily::from_name(family_name)
         .ok_or_else(|| JsonError::msg(format!("unknown scenario family `{family_name}`")))?;
+    let name = v.get("name")?.as_str()?;
     Ok(ScenarioRecord {
         scenario: Scenario {
-            name: v.get("name")?.as_str()?.to_string(),
+            name: name.to_string(),
             description: v.get("description")?.as_str()?.to_string(),
             family,
             config: config_from_json(v.get("config")?)?,
             options: options_from_json(v.get("options")?)?,
-            // Absent or null in documents written before the throughput family.
-            stream: match v.get_opt("stream")? {
-                None | Some(Json::Null) => None,
-                Some(params) => Some(stream_params_from_json(params)?),
-            },
-            // Absent or null in documents written before the deploy family.
-            deploy: match v.get_opt("deploy")? {
-                None | Some(Json::Null) => None,
-                Some(params) => Some(deploy_params_from_json(params)?),
-            },
-            // Absent or null in documents written before the fleet family.
-            fleet: match v.get_opt("fleet")? {
-                None | Some(Json::Null) => None,
-                Some(params) => Some(fleet_params_from_json(params)?),
-            },
+            substrate: substrate_from_json(v, name)?,
         },
         avg: RunMetrics::from_json(v.get("avg")?)?,
         per_seed: v
@@ -421,7 +421,7 @@ mod tests {
             .expect("registered")
             .clone();
         scenario.config.events_per_process = 4;
-        scenario.stream = Some(crate::scenario::StreamParams::sized(10, 2));
+        scenario.substrate = Substrate::Streamed(StreamParams::sized(10, 2));
         let runs = vec![(scenario.clone(), scenario.run())];
         let records = round_trip(&runs);
         assert_eq!(records[0].avg.per_shard.len(), 2);
@@ -435,10 +435,15 @@ mod tests {
             .expect("registered")
             .clone();
         scenario.config.events_per_process = 4;
-        scenario.stream = Some(crate::scenario::StreamParams::sized(6, 2));
+        let Substrate::Fleet(stream, _) = &mut scenario.substrate else {
+            unreachable!("a fleet scenario")
+        };
+        *stream = StreamParams::sized(6, 2);
         let runs = vec![(scenario.clone(), scenario.run())];
         let records = round_trip(&runs);
-        let fleet = records[0].scenario.fleet.as_ref().expect("fleet survives");
+        let Substrate::Fleet(_, fleet) = &records[0].scenario.substrate else {
+            panic!("fleet survives")
+        };
         assert_eq!(fleet.joined_name(), "A+B");
         assert_eq!(records[0].avg.fleet_size, 2);
         assert_eq!(

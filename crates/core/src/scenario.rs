@@ -143,18 +143,34 @@ pub struct Scenario {
     pub config: ExperimentConfig,
     /// Monitor-optimization switches (§4.3).
     pub options: MonitorOptions,
-    /// `Some` for throughput scenarios: how many concurrent sessions to stream
-    /// through the sharded runtime and how the engine is sized.  `None` runs the
-    /// classic offline experiment.
-    pub stream: Option<StreamParams>,
-    /// `Some` for deploy scenarios: which socket transport carries the monitors
-    /// and the (optional) fault spec on every channel.  `None` runs in-process.
-    pub deploy: Option<DeployParams>,
-    /// `Some` for fleet scenarios: the member properties monitored in one pass.
-    /// Fleet scenarios also carry [`stream`](Self::stream) params (the fleet
-    /// rides the sharded streaming runtime); `config.property` is the lead
-    /// member, used only to shape the workload.
-    pub fleet: Option<FleetParams>,
+    /// What runs the monitors.
+    pub substrate: Substrate,
+}
+
+/// What a scenario's monitors run on, with that substrate's parameters.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Substrate {
+    /// The classic offline experiment: the discrete-event simulator.
+    Simulated,
+    /// Many concurrent sessions streamed through the sharded runtime, sized by
+    /// the params.
+    Streamed(StreamParams),
+    /// The member properties monitored in one pass over the sharded runtime;
+    /// `config.property` is the lead member, used only to shape the workload.
+    Fleet(StreamParams, FleetParams),
+    /// One `monitord` OS process per monitor: which socket transport carries the
+    /// monitors and the (optional) fault spec on every channel.
+    Deployed(DeployParams),
+}
+
+impl Substrate {
+    /// The runtime sizing of a streamed or fleet scenario.
+    pub fn stream(&self) -> Option<&StreamParams> {
+        match self {
+            Substrate::Streamed(params) | Substrate::Fleet(params, _) => Some(params),
+            Substrate::Simulated | Substrate::Deployed(_) => None,
+        }
+    }
 }
 
 impl Scenario {
@@ -171,20 +187,17 @@ impl Scenario {
     /// Panics when a deploy scenario's process fleet fails (daemon spawn,
     /// handshake or barrier errors); use [`run_deploy`] directly for a `Result`.
     pub fn run(&self) -> ExperimentResult {
-        assert!(
-            self.fleet.is_none() || self.stream.is_some(),
-            "fleet scenarios carry stream params"
-        );
-        match (&self.stream, &self.deploy) {
-            (Some(params), _) => {
-                run_streamed(&self.config, params, self.fleet.as_ref(), self.options)
+        match &self.substrate {
+            Substrate::Simulated => run_experiment_with_options(&self.config, self.options),
+            Substrate::Streamed(params) => run_streamed(&self.config, params, None, self.options),
+            Substrate::Fleet(params, fleet) => {
+                run_streamed(&self.config, params, Some(fleet), self.options)
             }
-            (None, Some(params)) => {
+            Substrate::Deployed(params) => {
                 run_deploy(&self.config, self.options, params)
                     .unwrap_or_else(|e| panic!("deploy scenario `{}` failed: {e}", self.name))
                     .result
             }
-            (None, None) => run_experiment_with_options(&self.config, self.options),
         }
     }
 }
@@ -223,9 +236,7 @@ impl ScenarioRegistry {
                     family: ScenarioFamily::Paper,
                     config: ExperimentConfig::paper_default(property, n),
                     options: MonitorOptions::default(),
-                    stream: None,
-                    deploy: None,
-                    fleet: None,
+                    substrate: Substrate::Simulated,
                 });
             }
         }
@@ -247,9 +258,7 @@ impl ScenarioRegistry {
                     ..ExperimentConfig::paper_default(PaperProperty::C, 4)
                 },
                 options: MonitorOptions::default(),
-                stream: None,
-                deploy: None,
-                fleet: None,
+                substrate: Substrate::Simulated,
             });
         }
 
@@ -269,9 +278,7 @@ impl ScenarioRegistry {
                 ..ExperimentConfig::paper_default(PaperProperty::C, 4)
             },
             options: MonitorOptions::default(),
-            stream: None,
-            deploy: None,
-            fleet: None,
+            substrate: Substrate::Simulated,
         });
         registry.push(Scenario {
             name: "hotspot-D-n4".to_string(),
@@ -284,9 +291,7 @@ impl ScenarioRegistry {
                 ..ExperimentConfig::paper_default(PaperProperty::D, 4)
             },
             options: MonitorOptions::default(),
-            stream: None,
-            deploy: None,
-            fleet: None,
+            substrate: Substrate::Simulated,
         });
         registry.push(Scenario {
             name: "ring-B-n4".to_string(),
@@ -299,9 +304,7 @@ impl ScenarioRegistry {
                 ..ExperimentConfig::paper_default(PaperProperty::B, 4)
             },
             options: MonitorOptions::default(),
-            stream: None,
-            deploy: None,
-            fleet: None,
+            substrate: Substrate::Simulated,
         });
         registry.push(Scenario {
             name: "pipeline-A-n4".to_string(),
@@ -314,9 +317,7 @@ impl ScenarioRegistry {
                 ..ExperimentConfig::paper_default(PaperProperty::A, 4)
             },
             options: MonitorOptions::default(),
-            stream: None,
-            deploy: None,
-            fleet: None,
+            substrate: Substrate::Simulated,
         });
         for n in [6usize, 8] {
             registry.push(Scenario {
@@ -328,9 +329,7 @@ impl ScenarioRegistry {
                 family: ScenarioFamily::Extended,
                 config: ExperimentConfig::paper_default(PaperProperty::B, n),
                 options: MonitorOptions::default(),
-                stream: None,
-                deploy: None,
-                fleet: None,
+                substrate: Substrate::Simulated,
             });
         }
         registry.push(Scenario {
@@ -344,9 +343,7 @@ impl ScenarioRegistry {
                 ..ExperimentConfig::paper_default(PaperProperty::A, 6)
             },
             options: MonitorOptions::default(),
-            stream: None,
-            deploy: None,
-            fleet: None,
+            substrate: Substrate::Simulated,
         });
 
         // The throughput family: online ingestion through the sharded streaming
@@ -371,9 +368,7 @@ impl ScenarioRegistry {
                 family: ScenarioFamily::Throughput,
                 config: stream_config(property, 3, 6),
                 options: MonitorOptions::default(),
-                stream: Some(StreamParams::sized(200, 4)),
-                deploy: None,
-                fleet: None,
+                substrate: Substrate::Streamed(StreamParams::sized(200, 4)),
             });
         }
 
@@ -388,9 +383,7 @@ impl ScenarioRegistry {
                 family: ScenarioFamily::Throughput,
                 config: stream_config(PaperProperty::C, 2, 8),
                 options: MonitorOptions::default(),
-                stream: Some(StreamParams::sized(400, n_shards)),
-                deploy: None,
-                fleet: None,
+                substrate: Substrate::Streamed(StreamParams::sized(400, n_shards)),
             });
         }
 
@@ -410,9 +403,7 @@ impl ScenarioRegistry {
                 ..stream_config(PaperProperty::C, 3, 6)
             },
             options: MonitorOptions::default(),
-            stream: Some(StreamParams::sized(200, 4)),
-            deploy: None,
-            fleet: None,
+            substrate: Substrate::Streamed(StreamParams::sized(200, 4)),
         });
         registry.push(Scenario {
             name: "throughput-B-s200-sh4-ring".to_string(),
@@ -425,9 +416,7 @@ impl ScenarioRegistry {
                 ..stream_config(PaperProperty::B, 3, 6)
             },
             options: MonitorOptions::default(),
-            stream: Some(StreamParams::sized(200, 4)),
-            deploy: None,
-            fleet: None,
+            substrate: Substrate::Streamed(StreamParams::sized(200, 4)),
         });
 
         // The load test: a thousand concurrent sessions on eight shards.
@@ -439,9 +428,7 @@ impl ScenarioRegistry {
             family: ScenarioFamily::Throughput,
             config: stream_config(PaperProperty::B, 2, 6),
             options: MonitorOptions::default(),
-            stream: Some(StreamParams::sized(1000, 8)),
-            deploy: None,
-            fleet: None,
+            substrate: Substrate::Streamed(StreamParams::sized(1000, 8)),
         });
 
         // The §4.3 overhead family: every property at the paper's 4-process point,
@@ -469,9 +456,7 @@ impl ScenarioRegistry {
                         ..ExperimentConfig::paper_default(property, 4)
                     },
                     options,
-                    stream: None,
-                    deploy: None,
-                    fleet: None,
+                    substrate: Substrate::Simulated,
                 });
             }
         }
@@ -494,9 +479,7 @@ impl ScenarioRegistry {
                 )
             },
             options: MonitorOptions::default(),
-            stream: None,
-            deploy: None,
-            fleet: None,
+            substrate: Substrate::Simulated,
         };
         registry.push(custom(
             "reqack-n2",
@@ -584,9 +567,7 @@ impl ScenarioRegistry {
                 family: ScenarioFamily::Deploy,
                 config: deploy_config(property.into(), 3),
                 options: MonitorOptions::default(),
-                stream: None,
-                deploy: Some(DeployParams::clean(transport)),
-                fleet: None,
+                substrate: Substrate::Deployed(DeployParams::clean(transport)),
             });
         }
         registry.push(Scenario {
@@ -601,9 +582,7 @@ impl ScenarioRegistry {
                 2,
             ),
             options: MonitorOptions::default(),
-            stream: None,
-            deploy: Some(DeployParams::clean(DeployTransport::Unix)),
-            fleet: None,
+            substrate: Substrate::Deployed(DeployParams::clean(DeployTransport::Unix)),
         });
         registry.push(Scenario {
             name: "deploy-C-n3-faulty".to_string(),
@@ -614,15 +593,13 @@ impl ScenarioRegistry {
             family: ScenarioFamily::Deploy,
             config: deploy_config(PaperProperty::C.into(), 3),
             options: MonitorOptions::default(),
-            stream: None,
-            deploy: Some(DeployParams {
+            substrate: Substrate::Deployed(DeployParams {
                 transport: DeployTransport::Unix,
                 fault: Some(
                     FaultSpec::parse("delay=1,dup=0.2,reorder=0.2,seed=7")
                         .expect("registry fault specs are valid"),
                 ),
             }),
-            fleet: None,
         });
 
         // The fleet family: N properties monitored in one pass over a shared
@@ -646,9 +623,7 @@ impl ScenarioRegistry {
                 family: ScenarioFamily::Fleet,
                 config: stream_config(letters[0], 3, 6),
                 options,
-                stream: Some(StreamParams::sized(100, n_shards)),
-                deploy: None,
-                fleet: Some(fleet),
+                substrate: Substrate::Fleet(StreamParams::sized(100, n_shards), fleet),
             }
         };
         use PaperProperty::{A, B, C, D, E, F};
@@ -757,13 +732,13 @@ mod tests {
                 .get(&name)
                 .unwrap_or_else(|| panic!("missing {name}"));
             assert_eq!(s.family, ScenarioFamily::Throughput);
-            assert_eq!(s.stream.unwrap().n_sessions, 200);
+            assert_eq!(s.substrate.stream().unwrap().n_sessions, 200);
         }
         // … and at least three distinct shard counts are measured (the engine's
         // scaling curve needs ≥ 3 points).
         let shard_counts: std::collections::BTreeSet<usize> = registry
             .family(ScenarioFamily::Throughput)
-            .map(|s| s.stream.unwrap().n_shards)
+            .map(|s| s.substrate.stream().unwrap().n_shards)
             .collect();
         assert!(
             shard_counts.len() >= 3,
@@ -773,7 +748,7 @@ mod tests {
         // families always do.
         for s in &registry {
             assert_eq!(
-                s.stream.is_some(),
+                s.substrate.stream().is_some(),
                 matches!(s.family, ScenarioFamily::Throughput | ScenarioFamily::Fleet),
                 "{}",
                 s.name
@@ -782,7 +757,7 @@ mod tests {
         // And fleet members are exactly the fleet family's scenarios.
         for s in &registry {
             assert_eq!(
-                s.fleet.is_some(),
+                matches!(s.substrate, Substrate::Fleet(..)),
                 s.family == ScenarioFamily::Fleet,
                 "{}",
                 s.name
@@ -798,7 +773,7 @@ mod tests {
             .expect("registered")
             .clone();
         scenario.config.events_per_process = 4;
-        scenario.stream = Some(StreamParams::sized(12, 2));
+        scenario.substrate = Substrate::Streamed(StreamParams::sized(12, 2));
         let result = scenario.run();
         assert_eq!(result.avg.per_shard.len(), 2);
         assert!(result.avg.events_per_sec > 0.0);
@@ -885,10 +860,12 @@ mod tests {
                 .get(&name)
                 .unwrap_or_else(|| panic!("missing {name}"));
             assert_eq!(s.family, ScenarioFamily::Fleet);
-            let fleet = s.fleet.as_ref().expect("fleet scenarios carry members");
+            let Substrate::Fleet(stream, fleet) = &s.substrate else {
+                panic!("fleet scenarios carry members")
+            };
             assert_eq!(fleet.len(), 6);
             assert_eq!(fleet.joined_name(), "A+B+C+D+E+F");
-            assert_eq!(s.stream.unwrap().n_shards, n_shards);
+            assert_eq!(stream.n_shards, n_shards);
             // The lead member shapes the workload.
             assert_eq!(s.config.property.name(), "A");
         }
@@ -898,7 +875,10 @@ mod tests {
         // Fleet sizes 2, 3, 4 and 6 are all present.
         let sizes: std::collections::BTreeSet<usize> = registry
             .family(ScenarioFamily::Fleet)
-            .map(|s| s.fleet.as_ref().unwrap().len())
+            .map(|s| match &s.substrate {
+                Substrate::Fleet(_, fleet) => fleet.len(),
+                _ => unreachable!("{} is no fleet", s.name),
+            })
             .collect();
         assert!(sizes.is_superset(&[2, 3, 4, 6].into()), "got {sizes:?}");
     }
@@ -908,7 +888,10 @@ mod tests {
         let registry = ScenarioRegistry::standard();
         let mut scenario = registry.get("fleet-AB-sh4").expect("registered").clone();
         scenario.config.events_per_process = 4;
-        scenario.stream = Some(StreamParams::sized(8, 2));
+        let Substrate::Fleet(stream, _) = &mut scenario.substrate else {
+            unreachable!("a fleet scenario")
+        };
+        *stream = StreamParams::sized(8, 2);
         let result = scenario.run();
         assert_eq!(result.avg.fleet_size, 2);
         assert_eq!(result.avg.fleet_per_property.len(), 2);
@@ -926,7 +909,7 @@ mod tests {
         );
         for scenario in registry.family(ScenarioFamily::Custom) {
             assert!(scenario.name.starts_with("custom-"), "{}", scenario.name);
-            assert!(scenario.stream.is_none());
+            assert_eq!(scenario.substrate, Substrate::Simulated);
             let spec = &scenario.config.property;
             assert!(
                 spec.paper_property().is_none(),
@@ -993,7 +976,8 @@ mod tests {
             assert_eq!(on.config.n_processes, 4);
             assert_eq!(on.options, MonitorOptions::default());
             assert_eq!(off.options, MonitorOptions::ALL_OFF);
-            assert!(on.stream.is_none() && off.stream.is_none());
+            assert_eq!(on.substrate, Substrate::Simulated);
+            assert_eq!(off.substrate, Substrate::Simulated);
         }
         assert_eq!(registry.family(ScenarioFamily::Overhead).count(), 12);
     }

@@ -10,7 +10,7 @@
 
 use crate::figures::TransitionRow;
 use crate::results::ScenarioRecord;
-use crate::scenario::{Scenario, ScenarioFamily};
+use crate::scenario::{Scenario, ScenarioFamily, Substrate};
 use crate::ExperimentResult;
 use dlrv_analyze::{AnalysisRecord, Severity};
 use dlrv_ltl::Verdicts;
@@ -197,7 +197,11 @@ fn rate_column<'a>() -> RunColumn<'a> {
 
 fn shards_column<'a>() -> RunColumn<'a> {
     RunColumn::right("shards", 7, |r| {
-        r.scenario.stream.map_or(0, |p| p.n_shards).to_string()
+        r.scenario
+            .substrate
+            .stream()
+            .map_or(0, |p| p.n_shards)
+            .to_string()
     })
 }
 
@@ -244,7 +248,11 @@ fn throughput_columns<'a>() -> RunColumns<'a> {
     vec![
         RunColumn::left("scenario", 26, |r| r.scenario.name.clone()),
         RunColumn::right("sessions", 8, |r| {
-            r.scenario.stream.map_or(0, |p| p.n_sessions).to_string()
+            r.scenario
+                .substrate
+                .stream()
+                .map_or(0, |p| p.n_sessions)
+                .to_string()
         }),
         shards_column(),
         RunColumn::right("events", 9, |r| r.avg.total_events.to_string()),
@@ -302,15 +310,15 @@ fn fleet_columns<'a>() -> RunColumns<'a> {
 fn deploy_columns<'a>() -> RunColumns<'a> {
     vec![
         RunColumn::left("scenario", 20, |r| r.scenario.name.clone()),
-        RunColumn::left("trans", 6, |r| {
-            r.scenario
-                .deploy
-                .map_or("-", |p| p.transport.name())
-                .to_string()
+        RunColumn::left("trans", 6, |r| match &r.scenario.substrate {
+            Substrate::Deployed(params) => params.transport.name().to_string(),
+            _ => "-".to_string(),
         }),
-        RunColumn::left("fault", 34, |r| match r.scenario.deploy {
-            Some(params) => params.fault.map_or("none".to_string(), |f| f.to_string()),
-            None => "-".to_string(),
+        RunColumn::left("fault", 34, |r| match &r.scenario.substrate {
+            Substrate::Deployed(params) => {
+                params.fault.map_or("none".to_string(), |f| f.to_string())
+            }
+            _ => "-".to_string(),
         }),
         procs_column(),
         RunColumn::right("events", 8, |r| r.avg.total_events.to_string()),

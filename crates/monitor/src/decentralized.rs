@@ -254,7 +254,7 @@ fn exact<T>(buf: &mut Vec<T>) -> Vec<T> {
 }
 
 /// The largest clock entry a monitor can record: its history stores a clock entry
-/// in at most four bytes.  [`FeedSession::is_next_event`](crate::FeedSession::is_next_event)
+/// in at most four bytes.  [`check_next_event`](crate::check_next_event)
 /// refuses an event with a larger entry, and a history asserts it never records one.
 pub const MAX_CLOCK_ENTRY: u64 = u32::MAX as u64;
 

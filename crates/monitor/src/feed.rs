@@ -71,6 +71,41 @@ pub fn combined_verdict(detected: &Verdicts) -> Verdict {
     }
 }
 
+/// Whether `event` can be the next event of `process` (one of `n_processes`)
+/// once its monitor has recorded `events_recorded` events, or why not: its clock
+/// must have one entry per process, its sequence number — which its own clock
+/// entry repeats — must be one past `events_recorded`, and no clock entry may be
+/// past [`MAX_CLOCK_ENTRY`].  A monitor's history stores runs of events keyed by
+/// those numbers, each in at most four bytes.
+pub fn check_next_event(
+    event: &Event,
+    process: ProcessId,
+    n_processes: usize,
+    events_recorded: u64,
+) -> Result<(), String> {
+    let (sn, vc) = (event.sn, &event.vc);
+    if event.process != process || vc.len() != n_processes {
+        Err(format!(
+            "event of process {} with a {}-entry clock at process {process} of {n_processes}",
+            event.process,
+            vc.len()
+        ))
+    } else if sn != events_recorded + 1 || vc.get(process) != sn {
+        Err(format!(
+            "event {sn} (own clock entry {}) out of sequence at process {process} \
+             after {events_recorded} events",
+            vc.get(process)
+        ))
+    } else if vc.entries().iter().any(|&e| e > MAX_CLOCK_ENTRY) {
+        Err(format!(
+            "event {sn} of process {process} has a clock entry past {MAX_CLOCK_ENTRY}: {:?}",
+            vc.entries()
+        ))
+    } else {
+        Ok(())
+    }
+}
+
 /// An incremental monitoring session: the monitors of one execution.
 ///
 /// Message delivery is zero-latency and drained to quiescence after every fed event
@@ -123,19 +158,11 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
     }
 
     /// Whether `event` can be fed next: it belongs to one of the session's
-    /// processes, its clock has one entry per process, and it is its process's
-    /// next event — its sequence number, which its own clock entry repeats, is one
-    /// past the events that process has had — and no clock entry is past
-    /// [`MAX_CLOCK_ENTRY`].  A monitor's history stores runs of events keyed by
-    /// those numbers, each in at most four bytes, so a runtime that takes events
+    /// processes and [`check_next_event`] passes it.  A runtime that takes events
     /// off a wire drops any other event instead of feeding it.
     pub fn is_next_event(&self, event: &Event) -> bool {
         let (n, p) = (self.monitors.len(), event.process);
-        p < n
-            && event.vc.len() == n
-            && event.sn == self.monitors[p].events_recorded() + 1
-            && event.vc.get(p) == event.sn
-            && event.vc.entries().iter().all(|&e| e <= MAX_CLOCK_ENTRY)
+        p < n && check_next_event(event, p, n, self.monitors[p].events_recorded()).is_ok()
     }
 
     /// Delivers one program event to the monitor of its process and drains monitor

@@ -72,7 +72,8 @@ pub mod replay;
 
 pub use decentralized::{DecentralizedMonitor, MonitorOptions, PropertyMonitor, MAX_CLOCK_ENTRY};
 pub use feed::{
-    combined_verdict, decentralized_session, DecentralizedSession, FeedSession, SessionVerdicts,
+    check_next_event, combined_verdict, decentralized_session, DecentralizedSession, FeedSession,
+    SessionVerdicts,
 };
 pub use fleet::{
     fleet_member_detected, fleet_member_metrics, fleet_member_possible, fleet_session, FleetMember,

@@ -34,7 +34,7 @@ use dlrv_core::dlrv_distsim::{MonitorBehavior, MonitorContext};
 use dlrv_core::dlrv_ltl::Assignment;
 use dlrv_core::results::{options_from_json, property_from_json};
 use dlrv_core::{CompiledProperty, MAX_SPEC_ATOMS};
-use dlrv_monitor::{DecentralizedMonitor, EvalState, MonitorMsg, Token, MAX_CLOCK_ENTRY};
+use dlrv_monitor::{check_next_event, DecentralizedMonitor, EvalState, MonitorMsg, Token};
 use dlrv_net::{
     connect_with_retry, encode_frame, DaemonReport, DaemonStatus, DaemonTelemetry, Endpoint,
     FaultInjector, FaultStats, FramedConn, Interest, IoEvent, Listener, NetError, Reactor, WireMsg,
@@ -250,36 +250,7 @@ fn check_frame(msg: &WireMsg, run: &Run) -> Result<(), String> {
                 run.process
             ))
         }
-        WireMsg::Event { event } if event.process != run.process || event.vc.len() != n => {
-            Err(format!(
-                "event of process {} with a {}-entry clock at process {} of {n}",
-                event.process,
-                event.vc.len(),
-                run.process
-            ))
-        }
-        // The monitor keys its history by sequence number and never stores the
-        // own clock entry, which must repeat it.
-        WireMsg::Event { event }
-            if event.sn != run.events_seen + 1 || event.vc.get(run.process) != event.sn =>
-        {
-            Err(format!(
-                "event {} (own clock entry {}) out of sequence at process {} after {} events",
-                event.sn,
-                event.vc.get(run.process),
-                run.process,
-                run.events_seen
-            ))
-        }
-        // The history stores a clock entry in at most four bytes.
-        WireMsg::Event { event } if event.vc.entries().iter().any(|&e| e > MAX_CLOCK_ENTRY) => {
-            Err(format!(
-                "event {} of process {} has a clock entry past {MAX_CLOCK_ENTRY}: {:?}",
-                event.sn,
-                run.process,
-                event.vc.entries()
-            ))
-        }
+        WireMsg::Event { event } => check_next_event(event, run.process, n, run.events_seen),
         WireMsg::Monitor { msg, .. } => msg
             .tokens
             .iter()

@@ -16,7 +16,7 @@ use dlrv_core::tables::{
 use dlrv_core::{
     analyze_to_dot, parallel_map_indexed, sweep_to_json, transition_counts, CompiledProperty,
     ExperimentConfig, ExperimentResult, FleetParams, PaperProperty, PropertySpec, Scenario,
-    ScenarioFamily, ScenarioRegistry, StreamParams, PROCESS_COUNTS,
+    ScenarioFamily, ScenarioRegistry, StreamParams, Substrate, PROCESS_COUNTS,
 };
 use dlrv_monitor::MonitorOptions;
 
@@ -181,7 +181,7 @@ fn overridden(mut scenario: Scenario, cli: &Cli) -> Scenario {
         // The escape hatch: the §4.3 suite off for every selected scenario.
         scenario.options = MonitorOptions::ALL_OFF;
     }
-    if let (Some(fault), Some(params)) = (cli.fault, scenario.deploy.as_mut()) {
+    if let (Some(fault), Substrate::Deployed(params)) = (cli.fault, &mut scenario.substrate) {
         // `--fault` swaps the shim spec of every selected deploy scenario.
         params.fault = if fault.is_noop() { None } else { Some(fault) };
     }
@@ -196,7 +196,7 @@ fn overridden(mut scenario: Scenario, cli: &Cli) -> Scenario {
 /// both run sequentially: overlapping two engine runs would distort each other's
 /// wall clock.
 fn run_scenarios(scenarios: Vec<Scenario>) -> Runs {
-    let offline = |s: &Scenario| s.stream.is_none() && s.deploy.is_none();
+    let offline = |s: &Scenario| matches!(s.substrate, Substrate::Simulated);
     let mut results = parallel_map_indexed(scenarios.len(), dlrv_core::effective_jobs(), |i| {
         offline(&scenarios[i]).then(|| scenarios[i].run())
     });
@@ -363,9 +363,7 @@ pub fn run_user_property(cli: &Cli) -> Result<(), CliError> {
         family: ScenarioFamily::Custom,
         config: ExperimentConfig::paper_default(spec, procs),
         options: MonitorOptions::default(),
-        stream: None,
-        deploy: None,
-        fleet: None,
+        substrate: Substrate::Simulated,
     };
     run_user_scenario(cli, scenario, "Custom property run", "1 scenario")
 }
@@ -422,9 +420,7 @@ pub fn run_user_fleet(cli: &Cli) -> Result<(), CliError> {
             ..ExperimentConfig::paper_default(lead, procs)
         },
         options: MonitorOptions::default(),
-        stream: Some(StreamParams::sized(100, 4)),
-        deploy: None,
-        fleet: Some(fleet),
+        substrate: Substrate::Fleet(StreamParams::sized(100, 4), fleet),
     };
     run_user_scenario(cli, scenario, "Fleet monitoring", "1 fleet scenario")
 }

@@ -4,7 +4,7 @@
 use super::{Cli, CliError};
 use dlrv_core::dlrv_analyze::{analyses_from_json, AnalysisRecord, ANALYSIS_GENERATOR};
 use dlrv_core::dlrv_json::Json;
-use dlrv_core::{sweep_from_json, ScenarioFamily, ScenarioRecord};
+use dlrv_core::{sweep_from_json, ScenarioFamily, ScenarioRecord, Substrate};
 use std::path::Path;
 
 /// A parsed document; its `generator` tag says which.
@@ -64,11 +64,10 @@ fn really_ran(record: &ScenarioRecord, family: ScenarioFamily) -> bool {
     let (scenario, avg) = (&record.scenario, &record.avg);
     avg.total_events > 0
         && match family {
-            ScenarioFamily::Throughput => scenario.stream.is_some(),
-            ScenarioFamily::Deploy => scenario.deploy.is_some(),
+            ScenarioFamily::Throughput => matches!(scenario.substrate, Substrate::Streamed(_)),
+            ScenarioFamily::Deploy => matches!(scenario.substrate, Substrate::Deployed(_)),
             ScenarioFamily::Fleet => {
-                scenario.stream.is_some()
-                    && scenario.fleet.is_some()
+                matches!(scenario.substrate, Substrate::Fleet(..))
                     && avg.fleet_size > 0
                     && avg.fleet_per_property.len() == avg.fleet_size
             }
@@ -118,14 +117,11 @@ pub fn validate_results(cli: &Cli) -> Result<(), CliError> {
                     )));
                 }
             }
-            let streamed = records
-                .iter()
-                .filter(|r| r.scenario.stream.is_some())
-                .count();
-            let deployed = records
-                .iter()
-                .filter(|r| r.scenario.deploy.is_some())
-                .count();
+            let count = |on: fn(&Substrate) -> bool| {
+                records.iter().filter(|r| on(&r.scenario.substrate)).count()
+            };
+            let streamed = count(|s| s.stream().is_some());
+            let deployed = count(|s| matches!(s, Substrate::Deployed(_)));
             println!(
                 "{name}: valid results document ({} scenarios, {streamed} streamed, {deployed} deployed)",
                 records.len()
@@ -147,7 +143,10 @@ mod tests {
             .expect("registered")
             .clone();
         scenario.config.events_per_process = 4;
-        scenario.stream = Some(StreamParams::sized(4, 1));
+        let Substrate::Fleet(stream, _) = &mut scenario.substrate else {
+            unreachable!("a fleet scenario")
+        };
+        *stream = StreamParams::sized(4, 1);
         let text = sweep_to_json(&[(scenario.clone(), scenario.run())]).to_string_pretty();
         let Ok(Document::Results(records)) = parse_document("fresh", &text) else {
             panic!("a fresh document parses as results")
@@ -165,7 +164,7 @@ mod tests {
         sliceless.avg.fleet_per_property.pop();
         assert!(!really_ran(&sliceless, ScenarioFamily::Fleet));
         let mut unparameterized = record.clone();
-        unparameterized.scenario.stream = None;
+        unparameterized.scenario.substrate = Substrate::Simulated;
         assert!(!really_ran(&unparameterized, ScenarioFamily::Throughput));
         assert!(!really_ran(record, ScenarioFamily::Deploy));
     }

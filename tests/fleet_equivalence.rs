@@ -15,7 +15,7 @@ use dlrv::dlrv_stream::{
 };
 use dlrv::{
     compile_fleet, simulate_session, CompiledFleetMember, ExperimentConfig, FleetParams,
-    PaperProperty, PropertySpec, ScenarioFamily, ScenarioRegistry,
+    PaperProperty, PropertySpec, ScenarioFamily, ScenarioRegistry, Substrate,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -256,11 +256,9 @@ fn registry_fleet_scenarios_equal_solo_runs() {
     let registry = ScenarioRegistry::standard();
     let mut scenarios = 0;
     for scenario in registry.family(ScenarioFamily::Fleet) {
-        let fleet = scenario
-            .fleet
-            .as_ref()
-            .expect("a fleet scenario has members");
-        let stream = scenario.stream.expect("a fleet scenario is streamed");
+        let Substrate::Fleet(stream, fleet) = &scenario.substrate else {
+            panic!("a fleet scenario is streamed and has members")
+        };
         let (atoms, members) = compile_fleet(fleet, scenario.config.n_processes);
         let bytes = fleet_wire(&scenario.config, &atoms, stream.n_sessions);
         let fleet_sessions =

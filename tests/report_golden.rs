@@ -18,7 +18,7 @@ use dlrv::dlrv_net::FaultSpec;
 use dlrv::tables::{family_table, Layout, RunView};
 use dlrv::{
     render_report, DeployParams, DeployTransport, ExperimentConfig, FleetParams, PaperProperty,
-    PropertySpec, Scenario, ScenarioFamily, ScenarioRecord, StreamParams, TrendPoint,
+    PropertySpec, Scenario, ScenarioFamily, ScenarioRecord, StreamParams, Substrate, TrendPoint,
 };
 
 const GOLDEN_PATH: &str = "tests/fixtures/report_golden.md";
@@ -77,22 +77,29 @@ fn record(
                 ..ExperimentConfig::paper_default(property, 3)
             },
             options: MonitorOptions::default(),
-            stream: matches!(family, ScenarioFamily::Throughput | ScenarioFamily::Fleet).then_some(
-                StreamParams {
-                    mailbox_capacity: 64,
-                    batch_size: 8,
-                    ..StreamParams::sized(50, 4)
-                },
-            ),
-            deploy: (family == ScenarioFamily::Deploy).then(|| DeployParams {
-                transport: DeployTransport::Unix,
-                fault: Some(FaultSpec::parse("delay=1,dup=0.2,seed=7").expect("valid spec")),
-            }),
-            fleet: None,
+            substrate: match family {
+                ScenarioFamily::Throughput | ScenarioFamily::Fleet => {
+                    Substrate::Streamed(fixture_stream())
+                }
+                ScenarioFamily::Deploy => Substrate::Deployed(DeployParams {
+                    transport: DeployTransport::Unix,
+                    fault: Some(FaultSpec::parse("delay=1,dup=0.2,seed=7").expect("valid spec")),
+                }),
+                _ => Substrate::Simulated,
+            },
         },
         detected_verdicts: avg.detected_final_verdicts,
         per_seed: vec![avg.clone()],
         avg,
+    }
+}
+
+/// The runtime sizing of every streamed fixture record.
+fn fixture_stream() -> StreamParams {
+    StreamParams {
+        mailbox_capacity: 64,
+        batch_size: 8,
+        ..StreamParams::sized(50, 4)
     }
 }
 
@@ -105,11 +112,14 @@ fn fleet_record(msgs: usize) -> ScenarioRecord {
         msgs,
         Verdict::False,
     );
-    r.scenario.fleet = Some(FleetParams::new(
-        [PaperProperty::A, PaperProperty::B]
-            .map(PropertySpec::paper)
-            .to_vec(),
-    ));
+    r.scenario.substrate = Substrate::Fleet(
+        fixture_stream(),
+        FleetParams::new(
+            [PaperProperty::A, PaperProperty::B]
+                .map(PropertySpec::paper)
+                .to_vec(),
+        ),
+    );
     r.avg.fleet_size = 2;
     r.avg.fleet_per_property = [("A", Verdict::False), ("B", Verdict::True)]
         .map(|(property, verdict)| FleetPropertyMetrics {

@@ -10,6 +10,7 @@ use dlrv::dlrv_json::Json;
 use dlrv::dlrv_monitor::RunMetrics;
 use dlrv::{
     records_to_json, sweep_from_json, sweep_to_json, ExperimentResult, Scenario, ScenarioRegistry,
+    StreamParams, Substrate,
 };
 
 /// A scaled-down copy of a registry scenario (fewer events/seeds keep the test fast
@@ -24,6 +25,14 @@ fn small(name: &str) -> Scenario {
     scenario
 }
 
+/// Streams `scenario` through `params` instead of its registry sizing.
+fn restream(scenario: &mut Scenario, params: StreamParams) {
+    match &mut scenario.substrate {
+        Substrate::Streamed(stream) | Substrate::Fleet(stream, _) => *stream = params,
+        other => panic!("`{}` is not streamed: {other:?}", scenario.name),
+    }
+}
+
 #[test]
 fn sweep_json_round_trips_run_metrics_field_for_field() {
     // One scenario per family, including an extended shape, a streamed throughput
@@ -31,11 +40,11 @@ fn sweep_json_round_trips_run_metrics_field_for_field() {
     // letters, comm_mu = None, arrival/topology tags, stream params, per-shard
     // metrics, all-off options, overhead counters) is exercised.
     let mut streamed = small("throughput-B-s200-sh4");
-    streamed.stream = Some(dlrv::StreamParams::sized(8, 2));
+    restream(&mut streamed, StreamParams::sized(8, 2));
     // A fleet run: the scenario carries a `fleet` member list and the metrics
     // carry the fleet size plus per-property slices.
     let mut fleet = small("fleet-AB-sh4");
-    fleet.stream = Some(dlrv::StreamParams::sized(6, 2));
+    restream(&mut fleet, StreamParams::sized(6, 2));
     let scenarios = [
         small("paper-D-n3"),
         small("commfreq-nocomm"),
@@ -185,7 +194,7 @@ fn fleet_fields_are_populated_and_survive_the_roundtrip() {
     // records its size and one metric slice per property — and all of it comes
     // back intact from the JSON document.
     let mut scenario = small("fleet-AB-sh4");
-    scenario.stream = Some(dlrv::StreamParams::sized(6, 2));
+    restream(&mut scenario, StreamParams::sized(6, 2));
     let result = scenario.run();
     assert_eq!(result.avg.fleet_size, 2, "two members");
     let names: Vec<&str> = result
@@ -225,7 +234,7 @@ fn zero_event_shards_emit_zeroed_per_shard_rows_that_round_trip() {
     // missing row would make shard arrays ragged across scenarios and silently
     // break per-shard joins in the report dashboard.
     let mut scenario = small("throughput-B-s200-sh4");
-    scenario.stream = Some(dlrv::StreamParams::sized(1, 4));
+    restream(&mut scenario, StreamParams::sized(1, 4));
     let result = scenario.run();
 
     let shards = &result.per_seed[0].per_shard;
@@ -321,7 +330,7 @@ fn documents_with_the_retired_switches_and_family_still_parse() {
     // skipped, so committed snapshots of that shape keep their place in the
     // report's trend history instead of failing the whole document.
     let mut scenario = small("throughput-B-s200-sh4");
-    scenario.stream = Some(dlrv::StreamParams::sized(4, 1));
+    restream(&mut scenario, StreamParams::sized(4, 1));
     let result = scenario.run();
     let mut throughput = sweep_to_json(&[(scenario.clone(), result.clone())])
         .get("scenarios")
@@ -362,6 +371,40 @@ fn documents_with_the_retired_switches_and_family_still_parse() {
     );
     (read.wall_clock_secs, read.events_per_sec) = (0.0, 0.0);
     assert_metrics_eq(&read, &result.avg, "throughput record");
+}
+
+#[test]
+fn a_record_with_params_of_two_substrates_is_rejected() {
+    // A record carries the params of one substrate: `stream` (with `fleet` on a
+    // fleet), or `deploy`.  A deploy record that also streams, and a fleet that
+    // does not stream, name no substrate a scenario can run on.
+    let record = |name: &str| {
+        let mut scenario = small(name);
+        restream(&mut scenario, StreamParams::sized(4, 1));
+        sweep_to_json(&[(scenario.clone(), scenario.run())])
+            .get("scenarios")
+            .unwrap()
+            .as_array()
+            .unwrap()[0]
+            .clone()
+    };
+    let mut streamed_and_deployed = record("throughput-B-s200-sh4");
+    *field_mut(&mut streamed_and_deployed, "deploy") =
+        Json::parse(r#"{"transport": "unix", "fault": null}"#).unwrap();
+    let mut unstreamed_fleet = record("fleet-AB-sh4");
+    *field_mut(&mut unstreamed_fleet, "stream") = Json::Null;
+    for (record, name) in [
+        (streamed_and_deployed, "throughput-B-s200-sh4"),
+        (unstreamed_fleet, "fleet-AB-sh4"),
+    ] {
+        let mut doc = sweep_to_json(&[]);
+        *field_mut(&mut doc, "scenarios") = Json::Array(vec![record]);
+        let err = sweep_from_json(&doc).expect_err("no substrate has these params");
+        assert!(
+            err.message.contains(&format!("`{name}`")),
+            "the error names the record: {err}"
+        );
+    }
 }
 
 /// The eleven fields that measure the host rather than the monitored run.  The

@@ -19,6 +19,11 @@
 //! substrate is left on the paper's six alone.
 //! All three run with the §4.3 suite on and off.
 //!
+//! All of those deliver every message before the next event.  A fourth test drives
+//! the monitors directly through sampled asynchronous FIFO schedules of the same
+//! computations; the seeds on which some schedule misses a reachable verdict are
+//! listed ([`KNOWN_SCHEDULE_INCOMPLETE`]).
+//!
 //! The **oracle ledger** counts, for the paper's six properties over the sessions of
 //! the benchmark's `fleet-6` workload, the sessions that miss a reachable verdict and
 //! the ones that detect an unreachable one, and holds both to the counts of the
@@ -29,9 +34,13 @@ mod common;
 
 use common::{random_formula, shared_registry};
 use dlrv_core::dlrv_automaton::MonitorAutomaton;
-use dlrv_core::dlrv_distsim::{run_simulation, NullMonitor, SimConfig};
+use dlrv_core::dlrv_distsim::{
+    run_simulation, MonitorBehavior, MonitorContext, NullMonitor, SimConfig,
+};
 use dlrv_core::dlrv_ltl::{Assignment, AtomRegistry, Formula, Verdict, Verdicts};
-use dlrv_core::dlrv_monitor::{replay_decentralized, MonitorOptions};
+use dlrv_core::dlrv_monitor::{
+    replay_decentralized, DecentralizedMonitor, MonitorMsg, MonitorOptions,
+};
 use dlrv_core::dlrv_stream::{
     encode_stream_binary, interleave_sessions, ReaderSource, SessionSpec, SessionStream,
     ShardedRuntime, StreamConfig,
@@ -43,7 +52,8 @@ use dlrv_core::{
     ExperimentConfig, PaperProperty, PropertySpec, ScenarioRegistry,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The verdicts the decentralized monitors detect on the computation of `workload`
@@ -439,6 +449,213 @@ fn pruning_off_misses_a_reachable_top_on_a_two_process_until_session() {
         Verdicts::from([Bot]),
         "§4.3.3 off: ⊤ at cut (1, 2) is reachable but not detected"
     );
+}
+
+/// How a sampled FIFO schedule picks its next step.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    /// Any enabled event or any queue head, uniformly.
+    Uniform,
+    /// Deliver only when no event is enabled.
+    Lazy,
+    /// Feed only when no message is in flight.
+    Eager,
+}
+
+/// The state of one asynchronous reliable-FIFO run: the monitors, one FIFO queue
+/// per ordered pair of processes, and how many events of each process are fed.
+struct FifoRun<'a> {
+    comp: &'a Computation,
+    monitors: Vec<DecentralizedMonitor>,
+    /// `queues[from * n + to]`: what `from` sent `to`, oldest first.
+    queues: Vec<VecDeque<MonitorMsg>>,
+    outbox: Vec<(usize, MonitorMsg)>,
+    fed: Vec<u64>,
+    /// The latest fed event's time: every callback's `now`.
+    now: f64,
+}
+
+impl FifoRun<'_> {
+    /// The processes whose next event can be fed: every event its clock depends
+    /// on has been.
+    fn enabled(&self) -> Vec<usize> {
+        let fed = &self.fed;
+        (0..fed.len())
+            .filter(|&p| {
+                self.comp.events[p]
+                    .get(fed[p] as usize)
+                    .is_some_and(|e| (0..fed.len()).all(|j| j == p || e.vc.get(j) <= fed[j]))
+            })
+            .collect()
+    }
+
+    /// The non-empty queues.
+    fn in_flight(&self) -> Vec<usize> {
+        (0..self.queues.len())
+            .filter(|&q| !self.queues[q].is_empty())
+            .collect()
+    }
+
+    fn feed(&mut self, p: usize) {
+        let event = &self.comp.events[p][self.fed[p] as usize];
+        self.fed[p] += 1;
+        self.now = self.now.max(event.time);
+        let mut ctx = MonitorContext::new(p, self.fed.len(), self.now, &mut self.outbox);
+        self.monitors[p].on_local_event(event, &mut ctx);
+        self.post(p);
+    }
+
+    fn deliver(&mut self, q: usize) {
+        let n = self.fed.len();
+        let (from, to) = (q / n, q % n);
+        let msg = self.queues[q].pop_front().expect("a non-empty queue");
+        let mut ctx = MonitorContext::new(to, n, self.now, &mut self.outbox);
+        self.monitors[to].on_monitor_message(from, msg, &mut ctx);
+        self.post(to);
+    }
+
+    /// Every monitor learns its process ended, at one instant, before any further
+    /// delivery.
+    fn terminate(&mut self) {
+        let n = self.fed.len();
+        for p in 0..n {
+            let mut ctx = MonitorContext::new(p, n, self.now, &mut self.outbox);
+            self.monitors[p].on_local_termination(&mut ctx);
+            self.post(p);
+        }
+    }
+
+    /// Queues what `from`'s monitor just sent.
+    fn post(&mut self, from: usize) {
+        let n = self.fed.len();
+        for (to, msg) in self.outbox.drain(..) {
+            self.queues[from * n + to].push_back(msg);
+        }
+    }
+}
+
+/// One asynchronous reliable-FIFO run of clones of `prototype`'s monitors over
+/// `comp`, drawn by `rng`: each step feeds an enabled event or delivers the head
+/// of a non-empty queue, as `mode` allows.  Once every event is fed, every monitor
+/// terminates at one instant, as in `FeedSession::finish`; then the queues drain
+/// in random order.  Returns the monitors at the end.
+fn run_fifo_schedule(
+    comp: &Computation,
+    prototype: &[DecentralizedMonitor],
+    mode: Mode,
+    rng: &mut StdRng,
+) -> Vec<DecentralizedMonitor> {
+    let n = prototype.len();
+    let mut run = FifoRun {
+        comp,
+        monitors: prototype.to_vec(),
+        queues: vec![VecDeque::new(); n * n],
+        outbox: Vec::new(),
+        fed: vec![0; n],
+        now: 0.0,
+    };
+    // Causality leaves some event enabled until every one is fed.
+    loop {
+        let (enabled, in_flight) = (run.enabled(), run.in_flight());
+        if enabled.is_empty() {
+            break;
+        }
+        let feed = match mode {
+            Mode::Uniform => rng.gen_range(0..enabled.len() + in_flight.len()) < enabled.len(),
+            Mode::Lazy => true,
+            Mode::Eager => in_flight.is_empty(),
+        };
+        if feed {
+            run.feed(enabled[rng.gen_range(0..enabled.len())]);
+        } else {
+            run.deliver(in_flight[rng.gen_range(0..in_flight.len())]);
+        }
+    }
+    run.terminate();
+    loop {
+        let in_flight = run.in_flight();
+        if in_flight.is_empty() {
+            return run.monitors;
+        }
+        run.deliver(in_flight[rng.gen_range(0..in_flight.len())]);
+    }
+}
+
+/// Seeds of the `X`-free sweep on which some sampled FIFO schedule misses a ⊤/⊥
+/// the oracle reaches, under `default()`.  An open finding, kept like
+/// [`KNOWN_UNSOUND`]: the test also fails when a listed seed stops missing.
+const KNOWN_SCHEDULE_INCOMPLETE: [u64; 5] = [56, 800, 985, 1673, 2464];
+
+/// The same under `ALL_OFF`.
+const KNOWN_SCHEDULE_INCOMPLETE_ALL_OFF: [u64; 3] = [800, 1673, 2464];
+
+/// Schedules sampled per seed and option set, cycling through the three modes.
+const SCHEDULES_PER_SEED: u64 = 3;
+
+/// Every `X`-free [`sweep_case`] under [`SCHEDULES_PER_SEED`] sampled FIFO
+/// schedules per option set ([`run_fifo_schedule`]), against one oracle per seed.
+/// The replay drains every message after every event; these schedules let events
+/// overtake messages and messages on different channels overtake each other, as
+/// the paper's asynchronous reliable-FIFO model allows.  Three schedules per seed
+/// find every listed seed; the test takes 4.1–4.4 s in a debug build on a 2-vCPU
+/// host.  The `X` sweep is not explored yet.
+#[test]
+fn sampled_fifo_schedules_are_sound_and_miss_verdicts_only_on_the_known_seeds() {
+    let options = [
+        (MonitorOptions::default(), &KNOWN_SCHEDULE_INCOMPLETE[..]),
+        (
+            MonitorOptions::ALL_OFF,
+            &KNOWN_SCHEDULE_INCOMPLETE_ALL_OFF[..],
+        ),
+    ];
+    let modes = [Mode::Uniform, Mode::Lazy, Mode::Eager];
+    let mut unsound = Vec::new();
+    let mut incomplete = [Vec::new(), Vec::new()];
+    for seed in 0..3000 {
+        let (formula, workload) = sweep_case(seed, Formula::globally);
+        let n = workload.n_processes;
+        let registry = Arc::new(shared_registry(n));
+        let automaton = Arc::new(MonitorAutomaton::synthesize(&formula, &registry));
+        let comp = simulate_session(&workload, &registry).report.computation;
+        let oracle = oracle_evaluate(&comp, &Lattice::build(&comp), &automaton, &registry);
+        let initial_gstate = comp.global_state(&vec![0; n], &registry);
+        for ((opts, _), incomplete) in options.iter().zip(&mut incomplete) {
+            let prototype: Vec<DecentralizedMonitor> = (0..n)
+                .map(|p| {
+                    let (automaton, registry) = (automaton.clone(), registry.clone());
+                    DecentralizedMonitor::new(p, n, automaton, registry, initial_gstate, *opts)
+                })
+                .collect();
+            let (mut sound_everywhere, mut complete_everywhere) = (true, true);
+            for k in 0..SCHEDULES_PER_SEED {
+                let mut rng = StdRng::seed_from_u64(seed * SCHEDULES_PER_SEED + k);
+                let mode = modes[k as usize % modes.len()];
+                let detected = run_fifo_schedule(&comp, &prototype, mode, &mut rng)
+                    .iter()
+                    .fold(Verdicts::EMPTY, |set, m| set | m.detected_final_verdicts());
+                sound_everywhere &= sound(&oracle, &detected);
+                complete_everywhere &= (!oracle.violation_reachable
+                    || detected.contains(&Verdict::False))
+                    && (!oracle.satisfaction_reachable || detected.contains(&Verdict::True));
+            }
+            if !sound_everywhere && !KNOWN_UNSOUND.contains(&seed) && !unsound.contains(&seed) {
+                unsound.push(seed);
+            }
+            if !complete_everywhere {
+                incomplete.push(seed);
+            }
+        }
+    }
+    assert!(
+        unsound.is_empty(),
+        "seeds detecting an unreachable verdict: {unsound:?}"
+    );
+    for ((opts, known), incomplete) in options.iter().zip(&incomplete) {
+        assert_eq!(
+            incomplete, known,
+            "seeds where a schedule misses a reachable verdict under {opts:?}"
+        );
+    }
 }
 
 /// Sessions in the oracle ledger: the first wave of the benchmark's `fleet-6` workload.
