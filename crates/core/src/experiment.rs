@@ -11,9 +11,7 @@ use crate::spec::{CompiledProperty, PropertySpec};
 use dlrv_automaton::MonitorAutomaton;
 use dlrv_distsim::{initial_global_state, run_simulation, NullMonitor, SimConfig, SimReport};
 use dlrv_ltl::{Assignment, AtomRegistry, Verdicts};
-use dlrv_monitor::{
-    combined_verdict, timestamp_order, DecentralizedMonitor, MonitorOptions, RunMetrics,
-};
+use dlrv_monitor::{timestamp_order, DecentralizedMonitor, MonitorOptions, RunMetrics};
 use dlrv_trace::{generate_workload, ArrivalModel, CommTopology, WorkloadConfig};
 use dlrv_vclock::Event;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -326,8 +324,8 @@ pub(crate) fn simulate_monitors(
 
 /// Averages a slice of run metrics field-by-field (verdict sets are unioned).
 ///
-/// Per-shard metrics average element-wise when every run used the same shard count
-/// (the only configuration the registry produces); otherwise they are dropped.
+/// The per-shard and per-property rows of a single run are copied as they are;
+/// several runs leave both empty, since each run's rows are its own.
 pub fn average_metrics(runs: &[RunMetrics]) -> RunMetrics {
     if runs.is_empty() {
         return RunMetrics::default();
@@ -368,90 +366,11 @@ pub fn average_metrics(runs: &[RunMetrics]) -> RunMetrics {
     avg.monitor_extra_time /= k;
     avg.wall_clock_secs /= k;
     avg.events_per_sec /= k;
-    avg.per_shard = average_shards(runs);
-    avg.fleet_per_property = average_fleet_properties(runs);
+    if let [run] = runs {
+        avg.per_shard = run.per_shard.clone();
+        avg.fleet_per_property = run.fleet_per_property.clone();
+    }
     avg
-}
-
-/// Element-wise average of per-shard metrics across runs with identical shard counts.
-fn average_shards(runs: &[RunMetrics]) -> Vec<dlrv_monitor::ShardMetrics> {
-    let n_shards = runs[0].per_shard.len();
-    if n_shards == 0 || runs.iter().any(|r| r.per_shard.len() != n_shards) {
-        return Vec::new();
-    }
-    let k = runs.len() as f64;
-    (0..n_shards)
-        .map(|s| {
-            let mut out = dlrv_monitor::ShardMetrics {
-                shard: s,
-                ..Default::default()
-            };
-            for r in runs {
-                let m = &r.per_shard[s];
-                out.sessions_opened += m.sessions_opened;
-                out.sessions_closed += m.sessions_closed;
-                out.events_processed += m.events_processed;
-                out.batches += m.batches;
-                out.max_batch_len = out.max_batch_len.max(m.max_batch_len);
-                out.busy_secs += m.busy_secs;
-                out.avg_queue_latency_secs += m.avg_queue_latency_secs;
-                out.max_queue_latency_secs =
-                    out.max_queue_latency_secs.max(m.max_queue_latency_secs);
-                out.backpressure_stalls += m.backpressure_stalls;
-                out.routing_errors += m.routing_errors;
-            }
-            out.sessions_opened = (out.sessions_opened as f64 / k).round() as usize;
-            out.sessions_closed = (out.sessions_closed as f64 / k).round() as usize;
-            out.events_processed = (out.events_processed as f64 / k).round() as usize;
-            out.batches = (out.batches as f64 / k).round() as usize;
-            out.backpressure_stalls = (out.backpressure_stalls as f64 / k).round() as usize;
-            out.routing_errors = (out.routing_errors as f64 / k).round() as usize;
-            out.busy_secs /= k;
-            out.avg_queue_latency_secs /= k;
-            out
-        })
-        .collect()
-}
-
-/// Element-wise average of per-property fleet metrics across runs that monitored
-/// the same fleet (same member names in the same order); otherwise dropped.
-fn average_fleet_properties(runs: &[RunMetrics]) -> Vec<dlrv_monitor::FleetPropertyMetrics> {
-    let first = &runs[0].fleet_per_property;
-    if first.is_empty()
-        || runs.iter().any(|r| {
-            r.fleet_per_property.len() != first.len()
-                || r.fleet_per_property
-                    .iter()
-                    .zip(first)
-                    .any(|(a, b)| a.property != b.property)
-        })
-    {
-        return Vec::new();
-    }
-    let k = runs.len() as f64;
-    (0..first.len())
-        .map(|p| {
-            let mut out = dlrv_monitor::FleetPropertyMetrics {
-                property: first[p].property.clone(),
-                ..Default::default()
-            };
-            for r in runs {
-                let m = &r.fleet_per_property[p];
-                out.monitor_tokens += m.monitor_tokens;
-                out.global_views += m.global_views;
-                out.peak_global_views += m.peak_global_views;
-                out.detected_final_verdicts |= m.detected_final_verdicts;
-                out.possible_verdicts |= m.possible_verdicts;
-            }
-            out.monitor_tokens = (out.monitor_tokens as f64 / k).round() as usize;
-            out.global_views = (out.global_views as f64 / k).round() as usize;
-            out.peak_global_views = (out.peak_global_views as f64 / k).round() as usize;
-            // The averaged verdict is the combined verdict of the union, matching
-            // how detected sets fold everywhere else (False > True > Unknown).
-            out.verdict = combined_verdict(&out.detected_final_verdicts);
-            out
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -151,11 +151,7 @@ mod tests {
     #[test]
     fn fleet_run_produces_fleet_metrics() {
         let fleet = paper_fleet(&[PaperProperty::B, PaperProperty::C]);
-        let params = StreamParams {
-            mailbox_capacity: 64,
-            batch_size: 8,
-            ..StreamParams::sized(12, 2)
-        };
+        let params = StreamParams::sized(12, 2);
         let result = run_streamed(
             &small_fleet_config(PaperProperty::B),
             &params,

@@ -41,6 +41,7 @@ use dlrv_json::{object, Json, JsonError};
 use dlrv_ltl::Verdicts;
 use dlrv_monitor::{verdicts_from_json, verdicts_to_json, MonitorOptions, RunMetrics};
 use dlrv_net::FaultSpec;
+use dlrv_stream::StreamConfig;
 use dlrv_trace::format::{
     arrival_from_json, arrival_to_json, topology_from_json, topology_to_json,
 };
@@ -152,25 +153,26 @@ pub fn options_from_json(v: &Json) -> Result<MonitorOptions, JsonError> {
     })
 }
 
-/// Serializes the streaming-engine sizing of a throughput scenario.
+/// Serializes the streaming-engine sizing of a throughput scenario.  The
+/// mailbox and batch sizes written are the runtime's fixed default.
 pub fn stream_params_to_json(params: &StreamParams) -> Json {
+    let engine = StreamConfig::default();
     object([
         ("n_sessions", Json::from(params.n_sessions)),
         ("n_shards", Json::from(params.n_shards)),
-        ("mailbox_capacity", Json::from(params.mailbox_capacity)),
-        ("batch_size", Json::from(params.batch_size)),
+        ("mailbox_capacity", Json::from(engine.mailbox_capacity)),
+        ("batch_size", Json::from(engine.batch_size)),
     ])
 }
 
-/// Parses the streaming-engine sizing back.  Documents written while the
-/// wire-format and mailbox switches were per-scenario also carry `binary_wire`
-/// and `use_rings`; both are ignored.
+/// Parses the streaming-engine sizing back.  `mailbox_capacity` and
+/// `batch_size` are ignored (the runtime's default sizes every run), and so are
+/// `binary_wire` and `use_rings`, which documents written while the wire-format
+/// and mailbox switches were per-scenario also carry.
 pub fn stream_params_from_json(v: &Json) -> Result<StreamParams, JsonError> {
     Ok(StreamParams {
         n_sessions: v.get("n_sessions")?.as_usize()?,
         n_shards: v.get("n_shards")?.as_usize()?,
-        mailbox_capacity: v.get("mailbox_capacity")?.as_usize()?,
-        batch_size: v.get("batch_size")?.as_usize()?,
     })
 }
 

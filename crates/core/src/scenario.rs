@@ -97,29 +97,23 @@ impl ScenarioFamily {
     }
 }
 
-/// Streaming-engine parameters of a throughput scenario.
+/// Streaming-engine parameters of a throughput scenario.  The stream is always
+/// binary frames, and every mailbox and batch is sized by
+/// [`StreamConfig::default`](dlrv_stream::StreamConfig::default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamParams {
     /// Number of concurrent monitored sessions.
     pub n_sessions: usize,
     /// Number of worker shards.
     pub n_shards: usize,
-    /// Bound of each shard's mailbox (backpressure threshold).
-    pub mailbox_capacity: usize,
-    /// Maximum records a shard applies per wakeup.
-    pub batch_size: usize,
 }
 
 impl StreamParams {
-    /// The registry's default engine sizing: deep-enough mailboxes to keep shards
-    /// busy, small batches to keep queue latency bounded.  The stream is always
-    /// binary frames over the runtime's default mailboxes.
+    /// `n_sessions` sessions over `n_shards` shards.
     pub fn sized(n_sessions: usize, n_shards: usize) -> Self {
         StreamParams {
             n_sessions,
             n_shards,
-            mailbox_capacity: 1024,
-            batch_size: 32,
         }
     }
 }

@@ -133,8 +133,6 @@ fn run_once(
     let fleet_members = if fleet.is_some() { members } else { &[] };
     let runtime = ShardedRuntime::start(StreamConfig {
         n_shards: params.n_shards,
-        mailbox_capacity: params.mailbox_capacity,
-        batch_size: params.batch_size,
         ..StreamConfig::default()
     });
     let started = Instant::now();
@@ -221,11 +219,7 @@ mod tests {
 
     #[test]
     fn throughput_run_produces_streaming_metrics() {
-        let params = StreamParams {
-            mailbox_capacity: 64,
-            batch_size: 8,
-            ..StreamParams::sized(20, 3)
-        };
+        let params = StreamParams::sized(20, 3);
         let config = ExperimentConfig {
             events_per_process: 5,
             seeds: vec![1],

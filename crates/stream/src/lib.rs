@@ -17,8 +17,8 @@
 //!   (each frame's header says which), an incremental [`FrameDecoder`] that
 //!   reads either, and the [`EventSource`] abstraction ([`VecSource`] for
 //!   in-memory records, [`ReaderSource`] for any `std::io::Read`).
-//! * [`ring`] — bounded SPSC rings with park/unpark backpressure, the
-//!   lock-light mailbox behind [`StreamConfig::use_rings`].
+//! * [`ring`] — bounded SPSC rings with park/unpark backpressure: every
+//!   shard's one mailbox.
 //! * [`runtime`] — the [`ShardedRuntime`]: hash-sharded session routing onto N
 //!   worker threads, bounded mailboxes with backpressure, batched event
 //!   application, session open/feed/close lifecycle, graceful drain/shutdown, and

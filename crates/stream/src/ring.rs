@@ -1,11 +1,16 @@
-//! Bounded SPSC rings — the lock-light replacement for the shard mailboxes.
+//! Bounded SPSC rings — every shard's one mailbox.
 //!
-//! `std::sync::mpsc::sync_channel` takes a whole-queue lock and a condvar
-//! round-trip per message.  On the streaming hot path there is exactly one
-//! producer (the pump thread) per shard consumer, so a single-producer
-//! single-consumer ring suffices: monotone head/tail counters on separate
-//! cache lines, one slot per in-flight message, and `thread::park` /
-//! `unpark` for the rare full/empty edges.
+//! On the streaming hot path there is exactly one producer (the pump thread)
+//! per shard consumer, so a single-producer single-consumer ring suffices:
+//! monotone head/tail counters on separate cache lines, one slot per in-flight
+//! message, and `thread::park` / `unpark` for the rare full/empty edges.
+//!
+//! The ring is kept over a bounded `std::sync::mpsc::sync_channel` by
+//! measurement: std's channel has been a port of crossbeam-channel since Rust
+//! 1.67 and takes no whole-queue lock, but on the repository benchmark's
+//! `stream-waves` the runtime pumped more events per second over rings than
+//! over channels in ten of ten alternating pairs (docs/PERFORMANCE.md, "SPSC
+//! shard rings", has the table).
 //!
 //! This crate forbids `unsafe`, so slots are `Mutex<Option<T>>` rather than
 //! `UnsafeCell`s.  The head/tail discipline guarantees the producer and the
@@ -15,7 +20,7 @@
 //! several threads pushing into one ring, keeping the type safe to share while
 //! the single-producer fast path stays contention-free.
 //!
-//! Semantics preserved from the channel mailboxes, relied on by the runtime:
+//! Semantics the runtime relies on:
 //!
 //! * **Bounded + counted backpressure** — [`SpscRing::try_push`] fails on a
 //!   full ring without blocking (the caller counts the stall), and

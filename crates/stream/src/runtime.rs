@@ -6,16 +6,16 @@
 //! * **Isolation** — sessions are independent monitored executions; a session's
 //!   monitors live on exactly one shard, so no lock is ever taken around monitor
 //!   state.
-//! * **Backpressure** — shard mailboxes are bounded: either
-//!   `std::sync::mpsc::sync_channel`s or, with [`StreamConfig::use_rings`], the
-//!   lock-light [`SpscRing`]s of [`crate::ring`].  Either
-//!   way a producer that outruns a shard blocks (after a counted non-blocking
-//!   miss) instead of growing an unbounded queue, and the per-shard stall count
-//!   lands in [`ShardMetrics::backpressure_stalls`].
+//! * **Backpressure** — each shard's mailbox is one bounded [`SpscRing`] of
+//!   [`crate::ring`].  A producer that outruns a shard blocks (after a counted
+//!   non-blocking miss) instead of growing an unbounded queue, and the per-shard
+//!   stall count lands in [`ShardMetrics::backpressure_stalls`].
 //! * **Batching** — a shard drains up to [`StreamConfig::batch_size`] records per
-//!   wakeup and applies them in one go, amortizing channel overhead on hot shards.
+//!   wakeup and applies them in one go, amortizing mailbox overhead on hot shards.
 //! * **Graceful drain** — shutdown delivers every in-flight record, finishes any
 //!   session the stream never closed, and reports per-shard plus aggregate metrics.
+//!   A runtime dropped without [`ShardedRuntime::shutdown`] drains the same way,
+//!   so its shard threads end and release every session's monitors.
 //! * **Small closed sessions** — a shard drops a session's monitors at its close
 //!   and keeps one packed record of what it found: the id, the drained flag and
 //!   the counts as LEB128 integers, the verdict sets as bit masks, and for a fleet
@@ -43,7 +43,6 @@ use dlrv_monitor::{
 use dlrv_vclock::Event;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -57,8 +56,8 @@ pub struct StreamConfig {
     pub mailbox_capacity: usize,
     /// Maximum records a shard applies per wakeup.
     pub batch_size: usize,
-    /// Use [`SpscRing`] mailboxes instead of `sync_channel`s (the hot-path
-    /// default; the channel path remains as the A/B reference).
+    /// Ignored: every shard mailbox is an [`SpscRing`].  The field is kept
+    /// only because the repository benchmark's mailbox probe still sets it.
     pub use_rings: bool,
 }
 
@@ -202,25 +201,11 @@ enum ShardMsg {
         session: SessionId,
         enqueued: Instant,
     },
-    /// Shutdown sentinel: sent last, so everything before it is already delivered.
-    Drain,
 }
 
 struct ShardResult {
     metrics: ShardMetrics,
     log: RecordLog,
-}
-
-/// Producer-side handle of one shard's mailbox.
-enum ShardMailbox {
-    Channel(SyncSender<ShardMsg>),
-    Ring(Arc<SpscRing<ShardMsg>>),
-}
-
-/// Consumer-side handle of one shard's mailbox.
-enum ShardInbox {
-    Channel(Receiver<ShardMsg>),
-    Ring(Arc<SpscRing<ShardMsg>>),
 }
 
 /// The online sharded monitoring engine.
@@ -252,7 +237,7 @@ enum ShardInbox {
 /// assert!(report.sessions.contains_key(&7));
 /// ```
 pub struct ShardedRuntime {
-    mailboxes: Vec<ShardMailbox>,
+    mailboxes: Vec<Arc<SpscRing<ShardMsg>>>,
     handles: Vec<JoinHandle<ShardResult>>,
     stalls: Vec<AtomicUsize>,
     started: Instant,
@@ -283,15 +268,8 @@ impl ShardedRuntime {
         let mut handles = Vec::with_capacity(config.n_shards);
         for shard in 0..config.n_shards {
             let batch_size = config.batch_size;
-            let inbox = if config.use_rings {
-                let ring = Arc::new(SpscRing::new(config.mailbox_capacity));
-                mailboxes.push(ShardMailbox::Ring(Arc::clone(&ring)));
-                ShardInbox::Ring(ring)
-            } else {
-                let (tx, rx) = sync_channel::<ShardMsg>(config.mailbox_capacity);
-                mailboxes.push(ShardMailbox::Channel(tx));
-                ShardInbox::Channel(rx)
-            };
+            let inbox = Arc::new(SpscRing::new(config.mailbox_capacity));
+            mailboxes.push(Arc::clone(&inbox));
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("dlrv-shard-{shard}"))
@@ -393,23 +371,11 @@ impl ShardedRuntime {
 
     /// Graceful shutdown: delivers everything still queued, finishes sessions the
     /// stream never closed, joins the workers and returns the report.
-    pub fn shutdown(self) -> StreamReport {
-        for mailbox in &self.mailboxes {
-            match mailbox {
-                // A full mailbox blocks here too; Drain must arrive after all records.
-                ShardMailbox::Channel(tx) => {
-                    let _ = tx.send(ShardMsg::Drain);
-                }
-                // Rings need no sentinel: close marks end-of-stream and the
-                // consumer keeps popping until empty before it sees Closed.
-                ShardMailbox::Ring(ring) => ring.close(),
-            }
-        }
-        drop(self.mailboxes);
+    pub fn shutdown(mut self) -> StreamReport {
         let mut per_shard = Vec::with_capacity(self.handles.len());
         let mut sessions = BTreeMap::new();
-        for (shard, handle) in self.handles.into_iter().enumerate() {
-            let mut result = handle.join().expect("shard worker panicked");
+        for (shard, result) in self.join_shards().into_iter().enumerate() {
+            let mut result = result.expect("shard worker panicked");
             result.metrics.backpressure_stalls = self.stalls[shard].load(Ordering::Relaxed);
             per_shard.push(result.metrics);
             result.log.read_into(&mut sessions);
@@ -430,26 +396,34 @@ impl ShardedRuntime {
         }
     }
 
-    fn send(&self, shard: usize, msg: ShardMsg) {
-        match &self.mailboxes[shard] {
-            ShardMailbox::Channel(tx) => match tx.try_send(msg) {
-                Ok(()) => {}
-                Err(TrySendError::Full(msg)) => {
-                    self.stalls[shard].fetch_add(1, Ordering::Relaxed);
-                    tx.send(msg)
-                        .expect("shard worker terminated while its mailbox was full");
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    panic!("shard worker terminated before shutdown");
-                }
-            },
-            ShardMailbox::Ring(ring) => {
-                if let Err(msg) = ring.try_push(msg) {
-                    self.stalls[shard].fetch_add(1, Ordering::Relaxed);
-                    ring.push_blocking(msg);
-                }
-            }
+    /// Closes every mailbox and joins the workers still running, in shard
+    /// order.  Close marks end-of-stream, so a worker applies everything queued
+    /// before it and finishes its open sessions before it returns.
+    fn join_shards(&mut self) -> Vec<std::thread::Result<ShardResult>> {
+        for ring in &self.mailboxes {
+            ring.close();
         }
+        std::mem::take(&mut self.handles)
+            .into_iter()
+            .map(JoinHandle::join)
+            .collect()
+    }
+
+    fn send(&self, shard: usize, msg: ShardMsg) {
+        let ring = &self.mailboxes[shard];
+        if let Err(msg) = ring.try_push(msg) {
+            self.stalls[shard].fetch_add(1, Ordering::Relaxed);
+            ring.push_blocking(msg);
+        }
+    }
+}
+
+/// A runtime dropped without [`ShardedRuntime::shutdown`] still ends its
+/// shards: their threads would otherwise wait on an open mailbox forever,
+/// holding every session's monitors.  A worker's panic is not raised again.
+impl Drop for ShardedRuntime {
+    fn drop(&mut self) {
+        let _ = self.join_shards();
     }
 }
 
@@ -529,7 +503,7 @@ impl ShardSession {
     }
 }
 
-fn shard_worker(shard: usize, inbox: ShardInbox, batch_size: usize) -> ShardResult {
+fn shard_worker(shard: usize, inbox: Arc<SpscRing<ShardMsg>>, batch_size: usize) -> ShardResult {
     let mut sessions: BTreeMap<SessionId, ShardSession> = BTreeMap::new();
     let mut log = RecordLog::default();
     let mut metrics = ShardMetrics {
@@ -539,32 +513,10 @@ fn shard_worker(shard: usize, inbox: ShardInbox, batch_size: usize) -> ShardResu
     let mut latency_sum = 0.0f64;
     let mut latency_samples = 0usize;
     let mut batch: Vec<ShardMsg> = Vec::with_capacity(batch_size);
-    let mut draining = false;
 
-    while !draining {
-        batch.clear();
-        match &inbox {
-            ShardInbox::Channel(rx) => {
-                match rx.recv() {
-                    Ok(msg) => batch.push(msg),
-                    // All senders gone without a Drain (runtime dropped): treat as drain.
-                    Err(_) => break,
-                }
-                while batch.len() < batch_size {
-                    match rx.try_recv() {
-                        Ok(msg) => batch.push(msg),
-                        Err(_) => break,
-                    }
-                }
-            }
-            ShardInbox::Ring(ring) => match ring.pop_batch_blocking(&mut batch, batch_size) {
-                PopState::Items => {}
-                // Ring closed after its last record: everything is delivered.
-                PopState::Closed => break,
-                PopState::Empty => unreachable!("blocking pop never returns Empty"),
-            },
-        }
-
+    // The blocking pop returns `Closed` only once the mailbox is closed and
+    // empty: everything is delivered.
+    while inbox.pop_batch_blocking(&mut batch, batch_size) == PopState::Items {
         let started = Instant::now();
         metrics.batches += 1;
         metrics.max_batch_len = metrics.max_batch_len.max(batch.len());
@@ -619,7 +571,6 @@ fn shard_worker(shard: usize, inbox: ShardInbox, batch_size: usize) -> ShardResu
                         None => metrics.routing_errors += 1,
                     }
                 }
-                ShardMsg::Drain => draining = true,
             }
         }
         metrics.busy_secs += started.elapsed().as_secs_f64();
@@ -965,36 +916,33 @@ mod tests {
 
     #[test]
     fn sessions_reach_verdicts_across_shard_counts() {
-        for use_rings in [false, true] {
-            for n_shards in [1, 2, 4] {
-                let runtime = ShardedRuntime::start(StreamConfig {
-                    n_shards,
-                    use_rings,
-                    ..StreamConfig::default()
-                });
-                let spec = reachability_spec();
-                for session in 0..10u64 {
-                    runtime.open_session(session, spec.clone());
-                    for e in goal_events() {
-                        runtime.feed_event(session, e);
-                    }
-                    runtime.close_session(session);
+        for n_shards in [1, 2, 4] {
+            let runtime = ShardedRuntime::start(StreamConfig {
+                n_shards,
+                ..StreamConfig::default()
+            });
+            let spec = reachability_spec();
+            for session in 0..10u64 {
+                runtime.open_session(session, spec.clone());
+                for e in goal_events() {
+                    runtime.feed_event(session, e);
                 }
-                let report = runtime.shutdown();
-                let tag = format!("{n_shards} shards, rings={use_rings}");
-                assert_eq!(report.sessions.len(), 10, "{tag}");
-                for (id, outcome) in &report.sessions {
-                    assert_eq!(outcome.verdict, Verdict::True, "session {id}, {tag}");
-                    assert!(!outcome.drained);
-                    assert_eq!(outcome.events, 2);
-                    assert!(outcome.monitor_messages > 0);
-                }
-                assert_eq!(report.total_events, 20);
-                assert_eq!(report.per_shard.len(), n_shards);
-                let opened: usize = report.per_shard.iter().map(|m| m.sessions_opened).sum();
-                assert_eq!(opened, 10);
-                assert!(report.events_per_sec > 0.0);
+                runtime.close_session(session);
             }
+            let report = runtime.shutdown();
+            let tag = format!("{n_shards} shards");
+            assert_eq!(report.sessions.len(), 10, "{tag}");
+            for (id, outcome) in &report.sessions {
+                assert_eq!(outcome.verdict, Verdict::True, "session {id}, {tag}");
+                assert!(!outcome.drained);
+                assert_eq!(outcome.events, 2);
+                assert!(outcome.monitor_messages > 0);
+            }
+            assert_eq!(report.total_events, 20);
+            assert_eq!(report.per_shard.len(), n_shards);
+            let opened: usize = report.per_shard.iter().map(|m| m.sessions_opened).sum();
+            assert_eq!(opened, 10);
+            assert!(report.events_per_sec > 0.0);
         }
     }
 
@@ -1021,52 +969,74 @@ mod tests {
             (7, fleet6_spec(), fleet6_events()),
             (8, fleet6_spec(), Vec::new()),
         ];
-        for use_rings in [false, true] {
-            for n_shards in [1, 2, 4] {
-                let run = |close: bool| {
-                    let runtime = ShardedRuntime::start(StreamConfig {
-                        n_shards,
-                        use_rings,
-                        ..StreamConfig::default()
-                    });
-                    for (id, spec, events) in &cases {
-                        runtime.open_session(*id, spec.clone());
-                        for e in events {
-                            runtime.feed_event(*id, e.clone());
-                        }
-                        if close {
-                            runtime.close_session(*id);
-                        }
+        for n_shards in [1, 2, 4] {
+            let run = |close: bool| {
+                let runtime = ShardedRuntime::start(StreamConfig {
+                    n_shards,
+                    ..StreamConfig::default()
+                });
+                for (id, spec, events) in &cases {
+                    runtime.open_session(*id, spec.clone());
+                    for e in events {
+                        runtime.feed_event(*id, e.clone());
                     }
-                    runtime.shutdown().sessions
+                    if close {
+                        runtime.close_session(*id);
+                    }
+                }
+                runtime.shutdown().sessions
+            };
+            let (closed, drained) = (run(true), run(false));
+            let tag = format!("{n_shards} shards");
+            assert_eq!(drained.len(), cases.len(), "{tag}");
+            for (id, outcome) in &drained {
+                assert!(outcome.drained, "session {id}, {tag}");
+                assert!(!closed[id].drained, "session {id}, {tag}");
+                let undrained = SessionOutcome {
+                    drained: false,
+                    ..outcome.clone()
                 };
-                let (closed, drained) = (run(true), run(false));
-                let tag = format!("{n_shards} shards, rings={use_rings}");
-                assert_eq!(drained.len(), cases.len(), "{tag}");
-                for (id, outcome) in &drained {
-                    assert!(outcome.drained, "session {id}, {tag}");
-                    assert!(!closed[id].drained, "session {id}, {tag}");
-                    let undrained = SessionOutcome {
-                        drained: false,
-                        ..outcome.clone()
-                    };
-                    assert_eq!(undrained, closed[id], "session {id}, {tag}");
-                }
-                assert_eq!(drained[&5].verdict, Verdict::True, "{tag}");
-                assert_eq!(drained[&5].events, 2, "{tag}");
-                assert_eq!(drained[&6].events, 0, "{tag}");
-                assert_eq!(drained[&7].events, 12, "{tag}");
-                assert_eq!(drained[&8].events, 0, "{tag}");
-                for id in [7, 8] {
-                    let names: Vec<&str> = drained[&id]
-                        .per_property
-                        .iter()
-                        .map(|m| m.property.as_str())
-                        .collect();
-                    assert_eq!(names, ["A", "B", "C", "D", "E", "F"], "session {id}, {tag}");
-                }
+                assert_eq!(undrained, closed[id], "session {id}, {tag}");
+            }
+            assert_eq!(drained[&5].verdict, Verdict::True, "{tag}");
+            assert_eq!(drained[&5].events, 2, "{tag}");
+            assert_eq!(drained[&6].events, 0, "{tag}");
+            assert_eq!(drained[&7].events, 12, "{tag}");
+            assert_eq!(drained[&8].events, 0, "{tag}");
+            for id in [7, 8] {
+                let names: Vec<&str> = drained[&id]
+                    .per_property
+                    .iter()
+                    .map(|m| m.property.as_str())
+                    .collect();
+                assert_eq!(names, ["A", "B", "C", "D", "E", "F"], "session {id}, {tag}");
             }
         }
+    }
+
+    #[test]
+    fn a_dropped_runtime_ends_its_shards() {
+        // Dropped without shutdown, the runtime must still end its shard
+        // threads, and with them the monitors of every open session: each holds
+        // a reference to the spec's automaton.
+        let spec = reachability_spec();
+        let runtime = ShardedRuntime::start(StreamConfig {
+            n_shards: 2,
+            ..StreamConfig::default()
+        });
+        let shards: std::collections::BTreeSet<usize> =
+            (0..4u64).map(|session| runtime.shard_of(session)).collect();
+        assert_eq!(shards.len(), 2, "the sessions span both shards");
+        for session in 0..4u64 {
+            runtime.open_session(session, spec.clone());
+        }
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while Arc::strong_count(&spec.automaton) == 1 {
+            assert!(Instant::now() < deadline, "no open was applied within 10 s");
+            std::thread::yield_now();
+        }
+        drop(runtime);
+        assert_eq!(Arc::strong_count(&spec.automaton), 1);
     }
 
     /// Counts at the edges of the one-, two-, five- and ten-byte LEB128 forms.
@@ -1238,27 +1208,25 @@ mod tests {
         }
         let bytes = encode_stream(&records);
 
-        for use_rings in [false, true] {
-            let runtime = ShardedRuntime::start(StreamConfig {
-                n_shards: 2,
-                mailbox_capacity: 2, // tiny mailbox: exercise the backpressure path
-                batch_size: 4,
-                use_rings,
-            });
-            let spec = reachability_spec();
-            let mut source = ReaderSource::new(&bytes[..]);
-            let pumped = runtime
-                .pump(&mut source, &mut |open| {
-                    assert_eq!(open.property, "goal");
-                    assert_eq!(open.n_processes, 2);
-                    Ok(spec.clone())
-                })
-                .unwrap();
-            assert_eq!(pumped, records.len());
-            let report = runtime.shutdown();
-            assert_eq!(report.sessions.len(), 4, "rings={use_rings}");
-            assert!(report.sessions.values().all(|o| o.verdict == Verdict::True));
-        }
+        let runtime = ShardedRuntime::start(StreamConfig {
+            n_shards: 2,
+            mailbox_capacity: 2, // tiny mailbox: exercise the backpressure path
+            batch_size: 4,
+            ..StreamConfig::default()
+        });
+        let spec = reachability_spec();
+        let mut source = ReaderSource::new(&bytes[..]);
+        let pumped = runtime
+            .pump(&mut source, &mut |open| {
+                assert_eq!(open.property, "goal");
+                assert_eq!(open.n_processes, 2);
+                Ok(spec.clone())
+            })
+            .unwrap();
+        assert_eq!(pumped, records.len());
+        let report = runtime.shutdown();
+        assert_eq!(report.sessions.len(), 4);
+        assert!(report.sessions.values().all(|o| o.verdict == Verdict::True));
     }
 
     #[test]
@@ -1355,34 +1323,30 @@ mod tests {
         // A shard that never receives a record must still produce its metrics
         // row (all zeros, stall counter included) — consumers of per-shard
         // JSON index rows by shard, so omission would silently misalign them.
-        for use_rings in [false, true] {
-            let runtime = ShardedRuntime::start(StreamConfig {
-                n_shards: 4,
-                use_rings,
-                ..StreamConfig::default()
-            });
-            let spec = reachability_spec();
-            // One session: exactly one shard sees traffic.
-            runtime.open_session(1, spec);
-            for e in goal_events() {
-                runtime.feed_event(1, e);
-            }
-            runtime.close_session(1);
-            let report = runtime.shutdown();
-            assert_eq!(report.per_shard.len(), 4, "rings={use_rings}");
-            let mut idle_rows = 0;
-            for (i, m) in report.per_shard.iter().enumerate() {
-                assert_eq!(m.shard, i, "rows stay in shard order");
-                if m.events_processed == 0 {
-                    idle_rows += 1;
-                    assert_eq!(m.sessions_opened, 0);
-                    assert_eq!(m.backpressure_stalls, 0);
-                    // (`batches` is not asserted: the channel path counts the
-                    // Drain sentinel itself as one batch, the ring path does not.)
-                }
-            }
-            assert_eq!(idle_rows, 3, "rings={use_rings}");
+        let runtime = ShardedRuntime::start(StreamConfig {
+            n_shards: 4,
+            ..StreamConfig::default()
+        });
+        let spec = reachability_spec();
+        // One session: exactly one shard sees traffic.
+        runtime.open_session(1, spec);
+        for e in goal_events() {
+            runtime.feed_event(1, e);
         }
+        runtime.close_session(1);
+        let report = runtime.shutdown();
+        assert_eq!(report.per_shard.len(), 4);
+        let mut idle_rows = 0;
+        for (i, m) in report.per_shard.iter().enumerate() {
+            assert_eq!(m.shard, i, "rows stay in shard order");
+            if m.events_processed == 0 {
+                idle_rows += 1;
+                assert_eq!(m.sessions_opened, 0);
+                assert_eq!(m.backpressure_stalls, 0);
+                assert_eq!(m.batches, 0);
+            }
+        }
+        assert_eq!(idle_rows, 3);
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub(super) fn load_results(path: &Path) -> Result<Vec<ScenarioRecord>, CliError>
 
 /// Whether a record of `family` shows that its scenario really ran.  The evidence
 /// is what the seed determines — events were monitored, the parameters of the
-/// family's substrate were recorded, a fleet has one metric slice per member —
-/// never a timing, which the document does not carry.
+/// family's substrate were recorded, each run of a fleet has one metric slice per
+/// member — never a timing, which the document does not carry.
 fn really_ran(record: &ScenarioRecord, family: ScenarioFamily) -> bool {
     let (scenario, avg) = (&record.scenario, &record.avg);
     avg.total_events > 0
@@ -69,7 +69,11 @@ fn really_ran(record: &ScenarioRecord, family: ScenarioFamily) -> bool {
             ScenarioFamily::Fleet => {
                 matches!(scenario.substrate, Substrate::Fleet(..))
                     && avg.fleet_size > 0
-                    && avg.fleet_per_property.len() == avg.fleet_size
+                    && !record.per_seed.is_empty()
+                    && record
+                        .per_seed
+                        .iter()
+                        .all(|run| run.fleet_per_property.len() == avg.fleet_size)
             }
             _ => true,
         }
@@ -161,7 +165,7 @@ mod tests {
         idle.avg.total_events = 0;
         assert!(!really_ran(&idle, ScenarioFamily::Fleet));
         let mut sliceless = record.clone();
-        sliceless.avg.fleet_per_property.pop();
+        sliceless.per_seed[0].fleet_per_property.pop();
         assert!(!really_ran(&sliceless, ScenarioFamily::Fleet));
         let mut unparameterized = record.clone();
         unparameterized.scenario.substrate = Substrate::Simulated;

@@ -71,7 +71,7 @@ fn run_as_fleet_from(
         n_shards,
         mailbox_capacity: 8,
         batch_size: 4,
-        use_rings: true,
+        ..StreamConfig::default()
     });
     let mut source = ReaderSource::new(bytes);
     runtime
@@ -122,7 +122,7 @@ fn run_as_solo_from(
         n_shards,
         mailbox_capacity: 8,
         batch_size: 4,
-        use_rings: true,
+        ..StreamConfig::default()
     });
     let mut source = ReaderSource::new(bytes);
     runtime

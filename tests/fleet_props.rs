@@ -41,7 +41,7 @@ fn pump(
         n_shards,
         mailbox_capacity: 8,
         batch_size: 4,
-        use_rings: true,
+        ..StreamConfig::default()
     });
     let mut source = ReaderSource::new(bytes);
     runtime

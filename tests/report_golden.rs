@@ -96,11 +96,7 @@ fn record(
 
 /// The runtime sizing of every streamed fixture record.
 fn fixture_stream() -> StreamParams {
-    StreamParams {
-        mailbox_capacity: 64,
-        batch_size: 8,
-        ..StreamParams::sized(50, 4)
-    }
+    StreamParams::sized(50, 4)
 }
 
 /// A two-member fleet record.

@@ -190,24 +190,30 @@ fn assert_metrics_eq(parsed: &RunMetrics, original: &RunMetrics, scenario: &str)
 
 #[test]
 fn fleet_fields_are_populated_and_survive_the_roundtrip() {
-    // The fleet fields are measured, not merely serialized: a two-member fleet
-    // records its size and one metric slice per property — and all of it comes
-    // back intact from the JSON document.
+    // The fleet fields are measured, not merely serialized: each run of a
+    // two-member fleet records its size and one metric slice per property — and
+    // all of it comes back intact from the JSON document.  The slices are a
+    // run's own, so the average of two seeds carries none.
     let mut scenario = small("fleet-AB-sh4");
     restream(&mut scenario, StreamParams::sized(6, 2));
     let result = scenario.run();
     assert_eq!(result.avg.fleet_size, 2, "two members");
-    let names: Vec<&str> = result
-        .avg
-        .fleet_per_property
-        .iter()
-        .map(|p| p.property.as_str())
-        .collect();
-    assert_eq!(names, ["A", "B"], "one slice per member, in fleet order");
+    assert_eq!(result.per_seed.len(), 2);
+    for run in &result.per_seed {
+        let names: Vec<&str> = run
+            .fleet_per_property
+            .iter()
+            .map(|p| p.property.as_str())
+            .collect();
+        assert_eq!(names, ["A", "B"], "one slice per member, in fleet order");
+    }
+    assert!(result.avg.fleet_per_property.is_empty());
     let doc = sweep_to_json(&[(scenario, result.clone())]);
     let record = &sweep_from_json(&doc).expect("schema")[0];
     assert_eq!(record.avg.fleet_size, result.avg.fleet_size);
-    assert_eq!(record.avg.fleet_per_property, result.avg.fleet_per_property);
+    for (parsed, original) in record.per_seed.iter().zip(&result.per_seed) {
+        assert_eq!(parsed.fleet_per_property, original.fleet_per_property);
+    }
 }
 
 #[test]
@@ -343,7 +349,10 @@ fn documents_with_the_retired_switches_and_family_still_parse() {
     // Documents of that age also carry the host-measured fields; they are read.
     *field_mut(field_mut(&mut throughput, "avg"), "wall_clock_secs") = Json::from(0.25);
     *field_mut(field_mut(&mut throughput, "avg"), "events_per_sec") = Json::from(1234.5);
-    let Json::Array(shards) = field_mut(field_mut(&mut throughput, "avg"), "per_shard") else {
+    let Json::Array(seeds) = field_mut(&mut throughput, "per_seed") else {
+        panic!("per_seed is an array")
+    };
+    let Json::Array(shards) = field_mut(&mut seeds[0], "per_shard") else {
         panic!("per_shard is an array")
     };
     *field_mut(&mut shards[0], "backpressure_stalls") = Json::from(3usize);
@@ -362,13 +371,8 @@ fn documents_with_the_retired_switches_and_family_still_parse() {
     assert_eq!(records[0].scenario, scenario);
     let mut read = records[0].avg.clone();
     assert_eq!((read.wall_clock_secs, read.events_per_sec), (0.25, 1234.5));
-    assert_eq!(
-        (
-            read.per_shard[0].backpressure_stalls,
-            read.per_shard[0].busy_secs
-        ),
-        (3, 0.125)
-    );
+    let shard = &records[0].per_seed[0].per_shard[0];
+    assert_eq!((shard.backpressure_stalls, shard.busy_secs), (3, 0.125));
     (read.wall_clock_secs, read.events_per_sec) = (0.0, 0.0);
     assert_metrics_eq(&read, &result.avg, "throughput record");
 }

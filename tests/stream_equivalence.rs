@@ -26,10 +26,10 @@ struct Baseline {
     monitor_messages: usize,
 }
 
-/// The hot-path engine variants: JSON vs binary wire frames × channel vs ring
-/// mailboxes.  Every test sweeps these against the same offline oracle — the
-/// engine switches must never change what a session detects.
-const ENGINES: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+/// The wire formats, JSON and binary frames (`binary_wire`).  Every test sweeps
+/// both against the same offline oracle: the frame format must never change
+/// what a session detects.
+const WIRE_FORMATS: [bool; 2] = [false, true];
 
 /// Encodes the interleaved wire stream in the chosen frame format.
 fn wire_bytes(inputs: &[SessionStream], binary_wire: bool) -> Vec<u8> {
@@ -44,8 +44,8 @@ fn wire_bytes(inputs: &[SessionStream], binary_wire: bool) -> Vec<u8> {
 #[test]
 fn streamed_verdicts_equal_offline_replay_for_every_flag_combination() {
     // §4.3 ablation over the wire: for every setting of the optimization switches
-    // (including arena recycling) crossed with every engine variant (binary codec
-    // on/off × SPSC rings on/off), streaming must still match the offline replay
+    // (including arena recycling) crossed with both wire formats, streaming must
+    // still match the offline replay
     // *run with the same switches* — verdict-for-verdict and token-for-token.
     // Property C at 3 processes is the paper's message-overhead worst case, so it
     // exercises every optimization.
@@ -70,13 +70,13 @@ fn streamed_verdicts_equal_offline_replay_for_every_flag_combination() {
     for opts in MonitorOptions::all_combinations() {
         let replay = replay_decentralized(&report.computation, &registry, &automaton, opts);
 
-        for (binary_wire, use_rings) in ENGINES {
+        for binary_wire in WIRE_FORMATS {
             let bytes = wire_bytes(std::slice::from_ref(&input), binary_wire);
             let runtime = ShardedRuntime::start(StreamConfig {
                 n_shards: 2,
                 mailbox_capacity: 8,
                 batch_size: 4,
-                use_rings,
+                ..StreamConfig::default()
             });
             let mut source = ReaderSource::new(&bytes[..]);
             runtime
@@ -93,7 +93,7 @@ fn streamed_verdicts_equal_offline_replay_for_every_flag_combination() {
                 .expect("freshly encoded stream must decode");
             let outcome = &runtime.shutdown().sessions[&0];
 
-            let engine = format!("binary_wire={binary_wire}, use_rings={use_rings}");
+            let engine = format!("binary_wire={binary_wire}");
             assert_eq!(
                 outcome.detected_verdicts,
                 replay.detected_final_verdicts(),
@@ -157,14 +157,14 @@ fn streamed_verdicts_equal_offline_replay_for_custom_properties() {
 
             let inputs: Vec<SessionStream> = baselines.iter().map(|b| b.input.clone()).collect();
 
-            for (binary_wire, use_rings) in ENGINES {
+            for binary_wire in WIRE_FORMATS {
                 let bytes = wire_bytes(&inputs, binary_wire);
                 for n_shards in [1usize, 2, 4] {
                     let runtime = ShardedRuntime::start(StreamConfig {
                         n_shards,
                         mailbox_capacity: 8,
                         batch_size: 4,
-                        use_rings,
+                        ..StreamConfig::default()
                     });
                     let mut source = ReaderSource::new(&bytes[..]);
                     runtime
@@ -183,7 +183,7 @@ fn streamed_verdicts_equal_offline_replay_for_custom_properties() {
                     let report = runtime.shutdown();
 
                     let tag = format!(
-                        "{}, arena={arena_recycling}, binary={binary_wire}, rings={use_rings}",
+                        "{}, arena={arena_recycling}, binary={binary_wire}",
                         spec.name()
                     );
                     assert_eq!(report.sessions.len(), baselines.len(), "{tag}");
@@ -248,17 +248,16 @@ fn streamed_verdicts_equal_offline_replay_for_every_property() {
         // construction the streamed runner uses — once per frame format.
         let inputs: Vec<SessionStream> = baselines.iter().map(|b| b.input.clone()).collect();
 
-        // Pump the same records through every engine variant and 1, 2 and 4 shards:
-        // neither sharding, nor the frame format, nor the mailbox kind may change
-        // any session's outcome.
-        for (binary_wire, use_rings) in ENGINES {
+        // Pump the same records in both wire formats through 1, 2 and 4 shards:
+        // neither sharding nor the frame format may change any session's outcome.
+        for binary_wire in WIRE_FORMATS {
             let bytes = wire_bytes(&inputs, binary_wire);
             for n_shards in [1usize, 2, 4] {
                 let runtime = ShardedRuntime::start(StreamConfig {
                     n_shards,
                     mailbox_capacity: 8, // small mailbox: force the backpressure path
                     batch_size: 4,
-                    use_rings,
+                    ..StreamConfig::default()
                 });
                 let mut source = ReaderSource::new(&bytes[..]);
                 runtime
@@ -276,7 +275,7 @@ fn streamed_verdicts_equal_offline_replay_for_every_property() {
                     .expect("freshly encoded stream must decode");
                 let report = runtime.shutdown();
 
-                let tag = format!("{property}, binary={binary_wire}, rings={use_rings}");
+                let tag = format!("{property}, binary={binary_wire}");
                 assert_eq!(report.sessions.len(), baselines.len(), "{tag}");
                 for (s, baseline) in baselines.iter().enumerate() {
                     let outcome = &report.sessions[&(s as u64)];

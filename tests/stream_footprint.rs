@@ -79,7 +79,7 @@ fn a_closed_fleet_session_leaves_only_its_record() {
         n_shards: 1,
         mailbox_capacity: 1,
         batch_size: 1,
-        use_rings: false,
+        ..StreamConfig::default()
     });
     let settle = || {
         runtime.close_session(u64::MAX);
