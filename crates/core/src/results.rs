@@ -20,8 +20,7 @@
 //!       "name": "paper-A-n2", "family": "paper", "description": "…",
 //!       "config":  { property, n_processes, events_per_process, evt_mu, …,
 //!                    seeds, arrival, topology },
-//!       "options": { aggregate_tokens, dedup_global_views, prune_disjunctive,
-//!                    arena_recycling },
+//!       "options": { aggregate_tokens, dedup_global_views, prune_disjunctive },
 //!       "avg":      { RunMetrics fields },
 //!       "per_seed": [ { RunMetrics fields }, … ],
 //!       "detected_verdicts": [ "true" | "false" | "unknown", … ]
@@ -135,21 +134,17 @@ pub fn options_to_json(options: &MonitorOptions) -> Json {
         ("aggregate_tokens", Json::from(options.aggregate_tokens)),
         ("dedup_global_views", Json::from(options.dedup_global_views)),
         ("prune_disjunctive", Json::from(options.prune_disjunctive)),
-        ("arena_recycling", Json::from(options.arena_recycling)),
     ])
 }
 
-/// Parses the optimization switches back.
+/// Parses the optimization switches back.  The `arena_recycling` key of older
+/// documents named an allocation switch that no longer exists; it is ignored.
 pub fn options_from_json(v: &Json) -> Result<MonitorOptions, JsonError> {
     Ok(MonitorOptions {
         aggregate_tokens: v.get("aggregate_tokens")?.as_bool()?,
         dedup_global_views: v.get("dedup_global_views")?.as_bool()?,
         prune_disjunctive: v.get("prune_disjunctive")?.as_bool()?,
-        // Arena recycling postdates the first documents; records written before it
-        // ran with per-event allocation, so absence means `false`.
-        arena_recycling: v
-            .get_opt("arena_recycling")?
-            .map_or(Ok(false), Json::as_bool)?,
+        ..MonitorOptions::ALL_OFF
     })
 }
 

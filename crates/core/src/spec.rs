@@ -495,7 +495,7 @@ mod tests {
         use dlrv_vclock::{Event, EventKind, VectorClock};
         let a = compiled.registry.lookup("P0.p").unwrap();
         let b = compiled.registry.lookup("P1.p").unwrap();
-        session.feed_owned(Event {
+        session.feed_event(&Event {
             process: 0,
             kind: EventKind::Internal,
             sn: 1,
@@ -503,7 +503,7 @@ mod tests {
             state: Assignment::from_true_atoms([a]),
             time: 1.0,
         });
-        session.feed_owned(Event {
+        session.feed_event(&Event {
             process: 1,
             kind: EventKind::Internal,
             sn: 1,

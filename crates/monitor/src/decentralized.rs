@@ -80,13 +80,9 @@ pub struct MonitorOptions {
     /// candidate transitions into the same target; never explore candidates whose
     /// target verdict a sibling view already detected or a peer's token reported.
     pub prune_disjunctive: bool,
-    /// Hot-path allocation recycling: retired global views, token cuts, conjunct
-    /// buffers and view-set staging vectors are pooled — one pool per thread, shared
-    /// by every monitor the thread runs — and reused instead of reallocated per
-    /// event.  Not a paper optimization — an engineering switch following the same
-    /// A/B discipline: it selects where buffers come from and nothing else, so
-    /// verdicts, tokens and messages are byte-identical with the flag off (pinned
-    /// by the equivalence suites).
+    /// Ignored: every activation leases the thread's scratch arena (see
+    /// `Scratch`).  The field is kept only because the repository benchmark's
+    /// hot-path probe still sets it; every constructor here sets it to `true`.
     pub arena_recycling: bool,
 }
 
@@ -97,18 +93,18 @@ impl MonitorOptions {
         aggregate_tokens: false,
         dedup_global_views: false,
         prune_disjunctive: false,
-        arena_recycling: false,
+        arena_recycling: true,
     };
 
-    /// All 16 flag combinations, for exhaustive equivalence testing.
-    pub fn all_combinations() -> [MonitorOptions; 16] {
-        let mut out = [MonitorOptions::ALL_OFF; 16];
+    /// All 8 settings of the three switches, for exhaustive equivalence testing.
+    pub fn all_combinations() -> [MonitorOptions; 8] {
+        let mut out = [MonitorOptions::ALL_OFF; 8];
         for (i, slot) in out.iter_mut().enumerate() {
             *slot = MonitorOptions {
                 aggregate_tokens: i & 1 != 0,
                 dedup_global_views: i & 2 != 0,
                 prune_disjunctive: i & 4 != 0,
-                arena_recycling: i & 8 != 0,
+                ..MonitorOptions::ALL_OFF
             };
         }
         out
@@ -126,11 +122,11 @@ impl Default for MonitorOptions {
     }
 }
 
-/// Recycled allocation pools of the event hot path (the
-/// [`MonitorOptions::arena_recycling`] switch).  Every buffer is cleared or
-/// overwritten before reuse, so recycling is observationally invisible — it only
-/// removes the per-event allocate/free churn of the unoptimized path — and a buffer
-/// retired by one session (of any process count) can serve the next.
+/// Recycled allocation pools of the event hot path: retired global views, token
+/// cuts, conjunct buffers and view-set staging vectors are reused instead of
+/// reallocated per event.  Every buffer is cleared or overwritten before reuse, so
+/// recycling is observationally invisible, and a buffer retired by one session (of
+/// any process count) can serve the next.
 ///
 /// There is one arena per thread, not per monitor: an [`Activation`] holds it on
 /// lease ([`Activation::start`]) and no monitor owns a pool or a lease in
@@ -142,9 +138,8 @@ impl Default for MonitorOptions {
 /// length and the buffer it was rebuilt in comes back here, and a token is parked
 /// with exactly its transitions ([`PropertyMonitor::parks_no_spare`]).  The
 /// message queue and outboxes of a session call, and a fleet activation's outbox,
-/// are leased from here too ([`lease_outbox`], [`lease_queue`]) whatever
-/// [`MonitorOptions::arena_recycling`] says: before they lived here, they lived for
-/// a whole session.
+/// are leased from here too ([`lease_outbox`], [`lease_queue`]): before they lived
+/// here, they lived for a whole session.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// Spare view-set vectors (merge staging, per-event rebuild, fork outputs).
@@ -184,8 +179,7 @@ pub(crate) type Outbox = Vec<(ProcessId, MonitorMsg)>;
 
 /// The tokens one activation sends, `(destination, token)` in emission order,
 /// held until the activation ends and [`Activation::end`] turns them into
-/// messages.  It lives for one activation: leased from the thread's arena
-/// when the arena is on, a fresh vector otherwise.
+/// messages.  It lives for one activation, leased from the thread's arena.
 type Staged = Vec<(ProcessId, Token)>;
 
 /// Messages in flight within one session call: `(sender, destination, message)`.
@@ -962,26 +956,19 @@ struct Activation<'a> {
     /// length, except while the tokens parked on a fresh event are woken, which
     /// Algorithm 2 does before the views get that event.
     delivered: u64,
-    /// The thread's arena on lease; `None` whenever `opts.arena_recycling` is off.
-    scratch: Option<Box<Scratch>>,
+    /// The thread's arena on lease.
+    scratch: Box<Scratch>,
     /// The tokens this activation sends, `(destination, token)` in emission order.
     staged: Staged,
 }
 
 impl<'a> Activation<'a> {
     /// Starts an activation of `member` at `process` with `delivered` events
-    /// offered to its views: takes the thread's arena on lease (nothing when the
-    /// arena is off, so every pool helper below falls through to plain allocation)
-    /// and the staging vector from it.
+    /// offered to its views: takes the thread's arena on lease and the staging
+    /// vector from it.
     fn start(process: &'a LocalProcess, member: &'a mut PropertyMonitor, delivered: u64) -> Self {
-        let mut scratch = process
-            .opts
-            .arena_recycling
-            .then(|| ARENA.with(Cell::take).unwrap_or_default());
-        let staged = scratch
-            .as_mut()
-            .map(|s| std::mem::take(&mut s.staged))
-            .unwrap_or_default();
+        let mut scratch = ARENA.with(Cell::take).unwrap_or_default();
+        let staged = std::mem::take(&mut scratch.staged);
         Activation {
             process,
             member,
@@ -1023,10 +1010,8 @@ impl<'a> Activation<'a> {
         }
         let spare = exact(&mut self.member.views);
         self.put_view_buf(spare);
-        if let Some(mut scratch) = self.scratch.take() {
-            scratch.staged = std::mem::take(&mut self.staged);
-            ARENA.with(|slot| slot.set(Some(scratch)));
-        }
+        self.scratch.staged = self.staged;
+        ARENA.with(|slot| slot.set(Some(self.scratch)));
         debug_assert!(self.member.parks_no_spare());
     }
 
@@ -1041,61 +1026,41 @@ impl<'a> Activation<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Scratch pools (`opts.arena_recycling`)
+    // Scratch pools (the leased arena)
     // ------------------------------------------------------------------
 
-    /// An empty view-set vector — recycled when the arena is on, fresh otherwise.
+    /// An empty view-set vector from the pool.
     fn take_view_buf(&mut self) -> Vec<GlobalView> {
-        self.scratch
-            .as_mut()
-            .and_then(|s| s.view_bufs.pop())
-            .unwrap_or_default()
+        self.scratch.view_bufs.pop().unwrap_or_default()
     }
 
-    /// Returns a view-set vector to the pool (dropped when the arena is off, or when
-    /// it holds no allocation to reuse).
+    /// Returns a view-set vector to the pool (dropped when the pool is full, or
+    /// when it holds no allocation to reuse).
     fn put_view_buf(&mut self, mut buf: Vec<GlobalView>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        if let Some(s) = self
-            .scratch
-            .as_mut()
-            .filter(|s| s.view_bufs.len() < POOL_CAP)
-        {
+        if buf.capacity() > 0 && self.scratch.view_bufs.len() < POOL_CAP {
             buf.clear();
-            s.view_bufs.push(buf);
+            self.scratch.view_bufs.push(buf);
         }
     }
 
     /// An empty transition vector for token payloads.
     fn take_transition_buf(&mut self) -> Vec<TokenTransition> {
-        self.scratch
-            .as_mut()
-            .and_then(|s| s.transitions.pop())
-            .unwrap_or_default()
+        self.scratch.transitions.pop().unwrap_or_default()
     }
 
     /// Returns a (drained) transition vector to the pool (dropped as
     /// [`put_view_buf`](Self::put_view_buf) drops a view-set vector).
     fn put_transition_buf(&mut self, mut buf: Vec<TokenTransition>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        if let Some(s) = self
-            .scratch
-            .as_mut()
-            .filter(|s| s.transitions.len() < POOL_CAP)
-        {
+        if buf.capacity() > 0 && self.scratch.transitions.len() < POOL_CAP {
             buf.clear();
-            s.transitions.push(buf);
+            self.scratch.transitions.push(buf);
         }
     }
 
-    /// A clock holding a copy of `src`: a recycled buffer overwritten in place when
-    /// the arena is on, a fresh clone otherwise.
+    /// A clock holding a copy of `src`: a recycled buffer overwritten in place, or
+    /// a fresh clone when the pool is empty.
     fn clock_copy(&mut self, src: &VectorClock) -> VectorClock {
-        match self.scratch.as_mut().and_then(|s| s.clocks.pop()) {
+        match self.scratch.clocks.pop() {
             Some(mut clock) => {
                 clock.copy_from(src);
                 clock
@@ -1106,28 +1071,21 @@ impl<'a> Activation<'a> {
 
     /// Returns a retired clock to the pool.
     fn reclaim_clock(&mut self, clock: VectorClock) {
-        if let Some(s) = self.scratch.as_mut().filter(|s| s.clocks.len() < POOL_CAP) {
-            s.clocks.push(clock);
+        if self.scratch.clocks.len() < POOL_CAP {
+            self.scratch.clocks.push(clock);
         }
     }
 
     /// An empty conjunct buffer.
     fn take_conjunct_buf(&mut self) -> Vec<ConjunctEval> {
-        self.scratch
-            .as_mut()
-            .and_then(|s| s.conjuncts.pop())
-            .unwrap_or_default()
+        self.scratch.conjuncts.pop().unwrap_or_default()
     }
 
     /// Returns a conjunct buffer to the pool.
     fn put_conjunct_buf(&mut self, mut buf: Vec<ConjunctEval>) {
-        if let Some(s) = self
-            .scratch
-            .as_mut()
-            .filter(|s| s.conjuncts.len() < POOL_CAP)
-        {
+        if self.scratch.conjuncts.len() < POOL_CAP {
             buf.clear();
-            s.conjuncts.push(buf);
+            self.scratch.conjuncts.push(buf);
         }
     }
 
@@ -1231,7 +1189,7 @@ impl<'a> Activation<'a> {
     /// is compared against every kept cut in a single
     /// [`compare_many`](dlrv_vclock::compare_many) pass over raw entry slices, plus
     /// the state/valuation checks.  View counts per monitor are small (bounded by
-    /// the lattice width), so the scan stays cheap, and with the arena on it
+    /// the lattice width), so the scan stays cheap, and with the pools warm it
     /// allocates nothing.
     fn merge_similar_views(&mut self) {
         if self.member.views.len() <= 1 {
@@ -1239,11 +1197,7 @@ impl<'a> Activation<'a> {
         }
         let mut staged = self.take_view_buf();
         std::mem::swap(&mut staged, &mut self.member.views);
-        let mut ord = self
-            .scratch
-            .as_mut()
-            .map(|s| std::mem::take(&mut s.ord))
-            .unwrap_or_default();
+        let mut ord = std::mem::take(&mut self.scratch.ord);
         for gv in staged.drain(..) {
             dlrv_vclock::compare_many(
                 &gv.gcut,
@@ -1274,16 +1228,14 @@ impl<'a> Activation<'a> {
                 None => self.member.views.push(gv),
             }
         }
-        if let Some(s) = self.scratch.as_mut() {
-            s.ord = ord;
-        }
+        self.scratch.ord = ord;
         self.put_view_buf(staged);
     }
 
     /// CHECKOUTGOINGTRANSITIONS: build the candidate token transitions of `gv` for the
-    /// local event `sn`, whose run's record starts at word `at` of the history.  With
-    /// the arena on, the cuts and conjunct buffers come from the scratch pools (they
-    /// return when the token's transitions are decided).
+    /// local event `sn`, whose run's record starts at word `at` of the history.  The
+    /// cuts and conjunct buffers come from the scratch pools (they return when the
+    /// token's transitions are decided).
     fn candidate_transitions(
         &mut self,
         gv: &GlobalView,
@@ -1445,11 +1397,7 @@ impl<'a> Activation<'a> {
         // (below) lands no later than the end of this run, the last recorded
         // event, or any event another pending transition asks for here.
         let mut land = (run.last + 1).min(self.process.history.len() as u64);
-        let mut targeted = self
-            .scratch
-            .as_mut()
-            .map(|s| std::mem::take(&mut s.targeted))
-            .unwrap_or_default();
+        let mut targeted = std::mem::take(&mut self.scratch.targeted);
         targeted.clear();
         for (idx, tran) in token.transitions.iter_mut().enumerate() {
             if tran.eval != EvalState::Unset || tran.next_target_process != self.pid() {
@@ -1465,19 +1413,13 @@ impl<'a> Activation<'a> {
             }
         }
         if targeted.is_empty() {
-            if let Some(s) = self.scratch.as_mut() {
-                s.targeted = targeted;
-            }
+            self.scratch.targeted = targeted;
             return None;
         }
 
         // EVALUATETOKEN: evaluate this process's conjunct of every targeted transition.
         let mut any_true = false;
-        let mut local_results = self
-            .scratch
-            .as_mut()
-            .map(|s| std::mem::take(&mut s.local_results))
-            .unwrap_or_default();
+        let mut local_results = std::mem::take(&mut self.scratch.local_results);
         local_results.clear();
         for &idx in &targeted {
             let tran = &token.transitions[idx];
@@ -1584,10 +1526,8 @@ impl<'a> Activation<'a> {
         if let Some(next) = next {
             *walked = run.cursor_for(next);
         }
-        if let Some(s) = self.scratch.as_mut() {
-            s.targeted = targeted;
-            s.local_results = local_results;
-        }
+        self.scratch.targeted = targeted;
+        self.scratch.local_results = local_results;
         next
     }
 
@@ -2035,33 +1975,34 @@ mod tests {
     fn monitor_options_default_enables_all_optimizations() {
         let opts = MonitorOptions::default();
         assert!(opts.aggregate_tokens && opts.dedup_global_views && opts.prune_disjunctive);
-        assert!(opts.arena_recycling);
+        let off = MonitorOptions::ALL_OFF;
+        assert!(!(off.aggregate_tokens || off.dedup_global_views || off.prune_disjunctive));
         assert_eq!(
-            MonitorOptions::ALL_OFF,
             MonitorOptions {
                 aggregate_tokens: false,
                 dedup_global_views: false,
                 prune_disjunctive: false,
-                arena_recycling: false,
-            }
+                ..opts
+            },
+            off,
+            "the ignored field is the same in both"
         );
     }
 
     #[test]
     fn all_combinations_enumerates_every_flag_setting() {
         let combos = MonitorOptions::all_combinations();
-        let unique: std::collections::BTreeSet<(bool, bool, bool, bool)> = combos
+        let unique: std::collections::BTreeSet<(bool, bool, bool)> = combos
             .iter()
             .map(|o| {
                 (
                     o.aggregate_tokens,
                     o.dedup_global_views,
                     o.prune_disjunctive,
-                    o.arena_recycling,
                 )
             })
             .collect();
-        assert_eq!(unique.len(), 16);
+        assert_eq!(unique.len(), 8);
         assert!(combos.contains(&MonitorOptions::ALL_OFF));
         assert!(combos.contains(&MonitorOptions::default()));
     }
@@ -2686,7 +2627,7 @@ mod tests {
                 p1_events.chain(p0_events).collect()
             };
             for event in events {
-                session.feed_owned(event);
+                session.feed_event(&event);
             }
             let case = format!("{p1_states:?}, {opts:?}, P0 first {p0_first}");
             let mut before = Vec::new();
@@ -2750,12 +2691,9 @@ mod tests {
 
     #[test]
     fn a_merge_keeps_the_kept_views_cursor() {
-        // One merge, with the staging buffers pooled or freshly allocated.
-        for arena_recycling in [false, true] {
-            let (mut m, p) = goal_monitor(MonitorOptions {
-                arena_recycling,
-                ..MonitorOptions::default()
-            });
+        // One merge with this (fresh) thread's pools cold, one with them warm.
+        for round in ["cold", "warm"] {
+            let (mut m, p) = goal_monitor(MonitorOptions::default());
             for sn in 1..=4 {
                 m.process.history.push(&local_event(sn, p));
             }
@@ -2775,7 +2713,7 @@ mod tests {
                 panic!("expected one merged view, got {:?}", m.member.views);
             };
             assert_eq!((kept.id, kept.state), (9, GvState::Unblocked));
-            assert_eq!(kept.next_sn, 2, "arena_recycling={arena_recycling}");
+            assert_eq!(kept.next_sn, 2, "{round} pools");
         }
     }
 
@@ -3323,13 +3261,13 @@ mod tests {
             let mut ctx = MonitorContext::new(0, 2, 1.0, &mut outbox);
             m.on_local_event(&local_event(1, p), &mut ctx);
         };
-        // Arena off: this (fresh) thread's arena is never touched.
+        // Whatever the ignored switch says, the activation leases this (fresh)
+        // thread's arena and parks it back for the next monitor to lease.
         feed(MonitorOptions {
             arena_recycling: false,
             ..MonitorOptions::default()
         });
-        assert!(ARENA.with(Cell::take).is_none());
-        // Arena on: it is back at the thread for the next monitor to lease.
+        assert!(ARENA.with(Cell::take).is_some());
         feed(MonitorOptions::default());
         assert!(ARENA.with(Cell::take).is_some());
     }

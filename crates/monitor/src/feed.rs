@@ -193,11 +193,6 @@ impl<B: MonitorBehavior + SessionVerdicts> FeedSession<B> {
         self.verdict()
     }
 
-    /// [`feed_event`](Self::feed_event) for a caller that is done with the event.
-    pub fn feed_owned(&mut self, event: Event) -> Verdict {
-        self.feed_event(&event)
-    }
-
     /// Signals end-of-stream: every process ended at the latest seen timestamp, as
     /// one instant.  So every monitor's local termination runs first, in process
     /// order, each into an outbox of its own; only then are those outboxes drained
@@ -337,7 +332,7 @@ mod tests {
             MonitorOptions::default(),
         );
         assert_eq!(session.verdict(), Verdict::Unknown);
-        let v1 = session.feed_owned(internal(
+        let v1 = session.feed_event(&internal(
             0,
             1,
             vec![1, 0],
@@ -345,7 +340,7 @@ mod tests {
             1.0,
         ));
         assert_eq!(v1, Verdict::Unknown);
-        session.feed_owned(internal(
+        session.feed_event(&internal(
             1,
             1,
             vec![0, 1],
@@ -540,7 +535,7 @@ mod tests {
             MonitorOptions::default(),
         );
         session.finish();
-        session.feed_owned(internal(
+        session.feed_event(&internal(
             0,
             1,
             vec![1, 0],

@@ -491,9 +491,9 @@ mod tests {
                 .map(|m| decentralized_session(2, &m.automaton, &m.registry, m.initial_state, opts))
                 .collect();
             for event in sample_events(&registry) {
-                fleet.feed_owned(event.clone());
+                fleet.feed_event(&event);
                 for solo in &mut solos {
-                    solo.feed_owned(event.clone());
+                    solo.feed_event(&event);
                 }
             }
             fleet.finish();
@@ -539,9 +539,9 @@ mod tests {
             .map(|m| decentralized_session(2, &m.automaton, &m.registry, m.initial_state, opts))
             .collect();
         for event in sample_events(&registry) {
-            fleet.feed_owned(event.clone());
+            fleet.feed_event(&event);
             for solo in &mut solos {
-                solo.feed_owned(event.clone());
+                solo.feed_event(&event);
             }
         }
         fleet.finish();

@@ -12,11 +12,10 @@
 //! * [`replay`] — a zero-latency driver over recorded computations, used by the
 //!   soundness/completeness test-suite to compare monitors against the lattice oracle.
 //! * [`feed`] — the incremental feed API: a [`FeedSession`] delivers events one at a
-//!   time (`feed_event(&mut self, &Event) -> Verdict`, or
-//!   [`feed_owned`](feed::FeedSession::feed_owned) for owned events) so monitors no
-//!   longer require a complete trace up front; the event is only lent — a monitor
-//!   copies its clock and state into a run-length history and keeps nothing else.  The
-//!   substrate of the online `dlrv-stream` runtime.
+//!   time (`feed_event(&mut self, &Event) -> Verdict`) so monitors no longer require
+//!   a complete trace up front; the event is only lent — a monitor copies its clock
+//!   and state into a run-length history and keeps nothing else.  The substrate of
+//!   the online `dlrv-stream` runtime.
 //! * [`fleet`] — fleet monitoring: a [`FleetMonitor`] holds its process's part
 //!   once and one [`PropertyMonitor`] per property behind a single behavior, so N
 //!   properties share one decoded event stream, one history per process and one
@@ -54,8 +53,8 @@
 //!     vc: VectorClock::from_entries(vc), state, time,
 //! };
 //! // P0 raises its p, then P1 raises its own — concurrently ([1,0] vs [0,1]).
-//! session.feed_owned(event(0, vec![1, 0], Assignment::from_true_atoms([a]), 1.0));
-//! session.feed_owned(event(1, vec![0, 1], Assignment::from_true_atoms([b]), 2.0));
+//! session.feed_event(&event(0, vec![1, 0], Assignment::from_true_atoms([a]), 1.0));
+//! session.feed_event(&event(1, vec![0, 1], Assignment::from_true_atoms([b]), 2.0));
 //! assert_eq!(session.finish(), Verdict::True);
 //! assert!(session.monitor_messages() > 0, "the witness needed token traffic");
 //! ```

@@ -483,10 +483,10 @@ impl ShardSession {
     fn feed_owned(&mut self, event: Event) {
         match self {
             ShardSession::Solo(s) => {
-                s.feed_owned(event);
+                s.feed_event(&event);
             }
             ShardSession::Fleet { session, .. } => {
-                session.feed_owned(event);
+                session.feed_event(&event);
             }
         }
     }

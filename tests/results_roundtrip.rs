@@ -331,9 +331,9 @@ fn field_mut<'a>(object: &'a mut Json, key: &str) -> &'a mut Json {
 #[test]
 fn documents_with_the_retired_switches_and_family_still_parse() {
     // A PR-10-shaped fragment: a `throughput` record whose `stream` object still
-    // carries `binary_wire` / `use_rings`, next to a record of the retired
-    // `hotpath` family.  The switches are ignored and the retired record is
-    // skipped, so committed snapshots of that shape keep their place in the
+    // carries `binary_wire` / `use_rings` and whose `options` object still carries
+    // `arena_recycling`, next to a record of the retired `hotpath` family.  The
+    // switches are ignored and the retired record is skipped, so committed snapshots of that shape keep their place in the
     // report's trend history instead of failing the whole document.
     let mut scenario = small("throughput-B-s200-sh4");
     restream(&mut scenario, StreamParams::sized(4, 1));
@@ -346,6 +346,7 @@ fn documents_with_the_retired_switches_and_family_still_parse() {
         .clone();
     *field_mut(field_mut(&mut throughput, "stream"), "binary_wire") = Json::Bool(true);
     *field_mut(field_mut(&mut throughput, "stream"), "use_rings") = Json::Bool(false);
+    *field_mut(field_mut(&mut throughput, "options"), "arena_recycling") = Json::Bool(false);
     // Documents of that age also carry the host-measured fields; they are read.
     *field_mut(field_mut(&mut throughput, "avg"), "wall_clock_secs") = Json::from(0.25);
     *field_mut(field_mut(&mut throughput, "avg"), "events_per_sec") = Json::from(1234.5);
@@ -365,6 +366,7 @@ fn documents_with_the_retired_switches_and_family_still_parse() {
     *field_mut(&mut doc, "scenarios") = Json::Array(vec![hotpath, throughput]);
     let text = doc.to_string_pretty();
     assert!(text.contains("\"use_rings\"") && text.contains("\"hotpath\""));
+    assert!(text.contains("\"arena_recycling\""));
 
     let records = sweep_from_json(&Json::parse(&text).expect("valid JSON")).expect("schema");
     assert_eq!(records.len(), 1, "the retired family's record is skipped");

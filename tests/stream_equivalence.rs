@@ -44,9 +44,8 @@ fn wire_bytes(inputs: &[SessionStream], binary_wire: bool) -> Vec<u8> {
 #[test]
 fn streamed_verdicts_equal_offline_replay_for_every_flag_combination() {
     // §4.3 ablation over the wire: for every setting of the optimization switches
-    // (including arena recycling) crossed with both wire formats, streaming must
-    // still match the offline replay
-    // *run with the same switches* — verdict-for-verdict and token-for-token.
+    // crossed with both wire formats, streaming must still match the offline
+    // replay *run with the same switches* — verdict-for-verdict and token-for-token.
     // Property C at 3 processes is the paper's message-overhead worst case, so it
     // exercises every optimization.
     let property = PaperProperty::C;
@@ -122,86 +121,78 @@ fn streamed_verdicts_equal_offline_replay_for_custom_properties() {
         PropertySpec::parse_named("reqack", "G(P0.req -> F P1.ack)").expect("valid LTL"),
         PropertySpec::parse_named("nested-until", "G(P0.p U (P1.p U P2.p))").expect("valid LTL"),
     ];
+    let opts = MonitorOptions::default();
     for spec in &specs {
-        for arena_recycling in [true, false] {
-            let opts = MonitorOptions {
-                arena_recycling,
-                ..MonitorOptions::default()
-            };
-            let n_processes = spec.min_processes();
-            let config = ExperimentConfig {
-                events_per_process: 8,
-                ..ExperimentConfig::paper_default(spec.clone(), n_processes)
-            };
-            let compiled = CompiledProperty::compile(spec, n_processes);
-            let (automaton, registry) = (&compiled.automaton, &compiled.registry);
+        let n_processes = spec.min_processes();
+        let config = ExperimentConfig {
+            events_per_process: 8,
+            ..ExperimentConfig::paper_default(spec.clone(), n_processes)
+        };
+        let compiled = CompiledProperty::compile(spec, n_processes);
+        let (automaton, registry) = (&compiled.automaton, &compiled.registry);
 
-            let mut baselines = Vec::new();
-            for (s, seed) in [7u64, 19, 31].into_iter().enumerate() {
-                let session = simulate_session(&config.workload_config(seed), registry);
-                let replay =
-                    replay_decentralized(&session.report.computation, registry, automaton, opts);
-                baselines.push(Baseline {
-                    input: SessionStream {
-                        session: s as u64,
-                        property: spec.name().to_string(),
-                        n_processes,
-                        initial_state: session.initial_state.0,
-                        events: session.events,
-                    },
-                    detected: replay.detected_final_verdicts(),
-                    possible: replay.possible_verdicts(),
-                    monitor_messages: replay.monitor_messages,
+        let mut baselines = Vec::new();
+        for (s, seed) in [7u64, 19, 31].into_iter().enumerate() {
+            let session = simulate_session(&config.workload_config(seed), registry);
+            let replay =
+                replay_decentralized(&session.report.computation, registry, automaton, opts);
+            baselines.push(Baseline {
+                input: SessionStream {
+                    session: s as u64,
+                    property: spec.name().to_string(),
+                    n_processes,
+                    initial_state: session.initial_state.0,
+                    events: session.events,
+                },
+                detected: replay.detected_final_verdicts(),
+                possible: replay.possible_verdicts(),
+                monitor_messages: replay.monitor_messages,
+            });
+        }
+
+        let inputs: Vec<SessionStream> = baselines.iter().map(|b| b.input.clone()).collect();
+
+        for binary_wire in WIRE_FORMATS {
+            let bytes = wire_bytes(&inputs, binary_wire);
+            for n_shards in [1usize, 2, 4] {
+                let runtime = ShardedRuntime::start(StreamConfig {
+                    n_shards,
+                    mailbox_capacity: 8,
+                    batch_size: 4,
+                    ..StreamConfig::default()
                 });
-            }
+                let mut source = ReaderSource::new(&bytes[..]);
+                runtime
+                    .pump(&mut source, &mut |open| {
+                        assert_eq!(open.property, spec.name());
+                        Ok(Arc::new(SessionSpec {
+                            n_processes: open.n_processes,
+                            automaton: automaton.clone(),
+                            registry: registry.clone(),
+                            initial_state: open.initial_state,
+                            options: opts,
+                            fleet: Vec::new(),
+                        }))
+                    })
+                    .expect("freshly encoded stream must decode");
+                let report = runtime.shutdown();
 
-            let inputs: Vec<SessionStream> = baselines.iter().map(|b| b.input.clone()).collect();
-
-            for binary_wire in WIRE_FORMATS {
-                let bytes = wire_bytes(&inputs, binary_wire);
-                for n_shards in [1usize, 2, 4] {
-                    let runtime = ShardedRuntime::start(StreamConfig {
-                        n_shards,
-                        mailbox_capacity: 8,
-                        batch_size: 4,
-                        ..StreamConfig::default()
-                    });
-                    let mut source = ReaderSource::new(&bytes[..]);
-                    runtime
-                        .pump(&mut source, &mut |open| {
-                            assert_eq!(open.property, spec.name());
-                            Ok(Arc::new(SessionSpec {
-                                n_processes: open.n_processes,
-                                automaton: automaton.clone(),
-                                registry: registry.clone(),
-                                initial_state: open.initial_state,
-                                options: opts,
-                                fleet: Vec::new(),
-                            }))
-                        })
-                        .expect("freshly encoded stream must decode");
-                    let report = runtime.shutdown();
-
-                    let tag = format!(
-                        "{}, arena={arena_recycling}, binary={binary_wire}",
-                        spec.name()
+                let tag = format!("{}, binary={binary_wire}", spec.name());
+                assert_eq!(report.sessions.len(), baselines.len(), "{tag}");
+                for (s, baseline) in baselines.iter().enumerate() {
+                    let outcome = &report.sessions[&(s as u64)];
+                    assert_eq!(
+                        outcome.detected_verdicts, baseline.detected,
+                        "{tag}, session {s}, {n_shards} shards: detected verdicts diverge"
                     );
-                    assert_eq!(report.sessions.len(), baselines.len(), "{tag}");
-                    for (s, baseline) in baselines.iter().enumerate() {
-                        let outcome = &report.sessions[&(s as u64)];
-                        assert_eq!(
-                            outcome.detected_verdicts, baseline.detected,
-                            "{tag}, session {s}, {n_shards} shards: detected verdicts diverge"
-                        );
-                        assert_eq!(
-                            outcome.possible_verdicts, baseline.possible,
-                            "{tag}, session {s}, {n_shards} shards: possible verdicts diverge"
-                        );
-                        assert_eq!(
-                            outcome.monitor_messages, baseline.monitor_messages,
-                            "{tag}, session {s}, {n_shards} shards: token counts diverge"
-                        );
-                    }
+                    assert_eq!(
+                        outcome.possible_verdicts, baseline.possible,
+                        "{tag}, session {s}, {n_shards} shards: possible verdicts diverge"
+                    );
+                    assert_eq!(
+                        outcome.monitor_messages, baseline.monitor_messages,
+                        "{tag}, session {s}, {n_shards} shards: token counts diverge"
+                    );
                 }
             }
         }
