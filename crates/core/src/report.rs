@@ -374,7 +374,7 @@ mod tests {
     fn fleet_family_renders_per_property_verdicts_and_no_host_measurement() {
         use crate::fleet::FleetParams;
         use crate::scenario::StreamParams;
-        use dlrv_monitor::FleetPropertyMetrics;
+        use dlrv_monitor::PropertyOutcome;
         let mut r = record("fleet-AB-sh4", ScenarioFamily::Fleet, 40);
         let members = vec![PaperProperty::A.into(), PaperProperty::B.into()];
         r.scenario.substrate =
@@ -382,14 +382,14 @@ mod tests {
         r.avg.wall_clock_secs = 0.30;
         r.avg.fleet_size = 2;
         r.avg.fleet_per_property = vec![
-            FleetPropertyMetrics {
+            PropertyOutcome {
                 property: "A".to_string(),
                 verdict: crate::dlrv_ltl::Verdict::True,
-                ..FleetPropertyMetrics::default()
+                ..PropertyOutcome::default()
             },
-            FleetPropertyMetrics {
+            PropertyOutcome {
                 property: "B".to_string(),
-                ..FleetPropertyMetrics::default()
+                ..PropertyOutcome::default()
             },
         ];
         let report = render_report(&[r], &[]);

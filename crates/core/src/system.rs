@@ -23,7 +23,6 @@ pub struct MonitoredSystem {
     registry: AtomRegistry,
     formula: Option<Formula>,
     workload: Option<Workload>,
-    sim_config: SimConfig,
     options: MonitorOptions,
 }
 
@@ -79,7 +78,6 @@ impl MonitoredSystem {
             registry,
             formula: None,
             workload: None,
-            sim_config: SimConfig::default(),
             options: MonitorOptions::default(),
         }
     }
@@ -122,12 +120,6 @@ impl MonitoredSystem {
         self
     }
 
-    /// Overrides the simulator latencies.
-    pub fn sim_config(mut self, config: SimConfig) -> Self {
-        self.sim_config = config;
-        self
-    }
-
     /// Overrides the monitor optimization switches.
     pub fn monitor_options(mut self, options: MonitorOptions) -> Self {
         self.options = options;
@@ -153,7 +145,7 @@ impl MonitoredSystem {
             &registry,
             &automaton,
             self.options,
-            &self.sim_config,
+            &SimConfig::default(),
         );
         let mut detected = Verdicts::EMPTY;
         let mut possible = Verdicts::EMPTY;

@@ -39,7 +39,7 @@ use crate::fleet::{compile_fleet, CompiledFleetMember, FleetParams};
 use crate::scenario::StreamParams;
 use crate::spec::CompiledProperty;
 use dlrv_ltl::AtomRegistry;
-use dlrv_monitor::{combined_verdict, FleetPropertyMetrics, MonitorOptions, RunMetrics};
+use dlrv_monitor::{combined_verdict, MonitorOptions, PropertyOutcome, RunMetrics};
 use dlrv_stream::{
     encode_stream_binary, interleave_sessions, FleetMemberSpec, ReaderSource, SessionSpec,
     SessionStream, ShardedRuntime, StreamConfig,
@@ -182,11 +182,11 @@ fn run_once(
         ..RunMetrics::default()
     };
     metrics.fleet_size = fleet_members.len();
-    let mut per_property: Vec<FleetPropertyMetrics> = fleet_members
+    let mut per_property: Vec<PropertyOutcome> = fleet_members
         .iter()
-        .map(|m| FleetPropertyMetrics {
+        .map(|m| PropertyOutcome {
             property: m.name.clone(),
-            ..FleetPropertyMetrics::default()
+            ..PropertyOutcome::default()
         })
         .collect();
     for outcome in report.sessions.values() {
@@ -200,12 +200,12 @@ fn run_once(
             agg.monitor_tokens += slice.monitor_tokens;
             agg.global_views += slice.global_views;
             agg.peak_global_views += slice.peak_global_views;
-            agg.detected_final_verdicts |= slice.detected_verdicts;
+            agg.detected_verdicts |= slice.detected_verdicts;
             agg.possible_verdicts |= slice.possible_verdicts;
         }
     }
     for agg in &mut per_property {
-        agg.verdict = combined_verdict(&agg.detected_final_verdicts);
+        agg.verdict = combined_verdict(&agg.detected_verdicts);
     }
     metrics.fleet_per_property = per_property;
     metrics

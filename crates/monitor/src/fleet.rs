@@ -21,12 +21,15 @@
 //!   termination flag, the options and the latest event's time.  Every member
 //!   borrows that part by `&` for each of its activations — local event,
 //!   received message or termination — and holds no history of its own.
-//! * **Transport** — with `aggregate_tokens` on (§4.3.1), outbound tokens from
-//!   *all* members to the same destination ride one [`MonitorMsg`].  The
-//!   [`Token::property`](crate::Token::property) field is the property-id
-//!   dimension of the message: the receiving fleet demultiplexes tokens back to
-//!   their members.  Termination sends nothing of its own (it is local to each
-//!   member), so every message the fleet puts on the transport carries tokens.
+//! * **Transport** — members deal in tokens only: every member activated in one
+//!   call of the fleet stages its tokens, and the call ends with the process's one
+//!   flush, the one a solo monitor's calls end with.  With `aggregate_tokens` on
+//!   (§4.3.1), outbound tokens from *all* members to the same destination ride one
+//!   [`MonitorMsg`].  The [`Token::property`](crate::Token::property) field is the
+//!   property-id dimension of the message: the receiving fleet demultiplexes
+//!   tokens back to their members.  Termination sends nothing of its own (it is
+//!   local to each member), so every message the fleet puts on the transport
+//!   carries tokens.
 //!
 //! What is *not* shared: everything a property decides — global views, parked
 //! tokens, in-flight explorations, metrics — stays strictly per member, so
@@ -58,28 +61,25 @@
 //! that asks, as the solo runs it stands for would.
 //!
 //! Between activations a fleet holds monitoring state only, as every member does:
-//! the members activated on one event or message emit into one outbox, leased from
-//! the thread's scratch arena for that fleet activation, and the flush that ends it
-//! moves everything in that outbox into the messages it sends and gives it back.
-//! A received message is regrouped by monitor as it is delivered (a stable sort
-//! on the property id, then each monitor's run of tokens split off as its
-//! message), so no fleet keeps a regroup table either.
+//! it keeps no outbox — the members activated on one event or message stage their
+//! tokens in the thread's scratch arena, and the flush that ends the call turns
+//! them into the messages it sends.  A received message is regrouped by monitor as
+//! it is delivered (a stable sort on the property id, then each monitor's run of
+//! tokens drained into its activation), so no fleet keeps a regroup table either.
 //!
 //! **Equivalence.**  Each member is a deterministic state machine driven only by
 //! its local events and its own tokens.  The fleet preserves, per member, the
 //! exact solo schedule: members activate on the same events in the same order,
-//! a merged message delivers member `k`'s tokens as exactly the message member
-//! `k` would have received solo (same tokens, same order), and with
-//! `aggregate_tokens` off messages pass through unmerged in emission order.
+//! a merged message delivers member `k`'s tokens as exactly the tokens member `k`
+//! would have received solo (same tokens, same order), and with
+//! `aggregate_tokens` off every token leaves alone, in emission order.
 //! Per-property verdicts and token counts are therefore byte-identical to N
 //! independent runs — pinned by `tests/fleet_equivalence.rs` across shard counts
 //! and every [`MonitorOptions`] combination.  Only the message count of a fleet
 //! with a shared member and aggregation off is lower than the solo sum: the
 //! shared member's messages are not sent twice.
 
-use crate::decentralized::{
-    lease_outbox, return_outbox, LocalProcess, MonitorOptions, Outbox, PropertyMonitor,
-};
+use crate::decentralized::{drain_runs, LocalProcess, MonitorOptions, PropertyMonitor};
 use crate::feed::{FeedSession, SessionVerdicts};
 use crate::messages::MonitorMsg;
 use crate::metrics::MonitorMetrics;
@@ -265,37 +265,9 @@ impl FleetMonitor {
             .collect()
     }
 
-    /// Sends what the monitors emitted during one fleet activation, and gives the
-    /// emptied outbox back to the thread's arena.  Aggregation off: every message
-    /// verbatim, in emission order.  On: one message per destination, in ascending
-    /// destination order — exactly the order each monitor's own §4.3.1 flush uses,
-    /// so the merge preserves every monitor's solo emission schedule.  The first
-    /// message to a destination takes the tokens of the others, in emission order.
-    fn flush(&self, mut emitted: Outbox, ctx: &mut MonitorContext<'_, MonitorMsg>) {
-        if !self.process.opts().aggregate_tokens {
-            for (dest, msg) in emitted.drain(..) {
-                ctx.send(dest, msg);
-            }
-        } else {
-            for dest in 0..self.process.n() {
-                let mut bound = emitted
-                    .extract_if(.., |(to, _)| *to == dest)
-                    .map(|(_, msg)| msg);
-                let Some(mut merged) = bound.next() else {
-                    continue;
-                };
-                for mut msg in bound {
-                    merged.tokens.append(&mut msg.tokens);
-                }
-                ctx.send(dest, merged);
-            }
-        }
-        return_outbox(emitted);
-        debug_assert!(self.parks_no_spare());
-    }
-
     /// Whether this fleet holds monitoring state only: no monitor holding spare
     /// capacity ([`PropertyMonitor::parks_no_spare`]).  True between activations.
+    #[cfg(test)]
     pub(crate) fn parks_no_spare(&self) -> bool {
         self.monitors.iter().all(PropertyMonitor::parks_no_spare)
     }
@@ -304,12 +276,6 @@ impl FleetMonitor {
     #[cfg(test)]
     pub(crate) fn monitors(&self) -> &[PropertyMonitor] {
         &self.monitors
-    }
-
-    /// The context of one fleet activation: every monitor activated in it emits
-    /// into `emitted`.
-    fn context<'o>(&self, now: f64, emitted: &'o mut Outbox) -> MonitorContext<'o, MonitorMsg> {
-        MonitorContext::new(self.process.pid(), self.process.n(), now, emitted)
     }
 }
 
@@ -320,19 +286,17 @@ impl MonitorBehavior for FleetMonitor {
         // Recorded once, for every monitor.
         self.process.record(event, ctx.now);
         self.last_local_activation = ctx.now;
-        let mut emitted = lease_outbox();
-        let mut fleet_ctx = self.context(ctx.now, &mut emitted);
         for monitor in &mut self.monitors {
-            monitor.on_recorded_event(&self.process, &mut fleet_ctx);
+            monitor.on_recorded_event(&self.process, ctx.now);
         }
-        self.flush(emitted, ctx);
+        self.process.flush(ctx);
     }
 
     /// Delivers each monitor's tokens of `msg` as one activation, in ascending
-    /// monitor order (matching the sender's monitor-major merge) and as the
-    /// message the monitor would have received solo: a stable sort on the
-    /// property id keeps every monitor's tokens in their order, and each
-    /// monitor's run of tokens is split off as its own message.
+    /// monitor order (matching the sender's member-major flush) and as the tokens
+    /// the monitor would have received solo: a stable sort on the property id
+    /// keeps every monitor's tokens in their order, and each monitor's run of
+    /// tokens is drained into its activation.
     fn on_monitor_message(
         &mut self,
         _from: ProcessId,
@@ -340,28 +304,23 @@ impl MonitorBehavior for FleetMonitor {
         ctx: &mut MonitorContext<'_, MonitorMsg>,
     ) {
         let mut tokens = msg.tokens;
-        tokens.sort_by_key(|t| t.property);
-        let mut emitted = lease_outbox();
-        let mut fleet_ctx = self.context(ctx.now, &mut emitted);
-        while let Some(k) = tokens.first().map(|t| t.property) {
-            let rest = tokens.split_off(tokens.partition_point(|t| t.property == k));
-            let msg = MonitorMsg {
-                tokens: std::mem::replace(&mut tokens, rest),
-            };
-            self.monitors[k as usize].on_monitor_message(&self.process, msg, &mut fleet_ctx);
-        }
-        self.flush(emitted, ctx);
+        drain_runs(
+            &mut tokens,
+            |t| t.property,
+            |k, run| {
+                self.monitors[k as usize].on_tokens(&self.process, run, ctx.now);
+            },
+        );
+        self.process.flush(ctx);
     }
 
     fn on_local_termination(&mut self, ctx: &mut MonitorContext<'_, MonitorMsg>) {
         self.process.terminate();
         self.last_local_activation = ctx.now;
-        let mut emitted = lease_outbox();
-        let mut fleet_ctx = self.context(ctx.now, &mut emitted);
         for monitor in &mut self.monitors {
-            monitor.on_local_termination(&self.process, &mut fleet_ctx);
+            monitor.on_local_termination(&self.process, ctx.now);
         }
-        self.flush(emitted, ctx);
+        self.process.flush(ctx);
     }
 }
 
@@ -570,6 +529,120 @@ mod tests {
             fleet, solos,
             "a silent member adds no message and saves none"
         );
+    }
+
+    /// `F (P0.p ∧ P1.p ∧ P2.p)` and `F (P0.p ∧ P1.p ∧ P2.q)` at three processes,
+    /// opened where `P0.p` and `P1.p` hold, and two events of `P0` and one of `P1`
+    /// on which they still do: each event asks `P2` about the member's `P2` atom,
+    /// for both members.
+    fn asking_p2() -> (Vec<FleetMember>, Vec<Event>) {
+        let mut reg = AtomRegistry::new();
+        let [p0, p1, p2, q2] = [("P0.p", 0), ("P1.p", 1), ("P2.p", 2), ("P2.q", 2)]
+            .map(|(name, owner)| Formula::Atom(reg.intern(name, owner)));
+        let held = Assignment::from_true_atoms(reg.ids().take(2));
+        let registry = Arc::new(reg);
+        let members = [p2, q2]
+            .map(|goal| {
+                let phi = Formula::eventually(Formula::conj([p0.clone(), p1.clone(), goal]));
+                FleetMember {
+                    automaton: Arc::new(MonitorAutomaton::synthesize(&phi, &registry)),
+                    registry: registry.clone(),
+                    initial_state: held,
+                }
+            })
+            .to_vec();
+        let events = vec![
+            internal(0, 1, vec![1, 0, 0], held, 1.0),
+            internal(0, 2, vec![2, 0, 0], held, 2.0),
+            internal(1, 1, vec![0, 1, 0], held, 3.0),
+        ];
+        (members, events)
+    }
+
+    /// Feeds `events` to the monitors of `P0` and `P1`, hands every token they
+    /// sent `P2` to its monitor as one mixed message in reverse order — so no
+    /// member's tokens come first or together — and terminates `P2`, which has
+    /// recorded nothing: the tokens park, then go home failed.  Returns what the
+    /// termination sent.
+    fn ask_p2_then_terminate<M: MonitorBehavior<Message = MonitorMsg>>(
+        monitors: &mut [M; 3],
+        events: &[Event],
+    ) -> Vec<(ProcessId, MonitorMsg)> {
+        let mut asked = Vec::new();
+        for event in events {
+            let (p, mut outbox) = (event.process, Vec::new());
+            let mut ctx = MonitorContext::new(p, 3, event.time, &mut outbox);
+            monitors[p].on_local_event(event, &mut ctx);
+            for (to, msg) in outbox {
+                assert_eq!(to, 2, "only `P2` is asked");
+                asked.extend(msg.tokens);
+            }
+        }
+        asked.reverse();
+        let mut outbox = Vec::new();
+        let mixed = MonitorMsg { tokens: asked };
+        monitors[2].on_monitor_message(0, mixed, &mut MonitorContext::new(2, 3, 4.0, &mut outbox));
+        assert!(outbox.is_empty(), "every token parks at `P2`");
+        monitors[2].on_local_termination(&mut MonitorContext::new(2, 3, 5.0, &mut outbox));
+        outbox
+    }
+
+    #[test]
+    fn a_fleet_call_sends_member_major_messages_and_hands_each_member_its_own_tokens() {
+        let (members, events) = asking_p2();
+        for aggregate_tokens in [true, false] {
+            // Without §4.3.2 the fork of `P0`'s first event asks again on its second.
+            let opts = MonitorOptions {
+                aggregate_tokens,
+                dedup_global_views: false,
+                ..MonitorOptions::default()
+            };
+            let mut fleet = [0, 1, 2].map(|p| FleetMonitor::new(p, 3, &members, opts));
+            let sent = ask_p2_then_terminate(&mut fleet, &events);
+            // Each member's solo run, its tokens stamped with its monitor index.
+            let solos: Vec<Vec<(ProcessId, MonitorMsg)>> = members
+                .iter()
+                .enumerate()
+                .map(|(k, m)| {
+                    let mut solo = [0, 1, 2].map(|p| {
+                        let (automaton, registry) = (m.automaton.clone(), m.registry.clone());
+                        DecentralizedMonitor::new(p, 3, automaton, registry, m.initial_state, opts)
+                    });
+                    let mut sent = ask_p2_then_terminate(&mut solo, &events);
+                    let case = format!("member {k}, aggregation {aggregate_tokens}");
+                    // The demux handed the member exactly its own tokens, in their
+                    // order: it parked and failed what its solo monitor did.
+                    assert_eq!(fleet[2].member_metrics(k), solo[2].metrics(), "{case}");
+                    let mut home = [0, 0];
+                    for (to, msg) in &mut sent {
+                        home[*to] += msg.tokens.len();
+                        msg.tokens.iter_mut().for_each(|t| t.property = k as u32);
+                    }
+                    assert_eq!(home, [2, 1], "home to both askers, {case}");
+                    sent
+                })
+                .collect();
+            let expected: Vec<(ProcessId, MonitorMsg)> = if aggregate_tokens {
+                // One message per destination, ascending: the members' tokens
+                // member-major, each member's in its emission order.
+                (0..2)
+                    .map(|dest| {
+                        let tokens = solos
+                            .iter()
+                            .flatten()
+                            .filter(|(to, _)| *to == dest)
+                            .flat_map(|(_, msg)| msg.tokens.clone())
+                            .collect();
+                        (dest, MonitorMsg { tokens })
+                    })
+                    .collect()
+            } else {
+                // One message per token, member-major, in emission order.
+                assert!(solos.iter().flatten().all(|(_, msg)| msg.tokens.len() == 1));
+                solos.concat()
+            };
+            assert_eq!(sent, expected, "aggregation {aggregate_tokens}");
+        }
     }
 
     /// Paper properties A–F at `n` processes, interned into one registry as a fleet

@@ -81,7 +81,6 @@ pub use fleet::{
 pub use global_view::{GlobalView, GvState};
 pub use messages::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition};
 pub use metrics::{
-    verdicts_from_json, verdicts_to_json, FleetPropertyMetrics, MonitorMetrics, RunMetrics,
-    ShardMetrics,
+    verdicts_from_json, verdicts_to_json, MonitorMetrics, PropertyOutcome, RunMetrics, ShardMetrics,
 };
 pub use replay::{replay_decentralized, timestamp_order, ReplayResult};

@@ -122,7 +122,7 @@ pub struct Token {
 
 /// A message exchanged between monitor processes: one or more tokens bound for the
 /// same destination, processed by the receiver in order.  With §4.3.1 aggregation
-/// a monitor sends one per destination and activation; without it, one per token.
+/// a monitor sends one per destination and monitor call; without it, one per token.
 /// Every message a monitor emits carries at least one token, so a run's message
 /// count never exceeds its token count.
 #[derive(Debug, Clone, PartialEq)]

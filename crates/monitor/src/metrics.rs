@@ -31,8 +31,6 @@ pub struct MonitorMetrics {
     pub tokens_sent: usize,
     /// Number of tokens this monitor received (batch members counted individually).
     pub tokens_received: usize,
-    /// Number of aggregated messages this monitor sent: messages of ≥ 2 tokens.
-    pub token_batches_sent: usize,
     /// Total number of global views ever created (including the initial one).
     pub global_views_created: usize,
     /// Number of global views alive at the end of monitoring.
@@ -45,8 +43,6 @@ pub struct MonitorMetrics {
     pub queued_events_sum: usize,
     /// Number of samples of the pending queue (delay denominator).
     pub queued_events_samples: usize,
-    /// Largest pending queue observed.
-    pub max_queued_events: usize,
     /// Visits of tokens to the recorded history (one per PROCESSTOKEN call): the
     /// work a token tour does, as opposed to the hops it makes.  A visit serves one
     /// local event and moves the token on to the next event that can change its
@@ -92,7 +88,6 @@ impl MonitorMetrics {
         object([
             ("tokens_sent", Json::from(self.tokens_sent)),
             ("tokens_received", Json::from(self.tokens_received)),
-            ("token_batches_sent", Json::from(self.token_batches_sent)),
             (
                 "global_views_created",
                 Json::from(self.global_views_created),
@@ -105,7 +100,6 @@ impl MonitorMetrics {
                 "queued_events_samples",
                 Json::from(self.queued_events_samples),
             ),
-            ("max_queued_events", Json::from(self.max_queued_events)),
             (
                 "history_events_served",
                 Json::from(self.history_events_served),
@@ -145,14 +139,12 @@ impl MonitorMetrics {
         Ok(MonitorMetrics {
             tokens_sent: v.get("tokens_sent")?.as_usize()?,
             tokens_received: v.get("tokens_received")?.as_usize()?,
-            token_batches_sent: v.get("token_batches_sent")?.as_usize()?,
             global_views_created: v.get("global_views_created")?.as_usize()?,
             global_views_final: v.get("global_views_final")?.as_usize()?,
             max_live_views: v.get("max_live_views")?.as_usize()?,
             events_observed: v.get("events_observed")?.as_usize()?,
             queued_events_sum: v.get("queued_events_sum")?.as_usize()?,
             queued_events_samples: v.get("queued_events_samples")?.as_usize()?,
-            max_queued_events: v.get("max_queued_events")?.as_usize()?,
             history_events_served: v.get("history_events_served")?.as_usize()?,
             history_events_covered: v.get("history_events_covered")?.as_usize()?,
             tokens_parked: v.get("tokens_parked")?.as_usize()?,
@@ -233,36 +225,39 @@ impl ShardMetrics {
     }
 }
 
-/// Per-property metrics of one fleet run: the slice of a fleet-of-N record that
-/// belongs to one monitored property (summed across the run's sessions).
+/// The outcome of one property of a fleet: of one session (a stream session's
+/// per-member slice) or summed over a run's sessions (a fleet record's
+/// `fleet_per_property` slice).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct FleetPropertyMetrics {
+pub struct PropertyOutcome {
     /// The property's name within the fleet (`"A"`, `"reqack"`, …).
     pub property: String,
-    /// The property's combined final verdict across all sessions.
+    /// The property's combined final verdict.
     pub verdict: Verdict,
-    /// Union of final verdicts this property's monitors detected.
-    pub detected_final_verdicts: Verdicts,
-    /// Union of possible verdicts over this property's global views.
+    /// ⊤/⊥ verdicts the property's monitors detected.
+    pub detected_verdicts: Verdicts,
+    /// Verdicts the property's monitors still considered possible at close.
     pub possible_verdicts: Verdicts,
-    /// Tokens this property's monitors sent (fleet transport shares the
-    /// *messages*; token payloads stay attributable per property).
+    /// Tokens the property's monitors sent (fleet transport shares the
+    /// *messages*; token payloads stay attributable per property, and equal a solo
+    /// run's — pinned by `tests/fleet_equivalence.rs`).
     pub monitor_tokens: usize,
-    /// Global views this property's monitors created.
+    /// Global views the property's monitors created.
     pub global_views: usize,
-    /// Sum of this property's monitors' peak live-view counts.
+    /// Sum of the property's monitors' peak concurrently-live view counts.
     pub peak_global_views: usize,
 }
 
-impl FleetPropertyMetrics {
-    /// Serializes the per-property slice; field names are part of the results schema.
+impl PropertyOutcome {
+    /// Serializes the per-property slice; field names are part of the results
+    /// schema (the detected set is written as `detected_final_verdicts`).
     pub fn to_json(&self) -> Json {
         object([
             ("property", Json::from(self.property.as_str())),
             ("verdict", Json::from(self.verdict.name())),
             (
                 "detected_final_verdicts",
-                verdicts_to_json(self.detected_final_verdicts),
+                verdicts_to_json(self.detected_verdicts),
             ),
             (
                 "possible_verdicts",
@@ -274,12 +269,12 @@ impl FleetPropertyMetrics {
         ])
     }
 
-    /// Parses the slice back from its [`FleetPropertyMetrics::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<FleetPropertyMetrics, JsonError> {
-        Ok(FleetPropertyMetrics {
+    /// Parses the slice back from its [`PropertyOutcome::to_json`] form.
+    pub fn from_json(v: &Json) -> Result<PropertyOutcome, JsonError> {
+        Ok(PropertyOutcome {
             property: v.get("property")?.as_str()?.to_string(),
             verdict: verdict_from_json(v.get("verdict")?)?,
-            detected_final_verdicts: verdicts_from_json(v.get("detected_final_verdicts")?)?,
+            detected_verdicts: verdicts_from_json(v.get("detected_final_verdicts")?)?,
             possible_verdicts: verdicts_from_json(v.get("possible_verdicts")?)?,
             monitor_tokens: v.get("monitor_tokens")?.as_usize()?,
             global_views: v.get("global_views")?.as_usize()?,
@@ -342,7 +337,7 @@ pub struct RunMetrics {
     /// `0` for single-property runs and records that predate fleet monitoring.
     pub fleet_size: usize,
     /// Per-property slice of a fleet run (empty outside the fleet family).
-    pub fleet_per_property: Vec<FleetPropertyMetrics>,
+    pub fleet_per_property: Vec<PropertyOutcome>,
 }
 
 impl RunMetrics {
@@ -389,7 +384,7 @@ impl RunMetrics {
                 Json::Array(
                     self.fleet_per_property
                         .iter()
-                        .map(FleetPropertyMetrics::to_json)
+                        .map(PropertyOutcome::to_json)
                         .collect(),
                 ),
             ),
@@ -433,10 +428,7 @@ impl RunMetrics {
             peak_global_views: count("peak_global_views")?,
             peak_rss_bytes: v.get_opt("peak_rss_bytes")?.map_or(Ok(0), Json::as_u64)?,
             fleet_size: count("fleet_size")?,
-            fleet_per_property: rows(
-                v.get_opt("fleet_per_property")?,
-                FleetPropertyMetrics::from_json,
-            )?,
+            fleet_per_property: rows(v.get_opt("fleet_per_property")?, PropertyOutcome::from_json)?,
         })
     }
 
@@ -653,7 +645,7 @@ mod tests {
             monitor_tokens: 44,
             peak_global_views: 9,
             fleet_size: 3,
-            fleet_per_property: vec![FleetPropertyMetrics::default()],
+            fleet_per_property: vec![PropertyOutcome::default()],
             ..RunMetrics::default()
         };
         let Json::Object(mut fields) = m.to_json() else {
@@ -686,18 +678,18 @@ mod tests {
         let m = RunMetrics {
             fleet_size: 2,
             fleet_per_property: vec![
-                FleetPropertyMetrics {
+                PropertyOutcome {
                     property: "A".to_string(),
                     verdict: Verdict::True,
-                    detected_final_verdicts: Verdicts::from([Verdict::True]),
+                    detected_verdicts: Verdicts::from([Verdict::True]),
                     possible_verdicts: Verdicts::from([Verdict::True, Verdict::Unknown]),
                     monitor_tokens: 17,
                     global_views: 42,
                     peak_global_views: 8,
                 },
-                FleetPropertyMetrics {
+                PropertyOutcome {
                     property: "B".to_string(),
-                    ..FleetPropertyMetrics::default()
+                    ..PropertyOutcome::default()
                 },
             ],
             ..RunMetrics::default()

@@ -95,7 +95,7 @@ impl FramedConn {
 
     /// Does nothing: the deploy wire has one format, so a connection has no
     /// mode to select.  Kept for the benchmark's connection probes, which
-    /// always pass `true`; ROADMAP.md item 4(d) removes it together with them.
+    /// always pass `true`; ROADMAP.md item 8(d) removes it together with them.
     pub fn set_binary_wire(&mut self, _on: bool) {}
 
     /// The raw descriptor, for reactor registration.

@@ -508,7 +508,7 @@ fn binary_frame(payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
 
 /// [`encode_frame`] under its former two-argument signature: `_binary` is
 /// ignored, because the frame's type alone decides its format.  Kept for the
-/// benchmark's wire probes, which always pass `true`; ROADMAP.md item 4(d)
+/// benchmark's wire probes, which always pass `true`; ROADMAP.md item 8(d)
 /// removes it together with them.
 pub fn encode_wire_frame(msg: &WireMsg, _binary: bool) -> Vec<u8> {
     encode_frame(msg)

@@ -74,9 +74,12 @@ pub use codec::{
     BinaryStreamEncoder, EventSource, FrameDecoder, ReaderSource, SessionId, SessionStream,
     StreamRecord, VecSource,
 };
+/// A fleet session's per-member outcome ([`SessionOutcome::per_property`]): the
+/// record a run's `fleet_per_property` slices are summed in.
+pub use dlrv_monitor::PropertyOutcome;
 pub use ring::{PopState, SpscRing};
 pub use runtime::{
-    FleetMemberSpec, OpenRequest, PropertyOutcome, SessionOutcome, SessionSpec, ShardedRuntime,
-    StreamConfig, StreamReport,
+    FleetMemberSpec, OpenRequest, SessionOutcome, SessionSpec, ShardedRuntime, StreamConfig,
+    StreamReport,
 };
 pub use wire::{FrameSplitter, Reader, StreamError, BINARY_FRAME_FLAG, MAX_FRAME_LEN};

@@ -38,7 +38,8 @@ use dlrv_automaton::MonitorAutomaton;
 use dlrv_ltl::{Assignment, AtomRegistry, Verdict, Verdicts};
 use dlrv_monitor::{
     combined_verdict, decentralized_session, fleet_session, DecentralizedMonitor,
-    DecentralizedSession, FleetMember, FleetSession, MonitorMetrics, MonitorOptions, ShardMetrics,
+    DecentralizedSession, FleetMember, FleetSession, MonitorMetrics, MonitorOptions,
+    PropertyOutcome, ShardMetrics,
 };
 use dlrv_vclock::Event;
 use std::collections::BTreeMap;
@@ -147,26 +148,6 @@ pub struct SessionOutcome {
     /// Per-property outcomes of a fleet session, in member order (empty for a
     /// solo session).
     pub per_property: Vec<PropertyOutcome>,
-}
-
-/// The final state of one property of a fleet session.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PropertyOutcome {
-    /// The property's name (from its [`FleetMemberSpec`]).
-    pub property: String,
-    /// The property's combined final verdict.
-    pub verdict: Verdict,
-    /// ⊤/⊥ verdicts the property's monitors detected.
-    pub detected_verdicts: Verdicts,
-    /// Verdicts the property's monitors still considered possible at close.
-    pub possible_verdicts: Verdicts,
-    /// Tokens the property's monitors sent (byte-identical to a solo run of the
-    /// same property — pinned by `tests/fleet_equivalence.rs`).
-    pub monitor_tokens: usize,
-    /// Global views the property's monitors created.
-    pub global_views: usize,
-    /// Sum of the property's monitors' peak concurrently-live view counts.
-    pub peak_global_views: usize,
 }
 
 /// Aggregate result of a runtime's lifetime, produced by [`ShardedRuntime::shutdown`].

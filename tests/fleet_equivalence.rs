@@ -180,9 +180,8 @@ fn assert_member_matches(
 #[test]
 fn fleet_members_equal_solo_runs_for_every_flag_combination() {
     // The §4.3 ablation over the fleet: every optimization combination (token
-    // aggregation changes how fleet tokens share messages; view dedup, pruning
-    // and arena recycling change per-member internals) crossed with 1, 2 and 4
-    // shards.  Properties A, B and C share the p-atoms, so the shared registry
+    // aggregation changes how fleet tokens share messages; view dedup and
+    // pruning change per-member internals) crossed with 1, 2 and 4 shards.  Properties A, B and C share the p-atoms, so the shared registry
     // path is genuinely exercised.
     let fleet = paper_fleet(&[PaperProperty::A, PaperProperty::B, PaperProperty::C]);
     let config = ExperimentConfig {

@@ -13,7 +13,7 @@
 //! report_golden`, then review the diff like any other code change.
 
 use dlrv::dlrv_ltl::Verdict;
-use dlrv::dlrv_monitor::{FleetPropertyMetrics, MonitorOptions, RunMetrics};
+use dlrv::dlrv_monitor::{MonitorOptions, PropertyOutcome, RunMetrics};
 use dlrv::dlrv_net::FaultSpec;
 use dlrv::tables::{family_table, Layout, RunView};
 use dlrv::{
@@ -118,10 +118,10 @@ fn fleet_record(msgs: usize) -> ScenarioRecord {
     );
     r.avg.fleet_size = 2;
     r.avg.fleet_per_property = [("A", Verdict::False), ("B", Verdict::True)]
-        .map(|(property, verdict)| FleetPropertyMetrics {
+        .map(|(property, verdict)| PropertyOutcome {
             property: property.to_string(),
             verdict,
-            ..FleetPropertyMetrics::default()
+            ..PropertyOutcome::default()
         })
         .to_vec();
     r.per_seed = vec![r.avg.clone()];
