@@ -60,7 +60,9 @@
 //! (docs/MONITORING.md, "Open findings").
 
 use crate::global_view::{GlobalView, GvState};
-use crate::messages::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition, WaitingTokens};
+use crate::messages::{
+    block_words, ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition, WaitingTokens,
+};
 use crate::metrics::MonitorMetrics;
 use dlrv_automaton::{MonitorAutomaton, SymbolicTransition};
 use dlrv_distsim::{MonitorBehavior, MonitorContext};
@@ -125,9 +127,9 @@ impl Default for MonitorOptions {
     }
 }
 
-/// Recycled allocation pools of the event hot path: retired global views, token
-/// cuts, conjunct buffers and view-set staging vectors are reused instead of
-/// reallocated per event.  Every buffer is cleared or overwritten before reuse, so
+/// Recycled allocation pools of the event hot path: retired global views, view
+/// cuts, token transition blocks and view-set staging vectors are reused instead
+/// of reallocated per event.  Every buffer is cleared or overwritten before reuse, so
 /// recycling is observationally invisible, and a buffer retired by one session (of
 /// any process count) can serve the next.
 ///
@@ -147,11 +149,11 @@ impl Default for MonitorOptions {
 struct Scratch {
     /// Spare view-set vectors (merge staging, per-event rebuild, fork outputs).
     view_bufs: Vec<Vec<GlobalView>>,
-    /// Spare vector clocks for token cuts and the cuts of forked views (a retired
+    /// Spare vector clocks for the cuts of forked and spawned views (a retired
     /// view's cut — its only allocation — comes back here too).
     clocks: Vec<VectorClock>,
-    /// Spare per-process conjunct buffers.
-    conjuncts: Vec<Vec<ConjunctEval>>,
+    /// Spare token transition blocks (a decided transition's only allocation).
+    blocks: Vec<Box<[u64]>>,
     /// Spare candidate-transition vectors (token payloads).
     transitions: Vec<Vec<TokenTransition>>,
     /// Output buffer of the batched clock comparisons in the merge scan.
@@ -364,12 +366,13 @@ impl Run<'_> {
         entry_at(self.record, j * usize::from(self.width), self.width)
     }
 
-    /// Merges the clock of event `sn`, an event of this run, into `vc`.
-    fn merge_clock_into(&self, sn: u64, vc: &mut VectorClock) {
-        for j in 0..vc.len() {
-            vc.set(j, vc.get(j).max(self.entry(j)));
+    /// Merges the clock of event `sn`, an event of this run, into the clock
+    /// entries `vc`.
+    fn merge_clock_into(&self, sn: u64, vc: &mut [u64]) {
+        for (j, entry) in vc.iter_mut().enumerate() {
+            *entry = (*entry).max(self.entry(j));
         }
-        vc.set(self.pid, vc.get(self.pid).max(sn));
+        vc[self.pid] = vc[self.pid].max(sn);
     }
 }
 
@@ -563,7 +566,6 @@ fn snapshot(
         tokens_sent: c.tokens_sent,
         tokens_received: c.tokens_received,
         global_views_created: c.global_views_created,
-        global_views_final: live,
         max_live_views: c.max_live_views.max(live),
         events_observed: events,
         queued_events_sum: c.queued_events_sum,
@@ -693,10 +695,11 @@ pub struct PropertyMonitor {
     /// ([`Token::known`]).  Never reported: only `detected` was derived here.
     learned: Verdicts,
     /// Number of tokens currently in flight per originating automaton state (used by
-    /// the §4.3.2 optimization to avoid launching duplicate explorations).  A state
-    /// with no token out has no entry, and with no entry at all the buffer is
-    /// released, so an idle monitor holds nothing here.
-    in_flight: Vec<(dlrv_automaton::StateId, u32)>,
+    /// the §4.3.2 optimization to avoid launching duplicate explorations), the
+    /// state's id narrowed to 32 bits ([`in_flight_key`]).  A state with no token
+    /// out has no entry, and with no entry at all the buffer is released, so an
+    /// idle monitor holds nothing here.
+    in_flight: Vec<(u32, u32)>,
     /// What this monitor has counted so far.
     counters: Counters,
 }
@@ -823,11 +826,13 @@ impl PropertyMonitor {
 
     /// Whether an exploration launched from automaton state `q` is still out.
     fn is_exploring(&self, q: dlrv_automaton::StateId) -> bool {
+        let q = in_flight_key(q);
         self.in_flight.iter().any(|&(state, _)| state == q)
     }
 
     /// Counts one more token out for automaton state `q`.
     fn exploration_launched(&mut self, q: dlrv_automaton::StateId) {
+        let q = in_flight_key(q);
         match self.in_flight.iter_mut().find(|(state, _)| *state == q) {
             Some((_, count)) => *count += 1,
             None => self.in_flight.push((q, 1)),
@@ -837,6 +842,7 @@ impl PropertyMonitor {
     /// Counts one token of automaton state `q` home and decided.  The last one
     /// home releases the buffer, as [`WaitingTokens::take`] does.
     fn exploration_over(&mut self, q: dlrv_automaton::StateId) {
+        let q = in_flight_key(q);
         if let Some(at) = self.in_flight.iter().position(|&(state, _)| state == q) {
             self.in_flight[at].1 -= 1;
             if self.in_flight[at].1 == 0 {
@@ -875,6 +881,11 @@ impl PropertyMonitor {
         let delivered = process.events_recorded();
         Activation::start(process, self, delivered).terminate(now);
     }
+}
+
+/// Automaton state `q` as [`PropertyMonitor`]'s in-flight counts store it.
+fn in_flight_key(q: dlrv_automaton::StateId) -> u32 {
+    u32::try_from(q).expect("an automaton state id fits in 32 bits")
 }
 
 /// A decentralized monitor process `Mi` (Algorithm 1): its process's part and the
@@ -1059,15 +1070,15 @@ impl<'a> Activation<'a> {
         }
     }
 
-    /// A clock holding a copy of `src`: a recycled buffer overwritten in place, or
-    /// a fresh clone when the pool is empty.
-    fn clock_copy(&mut self, src: &VectorClock) -> VectorClock {
+    /// A clock holding a copy of the entries `src`: a recycled buffer
+    /// overwritten in place, or a fresh one when the pool is empty.
+    fn clock_copy(&mut self, src: &[u64]) -> VectorClock {
         match self.scratch.clocks.pop() {
             Some(mut clock) => {
                 clock.copy_from(src);
                 clock
             }
-            None => src.clone(),
+            None => VectorClock::from_entries(src.to_vec()),
         }
     }
 
@@ -1078,25 +1089,30 @@ impl<'a> Activation<'a> {
         }
     }
 
-    /// An empty conjunct buffer.
-    fn take_conjunct_buf(&mut self) -> Vec<ConjunctEval> {
-        self.scratch.conjuncts.pop().unwrap_or_default()
+    /// Transition `transition_id` at this monitor's width, in a block from the
+    /// pool (see [`TokenTransition::in_block`]).  A pool holding no block of this
+    /// width gives up one of another, so a thread that moves on to sessions of
+    /// another width does not keep a pool it cannot use.
+    fn lease_transition(&mut self, transition_id: usize) -> TokenTransition {
+        let n = self.n();
+        let words = block_words(n);
+        let blocks = &mut self.scratch.blocks;
+        let block = match blocks.iter().rposition(|block| block.len() == words) {
+            Some(at) => blocks.swap_remove(at),
+            None => {
+                blocks.pop();
+                vec![0; words].into()
+            }
+        };
+        TokenTransition::in_block(transition_id, n, block)
     }
 
-    /// Returns a conjunct buffer to the pool.
-    fn put_conjunct_buf(&mut self, mut buf: Vec<ConjunctEval>) {
-        if self.scratch.conjuncts.len() < POOL_CAP {
-            buf.clear();
-            self.scratch.conjuncts.push(buf);
-        }
-    }
-
-    /// Reclaims a decided transition's allocations: both cuts and the conjunct
-    /// buffer go back to their pools.
+    /// Reclaims a decided transition's one allocation: its block goes back to
+    /// the pool.
     fn reclaim_transition(&mut self, tran: TokenTransition) {
-        self.reclaim_clock(tran.gcut);
-        self.reclaim_clock(tran.depend);
-        self.put_conjunct_buf(tran.conjuncts);
+        if self.scratch.blocks.len() < POOL_CAP {
+            self.scratch.blocks.push(tran.into_block());
+        }
     }
 
     /// The cursor of a view whose queue starts empty (a fork, a view spawned by a
@@ -1150,11 +1166,16 @@ impl<'a> Activation<'a> {
     /// carries is its verdict, which goes into the detected set.  Its cut — its only
     /// allocation — goes back to the pool.
     fn retire_view(&mut self, q: dlrv_automaton::StateId, gcut: VectorClock) {
+        self.detect(q);
+        self.reclaim_clock(gcut);
+    }
+
+    /// Records the verdict of the final state `q`, which a view reached.
+    fn detect(&mut self, q: dlrv_automaton::StateId) {
         debug_assert!(self.member.automaton.is_final(q));
         self.member
             .detected
             .insert(self.member.automaton.verdict(q));
-        self.reclaim_clock(gcut);
     }
 
     /// The ⊤/⊥ verdicts this monitor knows of: detected here or learnt from a
@@ -1236,7 +1257,7 @@ impl<'a> Activation<'a> {
 
     /// CHECKOUTGOINGTRANSITIONS: build the candidate token transitions of `gv` for the
     /// local event `sn`, whose run's record starts at word `at` of the history.  The
-    /// cuts and conjunct buffers come from the scratch pools (they return when the
+    /// transitions' blocks come from the scratch pool (they return when the
     /// token's transitions are decided).
     fn candidate_transitions(
         &mut self,
@@ -1266,8 +1287,7 @@ impl<'a> Activation<'a> {
             // Determine which processes "forbid" the transition: their believed state
             // does not satisfy their conjunct.  If nobody forbids, the transition is
             // already enabled under the believed state and needs no token.
-            let mut conjuncts = self.take_conjunct_buf();
-            conjuncts.reserve(self.n());
+            let mut tran = self.lease_transition(t.id);
             let mut has_forbidding = false;
             for p in 0..self.n() {
                 let c = if !self.participates(t, p) {
@@ -1280,37 +1300,24 @@ impl<'a> Activation<'a> {
                     has_forbidding = true;
                     ConjunctEval::Unset
                 };
-                conjuncts.push(c);
+                tran.set_conjunct(p, c);
             }
             if !has_forbidding {
-                self.put_conjunct_buf(conjuncts);
+                self.reclaim_transition(tran);
                 continue;
             }
-            let gcut = {
-                let mut g = self.clock_copy(&gv.gcut);
-                self.process
-                    .history
-                    .run(sn, at)
-                    .merge_clock_into(sn, &mut g);
-                g
-            };
-            let depend = self.clock_copy(&gcut);
-            let first_unset = conjuncts
-                .iter()
-                .position(|c| *c == ConjunctEval::Unset)
+            let (gcut, depend) = tran.cuts_mut();
+            gcut.copy_from_slice(gv.gcut.entries());
+            self.process.history.run(sn, at).merge_clock_into(sn, gcut);
+            depend.copy_from_slice(gcut);
+            let first_unset = tran
+                .first_unset_process()
                 .expect("has_forbidding implies an unset conjunct");
+            tran.gstate = gv.gstate;
+            tran.next_target_process = first_unset;
             // The cut has merged the event's clock: no further entry to take.
-            let next_target_event = gcut.get(first_unset) + 1;
-            out.push(TokenTransition {
-                transition_id: t.id,
-                gcut,
-                depend,
-                gstate: gv.gstate,
-                conjuncts,
-                next_target_process: first_unset,
-                next_target_event,
-                eval: EvalState::Unset,
-            });
+            tran.next_target_event = tran.gcut()[first_unset] + 1;
+            out.push(tran);
         }
         out
     }
@@ -1399,15 +1406,16 @@ impl<'a> Activation<'a> {
         // (below) lands no later than the end of this run, the last recorded
         // event, or any event another pending transition asks for here.
         let mut land = (run.last + 1).min(self.process.history.len() as u64);
+        let pid = self.pid();
         let mut targeted = std::mem::take(&mut self.scratch.targeted);
         targeted.clear();
         for (idx, tran) in token.transitions.iter_mut().enumerate() {
-            if tran.eval != EvalState::Unset || tran.next_target_process != self.pid() {
+            if tran.eval != EvalState::Unset || tran.next_target_process != pid {
                 continue;
             }
             if tran.next_target_event == sn {
-                tran.gcut.set(self.pid(), sn);
-                run.merge_clock_into(sn, &mut tran.depend);
+                tran.gcut_mut()[pid] = sn;
+                run.merge_clock_into(sn, tran.depend_mut());
                 tran.gstate = self.apply_local_state(tran.gstate, run.state);
                 targeted.push(idx);
             } else {
@@ -1425,30 +1433,29 @@ impl<'a> Activation<'a> {
         local_results.clear();
         for &idx in &targeted {
             let tran = &token.transitions[idx];
-            if tran.conjuncts[self.pid()] == ConjunctEval::NotInvolved {
+            if tran.conjunct(pid) == ConjunctEval::NotInvolved {
                 // Only visited to repair an inconsistency; nothing to evaluate here and
                 // this must not influence the ordering flag below.
                 continue;
             }
             let symbolic = self.member.automaton.transition(tran.transition_id);
-            let ok = self.conjunct_holds(symbolic, self.pid(), run.state);
+            let ok = self.conjunct_holds(symbolic, pid, run.state);
             any_true |= ok;
             local_results.push((idx, ok));
         }
 
         for (idx, ok) in &local_results {
             let tran = &mut token.transitions[*idx];
-            if tran.conjuncts[self.pid()] != ConjunctEval::NotInvolved {
-                if any_true {
-                    tran.conjuncts[self.pid()] = if *ok {
-                        ConjunctEval::True
-                    } else {
-                        ConjunctEval::False
-                    };
-                } else {
+            if tran.conjunct(pid) != ConjunctEval::NotInvolved {
+                let c = if !any_true {
                     // No candidate satisfied at this event: keep looking at later ones.
-                    tran.conjuncts[self.pid()] = ConjunctEval::Unset;
-                }
+                    ConjunctEval::Unset
+                } else if *ok {
+                    ConjunctEval::True
+                } else {
+                    ConjunctEval::False
+                };
+                tran.set_conjunct(pid, c);
             }
         }
 
@@ -1465,18 +1472,18 @@ impl<'a> Activation<'a> {
             (sn as usize) < self.process.history.len() || self.process.local_terminated;
         for &idx in &targeted {
             let tran = &mut token.transitions[idx];
-            if tran.conjuncts[self.pid()] == ConjunctEval::False {
+            let own = tran.conjunct(pid);
+            if own == ConjunctEval::False {
                 tran.eval = EvalState::Disabled;
                 tran.next_target_process = token.parent;
             } else if answer_is_known
-                && (tran.gcut.get(self.pid()) < tran.depend.get(self.pid())
-                    || tran.conjuncts[self.pid()] == ConjunctEval::Unset)
+                && (tran.gcut()[pid] < tran.depend()[pid] || own == ConjunctEval::Unset)
             {
-                tran.next_target_process = self.pid();
+                tran.next_target_process = pid;
                 tran.next_target_event = sn + 1;
-                if tran.conjuncts[self.pid()] != ConjunctEval::Unset {
+                if own != ConjunctEval::Unset {
                     // Answered: it stays only to repair the cut up to `depend`.
-                    land = land.min(tran.depend.get(self.pid()));
+                    land = land.min(tran.depend()[pid]);
                 }
             } else if let Some(k) = tran
                 .inconsistent_process()
@@ -1484,7 +1491,7 @@ impl<'a> Activation<'a> {
             {
                 // Repair the cut first, then ask whoever has not answered yet.
                 tran.next_target_process = k;
-                tran.next_target_event = tran.gcut.get(k) + 1;
+                tran.next_target_event = tran.gcut()[k] + 1;
             } else if tran.all_conjuncts_true() {
                 tran.eval = EvalState::Enabled;
                 tran.next_target_process = token.parent;
@@ -1505,7 +1512,7 @@ impl<'a> Activation<'a> {
             for &idx in &targeted {
                 let tran = &mut token.transitions[idx];
                 if tran.eval == EvalState::Unset
-                    && tran.next_target_process == self.pid()
+                    && tran.next_target_process == pid
                     && tran.next_target_event == sn + 1
                 {
                     tran.next_target_event = land;
@@ -1522,7 +1529,7 @@ impl<'a> Activation<'a> {
         let next = token
             .transitions
             .iter()
-            .filter(|t| t.eval == EvalState::Unset && t.next_target_process == self.pid())
+            .filter(|t| t.eval == EvalState::Unset && t.next_target_process == pid)
             .map(|t| t.next_target_event)
             .min();
         if let Some(next) = next {
@@ -1547,8 +1554,8 @@ impl<'a> Activation<'a> {
                 && tran.next_target_process == self.pid()
                 && self.is_unrecorded(tran.next_target_event)
             {
-                if tran.conjuncts[self.pid()] != ConjunctEval::NotInvolved {
-                    tran.conjuncts[self.pid()] = ConjunctEval::False;
+                if tran.conjunct(self.pid()) != ConjunctEval::NotInvolved {
+                    tran.set_conjunct(self.pid(), ConjunctEval::False);
                 }
                 tran.eval = EvalState::Disabled;
                 tran.next_target_process = token.parent;
@@ -1598,24 +1605,16 @@ impl<'a> Activation<'a> {
                     // a detected verdict is stopped by §4.3.3 above, if at all.
                     if self.process.opts.dedup_global_views
                         && self.member.views.iter().any(|gv| {
-                            gv.q == target && gv.gstate == tran.gstate && gv.gcut == tran.gcut
+                            gv.q == target
+                                && gv.gstate == tran.gstate
+                                && gv.gcut.entries() == tran.gcut()
                         })
                     {
                         self.reclaim_transition(tran);
                         continue;
                     }
-                    // The cut moves into the spawned view; the rest of the
-                    // transition's allocations are reclaimed.
-                    let TokenTransition {
-                        gcut,
-                        depend,
-                        gstate,
-                        conjuncts,
-                        ..
-                    } = tran;
-                    self.spawn_view(target, gcut, gstate);
-                    self.reclaim_clock(depend);
-                    self.put_conjunct_buf(conjuncts);
+                    self.spawn_view(target, tran.gcut(), tran.gstate);
+                    self.reclaim_transition(tran);
                 }
                 EvalState::Disabled => {
                     self.reclaim_transition(tran);
@@ -1624,7 +1623,7 @@ impl<'a> Activation<'a> {
                     let mut tran = tran;
                     if let Some(k) = tran.inconsistent_process() {
                         tran.next_target_process = k;
-                        tran.next_target_event = tran.gcut.get(k) + 1;
+                        tran.next_target_event = tran.gcut()[k] + 1;
                     }
                     // §4.3.3 also applies to still-pending siblings.
                     let target = self.member.automaton.transition(tran.transition_id).to;
@@ -1660,20 +1659,22 @@ impl<'a> Activation<'a> {
     }
 
     /// Forks a new global view at `q` with the constructed cut and state (the caller
-    /// has already applied the §4.3.2 duplicate check).  Its queue starts empty: it
-    /// will be offered the local events that follow, not the ones already delivered.
-    /// A view forked at ⊤ or ⊥ counts as created and is retired at once.
-    fn spawn_view(&mut self, q: dlrv_automaton::StateId, gcut: VectorClock, gstate: Assignment) {
+    /// has already applied the §4.3.2 duplicate check); the view's cut is a pooled
+    /// copy of `gcut`.  Its queue starts empty: it will be offered the local events
+    /// that follow, not the ones already delivered.  A view forked at ⊤ or ⊥ counts
+    /// as created and is retired at once: its verdict is recorded, and no cut is
+    /// copied for it.
+    fn spawn_view(&mut self, q: dlrv_automaton::StateId, gcut: &[u64], gstate: Assignment) {
         let id = self.member.next_gv_id;
         self.member.next_gv_id += 1;
         self.member.counters.global_views_created += 1;
         if self.member.automaton.is_final(q) {
-            self.retire_view(q, gcut);
+            self.detect(q);
             return;
         }
         let gv = GlobalView {
             id,
-            gcut,
+            gcut: self.clock_copy(gcut),
             gstate,
             q,
             next_sn: self.empty_queue_cursor(),
@@ -1763,7 +1764,7 @@ impl<'a> Activation<'a> {
                 // backlog and works through it once its token returns.
                 let copy = GlobalView {
                     id: self.member.next_gv_id,
-                    gcut: self.clock_copy(&gv.gcut),
+                    gcut: self.clock_copy(gv.gcut.entries()),
                     gstate: gv.gstate,
                     q: gv.q,
                     next_sn: self.empty_queue_cursor(),
@@ -2167,7 +2168,6 @@ mod tests {
             (metrics.global_views_created, metrics.max_live_views),
             (1, 1)
         );
-        assert_eq!(metrics.global_views_final, 0);
     }
 
     #[test]
@@ -2380,20 +2380,20 @@ mod tests {
                 walked = run.cursor_for(sn + 1);
                 let case = format!("n={n}, pid={pid}, sn={sn} of {}", flat.len());
                 assert_eq!(run.state, *state, "{case}");
-                let mut entries = VectorClock::zero(n);
+                let mut entries = vec![0; n];
                 run.merge_clock_into(sn, &mut entries);
-                assert_eq!(entries.entries(), clock, "{case}");
+                assert_eq!(entries, *clock, "{case}");
                 let same_run = |(vc, st): &(Vec<u64>, Assignment)| {
                     st == state && (0..n).all(|j| j == pid || vc[j] == clock[j])
                 };
                 let last = sn - 1 + flat[at..].iter().take_while(|e| same_run(e)).count() as u64;
                 assert_eq!(run.last, last, "{case}");
                 let base: Vec<u64> = (0..n).map(|_| next(2 * sn + 2)).collect();
-                let mut merged = VectorClock::from_entries(base.clone());
+                let mut merged = base.clone();
                 run.merge_clock_into(sn, &mut merged);
                 let mut reference = VectorClock::from_entries(base);
                 reference.merge(&VectorClock::from_entries(clock.clone()));
-                assert_eq!(merged, reference, "{case}");
+                assert_eq!(merged, reference.entries(), "{case}");
             }
         }
     }
@@ -2451,9 +2451,9 @@ mod tests {
                 .map(|sn| {
                     let run = history.run(sn, walked);
                     walked = run.cursor_for(sn + 1);
-                    let mut clock = VectorClock::zero(history.n as usize);
+                    let mut clock = vec![0; history.n as usize];
                     run.merge_clock_into(sn, &mut clock);
-                    (clock.entries().to_vec(), run.state, run.last)
+                    (clock, run.state, run.last)
                 })
                 .collect()
         };
@@ -2536,6 +2536,9 @@ mod tests {
         // message is one token list (72 while it was a token or a batch).
         assert!(std::mem::size_of::<Token>() <= 48);
         assert!(std::mem::size_of::<MonitorMsg>() <= 24);
+        // A transition's cut, `depend` and conjuncts are one block behind one
+        // pointer (112 bytes with a clock, a clock and a vector of its own).
+        assert!(std::mem::size_of::<TokenTransition>() <= 64);
     }
 
     /// The session's read-out, `detected_final_verdicts()`, `possible_verdicts()`
@@ -2549,7 +2552,6 @@ mod tests {
         assert_eq!(snapshot.detected_final_verdicts, detected, "{case}");
         assert_eq!(snapshot.possible_verdicts, m.possible_verdicts(), "{case}");
         assert!(detected.is_subset(&snapshot.possible_verdicts), "{case}");
-        assert_eq!(snapshot.global_views_final, m.views().len(), "{case}");
         detected
     }
 
@@ -2654,11 +2656,11 @@ mod tests {
         // offered it yet: a view spawned now gets it with all the others.
         let mut act = m.activation();
         act.delivered = 0;
-        act.spawn_view(q, VectorClock::zero(2), Assignment::ALL_FALSE);
+        act.spawn_view(q, &[0, 0], Assignment::ALL_FALSE);
         act.delivered = 1;
         assert_eq!(act.member.views[1].queued(act.delivered), 1);
         // A view spawned during the delivery starts past the event.
-        act.spawn_view(q, VectorClock::zero(2), Assignment::ALL_FALSE);
+        act.spawn_view(q, &[0, 0], Assignment::ALL_FALSE);
         assert_eq!(act.member.views[2].next_sn, 2);
         assert_eq!(act.member.views[2].pop_queued(act.delivered), None);
     }
@@ -2750,7 +2752,7 @@ mod tests {
         };
         assert_eq!(token.transitions.len(), 1, "one way to the goal");
         assert_eq!(
-            token.transitions[0].conjuncts,
+            token.transitions[0].conjuncts().collect::<Vec<_>>(),
             [ConjunctEval::True, ConjunctEval::Unset]
         );
         (monitors, token)
@@ -2854,7 +2856,7 @@ mod tests {
         }
         let stepped = &stepped.transitions[0];
         assert_eq!(stepped.eval, EvalState::Enabled);
-        assert_eq!(stepped.gcut, VectorClock::from_entries(vec![K, K]));
+        assert_eq!(stepped.gcut(), [K, K]);
 
         // One visit per process: out to `P1`, which serves events 1..=K, and home,
         // where `P0` catches up over 2..=K and enables the transition.
@@ -2908,11 +2910,11 @@ mod tests {
             panic!("the token parks for event {}", K + 1);
         };
         let tran = &parked.transitions[0];
+        assert_eq!((tran.gcut(), tran.depend()), (&[1, K][..], &[1, K][..]));
         assert_eq!(
-            (tran.gcut.entries(), tran.depend.entries()),
-            (&[1, K][..], &[1, K][..])
+            tran.conjuncts().collect::<Vec<_>>(),
+            [ConjunctEval::True, ConjunctEval::Unset]
         );
-        assert_eq!(tran.conjuncts, [ConjunctEval::True, ConjunctEval::Unset]);
     }
 
     #[test]
@@ -2935,7 +2937,7 @@ mod tests {
         assert_eq!((*from, *to), (1, 0));
         let tran = &sent.transitions[0];
         assert_eq!((tran.next_target_process, tran.next_target_event), (0, 2));
-        assert_eq!(tran.conjuncts[1], ConjunctEval::Unset);
+        assert_eq!(tran.conjunct(1), ConjunctEval::Unset);
         assert_eq!(monitors[1].member.counters.tokens_parked, 0);
     }
 
@@ -2954,7 +2956,7 @@ mod tests {
         );
         let failed = &messages[1].2.transitions[0];
         assert_eq!(failed.eval, EvalState::Disabled);
-        assert_eq!(failed.conjuncts[1], ConjunctEval::False);
+        assert_eq!(failed.conjunct(1), ConjunctEval::False);
         let m1 = &monitors[1].member.counters;
         assert_eq!(
             (
@@ -3135,10 +3137,10 @@ mod tests {
             if terminated {
                 // No later event will revisit the question: the view asks itself.
                 assert_eq!((view.state, outbox.len()), (GvState::Waiting, 1));
-                assert_eq!(m.member.in_flight, [(view.q, 2)]);
+                assert_eq!(m.member.in_flight, [(in_flight_key(view.q), 2)]);
             } else {
                 assert_eq!((view.state, outbox.len()), (GvState::Unblocked, 0));
-                assert_eq!(m.member.in_flight, [(view.q, 1)]);
+                assert_eq!(m.member.in_flight, [(in_flight_key(view.q), 1)]);
             }
         }
     }
@@ -3184,7 +3186,7 @@ mod tests {
             panic!("the token goes home, alone: {tokens:?}");
         };
         assert_eq!(home.transitions[0].eval, EvalState::Disabled);
-        assert_eq!(home.transitions[0].conjuncts[1], ConjunctEval::False);
+        assert_eq!(home.transitions[0].conjunct(1), ConjunctEval::False);
         assert_eq!(m1.member.counters.tokens_failed_at_termination, 1);
     }
 

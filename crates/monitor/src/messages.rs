@@ -19,19 +19,34 @@
 //!   `sn` wakes precisely the tokens whose awaited cut entry is `sn`.
 
 use dlrv_ltl::{Assignment, ProcessId, Verdicts};
-use dlrv_vclock::VectorClock;
+use std::fmt;
 
-/// Evaluation status of one process's conjunct of a transition guard.
+/// Evaluation status of one process's conjunct of a transition guard.  A
+/// [`TokenTransition`] stores each as one byte, its discriminant, which is
+/// also its byte on the deploy wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ConjunctEval {
     /// The process has no literal in the guard.
-    NotInvolved,
+    NotInvolved = 0,
     /// Not yet evaluated against an event of that process.
-    Unset,
+    Unset = 1,
     /// Evaluated true.
-    True,
+    True = 2,
     /// Evaluated false.
-    False,
+    False = 3,
+}
+
+impl ConjunctEval {
+    /// The evaluation whose discriminant is `byte`'s low two bits.
+    fn from_byte(byte: u8) -> ConjunctEval {
+        match byte & 3 {
+            0 => ConjunctEval::NotInvolved,
+            1 => ConjunctEval::Unset,
+            2 => ConjunctEval::True,
+            _ => ConjunctEval::False,
+        }
+    }
 }
 
 /// Overall evaluation status of a transition carried by a token.
@@ -48,46 +63,152 @@ pub enum EvalState {
 
 /// One candidate outgoing transition carried by a token
 /// (`OutgoingTransition` in §4.2).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Its per-process parts — the cut, `depend` and the conjunct evaluations — share
+/// one heap block of `u64` words, `[gcut (n) | depend (n) | conjuncts]`, the
+/// conjuncts one byte each, eight to a word: a transition is one allocation,
+/// whatever its width `n`, and the three always have the same width.
+#[derive(Clone, PartialEq)]
 pub struct TokenTransition {
     /// Index of the symbolic transition in the monitor automaton.
     pub transition_id: usize,
-    /// The event counts (per process) of the global cut constructed so far.
-    pub gcut: VectorClock,
-    /// The component-wise maximum of all vector clocks folded into the cut; an entry
-    /// exceeding `gcut`'s reveals an inconsistency that must be repaired.
-    pub depend: VectorClock,
     /// The constructed global state (proposition valuation).
     pub gstate: Assignment,
-    /// Per-process conjunct evaluations.
-    pub conjuncts: Vec<ConjunctEval>,
     /// The process this transition wants to visit next.
     pub next_target_process: ProcessId,
     /// The local sequence number of the event it wants to inspect there.
     pub next_target_event: u64,
+    /// `[gcut | depend | conjunct bytes]`, [`block_words`]`(n)` words.  The
+    /// bytes past the `n`-th conjunct are zero.
+    block: Box<[u64]>,
+    /// The width: the number of processes.
+    n: u32,
     /// Overall evaluation.
     pub eval: EvalState,
 }
 
+/// The words of a transition block of width `n`: two cuts of `n` words, then `n`
+/// conjunct bytes rounded up to whole words.
+pub(crate) fn block_words(n: usize) -> usize {
+    2 * n + n.div_ceil(8)
+}
+
 impl TokenTransition {
+    /// Transition `transition_id` of width `n`, in a fresh block: zero cuts,
+    /// every conjunct [`NotInvolved`](ConjunctEval::NotInvolved), the state all
+    /// false, aimed at event 0 of process 0 and undecided.
+    pub fn new(transition_id: usize, n: usize) -> Self {
+        TokenTransition::in_block(transition_id, n, vec![0; block_words(n)].into())
+    }
+
+    /// [`new`](Self::new) in `block`, a block of width `n` leased from a pool:
+    /// the cuts keep whatever it held, for the caller to overwrite, and the
+    /// conjuncts are cleared.
+    pub(crate) fn in_block(transition_id: usize, n: usize, mut block: Box<[u64]>) -> Self {
+        assert_eq!(block.len(), block_words(n), "a block of width {n}");
+        block[2 * n..].fill(0);
+        TokenTransition {
+            transition_id,
+            gstate: Assignment::ALL_FALSE,
+            next_target_process: 0,
+            next_target_event: 0,
+            block,
+            n: u32::try_from(n).expect("a process count fits in 32 bits"),
+            eval: EvalState::Unset,
+        }
+    }
+
+    /// The transition's block, for a pool to lease again.
+    pub(crate) fn into_block(self) -> Box<[u64]> {
+        self.block
+    }
+
+    /// The number of processes: the width of the cut, of `depend` and of the
+    /// conjuncts.
+    pub fn width(&self) -> usize {
+        self.n as usize
+    }
+
+    /// The event counts (per process) of the global cut constructed so far.
+    pub fn gcut(&self) -> &[u64] {
+        &self.block[..self.width()]
+    }
+
+    /// The component-wise maximum of all vector clocks folded into the cut; an
+    /// entry exceeding `gcut`'s reveals an inconsistency that must be repaired.
+    pub fn depend(&self) -> &[u64] {
+        &self.block[self.width()..2 * self.width()]
+    }
+
+    /// The cut, to write.
+    pub fn gcut_mut(&mut self) -> &mut [u64] {
+        let n = self.width();
+        &mut self.block[..n]
+    }
+
+    /// `depend`, to write.
+    pub fn depend_mut(&mut self) -> &mut [u64] {
+        let n = self.width();
+        &mut self.block[n..2 * n]
+    }
+
+    /// The cut and `depend`, both to write.
+    pub fn cuts_mut(&mut self) -> (&mut [u64], &mut [u64]) {
+        let n = self.width();
+        self.block[..2 * n].split_at_mut(n)
+    }
+
+    /// Process `p`'s conjunct evaluation.
+    pub fn conjunct(&self, p: ProcessId) -> ConjunctEval {
+        assert!(p < self.width(), "conjunct {p} of {}", self.width());
+        let word = self.block[2 * self.width() + p / 8];
+        ConjunctEval::from_byte((word >> (8 * (p % 8))) as u8)
+    }
+
+    /// Sets process `p`'s conjunct evaluation.
+    pub fn set_conjunct(&mut self, p: ProcessId, c: ConjunctEval) {
+        assert!(p < self.width(), "conjunct {p} of {}", self.width());
+        let at = 2 * self.width() + p / 8;
+        let shift = 8 * (p % 8);
+        self.block[at] = (self.block[at] & !(0xff << shift)) | (c as u64) << shift;
+    }
+
+    /// Every process's conjunct evaluation, in process order.
+    pub fn conjuncts(&self) -> impl ExactSizeIterator<Item = ConjunctEval> + '_ {
+        (0..self.width()).map(|p| self.conjunct(p))
+    }
+
     /// True when some process entry of the cut lags behind what `depend` proves must
     /// have been included (the cut is inconsistent and must be advanced).
     pub fn inconsistent_process(&self) -> Option<ProcessId> {
-        (0..self.gcut.len()).find(|&k| self.gcut.get(k) < self.depend.get(k))
+        let (gcut, depend) = (self.gcut(), self.depend());
+        (0..gcut.len()).find(|&k| gcut[k] < depend[k])
     }
 
     /// The first process whose conjunct is still [`ConjunctEval::Unset`].
     pub fn first_unset_process(&self) -> Option<ProcessId> {
-        self.conjuncts
-            .iter()
-            .position(|c| *c == ConjunctEval::Unset)
+        self.conjuncts().position(|c| c == ConjunctEval::Unset)
     }
 
     /// True when every involved process's conjunct evaluated true.
     pub fn all_conjuncts_true(&self) -> bool {
-        self.conjuncts
-            .iter()
+        self.conjuncts()
             .all(|c| matches!(c, ConjunctEval::True | ConjunctEval::NotInvolved))
+    }
+}
+
+impl fmt::Debug for TokenTransition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TokenTransition")
+            .field("transition_id", &self.transition_id)
+            .field("gcut", &self.gcut())
+            .field("depend", &self.depend())
+            .field("gstate", &self.gstate)
+            .field("conjuncts", &self.conjuncts().collect::<Vec<_>>())
+            .field("next_target_process", &self.next_target_process)
+            .field("next_target_event", &self.next_target_event)
+            .field("eval", &self.eval)
+            .finish()
     }
 }
 
@@ -206,16 +327,14 @@ mod tests {
     use super::*;
 
     fn tt(gcut: Vec<u64>, depend: Vec<u64>, conjuncts: Vec<ConjunctEval>) -> TokenTransition {
-        TokenTransition {
-            transition_id: 0,
-            gcut: VectorClock::from_entries(gcut),
-            depend: VectorClock::from_entries(depend),
-            gstate: Assignment::ALL_FALSE,
-            conjuncts,
-            next_target_process: 0,
-            next_target_event: 1,
-            eval: EvalState::Unset,
+        let mut t = TokenTransition::new(0, gcut.len());
+        t.gcut_mut().copy_from_slice(&gcut);
+        t.depend_mut().copy_from_slice(&depend);
+        for (p, c) in conjuncts.into_iter().enumerate() {
+            t.set_conjunct(p, c);
         }
+        t.next_target_event = 1;
+        t
     }
 
     #[test]
@@ -254,6 +373,49 @@ mod tests {
         );
         assert!(done.all_conjuncts_true());
         assert_eq!(done.first_unset_process(), None);
+    }
+
+    #[test]
+    fn a_transition_keeps_its_cuts_and_conjuncts_in_one_block() {
+        use ConjunctEval::{False, NotInvolved, True, Unset};
+        let evals = [Unset, True, NotInvolved, False, True];
+        for n in 2..=5 {
+            let gcut: Vec<u64> = (0..n as u64).map(|k| 10 + k).collect();
+            let depend: Vec<u64> = (0..n as u64).map(|k| 20 + 3 * k).collect();
+            let conjuncts = evals[..n].to_vec();
+            let mut t = tt(gcut.clone(), depend.clone(), conjuncts.clone());
+            assert_eq!(t.width(), n);
+            assert_eq!((t.gcut(), t.depend()), (&gcut[..], &depend[..]), "n={n}");
+            assert_eq!(t.conjuncts().collect::<Vec<_>>(), conjuncts, "n={n}");
+            assert_eq!(t.conjuncts().len(), n);
+            // Rewriting one conjunct leaves its neighbours and the cuts alone.
+            t.set_conjunct(1, False);
+            assert_eq!(t.conjunct(0), conjuncts[0]);
+            assert_eq!(t.conjunct(1), False);
+            assert_eq!(t.conjuncts().skip(2).collect::<Vec<_>>(), conjuncts[2..]);
+            assert_eq!((t.gcut(), t.depend()), (&gcut[..], &depend[..]), "n={n}");
+            // One heap block: both cuts and the conjunct bytes are consecutive
+            // words of it, and it holds nothing else.
+            let block = &t.block;
+            assert_eq!(block.len(), 2 * n + 1, "n={n}: one conjunct word");
+            assert_eq!(t.gcut().as_ptr(), block.as_ptr());
+            assert_eq!(t.depend().as_ptr(), block[n..].as_ptr());
+            let bytes = block[2 * n].to_le_bytes();
+            assert_eq!(
+                bytes[..n].to_vec(),
+                t.conjuncts().map(|c| c as u8).collect::<Vec<_>>()
+            );
+            assert!(
+                bytes[n..].iter().all(|&b| b == 0),
+                "n={n}: zero past the last"
+            );
+            // Its clone is one block of its own, equal to it.
+            let copy = t.clone();
+            assert_eq!(copy, t);
+            assert_ne!(copy.block.as_ptr(), t.block.as_ptr());
+        }
+        // Nine processes take a second conjunct word.
+        assert_eq!(TokenTransition::new(0, 9).block.len(), 2 * 9 + 2);
     }
 
     #[test]

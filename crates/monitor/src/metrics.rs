@@ -33,8 +33,6 @@ pub struct MonitorMetrics {
     pub tokens_received: usize,
     /// Total number of global views ever created (including the initial one).
     pub global_views_created: usize,
-    /// Number of global views alive at the end of monitoring.
-    pub global_views_final: usize,
     /// Largest number of global views alive at the same time (the §4.3 memory peak).
     pub max_live_views: usize,
     /// Number of local program events observed.
@@ -92,7 +90,6 @@ impl MonitorMetrics {
                 "global_views_created",
                 Json::from(self.global_views_created),
             ),
-            ("global_views_final", Json::from(self.global_views_final)),
             ("max_live_views", Json::from(self.max_live_views)),
             ("events_observed", Json::from(self.events_observed)),
             ("queued_events_sum", Json::from(self.queued_events_sum)),
@@ -140,7 +137,6 @@ impl MonitorMetrics {
             tokens_sent: v.get("tokens_sent")?.as_usize()?,
             tokens_received: v.get("tokens_received")?.as_usize()?,
             global_views_created: v.get("global_views_created")?.as_usize()?,
-            global_views_final: v.get("global_views_final")?.as_usize()?,
             max_live_views: v.get("max_live_views")?.as_usize()?,
             events_observed: v.get("events_observed")?.as_usize()?,
             queued_events_sum: v.get("queued_events_sum")?.as_usize()?,

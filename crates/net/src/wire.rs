@@ -29,7 +29,9 @@ use crate::fault::{FaultSpec, FaultStats};
 use dlrv_json::{object, Json, JsonError};
 use dlrv_ltl::{Assignment, Verdicts};
 use dlrv_monitor::{ConjunctEval, EvalState, MonitorMetrics, MonitorMsg, Token, TokenTransition};
-use dlrv_stream::wire::{json_frame, json_payload, write_clock, write_frame, Reader, StreamError};
+use dlrv_stream::wire::{
+    json_frame, json_payload, write_clock_entries, write_frame, Reader, StreamError,
+};
 use dlrv_stream::{event_from_binary, event_to_binary, varint};
 use dlrv_vclock::Event;
 
@@ -299,6 +301,7 @@ pub enum WireMsg {
 //   token      = property parent parent_gv known n-transitions transition*
 //   known      = one byte, 0..=3: the sender's detected/learnt verdicts (1 = ⊥, 2 = ⊤)
 //   transition = id vc(gcut) vc(depend) gstate n-conjuncts conjunct-byte* next_p next_e eval-byte
+//                -- gcut, depend and the conjuncts of one transition have one width
 //   conjunct   = 0 not-involved | 1 unset | 2 true | 3 false
 //   eval       = 0 unset | 1 enabled | 2 disabled
 //
@@ -317,18 +320,12 @@ const MIN_TOKEN_BYTES: usize = 5;
 
 fn transition_to_binary(t: &TokenTransition, out: &mut Vec<u8>) {
     varint::write_u64(out, t.transition_id as u64);
-    write_clock(out, &t.gcut);
-    write_clock(out, &t.depend);
+    write_clock_entries(out, t.gcut());
+    write_clock_entries(out, t.depend());
     varint::write_u64(out, t.gstate.0);
-    varint::write_u64(out, t.conjuncts.len() as u64);
-    for c in &t.conjuncts {
-        out.push(match c {
-            ConjunctEval::NotInvolved => 0,
-            ConjunctEval::Unset => 1,
-            ConjunctEval::True => 2,
-            ConjunctEval::False => 3,
-        });
-    }
+    varint::write_u64(out, t.width() as u64);
+    // `ConjunctEval`'s discriminants are the grammar's conjunct bytes.
+    out.extend(t.conjuncts().map(|c| c as u8));
     varint::write_u64(out, t.next_target_process as u64);
     varint::write_u64(out, t.next_target_event);
     out.push(match t.eval {
@@ -338,33 +335,44 @@ fn transition_to_binary(t: &TokenTransition, out: &mut Vec<u8>) {
     });
 }
 
+/// Decodes one transition.  Its cut fixes its width: a `depend` or a conjunct
+/// list of another width is corrupt, since the three share one block.
 fn transition_from_binary(r: &mut Reader<'_>) -> Result<TokenTransition, StreamError> {
     let transition_id = r.usize("transition id")?;
-    let gcut = r.clock("transition gcut")?;
-    let depend = r.clock("transition depend")?;
-    let gstate = Assignment(r.uv("transition gstate")?);
-    let conjuncts = r.seq("conjunct count", 1, |r| match r.byte("conjunct")? {
-        0 => Ok(ConjunctEval::NotInvolved),
-        1 => Ok(ConjunctEval::Unset),
-        2 => Ok(ConjunctEval::True),
-        3 => Ok(ConjunctEval::False),
-        other => Err(r.corrupt(&format!("conjunct byte {other}"))),
-    })?;
-    Ok(TokenTransition {
-        transition_id,
-        gcut,
-        depend,
-        gstate,
-        conjuncts,
-        next_target_process: r.usize("transition next_p")?,
-        next_target_event: r.uv("transition next_e")?,
-        eval: match r.byte("eval state")? {
-            0 => EvalState::Unset,
-            1 => EvalState::Enabled,
-            2 => EvalState::Disabled,
-            other => return Err(r.corrupt(&format!("eval byte {other}"))),
-        },
-    })
+    let n = r.count("transition gcut", 1)?;
+    let mut t = TokenTransition::new(transition_id, n);
+    for entry in t.gcut_mut() {
+        *entry = r.uv("transition gcut")?;
+    }
+    let width = |r: &mut Reader<'_>, what: &str| match r.count(what, 1)? {
+        w if w == n => Ok(()),
+        w => Err(r.corrupt(&format!("{what} {w} in a transition of width {n}"))),
+    };
+    width(r, "transition depend")?;
+    for entry in t.depend_mut() {
+        *entry = r.uv("transition depend")?;
+    }
+    t.gstate = Assignment(r.uv("transition gstate")?);
+    width(r, "conjunct count")?;
+    for p in 0..n {
+        let c = match r.byte("conjunct")? {
+            0 => ConjunctEval::NotInvolved,
+            1 => ConjunctEval::Unset,
+            2 => ConjunctEval::True,
+            3 => ConjunctEval::False,
+            other => return Err(r.corrupt(&format!("conjunct byte {other}"))),
+        };
+        t.set_conjunct(p, c);
+    }
+    t.next_target_process = r.usize("transition next_p")?;
+    t.next_target_event = r.uv("transition next_e")?;
+    t.eval = match r.byte("eval state")? {
+        0 => EvalState::Unset,
+        1 => EvalState::Enabled,
+        2 => EvalState::Disabled,
+        other => return Err(r.corrupt(&format!("eval byte {other}"))),
+    };
+    Ok(t)
 }
 
 fn token_to_binary(t: &Token, out: &mut Vec<u8>) {
@@ -609,32 +617,43 @@ mod tests {
             parent_gv: 40 + seq,
             known: Verdicts::from_bits((seq % 4) as u8).expect("two bits"),
             transitions: vec![
-                TokenTransition {
-                    transition_id: 7,
-                    gcut: VectorClock::from_entries(vec![1, 2, 0]),
-                    depend: VectorClock::from_entries(vec![1, 2, 3]),
-                    gstate: Assignment(0b110),
-                    conjuncts: vec![
+                transition(
+                    7,
+                    [[1, 2, 0], [1, 2, 3]],
+                    [
                         ConjunctEval::True,
                         ConjunctEval::NotInvolved,
                         ConjunctEval::Unset,
                     ],
-                    next_target_process: 2,
-                    next_target_event: 4,
-                    eval: EvalState::Unset,
-                },
-                TokenTransition {
-                    transition_id: 9,
-                    gcut: VectorClock::from_entries(vec![0, 0, 0]),
-                    depend: VectorClock::from_entries(vec![0, 0, 0]),
-                    gstate: Assignment::ALL_FALSE,
-                    conjuncts: vec![ConjunctEval::False, ConjunctEval::Unset, ConjunctEval::True],
-                    next_target_process: 0,
-                    next_target_event: 1,
-                    eval: EvalState::Disabled,
-                },
+                    (Assignment(0b110), 2, 4, EvalState::Unset),
+                ),
+                transition(
+                    9,
+                    [[0, 0, 0], [0, 0, 0]],
+                    [ConjunctEval::False, ConjunctEval::Unset, ConjunctEval::True],
+                    (Assignment::ALL_FALSE, 0, 1, EvalState::Disabled),
+                ),
             ],
         }
+    }
+
+    /// Transition `id` of three processes with cut and `depend` `cuts`, the
+    /// conjuncts `conjuncts`, and state, next process, next event and
+    /// evaluation `rest`.
+    fn transition(
+        id: usize,
+        cuts: [[u64; 3]; 2],
+        conjuncts: [ConjunctEval; 3],
+        rest: (Assignment, usize, u64, EvalState),
+    ) -> TokenTransition {
+        let mut t = TokenTransition::new(id, 3);
+        t.gcut_mut().copy_from_slice(&cuts[0]);
+        t.depend_mut().copy_from_slice(&cuts[1]);
+        for (p, c) in conjuncts.into_iter().enumerate() {
+            t.set_conjunct(p, c);
+        }
+        (t.gstate, t.next_target_process, t.next_target_event, t.eval) = rest;
+        t
     }
 
     #[test]
@@ -903,6 +922,72 @@ mod tests {
                 },
             }
         );
+    }
+
+    #[test]
+    fn a_transition_whose_widths_differ_is_rejected() {
+        // One token of one transition: id 0, then `cuts` (a clock of width 2, a
+        // clock of width `depend`'s), state 0, `conjuncts` bytes, next process 0,
+        // next event 1, undecided.
+        let frame = |depend: &[u8], conjuncts: &[u8]| {
+            let mut body = vec![1, 0, 1, 0, 0, 1, 0, 2, 0, 1];
+            body.extend_from_slice(depend);
+            body.push(0);
+            body.extend_from_slice(conjuncts);
+            body.extend_from_slice(&[0, 1, 0]);
+            exact_monitor_payload(&body)
+        };
+        let WireMsg::Monitor { msg, .. } =
+            decode_wire_frame(true, &frame(&[2, 0, 1], &[2, 1, 2])).expect("one width")
+        else {
+            panic!("a monitor frame decodes as one");
+        };
+        let t = &msg.tokens[0].transitions[0];
+        assert_eq!((t.gcut(), t.depend()), (&[0, 1][..], &[0, 1][..]));
+        assert_eq!(
+            t.conjuncts().collect::<Vec<_>>(),
+            [ConjunctEval::Unset, ConjunctEval::True]
+        );
+        for (depend, conjuncts, parts) in [
+            (
+                &[3, 0, 1, 2][..],
+                &[2, 1, 2][..],
+                [
+                    "transition depend 3 in a transition of width 2",
+                    "byte offset 21",
+                ],
+            ),
+            (
+                &[1, 0][..],
+                &[2, 1, 2][..],
+                [
+                    "transition depend 1 in a transition of width 2",
+                    "byte offset 21",
+                ],
+            ),
+            (
+                &[2, 0, 1][..],
+                &[3, 1, 2, 2][..],
+                [
+                    "conjunct count 3 in a transition of width 2",
+                    "byte offset 25",
+                ],
+            ),
+            (
+                &[2, 0, 1][..],
+                &[0][..],
+                [
+                    "conjunct count 0 in a transition of width 2",
+                    "byte offset 25",
+                ],
+            ),
+        ] {
+            let err =
+                decode_wire_frame(true, &frame(depend, conjuncts)).expect_err("widths that differ");
+            for part in parts {
+                assert!(err.message.contains(part), "`{part}` missing from: {err}");
+            }
+        }
     }
 
     #[test]

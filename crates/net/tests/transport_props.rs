@@ -48,26 +48,30 @@ fn frame_from_seed(seed: &mut u64, index: usize) -> WireMsg {
 fn hot_msg_from_seed(seed: &mut u64) -> WireMsg {
     let n = 2 + (mix(seed) % 4) as usize;
     let vc = |seed: &mut u64| VectorClock::from_entries((0..n).map(|_| mix(seed) % 500).collect());
-    let transition = |seed: &mut u64| TokenTransition {
-        transition_id: (mix(seed) % 32) as usize,
-        gcut: vc(seed),
-        depend: vc(seed),
-        gstate: Assignment(mix(seed)),
-        conjuncts: (0..n)
-            .map(|_| match mix(seed) % 4 {
+    let transition = |seed: &mut u64| {
+        let mut t = TokenTransition::new((mix(seed) % 32) as usize, n);
+        let (gcut, depend) = t.cuts_mut();
+        for entry in gcut.iter_mut().chain(depend) {
+            *entry = mix(seed) % 500;
+        }
+        t.gstate = Assignment(mix(seed));
+        for p in 0..n {
+            let c = match mix(seed) % 4 {
                 0 => ConjunctEval::NotInvolved,
                 1 => ConjunctEval::Unset,
                 2 => ConjunctEval::True,
                 _ => ConjunctEval::False,
-            })
-            .collect(),
-        next_target_process: (mix(seed) % n as u64) as usize,
-        next_target_event: mix(seed) % 1000,
-        eval: match mix(seed) % 3 {
+            };
+            t.set_conjunct(p, c);
+        }
+        t.next_target_process = (mix(seed) % n as u64) as usize;
+        t.next_target_event = mix(seed) % 1000;
+        t.eval = match mix(seed) % 3 {
             0 => EvalState::Unset,
             1 => EvalState::Enabled,
             _ => EvalState::Disabled,
-        },
+        };
+        t
     };
     let token = |seed: &mut u64| Token {
         property: (mix(seed) % 4) as u32,

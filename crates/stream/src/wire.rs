@@ -286,8 +286,13 @@ impl<'a> Reader<'a> {
 
 /// Appends a vector clock in binary form: entry count, then the entries.
 pub fn write_clock(out: &mut Vec<u8>, vc: &VectorClock) {
-    varint::write_u64(out, vc.len() as u64);
-    for &entry in vc.entries() {
+    write_clock_entries(out, vc.entries());
+}
+
+/// Appends the clock entries `entries` in [`write_clock`]'s form.
+pub fn write_clock_entries(out: &mut Vec<u8>, entries: &[u64]) {
+    varint::write_u64(out, entries.len() as u64);
+    for &entry in entries {
         varint::write_u64(out, entry);
     }
 }

@@ -118,13 +118,13 @@ impl VectorClock {
         &self.entries
     }
 
-    /// Overwrites this clock with `other`, reusing the existing entry buffer
-    /// (unlike `*self = other.clone()`, which allocates a fresh one).  The slab
-    /// recyclers of the monitor hot path lean on this to turn per-event clock
-    /// clones into plain memcpys.
-    pub fn copy_from(&mut self, other: &VectorClock) {
+    /// Overwrites this clock with `entries`, reusing the existing entry buffer
+    /// (unlike a fresh clock, which allocates one).  The slab recyclers of the
+    /// monitor hot path lean on this to turn per-event clock copies into plain
+    /// memcpys.
+    pub fn copy_from(&mut self, entries: &[u64]) {
         self.entries.clear();
-        self.entries.extend_from_slice(&other.entries);
+        self.entries.extend_from_slice(entries);
     }
 }
 

@@ -289,12 +289,12 @@ fn check_token(token: &Token, n: usize, automaton: &MonitorAutomaton) -> Result<
                 "token transition awaits event 0 (sequence numbers start at 1)".to_string(),
             );
         }
-        if t.gcut.len() != n || t.depend.len() != n || t.conjuncts.len() != n {
+        // The decoder has refused a transition whose cut, `depend` and
+        // conjuncts differ in width; that width must be the run's.
+        if t.width() != n {
             return Err(format!(
-                "token transition of widths gcut {}, depend {}, conjuncts {} in a {n}-process run",
-                t.gcut.len(),
-                t.depend.len(),
-                t.conjuncts.len()
+                "token transition of width {} in a {n}-process run",
+                t.width()
             ));
         }
     }

@@ -11,9 +11,10 @@
 
 use dlrv::dlrv_json::{object, Json};
 use dlrv::dlrv_ltl::{Assignment, Verdict, Verdicts};
-use dlrv::dlrv_monitor::{ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition};
+use dlrv::dlrv_monitor::{ConjunctEval, MonitorMsg, Token, TokenTransition};
 use dlrv::dlrv_net::{connect_with_retry, DaemonStatus, Endpoint, FaultSpec, FramedConn, WireMsg};
-use dlrv::dlrv_stream::{event_to_json, wire::json_frame};
+use dlrv::dlrv_stream::event_to_json;
+use dlrv::dlrv_stream::wire::{json_frame, write_frame};
 use dlrv::dlrv_vclock::{Event, EventKind, VectorClock};
 use dlrv::results::property_to_json;
 use dlrv::PropertySpec;
@@ -414,17 +415,26 @@ fn sound_token() -> Token {
         parent: 1,
         parent_gv: 0,
         known: Verdicts::EMPTY,
-        transitions: vec![TokenTransition {
-            transition_id: 0,
-            gcut: VectorClock::from_entries(vec![0, 1]),
-            depend: VectorClock::from_entries(vec![0, 1]),
-            gstate: Assignment(0),
-            conjuncts: vec![ConjunctEval::Unset, ConjunctEval::True],
-            next_target_process: 0,
-            next_target_event: 1,
-            eval: EvalState::Unset,
-        }],
+        transitions: vec![transition_of_width(2)],
     }
+}
+
+/// The transition of [`sound_token`] at `n` processes: cut and `depend` at
+/// event 1 of process 1, whose conjunct holds, and process 0's conjunct unset.
+fn transition_of_width(n: usize) -> TokenTransition {
+    let mut t = TokenTransition::new(0, n);
+    for p in 0..n {
+        let heard = u64::from(p == 1);
+        (t.gcut_mut()[p], t.depend_mut()[p]) = (heard, heard);
+        let c = if p == 1 {
+            ConjunctEval::True
+        } else {
+            ConjunctEval::Unset
+        };
+        t.set_conjunct(p, c);
+    }
+    t.next_target_event = 1;
+    t
 }
 
 fn monitor_frame(from: usize, token: Token) -> WireMsg {
@@ -672,7 +682,7 @@ fn malformed_out_of_sequence_events_are_protocol_failures() {
 #[test]
 fn malformed_tokens_are_protocol_failures() {
     type Break = fn(&mut Token);
-    let cases: [(Break, &str); 9] = [
+    let cases: [(Break, &str); 8] = [
         (|t| t.parent = 2, "parent 2"),
         // ⊤/⊥ only; the decoder refuses ?, which is bit 4.
         (|t| t.known = Verdict::Unknown.into(), "known byte 4"),
@@ -684,15 +694,16 @@ fn malformed_tokens_are_protocol_failures() {
             |t| t.transitions[0].transition_id = 1 << 20,
             "transition_id 1048576",
         ),
+        // A transition's cut, `depend` and conjuncts have one width; a width
+        // that differs among them is refused by the decoder (the next test).
         (
-            |t| t.transitions[0].gcut = VectorClock::from_entries(vec![0]),
-            "gcut 1",
+            |t| t.transitions[0] = transition_of_width(1),
+            "transition of width 1 in a 2-process run",
         ),
         (
-            |t| t.transitions[0].depend = VectorClock::from_entries(vec![0, 1, 2]),
-            "depend 3",
+            |t| t.transitions[0] = transition_of_width(3),
+            "transition of width 3 in a 2-process run",
         ),
-        (|t| t.transitions[0].conjuncts.clear(), "conjuncts 0"),
         (
             |t| t.transitions[0].gstate = Assignment(0b100),
             "gstate 0x4",
@@ -716,6 +727,48 @@ fn malformed_tokens_are_protocol_failures() {
         send(session.peer.as_mut().expect("peer"), &batch);
         session.assert_protocol_failure(reason);
     }
+}
+
+#[test]
+fn malformed_token_widths_that_differ_are_protocol_failures() {
+    // The binary `monitor` frame of `sound_token` from peer 1, its transition's
+    // `depend` or conjunct list one entry longer than its cut.
+    let frame = |depend: &[u8], conjuncts: &[u8]| {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, true, |out| {
+            out.extend_from_slice(&[2, 1, 0]);
+            out.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+            out.extend_from_slice(&[1, 0, 1, 0, 0, 1, 0, 2, 0, 1]);
+            out.extend_from_slice(depend);
+            out.push(0);
+            out.extend_from_slice(conjuncts);
+            out.extend_from_slice(&[0, 1, 0]);
+        });
+        frame
+    };
+    for (frame, reason) in [
+        (
+            frame(&[3, 0, 1, 0], &[2, 1, 2]),
+            "transition depend 3 in a transition of width 2",
+        ),
+        (
+            frame(&[2, 0, 1], &[3, 1, 2, 1]),
+            "conjunct count 3 in a transition of width 2",
+        ),
+    ] {
+        let mut session = Session::established(2);
+        let peer = session.peer.as_mut().expect("peer");
+        peer.queue_bytes(frame);
+        while peer.wants_write() {
+            peer.flush().expect("flush");
+        }
+        session.assert_protocol_failure(reason);
+    }
+    // The control: the same bytes at one width are the well-formed token.
+    assert_eq!(
+        frame(&[2, 0, 1], &[2, 1, 2]),
+        dlrv::dlrv_net::encode_frame(&monitor_frame(1, sound_token()))
+    );
 }
 
 #[test]

@@ -34,10 +34,13 @@ static ALLOCATOR: Counting = Counting;
 
 const SESSIONS: usize = 400;
 /// Live heap of the fleet sessions over the live heap of their solo sessions, in
-/// percent.  Measured: 47.3 (5 154 / 10 886; pin 70 → 56 → 66 → 73 → 48): B and
-/// F are decided at open in these sessions and hold no monitor, and A and C are
-/// one formula at three processes and share one, so the fleet holds three
-/// monitors per process to the solo sessions' six.  It read 48.8 (5 467 /
+/// percent.  Measured: 45.5 (4 502 / 9 903; pin 70 → 56 → 66 → 73 → 48 → 46):
+/// B and F are decided at open in these sessions and hold no monitor, and A and
+/// C are one formula at three processes and share one, so the fleet holds three
+/// monitors per process to the solo sessions' six.  It read 47.3 (5 010 /
+/// 10 598) while a token transition held its cut, `depend` and conjuncts in
+/// three heap blocks beside 112 B inline, 47.3 (5 154 / 10 886) while a
+/// monitor kept two unread counters, 48.8 (5 467 /
 /// 11 214) before tokens carried their sender's detected verdicts, which cut
 /// explorations on both sides, and 73.1 (8 202 / 11 214) with a monitor per
 /// member.  The two
@@ -56,9 +59,13 @@ const SESSIONS: usize = 400;
 /// the fleet's staging kept pool-sized buffers between activations, 78 while
 /// views at ⊤/⊥ were held instead of retired, 114 with a history per member and
 /// the token pool.
-const FLEET_OVER_SOLOS_PERCENT: usize = 48;
-/// Live heap of one fleet session, in bytes.  Measured: 5 154 (budget 15 000 →
-/// 10 000 → 9 450 → 8 600 → 5 600).  It read 5 467 before tokens carried their
+const FLEET_OVER_SOLOS_PERCENT: usize = 46;
+/// Live heap of one fleet session, in bytes.  Measured: 4 502 (budget 15 000 →
+/// 10 000 → 9 450 → 8 600 → 5 600 → 4 700), with a token transition's cut,
+/// `depend` and conjuncts in one block of `u64` words and an in-flight count
+/// in 8 B.  It read 5 010 with three blocks per transition and 16 B per
+/// in-flight count, 5 154 while a monitor kept two unread counters, and 5 467
+/// before tokens carried their
 /// sender's detected verdicts, and 8 202 with a monitor per member:
 /// B's, F's and a second one for A and C at each process were 1 944 B
 /// (3 × 3 × 216) of the difference, and the views, parked tokens and in-flight
@@ -72,7 +79,7 @@ const FLEET_OVER_SOLOS_PERCENT: usize = 48;
 /// verdict sets and an emptied in-flight buffer; 13 934 while a token carried its
 /// own routing target and launch state, 14 930 with a flat history of `n + 1`
 /// words per event, 24 078 with the pool-sized buffers above.
-const BYTES_PER_FLEET_SESSION: usize = 5_600;
+const BYTES_PER_FLEET_SESSION: usize = 4_700;
 
 #[test]
 fn live_fleet_sessions_hold_less_than_their_solo_sessions_and_give_everything_back() {

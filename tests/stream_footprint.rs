@@ -31,9 +31,14 @@ static ALLOCATOR: Counting = Counting;
 
 const WARM_UP: usize = 100;
 const SESSIONS: usize = 1000;
-/// Heap a shard keeps per closed `fleet-6` session, in bytes.  Measured: 56 —
+/// Heap a shard keeps per closed `fleet-6` session, in bytes.  Measured: 61 —
 /// the packed record plus the spare capacity the log's doubling leaves, which
-/// lies between none and one record's worth per record.  It read 60 before
+/// lies between none and one record's worth per record, plus what the thread's
+/// arena pools gain over the measured sessions, a one-off spread over a
+/// thousand of them.  It read 56 while a token transition's two cuts went back
+/// to the clock pool, which the warm-up then filled; now only views' cuts do,
+/// and the pool fills over the measured sessions (58 with clock pooling off).
+/// It read 60 before
 /// tokens carried their sender's detected verdicts, 62 (a 33 B record) with a
 /// monitor per member, 451 while the
 /// log kept every fleet session's spec for its member names, and 1 160 while
