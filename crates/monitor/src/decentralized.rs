@@ -59,7 +59,7 @@
 //! oracle ledger keeps a ceiling per option set, property D's differing
 //! (docs/MONITORING.md, "Open findings").
 
-use crate::global_view::{GlobalView, GvState};
+use crate::global_view::{narrow_state, GlobalView, GvState};
 use crate::messages::{
     block_words, ConjunctEval, EvalState, MonitorMsg, Token, TokenTransition, WaitingTokens,
 };
@@ -150,7 +150,9 @@ struct Scratch {
     /// Spare view-set vectors (merge staging, per-event rebuild, fork outputs).
     view_bufs: Vec<Vec<GlobalView>>,
     /// Spare vector clocks for the cuts of forked and spawned views (a retired
-    /// view's cut — its only allocation — comes back here too).
+    /// view's cut comes back here too).  Only a clock of four or more entries
+    /// owns a heap block, so only at four or more processes does the pool save
+    /// an allocation; a shorter clock is inline and a pooled one is a plain copy.
     clocks: Vec<VectorClock>,
     /// Spare token transition blocks (a decided transition's only allocation).
     blocks: Vec<Box<[u64]>>,
@@ -696,7 +698,7 @@ pub struct PropertyMonitor {
     learned: Verdicts,
     /// Number of tokens currently in flight per originating automaton state (used by
     /// the §4.3.2 optimization to avoid launching duplicate explorations), the
-    /// state's id narrowed to 32 bits ([`in_flight_key`]).  A state with no token
+    /// state's id narrowed to 32 bits ([`narrow_state`]).  A state with no token
     /// out has no entry, and with no entry at all the buffer is released, so an
     /// idle monitor holds nothing here.
     in_flight: Vec<(u32, u32)>,
@@ -782,7 +784,11 @@ impl PropertyMonitor {
     /// plus any ⊤/⊥ verdict that was detected along the way.
     pub fn possible_verdicts(&self) -> Verdicts {
         let mut set = self.detected;
-        set.extend(self.views.iter().map(|gv| self.automaton.verdict(gv.q)));
+        set.extend(
+            self.views
+                .iter()
+                .map(|gv| self.automaton.verdict(gv.automaton_state())),
+        );
         set
     }
 
@@ -818,7 +824,9 @@ impl PropertyMonitor {
     /// Updates the peak-live-view count (the §4.3 memory-overhead measurement).
     fn note_view_peak(&mut self) {
         debug_assert!(
-            self.views.iter().all(|gv| !self.automaton.is_final(gv.q)),
+            self.views
+                .iter()
+                .all(|gv| !self.automaton.is_final(gv.automaton_state())),
             "a view at ⊤ or ⊥ is retired, never held"
         );
         self.counters.max_live_views = self.counters.max_live_views.max(self.views.len());
@@ -826,13 +834,13 @@ impl PropertyMonitor {
 
     /// Whether an exploration launched from automaton state `q` is still out.
     fn is_exploring(&self, q: dlrv_automaton::StateId) -> bool {
-        let q = in_flight_key(q);
+        let q = narrow_state(q);
         self.in_flight.iter().any(|&(state, _)| state == q)
     }
 
     /// Counts one more token out for automaton state `q`.
     fn exploration_launched(&mut self, q: dlrv_automaton::StateId) {
-        let q = in_flight_key(q);
+        let q = narrow_state(q);
         match self.in_flight.iter_mut().find(|(state, _)| *state == q) {
             Some((_, count)) => *count += 1,
             None => self.in_flight.push((q, 1)),
@@ -842,7 +850,7 @@ impl PropertyMonitor {
     /// Counts one token of automaton state `q` home and decided.  The last one
     /// home releases the buffer, as [`WaitingTokens::take`] does.
     fn exploration_over(&mut self, q: dlrv_automaton::StateId) {
-        let q = in_flight_key(q);
+        let q = narrow_state(q);
         if let Some(at) = self.in_flight.iter().position(|&(state, _)| state == q) {
             self.in_flight[at].1 -= 1;
             if self.in_flight[at].1 == 0 {
@@ -881,11 +889,6 @@ impl PropertyMonitor {
         let delivered = process.events_recorded();
         Activation::start(process, self, delivered).terminate(now);
     }
-}
-
-/// Automaton state `q` as [`PropertyMonitor`]'s in-flight counts store it.
-fn in_flight_key(q: dlrv_automaton::StateId) -> u32 {
-    u32::try_from(q).expect("an automaton state id fits in 32 bits")
 }
 
 /// A decentralized monitor process `Mi` (Algorithm 1): its process's part and the
@@ -1070,7 +1073,7 @@ impl<'a> Activation<'a> {
         }
     }
 
-    /// A clock holding a copy of the entries `src`: a recycled buffer
+    /// A clock holding a copy of the entries `src`: a recycled clock
     /// overwritten in place, or a fresh one when the pool is empty.
     fn clock_copy(&mut self, src: &[u64]) -> VectorClock {
         match self.scratch.clocks.pop() {
@@ -1078,7 +1081,7 @@ impl<'a> Activation<'a> {
                 clock.copy_from(src);
                 clock
             }
-            None => VectorClock::from_entries(src.to_vec()),
+            None => VectorClock::from_slice(src),
         }
     }
 
@@ -1270,7 +1273,7 @@ impl<'a> Activation<'a> {
         // not hold a borrow of `self` across the pool calls below.
         let automaton = Arc::clone(&self.member.automaton);
         for t in automaton
-            .transitions_from(gv.q)
+            .transitions_from(gv.automaton_state())
             .iter()
             .filter(|t| !t.is_self_loop())
         {
@@ -1605,7 +1608,7 @@ impl<'a> Activation<'a> {
                     // a detected verdict is stopped by §4.3.3 above, if at all.
                     if self.process.opts.dedup_global_views
                         && self.member.views.iter().any(|gv| {
-                            gv.q == target
+                            gv.automaton_state() == target
                                 && gv.gstate == tran.gstate
                                 && gv.gcut.entries() == tran.gcut()
                         })
@@ -1676,7 +1679,7 @@ impl<'a> Activation<'a> {
             id,
             gcut: self.clock_copy(gcut),
             gstate,
-            q,
+            q: narrow_state(q),
             next_sn: self.empty_queue_cursor(),
             state: GvState::Unblocked,
         };
@@ -1721,9 +1724,10 @@ impl<'a> Activation<'a> {
         // Only a view that took a step on this event leaves a copy behind at the
         // fork below.
         if is_consistent {
-            gv.q = self.member.automaton.step(gv.q, gv.gstate);
-            if self.member.automaton.is_final(gv.q) {
-                self.retire_view(gv.q, gv.gcut);
+            let q = self.member.automaton.step(gv.automaton_state(), gv.gstate);
+            gv.q = narrow_state(q);
+            if self.member.automaton.is_final(q) {
+                self.retire_view(q, gv.gcut);
                 return;
             }
         }
@@ -1739,7 +1743,7 @@ impl<'a> Activation<'a> {
         // that event, not for this one.
         let already_exploring = self.process.opts.dedup_global_views
             && !self.process.local_terminated
-            && self.member.is_exploring(gv.q);
+            && self.member.is_exploring(gv.automaton_state());
 
         if candidates.is_empty() || already_exploring {
             let mut candidates = candidates;
@@ -1801,7 +1805,7 @@ impl<'a> Activation<'a> {
             known: Verdicts::EMPTY,
             transitions,
         };
-        self.member.exploration_launched(gv.q);
+        self.member.exploration_launched(gv.automaton_state());
         self.route_token(token);
     }
 
@@ -2105,7 +2109,7 @@ mod tests {
             let gv = m0.member.views[0].clone();
             assert_eq!(gv.gstate, p0_holds);
             let into_bottom = automaton
-                .transitions_from(gv.q)
+                .transitions_from(gv.automaton_state())
                 .iter()
                 .filter(|t| !t.is_self_loop())
                 .inspect(|t| assert_eq!(automaton.verdict(t.to), Verdict::False))
@@ -2650,7 +2654,7 @@ mod tests {
     #[test]
     fn a_view_spawned_while_an_event_is_delivered_does_not_see_it() {
         let (mut m, p) = goal_monitor(MonitorOptions::default());
-        let q = m.member.views[0].q;
+        let q = m.member.views[0].automaton_state();
         m.process.history.push(&local_event(1, p));
         // While the tokens parked on event 1 are woken, the views have not been
         // offered it yet: a view spawned now gets it with all the others.
@@ -3038,7 +3042,14 @@ mod tests {
         let mut views: Vec<_> = m
             .views()
             .iter()
-            .map(|gv| (gv.q, gv.gcut.entries().to_vec(), gv.gstate.0, gv.state))
+            .map(|gv| {
+                (
+                    gv.automaton_state(),
+                    gv.gcut.entries().to_vec(),
+                    gv.gstate.0,
+                    gv.state,
+                )
+            })
             .collect();
         views.sort_by(|a, b| (a.0, &a.1, a.2).cmp(&(b.0, &b.1, b.2)));
         Outcome {
@@ -3125,7 +3136,7 @@ mod tests {
             m.process.local_terminated = terminated;
             // Some other view at the same automaton state has a token out.
             let mut gv = m.member.views.pop().expect("the initial view");
-            m.member.exploration_launched(gv.q);
+            m.member.exploration_launched(gv.automaton_state());
             let sn = gv.pop_queued(1).expect("event 1 is queued");
             let (mut outbox, mut produced) = (Vec::new(), Vec::new());
             let mut act = m.activation();
@@ -3137,10 +3148,10 @@ mod tests {
             if terminated {
                 // No later event will revisit the question: the view asks itself.
                 assert_eq!((view.state, outbox.len()), (GvState::Waiting, 1));
-                assert_eq!(m.member.in_flight, [(in_flight_key(view.q), 2)]);
+                assert_eq!(m.member.in_flight, [(view.q, 2)]);
             } else {
                 assert_eq!((view.state, outbox.len()), (GvState::Unblocked, 0));
-                assert_eq!(m.member.in_flight, [(in_flight_key(view.q), 1)]);
+                assert_eq!(m.member.in_flight, [(view.q, 1)]);
             }
         }
     }

@@ -23,6 +23,12 @@ pub enum GvState {
     Waiting,
 }
 
+/// Automaton state `q` narrowed to the 32 bits a view ([`GlobalView::q`]) and a
+/// monitor's in-flight counts store it in.
+pub(crate) fn narrow_state(q: StateId) -> u32 {
+    u32::try_from(q).expect("an automaton state id fits in 32 bits")
+}
+
 /// One global view maintained by a monitor process.
 #[derive(Debug, Clone)]
 pub struct GlobalView {
@@ -32,8 +38,10 @@ pub struct GlobalView {
     pub gcut: VectorClock,
     /// The believed global state (proposition valuation).
     pub gstate: Assignment,
-    /// Current monitor-automaton state.
-    pub q: StateId,
+    /// Current monitor-automaton state, narrowed to 32 bits as the monitor's
+    /// in-flight counts narrow it, so that a view fits one cache line;
+    /// [`automaton_state`](Self::automaton_state) reads it back as a [`StateId`].
+    pub q: u32,
     /// Sequence number of the next local event this view has yet to consume.
     ///
     /// Every view is offered every local event and consumes them in order, so the
@@ -53,10 +61,16 @@ impl GlobalView {
             id,
             gcut: VectorClock::zero(n_processes),
             gstate: initial_gstate,
-            q,
+            q: narrow_state(q),
             next_sn: 1,
             state: GvState::Unblocked,
         }
+    }
+
+    /// The current monitor-automaton state.
+    #[inline]
+    pub fn automaton_state(&self) -> StateId {
+        self.q as StateId
     }
 
     /// True when this view and `other` represent the same point of exploration: same

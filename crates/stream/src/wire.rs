@@ -263,12 +263,17 @@ impl<'a> Reader<'a> {
         Ok(items)
     }
 
-    /// One vector clock in its [`write_clock`] form.
+    /// One vector clock in its [`write_clock`] form, decoded into the clock
+    /// itself: no vector is built on the way (a clock of up to three entries
+    /// allocates nothing).
     #[inline]
     pub fn clock(&mut self, what: &str) -> Result<VectorClock, StreamError> {
-        Ok(VectorClock::from_entries(
-            self.seq(what, 1, |r| r.uv(what))?,
-        ))
+        let n = self.count(what, 1)?;
+        let mut clock = VectorClock::zero(n);
+        for i in 0..n {
+            clock.set(i, self.uv(what)?);
+        }
+        Ok(clock)
     }
 
     /// Ends the read: a payload with bytes left over is corrupt.
@@ -388,6 +393,51 @@ mod tests {
                 "{claimed} x {min} in {rest}"
             );
         }
+    }
+
+    #[test]
+    fn clocks_round_trip_on_both_sides_of_the_inline_boundary() {
+        // Three entries are inline, four and more on the heap; the reader fills
+        // either form in place.
+        for entries in [
+            vec![7, 300],
+            vec![0, u64::MAX, 128],
+            vec![1, 2, 3, 1 << 40],
+            (1..=9).map(|i| i * 1000).collect(),
+        ] {
+            let clock = VectorClock::from_entries(entries.clone());
+            let mut payload = Vec::new();
+            write_clock(&mut payload, &clock);
+            let mut r = Reader::new(&payload);
+            let back = r.clock("clock").expect("round trip");
+            r.finish().expect("consumed exactly");
+            assert_eq!(back.entries(), entries);
+            assert_eq!(back, clock);
+        }
+    }
+
+    #[test]
+    fn a_clock_claiming_more_entries_than_bytes_remain_is_corrupt() {
+        // Four entries claimed, three one-byte entries present: refused before a
+        // clock of four entries is allocated.
+        let payload = [4u8, 1, 2, 3];
+        let err = Reader::new(&payload)
+            .clock("clock")
+            .expect_err("4 entries cannot fit in 3 bytes");
+        assert!(err.message.contains("corrupt at clock"), "{err}");
+        assert!(
+            err.message
+                .contains("4 items of at least 1 bytes claimed, 3 bytes remain"),
+            "{err}"
+        );
+        // The same bytes with a count of three are a clock.
+        let fits = [3u8, 1, 2, 3];
+        assert_eq!(
+            Reader::new(&fits).clock("clock").expect("fits").entries(),
+            [1, 2, 3]
+        );
+        // A count that fits but an entry that does not: truncated, not a panic.
+        assert!(Reader::new(&[4u8, 1, 2, 3, 0x80]).clock("clock").is_err());
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! This crate provides:
 //!
 //! * [`VectorClock`] — vector clocks with happened-before, concurrency, join and meet.
+//!   A clock of up to three processes keeps its entries inline, so recording,
+//!   copying or decoding it allocates nothing; a clock of four or more keeps them in
+//!   one heap block of exactly its entries.
 //! * [`Event`] / [`Computation`] — recorded events (internal / send / receive) with
 //!   their clocks and local states, and whole recorded computations.
 //! * [`Lattice`] — the computation lattice of consistent cuts (Definition 6) and the

@@ -7,56 +7,105 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// The most entries a clock keeps inline.  Every clock of a system of up to
+/// this many processes is a plain value: recording, copying or decoding it
+/// allocates nothing.  Not four: a clock of four entries stays the 32 B heap
+/// block it always was, because inlining it moves where the allocator places
+/// the monitors' histories and with it the resident set (docs/PERFORMANCE.md,
+/// "Inline vector clocks").
+const INLINE: usize = 3;
 
 /// A vector clock over a fixed number of processes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// A clock of up to three entries keeps them inline; a longer one keeps them in
+/// one heap block of exactly its entries.  The form follows from the length
+/// alone, so two clocks with equal entries always have the same form.
+#[derive(Clone)]
 pub struct VectorClock {
-    entries: Vec<u64>,
+    repr: Repr,
+}
+
+/// The two forms of a clock; which one a clock takes depends on its length only.
+#[derive(Clone)]
+enum Repr {
+    /// `len ≤ INLINE` entries in `words[..len]`; the words past `len` are zero.
+    Inline { len: u8, words: [u64; INLINE] },
+    /// More than `INLINE` entries.
+    Heap(Vec<u64>),
 }
 
 impl VectorClock {
     /// The zero clock for `n` processes.
     pub fn zero(n: usize) -> Self {
-        VectorClock {
-            entries: vec![0; n],
-        }
+        let repr = if n <= INLINE {
+            Repr::Inline {
+                len: n as u8,
+                words: [0; INLINE],
+            }
+        } else {
+            Repr::Heap(vec![0; n])
+        };
+        VectorClock { repr }
     }
 
     /// Builds a clock from explicit entries.
     pub fn from_entries(entries: Vec<u64>) -> Self {
-        VectorClock { entries }
+        if entries.len() <= INLINE {
+            Self::from_slice(&entries)
+        } else {
+            VectorClock {
+                repr: Repr::Heap(entries),
+            }
+        }
+    }
+
+    /// Builds a clock holding a copy of `entries`.
+    pub fn from_slice(entries: &[u64]) -> Self {
+        let repr = if entries.len() <= INLINE {
+            let mut words = [0; INLINE];
+            words[..entries.len()].copy_from_slice(entries);
+            Repr::Inline {
+                len: entries.len() as u8,
+                words,
+            }
+        } else {
+            Repr::Heap(entries.to_vec())
+        };
+        VectorClock { repr }
     }
 
     /// Number of processes.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries().len()
     }
 
     /// True when the clock has no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries().is_empty()
     }
 
     /// The entry for process `i`.
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
-        self.entries[i]
+        self.entries()[i]
     }
 
     /// Sets the entry for process `i`.
     pub fn set(&mut self, i: usize, value: u64) {
-        self.entries[i] = value;
+        self.entries_mut()[i] = value;
     }
 
     /// Increments the entry of process `i` (called when `Pi` produces an event).
     pub fn increment(&mut self, i: usize) {
-        self.entries[i] += 1;
+        self.entries_mut()[i] += 1;
     }
 
     /// Component-wise maximum with `other` (called on message receipt).
     pub fn merge(&mut self, other: &VectorClock) {
         debug_assert_eq!(self.len(), other.len());
-        for (a, b) in self.entries.iter_mut().zip(&other.entries) {
+        for (a, b) in self.entries_mut().iter_mut().zip(other.entries()) {
             *a = (*a).max(*b);
         }
     }
@@ -71,22 +120,19 @@ impl VectorClock {
     /// Returns the component-wise minimum of two clocks.
     pub fn meet(&self, other: &VectorClock) -> VectorClock {
         debug_assert_eq!(self.len(), other.len());
-        VectorClock {
-            entries: self
-                .entries
-                .iter()
-                .zip(other.entries.iter())
-                .map(|(a, b)| (*a).min(*b))
-                .collect(),
+        let mut out = self.clone();
+        for (a, b) in out.entries_mut().iter_mut().zip(other.entries()) {
+            *a = (*a).min(*b);
         }
+        out
     }
 
     /// `self ≤ other` component-wise.
     pub fn leq(&self, other: &VectorClock) -> bool {
         debug_assert_eq!(self.len(), other.len());
-        self.entries
+        self.entries()
             .iter()
-            .zip(other.entries.iter())
+            .zip(other.entries())
             .all(|(a, b)| a <= b)
     }
 
@@ -114,24 +160,63 @@ impl VectorClock {
     }
 
     /// Raw entries.
+    #[inline]
     pub fn entries(&self) -> &[u64] {
-        &self.entries
+        match &self.repr {
+            Repr::Inline { len, words } => &words[..usize::from(*len)],
+            Repr::Heap(entries) => entries,
+        }
     }
 
-    /// Overwrites this clock with `entries`, reusing the existing entry buffer
-    /// (unlike a fresh clock, which allocates one).  The slab recyclers of the
-    /// monitor hot path lean on this to turn per-event clock copies into plain
-    /// memcpys.
+    #[inline]
+    fn entries_mut(&mut self) -> &mut [u64] {
+        match &mut self.repr {
+            Repr::Inline { len, words } => &mut words[..usize::from(*len)],
+            Repr::Heap(entries) => entries,
+        }
+    }
+
+    /// Overwrites this clock with `entries`, taking the form their length calls
+    /// for.  A heap clock overwritten with four or more entries keeps its block
+    /// (the monitor's clock pool leans on this); a heap clock given three or
+    /// fewer drops it, and an inline clock given four or more allocates one.
     pub fn copy_from(&mut self, entries: &[u64]) {
-        self.entries.clear();
-        self.entries.extend_from_slice(entries);
+        match &mut self.repr {
+            Repr::Heap(own) if entries.len() > INLINE => {
+                own.clear();
+                own.extend_from_slice(entries);
+            }
+            _ => *self = Self::from_slice(entries),
+        }
+    }
+}
+
+impl PartialEq for VectorClock {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
+    }
+}
+
+impl Eq for VectorClock {}
+
+impl Hash for VectorClock {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.entries().hash(state);
+    }
+}
+
+impl fmt::Debug for VectorClock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("VectorClock")
+            .field("entries", &self.entries())
+            .finish()
     }
 }
 
 impl fmt::Display for VectorClock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, e) in self.entries.iter().enumerate() {
+        for (i, e) in self.entries().iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
